@@ -16,7 +16,6 @@ use crate::config::{
 };
 use crate::driver::{MemDriver, PosixDriver, StorageDriver, TimedDriver};
 use crate::hierarchy::StorageHierarchy;
-use crate::metadata::MetadataContainer;
 use crate::middleware::Monarch;
 use crate::policy::PolicyEngine;
 use crate::prefetch::PrefetchConfig;
@@ -128,7 +127,8 @@ impl MonarchBuilder {
 
     /// Install a fully custom policy engine (tests, embedders composing
     /// their own trait implementations). Overrides [`Self::policy`] and
-    /// [`Self::admission`].
+    /// [`Self::admission`]. The engine carries the instance's namespace
+    /// ([`PolicyEngine::namespace`]), so give each instance its own.
     #[must_use]
     pub fn policy_engine(mut self, engine: Arc<PolicyEngine>) -> Self {
         self.policy = Some(engine);
@@ -226,10 +226,8 @@ impl MonarchBuilder {
             });
         }
         let hierarchy = Arc::new(hierarchy);
-        let metadata = Arc::new(MetadataContainer::default());
         let mut engine = TransferEngine::new(
             Arc::clone(&hierarchy),
-            Arc::clone(&metadata),
             policy,
             Arc::clone(&stats),
             Arc::clone(&telemetry),
@@ -248,7 +246,7 @@ impl MonarchBuilder {
                 engine.set_cluster_feed(Arc::clone(cluster.view()), cluster.node_id());
                 if cluster.config().serve {
                     if let Err(e) =
-                        cluster.start_server(Arc::clone(&hierarchy), Arc::clone(&metadata))
+                        cluster.start_server(Arc::clone(&hierarchy), Arc::clone(engine.metadata()))
                     {
                         // A node that cannot serve its shard silently
                         // degrades the whole cluster's hit rate — fail the
@@ -263,7 +261,6 @@ impl MonarchBuilder {
         };
         let monarch = Monarch::from_parts(
             hierarchy,
-            metadata,
             stats,
             telemetry,
             engine,

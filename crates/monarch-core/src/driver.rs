@@ -8,7 +8,8 @@
 //! which takes a filename rather than a file descriptor.
 
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,7 +17,7 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use crate::hash::FxHashMap;
+use crate::hash::{hash_str, FxHashMap};
 use crate::telemetry::LatencyHistogram;
 use crate::{Error, Result};
 
@@ -56,11 +57,59 @@ pub trait StorageDriver: Send + Sync {
 // POSIX driver
 // ---------------------------------------------------------------------------
 
+/// Lock shards of the descriptor cache.
+const FD_SHARDS: usize = 16;
+/// Descriptors kept per shard: 512 per driver in all, half the common
+/// 1024 soft `RLIMIT_NOFILE`.
+const FD_PER_SHARD: usize = 32;
+/// Suffix of an install's temp file; [`PosixDriver::list`] skips it.
+const TMP_SUFFIX: &str = ".monarch-tmp";
+
+/// One shard of the descriptor cache. `epoch` counts invalidations, so a
+/// reader that opened a file while one ran does not cache what may be a
+/// descriptor of the replaced inode.
+#[derive(Default)]
+struct FdShard {
+    epoch: u64,
+    files: FxHashMap<Box<str>, fs::File>,
+}
+
+/// `pread` until `buf` is full or the file ends: one syscall when the
+/// first call fills the buffer.
+fn pread_full(f: &fs::File, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match f.read_at(&mut buf[filled..], offset + filled as u64) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
+}
+
+/// `EMFILE` / `ENFILE`: the process or the system is out of descriptors.
+fn out_of_descriptors(e: &std::io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(24 | 23))
+}
+
 /// Driver over a real directory tree (the production path: an XFS mount on
 /// the node-local SSD, or the Lustre dataset directory).
+///
+/// `read_at` is one `pread` on a cached descriptor. The cache is bounded
+/// (`FD_SHARDS` × `FD_PER_SHARD` = 512 descriptors), keyed by logical
+/// name, and coherent with this driver's own writes: `write_full` and
+/// `remove` invalidate the name, and a failed open is never cached. The contract for everyone else
+/// is that a name in the directory is replaced only through this driver,
+/// or after this driver's `remove` of it — a file swapped underneath a
+/// cached descriptor keeps being read from the old inode.
 pub struct PosixDriver {
     name: String,
     root: PathBuf,
+    fds: Box<[RwLock<FdShard>; FD_SHARDS]>,
+    /// Distinguishes the temp files of concurrent installs.
+    installs: AtomicU64,
 }
 
 impl PosixDriver {
@@ -72,6 +121,8 @@ impl PosixDriver {
         Ok(Self {
             name: name.into(),
             root,
+            fds: Box::new(std::array::from_fn(|_| RwLock::default())),
+            installs: AtomicU64::new(0),
         })
     }
 
@@ -84,6 +135,29 @@ impl PosixDriver {
     fn resolve(&self, file: &str) -> PathBuf {
         self.root.join(file)
     }
+
+    fn fd_shard(&self, file: &str) -> &RwLock<FdShard> {
+        // The high bits: the shard's own map consumes the low ones.
+        &self.fds[(hash_str(file) >> 32) as usize % FD_SHARDS]
+    }
+
+    /// Forget the cached descriptor of `file`. Runs *after* the directory
+    /// entry changed: a reader that opened in between sees the epoch move
+    /// and does not cache; one that opens afterwards gets the new file.
+    fn invalidate(&self, file: &str) {
+        let mut shard = self.fd_shard(file).write();
+        shard.epoch += 1;
+        shard.files.remove(file);
+    }
+
+    /// Close every cached descriptor.
+    fn drop_cache(&self) {
+        for shard in self.fds.iter() {
+            let mut shard = shard.write();
+            shard.epoch += 1;
+            shard.files.clear();
+        }
+    }
 }
 
 impl StorageDriver for PosixDriver {
@@ -92,18 +166,38 @@ impl StorageDriver for PosixDriver {
     }
 
     fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let mut f = fs::File::open(self.resolve(file))?;
-        f.seek(SeekFrom::Start(offset))?;
-        let mut filled = 0;
-        while filled < buf.len() {
-            match f.read(&mut buf[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
+        let shard = self.fd_shard(file);
+        let epoch = {
+            // The read lock is held across the pread, which keeps the
+            // descriptor open without a reference count to bounce.
+            let shard = shard.read();
+            if let Some(f) = shard.files.get(file) {
+                return Ok(pread_full(f, offset, buf)?);
             }
+            shard.epoch
+        };
+        let path = self.resolve(file);
+        let f = match fs::File::open(&path) {
+            Ok(f) => f,
+            Err(e) if out_of_descriptors(&e) => {
+                // Give the descriptors back and serve this read uncached.
+                self.drop_cache();
+                return Ok(pread_full(&fs::File::open(&path)?, offset, buf)?);
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let n = pread_full(&f, offset, buf)?;
+        let mut shard = shard.write();
+        if shard.epoch == epoch {
+            if shard.files.len() >= FD_PER_SHARD {
+                let victim = shard.files.keys().next().cloned();
+                if let Some(victim) = victim {
+                    shard.files.remove(&victim);
+                }
+            }
+            shard.files.insert(file.into(), f);
         }
-        Ok(filled)
+        Ok(n)
     }
 
     fn read_full(&self, file: &str) -> Result<Vec<u8>> {
@@ -116,20 +210,33 @@ impl StorageDriver for PosixDriver {
             fs::create_dir_all(parent)?;
         }
         // Write to a temp name then rename, so concurrent readers never see
-        // a half-copied file after the metadata flips to this tier.
-        let tmp = path.with_extension("monarch-tmp");
-        {
+        // a half-copied file after the metadata flips to this tier. The
+        // temp name keeps the whole file name and a per-install number:
+        // `a.tfrecord` and `a.idx`, or two installs of one name, never
+        // share one.
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(format!(
+            ".{}{TMP_SUFFIX}",
+            self.installs.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = PathBuf::from(tmp);
+        let written = (|| {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(data)?;
             f.sync_data().ok(); // best-effort: cache tiers are ephemeral
+            fs::rename(&tmp, &path)
+        })();
+        if written.is_err() {
+            let _ = fs::remove_file(&tmp);
         }
-        fs::rename(&tmp, &path)?;
-        Ok(())
+        self.invalidate(file);
+        Ok(written?)
     }
 
     fn remove(&self, file: &str) -> Result<()> {
-        fs::remove_file(self.resolve(file))?;
-        Ok(())
+        let removed = fs::remove_file(self.resolve(file));
+        self.invalidate(file);
+        Ok(removed?)
     }
 
     fn file_size(&self, file: &str) -> Result<u64> {
@@ -152,7 +259,10 @@ impl StorageDriver for PosixDriver {
                         .expect("entry under root")
                         .to_string_lossy()
                         .into_owned();
-                    out.push((rel, meta.len()));
+                    // A leftover of an interrupted install is not data.
+                    if !rel.ends_with(TMP_SUFFIX) {
+                        out.push((rel, meta.len()));
+                    }
                 }
             }
         }
@@ -695,6 +805,107 @@ mod tests {
         assert_eq!(d.read_full("f").unwrap(), b"second");
         // No leftover temp files.
         assert_eq!(d.list().unwrap().len(), 1);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A fresh directory for one test.
+    fn scratch(tag: &str) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("monarch-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        root
+    }
+
+    fn read4(d: &PosixDriver, file: &str) -> Result<[u8; 4]> {
+        let mut buf = [0u8; 4];
+        d.read_at(file, 0, &mut buf).map(|_| buf)
+    }
+
+    #[test]
+    fn fd_cache_follows_remove_and_write_full() {
+        let root = scratch("fdcache");
+        let d = PosixDriver::new("p", &root).unwrap();
+        d.write_full("f", b"old!").unwrap();
+        assert_eq!(&read4(&d, "f").unwrap(), b"old!", "now cached");
+        // A replaced file is read, not the cached descriptor's old inode.
+        d.write_full("f", b"new!").unwrap();
+        assert_eq!(&read4(&d, "f").unwrap(), b"new!");
+        // A removed file is gone, cached descriptor or not…
+        d.remove("f").unwrap();
+        match read4(&d, "f") {
+            Err(Error::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
+            other => panic!("read after remove: {other:?}"),
+        }
+        // …and the miss was not cached: once the name is back — written
+        // behind the driver's back, which is allowed after a `remove` —
+        // it is read.
+        fs::write(root.join("f"), b"back").unwrap();
+        assert_eq!(&read4(&d, "f").unwrap(), b"back");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn fd_cache_is_bounded() {
+        let root = scratch("fdbound");
+        let d = PosixDriver::new("p", &root).unwrap();
+        let files = FD_SHARDS * FD_PER_SHARD + 200;
+        for i in 0..files {
+            fs::write(root.join(format!("f{i}")), [i as u8; 4]).unwrap();
+        }
+        // Descriptors of this process that point into this test's root
+        // (other tests open files of their own meanwhile).
+        let open_here = || {
+            fs::read_dir("/proc/self/fd")
+                .unwrap()
+                .filter_map(|e| fs::read_link(e.ok()?.path()).ok())
+                .filter(|target| target.starts_with(&root))
+                .count()
+        };
+        for round in 0..2 {
+            for i in 0..files {
+                assert_eq!(read4(&d, &format!("f{i}")).unwrap(), [i as u8; 4]);
+            }
+            let open = open_here();
+            assert!(
+                open > 0 && open <= FD_SHARDS * FD_PER_SHARD,
+                "round {round}: {open} descriptors open for {files} files"
+            );
+        }
+        drop(d);
+        assert_eq!(open_here(), 0, "dropping the driver closes the cache");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn concurrent_installs_of_same_stem_files_do_not_collide() {
+        // `a.tfrecord` and `a.idx` used to share the temp name
+        // `a.monarch-tmp`: one install renamed the other's bytes into
+        // place, or failed because its temp file had just been renamed.
+        let root = scratch("tmpname");
+        let d = PosixDriver::new("p", &root).unwrap();
+        let start = std::sync::Barrier::new(2);
+        for round in 0..200u32 {
+            std::thread::scope(|s| {
+                for (name, fill) in [("a.tfrecord", 0x11u8), ("a.idx", 0x22u8)] {
+                    let (d, start) = (&d, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        d.write_full(name, &vec![fill; 64 << 10])
+                            .unwrap_or_else(|e| panic!("round {round}: install of {name}: {e}"));
+                    });
+                }
+            });
+            for (name, fill) in [("a.tfrecord", 0x11u8), ("a.idx", 0x22u8)] {
+                let data = d.read_full(name).unwrap();
+                assert!(
+                    data.len() == 64 << 10 && data.iter().all(|b| *b == fill),
+                    "round {round}: {name} holds another install's bytes"
+                );
+            }
+        }
+        // A temp file left by an interrupted install is not a dataset file.
+        fs::write(root.join("a.tfrecord.7.monarch-tmp"), b"partial").unwrap();
+        let names: Vec<String> = d.list().unwrap().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["a.idx", "a.tfrecord"]);
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -454,9 +454,14 @@ impl HealthRegistry {
         &self.tiers[tier]
     }
 
-    /// Record a success against `tier` at the registry clock.
+    /// Record a success against `tier` at the registry clock. While the
+    /// tier has never errored this is one relaxed load: the config lock
+    /// and the clock are only touched once there is a rate to decay.
     pub fn record_success(&self, tier: TierId) {
-        self.tiers[tier].record_success(&self.config.read(), self.now_us());
+        let health = &self.tiers[tier];
+        if health.interesting.load(Ordering::Relaxed) {
+            health.record_success(&self.config.read(), self.now_us());
+        }
     }
 
     /// Record an error against `tier` at the registry clock; returns the

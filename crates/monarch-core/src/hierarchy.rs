@@ -90,8 +90,14 @@ pub struct Tier {
     pub id: TierId,
     /// Human-readable name, e.g. `"ssd"` or `"lustre"`.
     pub name: String,
-    /// Backend abstraction performing the actual I/O.
+    /// Backend abstraction performing the actual I/O (wrapped by
+    /// [`StorageHierarchy::instrument_drivers`], when that ran).
     pub driver: Arc<dyn StorageDriver>,
+    /// The backend as it was handed to [`StorageHierarchy::new`], never
+    /// wrapped. The foreground read path preads through this one and feeds
+    /// the tier's read-latency histogram from the clock reads it already
+    /// takes for the stall profile, instead of timing the call twice.
+    pub raw: Arc<dyn StorageDriver>,
     /// Capacity quota; `None` means unbounded (the PFS source tier).
     pub quota: Option<Quota>,
     /// Read-only tiers never receive placements (the PFS).
@@ -140,6 +146,7 @@ impl StorageHierarchy {
             tiers.push(Tier {
                 id,
                 name,
+                raw: Arc::clone(&driver),
                 driver,
                 quota: (!read_only).then(|| Quota::new(capacity.unwrap_or(0))),
                 read_only,
@@ -195,7 +202,10 @@ impl StorageHierarchy {
     /// Replace each tier's driver with `wrap(tier_id, driver)` — the hook
     /// [`crate::Monarch`] uses to interpose
     /// [`crate::driver::TimedDriver`] latency instrumentation at exactly
-    /// one point, the driver boundary.
+    /// one point, the driver boundary. [`Tier::raw`] keeps the unwrapped
+    /// driver: foreground reads go through it and are timed by the read
+    /// path itself, so a wrapper installed here sees background traffic
+    /// (`read_full`, `write_full`, `remove`) only.
     pub fn instrument_drivers<F>(&mut self, mut wrap: F)
     where
         F: FnMut(TierId, Arc<dyn StorageDriver>) -> Arc<dyn StorageDriver>,

@@ -62,6 +62,7 @@ pub mod pool;
 pub mod prefetch;
 pub mod serve;
 pub mod stats;
+mod stripe;
 pub mod telemetry;
 pub mod trace;
 pub mod transfer;
@@ -93,8 +94,8 @@ pub use serve::MetricsServer;
 pub use stats::{Stats, StatsSnapshot};
 pub use telemetry::{
     Event, EventJournal, EventKind, Gauge, GaugeGuard, GaugeRegistry, GaugeSnapshot,
-    HistogramSnapshot, LatencyHistogram, StallProfile, StallProfileSnapshot, TelemetryRegistry,
-    TelemetrySnapshot, ThroughputSampler, TimeSeries,
+    HistogramSnapshot, InFlight, LatencyHistogram, StallProfile, StallProfileSnapshot,
+    TelemetryRegistry, TelemetrySnapshot, ThroughputSampler, TimeSeries,
 };
 pub use trace::{ArgValue, FlowPhase, SpanRecord, TraceRecorder};
 pub use transfer::{DrainReport, GaugeSampler, LaneQueues, ReadCtx, ReadFeedback, TransferEngine};

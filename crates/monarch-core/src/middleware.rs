@@ -26,13 +26,13 @@ use std::time::{Duration, Instant};
 use crate::builder::MonarchBuilder;
 use crate::cluster::{Cluster, ClusterSnapshot, PeerError};
 use crate::config::MonarchConfig;
-use crate::hierarchy::StorageHierarchy;
-use crate::metadata::{MetadataContainer, PlacementState};
+use crate::hierarchy::{StorageHierarchy, Tier};
+use crate::metadata::{FileInfo, MetadataContainer, PlacementState};
 use crate::observe::{ReadClass, ReadTiming};
 use crate::prefetch::AccessPlan;
 use crate::serve::MetricsServer;
 use crate::stats::{Stats, StatsSnapshot};
-use crate::telemetry::{EventKind, Gauge, GaugeGuard, TelemetryRegistry, TelemetrySnapshot};
+use crate::telemetry::{EventKind, TelemetryRegistry, TelemetrySnapshot};
 use crate::trace::{names, FlowPhase, SpanRecord};
 use crate::transfer::{GaugeSampler, ReadCtx, TransferEngine};
 use crate::{Error, Result};
@@ -46,6 +46,22 @@ pub struct InitReport {
     pub bytes: u64,
     /// Wall-clock duration of the scan.
     pub elapsed: Duration,
+}
+
+/// How long dropping a [`Monarch`] without [`Monarch::shutdown`] waits for
+/// in-flight copies before detaching the pool.
+const DROP_DRAIN_WAIT: Duration = Duration::from_secs(5);
+
+/// One pass of the read loop that produced bytes: what the namespace said,
+/// which tier served, and — when the read is timed — the instants after
+/// the lookup, the tier resolve and the pread.
+struct ReadAttempt<'a> {
+    info: FileInfo,
+    tier: &'a Tier,
+    /// Served by a lower tier than the resident one (quarantine/fallback).
+    degraded: bool,
+    n: usize,
+    marks: Option<[Instant; 3]>,
 }
 
 /// The MONARCH middleware instance.
@@ -62,8 +78,6 @@ pub struct Monarch {
     /// Shared with the engine (its drain sets it), so reads are rejected
     /// as soon as shutdown begins.
     shutting_down: Arc<AtomicBool>,
-    /// Open read handles, balanced across early returns by a guard.
-    reads_in_flight: Arc<Gauge>,
     /// The `/metrics` exporter, when one was started via
     /// [`Monarch::serve`] (or the builder's `metrics_addr`). Stopped on
     /// shutdown so its threads never outlive the instance.
@@ -81,29 +95,24 @@ impl Monarch {
     /// Assemble the facade over parts the builder constructed.
     pub(crate) fn from_parts(
         hierarchy: Arc<StorageHierarchy>,
-        metadata: Arc<MetadataContainer>,
         stats: Arc<Stats>,
         telemetry: Arc<TelemetryRegistry>,
         engine: TransferEngine,
         full_file_fetch: bool,
         cluster: Option<Arc<Cluster>>,
     ) -> Self {
-        let shutting_down = engine.shutdown_flag();
-        let reads_in_flight = telemetry.gauges().gauge(
-            "monarch_reads_in_flight",
-            "Read operations currently executing inside Monarch::read.",
-            &[],
-        );
+        // Registers the in-flight gauge ahead of the sampler's families,
+        // where the exposition has always listed it.
+        telemetry.publish_reads_in_flight();
         Self {
             hierarchy,
-            metadata,
+            metadata: Arc::clone(engine.metadata()),
             stats,
             telemetry,
+            shutting_down: engine.shutdown_flag(),
             engine,
             full_file_fetch,
             cluster,
-            shutting_down,
-            reads_in_flight,
             server: std::sync::Mutex::new(None),
         }
     }
@@ -142,167 +151,33 @@ impl Monarch {
         if self.shutting_down.load(Ordering::Acquire) {
             return Err(Error::ShutDown);
         }
-        let _handle = GaugeGuard::enter(&self.reads_in_flight);
+        let _handle = self.telemetry.reads_in_flight().enter();
         // Sampled reads record a span tree: read → metadata_lookup →
-        // tier_resolve → driver_pread. Timestamps are captured inline (the
-        // spans themselves are built after the I/O completes, off the
-        // timed path); with tracing off this is one branch on an
-        // immutable bool. The stall profiler reuses the same phase
-        // boundaries but runs on *every* completed read (when telemetry is
-        // on), from its own monotonic instants, so the four buckets sum to
-        // this read's wall time.
+        // tier_resolve → driver_pread. The stall profiler uses the same
+        // phase boundaries on *every* completed read while telemetry is
+        // on, so its four buckets sum to this read's wall time. Both are
+        // fed from one chain of monotonic instants, and the clock is read
+        // only when one of them will consume it.
         let tr = self.telemetry.trace();
         let sampled = tr.sample_read();
         let profiled = self.telemetry.is_enabled();
-        let p_entry = Instant::now();
-        let t0 = if sampled {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
+        let entry = (profiled || sampled).then(Instant::now);
         // Peer cache: a miss on a peer-owned file is served node-to-node
         // from the owner's fast tier, skipping the PFS entirely when the
         // peer answers. Any peer failure falls through to the normal path.
-        if let Some(n) = self.peer_read(file, offset, buf, p_entry, profiled) {
+        if let Some(n) = self.peer_read(file, offset, buf, entry) {
             return Ok(n);
         }
-        // Residency can change between the lookup and the pread (an LRU
-        // eviction may delete the cache-tier copy we just resolved). A
-        // vanished file is retried against fresh metadata, which by then
-        // points back at the source tier.
-        //
-        // Fault tolerance rides on the same loop: transient device errors
-        // are retried in place with backoff, sustained failure quarantines
-        // the tier and the read falls back down-hierarchy to the PFS
-        // source (graceful degradation — never an error while the source
-        // is healthy), and a read arriving after the quarantine cooldown
-        // may win the half-open probe slot and test the tier directly.
-        let health = Arc::clone(self.hierarchy.health());
-        let retry = health.retry_policy();
-        let source_id = self.hierarchy.source_id();
-        let mut attempts = 0u32;
-        // Once a pread on the resident tier has failed terminally, every
-        // later iteration serves from the PFS source instead.
-        let mut fallback = false;
-        let (info, tier, degraded, n, t_lookup, t_resolve, t_pread, p_lookup, p_resolve, p_pread) = loop {
-            let info = self.metadata.lookup_for_read(file)?;
-            self.engine.note_access(file, info.tier);
-            let p_lookup = Instant::now();
-            let t_lookup = if sampled {
-                self.telemetry.now_micros()
-            } else {
-                0
-            };
-            if offset >= info.size {
-                return Ok(0);
-            }
-            let resident = self.hierarchy.tier(info.tier)?;
-            // Pick the serving tier: normally the resident one; the PFS
-            // source when the resident tier is quarantined or already
-            // failed this read — unless this read wins the probe slot.
-            let mut probing = false;
-            let tier = if info.tier != source_id
-                && (fallback || health.tier(info.tier).is_quarantined())
-            {
-                if !fallback && health.tier(info.tier).probe_permit(health.now_us()) {
-                    probing = true;
-                    resident
-                } else {
-                    self.hierarchy.tier(source_id)?
-                }
-            } else {
-                resident
-            };
-            let degraded = tier.id != info.tier;
-            let p_resolve = Instant::now();
-            let t_resolve = if sampled {
-                self.telemetry.now_micros()
-            } else {
-                0
-            };
-            let want = buf.len().min((info.size - offset) as usize);
-            match tier.driver.read_at(file, offset, &mut buf[..want]) {
-                Ok(n) => {
-                    let p_pread = Instant::now();
-                    let t_pread = if sampled {
-                        self.telemetry.now_micros()
-                    } else {
-                        0
-                    };
-                    if probing {
-                        health
-                            .tier(tier.id)
-                            .probe_result(true, &health.config(), health.now_us());
-                        self.stats.tier_recovery();
-                        self.telemetry.event(EventKind::TierProbed {
-                            tier: tier.id,
-                            ok: true,
-                        });
-                        self.telemetry
-                            .event(EventKind::TierRecovered { tier: tier.id });
-                    } else if !degraded {
-                        health.record_success(tier.id);
-                    }
-                    break (
-                        info, tier, degraded, n, t_lookup, t_resolve, t_pread, p_lookup, p_resolve,
-                        p_pread,
-                    );
-                }
-                Err(e) => {
-                    if probing {
-                        // Failed probe: re-arm the cooldown and serve this
-                        // read from the source on the next iteration.
-                        health
-                            .tier(tier.id)
-                            .probe_result(false, &health.config(), health.now_us());
-                        self.telemetry.event(EventKind::TierProbed {
-                            tier: tier.id,
-                            ok: false,
-                        });
-                        continue;
-                    }
-                    let Some(class) = crate::health::device_error_class(&e) else {
-                        // Logic errors (unknown file, shutdown, injected
-                        // test faults) propagate untouched.
-                        return Err(e);
-                    };
-                    let (_, quarantined_now) = health.record_error(tier.id, class);
-                    if quarantined_now {
-                        self.stats.tier_quarantine();
-                        self.telemetry.event(EventKind::TierQuarantined {
-                            tier: tier.id,
-                            reason: format!("read failed: {e}"),
-                        });
-                    }
-                    let transient_not_found = matches!(
-                        &e,
-                        Error::Io(io) if io.kind() == std::io::ErrorKind::NotFound
-                    );
-                    if class == crate::health::ErrorClass::Transient
-                        && attempts < retry.max_attempts
-                    {
-                        attempts += 1;
-                        // An eviction race (NotFound) retries immediately
-                        // against fresh metadata, as it always has; real
-                        // device hiccups back off first.
-                        if !transient_not_found {
-                            self.stats.read_retry();
-                            std::thread::sleep(Duration::from_micros(
-                                retry.backoff_us(attempts, offset ^ file.len() as u64),
-                            ));
-                        }
-                        continue;
-                    }
-                    if tier.id != source_id {
-                        // Out of retries (or permanent): degrade to the
-                        // PFS source instead of failing the read.
-                        fallback = true;
-                        continue;
-                    }
-                    return Err(e);
-                }
-            }
+        let Some(attempt) = self.attempt_read(file, offset, buf, entry.is_some())? else {
+            return Ok(0);
         };
+        let ReadAttempt {
+            info,
+            tier,
+            degraded,
+            n,
+            marks,
+        } = attempt;
         self.stats.record_read(tier.id, n as u64);
         if degraded {
             self.stats.degraded_read();
@@ -334,20 +209,31 @@ impl Monarch {
         // count a hit, upgrade a still-queued prefetch copy to the demand
         // lane, and release more of the plan to the prefetcher.
         let feedback = self.engine.note_read(file, info.tier);
+        let Some((entry, [lookup, resolve, pread])) = entry.zip(marks) else {
+            return Ok(n);
+        };
+        let end = Instant::now();
         if sampled {
+            let us = |t: Instant| self.telemetry.micros_at(t);
             let tid = tr.register_current_thread();
             tr.record(
-                SpanRecord::new(names::METADATA_LOOKUP, "read", tid, t0, t_lookup - t0)
-                    .with_id(tr.next_id())
-                    .with_parent(read_id),
+                SpanRecord::new(
+                    names::METADATA_LOOKUP,
+                    "read",
+                    tid,
+                    us(entry),
+                    us(lookup) - us(entry),
+                )
+                .with_id(tr.next_id())
+                .with_parent(read_id),
             );
             tr.record(
                 SpanRecord::new(
                     names::TIER_RESOLVE,
                     "read",
                     tid,
-                    t_lookup,
-                    t_resolve - t_lookup,
+                    us(lookup),
+                    us(resolve) - us(lookup),
                 )
                 .with_id(tr.next_id())
                 .with_parent(read_id)
@@ -355,33 +241,28 @@ impl Monarch {
             );
             // The flow starts at the foreground pread and finishes at the
             // background copy_exec — the causal arrow in the viewer.
-            let mut pread = SpanRecord::new(
+            let mut pread_span = SpanRecord::new(
                 names::DRIVER_PREAD,
                 "read",
                 tid,
-                t_resolve,
-                t_pread - t_resolve,
+                us(resolve),
+                us(pread) - us(resolve),
             )
             .with_id(tr.next_id())
             .with_parent(read_id)
             .arg_str("tier", &tier.name)
             .arg_u64("bytes", n as u64);
             if flow != 0 {
-                pread = pread.with_flow(flow, FlowPhase::Start);
+                pread_span = pread_span.with_flow(flow, FlowPhase::Start);
             }
-            tr.record(pread);
-            let mut read_span = SpanRecord::new(
-                names::READ,
-                "read",
-                tid,
-                t0,
-                self.telemetry.now_micros() - t0,
-            )
-            .with_id(read_id)
-            .with_parent(parent)
-            .arg_str("file", file)
-            .arg_u64("offset", offset)
-            .arg_u64("bytes", n as u64);
+            tr.record(pread_span);
+            let mut read_span =
+                SpanRecord::new(names::READ, "read", tid, us(entry), us(end) - us(entry))
+                    .with_id(read_id)
+                    .with_parent(parent)
+                    .arg_str("file", file)
+                    .arg_u64("offset", offset)
+                    .arg_u64("bytes", n as u64);
             // Point the read back at the prefetch copy that staged (or is
             // staging) its file — the clairvoyant analogue of the
             // demand-path flow arrow.
@@ -391,14 +272,11 @@ impl Monarch {
             tr.record(read_span);
         }
         if profiled {
-            let p_end = Instant::now();
             self.telemetry
                 .stall_profile()
-                .record(p_entry, p_lookup, p_resolve, p_pread, p_end);
+                .record(entry, lookup, resolve, pread, end);
             if degraded {
-                self.telemetry
-                    .stall_profile()
-                    .record_degraded(p_end - p_entry);
+                self.telemetry.stall_profile().record_degraded(end - entry);
             }
             let profiler = self.telemetry.observe().profiler();
             if profiler.is_enabled() {
@@ -422,10 +300,10 @@ impl Monarch {
                 };
                 let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
                 let timing = ReadTiming {
-                    wall_us: us(p_end - p_entry),
-                    pread_us: us(p_pread - p_resolve),
-                    lock_queue_us: us(p_resolve - p_entry),
-                    copy_wait_us: us(p_end - p_pread),
+                    wall_us: us(end - entry),
+                    pread_us: us(pread - resolve),
+                    lock_queue_us: us(resolve - entry),
+                    copy_wait_us: us(end - pread),
                 };
                 profiler.record_read(
                     file,
@@ -434,11 +312,169 @@ impl Monarch {
                     class,
                     feedback.prefetch_hit,
                     timing,
-                    self.telemetry.now_micros(),
+                    self.telemetry.micros_at(end),
                 );
             }
         }
         Ok(n)
+    }
+
+    /// The lookup → tier-resolve → pread loop of one read: `Ok(None)` at
+    /// end-of-file, otherwise the pass that produced bytes. With `timed`
+    /// the pass carries its phase instants.
+    ///
+    /// Residency can change between the lookup and the pread (an LRU
+    /// eviction may delete the cache-tier copy we just resolved). A
+    /// vanished file is retried against fresh metadata, which by then
+    /// points back at the source tier.
+    ///
+    /// Fault tolerance rides on the same loop: transient device errors
+    /// are retried in place with backoff, sustained failure quarantines
+    /// the tier and the read falls back down-hierarchy to the PFS
+    /// source (graceful degradation — never an error while the source
+    /// is healthy), and a read arriving after the quarantine cooldown
+    /// may win the half-open probe slot and test the tier directly.
+    fn attempt_read(
+        &self,
+        file: &str,
+        offset: u64,
+        buf: &mut [u8],
+        timed: bool,
+    ) -> Result<Option<ReadAttempt<'_>>> {
+        let health = self.hierarchy.health();
+        let source_id = self.hierarchy.source_id();
+        let mut attempts = 0u32;
+        // Once a pread on the resident tier has failed terminally, every
+        // later iteration serves from the PFS source instead.
+        let mut fallback = false;
+        loop {
+            let (id, info) = self.metadata.resolve_for_read(file)?;
+            self.engine.note_access(file, id, info.tier);
+            let t_lookup = timed.then(Instant::now);
+            if offset >= info.size {
+                return Ok(None);
+            }
+            let resident = self.hierarchy.tier(info.tier)?;
+            // Pick the serving tier: normally the resident one; the PFS
+            // source when the resident tier is quarantined or already
+            // failed this read — unless this read wins the probe slot.
+            let mut probing = false;
+            let tier = if info.tier != source_id
+                && (fallback || health.tier(info.tier).is_quarantined())
+            {
+                if !fallback && health.tier(info.tier).probe_permit(health.now_us()) {
+                    probing = true;
+                    resident
+                } else {
+                    self.hierarchy.tier(source_id)?
+                }
+            } else {
+                resident
+            };
+            let degraded = tier.id != info.tier;
+            let t_resolve = timed.then(Instant::now);
+            let want = buf.len().min((info.size - offset) as usize);
+            // The un-instrumented driver: the two instants around this
+            // call feed the tier's read-latency histogram here and the
+            // stall profile's driver_pread bucket later. Failed preads
+            // are timed too.
+            let outcome = tier.raw.read_at(file, offset, &mut buf[..want]);
+            let t_pread = timed.then(Instant::now);
+            if let (true, Some(start), Some(done)) =
+                (self.telemetry.is_enabled(), t_resolve, t_pread)
+            {
+                self.telemetry
+                    .read_latency(tier.id)
+                    .record_duration(done - start);
+            }
+            let e = match outcome {
+                Ok(n) => {
+                    if probing {
+                        health
+                            .tier(tier.id)
+                            .probe_result(true, &health.config(), health.now_us());
+                        self.stats.tier_recovery();
+                        self.telemetry.event(EventKind::TierProbed {
+                            tier: tier.id,
+                            ok: true,
+                        });
+                        self.telemetry
+                            .event(EventKind::TierRecovered { tier: tier.id });
+                    } else if !degraded {
+                        health.record_success(tier.id);
+                    }
+                    return Ok(Some(ReadAttempt {
+                        info,
+                        tier,
+                        degraded,
+                        n,
+                        marks: t_lookup
+                            .zip(t_resolve)
+                            .zip(t_pread)
+                            .map(|((lookup, resolve), pread)| [lookup, resolve, pread]),
+                    }));
+                }
+                Err(e) => e,
+            };
+            if probing {
+                // Failed probe: re-arm the cooldown and serve this
+                // read from the source on the next iteration.
+                health
+                    .tier(tier.id)
+                    .probe_result(false, &health.config(), health.now_us());
+                self.telemetry.event(EventKind::TierProbed {
+                    tier: tier.id,
+                    ok: false,
+                });
+                continue;
+            }
+            let retry = health.retry_policy();
+            let vanished = match &e {
+                Error::UnknownFile(_) => true,
+                Error::Io(io) => io.kind() == std::io::ErrorKind::NotFound,
+                _ => false,
+            };
+            if vanished && tier.id != source_id && attempts < retry.max_attempts {
+                // The local copy this pass resolved was evicted under it
+                // (the namespace moves on before the copy is deleted): go
+                // round against fresh metadata. It says nothing about the
+                // device, so it is not charged to the tier's health.
+                attempts += 1;
+                continue;
+            }
+            let Some(class) = crate::health::device_error_class(&e) else {
+                // Logic errors (unknown file, shutdown, injected
+                // test faults) propagate untouched.
+                return Err(e);
+            };
+            let (_, quarantined_now) = health.record_error(tier.id, class);
+            if quarantined_now {
+                self.stats.tier_quarantine();
+                self.telemetry.event(EventKind::TierQuarantined {
+                    tier: tier.id,
+                    reason: format!("read failed: {e}"),
+                });
+            }
+            if class == crate::health::ErrorClass::Transient && attempts < retry.max_attempts {
+                attempts += 1;
+                // A missing file retries immediately, as it always has;
+                // real device hiccups back off first.
+                if !vanished {
+                    self.stats.read_retry();
+                    std::thread::sleep(Duration::from_micros(
+                        retry.backoff_us(attempts, offset ^ file.len() as u64),
+                    ));
+                }
+                continue;
+            }
+            if tier.id != source_id {
+                // Out of retries (or permanent): degrade to the
+                // PFS source instead of failing the read.
+                fallback = true;
+                continue;
+            }
+            return Err(e);
+        }
     }
 
     /// Try to serve a read of an unplaced, peer-owned file from its owner
@@ -453,8 +489,7 @@ impl Monarch {
         file: &str,
         offset: u64,
         buf: &mut [u8],
-        p_entry: Instant,
-        profiled: bool,
+        entry: Option<Instant>,
     ) -> Option<usize> {
         let cluster = self.cluster.as_ref()?;
         let info = self.metadata.get(file)?;
@@ -511,7 +546,7 @@ impl Monarch {
         // keeps this from counting as a prefetch hit (the plan did not
         // stage these bytes — the peer did).
         let _ = self.engine.note_read(file, self.hierarchy.source_id());
-        if profiled {
+        if let (true, Some(p_entry)) = (self.telemetry.is_enabled(), entry) {
             let p_end = Instant::now();
             self.telemetry
                 .stall_profile()
@@ -532,7 +567,7 @@ impl Monarch {
                     ReadClass::PeerBound,
                     false,
                     timing,
-                    self.telemetry.now_micros(),
+                    self.telemetry.micros_at(p_end),
                 );
             }
         }
@@ -801,17 +836,39 @@ impl Monarch {
     /// returned snapshot (`pool_join_failures`) and journaled, instead of
     /// being silently discarded.
     pub fn shutdown(mut self) -> StatsSnapshot {
-        // Drain first (the flag flips immediately, so a scrape racing the
-        // drain sees `draining` on /healthz), then stop the exporter and
-        // the peer server — peers still fetching degrade to their PFS.
-        self.engine.drain();
-        if let Some(server) = self.server.lock().expect("server slot lock").take() {
+        self.stop(None);
+        self.stats.snapshot()
+    }
+
+    /// Drain the engine (waiting at most `wait` for in-flight copies, when
+    /// given), then stop the exporter and the peer server — peers still
+    /// fetching degrade to their PFS. The shutdown flag flips first, so a
+    /// scrape racing the drain sees `draining` on /healthz.
+    fn stop(&mut self, wait: Option<Duration>) {
+        self.engine.drain_within(wait);
+        if let Some(server) = self
+            .server
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .take()
+        {
             server.stop();
         }
         if let Some(cluster) = &self.cluster {
             cluster.stop_server();
         }
-        self.stats.snapshot()
+    }
+}
+
+/// Dropping an instance without [`Monarch::shutdown`] still drains it: no
+/// background copy keeps writing into a tier directory (and no exporter
+/// thread keeps serving) after the owner is gone. The wait for in-flight
+/// copies is bounded (`DROP_DRAIN_WAIT`, 5 s); past it the pool is detached.
+impl Drop for Monarch {
+    fn drop(&mut self) {
+        if !self.shutting_down.load(Ordering::Acquire) {
+            self.stop(Some(DROP_DRAIN_WAIT));
+        }
     }
 }
 

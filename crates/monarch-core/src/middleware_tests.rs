@@ -626,6 +626,12 @@ fn reads_in_flight_gauge_is_balanced() {
     );
     assert!(m.read("missing", 0, &mut buf).is_err());
     m.wait_placement_idle();
+    // The count is striped per thread; a sampler publishes the sum.
+    let held = m.telemetry().reads_in_flight().enter();
+    m.sampler().refresh();
+    assert_eq!(gauge.get(), 1, "the sampler publishes the striped count");
+    drop(held);
+    m.sampler().refresh();
     assert_eq!(
         gauge.get(),
         0,

@@ -24,6 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::hash::FxBuildHasher;
 use crate::hierarchy::TierId;
+use crate::stripe::Striped;
 
 /// Shard count for the per-file map. A power of two so the shard pick is
 /// a mask, matching the metadata container's sharding.
@@ -144,7 +145,9 @@ impl FileProfile {
 }
 
 /// Monotonic microsecond sums behind the time-lost ledger. All atomics:
-/// the read path adds with relaxed ordering and never locks.
+/// the read path adds with relaxed ordering and never locks. The profiler
+/// keeps one per stripe (see the `stripe` module), so a reader adds only to
+/// its own copy; [`AccessProfiler::ledger`] sums them.
 #[derive(Debug, Default)]
 pub struct LedgerAccum {
     reads: AtomicU64,
@@ -227,6 +230,23 @@ pub struct LedgerSnapshot {
 }
 
 impl LedgerSnapshot {
+    /// Field-wise sum (folds the per-stripe ledgers into one).
+    #[must_use]
+    fn plus(self, o: LedgerSnapshot) -> LedgerSnapshot {
+        LedgerSnapshot {
+            reads: self.reads + o.reads,
+            read_wall_us: self.read_wall_us + o.read_wall_us,
+            fast_pread_us: self.fast_pread_us + o.fast_pread_us,
+            pfs_cold_pread_us: self.pfs_cold_pread_us + o.pfs_cold_pread_us,
+            lane_sat_pread_us: self.lane_sat_pread_us + o.lane_sat_pread_us,
+            prefetch_lag_pread_us: self.prefetch_lag_pread_us + o.prefetch_lag_pread_us,
+            peer_bound_pread_us: self.peer_bound_pread_us + o.peer_bound_pread_us,
+            degraded_pread_us: self.degraded_pread_us + o.degraded_pread_us,
+            lock_queue_us: self.lock_queue_us + o.lock_queue_us,
+            copy_wait_us: self.copy_wait_us + o.copy_wait_us,
+        }
+    }
+
     /// The sums accumulated since `prev` (saturating — a fresh registry
     /// against an older snapshot yields zeros, not wraparound).
     #[must_use]
@@ -264,7 +284,7 @@ pub struct AccessProfiler {
     shards: Vec<Mutex<HashMap<String, FileProfile, FxBuildHasher>>>,
     tracked: AtomicU64,
     untracked_reads: AtomicU64,
-    ledger: LedgerAccum,
+    ledger: Striped<LedgerAccum>,
 }
 
 impl std::fmt::Debug for AccessProfiler {
@@ -292,7 +312,7 @@ impl AccessProfiler {
                 .collect(),
             tracked: AtomicU64::new(0),
             untracked_reads: AtomicU64::new(0),
-            ledger: LedgerAccum::default(),
+            ledger: Striped::new(),
         }
     }
 
@@ -325,7 +345,7 @@ impl AccessProfiler {
         if !self.enabled {
             return;
         }
-        self.ledger.add(class, &timing);
+        self.ledger.local(LedgerAccum::default).add(class, &timing);
         let mut shard = self.shards[self.shard_of(file)].lock();
         match shard.get_mut(file) {
             Some(p) => p.touch(tier, bytes, class, prefetch_hit, t_us),
@@ -386,7 +406,10 @@ impl AccessProfiler {
     /// The live ledger sums.
     #[must_use]
     pub fn ledger(&self) -> LedgerSnapshot {
-        self.ledger.snapshot()
+        self.ledger
+            .iter()
+            .map(LedgerAccum::snapshot)
+            .fold(LedgerSnapshot::default(), LedgerSnapshot::plus)
     }
 
     /// `(tracked, untracked_reads)` without merging the shards — cheap
@@ -421,7 +444,7 @@ impl AccessProfiler {
         ProfilerSnapshot {
             tracked: self.tracked.load(Ordering::Relaxed),
             untracked_reads: self.untracked_reads.load(Ordering::Relaxed),
-            ledger: self.ledger.snapshot(),
+            ledger: self.ledger(),
             files,
         }
     }

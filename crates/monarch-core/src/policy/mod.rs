@@ -24,7 +24,8 @@
 //! A [`PolicyEngine`] composes one of each plus cross-cutting state the
 //! parts must agree on: the *pin set* (files staged by prefetch but not yet
 //! read — structurally not evictable), the reuse ledger labelling evictions
-//! for the learned scorer, decision counters, and the [`FeatureSource`]
+//! for the learned scorer (one bit per file in the namespace slab, see
+//! [`crate::metadata`]), decision counters, and the [`FeatureSource`]
 //! bridge to the profiler. The `TransferEngine` consults the engine at its
 //! four decision points — demand admit, prefetch admit, pressure/ENOSPC
 //! evict, plan evict — and journals every verdict with the policy's name
@@ -49,6 +50,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{AdmissionKind, PolicyKind};
 use crate::hierarchy::StorageHierarchy;
+use crate::metadata::{FileId, MetadataContainer};
 use crate::{Result, TierId};
 
 /// Never evict more than this many files for one placement.
@@ -330,9 +332,12 @@ pub struct PolicyEngine {
     /// Files staged by prefetch but not yet read — never evictable until
     /// unpinned, else the window thrashes against its own evictions.
     pinned: Mutex<HashSet<String>>,
-    /// Placed files → "read since placement?" — labels for the scorer's
-    /// online updates, resolved at eviction time.
-    reuse: Mutex<HashSet<String>>,
+    /// The namespace of the instance this engine decides for. Each file's
+    /// "read since placement?" bit — the label for the scorer's online
+    /// updates, resolved at eviction time — lives in its slab, so the
+    /// read path sets it by id with no lock and no allocation. The engine
+    /// creates the container; [`crate::MonarchBuilder`] adopts it.
+    files: Arc<MetadataContainer>,
     counters: Counters,
 }
 
@@ -360,7 +365,7 @@ impl PolicyEngine {
             name,
             features: Mutex::new(None),
             pinned: Mutex::new(HashSet::new()),
-            reuse: Mutex::new(HashSet::new()),
+            files: Arc::new(MetadataContainer::default()),
             counters: Counters::default(),
         }
     }
@@ -538,25 +543,40 @@ impl PolicyEngine {
         pick
     }
 
+    /// The namespace this engine keeps its per-file bits in. One engine
+    /// serves one instance: whoever builds a `Monarch` around this engine
+    /// uses this container as the instance's metadata.
+    #[must_use]
+    pub fn namespace(&self) -> &Arc<MetadataContainer> {
+        &self.files
+    }
+
     /// Observe a read of `file` served from `tier`. Feeds eviction
     /// recency/frequency books and flips the reuse label for the scorer.
     pub fn on_access(&self, file: &str, tier: TierId) {
+        self.on_access_id(self.files.intern(file), file, tier);
+    }
+
+    /// [`Self::on_access`] for a caller that already resolved `file` to
+    /// its `id` in [`Self::namespace`]: a bit test on a warm file.
+    #[inline]
+    pub fn on_access_id(&self, id: FileId, file: &str, tier: TierId) {
         self.eviction.on_access(file, tier);
-        self.reuse.lock().insert(file.to_string());
+        self.files.mark_reused(id);
     }
 
     /// Observe an installed copy: seeds the eviction book and opens a
     /// fresh (not-yet-reused) ledger entry for the scorer label.
     pub fn on_placed(&self, file: &str, size: u64, tier: TierId) {
         self.eviction.on_placed(file, size, tier);
-        self.reuse.lock().remove(file);
+        self.files.take_reused(self.files.intern(file));
     }
 
     /// Observe that `file` left its tier. Resolves the reuse label and
     /// feeds it back to the scorer as an online-learning outcome.
     pub fn on_evicted(&self, file: &str) {
         self.eviction.on_evicted(file);
-        let reused = self.reuse.lock().remove(file);
+        let reused = self.files.take_reused(self.files.intern(file));
         let features = self.features_of(file);
         self.scorer.observe_outcome(file, features.as_ref(), reused);
     }

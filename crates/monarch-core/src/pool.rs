@@ -26,7 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -401,6 +401,14 @@ impl ThreadPool {
     /// counted in [`ThreadPool::join_failures`] rather than propagating
     /// the panic into the caller.
     pub fn shutdown(&mut self) {
+        self.shutdown_within(None);
+    }
+
+    /// [`Self::shutdown`] that gives outstanding work at most `wait` to
+    /// finish. Past the bound the workers are detached instead of joined —
+    /// they still run the queue dry and exit, but the caller no longer
+    /// waits for a wedged task.
+    pub fn shutdown_within(&mut self, wait: Option<Duration>) {
         {
             let mut q = self.shared.queues.lock();
             if q.closed && self.workers.is_empty() {
@@ -409,6 +417,18 @@ impl ThreadPool {
             q.closed = true;
         }
         self.shared.work_cv.notify_all();
+        if let Some(wait) = wait {
+            let deadline = Instant::now() + wait;
+            let mut guard = self.shared.idle_mutex.lock();
+            while self.shared.pending.load(Ordering::Acquire) != 0 {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    self.workers.clear();
+                    return;
+                }
+                self.shared.idle_cv.wait_for(&mut guard, left);
+            }
+        }
         for w in self.workers.drain(..) {
             if w.join().is_err() {
                 self.shared.join_failures.fetch_add(1, Ordering::Relaxed);
@@ -429,6 +449,26 @@ mod tests {
     use std::sync::atomic::AtomicU32;
     use std::sync::Barrier;
     use std::time::Duration;
+
+    #[test]
+    fn bounded_shutdown_detaches_a_wedged_worker() {
+        let mut pool = ThreadPool::new(1);
+        let (release, wedged) = std::sync::mpsc::channel::<()>();
+        let (started_tx, started) = std::sync::mpsc::channel::<()>();
+        assert!(pool.submit(Box::new(move || {
+            started_tx.send(()).unwrap();
+            let _ = wedged.recv();
+        })));
+        started.recv().unwrap();
+        // The task cannot finish until `release` fires, so an unbounded
+        // shutdown would hang here; the bounded one gives up and detaches.
+        pool.shutdown_within(Some(Duration::from_millis(20)));
+        assert_eq!(pool.threads(), 0, "workers detached, not joined");
+        assert_eq!(pool.pending(), 1, "the wedged task is still running");
+        assert!(!pool.submit(Box::new(|| {})), "the queue is closed");
+        release.send(()).unwrap();
+        pool.wait_idle();
+    }
 
     #[test]
     fn runs_all_tasks() {

@@ -2,28 +2,37 @@
 //!
 //! The paper's headline secondary metric is the number of I/O operations
 //! submitted to the shared PFS; [`Stats`] counts reads/writes/bytes per
-//! tier plus placement outcomes, all with relaxed atomics on the hot path.
+//! tier plus placement outcomes, all with relaxed atomics. The per-tier
+//! read counters — the only ones a warm hit touches — are striped per
+//! thread (see the `stripe` module) and summed by [`Stats::snapshot`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
+use crate::stripe::Striped;
 use crate::TierId;
 
-/// Per-tier atomic counters.
+/// One tier's read counters (one copy per stripe).
 #[derive(Debug, Default)]
-pub struct TierCounters {
+struct ReadCounters {
     reads: AtomicU64,
     bytes_read: AtomicU64,
+}
+
+/// One tier's write-side counters (background copies only; not striped).
+#[derive(Debug, Default)]
+struct TierCounters {
     writes: AtomicU64,
     bytes_written: AtomicU64,
     removes: AtomicU64,
 }
 
 /// Aggregate middleware counters.
-#[derive(Debug)]
 pub struct Stats {
     tiers: Vec<TierCounters>,
+    /// Per-stripe read counters, index = tier id.
+    reads: Striped<Vec<ReadCounters>>,
     copies_scheduled: AtomicU64,
     copies_completed: AtomicU64,
     copies_failed: AtomicU64,
@@ -52,12 +61,21 @@ pub struct Stats {
     peer_dead_skips: AtomicU64,
 }
 
+impl std::fmt::Debug for Stats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Stats")
+            .field("tiers", &self.tiers.len())
+            .finish_non_exhaustive()
+    }
+}
+
 impl Stats {
     /// Counters for a hierarchy with `tiers` levels.
     #[must_use]
     pub fn new(tiers: usize) -> Self {
         Self {
             tiers: (0..tiers).map(|_| TierCounters::default()).collect(),
+            reads: Striped::new(),
             copies_scheduled: AtomicU64::new(0),
             copies_completed: AtomicU64::new(0),
             copies_failed: AtomicU64::new(0),
@@ -90,7 +108,11 @@ impl Stats {
     /// Record a read of `bytes` served by `tier`.
     #[inline]
     pub fn record_read(&self, tier: TierId, bytes: u64) {
-        let t = &self.tiers[tier];
+        let levels = self.tiers.len();
+        let stripe = self
+            .reads
+            .local(|| (0..levels).map(|_| ReadCounters::default()).collect());
+        let t = &stripe[tier];
         t.reads.fetch_add(1, Ordering::Relaxed);
         t.bytes_read.fetch_add(bytes, Ordering::Relaxed);
     }
@@ -250,6 +272,14 @@ impl Stats {
         self.peer_dead_skips.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// One read counter of `tier`, summed over the stripes.
+    fn read_sum(&self, tier: TierId, field: impl Fn(&ReadCounters) -> &AtomicU64) -> u64 {
+        self.reads
+            .iter()
+            .map(|stripe| field(&stripe[tier]).load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Immutable snapshot for reporting.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
@@ -257,9 +287,10 @@ impl Stats {
             tiers: self
                 .tiers
                 .iter()
-                .map(|t| TierSnapshot {
-                    reads: t.reads.load(Ordering::Relaxed),
-                    bytes_read: t.bytes_read.load(Ordering::Relaxed),
+                .enumerate()
+                .map(|(id, t)| TierSnapshot {
+                    reads: self.read_sum(id, |c| &c.reads),
+                    bytes_read: self.read_sum(id, |c| &c.bytes_read),
                     writes: t.writes.load(Ordering::Relaxed),
                     bytes_written: t.bytes_written.load(Ordering::Relaxed),
                     removes: t.removes.load(Ordering::Relaxed),
@@ -456,6 +487,32 @@ mod tests {
         assert_eq!(snap.tiers[0].bytes_written, 500);
         assert_eq!(snap.copies_scheduled, 1);
         assert_eq!(snap.copies_completed, 1);
+    }
+
+    #[test]
+    fn striped_reads_are_conserved_across_threads() {
+        // Eight threads, each into its own stripe: the snapshot must add
+        // up to exactly what was recorded, tier by tier.
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 10_000;
+        let s = Stats::new(3);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let s = &s;
+                scope.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        s.record_read(((t + i) % 3) as usize, 4096);
+                    }
+                });
+            }
+        });
+        let snap = s.snapshot();
+        let reads: u64 = snap.tiers.iter().map(|t| t.reads).sum();
+        assert_eq!(reads, THREADS * PER_THREAD);
+        assert_eq!(reads, snap.local_reads() + snap.pfs_reads());
+        for tier in &snap.tiers {
+            assert_eq!(tier.bytes_read, tier.reads * 4096);
+        }
     }
 
     #[test]

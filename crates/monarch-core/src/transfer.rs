@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 
 use crate::health::{device_error_class, ErrorClass, TierState};
 use crate::hierarchy::{StorageHierarchy, TierId};
-use crate::metadata::{FileInfo, MetadataContainer, PlacementState};
+use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
 use crate::observe::{ResidencyEventKind, TransitionCause};
 use crate::policy::{DecisionPoint, FeatureSource, PolicyEngine, PolicySnapshot};
 use crate::pool::{Lane, PoolProbe, TaskCtx, ThreadPool};
@@ -309,20 +309,23 @@ impl std::fmt::Debug for TransferEngine {
 }
 
 impl TransferEngine {
-    /// Assemble an engine over shared parts. The pool is built with
+    /// Assemble an engine over shared parts; the metadata container is the
+    /// policy engine's [`PolicyEngine::namespace`]. The pool is built with
     /// per-lane queue-wait stamping when the registry is enabled, and its
     /// panic handler reverts the dying copy's metadata so a later read can
     /// retry.
     #[must_use]
     pub fn new(
         hierarchy: Arc<StorageHierarchy>,
-        metadata: Arc<MetadataContainer>,
         policy: Arc<PolicyEngine>,
         stats: Arc<Stats>,
         telemetry: Arc<TelemetryRegistry>,
         pool_threads: usize,
         prefetch: PrefetchConfig,
     ) -> Self {
+        // The policy engine's namespace is the instance's namespace, so a
+        // `FileId` the read path resolved addresses the same file in both.
+        let metadata = Arc::clone(policy.namespace());
         let pool = if telemetry.is_enabled() {
             ThreadPool::with_telemetry(
                 pool_threads,
@@ -453,8 +456,14 @@ impl TransferEngine {
 
     /// Read-path recency signal: forward a foreground access to the
     /// placement policy (LRU-style policies feed on this).
-    pub fn note_access(&self, file: &str, tier: TierId) {
-        self.policy.on_access(file, tier);
+    pub fn note_access(&self, file: &str, id: FileId, tier: TierId) {
+        self.policy.on_access_id(id, file, tier);
+    }
+
+    /// The instance's namespace.
+    #[must_use]
+    pub fn metadata(&self) -> &Arc<MetadataContainer> {
+        &self.metadata
     }
 
     /// Hand a placement copy to the pool if this request wins the
@@ -728,8 +737,13 @@ impl TransferEngine {
         let tier = self.hierarchy.tier(info.tier)?;
         // Metadata first, then the delete — see the placement-path
         // eviction: readers racing the delete re-resolve to the source.
-        self.metadata.evict_to(file, source)?;
-        tier.driver.remove(file)?;
+        let removed = self
+            .metadata
+            .evict_with(file, source, || tier.driver.remove(file))?;
+        let Some(removed) = removed else {
+            return Ok(false);
+        };
+        removed?;
         if let Some(quota) = tier.quota.as_ref() {
             quota.release(info.size);
         }
@@ -765,6 +779,13 @@ impl TransferEngine {
     /// then drain the demand lane and join. The canceled count is
     /// journaled; unjoinable workers are counted, not propagated.
     pub fn drain(&mut self) -> DrainReport {
+        self.drain_within(None)
+    }
+
+    /// [`Self::drain`] that waits at most `wait` for in-flight copies (see
+    /// [`ThreadPool::shutdown_within`]) — what dropping a `Monarch` without
+    /// `shutdown()` runs, so a wedged copy cannot hang the drop.
+    pub fn drain_within(&mut self, wait: Option<Duration>) -> DrainReport {
         self.shutting_down.store(true, Ordering::Release);
         let canceled = match &self.prefetch {
             Some(state) => self.close_window(state, TransitionCause::Drain),
@@ -777,7 +798,7 @@ impl TransferEngine {
                 canceled: canceled as u64,
             });
         }
-        self.pool.shutdown();
+        self.pool.shutdown_within(wait);
         let join_failures = self.pool.join_failures();
         for _ in 0..join_failures {
             self.stats.pool_join_failure();
@@ -1041,6 +1062,7 @@ impl GaugeSampler {
     /// on each scrape: a handful of atomic loads plus two short lock
     /// acquisitions (pool queue, prefetch window).
     pub fn refresh(&self) {
+        self.telemetry.publish_reads_in_flight();
         let g = self.telemetry.gauges();
         let files = self.metadata.residency_histogram(self.hierarchy.levels());
         for tier in self.hierarchy.tiers() {
@@ -1438,9 +1460,17 @@ impl CopyJob {
                     if vinfo.tier == decision.tier {
                         // Metadata flips to the source *before* the local
                         // copy disappears: a reader that raced the delete
-                        // re-resolves to the source on its retry.
-                        self.metadata.evict_to(victim, self.hierarchy.source_id())?;
-                        dest.driver.remove(victim)?;
+                        // re-resolves to the source on its retry. A victim
+                        // someone else is already moving is skipped.
+                        let removed =
+                            self.metadata
+                                .evict_with(victim, self.hierarchy.source_id(), || {
+                                    dest.driver.remove(victim)
+                                })?;
+                        let Some(removed) = removed else {
+                            continue;
+                        };
+                        removed?;
                         quota.release(vinfo.size);
                         self.stats.record_evict(decision.tier);
                         self.policy.on_evicted(victim);
@@ -1656,14 +1686,14 @@ impl CopyJob {
             .iter()
             .find(|(name, _)| *name == victim)
             .map_or(0, |(_, size)| *size);
-        if self
+        let evicted = self
             .metadata
-            .evict_to(&victim, self.hierarchy.source_id())
-            .is_err()
-        {
+            .evict_with(&victim, self.hierarchy.source_id(), || {
+                let _ = dest.driver.remove(&victim);
+            });
+        if !matches!(evicted, Ok(Some(()))) {
             return false;
         }
-        let _ = dest.driver.remove(&victim);
         quota.release(vsize);
         self.stats.record_evict(tier_id);
         self.policy.on_evicted(&victim);
@@ -1801,10 +1831,6 @@ mod tests {
             ])
             .unwrap(),
         );
-        let metadata = Arc::new(MetadataContainer::default());
-        for (name, size) in hierarchy.source().driver.list().unwrap() {
-            metadata.register(&name, size, hierarchy.source_id());
-        }
         let stats = Arc::new(Stats::new(hierarchy.levels()));
         let telemetry = Arc::new(TelemetryRegistry::new(
             vec!["ssd".into(), "pfs".into()],
@@ -1815,9 +1841,12 @@ mod tests {
             PolicyKind::FirstFit,
             AdmissionKind::AdmitAll,
         ));
-        TransferEngine::new(
-            hierarchy, metadata, policy, stats, telemetry, threads, prefetch,
-        )
+        for (name, size) in hierarchy.source().driver.list().unwrap() {
+            policy
+                .namespace()
+                .register(&name, size, hierarchy.source_id());
+        }
+        TransferEngine::new(hierarchy, policy, stats, telemetry, threads, prefetch)
     }
 
     /// Single-worker engine over a gated PFS: a demand copy pins the

@@ -10,7 +10,7 @@ use monarch_core::observe::{AccessProfiler, ReadClass, ReadTiming};
 use monarch_core::policy::{EvictCtx, EvictionPolicy, LfuEviction, LruEviction, PolicyEngine};
 use monarch_core::prefetch::{PrefetchConfig, PrefetchWindow};
 use monarch_core::telemetry::LatencyHistogram;
-use monarch_core::{MonarchBuilder, StorageDriver};
+use monarch_core::{MonarchBuilder, Stats, StorageDriver, TelemetryConfig, TelemetryRegistry};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -197,6 +197,54 @@ proptest! {
         prop_assert_eq!(h.count(), expected_count);
         prop_assert_eq!(h.sum(), expected_sum);
         prop_assert_eq!(h.max(), expected_max);
+    }
+
+    /// Striping is invisible: the same values recorded from several
+    /// threads (each into its own stripe) summarise, and expose their
+    /// Prometheus `_bucket` series, exactly as when one thread records
+    /// them all into one stripe.
+    #[test]
+    fn striped_histogram_equals_single_stripe(
+        values in prop::collection::vec(0u64..(1u64 << 40), 1..400),
+        threads in 2usize..6,
+    ) {
+        let registry = || {
+            TelemetryRegistry::new(
+                vec!["ssd".into(), "pfs".into()],
+                Arc::new(Stats::new(2)),
+                &TelemetryConfig::default(),
+            )
+        };
+        let (one, many) = (registry(), registry());
+        for &v in &values {
+            one.copy_duration().record(v);
+        }
+        std::thread::scope(|s| {
+            for part in values.chunks(values.len().div_ceil(threads)) {
+                let many = &many;
+                s.spawn(move || part.iter().for_each(|&v| many.copy_duration().record(v)));
+            }
+        });
+        prop_assert_eq!(one.copy_duration().snapshot(), many.copy_duration().snapshot());
+        for bound in [0, 15, 1_000, 1 << 20, u64::MAX] {
+            prop_assert_eq!(
+                one.copy_duration().count_le(bound),
+                many.copy_duration().count_le(bound)
+            );
+        }
+        let series = |r: &TelemetryRegistry| -> Vec<String> {
+            r.prometheus_text()
+                .lines()
+                .filter(|l| l.starts_with("monarch_copy_duration_seconds"))
+                .map(str::to_owned)
+                .collect()
+        };
+        prop_assert_eq!(series(&one).len(), 11, "8 le buckets, +Inf, sum, count");
+        prop_assert_eq!(series(&one), series(&many));
+        // Merging a multi-stripe histogram folds every stripe in.
+        let merged = LatencyHistogram::new();
+        merged.merge(many.copy_duration());
+        prop_assert_eq!(merged.snapshot(), one.copy_duration().snapshot());
     }
 
     /// Quantile estimates stay within one log-linear bucket of the exact

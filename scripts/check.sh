@@ -3,7 +3,7 @@
 # errors), and the full test suite. Run before pushing.
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh fmt        # one stage: fmt | clippy | size | test | trace | prefetch | policy | report | cluster | chaos | perf | serve
+#   scripts/check.sh fmt        # one stage: fmt | clippy | size | test | benchapi | trace | prefetch | policy | report | cluster | chaos | perf | serve
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +38,25 @@ run_clippy() {
 run_test() {
     echo "==> cargo test --workspace -q"
     cargo test --workspace -q
+}
+
+# The benchmark under benchmark/ is a workspace of its own, so nothing
+# above compiles it — yet it pins monarch-core's public surface: it
+# implements `StorageDriver` (new trait methods need default bodies) and
+# calls `PosixDriver::{new, root}`, `MetadataContainer::{default, register,
+# lookup_for_read}`, `PolicyEngine::{from_kind, on_placed, on_access}`,
+# `HealthRegistry::{new, retry_policy, tier, record_success}`,
+# `Stats::{new, record_read}`, `TelemetryRegistry::{new, stall_profile,
+# copy_duration, queue_wait, pool_exec}`, `AccessProfiler::{new,
+# record_read}`, `ThreadPool::{new, submit, wait_idle}`,
+# `StorageHierarchy::new` and `MonarchBuilder::{hierarchy, policy,
+# pool_threads, telemetry, build}`. Build it, then run its smoke self-test
+# (manifest agreement, every metric printed once, a flipped byte caught).
+run_benchapi() {
+    echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    echo "==> cargo test --release --offline --manifest-path benchmark/Cargo.toml -q"
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 }
 
 # Tracing end to end: the focused test targets, then a CLI smoke run that
@@ -327,6 +346,7 @@ case "$stage" in
     clippy) run_clippy ;;
     size) run_size ;;
     test) run_test ;;
+    benchapi) run_benchapi ;;
     trace) run_trace ;;
     prefetch) run_prefetch ;;
     policy) run_policy ;;
@@ -340,6 +360,7 @@ case "$stage" in
         run_clippy
         run_size
         run_test
+        run_benchapi
         run_trace
         run_prefetch
         run_policy
@@ -350,7 +371,7 @@ case "$stage" in
         run_perf
         ;;
     *)
-        echo "usage: scripts/check.sh [fmt|clippy|size|test|trace|prefetch|policy|report|cluster|chaos|perf|serve|all]" >&2
+        echo "usage: scripts/check.sh [fmt|clippy|size|test|benchapi|trace|prefetch|policy|report|cluster|chaos|perf|serve|all]" >&2
         exit 2
         ;;
 esac

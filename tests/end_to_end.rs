@@ -276,5 +276,9 @@ fn namespace_is_ephemeral_across_instances() {
     assert_eq!(info.reads, 0);
     let bytes2 = m2.read_full(&name).unwrap();
     assert_eq!(bytes1, bytes2);
+    // That read started a background copy into `ssd/`: let it land and
+    // stop the instance before deleting the directory under it.
+    m2.wait_placement_idle();
+    drop(m2.shutdown());
     fs::remove_dir_all(&root).unwrap();
 }
