@@ -8,7 +8,6 @@
 //! which takes a filename rather than a file descriptor.
 
 use std::fs;
-use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -220,12 +219,11 @@ impl StorageDriver for PosixDriver {
             self.installs.fetch_add(1, Ordering::Relaxed)
         ));
         let tmp = PathBuf::from(tmp);
-        let written = (|| {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(data)?;
-            f.sync_data().ok(); // best-effort: cache tiers are ephemeral
-            fs::rename(&tmp, &path)
-        })();
+        // No `sync_data`: a cache tier is never the source of truth. The
+        // namespace is scanned from the source alone and a new instance
+        // adopts nothing it finds in a tier directory, so what a crash
+        // loses here is placed again from the PFS.
+        let written = fs::write(&tmp, data).and_then(|()| fs::rename(&tmp, &path));
         if written.is_err() {
             let _ = fs::remove_file(&tmp);
         }
@@ -454,11 +452,11 @@ impl StorageDriver for TimedDriver {
 // Gated driver (test support)
 // ---------------------------------------------------------------------------
 
-/// Shared latch that holds a [`GatedDriver`]'s full-file reads closed until
+/// Shared latch that holds a [`GatedDriver`]'s reads closed until
 /// [`open_gate`] is called.
 pub type Gate = Arc<(Mutex<bool>, Condvar)>;
 
-/// Open `gate`, releasing every blocked and future `read_full` of the
+/// Open `gate`, releasing every blocked and future read of the
 /// [`GatedDriver`] it came from.
 pub fn open_gate(gate: &Gate) {
     let (lock, cv) = &**gate;
@@ -466,17 +464,21 @@ pub fn open_gate(gate: &Gate) {
     cv.notify_all();
 }
 
-/// Test-support wrapper whose `read_full` blocks until its [`Gate`] opens.
+/// Test-support wrapper whose `read_at` (and with it the default
+/// `read_full`) blocks until its [`Gate`] opens.
 ///
-/// Background copies fetch the source through `read_full`, so pinning a
+/// Background copies fetch the source through `read_at`, so pinning a
 /// worker inside one makes queueing, promotion, and cancellation behaviour
 /// deterministic: jobs pile up behind the blocked copy in a known order.
-/// Foreground `read_at` is deliberately *not* gated — reads keep being
-/// served from the source while the copy pipeline is wedged, exactly the
-/// degraded mode the middleware promises.
+/// Foreground reads of the source go through the same call. A test whose
+/// foreground reads must keep being served while the copy pipeline is
+/// wedged — the degraded mode the middleware promises — reads other files
+/// than the one it gates ([`GatedDriver::only`]).
 pub struct GatedDriver<D> {
     inner: D,
     gate: Gate,
+    /// Gate reads of this file alone; `None` gates every read.
+    only: Option<String>,
 }
 
 impl<D: StorageDriver> GatedDriver<D> {
@@ -489,9 +491,18 @@ impl<D: StorageDriver> GatedDriver<D> {
             Self {
                 inner,
                 gate: Arc::clone(&gate),
+                only: None,
             },
             gate,
         )
+    }
+
+    /// Hold only reads of `file` at the gate; every other file reads
+    /// straight through.
+    #[must_use]
+    pub fn only(mut self, file: &str) -> Self {
+        self.only = Some(file.to_string());
+        self
     }
 }
 
@@ -501,17 +512,14 @@ impl<D: StorageDriver> StorageDriver for GatedDriver<D> {
     }
 
     fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.inner.read_at(file, offset, buf)
-    }
-
-    fn read_full(&self, file: &str) -> Result<Vec<u8>> {
-        let (lock, cv) = &*self.gate;
-        let mut open = lock.lock();
-        while !*open {
-            cv.wait(&mut open);
+        if self.only.as_deref().is_none_or(|only| only == file) {
+            let (lock, cv) = &*self.gate;
+            let mut open = lock.lock();
+            while !*open {
+                cv.wait(&mut open);
+            }
         }
-        drop(open);
-        self.inner.read_full(file)
+        self.inner.read_at(file, offset, buf)
     }
 
     fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {

@@ -61,6 +61,7 @@ pub mod policy;
 pub mod pool;
 pub mod prefetch;
 pub mod serve;
+mod staging;
 pub mod stats;
 mod stripe;
 pub mod telemetry;

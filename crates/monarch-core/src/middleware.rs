@@ -10,7 +10,9 @@
 //! Operation flow for a read of file `X` (paper §III-B):
 //!
 //! 1. look `X` up in the metadata container → current tier;
-//! 2. forward the read to that tier's storage driver and return the bytes;
+//! 2. forward the read to that tier's storage driver and return the bytes —
+//!    or, while a copy of `X` is in flight, take them from that copy's
+//!    install staging, so the file crosses the PFS link once;
 //! 3. if `X` has never been considered for placement, hand a demand intent
 //!    to the engine, which atomically wins the `Unplaced → Copying`
 //!    transition and runs the policy + full-file copy on a pool thread,
@@ -24,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::builder::MonarchBuilder;
-use crate::cluster::{Cluster, ClusterSnapshot, PeerError};
+use crate::cluster::{Cluster, ClusterSnapshot};
 use crate::config::MonarchConfig;
 use crate::hierarchy::{StorageHierarchy, Tier};
 use crate::metadata::{FileInfo, MetadataContainer, PlacementState};
@@ -60,6 +62,9 @@ struct ReadAttempt<'a> {
     tier: &'a Tier,
     /// Served by a lower tier than the resident one (quarantine/fallback).
     degraded: bool,
+    /// Served through the install staging of the file's in-flight copy,
+    /// which has done the read's accounting.
+    staged: bool,
     n: usize,
     marks: Option<[Instant; 3]>,
 }
@@ -165,8 +170,10 @@ impl Monarch {
         // Peer cache: a miss on a peer-owned file is served node-to-node
         // from the owner's fast tier, skipping the PFS entirely when the
         // peer answers. Any peer failure falls through to the normal path.
-        if let Some(n) = self.peer_read(file, offset, buf, entry) {
-            return Ok(n);
+        if let Some(cluster) = &self.cluster {
+            if let Some(n) = self.engine.peer_read(cluster, file, offset, buf, entry) {
+                return Ok(n);
+            }
         }
         let Some(attempt) = self.attempt_read(file, offset, buf, entry.is_some())? else {
             return Ok(0);
@@ -175,10 +182,13 @@ impl Monarch {
             info,
             tier,
             degraded,
+            staged,
             n,
             marks,
         } = attempt;
-        self.stats.record_read(tier.id, n as u64);
+        if !staged {
+            self.stats.record_read(tier.id, n as u64);
+        }
         if degraded {
             self.stats.degraded_read();
         }
@@ -188,18 +198,19 @@ impl Monarch {
         let read_id = if sampled { tr.next_id() } else { 0 };
         let mut flow = 0u64;
         if info.state == PlacementState::Unplaced {
-            // Paper optimisation: when the triggering read already covered
-            // the whole file, the background task reuses these bytes instead
-            // of re-reading the PFS (flow ③ is skipped). With the
-            // full-file-fetch optimisation disabled, a *partial* read does
-            // not trigger any background fetch — only whole-file reads
-            // lead to placement (the §IV-A ablation).
-            let inline = (offset == 0 && n as u64 == info.size).then(|| buf[..n].to_vec());
-            if self.full_file_fetch || inline.is_some() {
+            // A read from offset 0 hands its bytes to the copy, which then
+            // fetches only what follows them; when it covered the whole
+            // file nothing is fetched again (the paper's optimisation:
+            // flow ③ is skipped). With the full-file-fetch optimisation
+            // disabled, a *partial* read does not trigger any background
+            // fetch — only whole-file reads lead to placement (the §IV-A
+            // ablation).
+            let head = if offset == 0 { &buf[..n] } else { &[] };
+            if self.full_file_fetch || head.len() as u64 == info.size {
                 let candidate = if sampled { tr.next_id() } else { 0 };
                 if self
                     .engine
-                    .demand(file, info.size, inline, ReadCtx::traced(read_id, candidate))
+                    .demand(file, info.size, head, ReadCtx::traced(read_id, candidate))
                 {
                     flow = candidate;
                 }
@@ -291,6 +302,8 @@ impl Monarch {
                     ReadClass::DegradedFallback
                 } else if info.tier != self.hierarchy.source_id() {
                     ReadClass::Fast
+                } else if staged {
+                    ReadClass::Staged
                 } else if feedback.planned {
                     ReadClass::PrefetchLag
                 } else if matches!(info.state, PlacementState::Copying { .. }) {
@@ -374,14 +387,39 @@ impl Monarch {
             let degraded = tier.id != info.tier;
             let t_resolve = timed.then(Instant::now);
             let want = buf.len().min((info.size - offset) as usize);
+            // A file whose copy is in flight is read through that copy's
+            // install staging when it covers the range, so the bytes cross
+            // the PFS link once. Whatever the read waits there falls
+            // between the same two instants as a pread.
+            let staged = match info.state {
+                PlacementState::Copying { .. } => {
+                    match self.engine.read_staged(file, offset, &mut buf[..want]) {
+                        // The copy settled since the lookup above and took
+                        // its staging along: look again before reading the
+                        // source for bytes that just landed on a tier.
+                        None if self
+                            .metadata
+                            .get(file)
+                            .is_some_and(|now| now.state != info.state) =>
+                        {
+                            continue
+                        }
+                        staged => staged,
+                    }
+                }
+                _ => None,
+            };
             // The un-instrumented driver: the two instants around this
             // call feed the tier's read-latency histogram here and the
             // stall profile's driver_pread bucket later. Failed preads
             // are timed too.
-            let outcome = tier.raw.read_at(file, offset, &mut buf[..want]);
+            let outcome = match staged {
+                Some(n) => Ok(n),
+                None => tier.raw.read_at(file, offset, &mut buf[..want]),
+            };
             let t_pread = timed.then(Instant::now);
-            if let (true, Some(start), Some(done)) =
-                (self.telemetry.is_enabled(), t_resolve, t_pread)
+            if let (true, None, Some(start), Some(done)) =
+                (self.telemetry.is_enabled(), staged, t_resolve, t_pread)
             {
                 self.telemetry
                     .read_latency(tier.id)
@@ -400,13 +438,14 @@ impl Monarch {
                         });
                         self.telemetry
                             .event(EventKind::TierRecovered { tier: tier.id });
-                    } else if !degraded {
+                    } else if !degraded && staged.is_none() {
                         health.record_success(tier.id);
                     }
                     return Ok(Some(ReadAttempt {
                         info,
                         tier,
                         degraded,
+                        staged: staged.is_some(),
                         n,
                         marks: t_lookup
                             .zip(t_resolve)
@@ -475,103 +514,6 @@ impl Monarch {
             }
             return Err(e);
         }
-    }
-
-    /// Try to serve a read of an unplaced, peer-owned file from its owner
-    /// node's fast tier. Returns `Some(n)` when the peer answered — the
-    /// requested range was copied into `buf` and the whole file was handed
-    /// to the remote install lane — and `None` when this read should take
-    /// the normal local path (no cluster, locally owned, already placed,
-    /// or the peer was slow/down, in which case the fallback is counted
-    /// and the read degrades to the PFS).
-    fn peer_read(
-        &self,
-        file: &str,
-        offset: u64,
-        buf: &mut [u8],
-        entry: Option<Instant>,
-    ) -> Option<usize> {
-        let cluster = self.cluster.as_ref()?;
-        let info = self.metadata.get(file)?;
-        // Only first-touch misses go to a peer: placed files are local,
-        // and an in-flight copy means bytes are already on their way.
-        if info.state != PlacementState::Unplaced || offset >= info.size {
-            return None;
-        }
-        let owner = cluster.peer_owner(file)?;
-        let p_fetch = Instant::now();
-        let bytes = match cluster.fetch_from(owner, file) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                // Degrade to the PFS path, never to an error. A timeout is
-                // journaled distinctly: "the peer was too slow" reads very
-                // differently from "the peer does not hold the shard yet".
-                self.stats.peer_fallback();
-                if e == PeerError::Timeout {
-                    self.stats.remote_timeout();
-                    self.telemetry.event(EventKind::RemoteTimeout {
-                        file: file.to_string(),
-                        reason: format!(
-                            "peer {owner} read exceeded its deadline; falling back to the PFS"
-                        ),
-                    });
-                } else if e == PeerError::Dead {
-                    // The dial gate refused without touching the network:
-                    // the peer is quarantined after consecutive timeouts.
-                    self.stats.peer_dead_skip();
-                }
-                return None;
-            }
-        };
-        let p_pread = Instant::now();
-        // Serve the requested range straight from the fetched buffer. The
-        // namespace read counter still ticks; the per-tier counters do not
-        // (no local tier did any work — `peer_bytes` accounts the traffic).
-        let _ = self.metadata.lookup_for_read(file);
-        let want = buf.len().min(bytes.len().saturating_sub(offset as usize));
-        buf[..want].copy_from_slice(&bytes[offset as usize..offset as usize + want]);
-        self.stats.peer_hit(want as u64);
-        // The remaining bytes become a remote-lane install so later chunks
-        // (and later epochs) hit the local tier. Bounded by the remote
-        // deadline: if the install queue is backed up past it, the install
-        // reverts and the file stays on the PFS.
-        self.engine.remote_admit(
-            file,
-            info.size,
-            bytes,
-            owner as u64,
-            ReadCtx::untraced().with_deadline(Instant::now() + cluster.remote_deadline()),
-        );
-        // Advance the plan cursor as any read does; the source-tier id
-        // keeps this from counting as a prefetch hit (the plan did not
-        // stage these bytes — the peer did).
-        let _ = self.engine.note_read(file, self.hierarchy.source_id());
-        if let (true, Some(p_entry)) = (self.telemetry.is_enabled(), entry) {
-            let p_end = Instant::now();
-            self.telemetry
-                .stall_profile()
-                .record(p_entry, p_fetch, p_fetch, p_pread, p_end);
-            let profiler = self.telemetry.observe().profiler();
-            if profiler.is_enabled() {
-                let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-                let timing = ReadTiming {
-                    wall_us: us(p_end - p_entry),
-                    pread_us: us(p_pread - p_fetch),
-                    lock_queue_us: us(p_fetch - p_entry),
-                    copy_wait_us: us(p_end - p_pread),
-                };
-                profiler.record_read(
-                    file,
-                    0,
-                    want as u64,
-                    ReadClass::PeerBound,
-                    false,
-                    timing,
-                    self.telemetry.micros_at(p_end),
-                );
-            }
-        }
-        Some(want)
     }
 
     /// Read the entire file through the middleware.
@@ -658,7 +600,7 @@ impl Monarch {
             let flow = if traced { tr.next_id() } else { 0 };
             if self
                 .engine
-                .demand(&name, size, None, ReadCtx::staged(prestage_id, flow))
+                .demand(&name, size, &[], ReadCtx::staged(prestage_id, flow))
             {
                 scheduled += 1;
             }

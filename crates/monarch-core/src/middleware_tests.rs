@@ -779,3 +779,197 @@ fn enospc_install_evicts_a_victim_and_retries_once() {
     assert_eq!(h.tiers[0].errors_total, 0);
     m.shutdown();
 }
+
+// -- copies that die under readers parked on their staging -----------------
+
+/// Source driver whose first `read_at` panics — a driver bug mid-fill.
+struct PanicOnce {
+    inner: MemDriver,
+    armed: AtomicBool,
+}
+
+impl StorageDriver for PanicOnce {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        assert!(
+            !self.armed.swap(false, Ordering::AcqRel),
+            "injected driver panic reading {file}"
+        );
+        self.inner.read_at(file, offset, buf)
+    }
+    fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
+        self.inner.write_full(file, data)
+    }
+    fn remove(&self, file: &str) -> Result<()> {
+        self.inner.remove(file)
+    }
+    fn file_size(&self, file: &str) -> Result<u64> {
+        self.inner.file_size(file)
+    }
+    fn list(&self) -> Result<Vec<(String, u64)>> {
+        self.inner.list()
+    }
+}
+
+const DOOMED: usize = 64 << 10;
+
+fn doomed_bytes() -> Vec<u8> {
+    (0..DOOMED).map(|i| (i % 241) as u8).collect()
+}
+
+fn doomed_source() -> MemDriver {
+    let pfs = MemDriver::new("pfs");
+    pfs.insert("f", doomed_bytes());
+    pfs
+}
+
+/// Pre-stage the one file of `source` (behind `gate`) onto `local`, wait
+/// until the worker is inside the fetch of the whole file, send eight
+/// readers after ranges of it, open the gate, and — whatever becomes of
+/// the copy — require every reader to get exactly its bytes. Partial reads
+/// place nothing here, so what the copy leaves behind stays to be seen.
+fn read_under_a_doomed_copy(
+    source: impl StorageDriver + 'static,
+    gate: &crate::driver::Gate,
+    local: impl StorageDriver + 'static,
+) -> Monarch {
+    let m = MonarchBuilder::new()
+        .hierarchy(two_tier(Arc::new(local), 1 << 20, Arc::new(source)))
+        .pool_threads(1)
+        .full_file_fetch(false)
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    assert_eq!(m.prestage(), 1);
+    let fetching = Some((0, Some(DOOMED as u64)));
+    for _ in 0..10_000 {
+        if m.engine.staging_progress("f") == fetching {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    assert_eq!(m.engine.staging_progress("f"), fetching);
+    let want = doomed_bytes();
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..8usize)
+            .map(|t| {
+                let (m, want) = (&m, &want);
+                s.spawn(move || {
+                    // The last reader's range ends with the file.
+                    let (offset, len) = (t * 8000, 8000 + t * 1000);
+                    let len = len.min(DOOMED - offset);
+                    let mut buf = vec![0u8; len];
+                    let n = m
+                        .read("f", offset as u64, &mut buf)
+                        .expect("never an error");
+                    assert_eq!(n, len, "never short");
+                    assert_eq!(buf, want[offset..offset + len]);
+                })
+            })
+            .collect();
+        // The file stays `Copying` under the worker's claim until the gate
+        // opens, so a reader that is inside `read` is parked or about to.
+        while m.telemetry().reads_in_flight().get() < 8 {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        crate::driver::open_gate(gate);
+        for r in readers {
+            r.join().unwrap();
+        }
+    });
+    m.wait_placement_idle();
+    m
+}
+
+/// The copy failed: nothing of it is left, and the file can be placed.
+fn assert_reverted_then_place(m: &Monarch) {
+    let stats = m.stats();
+    assert_eq!((stats.copies_failed, stats.copies_completed), (1, 0));
+    let info = m.metadata().get("f").unwrap();
+    assert_eq!((info.tier, info.state), (1, PlacementState::Unplaced));
+    let ssd = m.hierarchy().tier(0).unwrap();
+    assert_eq!(
+        ssd.quota.as_ref().unwrap().used(),
+        0,
+        "reservation released"
+    );
+    assert_eq!(
+        ssd.driver.list().unwrap(),
+        [],
+        "nothing readable left behind"
+    );
+    assert_eq!(m.engine.staging_progress("f"), None, "staging gone");
+    // A later whole-file read places it, from fresh bytes.
+    assert_eq!(m.read_full("f").unwrap(), doomed_bytes());
+    m.wait_placement_idle();
+    assert_eq!(m.metadata().get("f").unwrap().tier, 0);
+    assert_eq!(ssd.quota.as_ref().unwrap().used(), DOOMED as u64);
+    assert_eq!(ssd.driver.read_full("f").unwrap(), doomed_bytes());
+}
+
+#[test]
+fn source_error_mid_fill_sends_parked_readers_to_the_source() {
+    let source = FaultyDriver::new(doomed_source(), FaultKind::Reads, 1);
+    let (gated, gate) = crate::driver::GatedDriver::new(source);
+    let m = read_under_a_doomed_copy(gated, &gate, MemDriver::new("ssd"));
+    assert_reverted_then_place(&m);
+}
+
+#[test]
+fn install_error_after_fill_serves_parked_readers_and_leaves_nothing_behind() {
+    let (gated, gate) = crate::driver::GatedDriver::new(doomed_source());
+    let ssd = FaultyDriver::new(MemDriver::new("ssd"), FaultKind::Writes, 1);
+    let m = read_under_a_doomed_copy(gated, &gate, ssd);
+    // The fill itself went through: the readers were served by it.
+    let stats = m.stats();
+    assert_eq!(stats.staged_reads, 8);
+    assert_eq!(
+        (stats.tiers[1].reads, stats.tiers[1].bytes_read),
+        (1, DOOMED as u64)
+    );
+    assert_reverted_then_place(&m);
+}
+
+#[test]
+fn worker_panic_mid_fill_frees_parked_readers_and_the_reservation() {
+    let source = PanicOnce {
+        inner: doomed_source(),
+        armed: AtomicBool::new(true),
+    };
+    let (gated, gate) = crate::driver::GatedDriver::new(source);
+    let m = read_under_a_doomed_copy(gated, &gate, MemDriver::new("ssd"));
+    let events = m.telemetry().journal().events();
+    assert!(events
+        .iter()
+        .any(|e| e.kind.tag() == "reservation_reclaimed" && e.kind.file() == "f"));
+    assert_reverted_then_place(&m);
+}
+
+#[test]
+fn transient_source_error_resumes_the_fill_where_it_stopped() {
+    // One scripted read per fetch now, not one per copy: the first fetch
+    // of the copy fails, the retry fetches the same range, once.
+    let source = FlakyDriver::new(doomed_source());
+    source.script_reads([FlakyOutcome::Transient, FlakyOutcome::Ok]);
+    let m = MonarchBuilder::new()
+        .hierarchy(two_tier(
+            Arc::new(MemDriver::new("ssd")),
+            1 << 20,
+            Arc::new(source),
+        ))
+        .pool_threads(1)
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    assert_eq!(m.prestage(), 1);
+    m.wait_placement_idle();
+    let stats = m.stats();
+    assert_eq!((stats.copy_retries, stats.copies_completed), (1, 1));
+    assert_eq!(
+        (stats.tiers[1].reads, stats.tiers[1].bytes_read),
+        (1, DOOMED as u64)
+    );
+    assert_eq!(m.read_full("f").unwrap(), doomed_bytes());
+}

@@ -49,6 +49,12 @@ pub enum ReadClass {
     /// Served from the PFS while a copy of the file was already in
     /// flight: the copy lanes are behind the read front.
     LaneSaturated,
+    /// Served out of the install staging of the file's in-flight copy —
+    /// copied from what the copy had fetched, after waiting for the fetch
+    /// that carried its bytes, or by fetching the copy's next range itself.
+    /// Unlike `LaneSaturated`, the bytes crossed the PFS link once, for
+    /// the copy and the read together.
+    Staged,
     /// Served from the PFS although the access plan covers the file: the
     /// prefetcher knew, but did not get there in time.
     PrefetchLag,
@@ -155,6 +161,7 @@ pub struct LedgerAccum {
     fast_pread_us: AtomicU64,
     pfs_cold_pread_us: AtomicU64,
     lane_sat_pread_us: AtomicU64,
+    staged_pread_us: AtomicU64,
     prefetch_lag_pread_us: AtomicU64,
     peer_bound_pread_us: AtomicU64,
     degraded_pread_us: AtomicU64,
@@ -174,6 +181,7 @@ impl LedgerAccum {
             ReadClass::Fast => &self.fast_pread_us,
             ReadClass::PfsCold => &self.pfs_cold_pread_us,
             ReadClass::LaneSaturated => &self.lane_sat_pread_us,
+            ReadClass::Staged => &self.staged_pread_us,
             ReadClass::PrefetchLag => &self.prefetch_lag_pread_us,
             ReadClass::PeerBound => &self.peer_bound_pread_us,
             ReadClass::DegradedFallback => &self.degraded_pread_us,
@@ -190,6 +198,7 @@ impl LedgerAccum {
             fast_pread_us: self.fast_pread_us.load(Ordering::Relaxed),
             pfs_cold_pread_us: self.pfs_cold_pread_us.load(Ordering::Relaxed),
             lane_sat_pread_us: self.lane_sat_pread_us.load(Ordering::Relaxed),
+            staged_pread_us: self.staged_pread_us.load(Ordering::Relaxed),
             prefetch_lag_pread_us: self.prefetch_lag_pread_us.load(Ordering::Relaxed),
             peer_bound_pread_us: self.peer_bound_pread_us.load(Ordering::Relaxed),
             degraded_pread_us: self.degraded_pread_us.load(Ordering::Relaxed),
@@ -214,6 +223,10 @@ pub struct LedgerSnapshot {
     pub pfs_cold_pread_us: u64,
     /// Pread time on the PFS while a copy was in flight, µs.
     pub lane_sat_pread_us: u64,
+    /// Time reads spent being served out of an in-flight copy's install
+    /// staging (waits for its fetches included), µs.
+    #[serde(default)]
+    pub staged_pread_us: u64,
     /// Pread time on the PFS for plan-covered files, µs.
     pub prefetch_lag_pread_us: u64,
     /// Fetch time for reads served node-to-node from a peer's tier, µs.
@@ -239,6 +252,7 @@ impl LedgerSnapshot {
             fast_pread_us: self.fast_pread_us + o.fast_pread_us,
             pfs_cold_pread_us: self.pfs_cold_pread_us + o.pfs_cold_pread_us,
             lane_sat_pread_us: self.lane_sat_pread_us + o.lane_sat_pread_us,
+            staged_pread_us: self.staged_pread_us + o.staged_pread_us,
             prefetch_lag_pread_us: self.prefetch_lag_pread_us + o.prefetch_lag_pread_us,
             peer_bound_pread_us: self.peer_bound_pread_us + o.peer_bound_pread_us,
             degraded_pread_us: self.degraded_pread_us + o.degraded_pread_us,
@@ -261,6 +275,7 @@ impl LedgerSnapshot {
             lane_sat_pread_us: self
                 .lane_sat_pread_us
                 .saturating_sub(prev.lane_sat_pread_us),
+            staged_pread_us: self.staged_pread_us.saturating_sub(prev.staged_pread_us),
             prefetch_lag_pread_us: self
                 .prefetch_lag_pread_us
                 .saturating_sub(prev.prefetch_lag_pread_us),

@@ -9,6 +9,8 @@
 //!   misses; the paper's baseline pain);
 //! - **copy-lane-saturated** — PFS pread time while a copy of the same
 //!   file was already in flight (the lanes are behind the read front);
+//! - **staged** — time reads spent being served out of an in-flight copy's
+//!   install staging, waits for the copy's fetches included;
 //! - **prefetch-lag** — PFS pread time on plan-covered files plus
 //!   post-pread copy-machinery waits (the prefetcher knew, but late);
 //! - **lock-or-queue** — metadata lock/lookup and bookkeeping time;
@@ -34,6 +36,9 @@ pub struct LedgerBuckets {
     pub pfs_bound_s: f64,
     /// PFS reads racing their own in-flight copy.
     pub copy_lane_saturated_s: f64,
+    /// Reads served out of an in-flight copy's install staging.
+    #[serde(default)]
+    pub staged_s: f64,
     /// Plan-covered PFS reads plus copy-machinery waits.
     pub prefetch_lag_s: f64,
     /// Reads served node-to-node from a peer's fast tier.
@@ -62,6 +67,7 @@ impl LedgerBuckets {
         Self {
             pfs_bound_s: s(ledger.pfs_cold_pread_us),
             copy_lane_saturated_s: s(ledger.lane_sat_pread_us),
+            staged_s: s(ledger.staged_pread_us),
             prefetch_lag_s: s(ledger.prefetch_lag_pread_us) + s(ledger.copy_wait_us),
             peer_bound_s: s(ledger.peer_bound_pread_us),
             degraded_fallback_s: s(ledger.degraded_pread_us),
@@ -70,11 +76,12 @@ impl LedgerBuckets {
         }
     }
 
-    /// Sum of all six buckets.
+    /// Sum of all buckets.
     #[must_use]
     pub fn sum_s(&self) -> f64 {
         self.pfs_bound_s
             + self.copy_lane_saturated_s
+            + self.staged_s
             + self.prefetch_lag_s
             + self.peer_bound_s
             + self.degraded_fallback_s
@@ -88,6 +95,7 @@ impl LedgerBuckets {
         let pairs = [
             ("pfs-bound", self.pfs_bound_s),
             ("copy-lane-saturated", self.copy_lane_saturated_s),
+            ("staged", self.staged_s),
             ("prefetch-lag", self.prefetch_lag_s),
             ("peer-bound", self.peer_bound_s),
             ("degraded-fallback", self.degraded_fallback_s),
@@ -248,6 +256,7 @@ impl ObserveReport {
         for (name, v) in [
             ("pfs-bound", self.ledger.pfs_bound_s),
             ("copy-lane-saturated", self.ledger.copy_lane_saturated_s),
+            ("staged", self.ledger.staged_s),
             ("prefetch-lag", self.ledger.prefetch_lag_s),
             ("peer-bound", self.ledger.peer_bound_s),
             ("degraded-fallback", self.ledger.degraded_fallback_s),
@@ -304,6 +313,7 @@ mod tests {
             fast_pread_us: 2_000_000,
             pfs_cold_pread_us: 4_000_000,
             lane_sat_pread_us: 1_000_000,
+            staged_pread_us: 0,
             prefetch_lag_pread_us: 1_500_000,
             lock_queue_us: 500_000,
             copy_wait_us: 1_000_000,

@@ -59,6 +59,8 @@ pub struct Stats {
     enospc_evictions: AtomicU64,
     policy_denials: AtomicU64,
     peer_dead_skips: AtomicU64,
+    staged_reads: AtomicU64,
+    staged_bytes: AtomicU64,
 }
 
 impl std::fmt::Debug for Stats {
@@ -102,6 +104,8 @@ impl Stats {
             enospc_evictions: AtomicU64::new(0),
             policy_denials: AtomicU64::new(0),
             peer_dead_skips: AtomicU64::new(0),
+            staged_reads: AtomicU64::new(0),
+            staged_bytes: AtomicU64::new(0),
         }
     }
 
@@ -272,6 +276,16 @@ impl Stats {
         self.peer_dead_skips.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// `bytes` of a read came out of the install staging of the file's
+    /// in-flight copy instead of a tier. `whole` says the read was served
+    /// from there alone; otherwise it fetched its remainder from the
+    /// source, and that fetch is its one [`Stats::record_read`].
+    pub fn record_staged(&self, whole: bool, bytes: u64) {
+        self.staged_reads
+            .fetch_add(u64::from(whole), Ordering::Relaxed);
+        self.staged_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
     /// One read counter of `tier`, summed over the stripes.
     fn read_sum(&self, tier: TierId, field: impl Fn(&ReadCounters) -> &AtomicU64) -> u64 {
         self.reads
@@ -322,6 +336,8 @@ impl Stats {
             enospc_evictions: self.enospc_evictions.load(Ordering::Relaxed),
             policy_denials: self.policy_denials.load(Ordering::Relaxed),
             peer_dead_skips: self.peer_dead_skips.load(Ordering::Relaxed),
+            staged_reads: self.staged_reads.load(Ordering::Relaxed),
+            staged_bytes: self.staged_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -426,6 +442,13 @@ pub struct StatsSnapshot {
     /// Peer fetches skipped because the peer was marked dead.
     #[serde(default)]
     pub peer_dead_skips: u64,
+    /// Reads served entirely from the install staging of the file's
+    /// in-flight copy: counted here, not as reads of any tier.
+    #[serde(default)]
+    pub staged_reads: u64,
+    /// Bytes handed to readers out of install stagings.
+    #[serde(default)]
+    pub staged_bytes: u64,
 }
 
 impl StatsSnapshot {
@@ -490,9 +513,11 @@ mod tests {
     }
 
     #[test]
-    fn striped_reads_are_conserved_across_threads() {
-        // Eight threads, each into its own stripe: the snapshot must add
-        // up to exactly what was recorded, tier by tier.
+    fn reads_are_conserved_across_threads() {
+        // Eight threads, each into its own stripe. A read is recorded in
+        // exactly one place — the tier that served it, the install staging
+        // of its file's copy, or the peer cache — so the snapshot must add
+        // up to exactly the reads issued: Σ per-tier + staged + peer.
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 10_000;
         let s = Stats::new(3);
@@ -501,18 +526,34 @@ mod tests {
                 let s = &s;
                 scope.spawn(move || {
                     for i in 0..PER_THREAD {
-                        s.record_read(((t + i) % 3) as usize, 4096);
+                        match (t + i) % 6 {
+                            // Served from the staging alone.
+                            3 => s.record_staged(true, 4096),
+                            // Half from the staging, half fetched at its
+                            // frontier: the fetch is the read's one record.
+                            4 => {
+                                s.record_read(2, 2048);
+                                s.record_staged(false, 2048);
+                            }
+                            5 => s.peer_hit(4096),
+                            tier => s.record_read(tier as usize, 4096),
+                        }
                     }
                 });
             }
         });
         let snap = s.snapshot();
-        let reads: u64 = snap.tiers.iter().map(|t| t.reads).sum();
-        assert_eq!(reads, THREADS * PER_THREAD);
-        assert_eq!(reads, snap.local_reads() + snap.pfs_reads());
-        for tier in &snap.tiers {
-            assert_eq!(tier.bytes_read, tier.reads * 4096);
-        }
+        let tier_reads: u64 = snap.tiers.iter().map(|t| t.reads).sum();
+        assert_eq!(tier_reads, snap.local_reads() + snap.pfs_reads());
+        assert_eq!(
+            tier_reads + snap.staged_reads + snap.peer_hits,
+            THREADS * PER_THREAD
+        );
+        let tier_bytes: u64 = snap.tiers.iter().map(|t| t.bytes_read).sum();
+        assert_eq!(
+            tier_bytes + snap.staged_bytes + snap.peer_bytes,
+            THREADS * PER_THREAD * 4096
+        );
     }
 
     #[test]

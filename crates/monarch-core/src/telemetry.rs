@@ -1812,6 +1812,18 @@ impl TelemetryRegistry {
         );
         scalar(
             &mut o,
+            "monarch_staged_reads_total",
+            "Reads served entirely from the install staging of an in-flight copy.",
+            snap.staged_reads,
+        );
+        scalar(
+            &mut o,
+            "monarch_staged_bytes_total",
+            "Bytes handed to readers out of install stagings.",
+            snap.staged_bytes,
+        );
+        scalar(
+            &mut o,
             "monarch_journal_events_total",
             "Telemetry events recorded.",
             self.journal.recorded(),

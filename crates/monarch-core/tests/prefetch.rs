@@ -115,6 +115,7 @@ fn gated_prefetch_monarch(lookahead: usize) -> (Monarch, Gate) {
     pfs.insert("f000", vec![0u8; 512]);
     pfs.insert("f001", vec![1u8; 512]);
     let (gated, gate) = GatedDriver::new(pfs);
+    let gated = gated.only("f000");
     let hierarchy = StorageHierarchy::new(vec![
         (
             "ssd".into(),

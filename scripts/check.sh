@@ -3,7 +3,7 @@
 # errors), and the full test suite. Run before pushing.
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh fmt        # one stage: fmt | clippy | size | test | benchapi | trace | prefetch | policy | report | cluster | chaos | perf | serve
+#   scripts/check.sh fmt        # one stage: fmt | clippy | size | test | benchapi | cold | trace | prefetch | policy | report | cluster | chaos | perf | serve
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,6 +57,26 @@ run_benchapi() {
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
     echo "==> cargo test --release --offline --manifest-path benchmark/Cargo.toml -q"
     cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
+}
+
+# The first epoch crosses the PFS once: a smoke-sized `cold_epoch` of the
+# benchmark must read no more from the PFS than the files it touched (a
+# copy that re-reads what the foreground already fetched shows as 1.37),
+# with every read served and every byte right. Reads the benchmark's
+# result line only.
+run_cold() {
+    echo "==> benchmark cold_epoch smoke: pfs_amplification <= 1.05"
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload cold_epoch --seed 7 --seconds 1 --smoke --trace 0 \
+        | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+amp = r["metrics"]["pfs_amplification"]["value"]
+assert r["correct"] is True, "cold smoke: wrong bytes"
+assert r["failed"] == 0, "cold smoke: %d reads failed" % r["failed"]
+assert amp <= 1.05, "cold smoke: pfs_amplification %.3f > 1.05" % amp
+print("cold_epoch smoke: pfs_amplification %.3f" % amp)
+'
 }
 
 # Tracing end to end: the focused test targets, then a CLI smoke run that
@@ -213,7 +233,7 @@ wall = r["wall_s"]
 assert wall > 0, "report smoke: zero wall time"
 buckets = r["ledger"]
 total = sum(buckets[k] for k in (
-    "pfs_bound_s", "copy_lane_saturated_s", "prefetch_lag_s",
+    "pfs_bound_s", "copy_lane_saturated_s", "staged_s", "prefetch_lag_s",
     "peer_bound_s", "degraded_fallback_s", "lock_or_queue_s",
     "compute_bound_s"))
 assert abs(total - wall) <= 0.05 * wall, \
@@ -347,6 +367,7 @@ case "$stage" in
     size) run_size ;;
     test) run_test ;;
     benchapi) run_benchapi ;;
+    cold) run_cold ;;
     trace) run_trace ;;
     prefetch) run_prefetch ;;
     policy) run_policy ;;
@@ -361,6 +382,7 @@ case "$stage" in
         run_size
         run_test
         run_benchapi
+        run_cold
         run_trace
         run_prefetch
         run_policy
@@ -371,7 +393,7 @@ case "$stage" in
         run_perf
         ;;
     *)
-        echo "usage: scripts/check.sh [fmt|clippy|size|test|benchapi|trace|prefetch|policy|report|cluster|chaos|perf|serve|all]" >&2
+        echo "usage: scripts/check.sh [fmt|clippy|size|test|benchapi|cold|trace|prefetch|policy|report|cluster|chaos|perf|serve|all]" >&2
         exit 2
         ;;
 esac

@@ -282,3 +282,97 @@ fn namespace_is_ephemeral_across_instances() {
     drop(m2.shutdown());
     fs::remove_dir_all(&root).unwrap();
 }
+
+/// A sequential first epoch crosses the PFS once: each file's first chunk
+/// is read directly, everything after it comes out of the file's in-flight
+/// copy (or, once that landed, off the SSD tier).
+#[test]
+fn sequential_cold_epoch_reads_every_pfs_byte_once() {
+    let root = tmp("once");
+    let data = root.join("pfs");
+    let spec = DatasetSpec::miniature(4 << 20, 256, 53);
+    let ds = generate(&spec, &data).unwrap();
+    let cfg = MonarchConfig::builder()
+        .tier(
+            TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
+                .with_capacity(ds.total_bytes),
+        )
+        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
+        .pool_threads(2)
+        .build();
+    let m = Monarch::new(cfg).unwrap();
+    m.init().unwrap();
+
+    let mut buf = vec![0u8; 48 << 10];
+    for shard in &ds.shards {
+        let name = shard.file_name().unwrap().to_string_lossy();
+        let want = fs::read(shard).unwrap();
+        let mut offset = 0;
+        while offset < want.len() {
+            let n = m.read(&name, offset as u64, &mut buf).unwrap();
+            assert!(
+                n > 0 && buf[..n] == want[offset..offset + n],
+                "{name} at {offset}"
+            );
+            offset += n;
+        }
+        // These files come out of the page cache faster than two workers
+        // install them; a reader that far ahead of the pool is sent to the
+        // PFS rather than allowed to fill copy after copy in memory.
+        m.wait_placement_idle();
+    }
+    let stats = m.stats();
+    assert_eq!(stats.tiers[1].bytes_read, ds.total_bytes, "{stats:?}");
+    assert_eq!(stats.tiers[0].bytes_written, ds.total_bytes);
+    assert_eq!(
+        m.metadata().residency_histogram(2),
+        vec![ds.shards.len() as u64, 0],
+        "every file placed"
+    );
+    drop(m.shutdown());
+    fs::remove_dir_all(&root).unwrap();
+}
+
+/// The cache tier is never the source of truth: whatever a tier directory
+/// holds under a dataset file's name when an instance starts — here the
+/// torn leftover of an install that was never synced — is not adopted, is
+/// never served, and is replaced by the first placement.
+#[test]
+fn leftovers_in_a_tier_directory_are_never_served() {
+    let root = tmp("leftover");
+    let data = root.join("pfs");
+    let spec = DatasetSpec::miniature(512 << 10, 48, 61);
+    let ds = generate(&spec, &data).unwrap();
+    let shard = &ds.shards[0];
+    let name = shard.file_name().unwrap().to_string_lossy().to_string();
+    let want = fs::read(shard).unwrap();
+    let ssd = root.join("ssd");
+    fs::create_dir_all(&ssd).unwrap();
+    fs::write(ssd.join(&name), vec![0xEEu8; want.len() / 2]).unwrap();
+
+    let cfg = MonarchConfig::builder()
+        .tier(
+            TierConfig::posix("ssd", ssd.to_string_lossy().to_string())
+                .with_capacity(ds.total_bytes),
+        )
+        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
+        .pool_threads(2)
+        .build();
+    let m = Monarch::new(cfg).unwrap();
+    m.init().unwrap();
+    let info = m.metadata().get(&name).unwrap();
+    assert_eq!(info.tier, 1, "the leftover is not adopted");
+    assert_eq!(info.size, want.len() as u64);
+    let mut buf = vec![0u8; 64 << 10];
+    let n = m.read(&name, 0, &mut buf).unwrap();
+    assert!(buf[..n] == want[..n], "the first read is the PFS's bytes");
+    m.wait_placement_idle();
+    assert_eq!(m.metadata().get(&name).unwrap().tier, 0);
+    assert!(
+        fs::read(ssd.join(&name)).unwrap() == want,
+        "placement replaced it"
+    );
+    assert!(m.read_full(&name).unwrap() == want);
+    drop(m.shutdown());
+    fs::remove_dir_all(&root).unwrap();
+}
