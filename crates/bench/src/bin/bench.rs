@@ -1,17 +1,15 @@
-//! Bench-history tool: regenerate `BENCH_*.json` snapshots and gate a
-//! fresh run against a committed baseline.
+//! Model-behaviour gate: regenerate `BENCH_sim_epoch.json` and gate a
+//! fresh run against the committed baseline.
 //!
 //! ```text
-//! bench snapshot --name read_path         # rewrite BENCH_read_path.json
-//! bench snapshot --name sim_epoch         # rewrite BENCH_sim_epoch.json
-//! bench compare --baseline BENCH_read_path.json --tolerance 15% [--retries 3]
+//! bench snapshot                          # rewrite BENCH_sim_epoch.json
+//! bench compare --baseline BENCH_sim_epoch.json --tolerance 15%
 //! ```
 //!
-//! `compare` reruns the baseline's workload in-process and fails (exit 1)
-//! if any baseline entry regresses beyond the tolerance in its bad
-//! direction. Wall-clock benches are noisy, so the run is retried (up to
-//! `--retries` attempts, default 3) and passes if *any* attempt is clean;
-//! improvements always pass.
+//! `compare` reruns the fixed-seed simulations in-process and exits 1 if
+//! any baseline entry moved beyond the tolerance in its bad direction;
+//! improvements always pass. The runs are virtual-time and deterministic,
+//! so one attempt decides.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -19,8 +17,8 @@ use std::process::ExitCode;
 use monarch_bench::snapshot;
 
 const USAGE: &str = "usage:
-  bench snapshot --name <read_path|sim_epoch>
-  bench compare --baseline <BENCH_*.json> [--tolerance 15%] [--retries 3]";
+  bench snapshot
+  bench compare --baseline BENCH_sim_epoch.json [--tolerance 15%]";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("bench: {msg}\n{USAGE}");
@@ -43,15 +41,10 @@ fn next_value(args: &mut std::vec::IntoIter<String>, flag: &str) -> Result<Strin
 }
 
 fn run_snapshot(mut args: std::vec::IntoIter<String>) -> Result<String, String> {
-    let mut name = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--name" => name = Some(next_value(&mut args, "--name")?),
-            other => return Err(format!("unknown argument '{other}'")),
-        }
+    if let Some(other) = args.next() {
+        return Err(format!("unknown argument '{other}'"));
     }
-    let name = name.ok_or("snapshot requires --name")?;
-    let doc = snapshot::generate(&name)?;
+    let doc = snapshot::sim_epoch_doc();
     let path = snapshot::write(&doc)?;
     Ok(format!(
         "[saved {} — {} entries @ {}]",
@@ -64,7 +57,6 @@ fn run_snapshot(mut args: std::vec::IntoIter<String>) -> Result<String, String> 
 fn run_compare(mut args: std::vec::IntoIter<String>) -> Result<String, String> {
     let mut baseline_path = None;
     let mut tolerance = 0.15;
-    let mut retries = 3usize;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--baseline" => {
@@ -75,55 +67,42 @@ fn run_compare(mut args: std::vec::IntoIter<String>) -> Result<String, String> {
                 tolerance = parse_tolerance(&raw)
                     .ok_or_else(|| format!("bad tolerance '{raw}' (try 15%)"))?;
             }
-            "--retries" => {
-                let raw = next_value(&mut args, "--retries")?;
-                retries = raw.parse().map_err(|_| format!("bad retries '{raw}'"))?;
-                if retries == 0 {
-                    return Err("retries must be >= 1".into());
-                }
-            }
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
     let baseline_path = baseline_path.ok_or("compare requires --baseline")?;
     let baseline = snapshot::load(&baseline_path)?;
+    let run = snapshot::sim_epoch_doc();
+    if baseline.name != run.name {
+        return Err(format!(
+            "{} is a '{}' snapshot; this tool regenerates '{}'",
+            baseline_path.display(),
+            baseline.name,
+            run.name
+        ));
+    }
     println!(
-        "comparing against {} ({} entries @ {}, tolerance {:.0}%, up to {} attempts)",
+        "comparing against {} ({} entries @ {}, tolerance {:.0}%)",
         baseline_path.display(),
         baseline.entries.len(),
         baseline.git_rev,
         tolerance * 100.0,
-        retries,
     );
-    // Per-entry retry: an entry passes once it lands within tolerance in
-    // *any* attempt (wall-clock noise rarely hits the same benchmark
-    // twice); only entries that regress in every attempt fail the gate.
-    let mut outstanding = baseline.clone();
-    for attempt in 1..=retries {
-        let run = snapshot::generate(&baseline.name)?;
-        let violations = snapshot::compare(&outstanding, &run, tolerance);
-        if violations.is_empty() {
-            return Ok(format!(
-                "perf gate OK: {} entries within {:.0}% (attempt {attempt}/{retries}, rev {})",
-                baseline.entries.len(),
-                tolerance * 100.0,
-                run.git_rev,
-            ));
-        }
-        eprintln!(
-            "attempt {attempt}/{retries}: {} regression(s)",
-            violations.len()
-        );
-        for v in &violations {
-            eprintln!("  {}: {}", v.id, v.detail);
-        }
-        outstanding
-            .entries
-            .retain(|e| violations.iter().any(|v| v.id == e.id));
+    let violations = snapshot::compare(&baseline, &run, tolerance);
+    if violations.is_empty() {
+        return Ok(format!(
+            "model gate OK: {} entries within {:.0}% (rev {})",
+            baseline.entries.len(),
+            tolerance * 100.0,
+            run.git_rev,
+        ));
+    }
+    for v in &violations {
+        eprintln!("  {}: {}", v.id, v.detail);
     }
     Err(format!(
-        "perf gate FAILED: {} entry(ies) beyond tolerance in all {retries} attempts",
-        outstanding.entries.len()
+        "model gate FAILED: {} entry(ies) beyond tolerance",
+        violations.len()
     ))
 }
 

@@ -7,19 +7,6 @@ use dlpipe::geometry::DatasetGeom;
 use dlpipe::models::ModelProfile;
 
 fn main() {
-    if std::env::args().any(|a| a == "--snapshot") {
-        // Bench-history mode: the figure itself is mean±std prose; the
-        // gated trajectory is the shared fixed-seed epoch snapshot.
-        let doc = monarch_bench::snapshot::sim_epoch_doc();
-        let path = monarch_bench::snapshot::write(&doc).expect("write snapshot");
-        println!(
-            "[saved {} — {} entries @ {}]",
-            path.display(),
-            doc.entries.len(),
-            doc.git_rev
-        );
-        return;
-    }
     let env = dlpipe::config::EnvConfig::default();
     let geom = DatasetGeom::imagenet_100g();
     let n = monarch_bench::trials();

@@ -28,19 +28,6 @@ fn sparkline(rate: f64, max: f64) -> String {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--snapshot") {
-        // Bench-history mode: skip the 100 GiB trace and write the
-        // normalized fixed-seed epoch snapshot instead.
-        let doc = monarch_bench::snapshot::sim_epoch_doc();
-        let path = monarch_bench::snapshot::write(&doc).expect("write snapshot");
-        println!(
-            "[saved {} — {} entries @ {}]",
-            path.display(),
-            doc.entries.len(),
-            doc.git_rev
-        );
-        return;
-    }
     let env = EnvConfig::default();
     let geom = DatasetGeom::imagenet_100g();
     let model = ModelProfile::lenet();

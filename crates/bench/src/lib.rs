@@ -5,7 +5,6 @@
 //! prints rows in the paper's format; results are also dumped as JSON
 //! under `results/` so `EXPERIMENTS.md` can cite exact numbers.
 
-pub mod micro;
 pub mod snapshot;
 
 use std::io::Write as _;

@@ -1,19 +1,15 @@
-//! Bench-history snapshots: normalized `BENCH_<name>.json` documents
-//! committed at the repo root, plus the tolerance-gated comparison that
-//! `scripts/check.sh perf` runs against them.
+//! The model-behaviour snapshot: `BENCH_sim_epoch.json`, committed at the
+//! repo root, plus the tolerance-gated comparison that `scripts/check.sh
+//! model` runs against it.
 //!
-//! Two kinds of trajectory are tracked:
-//!
-//! * `read_path` — wall-clock medians/p95s from the criterion
-//!   microbenchmark groups ([`crate::micro`]). Noisy, so comparisons are
-//!   direction-aware (improvements always pass) and retried.
-//! * `sim_epoch` — virtual-time epoch seconds, bytes moved, and hit
-//!   ratios from a fixed-seed miniature MONARCH simulation. Deterministic:
-//!   any drift beyond tolerance is a behaviour change, not noise.
+//! `sim_epoch` holds virtual-time epoch seconds, bytes moved, and hit
+//! ratios from fixed-seed miniature MONARCH simulations. It is
+//! deterministic — any drift beyond tolerance is a change in what the
+//! model *does*, not noise — and it says nothing about how fast the code
+//! runs: wall-clock performance is `BENCHMARK.json`'s job.
 
 use std::path::{Path, PathBuf};
 
-use criterion::{BenchResult, Criterion};
 use dlpipe::config::{EnvConfig, MonarchSimConfig, PipelineConfig, Setup};
 use dlpipe::geometry::DatasetGeom;
 use dlpipe::models::ModelProfile;
@@ -23,31 +19,23 @@ use serde::{Deserialize, Serialize};
 /// One normalized measurement inside a [`BenchDoc`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchEntry {
-    /// Stable identifier, e.g. `metadata/lookup_for_read` or
-    /// `monarch/epoch1_seconds`.
+    /// Stable identifier, e.g. `monarch/epoch1_seconds`.
     pub id: String,
-    /// The gated value (median for timing entries).
+    /// The gated value.
     pub value: f64,
-    /// Unit of `value`: `ns/iter`, `s`, `bytes`, `ratio`, `count`.
+    /// Unit of `value`: `s`, `bytes`, `ratio`, `count`.
     pub unit: String,
-    /// 95th percentile, for timing entries.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub p95: Option<f64>,
-    /// Samples behind the percentiles, for timing entries.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub samples: Option<u64>,
     /// Comparison direction: `true` means a *drop* in `value` is the
-    /// regression (hit ratios); default `false` means a rise is (latency,
+    /// regression (hit ratios); default `false` means a rise is (seconds,
     /// bytes moved).
     #[serde(default)]
     pub higher_is_better: bool,
 }
 
-/// A committed bench snapshot: the perf trajectory at one git revision.
+/// A committed snapshot: the model's behaviour at one git revision.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchDoc {
-    /// Snapshot family (`read_path`, `sim_epoch`) — names the file
-    /// `BENCH_<name>.json` and selects the regeneration workload.
+    /// Snapshot family (`sim_epoch`) — names the file `BENCH_<name>.json`.
     pub name: String,
     /// `git rev-parse --short HEAD` at capture time (`unknown` outside a
     /// checkout).
@@ -78,34 +66,10 @@ pub fn git_rev() -> String {
         .map_or_else(|| String::from("unknown"), |s| s.trim().to_string())
 }
 
-/// Repository root (where `BENCH_*.json` baselines live). Overridable
-/// with `MONARCH_BENCH_DIR` for tests.
+/// Repository root (where `BENCH_sim_epoch.json` lives).
 #[must_use]
 pub fn repo_root() -> PathBuf {
-    std::env::var("MONARCH_BENCH_DIR").map_or_else(
-        |_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
-        PathBuf::from,
-    )
-}
-
-/// Normalize criterion results into a [`BenchDoc`].
-#[must_use]
-pub fn from_criterion(name: &str, results: &[BenchResult]) -> BenchDoc {
-    BenchDoc {
-        name: name.to_string(),
-        git_rev: git_rev(),
-        entries: results
-            .iter()
-            .map(|r| BenchEntry {
-                id: format!("{}/{}", r.group, r.label),
-                value: r.median_ns,
-                unit: "ns/iter".into(),
-                p95: Some(r.p95_ns),
-                samples: Some(r.samples as u64),
-                higher_is_better: false,
-            })
-            .collect(),
-    }
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 fn sim_entry(id: &str, value: f64, unit: &str, higher_is_better: bool) -> BenchEntry {
@@ -113,8 +77,6 @@ fn sim_entry(id: &str, value: f64, unit: &str, higher_is_better: bool) -> BenchE
         id: id.to_string(),
         value,
         unit: unit.to_string(),
-        p95: None,
-        samples: None,
         higher_is_better,
     }
 }
@@ -395,29 +357,6 @@ fn sim_cluster_entries() -> Vec<BenchEntry> {
     ]
 }
 
-/// Generate the `read_path` snapshot by running the criterion groups
-/// quietly in-process.
-#[must_use]
-pub fn read_path_doc() -> BenchDoc {
-    let mut c = Criterion::default().quiet();
-    crate::micro::all(&mut c);
-    from_criterion("read_path", c.results())
-}
-
-/// Regenerate the snapshot family named by `name`.
-///
-/// # Errors
-/// Returns the list of known families when `name` is not one of them.
-pub fn generate(name: &str) -> Result<BenchDoc, String> {
-    match name {
-        "read_path" => Ok(read_path_doc()),
-        "sim_epoch" => Ok(sim_epoch_doc()),
-        other => Err(format!(
-            "unknown snapshot '{other}' (known: read_path, sim_epoch)"
-        )),
-    }
-}
-
 /// Write `doc` as `BENCH_<name>.json` at the repo root; returns the path.
 ///
 /// # Errors
@@ -503,14 +442,7 @@ mod tests {
     }
 
     fn entry(id: &str, value: f64, higher_is_better: bool) -> BenchEntry {
-        BenchEntry {
-            id: id.into(),
-            value,
-            unit: "ns/iter".into(),
-            p95: None,
-            samples: None,
-            higher_is_better,
-        }
+        sim_entry(id, value, "s", higher_is_better)
     }
 
     #[test]
@@ -549,17 +481,16 @@ mod tests {
 
     #[test]
     fn doc_round_trips_through_json() {
-        let mut e = entry("metadata/lookup_for_read", 123.5, false);
-        e.p95 = Some(150.0);
-        e.samples = Some(20);
-        let d = doc(vec![e, entry("monarch/local_hit_ratio", 0.9, true)]);
+        let d = doc(vec![
+            entry("monarch/epoch1_seconds", 123.5, false),
+            entry("monarch/local_hit_ratio", 0.9, true),
+        ]);
         let json = serde_json::to_string_pretty(&d).unwrap();
         let back: BenchDoc = serde_json::from_str(&json).unwrap();
         assert_eq!(back.entries.len(), 2);
-        assert_eq!(back.entries[0].id, "metadata/lookup_for_read");
-        assert_eq!(back.entries[0].p95, Some(150.0));
+        assert_eq!(back.entries[0].id, "monarch/epoch1_seconds");
+        assert_eq!(back.entries[0].value, 123.5);
         assert!(back.entries[1].higher_is_better);
-        assert!(back.entries[1].p95.is_none());
     }
 
     #[test]

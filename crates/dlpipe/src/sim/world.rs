@@ -16,7 +16,9 @@ use monarch_core::observe::{
 use monarch_core::policy::{DecisionPoint, FeatureSource, PolicyEngine};
 use monarch_core::pool::Lane;
 use monarch_core::stats::Stats;
-use monarch_core::telemetry::{EventKind, TelemetryRegistry, ThroughputSampler};
+use monarch_core::telemetry::{
+    EventKind, PipelineSample, PrefetchSample, TelemetryRegistry, ThroughputSampler,
+};
 use monarch_core::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
 use monarch_core::{LaneQueues, StorageDriver};
 use simfs::clock::SimTime;
@@ -630,9 +632,8 @@ impl World {
 
         let device_names: Vec<String> = self.devs.iter().map(|d| d.spec.name.clone()).collect();
         let telemetry = self.monarch.as_ref().map(|ms| {
-            let mut snap = ms.telemetry.snapshot();
-            snap.health = Some(ms.hierarchy.health().snapshot());
-            snap
+            ms.telemetry
+                .snapshot(ms.hierarchy.health(), &ms.policy, None)
         });
         // Per-window throughput ledger from the edge marks; a window the
         // run ended inside closes at the run's final instant.
@@ -690,82 +691,43 @@ impl World {
         }
     }
 
-    /// Refresh the MONARCH gauge families from live sim state — the same
-    /// family names the real engine's `GaugeSampler` publishes, so a
-    /// sim-backed snapshot exposes an identical schema. Sampled on every
-    /// trace tick, so gauge values move over the course of an epoch.
+    /// Refresh the MONARCH gauge families from live sim state, through the
+    /// same publisher the real engine's `Sampler` uses, so a sim-backed
+    /// snapshot exposes an identical schema. Sampled on every trace tick,
+    /// so gauge values move over the course of an epoch.
     fn sample_gauges(&self) {
         let Some(ms) = self.monarch.as_ref() else {
             return;
         };
-        let g = ms.telemetry.gauges();
-        let levels = ms.hierarchy.levels();
-        let files = ms.meta.residency_histogram(levels);
-        for tier in ms.hierarchy.tiers() {
-            let labels = &[("tier", tier.name.as_str())];
-            if let Some(quota) = tier.quota.as_ref() {
-                g.gauge(
-                    "monarch_tier_occupancy_bytes",
-                    "Bytes resident on the tier (quota accounting).",
-                    labels,
-                )
-                .set(quota.used() as i64);
-                g.gauge(
-                    "monarch_tier_capacity_bytes",
-                    "Configured capacity of the tier in bytes.",
-                    labels,
-                )
-                .set(quota.capacity() as i64);
+        let prefetch = (ms.prefetch_lookahead > 0).then(|| {
+            // Issued by the plan and still copying.
+            let (copies, bytes) = ms
+                .prefetch_issued
+                .keys()
+                .filter(|&&shard| {
+                    ms.meta
+                        .get(&self.shard_names[shard])
+                        .is_some_and(|f| matches!(f.state, PlacementState::Copying { .. }))
+                })
+                .fold((0, 0), |(n, bytes), &shard| {
+                    (n + 1, bytes + self.geom.shards[shard].bytes)
+                });
+            PrefetchSample {
+                copies,
+                bytes,
+                lag_entries: ms.plan_issued.saturating_sub(ms.plan_cursor) as u64,
             }
-            g.gauge(
-                "monarch_tier_files",
-                "Files currently resident on the tier.",
-                labels,
-            )
-            .set(files.get(tier.id).copied().unwrap_or(0) as i64);
-            g.gauge(
-                "monarch_tier_health_state",
-                "Tier breaker state (0 closed, 1 suspect, 2 quarantined).",
-                labels,
-            )
-            .set(match ms.hierarchy.health().tier(tier.id).state() {
-                TierState::Closed => 0,
-                TierState::Suspect => 1,
-                TierState::Quarantined => 2,
-            });
-        }
-        g.gauge(
-            "monarch_degraded",
-            "1 while at least one tier is quarantined.",
-            &[],
-        )
-        .set(i64::from(ms.hierarchy.health().degraded()));
-        g.gauge(
-            "monarch_lane_queued",
-            "Copies queued (not yet started) per pool lane.",
-            &[("lane", "demand")],
-        )
-        .set(ms.lanes.queued(Lane::Demand) as i64);
-        g.gauge(
-            "monarch_lane_queued",
-            "Copies queued (not yet started) per pool lane.",
-            &[("lane", "prefetch")],
-        )
-        .set(ms.lanes.queued(Lane::Prefetch) as i64);
-        g.gauge(
-            "monarch_pool_inflight_jobs",
-            "Copies currently executing on pool workers.",
-            &[],
-        )
-        .set(ms.pool_threads.saturating_sub(ms.idle_workers) as i64);
-        if ms.prefetch_lookahead > 0 {
-            g.gauge(
-                "monarch_prefetch_window_lag_entries",
-                "Plan entries issued ahead of the read cursor.",
-                &[],
-            )
-            .set(ms.plan_issued.saturating_sub(ms.plan_cursor) as i64);
-        }
+        });
+        ms.telemetry.publish_gauges(
+            &ms.hierarchy,
+            &ms.meta,
+            &PipelineSample {
+                queued: PipelineSample::queued_by(|lane| ms.lanes.queued(lane)),
+                running: ms.pool_threads.saturating_sub(ms.idle_workers),
+                prefetch,
+                draining: false,
+            },
+        );
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
@@ -2416,5 +2378,84 @@ impl World {
             self.reader_advance(now, r);
         }
         self.maybe_finish_epoch(now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use monarch_core::{MonarchBuilder, PrefetchConfig};
+
+    use super::*;
+    use crate::config::MonarchSimConfig;
+
+    /// `# HELP` line of every gauge family in an exposition, plus the
+    /// label sets of the lane gauge.
+    fn gauge_schema(text: &str) -> BTreeSet<String> {
+        let gauges: BTreeSet<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" gauge"))
+            .collect();
+        text.lines()
+            .filter(|l| match l.strip_prefix("# HELP ") {
+                Some(rest) => gauges.contains(rest.split(' ').next().unwrap()),
+                None => l.starts_with("monarch_lane_queued{"),
+            })
+            .map(|l| {
+                l.rsplit_once("} ")
+                    .map_or(l, |(labels, _)| labels)
+                    .to_string()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sim_and_real_snapshots_share_one_gauge_schema() {
+        // Both sides publish through `TelemetryRegistry::publish_gauges`;
+        // at bc32a48 the sim kept its own list, with drifted help text and
+        // without the remote lane, `monarch_draining`,
+        // `monarch_reads_in_flight` and the in-flight prefetch gauges.
+        for lookahead in [0, 4] {
+            let trainer = SimTrainer::new(
+                Setup::Monarch(MonarchSimConfig::with_prefetch(lookahead)),
+                DatasetGeom::miniature("gauges", 512, 3),
+                ModelProfile::lenet(),
+                PipelineConfig::default(),
+                EnvConfig::default(),
+            );
+            let world = World::build(&trainer);
+            world.sample_gauges();
+            let ms = world.monarch.as_ref().unwrap();
+            let sim_text = ms.telemetry.prometheus_text();
+
+            let tier = |name: &str, cap| {
+                let driver = Arc::new(MemDriver::new(name)) as Arc<dyn StorageDriver>;
+                (name.to_string(), driver, cap)
+            };
+            let real = MonarchBuilder::new()
+                .hierarchy(
+                    StorageHierarchy::new(vec![tier("ssd", Some(1 << 20)), tier("pfs", None)])
+                        .unwrap(),
+                )
+                .prefetch(PrefetchConfig {
+                    lookahead,
+                    ..PrefetchConfig::disabled()
+                })
+                .build()
+                .unwrap();
+            let real_text = real.metrics_text();
+            let schema = gauge_schema(&real_text);
+            assert!(schema.len() >= 12, "{schema:?}");
+            assert_eq!(gauge_schema(&sim_text), schema, "lookahead {lookahead}");
+
+            // A run's attached document carries exactly those families.
+            let names = |snap: &monarch_core::TelemetrySnapshot| -> BTreeSet<String> {
+                snap.gauges.iter().map(|g| g.name.clone()).collect()
+            };
+            let sim_snap = trainer.run(1).telemetry.expect("telemetry attached");
+            assert_eq!(names(&sim_snap), names(&real.telemetry_snapshot()));
+            real.shutdown();
+        }
     }
 }

@@ -404,7 +404,10 @@ pub fn run(cmd: Command) -> Result<(), String> {
             json,
         } => {
             let m = load_monarch(&config, policy, None)?;
-            let snap = m.policy_snapshot();
+            let snap = m
+                .telemetry_snapshot()
+                .policy
+                .ok_or("snapshot carries no policy section")?;
             if json {
                 println!(
                     "{}",
@@ -654,18 +657,10 @@ pub fn run(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::Cluster { config, json } => {
-            let cfg_json = std::fs::read_to_string(&config)
-                .map_err(|e| format!("read {}: {e}", config.display()))?;
-            let cfg =
-                MonarchConfig::from_json(&cfg_json).map_err(|e| format!("parse config: {e}"))?;
-            if cfg.cluster.is_none() {
+            let m = load_monarch(&config, None, None)?;
+            let (Some(cluster), Some(snap)) = (m.cluster(), m.telemetry_snapshot().cluster) else {
                 return Err("config has no `cluster` section — nothing to report".into());
-            }
-            let m = Monarch::new(cfg).map_err(|e| format!("build middleware: {e}"))?;
-            let init = m.init().map_err(|e| format!("namespace scan: {e}"))?;
-            let cluster = m
-                .cluster()
-                .ok_or("middleware built without a cluster handle")?;
+            };
             // Shard statistics over the scanned namespace: how the
             // consistent-hash ring splits this node's file set by count
             // and by bytes.
@@ -677,9 +672,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     *bytes += info.size;
                 }
             });
-            let snap = m
-                .cluster_snapshot()
-                .ok_or("cluster handle produced no snapshot")?;
             if json {
                 let shard: Vec<serde_json::Value> = nodes
                     .iter()
@@ -704,12 +696,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         .map_err(|e| e.to_string())?
                 );
             } else {
-                println!(
-                    "namespace: {} files, {:.1} MiB, scanned in {:?}",
-                    init.files,
-                    init.bytes as f64 / (1 << 20) as f64,
-                    init.elapsed
-                );
                 print!("{}", snap.render_table());
                 println!("shard assignment over the namespace:");
                 for (id, (files, bytes)) in nodes.iter().enumerate() {
@@ -724,7 +710,10 @@ pub fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Health { config, json } => {
             let m = load_monarch(&config, None, None)?;
-            let snap = m.hierarchy().health().snapshot();
+            let snap = m
+                .telemetry_snapshot()
+                .health
+                .ok_or("snapshot carries no health section")?;
             if json {
                 println!(
                     "{}",

@@ -168,8 +168,8 @@ impl AdmissionKind {
 /// Telemetry knobs: histogram/journal recording and the journal bound.
 ///
 /// Defaults keep everything on — recording is relaxed-atomic and the
-/// journal append is `O(1)`, so the read hot path stays within a few
-/// percent of uninstrumented (see the `read_path` criterion group).
+/// journal append is `O(1)`; what they cost a warm read is
+/// `telemetry.on_minus_off_ns` in `BENCHMARK.json`.
 /// Setting `enabled: false` skips driver wrapping and pool stamping
 /// entirely for a zero-overhead baseline.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

@@ -99,4 +99,4 @@ pub use telemetry::{
     TelemetryRegistry, TelemetrySnapshot, ThroughputSampler, TimeSeries,
 };
 pub use trace::{ArgValue, FlowPhase, SpanRecord, TraceRecorder};
-pub use transfer::{DrainReport, GaugeSampler, LaneQueues, ReadCtx, ReadFeedback, TransferEngine};
+pub use transfer::{DrainReport, LaneQueues, ReadCtx, ReadFeedback, Sampler, TransferEngine};

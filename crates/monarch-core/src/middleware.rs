@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::builder::MonarchBuilder;
-use crate::cluster::{Cluster, ClusterSnapshot};
+use crate::cluster::Cluster;
 use crate::config::MonarchConfig;
 use crate::hierarchy::{StorageHierarchy, Tier};
 use crate::metadata::{FileInfo, MetadataContainer, PlacementState};
@@ -36,7 +36,7 @@ use crate::serve::MetricsServer;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::telemetry::{EventKind, TelemetryRegistry, TelemetrySnapshot};
 use crate::trace::{names, FlowPhase, SpanRecord};
-use crate::transfer::{GaugeSampler, ReadCtx, TransferEngine};
+use crate::transfer::{ReadCtx, Sampler, TransferEngine};
 use crate::{Error, Result};
 
 /// Outcome of the startup namespace scan.
@@ -83,6 +83,8 @@ pub struct Monarch {
     /// Shared with the engine (its drain sets it), so reads are rejected
     /// as soon as shutdown begins.
     shutting_down: Arc<AtomicBool>,
+    /// What every state getter below, and the exporter, reads through.
+    sampler: Sampler,
     /// The `/metrics` exporter, when one was started via
     /// [`Monarch::serve`] (or the builder's `metrics_addr`). Stopped on
     /// shutdown so its threads never outlive the instance.
@@ -106,15 +108,13 @@ impl Monarch {
         full_file_fetch: bool,
         cluster: Option<Arc<Cluster>>,
     ) -> Self {
-        // Registers the in-flight gauge ahead of the sampler's families,
-        // where the exposition has always listed it.
-        telemetry.publish_reads_in_flight();
         Self {
             hierarchy,
             metadata: Arc::clone(engine.metadata()),
             stats,
             telemetry,
             shutting_down: engine.shutdown_flag(),
+            sampler: engine.sampler(cluster.clone()),
             engine,
             full_file_fetch,
             cluster,
@@ -666,31 +666,18 @@ impl Monarch {
         self.engine.policy_name()
     }
 
-    /// Composition and decision counters of the policy engine — the
-    /// `monarch policy` view.
-    #[must_use]
-    pub fn policy_snapshot(&self) -> crate::policy::PolicySnapshot {
-        self.engine.policy_snapshot()
-    }
-
     /// The telemetry registry (histograms, journal, stats).
     #[must_use]
     pub fn telemetry(&self) -> &Arc<TelemetryRegistry> {
         &self.telemetry
     }
 
-    /// Snapshot of every histogram plus the counters. Gauges are
-    /// re-sampled from live state first, so the snapshot's `gauges`
-    /// section is as fresh as the call.
+    /// The instance's one state document — counters, histograms, freshly
+    /// sampled gauges, and the health / policy / cluster sections (see
+    /// [`TelemetrySnapshot`]).
     #[must_use]
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        self.engine.sampler().refresh();
-        let mut snap = self.telemetry.snapshot();
-        snap.health = Some(self.hierarchy.health().snapshot());
-        if let Some(cluster) = &self.cluster {
-            snap.cluster = Some(cluster.snapshot(&self.stats.snapshot()));
-        }
-        snap
+        self.sampler.snapshot()
     }
 
     /// The peer-cache handle, when a cluster is configured.
@@ -699,32 +686,22 @@ impl Monarch {
         self.cluster.as_ref()
     }
 
-    /// Roster + peer-counter snapshot of the configured cluster (`None`
-    /// when running single-node).
-    #[must_use]
-    pub fn cluster_snapshot(&self) -> Option<ClusterSnapshot> {
-        self.cluster
-            .as_ref()
-            .map(|c| c.snapshot(&self.stats.snapshot()))
-    }
-
     /// Prometheus-style text exposition of the registry, with gauges
     /// re-sampled from live state first.
     #[must_use]
     pub fn metrics_text(&self) -> String {
-        self.engine.sampler().refresh();
-        self.telemetry.prometheus_text()
+        self.sampler.metrics_text()
     }
 
-    /// A detached gauge sampler over this instance's shared parts (what
-    /// the `/metrics` exporter refreshes on every scrape).
+    /// A detached view of this instance's state: what the getters above
+    /// read through, and what the exporter serves from.
     #[must_use]
-    pub fn sampler(&self) -> GaugeSampler {
-        self.engine.sampler()
+    pub fn sampler(&self) -> Sampler {
+        self.sampler.clone()
     }
 
-    /// The shutdown flag shared with the engine (used by the exporter's
-    /// `/healthz` to report `draining`).
+    /// The shutdown flag shared with the engine.
+    #[cfg(test)]
     pub(crate) fn shutdown_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shutting_down)
     }
@@ -733,11 +710,6 @@ impl Monarch {
     /// stops whatever is in it).
     pub(crate) fn server_slot(&self) -> &std::sync::Mutex<Option<MetricsServer>> {
         &self.server
-    }
-
-    /// The shared counters (the exporter's `/healthz` degraded check).
-    pub(crate) fn stats_arc(&self) -> Arc<Stats> {
-        Arc::clone(&self.stats)
     }
 
     /// Buffered journal events as JSON lines (non-destructive).

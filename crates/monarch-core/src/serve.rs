@@ -14,9 +14,10 @@
 //! One accept thread feeds a small fixed pool of worker threads over a
 //! channel; every response closes the connection (`Connection: close`), so
 //! a scraper can never wedge a worker for longer than the 2-second socket
-//! read timeout. The server holds only cloned `Arc`s into the telemetry
-//! plane — not the [`Monarch`] instance itself — so scrapes never contend
-//! with the read path beyond the atomics they load.
+//! read timeout. The server holds a [`Sampler`] — cloned `Arc`s into the
+//! instance's state, not the [`Monarch`] instance itself — so scrapes never
+//! contend with the read path beyond the atomics they load, and every
+//! endpoint answers from the same view the instance's own getters use.
 //!
 //! Start one with [`Monarch::serve`], via
 //! [`MonarchBuilder::with_metrics_addr`](crate::MonarchBuilder::with_metrics_addr),
@@ -34,9 +35,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::middleware::Monarch;
-use crate::stats::Stats;
-use crate::telemetry::TelemetryRegistry;
-use crate::transfer::GaugeSampler;
+use crate::transfer::Sampler;
 use crate::{Error, Result};
 
 /// Worker threads serving parsed requests. Two is deliberate: one scraper
@@ -51,22 +50,6 @@ const READ_TIMEOUT: Duration = Duration::from_secs(2);
 /// Longest request head (request line + headers) the parser accepts.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// Everything a worker needs to render any endpoint — cloned `Arc`s into
-/// the telemetry plane, never a reference back to the [`Monarch`] facade.
-#[derive(Clone)]
-pub(crate) struct ServeParts {
-    telemetry: Arc<TelemetryRegistry>,
-    sampler: GaugeSampler,
-    stats: Arc<Stats>,
-    shutting_down: Arc<AtomicBool>,
-    /// Tier health registry: `/healthz` reports `degraded` while any tier
-    /// is quarantined, and `/snapshot` carries the per-tier health section.
-    health: Arc<crate::health::HealthRegistry>,
-    /// Peer-cache handle, when clustered: `/snapshot` carries the roster
-    /// and peer counters in its `cluster` section.
-    cluster: Option<Arc<crate::cluster::Cluster>>,
-}
-
 /// Handle to a running exporter. Dropping the handle without calling
 /// [`MetricsServer::stop`] leaves the threads running until process exit;
 /// [`Monarch::shutdown`] stops the server it owns.
@@ -80,7 +63,7 @@ pub struct MetricsServer {
 impl MetricsServer {
     /// Bind `addr` (e.g. `"127.0.0.1:9464"`; port `0` picks a free port)
     /// and start the accept + worker threads.
-    pub(crate) fn start(addr: &str, parts: ServeParts) -> Result<Self> {
+    pub(crate) fn start(addr: &str, sampler: Sampler) -> Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -90,7 +73,7 @@ impl MetricsServer {
         let workers = (0..WORKERS)
             .map(|i| {
                 let rx = Arc::clone(&rx);
-                let parts = parts.clone();
+                let sampler = sampler.clone();
                 std::thread::Builder::new()
                     .name(format!("monarch-serve-{i}"))
                     .spawn(move || {
@@ -100,7 +83,7 @@ impl MetricsServer {
                             // unlocked so the other worker can pick up.
                             let conn = rx.lock().expect("serve rx lock").recv();
                             match conn {
-                                Ok(stream) => handle_connection(stream, &parts),
+                                Ok(stream) => handle_connection(stream, &sampler),
                                 Err(_) => break, // accept thread gone
                             }
                         }
@@ -185,15 +168,7 @@ impl Monarch {
                 "metrics server already running (serve_stop it first)".to_string(),
             ));
         }
-        let parts = ServeParts {
-            telemetry: Arc::clone(self.telemetry()),
-            sampler: self.sampler(),
-            stats: self.stats_arc(),
-            shutting_down: self.shutdown_flag(),
-            health: Arc::clone(self.hierarchy().health()),
-            cluster: self.cluster().map(Arc::clone),
-        };
-        let server = MetricsServer::start(addr, parts)?;
+        let server = MetricsServer::start(addr, self.sampler())?;
         let bound = server.addr();
         *slot = Some(server);
         Ok(bound)
@@ -227,7 +202,7 @@ impl Monarch {
 // ---------------------------------------------------------------------------
 
 /// Read one request head, route it, write one response, close.
-fn handle_connection(mut stream: TcpStream, parts: &ServeParts) {
+fn handle_connection(mut stream: TcpStream, sampler: &Sampler) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let head = match read_request_head(&mut stream) {
         Some(head) => head,
@@ -243,7 +218,7 @@ fn handle_connection(mut stream: TcpStream, parts: &ServeParts) {
             return;
         }
     };
-    let (status, content_type, body) = route(&head, parts);
+    let (status, content_type, body) = route(&head, sampler);
     respond(&mut stream, status, content_type, &body);
 }
 
@@ -271,7 +246,7 @@ fn read_request_head(stream: &mut TcpStream) -> Option<String> {
 }
 
 /// Map a request head to `(status, content type, body)`.
-fn route(head: &str, parts: &ServeParts) -> (u16, &'static str, String) {
+fn route(head: &str, sampler: &Sampler) -> (u16, &'static str, String) {
     const TEXT: &str = "text/plain; charset=utf-8";
     const PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
     const JSON: &str = "application/json; charset=utf-8";
@@ -289,33 +264,13 @@ fn route(head: &str, parts: &ServeParts) -> (u16, &'static str, String) {
     // Ignore any query string — the endpoints take no parameters.
     let path = target.split('?').next().unwrap_or(target);
     match path {
-        "/metrics" => {
-            parts.sampler.refresh();
-            (200, PROM, parts.telemetry.prometheus_text())
-        }
-        "/snapshot" => {
-            parts.sampler.refresh();
-            let mut snap = parts.telemetry.snapshot();
-            snap.health = Some(parts.health.snapshot());
-            if let Some(cluster) = &parts.cluster {
-                snap.cluster = Some(cluster.snapshot(&parts.stats.snapshot()));
-            }
-            match serde_json::to_string_pretty(&snap) {
-                Ok(json) => (200, JSON, json),
-                Err(e) => (500, TEXT, format!("snapshot serialization failed: {e}\n")),
-            }
-        }
-        "/trace" => (200, JSON, parts.telemetry.trace().export_chrome_json()),
-        "/healthz" => {
-            let state = if parts.shutting_down.load(Ordering::Acquire) {
-                "draining"
-            } else if parts.health.degraded() || parts.stats.snapshot().pool_join_failures > 0 {
-                "degraded"
-            } else {
-                "ok"
-            };
-            (200, TEXT, format!("{state}\n"))
-        }
+        "/metrics" => (200, PROM, sampler.metrics_text()),
+        "/snapshot" => match serde_json::to_string_pretty(&sampler.snapshot()) {
+            Ok(json) => (200, JSON, json),
+            Err(e) => (500, TEXT, format!("snapshot serialization failed: {e}\n")),
+        },
+        "/trace" => (200, JSON, sampler.telemetry().trace().export_chrome_json()),
+        "/healthz" => (200, TEXT, format!("{}\n", sampler.healthz())),
         _ => (404, TEXT, "not found\n".to_string()),
     }
 }
@@ -536,35 +491,20 @@ mod tests {
 
     #[test]
     fn healthz_reports_draining_and_degraded() {
-        // Drive the handler directly over hand-built parts, so the drain
-        // flag can be flipped without racing a real shutdown.
+        // Flip the instance's own flag instead of racing a real shutdown,
+        // and put it back so the shutdown below still drains.
         let m = mem_monarch(1, 64);
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(Stats::new(2));
-        let health = Arc::new(crate::health::HealthRegistry::new(vec![
-            "ssd".into(),
-            "pfs".into(),
-        ]));
-        let parts = ServeParts {
-            telemetry: Arc::clone(m.telemetry()),
-            sampler: m.sampler(),
-            stats: Arc::clone(&stats),
-            shutting_down: Arc::clone(&shutting_down),
-            health: Arc::clone(&health),
-            cluster: None,
-        };
-        let server = MetricsServer::start("127.0.0.1:0", parts).unwrap();
-        let addr = server.addr();
+        let addr = m.serve("127.0.0.1:0").unwrap();
         assert_eq!(get_path(addr, "/healthz").1, "ok\n");
-        stats.pool_join_failure();
+        m.telemetry().stats().pool_join_failure();
         assert_eq!(get_path(addr, "/healthz").1, "degraded\n");
-        shutting_down.store(true, Ordering::Release);
+        m.shutdown_flag().store(true, Ordering::Release);
         assert_eq!(
             get_path(addr, "/healthz").1,
             "draining\n",
             "drain wins over degraded"
         );
-        server.stop();
+        m.shutdown_flag().store(false, Ordering::Release);
         m.shutdown();
     }
 

@@ -5,6 +5,11 @@
 //! tier plus placement outcomes, all with relaxed atomics. The per-tier
 //! read counters — the only ones a warm hit touches — are striped per
 //! thread (see the `stripe` module) and summed by [`Stats::snapshot`].
+//!
+//! The scalar counters are declared once, in the `counters!` list below:
+//! the cell in [`Stats`], the method that counts one, the load in
+//! [`Stats::snapshot`], the [`StatsSnapshot`] field and the Prometheus
+//! family ([`StatsSnapshot::counters`]) all expand from that list.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,39 +33,183 @@ struct TierCounters {
     removes: AtomicU64,
 }
 
-/// Aggregate middleware counters.
-pub struct Stats {
-    tiers: Vec<TierCounters>,
-    /// Per-stripe read counters, index = tier id.
-    reads: Striped<Vec<ReadCounters>>,
-    copies_scheduled: AtomicU64,
-    copies_completed: AtomicU64,
-    copies_failed: AtomicU64,
-    placement_skipped: AtomicU64,
-    evictions: AtomicU64,
-    removes: AtomicU64,
-    prefetches_scheduled: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_wasted: AtomicU64,
-    prefetch_promoted: AtomicU64,
-    prefetch_canceled: AtomicU64,
-    pool_join_failures: AtomicU64,
-    copies_deadline_expired: AtomicU64,
-    peer_hits: AtomicU64,
-    peer_bytes: AtomicU64,
-    peer_fallbacks: AtomicU64,
-    remote_timeouts: AtomicU64,
-    degraded_reads: AtomicU64,
-    read_retries: AtomicU64,
-    copy_retries: AtomicU64,
-    copy_requeues: AtomicU64,
-    tier_quarantines: AtomicU64,
-    tier_recoveries: AtomicU64,
-    enospc_evictions: AtomicU64,
-    policy_denials: AtomicU64,
-    peer_dead_skips: AtomicU64,
-    staged_reads: AtomicU64,
-    staged_bytes: AtomicU64,
+/// Expands the one list of scalar counters into everything that has to
+/// agree about them. A line reads
+/// `field / bump_method: "prometheus_family", "help";` under the doc
+/// comment both the snapshot field carries; the bump method is left out
+/// where a hand-written method of [`Stats`] feeds the counter.
+macro_rules! counters {
+    ($(
+        $(#[doc = $doc:literal])+
+        $field:ident $(/ $bump:ident)?: $family:literal, $help:literal;
+    )+) => {
+        /// Aggregate middleware counters.
+        pub struct Stats {
+            tiers: Vec<TierCounters>,
+            /// Per-stripe read counters, index = tier id.
+            reads: Striped<Vec<ReadCounters>>,
+            $($field: AtomicU64,)+
+        }
+
+        impl Stats {
+            /// Counters for a hierarchy with `tiers` levels.
+            #[must_use]
+            pub fn new(tiers: usize) -> Self {
+                Self {
+                    tiers: (0..tiers).map(|_| TierCounters::default()).collect(),
+                    reads: Striped::new(),
+                    $($field: AtomicU64::new(0),)+
+                }
+            }
+
+            $($(
+                #[doc = concat!("Count one in [`StatsSnapshot::", stringify!($field), "`].")]
+                pub fn $bump(&self) {
+                    self.$field.fetch_add(1, Ordering::Relaxed);
+                }
+            )?)+
+
+            /// Immutable snapshot for reporting.
+            #[must_use]
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    tiers: self.tier_snapshots(),
+                    $($field: self.$field.load(Ordering::Relaxed),)+
+                }
+            }
+        }
+
+        /// Snapshot of the whole middleware.
+        #[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            /// Per-tier counters, index = tier id (last = PFS).
+            pub tiers: Vec<TierSnapshot>,
+            $(
+                $(#[doc = $doc])+
+                #[serde(default)]
+                pub $field: u64,
+            )+
+        }
+
+        impl StatsSnapshot {
+            /// Every scalar counter as `(prometheus family, help, value)`,
+            /// in declaration order — the counter half of the exposition.
+            #[must_use]
+            pub fn counters(&self) -> Vec<(&'static str, &'static str, u64)> {
+                vec![$(($family, $help, self.$field),)+]
+            }
+        }
+    };
+}
+
+counters! {
+    /// Background copies scheduled.
+    copies_scheduled / copy_scheduled:
+        "monarch_copies_scheduled_total", "Background copies scheduled.";
+    /// Background copies completed successfully.
+    copies_completed / copy_completed:
+        "monarch_copies_completed_total", "Background copies completed.";
+    /// Background copies that failed (quota released, metadata reverted).
+    copies_failed / copy_failed:
+        "monarch_copies_failed_total", "Background copies failed.";
+    /// Files left on the PFS because no local tier had room.
+    placement_skipped / placement_skip:
+        "monarch_placement_skipped_total", "Placements skipped (no local tier had room).";
+    /// Files evicted by a placement policy (ablation policies only) —
+    /// strictly a subset of `removes`. Fed by [`Stats::record_evict`].
+    evictions:
+        "monarch_evictions_total", "Files evicted from local tiers.";
+    /// Files removed for any reason (evictions plus failed-copy cleanup
+    /// and teardown). Fed by [`Stats::record_remove`] and
+    /// [`Stats::record_evict`].
+    removes:
+        "monarch_removes_total", "Files removed for any reason.";
+    /// Background copies issued by the clairvoyant prefetcher (subset of
+    /// `copies_scheduled` — prefetches are ordinary background copies).
+    prefetches_scheduled / prefetch_scheduled:
+        "monarch_prefetches_scheduled_total", "Prefetch copies issued from access plans.";
+    /// First foreground reads served by a local tier because a prefetch
+    /// copy landed ahead of the cursor.
+    prefetch_hits / prefetch_hit:
+        "monarch_prefetch_hits_total", "First reads served locally thanks to a prefetch copy.";
+    /// Prefetched files never read before their plan ended.
+    prefetch_wasted / prefetch_wasted:
+        "monarch_prefetch_wasted_total", "Prefetched files never read before their plan ended.";
+    /// Queued prefetch copies promoted to the demand lane by a read of
+    /// their file (the dedup guard).
+    prefetch_promoted / prefetch_promote:
+        "monarch_prefetch_promoted_total", "Queued prefetch copies promoted to the demand lane.";
+    /// Queued prefetch copies canceled before running (plan replaced or
+    /// dropped).
+    prefetch_canceled / prefetch_cancel:
+        "monarch_prefetch_canceled_total", "Queued prefetch copies canceled before running.";
+    /// Copy-pool workers that could not be joined at shutdown (they died
+    /// of a panic outside the per-task catch).
+    pool_join_failures / pool_join_failure:
+        "monarch_pool_join_failures_total", "Copy-pool workers that could not be joined at shutdown.";
+    /// Queued copies dropped because their deadline expired before a
+    /// worker started them (subset of `copies_failed`).
+    copies_deadline_expired / copy_deadline_expired:
+        "monarch_copies_deadline_expired_total",
+        "Queued copies dropped because their deadline expired before a worker started them.";
+    /// Reads of peer-owned files served node-to-node from the owner's
+    /// fast tier (no PFS read). Fed by [`Stats::peer_hit`].
+    peer_hits:
+        "monarch_peer_hits_total",
+        "Reads of peer-owned files served node-to-node from a peer's fast tier.";
+    /// Bytes served over the cluster transport instead of the PFS. Fed by
+    /// [`Stats::peer_hit`].
+    peer_bytes:
+        "monarch_peer_bytes_total", "Bytes served over the cluster transport instead of the PFS.";
+    /// Peer fetches that failed (peer down, slow, or refused) and fell
+    /// back to the PFS path.
+    peer_fallbacks / peer_fallback:
+        "monarch_peer_fallbacks_total", "Peer fetches that failed and fell back to the PFS path.";
+    /// Remote-lane installs whose deadline expired waiting on a peer; the
+    /// copy fell back to the PFS source instead of aborting.
+    remote_timeouts / remote_timeout:
+        "monarch_remote_timeouts_total",
+        "Remote-lane installs whose deadline expired waiting on a peer.";
+    /// Reads of files resident on a failed tier served down-hierarchy
+    /// instead of erroring (the graceful-degradation path).
+    degraded_reads / degraded_read:
+        "monarch_degraded_reads_total", "Reads of failed-tier residents served down-hierarchy.";
+    /// Foreground preads retried in place after a transient failure.
+    read_retries / read_retry:
+        "monarch_read_retries_total", "Foreground preads retried after a transient failure.";
+    /// Copy installs retried in place after a transient failure.
+    copy_retries / copy_retry:
+        "monarch_copy_retries_total", "Copy installs retried after a transient failure.";
+    /// Copies requeued (placement re-run) after a transient failure.
+    copy_requeues / copy_requeue:
+        "monarch_copy_requeues_total", "Copies requeued after their target tier failed.";
+    /// Tier quarantine transitions.
+    tier_quarantines / tier_quarantine:
+        "monarch_tier_quarantines_total", "Tier quarantine transitions.";
+    /// Quarantined tiers re-admitted by a successful half-open probe.
+    tier_recoveries / tier_recovery:
+        "monarch_tier_recoveries_total", "Quarantined tiers re-admitted by a successful probe.";
+    /// `ENOSPC`-triggered evictions on the install path.
+    enospc_evictions / enospc_eviction:
+        "monarch_enospc_evictions_total", "ENOSPC-triggered evictions on the install path.";
+    /// Copies the admission policy denied a tier slot (the read stays on
+    /// the PFS; the next miss re-asks).
+    policy_denials / policy_denial:
+        "monarch_policy_denials_total", "Copies the admission policy denied a tier slot.";
+    /// Peer fetches skipped because the peer is marked dead (inside its
+    /// cooldown window); the read went straight to the PFS.
+    peer_dead_skips / peer_dead_skip:
+        "monarch_peer_dead_skips_total", "Peer fetches skipped because the peer was marked dead.";
+    /// Reads served entirely from the install staging of the file's
+    /// in-flight copy: counted here, not as reads of any tier. Fed by
+    /// [`Stats::record_staged`].
+    staged_reads:
+        "monarch_staged_reads_total",
+        "Reads served entirely from the install staging of an in-flight copy.";
+    /// Bytes handed to readers out of install stagings. Fed by
+    /// [`Stats::record_staged`].
+    staged_bytes:
+        "monarch_staged_bytes_total", "Bytes handed to readers out of install stagings.";
 }
 
 impl std::fmt::Debug for Stats {
@@ -72,43 +221,6 @@ impl std::fmt::Debug for Stats {
 }
 
 impl Stats {
-    /// Counters for a hierarchy with `tiers` levels.
-    #[must_use]
-    pub fn new(tiers: usize) -> Self {
-        Self {
-            tiers: (0..tiers).map(|_| TierCounters::default()).collect(),
-            reads: Striped::new(),
-            copies_scheduled: AtomicU64::new(0),
-            copies_completed: AtomicU64::new(0),
-            copies_failed: AtomicU64::new(0),
-            placement_skipped: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            removes: AtomicU64::new(0),
-            prefetches_scheduled: AtomicU64::new(0),
-            prefetch_hits: AtomicU64::new(0),
-            prefetch_wasted: AtomicU64::new(0),
-            prefetch_promoted: AtomicU64::new(0),
-            prefetch_canceled: AtomicU64::new(0),
-            pool_join_failures: AtomicU64::new(0),
-            copies_deadline_expired: AtomicU64::new(0),
-            peer_hits: AtomicU64::new(0),
-            peer_bytes: AtomicU64::new(0),
-            peer_fallbacks: AtomicU64::new(0),
-            remote_timeouts: AtomicU64::new(0),
-            degraded_reads: AtomicU64::new(0),
-            read_retries: AtomicU64::new(0),
-            copy_retries: AtomicU64::new(0),
-            copy_requeues: AtomicU64::new(0),
-            tier_quarantines: AtomicU64::new(0),
-            tier_recoveries: AtomicU64::new(0),
-            enospc_evictions: AtomicU64::new(0),
-            policy_denials: AtomicU64::new(0),
-            peer_dead_skips: AtomicU64::new(0),
-            staged_reads: AtomicU64::new(0),
-            staged_bytes: AtomicU64::new(0),
-        }
-    }
-
     /// Record a read of `bytes` served by `tier`.
     #[inline]
     pub fn record_read(&self, tier: TierId, bytes: u64) {
@@ -143,69 +255,8 @@ impl Stats {
     /// both a removal (the file left the tier) and an eviction.
     #[inline]
     pub fn record_evict(&self, tier: TierId) {
-        self.tiers[tier].removes.fetch_add(1, Ordering::Relaxed);
-        self.removes.fetch_add(1, Ordering::Relaxed);
+        self.record_remove(tier);
         self.evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A background copy was scheduled.
-    pub fn copy_scheduled(&self) {
-        self.copies_scheduled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A background copy completed.
-    pub fn copy_completed(&self) {
-        self.copies_completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A background copy failed (quota released, metadata reverted).
-    pub fn copy_failed(&self) {
-        self.copies_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Placement skipped because no local tier had room.
-    pub fn placement_skip(&self) {
-        self.placement_skipped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A prefetch copy was issued from an access plan (also counted in
-    /// `copies_scheduled` — prefetches are ordinary background copies).
-    pub fn prefetch_scheduled(&self) {
-        self.prefetches_scheduled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A file's first foreground read was served by a local tier thanks to
-    /// a prefetch copy that landed ahead of the cursor.
-    pub fn prefetch_hit(&self) {
-        self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A prefetched file was staged but never read before its plan ended.
-    pub fn prefetch_wasted(&self) {
-        self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A demand read arrived for a file whose prefetch copy was still
-    /// queued; the job was promoted to the demand lane (dedup guard).
-    pub fn prefetch_promote(&self) {
-        self.prefetch_promoted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A queued prefetch copy was canceled (plan replaced or dropped).
-    pub fn prefetch_cancel(&self) {
-        self.prefetch_canceled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A copy-pool worker could not be joined at shutdown (it died of a
-    /// panic outside the per-task catch).
-    pub fn pool_join_failure(&self) {
-        self.pool_join_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A queued copy's deadline expired before a worker picked it up (also
-    /// counted in `copies_failed` — the copy never ran).
-    pub fn copy_deadline_expired(&self) {
-        self.copies_deadline_expired.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A read of a peer-owned file was served from the owner's fast tier
@@ -214,66 +265,6 @@ impl Stats {
     pub fn peer_hit(&self, bytes: u64) {
         self.peer_hits.fetch_add(1, Ordering::Relaxed);
         self.peer_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// A peer fetch failed (peer down, slow, or refused) and the read fell
-    /// back to the PFS path.
-    pub fn peer_fallback(&self) {
-        self.peer_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A remote-lane job's deadline expired (peer too slow); the install
-    /// fell back to copying from the PFS source instead of aborting.
-    pub fn remote_timeout(&self) {
-        self.remote_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A read of a file resident on a failed tier was served from a lower
-    /// tier instead of erroring (the graceful-degradation path).
-    pub fn degraded_read(&self) {
-        self.degraded_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A foreground pread failed transiently and was retried in place.
-    pub fn read_retry(&self) {
-        self.read_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A copy's install step failed transiently and was retried in place.
-    pub fn copy_retry(&self) {
-        self.copy_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A copy was requeued (placement re-run) after a transient failure.
-    pub fn copy_requeue(&self) {
-        self.copy_requeues.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A tier entered quarantine.
-    pub fn tier_quarantine(&self) {
-        self.tier_quarantines.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A quarantined tier was re-admitted by a successful half-open probe.
-    pub fn tier_recovery(&self) {
-        self.tier_recoveries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An `ENOSPC` on install evicted a resident file to make room.
-    pub fn enospc_eviction(&self) {
-        self.enospc_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The admission policy denied a copy a tier slot (the read stays on
-    /// the PFS; the next miss re-asks).
-    pub fn policy_denial(&self) {
-        self.policy_denials.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A peer fetch was skipped because the peer is marked dead (inside
-    /// its cooldown window); the read went straight to the PFS.
-    pub fn peer_dead_skip(&self) {
-        self.peer_dead_skips.fetch_add(1, Ordering::Relaxed);
     }
 
     /// `bytes` of a read came out of the install staging of the file's
@@ -294,51 +285,19 @@ impl Stats {
             .sum()
     }
 
-    /// Immutable snapshot for reporting.
-    #[must_use]
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            tiers: self
-                .tiers
-                .iter()
-                .enumerate()
-                .map(|(id, t)| TierSnapshot {
-                    reads: self.read_sum(id, |c| &c.reads),
-                    bytes_read: self.read_sum(id, |c| &c.bytes_read),
-                    writes: t.writes.load(Ordering::Relaxed),
-                    bytes_written: t.bytes_written.load(Ordering::Relaxed),
-                    removes: t.removes.load(Ordering::Relaxed),
-                })
-                .collect(),
-            copies_scheduled: self.copies_scheduled.load(Ordering::Relaxed),
-            copies_completed: self.copies_completed.load(Ordering::Relaxed),
-            copies_failed: self.copies_failed.load(Ordering::Relaxed),
-            placement_skipped: self.placement_skipped.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            removes: self.removes.load(Ordering::Relaxed),
-            prefetches_scheduled: self.prefetches_scheduled.load(Ordering::Relaxed),
-            prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
-            prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
-            prefetch_promoted: self.prefetch_promoted.load(Ordering::Relaxed),
-            prefetch_canceled: self.prefetch_canceled.load(Ordering::Relaxed),
-            pool_join_failures: self.pool_join_failures.load(Ordering::Relaxed),
-            copies_deadline_expired: self.copies_deadline_expired.load(Ordering::Relaxed),
-            peer_hits: self.peer_hits.load(Ordering::Relaxed),
-            peer_bytes: self.peer_bytes.load(Ordering::Relaxed),
-            peer_fallbacks: self.peer_fallbacks.load(Ordering::Relaxed),
-            remote_timeouts: self.remote_timeouts.load(Ordering::Relaxed),
-            degraded_reads: self.degraded_reads.load(Ordering::Relaxed),
-            read_retries: self.read_retries.load(Ordering::Relaxed),
-            copy_retries: self.copy_retries.load(Ordering::Relaxed),
-            copy_requeues: self.copy_requeues.load(Ordering::Relaxed),
-            tier_quarantines: self.tier_quarantines.load(Ordering::Relaxed),
-            tier_recoveries: self.tier_recoveries.load(Ordering::Relaxed),
-            enospc_evictions: self.enospc_evictions.load(Ordering::Relaxed),
-            policy_denials: self.policy_denials.load(Ordering::Relaxed),
-            peer_dead_skips: self.peer_dead_skips.load(Ordering::Relaxed),
-            staged_reads: self.staged_reads.load(Ordering::Relaxed),
-            staged_bytes: self.staged_bytes.load(Ordering::Relaxed),
-        }
+    /// The per-tier half of [`Stats::snapshot`].
+    fn tier_snapshots(&self) -> Vec<TierSnapshot> {
+        self.tiers
+            .iter()
+            .enumerate()
+            .map(|(id, t)| TierSnapshot {
+                reads: self.read_sum(id, |c| &c.reads),
+                bytes_read: self.read_sum(id, |c| &c.bytes_read),
+                writes: t.writes.load(Ordering::Relaxed),
+                bytes_written: t.bytes_written.load(Ordering::Relaxed),
+                removes: t.removes.load(Ordering::Relaxed),
+            })
+            .collect()
     }
 }
 
@@ -355,100 +314,6 @@ pub struct TierSnapshot {
     pub bytes_written: u64,
     /// Files removed from this tier (evictions plus cleanup).
     pub removes: u64,
-}
-
-/// Snapshot of the whole middleware.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Per-tier counters, index = tier id (last = PFS).
-    pub tiers: Vec<TierSnapshot>,
-    /// Background copies scheduled.
-    pub copies_scheduled: u64,
-    /// Background copies completed successfully.
-    pub copies_completed: u64,
-    /// Background copies that failed.
-    pub copies_failed: u64,
-    /// Files left on the PFS because no local tier had room.
-    pub placement_skipped: u64,
-    /// Files evicted by a placement policy (ablation policies only) —
-    /// strictly a subset of `removes`.
-    pub evictions: u64,
-    /// Files removed for any reason (evictions plus failed-copy cleanup
-    /// and teardown).
-    #[serde(default)]
-    pub removes: u64,
-    /// Background copies issued by the clairvoyant prefetcher (subset of
-    /// `copies_scheduled`).
-    #[serde(default)]
-    pub prefetches_scheduled: u64,
-    /// First reads served locally because a prefetch copy landed first.
-    #[serde(default)]
-    pub prefetch_hits: u64,
-    /// Prefetched files never read before their plan ended.
-    #[serde(default)]
-    pub prefetch_wasted: u64,
-    /// Queued prefetch copies promoted to the demand lane by a read.
-    #[serde(default)]
-    pub prefetch_promoted: u64,
-    /// Queued prefetch copies canceled before running.
-    #[serde(default)]
-    pub prefetch_canceled: u64,
-    /// Copy-pool workers that could not be joined at shutdown.
-    #[serde(default)]
-    pub pool_join_failures: u64,
-    /// Queued copies dropped because their deadline expired before a
-    /// worker started them (subset of `copies_failed`).
-    #[serde(default)]
-    pub copies_deadline_expired: u64,
-    /// Reads of peer-owned files served node-to-node from the owner's
-    /// fast tier (no PFS read).
-    #[serde(default)]
-    pub peer_hits: u64,
-    /// Bytes served over the cluster transport instead of the PFS.
-    #[serde(default)]
-    pub peer_bytes: u64,
-    /// Peer fetches that failed and fell back to the PFS path.
-    #[serde(default)]
-    pub peer_fallbacks: u64,
-    /// Remote-lane installs whose deadline expired waiting on a peer; the
-    /// copy fell back to the PFS source.
-    #[serde(default)]
-    pub remote_timeouts: u64,
-    /// Reads of files resident on a failed tier served down-hierarchy
-    /// instead of erroring.
-    #[serde(default)]
-    pub degraded_reads: u64,
-    /// Foreground preads retried in place after a transient failure.
-    #[serde(default)]
-    pub read_retries: u64,
-    /// Copy installs retried in place after a transient failure.
-    #[serde(default)]
-    pub copy_retries: u64,
-    /// Copies requeued (placement re-run) after a transient failure.
-    #[serde(default)]
-    pub copy_requeues: u64,
-    /// Tier quarantine transitions.
-    #[serde(default)]
-    pub tier_quarantines: u64,
-    /// Quarantined tiers re-admitted by a successful half-open probe.
-    #[serde(default)]
-    pub tier_recoveries: u64,
-    /// `ENOSPC`-triggered evictions on the install path.
-    #[serde(default)]
-    pub enospc_evictions: u64,
-    /// Copies the admission policy denied a tier slot.
-    #[serde(default)]
-    pub policy_denials: u64,
-    /// Peer fetches skipped because the peer was marked dead.
-    #[serde(default)]
-    pub peer_dead_skips: u64,
-    /// Reads served entirely from the install staging of the file's
-    /// in-flight copy: counted here, not as reads of any tier.
-    #[serde(default)]
-    pub staged_reads: u64,
-    /// Bytes handed to readers out of install stagings.
-    #[serde(default)]
-    pub staged_bytes: u64,
 }
 
 impl StatsSnapshot {

@@ -40,6 +40,12 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use crate::cluster::Cluster;
+use crate::health::{HealthRegistry, TierState};
+use crate::hierarchy::StorageHierarchy;
+use crate::metadata::MetadataContainer;
+use crate::policy::PolicyEngine;
+use crate::pool::Lane;
 use crate::stats::Stats;
 use crate::stripe::Striped;
 use crate::TierId;
@@ -799,11 +805,11 @@ impl EventJournal {
         self.buf.lock().expect("journal lock").drain(..).collect()
     }
 
-    /// Render events as JSON lines (one object per line, oldest first).
-    /// `drain` empties the buffer; otherwise the journal is left intact.
+    /// Render the buffered events as JSON lines (one object per line,
+    /// oldest first), leaving the journal intact.
     #[must_use]
-    pub fn json_lines(&self, drain: bool) -> String {
-        let events = if drain { self.drain() } else { self.events() };
+    pub fn json_lines(&self) -> String {
+        let events = self.events();
         let mut out = String::with_capacity(events.len() * 96);
         for (i, e) in events.iter().enumerate() {
             if i > 0 {
@@ -1349,6 +1355,49 @@ pub struct StallProfileSnapshot {
     pub degraded_fallback: HistogramSnapshot,
 }
 
+/// What a sampler saw of the copy pipeline at one instant — the part of
+/// [`TelemetryRegistry::publish_gauges`]'s input that the real engine reads
+/// off its pool and the simulator off its virtual one.
+#[derive(Debug, Clone, Copy)]
+pub struct PipelineSample {
+    /// Copies queued (not yet started) per lane; build it with
+    /// [`PipelineSample::queued_by`], which owns the order.
+    pub queued: [usize; 3],
+    /// Copies executing on pool workers.
+    pub running: usize,
+    /// The prefetch window; `None` when prefetching is off, which leaves
+    /// the `monarch_prefetch_*` families unpublished.
+    pub prefetch: Option<PrefetchSample>,
+    /// The engine has begun shutting down.
+    pub draining: bool,
+}
+
+/// The lanes a [`PipelineSample`] reports, with their `lane` label values.
+const LANES: [(Lane, &str); 3] = [
+    (Lane::Demand, "demand"),
+    (Lane::Remote, "remote"),
+    (Lane::Prefetch, "prefetch"),
+];
+
+impl PipelineSample {
+    /// [`PipelineSample::queued`] from a per-lane depth query.
+    #[must_use]
+    pub fn queued_by(depth: impl Fn(Lane) -> usize) -> [usize; 3] {
+        LANES.map(|(lane, _)| depth(lane))
+    }
+}
+
+/// The prefetch window's part of a [`PipelineSample`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PrefetchSample {
+    /// Prefetch copies issued and not yet resolved.
+    pub copies: u64,
+    /// Their bytes.
+    pub bytes: u64,
+    /// Plan entries issued ahead of the read cursor.
+    pub lag_entries: u64,
+}
+
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
@@ -1520,17 +1569,109 @@ impl TelemetryRegistry {
         &self.reads_in_flight
     }
 
-    /// Copy the striped in-flight count into its exported gauge cell
-    /// (registering the family on the first call). Samplers run this right
-    /// before a snapshot or scrape.
-    pub fn publish_reads_in_flight(&self) {
-        self.gauges
-            .gauge(
-                "monarch_reads_in_flight",
-                "Read operations currently executing inside Monarch::read.",
-                &[],
+    /// Publish every sampled gauge family — reads in flight, per-tier
+    /// occupancy / capacity / files / health, the degraded and draining
+    /// flags, per-lane queue depth, jobs in flight and the prefetch window
+    /// — from live state. The one producer of these families: the real
+    /// instance's [`Sampler`](crate::transfer::Sampler) and the `dlpipe`
+    /// simulator both call it, each with its own [`PipelineSample`], so
+    /// their snapshots cannot differ in family names, help text or label
+    /// sets.
+    pub fn publish_gauges(
+        &self,
+        hierarchy: &StorageHierarchy,
+        metadata: &MetadataContainer,
+        pipeline: &PipelineSample,
+    ) {
+        let g = &self.gauges;
+        g.gauge(
+            "monarch_reads_in_flight",
+            "Read operations currently executing inside Monarch::read.",
+            &[],
+        )
+        .set(self.reads_in_flight.get());
+        let health = hierarchy.health();
+        let files = metadata.residency_histogram(hierarchy.levels());
+        for tier in hierarchy.tiers() {
+            let labels = &[("tier", tier.name.as_str())];
+            if let Some(quota) = tier.quota.as_ref() {
+                g.gauge(
+                    "monarch_tier_occupancy_bytes",
+                    "Bytes resident on the tier (quota accounting).",
+                    labels,
+                )
+                .set(quota.used() as i64);
+                g.gauge(
+                    "monarch_tier_capacity_bytes",
+                    "Configured capacity of the tier in bytes.",
+                    labels,
+                )
+                .set(quota.capacity() as i64);
+            }
+            g.gauge(
+                "monarch_tier_files",
+                "Files currently resident on the tier.",
+                labels,
             )
-            .set(self.reads_in_flight.get());
+            .set(files.get(tier.id).copied().unwrap_or(0) as i64);
+            g.gauge(
+                "monarch_tier_health_state",
+                "Tier health: 0 = closed (healthy), 1 = suspect, 2 = quarantined.",
+                labels,
+            )
+            .set(match health.tier(tier.id).state() {
+                TierState::Closed => 0,
+                TierState::Suspect => 1,
+                TierState::Quarantined => 2,
+            });
+        }
+        g.gauge(
+            "monarch_degraded",
+            "1 while any tier is quarantined (reads falling back down-hierarchy), else 0.",
+            &[],
+        )
+        .set(i64::from(health.degraded()));
+        for ((_, lane), queued) in LANES.into_iter().zip(pipeline.queued) {
+            g.gauge(
+                "monarch_lane_queued",
+                "Copies queued (not yet started) per pool lane.",
+                &[("lane", lane)],
+            )
+            .set(queued as i64);
+        }
+        g.gauge(
+            "monarch_pool_inflight_jobs",
+            "Copies currently executing on pool workers.",
+            &[],
+        )
+        .set(pipeline.running as i64);
+        if let Some(window) = pipeline.prefetch {
+            for (name, help, value) in [
+                (
+                    "monarch_prefetch_inflight_copies",
+                    "Prefetch copies issued and not yet resolved.",
+                    window.copies,
+                ),
+                (
+                    "monarch_prefetch_inflight_bytes",
+                    "Bytes of prefetch copies issued and not yet resolved.",
+                    window.bytes,
+                ),
+                (
+                    "monarch_prefetch_window_lag_entries",
+                    "Plan entries issued ahead of the read cursor.",
+                    window.lag_entries,
+                ),
+            ] {
+                g.gauge(name, help, &[]).set(value as i64);
+            }
+        }
+        g.gauge(
+            "monarch_draining",
+            "1 while the transfer engine is shutting down, else 0.",
+            &[],
+        )
+        .set(i64::from(pipeline.draining));
     }
 
     /// The event journal.
@@ -1565,12 +1706,22 @@ impl TelemetryRegistry {
         self.journal.record_at(t_us, kind);
     }
 
-    /// Immutable snapshot of every histogram plus the counters.
+    /// The one snapshot document: every histogram, the counters, the
+    /// gauges as last published, and the sections owned by other parts of
+    /// the instance — tier health, the policy engine, the peer cache when
+    /// clustered. Everything that reports state (`/snapshot`, the FFI, the
+    /// CLI views, the simulator's run report) serialises or projects this.
     #[must_use]
-    pub fn snapshot(&self) -> TelemetrySnapshot {
+    pub fn snapshot(
+        &self,
+        health: &HealthRegistry,
+        policy: &PolicyEngine,
+        cluster: Option<&Cluster>,
+    ) -> TelemetrySnapshot {
+        let stats = self.stats.snapshot();
         TelemetrySnapshot {
+            schema_version: SCHEMA_VERSION,
             tier_names: self.tier_names.clone(),
-            stats: self.stats.snapshot(),
             read_latency: self.read_latency.iter().map(|h| h.snapshot()).collect(),
             write_latency: self.write_latency.iter().map(|h| h.snapshot()).collect(),
             copy_duration: self.copy_duration.snapshot(),
@@ -1585,27 +1736,19 @@ impl TelemetryRegistry {
             spans_recorded: self.trace.spans_recorded(),
             spans_dropped: self.trace.spans_dropped(),
             observe: self.observe.snapshot(),
-            cluster: None,
-            health: None,
+            cluster: cluster.map(|c| c.snapshot(&stats)),
+            health: Some(health.snapshot()),
+            policy: Some(policy.snapshot()),
+            stats,
         }
     }
 
     /// Buffered journal events as JSON lines. **Non-destructive**: the
     /// ring keeps its contents, so repeated calls (e.g. `monarch metrics
     /// --watch` ticks, or several FFI consumers) all see the same events.
-    /// Use [`Self::drain_events_json`] only when this consumer should be
-    /// the sole reader — drained events are gone for everyone else.
     #[must_use]
     pub fn events_json(&self) -> String {
-        self.journal.json_lines(false)
-    }
-
-    /// Drain the journal, returning the events as JSON lines. Destructive:
-    /// the ring is emptied, so any other consumer misses the drained
-    /// events (their `seq` numbers still count toward `recorded()`).
-    #[must_use]
-    pub fn drain_events_json(&self) -> String {
-        self.journal.json_lines(true)
+        self.journal.json_lines()
     }
 
     /// Prometheus-style text exposition: counters as `counter` metrics,
@@ -1655,230 +1798,61 @@ impl TelemetryRegistry {
             &|i| snap.tiers[i].removes,
         );
 
-        let scalar = |o: &mut String, name: &str, help: &str, v: u64| {
+        let mut scalar = |name: &str, help: &str, v: u64| {
             o.push_str(&format!(
                 "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
             ));
         };
-        scalar(
-            &mut o,
-            "monarch_copies_scheduled_total",
-            "Background copies scheduled.",
-            snap.copies_scheduled,
-        );
-        scalar(
-            &mut o,
-            "monarch_copies_completed_total",
-            "Background copies completed.",
-            snap.copies_completed,
-        );
-        scalar(
-            &mut o,
-            "monarch_copies_failed_total",
-            "Background copies failed.",
-            snap.copies_failed,
-        );
-        scalar(
-            &mut o,
-            "monarch_placement_skipped_total",
-            "Placements skipped (no local tier had room).",
-            snap.placement_skipped,
-        );
-        scalar(
-            &mut o,
-            "monarch_evictions_total",
-            "Files evicted from local tiers.",
-            snap.evictions,
-        );
-        scalar(
-            &mut o,
-            "monarch_removes_total",
-            "Files removed for any reason.",
-            snap.removes,
-        );
-        scalar(
-            &mut o,
-            "monarch_prefetches_scheduled_total",
-            "Prefetch copies issued from access plans.",
-            snap.prefetches_scheduled,
-        );
-        scalar(
-            &mut o,
-            "monarch_prefetch_hits_total",
-            "First reads served locally thanks to a prefetch copy.",
-            snap.prefetch_hits,
-        );
-        scalar(
-            &mut o,
-            "monarch_prefetch_wasted_total",
-            "Prefetched files never read before their plan ended.",
-            snap.prefetch_wasted,
-        );
-        scalar(
-            &mut o,
-            "monarch_prefetch_promoted_total",
-            "Queued prefetch copies promoted to the demand lane.",
-            snap.prefetch_promoted,
-        );
-        scalar(
-            &mut o,
-            "monarch_prefetch_canceled_total",
-            "Queued prefetch copies canceled before running.",
-            snap.prefetch_canceled,
-        );
-        scalar(
-            &mut o,
-            "monarch_pool_join_failures_total",
-            "Copy-pool workers that could not be joined at shutdown.",
-            snap.pool_join_failures,
-        );
-        scalar(
-            &mut o,
-            "monarch_copies_deadline_expired_total",
-            "Queued copies dropped because their deadline expired before a worker started them.",
-            snap.copies_deadline_expired,
-        );
-        scalar(
-            &mut o,
-            "monarch_peer_hits_total",
-            "Reads of peer-owned files served node-to-node from a peer's fast tier.",
-            snap.peer_hits,
-        );
-        scalar(
-            &mut o,
-            "monarch_peer_bytes_total",
-            "Bytes served over the cluster transport instead of the PFS.",
-            snap.peer_bytes,
-        );
-        scalar(
-            &mut o,
-            "monarch_peer_fallbacks_total",
-            "Peer fetches that failed and fell back to the PFS path.",
-            snap.peer_fallbacks,
-        );
-        scalar(
-            &mut o,
-            "monarch_remote_timeouts_total",
-            "Remote-lane installs whose deadline expired waiting on a peer.",
-            snap.remote_timeouts,
-        );
-        scalar(
-            &mut o,
-            "monarch_degraded_reads_total",
-            "Reads of failed-tier residents served down-hierarchy.",
-            snap.degraded_reads,
-        );
-        scalar(
-            &mut o,
-            "monarch_read_retries_total",
-            "Foreground preads retried after a transient failure.",
-            snap.read_retries,
-        );
-        scalar(
-            &mut o,
-            "monarch_copy_retries_total",
-            "Copy installs retried after a transient failure.",
-            snap.copy_retries,
-        );
-        scalar(
-            &mut o,
-            "monarch_copy_requeues_total",
-            "Copies requeued after their target tier failed.",
-            snap.copy_requeues,
-        );
-        scalar(
-            &mut o,
-            "monarch_tier_quarantines_total",
-            "Tier quarantine transitions.",
-            snap.tier_quarantines,
-        );
-        scalar(
-            &mut o,
-            "monarch_tier_recoveries_total",
-            "Quarantined tiers re-admitted by a successful probe.",
-            snap.tier_recoveries,
-        );
-        scalar(
-            &mut o,
-            "monarch_enospc_evictions_total",
-            "ENOSPC-triggered evictions on the install path.",
-            snap.enospc_evictions,
-        );
-        scalar(
-            &mut o,
-            "monarch_peer_dead_skips_total",
-            "Peer fetches skipped because the peer was marked dead.",
-            snap.peer_dead_skips,
-        );
-        scalar(
-            &mut o,
-            "monarch_staged_reads_total",
-            "Reads served entirely from the install staging of an in-flight copy.",
-            snap.staged_reads,
-        );
-        scalar(
-            &mut o,
-            "monarch_staged_bytes_total",
-            "Bytes handed to readers out of install stagings.",
-            snap.staged_bytes,
-        );
-        scalar(
-            &mut o,
-            "monarch_journal_events_total",
-            "Telemetry events recorded.",
-            self.journal.recorded(),
-        );
-        scalar(
-            &mut o,
-            "monarch_journal_dropped_total",
-            "Telemetry events overwritten by the ring bound.",
-            self.journal.dropped(),
-        );
-        // Canonical ring-loss name (the `monarch_journal_*` pair above is
-        // kept for dashboard compatibility): bounded-buffer drops must be
-        // visible, not silent.
-        scalar(
-            &mut o,
-            "monarch_events_dropped_total",
-            "Journal events overwritten by the ring bound.",
-            self.journal.dropped(),
-        );
-        scalar(
-            &mut o,
-            "monarch_trace_spans_total",
-            "Trace spans recorded.",
-            self.trace.spans_recorded(),
-        );
-        scalar(
-            &mut o,
-            "monarch_trace_spans_dropped_total",
-            "Trace spans dropped by the span-ring bound.",
-            self.trace.spans_dropped(),
-        );
-        scalar(
-            &mut o,
-            "monarch_profile_files_tracked",
-            "Distinct files tracked by the access profiler.",
-            self.observe.profiler().snapshot_counts().0,
-        );
-        scalar(
-            &mut o,
-            "monarch_profile_untracked_reads_total",
-            "Reads of files past the profiler's tracking bound.",
-            self.observe.profiler().snapshot_counts().1,
-        );
-        scalar(
-            &mut o,
-            "monarch_residency_transitions_total",
-            "Tier-residency transitions recorded.",
-            self.observe.timeline().recorded(),
-        );
-        scalar(
-            &mut o,
-            "monarch_residency_transitions_dropped_total",
-            "Tier-residency transitions overwritten by the ring bound.",
-            self.observe.timeline().dropped(),
-        );
+        for (family, help, value) in snap.counters() {
+            scalar(family, help, value);
+        }
+        let (files_tracked, untracked_reads) = self.observe.profiler().snapshot_counts();
+        let timeline = self.observe.timeline();
+        for (family, help, value) in [
+            (
+                "monarch_journal_events_total",
+                "Telemetry events recorded.",
+                self.journal.recorded(),
+            ),
+            // Bounded-buffer drops must be visible, not silent.
+            (
+                "monarch_events_dropped_total",
+                "Journal events overwritten by the ring bound.",
+                self.journal.dropped(),
+            ),
+            (
+                "monarch_trace_spans_total",
+                "Trace spans recorded.",
+                self.trace.spans_recorded(),
+            ),
+            (
+                "monarch_trace_spans_dropped_total",
+                "Trace spans dropped by the span-ring bound.",
+                self.trace.spans_dropped(),
+            ),
+            (
+                "monarch_profile_files_tracked",
+                "Distinct files tracked by the access profiler.",
+                files_tracked,
+            ),
+            (
+                "monarch_profile_untracked_reads_total",
+                "Reads of files past the profiler's tracking bound.",
+                untracked_reads,
+            ),
+            (
+                "monarch_residency_transitions_total",
+                "Tier-residency transitions recorded.",
+                timeline.recorded(),
+            ),
+            (
+                "monarch_residency_transitions_dropped_total",
+                "Tier-residency transitions overwritten by the ring bound.",
+                timeline.dropped(),
+            ),
+        ] {
+            scalar(family, help, value);
+        }
 
         // Cumulative histogram exposition so PromQL `histogram_quantile()`
         // works. The `le` ladder is in seconds; `count_le` quantizes to
@@ -2017,10 +1991,21 @@ impl std::fmt::Debug for TelemetryRegistry {
     }
 }
 
-/// Serializable snapshot of the whole registry — attached to bench results
-/// JSON and rendered by `monarch metrics --format json`.
+/// Version of the [`TelemetrySnapshot`] schema. Adding a key does not
+/// change it; removing a key or changing a key's type does.
+pub const SCHEMA_VERSION: u32 = 1;
+
+/// The instance's one state document, assembled by
+/// [`TelemetryRegistry::snapshot`]: `/snapshot`, `monarch_snapshot_json`,
+/// `monarch metrics --format json` and the simulator's run report carry it
+/// whole; the CLI's `policy` / `health` / `cluster` / `report` views and the
+/// FFI's sections are its top-level keys.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
+    /// Version of this document's schema ([`SCHEMA_VERSION`]); 0 on
+    /// documents written before the field existed.
+    #[serde(default)]
+    pub schema_version: u32,
     /// Ordered tier names (PFS last).
     pub tier_names: Vec<String>,
     /// Operation/byte counters.
@@ -2063,16 +2048,18 @@ pub struct TelemetrySnapshot {
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub observe: Option<crate::observe::ObserveSnapshot>,
     /// Cluster peer-cache state (shard map + peer counters); absent when
-    /// the node runs without a cluster config. Attached by the middleware,
-    /// which owns the cluster handle — the registry itself never sets it.
+    /// the node runs without a cluster config.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub cluster: Option<crate::cluster::ClusterSnapshot>,
     /// Per-tier fault-tolerance state (health state machine, error EWMA,
-    /// quarantine counters); absent on snapshots taken without a
-    /// hierarchy. Attached by the middleware, which owns the hierarchy —
-    /// the registry itself never sets it.
+    /// quarantine counters); absent only on documents older than the
+    /// section.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub health: Option<crate::health::HealthSnapshot>,
+    /// Composition and decision counters of the policy engine; absent
+    /// only on documents older than the section.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub policy: Option<crate::policy::PolicySnapshot>,
 }
 
 #[cfg(test)]
@@ -2241,7 +2228,7 @@ mod tests {
                 file: "monarch-copy-1".into(),
             },
         );
-        let lines = j.json_lines(false);
+        let lines = j.json_lines();
         let mut it = lines.lines();
         assert_eq!(
             it.next().unwrap(),
@@ -2334,7 +2321,7 @@ mod tests {
         assert!(text.contains("monarch_copy_duration_seconds_bucket{le=\"0.01\"} 1"));
         assert!(text.contains("monarch_copy_duration_seconds_bucket{le=\"+Inf\"} 1"));
         // Journal/trace drop counters are exposed for scrape-side alerts.
-        assert!(text.contains("# TYPE monarch_journal_dropped_total counter"));
+        assert!(text.contains("# TYPE monarch_events_dropped_total counter"));
         assert!(text.contains("# TYPE monarch_trace_spans_dropped_total counter"));
         // Every non-comment line is `name{labels} value` or `name value`
         // with a parseable float value.
@@ -2505,7 +2492,9 @@ mod tests {
                 &[("tier", "ssd")],
             )
             .set(3);
-        let snap = r.snapshot();
+        let health = HealthRegistry::new(r.tier_names().to_vec());
+        let policy = PolicyEngine::from_kind(Default::default(), Default::default());
+        let snap = r.snapshot(&health, &policy, None);
         assert_eq!(snap.tier_names, vec!["ssd", "pfs"]);
         assert_eq!(snap.gauges.len(), 1);
         assert_eq!(snap.gauges[0].value, 3.0);

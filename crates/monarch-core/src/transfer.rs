@@ -33,16 +33,18 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::cluster::{Cluster, ClusterView, PeerError};
-use crate::health::{device_error_class, ErrorClass, TierState};
+use crate::health::{device_error_class, ErrorClass};
 use crate::hierarchy::{StorageHierarchy, TierId};
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
 use crate::observe::{ReadClass, ReadTiming, ResidencyEventKind, TransitionCause};
-use crate::policy::{DecisionPoint, FeatureSource, PolicyEngine, PolicySnapshot};
+use crate::policy::{DecisionPoint, FeatureSource, PolicyEngine};
 use crate::pool::{Lane, PoolProbe, TaskCtx, ThreadPool};
 use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow};
 use crate::staging::{Staged, Staging};
 use crate::stats::Stats;
-use crate::telemetry::{EventKind, TelemetryRegistry};
+use crate::telemetry::{
+    EventKind, PipelineSample, PrefetchSample, TelemetryRegistry, TelemetrySnapshot,
+};
 use crate::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
 use crate::{Error, Result};
 
@@ -287,7 +289,7 @@ pub struct TransferEngine {
     pool: ThreadPool,
     /// Present only when `prefetch.lookahead > 0`, so a disabled
     /// configuration takes zero extra branches beyond one `Option` check.
-    /// Shared (`Arc`) with detached [`GaugeSampler`]s.
+    /// Shared (`Arc`) with detached [`Sampler`]s.
     prefetch: Option<Arc<PrefetchState>>,
     /// Peer-cache residency feed: `(view, this node's id)`. When set, the
     /// admit/evict transitions that already feed the residency timeline
@@ -453,13 +455,6 @@ impl TransferEngine {
     #[must_use]
     pub fn policy_name(&self) -> &str {
         self.policy.name()
-    }
-
-    /// Composition and decision counters of the policy engine — the
-    /// `monarch policy` view.
-    #[must_use]
-    pub fn policy_snapshot(&self) -> PolicySnapshot {
-        self.policy.snapshot()
     }
 
     /// Journal one policy verdict with its decision point and cause.
@@ -1193,166 +1188,124 @@ impl TransferEngine {
         self.stagings.lock().get(file).map(|s| s.progress())
     }
 
-    /// A detached [`GaugeSampler`] over this engine's shared parts. The
-    /// sampler holds only `Arc`s (plus a pool probe), so the metrics
-    /// exporter can refresh gauges from its own threads without borrowing
-    /// the engine — and keeps working, reporting drained queues, after the
-    /// engine itself is gone.
+    /// A detached [`Sampler`] over this engine's shared parts (plus the
+    /// peer-cache handle, which the facade owns). It holds only `Arc`s and
+    /// a pool probe, so the metrics exporter can sample from its own
+    /// threads without borrowing the engine — and keeps working, reporting
+    /// drained queues, after the engine itself is gone.
     #[must_use]
-    pub fn sampler(&self) -> GaugeSampler {
-        GaugeSampler {
+    pub fn sampler(&self, cluster: Option<Arc<Cluster>>) -> Sampler {
+        Sampler {
             hierarchy: Arc::clone(&self.hierarchy),
             metadata: Arc::clone(&self.metadata),
+            policy: Arc::clone(&self.policy),
             telemetry: Arc::clone(&self.telemetry),
             probe: self.pool.probe(),
             prefetch: self.prefetch.as_ref().map(Arc::clone),
             shutting_down: Arc::clone(&self.shutting_down),
+            cluster,
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// GaugeSampler — point-in-time gauge refresh
+// Sampler — the one way to read an instance's state
 // ---------------------------------------------------------------------------
 
-/// Samples the live state of the hierarchy, the copy pool, and the
-/// prefetch window into the telemetry [`GaugeRegistry`]. Scrape-driven:
-/// the `/metrics` exporter (and the CLI snapshot path) calls
-/// [`GaugeSampler::refresh`] right before rendering, so gauge values are
-/// as fresh as the scrape without any background sampling thread.
-///
-/// [`GaugeRegistry`]: crate::telemetry::GaugeRegistry
+/// A cloneable, detached view of one instance's live state. Everything
+/// that reports state goes through it — [`Monarch`](crate::Monarch)'s own
+/// getters, the HTTP exporter's `/metrics`, `/snapshot` and `/healthz`,
+/// the FFI and the CLI views — so they cannot disagree: one gauge refresh
+/// ([`TelemetryRegistry::publish_gauges`]), one snapshot assembly
+/// ([`TelemetryRegistry::snapshot`]), one exposition. Sampling is
+/// scrape-driven: gauges are as fresh as the call, with no background
+/// thread.
 #[derive(Clone)]
-pub struct GaugeSampler {
+pub struct Sampler {
     hierarchy: Arc<StorageHierarchy>,
     metadata: Arc<MetadataContainer>,
+    policy: Arc<PolicyEngine>,
     telemetry: Arc<TelemetryRegistry>,
     probe: PoolProbe,
     prefetch: Option<Arc<PrefetchState>>,
     shutting_down: Arc<AtomicBool>,
+    cluster: Option<Arc<Cluster>>,
 }
 
-impl std::fmt::Debug for GaugeSampler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GaugeSampler")
-            .field("tiers", &self.hierarchy.levels())
-            .field("prefetch", &self.prefetch.is_some())
-            .finish()
-    }
-}
-
-impl GaugeSampler {
+impl Sampler {
     /// Re-sample every gauge family from live state. Cheap enough to run
     /// on each scrape: a handful of atomic loads plus two short lock
     /// acquisitions (pool queue, prefetch window).
     pub fn refresh(&self) {
-        self.telemetry.publish_reads_in_flight();
-        let g = self.telemetry.gauges();
-        let files = self.metadata.residency_histogram(self.hierarchy.levels());
-        for tier in self.hierarchy.tiers() {
-            let labels = &[("tier", tier.name.as_str())];
-            if let Some(quota) = tier.quota.as_ref() {
-                g.gauge(
-                    "monarch_tier_occupancy_bytes",
-                    "Bytes resident on the tier (quota accounting).",
-                    labels,
-                )
-                .set(quota.used() as i64);
-                g.gauge(
-                    "monarch_tier_capacity_bytes",
-                    "Configured capacity of the tier in bytes.",
-                    labels,
-                )
-                .set(quota.capacity() as i64);
-            }
-            g.gauge(
-                "monarch_tier_files",
-                "Files currently resident on the tier.",
-                labels,
-            )
-            .set(files.get(tier.id).copied().unwrap_or(0) as i64);
-            g.gauge(
-                "monarch_tier_health_state",
-                "Tier health: 0 = closed (healthy), 1 = suspect, 2 = quarantined.",
-                labels,
-            )
-            .set(match self.hierarchy.health().tier(tier.id).state() {
-                TierState::Closed => 0,
-                TierState::Suspect => 1,
-                TierState::Quarantined => 2,
-            });
-        }
-        g.gauge(
-            "monarch_degraded",
-            "1 while any tier is quarantined (reads falling back down-hierarchy), else 0.",
-            &[],
-        )
-        .set(i64::from(self.hierarchy.health().degraded()));
-        let demand = self.probe.queued(Lane::Demand);
-        let remote_q = self.probe.queued(Lane::Remote);
-        let prefetch_q = self.probe.queued(Lane::Prefetch);
-        g.gauge(
-            "monarch_lane_queued",
-            "Copies queued (not yet started) per pool lane.",
-            &[("lane", "demand")],
-        )
-        .set(demand as i64);
-        g.gauge(
-            "monarch_lane_queued",
-            "Copies queued (not yet started) per pool lane.",
-            &[("lane", "remote")],
-        )
-        .set(remote_q as i64);
-        g.gauge(
-            "monarch_lane_queued",
-            "Copies queued (not yet started) per pool lane.",
-            &[("lane", "prefetch")],
-        )
-        .set(prefetch_q as i64);
-        g.gauge(
-            "monarch_pool_inflight_jobs",
-            "Copies currently executing on pool workers.",
-            &[],
-        )
-        .set(
-            self.probe
-                .pending()
-                .saturating_sub(demand + remote_q + prefetch_q) as i64,
+        let queued = PipelineSample::queued_by(|lane| self.probe.queued(lane));
+        let prefetch = self.prefetch.as_ref().map(|state| {
+            state
+                .window
+                .lock()
+                .as_ref()
+                .map_or_else(PrefetchSample::default, |w| PrefetchSample {
+                    copies: w.inflight() as u64,
+                    bytes: w.inflight_bytes(),
+                    lag_entries: w.next_index().saturating_sub(w.cursor()) as u64,
+                })
+        });
+        self.telemetry.publish_gauges(
+            &self.hierarchy,
+            &self.metadata,
+            &PipelineSample {
+                queued,
+                running: self
+                    .probe
+                    .pending()
+                    .saturating_sub(queued.iter().sum::<usize>()),
+                prefetch,
+                draining: self.draining(),
+            },
         );
-        if let Some(state) = &self.prefetch {
-            let (copies, bytes, lag) = match state.window.lock().as_ref() {
-                Some(w) => (
-                    w.inflight() as i64,
-                    w.inflight_bytes() as i64,
-                    w.next_index().saturating_sub(w.cursor()) as i64,
-                ),
-                None => (0, 0, 0),
-            };
-            g.gauge(
-                "monarch_prefetch_inflight_copies",
-                "Prefetch copies issued and not yet resolved.",
-                &[],
-            )
-            .set(copies);
-            g.gauge(
-                "monarch_prefetch_inflight_bytes",
-                "Bytes of prefetch copies issued and not yet resolved.",
-                &[],
-            )
-            .set(bytes);
-            g.gauge(
-                "monarch_prefetch_window_lag_entries",
-                "Plan entries issued ahead of the read cursor.",
-                &[],
-            )
-            .set(lag);
-        }
-        g.gauge(
-            "monarch_draining",
-            "1 while the transfer engine is shutting down, else 0.",
-            &[],
+    }
+
+    /// The instance's state document, gauges re-sampled first.
+    #[must_use]
+    pub fn snapshot(&self) -> TelemetrySnapshot {
+        self.refresh();
+        self.telemetry.snapshot(
+            self.hierarchy.health(),
+            &self.policy,
+            self.cluster.as_deref(),
         )
-        .set(i64::from(self.shutting_down.load(Ordering::Acquire)));
+    }
+
+    /// Prometheus-style text exposition, gauges re-sampled first.
+    #[must_use]
+    pub fn metrics_text(&self) -> String {
+        self.refresh();
+        self.telemetry.prometheus_text()
+    }
+
+    /// The `/healthz` word: `draining` once shutdown has begun, `degraded`
+    /// while a tier is quarantined or a pool worker was lost, else `ok`.
+    #[must_use]
+    pub fn healthz(&self) -> &'static str {
+        if self.draining() {
+            "draining"
+        } else if self.hierarchy.health().degraded()
+            || self.telemetry.stats().snapshot().pool_join_failures > 0
+        {
+            "degraded"
+        } else {
+            "ok"
+        }
+    }
+
+    /// The registry behind this view (the journal and the trace recorder
+    /// export themselves).
+    #[must_use]
+    pub fn telemetry(&self) -> &Arc<TelemetryRegistry> {
+        &self.telemetry
+    }
+
+    fn draining(&self) -> bool {
+        self.shutting_down.load(Ordering::Acquire)
     }
 }
 
@@ -2472,7 +2425,7 @@ mod tests {
     #[test]
     fn sampler_refreshes_tier_lane_and_prefetch_gauges() {
         let (mut engine, gate) = gated_engine(6, 8);
-        let sampler = engine.sampler();
+        let sampler = engine.sampler(None);
         pin_worker(&engine, "f000");
         assert_eq!(engine.plan(&plan_of(&["f001", "f002", "f003"])), 3);
         sampler.refresh();

@@ -53,6 +53,63 @@ fn to_str<'a>(ptr: *const c_char) -> Option<&'a str> {
     unsafe { CStr::from_ptr(ptr) }.to_str().ok()
 }
 
+/// Hand a Rust string to C, to be released with [`monarch_string_free`].
+/// Null for `None` and for a string with an interior NUL.
+fn into_c(s: Option<String>) -> *mut c_char {
+    s.and_then(|s| CString::new(s).ok())
+        .map_or(ptr::null_mut(), CString::into_raw)
+}
+
+/// The shared head of every call on a handle: run `f` on the instance,
+/// or say why not — [`errcode::EINVAL`] for a null handle,
+/// [`errcode::EPANIC`] for a panic caught inside `f`.
+///
+/// # Safety
+/// `handle` must come from [`monarch_init_json`] and not be freed, or be
+/// null.
+unsafe fn with_instance<T>(
+    handle: *mut MonarchHandle,
+    f: impl FnOnce(&Monarch) -> T,
+) -> Result<T, i64> {
+    if handle.is_null() {
+        return Err(errcode::EINVAL);
+    }
+    // SAFETY: non-null, and live per the contract above.
+    let monarch = unsafe { &(*handle).inner };
+    catch_unwind(AssertUnwindSafe(|| f(monarch))).map_err(|_| errcode::EPANIC)
+}
+
+/// The shared tail of every string export: null where [`with_instance`]
+/// fails or `f` has nothing; otherwise `f`'s string, handed to C.
+///
+/// # Safety
+/// As for [`with_instance`].
+unsafe fn export(
+    handle: *mut MonarchHandle,
+    f: impl FnOnce(&Monarch) -> Option<String>,
+) -> *mut c_char {
+    // SAFETY: the caller's contract is `with_instance`'s.
+    into_c(unsafe { with_instance(handle, f) }.ok().flatten())
+}
+
+/// The shared tail of every call that answers with a count or a status:
+/// `f`'s value, or [`with_instance`]'s error code.
+///
+/// # Safety
+/// As for [`with_instance`].
+unsafe fn status(handle: *mut MonarchHandle, f: impl FnOnce(&Monarch) -> i64) -> i64 {
+    // SAFETY: the caller's contract is `with_instance`'s.
+    unsafe { with_instance(handle, f) }.unwrap_or_else(|code| code)
+}
+
+/// The error code for a failed read or lookup.
+fn code_of(e: &monarch_core::Error) -> i64 {
+    match e {
+        monarch_core::Error::UnknownFile(_) => errcode::ENOENT,
+        _ => errcode::EIO,
+    }
+}
+
 /// Create a middleware instance from a JSON configuration string (see
 /// [`monarch_core::config::MonarchConfig`] for the schema) and scan the
 /// PFS tier to populate the namespace. Returns null on failure.
@@ -113,13 +170,7 @@ pub unsafe extern "C" fn monarch_configure(
         apply_config_key(&mut cfg, key, value)?;
         Some(cfg.to_json())
     });
-    match outcome {
-        Ok(Some(json)) => match CString::new(json) {
-            Ok(c) => c.into_raw(),
-            Err(_) => ptr::null_mut(),
-        },
-        _ => ptr::null_mut(),
-    }
+    into_c(outcome.unwrap_or(None))
 }
 
 /// [`monarch_configure`]'s key dispatch, separated for unit testing.
@@ -181,7 +232,7 @@ pub unsafe extern "C" fn monarch_read(
     buf: *mut u8,
     len: usize,
 ) -> c_long {
-    if handle.is_null() || buf.is_null() {
+    if buf.is_null() {
         return errcode::EINVAL as c_long;
     }
     let Some(name) = to_str(filename) else {
@@ -189,13 +240,11 @@ pub unsafe extern "C" fn monarch_read(
     };
     // SAFETY: caller guarantees buf/len per the contract above.
     let slice = unsafe { std::slice::from_raw_parts_mut(buf, len) };
-    let monarch = unsafe { &(*handle).inner };
-    let outcome = catch_unwind(AssertUnwindSafe(|| monarch.read(name, offset, slice)));
-    match outcome {
+    // SAFETY: the caller's contract is `with_instance`'s.
+    match unsafe { with_instance(handle, |m| m.read(name, offset, slice)) } {
         Ok(Ok(n)) => n as c_long,
-        Ok(Err(monarch_core::Error::UnknownFile(_))) => errcode::ENOENT as c_long,
-        Ok(Err(_)) => errcode::EIO as c_long,
-        Err(_) => errcode::EPANIC as c_long,
+        Ok(Err(e)) => code_of(&e) as c_long,
+        Err(code) => code as c_long,
     }
 }
 
@@ -208,18 +257,14 @@ pub unsafe extern "C" fn monarch_file_size(
     handle: *mut MonarchHandle,
     filename: *const c_char,
 ) -> c_long {
-    if handle.is_null() {
-        return errcode::EINVAL as c_long;
-    }
     let Some(name) = to_str(filename) else {
         return errcode::EINVAL as c_long;
     };
-    let monarch = unsafe { &(*handle).inner };
-    match catch_unwind(AssertUnwindSafe(|| monarch.file_size(name))) {
+    // SAFETY: the caller's contract is `with_instance`'s.
+    match unsafe { with_instance(handle, |m| m.file_size(name)) } {
         Ok(Ok(size)) => size as c_long,
-        Ok(Err(monarch_core::Error::UnknownFile(_))) => errcode::ENOENT as c_long,
-        Ok(Err(_)) => errcode::EIO as c_long,
-        Err(_) => errcode::EPANIC as c_long,
+        Ok(Err(e)) => code_of(&e) as c_long,
+        Err(code) => code as c_long,
     }
 }
 
@@ -229,90 +274,44 @@ pub unsafe extern "C" fn monarch_file_size(
 /// `handle` must come from [`monarch_init_json`] and not be freed.
 #[no_mangle]
 pub unsafe extern "C" fn monarch_file_count(handle: *mut MonarchHandle) -> c_long {
-    if handle.is_null() {
-        return errcode::EINVAL as c_long;
-    }
-    let monarch = unsafe { &(*handle).inner };
-    monarch.metadata().len() as c_long
+    // SAFETY: the caller's contract is `status`'s.
+    unsafe { status(handle, |m| m.metadata().len() as i64) as c_long }
 }
 
-/// Export the middleware statistics as a JSON document. The returned
-/// string must be released with [`monarch_string_free`]. Null on failure.
-///
-/// # Safety
-/// `handle` must come from [`monarch_init_json`] and not be freed.
-#[no_mangle]
-pub unsafe extern "C" fn monarch_stats_json(handle: *mut MonarchHandle) -> *mut c_char {
-    if handle.is_null() {
-        return ptr::null_mut();
-    }
-    let monarch = unsafe { &(*handle).inner };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        serde_json::to_string(&monarch.stats()).ok()
-    }));
-    match outcome {
-        Ok(Some(json)) => match CString::new(json) {
-            Ok(c) => c.into_raw(),
-            Err(_) => ptr::null_mut(),
-        },
-        _ => ptr::null_mut(),
-    }
-}
-
-/// Export the distributed peer-cache snapshot as a JSON document: the
-/// node roster, shard seed, peer hit/fallback/timeout counters, the bytes
-/// served to peers, and the residency view — what a framework shim needs
-/// to judge its peer hit rate. Null when the middleware was built without
-/// a `cluster` section, or on failure. The returned string must be
-/// released with [`monarch_string_free`].
-///
-/// # Safety
-/// `handle` must come from [`monarch_init_json`] and not be freed.
-#[no_mangle]
-pub unsafe extern "C" fn monarch_cluster_stats_json(handle: *mut MonarchHandle) -> *mut c_char {
-    if handle.is_null() {
-        return ptr::null_mut();
-    }
-    let monarch = unsafe { &(*handle).inner };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        monarch
-            .cluster_snapshot()
-            .and_then(|snap| serde_json::to_string(&snap).ok())
-    }));
-    match outcome {
-        Ok(Some(json)) => match CString::new(json) {
-            Ok(c) => c.into_raw(),
-            Err(_) => ptr::null_mut(),
-        },
-        _ => ptr::null_mut(),
-    }
-}
-
-/// Export the tier-health snapshot as a JSON document: the hierarchy
-/// degraded flag plus, per tier, the breaker state
-/// (closed/suspect/quarantined), error-rate EWMA, consecutive-failure
-/// count, and the quarantine/probe/recovery counters — what a framework
-/// shim needs to decide whether the fast tier is currently trustworthy.
-/// Null on failure. The returned string must be released with
+/// Export the instance's state document
+/// ([`monarch_core::TelemetrySnapshot`]: `schema_version`, `stats`,
+/// `gauges`, the latency summaries, `stall_profile`, `health`, `policy`,
+/// `observe`, and `cluster` when clustered) as JSON — the same document
+/// `/snapshot` serves. `section` selects one top-level key of that
+/// document (`"stats"`, `"health"`, `"policy"`, `"cluster"`, …); null
+/// means the whole document. Returns null for a null handle, a section
+/// that is not valid UTF-8, or a key the document does not have — an
+/// unknown name, or a section this instance lacks, such as `cluster` on a
+/// single node. The returned string must be released with
 /// [`monarch_string_free`].
 ///
 /// # Safety
-/// `handle` must come from [`monarch_init_json`] and not be freed.
+/// `handle` must come from [`monarch_init_json`] and not be freed;
+/// `section` must be a valid NUL-terminated C string or null.
 #[no_mangle]
-pub unsafe extern "C" fn monarch_health_json(handle: *mut MonarchHandle) -> *mut c_char {
-    if handle.is_null() {
+pub unsafe extern "C" fn monarch_snapshot_json(
+    handle: *mut MonarchHandle,
+    section: *const c_char,
+) -> *mut c_char {
+    let key = to_str(section);
+    if key.is_none() && !section.is_null() {
         return ptr::null_mut();
     }
-    let monarch = unsafe { &(*handle).inner };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        serde_json::to_string(&monarch.hierarchy().health().snapshot()).ok()
-    }));
-    match outcome {
-        Ok(Some(json)) => match CString::new(json) {
-            Ok(c) => c.into_raw(),
-            Err(_) => ptr::null_mut(),
-        },
-        _ => ptr::null_mut(),
+    // SAFETY: the caller's contract is `export`'s.
+    unsafe {
+        export(handle, |m| {
+            let doc = serde_json::to_value(&m.telemetry_snapshot()).ok()?;
+            let part = match key {
+                Some(key) => doc.get(key)?,
+                None => &doc,
+            };
+            serde_json::to_string(part).ok()
+        })
     }
 }
 
@@ -326,18 +325,8 @@ pub unsafe extern "C" fn monarch_health_json(handle: *mut MonarchHandle) -> *mut
 /// `handle` must come from [`monarch_init_json`] and not be freed.
 #[no_mangle]
 pub unsafe extern "C" fn monarch_metrics_text(handle: *mut MonarchHandle) -> *mut c_char {
-    if handle.is_null() {
-        return ptr::null_mut();
-    }
-    let monarch = unsafe { &(*handle).inner };
-    let outcome = catch_unwind(AssertUnwindSafe(|| monarch.metrics_text()));
-    match outcome {
-        Ok(text) => match CString::new(text) {
-            Ok(c) => c.into_raw(),
-            Err(_) => ptr::null_mut(),
-        },
-        Err(_) => ptr::null_mut(),
-    }
+    // SAFETY: the caller's contract is `export`'s.
+    unsafe { export(handle, |m| Some(m.metrics_text())) }
 }
 
 /// Export the buffered telemetry journal as JSON lines (one event object
@@ -349,18 +338,8 @@ pub unsafe extern "C" fn monarch_metrics_text(handle: *mut MonarchHandle) -> *mu
 /// `handle` must come from [`monarch_init_json`] and not be freed.
 #[no_mangle]
 pub unsafe extern "C" fn monarch_events_json(handle: *mut MonarchHandle) -> *mut c_char {
-    if handle.is_null() {
-        return ptr::null_mut();
-    }
-    let monarch = unsafe { &(*handle).inner };
-    let outcome = catch_unwind(AssertUnwindSafe(|| monarch.events_json()));
-    match outcome {
-        Ok(lines) => match CString::new(lines) {
-            Ok(c) => c.into_raw(),
-            Err(_) => ptr::null_mut(),
-        },
-        Err(_) => ptr::null_mut(),
-    }
+    // SAFETY: the caller's contract is `export`'s.
+    unsafe { export(handle, |m| Some(m.events_json())) }
 }
 
 /// Export the recorded trace spans as a Chrome Trace Event / Perfetto
@@ -373,51 +352,8 @@ pub unsafe extern "C" fn monarch_events_json(handle: *mut MonarchHandle) -> *mut
 /// `handle` must come from [`monarch_init_json`] and not be freed.
 #[no_mangle]
 pub unsafe extern "C" fn monarch_trace_json(handle: *mut MonarchHandle) -> *mut c_char {
-    if handle.is_null() {
-        return ptr::null_mut();
-    }
-    let monarch = unsafe { &(*handle).inner };
-    let outcome = catch_unwind(AssertUnwindSafe(|| monarch.trace_json()));
-    match outcome {
-        Ok(json) => match CString::new(json) {
-            Ok(c) => c.into_raw(),
-            Err(_) => ptr::null_mut(),
-        },
-        Err(_) => ptr::null_mut(),
-    }
-}
-
-/// Export the workload observatory's bottleneck-attribution report as a
-/// JSON document: the five wall-time buckets (pfs-bound,
-/// copy-lane-saturated, prefetch-lag, lock-or-queue, compute-bound), the
-/// top-5 hot files, and the prefetched-never-read waste list. Wall time
-/// is measured from middleware construction; the ledger is folded at
-/// concurrency 1 (callers tracking their own reader count should rebuild
-/// the report from `/snapshot` instead). Null when telemetry or the
-/// access profiler is disabled, or on failure. The returned string must
-/// be released with [`monarch_string_free`].
-///
-/// # Safety
-/// `handle` must come from [`monarch_init_json`] and not be freed.
-#[no_mangle]
-pub unsafe extern "C" fn monarch_report_json(handle: *mut MonarchHandle) -> *mut c_char {
-    if handle.is_null() {
-        return ptr::null_mut();
-    }
-    let monarch = unsafe { &(*handle).inner };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let wall_s = monarch.telemetry().now_micros() as f64 / 1e6;
-        let snap = monarch.telemetry_snapshot();
-        monarch_core::ObserveReport::from_snapshot(&snap, wall_s, 1, 5)
-            .and_then(|report| serde_json::to_string(&report).ok())
-    }));
-    match outcome {
-        Ok(Some(json)) => match CString::new(json) {
-            Ok(c) => c.into_raw(),
-            Err(_) => ptr::null_mut(),
-        },
-        _ => ptr::null_mut(),
-    }
+    // SAFETY: the caller's contract is `export`'s.
+    unsafe { export(handle, |m| Some(m.trace_json())) }
 }
 
 /// Start the observability HTTP exporter (`/metrics`, `/snapshot`,
@@ -435,19 +371,15 @@ pub unsafe extern "C" fn monarch_serve_start(
     handle: *mut MonarchHandle,
     addr: *const c_char,
 ) -> c_long {
-    if handle.is_null() {
-        return errcode::EINVAL as c_long;
-    }
     let Some(addr) = to_str(addr) else {
         return errcode::EINVAL as c_long;
     };
-    let monarch = unsafe { &(*handle).inner };
-    let outcome = catch_unwind(AssertUnwindSafe(|| monarch.serve(addr)));
-    match outcome {
+    // SAFETY: the caller's contract is `with_instance`'s.
+    match unsafe { with_instance(handle, |m| m.serve(addr)) } {
         Ok(Ok(bound)) => c_long::from(bound.port()),
         Ok(Err(monarch_core::Error::InvalidConfig(_))) => errcode::ECONFIG as c_long,
         Ok(Err(_)) => errcode::EIO as c_long,
-        Err(_) => errcode::EPANIC as c_long,
+        Err(code) => code as c_long,
     }
 }
 
@@ -459,19 +391,13 @@ pub unsafe extern "C" fn monarch_serve_start(
 /// `handle` must come from [`monarch_init_json`] and not be freed.
 #[no_mangle]
 pub unsafe extern "C" fn monarch_serve_stop(handle: *mut MonarchHandle) -> c_int {
-    if handle.is_null() {
-        return errcode::EINVAL as c_int;
-    }
-    let monarch = unsafe { &(*handle).inner };
-    match catch_unwind(AssertUnwindSafe(|| monarch.serve_stop())) {
-        Ok(was_running) => c_int::from(was_running),
-        Err(_) => errcode::EPANIC as c_int,
-    }
+    // SAFETY: the caller's contract is `status`'s.
+    unsafe { status(handle, |m| i64::from(m.serve_stop())) as c_int }
 }
 
-/// Release a string returned by [`monarch_stats_json`],
-/// [`monarch_metrics_text`], [`monarch_events_json`] or
-/// [`monarch_trace_json`].
+/// Release a string returned by [`monarch_configure`],
+/// [`monarch_snapshot_json`], [`monarch_metrics_text`],
+/// [`monarch_events_json`] or [`monarch_trace_json`].
 ///
 /// # Safety
 /// `s` must come from this library and not be freed twice.
@@ -500,21 +426,12 @@ pub unsafe extern "C" fn monarch_submit_plan(
     handle: *mut MonarchHandle,
     plan: *const c_char,
 ) -> c_long {
-    if handle.is_null() {
-        return errcode::EINVAL as c_long;
-    }
     let Some(text) = to_str(plan) else {
         return errcode::EINVAL as c_long;
     };
-    let monarch = unsafe { &(*handle).inner };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let plan = monarch_core::AccessPlan::from_lines(text);
-        monarch.submit_plan(&plan)
-    }));
-    match outcome {
-        Ok(admitted) => admitted as c_long,
-        Err(_) => errcode::EPANIC as c_long,
-    }
+    let submit = |m: &Monarch| m.submit_plan(&monarch_core::AccessPlan::from_lines(text)) as i64;
+    // SAFETY: the caller's contract is `status`'s.
+    unsafe { status(handle, submit) as c_long }
 }
 
 /// Cancel the active access plan, if any: queued prefetch copies are
@@ -525,14 +442,8 @@ pub unsafe extern "C" fn monarch_submit_plan(
 /// `handle` must come from [`monarch_init_json`] and not be freed.
 #[no_mangle]
 pub unsafe extern "C" fn monarch_cancel_plan(handle: *mut MonarchHandle) -> c_long {
-    if handle.is_null() {
-        return errcode::EINVAL as c_long;
-    }
-    let monarch = unsafe { &(*handle).inner };
-    match catch_unwind(AssertUnwindSafe(|| monarch.cancel_prefetch_plan())) {
-        Ok(withdrawn) => withdrawn as c_long,
-        Err(_) => errcode::EPANIC as c_long,
-    }
+    // SAFETY: the caller's contract is `status`'s.
+    unsafe { status(handle, |m| m.cancel_prefetch_plan() as i64) as c_long }
 }
 
 /// Block until all background placement copies are finished (tests,
@@ -542,14 +453,12 @@ pub unsafe extern "C" fn monarch_cancel_plan(handle: *mut MonarchHandle) -> c_lo
 /// `handle` must come from [`monarch_init_json`] and not be freed.
 #[no_mangle]
 pub unsafe extern "C" fn monarch_wait_idle(handle: *mut MonarchHandle) -> c_int {
-    if handle.is_null() {
-        return errcode::EINVAL as c_int;
-    }
-    let monarch = unsafe { &(*handle).inner };
-    match catch_unwind(AssertUnwindSafe(|| monarch.wait_placement_idle())) {
-        Ok(()) => 0,
-        Err(_) => errcode::EPANIC as c_int,
-    }
+    let wait = |m: &Monarch| {
+        m.wait_placement_idle();
+        0
+    };
+    // SAFETY: the caller's contract is `status`'s.
+    unsafe { status(handle, wait) as c_int }
 }
 
 /// Destroy the middleware: drains the copy pool and frees the handle.
@@ -598,6 +507,42 @@ mod tests {
         (CString::new(cfg.to_json()).unwrap(), root, total)
     }
 
+    /// Copy a returned string out and free it — each exactly once; `None`
+    /// for a null return.
+    unsafe fn take(p: *mut c_char) -> Option<String> {
+        if p.is_null() {
+            return None;
+        }
+        let s = unsafe { CStr::from_ptr(p) }
+            .to_str()
+            .expect("valid UTF-8")
+            .to_string();
+        unsafe { monarch_string_free(p) };
+        Some(s)
+    }
+
+    /// The exporter's whole response to `GET path`.
+    fn http_get(port: c_long, path: &str) -> String {
+        use std::io::{Read, Write};
+        let mut s = std::net::TcpStream::connect(("127.0.0.1", port as u16)).unwrap();
+        write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let mut resp = String::new();
+        s.read_to_string(&mut resp).unwrap();
+        resp
+    }
+
+    /// One section of the snapshot document (`""` = whole), parsed.
+    unsafe fn section(h: *mut MonarchHandle, key: &str) -> Option<serde_json::Value> {
+        let key = CString::new(key).unwrap();
+        let ptr = if key.as_bytes().is_empty() {
+            ptr::null()
+        } else {
+            key.as_ptr()
+        };
+        let json = unsafe { take(monarch_snapshot_json(h, ptr)) }?;
+        Some(serde_json::from_str(&json).expect("section is valid JSON"))
+    }
+
     #[test]
     fn full_lifecycle_through_c_abi() {
         let (json, root, _total) = staged_config("lifecycle");
@@ -623,11 +568,8 @@ mod tests {
             assert_eq!(n, 0);
 
             assert_eq!(monarch_wait_idle(h), 0);
-            let stats = monarch_stats_json(h);
-            assert!(!stats.is_null());
-            let s = CStr::from_ptr(stats).to_str().unwrap().to_string();
-            assert!(s.contains("copies_completed"), "{s}");
-            monarch_string_free(stats);
+            let stats = section(h, "stats").expect("stats section");
+            assert_eq!(stats["copies_completed"], 1, "{stats:?}");
 
             // Second read is served locally now.
             let n = monarch_read(h, name.as_ptr(), 0, buf.as_mut_ptr(), buf.len());
@@ -651,12 +593,7 @@ mod tests {
 
             // Prometheus text: valid UTF-8, carries the per-tier counters
             // and latency summaries, freed via monarch_string_free.
-            let text_ptr = monarch_metrics_text(h);
-            assert!(!text_ptr.is_null());
-            let text = CStr::from_ptr(text_ptr)
-                .to_str()
-                .expect("valid UTF-8")
-                .to_string();
+            let text = take(monarch_metrics_text(h)).expect("exposition");
             assert!(
                 text.contains("# TYPE monarch_tier_reads_total counter"),
                 "{text}"
@@ -668,23 +605,16 @@ mod tests {
             );
             assert!(text.contains("monarch_read_latency_seconds_bucket{tier=\"pfs\",le=\"+Inf\"}"));
             assert!(text.contains("monarch_copies_completed_total 1"));
-            monarch_string_free(text_ptr);
 
             // Journal JSON lines: each line parses as a JSON object with
             // the event schema.
-            let ev_ptr = monarch_events_json(h);
-            assert!(!ev_ptr.is_null());
-            let events = CStr::from_ptr(ev_ptr)
-                .to_str()
-                .expect("valid UTF-8")
-                .to_string();
+            let events = take(monarch_events_json(h)).expect("journal");
             assert!(!events.is_empty());
             for line in events.lines() {
                 let v: serde_json::Value = serde_json::from_str(line).unwrap();
                 assert!(v.get("seq").is_some() && v.get("event").is_some(), "{line}");
             }
             assert!(events.contains("\"event\":\"copy_completed\""));
-            monarch_string_free(ev_ptr);
 
             // Null handle → null, not a crash.
             assert!(monarch_metrics_text(ptr::null_mut()).is_null());
@@ -721,18 +651,12 @@ mod tests {
             assert!(monarch_read(h, name.as_ptr(), 0, buf.as_mut_ptr(), buf.len()) > 0);
             assert_eq!(monarch_wait_idle(h), 0);
 
-            let tr_ptr = monarch_trace_json(h);
-            assert!(!tr_ptr.is_null());
-            let trace = CStr::from_ptr(tr_ptr)
-                .to_str()
-                .expect("valid UTF-8")
-                .to_string();
+            let trace = take(monarch_trace_json(h)).expect("trace");
             let v: serde_json::Value = serde_json::from_str(&trace).unwrap();
             let events = v["traceEvents"].as_array().unwrap();
             assert!(events.iter().any(|e| e["name"] == "driver_pread"));
             assert!(events.iter().any(|e| e["name"] == "copy_exec"));
             assert!(events.iter().any(|e| e["ph"] == "s"));
-            monarch_string_free(tr_ptr);
 
             // Null handle → null, not a crash.
             assert!(monarch_trace_json(ptr::null_mut()).is_null());
@@ -743,7 +667,10 @@ mod tests {
     }
 
     #[test]
-    fn report_json_roundtrip() {
+    fn snapshot_round_trips_into_a_report() {
+        // What `monarch_report_json` used to compute on this side of the
+        // ABI, a caller now derives from the one document: whole snapshot →
+        // `TelemetrySnapshot` → `ObserveReport`.
         let (json, root, _) = staged_config("report");
         unsafe {
             let h = monarch_init_json(json.as_ptr());
@@ -754,23 +681,73 @@ mod tests {
             assert_eq!(monarch_wait_idle(h), 0);
             assert!(monarch_read(h, name.as_ptr(), 0, buf.as_mut_ptr(), buf.len()) > 0);
 
-            let rp_ptr = monarch_report_json(h);
-            assert!(!rp_ptr.is_null());
-            let report = CStr::from_ptr(rp_ptr)
-                .to_str()
-                .expect("valid UTF-8")
-                .to_string();
-            let v: serde_json::Value = serde_json::from_str(&report).unwrap();
-            assert!(v["wall_s"].as_f64().unwrap() > 0.0, "{report}");
-            assert!(v["ledger"].get("pfs_bound_s").is_some(), "{report}");
-            assert!(v["ledger"].get("compute_bound_s").is_some(), "{report}");
-            let hot = v["top_hot"].as_array().unwrap();
-            assert!(hot.iter().any(|f| f["file"] == "f0"), "{report}");
-            monarch_string_free(rp_ptr);
+            let doc = take(monarch_snapshot_json(h, ptr::null())).expect("whole document");
+            let snap: monarch_core::TelemetrySnapshot = serde_json::from_str(&doc).unwrap();
+            assert_eq!(snap.schema_version, monarch_core::telemetry::SCHEMA_VERSION);
+            assert_eq!(snap.stats.copies_completed, 1);
+            let report = monarch_core::ObserveReport::from_snapshot(&snap, 0.5, 1, 5)
+                .expect("the profiler is on by default");
+            assert_eq!(report.wall_s, 0.5);
+            assert_eq!(report.reads, 2);
+            assert!(report.top_hot.iter().any(|f| f.file == "f0"), "{doc}");
+            monarch_shutdown(h);
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 
-            // Null handle → null, not a crash.
-            assert!(monarch_report_json(ptr::null_mut()).is_null());
+    #[test]
+    fn snapshot_sections_and_bad_arguments() {
+        let (json, root, _) = staged_config("sections");
+        unsafe {
+            let h = monarch_init_json(json.as_ptr());
+            assert!(!h.is_null());
+            // A section is a top-level key of the whole document, and equals
+            // that key's value.
+            let whole = section(h, "").expect("whole document");
+            for key in ["schema_version", "stats", "gauges", "health", "policy"] {
+                assert_eq!(
+                    section(h, key).as_ref(),
+                    whole.get(key),
+                    "section {key} is the document's key"
+                );
+                assert!(whole.get(key).is_some(), "document lacks {key}");
+            }
+            // Null handle, unknown section, a section this instance lacks,
+            // and a section that is not UTF-8: null, not a crash.
+            assert!(monarch_snapshot_json(ptr::null_mut(), ptr::null()).is_null());
+            assert!(section(ptr::null_mut(), "stats").is_none());
+            assert!(section(h, "bogus").is_none());
+            assert!(section(h, "cluster").is_none(), "single node: no cluster");
+            let not_utf8 = [0xffu8, 0xfe, 0];
+            assert!(monarch_snapshot_json(h, not_utf8.as_ptr().cast()).is_null());
+            monarch_shutdown(h);
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 
+    #[test]
+    fn one_document_through_every_surface() {
+        // On an idle instance the Rust getter, the C export and the HTTP
+        // endpoint must serve the same document: they are one assembly.
+        let (json, root, _) = staged_config("surfaces");
+        unsafe {
+            let h = monarch_init_json(json.as_ptr());
+            assert!(!h.is_null());
+            let addr = CString::new("127.0.0.1:0").unwrap();
+            let port = monarch_serve_start(h, addr.as_ptr());
+            assert!(port > 0);
+
+            let rust = serde_json::to_value(&(*h).inner.telemetry_snapshot()).unwrap();
+            let c = section(h, "").expect("whole document");
+            let resp = http_get(port, "/snapshot");
+            let body = resp.split_once("\r\n\r\n").expect("http body").1;
+            let http: serde_json::Value = serde_json::from_str(body).unwrap();
+
+            assert_eq!(
+                rust, c,
+                "Monarch::telemetry_snapshot vs monarch_snapshot_json"
+            );
+            assert_eq!(rust, http, "Monarch::telemetry_snapshot vs /snapshot");
             monarch_shutdown(h);
         }
         std::fs::remove_dir_all(&root).unwrap();
@@ -805,12 +782,9 @@ mod tests {
             assert_eq!(monarch_wait_idle(h), 0);
 
             // All three files were staged before any read.
-            let stats = monarch_stats_json(h);
-            let s = CStr::from_ptr(stats).to_str().unwrap().to_string();
-            let v: serde_json::Value = serde_json::from_str(&s).unwrap();
-            assert_eq!(v["prefetches_scheduled"], 3, "{s}");
-            assert_eq!(v["copies_completed"], 3, "{s}");
-            monarch_string_free(stats);
+            let v = section(h, "stats").expect("stats section");
+            assert_eq!(v["prefetches_scheduled"], 3, "{v:?}");
+            assert_eq!(v["copies_completed"], 3, "{v:?}");
 
             // Reads now hit the fast tier and count as prefetch hits.
             let name = CString::new("f1").unwrap();
@@ -819,11 +793,8 @@ mod tests {
                 monarch_read(h, name.as_ptr(), 0, buf.as_mut_ptr(), buf.len()),
                 2048
             );
-            let stats = monarch_stats_json(h);
-            let s = CStr::from_ptr(stats).to_str().unwrap().to_string();
-            let v: serde_json::Value = serde_json::from_str(&s).unwrap();
-            assert_eq!(v["prefetch_hits"], 1, "{s}");
-            monarch_string_free(stats);
+            let v = section(h, "stats").expect("stats section");
+            assert_eq!(v["prefetch_hits"], 1, "{v:?}");
 
             // Nothing left queued, so cancelling withdraws zero.
             assert_eq!(monarch_cancel_plan(h), 0);
@@ -863,12 +834,7 @@ mod tests {
             );
 
             // Scrape /metrics over plain TCP.
-            use std::io::{Read, Write};
-            let mut s = std::net::TcpStream::connect(("127.0.0.1", port as u16)).unwrap();
-            s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-                .unwrap();
-            let mut resp = String::new();
-            s.read_to_string(&mut resp).unwrap();
+            let resp = http_get(port, "/metrics");
             assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
             assert!(resp.contains("monarch_tier_reads_total"), "{resp}");
 
@@ -925,34 +891,18 @@ mod tests {
             assert!(monarch_read(h, name.as_ptr(), 0, buf.as_mut_ptr(), buf.len()) > 0);
             assert_eq!(monarch_wait_idle(h), 0);
 
-            let cs_ptr = monarch_cluster_stats_json(h);
-            assert!(!cs_ptr.is_null());
-            let s = CStr::from_ptr(cs_ptr).to_str().unwrap().to_string();
-            let v: serde_json::Value = serde_json::from_str(&s).unwrap();
-            assert_eq!(v["shard_seed"], 42, "{s}");
-            assert_eq!(v["nodes"].as_array().unwrap().len(), 1, "{s}");
-            assert_eq!(v["peer_hits"], 0, "{s}");
-            assert!(v.get("peer_fallbacks").is_some(), "{s}");
-            monarch_string_free(cs_ptr);
+            let v = section(h, "cluster").expect("cluster section");
+            assert_eq!(v["shard_seed"], 42, "{v:?}");
+            assert_eq!(v["nodes"].as_array().unwrap().len(), 1, "{v:?}");
+            assert_eq!(v["peer_hits"], 0, "{v:?}");
+            assert!(v.get("peer_fallbacks").is_some(), "{v:?}");
+
+            // Health is always present: every hierarchy carries a breaker
+            // per tier, closed while nothing has failed.
+            let hv = section(h, "health").expect("health section");
+            assert_eq!(hv["degraded"], false, "{hv:?}");
+            assert_eq!(hv["tiers"][0]["state"], "closed", "{hv:?}");
             monarch_shutdown(h);
-
-            // A handle without a cluster section yields null, not junk.
-            let h2 = monarch_init_json(json.as_ptr());
-            assert!(!h2.is_null());
-            assert!(monarch_cluster_stats_json(h2).is_null());
-
-            // Health, by contrast, is always present: every hierarchy
-            // carries a breaker per tier, closed while nothing has failed.
-            let hj_ptr = monarch_health_json(h2);
-            assert!(!hj_ptr.is_null());
-            let hs = CStr::from_ptr(hj_ptr).to_str().unwrap().to_string();
-            let hv: serde_json::Value = serde_json::from_str(&hs).unwrap();
-            assert_eq!(hv["degraded"], false, "{hs}");
-            assert_eq!(hv["tiers"][0]["state"], "closed", "{hs}");
-            monarch_string_free(hj_ptr);
-            monarch_shutdown(h2);
-            assert!(monarch_cluster_stats_json(ptr::null_mut()).is_null());
-            assert!(monarch_health_json(ptr::null_mut()).is_null());
 
             // Unknown keys and unparsable values are rejected.
             let bad_key = CString::new("cluster.bogus").unwrap();

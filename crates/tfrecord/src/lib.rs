@@ -24,7 +24,6 @@
 pub mod crc32c;
 pub mod index;
 pub mod reader;
-pub mod recordio;
 pub mod synth;
 pub mod writer;
 

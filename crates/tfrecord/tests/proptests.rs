@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use std::io::Cursor;
 use tfrecord::crc32c;
-use tfrecord::recordio::{RecordIoReader, RecordIoWriter};
 use tfrecord::{RecordReader, RecordWriter, ShardIndex};
 
 proptest! {
@@ -38,41 +37,12 @@ proptest! {
         prop_assert!(outcome.is_err(), "bit flip at {bit} went undetected: {outcome:?}");
     }
 
-    /// MXNet RecordIO round-trips arbitrary record sequences too.
-    #[test]
-    fn recordio_roundtrip(payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..1500), 0..24)) {
-        let mut w = RecordIoWriter::new(Vec::new());
-        for p in &payloads {
-            w.write_record(p).unwrap();
-        }
-        prop_assert_eq!(w.records_written() as usize, payloads.len());
-        let buf = w.into_inner();
-        prop_assert_eq!(buf.len() % 4, 0, "frames are word-aligned");
-        let mut r = RecordIoReader::new(Cursor::new(&buf));
-        for p in &payloads {
-            prop_assert_eq!(r.next_record().unwrap().unwrap(), p.clone());
-        }
-        prop_assert!(r.next_record().unwrap().is_none());
-    }
-
     /// Decoding arbitrary byte soup never panics — it returns records or
     /// clean errors. (The reader is the component that faces on-disk
     /// corruption in production.)
     #[test]
     fn tfrecord_decoder_total_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
         let mut r = RecordReader::new(Cursor::new(&bytes)).with_max_record_len(1 << 20);
-        for _ in 0..64 {
-            match r.next_record() {
-                Ok(Some(_)) => {}
-                Ok(None) | Err(_) => break,
-            }
-        }
-    }
-
-    /// Same for the RecordIO decoder.
-    #[test]
-    fn recordio_decoder_total_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
-        let mut r = RecordIoReader::new(Cursor::new(&bytes)).with_max_part_len(1 << 20);
         for _ in 0..64 {
             match r.next_record() {
                 Ok(Some(_)) => {}

@@ -10,7 +10,7 @@ use std::ffi::CString;
 use monarch::core::config::{MonarchConfig, TierConfig};
 use monarch::tfrecord::synth::{generate, DatasetSpec};
 use monarch_ffi::{
-    monarch_file_count, monarch_init_json, monarch_read, monarch_shutdown, monarch_stats_json,
+    monarch_file_count, monarch_init_json, monarch_read, monarch_shutdown, monarch_snapshot_json,
     monarch_string_free, monarch_wait_idle,
 };
 
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             }
             monarch_wait_idle(m); // 4: drain background copies (teardown only)
-            let stats = monarch_stats_json(m); // 5: observability
+            let stats = monarch_snapshot_json(m, c"stats".as_ptr()); // 5: observability
             let s = std::ffi::CStr::from_ptr(stats).to_str()?.to_string();
             monarch_string_free(stats);
             println!("epoch {epoch} stats: {s}");

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repository-wide quality gate: formatting, lints (warnings promoted to
-# errors), and the full test suite. Run before pushing.
+# errors), the full test suite, the CLI smokes and the model-behaviour
+# gate. Run before pushing.
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh fmt        # one stage: fmt | clippy | size | test | benchapi | cold | trace | prefetch | policy | report | cluster | chaos | perf | serve
+#   scripts/check.sh fmt        # one stage: fmt | clippy | size | test | benchapi | cold | trace | prefetch | policy | report | cluster | chaos | serve | model
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,8 +50,11 @@ run_test() {
 # `Stats::{new, record_read}`, `TelemetryRegistry::{new, stall_profile,
 # copy_duration, queue_wait, pool_exec}`, `AccessProfiler::{new,
 # record_read}`, `ThreadPool::{new, submit, wait_idle}`,
-# `StorageHierarchy::new` and `MonarchBuilder::{hierarchy, policy,
-# pool_threads, telemetry, build}`. Build it, then run its smoke self-test
+# `StorageHierarchy::new`, `MonarchBuilder::{hierarchy, policy,
+# pool_threads, telemetry, build}`, `Monarch::{stats, telemetry}` and the
+# `StatsSnapshot` fields `tiers`, `evictions`, `read_retries`,
+# `degraded_reads`, `copies_{scheduled,completed,failed}` and
+# `placement_skipped`. Build it, then run its smoke self-test
 # (manifest agreement, every metric printed once, a flipped byte caught).
 run_benchapi() {
     echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
@@ -79,17 +83,10 @@ print("cold_epoch smoke: pfs_amplification %.3f" % amp)
 '
 }
 
-# Tracing end to end: the focused test targets, then a CLI smoke run that
-# generates a dataset, records one traced window, and checks the export
-# is valid JSON with flow-linked copy spans.
-run_trace() {
-    echo "==> cargo test -p monarch-core --test trace -q"
-    cargo test -p monarch-core --test trace -q
-    echo "==> cargo test -p monarch --test trace_e2e -q"
-    cargo test -p monarch --test trace_e2e -q
-
-    echo "==> monarch trace smoke run"
-    local tmp
+# What every CLI smoke below starts from: sets the caller's `tmp` to a
+# fresh directory (removed on exit) holding a generated dataset under
+# `$tmp/pfs` and a two-tier config over it at `$tmp/cfg.json`.
+fixture() {
     tmp="$(mktemp -d)"
     # shellcheck disable=SC2064  # expand $tmp now, not at exit
     trap "rm -rf '$tmp'" EXIT
@@ -104,6 +101,20 @@ run_trace() {
   "pool_threads": 4
 }
 EOF
+}
+
+# Tracing end to end: the focused test targets, then a CLI smoke run that
+# generates a dataset, records one traced window, and checks the export
+# is valid JSON with flow-linked copy spans.
+run_trace() {
+    echo "==> cargo test -p monarch-core --test trace -q"
+    cargo test -p monarch-core --test trace -q
+    echo "==> cargo test -p monarch --test trace_e2e -q"
+    cargo test -p monarch --test trace_e2e -q
+
+    echo "==> monarch trace smoke run"
+    local tmp
+    fixture
     cargo run -q -p monarch-cli -- trace \
         --config "$tmp/cfg.json" --data "$tmp/pfs" --out "$tmp/trace.json" \
         --duration 1
@@ -128,20 +139,7 @@ run_prefetch() {
 
     echo "==> monarch run --prefetch smoke"
     local tmp
-    tmp="$(mktemp -d)"
-    # shellcheck disable=SC2064  # expand $tmp now, not at exit
-    trap "rm -rf '$tmp'" EXIT
-    cargo run -q -p monarch-cli -- gen-dataset \
-        --dir "$tmp/pfs" --bytes $((8 << 20)) --samples 256 --seed 7
-    cat > "$tmp/cfg.json" <<EOF
-{
-  "tiers": [
-    {"name": "ssd", "backend": {"posix": {"path": "$tmp/ssd"}}, "capacity": 1073741824},
-    {"name": "pfs", "backend": {"posix": {"path": "$tmp/pfs"}}}
-  ],
-  "pool_threads": 4
-}
-EOF
+    fixture
     cargo run -q -p monarch-cli -- run \
         --config "$tmp/cfg.json" --data "$tmp/pfs" --epochs 2 --prefetch 64 \
         | tee "$tmp/run.out"
@@ -172,20 +170,7 @@ run_policy() {
         hot_set_contention policy_runs_are_deterministic
     echo "==> monarch policy smoke"
     local tmp
-    tmp="$(mktemp -d)"
-    # shellcheck disable=SC2064  # expand $tmp now, not at exit
-    trap "rm -rf '$tmp'" EXIT
-    cargo run -q -p monarch-cli -- gen-dataset \
-        --dir "$tmp/pfs" --bytes $((4 << 20)) --samples 128 --seed 7
-    cat > "$tmp/cfg.json" <<EOF
-{
-  "tiers": [
-    {"name": "ssd", "backend": {"posix": {"path": "$tmp/ssd"}}, "capacity": 1073741824},
-    {"name": "pfs", "backend": {"posix": {"path": "$tmp/pfs"}}}
-  ],
-  "pool_threads": 4
-}
-EOF
+    fixture
     cargo run -q -p monarch-cli -- policy \
         --config "$tmp/cfg.json" --policy learned --json > "$tmp/policy.json"
     python3 - "$tmp/policy.json" <<'PY'
@@ -209,20 +194,7 @@ run_report() {
 
     echo "==> monarch report smoke run"
     local tmp
-    tmp="$(mktemp -d)"
-    # shellcheck disable=SC2064  # expand $tmp now, not at exit
-    trap "rm -rf '$tmp'" EXIT
-    cargo run -q -p monarch-cli -- gen-dataset \
-        --dir "$tmp/pfs" --bytes $((8 << 20)) --samples 256 --seed 7
-    cat > "$tmp/cfg.json" <<EOF
-{
-  "tiers": [
-    {"name": "ssd", "backend": {"posix": {"path": "$tmp/ssd"}}, "capacity": 1073741824},
-    {"name": "pfs", "backend": {"posix": {"path": "$tmp/pfs"}}}
-  ],
-  "pool_threads": 4
-}
-EOF
+    fixture
     cargo run -q -p monarch-cli -- report \
         --config "$tmp/cfg.json" --epochs 2 --prefetch 8 --json \
         > "$tmp/report.json"
@@ -272,20 +244,7 @@ run_chaos() {
     cargo test -p dlpipe --lib -q -- ssd_outage no_op_fault_plan
     echo "==> monarch health smoke"
     local tmp
-    tmp="$(mktemp -d)"
-    # shellcheck disable=SC2064  # expand $tmp now, not at exit
-    trap "rm -rf '$tmp'" EXIT
-    cargo run -q -p monarch-cli -- gen-dataset \
-        --dir "$tmp/pfs" --bytes $((8 << 20)) --samples 256 --seed 7
-    cat > "$tmp/cfg.json" <<EOF
-{
-  "tiers": [
-    {"name": "ssd", "backend": {"posix": {"path": "$tmp/ssd"}}, "capacity": 1073741824},
-    {"name": "pfs", "backend": {"posix": {"path": "$tmp/pfs"}}}
-  ],
-  "pool_threads": 4
-}
-EOF
+    fixture
     cargo run -q -p monarch-cli -- health --config "$tmp/cfg.json" --json \
         > "$tmp/health.json"
     python3 - "$tmp/health.json" <<'PY'
@@ -300,39 +259,28 @@ PY
     trap - EXIT
 }
 
-# Perf regression gate: rerun the committed BENCH_*.json workloads and
-# fail on regressions beyond tolerance. sim_epoch is virtual-time and
-# deterministic; read_path is wall-clock, so the tool retries and passes
-# if any attempt lands within tolerance.
-run_perf() {
+# Model-behaviour gate: rerun the fixed-seed simulations behind the
+# committed BENCH_sim_epoch.json and fail on drift beyond tolerance. Virtual
+# time and deterministic — it gates what the model *does* (epoch shape,
+# bytes moved, hit ratios, the outage and policy scenarios), not how fast
+# the code runs; wall-clock performance is BENCHMARK.json's, measured on
+# alternating parent/change pairs.
+run_model() {
     echo "==> bench compare --baseline BENCH_sim_epoch.json --tolerance 15%"
     cargo run -q --release -p monarch-bench --bin bench -- compare \
         --baseline BENCH_sim_epoch.json --tolerance 15%
-    echo "==> bench compare --baseline BENCH_read_path.json --tolerance 15%"
-    cargo run -q --release -p monarch-bench --bin bench -- compare \
-        --baseline BENCH_read_path.json --tolerance 15%
 }
 
 # Exporter smoke: start `monarch serve` on an ephemeral port against a
 # generated dataset, scrape every endpoint, and check the Prometheus text
-# carries the gauge/histogram families.
+# carries the gauge/histogram/counter families and the snapshot is the
+# versioned document with its policy section.
 run_serve() {
     echo "==> monarch serve smoke"
     local tmp
-    tmp="$(mktemp -d)"
+    fixture
     # shellcheck disable=SC2064  # expand $tmp now, not at exit
     trap "rm -rf '$tmp'; kill \$(cat '$tmp/serve.pid' 2>/dev/null) 2>/dev/null || true" EXIT
-    cargo run -q -p monarch-cli -- gen-dataset \
-        --dir "$tmp/pfs" --bytes $((8 << 20)) --samples 256 --seed 7
-    cat > "$tmp/cfg.json" <<EOF
-{
-  "tiers": [
-    {"name": "ssd", "backend": {"posix": {"path": "$tmp/ssd"}}, "capacity": 1073741824},
-    {"name": "pfs", "backend": {"posix": {"path": "$tmp/pfs"}}}
-  ],
-  "pool_threads": 4
-}
-EOF
     cargo run -q -p monarch-cli -- serve \
         --config "$tmp/cfg.json" --addr 127.0.0.1:0 --duration 30 \
         > "$tmp/serve.out" &
@@ -348,12 +296,18 @@ EOF
         || { echo "serve smoke: /healthz not ok" >&2; exit 1; }
     curl -fsS "http://$addr/metrics" > "$tmp/metrics.out"
     for needle in 'monarch_tier_occupancy_bytes' 'monarch_lane_queued' \
-                  'monarch_read_stall_driver_pread_seconds' '# TYPE monarch_tier_reads_total counter'; do
+                  'monarch_read_stall_driver_pread_seconds' '# TYPE monarch_tier_reads_total counter' \
+                  '# TYPE monarch_policy_denials_total counter'; do
         grep -q "$needle" "$tmp/metrics.out" \
             || { echo "serve smoke: /metrics missing $needle" >&2; exit 1; }
     done
-    curl -fsS "http://$addr/snapshot" | python3 -m json.tool > /dev/null \
-        || { echo "serve smoke: /snapshot is not valid JSON" >&2; exit 1; }
+    curl -fsS "http://$addr/snapshot" | python3 -c '
+import json, sys
+s = json.load(sys.stdin)
+assert s["schema_version"] == 1, "serve smoke: schema_version %r" % s.get("schema_version")
+for key in ("stats", "gauges", "health", "policy"):
+    assert key in s, "serve smoke: /snapshot lacks %s" % key
+' || { echo "serve smoke: /snapshot is not the versioned document" >&2; exit 1; }
     curl -fsS "http://$addr/trace" > /dev/null \
         || { echo "serve smoke: /trace failed" >&2; exit 1; }
     kill "$(cat "$tmp/serve.pid")" 2>/dev/null || true
@@ -374,7 +328,7 @@ case "$stage" in
     report) run_report ;;
     cluster) run_cluster ;;
     chaos) run_chaos ;;
-    perf) run_perf ;;
+    model) run_model ;;
     serve) run_serve ;;
     all)
         run_fmt
@@ -390,10 +344,10 @@ case "$stage" in
         run_cluster
         run_chaos
         run_serve
-        run_perf
+        run_model
         ;;
     *)
-        echo "usage: scripts/check.sh [fmt|clippy|size|test|benchapi|cold|trace|prefetch|policy|report|cluster|chaos|perf|serve|all]" >&2
+        echo "usage: scripts/check.sh [fmt|clippy|size|test|benchapi|cold|trace|prefetch|policy|report|cluster|chaos|serve|model|all]" >&2
         exit 2
         ;;
 esac

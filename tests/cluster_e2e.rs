@@ -138,7 +138,7 @@ fn peer_serves_staged_files_and_degrades_to_pfs() {
     );
 
     // The roster snapshot carries the client-side counters.
-    let snap = b.cluster_snapshot().expect("node B is clustered");
+    let snap = b.telemetry_snapshot().cluster.expect("node B is clustered");
     assert_eq!(snap.node_id, 1);
     assert_eq!(snap.nodes.len(), 2);
     assert!(snap.peer_hits >= 1 && snap.peer_fallbacks >= 2);

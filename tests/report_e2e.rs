@@ -87,7 +87,7 @@ fn real_epoch_report_attributes_wall_and_flags_waste() {
     m.wait_placement_idle();
     let wall_s = started.elapsed().as_secs_f64();
 
-    let snap = m.telemetry().snapshot();
+    let snap = m.telemetry_snapshot();
     // top_k covers the whole namespace so the wasted list is not truncated.
     let report = ObserveReport::from_snapshot(&snap, wall_s, 1, files.len())
         .expect("default telemetry keeps the profiler on");
