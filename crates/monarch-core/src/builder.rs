@@ -209,10 +209,13 @@ impl MonarchBuilder {
             .unwrap_or_else(|| Arc::new(PolicyEngine::from_kind(self.policy_kind, self.admission)));
         let stats = Arc::new(Stats::new(hierarchy.levels()));
         let tier_names: Vec<String> = hierarchy.tiers().iter().map(|t| t.name.clone()).collect();
-        let telemetry = Arc::new(TelemetryRegistry::new(
+        // The policy engine brings the instance's namespace; the profiler
+        // keeps its per-file records by the same ids.
+        let telemetry = Arc::new(TelemetryRegistry::with_namespace(
             tier_names,
             Arc::clone(&stats),
             &self.telemetry,
+            Arc::clone(policy.namespace()),
         ));
         // When telemetry is off the drivers stay unwrapped — a true
         // zero-overhead baseline.

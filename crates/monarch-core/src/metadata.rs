@@ -30,7 +30,10 @@
 //! `place`. The `reused` bit is the policy engine's reuse ledger (see
 //! [`crate::policy::PolicyEngine`]), kept here so it rides the same word.
 //! The slab grows in doubling chunks that never move, so ids stay valid and
-//! readers never wait for an append.
+//! readers never wait for an append. The access profiler keeps its per-file
+//! records in a slab of the same geometry beside this one ([`locate`]),
+//! addressed by the same ids; a file's `reads` here is its access count
+//! there.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -74,6 +77,15 @@ pub struct FileInfo {
 /// it: an index into that container's slab. Only meaningful there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FileId(u32);
+
+impl FileId {
+    /// The id as a dense index, for slabs kept beside the container's own
+    /// (the access profiler's per-file records).
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 // ---------------------------------------------------------------------------
 // The packed placement word
@@ -136,7 +148,20 @@ struct Slot {
 /// Small, so that a fresh container over a small namespace costs a page.
 const FIRST_CHUNK_BITS: u32 = 6;
 /// Enough doubling chunks for every `u32` id.
-const CHUNKS: usize = 27;
+pub(crate) const CHUNKS: usize = 27;
+
+/// `(chunk, offset)` of the `index`-th id in a slab of doubling chunks.
+#[inline]
+pub(crate) fn locate(index: usize) -> (usize, usize) {
+    let n = index as u64 + (1 << FIRST_CHUNK_BITS);
+    let top = 63 - n.leading_zeros();
+    ((top - FIRST_CHUNK_BITS) as usize, (n - (1 << top)) as usize)
+}
+
+/// Slots in chunk `chunk` of such a slab.
+pub(crate) fn chunk_len(chunk: usize) -> usize {
+    1 << (chunk as u32 + FIRST_CHUNK_BITS)
+}
 
 /// Append-only slot storage in doubling chunks. A chunk is allocated when
 /// the first id inside it is handed out and never moves afterwards, so
@@ -154,13 +179,6 @@ impl Slab {
         }
     }
 
-    /// `(chunk, offset)` of `id`.
-    fn locate(id: u32) -> (usize, usize) {
-        let n = u64::from(id) + (1 << FIRST_CHUNK_BITS);
-        let top = 63 - n.leading_zeros();
-        ((top - FIRST_CHUNK_BITS) as usize, (n - (1 << top)) as usize)
-    }
-
     /// Ids handed out so far; every one of them has its chunk.
     fn len(&self) -> u32 {
         self.next.load(Ordering::Acquire)
@@ -171,19 +189,16 @@ impl Slab {
     fn push(&self) -> (FileId, &Slot) {
         let id = self.next.load(Ordering::Relaxed);
         assert!(id < u32::MAX, "the namespace holds at most 2^32 - 1 files");
-        let (chunk, offset) = Self::locate(id);
-        let slots = self.chunks[chunk].get_or_init(|| {
-            (0..1usize << (chunk as u32 + FIRST_CHUNK_BITS))
-                .map(|_| Slot::default())
-                .collect()
-        });
+        let (chunk, offset) = locate(id as usize);
+        let slots = self.chunks[chunk]
+            .get_or_init(|| (0..chunk_len(chunk)).map(|_| Slot::default()).collect());
         self.next.store(id + 1, Ordering::Release);
         (FileId(id), &slots[offset])
     }
 
     #[inline]
     fn slot(&self, id: FileId) -> &Slot {
-        let (chunk, offset) = Self::locate(id.0);
+        let (chunk, offset) = locate(id.index());
         &self.chunks[chunk]
             .get()
             .expect("file id was issued by this container")[offset]
@@ -322,8 +337,43 @@ impl Default for MetadataContainer {
 impl MetadataContainer {
     /// The id `name` was interned to, in the namespace or not.
     #[inline]
-    fn find(&self, name: &str) -> Option<FileId> {
+    pub(crate) fn find(&self, name: &str) -> Option<FileId> {
         self.index.find(&self.slab, name)
+    }
+
+    /// Every id handed out so far, interned-only names included, in
+    /// index order.
+    pub(crate) fn ids(&self) -> impl ExactSizeIterator<Item = FileId> {
+        (0..self.slab.len()).map(FileId)
+    }
+
+    /// The name `id` was interned from (`None` only while its slot is
+    /// mid-registration).
+    pub(crate) fn name_of(&self, id: FileId) -> Option<&str> {
+        self.slab.slot(id).name.get().map(|n| &**n)
+    }
+
+    /// Reads counted on `id` so far.
+    pub(crate) fn reads_of(&self, id: FileId) -> u64 {
+        self.slab.slot(id).reads.load(Ordering::Relaxed)
+    }
+
+    /// Count one read of `id` — for a caller that accounts a read no
+    /// [`Self::resolve_for_read`] saw. Returns the count including it.
+    pub(crate) fn count_read(&self, id: FileId) -> u64 {
+        self.slab.slot(id).reads.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// The current record of a file [`Self::resolve_for_read`] resolved,
+    /// without touching counters: a read that goes round again (its copy
+    /// was evicted under it, its tier failed) is still one read.
+    pub(crate) fn info(&self, id: FileId) -> FileInfo {
+        let slot = self.slab.slot(id);
+        Self::info_of(
+            slot,
+            slot.place.load(Ordering::Acquire),
+            slot.reads.load(Ordering::Relaxed),
+        )
     }
 
     /// The slot of `name`, created absent if the name has none. `entries`
@@ -575,7 +625,7 @@ impl MetadataContainer {
 
     /// Visit every entry (snapshot order is unspecified).
     pub fn for_each<F: FnMut(&str, &FileInfo)>(&self, mut f: F) {
-        for id in (0..self.slab.len()).map(FileId) {
+        for id in self.ids() {
             let slot = self.slab.slot(id);
             let place = slot.place.load(Ordering::Acquire);
             // A slot mid-registration has no name (or no state) yet.

@@ -29,12 +29,12 @@ use crate::builder::MonarchBuilder;
 use crate::cluster::Cluster;
 use crate::config::MonarchConfig;
 use crate::hierarchy::{StorageHierarchy, Tier};
-use crate::metadata::{FileInfo, MetadataContainer, PlacementState};
-use crate::observe::{ReadClass, ReadTiming};
+use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
+use crate::observe::{ReadClass, TimedRead};
 use crate::prefetch::AccessPlan;
 use crate::serve::MetricsServer;
 use crate::stats::{Stats, StatsSnapshot};
-use crate::telemetry::{EventKind, TelemetryRegistry, TelemetrySnapshot};
+use crate::telemetry::{EventKind, TelemetryRegistry, TelemetrySnapshot, TIMED_HIT_PERIOD};
 use crate::trace::{names, FlowPhase, SpanRecord};
 use crate::transfer::{ReadCtx, Sampler, TransferEngine};
 use crate::{Error, Result};
@@ -55,9 +55,10 @@ pub struct InitReport {
 const DROP_DRAIN_WAIT: Duration = Duration::from_secs(5);
 
 /// One pass of the read loop that produced bytes: what the namespace said,
-/// which tier served, and — when the read is timed — the instants after
-/// the lookup, the tier resolve and the pread.
+/// which tier served, and — when the read carried the clock — the instants
+/// its chain began and after the lookup, the tier resolve and the pread.
 struct ReadAttempt<'a> {
+    id: FileId,
     info: FileInfo,
     tier: &'a Tier,
     /// Served by a lower tier than the resident one (quarantine/fallback).
@@ -65,8 +66,13 @@ struct ReadAttempt<'a> {
     /// Served through the install staging of the file's in-flight copy,
     /// which has done the read's accounting.
     staged: bool,
+    /// A plain local-tier hit: served by the local tier the file lives on.
+    hit: bool,
+    /// How many reads this one stands for in the time records; 0 for a
+    /// hit whose turn to be timed it was not.
+    weight: u64,
     n: usize,
-    marks: Option<[Instant; 3]>,
+    marks: Option<[Instant; 4]>,
 }
 
 /// The MONARCH middleware instance.
@@ -157,16 +163,22 @@ impl Monarch {
             return Err(Error::ShutDown);
         }
         let _handle = self.telemetry.reads_in_flight().enter();
-        // Sampled reads record a span tree: read → metadata_lookup →
-        // tier_resolve → driver_pread. The stall profiler uses the same
-        // phase boundaries on *every* completed read while telemetry is
-        // on, so its four buckets sum to this read's wall time. Both are
-        // fed from one chain of monotonic instants, and the clock is read
-        // only when one of them will consume it.
+        // What a read reports splits into counts and times. Counts are
+        // taken on every read. Times — the stall profile's four buckets,
+        // which sum to the read's wall time, the tier's read latency, the
+        // ledger's sums, and a sampled read's span tree (read →
+        // metadata_lookup → tier_resolve → driver_pread) — all come from
+        // one chain of monotonic instants, and the clock is read only when
+        // something will consume it: on every read that is not a plain
+        // local-tier hit, and on the hits whose turn it is. A hit's turn is
+        // known here; what else the read is, only after its lookup, which
+        // then starts the chain itself.
         let tr = self.telemetry.trace();
         let sampled = tr.sample_read();
         let profiled = self.telemetry.is_enabled();
-        let entry = (profiled || sampled).then(Instant::now);
+        let hits = profiled.then(|| self.telemetry.local_hits());
+        let turn = hits.is_some_and(|h| h.load(Ordering::Relaxed) % TIMED_HIT_PERIOD == 0);
+        let entry = (turn || sampled).then(Instant::now);
         // Peer cache: a miss on a peer-owned file is served node-to-node
         // from the owner's fast tier, skipping the PFS entirely when the
         // peer answers. Any peer failure falls through to the normal path.
@@ -175,17 +187,23 @@ impl Monarch {
                 return Ok(n);
             }
         }
-        let Some(attempt) = self.attempt_read(file, offset, buf, entry.is_some())? else {
+        let Some(attempt) = self.attempt_read(file, offset, buf, entry, turn)? else {
             return Ok(0);
         };
         let ReadAttempt {
+            id,
             info,
             tier,
             degraded,
             staged,
+            hit,
+            weight,
             n,
             marks,
         } = attempt;
+        if let (true, Some(hits)) = (hit, hits) {
+            hits.fetch_add(1, Ordering::Relaxed);
+        }
         if !staged {
             self.stats.record_read(tier.id, n as u64);
         }
@@ -220,11 +238,9 @@ impl Monarch {
         // count a hit, upgrade a still-queued prefetch copy to the demand
         // lane, and release more of the plan to the prefetcher.
         let feedback = self.engine.note_read(file, info.tier);
-        let Some((entry, [lookup, resolve, pread])) = entry.zip(marks) else {
-            return Ok(n);
-        };
-        let end = Instant::now();
-        if sampled {
+        let marks = marks
+            .map(|[entry, lookup, resolve, pread]| [entry, lookup, resolve, pread, Instant::now()]);
+        if let (true, Some([entry, lookup, resolve, pread, end])) = (sampled, marks) {
             let us = |t: Instant| self.telemetry.micros_at(t);
             let tid = tr.register_current_thread();
             tr.record(
@@ -282,59 +298,62 @@ impl Monarch {
             }
             tr.record(read_span);
         }
-        if profiled {
-            self.telemetry
-                .stall_profile()
-                .record(entry, lookup, resolve, pread, end);
+        if !profiled {
+            return Ok(n);
+        }
+        let timed = marks.filter(|_| weight > 0);
+        if let Some(marks @ [entry, .., end]) = timed {
+            self.stats.timed_read();
+            self.telemetry.stall_profile().record_n(marks, weight);
             if degraded {
                 self.telemetry.stall_profile().record_degraded(end - entry);
             }
-            let profiler = self.telemetry.observe().profiler();
-            if profiler.is_enabled() {
-                // Where did this read's time go? A read served off the
-                // source tier is classified by *why* the file was still
-                // there: the plan knew about it (prefetch lagged), a copy
-                // is in flight (lanes saturated), or placement never
-                // happened (cold PFS traffic). A read that *should* have
-                // been fast but was rerouted around a quarantined tier is
-                // its own bucket — the cost of degraded operation.
-                let class = if degraded {
-                    ReadClass::DegradedFallback
-                } else if info.tier != self.hierarchy.source_id() {
-                    ReadClass::Fast
-                } else if staged {
-                    ReadClass::Staged
-                } else if feedback.planned {
-                    ReadClass::PrefetchLag
-                } else if matches!(info.state, PlacementState::Copying { .. }) {
-                    ReadClass::LaneSaturated
-                } else {
-                    ReadClass::PfsCold
-                };
-                let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-                let timing = ReadTiming {
-                    wall_us: us(end - entry),
-                    pread_us: us(pread - resolve),
-                    lock_queue_us: us(resolve - entry),
-                    copy_wait_us: us(end - pread),
-                };
-                profiler.record_read(
-                    file,
-                    info.tier,
-                    n as u64,
-                    class,
-                    feedback.prefetch_hit,
-                    timing,
-                    self.telemetry.micros_at(end),
-                );
-            }
+        }
+        let profiler = self.telemetry.observe().profiler();
+        if profiler.is_enabled() {
+            // Where did this read's time go? A read served off the
+            // source tier is classified by *why* the file was still
+            // there: the plan knew about it (prefetch lagged), a copy
+            // is in flight (lanes saturated), or placement never
+            // happened (cold PFS traffic). A read that *should* have
+            // been fast but was rerouted around a quarantined tier is
+            // its own bucket — the cost of degraded operation.
+            let class = if degraded {
+                ReadClass::DegradedFallback
+            } else if info.tier != self.hierarchy.source_id() {
+                ReadClass::Fast
+            } else if staged {
+                ReadClass::Staged
+            } else if feedback.planned {
+                ReadClass::PrefetchLag
+            } else if matches!(info.state, PlacementState::Copying { .. }) {
+                ReadClass::LaneSaturated
+            } else {
+                ReadClass::PfsCold
+            };
+            let timed = timed.map(|[entry, _, resolve, pread, end]| {
+                let t_us = self.telemetry.micros_at(end);
+                TimedRead::between([entry, resolve, pread, end], weight, t_us, info.reads)
+            });
+            profiler.record_read_id(
+                id,
+                info.tier,
+                n as u64,
+                class,
+                feedback.prefetch_hit,
+                timed.as_ref(),
+            );
         }
         Ok(n)
     }
 
     /// The lookup → tier-resolve → pread loop of one read: `Ok(None)` at
-    /// end-of-file, otherwise the pass that produced bytes. With `timed`
-    /// the pass carries its phase instants.
+    /// end-of-file, otherwise the pass that produced bytes. `entry` is
+    /// when the read's clock chain began, if it has; a pass that turns out
+    /// not to be a plain local hit begins it there and then (its lookup is
+    /// booked as free). `turn` says that, should the read be a plain local
+    /// hit, it is one that is timed. The namespace counts the read once,
+    /// however many passes it takes.
     ///
     /// Residency can change between the lookup and the pread (an LRU
     /// eviction may delete the cache-tier copy we just resolved). A
@@ -352,18 +371,22 @@ impl Monarch {
         file: &str,
         offset: u64,
         buf: &mut [u8],
-        timed: bool,
+        mut entry: Option<Instant>,
+        turn: bool,
     ) -> Result<Option<ReadAttempt<'_>>> {
         let health = self.hierarchy.health();
         let source_id = self.hierarchy.source_id();
+        let profiled = self.telemetry.is_enabled();
         let mut attempts = 0u32;
         // Once a pread on the resident tier has failed terminally, every
         // later iteration serves from the PFS source instead.
         let mut fallback = false;
+        let (id, first) = self.metadata.resolve_for_read(file)?;
+        let mut first = Some(first);
         loop {
-            let (id, info) = self.metadata.resolve_for_read(file)?;
+            let info = first.take().unwrap_or_else(|| self.metadata.info(id));
             self.engine.note_access(file, id, info.tier);
-            let t_lookup = timed.then(Instant::now);
+            let t_lookup = entry.map(|_| Instant::now());
             if offset >= info.size {
                 return Ok(None);
             }
@@ -385,7 +408,20 @@ impl Monarch {
                 resident
             };
             let degraded = tier.id != info.tier;
-            let t_resolve = timed.then(Instant::now);
+            let hit = tier.id != source_id && !probing;
+            let weight = match (hit, turn) {
+                (true, true) => TIMED_HIT_PERIOD,
+                (true, false) => 0,
+                (false, _) => u64::from(profiled),
+            };
+            let (t_lookup, t_resolve) = match t_lookup {
+                Some(_) => (t_lookup, Some(Instant::now())),
+                None if weight > 0 => {
+                    entry = Some(Instant::now());
+                    (entry, entry)
+                }
+                None => (None, None),
+            };
             let want = buf.len().min((info.size - offset) as usize);
             // A file whose copy is in flight is read through that copy's
             // install staging when it covers the range, so the bytes cross
@@ -397,13 +433,7 @@ impl Monarch {
                         // The copy settled since the lookup above and took
                         // its staging along: look again before reading the
                         // source for bytes that just landed on a tier.
-                        None if self
-                            .metadata
-                            .get(file)
-                            .is_some_and(|now| now.state != info.state) =>
-                        {
-                            continue
-                        }
+                        None if self.metadata.info(id).state != info.state => continue,
                         staged => staged,
                     }
                 }
@@ -417,13 +447,12 @@ impl Monarch {
                 Some(n) => Ok(n),
                 None => tier.raw.read_at(file, offset, &mut buf[..want]),
             };
-            let t_pread = timed.then(Instant::now);
-            if let (true, None, Some(start), Some(done)) =
-                (self.telemetry.is_enabled(), staged, t_resolve, t_pread)
+            let t_pread = t_resolve.map(|_| Instant::now());
+            if let (true, None, Some(start), Some(done)) = (weight > 0, staged, t_resolve, t_pread)
             {
                 self.telemetry
                     .read_latency(tier.id)
-                    .record_duration(done - start);
+                    .record_duration_n(done - start, weight);
             }
             let e = match outcome {
                 Ok(n) => {
@@ -442,15 +471,17 @@ impl Monarch {
                         health.record_success(tier.id);
                     }
                     return Ok(Some(ReadAttempt {
+                        id,
                         info,
                         tier,
                         degraded,
                         staged: staged.is_some(),
+                        hit,
+                        weight,
                         n,
-                        marks: t_lookup
-                            .zip(t_resolve)
-                            .zip(t_pread)
-                            .map(|((lookup, resolve), pread)| [lookup, resolve, pread]),
+                        marks: entry.zip(t_lookup).zip(t_resolve).zip(t_pread).map(
+                            |(((entry, lookup), resolve), pread)| [entry, lookup, resolve, pread],
+                        ),
                     }));
                 }
                 Err(e) => e,

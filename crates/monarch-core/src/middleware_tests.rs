@@ -565,32 +565,33 @@ fn lru_policy_evicts_through_middleware() {
 
 #[test]
 fn stall_buckets_sum_to_read_wall_time() {
-    // The stall profiler's four buckets partition each read's wall time
-    // along one monotonic-clock chain, so their total must track what a
-    // caller measures around `Monarch::read` — within 5%, the slack being
-    // the instrumentation outside the first/last boundary instants
+    // The stall profiler's four buckets partition each timed read's wall
+    // time along one monotonic-clock chain, so their total must track what
+    // a caller measures around `Monarch::read` — within 5%, the slack
+    // being the instrumentation outside the first/last boundary instants
     // (shutdown check, gauge guard, the record call itself). Reads are
-    // large enough that the pread dominates those fixed costs.
-    const FILES: usize = 8;
+    // large enough that the pread dominates those fixed costs, and each is
+    // the first touch of its file: never a local hit, so always timed,
+    // with weight 1.
+    const FILES: usize = 24;
     const SIZE: usize = 1 << 20;
     let m = mem_monarch(64 << 20, FILES, SIZE);
     let mut buf = vec![0u8; SIZE];
     let mut wall = std::time::Duration::ZERO;
-    for round in 0..3 {
-        for i in 0..FILES {
-            let t = Instant::now();
-            let n = m.read(&format!("f{i:03}"), 0, &mut buf).unwrap();
-            wall += t.elapsed();
-            assert_eq!(n, SIZE, "round {round}");
-        }
+    for i in 0..FILES {
+        let t = Instant::now();
+        let n = m.read(&format!("f{i:03}"), 0, &mut buf).unwrap();
+        wall += t.elapsed();
+        assert_eq!(n, SIZE);
     }
     m.wait_placement_idle();
     let stall = m.telemetry_snapshot().stall_profile;
-    let reads = (3 * FILES) as u64;
+    let reads = FILES as u64;
     assert_eq!(
         stall.driver_pread.count, reads,
-        "every completed read is profiled"
+        "every first-touch read is profiled"
     );
+    assert_eq!(m.stats().timed_reads, reads);
     let bucket_sum = stall.lock_wait.sum_nanos
         + stall.queue_wait.sum_nanos
         + stall.driver_pread.sum_nanos

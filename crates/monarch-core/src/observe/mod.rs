@@ -3,10 +3,11 @@
 //! PR 6's gauges and stall profiler explain *this instant*; this module
 //! explains *this epoch*. Three layers, each feeding the next:
 //!
-//! 1. [`AccessProfiler`] (`profiler`) — sharded, bounded per-file records
-//!    (access count, first/last tick, EWMA inter-access gap, bytes per
-//!    tier, prefetch hit/miss tallies) plus the monotonic time-lost
-//!    ledger, fed from the read path and the transfer engine;
+//! 1. [`AccessProfiler`] (`profiler`) — bounded per-file records in a
+//!    slab indexed by the namespace's file ids (access count, first/last
+//!    tick, EWMA inter-access gap, bytes per tier, prefetch hit/miss
+//!    tallies) plus the monotonic time-lost ledger, fed from the read
+//!    path and the transfer engine;
 //! 2. [`ResidencyTimeline`] (`timeline`) — a bounded event log of tier
 //!    transitions (admitted/promoted/evicted/canceled with cause),
 //!    reconstructable into "where did file X live between t0 and t1";
@@ -25,11 +26,15 @@ pub mod profiler;
 pub mod report;
 pub mod timeline;
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
+
+use crate::metadata::MetadataContainer;
 
 pub use profiler::{
     AccessProfiler, FileProfile, FileProfileSnapshot, LedgerSnapshot, ProfilerSnapshot, ReadClass,
-    ReadTiming,
+    ReadTiming, TimedRead,
 };
 pub use report::{HotFile, LedgerBuckets, ObserveReport, WastedFile};
 pub use timeline::{
@@ -47,13 +52,20 @@ pub struct Observatory {
 }
 
 impl Observatory {
-    /// An observatory over `tiers` tier ids. `enabled` gates both layers
-    /// (one branch per call when off); `max_files` bounds the profiler,
+    /// An observatory over `tiers` tier ids and the files of `files`, the
+    /// observed instance's namespace. `enabled` gates both layers (one
+    /// branch per call when off); `max_files` bounds the profiler,
     /// `timeline_capacity` the transition ring.
     #[must_use]
-    pub fn new(enabled: bool, tiers: usize, max_files: usize, timeline_capacity: usize) -> Self {
+    pub fn new(
+        enabled: bool,
+        tiers: usize,
+        max_files: usize,
+        timeline_capacity: usize,
+        files: Arc<MetadataContainer>,
+    ) -> Self {
         Self {
-            profiler: AccessProfiler::new(enabled, tiers, max_files),
+            profiler: AccessProfiler::with_namespace(enabled, tiers, max_files, files),
             timeline: ResidencyTimeline::new(enabled, timeline_capacity),
         }
     }
@@ -105,14 +117,14 @@ mod tests {
 
     #[test]
     fn disabled_observatory_snapshots_to_none() {
-        let o = Observatory::new(false, 2, 16, 16);
+        let o = Observatory::new(false, 2, 16, 16, Arc::default());
         assert!(o.snapshot().is_none());
         assert!(!o.is_enabled());
     }
 
     #[test]
     fn enabled_observatory_snapshot_carries_both_layers() {
-        let o = Observatory::new(true, 2, 16, 16);
+        let o = Observatory::new(true, 2, 16, 16, Arc::default());
         o.profiler().record_read(
             "f",
             1,

@@ -4,31 +4,43 @@
 //! Histograms and gauges answer "how is the system doing *right now*";
 //! the [`AccessProfiler`] answers "what did the *workload* do": per file,
 //! how often was it read, with what inter-access rhythm, from which tiers,
-//! and did the prefetcher earn its keep on it. Records are sharded (16
-//! ways, FxHash) so concurrent readers almost never contend, and bounded
-//! (`max_files`) so a pathological namespace cannot grow the profiler
-//! without limit — accesses past the bound are still tallied globally in
-//! `untracked_reads`, they just lose per-file attribution.
+//! and did the prefetcher earn its keep on it.
 //!
-//! Alongside the per-file map the profiler keeps the **time-lost ledger**:
-//! monotonic microsecond sums of read wall time split by [`ReadClass`].
-//! The ledger is what the epoch report rolls up into the pfs-bound /
+//! A file's record is a line of atomics in a slab indexed by the file's
+//! [`FileId`] in the instance's namespace — the same identity the read
+//! path already resolved — so recording a read is a handful of relaxed
+//! adds: no lock, no hash of the name, no allocation. The slab mirrors the
+//! namespace's doubling chunks and is allocated a chunk at a time, when a
+//! read first touches an id inside it. It is bounded (`max_files`) so a
+//! pathological namespace cannot grow the profiler without limit — reads
+//! of ids past the bound are still tallied globally in `untracked_reads`,
+//! they just lose per-file attribution.
+//!
+//! What a read reports comes in two parts. Its **counts** — the ledger's
+//! `reads`, bytes per tier, miss and prefetch tallies — are recorded on
+//! every read and are exact; the access count itself is the namespace
+//! slot's own read counter, not a second one. Its **times** — the ledger's
+//! sums, the file's last-access instant and inter-access gap — are recorded
+//! on *timed* reads only, each standing for `weight` reads (see
+//! [`TimedRead`]): every read that is not a plain local hit, and one local
+//! hit in [`TIMED_HIT_PERIOD`](crate::telemetry::TIMED_HIT_PERIOD).
+//!
+//! Alongside the per-file records the profiler keeps the **time-lost
+//! ledger**: monotonic sums of read wall time split by [`ReadClass`],
+//! accumulated in nanoseconds and reported in microseconds. The ledger is
+//! what the epoch report rolls up into the pfs-bound /
 //! copy-lane-saturated / prefetch-lag / lock-or-queue / compute-bound
 //! attribution (see [`crate::observe::report`]).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::hash::FxBuildHasher;
 use crate::hierarchy::TierId;
+use crate::metadata::{chunk_len, locate, FileId, MetadataContainer, CHUNKS};
 use crate::stripe::Striped;
-
-/// Shard count for the per-file map. A power of two so the shard pick is
-/// a mask, matching the metadata container's sharding.
-pub const SHARDS: usize = 16;
 
 /// EWMA smoothing factor for the inter-access interval. 0.2 weights the
 /// last ~5 gaps — reactive enough for epoch-boundary rhythm changes,
@@ -85,125 +97,167 @@ pub struct ReadTiming {
     pub copy_wait_us: u64,
 }
 
+/// What the clock adds to the record of a read that carried it: the
+/// phases of [`ReadTiming`] at the read path's own resolution — a warm
+/// hit's are all below a microsecond, and survive into the ledger because
+/// it sums nanoseconds and divides once, when it is read.
+#[derive(Debug, Clone, Copy)]
+pub struct TimedRead {
+    /// Entry-to-exit wall time of the read call, ns.
+    pub wall_ns: u64,
+    /// Time inside the backend pread, ns.
+    pub pread_ns: u64,
+    /// Time in the namespace lookup and pre-pread bookkeeping, ns.
+    pub lock_queue_ns: u64,
+    /// Time in post-pread copy machinery, ns.
+    pub copy_wait_ns: u64,
+    /// How many reads this one stands for in the time sums: 1, or the
+    /// sampling period when it is the one local hit in so many.
+    pub weight: u64,
+    /// Registry-clock instant the read ended, µs.
+    pub t_us: u64,
+    /// The file's access count, this read included.
+    pub accesses: u64,
+}
+
+impl TimedRead {
+    /// A read that began at `entry`, had its serving tier by `resolve`,
+    /// its bytes by `pread` and returned at `end`.
+    #[must_use]
+    pub fn between(
+        [entry, resolve, pread, end]: [Instant; 4],
+        weight: u64,
+        t_us: u64,
+        accesses: u64,
+    ) -> Self {
+        let ns = |from: Instant, to: Instant| {
+            u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
+        };
+        Self {
+            wall_ns: ns(entry, end),
+            pread_ns: ns(resolve, pread),
+            lock_queue_ns: ns(entry, resolve),
+            copy_wait_ns: ns(pread, end),
+            weight,
+            t_us,
+            accesses,
+        }
+    }
+}
+
 /// One file's longitudinal record. Timestamps are registry-clock
 /// microseconds (virtual micros in the simulator).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FileProfile {
-    /// Foreground reads observed.
+    /// Foreground reads observed (exact: the namespace's own count).
     pub accesses: u64,
-    /// Timestamp of the first access (0 until one arrives).
+    /// Timestamp of the first timed access (0 until one arrives).
     pub first_us: u64,
-    /// Timestamp of the most recent access.
+    /// Timestamp of the most recent timed access.
     pub last_us: u64,
     /// Exponentially weighted moving average of the inter-access gap —
     /// the "observed per-file access interval" ROADMAP item 3's learned
-    /// placement wants as a feature. 0 until a second access arrives.
+    /// placement wants as a feature. Each timed access contributes the
+    /// time since the previous timed one divided by the accesses in
+    /// between. 0 until a second timed access arrives.
     pub ewma_gap_us: f64,
-    /// Bytes served to the foreground per tier (index = tier id).
+    /// Bytes served to the foreground per tier (index = tier id; exact).
     pub bytes_by_tier: Vec<u64>,
-    /// Reads of this file that the prefetcher staged in time.
+    /// Reads of this file that the prefetcher staged in time (exact).
     pub prefetch_hits: u64,
-    /// Reads of this file served from the PFS (any non-`Fast` class).
+    /// Reads of this file served from the PFS (any non-`Fast` class;
+    /// exact).
     pub demand_misses: u64,
     /// Bytes the prefetcher staged for this file (0 = never prefetched).
     pub prefetched_bytes: u64,
     /// Registry-clock instant of the latest prefetch staging.
     pub staged_us: u64,
     /// Foreground reads that arrived *after* a prefetch staging — 0 with
-    /// `prefetched_bytes > 0` is the signature of wasted prefetch work.
+    /// `prefetched_bytes > 0` is the signature of wasted prefetch work
+    /// (exact).
     pub reads_after_prefetch: u64,
 }
 
-impl FileProfile {
-    fn new(tiers: usize) -> Self {
-        Self {
-            bytes_by_tier: vec![0; tiers],
-            ..Self::default()
-        }
-    }
+/// One file's cells. Aligned so that two files never share a cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct Record {
+    /// 1 once anything was recorded: the file counts as tracked.
+    seen: AtomicU64,
+    prefetched_bytes: AtomicU64,
+    reads_after_prefetch: AtomicU64,
+    demand_misses: AtomicU64,
+    prefetch_hits: AtomicU64,
+    staged_us: AtomicU64,
+    /// Timed reads so far; the cells below are written by those only.
+    timed: AtomicU64,
+    /// The file's access count at its latest timed read.
+    timed_at: AtomicU64,
+    first_us: AtomicU64,
+    last_us: AtomicU64,
+    /// `f64` bits.
+    ewma_gap_us: AtomicU64,
+}
 
-    fn touch(&mut self, tier: TierId, bytes: u64, class: ReadClass, prefetch_hit: bool, t_us: u64) {
-        self.accesses += 1;
-        if self.accesses == 1 {
-            self.first_us = t_us;
+impl Record {
+    /// Fold one timed read into the access rhythm. Two threads timing the
+    /// same file at once may interleave their swaps; each cell still holds
+    /// a value one of them observed, which is all an estimate needs.
+    fn time(&self, t: &TimedRead) {
+        let nth = self.timed.fetch_add(1, Ordering::Relaxed) + 1;
+        let prev_us = self.last_us.swap(t.t_us, Ordering::Relaxed);
+        let prev_at = self.timed_at.swap(t.accesses, Ordering::Relaxed);
+        if nth == 1 {
+            self.first_us.store(t.t_us, Ordering::Relaxed);
+            return;
+        }
+        let reads = t.accesses.saturating_sub(prev_at).max(1);
+        let gap = t.t_us.saturating_sub(prev_us) as f64 / reads as f64;
+        let ewma = if nth == 2 {
+            gap
         } else {
-            let gap = t_us.saturating_sub(self.last_us) as f64;
-            self.ewma_gap_us = if self.accesses == 2 {
-                gap
-            } else {
-                EWMA_ALPHA * gap + (1.0 - EWMA_ALPHA) * self.ewma_gap_us
-            };
-        }
-        self.last_us = t_us;
-        if let Some(b) = self.bytes_by_tier.get_mut(tier) {
-            *b += bytes;
-        }
-        if class != ReadClass::Fast {
-            self.demand_misses += 1;
-        }
-        if prefetch_hit {
-            self.prefetch_hits += 1;
-        }
-        if self.prefetched_bytes > 0 {
-            self.reads_after_prefetch += 1;
-        }
+            let old = f64::from_bits(self.ewma_gap_us.load(Ordering::Relaxed));
+            EWMA_ALPHA * gap + (1.0 - EWMA_ALPHA) * old
+        };
+        self.ewma_gap_us.store(ewma.to_bits(), Ordering::Relaxed);
     }
 }
 
-/// Monotonic microsecond sums behind the time-lost ledger. All atomics:
-/// the read path adds with relaxed ordering and never locks. The profiler
-/// keeps one per stripe (see the `stripe` module), so a reader adds only to
-/// its own copy; [`AccessProfiler::ledger`] sums them.
-#[derive(Debug, Default)]
-pub struct LedgerAccum {
+/// The records of one chunk of ids, and their bytes-per-tier cells:
+/// `stride` cells a file, its first `tiers` in use.
+struct Chunk {
+    records: Box<[Record]>,
+    bytes: Box<[AtomicU64]>,
+}
+
+/// Indices into [`LedgerAccum::nanos`]; the pread sums follow, one per
+/// [`ReadClass`] in declaration order.
+const WALL: usize = 0;
+const LOCK_QUEUE: usize = 1;
+const COPY_WAIT: usize = 2;
+const PREAD: usize = 3;
+const SUMS: usize = PREAD + ReadClass::DegradedFallback as usize + 1;
+
+/// One stripe of the time-lost ledger (see the `stripe` module): a reader
+/// adds only to its own copy, with relaxed ordering, and never locks;
+/// [`AccessProfiler::ledger`] sums the copies.
+#[derive(Default)]
+struct LedgerAccum {
+    /// Every profiled read, timed or not.
     reads: AtomicU64,
-    read_wall_us: AtomicU64,
-    fast_pread_us: AtomicU64,
-    pfs_cold_pread_us: AtomicU64,
-    lane_sat_pread_us: AtomicU64,
-    staged_pread_us: AtomicU64,
-    prefetch_lag_pread_us: AtomicU64,
-    peer_bound_pread_us: AtomicU64,
-    degraded_pread_us: AtomicU64,
-    lock_queue_us: AtomicU64,
-    copy_wait_us: AtomicU64,
+    /// Weighted nanosecond sums over the timed ones.
+    nanos: [AtomicU64; SUMS],
 }
 
 impl LedgerAccum {
-    fn add(&self, class: ReadClass, t: &ReadTiming) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.read_wall_us.fetch_add(t.wall_us, Ordering::Relaxed);
-        self.lock_queue_us
-            .fetch_add(t.lock_queue_us, Ordering::Relaxed);
-        self.copy_wait_us
-            .fetch_add(t.copy_wait_us, Ordering::Relaxed);
-        let bucket = match class {
-            ReadClass::Fast => &self.fast_pread_us,
-            ReadClass::PfsCold => &self.pfs_cold_pread_us,
-            ReadClass::LaneSaturated => &self.lane_sat_pread_us,
-            ReadClass::Staged => &self.staged_pread_us,
-            ReadClass::PrefetchLag => &self.prefetch_lag_pread_us,
-            ReadClass::PeerBound => &self.peer_bound_pread_us,
-            ReadClass::DegradedFallback => &self.degraded_pread_us,
-        };
-        bucket.fetch_add(t.pread_us, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of the sums.
-    #[must_use]
-    pub fn snapshot(&self) -> LedgerSnapshot {
-        LedgerSnapshot {
-            reads: self.reads.load(Ordering::Relaxed),
-            read_wall_us: self.read_wall_us.load(Ordering::Relaxed),
-            fast_pread_us: self.fast_pread_us.load(Ordering::Relaxed),
-            pfs_cold_pread_us: self.pfs_cold_pread_us.load(Ordering::Relaxed),
-            lane_sat_pread_us: self.lane_sat_pread_us.load(Ordering::Relaxed),
-            staged_pread_us: self.staged_pread_us.load(Ordering::Relaxed),
-            prefetch_lag_pread_us: self.prefetch_lag_pread_us.load(Ordering::Relaxed),
-            peer_bound_pread_us: self.peer_bound_pread_us.load(Ordering::Relaxed),
-            degraded_pread_us: self.degraded_pread_us.load(Ordering::Relaxed),
-            lock_queue_us: self.lock_queue_us.load(Ordering::Relaxed),
-            copy_wait_us: self.copy_wait_us.load(Ordering::Relaxed),
+    fn add(&self, class: ReadClass, t: &TimedRead) {
+        for (sum, nanos) in [
+            (WALL, t.wall_ns),
+            (LOCK_QUEUE, t.lock_queue_ns),
+            (COPY_WAIT, t.copy_wait_ns),
+            (PREAD + class as usize, t.pread_ns),
+        ] {
+            self.nanos[sum].fetch_add(nanos.saturating_mul(t.weight), Ordering::Relaxed);
         }
     }
 }
@@ -243,24 +297,6 @@ pub struct LedgerSnapshot {
 }
 
 impl LedgerSnapshot {
-    /// Field-wise sum (folds the per-stripe ledgers into one).
-    #[must_use]
-    fn plus(self, o: LedgerSnapshot) -> LedgerSnapshot {
-        LedgerSnapshot {
-            reads: self.reads + o.reads,
-            read_wall_us: self.read_wall_us + o.read_wall_us,
-            fast_pread_us: self.fast_pread_us + o.fast_pread_us,
-            pfs_cold_pread_us: self.pfs_cold_pread_us + o.pfs_cold_pread_us,
-            lane_sat_pread_us: self.lane_sat_pread_us + o.lane_sat_pread_us,
-            staged_pread_us: self.staged_pread_us + o.staged_pread_us,
-            prefetch_lag_pread_us: self.prefetch_lag_pread_us + o.prefetch_lag_pread_us,
-            peer_bound_pread_us: self.peer_bound_pread_us + o.peer_bound_pread_us,
-            degraded_pread_us: self.degraded_pread_us + o.degraded_pread_us,
-            lock_queue_us: self.lock_queue_us + o.lock_queue_us,
-            copy_wait_us: self.copy_wait_us + o.copy_wait_us,
-        }
-    }
-
     /// The sums accumulated since `prev` (saturating — a fresh registry
     /// against an older snapshot yields zeros, not wraparound).
     #[must_use]
@@ -291,12 +327,18 @@ impl LedgerSnapshot {
     }
 }
 
-/// Sharded, bounded per-file access records plus the time-lost ledger.
+/// Bounded per-file access records plus the time-lost ledger.
 pub struct AccessProfiler {
     enabled: bool,
     tiers: usize,
+    /// Bytes-per-tier cells a file: `tiers` rounded up to whole cache
+    /// lines, so the cells two files add to sit a line apart.
+    stride: usize,
     max_files: usize,
-    shards: Vec<Mutex<HashMap<String, FileProfile, FxBuildHasher>>>,
+    /// The namespace whose ids index the records: it names them, and its
+    /// per-file read counter *is* their access count.
+    files: Arc<MetadataContainer>,
+    chunks: [OnceLock<Chunk>; CHUNKS],
     tracked: AtomicU64,
     untracked_reads: AtomicU64,
     ledger: Striped<LedgerAccum>,
@@ -313,18 +355,31 @@ impl std::fmt::Debug for AccessProfiler {
 }
 
 impl AccessProfiler {
-    /// A profiler over `tiers` tier ids, tracking at most `max_files`
-    /// distinct names. Disabled profilers take one branch per call and
-    /// record nothing.
+    /// A profiler over `tiers` tier ids with a namespace of its own,
+    /// tracking the first `max_files` distinct names it is told about —
+    /// for callers that know files by name only (the simulator).
+    /// Disabled profilers take one branch per call and record nothing.
     #[must_use]
     pub fn new(enabled: bool, tiers: usize, max_files: usize) -> Self {
+        Self::with_namespace(enabled, tiers, max_files, Arc::default())
+    }
+
+    /// A profiler over the ids of `files`, the namespace of the instance
+    /// it observes; ids at or past `max_files` go untracked.
+    #[must_use]
+    pub fn with_namespace(
+        enabled: bool,
+        tiers: usize,
+        max_files: usize,
+        files: Arc<MetadataContainer>,
+    ) -> Self {
         Self {
             enabled,
             tiers,
+            stride: tiers.next_multiple_of(8),
             max_files,
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(HashMap::default()))
-                .collect(),
+            files,
+            chunks: [const { OnceLock::new() }; CHUNKS],
             tracked: AtomicU64::new(0),
             untracked_reads: AtomicU64::new(0),
             ledger: Striped::new(),
@@ -337,15 +392,101 @@ impl AccessProfiler {
         self.enabled
     }
 
-    fn shard_of(&self, file: &str) -> usize {
-        use std::hash::{BuildHasher, Hasher};
-        let mut h = FxBuildHasher::default().build_hasher();
-        h.write(file.as_bytes());
-        (h.finish() as usize) & (SHARDS - 1)
+    /// The record of `id` and its bytes-per-tier cells, if one exists
+    /// (`touch` creates it, within the bound) and something was recorded.
+    fn cells(&self, id: FileId, touch: bool) -> Option<(&Record, &[AtomicU64])> {
+        let index = id.index();
+        if index >= self.max_files {
+            return None;
+        }
+        let (k, offset) = locate(index);
+        let chunk = if touch {
+            self.chunks[k].get_or_init(|| {
+                // The last chunk stops at the bound.
+                let len = chunk_len(k).min(self.max_files - (index - offset));
+                Chunk {
+                    records: (0..len).map(|_| Record::default()).collect(),
+                    bytes: (0..len * self.stride).map(|_| AtomicU64::new(0)).collect(),
+                }
+            })
+        } else {
+            self.chunks[k].get()?
+        };
+        let record = &chunk.records[offset];
+        if record.seen.load(Ordering::Relaxed) == 0 {
+            if !touch {
+                return None;
+            }
+            if record.seen.swap(1, Ordering::Relaxed) == 0 {
+                self.tracked.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Some((record, &chunk.bytes[offset * self.stride..][..self.tiers]))
     }
 
-    /// Record one foreground read: ledger sums always, the per-file
-    /// record if the file is tracked (or the bound still has room).
+    /// The id `file` is recorded under: its id in the namespace, interned
+    /// on first sight while the bound has room.
+    fn resolve(&self, file: &str) -> Option<FileId> {
+        self.files
+            .find(file)
+            .or_else(|| (self.files.ids().len() < self.max_files).then(|| self.files.intern(file)))
+    }
+
+    /// Record one foreground read of a file the caller resolved (and whose
+    /// access the namespace counted): the ledger's and the file's counts
+    /// always, the times when the read carried the clock.
+    pub fn record_read_id(
+        &self,
+        id: FileId,
+        tier: TierId,
+        bytes: u64,
+        class: ReadClass,
+        prefetch_hit: bool,
+        timed: Option<&TimedRead>,
+    ) {
+        if self.enabled {
+            self.record(Some(id), tier, bytes, class, prefetch_hit, timed);
+        }
+    }
+
+    fn record(
+        &self,
+        id: Option<FileId>,
+        tier: TierId,
+        bytes: u64,
+        class: ReadClass,
+        prefetch_hit: bool,
+        timed: Option<&TimedRead>,
+    ) {
+        let ledger = self.ledger.local(LedgerAccum::default);
+        ledger.reads.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = timed {
+            ledger.add(class, t);
+        }
+        let Some((record, by_tier)) = id.and_then(|id| self.cells(id, true)) else {
+            self.untracked_reads.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        if let Some(cell) = by_tier.get(tier) {
+            cell.fetch_add(bytes, Ordering::Relaxed);
+        }
+        if class != ReadClass::Fast {
+            record.demand_misses.fetch_add(1, Ordering::Relaxed);
+        }
+        if prefetch_hit {
+            record.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        if record.prefetched_bytes.load(Ordering::Relaxed) > 0 {
+            record.reads_after_prefetch.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(t) = timed {
+            record.time(t);
+        }
+    }
+
+    /// [`Self::record_read_id`] by name, for a read nothing else counted:
+    /// resolves `file`, counts the access, and records the read as timed
+    /// at weight 1 with the caller's clock.
     #[allow(clippy::too_many_arguments)]
     pub fn record_read(
         &self,
@@ -360,74 +501,96 @@ impl AccessProfiler {
         if !self.enabled {
             return;
         }
-        self.ledger.local(LedgerAccum::default).add(class, &timing);
-        let mut shard = self.shards[self.shard_of(file)].lock();
-        match shard.get_mut(file) {
-            Some(p) => p.touch(tier, bytes, class, prefetch_hit, t_us),
-            None => {
-                // The bound is checked against a cross-shard counter, so
-                // it is approximate under contention (within SHARDS of
-                // max) — never unbounded.
-                if self.tracked.load(Ordering::Relaxed) >= self.max_files as u64 {
-                    self.untracked_reads.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                self.tracked.fetch_add(1, Ordering::Relaxed);
-                let mut p = FileProfile::new(self.tiers);
-                p.touch(tier, bytes, class, prefetch_hit, t_us);
-                shard.insert(file.to_string(), p);
-            }
-        }
+        let id = self.resolve(file);
+        let timed = TimedRead {
+            wall_ns: timing.wall_us.saturating_mul(1_000),
+            pread_ns: timing.pread_us.saturating_mul(1_000),
+            lock_queue_ns: timing.lock_queue_us.saturating_mul(1_000),
+            copy_wait_ns: timing.copy_wait_us.saturating_mul(1_000),
+            weight: 1,
+            t_us,
+            accesses: id.map_or(0, |id| self.files.count_read(id)),
+        };
+        self.record(id, tier, bytes, class, prefetch_hit, Some(&timed));
     }
 
-    /// Record that the prefetcher finished staging `bytes` of `file` onto
-    /// a local tier. Fed from the transfer engine's prefetch-lane copy
-    /// completion; a profile whose `prefetched_bytes` stays unmatched by
-    /// any later read is wasted prefetch work.
-    pub fn record_prefetch_staged(&self, file: &str, bytes: u64, t_us: u64) {
+    /// Record that the prefetcher finished staging `bytes` of the file
+    /// onto a local tier. Fed from the transfer engine's prefetch-lane
+    /// copy completion; a profile whose `prefetched_bytes` stays unmatched
+    /// by any later read is wasted prefetch work.
+    pub fn record_prefetch_staged_id(&self, id: FileId, bytes: u64, t_us: u64) {
         if !self.enabled {
             return;
         }
-        let mut shard = self.shards[self.shard_of(file)].lock();
-        match shard.get_mut(file) {
-            Some(p) => {
-                p.prefetched_bytes += bytes;
-                p.staged_us = t_us;
-            }
-            None => {
-                if self.tracked.load(Ordering::Relaxed) >= self.max_files as u64 {
-                    return;
-                }
-                self.tracked.fetch_add(1, Ordering::Relaxed);
-                let mut p = FileProfile::new(self.tiers);
-                p.prefetched_bytes = bytes;
-                p.staged_us = t_us;
-                shard.insert(file.to_string(), p);
-            }
+        if let Some((record, _)) = self.cells(id, true) {
+            record.prefetched_bytes.fetch_add(bytes, Ordering::Relaxed);
+            record.staged_us.store(t_us, Ordering::Relaxed);
         }
     }
 
-    /// One file's profile, cloned out of its shard — the policy engine's
+    /// [`Self::record_prefetch_staged_id`] by name.
+    pub fn record_prefetch_staged(&self, file: &str, bytes: u64, t_us: u64) {
+        if let (true, Some(id)) = (self.enabled, self.resolve(file)) {
+            self.record_prefetch_staged_id(id, bytes, t_us);
+        }
+    }
+
+    /// One file's profile — the policy engine's
     /// [`crate::policy::FeatureSource`] path. `None` for files the
     /// profiler never saw (or a disabled profiler).
     #[must_use]
-    pub fn profile(&self, file: &str) -> Option<FileProfile> {
-        if !self.enabled {
-            return None;
-        }
-        self.shards[self.shard_of(file)].lock().get(file).cloned()
+    pub fn profile_id(&self, id: FileId) -> Option<FileProfile> {
+        let (record, by_tier) = self.cells(id, false)?;
+        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        Some(FileProfile {
+            accesses: self.files.reads_of(id),
+            first_us: load(&record.first_us),
+            last_us: load(&record.last_us),
+            ewma_gap_us: f64::from_bits(load(&record.ewma_gap_us)),
+            bytes_by_tier: by_tier.iter().map(load).collect(),
+            prefetch_hits: load(&record.prefetch_hits),
+            demand_misses: load(&record.demand_misses),
+            prefetched_bytes: load(&record.prefetched_bytes),
+            staged_us: load(&record.staged_us),
+            reads_after_prefetch: load(&record.reads_after_prefetch),
+        })
     }
 
-    /// The live ledger sums.
+    /// [`Self::profile_id`] by name.
+    #[must_use]
+    pub fn profile(&self, file: &str) -> Option<FileProfile> {
+        self.profile_id(self.files.find(file)?)
+    }
+
+    /// The live ledger sums: the stripes' nanoseconds added up, then
+    /// divided once.
     #[must_use]
     pub fn ledger(&self) -> LedgerSnapshot {
-        self.ledger
-            .iter()
-            .map(LedgerAccum::snapshot)
-            .fold(LedgerSnapshot::default(), LedgerSnapshot::plus)
+        let mut reads = 0;
+        let mut nanos = [0u64; SUMS];
+        for stripe in self.ledger.iter() {
+            reads += stripe.reads.load(Ordering::Relaxed);
+            for (sum, cell) in nanos.iter_mut().zip(&stripe.nanos) {
+                *sum += cell.load(Ordering::Relaxed);
+            }
+        }
+        let pread_us = |class: ReadClass| nanos[PREAD + class as usize] / 1_000;
+        LedgerSnapshot {
+            reads,
+            read_wall_us: nanos[WALL] / 1_000,
+            fast_pread_us: pread_us(ReadClass::Fast),
+            pfs_cold_pread_us: pread_us(ReadClass::PfsCold),
+            lane_sat_pread_us: pread_us(ReadClass::LaneSaturated),
+            staged_pread_us: pread_us(ReadClass::Staged),
+            prefetch_lag_pread_us: pread_us(ReadClass::PrefetchLag),
+            peer_bound_pread_us: pread_us(ReadClass::PeerBound),
+            degraded_pread_us: pread_us(ReadClass::DegradedFallback),
+            lock_queue_us: nanos[LOCK_QUEUE] / 1_000,
+            copy_wait_us: nanos[COPY_WAIT] / 1_000,
+        }
     }
 
-    /// `(tracked, untracked_reads)` without merging the shards — cheap
+    /// `(tracked, untracked_reads)` without walking the records — cheap
     /// enough for every Prometheus scrape.
     #[must_use]
     pub fn snapshot_counts(&self) -> (u64, u64) {
@@ -437,28 +600,32 @@ impl AccessProfiler {
         )
     }
 
-    /// Merge every shard into one serializable snapshot. Files are sorted
+    /// Every tracked file in one serializable snapshot. Files are sorted
     /// by access count (descending), then name, so the head of the list
     /// is the hot set.
     #[must_use]
     pub fn snapshot(&self) -> ProfilerSnapshot {
-        let mut files: Vec<FileProfileSnapshot> = Vec::new();
-        for shard in &self.shards {
-            let guard = shard.lock();
-            files.extend(guard.iter().map(|(name, p)| FileProfileSnapshot {
-                file: name.clone(),
-                profile: p.clone(),
-            }));
-        }
+        let mut files: Vec<FileProfileSnapshot> = self
+            .files
+            .ids()
+            .take(self.max_files)
+            .filter_map(|id| {
+                Some(FileProfileSnapshot {
+                    profile: self.profile_id(id)?,
+                    file: self.files.name_of(id)?.to_string(),
+                })
+            })
+            .collect();
         files.sort_by(|a, b| {
             b.profile
                 .accesses
                 .cmp(&a.profile.accesses)
                 .then_with(|| a.file.cmp(&b.file))
         });
+        let (tracked, untracked_reads) = self.snapshot_counts();
         ProfilerSnapshot {
-            tracked: self.tracked.load(Ordering::Relaxed),
-            untracked_reads: self.untracked_reads.load(Ordering::Relaxed),
+            tracked,
+            untracked_reads,
             ledger: self.ledger(),
             files,
         }
@@ -592,6 +759,75 @@ mod tests {
         let used = find("used");
         assert_eq!(used.prefetched_bytes, 2_048);
         assert_eq!(used.reads_after_prefetch, 1);
+    }
+
+    /// A profiler over a namespace of `names`, and their ids.
+    fn shared(names: &[&str], max_files: usize) -> (AccessProfiler, Vec<FileId>) {
+        let files = Arc::new(MetadataContainer::default());
+        let ids = names
+            .iter()
+            .map(|n| {
+                files.register(n, 1, 1);
+                files.resolve(n).unwrap()
+            })
+            .collect();
+        (
+            AccessProfiler::with_namespace(true, 2, max_files, files),
+            ids,
+        )
+    }
+
+    #[test]
+    fn untimed_reads_count_and_timed_ones_spread_their_gap() {
+        let (p, ids) = shared(&["f"], 16);
+        let timed = |accesses, t_us, weight| TimedRead {
+            wall_ns: 700,
+            pread_ns: 400,
+            lock_queue_ns: 200,
+            copy_wait_ns: 100,
+            weight,
+            t_us,
+            accesses,
+        };
+        // The namespace counts the accesses, as the read path's lookup does.
+        let read = |timed: Option<TimedRead>| {
+            p.files.count_read(ids[0]);
+            p.record_read_id(ids[0], 0, 4096, ReadClass::Fast, false, timed.as_ref());
+        };
+        read(Some(timed(1, 1_000, 1)));
+        (0..15).for_each(|_| read(None));
+        // Sixteen accesses later, 1.6 ms on: 100 us an access.
+        read(Some(timed(17, 2_600, 16)));
+        let s = p.snapshot();
+        let f = &s.files[0].profile;
+        assert_eq!(f.accesses, 17);
+        assert_eq!(f.bytes_by_tier, vec![17 * 4096, 0]);
+        assert_eq!((f.first_us, f.last_us), (1_000, 2_600));
+        assert!((f.ewma_gap_us - 100.0).abs() < 1e-9, "{}", f.ewma_gap_us);
+        // 17 reads; 17 reads' worth of sub-microsecond phases, summed in
+        // nanoseconds and divided once.
+        assert_eq!(s.ledger.reads, 17);
+        assert_eq!(s.ledger.read_wall_us, 17 * 700 / 1_000);
+        assert_eq!(s.ledger.fast_pread_us, 17 * 400 / 1_000);
+        assert_eq!(s.ledger.lock_queue_us, 17 * 200 / 1_000);
+        assert_eq!(s.ledger.copy_wait_us, 17 * 100 / 1_000);
+    }
+
+    #[test]
+    fn ids_past_the_bound_only_bump_untracked_reads() {
+        let (p, ids) = shared(&["a", "b", "c", "d"], 2);
+        for id in &ids {
+            p.files.count_read(*id);
+            p.record_read_id(*id, 1, 8, ReadClass::PfsCold, false, None);
+            p.record_prefetch_staged_id(*id, 8, 5);
+        }
+        let s = p.snapshot();
+        assert_eq!((s.tracked, s.untracked_reads), (2, 2));
+        assert_eq!(s.ledger.reads, 4);
+        let names: Vec<&str> = s.files.iter().map(|f| f.file.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert!(p.profile_id(ids[2]).is_none() && p.profile("d").is_none());
+        assert_eq!(p.profile("b").unwrap().demand_misses, 1);
     }
 
     #[test]

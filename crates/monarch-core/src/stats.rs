@@ -210,6 +210,14 @@ counters! {
     /// [`Stats::record_staged`].
     staged_bytes:
         "monarch_staged_bytes_total", "Bytes handed to readers out of install stagings.";
+    /// Reads that carried the clock into the time records (stall profile,
+    /// read-latency histograms, ledger sums): every read that was not a
+    /// plain local-tier hit, and one such hit in
+    /// [`TIMED_HIT_PERIOD`](crate::telemetry::TIMED_HIT_PERIOD), which
+    /// those records weigh accordingly. Against the read counts, the share
+    /// of reads the time estimates rest on.
+    timed_reads / timed_read:
+        "monarch_timed_reads_total", "Reads that carried the clock into the time records.";
 }
 
 impl std::fmt::Debug for Stats {

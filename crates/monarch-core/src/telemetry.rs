@@ -24,14 +24,17 @@
 //!   occupancy/capacity, lane queue depth, in-flight copies) refreshed by
 //!   samplers and exported through the same snapshot/exposition paths;
 //! - [`StallProfile`] — the read-path stall profiler: four histograms
-//!   decomposing each sampled read's wall time into lock-wait /
+//!   decomposing each timed read's wall time into lock-wait /
 //!   queue-wait / driver-pread / copy-wait buckets.
 //!
 //! Recording is cheap by construction: histogram recording is a handful of
 //! relaxed atomic adds, the journal is an `O(1)` ring append behind a short
 //! critical section, and both can be disabled via
 //! [`crate::config::TelemetryConfig`], which turns every record call into
-//! an early return.
+//! an early return. What is not cheap next to a warm hit is the clock, so
+//! the read path times every read that is not a plain local-tier hit and
+//! one such hit in [`TIMED_HIT_PERIOD`], recorded at that weight
+//! ([`LatencyHistogram::record_n`]).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -183,9 +186,17 @@ impl LatencyHistogram {
     /// Record one observation.
     #[inline]
     pub fn record(&self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Record `n` observations of `value` — one sampled observation
+    /// standing for `n`, so that count and sum estimate the totals of the
+    /// population it was drawn from.
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
         let s = self.stripes.local(HistStripe::new);
-        s.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(value, Ordering::Relaxed);
+        s.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
+        s.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
         // A new maximum is rare; the load keeps the common case read-only.
         if value > s.max.load(Ordering::Relaxed) {
             s.max.fetch_max(value, Ordering::Relaxed);
@@ -195,7 +206,13 @@ impl LatencyHistogram {
     /// Record a wall-clock duration, in nanoseconds.
     #[inline]
     pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+        self.record_duration_n(d, 1);
+    }
+
+    /// [`Self::record_n`] of a wall-clock duration, in nanoseconds.
+    #[inline]
+    pub fn record_duration_n(&self, d: Duration, n: u64) {
+        self.record_n(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX), n);
     }
 
     /// Total observations recorded.
@@ -1216,7 +1233,7 @@ pub struct GaugeSnapshot {
     pub value: f64,
 }
 
-///// A striped up/down counter for "in flight" quantities the hit path
+/// A striped up/down counter for "in flight" quantities the hit path
 /// maintains (open read handles). Entering and leaving touch only the
 /// calling thread's stripe; [`InFlight::get`] sums the stripes, and a
 /// sampler publishes that sum through an ordinary [`Gauge`] cell.
@@ -1265,7 +1282,19 @@ impl Drop for GaugeGuard<'_> {
 // Read-path stall profiler
 // ---------------------------------------------------------------------------
 
-/// Read-path stall decomposition: four histograms partitioning each sampled
+/// One plain local-tier hit in this many, per reader stripe, carries the
+/// clock and is recorded with this weight; every other read that carries
+/// it — any read that is not such a hit — is recorded with weight 1. The
+/// time records ([`StallProfile`], the per-tier read-latency histograms,
+/// the profiler's ledger) therefore estimate the totals over *all* reads,
+/// while a hit that does not carry the clock pays for counts only. 8, 16
+/// and 32 were measured (CHANGES.md, PR 19: `warm_rand_4k` at 1.71, 1.67
+/// and 1.64 times a bare `pread`, from 2.35 with every hit timed): each
+/// doubling buys half of what the last did, and samples a stripe's hits
+/// half as densely.
+pub const TIMED_HIT_PERIOD: u64 = 16;
+
+/// Read-path stall decomposition: four histograms partitioning each timed
 /// read's wall time into consecutive phases.
 ///
 /// - `lock_wait` — entry to metadata-lookup completion (shard lock plus
@@ -1298,7 +1327,7 @@ pub struct StallProfile {
 }
 
 impl StallProfile {
-    /// Record one sampled read from its phase boundary instants. Diffs are
+    /// Record one timed read from its phase boundary instants. Diffs are
     /// saturating, so an out-of-order pair records 0 instead of panicking.
     pub fn record(
         &self,
@@ -1308,14 +1337,21 @@ impl StallProfile {
         pread: Instant,
         end: Instant,
     ) {
-        self.lock_wait
-            .record_duration(lookup.saturating_duration_since(t0));
-        self.queue_wait
-            .record_duration(resolve.saturating_duration_since(lookup));
-        self.driver_pread
-            .record_duration(pread.saturating_duration_since(resolve));
-        self.copy_wait
-            .record_duration(end.saturating_duration_since(pread));
+        self.record_n([t0, lookup, resolve, pread, end], 1);
+    }
+
+    /// [`Self::record`] of a read that stands for `n` (see
+    /// [`TIMED_HIT_PERIOD`]); `marks` are the five instants in order.
+    pub fn record_n(&self, marks: [Instant; 5], n: u64) {
+        let buckets = [
+            &self.lock_wait,
+            &self.queue_wait,
+            &self.driver_pread,
+            &self.copy_wait,
+        ];
+        for (bucket, phase) in buckets.into_iter().zip(marks.windows(2)) {
+            bucket.record_duration_n(phase[1].saturating_duration_since(phase[0]), n);
+        }
     }
 
     /// Record the wall time of one degraded-fallback read (resident tier
@@ -1422,6 +1458,7 @@ pub struct TelemetryRegistry {
     stall: StallProfile,
     gauges: GaugeRegistry,
     reads_in_flight: InFlight,
+    local_hits: Striped<AtomicU64>,
     journal: EventJournal,
     trace: Arc<crate::trace::TraceRecorder>,
     observe: crate::observe::Observatory,
@@ -1430,12 +1467,25 @@ pub struct TelemetryRegistry {
 
 impl TelemetryRegistry {
     /// A registry over `tier_names` (ordered fastest-first, PFS last),
-    /// sharing the middleware's `stats`, configured by `cfg`.
+    /// sharing the middleware's `stats`, configured by `cfg`. Its profiler
+    /// keeps a namespace of its own, for callers that record by name.
     #[must_use]
     pub fn new(
         tier_names: Vec<String>,
         stats: Arc<Stats>,
         cfg: &crate::config::TelemetryConfig,
+    ) -> Self {
+        Self::with_namespace(tier_names, stats, cfg, Arc::default())
+    }
+
+    /// [`Self::new`] for an instance whose namespace is `files`: the
+    /// profiler's per-file records are indexed by its file ids.
+    #[must_use]
+    pub fn with_namespace(
+        tier_names: Vec<String>,
+        stats: Arc<Stats>,
+        cfg: &crate::config::TelemetryConfig,
+        files: Arc<MetadataContainer>,
     ) -> Self {
         let levels = tier_names.len();
         Self {
@@ -1456,6 +1506,7 @@ impl TelemetryRegistry {
             stall: StallProfile::default(),
             gauges: GaugeRegistry::new(),
             reads_in_flight: InFlight::default(),
+            local_hits: Striped::new(),
             journal: EventJournal::new(cfg.journal_capacity, cfg.enabled && cfg.journal),
             trace: Arc::new(crate::trace::TraceRecorder::new(
                 if cfg.enabled {
@@ -1470,6 +1521,7 @@ impl TelemetryRegistry {
                 levels,
                 cfg.profiler_max_files,
                 cfg.timeline_capacity,
+                files,
             ),
             origin: Instant::now(),
         }
@@ -1567,6 +1619,14 @@ impl TelemetryRegistry {
     #[must_use]
     pub fn reads_in_flight(&self) -> &InFlight {
         &self.reads_in_flight
+    }
+
+    /// The plain local-tier hits the calling thread's stripe has served:
+    /// the hit that finds this a multiple of [`TIMED_HIT_PERIOD`] carries
+    /// the clock, so a stripe's first hit always does.
+    #[must_use]
+    pub fn local_hits(&self) -> &AtomicU64 {
+        self.local_hits.local(AtomicU64::default)
     }
 
     /// Publish every sampled gauge family — reads in flight, per-tier
@@ -2136,6 +2196,19 @@ mod tests {
         g.record(1_000_000); // bucket [983040, 1015807]
         assert_eq!(g.count_le(1_000_000), 0);
         assert_eq!(g.count_le(1_015_807), 1);
+    }
+
+    #[test]
+    fn weighted_record_counts_and_sums_n_observations() {
+        let h = LatencyHistogram::new();
+        h.record(100);
+        h.record_n(300, 16);
+        assert_eq!(h.count(), 17);
+        assert_eq!(h.sum(), 100 + 16 * 300);
+        assert_eq!(h.max(), 300);
+        assert_eq!(h.count_le(150), 1);
+        // The sixteen dominate the quantiles as sixteen single records do.
+        assert!(h.quantile(0.5) >= 300 * 15 / 16);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::cluster::{Cluster, ClusterView, PeerError};
 use crate::health::{device_error_class, ErrorClass};
 use crate::hierarchy::{StorageHierarchy, TierId};
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
-use crate::observe::{ReadClass, ReadTiming, ResidencyEventKind, TransitionCause};
+use crate::observe::{ReadClass, ResidencyEventKind, TimedRead, TransitionCause};
 use crate::policy::{DecisionPoint, FeatureSource, PolicyEngine};
 use crate::pool::{Lane, PoolProbe, TaskCtx, ThreadPool};
 use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow};
@@ -711,7 +711,7 @@ impl TransferEngine {
         // Serve the requested range straight from the fetched buffer. The
         // namespace read counter still ticks; the per-tier counters do not
         // (no local tier did any work — `peer_bytes` accounts the traffic).
-        let _ = self.metadata.lookup_for_read(file);
+        let counted = self.metadata.resolve_for_read(file).ok();
         let want = buf.len().min(bytes.len().saturating_sub(offset as usize));
         buf[..want].copy_from_slice(&bytes[offset as usize..offset as usize + want]);
         self.stats.peer_hit(want as u64);
@@ -730,28 +730,29 @@ impl TransferEngine {
         // keeps this from counting as a prefetch hit (the plan did not
         // stage these bytes — the peer did).
         let _ = self.note_read(file, self.hierarchy.source_id());
-        if let (true, Some(p_entry)) = (self.telemetry.is_enabled(), entry) {
+        if self.telemetry.is_enabled() {
+            // Never a plain local hit, so always timed; a read that did
+            // not bring the clock along starts its chain at the fetch.
+            let p_entry = entry.unwrap_or(p_fetch);
             let p_end = Instant::now();
+            self.stats.timed_read();
             self.telemetry
                 .stall_profile()
                 .record(p_entry, p_fetch, p_fetch, p_pread, p_end);
-            let profiler = self.telemetry.observe().profiler();
-            if profiler.is_enabled() {
-                let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-                let timing = ReadTiming {
-                    wall_us: us(p_end - p_entry),
-                    pread_us: us(p_pread - p_fetch),
-                    lock_queue_us: us(p_fetch - p_entry),
-                    copy_wait_us: us(p_end - p_pread),
-                };
-                profiler.record_read(
-                    file,
+            if let Some((id, counted)) = counted {
+                let timed = TimedRead::between(
+                    [p_entry, p_fetch, p_pread, p_end],
+                    1,
+                    self.telemetry.micros_at(p_end),
+                    counted.reads,
+                );
+                self.telemetry.observe().profiler().record_read_id(
+                    id,
                     0,
                     want as u64,
                     ReadClass::PeerBound,
                     false,
-                    timing,
-                    self.telemetry.micros_at(p_end),
+                    Some(&timed),
                 );
             }
         }
@@ -1487,9 +1488,9 @@ impl CopyJob {
                 if let Some((view, node)) = &self.cluster_feed {
                     view.note_admitted(file, *node);
                 }
-                if self.lane == Lane::Prefetch {
-                    observe.profiler().record_prefetch_staged(
-                        file,
+                if let (Lane::Prefetch, Some(id)) = (self.lane, self.metadata.resolve(file)) {
+                    observe.profiler().record_prefetch_staged_id(
+                        id,
                         size,
                         self.telemetry.now_micros(),
                     );

@@ -73,6 +73,10 @@ fn every_stats_scalar_is_exported_with_its_value() {
     assert!(stats.copies_completed > 0, "placed");
     assert!(stats.evictions > 0, "evicted");
     assert!(stats.policy_denials > 0, "denied");
+    assert!(
+        stats.timed_reads >= stats.pfs_reads(),
+        "every miss is timed"
+    );
 
     // Walk the snapshot as a consumer sees it — its serialised keys — so a
     // counter that is kept and serialised but not exported cannot hide.
@@ -100,7 +104,8 @@ fn exposition_families_are_the_golden_list() {
     // HEAD bc32a48's `# TYPE` lines, minus `monarch_journal_dropped_total`
     // (one value under two names; `monarch_events_dropped_total` stays),
     // plus `monarch_policy_denials_total` (counted since PR 10, never
-    // exported).
+    // exported) and `monarch_timed_reads_total` (PR 19: how many reads the
+    // time records rest on).
     const GOLDEN: &[&str] = &[
         "monarch_copies_completed_total",
         "monarch_copies_deadline_expired_total",
@@ -164,6 +169,7 @@ fn exposition_families_are_the_golden_list() {
         "monarch_tier_removes_total",
         "monarch_tier_writes_total",
         "monarch_tier_written_bytes_total",
+        "monarch_timed_reads_total",
         "monarch_trace_spans_dropped_total",
         "monarch_trace_spans_total",
         "monarch_write_latency_seconds",
