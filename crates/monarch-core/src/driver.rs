@@ -7,6 +7,7 @@
 //! name* (the dataset-relative path), mirroring the paper's `Monarch.read`
 //! which takes a filename rather than a file descriptor.
 
+use std::cell::Cell;
 use std::fs;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -16,7 +17,8 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use crate::hash::{hash_str, FxHashMap};
+use crate::hash::FxHashMap;
+use crate::stripe::StripedRwLock;
 use crate::telemetry::LatencyHistogram;
 use crate::{Error, Result};
 
@@ -56,19 +58,21 @@ pub trait StorageDriver: Send + Sync {
 // POSIX driver
 // ---------------------------------------------------------------------------
 
-/// Lock shards of the descriptor cache.
-const FD_SHARDS: usize = 16;
-/// Descriptors kept per shard: 512 per driver in all, half the common
-/// 1024 soft `RLIMIT_NOFILE`.
-const FD_PER_SHARD: usize = 32;
+/// Descriptors a driver keeps open: half the common 1024 soft
+/// `RLIMIT_NOFILE`.
+const FD_CACHED: usize = 512;
+/// While the table is full, one miss in this many (per thread) evicts and
+/// caches; the others are served on a descriptor of their own and leave
+/// every gate alone.
+const FULL_ADMIT_PERIOD: u32 = 16;
 /// Suffix of an install's temp file; [`PosixDriver::list`] skips it.
 const TMP_SUFFIX: &str = ".monarch-tmp";
 
-/// One shard of the descriptor cache. `epoch` counts invalidations, so a
-/// reader that opened a file while one ran does not cache what may be a
-/// descriptor of the replaced inode.
+/// The descriptor cache. `epoch` counts invalidations, so a reader that
+/// opened a file while one ran does not cache what may be a descriptor of
+/// the replaced inode.
 #[derive(Default)]
-struct FdShard {
+struct FdTable {
     epoch: u64,
     files: FxHashMap<Box<str>, fs::File>,
 }
@@ -88,6 +92,21 @@ fn pread_full(f: &fs::File, offset: u64, buf: &mut [u8]) -> std::io::Result<usiz
     Ok(filled)
 }
 
+/// Whether this miss on a full table is the thread's one in
+/// [`FULL_ADMIT_PERIOD`]. With more live files than [`FD_CACHED`] and no
+/// reuse, nearly every read misses, and a miss that took every gate would
+/// stop every reader; a file read in many chunks is still cached within a
+/// few of them, so a full table keeps following what is being read.
+fn admit_to_full_table() -> bool {
+    thread_local! {
+        static MISSES: Cell<u32> = const { Cell::new(0) };
+    }
+    MISSES.with(|m| {
+        m.set(m.get().wrapping_add(1));
+        m.get().is_multiple_of(FULL_ADMIT_PERIOD)
+    })
+}
+
 /// `EMFILE` / `ENFILE`: the process or the system is out of descriptors.
 fn out_of_descriptors(e: &std::io::Error) -> bool {
     matches!(e.raw_os_error(), Some(24 | 23))
@@ -96,17 +115,26 @@ fn out_of_descriptors(e: &std::io::Error) -> bool {
 /// Driver over a real directory tree (the production path: an XFS mount on
 /// the node-local SSD, or the Lustre dataset directory).
 ///
-/// `read_at` is one `pread` on a cached descriptor. The cache is bounded
-/// (`FD_SHARDS` × `FD_PER_SHARD` = 512 descriptors), keyed by logical
-/// name, and coherent with this driver's own writes: `write_full` and
-/// `remove` invalidate the name, and a failed open is never cached. The contract for everyone else
-/// is that a name in the directory is replaced only through this driver,
-/// or after this driver's `remove` of it — a file swapped underneath a
-/// cached descriptor keeps being read from the old inode.
+/// `read_at` is one `pread` on a cached descriptor. The cache is one table
+/// of at most `FD_CACHED` = 512 descriptors, keyed by logical name, behind
+/// a reader-striped gate ([`StripedRwLock`]): a read holds its own stripe's
+/// gate shared across the `pread` — that, not a reference count, is what
+/// keeps the descriptor open — so two readers write no common cache line
+/// here; whoever changes the table (a first open, `write_full`, `remove`)
+/// takes every gate. That is cheap while the directory's live files fit the
+/// table; once it is full, one miss in `FULL_ADMIT_PERIOD` replaces an
+/// entry and the rest read on a descriptor of their own, so a working set
+/// larger than the table does not put every reader behind every miss. The
+/// cache is coherent with this driver's own writes:
+/// `write_full` and `remove` invalidate the name, and a failed open is
+/// never cached. The contract for everyone else is that a name in the
+/// directory is replaced only through this driver, or after this driver's
+/// `remove` of it — a file swapped underneath a cached descriptor keeps
+/// being read from the old inode.
 pub struct PosixDriver {
     name: String,
     root: PathBuf,
-    fds: Box<[RwLock<FdShard>; FD_SHARDS]>,
+    fds: StripedRwLock<FdTable>,
     /// Distinguishes the temp files of concurrent installs.
     installs: AtomicU64,
 }
@@ -120,7 +148,7 @@ impl PosixDriver {
         Ok(Self {
             name: name.into(),
             root,
-            fds: Box::new(std::array::from_fn(|_| RwLock::default())),
+            fds: StripedRwLock::new(FdTable::default()),
             installs: AtomicU64::new(0),
         })
     }
@@ -135,27 +163,28 @@ impl PosixDriver {
         self.root.join(file)
     }
 
-    fn fd_shard(&self, file: &str) -> &RwLock<FdShard> {
-        // The high bits: the shard's own map consumes the low ones.
-        &self.fds[(hash_str(file) >> 32) as usize % FD_SHARDS]
-    }
-
     /// Forget the cached descriptor of `file`. Runs *after* the directory
     /// entry changed: a reader that opened in between sees the epoch move
     /// and does not cache; one that opens afterwards gets the new file.
+    ///
+    /// Here and below, a descriptor that leaves the table is closed once
+    /// the gates are open again: the last close of an unlinked file frees
+    /// its blocks, and every reader would wait for that.
     fn invalidate(&self, file: &str) {
-        let mut shard = self.fd_shard(file).write();
-        shard.epoch += 1;
-        shard.files.remove(file);
+        let _stale = {
+            let mut fds = self.fds.write();
+            fds.epoch += 1;
+            fds.files.remove(file)
+        };
     }
 
     /// Close every cached descriptor.
     fn drop_cache(&self) {
-        for shard in self.fds.iter() {
-            let mut shard = shard.write();
-            shard.epoch += 1;
-            shard.files.clear();
-        }
+        let _stale = {
+            let mut fds = self.fds.write();
+            fds.epoch += 1;
+            std::mem::take(&mut fds.files)
+        };
     }
 }
 
@@ -165,16 +194,16 @@ impl StorageDriver for PosixDriver {
     }
 
     fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let shard = self.fd_shard(file);
-        let epoch = {
-            // The read lock is held across the pread, which keeps the
+        let (epoch, full) = {
+            // The gate is held across the pread, which keeps the
             // descriptor open without a reference count to bounce.
-            let shard = shard.read();
-            if let Some(f) = shard.files.get(file) {
+            let fds = self.fds.read();
+            if let Some(f) = fds.files.get(file) {
                 return Ok(pread_full(f, offset, buf)?);
             }
-            shard.epoch
+            (fds.epoch, fds.files.len() >= FD_CACHED)
         };
+        // The gate is dropped: `write()` below would wait for it.
         let path = self.resolve(file);
         let f = match fs::File::open(&path) {
             Ok(f) => f,
@@ -186,16 +215,23 @@ impl StorageDriver for PosixDriver {
             Err(e) => return Err(e.into()),
         };
         let n = pread_full(&f, offset, buf)?;
-        let mut shard = shard.write();
-        if shard.epoch == epoch {
-            if shard.files.len() >= FD_PER_SHARD {
-                let victim = shard.files.keys().next().cloned();
-                if let Some(victim) = victim {
-                    shard.files.remove(&victim);
-                }
-            }
-            shard.files.insert(file.into(), f);
+        if full && !admit_to_full_table() {
+            return Ok(n);
         }
+        let mut fds = self.fds.write();
+        if fds.epoch != epoch {
+            return Ok(n);
+        }
+        let _evicted = if fds.files.len() >= FD_CACHED {
+            let victim = fds.files.keys().next().cloned();
+            victim.and_then(|victim| fds.files.remove(&victim))
+        } else {
+            None
+        };
+        // Two readers may have opened the same file: the later one wins.
+        let _replaced = fds.files.insert(file.into(), f);
+        // Before `_evicted` and `_replaced` are closed.
+        drop(fds);
         Ok(n)
     }
 
@@ -823,6 +859,16 @@ mod tests {
         root
     }
 
+    /// Descriptors of this process that point under `root` (other tests
+    /// open files of their own meanwhile).
+    fn open_under(root: &Path) -> usize {
+        fs::read_dir("/proc/self/fd")
+            .unwrap()
+            .filter_map(|e| fs::read_link(e.ok()?.path()).ok())
+            .filter(|target| target.starts_with(root))
+            .count()
+    }
+
     fn read4(d: &PosixDriver, file: &str) -> Result<[u8; 4]> {
         let mut buf = [0u8; 4];
         d.read_at(file, 0, &mut buf).map(|_| buf)
@@ -855,29 +901,158 @@ mod tests {
     fn fd_cache_is_bounded() {
         let root = scratch("fdbound");
         let d = PosixDriver::new("p", &root).unwrap();
-        let files = FD_SHARDS * FD_PER_SHARD + 200;
+        let files = FD_CACHED + 200;
         for i in 0..files {
             fs::write(root.join(format!("f{i}")), [i as u8; 4]).unwrap();
         }
-        // Descriptors of this process that point into this test's root
-        // (other tests open files of their own meanwhile).
-        let open_here = || {
-            fs::read_dir("/proc/self/fd")
-                .unwrap()
-                .filter_map(|e| fs::read_link(e.ok()?.path()).ok())
-                .filter(|target| target.starts_with(&root))
-                .count()
-        };
+        let open_here = || open_under(&root);
         for round in 0..2 {
             for i in 0..files {
                 assert_eq!(read4(&d, &format!("f{i}")).unwrap(), [i as u8; 4]);
             }
             let open = open_here();
             assert!(
-                open > 0 && open <= FD_SHARDS * FD_PER_SHARD,
+                open > 0 && open <= FD_CACHED,
                 "round {round}: {open} descriptors open for {files} files"
             );
         }
+        drop(d);
+        assert_eq!(open_here(), 0, "dropping the driver closes the cache");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_full_fd_cache_adopts_a_file_that_keeps_being_read() {
+        let root = scratch("fdfull");
+        let d = PosixDriver::new("p", &root).unwrap();
+        for i in 0..=FD_CACHED {
+            fs::write(root.join(format!("f{i}")), [i as u8; 4]).unwrap();
+        }
+        for i in 0..FD_CACHED {
+            read4(&d, &format!("f{i}")).unwrap();
+        }
+        let cached = |name: &str| d.fds.read().files.contains_key(name);
+        let late = format!("f{FD_CACHED}");
+        // Most misses on a full table are served uncached; a thread's one
+        // in `FULL_ADMIT_PERIOD` evicts and caches. On a thread of its own:
+        // the count starts at zero.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for miss in 1..=FULL_ADMIT_PERIOD {
+                    assert!(!cached(&late), "cached by miss {}", miss - 1);
+                    assert_eq!(read4(&d, &late).unwrap(), [FD_CACHED as u8; 4]);
+                }
+                assert!(cached(&late), "{late} is never cached");
+            });
+        });
+        assert_eq!(d.fds.read().files.len(), FD_CACHED);
+        assert_eq!(open_under(&root), FD_CACHED);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The descriptor law: a read is served from the file its name means
+    /// now, or not at all — whatever `write_full` and `remove` do meanwhile.
+    #[test]
+    fn reads_racing_installs_and_removes_see_whole_versions_of_the_named_file() {
+        const NAMES: usize = 64;
+        const LEN: usize = 4096;
+        const CYCLES: u32 = 12;
+        // Every 8-byte word of version `v` of file `i` says so.
+        let body = |i: usize, v: u32| -> Vec<u8> {
+            let word = ((i as u64) << 32 | u64::from(v)).to_le_bytes();
+            word.iter().copied().cycle().take(LEN).collect()
+        };
+        let root = scratch("fdlaw");
+        let d = PosixDriver::new("p", &root).unwrap();
+        let names: Vec<String> = (0..NAMES).map(|i| format!("f{i}")).collect();
+        for (i, name) in names.iter().enumerate() {
+            d.write_full(name, &body(i, 0)).unwrap();
+        }
+        let open_here = || open_under(&root);
+        // Steps the writer has taken on each name, three a cycle: v1
+        // installed, `remove` about to run, v2 installed. A read that began
+        // at step `m` may not be served anything older than `floor(m)`,
+        // and may find nothing only if a remove was pending at `m` or a
+        // step was taken while it ran.
+        let steps: Vec<AtomicU64> = (0..NAMES).map(|_| AtomicU64::new(0)).collect();
+        let floor = |m: u64| 2 * (m / 3) + u64::from(!m.is_multiple_of(3));
+        let done = AtomicBool::new(false);
+        struct SetOnDrop<'a>(&'a AtomicBool);
+        impl Drop for SetOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        let start = std::sync::Barrier::new(9);
+        let served = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..8)
+                .map(|r| {
+                    let (d, names, steps, done, start) = (&d, &names, &steps, &done, &start);
+                    s.spawn(move || {
+                        let mut buf = vec![0u8; LEN + 8];
+                        let mut served = 0u64;
+                        start.wait();
+                        for i in (0..NAMES).cycle().skip(r * 8) {
+                            if done.load(Ordering::Acquire) {
+                                break;
+                            }
+                            let before = steps[i].load(Ordering::SeqCst);
+                            let got = d.read_at(&names[i], 0, &mut buf);
+                            let after = steps[i].load(Ordering::SeqCst);
+                            let name = &names[i];
+                            match got {
+                                Ok(n) => {
+                                    assert_eq!(n, LEN, "{name}: a partial file");
+                                    let word = u64::from_le_bytes(buf[..8].try_into().unwrap());
+                                    assert_eq!((word >> 32) as usize, i, "another file's bytes");
+                                    let v = word & 0xFFFF_FFFF;
+                                    assert!(
+                                        floor(before) <= v && v <= floor(after) + 1,
+                                        "{name}: version {v} between steps {before} and {after}"
+                                    );
+                                    assert!(
+                                        buf[..LEN].chunks(8).all(|w| w == &buf[..8]),
+                                        "{name}: a mix of versions"
+                                    );
+                                    served += 1;
+                                }
+                                Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                                    assert!(
+                                        before % 3 == 2 || after != before,
+                                        "{name}: NotFound with the file in place"
+                                    );
+                                }
+                                Err(e) => panic!("{name}: {e}"),
+                            }
+                        }
+                        served
+                    })
+                })
+                .collect();
+            {
+                // Stops the readers when the writer is through — or panics.
+                let _stop = SetOnDrop(&done);
+                start.wait();
+                for cycle in 0..CYCLES {
+                    for (i, name) in names.iter().enumerate() {
+                        d.write_full(name, &body(i, 2 * cycle + 1)).unwrap();
+                        steps[i].fetch_add(1, Ordering::SeqCst);
+                        steps[i].fetch_add(1, Ordering::SeqCst);
+                        d.remove(name).unwrap();
+                        d.write_full(name, &body(i, 2 * cycle + 2)).unwrap();
+                        steps[i].fetch_add(1, Ordering::SeqCst);
+                    }
+                    // Cached descriptors, the readers' opens in flight and
+                    // one install's temp file: re-opened names must not
+                    // pile up.
+                    let open = open_here();
+                    assert!(open <= FD_CACHED, "cycle {cycle}: {open} descriptors");
+                }
+            }
+            readers.into_iter().map(|r| r.join().unwrap()).sum::<u64>()
+        });
+        assert!(served > 0);
+        assert!(open_here() > 0, "the cache is in use");
         drop(d);
         assert_eq!(open_here(), 0, "dropping the driver closes the cache");
         fs::remove_dir_all(&root).unwrap();

@@ -211,9 +211,14 @@ impl TierHealth {
     /// EWMA and may close a suspect tier. Free (one relaxed load) while
     /// the tier has never errored.
     pub fn record_success(&self, cfg: &HealthConfig, now_us: u64) {
-        if !self.interesting.load(Ordering::Relaxed) {
-            return;
+        if self.interesting.load(Ordering::Relaxed) {
+            self.decay(cfg, now_us);
         }
+    }
+
+    /// A success on a tier that has errored before (`interesting` is set;
+    /// the caller tested it).
+    fn decay(&self, cfg: &HealthConfig, now_us: u64) {
         let mut inner = self.inner.lock();
         inner.successes_total += 1;
         inner.consecutive_failures = 0;
@@ -460,7 +465,7 @@ impl HealthRegistry {
     pub fn record_success(&self, tier: TierId) {
         let health = &self.tiers[tier];
         if health.interesting.load(Ordering::Relaxed) {
-            health.record_success(&self.config.read(), self.now_us());
+            health.decay(&self.config.read(), self.now_us());
         }
     }
 

@@ -18,6 +18,11 @@ use crate::{Error, Result};
 /// `levels() - 1` is the PFS source tier.
 pub type TierId = usize;
 
+/// Deepest hierarchy supported, the PFS included: a file's counters line in
+/// the namespace has one bytes cell per level beside its read count
+/// (64 bytes = 8 cells), and the paper's deployments have two or three.
+pub const MAX_LEVELS: usize = 7;
+
 /// Capacity accounting for one tier.
 ///
 /// `used` covers both committed bytes and in-flight reservations, so a
@@ -133,6 +138,12 @@ impl StorageHierarchy {
             return Err(Error::InvalidConfig(
                 "hierarchy needs at least one local tier plus the PFS source tier".into(),
             ));
+        }
+        if levels.len() > MAX_LEVELS {
+            return Err(Error::InvalidConfig(format!(
+                "hierarchy has {} levels; at most {MAX_LEVELS} are supported",
+                levels.len()
+            )));
         }
         let last = levels.len() - 1;
         let mut tiers = Vec::with_capacity(levels.len());
@@ -257,6 +268,19 @@ mod tests {
             ("pfs".into(), mem(), None),
         ])
         .is_err());
+        // One bytes cell per level on a file's counters line, and no more.
+        let levels = |n: usize| {
+            let mut tiers: Vec<_> = (1..n)
+                .map(|i| (format!("t{i}"), mem(), Some(1u64)))
+                .collect();
+            tiers.push(("pfs".into(), mem(), None));
+            StorageHierarchy::new(tiers)
+        };
+        assert_eq!(levels(MAX_LEVELS).unwrap().levels(), MAX_LEVELS);
+        assert!(matches!(
+            levels(MAX_LEVELS + 1),
+            Err(Error::InvalidConfig(_))
+        ));
     }
 
     #[test]

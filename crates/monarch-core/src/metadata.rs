@@ -10,30 +10,39 @@
 //! The namespace is fixed by that scan, so a file's *name* is only needed at
 //! the API boundary. [`MetadataContainer::register`] interns each name to a
 //! dense [`FileId`], and everything a read needs lives in one id-indexed
-//! slab of packed atomics, one cache line per file:
+//! slab, two cache lines per file — what a hit only *reads*, and what it
+//! *adds to*:
 //!
 //! ```text
-//! slot  = { name, size: u64, place: u64, reads: u64 }      (64-byte aligned)
-//! place = [ 63..48 unused | 47..32 copy target | 31..16 tier | 2 reused | 1..0 state ]
-//! state = 0 absent, 1 unplaced, 2 copying, 3 placed
+//! slot     = { identity (line 0) | counters (line 1) }               128 bytes
+//! identity = { name, size: u64, place: u64 }
+//! counters = { reads: u64, bytes: [u64; MAX_LEVELS] }      (64-byte aligned)
+//! place    = [ 63..48 unused | 47..32 copy target | 31..16 tier | 2 reused | 1..0 state ]
+//! state    = 0 absent, 1 unplaced, 2 copying, 3 placed
 //! ```
+//!
+//! The identity line is written at registration and on placement
+//! transitions only, so concurrent hits share it clean. The counters line
+//! is the one line a hit writes that another reader's hit may also write —
+//! and then only a reader of the same file: its access count and the bytes
+//! it was served per tier, which the access profiler reports from here
+//! rather than from cells of its own.
 //!
 //! Names resolve through an insert-only open-addressing index whose cells
 //! are atomics (`hash tag | id + 1`): a lookup is one hash, a probe and a
 //! name compare — no lock, no write to anything shared — then acquire loads
-//! from the slot and one add to the file's own read counter. Writers
-//! (`register`, which runs during the scan) serialise on a mutex. The index
-//! grows by building a table twice the size and publishing it; superseded
-//! tables are kept until the container drops, so a reader that loaded the
-//! old one finishes on valid memory (together they are smaller than the
-//! current table). Placement transitions are compare-and-swap loops on
-//! `place`. The `reused` bit is the policy engine's reuse ledger (see
-//! [`crate::policy::PolicyEngine`]), kept here so it rides the same word.
-//! The slab grows in doubling chunks that never move, so ids stay valid and
-//! readers never wait for an append. The access profiler keeps its per-file
-//! records in a slab of the same geometry beside this one ([`locate`]),
-//! addressed by the same ids; a file's `reads` here is its access count
-//! there.
+//! from the slot's identity and one add to the file's own read counter.
+//! Writers (`register`, which runs during the scan) serialise on a mutex.
+//! The index grows by building a table twice the size and publishing it;
+//! superseded tables are kept until the container drops, so a reader that
+//! loaded the old one finishes on valid memory (together they are smaller
+//! than the current table). Placement transitions are compare-and-swap
+//! loops on `place`. The `reused` bit is the policy engine's reuse ledger
+//! (see [`crate::policy::PolicyEngine`]), kept here so it rides the same
+//! word. The slab grows in doubling chunks that never move, so ids stay
+//! valid and readers never wait for an append. The access profiler keeps
+//! the rest of its per-file records in a slab of the same geometry beside
+//! this one ([`locate`]), addressed by the same ids.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -41,6 +50,7 @@ use std::sync::OnceLock;
 use parking_lot::Mutex;
 
 use crate::hash::hash_str;
+use crate::hierarchy::MAX_LEVELS;
 use crate::{Error, Result, TierId};
 
 /// Placement lifecycle of one file.
@@ -132,17 +142,38 @@ fn unpack(place: u64) -> (PlacementState, TierId) {
 // The slab
 // ---------------------------------------------------------------------------
 
-/// One file. Aligned so that two files never share a cache line: the read
-/// counter of one is written by every thread that reads it.
+/// What every read of a file adds to: a cache line of its own, so the
+/// adds dirty nothing a lookup of this or any other file reads.
 #[derive(Default)]
 #[repr(align(64))]
+struct Counters {
+    reads: AtomicU64,
+    /// Bytes served to the foreground per tier (index = tier id).
+    bytes: [AtomicU64; MAX_LEVELS],
+}
+
+/// One file: the identity a lookup reads, then the counters a read adds
+/// to, a line each.
+#[derive(Default)]
+#[repr(C, align(64))]
 struct Slot {
     /// Set once, before the id is published in the index.
     name: OnceLock<Box<str>>,
     size: AtomicU64,
     place: AtomicU64,
-    reads: AtomicU64,
+    counters: Counters,
 }
+
+const _: () = {
+    use std::mem::{align_of, offset_of, size_of};
+    assert!(align_of::<Counters>() == 64 && size_of::<Counters>() == 64);
+    assert!(offset_of!(Slot, counters) % 64 == 0);
+    // No identity field reaches into the counters' line.
+    assert!(offset_of!(Slot, name) + size_of::<OnceLock<Box<str>>>() <= offset_of!(Slot, size));
+    assert!(offset_of!(Slot, size) + 8 <= offset_of!(Slot, place));
+    assert!(offset_of!(Slot, place) + 8 <= offset_of!(Slot, counters));
+    assert!(size_of::<Slot>() <= 128);
+};
 
 /// log2 of the first chunk's length; chunk `k` holds `1 << (k + 6)` slots.
 /// Small, so that a fresh container over a small namespace costs a page.
@@ -355,13 +386,33 @@ impl MetadataContainer {
 
     /// Reads counted on `id` so far.
     pub(crate) fn reads_of(&self, id: FileId) -> u64 {
-        self.slab.slot(id).reads.load(Ordering::Relaxed)
+        self.slab.slot(id).counters.reads.load(Ordering::Relaxed)
+    }
+
+    /// Count `bytes` served to the foreground from `tier` on `id`'s
+    /// counters line (no cell: no such level in any hierarchy).
+    #[inline]
+    pub(crate) fn count_bytes(&self, id: FileId, tier: TierId, bytes: u64) {
+        if let Some(cell) = self.slab.slot(id).counters.bytes.get(tier) {
+            cell.fetch_add(bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// Bytes served to the foreground from each of the first `tiers`
+    /// tiers on `id`.
+    pub(crate) fn bytes_of(&self, id: FileId, tiers: usize) -> Vec<u64> {
+        let cells = &self.slab.slot(id).counters.bytes;
+        cells[..tiers.min(MAX_LEVELS)]
+            .iter()
+            .map(|cell| cell.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// Count one read of `id` — for a caller that accounts a read no
     /// [`Self::resolve_for_read`] saw. Returns the count including it.
     pub(crate) fn count_read(&self, id: FileId) -> u64 {
-        self.slab.slot(id).reads.fetch_add(1, Ordering::Relaxed) + 1
+        let reads = &self.slab.slot(id).counters.reads;
+        reads.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The current record of a file [`Self::resolve_for_read`] resolved,
@@ -372,7 +423,7 @@ impl MetadataContainer {
         Self::info_of(
             slot,
             slot.place.load(Ordering::Acquire),
-            slot.reads.load(Ordering::Relaxed),
+            slot.counters.reads.load(Ordering::Relaxed),
         )
     }
 
@@ -457,7 +508,7 @@ impl MetadataContainer {
     /// caller can address the file without hashing the name again.
     pub fn resolve_for_read(&self, name: &str) -> Result<(FileId, FileInfo)> {
         let (id, slot, place) = self.find_registered(name)?;
-        let reads = slot.reads.fetch_add(1, Ordering::Relaxed) + 1;
+        let reads = slot.counters.reads.fetch_add(1, Ordering::Relaxed) + 1;
         Ok((id, Self::info_of(slot, place, reads)))
     }
 
@@ -472,7 +523,7 @@ impl MetadataContainer {
         Some(Self::info_of(
             slot,
             place,
-            slot.reads.load(Ordering::Relaxed),
+            slot.counters.reads.load(Ordering::Relaxed),
         ))
     }
 
@@ -630,7 +681,7 @@ impl MetadataContainer {
             let place = slot.place.load(Ordering::Acquire);
             // A slot mid-registration has no name (or no state) yet.
             if let (Some(name), true) = (slot.name.get(), place & STATE_MASK != ABSENT) {
-                let reads = slot.reads.load(Ordering::Relaxed);
+                let reads = slot.counters.reads.load(Ordering::Relaxed);
                 f(name, &Self::info_of(slot, place, reads));
             }
         }

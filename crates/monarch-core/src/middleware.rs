@@ -352,8 +352,8 @@ impl Monarch {
     /// when the read's clock chain began, if it has; a pass that turns out
     /// not to be a plain local hit begins it there and then (its lookup is
     /// booked as free). `turn` says that, should the read be a plain local
-    /// hit, it is one that is timed. The namespace counts the read once,
-    /// however many passes it takes.
+    /// hit, it is one that is timed. The namespace counts the read, and the
+    /// eviction policy hears of it, once, however many passes it takes.
     ///
     /// Residency can change between the lookup and the pread (an LRU
     /// eviction may delete the cache-tier copy we just resolved). A
@@ -382,10 +382,10 @@ impl Monarch {
         // later iteration serves from the PFS source instead.
         let mut fallback = false;
         let (id, first) = self.metadata.resolve_for_read(file)?;
+        self.engine.note_access(file, id, first.tier);
         let mut first = Some(first);
         loop {
             let info = first.take().unwrap_or_else(|| self.metadata.info(id));
-            self.engine.note_access(file, id, info.tier);
             let t_lookup = entry.map(|_| Instant::now());
             if offset >= info.size {
                 return Ok(None);

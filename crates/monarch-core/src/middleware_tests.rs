@@ -689,6 +689,66 @@ fn transient_read_fault_retries_in_place_and_succeeds() {
 }
 
 #[test]
+fn a_retried_read_touches_the_eviction_policy_once() {
+    use crate::hierarchy::TierId;
+    use crate::policy::{EvictCtx, EvictionPolicy, FirstFitScorer};
+    use std::sync::atomic::AtomicU64;
+    /// Counts `on_access`; evicts nothing.
+    #[derive(Default)]
+    struct CountingEviction(AtomicU64);
+    impl EvictionPolicy for CountingEviction {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn victims(&self, _: TierId, _: u64, _: &EvictCtx<'_>) -> Vec<String> {
+            Vec::new()
+        }
+        fn on_access(&self, _: &str, _: TierId) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let pfs = MemDriver::new("pfs");
+    pfs.insert("f", vec![5u8; 1000]);
+    let flaky = Arc::new(FlakyDriver::new(MemDriver::new("ssd")));
+    let hierarchy = two_tier(
+        Arc::clone(&flaky) as Arc<dyn StorageDriver>,
+        1 << 20,
+        Arc::new(pfs),
+    );
+    let counting = Arc::new(CountingEviction::default());
+    let engine = PolicyEngine::new(
+        Arc::new(AdmitAll),
+        Arc::clone(&counting) as Arc<dyn EvictionPolicy>,
+        Arc::new(FirstFitScorer),
+    );
+    let m = MonarchBuilder::new()
+        .hierarchy(hierarchy)
+        .policy_engine(Arc::new(engine))
+        .pool_threads(1)
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    let mut buf = vec![0u8; 100];
+    m.read("f", 0, &mut buf).unwrap();
+    m.wait_placement_idle();
+    assert_eq!(m.metadata().get("f").unwrap().tier, 0);
+    let before = counting.0.load(Ordering::Relaxed);
+
+    // Three passes over the device, one read: LFU's touch count and the
+    // LRU clock must move once.
+    flaky.script_reads([
+        FlakyOutcome::Transient,
+        FlakyOutcome::Transient,
+        FlakyOutcome::Ok,
+    ]);
+    assert_eq!(m.read("f", 0, &mut buf).unwrap(), 100);
+    assert_eq!(counting.0.load(Ordering::Relaxed) - before, 1);
+    assert_eq!(m.stats().read_retries, 2);
+    assert_eq!(m.metadata().get("f").unwrap().reads, 2);
+    m.shutdown();
+}
+
+#[test]
 fn permanent_read_fault_quarantines_and_serves_from_source() {
     let (m, flaky) = flaky_monarch(1 << 20, 1, 1000);
     let mut buf = vec![0u8; 100];

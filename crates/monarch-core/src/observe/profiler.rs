@@ -18,12 +18,14 @@
 //!
 //! What a read reports comes in two parts. Its **counts** — the ledger's
 //! `reads`, bytes per tier, miss and prefetch tallies — are recorded on
-//! every read and are exact; the access count itself is the namespace
-//! slot's own read counter, not a second one. Its **times** — the ledger's
-//! sums, the file's last-access instant and inter-access gap — are recorded
-//! on *timed* reads only, each standing for `weight` reads (see
-//! [`TimedRead`]): every read that is not a plain local hit, and one local
-//! hit in [`TIMED_HIT_PERIOD`](crate::telemetry::TIMED_HIT_PERIOD).
+//! every read and are exact; the access count and the bytes per tier are
+//! the namespace slot's own counters line, not second copies here, so a
+//! plain hit of a file already seen writes nothing in this slab. Its
+//! **times** — the ledger's sums, the file's last-access instant and
+//! inter-access gap — are recorded on *timed* reads only, each standing for
+//! `weight` reads (see [`TimedRead`]): every read that is not a plain local
+//! hit, and one local hit in
+//! [`TIMED_HIT_PERIOD`](crate::telemetry::TIMED_HIT_PERIOD).
 //!
 //! Alongside the per-file records the profiler keeps the **time-lost
 //! ledger**: monotonic sums of read wall time split by [`ReadClass`],
@@ -223,13 +225,6 @@ impl Record {
     }
 }
 
-/// The records of one chunk of ids, and their bytes-per-tier cells:
-/// `stride` cells a file, its first `tiers` in use.
-struct Chunk {
-    records: Box<[Record]>,
-    bytes: Box<[AtomicU64]>,
-}
-
 /// Indices into [`LedgerAccum::nanos`]; the pread sums follow, one per
 /// [`ReadClass`] in declaration order.
 const WALL: usize = 0;
@@ -331,14 +326,11 @@ impl LedgerSnapshot {
 pub struct AccessProfiler {
     enabled: bool,
     tiers: usize,
-    /// Bytes-per-tier cells a file: `tiers` rounded up to whole cache
-    /// lines, so the cells two files add to sit a line apart.
-    stride: usize,
     max_files: usize,
     /// The namespace whose ids index the records: it names them, and its
-    /// per-file read counter *is* their access count.
+    /// per-file counters line *is* their access count and bytes per tier.
     files: Arc<MetadataContainer>,
-    chunks: [OnceLock<Chunk>; CHUNKS],
+    chunks: [OnceLock<Box<[Record]>>; CHUNKS],
     tracked: AtomicU64,
     untracked_reads: AtomicU64,
     ledger: Striped<LedgerAccum>,
@@ -376,7 +368,6 @@ impl AccessProfiler {
         Self {
             enabled,
             tiers,
-            stride: tiers.next_multiple_of(8),
             max_files,
             files,
             chunks: [const { OnceLock::new() }; CHUNKS],
@@ -392,9 +383,9 @@ impl AccessProfiler {
         self.enabled
     }
 
-    /// The record of `id` and its bytes-per-tier cells, if one exists
-    /// (`touch` creates it, within the bound) and something was recorded.
-    fn cells(&self, id: FileId, touch: bool) -> Option<(&Record, &[AtomicU64])> {
+    /// The record of `id`, if one exists (`touch` creates it, within the
+    /// bound) and something was recorded.
+    fn record_of(&self, id: FileId, touch: bool) -> Option<&Record> {
         let index = id.index();
         if index >= self.max_files {
             return None;
@@ -404,15 +395,12 @@ impl AccessProfiler {
             self.chunks[k].get_or_init(|| {
                 // The last chunk stops at the bound.
                 let len = chunk_len(k).min(self.max_files - (index - offset));
-                Chunk {
-                    records: (0..len).map(|_| Record::default()).collect(),
-                    bytes: (0..len * self.stride).map(|_| AtomicU64::new(0)).collect(),
-                }
+                (0..len).map(|_| Record::default()).collect()
             })
         } else {
             self.chunks[k].get()?
         };
-        let record = &chunk.records[offset];
+        let record = &chunk[offset];
         if record.seen.load(Ordering::Relaxed) == 0 {
             if !touch {
                 return None;
@@ -421,7 +409,7 @@ impl AccessProfiler {
                 self.tracked.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Some((record, &chunk.bytes[offset * self.stride..][..self.tiers]))
+        Some(record)
     }
 
     /// The id `file` is recorded under: its id in the namespace, interned
@@ -463,13 +451,11 @@ impl AccessProfiler {
         if let Some(t) = timed {
             ledger.add(class, t);
         }
-        let Some((record, by_tier)) = id.and_then(|id| self.cells(id, true)) else {
+        let Some((id, record)) = id.and_then(|id| Some((id, self.record_of(id, true)?))) else {
             self.untracked_reads.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        if let Some(cell) = by_tier.get(tier) {
-            cell.fetch_add(bytes, Ordering::Relaxed);
-        }
+        self.files.count_bytes(id, tier, bytes);
         if class != ReadClass::Fast {
             record.demand_misses.fetch_add(1, Ordering::Relaxed);
         }
@@ -522,7 +508,7 @@ impl AccessProfiler {
         if !self.enabled {
             return;
         }
-        if let Some((record, _)) = self.cells(id, true) {
+        if let Some(record) = self.record_of(id, true) {
             record.prefetched_bytes.fetch_add(bytes, Ordering::Relaxed);
             record.staged_us.store(t_us, Ordering::Relaxed);
         }
@@ -540,14 +526,14 @@ impl AccessProfiler {
     /// profiler never saw (or a disabled profiler).
     #[must_use]
     pub fn profile_id(&self, id: FileId) -> Option<FileProfile> {
-        let (record, by_tier) = self.cells(id, false)?;
+        let record = self.record_of(id, false)?;
         let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
         Some(FileProfile {
             accesses: self.files.reads_of(id),
             first_us: load(&record.first_us),
             last_us: load(&record.last_us),
             ewma_gap_us: f64::from_bits(load(&record.ewma_gap_us)),
-            bytes_by_tier: by_tier.iter().map(load).collect(),
+            bytes_by_tier: self.files.bytes_of(id, self.tiers),
             prefetch_hits: load(&record.prefetch_hits),
             demand_misses: load(&record.demand_misses),
             prefetched_bytes: load(&record.prefetched_bytes),
