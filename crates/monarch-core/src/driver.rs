@@ -28,7 +28,10 @@ pub trait StorageDriver: Send + Sync {
     fn name(&self) -> &str;
 
     /// Read up to `buf.len()` bytes at `offset`; returns the bytes read
-    /// (short reads happen at end-of-file only).
+    /// (short reads happen at end-of-file only). `buf` is an output: an
+    /// implementation writes `buf[..n]` before it returns `Ok(n)` and makes
+    /// nothing of what `buf` held — a copy's staging hands it memory that
+    /// nobody has written yet.
     fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize>;
 
     /// Read the entire file.

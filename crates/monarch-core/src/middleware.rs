@@ -10,13 +10,14 @@
 //! Operation flow for a read of file `X` (paper §III-B):
 //!
 //! 1. look `X` up in the metadata container → current tier;
-//! 2. forward the read to that tier's storage driver and return the bytes —
-//!    or, while a copy of `X` is in flight, take them from that copy's
-//!    install staging, so the file crosses the PFS link once;
-//! 3. if `X` has never been considered for placement, hand a demand intent
-//!    to the engine, which atomically wins the `Unplaced → Copying`
+//! 2. if `X` has never been considered for placement, hand a demand intent
+//!    to the engine *first*: it atomically wins the `Unplaced → Copying`
 //!    transition and runs the policy + full-file copy on a pool thread,
-//!    flipping the metadata so subsequent reads are served locally.
+//!    flipping the metadata so subsequent reads are served locally;
+//! 3. forward the read to the tier's storage driver and return the bytes —
+//!    or, while a copy of `X` is in flight (the one step 2 just announced
+//!    included), fetch them into or take them from that copy's install
+//!    staging, so the file crosses the PFS link once.
 //!
 //! Failures in the background path release reserved quota and revert the
 //! metadata, so a crashed copy degrades to "file stays on the PFS".
@@ -36,7 +37,7 @@ use crate::serve::MetricsServer;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::telemetry::{EventKind, TelemetryRegistry, TelemetrySnapshot, TIMED_HIT_PERIOD};
 use crate::trace::{names, FlowPhase, SpanRecord};
-use crate::transfer::{ReadCtx, Sampler, TransferEngine};
+use crate::transfer::{ReadCtx, Sampler, StagedRead, TransferEngine};
 use crate::{Error, Result};
 
 /// Outcome of the startup namespace scan.
@@ -64,8 +65,12 @@ struct ReadAttempt<'a> {
     /// Served by a lower tier than the resident one (quarantine/fallback).
     degraded: bool,
     /// Served through the install staging of the file's in-flight copy,
-    /// which has done the read's accounting.
-    staged: bool,
+    /// which has booked the bytes: what the read fetched there on the
+    /// source tier, what it took from the staging as staged.
+    staged: Option<StagedRead>,
+    /// Flow id of the placement copy this read announced (`0`: it
+    /// announced none, or is not sampled).
+    flow: u64,
     /// A plain local-tier hit: served by the local tier the file lives on.
     hit: bool,
     /// How many reads this one stands for in the time records; 0 for a
@@ -187,7 +192,10 @@ impl Monarch {
                 return Ok(n);
             }
         }
-        let Some(attempt) = self.attempt_read(file, offset, buf, entry, turn)? else {
+        // The read's span id comes first: the placement copy the read may
+        // announce on its way is parented and flow-linked to it.
+        let read_id = if sampled { tr.next_id() } else { 0 };
+        let Some(attempt) = self.attempt_read(file, offset, buf, entry, turn, read_id)? else {
             return Ok(0);
         };
         let ReadAttempt {
@@ -196,6 +204,7 @@ impl Monarch {
             tier,
             degraded,
             staged,
+            flow,
             hit,
             weight,
             n,
@@ -204,36 +213,14 @@ impl Monarch {
         if let (true, Some(hits)) = (hit, hits) {
             hits.fetch_add(1, Ordering::Relaxed);
         }
-        if !staged {
+        if staged.is_none() {
             self.stats.record_read(tier.id, n as u64);
         }
         if degraded {
             self.stats.degraded_read();
         }
-
-        // Allocate the read span id eagerly so the background copy it may
-        // spawn can be parented/flow-linked to it.
-        let read_id = if sampled { tr.next_id() } else { 0 };
-        let mut flow = 0u64;
-        if info.state == PlacementState::Unplaced {
-            // A read from offset 0 hands its bytes to the copy, which then
-            // fetches only what follows them; when it covered the whole
-            // file nothing is fetched again (the paper's optimisation:
-            // flow ③ is skipped). With the full-file-fetch optimisation
-            // disabled, a *partial* read does not trigger any background
-            // fetch — only whole-file reads lead to placement (the §IV-A
-            // ablation).
-            let head = if offset == 0 { &buf[..n] } else { &[] };
-            if self.full_file_fetch || head.len() as u64 == info.size {
-                let candidate = if sampled { tr.next_id() } else { 0 };
-                if self
-                    .engine
-                    .demand(file, info.size, head, ReadCtx::traced(read_id, candidate))
-                {
-                    flow = candidate;
-                }
-            }
-        }
+        // A read that fetched nothing itself was served by the copy.
+        let staged = staged.is_some_and(|s| s.fetched == 0);
         // Clairvoyant bookkeeping: advance the plan cursor past this file,
         // count a hit, upgrade a still-queued prefetch copy to the demand
         // lane, and release more of the plan to the prefetcher.
@@ -354,6 +341,14 @@ impl Monarch {
     /// booked as free). `turn` says that, should the read be a plain local
     /// hit, it is one that is timed. The namespace counts the read, and the
     /// eviction policy hears of it, once, however many passes it takes.
+    /// `read_id` is the read's span id when it is sampled (`0` otherwise).
+    ///
+    /// A pass that finds the file `Unplaced` announces its placement copy
+    /// *before* reading — with the full-file-fetch optimisation disabled,
+    /// only when the read covers the whole file (the §IV-A ablation) — and
+    /// is then served as the first fetch into that copy's staging: its
+    /// bytes are the copy's first bytes, and the worker places, evicts and
+    /// reserves while they are on the link.
     ///
     /// Residency can change between the lookup and the pread (an LRU
     /// eviction may delete the cache-tier copy we just resolved). A
@@ -373,6 +368,7 @@ impl Monarch {
         buf: &mut [u8],
         mut entry: Option<Instant>,
         turn: bool,
+        read_id: u64,
     ) -> Result<Option<ReadAttempt<'_>>> {
         let health = self.hierarchy.health();
         let source_id = self.hierarchy.source_id();
@@ -381,6 +377,10 @@ impl Monarch {
         // Once a pread on the resident tier has failed terminally, every
         // later iteration serves from the PFS source instead.
         let mut fallback = false;
+        // One announce a read: a copy that admission refused is not asked
+        // for again by the passes that follow.
+        let mut announce = true;
+        let mut flow = 0u64;
         let (id, first) = self.metadata.resolve_for_read(file)?;
         self.engine.note_access(file, id, first.tier);
         let mut first = Some(first);
@@ -423,10 +423,10 @@ impl Monarch {
                 None => (None, None),
             };
             let want = buf.len().min((info.size - offset) as usize);
-            // A file whose copy is in flight is read through that copy's
-            // install staging when it covers the range, so the bytes cross
-            // the PFS link once. Whatever the read waits there falls
-            // between the same two instants as a pread.
+            // A file whose copy is in flight — or starts here — is read
+            // through that copy's install staging when it covers the range,
+            // so the bytes cross the PFS link once. Whatever the read waits
+            // there falls between the same two instants as a pread.
             let staged = match info.state {
                 PlacementState::Copying { .. } => {
                     match self.engine.read_staged(file, offset, &mut buf[..want]) {
@@ -437,14 +437,36 @@ impl Monarch {
                         staged => staged,
                     }
                 }
+                PlacementState::Unplaced
+                    if announce && (self.full_file_fetch || want as u64 == info.size) =>
+                {
+                    announce = false;
+                    let tr = self.telemetry.trace();
+                    let candidate = if read_id != 0 { tr.next_id() } else { 0 };
+                    let ctx = ReadCtx::traced(read_id, candidate);
+                    match self
+                        .engine
+                        .demand_read(file, info.size, offset, &mut buf[..want], ctx)
+                    {
+                        (true, staged) => {
+                            flow = candidate;
+                            staged
+                        }
+                        // Somebody else's copy got there first: look again,
+                        // and read through its staging.
+                        (false, _) if self.metadata.info(id).state != info.state => continue,
+                        (false, _) => None,
+                    }
+                }
                 _ => None,
             };
             // The un-instrumented driver: the two instants around this
             // call feed the tier's read-latency histogram here and the
             // stall profile's driver_pread bucket later. Failed preads
-            // are timed too.
+            // are timed too. (A fetch made inside the staging went through
+            // the instrumented driver, which is its histogram sample.)
             let outcome = match staged {
-                Some(n) => Ok(n),
+                Some(_) => Ok(want),
                 None => tier.raw.read_at(file, offset, &mut buf[..want]),
             };
             let t_pread = t_resolve.map(|_| Instant::now());
@@ -475,7 +497,8 @@ impl Monarch {
                         info,
                         tier,
                         degraded,
-                        staged: staged.is_some(),
+                        staged,
+                        flow,
                         hit,
                         weight,
                         n,
@@ -631,7 +654,7 @@ impl Monarch {
             let flow = if traced { tr.next_id() } else { 0 };
             if self
                 .engine
-                .demand(&name, size, &[], ReadCtx::staged(prestage_id, flow))
+                .demand(&name, size, ReadCtx::staged(prestage_id, flow))
             {
                 scheduled += 1;
             }

@@ -61,13 +61,13 @@ pub enum ReadClass {
     /// Served from the PFS with no staging copy in sight — a cold miss.
     PfsCold,
     /// Served from the PFS while a copy of the file was already in
-    /// flight: the copy lanes are behind the read front.
+    /// flight: the copy lanes are behind the read front. The read fetched
+    /// the copy's next range into its install staging itself, or, ahead of
+    /// the copy's frontier, read the source on its own.
     LaneSaturated,
-    /// Served out of the install staging of the file's in-flight copy —
-    /// copied from what the copy had fetched, after waiting for the fetch
-    /// that carried its bytes, or by fetching the copy's next range itself.
-    /// Unlike `LaneSaturated`, the bytes crossed the PFS link once, for
-    /// the copy and the read together.
+    /// Served out of the install staging of the file's in-flight copy
+    /// without reading the PFS: copied from what had been fetched, if need
+    /// be after waiting for the fetch that carried its bytes.
     Staged,
     /// Served from the PFS although the access plan covers the file: the
     /// prefetcher knew, but did not get there in time.

@@ -8,8 +8,12 @@
 //! telemetry and trace emission. The read path keeps only lookup → tier-resolve →
 //! `driver.pread` and hands every movement *intent* to the engine:
 //!
-//! - [`TransferEngine::demand`] — place a file after a foreground miss
-//!   (or pre-stage it), on the lane carried by the request's [`ReadCtx`];
+//! - [`TransferEngine::demand`] — place a file (pre-staging, or any
+//!   caller without a read of its own), on the lane carried by the
+//!   request's [`ReadCtx`];
+//! - [`TransferEngine::demand_read`] — the same on behalf of the read that
+//!   first touches the file, which is then served as the first fetch into
+//!   the copy's install staging;
 //! - [`TransferEngine::read_staged`] — serve a read of a file whose copy
 //!   is in flight from that copy's install staging, so the file crosses
 //!   the PFS link once (see the `staging` module for the protocol);
@@ -24,7 +28,6 @@
 //! and the `dlpipe` discrete-event simulator so both backends run one copy
 //! pipeline rather than two hand-maintained replicas.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -254,6 +257,16 @@ pub struct ReadFeedback {
     pub prefetch_hit: bool,
 }
 
+/// How a read was served through its file's install staging (see
+/// [`TransferEngine::read_staged`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StagedRead {
+    /// Bytes of the range the read fetched from the source itself, at the
+    /// staging's frontier; `0` when it copied all of them out of the
+    /// staging.
+    pub fetched: usize,
+}
+
 // ---------------------------------------------------------------------------
 // TransferEngine
 // ---------------------------------------------------------------------------
@@ -310,11 +323,13 @@ pub struct TransferEngine {
 /// The install staging of every queued or running copy, by file name.
 type Stagings = Arc<Mutex<HashMap<String, Arc<Staging>>>>;
 
-/// A copy job's hold on its file's staging. The staging is registered when
-/// the job is built and unregistered when the job goes away, whichever
-/// way: finished, failed, expired, refused by the pool, withdrawn from the
-/// queue unrun, or unwound by a panic. A job that runs moves the metadata
-/// out of `Copying` before it ends, so its staging outlives that state.
+/// A copy job's hold on its file's staging. The staging is registered in
+/// the step that wins the file's `Copying` state
+/// ([`TransferEngine::begin`]) and unregistered when the job goes away,
+/// whichever way: refused by admission or the pool, finished, failed,
+/// expired, withdrawn from the queue unrun, or unwound by a panic. A job
+/// that runs moves the metadata out of `Copying` before it ends, so its
+/// staging outlives that state.
 struct Lease {
     stagings: Stagings,
     file: String,
@@ -500,26 +515,78 @@ impl TransferEngine {
     /// Hand a placement copy to the pool if this request wins the
     /// `Unplaced → Copying` race. Returns whether a copy was scheduled.
     ///
-    /// `head` is what the caller already holds of the file from offset 0
-    /// (empty when nothing): it becomes the start of the copy's install
-    /// staging, so the copy fetches only what follows it. The [`ReadCtx`]
-    /// carries trace linkage (a `copy_scheduled` span is recorded under
-    /// `ctx.parent` when sampled), the lane to queue on, and an optional
-    /// start deadline.
-    pub fn demand(&self, file: &str, size: u64, head: &[u8], ctx: ReadCtx) -> bool {
-        self.schedule(file, size, Cow::Borrowed(head), ctx)
+    /// The [`ReadCtx`] carries trace linkage (a `copy_scheduled` span is
+    /// recorded under `ctx.parent` when sampled), the lane to queue on,
+    /// and an optional start deadline.
+    pub fn demand(&self, file: &str, size: u64, ctx: ReadCtx) -> bool {
+        self.schedule(file, Arc::new(Staging::empty(size)), ctx)
     }
 
-    /// [`Self::demand`] over bytes the caller borrows or gives away; they
-    /// are taken only once the copy is certain to be queued.
-    fn schedule(&self, file: &str, size: u64, head: Cow<'_, [u8]>, ctx: ReadCtx) -> bool {
+    /// [`Self::demand`] by the read that first touches `file`: announce
+    /// the copy, then serve the read — `buf.len()` bytes at `offset`,
+    /// inside the file — as the first fetch into the copy's staging, the
+    /// way [`Self::read_staged`] serves every later one. Returns whether a
+    /// copy was scheduled, and how the read was served if it was; a read
+    /// that was not (it starts past offset 0, the pool is too far behind
+    /// for reads to fill its copies, or its fetch failed) is left to its
+    /// caller's plain path.
+    ///
+    /// The read holds the staging's frontier before anybody else can see
+    /// the staging, so who fetches the first extent does not hang on how
+    /// fast a worker wakes up; the worker decides the placement, evicts
+    /// and reserves while that fetch is on the link. A read that brings
+    /// the whole file fetches in place whatever the backlog: those bytes
+    /// are all its copy will ever hold.
+    pub fn demand_read(
+        &self,
+        file: &str,
+        size: u64,
+        offset: u64,
+        buf: &mut [u8],
+        ctx: ReadCtx,
+    ) -> (bool, Option<StagedRead>) {
+        let staging = Arc::new(Staging::empty(size));
+        let may_start = buf.len() as u64 == size || self.may_start();
+        let first = if may_start && offset == 0 && !buf.is_empty() {
+            Staged::Frontier(staging.claim_first(buf.len() as u64))
+        } else {
+            Staged::Miss
+        };
+        if !self.schedule(file, Arc::clone(&staging), ctx) {
+            return (false, None);
+        }
+        (true, self.read_through(file, &staging, first, offset, buf))
+    }
+
+    /// Win `Unplaced → Copying` for `file` and register `staging` as its
+    /// install staging, as one step under the registry's lock: a read that
+    /// sees `Copying` finds the staging, however closely it follows the
+    /// transition.
+    fn begin(&self, file: &str, staging: Arc<Staging>) -> Option<Lease> {
+        let mut stagings = self.stagings.lock();
         // The target recorded here is provisional; the policy picks the
         // real destination inside the background task (paper §III-B: the
         // placement handler runs on a pool thread).
-        match self.metadata.begin_copy(file, 0) {
-            Ok(true) => {}
-            _ => return false,
+        if !matches!(self.metadata.begin_copy(file, 0), Ok(true)) {
+            return None;
         }
+        stagings.insert(file.to_string(), Arc::clone(&staging));
+        Some(Lease {
+            stagings: Arc::clone(&self.stagings),
+            file: file.to_string(),
+            staging,
+        })
+    }
+
+    /// [`Self::begin`] a copy of `file` through `staging`, ask admission,
+    /// journal it, and hand it to the pool. `false` when no copy was
+    /// queued: another one holds the file, admission refused, or the pool
+    /// is shutting down.
+    fn schedule(&self, file: &str, staging: Arc<Staging>, ctx: ReadCtx) -> bool {
+        let size = staging.size();
+        let Some(lease) = self.begin(file, staging) else {
+            return false;
+        };
         // The CAS is won; now ask admission whether the copy is worth the
         // bandwidth. A denial is non-terminal: the CAS reverts and a later
         // miss re-asks, so a file can earn admission as its profile warms.
@@ -575,26 +642,14 @@ impl TransferEngine {
                 sched.arg_u64("flow", ctx.flow)
             });
         }
-        let staging = Staging::new(size, head.into_owned());
-        self.submit(file, size, staging, ctx, queued_us)
+        self.submit(lease, ctx, queued_us)
     }
 
-    /// Register `staging` as the install staging of `file` and queue the
-    /// copy that fills and installs it, on `ctx`'s lane and under its flow
-    /// and deadline. The caller holds the file's `Copying` state; a
-    /// refusal (the pool is shutting down) reverts it.
-    fn submit(
-        &self,
-        file: &str,
-        size: u64,
-        staging: Staging,
-        ctx: ReadCtx,
-        queued_us: u64,
-    ) -> bool {
-        let staging = Arc::new(staging);
-        self.stagings
-            .lock()
-            .insert(file.to_string(), Arc::clone(&staging));
+    /// Queue the copy that fills and installs `lease`'s staging, on `ctx`'s
+    /// lane and under its flow and deadline. The lease holds the file in
+    /// `Copying`; a refusal (the pool is shutting down) reverts it.
+    fn submit(&self, lease: Lease, ctx: ReadCtx, queued_us: u64) -> bool {
+        let file = lease.file.clone();
         let job = CopyJob {
             hierarchy: Arc::clone(&self.hierarchy),
             metadata: Arc::clone(&self.metadata),
@@ -608,21 +663,17 @@ impl TransferEngine {
             deadline: ctx.deadline,
             cluster_feed: self.cluster_feed(),
             reservations: Arc::clone(&self.reservations),
-            lease: Lease {
-                stagings: Arc::clone(&self.stagings),
-                file: file.to_string(),
-                staging,
-            },
+            lease,
         };
         let task_ctx = TaskCtx {
-            label: file.to_string(),
+            label: file.clone(),
             flow: ctx.flow,
         };
-        let submitted =
-            self.pool
-                .submit_on(ctx.lane, Some(task_ctx), Box::new(move || job.run(size)));
+        let submitted = self
+            .pool
+            .submit_on(ctx.lane, Some(task_ctx), Box::new(move || job.run()));
         if !submitted {
-            let _ = self.metadata.abort_copy(file, false);
+            let _ = self.metadata.abort_copy(&file, false);
         }
         submitted
     }
@@ -635,8 +686,8 @@ impl TransferEngine {
     /// prefetch. Carries the same deadline/cancellation/trace semantics as
     /// any other copy; a `remote_scheduled` event (with the serving peer)
     /// is journaled beside the usual copy lifecycle. Returns whether an
-    /// install was scheduled (`false`: lost the CAS to a concurrent copy,
-    /// or the pool is shutting down).
+    /// install was scheduled (`false`: the peer's copy is not `size` bytes
+    /// long, a concurrent copy won the CAS, or the pool is shutting down).
     pub fn remote_admit(
         &self,
         file: &str,
@@ -645,11 +696,14 @@ impl TransferEngine {
         peer: u64,
         ctx: ReadCtx,
     ) -> bool {
+        if bytes.len() as u64 != size {
+            return false;
+        }
         let ctx = ReadCtx {
             lane: Lane::Remote,
             ..ctx
         };
-        let scheduled = self.schedule(file, size, Cow::Owned(bytes), ctx);
+        let scheduled = self.schedule(file, Arc::new(Staging::full(bytes)), ctx);
         if scheduled {
             self.telemetry.event(EventKind::RemoteScheduled {
                 file: file.to_string(),
@@ -770,21 +824,44 @@ impl TransferEngine {
     /// frontier the read fetches the part it misses from the source into
     /// the staging itself, so a queued or busy worker never stalls it and
     /// the copy does not fetch those bytes again. Every source read issued
-    /// here is recorded on the source tier; the read is counted as staged
-    /// when it issued none.
+    /// here is recorded on the source tier, and the returned
+    /// [`StagedRead`] says how much of the range this read fetched; what
+    /// it took from the staging is counted as staged.
     ///
     /// Memory stays bounded by the pool, not by how far readers run ahead
     /// of it: a read starts the file-sized buffer of a copy that has not
     /// fetched yet only while the pool's backlog is no deeper than two
     /// copies per worker. Past that it reads the source on its own, as it
     /// did before stagings, and the copy fetches those bytes again.
-    pub fn read_staged(&self, file: &str, offset: u64, buf: &mut [u8]) -> Option<usize> {
+    pub fn read_staged(&self, file: &str, offset: u64, buf: &mut [u8]) -> Option<StagedRead> {
         let staging = self.stagings.lock().get(file).cloned()?;
+        let first = staging.read(offset, buf, self.may_start());
+        self.read_through(file, &staging, first, offset, buf)
+    }
+
+    /// Whether a read may start the buffer of a copy nobody has fetched
+    /// for yet: the pool's backlog — queued and running copies — is no
+    /// deeper than two per worker.
+    fn may_start(&self) -> bool {
+        self.pool.pending() <= 2 * self.pool.threads()
+    }
+
+    /// Carry a read through `staging` from `step`, what its first look at
+    /// the staging made of it: fetch at the frontier as often as it is
+    /// handed one, until the range is served or turns out not to be the
+    /// staging's to serve.
+    fn read_through<'a>(
+        &self,
+        file: &str,
+        staging: &'a Staging,
+        mut step: Staged<'a>,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Option<StagedRead> {
         let source = self.hierarchy.source();
-        let may_grow = self.pool.pending() <= 2 * self.pool.threads();
         let mut fetched = 0;
         loop {
-            match staging.read(offset, buf, may_grow) {
+            match step {
                 Staged::Served => break,
                 Staged::Miss => return None,
                 Staged::Frontier(claim) => {
@@ -797,10 +874,12 @@ impl TransferEngine {
                     fetched += n;
                 }
             }
+            // The fetch above saw to the buffer: nothing is left to start.
+            step = staging.read(offset, buf, false);
         }
         self.stats
             .record_staged(fetched == 0, (buf.len() - fetched) as u64);
-        Some(buf.len())
+        Some(StagedRead { fetched })
     }
 
     /// Submit the access plan for the upcoming epoch. A previously
@@ -1118,10 +1197,7 @@ impl TransferEngine {
         if self.shutting_down.load(Ordering::Acquire) {
             return None;
         }
-        match self.metadata.begin_copy(file, 0) {
-            Ok(true) => {}
-            _ => return None,
-        }
+        let lease = self.begin(file, Arc::new(Staging::empty(size)))?;
         if !self.policy.admit(file, size, DecisionPoint::PrefetchAdmit) {
             self.stats.policy_denial();
             self.journal_policy(
@@ -1172,7 +1248,7 @@ impl TransferEngine {
             );
         }
         let ctx = ReadCtx::staged(0, flow).on_lane(Lane::Prefetch);
-        if !self.submit(file, size, Staging::new(size, Vec::new()), ctx, queued_us) {
+        if !self.submit(lease, ctx, queued_us) {
             return None;
         }
         // Staged speculatively: protect it from eviction until its planned
@@ -1345,9 +1421,10 @@ struct CopyJob {
 
 /// Bytes the copy fetches from the source per claim of its staging. Every
 /// fetch pays the source's per-operation cost once, and a read that needs
-/// bytes inside the claimed range waits for the whole fetch. Measured on
-/// `BENCHMARK.json`'s `cold_epoch` and `warm_seq_256k` (see CHANGES.md,
-/// PR 16): 4 MiB beat 1 MiB on both.
+/// bytes inside the claimed range waits for the whole fetch. When the
+/// constant was chosen (PR 16, see CHANGES.md) 4 MiB beat 1 MiB on
+/// `BENCHMARK.json`'s `cold_epoch` and `warm_seq_256k`; it has not been
+/// measured again since.
 const FETCH_CHUNK: u64 = 4 << 20;
 
 /// Per-copy trace context threaded into `try_place` so the chunk-level
@@ -1371,8 +1448,9 @@ impl CopyJob {
         });
     }
 
-    fn run(&self, size: u64) {
+    fn run(&self) {
         let file = self.lease.file.as_str();
+        let size = self.lease.staging.size();
         if self.shutting_down.load(Ordering::Acquire) {
             let _ = self.metadata.abort_copy(file, false);
             return;
@@ -1715,7 +1793,7 @@ impl CopyJob {
                 0
             };
             dest.driver
-                .write_full(file, &data)
+                .write_full(file, data)
                 .map_err(|e| (decision.tier, e))?;
             self.stats.record_write(decision.tier, data.len() as u64);
             if let Some(ct) = ct {
@@ -2030,7 +2108,7 @@ mod tests {
     /// for its `copy_started` journal event (fired just before the gated
     /// source fetch blocks).
     fn pin_worker(engine: &TransferEngine, file: &str) {
-        assert!(engine.demand(file, 512, &[], ReadCtx::untraced()));
+        assert!(engine.demand(file, 512, ReadCtx::untraced()));
         let started = || {
             engine
                 .telemetry
@@ -2071,7 +2149,7 @@ mod tests {
         // copy; a later demand copy must still run before both.
         assert_eq!(engine.plan(&plan_of(&["f001", "f002"])), 2);
         assert_eq!(engine.queued(Lane::Prefetch), 2);
-        assert!(engine.demand("f003", 512, &[], ReadCtx::untraced()));
+        assert!(engine.demand("f003", 512, ReadCtx::untraced()));
         open_gate(&gate);
         engine.wait_idle();
         assert_eq!(started_order(&engine), vec!["f000", "f003", "f001", "f002"]);
@@ -2168,7 +2246,7 @@ mod tests {
         // Peer-fetched install queues on the remote lane; a later local
         // demand miss still outranks it.
         assert!(engine.remote_admit("f002", 512, vec![2u8; 512], 1, ReadCtx::untraced()));
-        assert!(engine.demand("f003", 512, &[], ReadCtx::untraced()));
+        assert!(engine.demand("f003", 512, ReadCtx::untraced()));
         assert_eq!(engine.queued(Lane::Remote), 1);
         open_gate(&gate);
         engine.wait_idle();
@@ -2260,7 +2338,7 @@ mod tests {
         // Queued behind the pinned worker with an already-expired deadline:
         // by the time a worker dequeues it, the freshness window is gone.
         let expired = Instant::now();
-        assert!(engine.demand("f001", 512, &[], ReadCtx::untraced().with_deadline(expired)));
+        assert!(engine.demand("f001", 512, ReadCtx::untraced().with_deadline(expired)));
         std::thread::sleep(Duration::from_millis(2));
         open_gate(&gate);
         engine.wait_idle();
@@ -2292,21 +2370,23 @@ mod tests {
         let (gated, gate) = GatedDriver::new(staged_pfs(2));
         let mut engine = assemble(Arc::new(gated.only("f000")), 1, PrefetchConfig::disabled());
         pin_worker(&engine, "f000");
-        // Queued behind the pinned worker, holding the 100 bytes the
-        // triggering read brought.
-        assert!(engine.demand("f001", 512, &[1u8; 100], ReadCtx::untraced()));
-        assert_eq!(engine.staging_progress("f001"), Some((100, None)));
+        // Queued behind the pinned worker, holding nothing yet.
+        assert!(engine.demand("f001", 512, ReadCtx::untraced()));
+        assert_eq!(engine.staging_progress("f001"), Some((0, None)));
         let mut buf = [0u8; 512];
-        assert_eq!(engine.read_staged("f001", 20, &mut buf[..80]), Some(80));
+        let served = |fetched| Some(StagedRead { fetched });
+        // The first read is the first fetch; what it brought is served.
+        assert_eq!(engine.read_staged("f001", 0, &mut buf[..100]), served(100));
+        assert_eq!(engine.read_staged("f001", 20, &mut buf[..80]), served(0));
         // Straddling the watermark: 50 bytes from the staging, 150 fetched.
-        assert_eq!(engine.read_staged("f001", 50, &mut buf[..200]), Some(200));
+        assert_eq!(engine.read_staged("f001", 50, &mut buf[..200]), served(150));
         assert_eq!(buf[..200], [1u8; 200]);
         assert_eq!(engine.staging_progress("f001"), Some((250, None)));
         // Beyond the frontier: the plain path's business.
         assert_eq!(engine.read_staged("f001", 300, &mut buf[..10]), None);
         let stats = engine.stats.snapshot();
         assert_eq!((stats.staged_reads, stats.staged_bytes), (1, 130));
-        assert_eq!((stats.tiers[1].reads, stats.tiers[1].bytes_read), (1, 150));
+        assert_eq!((stats.tiers[1].reads, stats.tiers[1].bytes_read), (2, 250));
         open_gate(&gate);
         engine.wait_idle();
         // The copy fetched what was left, and only that.
@@ -2314,7 +2394,7 @@ mod tests {
         assert_eq!(stats.copies_completed, 2);
         assert_eq!(
             (stats.tiers[1].reads, stats.tiers[1].bytes_read),
-            (3, 512 + 150 + 262)
+            (4, 512 + 250 + 262)
         );
         assert_eq!(stats.tiers[0].bytes_written, 1024);
         assert_eq!(engine.staging_progress("f001"), None);
@@ -2325,35 +2405,63 @@ mod tests {
 
     #[test]
     fn reads_do_not_fill_copies_the_pool_is_too_far_behind_to_install() {
-        let (gated, gate) = GatedDriver::new(staged_pfs(4));
+        let (gated, gate) = GatedDriver::new(staged_pfs(6));
         let mut engine = assemble(Arc::new(gated.only("f000")), 1, PrefetchConfig::disabled());
         pin_worker(&engine, "f000");
         let mut buf = [0u8; 512];
+        let served = |fetched| Some(StagedRead { fetched });
         // One copy queued behind the one worker: a read may start filling it.
-        assert!(engine.demand("f001", 512, &[], ReadCtx::untraced()));
-        assert_eq!(engine.read_staged("f001", 0, &mut buf[..100]), Some(100));
+        assert!(engine.demand("f001", 512, ReadCtx::untraced()));
+        assert_eq!(engine.read_staged("f001", 0, &mut buf[..100]), served(100));
         // Two more: the backlog is now deeper than two copies per worker.
         // Reads fill no further copy — each would hold a whole file until
         // the worker got to it — but the one already started goes on.
-        assert!(engine.demand("f002", 512, &[2u8; 64], ReadCtx::untraced()));
-        assert!(engine.demand("f003", 512, &[], ReadCtx::untraced()));
-        assert_eq!(engine.read_staged("f002", 0, &mut buf[..64]), Some(64));
-        assert_eq!(engine.read_staged("f002", 64, &mut buf[..100]), None);
+        assert!(engine.demand("f002", 512, ReadCtx::untraced()));
+        assert!(engine.demand("f003", 512, ReadCtx::untraced()));
+        assert_eq!(engine.read_staged("f002", 0, &mut buf[..64]), None);
         assert_eq!(engine.read_staged("f003", 0, &mut buf[..100]), None);
-        assert_eq!(engine.read_staged("f001", 100, &mut buf[..100]), Some(100));
+        assert_eq!(
+            engine.read_staged("f001", 100, &mut buf[..100]),
+            served(100)
+        );
         assert_eq!(engine.staging_progress("f001"), Some((200, None)));
-        assert_eq!(engine.staging_progress("f002"), Some((64, None)));
+        assert_eq!(engine.staging_progress("f002"), Some((0, None)));
         assert_eq!(engine.staging_progress("f003"), Some((0, None)));
+        // The same holds for the read that announces a copy: part of a
+        // file is left to the plain path, while a whole file — all its
+        // copy will ever hold — is fetched in place, once.
+        let ctx = ReadCtx::untraced();
+        assert_eq!(
+            engine.demand_read("f004", 512, 0, &mut buf[..100], ctx),
+            (true, None)
+        );
+        assert_eq!(engine.staging_progress("f004"), Some((0, None)));
+        assert_eq!(
+            engine.demand_read("f005", 512, 0, &mut buf, ctx),
+            (true, served(512))
+        );
+        assert_eq!(buf, [5u8; 512]);
+        assert_eq!(engine.staging_progress("f005"), Some((512, None)));
+        // Somebody else's copy holds the file: nothing is scheduled.
+        assert_eq!(
+            engine.demand_read("f005", 512, 0, &mut buf, ctx),
+            (false, None)
+        );
         open_gate(&gate);
         engine.wait_idle();
-        assert_eq!(engine.stats.snapshot().copies_completed, 4);
+        let stats = engine.stats.snapshot();
+        assert_eq!(stats.copies_completed, 6);
+        // f001 in three fetches, f005 in the one its read made, the rest
+        // in one each.
+        assert_eq!(stats.tiers[1].reads, 3 + 1 + 4);
+        assert_eq!(stats.tiers[1].bytes_read, 6 * 512);
         engine.drain();
     }
 
     #[test]
     fn evict_returns_resident_file_to_the_source() {
         let mut engine = assemble(Arc::new(staged_pfs(2)), 2, PrefetchConfig::disabled());
-        assert!(engine.demand("f000", 512, &[], ReadCtx::untraced()));
+        assert!(engine.demand("f000", 512, ReadCtx::untraced()));
         engine.wait_idle();
         assert_eq!(engine.metadata.get("f000").unwrap().tier, 0);
         let quota_used = || {
@@ -2389,7 +2497,7 @@ mod tests {
             Err(Error::UnknownFile(_))
         ));
         // ...and a later demand places the file again.
-        assert!(engine.demand("f000", 512, &[], ReadCtx::untraced()));
+        assert!(engine.demand("f000", 512, ReadCtx::untraced()));
         engine.wait_idle();
         assert_eq!(engine.metadata.get("f000").unwrap().tier, 0);
         engine.drain();
@@ -2403,12 +2511,7 @@ mod tests {
         let (gated, gate) = GatedDriver::new(staged_pfs(3));
         let mut engine = assemble(Arc::new(gated), 1, PrefetchConfig::disabled());
         pin_worker(&engine, "f000");
-        assert!(engine.demand(
-            "f001",
-            512,
-            &[],
-            ReadCtx::untraced().on_lane(Lane::Prefetch)
-        ));
+        assert!(engine.demand("f001", 512, ReadCtx::untraced().on_lane(Lane::Prefetch)));
         let opener = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             open_gate(&gate);

@@ -1,5 +1,8 @@
 //! The warm hit path: no heap allocation per read, and correct bytes while
 //! files churn in and out of a real directory tier under eight readers.
+//! And, with the same counting allocator, the miss path's one buffer: a
+//! reader that fills a copy's staging allocates the file-sized buffer and
+//! nothing else of that order.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -8,12 +11,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use monarch_core::config::PolicyKind;
-use monarch_core::driver::{MemDriver, PosixDriver};
+use monarch_core::driver::{open_gate, GatedDriver, MemDriver, PosixDriver};
 use monarch_core::{Monarch, MonarchBuilder, StorageDriver, StorageHierarchy};
 
 thread_local! {
     /// Allocations made by the current thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Those of at least [`LARGE`] bytes.
+    static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A chunk of a file, or more.
+const LARGE: usize = 64 << 10;
+
+fn count(size: usize) {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+    if size >= LARGE {
+        LARGE_ALLOCS.with(|n| n.set(n.get() + 1));
+    }
 }
 
 /// The system allocator, counting calls per thread — per thread so that
@@ -21,11 +36,11 @@ thread_local! {
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// `Cell`, whose access neither allocates nor unwinds.
+// `GlobalAlloc` contract; the counters are const-initialised thread-local
+// `Cell`s, whose access neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's obligations are exactly `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -36,7 +51,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: as for `dealloc`; the caller vouches for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -147,6 +162,61 @@ fn warm_read_over_posix_driver_does_not_allocate() {
     assert_eq!(m.stats().tiers[0].reads, 2 * 3 * FILES as u64, "all hits");
     m.shutdown();
     std::fs::remove_dir_all(root).unwrap();
+}
+
+/// A reader walks a file front to back while the one worker is busy
+/// elsewhere, so every fetch into the copy's staging is the reader's. Of
+/// allocations the size of a chunk or more it makes one: the staging's
+/// buffer, file-sized from its first fetch. (It used to make two — a copy
+/// of the first chunk to hand to the copy, then a zero-filled whole file
+/// to carry that chunk over into.)
+#[test]
+fn filling_a_staging_allocates_one_buffer() {
+    const CHUNK: usize = LARGE;
+    const CHUNKS: usize = 8;
+    let pfs = MemDriver::new("pfs");
+    pfs.insert("pin", vec![0u8; 64]);
+    pfs.insert("walked", vec![7u8; CHUNKS * CHUNK]);
+    let (gated, gate) = GatedDriver::new(pfs);
+    let hierarchy = StorageHierarchy::new(vec![
+        (
+            "fast".into(),
+            Arc::new(MemDriver::new("fast")) as Arc<dyn StorageDriver>,
+            Some(u64::MAX / 2),
+        ),
+        ("pfs".into(), Arc::new(gated.only("pin")), None),
+    ])
+    .unwrap();
+    let m = MonarchBuilder::new()
+        .hierarchy(hierarchy)
+        .pool_threads(1)
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    std::thread::scope(|s| {
+        // Holds `pin`'s frontier at the gate; the worker waits behind it.
+        let pin = s.spawn(|| m.read_full("pin").unwrap());
+        while m.stats().copies_scheduled < 1 {
+            std::thread::yield_now();
+        }
+        let mut buf = vec![0u8; CHUNK];
+        let before = LARGE_ALLOCS.with(Cell::get);
+        for chunk in 0..CHUNKS {
+            let n = m.read("walked", (chunk * CHUNK) as u64, &mut buf).unwrap();
+            assert_eq!(n, CHUNK);
+            assert!(buf.iter().all(|b| *b == 7));
+        }
+        assert_eq!(LARGE_ALLOCS.with(Cell::get) - before, 1);
+        open_gate(&gate);
+        pin.join().unwrap();
+    });
+    m.wait_placement_idle();
+    let stats = m.stats();
+    assert_eq!(stats.copies_completed, 2);
+    // The reader fetched the file, chunk by chunk; the copy, nothing.
+    assert_eq!(stats.tiers[1].reads, 1 + CHUNKS as u64);
+    assert_eq!(stats.tiers[1].bytes_read, (64 + CHUNKS * CHUNK) as u64);
+    m.shutdown();
 }
 
 /// Eight readers over an LRU tier holding half the dataset, while a ninth

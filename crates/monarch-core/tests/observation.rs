@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use monarch_core::config::PolicyKind;
-use monarch_core::driver::MemDriver;
+use monarch_core::driver::{open_gate, GatedDriver, MemDriver};
 use monarch_core::telemetry::TIMED_HIT_PERIOD as N;
 use monarch_core::{
     Monarch, MonarchBuilder, Result, StorageDriver, StorageHierarchy, TelemetryConfig,
@@ -30,7 +30,11 @@ fn pfs(files: usize, size: usize) -> MemDriver {
     pfs
 }
 
-fn builder(fast: Arc<dyn StorageDriver>, capacity: u64, pfs: MemDriver) -> MonarchBuilder {
+fn builder(
+    fast: Arc<dyn StorageDriver>,
+    capacity: u64,
+    pfs: impl StorageDriver + 'static,
+) -> MonarchBuilder {
     let hierarchy = StorageHierarchy::new(vec![
         ("fast".into(), fast, Some(capacity)),
         ("pfs".into(), Arc::new(pfs), None),
@@ -62,10 +66,10 @@ fn stall_sum(snap: &TelemetrySnapshot) -> u64 {
         + s.copy_wait.sum_nanos
 }
 
-/// A fast tier with a device's latency: every read takes `0.2 ms` longer.
-struct Slow(MemDriver);
+/// A tier with a device's latency: every read takes `0.2 ms` longer.
+struct Slow<D>(D);
 
-impl StorageDriver for Slow {
+impl<D: StorageDriver> StorageDriver for Slow<D> {
     fn name(&self) -> &str {
         self.0.name()
     }
@@ -206,6 +210,79 @@ fn every_read_that_is_not_a_local_hit_is_timed() {
     let ledger = snap.observe.expect("profiler on").profiler.ledger;
     assert_eq!(ledger.reads, cold + 3);
     assert!(ledger.pfs_cold_pread_us > 0);
+    m.shutdown();
+}
+
+#[test]
+fn a_read_that_fetches_into_a_staging_is_a_read_of_the_pfs() {
+    // Where the bytes of a read of the PFS land — the caller's buffer, or
+    // the staging of the file's copy first — changes nothing in what the
+    // read reports. Only what a read takes out of a staging without
+    // fetching is counted, and classed, as staged.
+    const SIZE: usize = 64 << 10;
+    // It polls while a thread starts: not beside the wall-clock test.
+    let _cores = CORES.lock().unwrap_or_else(|e| e.into_inner());
+    let (gated, gate) = GatedDriver::new(Slow(pfs(2, SIZE)));
+    let m = builder(
+        Arc::new(MemDriver::new("fast")),
+        u64::MAX / 2,
+        gated.only(&name(0)),
+    )
+    .pool_threads(1)
+    .build()
+    .unwrap();
+    m.init().unwrap();
+    let ledger = |m: &Monarch| {
+        let snap = m.telemetry_snapshot();
+        snap.observe.expect("profiler on").profiler.ledger
+    };
+    let mut buf = vec![0u8; 4096];
+    std::thread::scope(|s| {
+        // The first touch of a file: announced, then fetched in place. This
+        // one stays at the gate with the worker behind it.
+        let held = s.spawn(|| m.read_full(&name(0)).unwrap());
+        while m.stats().copies_scheduled < 1 {
+            std::thread::yield_now();
+        }
+        // And this one is through before its copy gets a worker.
+        assert_eq!(m.read(&name(1), 0, &mut buf).unwrap(), 4096);
+        let stats = m.stats();
+        assert_eq!((stats.tiers[1].reads, stats.tiers[1].bytes_read), (1, 4096));
+        assert_eq!((stats.staged_reads, stats.staged_bytes), (0, 0));
+        assert_eq!(stats.timed_reads, 1);
+        let cold = ledger(&m);
+        assert!(cold.pfs_cold_pread_us >= 200, "{cold:?}");
+        assert_eq!((cold.lane_sat_pread_us, cold.staged_pread_us), (0, 0));
+        // A later read that reaches the frontier fetches there too: a read
+        // of the PFS, of a file whose copy is behind the reader.
+        assert_eq!(m.read(&name(1), 4096, &mut buf).unwrap(), 4096);
+        let stats = m.stats();
+        assert_eq!((stats.tiers[1].reads, stats.tiers[1].bytes_read), (2, 8192));
+        assert_eq!((stats.staged_reads, stats.staged_bytes), (0, 0));
+        let behind = ledger(&m);
+        assert!(behind.lane_sat_pread_us >= 200, "{behind:?}");
+        assert_eq!(behind.pfs_cold_pread_us, cold.pfs_cold_pread_us);
+        assert_eq!(behind.staged_pread_us, 0);
+        // What is in the staging already is served from it.
+        assert_eq!(m.read(&name(1), 2048, &mut buf).unwrap(), 4096);
+        assert!(buf.iter().all(|b| *b == 1));
+        let stats = m.stats();
+        assert_eq!((stats.tiers[1].reads, stats.tiers[1].bytes_read), (2, 8192));
+        assert_eq!((stats.staged_reads, stats.staged_bytes), (1, 4096));
+        assert_eq!(stats.timed_reads, 3);
+        let snap = m.telemetry_snapshot();
+        // One sample a fetch in the tier's histogram, one a read in the
+        // stall profile.
+        assert_eq!(snap.read_latency[1].count, 2);
+        assert_eq!(snap.stall_profile.driver_pread.count, 3);
+        assert_eq!(ledger(&m).reads, 3);
+        open_gate(&gate);
+        assert_eq!(held.join().unwrap(), vec![0u8; SIZE]);
+    });
+    m.wait_placement_idle();
+    let stats = m.stats();
+    assert_eq!(stats.copies_completed, 2);
+    assert_eq!(stats.tiers[1].bytes_read, 2 * SIZE as u64, "each byte once");
     m.shutdown();
 }
 

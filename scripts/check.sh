@@ -65,21 +65,27 @@ run_benchapi() {
 
 # The first epoch crosses the PFS once: a smoke-sized `cold_epoch` of the
 # benchmark must read no more from the PFS than the files it touched (a
-# copy that re-reads what the foreground already fetched shows as 1.37),
-# with every read served and every byte right. Reads the benchmark's
+# copy that re-reads what the foreground already fetched shows as 1.37, one
+# chunk of one file fetched twice as 1.03), with every read served and every
+# byte right. The staging has held 1.000 since it exists; the bound leaves
+# room for rounding only, because a read that announces its copy before it
+# fetches has a new way to break it: taking the plain path for bytes the
+# copy then fetches again. Prints `overhead_ratio` beside it (not gated:
+# two smoke-sized pairs say little about time). Reads the benchmark's
 # result line only.
 run_cold() {
-    echo "==> benchmark cold_epoch smoke: pfs_amplification <= 1.05"
+    echo "==> benchmark cold_epoch smoke: pfs_amplification <= 1.001"
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload cold_epoch --seed 7 --seconds 1 --smoke --trace 0 \
         | tail -n 1 | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
 amp = r["metrics"]["pfs_amplification"]["value"]
+ratio = r["metrics"]["overhead_ratio"]["value"]
 assert r["correct"] is True, "cold smoke: wrong bytes"
 assert r["failed"] == 0, "cold smoke: %d reads failed" % r["failed"]
-assert amp <= 1.05, "cold smoke: pfs_amplification %.3f > 1.05" % amp
-print("cold_epoch smoke: pfs_amplification %.3f" % amp)
+assert amp <= 1.001, "cold smoke: pfs_amplification %.3f > 1.001" % amp
+print("cold_epoch smoke: pfs_amplification %.3f, overhead_ratio %.3f" % (amp, ratio))
 '
 }
 
