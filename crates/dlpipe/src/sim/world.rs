@@ -2,25 +2,27 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Duration;
 
 use monarch_core::config::TelemetryConfig;
 use monarch_core::driver::MemDriver;
 use monarch_core::hash::{FxHashMap, FxHashSet};
 use monarch_core::health::{ErrorClass, TierState};
 use monarch_core::hierarchy::StorageHierarchy;
-use monarch_core::metadata::{MetadataContainer, PlacementState};
+use monarch_core::lifecycle::{Lifecycle, Unplaced};
+use monarch_core::metadata::PlacementState;
 use monarch_core::observe::{
     LedgerBuckets, LedgerSnapshot, ObserveReport, ReadClass, ReadTiming, ResidencyEventKind,
     TransitionCause,
 };
-use monarch_core::policy::{DecisionPoint, FeatureSource, PolicyEngine};
+use monarch_core::policy::{FeatureSource, PolicyEngine};
 use monarch_core::pool::Lane;
 use monarch_core::stats::Stats;
 use monarch_core::telemetry::{
     EventKind, PipelineSample, PrefetchSample, TelemetryRegistry, ThroughputSampler,
 };
 use monarch_core::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
-use monarch_core::{LaneQueues, StorageDriver};
+use monarch_core::{Error, LaneQueues, StorageDriver};
 use simfs::clock::SimTime;
 use simfs::fault::FaultPlan;
 use simfs::interference::Interference;
@@ -113,11 +115,14 @@ enum ModeTag {
 
 /// MONARCH state inside the simulation — built from the *real*
 /// `monarch-core` components (metadata container, hierarchy quotas,
-/// composed policy engine), with the copy pool modelled as K servers.
+/// composed policy engine, and the [`Lifecycle`] that books what becomes
+/// of a copy), with the copy pool modelled as K servers.
 struct MonarchSim {
-    meta: MetadataContainer,
-    hierarchy: StorageHierarchy,
-    policy: Arc<PolicyEngine>,
+    /// The books the real engine keeps — and, through them, the namespace,
+    /// hierarchy, policy engine and telemetry registry (fed with *virtual*
+    /// timestamps; same event schema and histogram types as the real
+    /// middleware) — called here under virtual time.
+    book: Lifecycle,
     /// Tier id → device index.
     tier_dev: Vec<usize>,
     /// Shard ids awaiting a copy worker, on the same two-lane discipline
@@ -167,11 +172,6 @@ struct MonarchSim {
     prestage: bool,
     /// Chunk-cache mode (full_fetch = false): bytes written per shard.
     chunk_written: FxHashMap<usize, u64>,
-    /// Placement skips (no tier had room).
-    skips: u64,
-    /// Telemetry registry fed with *virtual* timestamps; shares the event
-    /// schema and histogram types with the real middleware.
-    telemetry: Arc<TelemetryRegistry>,
     /// Virtual enqueue instant per queued shard (queue-wait histogram).
     copy_enqueued: FxHashMap<usize, SimTime>,
     /// Virtual dispatch instant per in-flight copy (duration histogram).
@@ -413,16 +413,17 @@ impl World {
                         tr.set_track_name(SIM_COPY_TRACK0 + w as u64, format!("sim-copy-{w}"));
                     }
                 }
-                let hierarchy = StorageHierarchy::new(levels).expect("valid sim hierarchy");
+                let hierarchy =
+                    Arc::new(StorageHierarchy::new(levels).expect("valid sim hierarchy"));
                 let policy = Arc::new(PolicyEngine::from_kind(cfg.policy, cfg.admission));
                 // Reuse-aware admission and the learned scorer read the
                 // sim's access profiler through the same bridge the real
                 // engine uses.
                 policy.bind_features(Arc::clone(&telemetry) as Arc<dyn FeatureSource>);
                 let ms = MonarchSim {
-                    meta: MetadataContainer::default(),
-                    hierarchy,
-                    policy,
+                    // As in the real instance, the policy engine's
+                    // namespace is the instance's.
+                    book: Lifecycle::new(hierarchy, policy, telemetry),
                     tier_dev,
                     lanes: LaneQueues::new(),
                     prefetch_lookahead: cfg.prefetch_lookahead,
@@ -442,8 +443,6 @@ impl World {
                     full_fetch: cfg.full_file_fetch,
                     prestage: cfg.prestage,
                     chunk_written: FxHashMap::default(),
-                    skips: 0,
-                    telemetry,
                     copy_enqueued: FxHashMap::default(),
                     copy_started: FxHashMap::default(),
                     copy_flow: FxHashMap::default(),
@@ -549,8 +548,11 @@ impl World {
             let mut done = SimTime::ZERO;
             for (i, shard) in self.geom.shards.iter().enumerate() {
                 done = self.mds.submit(done, &mut self.rng);
-                ms.meta
-                    .register(&self.shard_names[i], shard.bytes, ms.tier_dev.len() - 1);
+                ms.book.metadata().register(
+                    &self.shard_names[i],
+                    shard.bytes,
+                    ms.tier_dev.len() - 1,
+                );
             }
             self.metadata_init_seconds = done.as_secs_f64();
             if ms.prestage {
@@ -632,8 +634,9 @@ impl World {
 
         let device_names: Vec<String> = self.devs.iter().map(|d| d.spec.name.clone()).collect();
         let telemetry = self.monarch.as_ref().map(|ms| {
-            ms.telemetry
-                .snapshot(ms.hierarchy.health(), &ms.policy, None)
+            ms.book
+                .telemetry()
+                .snapshot(ms.book.hierarchy().health(), ms.book.policy(), None)
         });
         // Per-window throughput ledger from the edge marks; a window the
         // run ended inside closes at the run's final instant.
@@ -681,7 +684,7 @@ impl World {
             prestage_seconds: self.prestage_seconds,
             telemetry,
             trace_json: self.monarch.as_ref().and_then(|ms| {
-                let tr = ms.telemetry.trace();
+                let tr = ms.book.telemetry().trace();
                 tr.is_enabled().then(|| tr.export_chrome_json())
             }),
             observe,
@@ -705,7 +708,8 @@ impl World {
                 .prefetch_issued
                 .keys()
                 .filter(|&&shard| {
-                    ms.meta
+                    ms.book
+                        .metadata()
                         .get(&self.shard_names[shard])
                         .is_some_and(|f| matches!(f.state, PlacementState::Copying { .. }))
                 })
@@ -718,9 +722,9 @@ impl World {
                 lag_entries: ms.plan_issued.saturating_sub(ms.plan_cursor) as u64,
             }
         });
-        ms.telemetry.publish_gauges(
-            &ms.hierarchy,
-            &ms.meta,
+        ms.book.telemetry().publish_gauges(
+            ms.book.hierarchy(),
+            ms.book.metadata(),
             &PipelineSample {
                 queued: PipelineSample::queued_by(|lane| ms.lanes.queued(lane)),
                 running: ms.pool_threads.saturating_sub(ms.idle_workers),
@@ -792,24 +796,12 @@ impl World {
                 self.prestage_started = now;
                 self.prestaging = true;
                 let ms = self.monarch.as_mut().expect("prestage implies monarch");
-                let source = ms.tier_dev.len() - 1;
-                let tr = Arc::clone(ms.telemetry.trace());
+                let tr = Arc::clone(ms.book.telemetry().trace());
                 for i in 0..self.geom.num_shards() {
-                    if ms
-                        .meta
-                        .begin_copy(&self.shard_names[i], source)
-                        .unwrap_or(false)
-                    {
+                    let (name, bytes) = (&self.shard_names[i], self.geom.shards[i].bytes);
+                    if ms.book.scheduled(vmicros(now), name, bytes, Lane::Demand) {
                         ms.lanes.push(Lane::Demand, i);
                         ms.copy_enqueued.insert(i, now);
-                        ms.telemetry.stats().copy_scheduled();
-                        ms.telemetry.event_at(
-                            vmicros(now),
-                            EventKind::CopyScheduled {
-                                file: self.shard_names[i].clone(),
-                                bytes: self.geom.shards[i].bytes,
-                            },
-                        );
                         if tr.is_enabled() {
                             // No foreground read exists, so the schedule
                             // span itself carries the flow start (like the
@@ -826,8 +818,8 @@ impl World {
                                 )
                                 .with_id(tr.next_id())
                                 .with_flow(flow, FlowPhase::Start)
-                                .arg_str("file", self.shard_names[i].clone())
-                                .arg_u64("bytes", self.geom.shards[i].bytes),
+                                .arg_str("file", name.clone())
+                                .arg_u64("bytes", bytes),
                             );
                         }
                     }
@@ -900,29 +892,26 @@ impl World {
         // Clairvoyant mode: the shuffled order *is* the epoch's access
         // plan — hand it to the prefetcher before the readers start.
         if let Some(ms) = self.monarch.as_mut() {
-            ms.epoch_ledger = ms.telemetry.observe().profiler().ledger();
+            ms.epoch_ledger = ms.book.telemetry().observe().profiler().ledger();
             if ms.prefetch_lookahead > 0 {
                 // Hand the epoch's read order to the policy engine: the
                 // clairvoyant eviction ranks by next use, and the plan
                 // boundary clears last epoch's staged-but-unread pins.
                 let names: Vec<String> =
                     order.iter().map(|&s| self.shard_names[s].clone()).collect();
-                ms.policy.set_plan(&names);
+                ms.book.policy().set_plan(&names);
                 ms.plan_pos = order.iter().enumerate().map(|(i, &s)| (s, i)).collect();
                 ms.plan = order;
                 ms.plan_cursor = 0;
                 ms.plan_issued = 0;
-                let source = ms.tier_dev.len() - 1;
                 for shard in ms.lanes.drain_prefetch() {
-                    // A plan boundary withdraws still-queued prefetches;
-                    // the timeline records the cancellation like the real
-                    // engine's `plan()` does.
-                    ms.telemetry.observe().timeline().record_at(
+                    // A plan boundary withdraws still-queued prefetches,
+                    // like the real engine's `plan()` does.
+                    ms.book.unplaced(
                         vmicros(now),
                         &self.shard_names[shard],
-                        source,
-                        ResidencyEventKind::Canceled,
-                        TransitionCause::Plan,
+                        None,
+                        Unplaced::Canceled(TransitionCause::Plan),
                     );
                 }
                 ms.prefetch_issued.clear();
@@ -950,7 +939,7 @@ impl World {
         // Attribute this epoch's wall from the ledger delta since the
         // epoch began; the reader count is the fold-down concurrency.
         let observe = self.monarch.as_ref().and_then(|ms| {
-            let p = ms.telemetry.observe().profiler();
+            let p = ms.book.telemetry().observe().profiler();
             p.is_enabled().then(|| {
                 let delta = p.ledger().delta(&ms.epoch_ledger);
                 LedgerBuckets::from_ledger(&delta, seconds, self.readers.len())
@@ -1025,8 +1014,12 @@ impl World {
             ModeTag::Monarch => {
                 let name = &self.shard_names[shard];
                 let ms = self.monarch.as_mut().expect("monarch state");
-                let info = ms.meta.lookup_for_read(name).expect("shard registered");
-                ms.policy.on_access(name, info.tier);
+                let info = ms
+                    .book
+                    .metadata()
+                    .lookup_for_read(name)
+                    .expect("shard registered");
+                ms.book.policy().on_access(name, info.tier);
                 // Fault-aware serving, mirroring the real read path: a
                 // failing fast-tier read records against the tier's
                 // breaker and falls back to the PFS; a quarantined tier
@@ -1046,13 +1039,13 @@ impl World {
                         }
                         None => false,
                     };
-                    let health = ms.hierarchy.health();
+                    let health = ms.book.hierarchy().health();
                     let tier_health = health.tier(info.tier);
                     if tier_health.is_quarantined() {
                         if tier_health.probe_permit(t_us) {
                             let cfg = health.config();
                             tier_health.probe_result(!faulted, &cfg, t_us);
-                            ms.telemetry.event_at(
+                            ms.book.telemetry().event_at(
                                 t_us,
                                 EventKind::TierProbed {
                                     tier: info.tier,
@@ -1062,8 +1055,9 @@ impl World {
                             if faulted {
                                 serve_tier = source_tier;
                             } else {
-                                ms.telemetry.stats().tier_recovery();
-                                ms.telemetry
+                                ms.book.telemetry().stats().tier_recovery();
+                                ms.book
+                                    .telemetry()
                                     .event_at(t_us, EventKind::TierRecovered { tier: info.tier });
                             }
                         } else {
@@ -1071,12 +1065,12 @@ impl World {
                         }
                     } else if faulted {
                         let cfg = health.config();
-                        ms.telemetry.stats().read_retry();
+                        ms.book.telemetry().stats().read_retry();
                         let (state, transitioned) =
                             tier_health.record_error(ErrorClass::Transient, &cfg, t_us);
                         if transitioned && state == TierState::Quarantined {
-                            ms.telemetry.stats().tier_quarantine();
-                            ms.telemetry.event_at(
+                            ms.book.telemetry().stats().tier_quarantine();
+                            ms.book.telemetry().event_at(
                                 t_us,
                                 EventKind::TierQuarantined {
                                     tier: info.tier,
@@ -1089,7 +1083,7 @@ impl World {
                         tier_health.record_success(&health.config(), t_us);
                     }
                     if serve_tier != info.tier {
-                        ms.telemetry.stats().degraded_read();
+                        ms.book.telemetry().stats().degraded_read();
                     }
                 }
                 let dev = ms.tier_dev[serve_tier];
@@ -1098,12 +1092,12 @@ impl World {
                 // — one copy, higher priority, no duplicate.
                 let mut promoted = false;
                 if ms.prefetch_lookahead > 0 && ms.lanes.promote_where(|&s| s == shard) {
-                    ms.telemetry.stats().prefetch_promote();
-                    ms.telemetry.event_at(
+                    ms.book.telemetry().stats().prefetch_promote();
+                    ms.book.telemetry().event_at(
                         vmicros(now),
                         EventKind::PrefetchPromoted { file: name.clone() },
                     );
-                    ms.telemetry.observe().timeline().record_at(
+                    ms.book.telemetry().observe().timeline().record_at(
                         vmicros(now),
                         name,
                         info.tier,
@@ -1112,106 +1106,52 @@ impl World {
                     );
                     promoted = true;
                 }
-                if info.state == PlacementState::Unplaced {
-                    let bytes = self.geom.shards[shard].bytes;
+                let bytes = self.geom.shards[shard].bytes;
+                if info.state == PlacementState::Unplaced
+                    && ms.book.scheduled(vmicros(now), name, bytes, Lane::Demand)
+                {
                     if ms.full_fetch {
-                        if Self::begin_admitted_copy(
-                            ms,
-                            now,
-                            name,
-                            bytes,
-                            DecisionPoint::DemandAdmit,
-                        ) {
-                            ms.lanes.push(Lane::Demand, shard);
-                            ms.copy_enqueued.insert(shard, now);
-                            ms.telemetry.stats().copy_scheduled();
-                            ms.telemetry.event_at(
-                                vmicros(now),
-                                EventKind::CopyScheduled {
-                                    file: name.clone(),
-                                    bytes: self.geom.shards[shard].bytes,
-                                },
+                        ms.lanes.push(Lane::Demand, shard);
+                        ms.copy_enqueued.insert(shard, now);
+                        let tr = Arc::clone(ms.book.telemetry().trace());
+                        if tr.is_enabled() {
+                            // The flow start rides on the first traced
+                            // PFS-served `driver_pread` of this shard,
+                            // mirroring the real read path.
+                            let flow = tr.next_id();
+                            ms.copy_flow.insert(shard, flow);
+                            ms.flow_start_pending.insert(shard, flow);
+                            tr.record(
+                                SpanRecord::new(
+                                    names::COPY_SCHEDULED,
+                                    "copy",
+                                    SIM_READER_TRACK0 + r as u64,
+                                    vmicros(now),
+                                    0,
+                                )
+                                .with_id(tr.next_id())
+                                .arg_u64("flow", flow)
+                                .arg_str("file", name.clone())
+                                .arg_u64("bytes", bytes),
                             );
-                            let tr = Arc::clone(ms.telemetry.trace());
-                            if tr.is_enabled() {
-                                // The flow start rides on the first traced
-                                // PFS-served `driver_pread` of this shard,
-                                // mirroring the real read path.
-                                let flow = tr.next_id();
-                                ms.copy_flow.insert(shard, flow);
-                                ms.flow_start_pending.insert(shard, flow);
-                                tr.record(
-                                    SpanRecord::new(
-                                        names::COPY_SCHEDULED,
-                                        "copy",
-                                        SIM_READER_TRACK0 + r as u64,
-                                        vmicros(now),
-                                        0,
-                                    )
-                                    .with_id(tr.next_id())
-                                    .arg_u64("flow", flow)
-                                    .arg_str("file", name.clone())
-                                    .arg_u64("bytes", self.geom.shards[shard].bytes),
-                                );
-                            }
-                            self.dispatch_copy_workers(now);
                         }
+                        self.dispatch_copy_workers(now);
                     } else {
                         // Ablation: chunk-granular caching. Reserve quota
                         // once per shard; spill each chunk as it is read.
-                        if Self::begin_admitted_copy(
-                            ms,
-                            now,
-                            name,
-                            bytes,
-                            DecisionPoint::DemandAdmit,
-                        ) {
-                            let size = bytes;
-                            ms.telemetry.stats().copy_scheduled();
-                            ms.telemetry.event_at(
-                                vmicros(now),
-                                EventKind::CopyScheduled {
-                                    file: name.clone(),
-                                    bytes: size,
-                                },
-                            );
-                            // The chunk-spill path cannot execute victim
-                            // evictions mid-read, so only an already-
-                            // reserved (evict-free) decision proceeds.
-                            match ms.policy.place(&ms.hierarchy, name, size) {
-                                Ok(Some(d)) if d.evict.is_empty() => {
-                                    let (used, capacity) = ms
-                                        .hierarchy
-                                        .tier(d.tier)
-                                        .ok()
-                                        .and_then(|t| t.quota.as_ref())
-                                        .map(|q| (q.used(), q.capacity()))
-                                        .unwrap_or((0, 0));
-                                    ms.telemetry.event_at(
-                                        vmicros(now),
-                                        EventKind::PlacementDecided {
-                                            file: name.clone(),
-                                            tier: d.tier,
-                                            used,
-                                            capacity,
-                                        },
-                                    );
-                                    ms.copy_target.insert(shard, d.tier);
-                                    ms.chunk_written.insert(shard, 0);
-                                }
-                                _ => {
-                                    ms.skips += 1;
-                                    ms.telemetry.stats().placement_skip();
-                                    ms.telemetry.event_at(
-                                        vmicros(now),
-                                        EventKind::PlacementSkipped {
-                                            file: name.clone(),
-                                            reason: "no local tier had room".into(),
-                                        },
-                                    );
-                                    let _ = ms.meta.abort_copy(name, true);
-                                }
+                        // The chunk-spill path cannot execute victim
+                        // evictions mid-read, so only an already-reserved
+                        // (evict-free) decision proceeds.
+                        let at = vmicros(now);
+                        match ms.book.policy().place(ms.book.hierarchy(), name, bytes) {
+                            Ok(Some(d))
+                                if d.evict.is_empty()
+                                    && ms.book.make_room(at, name, bytes, &d, |_| Ok(())) =>
+                            {
+                                ms.copy_target.insert(shard, d.tier);
+                                ms.chunk_written.insert(shard, 0);
                             }
+                            _ => ms.book.unplaced(at, name, None, Unplaced::NoRoom),
                         }
                     }
                 }
@@ -1304,9 +1244,9 @@ impl World {
         let mut traced = false;
         if let Some(ms) = self.monarch.as_ref() {
             if let Some(tier) = ms.tier_dev.iter().position(|&d| d == dev) {
-                ms.telemetry.stats().record_read(tier, len);
+                ms.book.telemetry().stats().record_read(tier, len);
             }
-            traced = ms.telemetry.trace().sample_read();
+            traced = ms.book.telemetry().trace().sample_read();
         }
         let latency = self.sample_latency(dev);
         let sync_cap = self.devs[dev].spec.sync_stream_cap;
@@ -1363,7 +1303,7 @@ impl World {
         let Some(ms) = self.monarch.as_mut() else {
             return;
         };
-        let tr = Arc::clone(ms.telemetry.trace());
+        let tr = Arc::clone(ms.book.telemetry().trace());
         if !tr.is_enabled() {
             return;
         }
@@ -1377,7 +1317,8 @@ impl World {
             .position(|&d| d == dev)
             .unwrap_or(ms.tier_dev.len() - 1);
         let tier_name = ms
-            .hierarchy
+            .book
+            .hierarchy()
             .tier(tier)
             .map(|t| t.name.clone())
             .unwrap_or_default();
@@ -1413,11 +1354,9 @@ impl World {
     }
 
     /// Feed one completed chunk read to the access profiler, classified
-    /// the way the real read path classifies: a local-tier serve is
-    /// `Fast`; a PFS serve is `PrefetchLag` when the epoch plan covers
-    /// the shard, `LaneSaturated` when its copy is already in flight,
-    /// and `PfsCold` otherwise. Virtual lookups are instantaneous, so
-    /// the whole device time is pread time.
+    /// by the function the real read path classifies with
+    /// ([`ReadClass::of`]). Virtual lookups are instantaneous, so the
+    /// whole device time is pread time.
     fn profile_chunk_read(
         &mut self,
         now: SimTime,
@@ -1426,40 +1365,29 @@ impl World {
         issued: SimTime,
         bytes: u64,
     ) {
-        let lustre = self.lustre;
+        let on_source = dev == self.lustre;
         let Some(ms) = self.monarch.as_ref() else {
             return;
         };
-        let profiler = ms.telemetry.observe().profiler();
+        let profiler = ms.book.telemetry().observe().profiler();
         if !profiler.is_enabled() {
             return;
         }
         let name = &self.shard_names[shard];
-        let tier = ms
-            .tier_dev
-            .iter()
-            .position(|&d| d == dev)
-            .unwrap_or(ms.tier_dev.len() - 1);
-        let class = if dev != lustre {
-            ReadClass::Fast
-        } else if matches!(
-            ms.meta.get(name),
-            Some(info) if info.tier != ms.tier_dev.len() - 1
-                && info.state == PlacementState::Placed
-        ) {
+        let source = ms.tier_dev.len() - 1;
+        let tier = ms.tier_dev.iter().position(|&d| d == dev).unwrap_or(source);
+        let state = ms.book.metadata().get(name).map(|i| (i.tier, i.state));
+        let class = ReadClass::of(
             // Resident on a local tier but served from the PFS: the tier
             // is quarantined (or failing) and the read fell back.
-            ReadClass::DegradedFallback
-        } else if ms.prefetch_lookahead > 0 && ms.plan_pos.contains_key(&shard) {
-            ReadClass::PrefetchLag
-        } else if matches!(
-            ms.meta.get(name),
-            Some(info) if matches!(info.state, PlacementState::Copying { .. })
-        ) {
-            ReadClass::LaneSaturated
-        } else {
-            ReadClass::PfsCold
-        };
+            on_source && state.is_some_and(|(at, s)| at != source && s == PlacementState::Placed),
+            on_source,
+            // Reads served out of a copy's buffer are profiled where they
+            // are served (`serve_from_buffer`), not here.
+            false,
+            ms.prefetch_lookahead > 0 && ms.plan_pos.contains_key(&shard),
+            matches!(state, Some((_, PlacementState::Copying { .. }))),
+        );
         let d = vmicros(now - issued);
         profiler.record_read(
             name,
@@ -1554,9 +1482,9 @@ impl World {
                 let tier = *ms.copy_target.get(&shard).expect("copy target recorded");
                 ms.idle_workers += 1;
                 ms.pending_copy_writes += 1;
-                let tr = Arc::clone(ms.telemetry.trace());
+                let tr = Arc::clone(ms.book.telemetry().trace());
                 let fetch_started = ms.copy_started.get(&shard).copied().unwrap_or(now);
-                let src_name = ms.hierarchy.source().name.clone();
+                let src_name = ms.book.hierarchy().source().name.clone();
                 if let Some(ct) = ms.copy_trace.get_mut(&shard) {
                     if tr.is_enabled() {
                         tr.record(
@@ -1601,18 +1529,22 @@ impl World {
                         // The staged bytes are servable from here on:
                         // this is the instant the waste detector compares
                         // later reads against.
-                        ms.telemetry.observe().profiler().record_prefetch_staged(
-                            &self.shard_names[shard],
-                            self.geom.shards[shard].bytes,
-                            vmicros(now),
-                        );
+                        ms.book
+                            .telemetry()
+                            .observe()
+                            .profiler()
+                            .record_prefetch_staged(
+                                &self.shard_names[shard],
+                                self.geom.shards[shard].bytes,
+                                vmicros(now),
+                            );
                     }
                     ms.waiting_readers.remove(&shard).unwrap_or_default()
                 };
                 if !released.is_empty() {
                     let ms = self.monarch.as_mut().expect("monarch");
                     if ms.prefetch_issued.contains_key(&shard) {
-                        ms.telemetry.stats().prefetch_hit();
+                        ms.book.telemetry().stats().prefetch_hit();
                     }
                     for &r in &released {
                         self.readers[r].inflight = false;
@@ -1652,45 +1584,24 @@ impl World {
                 // Write-back drained: the copy buffer is gone; later reads
                 // of this shard go through the tier device as normal.
                 ms.buffer_ready.remove(&shard);
-                ms.meta.finish_copy(&name, tier).expect("finish copy");
-                ms.policy.on_placed(&name, size, tier);
                 ms.pending_copy_writes -= 1;
-                ms.telemetry.stats().copy_completed();
-                ms.telemetry.stats().record_write(tier, size);
-                ms.telemetry.observe().timeline().record_at(
-                    vmicros(now),
-                    &name,
-                    tier,
-                    ResidencyEventKind::Admitted,
-                    if ms.prefetch_issued.contains_key(&shard) {
-                        TransitionCause::Plan
-                    } else {
-                        TransitionCause::Demand
-                    },
-                );
+                ms.book.telemetry().stats().record_write(tier, size);
                 let started = ms.copy_started.remove(&shard);
-                let micros = match started {
-                    Some(at) => {
-                        let d = now - at;
-                        ms.telemetry.copy_duration().record(vnanos(d));
-                        vmicros(d)
-                    }
-                    None => 0,
+                let lane = if ms.prefetch_issued.contains_key(&shard) {
+                    Lane::Prefetch
+                } else {
+                    Lane::Demand
                 };
-                ms.telemetry.event_at(
-                    vmicros(now),
-                    EventKind::CopyCompleted {
-                        file: name.clone(),
-                        tier,
-                        bytes: size,
-                        micros,
-                    },
-                );
+                let took = started.map(|at| Duration::from_nanos(vnanos(now - at)));
+                ms.book
+                    .placed(vmicros(now), &name, size, tier, lane, took)
+                    .expect("finish copy");
                 if let Some(ct) = ms.copy_trace.remove(&shard) {
-                    let tr = Arc::clone(ms.telemetry.trace());
+                    let tr = Arc::clone(ms.book.telemetry().trace());
                     if tr.is_enabled() {
                         let dst = ms
-                            .hierarchy
+                            .book
+                            .hierarchy()
                             .tier(tier)
                             .map(|t| t.name.clone())
                             .unwrap_or_default();
@@ -1765,25 +1676,10 @@ impl World {
                             let tier = *ms.copy_target.get(&shard).expect("target");
                             ms.copy_target.remove(&shard);
                             ms.chunk_written.remove(&shard);
-                            ms.meta.finish_copy(&name, tier).expect("finish");
-                            ms.telemetry.stats().copy_completed();
-                            ms.telemetry.stats().record_write(tier, total);
-                            ms.telemetry.observe().timeline().record_at(
-                                vmicros(now),
-                                &name,
-                                tier,
-                                ResidencyEventKind::Admitted,
-                                TransitionCause::Demand,
-                            );
-                            ms.telemetry.event_at(
-                                vmicros(now),
-                                EventKind::CopyCompleted {
-                                    file: name.clone(),
-                                    tier,
-                                    bytes: total,
-                                    micros: 0,
-                                },
-                            );
+                            ms.book.telemetry().stats().record_write(tier, total);
+                            ms.book
+                                .placed(vmicros(now), &name, total, tier, Lane::Demand, None)
+                                .expect("finish");
                         }
                     }
                 }
@@ -1798,9 +1694,9 @@ impl World {
     }
 
     /// Abort an in-flight placement write whose destination device failed
-    /// under the fault plan: release the capacity reservation, feed the
-    /// tier's breaker, journal a `CopyRequeued`, and leave the shard
-    /// `Unplaced` so a post-recovery read re-admits it.
+    /// under the fault plan: feed the tier's breaker, then book the copy
+    /// as un-placed — its reservation is released and the shard left
+    /// `Unplaced`, so a post-recovery read re-admits it.
     fn fail_copy_write(
         &mut self,
         now: SimTime,
@@ -1818,17 +1714,12 @@ impl World {
             ms.copy_started.remove(&shard);
             ms.copy_trace.remove(&shard);
             ms.prefetch_issued.remove(&shard);
-            ms.policy.unpin(name);
-            if let Some(quota) = ms.hierarchy.tier(tier).ok().and_then(|t| t.quota.as_ref()) {
-                quota.release(size);
-            }
-            let _ = ms.meta.abort_copy(name, false);
-            let health = ms.hierarchy.health();
+            let health = ms.book.hierarchy().health();
             let cfg = health.config();
             let (state, transitioned) = health.tier(tier).record_error(class, &cfg, t_us);
             if transitioned && state == TierState::Quarantined {
-                ms.telemetry.stats().tier_quarantine();
-                ms.telemetry.event_at(
+                ms.book.telemetry().stats().tier_quarantine();
+                ms.book.telemetry().event_at(
                     t_us,
                     EventKind::TierQuarantined {
                         tier,
@@ -1836,21 +1727,16 @@ impl World {
                     },
                 );
             }
-            ms.telemetry.stats().copy_requeue();
-            ms.telemetry.event_at(
-                t_us,
-                EventKind::CopyRequeued {
-                    file: name.to_string(),
-                    reason: "target tier failed during write-back".into(),
-                },
-            );
-            ms.telemetry.observe().timeline().record_at(
-                t_us,
-                name,
-                tier,
-                ResidencyEventKind::Canceled,
-                TransitionCause::Demand,
-            );
+            // The device error the real install would have come back with.
+            let fault = Error::Io(match class {
+                ErrorClass::Capacity => std::io::Error::from_raw_os_error(28),
+                _ => std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "target tier failed during write-back",
+                ),
+            });
+            ms.book
+                .unplaced(t_us, name, Some((tier, size)), Unplaced::Failed(&fault));
         }
         self.dispatch_copy_workers(now);
         // Option (i): a failed write still counts toward staging drain.
@@ -1887,15 +1773,15 @@ impl World {
             // The foreground cursor reached the shard: it is no longer a
             // staged-but-unread entry, so it re-enters the evictable set,
             // and the clairvoyant ranking advances past this plan entry.
-            ms.policy.unpin(&self.shard_names[shard]);
-            ms.policy.note_plan_read(&self.shard_names[shard]);
+            ms.book.policy().unpin(&self.shard_names[shard]);
+            ms.book.policy().note_plan_read(&self.shard_names[shard]);
             let source = ms.tier_dev.len() - 1;
             if let Some(read_seen) = ms.prefetch_issued.get_mut(&shard) {
                 if !*read_seen {
                     *read_seen = true;
-                    if let Some(info) = ms.meta.get(&self.shard_names[shard]) {
+                    if let Some(info) = ms.book.metadata().get(&self.shard_names[shard]) {
                         if info.tier != source && info.state == PlacementState::Placed {
-                            ms.telemetry.stats().prefetch_hit();
+                            ms.book.telemetry().stats().prefetch_hit();
                         }
                     }
                 }
@@ -1920,7 +1806,7 @@ impl World {
                     && !ms.buffer_ready.contains(&shard) =>
             {
                 let copying = matches!(
-                    ms.meta.get(name),
+                    ms.book.metadata().get(name),
                     Some(info) if matches!(info.state, PlacementState::Copying { .. })
                 );
                 if copying {
@@ -1949,7 +1835,7 @@ impl World {
                     && ms.prefetch_issued.contains_key(&shard)
                     && ms.buffer_ready.contains(&shard) =>
             {
-                ms.telemetry.stats().prefetch_hit();
+                ms.book.telemetry().stats().prefetch_hit();
                 true
             }
             _ => false,
@@ -1969,14 +1855,14 @@ impl World {
         if let Some(ms) = self.monarch.as_mut() {
             let tier = ms.copy_target.get(&shard).copied();
             if let Some(tier) = tier {
-                ms.telemetry.stats().record_read(tier, bytes);
+                ms.book.telemetry().stats().record_read(tier, bytes);
             }
             let waited = ms
                 .parked_at
                 .remove(&r)
                 .map(|at| vmicros(now - at))
                 .unwrap_or(0);
-            let profiler = ms.telemetry.observe().profiler();
+            let profiler = ms.book.telemetry().observe().profiler();
             if profiler.is_enabled() {
                 // A reader that parked on the staging copy charges its
                 // wait to the prefetch-lag bucket (the prefetcher knew,
@@ -2026,28 +1912,13 @@ impl World {
                 let shard = ms.plan[ms.plan_issued];
                 ms.plan_issued += 1;
                 let name = &self.shard_names[shard];
-                if Self::begin_admitted_copy(
-                    ms,
-                    now,
-                    name,
-                    self.geom.shards[shard].bytes,
-                    DecisionPoint::PrefetchAdmit,
-                ) {
+                // A prefetch copy is pinned against eviction until the
+                // foreground cursor passes it.
+                let bytes = self.geom.shards[shard].bytes;
+                if ms.book.scheduled(vmicros(now), name, bytes, Lane::Prefetch) {
                     ms.lanes.push(Lane::Prefetch, shard);
                     ms.copy_enqueued.insert(shard, now);
                     ms.prefetch_issued.insert(shard, false);
-                    // Staged-but-unread entries are pinned against
-                    // eviction until the foreground cursor passes them.
-                    ms.policy.pin(name);
-                    ms.telemetry.stats().copy_scheduled();
-                    ms.telemetry.stats().prefetch_scheduled();
-                    ms.telemetry.event_at(
-                        vmicros(now),
-                        EventKind::PrefetchScheduled {
-                            file: name.clone(),
-                            bytes: self.geom.shards[shard].bytes,
-                        },
-                    );
                     scheduled = true;
                 }
             }
@@ -2058,96 +1929,6 @@ impl World {
     }
 
     // -- MONARCH copy pool ---------------------------------------------------
-
-    /// CAS the shard into `Copying` and ask the admission gate, with the
-    /// verdict journalled like the real engine's. A denial reverts the
-    /// CAS (non-terminal), so a later read re-asks once the access
-    /// profile has warmed.
-    fn begin_admitted_copy(
-        ms: &mut MonarchSim,
-        now: SimTime,
-        name: &str,
-        bytes: u64,
-        point: DecisionPoint,
-    ) -> bool {
-        if !ms.meta.begin_copy(name, 0).unwrap_or(false) {
-            return false;
-        }
-        let admitted = ms.policy.admit(name, bytes, point);
-        let (verdict, reason) = match (admitted, point) {
-            (true, DecisionPoint::DemandAdmit) => {
-                ("admit", "demand miss admitted to the copy pipeline")
-            }
-            (true, _) => ("admit", "plan entry admitted to the prefetch lane"),
-            (false, _) => (
-                "deny",
-                "admission policy refused the copy; the file stays on the PFS",
-            ),
-        };
-        ms.telemetry.event_at(
-            vmicros(now),
-            EventKind::PolicyDecision {
-                file: name.to_string(),
-                point: point.as_str().to_string(),
-                policy: ms.policy.name().to_string(),
-                verdict: verdict.into(),
-                reason: reason.into(),
-            },
-        );
-        if !admitted {
-            ms.telemetry.stats().policy_denial();
-            let _ = ms.meta.abort_copy(name, false);
-        }
-        admitted
-    }
-
-    /// Journal a policy-driven eviction and update the policy book — the
-    /// companion of `begin_admitted_copy` for the evict side.
-    fn note_policy_evicted(ms: &MonarchSim, now: SimTime, victim: &str, reason: &str) {
-        ms.policy.on_evicted(victim);
-        ms.telemetry.event_at(
-            vmicros(now),
-            EventKind::PolicyDecision {
-                file: victim.to_string(),
-                point: DecisionPoint::PressureEvict.as_str().to_string(),
-                policy: ms.policy.name().to_string(),
-                verdict: "evict".into(),
-                reason: reason.into(),
-            },
-        );
-    }
-
-    /// Resolve a copy that found no placement. A quarantined tier requeues
-    /// the shard (non-terminal abort, so a post-recovery read re-admits
-    /// it); a genuinely full hierarchy skips it terminally, as before.
-    fn skip_or_requeue(ms: &mut MonarchSim, now: SimTime, name: &str) {
-        let quarantined = ms
-            .hierarchy
-            .local_tiers()
-            .any(|t| ms.hierarchy.health().tier(t.id).is_quarantined());
-        if quarantined {
-            ms.telemetry.stats().copy_requeue();
-            ms.telemetry.event_at(
-                vmicros(now),
-                EventKind::CopyRequeued {
-                    file: name.to_string(),
-                    reason: "tier quarantined".into(),
-                },
-            );
-            let _ = ms.meta.abort_copy(name, false);
-        } else {
-            ms.skips += 1;
-            ms.telemetry.stats().placement_skip();
-            ms.telemetry.event_at(
-                vmicros(now),
-                EventKind::PlacementSkipped {
-                    file: name.to_string(),
-                    reason: "no local tier had room".into(),
-                },
-            );
-            let _ = ms.meta.abort_copy(name, true);
-        }
-    }
 
     fn dispatch_copy_workers(&mut self, now: SimTime) {
         loop {
@@ -2161,181 +1942,95 @@ impl World {
             let prefetch_lane = lane == Lane::Prefetch;
             let name = self.shard_names[shard].clone();
             let size = self.geom.shards[shard].bytes;
-            match ms.policy.place(&ms.hierarchy, &name, size) {
-                Ok(Some(decision)) => {
-                    // Eviction-capable ablation policies: release victims.
-                    let mut reserved = decision.evict.is_empty();
-                    if !reserved {
-                        let tier = ms.hierarchy.tier(decision.tier).expect("tier exists");
-                        for victim in &decision.evict {
-                            if let Some(vinfo) = ms.meta.get(victim) {
-                                if vinfo.tier == decision.tier {
-                                    ms.meta
-                                        .evict_to(victim, ms.hierarchy.source_id())
-                                        .expect("evict");
-                                    tier.quota
-                                        .as_ref()
-                                        .expect("local tier quota")
-                                        .release(vinfo.size);
-                                    ms.telemetry.stats().record_evict(decision.tier);
-                                    ms.telemetry.event_at(
-                                        vmicros(now),
-                                        EventKind::Evicted {
-                                            file: victim.clone(),
-                                            tier: decision.tier,
-                                            bytes: vinfo.size,
-                                        },
-                                    );
-                                    ms.telemetry.observe().timeline().record_at(
-                                        vmicros(now),
-                                        victim,
-                                        decision.tier,
-                                        ResidencyEventKind::Evicted,
-                                        TransitionCause::Policy,
-                                    );
-                                    Self::note_policy_evicted(
-                                        ms,
-                                        now,
-                                        victim,
-                                        "selected by the eviction policy to make room for an \
-                                         incoming copy",
-                                    );
-                                }
-                            }
-                        }
-                        reserved = tier
-                            .quota
-                            .as_ref()
-                            .expect("local tier quota")
-                            .try_reserve(size);
+            // Eviction-capable ablation policies release their victims
+            // here; nothing is deleted, the sim's tiers hold no bytes.
+            let decision = ms
+                .book
+                .policy()
+                .place(ms.book.hierarchy(), &name, size)
+                .expect("sim policies are infallible")
+                .filter(|d| ms.book.make_room(vmicros(now), &name, size, d, |_| Ok(())));
+            let Some(decision) = decision else {
+                ms.copy_enqueued.remove(&shard);
+                ms.copy_flow.remove(&shard);
+                ms.flow_start_pending.remove(&shard);
+                ms.book
+                    .unplaced(vmicros(now), &name, None, Unplaced::NoRoom);
+                // A parked reader must not wait on a copy that will never
+                // land: fall back to reading through.
+                ms.prefetch_issued.remove(&shard);
+                if let Some(stranded) = ms.waiting_readers.remove(&shard) {
+                    for &r in &stranded {
+                        ms.parked_at.remove(&r);
+                        self.readers[r].inflight = false;
                     }
-                    if !reserved {
-                        ms.copy_enqueued.remove(&shard);
-                        ms.copy_flow.remove(&shard);
-                        ms.flow_start_pending.remove(&shard);
-                        Self::skip_or_requeue(ms, now, &name);
-                        // A parked reader must not wait on a copy that
-                        // will never land: fall back to reading through.
-                        ms.prefetch_issued.remove(&shard);
-                        ms.policy.unpin(&name);
-                        if let Some(stranded) = ms.waiting_readers.remove(&shard) {
-                            for &r in &stranded {
-                                ms.parked_at.remove(&r);
-                                self.readers[r].inflight = false;
-                            }
-                            for r in stranded {
-                                self.reader_advance(now, r);
-                            }
-                        }
-                        continue;
+                    for r in stranded {
+                        self.reader_advance(now, r);
                     }
-                    let queued_at = ms.copy_enqueued.remove(&shard);
+                }
+                continue;
+            };
+            let queued_at = ms.copy_enqueued.remove(&shard);
+            if let Some(at) = queued_at {
+                let wait = vnanos(now - at);
+                if prefetch_lane {
+                    ms.book.telemetry().queue_wait_prefetch().record(wait);
+                } else {
+                    ms.book.telemetry().queue_wait().record(wait);
+                }
+            }
+            ms.copy_started.insert(shard, now);
+            ms.book
+                .telemetry()
+                .event_at(vmicros(now), EventKind::CopyStarted { file: name.clone() });
+            let tr = Arc::clone(ms.book.telemetry().trace());
+            if tr.is_enabled() {
+                if let Some(flow) = ms.copy_flow.remove(&shard) {
+                    let exec_id = tr.next_id();
+                    let tid = SIM_COPY_TRACK0 + (shard % ms.pool_threads) as u64;
                     if let Some(at) = queued_at {
-                        let wait = vnanos(now - at);
-                        if prefetch_lane {
-                            ms.telemetry.queue_wait_prefetch().record(wait);
-                        } else {
-                            ms.telemetry.queue_wait().record(wait);
-                        }
-                    }
-                    ms.copy_started.insert(shard, now);
-                    ms.telemetry
-                        .event_at(vmicros(now), EventKind::CopyStarted { file: name.clone() });
-                    let tr = Arc::clone(ms.telemetry.trace());
-                    if tr.is_enabled() {
-                        if let Some(flow) = ms.copy_flow.remove(&shard) {
-                            let exec_id = tr.next_id();
-                            let tid = SIM_COPY_TRACK0 + (shard % ms.pool_threads) as u64;
-                            if let Some(at) = queued_at {
-                                tr.record(
-                                    SpanRecord::new(
-                                        names::QUEUE_WAIT,
-                                        "copy",
-                                        QUEUE_TRACK,
-                                        vmicros(at),
-                                        vmicros(now - at),
-                                    )
-                                    .with_id(tr.next_id())
-                                    .arg_str("file", name.clone()),
-                                );
-                            }
-                            let mut pd = SpanRecord::new(
-                                names::PLACEMENT_DECIDE,
+                        tr.record(
+                            SpanRecord::new(
+                                names::QUEUE_WAIT,
                                 "copy",
-                                tid,
-                                vmicros(now),
-                                0,
+                                QUEUE_TRACK,
+                                vmicros(at),
+                                vmicros(now - at),
                             )
                             .with_id(tr.next_id())
-                            .with_parent(exec_id);
-                            for (key, value) in decision.trace_args(&ms.hierarchy) {
-                                pd.args.push((key, value));
-                            }
-                            tr.record(pd);
-                            ms.copy_trace.insert(
-                                shard,
-                                CopyTrace {
-                                    flow,
-                                    exec_id,
-                                    tid,
-                                    write_started: SimTime::ZERO,
-                                },
-                            );
-                        }
-                    }
-                    {
-                        let quota = ms
-                            .hierarchy
-                            .tier(decision.tier)
-                            .expect("tier exists")
-                            .quota
-                            .as_ref()
-                            .expect("local tier quota");
-                        ms.telemetry.event_at(
-                            vmicros(now),
-                            EventKind::PlacementDecided {
-                                file: name.clone(),
-                                tier: decision.tier,
-                                used: quota.used(),
-                                capacity: quota.capacity(),
-                            },
+                            .arg_str("file", name.clone()),
                         );
                     }
-                    ms.copy_target.insert(shard, decision.tier);
-                    ms.idle_workers -= 1;
-                    let latency = self.sample_latency(self.lustre);
-                    let lustre = self.lustre;
-                    let share = self.bulk_share;
-                    let id = self.devs[lustre].ps.start_weighted(
-                        now,
-                        size,
-                        latency,
-                        Kind::Read,
-                        1.0,
-                        share,
-                    );
-                    self.purpose
-                        .insert((lustre, id.0), Purpose::CopyFetch { shard });
-                }
-                Ok(None) => {
-                    ms.copy_enqueued.remove(&shard);
-                    ms.copy_flow.remove(&shard);
-                    ms.flow_start_pending.remove(&shard);
-                    Self::skip_or_requeue(ms, now, &name);
-                    ms.prefetch_issued.remove(&shard);
-                    ms.policy.unpin(&name);
-                    if let Some(stranded) = ms.waiting_readers.remove(&shard) {
-                        for &r in &stranded {
-                            ms.parked_at.remove(&r);
-                            self.readers[r].inflight = false;
-                        }
-                        for r in stranded {
-                            self.reader_advance(now, r);
-                        }
+                    let mut pd =
+                        SpanRecord::new(names::PLACEMENT_DECIDE, "copy", tid, vmicros(now), 0)
+                            .with_id(tr.next_id())
+                            .with_parent(exec_id);
+                    for (key, value) in decision.trace_args(ms.book.hierarchy()) {
+                        pd.args.push((key, value));
                     }
+                    tr.record(pd);
+                    ms.copy_trace.insert(
+                        shard,
+                        CopyTrace {
+                            flow,
+                            exec_id,
+                            tid,
+                            write_started: SimTime::ZERO,
+                        },
+                    );
                 }
-                Err(_) => unreachable!("sim policies are infallible"),
             }
+            ms.copy_target.insert(shard, decision.tier);
+            ms.idle_workers -= 1;
+            let latency = self.sample_latency(self.lustre);
+            let lustre = self.lustre;
+            let share = self.bulk_share;
+            let id =
+                self.devs[lustre]
+                    .ps
+                    .start_weighted(now, size, latency, Kind::Read, 1.0, share);
+            self.purpose
+                .insert((lustre, id.0), Purpose::CopyFetch { shard });
         }
     }
 
@@ -2427,7 +2122,7 @@ mod tests {
             let world = World::build(&trainer);
             world.sample_gauges();
             let ms = world.monarch.as_ref().unwrap();
-            let sim_text = ms.telemetry.prometheus_text();
+            let sim_text = ms.book.telemetry().prometheus_text();
 
             let tier = |name: &str, cap| {
                 let driver = Arc::new(MemDriver::new(name)) as Arc<dyn StorageDriver>;

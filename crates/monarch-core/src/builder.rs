@@ -16,6 +16,7 @@ use crate::config::{
 };
 use crate::driver::{MemDriver, PosixDriver, StorageDriver, TimedDriver};
 use crate::hierarchy::StorageHierarchy;
+use crate::lifecycle::Lifecycle;
 use crate::middleware::Monarch;
 use crate::policy::PolicyEngine;
 use crate::prefetch::PrefetchConfig;
@@ -229,14 +230,12 @@ impl MonarchBuilder {
             });
         }
         let hierarchy = Arc::new(hierarchy);
-        let mut engine = TransferEngine::new(
+        let book = Arc::new(Lifecycle::new(
             Arc::clone(&hierarchy),
             policy,
-            Arc::clone(&stats),
             Arc::clone(&telemetry),
-            self.pool_threads,
-            self.prefetch,
-        );
+        ));
+        let mut engine = TransferEngine::new(book, self.pool_threads, self.prefetch);
         // Peer cache: build the handle, feed the engine's admit/evict
         // transitions into the residency view, and start serving this
         // node's shard (unless the config says client-only).

@@ -720,11 +720,13 @@ impl FlakyOutcome {
 /// for retry, quarantine, half-open-probe, and ENOSPC tests.
 ///
 /// Reads (`read_at`/`read_full`) consume the read script; `write_full`
-/// consumes the write script. An exhausted script passes through.
+/// consumes the write script, `remove` the remove script. An exhausted
+/// script passes through.
 pub struct FlakyDriver<D> {
     inner: D,
     reads: Mutex<std::collections::VecDeque<FlakyOutcome>>,
     writes: Mutex<std::collections::VecDeque<FlakyOutcome>>,
+    removes: Mutex<std::collections::VecDeque<FlakyOutcome>>,
     outage: Arc<AtomicBool>,
 }
 
@@ -736,6 +738,7 @@ impl<D: StorageDriver> FlakyDriver<D> {
             inner,
             reads: Mutex::new(std::collections::VecDeque::new()),
             writes: Mutex::new(std::collections::VecDeque::new()),
+            removes: Mutex::new(std::collections::VecDeque::new()),
             outage: Arc::new(AtomicBool::new(false)),
         }
     }
@@ -748,6 +751,12 @@ impl<D: StorageDriver> FlakyDriver<D> {
     /// Append outcomes to the write script.
     pub fn script_writes(&self, outcomes: impl IntoIterator<Item = FlakyOutcome>) {
         self.writes.lock().extend(outcomes);
+    }
+
+    /// Append outcomes to the remove script. A failed remove leaves the
+    /// file where it is.
+    pub fn script_removes(&self, outcomes: impl IntoIterator<Item = FlakyOutcome>) {
+        self.removes.lock().extend(outcomes);
     }
 
     /// The shared outage switch: while `true`, every data operation fails
@@ -793,7 +802,12 @@ impl<D: StorageDriver> StorageDriver for FlakyDriver<D> {
     }
 
     fn remove(&self, file: &str) -> Result<()> {
-        self.inner.remove(file)
+        // The outage switch is about data operations; a delete during an
+        // outage goes through, as it always has.
+        match self.removes.lock().pop_front() {
+            None | Some(FlakyOutcome::Ok) => self.inner.remove(file),
+            Some(fail) => Err(fail.into_error("remove")),
+        }
     }
 
     fn file_size(&self, file: &str) -> Result<u64> {
@@ -1142,6 +1156,12 @@ mod tests {
             other => panic!("expected ENOSPC, got {other:?}"),
         }
         d.write_full("b", &[1]).unwrap();
+        // A scripted remove failure leaves the file where it is.
+        d.script_removes([FlakyOutcome::Transient]);
+        assert!(d.remove("b").is_err());
+        assert_eq!(d.read_full("b").unwrap(), [1]);
+        d.remove("b").unwrap();
+        assert!(d.read_full("b").is_err());
         // Outage switch fails every data op until cleared.
         let outage = d.outage_switch();
         outage.store(true, Ordering::Release);

@@ -54,6 +54,7 @@ pub mod error;
 pub mod hash;
 pub mod health;
 pub mod hierarchy;
+pub mod lifecycle;
 pub mod metadata;
 pub mod middleware;
 pub mod observe;
@@ -81,6 +82,7 @@ pub use health::{
     RetryPolicy, TierHealth, TierHealthSnapshot, TierState,
 };
 pub use hierarchy::{StorageHierarchy, Tier, TierId};
+pub use lifecycle::Lifecycle;
 pub use metadata::MetadataContainer;
 pub use middleware::{InitReport, Monarch};
 pub use observe::{

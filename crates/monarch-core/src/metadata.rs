@@ -581,15 +581,6 @@ impl MetadataContainer {
         Ok(())
     }
 
-    /// Evict a file back to tier `to` (the PFS) in one step — for callers
-    /// with no local copy to delete (the simulator); the engine uses
-    /// [`Self::evict_with`]. The file becomes `Unplaced` on `to`, so a
-    /// later read may place it again.
-    pub fn evict_to(&self, name: &str, to: TierId) -> Result<()> {
-        self.transition(name, |_, _| Some((PlacementState::Unplaced, to)))?;
-        Ok(())
-    }
-
     /// Evict a `Placed` file back to tier `to` around `remove`, the delete
     /// of its local copy. While `remove` runs the file is held in
     /// `Copying` on `to`: reads already go to `to`, and no placement can
@@ -613,13 +604,6 @@ impl MetadataContainer {
         let out = remove();
         self.abort_copy(name, false)?;
         Ok(Some(out))
-    }
-
-    /// Reset a `Placed` file back to `Unplaced` so a policy may move it
-    /// again (ablation-only).
-    pub fn reopen_placement(&self, name: &str) -> Result<()> {
-        self.transition(name, |_, tier| Some((PlacementState::Unplaced, tier)))?;
-        Ok(())
     }
 
     /// Set the reuse label of `id`. Read-only once the label is set, which
@@ -767,7 +751,7 @@ mod tests {
         m.register("f", 100, 1);
         assert!(m.begin_copy("f", 0).unwrap());
         m.finish_copy("f", 0).unwrap();
-        m.evict_to("f", 1).unwrap();
+        assert_eq!(m.evict_with("f", 1, || ()).unwrap(), Some(()));
         let info = m.get("f").unwrap();
         assert_eq!(info.tier, 1);
         assert_eq!(info.state, PlacementState::Unplaced);

@@ -298,26 +298,18 @@ impl Monarch {
         }
         let profiler = self.telemetry.observe().profiler();
         if profiler.is_enabled() {
-            // Where did this read's time go? A read served off the
-            // source tier is classified by *why* the file was still
-            // there: the plan knew about it (prefetch lagged), a copy
-            // is in flight (lanes saturated), or placement never
-            // happened (cold PFS traffic). A read that *should* have
-            // been fast but was rerouted around a quarantined tier is
-            // its own bucket — the cost of degraded operation.
-            let class = if degraded {
-                ReadClass::DegradedFallback
-            } else if info.tier != self.hierarchy.source_id() {
-                ReadClass::Fast
-            } else if staged {
-                ReadClass::Staged
-            } else if feedback.planned {
-                ReadClass::PrefetchLag
-            } else if matches!(info.state, PlacementState::Copying { .. }) {
-                ReadClass::LaneSaturated
-            } else {
-                ReadClass::PfsCold
-            };
+            // Where did this read's time go? A read served off the source
+            // tier is classified by *why* the file was still there (see
+            // [`ReadClass::of`]); one that *should* have been fast but was
+            // rerouted around a quarantined tier is its own bucket — the
+            // cost of degraded operation.
+            let class = ReadClass::of(
+                degraded,
+                info.tier == self.hierarchy.source_id(),
+                staged,
+                feedback.planned,
+                matches!(info.state, PlacementState::Copying { .. }),
+            );
             let timed = timed.map(|[entry, _, resolve, pread, end]| {
                 let t_us = self.telemetry.micros_at(end);
                 TimedRead::between([entry, resolve, pread, end], weight, t_us, info.reads)

@@ -312,6 +312,59 @@ fn evict_frees_the_local_tier_through_the_facade() {
 }
 
 #[test]
+fn an_eviction_whose_delete_fails_is_still_booked() {
+    // Once the namespace has moved, the tier no longer answers for the
+    // file: the quota is released and the books told whatever became of
+    // the bytes. At 6f2925b the failed delete returned early: `used` stayed
+    // 300 until restart and the LRU book kept a resident that was not one.
+    let m = mem_monarch(1 << 20, 1, 300);
+    let mut buf = [0u8; 300];
+    m.read("f000", 0, &mut buf).unwrap();
+    m.wait_placement_idle();
+    let ssd = m.hierarchy().tier(0).unwrap();
+    assert_eq!(ssd.quota.as_ref().unwrap().used(), 300);
+    // The copy disappears behind Monarch's back.
+    ssd.driver.remove("f000").unwrap();
+    assert!(m.evict("f000").is_err(), "the failed delete is handed back");
+    let info = m.metadata().get("f000").unwrap();
+    assert_eq!((info.tier, info.state), (1, PlacementState::Unplaced));
+    assert_eq!(ssd.quota.as_ref().unwrap().used(), 0);
+    assert_eq!(m.stats().evictions, 1);
+    // The next read re-places it.
+    m.read("f000", 0, &mut buf).unwrap();
+    m.wait_placement_idle();
+    assert_eq!(m.metadata().get("f000").unwrap().tier, 0);
+    assert_eq!(ssd.quota.as_ref().unwrap().used(), 300);
+}
+
+#[test]
+fn every_scheduled_copy_is_settled_once_across_a_shutdown() {
+    // 400 copies queued behind two workers, then shutdown: the ones that
+    // never ran are booked as failed with a reason that says why. At
+    // 6f2925b they were counted nowhere (400 scheduled, 0 settled).
+    let m = mem_monarch(1 << 20, 400, 64);
+    assert_eq!(m.prestage(), 400);
+    let telemetry = Arc::clone(m.telemetry());
+    let stats = m.shutdown();
+    assert_eq!(stats.copies_scheduled, 400);
+    assert_eq!(
+        stats.copies_scheduled,
+        stats.copies_completed
+            + stats.copies_failed
+            + stats.placement_skipped
+            + stats.copy_requeues
+            + stats.prefetch_canceled
+    );
+    let shut_down = telemetry
+        .journal()
+        .events()
+        .iter()
+        .filter(|e| e.kind.tag() == "copy_failed" && e.to_json_line().contains("shut down"))
+        .count() as u64;
+    assert_eq!(shut_down, stats.copies_failed);
+}
+
+#[test]
 fn constructs_from_config_with_mem_backends() {
     let cfg = MonarchConfig::builder()
         .tier(TierConfig::mem("ram").with_capacity(1 << 20))

@@ -83,6 +83,34 @@ pub enum ReadClass {
     DegradedFallback,
 }
 
+impl ReadClass {
+    /// Classify a read served by a tier of the hierarchy (never
+    /// [`ReadClass::PeerBound`]: a peer is not one) from what the read
+    /// path knows when the bytes are back. The first fact that holds
+    /// decides: the read was `degraded` (rerouted below the tier the file
+    /// lives on); it was not served `on_source`, so a local tier served
+    /// it; it was `staged` (took every byte from its copy's install
+    /// staging); the file is `planned` (covered by the access plan); its
+    /// copy is in flight (`copying`). A read of the source that none of
+    /// them explains is a cold miss.
+    #[must_use]
+    pub fn of(degraded: bool, on_source: bool, staged: bool, planned: bool, copying: bool) -> Self {
+        if degraded {
+            ReadClass::DegradedFallback
+        } else if !on_source {
+            ReadClass::Fast
+        } else if staged {
+            ReadClass::Staged
+        } else if planned {
+            ReadClass::PrefetchLag
+        } else if copying {
+            ReadClass::LaneSaturated
+        } else {
+            ReadClass::PfsCold
+        }
+    }
+}
+
 /// Wall-clock decomposition of one read, in microseconds. The real read
 /// path fills all four from its stall-profiler instants; the simulator
 /// fills `wall_us == pread_us` (its lookups are instantaneous in virtual
@@ -645,6 +673,35 @@ pub struct ProfilerSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn read_class_of_takes_the_first_fact_that_holds() {
+        use ReadClass::*;
+        // (degraded, on_source, staged, planned, copying) -> class
+        let rows = [
+            ((false, false, false, false, false), Fast),
+            // A local hit stays fast whatever the plan or a stale copy says.
+            ((false, false, false, true, true), Fast),
+            // Degraded wins over everything: the bytes came from below the
+            // tier the file lives on.
+            ((true, true, false, false, false), DegradedFallback),
+            ((true, true, true, true, true), DegradedFallback),
+            ((false, true, true, false, true), Staged),
+            ((false, true, true, true, true), Staged),
+            ((false, true, false, true, false), PrefetchLag),
+            ((false, true, false, true, true), PrefetchLag),
+            ((false, true, false, false, true), LaneSaturated),
+            ((false, true, false, false, false), PfsCold),
+        ];
+        for ((degraded, on_source, staged, planned, copying), want) in rows {
+            assert_eq!(
+                ReadClass::of(degraded, on_source, staged, planned, copying),
+                want,
+                "{:?}",
+                (degraded, on_source, staged, planned, copying)
+            );
+        }
+    }
 
     fn t(wall: u64, pread: u64) -> ReadTiming {
         ReadTiming {

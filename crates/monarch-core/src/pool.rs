@@ -279,12 +279,6 @@ impl ThreadPool {
         self.submit_on(Lane::Demand, None, task)
     }
 
-    /// Submit a demand-lane task with a [`TaskCtx`], so a panic can be
-    /// attributed. Returns `false` if the pool is shutting down.
-    pub fn submit_with(&self, ctx: Option<TaskCtx>, task: Task) -> bool {
-        self.submit_on(Lane::Demand, ctx, task)
-    }
-
     /// Submit a task on a specific lane. Returns `false` if the pool is
     /// shutting down.
     pub fn submit_on(&self, lane: Lane, ctx: Option<TaskCtx>, task: Task) -> bool {
@@ -607,7 +601,8 @@ mod tests {
         // A context-less panic bumps the counter but stays anonymous.
         pool.submit(Box::new(|| panic!("anonymous")));
         // A context-carrying panic reports which file's copy died.
-        pool.submit_with(
+        pool.submit_on(
+            Lane::Demand,
             Some(TaskCtx {
                 label: "train-00042.tfrecord".into(),
                 flow: 7,

@@ -28,6 +28,7 @@
 //! and the `dlpipe` discrete-event simulator so both backends run one copy
 //! pipeline rather than two hand-maintained replicas.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,14 +38,14 @@ use parking_lot::Mutex;
 
 use crate::cluster::{Cluster, ClusterView, PeerError};
 use crate::health::{device_error_class, ErrorClass};
-use crate::hierarchy::{StorageHierarchy, TierId};
+use crate::hierarchy::TierId;
+use crate::lifecycle::{Evict, Lifecycle, Reservation, Unplaced};
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
 use crate::observe::{ReadClass, ResidencyEventKind, TimedRead, TransitionCause};
-use crate::policy::{DecisionPoint, FeatureSource, PolicyEngine};
+use crate::policy::FeatureSource;
 use crate::pool::{Lane, PoolProbe, TaskCtx, ThreadPool};
 use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow};
 use crate::staging::{Staged, Staging};
-use crate::stats::Stats;
 use crate::telemetry::{
     EventKind, PipelineSample, PrefetchSample, TelemetryRegistry, TelemetrySnapshot,
 };
@@ -290,31 +291,17 @@ struct PrefetchState {
 
 /// The movement engine: every inter-tier copy — demand placement,
 /// pre-staging, clairvoyant prefetch — and every eviction goes through
-/// here. Owns the two-lane pool and the plan window; shares the hierarchy,
-/// metadata, stats and telemetry with the read path.
+/// here. Owns the two-lane pool and the plan window; what becomes of a copy
+/// is booked by the instance's [`Lifecycle`], which it shares with the read
+/// path's view of the same parts.
 pub struct TransferEngine {
-    hierarchy: Arc<StorageHierarchy>,
-    metadata: Arc<MetadataContainer>,
-    policy: Arc<PolicyEngine>,
-    stats: Arc<Stats>,
-    telemetry: Arc<TelemetryRegistry>,
+    book: Arc<Lifecycle>,
     shutting_down: Arc<AtomicBool>,
     pool: ThreadPool,
     /// Present only when `prefetch.lookahead > 0`, so a disabled
     /// configuration takes zero extra branches beyond one `Option` check.
     /// Shared (`Arc`) with detached [`Sampler`]s.
     prefetch: Option<Arc<PrefetchState>>,
-    /// Peer-cache residency feed: `(view, this node's id)`. When set, the
-    /// admit/evict transitions that already feed the residency timeline
-    /// also update the [`ClusterView`] so peers' shard state is tracked
-    /// from actual placement, not intent.
-    cluster_feed: Mutex<Option<(Arc<ClusterView>, usize)>>,
-    /// Capacity reservations currently held by in-flight copy tasks
-    /// (`file → (tier, bytes)`). Registered after `try_place` reserves,
-    /// cleared when the copy settles either way; the pool's panic handler
-    /// reclaims whatever a dying task left behind, so a panicking copy
-    /// cannot leak its target tier's quota until shutdown.
-    reservations: Arc<Mutex<HashMap<String, (TierId, u64)>>>,
     /// Install stagings of the queued and running copies, where
     /// [`TransferEngine::read_staged`] finds them (see [`Lease`]).
     stagings: Stagings,
@@ -323,30 +310,81 @@ pub struct TransferEngine {
 /// The install staging of every queued or running copy, by file name.
 type Stagings = Arc<Mutex<HashMap<String, Arc<Staging>>>>;
 
-/// A copy job's hold on its file's staging. The staging is registered in
-/// the step that wins the file's `Copying` state
-/// ([`TransferEngine::begin`]) and unregistered when the job goes away,
-/// whichever way: refused by admission or the pool, finished, failed,
-/// expired, withdrawn from the queue unrun, or unwound by a panic. A job
-/// that runs moves the metadata out of `Copying` before it ends, so its
-/// staging outlives that state.
+/// What a scheduled copy *is*: the hold on its file's `Copying` state, on
+/// the install staging registered with it and, once room is made, on the
+/// quota reserved on its target tier. It is created in the step that wins
+/// the file ([`TransferEngine::schedule`]) and settles the copy exactly
+/// once — [`Lease::placed`] or [`Lease::unplaced`], or else its drop,
+/// whichever way the job goes away: refused by the pool, withdrawn from
+/// the queue unrun, or unwound by a panic. A job that runs moves the
+/// metadata out of `Copying` before it ends, so its staging outlives that
+/// state.
 struct Lease {
+    book: Arc<Lifecycle>,
     stagings: Stagings,
+    shutting_down: Arc<AtomicBool>,
     file: String,
     staging: Arc<Staging>,
+    /// Lane the copy was queued on — the residency timeline attributes the
+    /// resulting admission to demand or to the plan accordingly.
+    lane: Lane,
+    /// No worker has taken the job yet.
+    queued: Cell<bool>,
+    reserved: Cell<Option<Reservation>>,
+    settled: Cell<bool>,
+}
+
+impl Lease {
+    fn placed(&self, tier: TierId, took: Duration) -> Result<()> {
+        let at = self.book.telemetry().now_micros();
+        let size = self.staging.size();
+        self.book
+            .placed(at, &self.file, size, tier, self.lane, Some(took))?;
+        // The reservation has become the file's bytes on `tier`.
+        self.reserved.set(None);
+        self.settled.set(true);
+        Ok(())
+    }
+
+    fn unplaced(&self, why: Unplaced<'_>) {
+        self.settled.set(true);
+        let at = self.book.telemetry().now_micros();
+        self.book
+            .unplaced(at, &self.file, self.reserved.take(), why);
+    }
 }
 
 impl Drop for Lease {
     fn drop(&mut self) {
-        let mut stagings = self.stagings.lock();
-        // A failed copy reverts the metadata before its job ends; by now a
-        // new copy of the file may have registered its own.
-        if stagings
-            .get(&self.file)
-            .is_some_and(|s| Arc::ptr_eq(s, &self.staging))
         {
-            stagings.remove(&self.file);
+            let mut stagings = self.stagings.lock();
+            // A failed copy reverts the metadata before its job ends; by
+            // now a new copy of the file may have registered its own.
+            if stagings
+                .get(&self.file)
+                .is_some_and(|s| Arc::ptr_eq(s, &self.staging))
+            {
+                stagings.remove(&self.file);
+            }
         }
+        if self.settled.get() {
+            return;
+        }
+        let draining = self.shutting_down.load(Ordering::Acquire);
+        self.unplaced(if std::thread::panicking() {
+            Unplaced::Panicked
+        } else if self.queued.get() && self.lane == Lane::Prefetch {
+            // Speculative work that never left the queue: withdrawn at a
+            // plan boundary, or by the drain that shutdown begins with
+            // (which is also when a closed pool refuses it outright).
+            Unplaced::Canceled(if draining {
+                TransitionCause::Drain
+            } else {
+                TransitionCause::Plan
+            })
+        } else {
+            Unplaced::ShutDown
+        });
     }
 }
 
@@ -354,30 +392,21 @@ impl std::fmt::Debug for TransferEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TransferEngine")
             .field("threads", &self.pool.threads())
-            .field("policy", &self.policy.name())
+            .field("policy", &self.book.policy().name())
             .field("prefetch", &self.prefetch.is_some())
             .finish()
     }
 }
 
 impl TransferEngine {
-    /// Assemble an engine over shared parts; the metadata container is the
-    /// policy engine's [`PolicyEngine::namespace`]. The pool is built with
-    /// per-lane queue-wait stamping when the registry is enabled, and its
-    /// panic handler reverts the dying copy's metadata so a later read can
-    /// retry.
+    /// Assemble an engine over the instance's books. The pool is built
+    /// with per-lane queue-wait stamping when the registry is enabled. A
+    /// copy task that panics needs no handler here: its [`Lease`] unwinds
+    /// with it and reverts the file, so a later read can retry (same
+    /// degradation as an I/O failure — the file stays on the PFS).
     #[must_use]
-    pub fn new(
-        hierarchy: Arc<StorageHierarchy>,
-        policy: Arc<PolicyEngine>,
-        stats: Arc<Stats>,
-        telemetry: Arc<TelemetryRegistry>,
-        pool_threads: usize,
-        prefetch: PrefetchConfig,
-    ) -> Self {
-        // The policy engine's namespace is the instance's namespace, so a
-        // `FileId` the read path resolved addresses the same file in both.
-        let metadata = Arc::clone(policy.namespace());
+    pub fn new(book: Arc<Lifecycle>, pool_threads: usize, prefetch: PrefetchConfig) -> Self {
+        let telemetry = book.telemetry();
         let pool = if telemetry.is_enabled() {
             ThreadPool::with_telemetry(
                 pool_threads,
@@ -389,50 +418,12 @@ impl TransferEngine {
         } else {
             ThreadPool::new(pool_threads)
         };
-        // A panicking copy task must not strand the file in `Copying`:
-        // report which copy died and revert it so a later read can retry
-        // (same degradation as an I/O failure — the file stays on the PFS).
-        let reservations: Arc<Mutex<HashMap<String, (TierId, u64)>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        {
-            let stats = Arc::clone(&stats);
-            let telemetry = Arc::clone(&telemetry);
-            let metadata = Arc::clone(&metadata);
-            let hierarchy = Arc::clone(&hierarchy);
-            let reservations = Arc::clone(&reservations);
-            pool.set_panic_handler(Arc::new(move |ctx: &TaskCtx| {
-                stats.copy_failed();
-                telemetry.event(EventKind::CopyFailed {
-                    file: ctx.label.clone(),
-                    reason: "background copy task panicked".to_string(),
-                });
-                // The dying task may still hold the capacity reservation it
-                // made on its target tier; release it here or the bytes stay
-                // accounted-for (and unusable) until shutdown.
-                if let Some((tier, bytes)) = reservations.lock().remove(&ctx.label) {
-                    if let Ok(t) = hierarchy.tier(tier) {
-                        if let Some(quota) = t.quota.as_ref() {
-                            quota.release(bytes);
-                        }
-                    }
-                    telemetry.event(EventKind::ReservationReclaimed {
-                        file: ctx.label.clone(),
-                        tier,
-                        bytes,
-                    });
-                }
-                let _ = metadata.abort_copy(&ctx.label, false);
-            }));
-        }
         // Reuse-aware admission and the learned scorer read the access
         // profiler through this bridge; rebinding is idempotent.
-        policy.bind_features(Arc::clone(&telemetry) as Arc<dyn FeatureSource>);
+        book.policy()
+            .bind_features(Arc::clone(telemetry) as Arc<dyn FeatureSource>);
         Self {
-            hierarchy,
-            metadata,
-            policy,
-            stats,
-            telemetry,
+            book,
             shutting_down: Arc::new(AtomicBool::new(false)),
             pool,
             prefetch: prefetch.enabled().then(|| {
@@ -441,8 +432,6 @@ impl TransferEngine {
                     window: Mutex::new(None),
                 })
             }),
-            cluster_feed: Mutex::new(None),
-            reservations,
             stagings: Arc::default(),
         }
     }
@@ -451,11 +440,7 @@ impl TransferEngine {
     /// evict this engine performs is mirrored into `view` under `node`.
     /// Called once by the builder when a cluster is configured.
     pub fn set_cluster_feed(&self, view: Arc<ClusterView>, node: usize) {
-        *self.cluster_feed.lock() = Some((view, node));
-    }
-
-    fn cluster_feed(&self) -> Option<(Arc<ClusterView>, usize)> {
-        self.cluster_feed.lock().clone()
+        self.book.set_cluster_feed(view, node);
     }
 
     /// The engine's shutdown flag — shared with the read path so reads are
@@ -469,18 +454,7 @@ impl TransferEngine {
     /// driving this engine's decisions.
     #[must_use]
     pub fn policy_name(&self) -> &str {
-        self.policy.name()
-    }
-
-    /// Journal one policy verdict with its decision point and cause.
-    fn journal_policy(&self, file: &str, point: DecisionPoint, verdict: &str, reason: &str) {
-        self.telemetry.event(EventKind::PolicyDecision {
-            file: file.to_string(),
-            point: point.as_str().to_string(),
-            policy: self.policy.name().to_string(),
-            verdict: verdict.to_string(),
-            reason: reason.to_string(),
-        });
+        self.book.policy().name()
     }
 
     /// Number of copy worker threads.
@@ -503,13 +477,13 @@ impl TransferEngine {
     /// Read-path recency signal: forward a foreground access to the
     /// placement policy (LRU-style policies feed on this).
     pub fn note_access(&self, file: &str, id: FileId, tier: TierId) {
-        self.policy.on_access_id(id, file, tier);
+        self.book.policy().on_access_id(id, file, tier);
     }
 
     /// The instance's namespace.
     #[must_use]
     pub fn metadata(&self) -> &Arc<MetadataContainer> {
-        &self.metadata
+        self.book.metadata()
     }
 
     /// Hand a placement copy to the pool if this request wins the
@@ -558,82 +532,48 @@ impl TransferEngine {
         (true, self.read_through(file, &staging, first, offset, buf))
     }
 
-    /// Win `Unplaced → Copying` for `file` and register `staging` as its
-    /// install staging, as one step under the registry's lock: a read that
-    /// sees `Copying` finds the staging, however closely it follows the
-    /// transition.
-    fn begin(&self, file: &str, staging: Arc<Staging>) -> Option<Lease> {
-        let mut stagings = self.stagings.lock();
-        // The target recorded here is provisional; the policy picks the
-        // real destination inside the background task (paper §III-B: the
-        // placement handler runs on a pool thread).
-        if !matches!(self.metadata.begin_copy(file, 0), Ok(true)) {
-            return None;
-        }
-        stagings.insert(file.to_string(), Arc::clone(&staging));
-        Some(Lease {
-            stagings: Arc::clone(&self.stagings),
-            file: file.to_string(),
-            staging,
-        })
-    }
-
-    /// [`Self::begin`] a copy of `file` through `staging`, ask admission,
-    /// journal it, and hand it to the pool. `false` when no copy was
-    /// queued: another one holds the file, admission refused, or the pool
-    /// is shutting down.
+    /// Schedule the copy of `file` through `staging` on `ctx`'s lane —
+    /// which picks the admission point, the journal event and the span
+    /// name — and hand it to the pool. `false` when no copy was queued:
+    /// another one holds the file, admission refused, or the pool is
+    /// shutting down.
+    ///
+    /// Winning `Unplaced → Copying` and registering `staging` are one step
+    /// under the registry's lock: a read that sees `Copying` finds the
+    /// staging, however closely it follows the transition.
     fn schedule(&self, file: &str, staging: Arc<Staging>, ctx: ReadCtx) -> bool {
+        let telemetry = self.book.telemetry();
         let size = staging.size();
-        let Some(lease) = self.begin(file, staging) else {
-            return false;
-        };
-        // The CAS is won; now ask admission whether the copy is worth the
-        // bandwidth. A denial is non-terminal: the CAS reverts and a later
-        // miss re-asks, so a file can earn admission as its profile warms.
-        // Remote installs skip the gate — the bytes are already fetched.
-        if ctx.lane == Lane::Demand {
-            if self.policy.admit(file, size, DecisionPoint::DemandAdmit) {
-                self.journal_policy(
-                    file,
-                    DecisionPoint::DemandAdmit,
-                    "admit",
-                    "demand miss admitted to the copy pipeline",
-                );
-            } else {
-                self.stats.policy_denial();
-                self.journal_policy(
-                    file,
-                    DecisionPoint::DemandAdmit,
-                    "deny",
-                    "admission policy refused the copy; the file stays on the PFS",
-                );
-                let _ = self.metadata.abort_copy(file, false);
+        let at = telemetry.now_micros();
+        let lease = {
+            let mut stagings = self.stagings.lock();
+            if !self.book.scheduled(at, file, size, ctx.lane) {
                 return false;
             }
-        }
-        self.stats.copy_scheduled();
-        self.telemetry.event(EventKind::CopyScheduled {
-            file: file.to_string(),
-            bytes: size,
-        });
-        let tr = self.telemetry.trace();
-        let queued_us = if ctx.flow != 0 {
-            self.telemetry.now_micros()
-        } else {
-            0
+            stagings.insert(file.to_string(), Arc::clone(&staging));
+            Lease {
+                book: Arc::clone(&self.book),
+                stagings: Arc::clone(&self.stagings),
+                shutting_down: Arc::clone(&self.shutting_down),
+                file: file.to_string(),
+                staging,
+                lane: ctx.lane,
+                queued: Cell::new(true),
+                reserved: Cell::new(None),
+                settled: Cell::new(false),
+            }
         };
         if ctx.flow != 0 {
-            let sched = SpanRecord::new(
-                names::COPY_SCHEDULED,
-                "copy",
-                tr.register_current_thread(),
-                queued_us,
-                0,
-            )
-            .with_id(tr.next_id())
-            .with_parent(ctx.parent)
-            .arg_str("file", file)
-            .arg_u64("bytes", size);
+            let tr = telemetry.trace();
+            let name = match ctx.lane {
+                Lane::Prefetch => names::PREFETCH_SCHEDULED,
+                Lane::Demand | Lane::Remote => names::COPY_SCHEDULED,
+            };
+            let sched = SpanRecord::new(name, "copy", tr.register_current_thread(), at, 0)
+                .with_id(tr.next_id())
+                .with_parent(ctx.parent)
+                .arg_str("file", file)
+                .arg_u64("bytes", size);
             // `with_flow` makes the exporter emit the `flow` arg itself, so
             // only the non-starting variant adds it explicitly.
             tr.record(if ctx.start_flow {
@@ -642,40 +582,20 @@ impl TransferEngine {
                 sched.arg_u64("flow", ctx.flow)
             });
         }
-        self.submit(lease, ctx, queued_us)
-    }
-
-    /// Queue the copy that fills and installs `lease`'s staging, on `ctx`'s
-    /// lane and under its flow and deadline. The lease holds the file in
-    /// `Copying`; a refusal (the pool is shutting down) reverts it.
-    fn submit(&self, lease: Lease, ctx: ReadCtx, queued_us: u64) -> bool {
-        let file = lease.file.clone();
-        let job = CopyJob {
-            hierarchy: Arc::clone(&self.hierarchy),
-            metadata: Arc::clone(&self.metadata),
-            policy: Arc::clone(&self.policy),
-            stats: Arc::clone(&self.stats),
-            telemetry: Arc::clone(&self.telemetry),
-            shutting_down: Arc::clone(&self.shutting_down),
-            lane: ctx.lane,
+        // A refusal (the pool is shutting down) drops the job, and its
+        // lease books the copy as un-placed.
+        let task_ctx = TaskCtx {
+            label: file.to_string(),
             flow: ctx.flow,
-            queued_us,
+        };
+        let job = CopyJob {
+            flow: ctx.flow,
+            queued_us: at,
             deadline: ctx.deadline,
-            cluster_feed: self.cluster_feed(),
-            reservations: Arc::clone(&self.reservations),
             lease,
         };
-        let task_ctx = TaskCtx {
-            label: file.clone(),
-            flow: ctx.flow,
-        };
-        let submitted = self
-            .pool
-            .submit_on(ctx.lane, Some(task_ctx), Box::new(move || job.run()));
-        if !submitted {
-            let _ = self.metadata.abort_copy(&file, false);
-        }
-        submitted
+        self.pool
+            .submit_on(ctx.lane, Some(task_ctx), Box::new(move || job.run()))
     }
 
     /// Install bytes fetched from a peer node's fast tier: the remote-lane
@@ -705,7 +625,7 @@ impl TransferEngine {
         };
         let scheduled = self.schedule(file, Arc::new(Staging::full(bytes)), ctx);
         if scheduled {
-            self.telemetry.event(EventKind::RemoteScheduled {
+            self.book.telemetry().event(EventKind::RemoteScheduled {
                 file: file.to_string(),
                 bytes: size,
                 peer,
@@ -730,7 +650,7 @@ impl TransferEngine {
         buf: &mut [u8],
         entry: Option<Instant>,
     ) -> Option<usize> {
-        let info = self.metadata.get(file)?;
+        let info = self.book.metadata().get(file)?;
         // Only first-touch misses go to a peer: placed files are local,
         // and an in-flight copy means bytes are already on their way.
         if info.state != PlacementState::Unplaced || offset >= info.size {
@@ -744,10 +664,10 @@ impl TransferEngine {
                 // Degrade to the PFS path, never to an error. A timeout is
                 // journaled distinctly: "the peer was too slow" reads very
                 // differently from "the peer does not hold the shard yet".
-                self.stats.peer_fallback();
+                self.book.stats().peer_fallback();
                 if e == PeerError::Timeout {
-                    self.stats.remote_timeout();
-                    self.telemetry.event(EventKind::RemoteTimeout {
+                    self.book.stats().remote_timeout();
+                    self.book.telemetry().event(EventKind::RemoteTimeout {
                         file: file.to_string(),
                         reason: format!(
                             "peer {owner} read exceeded its deadline; falling back to the PFS"
@@ -756,7 +676,7 @@ impl TransferEngine {
                 } else if e == PeerError::Dead {
                     // The dial gate refused without touching the network:
                     // the peer is quarantined after consecutive timeouts.
-                    self.stats.peer_dead_skip();
+                    self.book.stats().peer_dead_skip();
                 }
                 return None;
             }
@@ -765,10 +685,10 @@ impl TransferEngine {
         // Serve the requested range straight from the fetched buffer. The
         // namespace read counter still ticks; the per-tier counters do not
         // (no local tier did any work — `peer_bytes` accounts the traffic).
-        let counted = self.metadata.resolve_for_read(file).ok();
+        let counted = self.book.metadata().resolve_for_read(file).ok();
         let want = buf.len().min(bytes.len().saturating_sub(offset as usize));
         buf[..want].copy_from_slice(&bytes[offset as usize..offset as usize + want]);
-        self.stats.peer_hit(want as u64);
+        self.book.stats().peer_hit(want as u64);
         // The whole file becomes a remote-lane install so later chunks
         // (and later epochs) hit the local tier. Bounded by the remote
         // deadline: if the install queue is backed up past it, the install
@@ -783,24 +703,25 @@ impl TransferEngine {
         // Advance the plan cursor as any read does; the source-tier id
         // keeps this from counting as a prefetch hit (the plan did not
         // stage these bytes — the peer did).
-        let _ = self.note_read(file, self.hierarchy.source_id());
-        if self.telemetry.is_enabled() {
+        let _ = self.note_read(file, self.book.hierarchy().source_id());
+        if self.book.telemetry().is_enabled() {
             // Never a plain local hit, so always timed; a read that did
             // not bring the clock along starts its chain at the fetch.
             let p_entry = entry.unwrap_or(p_fetch);
             let p_end = Instant::now();
-            self.stats.timed_read();
-            self.telemetry
+            self.book.stats().timed_read();
+            self.book
+                .telemetry()
                 .stall_profile()
                 .record(p_entry, p_fetch, p_fetch, p_pread, p_end);
             if let Some((id, counted)) = counted {
                 let timed = TimedRead::between(
                     [p_entry, p_fetch, p_pread, p_end],
                     1,
-                    self.telemetry.micros_at(p_end),
+                    self.book.telemetry().micros_at(p_end),
                     counted.reads,
                 );
-                self.telemetry.observe().profiler().record_read_id(
+                self.book.telemetry().observe().profiler().record_read_id(
                     id,
                     0,
                     want as u64,
@@ -858,7 +779,7 @@ impl TransferEngine {
         offset: u64,
         buf: &mut [u8],
     ) -> Option<StagedRead> {
-        let source = self.hierarchy.source();
+        let source = self.book.hierarchy().source();
         let mut fetched = 0;
         loop {
             match step {
@@ -870,14 +791,15 @@ impl TransferEngine {
                     let n = claim
                         .fill(|at, dst| source.driver.read_at(file, at, dst))
                         .ok()?;
-                    self.stats.record_read(source.id, n as u64);
+                    self.book.stats().record_read(source.id, n as u64);
                     fetched += n;
                 }
             }
             // The fetch above saw to the buffer: nothing is left to start.
             step = staging.read(offset, buf, false);
         }
-        self.stats
+        self.book
+            .stats()
             .record_staged(fetched == 0, (buf.len() - fetched) as u64);
         Some(StagedRead { fetched })
     }
@@ -891,28 +813,28 @@ impl TransferEngine {
         let Some(state) = &self.prefetch else {
             return 0;
         };
-        self.close_window(state, TransitionCause::Plan);
+        self.close_window(state);
         let mut files = Vec::with_capacity(plan.len());
         for name in plan.files() {
-            if let Some(info) = self.metadata.get(name) {
+            if let Some(info) = self.book.metadata().get(name) {
                 files.push((name.clone(), info.size));
             }
         }
         // The clairvoyant eviction book ranks residents by their next
         // planned use; pins from the previous plan are reset with it.
         let names: Vec<String> = files.iter().map(|(name, _)| name.clone()).collect();
-        self.policy.set_plan(&names);
+        self.book.policy().set_plan(&names);
         let window = PrefetchWindow::new(files, state.cfg);
         let admitted = window.len();
         *state.window.lock() = Some(window);
-        let tr = self.telemetry.trace();
+        let tr = self.book.telemetry().trace();
         if tr.is_enabled() {
             tr.record(
                 SpanRecord::new(
                     names::PLAN_SUBMIT,
                     "read",
                     tr.register_current_thread(),
-                    self.telemetry.now_micros(),
+                    self.book.telemetry().now_micros(),
                     0,
                 )
                 .with_id(tr.next_id())
@@ -930,7 +852,7 @@ impl TransferEngine {
     /// are not interrupted.
     pub fn cancel_plan(&self) -> usize {
         match &self.prefetch {
-            Some(state) => self.close_window(state, TransitionCause::Plan),
+            Some(state) => self.close_window(state),
             None => 0,
         }
     }
@@ -958,17 +880,17 @@ impl TransferEngine {
         };
         // The plan's cursor moved past `file`: the prefetch pin (staged but
         // unread) lifts, and the clairvoyant book advances to its next use.
-        self.policy.unpin(file);
-        self.policy.note_plan_read(file);
+        self.book.policy().unpin(file);
+        self.book.policy().note_plan_read(file);
         let mut fb = ReadFeedback {
             planned: true,
             ..ReadFeedback::default()
         };
         if note.issued {
             fb.flow = note.flow;
-            if note.first_read && served != self.hierarchy.source_id() {
+            if note.first_read && served != self.book.hierarchy().source_id() {
                 // The plan staged this file before its first read arrived.
-                self.stats.prefetch_hit();
+                self.book.stats().prefetch_hit();
                 fb.prefetch_hit = true;
             }
             if !note.resolved && self.pool.promote(file) {
@@ -977,12 +899,12 @@ impl TransferEngine {
                 // letting the demand path wait behind unrelated prefetches
                 // (it cannot enqueue a duplicate: the metadata CAS is held
                 // by the queued job).
-                self.stats.prefetch_promote();
-                self.telemetry.event(EventKind::PrefetchPromoted {
+                self.book.stats().prefetch_promote();
+                self.book.telemetry().event(EventKind::PrefetchPromoted {
                     file: file.to_string(),
                 });
-                self.telemetry.observe().timeline().record_at(
-                    self.telemetry.now_micros(),
+                self.book.telemetry().observe().timeline().record_at(
+                    self.book.telemetry().now_micros(),
                     file,
                     served,
                     ResidencyEventKind::Promoted,
@@ -1003,50 +925,15 @@ impl TransferEngine {
     /// read may place it again.
     pub fn evict(&self, file: &str) -> Result<bool> {
         let info = self
-            .metadata
+            .book
+            .metadata()
             .get(file)
             .ok_or_else(|| Error::UnknownFile(file.to_string()))?;
-        let source = self.hierarchy.source_id();
-        if info.state != PlacementState::Placed || info.tier == source {
-            return Ok(false);
-        }
-        let tier = self.hierarchy.tier(info.tier)?;
-        // Metadata first, then the delete — see the placement-path
-        // eviction: readers racing the delete re-resolve to the source.
-        let removed = self
-            .metadata
-            .evict_with(file, source, || tier.driver.remove(file))?;
-        let Some(removed) = removed else {
-            return Ok(false);
-        };
-        removed?;
-        if let Some(quota) = tier.quota.as_ref() {
-            quota.release(info.size);
-        }
-        self.stats.record_evict(info.tier);
-        self.policy.on_evicted(file);
-        self.journal_policy(
-            file,
-            DecisionPoint::PlanEvict,
-            "evict",
-            "explicit eviction pushed the file back to the PFS",
-        );
-        self.telemetry.event(EventKind::Evicted {
-            file: file.to_string(),
-            tier: info.tier,
-            bytes: info.size,
-        });
-        self.telemetry.observe().timeline().record_at(
-            self.telemetry.now_micros(),
-            file,
-            info.tier,
-            ResidencyEventKind::Evicted,
-            TransitionCause::Eviction,
-        );
-        if let Some((view, node)) = self.cluster_feed() {
-            view.note_evicted(file, node);
-        }
-        Ok(true)
+        let tier = self.book.hierarchy().tier(info.tier)?;
+        let at = self.book.telemetry().now_micros();
+        self.book.evicted(at, file, info.tier, Evict::Explicit, || {
+            tier.driver.remove(file)
+        })
     }
 
     /// Shut the pipeline down: stop accepting work, withdraw every queued
@@ -1064,21 +951,21 @@ impl TransferEngine {
     pub fn drain_within(&mut self, wait: Option<Duration>) -> DrainReport {
         self.shutting_down.store(true, Ordering::Release);
         let canceled = match &self.prefetch {
-            Some(state) => self.close_window(state, TransitionCause::Drain),
+            Some(state) => self.close_window(state),
             // No prefetcher was configured, but purge the lane anyway so
             // the ordering guarantee does not depend on configuration.
-            None => self.withdraw_queued(None, TransitionCause::Drain),
+            None => self.withdraw_queued(None),
         };
         if canceled > 0 {
-            self.telemetry.event(EventKind::PrefetchDrained {
+            self.book.telemetry().event(EventKind::PrefetchDrained {
                 canceled: canceled as u64,
             });
         }
         self.pool.shutdown_within(wait);
         let join_failures = self.pool.join_failures();
         for _ in 0..join_failures {
-            self.stats.pool_join_failure();
-            self.telemetry.event(EventKind::WorkerJoinFailed {
+            self.book.stats().pool_join_failure();
+            self.book.telemetry().event(EventKind::WorkerJoinFailed {
                 file: "monarch-copy-worker".to_string(),
             });
         }
@@ -1091,25 +978,25 @@ impl TransferEngine {
     /// Tear down the current window (plan switch, explicit cancel, or
     /// drain): pull queued prefetch jobs out of the pool, revert their
     /// metadata, and settle hit/waste accounting for the closed plan.
-    fn close_window(&self, state: &PrefetchState, cause: TransitionCause) -> usize {
+    fn close_window(&self, state: &PrefetchState) -> usize {
         let mut guard = state.window.lock();
         let mut window = guard.take();
-        let withdrawn = self.withdraw_queued(window.as_mut(), cause);
+        let withdrawn = self.withdraw_queued(window.as_mut());
         // Pins belong to the closing plan; the next plan re-pins as it
         // stages.
-        self.policy.clear_pins();
+        self.book.policy().clear_pins();
         let Some(mut window) = window else {
             return withdrawn;
         };
         // Wasted work: staged onto a local tier but never read before the
         // plan closed. (Copies still running when the plan closes are in
         // `Copying` and settle as neither hit nor waste.)
-        let source = self.hierarchy.source_id();
+        let source = self.book.hierarchy().source_id();
         for (name, issued, read_seen) in window.drain() {
             if issued && !read_seen {
-                if let Some(info) = self.metadata.get(&name) {
+                if let Some(info) = self.book.metadata().get(&name) {
                     if info.state == PlacementState::Placed && info.tier != source {
-                        self.stats.prefetch_wasted();
+                        self.book.stats().prefetch_wasted();
                     }
                 }
             }
@@ -1117,35 +1004,19 @@ impl TransferEngine {
         withdrawn
     }
 
-    /// Withdraw every queued-but-unstarted prefetch copy from the pool and
-    /// revert its side effects; settle the entries in `window` when one is
+    /// Withdraw every queued-but-unstarted prefetch copy from the pool —
+    /// each job is dropped unrun in there, and its [`Lease`] books the
+    /// cancellation (under the drain's cause once shutdown has begun, the
+    /// plan's before) — and settle the entries in `window` when one is
     /// still open. Returns the number withdrawn.
-    fn withdraw_queued(
-        &self,
-        mut window: Option<&mut PrefetchWindow>,
-        cause: TransitionCause,
-    ) -> usize {
+    fn withdraw_queued(&self, window: Option<&mut PrefetchWindow>) -> usize {
         let canceled = self.pool.drain_prefetch();
-        let withdrawn = canceled.len();
-        for ctx in canceled {
-            let _ = self.metadata.abort_copy(&ctx.label, false);
-            self.policy.unpin(&ctx.label);
-            self.stats.prefetch_cancel();
-            self.telemetry.event(EventKind::PrefetchCanceled {
-                file: ctx.label.clone(),
-            });
-            self.telemetry.observe().timeline().record_at(
-                self.telemetry.now_micros(),
-                &ctx.label,
-                self.hierarchy.source_id(),
-                ResidencyEventKind::Canceled,
-                cause,
-            );
-            if let Some(window) = window.as_deref_mut() {
+        if let Some(window) = window {
+            for ctx in &canceled {
                 window.resolve_by_name(&ctx.label);
             }
         }
-        withdrawn
+        canceled.len()
     }
 
     /// Issue as much of the plan as the lookahead window and byte budget
@@ -1161,7 +1032,7 @@ impl TransferEngine {
                 // or reverted by the panic handler) release byte budget.
                 window.poll_resolved(|name| {
                     !matches!(
-                        self.metadata.get(name),
+                        self.book.metadata().get(name),
                         Some(FileInfo {
                             state: PlacementState::Copying { .. },
                             ..
@@ -1174,88 +1045,31 @@ impl TransferEngine {
                 }
             };
             // Scheduling happens outside the window lock: it touches the
-            // metadata CAS, the journal, and the pool queue.
-            let flow = self.schedule_prefetch(&name, size);
+            // metadata CAS, the journal, and the pool queue. Like prestage,
+            // the flow starts at the scheduling span (there is no
+            // foreground pread yet — the read it serves may be far in the
+            // future) and finishes at the background copy_exec.
+            let tr = self.book.telemetry().trace();
+            let flow = if tr.is_enabled() { tr.next_id() } else { 0 };
+            let scheduled = !self.shutting_down.load(Ordering::Acquire)
+                && self.schedule(
+                    &name,
+                    Arc::new(Staging::empty(size)),
+                    ReadCtx::staged(0, flow).on_lane(Lane::Prefetch),
+                );
             let mut guard = state.window.lock();
             if let Some(window) = guard.as_mut() {
-                match flow {
-                    Some(f) => window.set_flow(idx, f),
+                if scheduled {
+                    window.set_flow(idx, flow);
+                } else {
                     // Lost the CAS (a demand copy got there first, or the
-                    // file is already placed) or the pool refused: the
-                    // entry is settled, release its budget share.
-                    None => window.resolve(idx),
+                    // file is already placed), admission refused or the
+                    // pool did: the entry is settled, release its budget
+                    // share.
+                    window.resolve(idx);
                 }
             }
         }
-    }
-
-    /// Schedule one prefetch copy on the low-priority lane. Returns the
-    /// trace flow id (`0` when tracing is off) on success, `None` when the
-    /// copy was not scheduled (placement already in progress or done, or
-    /// the pool is shutting down).
-    fn schedule_prefetch(&self, file: &str, size: u64) -> Option<u64> {
-        if self.shutting_down.load(Ordering::Acquire) {
-            return None;
-        }
-        let lease = self.begin(file, Arc::new(Staging::empty(size)))?;
-        if !self.policy.admit(file, size, DecisionPoint::PrefetchAdmit) {
-            self.stats.policy_denial();
-            self.journal_policy(
-                file,
-                DecisionPoint::PrefetchAdmit,
-                "deny",
-                "admission policy refused the speculative copy",
-            );
-            let _ = self.metadata.abort_copy(file, false);
-            return None;
-        }
-        self.journal_policy(
-            file,
-            DecisionPoint::PrefetchAdmit,
-            "admit",
-            "plan entry admitted to the prefetch lane",
-        );
-        self.stats.copy_scheduled();
-        self.stats.prefetch_scheduled();
-        self.telemetry.event(EventKind::PrefetchScheduled {
-            file: file.to_string(),
-            bytes: size,
-        });
-        let tr = self.telemetry.trace();
-        let traced = tr.is_enabled();
-        let flow = if traced { tr.next_id() } else { 0 };
-        let queued_us = if traced {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
-        if traced {
-            // Like prestage, the flow starts at the scheduling span (there
-            // is no foreground pread yet — the read it serves may be far in
-            // the future) and finishes at the background copy_exec.
-            tr.record(
-                SpanRecord::new(
-                    names::PREFETCH_SCHEDULED,
-                    "copy",
-                    tr.register_current_thread(),
-                    queued_us,
-                    0,
-                )
-                .with_id(tr.next_id())
-                .arg_str("file", file)
-                .arg_u64("bytes", size)
-                .with_flow(flow, FlowPhase::Start),
-            );
-        }
-        let ctx = ReadCtx::staged(0, flow).on_lane(Lane::Prefetch);
-        if !self.submit(lease, ctx, queued_us) {
-            return None;
-        }
-        // Staged speculatively: protect it from eviction until its planned
-        // read arrives (or the plan closes) — evicting an unread prefetch
-        // would waste the copy the plan just paid for.
-        self.policy.pin(file);
-        Some(flow)
     }
 
     /// `(watermark, end of the range being fetched)` of `file`'s install
@@ -1273,10 +1087,7 @@ impl TransferEngine {
     #[must_use]
     pub fn sampler(&self, cluster: Option<Arc<Cluster>>) -> Sampler {
         Sampler {
-            hierarchy: Arc::clone(&self.hierarchy),
-            metadata: Arc::clone(&self.metadata),
-            policy: Arc::clone(&self.policy),
-            telemetry: Arc::clone(&self.telemetry),
+            book: Arc::clone(&self.book),
             probe: self.pool.probe(),
             prefetch: self.prefetch.as_ref().map(Arc::clone),
             shutting_down: Arc::clone(&self.shutting_down),
@@ -1299,10 +1110,7 @@ impl TransferEngine {
 /// thread.
 #[derive(Clone)]
 pub struct Sampler {
-    hierarchy: Arc<StorageHierarchy>,
-    metadata: Arc<MetadataContainer>,
-    policy: Arc<PolicyEngine>,
-    telemetry: Arc<TelemetryRegistry>,
+    book: Arc<Lifecycle>,
     probe: PoolProbe,
     prefetch: Option<Arc<PrefetchState>>,
     shutting_down: Arc<AtomicBool>,
@@ -1326,9 +1134,9 @@ impl Sampler {
                     lag_entries: w.next_index().saturating_sub(w.cursor()) as u64,
                 })
         });
-        self.telemetry.publish_gauges(
-            &self.hierarchy,
-            &self.metadata,
+        self.book.telemetry().publish_gauges(
+            self.book.hierarchy(),
+            self.book.metadata(),
             &PipelineSample {
                 queued,
                 running: self
@@ -1345,9 +1153,9 @@ impl Sampler {
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
         self.refresh();
-        self.telemetry.snapshot(
-            self.hierarchy.health(),
-            &self.policy,
+        self.book.telemetry().snapshot(
+            self.book.hierarchy().health(),
+            self.book.policy(),
             self.cluster.as_deref(),
         )
     }
@@ -1356,7 +1164,7 @@ impl Sampler {
     #[must_use]
     pub fn metrics_text(&self) -> String {
         self.refresh();
-        self.telemetry.prometheus_text()
+        self.book.telemetry().prometheus_text()
     }
 
     /// The `/healthz` word: `draining` once shutdown has begun, `degraded`
@@ -1365,8 +1173,8 @@ impl Sampler {
     pub fn healthz(&self) -> &'static str {
         if self.draining() {
             "draining"
-        } else if self.hierarchy.health().degraded()
-            || self.telemetry.stats().snapshot().pool_join_failures > 0
+        } else if self.book.hierarchy().health().degraded()
+            || self.book.telemetry().stats().snapshot().pool_join_failures > 0
         {
             "degraded"
         } else {
@@ -1378,7 +1186,7 @@ impl Sampler {
     /// export themselves).
     #[must_use]
     pub fn telemetry(&self) -> &Arc<TelemetryRegistry> {
-        &self.telemetry
+        self.book.telemetry()
     }
 
     fn draining(&self) -> bool {
@@ -1390,32 +1198,20 @@ impl Sampler {
 // CopyJob — the background placement task
 // ---------------------------------------------------------------------------
 
-/// Everything a background placement task needs (the pool outlives `&self`
-/// borrows, so tasks own `Arc`s).
+/// A queued copy: its [`Lease`] (the pool outlives `&self` borrows, so the
+/// lease owns `Arc`s of what the copy needs) and the request's trace and
+/// deadline.
 struct CopyJob {
-    hierarchy: Arc<StorageHierarchy>,
-    metadata: Arc<MetadataContainer>,
-    policy: Arc<PolicyEngine>,
-    stats: Arc<Stats>,
-    telemetry: Arc<TelemetryRegistry>,
-    shutting_down: Arc<AtomicBool>,
-    /// Lane the copy was queued on — the residency timeline attributes the
-    /// resulting admission to demand or to the plan accordingly.
-    lane: Lane,
     /// Flow id linking back to the sampled foreground operation that
     /// scheduled this copy; 0 when the trigger was not sampled.
     flow: u64,
     /// Registry-clock timestamp of the moment the task was enqueued
-    /// (queue-wait span start); 0 when untraced.
+    /// (queue-wait span start).
     queued_us: u64,
     /// Drop the copy if a worker has not started it by this instant.
     deadline: Option<Instant>,
-    /// Peer-cache residency feed, mirrored on admit/evict when present.
-    cluster_feed: Option<(Arc<ClusterView>, usize)>,
-    /// The engine's live-reservation registry (see
-    /// [`TransferEngine::reservations`]).
-    reservations: Arc<Mutex<HashMap<String, (TierId, u64)>>>,
-    /// The file's name and install staging; dropped with the job.
+    /// The file's name, install staging and reservation; dropped with the
+    /// job.
     lease: Lease,
 }
 
@@ -1436,58 +1232,28 @@ struct CopyTraceCtx {
 }
 
 impl CopyJob {
-    /// Journal one policy verdict with its decision point and cause (same
-    /// shape as the engine-side helper; the task owns its own `Arc`s).
-    fn journal_policy(&self, file: &str, point: DecisionPoint, verdict: &str, reason: &str) {
-        self.telemetry.event(EventKind::PolicyDecision {
-            file: file.to_string(),
-            point: point.as_str().to_string(),
-            policy: self.policy.name().to_string(),
-            verdict: verdict.to_string(),
-            reason: reason.to_string(),
-        });
-    }
-
     fn run(&self) {
-        let file = self.lease.file.as_str();
-        let size = self.lease.staging.size();
-        if self.shutting_down.load(Ordering::Acquire) {
-            let _ = self.metadata.abort_copy(file, false);
-            return;
+        let lease = &self.lease;
+        let book = &*lease.book;
+        let telemetry = book.telemetry();
+        let file = lease.file.as_str();
+        let size = lease.staging.size();
+        lease.queued.set(false);
+        if lease.shutting_down.load(Ordering::Acquire) {
+            return lease.unplaced(Unplaced::ShutDown);
         }
         if self.deadline.is_some_and(|d| Instant::now() > d) {
             // The request's freshness window closed while the copy sat in
             // the queue: doing the work now would be wasted bandwidth.
             // Same degradation as a failed copy — revert, retry on a later
-            // touch. Remote installs journal the distinct `remote_timeout`
-            // event (not a generic `copy_failed`): the peer bytes went
-            // stale in the queue and the file falls back to the PFS, which
-            // an operator reads very differently from a broken copy path.
-            self.stats.copy_failed();
-            self.stats.copy_deadline_expired();
-            if self.lane == Lane::Remote {
-                self.stats.remote_timeout();
-                self.telemetry.event(EventKind::RemoteTimeout {
-                    file: file.to_string(),
-                    reason: "remote install deadline expired before a worker started it; file stays on the PFS"
-                        .to_string(),
-                });
-            } else {
-                self.telemetry.event(EventKind::CopyFailed {
-                    file: file.to_string(),
-                    reason: "copy deadline expired before a worker started it".to_string(),
-                });
-            }
-            let _ = self.metadata.abort_copy(file, false);
-            return;
+            // touch.
+            return lease.unplaced(Unplaced::Expired {
+                remote: lease.lane == Lane::Remote,
+            });
         }
-        let tr = self.telemetry.trace();
+        let tr = telemetry.trace();
         let traced = self.flow != 0 && tr.is_enabled();
-        let exec_t0 = if traced {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
+        let exec_t0 = if traced { telemetry.now_micros() } else { 0 };
         let copy_trace = if traced {
             // The queue-wait interval spans enqueue → dequeue; it renders on
             // its own reserved track because it belongs to neither the
@@ -1511,10 +1277,10 @@ impl CopyJob {
             None
         };
         let started = Instant::now();
-        self.telemetry.event(EventKind::CopyStarted {
+        telemetry.event(EventKind::CopyStarted {
             file: file.to_string(),
         });
-        let result = self.try_place(file, size, copy_trace.as_ref());
+        let result = self.try_place(started, copy_trace.as_ref());
         if let Some(ct) = &copy_trace {
             let outcome = match &result {
                 Ok(Some(_)) => "completed",
@@ -1527,7 +1293,7 @@ impl CopyJob {
                     "copy",
                     ct.tid,
                     exec_t0,
-                    self.telemetry.now_micros() - exec_t0,
+                    telemetry.now_micros() - exec_t0,
                 )
                 .with_id(ct.exec_id)
                 .with_flow(self.flow, FlowPhase::Finish)
@@ -1537,128 +1303,53 @@ impl CopyJob {
             );
         }
         match result {
-            Ok(Some(tier)) => {
-                self.stats.copy_completed();
-                let elapsed = started.elapsed();
-                if self.telemetry.is_enabled() {
-                    self.telemetry.copy_duration().record_duration(elapsed);
-                }
-                self.telemetry.event(EventKind::CopyCompleted {
-                    file: file.to_string(),
-                    tier,
-                    bytes: size,
-                    micros: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                });
-                let observe = self.telemetry.observe();
-                let cause = match self.lane {
-                    // Remote installs are demand driven: a foreground read
-                    // triggered the peer fetch, only the install ran later.
-                    Lane::Demand | Lane::Remote => TransitionCause::Demand,
-                    Lane::Prefetch => TransitionCause::Plan,
-                };
-                observe.timeline().record_at(
-                    self.telemetry.now_micros(),
-                    file,
-                    tier,
-                    ResidencyEventKind::Admitted,
-                    cause,
-                );
-                if let Some((view, node)) = &self.cluster_feed {
-                    view.note_admitted(file, *node);
-                }
-                if let (Lane::Prefetch, Some(id)) = (self.lane, self.metadata.resolve(file)) {
-                    observe.profiler().record_prefetch_staged_id(
+            Ok(Some(_)) => {
+                if let (Lane::Prefetch, Some(id)) = (lease.lane, book.metadata().resolve(file)) {
+                    telemetry.observe().profiler().record_prefetch_staged_id(
                         id,
                         size,
-                        self.telemetry.now_micros(),
+                        telemetry.now_micros(),
                     );
                 }
             }
-            Ok(None) => {
-                // No tier accepted the file. When a quarantined tier is the
-                // reason, the skip is temporary: revert to `Unplaced` so a
-                // read after the tier's recovery re-arms demand placement.
-                // Otherwise the dataset genuinely does not fit — pin the
-                // file to the PFS permanently (placement for it has ended,
-                // paper §III-B last paragraph).
-                let quarantined = self
-                    .hierarchy
-                    .local_tiers()
-                    .any(|t| self.hierarchy.health().tier(t.id).is_quarantined());
-                if quarantined {
-                    self.stats.copy_requeue();
-                    self.telemetry.event(EventKind::CopyRequeued {
-                        file: file.to_string(),
-                        reason: "placement skipped while a tier is quarantined".to_string(),
-                    });
-                } else {
-                    self.stats.placement_skip();
-                    self.telemetry.event(EventKind::PlacementSkipped {
-                        file: file.to_string(),
-                        reason: "no local tier had room".to_string(),
-                    });
-                }
-                let _ = self.metadata.abort_copy(file, !quarantined);
-            }
-            Err(e) => {
-                // I/O failure: revert to Unplaced so a later read may retry.
-                // When a local tier is quarantined (this copy's failure may
-                // be what tripped it), the revert is journaled as a
-                // *requeue* rather than a plain failure: `Unplaced` re-arms
-                // demand placement, and the policy's quarantine skip routes
-                // the next attempt around the sick tier.
-                let quarantined = device_error_class(&e).is_some()
-                    && self
-                        .hierarchy
-                        .local_tiers()
-                        .any(|t| self.hierarchy.health().tier(t.id).is_quarantined());
-                if quarantined {
-                    self.stats.copy_requeue();
-                    self.telemetry.event(EventKind::CopyRequeued {
-                        file: file.to_string(),
-                        reason: format!("target tier quarantined: {e}"),
-                    });
-                } else {
-                    self.stats.copy_failed();
-                    self.telemetry.event(EventKind::CopyFailed {
-                        file: file.to_string(),
-                        reason: e.to_string(),
-                    });
-                }
-                let _ = self.metadata.abort_copy(file, false);
-            }
+            Ok(None) => lease.unplaced(Unplaced::NoRoom),
+            Err(e) => lease.unplaced(Unplaced::Failed(&e)),
         }
     }
 
-    /// Returns `Ok(Some(tier))` if the file was placed on `tier`,
-    /// `Ok(None)` if no tier had room, `Err` on I/O failure (quota
-    /// released, nothing half-installed visible to readers).
-    fn try_place(
-        &self,
-        file: &str,
-        size: u64,
-        ct: Option<&CopyTraceCtx>,
-    ) -> Result<Option<TierId>> {
-        let tr = self.telemetry.trace();
+    /// Fetch the file into the lease's staging, install it and book the
+    /// placement, `started` being when the worker took the job. Returns
+    /// `Ok(Some(tier))` if the file was placed on `tier`, `Ok(None)` if no
+    /// tier had room, `Err` on I/O failure (nothing half-installed visible
+    /// to readers; the lease releases the reservation when the caller
+    /// books the failure).
+    fn try_place(&self, started: Instant, ct: Option<&CopyTraceCtx>) -> Result<Option<TierId>> {
+        let lease = &self.lease;
+        let book = &*lease.book;
+        let (hierarchy, policy, telemetry) = (book.hierarchy(), book.policy(), book.telemetry());
+        let stats = book.stats();
+        let file = lease.file.as_str();
+        let size = lease.staging.size();
+        let tr = telemetry.trace();
         let t_decide = if ct.is_some() {
-            self.telemetry.now_micros()
+            telemetry.now_micros()
         } else {
             0
         };
-        let decision = self.policy.place(&self.hierarchy, file, size)?;
+        let decision = policy.place(hierarchy, file, size)?;
         if let Some(ct) = ct {
             let mut span = SpanRecord::new(
                 names::PLACEMENT_DECIDE,
                 "copy",
                 ct.tid,
                 t_decide,
-                self.telemetry.now_micros() - t_decide,
+                telemetry.now_micros() - t_decide,
             )
             .with_id(tr.next_id())
             .with_parent(ct.exec_id)
-            .arg_str("policy", self.policy.name().to_string());
+            .arg_str("policy", policy.name().to_string());
             if let Some(d) = &decision {
-                for (key, value) in d.trace_args(&self.hierarchy) {
+                for (key, value) in d.trace_args(hierarchy) {
                     span.args.push((key, value));
                 }
             } else {
@@ -1669,76 +1360,17 @@ impl CopyJob {
         let Some(decision) = decision else {
             return Ok(None);
         };
-        let dest = self.hierarchy.tier(decision.tier)?;
-        let quota = dest
-            .quota
-            .as_ref()
-            .ok_or(Error::UnknownTier(decision.tier))?;
-
-        // Evictions (eviction-capable policies only): remove victims,
-        // release their quota, then reserve for the newcomer.
-        let reserved = if decision.evict.is_empty() {
-            true // policy reserved during `place`
-        } else {
-            for victim in &decision.evict {
-                if let Some(vinfo) = self.metadata.get(victim) {
-                    if vinfo.tier == decision.tier {
-                        // Metadata flips to the source *before* the local
-                        // copy disappears: a reader that raced the delete
-                        // re-resolves to the source on its retry. A victim
-                        // someone else is already moving is skipped.
-                        let removed =
-                            self.metadata
-                                .evict_with(victim, self.hierarchy.source_id(), || {
-                                    dest.driver.remove(victim)
-                                })?;
-                        let Some(removed) = removed else {
-                            continue;
-                        };
-                        removed?;
-                        quota.release(vinfo.size);
-                        self.stats.record_evict(decision.tier);
-                        self.policy.on_evicted(victim);
-                        self.journal_policy(
-                            victim,
-                            DecisionPoint::PressureEvict,
-                            "evict",
-                            "selected by the eviction policy to make room for an incoming copy",
-                        );
-                        self.telemetry.event(EventKind::Evicted {
-                            file: victim.clone(),
-                            tier: decision.tier,
-                            bytes: vinfo.size,
-                        });
-                        self.telemetry.observe().timeline().record_at(
-                            self.telemetry.now_micros(),
-                            victim,
-                            decision.tier,
-                            ResidencyEventKind::Evicted,
-                            TransitionCause::Policy,
-                        );
-                        if let Some((view, node)) = &self.cluster_feed {
-                            view.note_evicted(victim, *node);
-                        }
-                    }
-                }
-            }
-            quota.try_reserve(size)
-        };
-        if !reserved {
+        let dest = hierarchy.tier(decision.tier)?;
+        // Evictions (eviction-capable policies only), then the reservation.
+        let at = telemetry.now_micros();
+        if !book.make_room(at, file, size, &decision, |victim| {
+            dest.driver.remove(victim)
+        }) {
             return Ok(None);
         }
-        // Register the live reservation so the pool's panic handler can
-        // reclaim it if this task dies before the settlement below runs.
-        self.reservations
-            .lock()
-            .insert(file.to_string(), (decision.tier, size));
-        self.telemetry.event(EventKind::PlacementDecided {
-            file: file.to_string(),
-            tier: decision.tier,
-            used: quota.used(),
-            capacity: quota.capacity(),
-        });
+        // From here the bytes are the lease's: whichever way the job ends,
+        // they are released or become the file's, once.
+        lease.reserved.set(Some((decision.tier, size)));
 
         // The install either succeeds or reports *which* tier failed, so
         // health accounting blames the source on a failed read and the
@@ -1746,11 +1378,11 @@ impl CopyJob {
         // watermark — whatever the triggering read, foreground reads at the
         // frontier, or an earlier attempt already fetched is not fetched
         // again — then writes the finished buffer out.
-        let staging = &self.lease.staging;
+        let staging = &lease.staging;
         let install = || -> std::result::Result<(), (TierId, Error)> {
-            let source = self.hierarchy.source();
+            let source = hierarchy.source();
             let t_read = if ct.is_some() {
-                self.telemetry.now_micros()
+                telemetry.now_micros()
             } else {
                 0
             };
@@ -1759,7 +1391,7 @@ impl CopyJob {
                 let n = claim
                     .fill(|at, dst| source.driver.read_at(file, at, dst))
                     .map_err(|e| (source.id, e))?;
-                self.stats.record_read(source.id, n as u64);
+                stats.record_read(source.id, n as u64);
                 fetched += n as u64;
             }
             if let (Some(ct), true) = (ct, fetched > 0) {
@@ -1769,7 +1401,7 @@ impl CopyJob {
                         "copy",
                         ct.tid,
                         t_read,
-                        self.telemetry.now_micros() - t_read,
+                        telemetry.now_micros() - t_read,
                     )
                     .with_id(tr.next_id())
                     .with_parent(ct.exec_id)
@@ -1788,14 +1420,14 @@ impl CopyJob {
                 std::thread::yield_now();
             }
             let t_write = if ct.is_some() {
-                self.telemetry.now_micros()
+                telemetry.now_micros()
             } else {
                 0
             };
             dest.driver
                 .write_full(file, data)
                 .map_err(|e| (decision.tier, e))?;
-            self.stats.record_write(decision.tier, data.len() as u64);
+            stats.record_write(decision.tier, data.len() as u64);
             if let Some(ct) = ct {
                 tr.record(
                     SpanRecord::new(
@@ -1803,7 +1435,7 @@ impl CopyJob {
                         "copy",
                         ct.tid,
                         t_write,
-                        self.telemetry.now_micros() - t_write,
+                        telemetry.now_micros() - t_write,
                     )
                     .with_id(tr.next_id())
                     .with_parent(ct.exec_id)
@@ -1819,7 +1451,7 @@ impl CopyJob {
         // outside Monarch) evicts one resident file and retries once;
         // anything else fails the copy. Every device error feeds the tier
         // health tracker of the tier that produced it.
-        let health = self.hierarchy.health();
+        let health = hierarchy.health();
         let retry = health.retry_policy();
         let mut attempts = 0u32;
         let mut evicted_for_space = false;
@@ -1833,8 +1465,8 @@ impl CopyJob {
             };
             let (_, quarantined_now) = health.record_error(err_tier, class);
             if quarantined_now {
-                self.stats.tier_quarantine();
-                self.telemetry.event(EventKind::TierQuarantined {
+                stats.tier_quarantine();
+                telemetry.event(EventKind::TierQuarantined {
                     tier: err_tier,
                     reason: format!("copy of '{file}' failed: {e}"),
                 });
@@ -1842,15 +1474,15 @@ impl CopyJob {
             match class {
                 ErrorClass::Transient if attempts < retry.max_attempts => {
                     attempts += 1;
-                    self.stats.copy_retry();
+                    stats.copy_retry();
                     std::thread::sleep(Duration::from_micros(retry.backoff_us(attempts, size)));
                 }
                 ErrorClass::Capacity if !evicted_for_space && err_tier == decision.tier => {
                     evicted_for_space = true;
-                    if !self.evict_for_space(file, decision.tier) {
+                    if !self.evict_for_space(decision.tier) {
                         break Some(e);
                     }
-                    self.stats.enospc_eviction();
+                    stats.enospc_eviction();
                 }
                 _ => break Some(e),
             }
@@ -1858,13 +1490,11 @@ impl CopyJob {
         match failure {
             None => {
                 let t_reg = if ct.is_some() {
-                    self.telemetry.now_micros()
+                    telemetry.now_micros()
                 } else {
                     0
                 };
-                self.reservations.lock().remove(file);
-                self.metadata.finish_copy(file, decision.tier)?;
-                self.policy.on_placed(file, size, decision.tier);
+                lease.placed(decision.tier, started.elapsed())?;
                 health.record_success(decision.tier);
                 if let Some(ct) = ct {
                     tr.record(
@@ -1873,7 +1503,7 @@ impl CopyJob {
                             "copy",
                             ct.tid,
                             t_reg,
-                            self.telemetry.now_micros() - t_reg,
+                            telemetry.now_micros() - t_reg,
                         )
                         .with_id(tr.next_id())
                         .with_parent(ct.exec_id)
@@ -1883,13 +1513,11 @@ impl CopyJob {
                 Ok(Some(decision.tier))
             }
             Some(e) => {
-                self.reservations.lock().remove(file);
-                quota.release(size);
                 // Best effort: remove a possibly half-written destination
                 // file (the POSIX driver's rename makes this a no-op there).
                 if dest.driver.remove(file).is_ok() {
-                    self.stats.record_remove(decision.tier);
-                    self.telemetry.event(EventKind::Removed {
+                    stats.record_remove(decision.tier);
+                    telemetry.event(EventKind::Removed {
                         file: file.to_string(),
                         tier: decision.tier,
                     });
@@ -1899,65 +1527,35 @@ impl CopyJob {
         }
     }
 
-    /// ENOSPC recovery: evict one file resident on `tier` (other than
-    /// `keep`, the file being installed) back to the PFS to free real
-    /// device space. The eviction policy picks the victim when it has a
-    /// preference among the resident candidates; otherwise the first
-    /// non-exempt resident goes, so pressure is relieved even under
-    /// no-eviction policies. Returns whether a victim was evicted.
-    fn evict_for_space(&self, keep: &str, tier_id: TierId) -> bool {
-        let Ok(dest) = self.hierarchy.tier(tier_id) else {
-            return false;
-        };
-        let Some(quota) = dest.quota.as_ref() else {
+    /// ENOSPC recovery: evict one file resident on `tier` (other than the
+    /// file being installed) back to the PFS to free real device space.
+    /// The eviction policy picks the victim when it has a preference among
+    /// the resident candidates; otherwise the first non-exempt resident
+    /// goes, so pressure is relieved even under no-eviction policies.
+    /// Returns whether a victim was evicted — a victim whose delete failed
+    /// still is: its quota is free, and the retry will tell.
+    fn evict_for_space(&self, tier: TierId) -> bool {
+        let book = &*self.lease.book;
+        let keep = self.lease.file.as_str();
+        let Ok(dest) = book.hierarchy().tier(tier) else {
             return false;
         };
         let mut candidates: Vec<(String, u64)> = Vec::new();
-        self.metadata.for_each(|name, info| {
-            if name != keep && info.state == PlacementState::Placed && info.tier == tier_id {
+        book.metadata().for_each(|name, info| {
+            if name != keep && info.state == PlacementState::Placed && info.tier == tier {
                 candidates.push((name.to_string(), info.size));
             }
         });
-        let Some(victim) = self.policy.pressure_victim(tier_id, &candidates, keep) else {
+        let Some(victim) = book.policy().pressure_victim(tier, &candidates, keep) else {
             return false;
         };
-        let vsize = candidates
-            .iter()
-            .find(|(name, _)| *name == victim)
-            .map_or(0, |(_, size)| *size);
-        let evicted = self
-            .metadata
-            .evict_with(&victim, self.hierarchy.source_id(), || {
-                let _ = dest.driver.remove(&victim);
-            });
-        if !matches!(evicted, Ok(Some(()))) {
-            return false;
-        }
-        quota.release(vsize);
-        self.stats.record_evict(tier_id);
-        self.policy.on_evicted(&victim);
-        self.journal_policy(
-            &victim,
-            DecisionPoint::PressureEvict,
-            "evict",
-            "evicted under ENOSPC pressure to free real device space",
-        );
-        self.telemetry.event(EventKind::Evicted {
-            file: victim.clone(),
-            tier: tier_id,
-            bytes: vsize,
-        });
-        self.telemetry.observe().timeline().record_at(
-            self.telemetry.now_micros(),
-            &victim,
-            tier_id,
-            ResidencyEventKind::Evicted,
-            TransitionCause::Policy,
-        );
-        if let Some((view, node)) = &self.cluster_feed {
-            view.note_evicted(&victim, *node);
-        }
-        true
+        let at = book.telemetry().now_micros();
+        !matches!(
+            book.evicted(at, &victim, tier, Evict::Enospc, || dest
+                .driver
+                .remove(&victim)),
+            Ok(false)
+        )
     }
 }
 
@@ -1967,6 +1565,9 @@ mod tests {
     use crate::config::TelemetryConfig;
     use crate::config::{AdmissionKind, PolicyKind};
     use crate::driver::{open_gate, Gate, GatedDriver, MemDriver, StorageDriver};
+    use crate::hierarchy::StorageHierarchy;
+    use crate::policy::PolicyEngine;
+    use crate::stats::Stats;
     use std::time::Duration;
 
     // -- LaneQueues ---------------------------------------------------------
@@ -2073,7 +1674,7 @@ mod tests {
         let stats = Arc::new(Stats::new(hierarchy.levels()));
         let telemetry = Arc::new(TelemetryRegistry::new(
             vec!["ssd".into(), "pfs".into()],
-            Arc::clone(&stats),
+            stats,
             &TelemetryConfig::default(),
         ));
         let policy = Arc::new(PolicyEngine::from_kind(
@@ -2085,7 +1686,8 @@ mod tests {
                 .namespace()
                 .register(&name, size, hierarchy.source_id());
         }
-        TransferEngine::new(hierarchy, policy, stats, telemetry, threads, prefetch)
+        let book = Arc::new(Lifecycle::new(hierarchy, policy, telemetry));
+        TransferEngine::new(book, threads, prefetch)
     }
 
     /// Single-worker engine over a gated PFS: a demand copy pins the
@@ -2111,7 +1713,8 @@ mod tests {
         assert!(engine.demand(file, 512, ReadCtx::untraced()));
         let started = || {
             engine
-                .telemetry
+                .book
+                .telemetry()
                 .journal()
                 .events()
                 .iter()
@@ -2128,7 +1731,8 @@ mod tests {
 
     fn started_order(engine: &TransferEngine) -> Vec<String> {
         engine
-            .telemetry
+            .book
+            .telemetry()
             .journal()
             .events()
             .iter()
@@ -2153,7 +1757,7 @@ mod tests {
         open_gate(&gate);
         engine.wait_idle();
         assert_eq!(started_order(&engine), vec!["f000", "f003", "f001", "f002"]);
-        assert_eq!(engine.stats.snapshot().copies_completed, 4);
+        assert_eq!(engine.book.stats().snapshot().copies_completed, 4);
         let report = engine.drain();
         assert_eq!(
             report,
@@ -2171,10 +1775,10 @@ mod tests {
         assert_eq!(engine.plan(&plan_of(&["f001", "f002"])), 2);
         // A foreground read for the *second* queued entry upgrades its
         // existing job to the demand lane instead of duplicating the copy.
-        let fb = engine.note_read("f002", engine.hierarchy.source_id());
+        let fb = engine.note_read("f002", engine.book.hierarchy().source_id());
         assert!(fb.planned, "f002 was covered by the submitted plan");
         assert!(!fb.prefetch_hit, "still served from the source");
-        let stats = engine.stats.snapshot();
+        let stats = engine.book.stats().snapshot();
         assert_eq!(stats.prefetch_promoted, 1);
         assert_eq!(stats.copies_scheduled, 3, "no duplicate copy for f002");
         assert_eq!(engine.queued(Lane::Demand), 1);
@@ -2207,21 +1811,21 @@ mod tests {
         // their metadata reverted.
         assert_eq!(started_order(&engine), vec!["f000"]);
         assert_eq!(
-            engine.metadata.get("f000").unwrap().state,
+            engine.book.metadata().get("f000").unwrap().state,
             PlacementState::Placed
         );
         for f in ["f001", "f002"] {
-            let info = engine.metadata.get(f).unwrap();
+            let info = engine.book.metadata().get(f).unwrap();
             assert_eq!(info.state, PlacementState::Unplaced, "{f} reverted");
-            assert_eq!(info.tier, engine.hierarchy.source_id());
+            assert_eq!(info.tier, engine.book.hierarchy().source_id());
         }
         // Run, withdrawn or never started: every staging went with its job.
         assert!(engine.stagings.lock().is_empty());
-        let stats = engine.stats.snapshot();
+        let stats = engine.book.stats().snapshot();
         assert_eq!(stats.prefetch_canceled, 2);
         assert_eq!(stats.copies_completed, 1);
         // The canceled count is journaled, after the per-file cancels.
-        let events = engine.telemetry.journal().events();
+        let events = engine.book.telemetry().journal().events();
         let drained = events
             .iter()
             .find(|e| e.kind.tag() == "prefetch_drained")
@@ -2254,11 +1858,11 @@ mod tests {
         // The peer's bytes were the whole staging — placed without a
         // source fetch — and the scheduling peer is journaled.
         assert_eq!(
-            engine.metadata.get("f002").unwrap().state,
+            engine.book.metadata().get("f002").unwrap().state,
             PlacementState::Placed
         );
-        assert_eq!(engine.stats.snapshot().tiers[1].reads, 3);
-        let events = engine.telemetry.journal().events();
+        assert_eq!(engine.book.stats().snapshot().tiers[1].reads, 3);
+        let events = engine.book.telemetry().journal().events();
         let sched = events
             .iter()
             .find(|e| e.kind.tag() == "remote_scheduled")
@@ -2284,7 +1888,8 @@ mod tests {
         open_gate(&gate);
         engine.wait_idle();
         assert!(engine
-            .telemetry
+            .book
+            .telemetry()
             .journal()
             .events()
             .iter()
@@ -2309,13 +1914,13 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         open_gate(&gate);
         engine.wait_idle();
-        let stats = engine.stats.snapshot();
+        let stats = engine.book.stats().snapshot();
         assert_eq!(stats.remote_timeouts, 1);
         assert_eq!(stats.copies_completed, 1, "only the pinned copy ran");
-        let info = engine.metadata.get("f001").unwrap();
+        let info = engine.book.metadata().get("f001").unwrap();
         assert_eq!(info.state, PlacementState::Unplaced, "fell back to the PFS");
-        assert_eq!(info.tier, engine.hierarchy.source_id());
-        let events = engine.telemetry.journal().events();
+        assert_eq!(info.tier, engine.book.hierarchy().source_id());
+        let events = engine.book.telemetry().journal().events();
         assert!(
             events
                 .iter()
@@ -2342,16 +1947,16 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         open_gate(&gate);
         engine.wait_idle();
-        let stats = engine.stats.snapshot();
+        let stats = engine.book.stats().snapshot();
         assert_eq!(stats.copies_completed, 1, "only the pinned copy ran");
         assert_eq!(stats.copies_failed, 1);
-        let info = engine.metadata.get("f001").unwrap();
+        let info = engine.book.metadata().get("f001").unwrap();
         assert_eq!(
             info.state,
             PlacementState::Unplaced,
             "dropped copy reverted"
         );
-        let events = engine.telemetry.journal().events();
+        let events = engine.book.telemetry().journal().events();
         let failed = events
             .iter()
             .find(|e| e.kind.tag() == "copy_failed" && e.kind.file() == "f001")
@@ -2384,13 +1989,13 @@ mod tests {
         assert_eq!(engine.staging_progress("f001"), Some((250, None)));
         // Beyond the frontier: the plain path's business.
         assert_eq!(engine.read_staged("f001", 300, &mut buf[..10]), None);
-        let stats = engine.stats.snapshot();
+        let stats = engine.book.stats().snapshot();
         assert_eq!((stats.staged_reads, stats.staged_bytes), (1, 130));
         assert_eq!((stats.tiers[1].reads, stats.tiers[1].bytes_read), (2, 250));
         open_gate(&gate);
         engine.wait_idle();
         // The copy fetched what was left, and only that.
-        let stats = engine.stats.snapshot();
+        let stats = engine.book.stats().snapshot();
         assert_eq!(stats.copies_completed, 2);
         assert_eq!(
             (stats.tiers[1].reads, stats.tiers[1].bytes_read),
@@ -2398,7 +2003,7 @@ mod tests {
         );
         assert_eq!(stats.tiers[0].bytes_written, 1024);
         assert_eq!(engine.staging_progress("f001"), None);
-        let ssd = &engine.hierarchy.tier(0).unwrap().driver;
+        let ssd = &engine.book.hierarchy().tier(0).unwrap().driver;
         assert_eq!(ssd.read_full("f001").unwrap(), vec![1u8; 512]);
         engine.drain();
     }
@@ -2449,7 +2054,7 @@ mod tests {
         );
         open_gate(&gate);
         engine.wait_idle();
-        let stats = engine.stats.snapshot();
+        let stats = engine.book.stats().snapshot();
         assert_eq!(stats.copies_completed, 6);
         // f001 in three fetches, f005 in the one its read made, the rest
         // in one each.
@@ -2463,10 +2068,11 @@ mod tests {
         let mut engine = assemble(Arc::new(staged_pfs(2)), 2, PrefetchConfig::disabled());
         assert!(engine.demand("f000", 512, ReadCtx::untraced()));
         engine.wait_idle();
-        assert_eq!(engine.metadata.get("f000").unwrap().tier, 0);
+        assert_eq!(engine.book.metadata().get("f000").unwrap().tier, 0);
         let quota_used = || {
             engine
-                .hierarchy
+                .book
+                .hierarchy()
                 .tier(0)
                 .unwrap()
                 .quota
@@ -2477,13 +2083,14 @@ mod tests {
         assert_eq!(quota_used(), 512);
 
         assert!(engine.evict("f000").unwrap());
-        let info = engine.metadata.get("f000").unwrap();
-        assert_eq!(info.tier, engine.hierarchy.source_id());
+        let info = engine.book.metadata().get("f000").unwrap();
+        assert_eq!(info.tier, engine.book.hierarchy().source_id());
         assert_eq!(info.state, PlacementState::Unplaced);
         assert_eq!(quota_used(), 0, "eviction released the quota");
-        assert_eq!(engine.stats.snapshot().evictions, 1);
+        assert_eq!(engine.book.stats().snapshot().evictions, 1);
         assert!(engine
-            .telemetry
+            .book
+            .telemetry()
             .journal()
             .events()
             .iter()
@@ -2499,7 +2106,7 @@ mod tests {
         // ...and a later demand places the file again.
         assert!(engine.demand("f000", 512, ReadCtx::untraced()));
         engine.wait_idle();
-        assert_eq!(engine.metadata.get("f000").unwrap().tier, 0);
+        assert_eq!(engine.book.metadata().get("f000").unwrap().tier, 0);
         engine.drain();
     }
 
@@ -2520,7 +2127,7 @@ mod tests {
         opener.join().unwrap();
         assert_eq!(report.canceled, 1);
         assert_eq!(
-            engine.metadata.get("f001").unwrap().state,
+            engine.book.metadata().get("f001").unwrap().state,
             PlacementState::Unplaced
         );
         assert_eq!(started_order(&engine), vec!["f000"]);
@@ -2539,7 +2146,7 @@ mod tests {
                 .map(|g| (g.labels.clone(), g.value))
                 .collect::<Vec<_>>()
         };
-        let snap = engine.telemetry.gauges().snapshot();
+        let snap = engine.book.telemetry().gauges().snapshot();
         // The pinned copy is executing; the three plan entries queue
         // behind it on the prefetch lane.
         assert_eq!(
@@ -2576,7 +2183,7 @@ mod tests {
         engine.wait_idle();
         engine.drain();
         sampler.refresh();
-        let snap = engine.telemetry.gauges().snapshot();
+        let snap = engine.book.telemetry().gauges().snapshot();
         // All four copies landed on the SSD: occupancy, files, and the
         // drain flag all moved; both lanes are empty again.
         assert_eq!(
@@ -2604,7 +2211,7 @@ mod tests {
         );
         assert_eq!(gauge_of("monarch_draining", &snap), vec![(vec![], 1.0)]);
         // Rendered exposition carries the gauge families too.
-        let text = engine.telemetry.prometheus_text();
+        let text = engine.book.telemetry().prometheus_text();
         assert!(text.contains("# TYPE monarch_tier_occupancy_bytes gauge"));
         assert!(text.contains("monarch_lane_queued{lane=\"demand\"} 0"));
     }

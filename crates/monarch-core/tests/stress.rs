@@ -6,10 +6,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use monarch_core::config::PolicyKind;
-use monarch_core::driver::{FaultKind, FaultyDriver, MemDriver, StorageDriver};
+use monarch_core::config::{AdmissionKind, PolicyKind};
+use monarch_core::driver::{
+    FaultKind, FaultyDriver, FlakyDriver, FlakyOutcome, MemDriver, StorageDriver,
+};
 use monarch_core::hierarchy::StorageHierarchy;
-use monarch_core::MonarchBuilder;
+use monarch_core::metadata::{MetadataContainer, PlacementState};
+use monarch_core::{MonarchBuilder, PolicyEngine, StatsSnapshot, TelemetrySnapshot};
 
 /// Stage `n` files of `size` bytes with deterministic contents.
 fn stage(n: usize, size: usize) -> MemDriver {
@@ -253,4 +256,123 @@ fn prestage_races_with_readers() {
         "dedup: one copy per file despite the race"
     );
     assert_eq!(stats.copies_completed, FILES as u64);
+}
+
+/// Every local tier's quota is exactly the bytes of the files `Placed`
+/// there (`occupancy` is `quota.used()` per tier, as the gauges report
+/// it), no file is left `Copying`, and every scheduled copy was settled
+/// exactly once. Only holds with no copy in flight.
+fn assert_books_balance(
+    files: &MetadataContainer,
+    snap: &TelemetrySnapshot,
+    stats: &StatsSnapshot,
+) {
+    let mut placed = vec![0u64; snap.tier_names.len()];
+    files.for_each(|name, info| match info.state {
+        PlacementState::Placed => placed[info.tier] += info.size,
+        PlacementState::Unplaced => {}
+        PlacementState::Copying { .. } => panic!("{name} left in Copying"),
+    });
+    for g in &snap.gauges {
+        if g.name == "monarch_tier_occupancy_bytes" {
+            let tier = snap
+                .tier_names
+                .iter()
+                .position(|t| g.labels.contains(&("tier".to_string(), t.clone())))
+                .expect("a tier of the hierarchy");
+            assert_eq!(
+                g.value as u64, placed[tier],
+                "quota of {}",
+                snap.tier_names[tier]
+            );
+        }
+    }
+    assert_eq!(
+        stats.copies_scheduled,
+        stats.copies_completed
+            + stats.copies_failed
+            + stats.placement_skipped
+            + stats.copy_requeues
+            + stats.prefetch_canceled,
+        "{stats:?}"
+    );
+}
+
+/// ROADMAP item 4(b)'s quota and copy-count laws, checked at idle and
+/// across a shutdown: eight readers churn an LRU tier a third of the
+/// dataset whose device fails roughly every seventh install (every other
+/// time fatally for the copy) and every fifth delete.
+#[test]
+fn quota_and_copy_counts_are_conserved_under_faults() {
+    const FILES: usize = 36;
+    const SIZE: usize = 3000;
+    use FlakyOutcome::{Enospc, Ok as Pass, Transient};
+    let ssd = FlakyDriver::new(MemDriver::new("ssd"));
+    // A transient failure is retried in place, an ENOSPC evicts a victim
+    // and retries once, a second ENOSPC in a row fails the copy.
+    let writes = [
+        Pass, Pass, Pass, Pass, Pass, Pass, Transient, // retried
+        Pass, Pass, Pass, Pass, Pass, Pass, Enospc, Enospc, // fatal
+        Pass, Pass, Pass, Pass, Pass, Pass, Enospc, // evict, retried
+    ];
+    ssd.script_writes(writes.into_iter().cycle().take(writes.len() * 200));
+    ssd.script_removes(
+        [Pass, Pass, Pass, Pass, Transient]
+            .into_iter()
+            .cycle()
+            .take(5000),
+    );
+    let hierarchy = StorageHierarchy::new(vec![
+        (
+            "ssd".into(),
+            Arc::new(ssd) as Arc<dyn StorageDriver>,
+            Some((FILES * SIZE / 3) as u64),
+        ),
+        (
+            "pfs".into(),
+            Arc::new(stage(FILES, SIZE)) as Arc<dyn StorageDriver>,
+            None,
+        ),
+    ])
+    .unwrap();
+    // The policy engine brings the namespace: keep it past the shutdown.
+    let policy = Arc::new(PolicyEngine::from_kind(
+        PolicyKind::LruEvict,
+        AdmissionKind::AdmitAll,
+    ));
+    let files = Arc::clone(policy.namespace());
+    let m = MonarchBuilder::new()
+        .hierarchy(hierarchy)
+        .policy_engine(policy)
+        .pool_threads(3)
+        .build()
+        .unwrap();
+    m.init().unwrap();
+
+    std::thread::scope(|s| {
+        for t in 0..8 {
+            let m = &m;
+            s.spawn(move || {
+                let mut buf = vec![0u8; SIZE];
+                for round in 0..4 {
+                    for i in 0..FILES {
+                        let i = (i + t * 5 + round) % FILES;
+                        let name = format!("f{i:04}");
+                        assert_eq!(m.read(&name, 0, &mut buf).unwrap(), SIZE);
+                        assert_eq!(buf[7], ((i * 31 + 7) % 251) as u8, "{name}");
+                    }
+                }
+            });
+        }
+    });
+    m.wait_placement_idle();
+    let stats = m.stats();
+    assert!(stats.evictions > 0 && stats.copies_failed > 0, "{stats:?}");
+    assert_books_balance(&files, &m.telemetry_snapshot(), &stats);
+
+    // And with the queue full of copies when the instance goes down.
+    let sampler = m.sampler();
+    m.prestage();
+    let stats = m.shutdown();
+    assert_books_balance(&files, &sampler.snapshot(), &stats);
 }

@@ -4,7 +4,7 @@
 # gate. Run before pushing.
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh fmt        # one stage: fmt | clippy | size | test | benchapi | cold | hit | trace | prefetch | policy | report | cluster | chaos | serve | model
+#   scripts/check.sh fmt        # one stage: fmt | clippy | size | lifecycle | test | benchapi | cold | hit | trace | prefetch | policy | report | cluster | chaos | serve | model
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +27,37 @@ run_size() {
     echo "==> middleware facade size: $lines lines (limit $limit)"
     if [ "$lines" -gt "$limit" ]; then
         echo "size gate: $file has $lines lines > $limit" >&2
+        exit 1
+    fi
+}
+
+# A copy's lifecycle is booked in one place (DESIGN §3.3): what each of
+# its transitions does to the namespace, the counters and the journal is
+# written once, in `lifecycle.rs`, and called from the engine and from the
+# simulator. Outside it (and `metadata.rs`, which defines the namespace
+# moves) no non-test code of either may make those moves, bump those
+# counters or build those events by hand — a sixth site cannot come back.
+# `telemetry.rs` defines `EventKind` and projects it (tag, file, JSON
+# fields): it matches on the variants, so only the calls are looked for
+# there. Non-test code is what precedes a file's column-0 `#[cfg(test)]`.
+run_lifecycle() {
+    echo "==> lifecycle gate: one booking site per copy transition"
+    local calls='begin_copy\(|finish_copy\(|abort_copy\(|evict_with\(|\.record_evict\(|\.copy_scheduled\(\)|\.copy_completed\(\)|\.placement_skip\(\)|\.copy_requeue\(\)'
+    local events='(^|[^A-Za-z_])EventKind::(CopyScheduled|PrefetchScheduled|CopyCompleted|PlacementSkipped|CopyRequeued|Evicted)\b'
+    local bad=0 f pat
+    while IFS= read -r f; do
+        case "$f" in
+            */lifecycle.rs | */metadata.rs | *_tests.rs) continue ;;
+            */telemetry.rs) pat="$calls" ;;
+            *) pat="$calls|$events" ;;
+        esac
+        if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E "$pat"; then
+            bad=1
+        fi
+    done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
+    if [ "$bad" -ne 0 ]; then
+        echo "lifecycle gate: book the transition through monarch_core::lifecycle instead" >&2
         exit 1
     fi
 }
@@ -350,6 +381,7 @@ case "$stage" in
     fmt) run_fmt ;;
     clippy) run_clippy ;;
     size) run_size ;;
+    lifecycle) run_lifecycle ;;
     test) run_test ;;
     benchapi) run_benchapi ;;
     cold) run_cold ;;
@@ -366,6 +398,7 @@ case "$stage" in
         run_fmt
         run_clippy
         run_size
+        run_lifecycle
         run_test
         run_benchapi
         run_cold
@@ -380,7 +413,7 @@ case "$stage" in
         run_model
         ;;
     *)
-        echo "usage: scripts/check.sh [fmt|clippy|size|test|benchapi|cold|hit|trace|prefetch|policy|report|cluster|chaos|serve|model|all]" >&2
+        echo "usage: scripts/check.sh [fmt|clippy|size|lifecycle|test|benchapi|cold|hit|trace|prefetch|policy|report|cluster|chaos|serve|model|all]" >&2
         exit 2
         ;;
 esac
