@@ -12,7 +12,7 @@ use std::fs;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -70,6 +70,62 @@ const FD_CACHED: usize = 512;
 const FULL_ADMIT_PERIOD: u32 = 16;
 /// Suffix of an install's temp file; [`PosixDriver::list`] skips it.
 const TMP_SUFFIX: &str = ".monarch-tmp";
+/// Reads of at most this many bytes of a cached file are copied out of a
+/// mapping of it: the kernel's fault-around window. Larger reads keep
+/// `pread` and its readahead.
+const MAPPED_READ_MAX: usize = 64 << 10;
+/// What a read reports when a page of its mapped copy could not be read.
+const EIO: i32 = 5;
+
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod mapped;
+
+/// Elsewhere nothing is mapped: every read is a `pread`.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod mapped {
+    pub(super) enum Mapping {}
+
+    impl Mapping {
+        pub(super) fn new(_: &std::fs::File) -> Option<Self> {
+            None
+        }
+
+        pub(super) fn read(&self, _: u64, _: &mut [u8]) -> Option<usize> {
+            match *self {}
+        }
+    }
+
+    pub(super) fn mappable(_: &std::path::Path) -> bool {
+        false
+    }
+}
+
+use mapped::Mapping;
+
+/// A cached descriptor, and the mapping of its file once a small read has
+/// asked for one (`Some(None)`: the file could not be mapped).
+struct Cached {
+    file: fs::File,
+    map: OnceLock<Option<Mapping>>,
+}
+
+impl Cached {
+    /// The file's mapping, made on first use, when `small` says the read
+    /// may use one.
+    #[inline]
+    fn mapping(&self, small: bool) -> Option<&Mapping> {
+        if !small {
+            return None;
+        }
+        self.map.get_or_init(|| Mapping::new(&self.file)).as_ref()
+    }
+}
 
 /// The descriptor cache. `epoch` counts invalidations, so a reader that
 /// opened a file while one ran does not cache what may be a descriptor of
@@ -77,7 +133,7 @@ const TMP_SUFFIX: &str = ".monarch-tmp";
 #[derive(Default)]
 struct FdTable {
     epoch: u64,
-    files: FxHashMap<Box<str>, fs::File>,
+    files: FxHashMap<Box<str>, Cached>,
 }
 
 /// `pread` until `buf` is full or the file ends: one syscall when the
@@ -118,13 +174,21 @@ fn out_of_descriptors(e: &std::io::Error) -> bool {
 /// Driver over a real directory tree (the production path: an XFS mount on
 /// the node-local SSD, or the Lustre dataset directory).
 ///
-/// `read_at` is one `pread` on a cached descriptor. The cache is one table
+/// `read_at` is one `pread` on a cached descriptor, or — for a read of at
+/// most `MAPPED_READ_MAX` = 64 KiB — a copy out of a read-only shared
+/// mapping of the file, made by the first such read of the cached entry and
+/// unmapped with its descriptor: no system call at all. A driver whose root
+/// is on a network or parallel file system maps nothing. A page of a
+/// mapped copy that cannot be read (a file truncated underneath, a device
+/// failing on page-in) makes the read fail with `EIO`, as `pread` would,
+/// and forgets the entry. The cache is one table
 /// of at most `FD_CACHED` = 512 descriptors, keyed by logical name, behind
 /// a reader-striped gate ([`StripedRwLock`]): a read holds its own stripe's
-/// gate shared across the `pread` — that, not a reference count, is what
-/// keeps the descriptor open — so two readers write no common cache line
-/// here; whoever changes the table (a first open, `write_full`, `remove`)
-/// takes every gate. That is cheap while the directory's live files fit the
+/// gate shared across the `pread` or copy — that, not a reference count, is
+/// what keeps the descriptor and mapping alive — so two readers write no
+/// common cache line here; whoever changes the table (a first open,
+/// `write_full`, `remove`) takes every gate. That is cheap while the
+/// directory's live files fit the
 /// table; once it is full, one miss in `FULL_ADMIT_PERIOD` replaces an
 /// entry and the rest read on a descriptor of their own, so a working set
 /// larger than the table does not put every reader behind every miss. The
@@ -140,6 +204,9 @@ pub struct PosixDriver {
     fds: StripedRwLock<FdTable>,
     /// Distinguishes the temp files of concurrent installs.
     installs: AtomicU64,
+    /// Small reads may be served from mappings: `root` is on a local file
+    /// system.
+    mappable: bool,
 }
 
 impl PosixDriver {
@@ -150,6 +217,7 @@ impl PosixDriver {
         fs::create_dir_all(&root)?;
         Ok(Self {
             name: name.into(),
+            mappable: mapped::mappable(&root),
             root,
             fds: StripedRwLock::new(FdTable::default()),
             installs: AtomicU64::new(0),
@@ -170,9 +238,10 @@ impl PosixDriver {
     /// entry changed: a reader that opened in between sees the epoch move
     /// and does not cache; one that opens afterwards gets the new file.
     ///
-    /// Here and below, a descriptor that leaves the table is closed once
-    /// the gates are open again: the last close of an unlinked file frees
-    /// its blocks, and every reader would wait for that.
+    /// Here and below, a descriptor that leaves the table is closed (and
+    /// its mapping unmapped) once the gates are open again: the last close
+    /// of an unlinked file frees its blocks, and every reader would wait
+    /// for that.
     fn invalidate(&self, file: &str) {
         let _stale = {
             let mut fds = self.fds.write();
@@ -197,12 +266,24 @@ impl StorageDriver for PosixDriver {
     }
 
     fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        let small = self.mappable && buf.len() <= MAPPED_READ_MAX;
         let (epoch, full) = {
-            // The gate is held across the pread, which keeps the
-            // descriptor open without a reference count to bounce.
+            // The gate is held across the pread or copy, which keeps the
+            // descriptor open and the mapping in place without a reference
+            // count to bounce.
             let fds = self.fds.read();
-            if let Some(f) = fds.files.get(file) {
-                return Ok(pread_full(f, offset, buf)?);
+            if let Some(cached) = fds.files.get(file) {
+                let Some(map) = cached.mapping(small) else {
+                    return Ok(pread_full(&cached.file, offset, buf)?);
+                };
+                if let Some(n) = map.read(offset, buf) {
+                    return Ok(n);
+                }
+                // A page of the copy could not be read: report it as
+                // `pread` would, and open the file afresh next time.
+                drop(fds);
+                self.invalidate(file);
+                return Err(std::io::Error::from_raw_os_error(EIO).into());
             }
             (fds.epoch, fds.files.len() >= FD_CACHED)
         };
@@ -232,7 +313,11 @@ impl StorageDriver for PosixDriver {
             None
         };
         // Two readers may have opened the same file: the later one wins.
-        let _replaced = fds.files.insert(file.into(), f);
+        let cached = Cached {
+            file: f,
+            map: OnceLock::new(),
+        };
+        let _replaced = fds.files.insert(file.into(), cached);
         // Before `_evicted` and `_replaced` are closed.
         drop(fds);
         Ok(n)
@@ -886,6 +971,16 @@ mod tests {
             .count()
     }
 
+    /// Mappings of this process of files under `root`.
+    fn mapped_under(root: &Path) -> usize {
+        let root = root.to_str().unwrap();
+        fs::read_to_string("/proc/self/maps")
+            .unwrap()
+            .lines()
+            .filter(|line| line.contains(root))
+            .count()
+    }
+
     fn read4(d: &PosixDriver, file: &str) -> Result<[u8; 4]> {
         let mut buf = [0u8; 4];
         d.read_at(file, 0, &mut buf).map(|_| buf)
@@ -923,7 +1018,8 @@ mod tests {
             fs::write(root.join(format!("f{i}")), [i as u8; 4]).unwrap();
         }
         let open_here = || open_under(&root);
-        for round in 0..2 {
+        let mapped_here = || mapped_under(&root);
+        for round in 0..3 {
             for i in 0..files {
                 assert_eq!(read4(&d, &format!("f{i}")).unwrap(), [i as u8; 4]);
             }
@@ -932,9 +1028,15 @@ mod tests {
                 open > 0 && open <= FD_CACHED,
                 "round {round}: {open} descriptors open for {files} files"
             );
+            let mapped = mapped_here();
+            assert!(
+                mapped <= open && (round == 0 || mapped > 0 || !d.mappable),
+                "round {round}: {mapped} mappings beside {open} descriptors"
+            );
         }
         drop(d);
         assert_eq!(open_here(), 0, "dropping the driver closes the cache");
+        assert_eq!(mapped_here(), 0, "dropping the driver unmaps the cache");
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -969,8 +1071,19 @@ mod tests {
 
     /// The descriptor law: a read is served from the file its name means
     /// now, or not at all — whatever `write_full` and `remove` do meanwhile.
+    /// Read with `pread` (a read larger than `MAPPED_READ_MAX`)…
     #[test]
     fn reads_racing_installs_and_removes_see_whole_versions_of_the_named_file() {
+        race_installs_and_removes("fdlaw", MAPPED_READ_MAX + 1);
+    }
+
+    /// …and out of the cached files' mappings (4 KiB reads).
+    #[test]
+    fn mapped_reads_racing_installs_and_removes_see_whole_versions() {
+        race_installs_and_removes("fdlaw-mapped", 4096);
+    }
+
+    fn race_installs_and_removes(tag: &str, read_len: usize) {
         const NAMES: usize = 64;
         const LEN: usize = 4096;
         const CYCLES: u32 = 12;
@@ -979,13 +1092,14 @@ mod tests {
             let word = ((i as u64) << 32 | u64::from(v)).to_le_bytes();
             word.iter().copied().cycle().take(LEN).collect()
         };
-        let root = scratch("fdlaw");
+        let root = scratch(tag);
         let d = PosixDriver::new("p", &root).unwrap();
         let names: Vec<String> = (0..NAMES).map(|i| format!("f{i}")).collect();
         for (i, name) in names.iter().enumerate() {
             d.write_full(name, &body(i, 0)).unwrap();
         }
         let open_here = || open_under(&root);
+        let mapped_here = || mapped_under(&root);
         // Steps the writer has taken on each name, three a cycle: v1
         // installed, `remove` about to run, v2 installed. A read that began
         // at step `m` may not be served anything older than `floor(m)`,
@@ -1006,7 +1120,7 @@ mod tests {
                 .map(|r| {
                     let (d, names, steps, done, start) = (&d, &names, &steps, &done, &start);
                     s.spawn(move || {
-                        let mut buf = vec![0u8; LEN + 8];
+                        let mut buf = vec![0u8; read_len];
                         let mut served = 0u64;
                         start.wait();
                         for i in (0..NAMES).cycle().skip(r * 8) {
@@ -1061,9 +1175,11 @@ mod tests {
                     }
                     // Cached descriptors, the readers' opens in flight and
                     // one install's temp file: re-opened names must not
-                    // pile up.
+                    // pile up, nor their mappings.
                     let open = open_here();
                     assert!(open <= FD_CACHED, "cycle {cycle}: {open} descriptors");
+                    let mapped = mapped_here();
+                    assert!(mapped <= FD_CACHED, "cycle {cycle}: {mapped} mappings");
                 }
             }
             readers.into_iter().map(|r| r.join().unwrap()).sum::<u64>()
@@ -1072,6 +1188,7 @@ mod tests {
         assert!(open_here() > 0, "the cache is in use");
         drop(d);
         assert_eq!(open_here(), 0, "dropping the driver closes the cache");
+        assert_eq!(mapped_here(), 0, "dropping the driver unmaps the cache");
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -456,10 +456,21 @@ impl Monarch {
             // call feed the tier's read-latency histogram here and the
             // stall profile's driver_pread bucket later. Failed preads
             // are timed too. (A fetch made inside the staging went through
-            // the instrumented driver, which is its histogram sample.)
+            // the instrumented driver, which is its histogram sample.) A
+            // local copy that ends before the namespace size is damaged —
+            // truncated underneath, say — and is not served short: it is a
+            // permanent error, and the read falls back to the source.
             let outcome = match staged {
                 Some(_) => Ok(want),
-                None => tier.raw.read_at(file, offset, &mut buf[..want]),
+                None => match tier.raw.read_at(file, offset, &mut buf[..want]) {
+                    Ok(n) if n < want && tier.id != source_id => {
+                        Err(Error::Io(std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            format!("{file}: local copy ends {n} bytes into a {want}-byte read"),
+                        )))
+                    }
+                    read => read,
+                },
             };
             let t_pread = t_resolve.map(|_| Instant::now());
             if let (true, None, Some(start), Some(done)) = (weight > 0, staged, t_resolve, t_pread)

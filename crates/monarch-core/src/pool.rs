@@ -53,9 +53,7 @@ pub enum Lane {
 
 /// Submission context carried through the queue alongside a task: which
 /// file the task is working on and the trace flow id linking it to the
-/// read that scheduled it. Reported to the panic handler when the task
-/// dies, so `panicked()` bumps come with a culprit instead of a bare
-/// count; also the key used by [`ThreadPool::promote`] and
+/// read that scheduled it: the key used by [`ThreadPool::promote`] and
 /// [`ThreadPool::drain_prefetch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskCtx {
@@ -64,10 +62,6 @@ pub struct TaskCtx {
     /// Trace flow id (0 when the scheduling read was not sampled).
     pub flow: u64,
 }
-
-/// Callback invoked on a worker thread when a task with a [`TaskCtx`]
-/// panics.
-pub type PanicHandler = Arc<dyn Fn(&TaskCtx) + Send + Sync>;
 
 /// What travels through the queue: the closure plus its context.
 struct Job {
@@ -98,8 +92,6 @@ struct Shared {
     /// Wakes `wait_idle` when `pending` hits zero.
     idle_mutex: Mutex<()>,
     idle_cv: Condvar,
-    /// Invoked (cold path) when a task with a [`TaskCtx`] panics.
-    on_panic: Mutex<Option<PanicHandler>>,
 }
 
 impl Shared {
@@ -116,7 +108,6 @@ impl Shared {
             work_cv: Condvar::new(),
             idle_mutex: Mutex::new(()),
             idle_cv: Condvar::new(),
-            on_panic: Mutex::new(None),
         }
     }
 
@@ -230,15 +221,8 @@ impl ThreadPool {
                         // A panicking task must not kill the worker or
                         // leak its `pending` increment: either would
                         // eventually hang `wait_idle`.
-                        let outcome = catch_unwind(AssertUnwindSafe(job.run));
-                        if outcome.is_err() {
+                        if catch_unwind(AssertUnwindSafe(job.run)).is_err() {
                             shared.panicked.fetch_add(1, Ordering::Relaxed);
-                            if let Some(ctx) = job.ctx.as_ref() {
-                                let handler = shared.on_panic.lock().clone();
-                                if let Some(h) = handler {
-                                    h(ctx);
-                                }
-                            }
                         }
                         shared.finish_one();
                     })
@@ -250,13 +234,6 @@ impl ThreadPool {
             shared,
             hists,
         }
-    }
-
-    /// Install the callback invoked when a task submitted with a
-    /// [`TaskCtx`] panics. The middleware uses this to journal a
-    /// `copy_failed` event naming the file whose copy died.
-    pub fn set_panic_handler(&self, handler: PanicHandler) {
-        *self.shared.on_panic.lock() = Some(handler);
     }
 
     /// Number of worker threads.
@@ -591,16 +568,9 @@ mod tests {
     }
 
     #[test]
-    fn panic_handler_reports_task_context() {
+    fn panics_with_and_without_task_context_are_counted() {
         let pool = ThreadPool::new(1);
-        let seen: Arc<Mutex<Vec<TaskCtx>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        pool.set_panic_handler(Arc::new(move |ctx: &TaskCtx| {
-            sink.lock().push(ctx.clone());
-        }));
-        // A context-less panic bumps the counter but stays anonymous.
         pool.submit(Box::new(|| panic!("anonymous")));
-        // A context-carrying panic reports which file's copy died.
         pool.submit_on(
             Lane::Demand,
             Some(TaskCtx {
@@ -611,14 +581,6 @@ mod tests {
         );
         pool.wait_idle();
         assert_eq!(pool.panicked(), 2);
-        let seen = seen.lock();
-        assert_eq!(
-            *seen,
-            vec![TaskCtx {
-                label: "train-00042.tfrecord".into(),
-                flow: 7
-            }]
-        );
     }
 
     #[test]

@@ -120,18 +120,20 @@ print("cold_epoch smoke: pfs_amplification %.3f, overhead_ratio %.3f" % (amp, ra
 '
 }
 
-# A warm hit pays for counts, not for clocks or shared locks: three seconds
-# of `warm_rand_4k` must stay within 1.85 times a bare `pread` of the same
-# bytes (with five clock reads and five histogram records on every hit it
-# ran at 2.2-2.5; timing one hit in sixteen, at 1.66-1.79; with the
-# descriptor table behind a reader-striped gate and one counters line per
-# file, at 1.51-1.63), with every read served and every byte right.
+# A warm hit makes no system call and pays for counts, not for clocks or
+# shared locks: three seconds of `warm_rand_4k` must stay within 1.25 times
+# a bare `pread` of the same bytes (with five clock reads and five
+# histogram records on every hit it ran at 2.2-2.5; timing one hit in
+# sixteen, at 1.66-1.79; with the descriptor table behind a reader-striped
+# gate and one counters line per file, at 1.51-1.63; copying small reads
+# out of a mapping instead of calling `pread`, at 0.9-1.0), with every read
+# served and every byte right.
 # `tests/observation.rs` is the deterministic guard on which reads carry the
 # clock, and the layout assertions in `metadata.rs` and the gate's tests on
 # what a hit shares; this keeps the cost from coming back some other way.
 # Reads the benchmark's result line only.
 run_hit() {
-    echo "==> benchmark warm_rand_4k: overhead_ratio <= 1.85"
+    echo "==> benchmark warm_rand_4k: overhead_ratio <= 1.25"
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload warm_rand_4k --seed 7 --seconds 3 --trace 0 \
         | tail -n 1 | python3 -c '
@@ -140,7 +142,7 @@ r = json.loads(sys.stdin.read())
 ratio = r["metrics"]["overhead_ratio"]["value"]
 assert r["correct"] is True, "hit: wrong bytes"
 assert r["failed"] == 0, "hit: %d reads failed" % r["failed"]
-assert ratio <= 1.85, "hit: overhead_ratio %.3f > 1.85" % ratio
+assert ratio <= 1.25, "hit: overhead_ratio %.3f > 1.25" % ratio
 print("warm_rand_4k: overhead_ratio %.3f" % ratio)
 '
 }
