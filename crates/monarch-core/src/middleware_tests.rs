@@ -64,8 +64,11 @@ fn first_read_from_pfs_then_local() {
     assert_eq!(m.read("f000", 100, &mut buf).unwrap(), 100);
     let stats = m.stats();
     assert_eq!(stats.tiers[0].reads, 1, "second read should be local");
-    // PFS saw: the first partial read + the background full fetch.
-    assert_eq!(stats.tiers[1].reads, 2);
+    // PFS saw: the first partial read, then the copy's fetch of the rest
+    // in two claims — the last one as long as that read, so a reader
+    // walking the file has one read left to serve when it lands.
+    assert_eq!(stats.tiers[1].reads, 3);
+    assert_eq!(stats.tiers[1].bytes_read, 1000);
     assert_eq!(stats.copies_completed, 1);
     assert_eq!(m.metadata().get("f000").unwrap().tier, 0);
 }
@@ -136,6 +139,49 @@ fn full_read_skips_background_refetch() {
     assert_eq!(stats.tiers[1].reads, 1);
     assert_eq!(stats.copies_completed, 1);
     assert_eq!(stats.tiers[0].bytes_written, 256);
+}
+
+#[test]
+fn a_file_read_front_to_back_crosses_the_source_in_three_reads() {
+    const SIZE: usize = 1 << 20;
+    const CHUNK: usize = 128 << 10;
+    let pfs = MemDriver::new("pfs");
+    let bytes: Vec<u8> = (0..SIZE).map(|i| (i % 251) as u8).collect();
+    pfs.insert("f", bytes.clone());
+    let m = MonarchBuilder::new()
+        .hierarchy(two_tier(
+            Arc::new(MemDriver::new("ssd")),
+            1 << 30,
+            Arc::new(pfs),
+        ))
+        .pool_threads(1)
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    let mut out = vec![0u8; SIZE];
+    assert_eq!(m.read("f", 0, &mut out[..CHUNK]).unwrap(), CHUNK);
+    // A reader that outruns a worker still waking up fetches its own
+    // reads at the frontier; this one lets the worker take its claim.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while m.engine.staging_progress("f") == Some((CHUNK as u64, None)) {
+        assert!(Instant::now() < deadline, "the copy never claimed");
+        std::thread::yield_now();
+    }
+    for offset in (CHUNK..SIZE).step_by(CHUNK) {
+        let n = m.read("f", offset as u64, &mut out[offset..offset + CHUNK]);
+        assert_eq!(n.unwrap(), CHUNK);
+    }
+    assert_eq!(out, bytes);
+    m.wait_placement_idle();
+    let stats = m.stats();
+    // The first read's 128 KiB, the copy's body up to the last 128 KiB,
+    // and that last read's worth — fetched by whichever of the two got
+    // to it first.
+    assert_eq!(
+        (stats.tiers[1].reads, stats.tiers[1].bytes_read),
+        (3, SIZE as u64)
+    );
+    assert_eq!(stats.copies_completed, 1);
 }
 
 #[test]

@@ -10,6 +10,12 @@
 //! claim, `read_at` the range from the source straight into the buffer,
 //! publish it (the watermark moves to the claim's end), wake the waiters.
 //!
+//! The copy's claims stop one *stride* short of the file's end — the length
+//! of the first extent a foreground read fetched, how much its reader asks
+//! for at a time — so the copy's last fetch is one read long: the reader
+//! parked behind the copy copies out everything before it while that fetch
+//! is on the link, and has one read left to serve when it lands.
+//!
 //! Invariants:
 //!
 //! - **prefix only** — bytes below the watermark are final and never
@@ -110,6 +116,8 @@ struct Fill {
     watermark: u64,
     /// End of the range being fetched, which starts at the watermark.
     claimed_to: Option<u64>,
+    /// Length of the first extent a foreground read published; 0 until then.
+    stride: u64,
 }
 
 /// One file's install staging. See the module docs for the protocol.
@@ -156,6 +164,7 @@ impl Staging {
             fill: Mutex::new(Fill {
                 watermark,
                 claimed_to: None,
+                stride: 0,
             }),
             moved: Condvar::new(),
         }
@@ -183,7 +192,7 @@ impl Staging {
                 // Being fetched, or next in line behind the fetch.
                 Some(to) if offset <= to => self.moved.wait(&mut fill),
                 None if offset <= fill.watermark && (may_start || self.buf.get().is_some()) => {
-                    return Staged::Frontier(self.claim(&mut fill, end));
+                    return Staged::Frontier(self.claim(&mut fill, end, true));
                 }
                 _ => return Staged::Miss,
             }
@@ -191,14 +200,19 @@ impl Staging {
     }
 
     /// The copy's side: claim the next at most `max` unfetched bytes,
-    /// waiting out a foreground fetch at the frontier. `None` once every
-    /// byte is published.
+    /// waiting out a foreground fetch at the frontier; a claim that would
+    /// cross into the file's last stride ends where that starts. `None`
+    /// once every byte is published.
     pub(crate) fn claim_next(&self, max: u64) -> Option<Claim<'_>> {
         let mut fill = self.fill.lock();
         while fill.watermark < self.size {
             if fill.claimed_to.is_none() {
-                let end = self.size.min(fill.watermark + max);
-                return Some(self.claim(&mut fill, end));
+                let mut end = self.size.min(fill.watermark + max);
+                let last = self.size - fill.stride;
+                if fill.watermark < last {
+                    end = end.min(last);
+                }
+                return Some(self.claim(&mut fill, end, false));
             }
             self.moved.wait(&mut fill);
         }
@@ -214,15 +228,16 @@ impl Staging {
             fill.watermark == 0 && fill.claimed_to.is_none(),
             "the first claim is taken before the staging is shared"
         );
-        self.claim(&mut fill, end.min(self.size))
+        self.claim(&mut fill, end.min(self.size), true)
     }
 
-    /// Hand out the (free) frontier up to `end`.
-    fn claim(&self, fill: &mut Fill, end: u64) -> Claim<'_> {
+    /// Hand out the (free) frontier up to `end`, to a read or to the copy.
+    fn claim(&self, fill: &mut Fill, end: u64, foreground: bool) -> Claim<'_> {
         fill.claimed_to = Some(end);
         Claim {
             staging: self,
             range: fill.watermark..end,
+            foreground,
         }
     }
 
@@ -262,6 +277,8 @@ impl Staging {
 pub(crate) struct Claim<'a> {
     staging: &'a Staging,
     range: Range<u64>,
+    /// Held by a read, whose published extent may set the stride.
+    foreground: bool,
 }
 
 impl Claim<'_> {
@@ -296,7 +313,12 @@ impl Claim<'_> {
             )));
         }
         // All `want` bytes are written: from here on they may be read.
-        staging.fill.lock().watermark = self.range.end;
+        let mut fill = staging.fill.lock();
+        fill.watermark = self.range.end;
+        if self.foreground && fill.stride == 0 {
+            fill.stride = want as u64;
+        }
+        drop(fill);
         Ok(n)
     }
 }
@@ -383,6 +405,101 @@ mod tests {
             "nothing fetched twice"
         );
         assert_eq!(staging.whole().unwrap(), &src[..]);
+    }
+
+    #[test]
+    fn the_copys_last_claim_is_one_foreground_stride_long() {
+        use crate::transfer::FETCH_CHUNK;
+        /// A foreground fetch at the watermark, before the copy claims.
+        enum Head {
+            /// The announcing read's extent, `claim_first`.
+            First(u64),
+            /// A reader's frontier claim.
+            Read(u64),
+            /// An announcing read whose fetch fails.
+            Failed(u64),
+        }
+        const K: u64 = 1 << 10;
+        const M: u64 = 1 << 20;
+        /// What happened, the file's size, the foreground fetches, and the
+        /// copy's claims after them (`FETCH_CHUNK` is 4 MiB).
+        type Case = (&'static str, u64, &'static [Head], &'static [(u64, u64)]);
+        let cases: [Case; 7] = [
+            (
+                "a 512 KiB announcing read",
+                4 * M,
+                &[Head::First(512 * K)],
+                &[(512 * K, 3584 * K), (3584 * K, 4 * M)],
+            ),
+            (
+                "a 512 KiB frontier read",
+                4 * M,
+                &[Head::Read(512 * K)],
+                &[(512 * K, 3584 * K), (3584 * K, 4 * M)],
+            ),
+            (
+                "no foreground fetch",
+                10 * M,
+                &[],
+                &[(0, 4 * M), (4 * M, 8 * M), (8 * M, 10 * M)],
+            ),
+            ("a whole-file head", 4 * M, &[Head::First(4 * M)], &[]),
+            (
+                "a head longer than half the file",
+                4 * M,
+                &[Head::First(3 * M)],
+                &[(3 * M, 4 * M)],
+            ),
+            (
+                "a failed head",
+                4 * M,
+                &[Head::Failed(512 * K)],
+                &[(0, 4 * M)],
+            ),
+            (
+                "the first extent sets the stride, later ones do not",
+                4 * M,
+                &[Head::First(512 * K), Head::Read(M)],
+                &[(1536 * K, 3584 * K), (3584 * K, 4 * M)],
+            ),
+        ];
+        for (case, size, heads, want) in cases {
+            let src = pattern(size as usize);
+            let fetched = AtomicU64::new(0);
+            let staging = Staging::empty(size);
+            for head in heads {
+                let at = staging.progress().0;
+                match *head {
+                    Head::First(len) => {
+                        staging
+                            .claim_first(len)
+                            .fill(source(&src, &fetched))
+                            .unwrap();
+                    }
+                    Head::Read(len) => {
+                        let mut out = vec![0u8; len as usize];
+                        let Staged::Frontier(claim) = staging.read(at, &mut out, true) else {
+                            panic!("{case}: the frontier is free");
+                        };
+                        claim.fill(source(&src, &fetched)).unwrap();
+                    }
+                    Head::Failed(len) => {
+                        let failed = staging
+                            .claim_first(len)
+                            .fill(|_, _| Err(Error::Injected("source down".into())));
+                        assert!(failed.is_err(), "{case}");
+                    }
+                }
+            }
+            let mut claims = Vec::new();
+            while let Some(claim) = staging.claim_next(FETCH_CHUNK) {
+                claims.push((claim.range.start, claim.range.end));
+                claim.fill(source(&src, &fetched)).unwrap();
+            }
+            assert_eq!(claims, want, "{case}");
+            assert_eq!(fetched.load(Ordering::Relaxed), size, "{case}");
+            assert_eq!(staging.whole().unwrap(), &src[..], "{case}");
+        }
     }
 
     #[test]

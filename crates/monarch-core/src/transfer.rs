@@ -1215,13 +1215,13 @@ struct CopyJob {
     lease: Lease,
 }
 
-/// Bytes the copy fetches from the source per claim of its staging. Every
-/// fetch pays the source's per-operation cost once, and a read that needs
-/// bytes inside the claimed range waits for the whole fetch. When the
-/// constant was chosen (PR 16, see CHANGES.md) 4 MiB beat 1 MiB on
-/// `BENCHMARK.json`'s `cold_epoch` and `warm_seq_256k`; it has not been
-/// measured again since.
-const FETCH_CHUNK: u64 = 4 << 20;
+/// Bytes the copy fetches from the source per claim of its staging, at
+/// most. Every fetch pays the source's per-operation cost once, and a read
+/// that needs bytes inside the claimed range waits for the whole fetch;
+/// 4 MiB beat 1 MiB on `BENCHMARK.json`'s `cold_epoch` and `warm_seq_256k`
+/// (CHANGES.md). A copy that a read started also stops its claims one
+/// read's length short of the file's end (the stride, `staging.rs`).
+pub(crate) const FETCH_CHUNK: u64 = 4 << 20;
 
 /// Per-copy trace context threaded into `try_place` so the chunk-level
 /// spans (`placement_decide` / `copy_read` / `copy_write` /
@@ -1994,12 +1994,13 @@ mod tests {
         assert_eq!((stats.tiers[1].reads, stats.tiers[1].bytes_read), (2, 250));
         open_gate(&gate);
         engine.wait_idle();
-        // The copy fetched what was left, and only that.
+        // The copy fetched what was left, and only that: in two claims, the
+        // last as long as the first read's 100 bytes.
         let stats = engine.book.stats().snapshot();
         assert_eq!(stats.copies_completed, 2);
         assert_eq!(
             (stats.tiers[1].reads, stats.tiers[1].bytes_read),
-            (4, 512 + 250 + 262)
+            (5, 512 + 250 + 262)
         );
         assert_eq!(stats.tiers[0].bytes_written, 1024);
         assert_eq!(engine.staging_progress("f001"), None);
@@ -2056,9 +2057,10 @@ mod tests {
         engine.wait_idle();
         let stats = engine.book.stats().snapshot();
         assert_eq!(stats.copies_completed, 6);
-        // f001 in three fetches, f005 in the one its read made, the rest
-        // in one each.
-        assert_eq!(stats.tiers[1].reads, 3 + 1 + 4);
+        // f001 in four fetches (its two reads', then the copy's body and
+        // its last 100 bytes), f005 in the one its read made, the rest —
+        // copies no read fetched for — in one each.
+        assert_eq!(stats.tiers[1].reads, 4 + 1 + 4);
         assert_eq!(stats.tiers[1].bytes_read, 6 * 512);
         engine.drain();
     }

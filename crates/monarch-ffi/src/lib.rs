@@ -979,4 +979,50 @@ mod tests {
         }
         std::fs::remove_dir_all(&root).unwrap();
     }
+
+    #[test]
+    fn null_handles_and_non_utf8_names_are_refused() {
+        let (json, root, _) = staged_config("bad-args");
+        let einval = errcode::EINVAL as c_long;
+        let name = CString::new("f0").unwrap();
+        let addr = CString::new("127.0.0.1:0").unwrap();
+        let not_utf8 = [0xffu8, 0xfe, 0];
+        let mut buf = [0u8; 8];
+        unsafe {
+            // Every entry point that takes a handle, with every other
+            // argument valid.
+            let null = ptr::null_mut();
+            assert_eq!(
+                monarch_read(null, name.as_ptr(), 0, buf.as_mut_ptr(), buf.len()),
+                einval
+            );
+            assert_eq!(monarch_file_size(null, name.as_ptr()), einval);
+            assert_eq!(monarch_file_count(null), einval);
+            assert!(monarch_snapshot_json(null, ptr::null()).is_null());
+            assert!(monarch_metrics_text(null).is_null());
+            assert!(monarch_events_json(null).is_null());
+            assert!(monarch_trace_json(null).is_null());
+            assert_eq!(monarch_serve_start(null, addr.as_ptr()), einval);
+            assert_eq!(monarch_serve_stop(null), einval as c_int);
+            assert_eq!(monarch_submit_plan(null, name.as_ptr()), einval);
+            assert_eq!(monarch_cancel_plan(null), einval);
+            assert_eq!(monarch_wait_idle(null), einval as c_int);
+            monarch_shutdown(null);
+
+            // A live handle and a name that is not UTF-8.
+            let h = monarch_init_json(json.as_ptr());
+            assert!(!h.is_null());
+            let bad = not_utf8.as_ptr().cast::<c_char>();
+            assert_eq!(monarch_read(h, bad, 0, buf.as_mut_ptr(), buf.len()), einval);
+            assert_eq!(monarch_file_size(h, bad), einval);
+            assert_eq!(monarch_submit_plan(h, bad), einval);
+            // The instance is unharmed.
+            assert_eq!(
+                monarch_read(h, name.as_ptr(), 0, buf.as_mut_ptr(), buf.len()),
+                buf.len() as c_long
+            );
+            monarch_shutdown(h);
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 }
