@@ -9,11 +9,10 @@
 //! within quota, and converges to local serving — at miniature scale.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crossbeam::channel;
 use monarch_core::driver::{PosixDriver, StorageDriver};
 use monarch_core::telemetry::{ThroughputSampler, TimeSeries};
 use monarch_core::Monarch;
@@ -123,16 +122,13 @@ impl RealTrainer {
             .pipeline
             .trace_interval_secs
             .map(|iv| Mutex::new(ThroughputSampler::new(iv)));
-        let (tx, rx) = channel::unbounded::<String>();
-        for shard in order {
-            tx.send(shard).expect("queue open");
-        }
-        drop(tx);
+        // The readers' work queue: each takes the next shard of `order`.
+        let next = AtomicUsize::new(0);
 
         std::thread::scope(|scope| -> monarch_core::Result<()> {
             let mut handles = Vec::new();
             for _ in 0..self.pipeline.readers.max(1) {
-                let rx = rx.clone();
+                let (order, next) = (&order, &next);
                 let backend = Arc::clone(&self.backend);
                 let reads = Arc::clone(&reads);
                 let bytes = Arc::clone(&bytes);
@@ -141,11 +137,11 @@ impl RealTrainer {
                 let chunk = self.pipeline.chunk_bytes as usize;
                 handles.push(scope.spawn(move || -> monarch_core::Result<()> {
                     let mut buf = vec![0u8; chunk];
-                    while let Ok(shard) = rx.recv() {
-                        let size = backend.file_size(&shard)?;
+                    while let Some(shard) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let size = backend.file_size(shard)?;
                         let mut offset = 0u64;
                         while offset < size {
-                            let n = backend.read(&shard, offset, &mut buf)?;
+                            let n = backend.read(shard, offset, &mut buf)?;
                             if n == 0 {
                                 break;
                             }

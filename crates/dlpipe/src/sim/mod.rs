@@ -521,21 +521,21 @@ mod tests {
     fn hot_set_contention_rewards_reuse_tracking() {
         use monarch_core::config::PolicyKind;
         // A second job hammering the first 4 shards 4 extra times per
-        // epoch: frequency-aware eviction keeps the hot set resident while
-        // first-fit's frozen placement thrashes on the PFS (observed 26.1s
-        // vs 58.7s).
+        // epoch: the learned scorer's reuse-ranked eviction keeps the hot
+        // set resident while first-fit's frozen placement thrashes on the
+        // PFS (observed 27.9s vs 58.7s).
         let hot = || PipelineConfig {
             hot_shards: 4,
             hot_replays: 4,
             ..PipelineConfig::default().with_seed(1)
         };
         let ff = run_policy(PolicyKind::FirstFit, hot());
-        let lfu = run_policy(PolicyKind::Lfu, hot());
-        assert!(lfu.telemetry.as_ref().unwrap().stats.evictions > 0);
+        let learned = run_policy(PolicyKind::Learned, hot());
+        assert!(learned.telemetry.as_ref().unwrap().stats.evictions > 0);
         assert!(
-            lfu.total_seconds() < ff.total_seconds() * 0.6,
-            "lfu {} !< 0.6 × first-fit {}",
-            lfu.total_seconds(),
+            learned.total_seconds() < ff.total_seconds() * 0.6,
+            "learned {} !< 0.6 × first-fit {}",
+            learned.total_seconds(),
             ff.total_seconds()
         );
     }

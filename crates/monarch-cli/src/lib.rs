@@ -157,7 +157,7 @@ impl Command {
          monarch gen-dataset --dir DIR --bytes N --samples N [--seed N]\n  \
          monarch stage       --config CFG.json [--policy KIND]\n  \
          monarch policy      --config CFG.json [--policy KIND] [--json]\n  \
-         \x20                (KIND: first_fit|round_robin|lru_evict|lfu|cost_aware|clairvoyant|learned)\n  \
+         \x20                (KIND: first_fit|lru_evict|clairvoyant|learned)\n  \
          monarch inspect     --config CFG.json\n  \
          monarch epoch|run   --config CFG.json --data DIR [--readers N] [--chunk BYTES] [--epochs N] [--prefetch N]\n  \
          monarch metrics     --config CFG.json [--format text|json] [--watch SECS]\n  \

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! monarch gen-dataset --dir DIR --bytes N --samples N [--seed N]
-//! monarch stage       --config CFG.json [--policy first_fit|lru_evict|round_robin]
+//! monarch stage       --config CFG.json [--policy first_fit|lru_evict|clairvoyant|learned]
 //! monarch inspect     --config CFG.json
 //! monarch epoch       --config CFG.json --data DIR [--readers N] [--chunk BYTES] [--epochs N]
 //! monarch metrics     --config CFG.json [--format text|json] [--watch SECS]

@@ -33,16 +33,16 @@ use std::collections::HashMap;
 use std::io::{Read as IoRead, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::hash::hash_str;
 use crate::health::{ErrorClass, HealthConfig, TierHealth};
 use crate::hierarchy::StorageHierarchy;
+use crate::locks;
 use crate::metadata::{MetadataContainer, PlacementState};
 use crate::{Error, Result};
 
@@ -257,7 +257,7 @@ impl ClusterView {
         if node >= 64 {
             return;
         }
-        let mut h = self.holders.lock();
+        let mut h = locks::lock(&self.holders);
         *h.entry(file.to_string()).or_insert(0) |= 1u64 << node;
     }
 
@@ -266,7 +266,7 @@ impl ClusterView {
         if node >= 64 {
             return;
         }
-        let mut h = self.holders.lock();
+        let mut h = locks::lock(&self.holders);
         if let Some(mask) = h.get_mut(file) {
             *mask &= !(1u64 << node);
             if *mask == 0 {
@@ -278,27 +278,28 @@ impl ClusterView {
     /// Nodes currently holding `file`, ascending.
     #[must_use]
     pub fn holders(&self, file: &str) -> Vec<usize> {
-        let mask = self.holders.lock().get(file).copied().unwrap_or(0);
+        let mask = locks::lock(&self.holders).get(file).copied().unwrap_or(0);
         (0..64).filter(|b| mask & (1u64 << b) != 0).collect()
     }
 
     /// Whether `node` holds `file`.
     #[must_use]
     pub fn holds(&self, file: &str, node: usize) -> bool {
-        node < 64 && self.holders.lock().get(file).copied().unwrap_or(0) & (1u64 << node) != 0
+        node < 64
+            && locks::lock(&self.holders).get(file).copied().unwrap_or(0) & (1u64 << node) != 0
     }
 
     /// Distinct files with at least one holder.
     #[must_use]
     pub fn files(&self) -> usize {
-        self.holders.lock().len()
+        locks::lock(&self.holders).len()
     }
 
     /// Files held per node (index = node id), over the first `nodes` ids.
     #[must_use]
     pub fn held_by_node(&self, nodes: usize) -> Vec<u64> {
         let mut counts = vec![0u64; nodes.min(64)];
-        for mask in self.holders.lock().values() {
+        for mask in locks::lock(&self.holders).values() {
             for (b, c) in counts.iter_mut().enumerate() {
                 if mask & (1u64 << b) != 0 {
                     *c += 1;
@@ -437,12 +438,12 @@ impl TcpPeerTransport {
     }
 
     fn checkout(&self, peer: usize) -> Option<TcpStream> {
-        self.pools.get(peer)?.lock().pop()
+        locks::lock(self.pools.get(peer)?).pop()
     }
 
     fn checkin(&self, peer: usize, stream: TcpStream) {
         if let Some(pool) = self.pools.get(peer) {
-            let mut pool = pool.lock();
+            let mut pool = locks::lock(pool);
             if pool.len() < self.max_pooled {
                 pool.push(stream);
             }
@@ -744,14 +745,14 @@ impl Cluster {
             .ok_or_else(|| Error::InvalidConfig("cluster.node_id out of range".into()))?;
         let server = PeerServer::start(&addr, hierarchy, metadata, Arc::clone(&self.served))?;
         let bound = server.local_addr();
-        *self.server.lock() = Some(server);
+        *locks::lock(&self.server) = Some(server);
         Ok(bound)
     }
 
     /// Stop the serving side (idempotent). Used by shutdown and by the
     /// peer-death e2e test.
     pub fn stop_server(&self) {
-        if let Some(mut s) = self.server.lock().take() {
+        if let Some(mut s) = locks::lock(&self.server).take() {
             s.stop();
         }
     }
@@ -760,7 +761,9 @@ impl Cluster {
     /// serving). Tests bind port 0 and read the real port back from here.
     #[must_use]
     pub fn server_addr(&self) -> Option<SocketAddr> {
-        self.server.lock().as_ref().map(PeerServer::local_addr)
+        locks::lock(&self.server)
+            .as_ref()
+            .map(PeerServer::local_addr)
     }
 
     /// This node's id.

@@ -66,15 +66,9 @@ pub enum PolicyKind {
     /// The paper's top-down first-fit without eviction.
     #[default]
     FirstFit,
-    /// Rotate across local tiers, no eviction (ablation).
-    RoundRobin,
     /// First-fit with LRU eviction (ablation; named for the legacy
     /// `LruEvict` policy this selector used to construct).
     LruEvict,
-    /// First-fit with LFU eviction (recency tie-break).
-    Lfu,
-    /// First-fit with GDSF-style cost-aware eviction.
-    CostAware,
     /// First-fit with Belady-style eviction driven by the access plan.
     Clairvoyant,
     /// Learned placement scoring + score-ranked eviction (online
@@ -89,10 +83,7 @@ impl PolicyKind {
     pub fn parse(s: &str) -> Option<Self> {
         Some(match s {
             "first_fit" => PolicyKind::FirstFit,
-            "round_robin" => PolicyKind::RoundRobin,
             "lru_evict" | "lru" => PolicyKind::LruEvict,
-            "lfu" => PolicyKind::Lfu,
-            "cost_aware" => PolicyKind::CostAware,
             "clairvoyant" => PolicyKind::Clairvoyant,
             "learned" => PolicyKind::Learned,
             _ => return None,
@@ -102,13 +93,10 @@ impl PolicyKind {
     /// Every selector, in ablation order (CLI usage text, experiment
     /// sweeps).
     #[must_use]
-    pub fn all() -> [PolicyKind; 7] {
+    pub fn all() -> [PolicyKind; 4] {
         [
             PolicyKind::FirstFit,
-            PolicyKind::RoundRobin,
             PolicyKind::LruEvict,
-            PolicyKind::Lfu,
-            PolicyKind::CostAware,
             PolicyKind::Clairvoyant,
             PolicyKind::Learned,
         ]
@@ -119,10 +107,7 @@ impl PolicyKind {
     pub fn as_str(self) -> &'static str {
         match self {
             PolicyKind::FirstFit => "first_fit",
-            PolicyKind::RoundRobin => "round_robin",
             PolicyKind::LruEvict => "lru_evict",
-            PolicyKind::Lfu => "lfu",
-            PolicyKind::CostAware => "cost_aware",
             PolicyKind::Clairvoyant => "clairvoyant",
             PolicyKind::Learned => "learned",
         }
@@ -137,26 +122,14 @@ pub enum AdmissionKind {
     /// Admit everything (the paper's implicit behaviour; default).
     #[default]
     AdmitAll,
-    /// Deny files larger than a byte threshold.
-    SizeThreshold {
-        /// Largest admissible file in bytes.
-        max_bytes: u64,
-    },
     /// Deny demand admissions for profiler-proven cold files.
     ReuseAware,
 }
 
 impl AdmissionKind {
-    /// Parse the CLI/FFI spelling: `admit_all`, `reuse_aware`, or
-    /// `size_threshold:<bytes>`.
+    /// Parse the CLI/FFI spelling: `admit_all` or `reuse_aware`.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
-        if let Some(bytes) = s.strip_prefix("size_threshold:") {
-            return bytes
-                .parse()
-                .ok()
-                .map(|max_bytes| AdmissionKind::SizeThreshold { max_bytes });
-        }
         Some(match s {
             "admit_all" => AdmissionKind::AdmitAll,
             "reuse_aware" => AdmissionKind::ReuseAware,
@@ -556,17 +529,15 @@ mod tests {
         }
         assert_eq!(PolicyKind::parse("lru"), Some(PolicyKind::LruEvict));
         assert_eq!(PolicyKind::parse("belady"), None);
+        assert_eq!(PolicyKind::parse("lfu"), None);
         let cfg = MonarchConfig::builder()
             .tier(TierConfig::mem("pfs"))
             .policy(PolicyKind::Learned)
-            .admission(AdmissionKind::SizeThreshold { max_bytes: 1 << 20 })
+            .admission(AdmissionKind::ReuseAware)
             .build();
         let back = MonarchConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(back.policy, PolicyKind::Learned);
-        assert_eq!(
-            back.admission,
-            AdmissionKind::SizeThreshold { max_bytes: 1 << 20 }
-        );
+        assert_eq!(back.admission, AdmissionKind::ReuseAware);
         // Absent fields default.
         let json = r#"{"tiers": [{"name": "pfs", "backend": "mem"}]}"#;
         let cfg = MonarchConfig::from_json(json).unwrap();
@@ -580,11 +551,7 @@ mod tests {
             AdmissionKind::parse("reuse_aware"),
             Some(AdmissionKind::ReuseAware)
         );
-        assert_eq!(
-            AdmissionKind::parse("size_threshold:4096"),
-            Some(AdmissionKind::SizeThreshold { max_bytes: 4096 })
-        );
-        assert_eq!(AdmissionKind::parse("size_threshold:x"), None);
+        assert_eq!(AdmissionKind::parse("size_threshold:4096"), None);
         assert_eq!(AdmissionKind::parse("nope"), None);
     }
 

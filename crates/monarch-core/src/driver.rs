@@ -12,12 +12,11 @@ use std::fs;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex, RwLock};
-
 use crate::hash::FxHashMap;
+use crate::locks;
 use crate::stripe::StripedRwLock;
 use crate::telemetry::LatencyHistogram;
 use crate::{Error, Result};
@@ -416,19 +415,7 @@ impl MemDriver {
 
     /// Pre-populate a file (e.g. to stage a dataset on a test "PFS").
     pub fn insert(&self, file: &str, data: Vec<u8>) {
-        self.files.write().insert(file.into(), Arc::new(data));
-    }
-
-    /// Number of files stored.
-    #[must_use]
-    pub fn file_count(&self) -> usize {
-        self.files.read().len()
-    }
-
-    /// Total stored bytes.
-    #[must_use]
-    pub fn stored_bytes(&self) -> u64 {
-        self.files.read().values().map(|d| d.len() as u64).sum()
+        locks::write(&self.files).insert(file.into(), Arc::new(data));
     }
 }
 
@@ -439,7 +426,7 @@ impl StorageDriver for MemDriver {
 
     fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
         let data = {
-            let files = self.files.read();
+            let files = locks::read(&self.files);
             files
                 .get(file)
                 .cloned()
@@ -452,7 +439,7 @@ impl StorageDriver for MemDriver {
     }
 
     fn read_full(&self, file: &str) -> Result<Vec<u8>> {
-        let files = self.files.read();
+        let files = locks::read(&self.files);
         files
             .get(file)
             .map(|d| d.as_ref().clone())
@@ -460,22 +447,19 @@ impl StorageDriver for MemDriver {
     }
 
     fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
-        self.files
-            .write()
-            .insert(file.into(), Arc::new(data.to_vec()));
+        locks::write(&self.files).insert(file.into(), Arc::new(data.to_vec()));
         Ok(())
     }
 
     fn remove(&self, file: &str) -> Result<()> {
-        self.files
-            .write()
+        locks::write(&self.files)
             .remove(file)
             .map(|_| ())
             .ok_or_else(|| Error::UnknownFile(file.into()))
     }
 
     fn file_size(&self, file: &str) -> Result<u64> {
-        let files = self.files.read();
+        let files = locks::read(&self.files);
         files
             .get(file)
             .map(|d| d.len() as u64)
@@ -483,7 +467,7 @@ impl StorageDriver for MemDriver {
     }
 
     fn list(&self) -> Result<Vec<(String, u64)>> {
-        let files = self.files.read();
+        let files = locks::read(&self.files);
         let mut out: Vec<_> = files
             .iter()
             .map(|(k, v)| (k.clone(), v.len() as u64))
@@ -584,7 +568,7 @@ pub type Gate = Arc<(Mutex<bool>, Condvar)>;
 /// [`GatedDriver`] it came from.
 pub fn open_gate(gate: &Gate) {
     let (lock, cv) = &**gate;
-    *lock.lock() = true;
+    *locks::lock(lock) = true;
     cv.notify_all();
 }
 
@@ -638,9 +622,9 @@ impl<D: StorageDriver> StorageDriver for GatedDriver<D> {
     fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
         if self.only.as_deref().is_none_or(|only| only == file) {
             let (lock, cv) = &*self.gate;
-            let mut open = lock.lock();
+            let mut open = locks::lock(lock);
             while !*open {
-                cv.wait(&mut open);
+                open = locks::wait(cv, open);
             }
         }
         self.inner.read_at(file, offset, buf)
@@ -830,18 +814,18 @@ impl<D: StorageDriver> FlakyDriver<D> {
 
     /// Append outcomes to the read script.
     pub fn script_reads(&self, outcomes: impl IntoIterator<Item = FlakyOutcome>) {
-        self.reads.lock().extend(outcomes);
+        locks::lock(&self.reads).extend(outcomes);
     }
 
     /// Append outcomes to the write script.
     pub fn script_writes(&self, outcomes: impl IntoIterator<Item = FlakyOutcome>) {
-        self.writes.lock().extend(outcomes);
+        locks::lock(&self.writes).extend(outcomes);
     }
 
     /// Append outcomes to the remove script. A failed remove leaves the
     /// file where it is.
     pub fn script_removes(&self, outcomes: impl IntoIterator<Item = FlakyOutcome>) {
-        self.removes.lock().extend(outcomes);
+        locks::lock(&self.removes).extend(outcomes);
     }
 
     /// The shared outage switch: while `true`, every data operation fails
@@ -859,7 +843,7 @@ impl<D: StorageDriver> FlakyDriver<D> {
         if self.outage.load(Ordering::Acquire) {
             return Err(FlakyOutcome::Transient.into_error(what));
         }
-        match script.lock().pop_front() {
+        match locks::lock(script).pop_front() {
             None | Some(FlakyOutcome::Ok) => Ok(()),
             Some(fail) => Err(fail.into_error(what)),
         }
@@ -889,7 +873,7 @@ impl<D: StorageDriver> StorageDriver for FlakyDriver<D> {
     fn remove(&self, file: &str) -> Result<()> {
         // The outage switch is about data operations; a delete during an
         // outage goes through, as it always has.
-        match self.removes.lock().pop_front() {
+        match locks::lock(&self.removes).pop_front() {
             None | Some(FlakyOutcome::Ok) => self.inner.remove(file),
             Some(fail) => Err(fail.into_error("remove")),
         }

@@ -18,11 +18,12 @@
 //! the simulator's virtual clock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
+use crate::locks;
 use crate::{Error, TierId};
 
 /// How a driver failure should be handled.
@@ -219,7 +220,7 @@ impl TierHealth {
     /// A success on a tier that has errored before (`interesting` is set;
     /// the caller tested it).
     fn decay(&self, cfg: &HealthConfig, now_us: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = locks::lock(&self.inner);
         inner.successes_total += 1;
         inner.consecutive_failures = 0;
         inner.error_ewma *= 1.0 - cfg.ewma_alpha;
@@ -244,7 +245,7 @@ impl TierHealth {
             return (self.state(), false);
         }
         self.interesting.store(true, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
+        let mut inner = locks::lock(&self.inner);
         inner.errors_total += 1;
         inner.consecutive_failures += 1;
         inner.error_ewma = cfg.ewma_alpha + (1.0 - cfg.ewma_alpha) * inner.error_ewma;
@@ -273,7 +274,7 @@ impl TierHealth {
         if !self.interesting.load(Ordering::Relaxed) {
             return TierState::Closed;
         }
-        self.inner.lock().state
+        locks::lock(&self.inner).state
     }
 
     /// True when the tier is quarantined (regardless of cooldown: only a
@@ -290,7 +291,7 @@ impl TierHealth {
         if !self.interesting.load(Ordering::Relaxed) {
             return false;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = locks::lock(&self.inner);
         if inner.state != TierState::Quarantined || inner.probe_inflight {
             return false;
         }
@@ -306,7 +307,7 @@ impl TierHealth {
     /// (state back to closed, counters reset); failure re-arms the
     /// quarantine cooldown.
     pub fn probe_result(&self, ok: bool, cfg: &HealthConfig, now_us: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = locks::lock(&self.inner);
         inner.probe_inflight = false;
         if ok {
             inner.state = TierState::Closed;
@@ -321,7 +322,7 @@ impl TierHealth {
     }
 
     fn snapshot(&self, tier: TierId, name: &str) -> TierHealthSnapshot {
-        let inner = self.inner.lock();
+        let inner = locks::lock(&self.inner);
         TierHealthSnapshot {
             tier,
             name: name.to_string(),
@@ -436,13 +437,13 @@ impl HealthRegistry {
     /// Replace the tunables (tests and the simulator use short cooldowns
     /// and virtual-time scales).
     pub fn set_config(&self, cfg: HealthConfig) {
-        *self.config.write() = cfg;
+        *locks::write(&self.config) = cfg;
     }
 
     /// Current tunables.
     #[must_use]
     pub fn config(&self) -> HealthConfig {
-        self.config.read().clone()
+        locks::read(&self.config).clone()
     }
 
     /// Microseconds since the registry was created (the real-clock
@@ -465,14 +466,14 @@ impl HealthRegistry {
     pub fn record_success(&self, tier: TierId) {
         let health = &self.tiers[tier];
         if health.interesting.load(Ordering::Relaxed) {
-            health.decay(&self.config.read(), self.now_us());
+            health.decay(&locks::read(&self.config), self.now_us());
         }
     }
 
     /// Record an error against `tier` at the registry clock; returns the
     /// resulting state plus whether this call quarantined the tier.
     pub fn record_error(&self, tier: TierId, class: ErrorClass) -> (TierState, bool) {
-        self.tiers[tier].record_error(class, &self.config.read(), self.now_us())
+        self.tiers[tier].record_error(class, &locks::read(&self.config), self.now_us())
     }
 
     /// True while any tier is quarantined.
@@ -484,7 +485,7 @@ impl HealthRegistry {
     /// The retry policy derived from the current config.
     #[must_use]
     pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::from_config(&self.config.read())
+        RetryPolicy::from_config(&locks::read(&self.config))
     }
 
     /// Snapshot every tier's tracker.

@@ -55,6 +55,7 @@ pub mod hash;
 pub mod health;
 pub mod hierarchy;
 pub mod lifecycle;
+mod locks;
 pub mod metadata;
 pub mod middleware;
 pub mod observe;

@@ -45,12 +45,11 @@
 //! this one ([`locate`]), addressed by the same ids.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use crate::hash::hash_str;
 use crate::hierarchy::MAX_LEVELS;
+use crate::locks;
 use crate::{Error, Result, TierId};
 
 /// Placement lifecycle of one file.
@@ -471,7 +470,7 @@ impl MetadataContainer {
         // Registrations serialise on the writer lock, so a plain store
         // settles the slot; the size goes first so that whoever sees the
         // state leave `ABSENT` (acquire) sees it.
-        let mut entries = self.index.entries.lock();
+        let mut entries = locks::lock(&self.index.entries);
         let (_, slot) = self.find_or_insert(&mut entries, name);
         if slot.place.load(Ordering::Relaxed) & STATE_MASK != ABSENT {
             return false;
@@ -492,7 +491,7 @@ impl MetadataContainer {
         match self.find(name) {
             Some(id) => id,
             None => {
-                let mut entries = self.index.entries.lock();
+                let mut entries = locks::lock(&self.index.entries);
                 self.find_or_insert(&mut entries, name).0
             }
         }

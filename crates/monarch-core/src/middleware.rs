@@ -30,6 +30,7 @@ use crate::builder::MonarchBuilder;
 use crate::cluster::Cluster;
 use crate::config::MonarchConfig;
 use crate::hierarchy::{StorageHierarchy, Tier};
+use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
 use crate::observe::{ReadClass, TimedRead};
 use crate::prefetch::AccessPlan;
@@ -817,12 +818,7 @@ impl Monarch {
     /// scrape racing the drain sees `draining` on /healthz.
     fn stop(&mut self, wait: Option<Duration>) {
         self.engine.drain_within(wait);
-        if let Some(server) = self
-            .server
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-        {
+        if let Some(server) = locks::lock(&self.server).take() {
             server.stop();
         }
         if let Some(cluster) = &self.cluster {

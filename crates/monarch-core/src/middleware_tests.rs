@@ -894,8 +894,8 @@ fn a_retried_read_touches_the_eviction_policy_once() {
     assert_eq!(m.metadata().get("f").unwrap().tier, 0);
     let before = counting.0.load(Ordering::Relaxed);
 
-    // Three passes over the device, one read: LFU's touch count and the
-    // LRU clock must move once.
+    // Three passes over the device, one read: the LRU clock must move
+    // once.
     flaky.script_reads([
         FlakyOutcome::Transient,
         FlakyOutcome::Transient,
@@ -905,6 +905,101 @@ fn a_retried_read_touches_the_eviction_policy_once() {
     assert_eq!(counting.0.load(Ordering::Relaxed) - before, 1);
     assert_eq!(m.stats().read_retries, 2);
     assert_eq!(m.metadata().get("f").unwrap().reads, 2);
+    m.shutdown();
+}
+
+#[test]
+fn a_policy_panic_under_the_pin_lock_fails_one_copy_and_nothing_else() {
+    use crate::hierarchy::TierId;
+    use crate::policy::{EvictCtx, EvictionPolicy, FirstFitScorer, LruEviction};
+    use std::sync::atomic::AtomicBool;
+    /// LRU whose first `victims` panics. `PolicyEngine::place` asks it
+    /// with the pin set locked, and the copy's lease unpins while it
+    /// unwinds: the poison rule (`crate::locks`) is what lets both through.
+    #[derive(Default)]
+    struct PanicsOnce {
+        lru: LruEviction,
+        panicked: AtomicBool,
+    }
+    impl EvictionPolicy for PanicsOnce {
+        fn name(&self) -> &'static str {
+            "panics_once"
+        }
+        fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<String> {
+            if !self.panicked.swap(true, Ordering::Relaxed) {
+                panic!("victims exploded");
+            }
+            self.lru.victims(tier, needed, ctx)
+        }
+        fn on_access(&self, file: &str, tier: TierId) {
+            self.lru.on_access(file, tier);
+        }
+        fn on_placed(&self, file: &str, size: u64, tier: TierId) {
+            self.lru.on_placed(file, size, tier);
+        }
+        fn on_evicted(&self, file: &str) {
+            self.lru.on_evicted(file);
+        }
+    }
+    let pfs = MemDriver::new("pfs");
+    pfs.insert("a", vec![1u8; 1000]);
+    pfs.insert("b", vec![2u8; 1000]);
+    // Room for one file: placing the second needs a victim.
+    let hierarchy = two_tier(Arc::new(MemDriver::new("ssd")), 1000, Arc::new(pfs));
+    let engine = PolicyEngine::new(
+        Arc::new(AdmitAll),
+        Arc::new(PanicsOnce::default()),
+        Arc::new(FirstFitScorer),
+    );
+    let m = MonarchBuilder::new()
+        .hierarchy(hierarchy)
+        .policy_engine(Arc::new(engine))
+        .pool_threads(1)
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    let mut buf = vec![0u8; 1000];
+    let mut read = |file: &str| {
+        assert_eq!(m.read(file, 0, &mut buf).unwrap(), 1000);
+        m.wait_placement_idle();
+        buf[999]
+    };
+    assert_eq!(read("a"), 1);
+    assert_eq!(read("b"), 2, "the panicking copy's reader is served");
+
+    // The copy failed, and was booked once.
+    let s = m.stats();
+    assert_eq!(
+        (s.copies_scheduled, s.copies_completed, s.copies_failed),
+        (2, 1, 1)
+    );
+    let failed = m.telemetry().journal().events();
+    let failed: Vec<_> = failed
+        .iter()
+        .filter(|e| e.kind.tag() == "copy_failed")
+        .collect();
+    assert_eq!(failed.len(), 1);
+    assert_eq!(failed[0].kind.file(), "b");
+    assert_eq!(
+        m.metadata().get("b").unwrap().state,
+        PlacementState::Unplaced
+    );
+
+    // Later reads serve the right bytes, and the next placement evicts
+    // and lands.
+    assert_eq!(read("a"), 1);
+    assert_eq!(read("b"), 2);
+    let s = m.stats();
+    assert_eq!(
+        (s.copies_completed, s.copies_failed, s.evictions),
+        (2, 1, 1)
+    );
+    assert_eq!(m.metadata().get("b").unwrap().tier, 0);
+    assert_eq!(read("b"), 2);
+
+    // The snapshot reads the pin set.
+    let snap = m.telemetry_snapshot();
+    assert_eq!(snap.policy.expect("policy section").pinned, 0);
     m.shutdown();
 }
 

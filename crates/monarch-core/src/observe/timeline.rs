@@ -12,11 +12,12 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::hierarchy::TierId;
+use crate::locks;
 
 /// What happened to the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,8 +44,8 @@ pub enum TransitionCause {
     Plan,
     /// A placement decision pushed it out (legacy/explicit evictions).
     Eviction,
-    /// An eviction-policy verdict pushed it out (LRU/LFU/cost-aware/
-    /// clairvoyant/learned selection making room for a newcomer).
+    /// An eviction-policy verdict pushed it out (LRU/clairvoyant/learned
+    /// selection making room for a newcomer).
     Policy,
     /// Engine shutdown withdrew it.
     Drain,
@@ -133,7 +134,7 @@ impl ResidencyTimeline {
             return;
         }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock();
+        let mut ring = locks::lock(&self.ring);
         if ring.len() == self.capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -165,7 +166,7 @@ impl ResidencyTimeline {
     /// history.
     #[must_use]
     pub fn events(&self) -> Vec<ResidencyEvent> {
-        self.ring.lock().iter().cloned().collect()
+        locks::lock(&self.ring).iter().cloned().collect()
     }
 
     /// Replay the timeline into `file`'s local-tier residency spans
@@ -175,7 +176,7 @@ impl ResidencyTimeline {
     pub fn residency(&self, file: &str, t0_us: u64, t1_us: u64) -> Vec<ResidencySpan> {
         let mut spans = Vec::new();
         let mut open: Option<(TierId, u64)> = None;
-        for ev in self.ring.lock().iter().filter(|e| e.file == file) {
+        for ev in locks::lock(&self.ring).iter().filter(|e| e.file == file) {
             match ev.kind {
                 ResidencyEventKind::Admitted => {
                     // Re-admission without an eviction event (history gap):

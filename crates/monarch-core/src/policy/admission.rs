@@ -22,31 +22,6 @@ impl AdmissionPolicy for AdmitAll {
     }
 }
 
-/// Deny files larger than a byte threshold: one giant file can monopolise a
-/// small fast tier that would otherwise serve many hot files.
-#[derive(Debug, Clone, Copy)]
-pub struct SizeThreshold {
-    max_bytes: u64,
-}
-
-impl SizeThreshold {
-    /// Admit only files of at most `max_bytes`.
-    #[must_use]
-    pub fn new(max_bytes: u64) -> Self {
-        Self { max_bytes }
-    }
-}
-
-impl AdmissionPolicy for SizeThreshold {
-    fn name(&self) -> &'static str {
-        "size_threshold"
-    }
-
-    fn admit(&self, _file: &str, size: u64, _f: Option<&FileFeatures>, _p: DecisionPoint) -> bool {
-        size <= self.max_bytes
-    }
-}
-
 /// Deny demand admissions for files the profiler has *proven* cold: read
 /// at least twice with an EWMA inter-access gap beyond the reuse horizon.
 /// Prefetch admissions always pass — the access plan is direct evidence
@@ -107,13 +82,6 @@ mod tests {
     #[test]
     fn admit_all_admits_all() {
         assert!(AdmitAll.admit("f", u64::MAX, None, DecisionPoint::DemandAdmit));
-    }
-
-    #[test]
-    fn size_threshold_cuts_at_the_boundary() {
-        let p = SizeThreshold::new(100);
-        assert!(p.admit("f", 100, None, DecisionPoint::DemandAdmit));
-        assert!(!p.admit("f", 101, None, DecisionPoint::DemandAdmit));
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! checked.
 
 use std::collections::VecDeque;
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::hash::FxHashMap;
+use crate::locks;
 use crate::TierId;
 
 use super::{EvictCtx, EvictionPolicy};
@@ -47,11 +47,6 @@ struct Resident {
     tier: TierId,
     /// Logical clock value of the most recent touch (placement counts).
     last_touch: u64,
-    /// Reads observed while resident.
-    touches: u64,
-    /// Cost-aware (GDSF-style) priority: `inflation + touches` at the time
-    /// of the last touch. Unused by the other rankings.
-    priority: f64,
 }
 
 #[derive(Debug, Default)]
@@ -59,9 +54,6 @@ struct Book {
     residents: FxHashMap<String, Resident>,
     /// Logical clock: bumped on every placement/access.
     clock: u64,
-    /// Cost-aware aging floor: priority of the last evicted victim, so
-    /// long-resident files cannot camp on stale frequency counts.
-    inflation: f64,
     /// Clairvoyant plan: for each file, the remaining positions at which
     /// the current epoch plan will read it (front = soonest).
     plan_next: FxHashMap<String, VecDeque<u64>>,
@@ -72,8 +64,6 @@ struct Book {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RankKind {
     Lru,
-    Lfu,
-    CostAware,
     Clairvoyant,
     Scored,
 }
@@ -95,47 +85,36 @@ impl Ranked {
     }
 
     fn on_access(&self, file: &str, tier: TierId) {
-        let mut book = self.state.lock();
+        let mut book = locks::lock(&self.state);
         book.clock += 1;
         let clock = book.clock;
-        let inflation = book.inflation;
         if let Some(r) = book.residents.get_mut(file) {
             if r.tier == tier {
                 r.last_touch = clock;
-                r.touches += 1;
-                r.priority = inflation + r.touches as f64;
             }
         }
     }
 
     fn on_placed(&self, file: &str, size: u64, tier: TierId) {
-        let mut book = self.state.lock();
+        let mut book = locks::lock(&self.state);
         book.clock += 1;
         let clock = book.clock;
-        let inflation = book.inflation;
         book.residents.insert(
             file.to_string(),
             Resident {
                 size,
                 tier,
                 last_touch: clock,
-                touches: 0,
-                priority: inflation,
             },
         );
     }
 
     fn on_evicted(&self, file: &str) {
-        let mut book = self.state.lock();
-        if let Some(victim) = book.residents.remove(file) {
-            if self.kind == RankKind::CostAware && victim.priority > book.inflation {
-                book.inflation = victim.priority;
-            }
-        }
+        locks::lock(&self.state).residents.remove(file);
     }
 
     fn set_plan(&self, files: &[String]) {
-        let mut book = self.state.lock();
+        let mut book = locks::lock(&self.state);
         book.plan_next.clear();
         for (pos, name) in files.iter().enumerate() {
             book.plan_next
@@ -147,7 +126,7 @@ impl Ranked {
     }
 
     fn note_plan_read(&self, file: &str) {
-        let mut book = self.state.lock();
+        let mut book = locks::lock(&self.state);
         let drained = match book.plan_next.get_mut(file) {
             Some(positions) => {
                 positions.pop_front();
@@ -164,8 +143,6 @@ impl Ranked {
     fn rank(&self, book: &Book, name: &str, r: &Resident, ctx: &EvictCtx<'_>) -> (f64, u64) {
         match self.kind {
             RankKind::Lru => (r.last_touch as f64, 0),
-            RankKind::Lfu => (r.touches as f64, r.last_touch),
-            RankKind::CostAware => (r.priority, r.last_touch),
             // Belady: evict what the plan reads *farthest* in the future
             // (or never again). Negated so "farthest" ranks lowest. With
             // no plan submitted every file ties at 0 and recency breaks
@@ -186,7 +163,7 @@ impl Ranked {
     }
 
     fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<String> {
-        let book = self.state.lock();
+        let book = locks::lock(&self.state);
         let mut candidates: Vec<(&String, &Resident)> = book
             .residents
             .iter()
@@ -275,25 +252,6 @@ ranked_policy!(
 );
 
 ranked_policy!(
-    /// Least-frequently-used with recency tie-break: protects files that
-    /// are re-read many times (hot-set workloads) at the cost of slow
-    /// adaptation when the hot set shifts.
-    LfuEviction,
-    RankKind::Lfu,
-    "lfu"
-);
-
-ranked_policy!(
-    /// GDSF-style cost-aware ranking: priority = aging floor + touches,
-    /// where the floor inflates to each evicted victim's priority. Files
-    /// must keep earning touches to stay; long-idle frequency counts decay
-    /// relative to the rising floor.
-    CostAwareEviction,
-    RankKind::CostAware,
-    "cost_aware"
-);
-
-ranked_policy!(
     /// Belady-style clairvoyant eviction: consult the submitted
     /// [`crate::prefetch::AccessPlan`] and evict whatever the current
     /// epoch reads farthest in the future — or never again. Falls back to
@@ -340,40 +298,6 @@ mod tests {
         assert_eq!(p.victims(0, 15, &c), vec!["b", "c"]);
         p.on_evicted("b");
         assert_eq!(p.victims(0, 5, &c), vec!["c"]);
-    }
-
-    #[test]
-    fn lfu_protects_frequent_files() {
-        let p = LfuEviction::new();
-        p.on_placed("hot", 10, 0);
-        p.on_placed("cold", 10, 0);
-        for _ in 0..5 {
-            p.on_access("hot", 0);
-        }
-        p.on_access("cold", 0);
-        // "cold" was touched more recently but far less often.
-        let c = ctx(&NOBODY, &FLAT);
-        assert_eq!(p.victims(0, 1, &c), vec!["cold"]);
-    }
-
-    #[test]
-    fn cost_aware_inflation_ages_out_idle_frequency() {
-        let p = CostAwareEviction::new();
-        p.on_placed("old_hot", 10, 0);
-        for _ in 0..3 {
-            p.on_access("old_hot", 0);
-        }
-        p.on_placed("victim", 10, 0);
-        let c = ctx(&NOBODY, &FLAT);
-        assert_eq!(p.victims(0, 1, &c), vec!["victim"]);
-        p.on_evicted("victim"); // floor inflates to victim's priority
-                                // A newcomer placed after the inflation starts at the floor, so a
-                                // single fresh touch now outranks old_hot's stale count.
-        p.on_placed("new", 10, 0);
-        for _ in 0..4 {
-            p.on_access("new", 0);
-        }
-        assert_eq!(p.victims(0, 1, &c), vec!["old_hot"]);
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //! decomposition, the three questions become three traits:
 //!
 //! - [`AdmissionPolicy`] — *is this file worth a tier slot at all?*
-//!   ([`AdmitAll`], [`SizeThreshold`], [`ReuseAware`]).
+//!   ([`AdmitAll`], [`ReuseAware`]).
 //! - [`EvictionPolicy`] — *who leaves when space is needed?*
-//!   ([`NoEviction`], [`LruEviction`], [`LfuEviction`], [`CostAwareEviction`],
-//!   [`ClairvoyantEviction`] consulting the access plan for what will not be
-//!   read again this epoch, [`ScoredEviction`] ranking by a scorer's
-//!   reuse prediction).
+//!   ([`NoEviction`], [`LruEviction`], [`ClairvoyantEviction`] consulting
+//!   the access plan for what will not be read again this epoch,
+//!   [`ScoredEviction`] ranking by a scorer's reuse prediction).
 //! - [`PlacementScorer`] — *which tier, and how valuable is the file?*
-//!   ([`FirstFitScorer`] — the paper baseline, [`RoundRobinScorer`], and
+//!   ([`FirstFitScorer`] — the paper baseline — and
 //!   [`LearnedScorer`] — a tiny online logistic model over
 //!   [`crate::observe::AccessProfiler`] features, no external deps).
 //!
@@ -35,21 +34,19 @@ mod admission;
 mod eviction;
 mod scorer;
 
-pub use admission::{AdmitAll, ReuseAware, SizeThreshold};
-pub use eviction::{
-    ClairvoyantEviction, CostAwareEviction, LfuEviction, LruEviction, NoEviction, ScoredEviction,
-};
-pub use scorer::{FirstFitScorer, LearnedScorer, RoundRobinScorer};
+pub use admission::{AdmitAll, ReuseAware};
+pub use eviction::{ClairvoyantEviction, LruEviction, NoEviction, ScoredEviction};
+pub use scorer::{FirstFitScorer, LearnedScorer};
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{AdmissionKind, PolicyKind};
 use crate::hierarchy::StorageHierarchy;
+use crate::locks;
 use crate::metadata::{FileId, MetadataContainer};
 use crate::{Result, TierId};
 
@@ -370,24 +367,19 @@ impl PolicyEngine {
         }
     }
 
-    /// The canonical composition for each config selector. `LruEvict`,
-    /// `Lfu`, `CostAware` and `Clairvoyant` pair their eviction with the
-    /// paper's first-fit scorer; `Learned` shares one [`LearnedScorer`]
+    /// The canonical composition for each config selector. `LruEvict` and
+    /// `Clairvoyant` pair their eviction with the paper's first-fit scorer; `Learned` shares one [`LearnedScorer`]
     /// between scoring and [`ScoredEviction`] so eviction ranks by the
     /// model's live predictions.
     #[must_use]
     pub fn from_kind(kind: PolicyKind, admission: AdmissionKind) -> Self {
         let admission: Arc<dyn AdmissionPolicy> = match admission {
             AdmissionKind::AdmitAll => Arc::new(AdmitAll),
-            AdmissionKind::SizeThreshold { max_bytes } => Arc::new(SizeThreshold::new(max_bytes)),
             AdmissionKind::ReuseAware => Arc::new(ReuseAware::default()),
         };
         let (eviction, scorer): (Arc<dyn EvictionPolicy>, Arc<dyn PlacementScorer>) = match kind {
             PolicyKind::FirstFit => (Arc::new(NoEviction), Arc::new(FirstFitScorer)),
-            PolicyKind::RoundRobin => (Arc::new(NoEviction), Arc::new(RoundRobinScorer::default())),
             PolicyKind::LruEvict => (Arc::new(LruEviction::new()), Arc::new(FirstFitScorer)),
-            PolicyKind::Lfu => (Arc::new(LfuEviction::new()), Arc::new(FirstFitScorer)),
-            PolicyKind::CostAware => (Arc::new(CostAwareEviction::new()), Arc::new(FirstFitScorer)),
             PolicyKind::Clairvoyant => (
                 Arc::new(ClairvoyantEviction::new()),
                 Arc::new(FirstFitScorer),
@@ -409,13 +401,13 @@ impl PolicyEngine {
     /// Bind the feature bridge (idempotent; last bind wins). Called by the
     /// `TransferEngine` constructor with its telemetry registry.
     pub fn bind_features(&self, source: Arc<dyn FeatureSource>) {
-        *self.features.lock() = Some(source);
+        *locks::lock(&self.features) = Some(source);
     }
 
     /// Feature vector for `file`, if a source is bound and knows it.
     #[must_use]
     pub fn features_of(&self, file: &str) -> Option<FileFeatures> {
-        let source = self.features.lock().clone()?;
+        let source = locks::lock(&self.features).clone()?;
         source.features(file)
     }
 
@@ -457,7 +449,7 @@ impl PolicyEngine {
         if !self.eviction.may_evict() {
             return Ok(None);
         }
-        let pinned = self.pinned.lock();
+        let pinned = locks::lock(&self.pinned);
         let exempt = |name: &str| name == file || pinned.contains(name);
         let score = |name: &str| self.scorer.score(name, self.features_of(name).as_ref());
         let ctx = EvictCtx {
@@ -513,7 +505,7 @@ impl PolicyEngine {
         candidates: &[(String, u64)],
         keep: &str,
     ) -> Option<String> {
-        let pinned = self.pinned.lock();
+        let pinned = locks::lock(&self.pinned);
         let exempt = |name: &str| name == keep || pinned.contains(name);
         let score = |name: &str| self.scorer.score(name, self.features_of(name).as_ref());
         let ctx = EvictCtx {
@@ -584,7 +576,7 @@ impl PolicyEngine {
     /// A new epoch plan was submitted: reset pins and hand the order to the
     /// clairvoyant book.
     pub fn set_plan(&self, files: &[String]) {
-        self.pinned.lock().clear();
+        locks::lock(&self.pinned).clear();
         self.eviction.set_plan(files);
     }
 
@@ -596,23 +588,17 @@ impl PolicyEngine {
     /// Protect `file` from eviction (prefetch staged it; it has not yet
     /// been read).
     pub fn pin(&self, file: &str) {
-        self.pinned.lock().insert(file.to_string());
+        locks::lock(&self.pinned).insert(file.to_string());
     }
 
     /// Release the eviction protection on `file`.
     pub fn unpin(&self, file: &str) {
-        self.pinned.lock().remove(file);
+        locks::lock(&self.pinned).remove(file);
     }
 
     /// Drop every pin (drain, plan replacement).
     pub fn clear_pins(&self) {
-        self.pinned.lock().clear();
-    }
-
-    /// True if `file` is currently pinned.
-    #[must_use]
-    pub fn is_pinned(&self, file: &str) -> bool {
-        self.pinned.lock().contains(file)
+        locks::lock(&self.pinned).clear();
     }
 
     /// Whether the composed eviction policy can ever return victims.
@@ -636,7 +622,7 @@ impl PolicyEngine {
             prefetch_denials: self.counters.prefetch_denials.load(Ordering::Relaxed),
             evictions_selected: self.counters.evictions_selected.load(Ordering::Relaxed),
             pressure_victims: self.counters.pressure_victims.load(Ordering::Relaxed),
-            pinned: self.pinned.lock().len() as u64,
+            pinned: locks::lock(&self.pinned).len() as u64,
         }
     }
 }
@@ -685,8 +671,8 @@ mod tests {
             engine(PolicyKind::Learned).name(),
             "admit_all/scored/learned"
         );
-        let snap = engine(PolicyKind::CostAware).snapshot();
-        assert_eq!(snap.eviction, "cost_aware");
+        let snap = engine(PolicyKind::Clairvoyant).snapshot();
+        assert_eq!(snap.eviction, "clairvoyant");
         assert!(snap.may_evict);
     }
 
@@ -720,24 +706,6 @@ mod tests {
         // But a small file still fits tier 0's remaining 40 bytes.
         let d = p.place(&h, "d", 40).unwrap().unwrap();
         assert_eq!(d.tier, 0);
-    }
-
-    #[test]
-    fn round_robin_rotates_and_falls_through_full_tier() {
-        let h = hierarchy(&[100, 100]);
-        let p = engine(PolicyKind::RoundRobin);
-        let d1 = p.place(&h, "a", 10).unwrap().unwrap();
-        let d2 = p.place(&h, "b", 10).unwrap().unwrap();
-        assert_ne!(d1.tier, d2.tier);
-        let d3 = p.place(&h, "c", 10).unwrap().unwrap();
-        assert_eq!(d3.tier, d1.tier);
-
-        let h = hierarchy(&[5, 100]);
-        let p = engine(PolicyKind::RoundRobin);
-        // First placement targets tier 0 but it cannot fit 10 bytes →
-        // falls through to tier 1.
-        let d = p.place(&h, "a", 10).unwrap().unwrap();
-        assert_eq!(d.tier, 1);
     }
 
     #[test]

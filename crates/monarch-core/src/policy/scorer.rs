@@ -10,9 +10,10 @@
 //! nanoseconds per update, and it degrades to indifference (0.5) on files
 //! it has never been taught about.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::hierarchy::StorageHierarchy;
+use crate::locks;
 use crate::{Result, TierId};
 
 use super::{FileFeatures, PlacementScorer};
@@ -51,47 +52,6 @@ impl PlacementScorer for FirstFitScorer {
         size: u64,
     ) -> Result<Option<TierId>> {
         first_fit_choose(hierarchy, size)
-    }
-}
-
-/// Rotate placements across local tiers (ablation). With heterogeneous
-/// tier speeds this wastes fast-tier capacity; the ablation bench
-/// quantifies the cost versus [`FirstFitScorer`].
-#[derive(Debug, Default)]
-pub struct RoundRobinScorer {
-    next: Mutex<TierId>,
-}
-
-impl PlacementScorer for RoundRobinScorer {
-    fn name(&self) -> &'static str {
-        "round_robin"
-    }
-
-    fn choose(
-        &self,
-        hierarchy: &StorageHierarchy,
-        _file: &str,
-        size: u64,
-    ) -> Result<Option<TierId>> {
-        let locals = hierarchy.levels() - 1;
-        let start = {
-            let mut next = self.next.lock();
-            let s = *next;
-            *next = (*next + 1) % locals;
-            s
-        };
-        for i in 0..locals {
-            let tier = hierarchy.tier((start + i) % locals)?;
-            if hierarchy.health().tier(tier.id).is_quarantined() {
-                continue;
-            }
-            if let Some(q) = tier.quota.as_ref() {
-                if q.try_reserve(size) {
-                    return Ok(Some(tier.id));
-                }
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -157,7 +117,7 @@ impl LearnedScorer {
     /// Number of SGD updates applied so far.
     #[must_use]
     pub fn updates(&self) -> u64 {
-        self.model.lock().updates
+        locks::lock(&self.model).updates
     }
 }
 
@@ -183,7 +143,7 @@ impl PlacementScorer for LearnedScorer {
 
     fn score(&self, _file: &str, features: Option<&FileFeatures>) -> f64 {
         let x = featurize(features);
-        let m = self.model.lock();
+        let m = locks::lock(&self.model);
         let z = m.b + m.w.iter().zip(x.iter()).map(|(w, x)| w * x).sum::<f64>();
         sigmoid(z)
     }
@@ -191,7 +151,7 @@ impl PlacementScorer for LearnedScorer {
     fn observe_outcome(&self, _file: &str, features: Option<&FileFeatures>, reused: bool) {
         let x = featurize(features);
         let y = if reused { 1.0 } else { 0.0 };
-        let mut m = self.model.lock();
+        let mut m = locks::lock(&self.model);
         let z = m.b + m.w.iter().zip(x.iter()).map(|(w, x)| w * x).sum::<f64>();
         let grad = sigmoid(z) - y;
         for (w, xi) in m.w.iter_mut().zip(x.iter()) {
@@ -275,7 +235,7 @@ mod tests {
             // Adversarial alternation at an extreme feature point.
             s.observe_outcome("f", Some(&f), i % 2 == 0);
         }
-        let m = s.model.lock();
+        let m = locks::lock(&s.model);
         for w in m.w {
             assert!(w.is_finite() && w.abs() <= WEIGHT_CLAMP, "w={w}");
         }

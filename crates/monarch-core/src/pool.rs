@@ -24,12 +24,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-
+use crate::locks;
 use crate::telemetry::LatencyHistogram;
 use crate::transfer::LaneQueues;
 
@@ -114,7 +113,7 @@ impl Shared {
     /// Balance one `pending` increment and wake idle waiters at zero.
     fn finish_one(&self) {
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.idle_mutex.lock();
+            let _guard = locks::lock(&self.idle_mutex);
             self.idle_cv.notify_all();
         }
     }
@@ -150,7 +149,7 @@ impl PoolProbe {
     /// Number of queued (not yet started) jobs on a lane.
     #[must_use]
     pub fn queued(&self, lane: Lane) -> usize {
-        self.shared.queues.lock().lanes.queued(lane)
+        locks::lock(&self.shared.queues).lanes.queued(lane)
     }
 
     /// Tasks submitted but not yet completed (queued + running).
@@ -206,7 +205,7 @@ impl ThreadPool {
                     .name(format!("monarch-copy-{i}"))
                     .spawn(move || loop {
                         let job = {
-                            let mut q = shared.queues.lock();
+                            let mut q = locks::lock(&shared.queues);
                             loop {
                                 if let Some((job, _lane)) = q.lanes.pop() {
                                     break Some(job);
@@ -214,7 +213,7 @@ impl ThreadPool {
                                 if q.closed {
                                     break None;
                                 }
-                                shared.work_cv.wait(&mut q);
+                                q = locks::wait(&shared.work_cv, q);
                             }
                         };
                         let Some(job) = job else { return };
@@ -279,7 +278,7 @@ impl ThreadPool {
         };
         self.shared.pending.fetch_add(1, Ordering::AcqRel);
         {
-            let mut q = self.shared.queues.lock();
+            let mut q = locks::lock(&self.shared.queues);
             if q.closed {
                 drop(q);
                 // Shutdown raced us: roll back our increment through the
@@ -302,7 +301,7 @@ impl ThreadPool {
     /// Returns `false` when no queued prefetch job carries `label` — it
     /// already started, finished, or never existed.
     pub fn promote(&self, label: &str) -> bool {
-        let mut q = self.shared.queues.lock();
+        let mut q = locks::lock(&self.shared.queues);
         q.lanes
             .promote_where(|j| j.ctx.as_ref().is_some_and(|c| c.label == label))
     }
@@ -313,7 +312,7 @@ impl ThreadPool {
     /// `Copying` states). Running jobs are unaffected.
     pub fn drain_prefetch(&self) -> Vec<TaskCtx> {
         let dropped: Vec<Job> = {
-            let mut q = self.shared.queues.lock();
+            let mut q = locks::lock(&self.shared.queues);
             q.lanes.drain_prefetch()
         };
         let mut ctxs = Vec::with_capacity(dropped.len());
@@ -329,7 +328,7 @@ impl ThreadPool {
     /// Number of queued (not yet started) jobs on a lane.
     #[must_use]
     pub fn queued(&self, lane: Lane) -> usize {
-        self.shared.queues.lock().lanes.queued(lane)
+        locks::lock(&self.shared.queues).lanes.queued(lane)
     }
 
     /// Tasks submitted but not yet completed.
@@ -361,9 +360,9 @@ impl ThreadPool {
 
     /// Block until no tasks are queued or running.
     pub fn wait_idle(&self) {
-        let mut guard = self.shared.idle_mutex.lock();
+        let mut guard = locks::lock(&self.shared.idle_mutex);
         while self.shared.pending.load(Ordering::Acquire) != 0 {
-            self.shared.idle_cv.wait(&mut guard);
+            guard = locks::wait(&self.shared.idle_cv, guard);
         }
     }
 
@@ -381,7 +380,7 @@ impl ThreadPool {
     /// waits for a wedged task.
     pub fn shutdown_within(&mut self, wait: Option<Duration>) {
         {
-            let mut q = self.shared.queues.lock();
+            let mut q = locks::lock(&self.shared.queues);
             if q.closed && self.workers.is_empty() {
                 return;
             }
@@ -390,14 +389,14 @@ impl ThreadPool {
         self.shared.work_cv.notify_all();
         if let Some(wait) = wait {
             let deadline = Instant::now() + wait;
-            let mut guard = self.shared.idle_mutex.lock();
+            let mut guard = locks::lock(&self.shared.idle_mutex);
             while self.shared.pending.load(Ordering::Acquire) != 0 {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
                     self.workers.clear();
                     return;
                 }
-                self.shared.idle_cv.wait_for(&mut guard, left);
+                guard = locks::wait_timeout(&self.shared.idle_cv, guard, left);
             }
         }
         for w in self.workers.drain(..) {
@@ -640,7 +639,7 @@ mod tests {
     fn push(order: &Arc<Mutex<Vec<String>>>, tag: &str) -> Task {
         let o = Arc::clone(order);
         let tag = tag.to_string();
-        Box::new(move || o.lock().push(tag))
+        Box::new(move || locks::lock(&o).push(tag))
     }
 
     #[test]
@@ -656,7 +655,7 @@ mod tests {
         assert_eq!(pool.queued(Lane::Demand), 1);
         gate.wait();
         pool.wait_idle();
-        assert_eq!(*order.lock(), vec!["demand", "p0", "p1", "p2"]);
+        assert_eq!(*locks::lock(&order), vec!["demand", "p0", "p1", "p2"]);
     }
 
     #[test]
@@ -682,7 +681,7 @@ mod tests {
         gate.wait();
         pool.wait_idle();
         // "b" jumped the prefetch lane but queues behind existing demand.
-        assert_eq!(*order.lock(), vec!["demand", "b", "a"]);
+        assert_eq!(*locks::lock(&order), vec!["demand", "b", "a"]);
     }
 
     #[test]
@@ -706,7 +705,11 @@ mod tests {
 
         gate.wait();
         pool.wait_idle();
-        assert_eq!(*order.lock(), vec!["demand"], "canceled closures never ran");
+        assert_eq!(
+            *locks::lock(&order),
+            vec!["demand"],
+            "canceled closures never ran"
+        );
         assert_eq!(
             pool.pending(),
             0,

@@ -34,6 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::locks;
 use crate::middleware::Monarch;
 use crate::transfer::Sampler;
 use crate::{Error, Result};
@@ -81,7 +82,7 @@ impl MetricsServer {
                             // Holding the receiver lock only while waiting
                             // for the next connection; serving happens
                             // unlocked so the other worker can pick up.
-                            let conn = rx.lock().expect("serve rx lock").recv();
+                            let conn = locks::lock(&rx).recv();
                             match conn {
                                 Ok(stream) => handle_connection(stream, &sampler),
                                 Err(_) => break, // accept thread gone
@@ -162,7 +163,7 @@ impl Monarch {
     /// [`Monarch::shutdown`] stops it. Errors if one is already running
     /// (stop it first) or if the bind fails.
     pub fn serve(&self, addr: &str) -> Result<SocketAddr> {
-        let mut slot = self.server_slot().lock().expect("server slot lock");
+        let mut slot = locks::lock(self.server_slot());
         if slot.is_some() {
             return Err(Error::InvalidConfig(
                 "metrics server already running (serve_stop it first)".to_string(),
@@ -176,7 +177,7 @@ impl Monarch {
 
     /// Stop a running exporter. Returns `false` when none was running.
     pub fn serve_stop(&self) -> bool {
-        let server = self.server_slot().lock().expect("server slot lock").take();
+        let server = locks::lock(self.server_slot()).take();
         match server {
             Some(s) => {
                 s.stop();
@@ -189,9 +190,7 @@ impl Monarch {
     /// Bound address of the running exporter, if any.
     #[must_use]
     pub fn serve_addr(&self) -> Option<SocketAddr> {
-        self.server_slot()
-            .lock()
-            .expect("server slot lock")
+        locks::lock(self.server_slot())
             .as_ref()
             .map(MetricsServer::addr)
     }

@@ -35,10 +35,9 @@
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, OnceLock};
 
-use parking_lot::{Condvar, Mutex};
-
+use crate::locks;
 use crate::{Error, Result};
 
 /// A byte buffer written front to back by one thread at a time while other
@@ -181,7 +180,7 @@ impl Staging {
     /// of a staging whose buffer an earlier fetch already allocated.
     pub(crate) fn read(&self, offset: u64, out: &mut [u8], may_start: bool) -> Staged<'_> {
         let end = offset + out.len() as u64;
-        let mut fill = self.fill.lock();
+        let mut fill = locks::lock(&self.fill);
         loop {
             if end <= fill.watermark {
                 drop(fill);
@@ -190,7 +189,7 @@ impl Staging {
             }
             match fill.claimed_to {
                 // Being fetched, or next in line behind the fetch.
-                Some(to) if offset <= to => self.moved.wait(&mut fill),
+                Some(to) if offset <= to => fill = locks::wait(&self.moved, fill),
                 None if offset <= fill.watermark && (may_start || self.buf.get().is_some()) => {
                     return Staged::Frontier(self.claim(&mut fill, end, true));
                 }
@@ -204,7 +203,7 @@ impl Staging {
     /// cross into the file's last stride ends where that starts. `None`
     /// once every byte is published.
     pub(crate) fn claim_next(&self, max: u64) -> Option<Claim<'_>> {
-        let mut fill = self.fill.lock();
+        let mut fill = locks::lock(&self.fill);
         while fill.watermark < self.size {
             if fill.claimed_to.is_none() {
                 let mut end = self.size.min(fill.watermark + max);
@@ -214,7 +213,7 @@ impl Staging {
                 }
                 return Some(self.claim(&mut fill, end, false));
             }
-            self.moved.wait(&mut fill);
+            fill = locks::wait(&self.moved, fill);
         }
         None
     }
@@ -223,7 +222,7 @@ impl Staging {
     /// the read that is about to announce its copy: its bytes are the
     /// copy's first.
     pub(crate) fn claim_first(&self, end: u64) -> Claim<'_> {
-        let mut fill = self.fill.lock();
+        let mut fill = locks::lock(&self.fill);
         assert!(
             fill.watermark == 0 && fill.claimed_to.is_none(),
             "the first claim is taken before the staging is shared"
@@ -260,14 +259,14 @@ impl Staging {
 
     /// The whole file, once every byte is published.
     pub(crate) fn whole(&self) -> Option<&[u8]> {
-        let full = self.fill.lock().watermark == self.size;
+        let full = locks::lock(&self.fill).watermark == self.size;
         full.then(|| self.published(0..self.size as usize))
     }
 
     /// `(watermark, end of the range being fetched)`.
     #[cfg(test)]
     pub(crate) fn progress(&self) -> (u64, Option<u64>) {
-        let fill = self.fill.lock();
+        let fill = locks::lock(&self.fill);
         (fill.watermark, fill.claimed_to)
     }
 }
@@ -313,7 +312,7 @@ impl Claim<'_> {
             )));
         }
         // All `want` bytes are written: from here on they may be read.
-        let mut fill = staging.fill.lock();
+        let mut fill = locks::lock(&staging.fill);
         fill.watermark = self.range.end;
         if self.foreground && fill.stride == 0 {
             fill.stride = want as u64;
@@ -325,7 +324,7 @@ impl Claim<'_> {
 
 impl Drop for Claim<'_> {
     fn drop(&mut self) {
-        self.staging.fill.lock().claimed_to = None;
+        locks::lock(&self.staging.fill).claimed_to = None;
         self.staging.moved.notify_all();
     }
 }

@@ -17,7 +17,9 @@
 use std::cell::{Cell, UnsafeCell};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use crate::locks;
 
 /// Copies kept per striped counter.
 pub(crate) const STRIPES: usize = 16;
@@ -114,10 +116,7 @@ impl<T> StripedRwLock<T> {
     }
 
     fn read_stripe(&self, stripe: usize) -> StripedReadGuard<'_, T> {
-        let gate = self.gates[stripe]
-            .0
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
+        let gate = locks::read(&self.gates[stripe].0);
         StripedReadGuard {
             // SAFETY: a writer holds every gate exclusive, this one
             // included, for as long as it can reach the value mutably; so
@@ -133,12 +132,7 @@ impl<T> StripedRwLock<T> {
     pub(crate) fn write(&self) -> StripedWriteGuard<'_, T> {
         StripedWriteGuard {
             // `from_fn` calls in index order.
-            _gates: std::array::from_fn(|i| {
-                self.gates[i]
-                    .0
-                    .write()
-                    .unwrap_or_else(PoisonError::into_inner)
-            }),
+            _gates: std::array::from_fn(|i| locks::write(&self.gates[i].0)),
             lock: self,
         }
     }

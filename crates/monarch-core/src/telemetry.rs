@@ -46,6 +46,7 @@ use serde::{Deserialize, Serialize};
 use crate::cluster::Cluster;
 use crate::health::{HealthRegistry, TierState};
 use crate::hierarchy::StorageHierarchy;
+use crate::locks;
 use crate::metadata::MetadataContainer;
 use crate::policy::PolicyEngine;
 use crate::pool::Lane;
@@ -780,7 +781,7 @@ impl EventJournal {
     /// Events currently buffered.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buf.lock().expect("journal lock").len()
+        locks::lock(&self.buf).len()
     }
 
     /// True when nothing is buffered.
@@ -794,7 +795,7 @@ impl EventJournal {
         if !self.is_enabled() {
             return;
         }
-        let mut buf = self.buf.lock().expect("journal lock");
+        let mut buf = locks::lock(&self.buf);
         // Sequence assigned under the lock so buffered events are strictly
         // ordered by seq.
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -808,18 +809,13 @@ impl EventJournal {
     /// Copy out the buffered events, oldest first (non-destructive).
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        self.buf
-            .lock()
-            .expect("journal lock")
-            .iter()
-            .cloned()
-            .collect()
+        locks::lock(&self.buf).iter().cloned().collect()
     }
 
     /// Remove and return the buffered events, oldest first.
     #[must_use]
     pub fn drain(&self) -> Vec<Event> {
-        self.buf.lock().expect("journal lock").drain(..).collect()
+        locks::lock(&self.buf).drain(..).collect()
     }
 
     /// Render the buffered events as JSON lines (one object per line,
@@ -1056,18 +1052,6 @@ impl Gauge {
         }
     }
 
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Decrement by one.
-    #[inline]
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
     /// Current value, rounded to the nearest integer.
     #[must_use]
     pub fn get(&self) -> i64 {
@@ -1122,7 +1106,7 @@ impl GaugeRegistry {
     /// `help`) on first use. Label order is significant and preserved.
     #[must_use]
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let mut families = self.families.lock().expect("gauge registry lock");
+        let mut families = locks::lock(&self.families);
         let fam = match families.iter_mut().find(|f| f.name == name) {
             Some(f) => f,
             None => {
@@ -1155,9 +1139,7 @@ impl GaugeRegistry {
     /// Number of distinct cells across all families.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.families
-            .lock()
-            .expect("gauge registry lock")
+        locks::lock(&self.families)
             .iter()
             .map(|f| f.members.len())
             .sum()
@@ -1172,7 +1154,7 @@ impl GaugeRegistry {
     /// Current value of every cell, for the JSON snapshot.
     #[must_use]
     pub fn snapshot(&self) -> Vec<GaugeSnapshot> {
-        let families = self.families.lock().expect("gauge registry lock");
+        let families = locks::lock(&self.families);
         families
             .iter()
             .flat_map(|f| {
@@ -1187,7 +1169,7 @@ impl GaugeRegistry {
 
     /// Append the Prometheus text exposition of every family to `out`.
     pub(crate) fn render_into(&self, out: &mut String) {
-        let families = self.families.lock().expect("gauge registry lock");
+        let families = locks::lock(&self.families);
         for fam in families.iter() {
             out.push_str(&format!(
                 "# HELP {} {}\n# TYPE {} gauge\n",

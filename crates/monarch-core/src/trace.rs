@@ -47,6 +47,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::locks;
 use crate::telemetry::push_json_str;
 
 /// Span names used by the middleware and the simulator. Kept as
@@ -288,7 +289,7 @@ impl TraceRecorder {
         let tid = current_tid();
         if self.enabled {
             if let Some(name) = std::thread::current().name() {
-                let mut names = self.track_names.lock().expect("trace track names");
+                let mut names = locks::lock(&self.track_names);
                 names.entry(tid).or_insert_with(|| name.to_string());
             }
         }
@@ -298,10 +299,7 @@ impl TraceRecorder {
     /// Name a track explicitly (simulator tracks, reserved tracks).
     pub fn set_track_name(&self, tid: u64, name: impl Into<String>) {
         if self.enabled {
-            self.track_names
-                .lock()
-                .expect("trace track names")
-                .insert(tid, name.into());
+            locks::lock(&self.track_names).insert(tid, name.into());
         }
     }
 
@@ -313,7 +311,7 @@ impl TraceRecorder {
         self.recorded.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards[(span.tid as usize) % SHARDS];
         let batch = {
-            let mut buf = shard.lock().expect("trace shard");
+            let mut buf = locks::lock(shard);
             buf.push(span);
             if buf.len() < FLUSH_AT {
                 return;
@@ -327,7 +325,7 @@ impl TraceRecorder {
         if batch.is_empty() {
             return;
         }
-        let mut ring = self.ring.lock().expect("trace ring");
+        let mut ring = locks::lock(&self.ring);
         for span in batch {
             if ring.len() >= self.capacity {
                 ring.pop_front();
@@ -354,10 +352,10 @@ impl TraceRecorder {
     #[must_use]
     pub fn spans(&self) -> Vec<SpanRecord> {
         for shard in &self.shards {
-            let batch = std::mem::take(&mut *shard.lock().expect("trace shard"));
+            let batch = std::mem::take(&mut *locks::lock(shard));
             self.flush_batch(batch);
         }
-        let ring = self.ring.lock().expect("trace ring");
+        let ring = locks::lock(&self.ring);
         let mut v: Vec<SpanRecord> = ring.iter().cloned().collect();
         drop(ring);
         v.sort_by_key(|s| (s.ts_us, s.id));
@@ -405,7 +403,7 @@ impl TraceRecorder {
             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"monarch\"}}",
         );
         push_event(&mut out, &body);
-        for (tid, name) in self.track_names.lock().expect("trace track names").iter() {
+        for (tid, name) in locks::lock(&self.track_names).iter() {
             body.clear();
             body.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
             body.push_str(&tid.to_string());

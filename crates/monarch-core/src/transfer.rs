@@ -31,15 +31,14 @@
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use crate::cluster::{Cluster, ClusterView, PeerError};
 use crate::health::{device_error_class, ErrorClass};
 use crate::hierarchy::TierId;
 use crate::lifecycle::{Evict, Lifecycle, Reservation, Unplaced};
+use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
 use crate::observe::{ReadClass, ResidencyEventKind, TimedRead, TransitionCause};
 use crate::policy::FeatureSource;
@@ -357,7 +356,7 @@ impl Lease {
 impl Drop for Lease {
     fn drop(&mut self) {
         {
-            let mut stagings = self.stagings.lock();
+            let mut stagings = locks::lock(&self.stagings);
             // A failed copy reverts the metadata before its job ends; by
             // now a new copy of the file may have registered its own.
             if stagings
@@ -546,7 +545,7 @@ impl TransferEngine {
         let size = staging.size();
         let at = telemetry.now_micros();
         let lease = {
-            let mut stagings = self.stagings.lock();
+            let mut stagings = locks::lock(&self.stagings);
             if !self.book.scheduled(at, file, size, ctx.lane) {
                 return false;
             }
@@ -755,7 +754,7 @@ impl TransferEngine {
     /// copies per worker. Past that it reads the source on its own, as it
     /// did before stagings, and the copy fetches those bytes again.
     pub fn read_staged(&self, file: &str, offset: u64, buf: &mut [u8]) -> Option<StagedRead> {
-        let staging = self.stagings.lock().get(file).cloned()?;
+        let staging = locks::lock(&self.stagings).get(file).cloned()?;
         let first = staging.read(offset, buf, self.may_start());
         self.read_through(file, &staging, first, offset, buf)
     }
@@ -826,7 +825,7 @@ impl TransferEngine {
         self.book.policy().set_plan(&names);
         let window = PrefetchWindow::new(files, state.cfg);
         let admitted = window.len();
-        *state.window.lock() = Some(window);
+        *locks::lock(&state.window) = Some(window);
         let tr = self.book.telemetry().trace();
         if tr.is_enabled() {
             tr.record(
@@ -869,7 +868,7 @@ impl TransferEngine {
             return ReadFeedback::default();
         };
         let note = {
-            let mut guard = state.window.lock();
+            let mut guard = locks::lock(&state.window);
             let Some(window) = guard.as_mut() else {
                 return ReadFeedback::default();
             };
@@ -979,7 +978,7 @@ impl TransferEngine {
     /// drain): pull queued prefetch jobs out of the pool, revert their
     /// metadata, and settle hit/waste accounting for the closed plan.
     fn close_window(&self, state: &PrefetchState) -> usize {
-        let mut guard = state.window.lock();
+        let mut guard = locks::lock(&state.window);
         let mut window = guard.take();
         let withdrawn = self.withdraw_queued(window.as_mut());
         // Pins belong to the closing plan; the next plan re-pins as it
@@ -1026,7 +1025,7 @@ impl TransferEngine {
         let Some(state) = &self.prefetch else { return };
         loop {
             let (idx, name, size) = {
-                let mut guard = state.window.lock();
+                let mut guard = locks::lock(&state.window);
                 let Some(window) = guard.as_mut() else { return };
                 // Copies that left `Copying` (completed, skipped, failed,
                 // or reverted by the panic handler) release byte budget.
@@ -1057,7 +1056,7 @@ impl TransferEngine {
                     Arc::new(Staging::empty(size)),
                     ReadCtx::staged(0, flow).on_lane(Lane::Prefetch),
                 );
-            let mut guard = state.window.lock();
+            let mut guard = locks::lock(&state.window);
             if let Some(window) = guard.as_mut() {
                 if scheduled {
                     window.set_flow(idx, flow);
@@ -1076,7 +1075,7 @@ impl TransferEngine {
     /// staging, while its copy is queued or running.
     #[cfg(test)]
     pub(crate) fn staging_progress(&self, file: &str) -> Option<(u64, Option<u64>)> {
-        self.stagings.lock().get(file).map(|s| s.progress())
+        locks::lock(&self.stagings).get(file).map(|s| s.progress())
     }
 
     /// A detached [`Sampler`] over this engine's shared parts (plus the
@@ -1124,9 +1123,7 @@ impl Sampler {
     pub fn refresh(&self) {
         let queued = PipelineSample::queued_by(|lane| self.probe.queued(lane));
         let prefetch = self.prefetch.as_ref().map(|state| {
-            state
-                .window
-                .lock()
+            locks::lock(&state.window)
                 .as_ref()
                 .map_or_else(PrefetchSample::default, |w| PrefetchSample {
                     copies: w.inflight() as u64,
@@ -1820,7 +1817,7 @@ mod tests {
             assert_eq!(info.tier, engine.book.hierarchy().source_id());
         }
         // Run, withdrawn or never started: every staging went with its job.
-        assert!(engine.stagings.lock().is_empty());
+        assert!(locks::lock(&engine.stagings).is_empty());
         let stats = engine.book.stats().snapshot();
         assert_eq!(stats.prefetch_canceled, 2);
         assert_eq!(stats.copies_completed, 1);

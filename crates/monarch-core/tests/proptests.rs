@@ -7,7 +7,7 @@ use monarch_core::driver::MemDriver;
 use monarch_core::hierarchy::{Quota, StorageHierarchy};
 use monarch_core::metadata::PlacementState;
 use monarch_core::observe::{AccessProfiler, ReadClass, ReadTiming};
-use monarch_core::policy::{EvictCtx, EvictionPolicy, LfuEviction, LruEviction, PolicyEngine};
+use monarch_core::policy::{EvictCtx, EvictionPolicy, LruEviction, PolicyEngine};
 use monarch_core::prefetch::{PrefetchConfig, PrefetchWindow};
 use monarch_core::telemetry::LatencyHistogram;
 use monarch_core::{MonarchBuilder, Stats, StorageDriver, TelemetryConfig, TelemetryRegistry};
@@ -96,20 +96,6 @@ proptest! {
         for (i, &cap) in caps.iter().enumerate() {
             let used = h.tier(i).unwrap().quota.as_ref().unwrap().used();
             prop_assert!(used <= cap);
-        }
-    }
-
-    /// RoundRobin never oversubscribes either.
-    #[test]
-    fn round_robin_respects_quota(caps in prop::collection::vec(64u64..1024, 2..4),
-                                  sizes in prop::collection::vec(1u64..256, 1..64)) {
-        let h = build(&caps, &[]);
-        let p = PolicyEngine::from_kind(PolicyKind::RoundRobin, AdmissionKind::AdmitAll);
-        for (i, &size) in sizes.iter().enumerate() {
-            let _ = p.place(&h, &format!("f{i}"), size).unwrap();
-        }
-        for (i, &cap) in caps.iter().enumerate() {
-            prop_assert!(h.tier(i).unwrap().quota.as_ref().unwrap().used() <= cap);
         }
     }
 
@@ -553,36 +539,6 @@ proptest! {
             last[fi] = clock;
         }
         let expected = (0..n).min_by_key(|&i| last[i]).unwrap();
-        let exempt = |_: &str| false;
-        let score = |_: &str| 0.5;
-        let c = EvictCtx { exempt: &exempt, score: &score, max_victims: 64 };
-        prop_assert_eq!(p.victims(0, 1, &c), vec![format!("f{expected}")]);
-    }
-
-    /// LFU ordering under interleaved touches: the single victim is the
-    /// least-frequently-touched resident, with recency breaking ties.
-    #[test]
-    fn lfu_victim_is_least_frequently_touched(
-        n in 2usize..10,
-        touches in prop::collection::vec(0usize..10, 1..80),
-    ) {
-        let p = LfuEviction::new();
-        let mut count = vec![0u64; n];
-        let mut last = vec![0u64; n];
-        let mut clock = 0u64;
-        for (i, slot) in last.iter_mut().enumerate() {
-            p.on_placed(&format!("f{i}"), 1, 0);
-            clock += 1;
-            *slot = clock;
-        }
-        for fi in touches {
-            let fi = fi % n;
-            p.on_access(&format!("f{fi}"), 0);
-            clock += 1;
-            count[fi] += 1;
-            last[fi] = clock;
-        }
-        let expected = (0..n).min_by_key(|&i| (count[i], last[i])).unwrap();
         let exempt = |_: &str| false;
         let score = |_: &str| 0.5;
         let c = EvictCtx { exempt: &exempt, score: &score, max_victims: 64 };

@@ -5,14 +5,15 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use monarch_core::config::{AdmissionKind, PolicyKind};
 use monarch_core::driver::MemDriver;
+use monarch_core::policy::{FirstFitScorer, LruEviction, PolicyEngine, ReuseAware};
 use monarch_core::{Monarch, MonarchBuilder, PrefetchConfig, StorageDriver, StorageHierarchy};
 
 const SMALL: usize = 512;
 
-/// Two `MemDriver` tiers; the fast one holds two small files, admission
-/// refuses anything larger than a small file, LRU evicts, prefetch is on.
+/// Two `MemDriver` tiers; the fast one holds two small files, LRU evicts,
+/// prefetch is on, and reuse-aware admission with a zero horizon refuses a
+/// demand copy of any file already read twice.
 /// After [`exercise`] the instance has served reads from both tiers,
 /// placed, evicted and been denied.
 fn instance() -> Monarch {
@@ -32,10 +33,11 @@ fn instance() -> Monarch {
     .unwrap();
     let m = MonarchBuilder::new()
         .hierarchy(hierarchy)
-        .policy(PolicyKind::LruEvict)
-        .admission(AdmissionKind::SizeThreshold {
-            max_bytes: SMALL as u64,
-        })
+        .policy_engine(Arc::new(PolicyEngine::new(
+            Arc::new(ReuseAware::new(0.0)),
+            Arc::new(LruEviction::new()),
+            Arc::new(FirstFitScorer),
+        )))
         .prefetch(PrefetchConfig {
             lookahead: 2,
             ..PrefetchConfig::disabled()
@@ -49,7 +51,12 @@ fn instance() -> Monarch {
 
 fn exercise(m: &Monarch) {
     let mut buf = vec![0u8; 4 * SMALL];
-    for file in ["small0", "small1", "small2", "big", "small0", "small2"] {
+    // Three small files cycle through two slots, so each read of them
+    // misses until the third miss of `small0` is refused; `small2` then
+    // hits.
+    for file in [
+        "small0", "small1", "small2", "big", "small0", "small1", "small2", "small0", "small2",
+    ] {
         assert!(m.read(file, 0, &mut buf).unwrap() > 0);
         m.wait_placement_idle();
     }

@@ -300,8 +300,8 @@ fn assert_books_balance(
 
 /// ROADMAP item 4(b)'s quota and copy-count laws, checked at idle and
 /// across a shutdown: eight readers churn an LRU tier a third of the
-/// dataset whose device fails roughly every seventh install (every other
-/// time fatally for the copy) and every fifth delete.
+/// dataset whose device fails one install write in four (in runs that
+/// surely fail a copy) and every fifth delete.
 #[test]
 fn quota_and_copy_counts_are_conserved_under_faults() {
     const FILES: usize = 36;
@@ -309,13 +309,20 @@ fn quota_and_copy_counts_are_conserved_under_faults() {
     use FlakyOutcome::{Enospc, Ok as Pass, Transient};
     let ssd = FlakyDriver::new(MemDriver::new("ssd"));
     // A transient failure is retried in place, an ENOSPC evicts a victim
-    // and retries once, a second ENOSPC in a row fails the copy.
+    // and retries once, a second ENOSPC in a row fails the copy. Only the
+    // pool threads write the SSD, and each retries its own copy before it
+    // writes anything else, so a run of `pool_threads + 1` ENOSPCs gives
+    // some thread two of them back to back: one copy surely fails, however
+    // the threads interleave.
+    const POOL_THREADS: usize = 3;
     let writes = [
-        Pass, Pass, Pass, Pass, Pass, Pass, Transient, // retried
-        Pass, Pass, Pass, Pass, Pass, Pass, Enospc, Enospc, // fatal
-        Pass, Pass, Pass, Pass, Pass, Pass, Enospc, // evict, retried
-    ];
-    ssd.script_writes(writes.into_iter().cycle().take(writes.len() * 200));
+        &[Pass, Pass, Pass, Pass, Pass, Pass, Transient][..], // retried
+        &[Pass, Pass, Pass, Pass, Pass, Pass],
+        &[Enospc; POOL_THREADS + 1],                   // fatal
+        &[Pass, Pass, Pass, Pass, Pass, Pass, Enospc], // evict, retried
+    ]
+    .concat();
+    ssd.script_writes(writes.iter().copied().cycle().take(writes.len() * 200));
     ssd.script_removes(
         [Pass, Pass, Pass, Pass, Transient]
             .into_iter()
@@ -344,7 +351,7 @@ fn quota_and_copy_counts_are_conserved_under_faults() {
     let m = MonarchBuilder::new()
         .hierarchy(hierarchy)
         .policy_engine(policy)
-        .pool_threads(3)
+        .pool_threads(POOL_THREADS)
         .build()
         .unwrap();
     m.init().unwrap();

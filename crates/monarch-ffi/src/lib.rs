@@ -144,11 +144,9 @@ pub unsafe extern "C" fn monarch_init_json(config_json: *const c_char) -> *mut M
 /// | `cluster.peer_timeout_ms`   | per-request peer I/O timeout             |
 /// | `cluster.remote_deadline_ms`| queued remote-install deadline           |
 /// | `cluster.serve`             | `1`/`true` or `0`/`false`                |
-/// | `policy.kind`               | `first_fit`, `round_robin`, `lru_evict`, |
-/// |                             | `lfu`, `cost_aware`, `clairvoyant`,      |
+/// | `policy.kind`               | `first_fit`, `lru_evict`, `clairvoyant`, |
 /// |                             | `learned`                                |
-/// | `policy.admission`          | `admit_all`, `reuse_aware`, or           |
-/// |                             | `size_threshold:<bytes>`                 |
+/// | `policy.admission`          | `admit_all` or `reuse_aware`             |
 ///
 /// Returns null when the config does not parse, the key is unknown, or
 /// the value does not parse for that key. Validation of the assembled
@@ -921,17 +919,14 @@ mod tests {
         let (json, root, _) = staged_config("policy-keys");
         let mut cfg = MonarchConfig::from_json(json.to_str().unwrap()).unwrap();
         assert!(apply_config_key(&mut cfg, "policy.kind", "learned").is_some());
-        assert!(apply_config_key(&mut cfg, "policy.admission", "size_threshold:1048576").is_some());
+        assert!(apply_config_key(&mut cfg, "policy.admission", "reuse_aware").is_some());
         assert_eq!(cfg.policy, PolicyKind::Learned);
-        assert_eq!(
-            cfg.admission,
-            AdmissionKind::SizeThreshold { max_bytes: 1 << 20 }
-        );
+        assert_eq!(cfg.admission, AdmissionKind::ReuseAware);
         // Policy keys must not graft a cluster section as a side effect.
         assert!(cfg.cluster.is_none());
         // Unknown spellings are rejected.
         assert!(apply_config_key(&mut cfg, "policy.kind", "bogus").is_none());
-        assert!(apply_config_key(&mut cfg, "policy.admission", "size_threshold:x").is_none());
+        assert!(apply_config_key(&mut cfg, "policy.admission", "bogus").is_none());
         // And the composed config survives the C round trip.
         unsafe {
             let key = CString::new("policy.kind").unwrap();
@@ -941,6 +936,15 @@ mod tests {
             let back = MonarchConfig::from_json(CStr::from_ptr(out).to_str().unwrap()).unwrap();
             assert_eq!(back.policy, PolicyKind::LruEvict);
             monarch_string_free(out);
+            // Selectors that no longer exist are refused like any typo.
+            for (key, val) in [
+                ("policy.kind", "lfu"),
+                ("policy.admission", "size_threshold:1"),
+            ] {
+                let key = CString::new(key).unwrap();
+                let val = CString::new(val).unwrap();
+                assert!(monarch_configure(json.as_ptr(), key.as_ptr(), val.as_ptr()).is_null());
+            }
         }
         std::fs::remove_dir_all(&root).unwrap();
     }
