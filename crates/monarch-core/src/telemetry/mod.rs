@@ -36,1385 +36,35 @@
 //! one such hit in [`TIMED_HIT_PERIOD`], recorded at that weight
 //! ([`LatencyHistogram::record_n`]).
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+mod gauges;
+mod histogram;
+mod journal;
+
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::Cluster;
 use crate::health::{HealthRegistry, TierState};
 use crate::hierarchy::StorageHierarchy;
-use crate::locks;
 use crate::metadata::MetadataContainer;
 use crate::policy::PolicyEngine;
-use crate::pool::Lane;
 use crate::stats::Stats;
 use crate::stripe::Striped;
 use crate::TierId;
 
-// ---------------------------------------------------------------------------
-// Log-linear latency histogram
-// ---------------------------------------------------------------------------
-
-/// Sub-buckets per power-of-two range: 16 → worst-case relative bucket
-/// width 1/16, so quantile estimates are within ~6.25% of exact.
-const SUB_BUCKETS: u64 = 16;
-/// log2 of [`SUB_BUCKETS`].
-const SUB_BITS: u32 = 4;
-/// Values below this are counted exactly (one bucket per value).
-const LINEAR_MAX: u64 = SUB_BUCKETS;
-/// Total bucket count: 16 exact + 16 per octave for octaves 4..=63.
-const NUM_BUCKETS: usize = (LINEAR_MAX + (64 - SUB_BITS as u64) * SUB_BUCKETS) as usize;
-
-/// Bucket index for `value` (log-linear layout).
-#[inline]
-fn bucket_index(value: u64) -> usize {
-    if value < LINEAR_MAX {
-        value as usize
-    } else {
-        // Highest set bit; >= SUB_BITS because value >= LINEAR_MAX.
-        let msb = 63 - value.leading_zeros();
-        let group = msb - SUB_BITS;
-        let sub = (value >> group) - SUB_BUCKETS; // 0..SUB_BUCKETS
-        (LINEAR_MAX + u64::from(group) * SUB_BUCKETS + sub) as usize
-    }
-}
-
-/// Inclusive `(low, high)` value range covered by bucket `idx`.
-#[inline]
-fn bucket_bounds(idx: usize) -> (u64, u64) {
-    let idx = idx as u64;
-    if idx < LINEAR_MAX {
-        (idx, idx)
-    } else {
-        let group = (idx - LINEAR_MAX) / SUB_BUCKETS;
-        let sub = (idx - LINEAR_MAX) % SUB_BUCKETS;
-        let low = (SUB_BUCKETS + sub) << group;
-        let width = 1u64 << group;
-        // `low + (width - 1)`: the top bucket's high is exactly u64::MAX,
-        // so adding width first would overflow.
-        (low, low + (width - 1))
-    }
-}
-
-/// One stripe of a [`LatencyHistogram`]: the bucket array plus the two
-/// scalars that cannot be derived from it.
-struct HistStripe {
-    buckets: [AtomicU64; NUM_BUCKETS],
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl HistStripe {
-    fn new() -> Self {
-        Self {
-            buckets: [const { AtomicU64::new(0) }; NUM_BUCKETS],
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// All stripes of a histogram folded into one bucket array — what the
-/// quantile and cumulative-count queries run on.
-struct Merged {
-    buckets: Vec<u64>,
-    max: u64,
-}
-
-impl Merged {
-    fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target observation, 1-based.
-        let target = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut cum = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return bucket_bounds(idx).1.min(self.max);
-            }
-        }
-        self.max
-    }
-
-    fn count_le(&self, bound: u64) -> u64 {
-        let mut cum = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            let (low, high) = bucket_bounds(idx);
-            if high <= bound {
-                cum += c;
-            } else if low > bound {
-                break;
-            }
-        }
-        cum
-    }
-}
-
-/// Lock-free log-linear latency histogram.
-///
-/// Values are dimensionless `u64`s; the middleware records nanoseconds, the
-/// simulator records virtual-time nanoseconds. The histogram is *striped*
-/// (see the `stripe` module): each recording thread adds to its own copy of
-/// the buckets — one bucket plus the running sum, relaxed atomics, no cache
-/// line shared with another reader — and every query folds the copies
-/// together. Copies are allocated on first record, so an unused histogram
-/// costs a few words. Quantile estimates return the upper bound of the
-/// containing bucket, so they are exact to within one bucket (≤ 1/16
-/// relative error above 16).
-#[derive(Default)]
-pub struct LatencyHistogram {
-    stripes: Striped<HistStripe>,
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Record `n` observations of `value` — one sampled observation
-    /// standing for `n`, so that count and sum estimate the totals of the
-    /// population it was drawn from.
-    #[inline]
-    pub fn record_n(&self, value: u64, n: u64) {
-        let s = self.stripes.local(HistStripe::new);
-        s.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
-        s.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
-        // A new maximum is rare; the load keeps the common case read-only.
-        if value > s.max.load(Ordering::Relaxed) {
-            s.max.fetch_max(value, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a wall-clock duration, in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record_duration_n(d, 1);
-    }
-
-    /// [`Self::record_n`] of a wall-clock duration, in nanoseconds.
-    #[inline]
-    pub fn record_duration_n(&self, d: Duration, n: u64) {
-        self.record_n(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX), n);
-    }
-
-    /// Total observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.stripes
-            .iter()
-            .flat_map(|s| s.buckets.iter())
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Sum of all recorded values.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.sum.load(Ordering::Relaxed))
-            .fold(0, u64::wrapping_add)
-    }
-
-    /// Largest recorded value (0 when empty).
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.max.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mean recorded value (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> u64 {
-        self.sum().checked_div(self.count()).unwrap_or(0)
-    }
-
-    fn merged(&self) -> Merged {
-        let mut buckets = vec![0u64; NUM_BUCKETS];
-        for s in self.stripes.iter() {
-            for (total, b) in buckets.iter_mut().zip(&s.buckets) {
-                *total += b.load(Ordering::Relaxed);
-            }
-        }
-        Merged {
-            buckets,
-            max: self.max(),
-        }
-    }
-
-    /// Estimate of the `q`-quantile (`0.0 ..= 1.0`): the upper bound of the
-    /// bucket containing the target rank, clamped to the observed maximum.
-    /// Within one bucket of the exact order statistic.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.merged().quantile(q)
-    }
-
-    /// Count of observations `<= bound` nanoseconds, for Prometheus-style
-    /// cumulative `_bucket{le="..."}` exposition. Quantized to the
-    /// log-linear grid: only whole buckets whose upper bound is within
-    /// `bound` are counted, so the result can undercount by at most the
-    /// population of the partially-covered bucket (≤ 1/16 relative width).
-    #[must_use]
-    pub fn count_le(&self, bound: u64) -> u64 {
-        self.merged().count_le(bound)
-    }
-
-    /// Fold another histogram's counts into this one (into the calling
-    /// thread's stripe).
-    pub fn merge(&self, other: &LatencyHistogram) {
-        let mine = self.stripes.local(HistStripe::new);
-        for theirs in other.stripes.iter() {
-            for (m, t) in mine.buckets.iter().zip(&theirs.buckets) {
-                let v = t.load(Ordering::Relaxed);
-                if v != 0 {
-                    m.fetch_add(v, Ordering::Relaxed);
-                }
-            }
-        }
-        mine.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        mine.max.fetch_max(other.max(), Ordering::Relaxed);
-    }
-
-    /// Immutable summary for reporting.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let merged = self.merged();
-        let (count, sum) = (merged.count(), self.sum());
-        HistogramSnapshot {
-            count,
-            sum_nanos: sum,
-            max_nanos: merged.max,
-            mean_nanos: sum.checked_div(count).unwrap_or(0),
-            p50_nanos: merged.quantile(0.50),
-            p90_nanos: merged.quantile(0.90),
-            p99_nanos: merged.quantile(0.99),
-        }
-    }
-}
-
-impl std::fmt::Debug for LatencyHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LatencyHistogram")
-            .field("count", &self.count())
-            .field("mean", &self.mean())
-            .field("max", &self.max())
-            .finish()
-    }
-}
-
-/// Summary of one [`LatencyHistogram`]. All values are in the histogram's
-/// recording unit (nanoseconds for the real middleware and the simulator's
-/// virtual clock alike).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Observations recorded.
-    pub count: u64,
-    /// Sum of all observations.
-    pub sum_nanos: u64,
-    /// Largest observation.
-    pub max_nanos: u64,
-    /// Mean observation.
-    pub mean_nanos: u64,
-    /// Median estimate (within one bucket).
-    pub p50_nanos: u64,
-    /// 90th-percentile estimate.
-    pub p90_nanos: u64,
-    /// 99th-percentile estimate.
-    pub p99_nanos: u64,
-}
-
-// ---------------------------------------------------------------------------
-// Event journal
-// ---------------------------------------------------------------------------
-
-/// A structured telemetry event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case", tag = "event")]
-pub enum EventKind {
-    /// A background copy was handed to the pool.
-    CopyScheduled {
-        /// Logical file name.
-        file: String,
-        /// File size in bytes.
-        bytes: u64,
-    },
-    /// A pool worker began executing the copy.
-    CopyStarted {
-        /// Logical file name.
-        file: String,
-    },
-    /// The copy installed the file on `tier`.
-    CopyCompleted {
-        /// Logical file name.
-        file: String,
-        /// Destination tier.
-        tier: TierId,
-        /// Bytes written.
-        bytes: u64,
-        /// Copy duration, microseconds (wall clock or virtual).
-        micros: u64,
-    },
-    /// The copy failed; quota was released and metadata reverted.
-    CopyFailed {
-        /// Logical file name.
-        file: String,
-        /// Failure description.
-        reason: String,
-    },
-    /// The placement policy chose a destination tier.
-    PlacementDecided {
-        /// Logical file name.
-        file: String,
-        /// Chosen tier.
-        tier: TierId,
-        /// Tier quota bytes in use after the reservation.
-        used: u64,
-        /// Tier quota capacity in bytes.
-        capacity: u64,
-    },
-    /// No tier had room; the file stays on the PFS.
-    PlacementSkipped {
-        /// Logical file name.
-        file: String,
-        /// Why placement was skipped.
-        reason: String,
-    },
-    /// A file was evicted from a tier (ablation policies only).
-    Evicted {
-        /// Logical file name.
-        file: String,
-        /// Tier the file was evicted from.
-        tier: TierId,
-        /// File size in bytes.
-        bytes: u64,
-    },
-    /// A file was removed from a tier for a non-eviction reason
-    /// (failed-copy cleanup, teardown).
-    Removed {
-        /// Logical file name.
-        file: String,
-        /// Tier the file was removed from.
-        tier: TierId,
-    },
-    /// A prefetch copy was issued from an access plan (the prefetch-lane
-    /// analogue of `copy_scheduled`).
-    PrefetchScheduled {
-        /// Logical file name.
-        file: String,
-        /// File size in bytes.
-        bytes: u64,
-    },
-    /// A demand read arrived for a file whose prefetch copy was still
-    /// queued; the job was promoted to the demand lane instead of
-    /// enqueueing a duplicate.
-    PrefetchPromoted {
-        /// Logical file name.
-        file: String,
-    },
-    /// A queued prefetch copy was canceled before running (its plan was
-    /// replaced or dropped).
-    PrefetchCanceled {
-        /// Logical file name.
-        file: String,
-    },
-    /// A copy-pool worker thread could not be joined at shutdown (it died
-    /// of a panic outside the per-task catch). `file` carries the worker's
-    /// thread name.
-    WorkerJoinFailed {
-        /// Worker thread name (reported in the journal's file column).
-        file: String,
-    },
-    /// The transfer engine's drain withdrew queued prefetch copies before
-    /// joining its workers (the per-file cancels precede this summary).
-    PrefetchDrained {
-        /// Number of queued prefetch copies withdrawn.
-        canceled: u64,
-    },
-    /// A remote-lane install was scheduled: a peer served the file's bytes
-    /// node-to-node and the install stages them locally (the peer-cache
-    /// analogue of `copy_scheduled`).
-    RemoteScheduled {
-        /// Logical file name.
-        file: String,
-        /// File size in bytes.
-        bytes: u64,
-        /// Owning peer's node id.
-        peer: u64,
-    },
-    /// A remote read exceeded its deadline (peer slow or down); the job
-    /// fell back to copying from the PFS source instead of aborting.
-    /// Distinct from `copy_failed` so peer slowness is attributable.
-    RemoteTimeout {
-        /// Logical file name.
-        file: String,
-        /// What timed out.
-        reason: String,
-    },
-    /// A tier crossed the quarantine threshold (permanent error, too many
-    /// consecutive failures, or error-rate EWMA); placement skips it and
-    /// reads of its resident files fall back down-hierarchy.
-    TierQuarantined {
-        /// Quarantined tier.
-        tier: TierId,
-        /// What pushed it over (error class / threshold description).
-        reason: String,
-    },
-    /// A half-open probe ran against a quarantined tier.
-    TierProbed {
-        /// Probed tier.
-        tier: TierId,
-        /// Whether the probe I/O succeeded.
-        ok: bool,
-    },
-    /// A quarantined tier was re-admitted after a successful probe.
-    TierRecovered {
-        /// Recovered tier.
-        tier: TierId,
-    },
-    /// A copy aimed at a now-quarantined tier was requeued (placement
-    /// re-run against the healthy tiers) instead of failing outright.
-    CopyRequeued {
-        /// Logical file name.
-        file: String,
-        /// Why the original target was abandoned.
-        reason: String,
-    },
-    /// A dead copy's tier-capacity reservation was reclaimed during
-    /// panic-revert cleanup (quota released, metadata already reverted).
-    ReservationReclaimed {
-        /// Logical file name.
-        file: String,
-        /// Tier whose quota was released.
-        tier: TierId,
-        /// Bytes released.
-        bytes: u64,
-    },
-    /// A policy verdict at one of the engine's four decision points
-    /// (demand admit, prefetch admit, pressure/ENOSPC evict, plan evict).
-    PolicyDecision {
-        /// Logical file name the verdict applies to.
-        file: String,
-        /// Decision point (`demand_admit` / `prefetch_admit` /
-        /// `pressure_evict` / `plan_evict`).
-        point: String,
-        /// Composed policy name (`admission/eviction/scorer`).
-        policy: String,
-        /// Verdict: `admit`, `deny`, or `evict`.
-        verdict: String,
-        /// Why (cause attribution for `monarch report`).
-        reason: String,
-    },
-}
-
-impl EventKind {
-    /// The snake_case tag used in JSON lines and displays.
-    #[must_use]
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::CopyScheduled { .. } => "copy_scheduled",
-            EventKind::CopyStarted { .. } => "copy_started",
-            EventKind::CopyCompleted { .. } => "copy_completed",
-            EventKind::CopyFailed { .. } => "copy_failed",
-            EventKind::PlacementDecided { .. } => "placement_decided",
-            EventKind::PlacementSkipped { .. } => "placement_skipped",
-            EventKind::Evicted { .. } => "evicted",
-            EventKind::Removed { .. } => "removed",
-            EventKind::PrefetchScheduled { .. } => "prefetch_scheduled",
-            EventKind::PrefetchPromoted { .. } => "prefetch_promoted",
-            EventKind::PrefetchCanceled { .. } => "prefetch_canceled",
-            EventKind::WorkerJoinFailed { .. } => "worker_join_failed",
-            EventKind::PrefetchDrained { .. } => "prefetch_drained",
-            EventKind::RemoteScheduled { .. } => "remote_scheduled",
-            EventKind::RemoteTimeout { .. } => "remote_timeout",
-            EventKind::TierQuarantined { .. } => "tier_quarantined",
-            EventKind::TierProbed { .. } => "tier_probed",
-            EventKind::TierRecovered { .. } => "tier_recovered",
-            EventKind::CopyRequeued { .. } => "copy_requeued",
-            EventKind::ReservationReclaimed { .. } => "reservation_reclaimed",
-            EventKind::PolicyDecision { .. } => "policy_decision",
-        }
-    }
-
-    /// Logical file name the event refers to.
-    #[must_use]
-    pub fn file(&self) -> &str {
-        match self {
-            EventKind::CopyScheduled { file, .. }
-            | EventKind::CopyStarted { file }
-            | EventKind::CopyCompleted { file, .. }
-            | EventKind::CopyFailed { file, .. }
-            | EventKind::PlacementDecided { file, .. }
-            | EventKind::PlacementSkipped { file, .. }
-            | EventKind::Evicted { file, .. }
-            | EventKind::Removed { file, .. }
-            | EventKind::PrefetchScheduled { file, .. }
-            | EventKind::PrefetchPromoted { file }
-            | EventKind::PrefetchCanceled { file }
-            | EventKind::WorkerJoinFailed { file }
-            | EventKind::RemoteScheduled { file, .. }
-            | EventKind::RemoteTimeout { file, .. }
-            | EventKind::CopyRequeued { file, .. }
-            | EventKind::ReservationReclaimed { file, .. }
-            | EventKind::PolicyDecision { file, .. } => file,
-            // Drain summaries and tier-health transitions are not about
-            // any one file.
-            EventKind::PrefetchDrained { .. }
-            | EventKind::TierQuarantined { .. }
-            | EventKind::TierProbed { .. }
-            | EventKind::TierRecovered { .. } => "",
-        }
-    }
-}
-
-/// One journal entry: a sequence number, a timestamp (microseconds since
-/// registry creation — wall clock in the middleware, virtual time in the
-/// simulator) and the event payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Event {
-    /// Monotonic sequence number (global across the journal's lifetime,
-    /// including events later overwritten by the ring).
-    pub seq: u64,
-    /// Microseconds since the registry was created.
-    pub t_us: u64,
-    /// The event payload.
-    #[serde(flatten)]
-    pub kind: EventKind,
-}
-
-/// Append a JSON string literal (with escaping) to `out`. Shared with
-/// the trace exporter so both hand-rolled emitters escape identically.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-impl Event {
-    /// Render the event as one JSON object (no trailing newline). This is
-    /// hand-rolled so the FFI/CLI drain path has no serializer dependency;
-    /// the schema matches the `serde` derive on this type.
-    #[must_use]
-    pub fn to_json_line(&self) -> String {
-        let mut o = String::with_capacity(96);
-        o.push_str("{\"seq\":");
-        o.push_str(&self.seq.to_string());
-        o.push_str(",\"t_us\":");
-        o.push_str(&self.t_us.to_string());
-        o.push_str(",\"event\":\"");
-        o.push_str(self.kind.tag());
-        o.push_str("\",\"file\":");
-        push_json_str(&mut o, self.kind.file());
-        match &self.kind {
-            EventKind::CopyScheduled { bytes, .. } | EventKind::PrefetchScheduled { bytes, .. } => {
-                o.push_str(&format!(",\"bytes\":{bytes}"));
-            }
-            EventKind::CopyStarted { .. }
-            | EventKind::PrefetchPromoted { .. }
-            | EventKind::PrefetchCanceled { .. }
-            | EventKind::WorkerJoinFailed { .. } => {}
-            EventKind::CopyCompleted {
-                tier,
-                bytes,
-                micros,
-                ..
-            } => {
-                o.push_str(&format!(
-                    ",\"tier\":{tier},\"bytes\":{bytes},\"micros\":{micros}"
-                ));
-            }
-            EventKind::CopyFailed { reason, .. }
-            | EventKind::PlacementSkipped { reason, .. }
-            | EventKind::RemoteTimeout { reason, .. }
-            | EventKind::CopyRequeued { reason, .. } => {
-                o.push_str(",\"reason\":");
-                push_json_str(&mut o, reason);
-            }
-            EventKind::TierQuarantined { tier, reason } => {
-                o.push_str(&format!(",\"tier\":{tier},\"reason\":"));
-                push_json_str(&mut o, reason);
-            }
-            EventKind::TierProbed { tier, ok } => {
-                o.push_str(&format!(",\"tier\":{tier},\"ok\":{ok}"));
-            }
-            EventKind::TierRecovered { tier } => {
-                o.push_str(&format!(",\"tier\":{tier}"));
-            }
-            EventKind::ReservationReclaimed { tier, bytes, .. } => {
-                o.push_str(&format!(",\"tier\":{tier},\"bytes\":{bytes}"));
-            }
-            EventKind::RemoteScheduled { bytes, peer, .. } => {
-                o.push_str(&format!(",\"bytes\":{bytes},\"peer\":{peer}"));
-            }
-            EventKind::PlacementDecided {
-                tier,
-                used,
-                capacity,
-                ..
-            } => {
-                o.push_str(&format!(
-                    ",\"tier\":{tier},\"used\":{used},\"capacity\":{capacity}"
-                ));
-            }
-            EventKind::Evicted { tier, bytes, .. } => {
-                o.push_str(&format!(",\"tier\":{tier},\"bytes\":{bytes}"));
-            }
-            EventKind::Removed { tier, .. } => {
-                o.push_str(&format!(",\"tier\":{tier}"));
-            }
-            EventKind::PrefetchDrained { canceled } => {
-                o.push_str(&format!(",\"canceled\":{canceled}"));
-            }
-            EventKind::PolicyDecision {
-                point,
-                policy,
-                verdict,
-                reason,
-                ..
-            } => {
-                o.push_str(",\"point\":");
-                push_json_str(&mut o, point);
-                o.push_str(",\"policy\":");
-                push_json_str(&mut o, policy);
-                o.push_str(",\"verdict\":");
-                push_json_str(&mut o, verdict);
-                o.push_str(",\"reason\":");
-                push_json_str(&mut o, reason);
-            }
-        }
-        o.push('}');
-        o
-    }
-}
-
-/// Bounded ring-buffer journal of [`Event`]s.
-///
-/// Appends are `O(1)`: under the (short) lock the ring pops its oldest
-/// entry when full and pushes the new one. When disabled, `record` is a
-/// single relaxed atomic load.
-pub struct EventJournal {
-    enabled: AtomicBool,
-    capacity: usize,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    buf: Mutex<VecDeque<Event>>,
-}
-
-impl EventJournal {
-    /// A journal keeping at most `capacity` events (minimum 1).
-    #[must_use]
-    pub fn new(capacity: usize, enabled: bool) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            enabled: AtomicBool::new(enabled),
-            capacity,
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            buf: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
-        }
-    }
-
-    /// Whether recording is currently enabled.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enable or disable recording at runtime.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Maximum events retained.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events recorded over the journal's lifetime (including overwritten
-    /// ones).
-    #[must_use]
-    pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
-    /// Events overwritten by the ring bound.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Events currently buffered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        locks::lock(&self.buf).len()
-    }
-
-    /// True when nothing is buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Append an event stamped `t_us` microseconds.
-    pub fn record_at(&self, t_us: u64, kind: EventKind) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut buf = locks::lock(&self.buf);
-        // Sequence assigned under the lock so buffered events are strictly
-        // ordered by seq.
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(Event { seq, t_us, kind });
-    }
-
-    /// Copy out the buffered events, oldest first (non-destructive).
-    #[must_use]
-    pub fn events(&self) -> Vec<Event> {
-        locks::lock(&self.buf).iter().cloned().collect()
-    }
-
-    /// Remove and return the buffered events, oldest first.
-    #[must_use]
-    pub fn drain(&self) -> Vec<Event> {
-        locks::lock(&self.buf).drain(..).collect()
-    }
-
-    /// Render the buffered events as JSON lines (one object per line,
-    /// oldest first), leaving the journal intact.
-    #[must_use]
-    pub fn json_lines(&self) -> String {
-        let events = self.events();
-        let mut out = String::with_capacity(events.len() * 96);
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push('\n');
-            }
-            out.push_str(&e.to_json_line());
-        }
-        out
-    }
-}
-
-impl std::fmt::Debug for EventJournal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventJournal")
-            .field("enabled", &self.is_enabled())
-            .field("capacity", &self.capacity)
-            .field("recorded", &self.recorded())
-            .field("dropped", &self.dropped())
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Time series
-// ---------------------------------------------------------------------------
-
-/// A `(seconds, value)` series — the shared schema for throughput traces
-/// emitted by the simulator (virtual seconds) and the real trainer
-/// (wall-clock seconds). Serializes as a bare array of pairs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct TimeSeries(pub Vec<(f64, f64)>);
-
-impl TimeSeries {
-    /// An empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a `(seconds, value)` sample.
-    pub fn push(&mut self, t_secs: f64, value: f64) {
-        self.0.push((t_secs, value));
-    }
-
-    /// The raw samples.
-    #[must_use]
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.0
-    }
-
-    /// Largest sampled value (0 when empty).
-    #[must_use]
-    pub fn max_value(&self) -> f64 {
-        self.0.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-}
-
-impl std::ops::Deref for TimeSeries {
-    type Target = Vec<(f64, f64)>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl<'a> IntoIterator for &'a TimeSeries {
-    type Item = &'a (f64, f64);
-    type IntoIter = std::slice::Iter<'a, (f64, f64)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
-    }
-}
-
-impl IntoIterator for TimeSeries {
-    type Item = (f64, f64);
-    type IntoIter = std::vec::IntoIter<(f64, f64)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
-    }
-}
-
-impl From<Vec<(f64, f64)>> for TimeSeries {
-    fn from(v: Vec<(f64, f64)>) -> Self {
-        Self(v)
-    }
-}
-
-/// Turns a monotonically increasing byte counter into a rate
-/// [`TimeSeries`]: feed it `(t_secs, cumulative_bytes)` observations and it
-/// emits one `(t, bytes/s)` sample per elapsed `interval`.
-#[derive(Debug, Clone)]
-pub struct ThroughputSampler {
-    interval: f64,
-    last_t: f64,
-    last_v: u64,
-    series: TimeSeries,
-}
-
-impl ThroughputSampler {
-    /// Sample every `interval` seconds.
-    #[must_use]
-    pub fn new(interval: f64) -> Self {
-        Self {
-            interval: interval.max(f64::MIN_POSITIVE),
-            last_t: 0.0,
-            last_v: 0,
-            series: TimeSeries::new(),
-        }
-    }
-
-    /// Observe the cumulative counter at time `t_secs`; emits a sample when
-    /// at least one interval has elapsed since the previous emission.
-    pub fn observe(&mut self, t_secs: f64, cumulative: u64) {
-        if t_secs - self.last_t >= self.interval {
-            self.force_sample(t_secs, cumulative);
-        }
-    }
-
-    /// Emit a sample now regardless of the interval (used by the
-    /// simulator's scheduled trace ticks).
-    pub fn force_sample(&mut self, t_secs: f64, cumulative: u64) {
-        let dt = t_secs - self.last_t;
-        if dt > 0.0 {
-            let rate = cumulative.saturating_sub(self.last_v) as f64 / dt;
-            self.series.push(t_secs, rate);
-        }
-        self.last_t = t_secs;
-        self.last_v = cumulative;
-    }
-
-    /// The series collected so far.
-    #[must_use]
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-
-    /// Consume the sampler, returning the series.
-    #[must_use]
-    pub fn into_series(self) -> TimeSeries {
-        self.series
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gauges
-// ---------------------------------------------------------------------------
-
-/// Escape a Prometheus label value: `\`, `"` and newline must be
-/// backslash-escaped per the text exposition format. Returns the input
-/// unchanged (borrowed) when no escaping is needed — the common case for
-/// tier and lane names.
-fn escape_label_value(v: &str) -> std::borrow::Cow<'_, str> {
-    if !v.contains(['\\', '"', '\n']) {
-        return std::borrow::Cow::Borrowed(v);
-    }
-    let mut out = String::with_capacity(v.len() + 4);
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    std::borrow::Cow::Owned(out)
-}
-
-/// A single atomic gauge cell: an *instantaneous* value (tier occupancy
-/// bytes, queue depth, reads in flight) that samplers overwrite or adjust,
-/// unlike the monotone counters in [`Stats`].
-///
-/// The cell stores an `f64` bit pattern in one atomic word so integer and
-/// floating-point quantities share a type; the integer helpers are exact up
-/// to 2^53, far beyond any byte or queue count the middleware tracks.
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Gauge {
-    /// A gauge holding 0.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    /// Overwrite with an integer value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.set_f64(v as f64);
-    }
-
-    /// Overwrite with a floating-point value.
-    #[inline]
-    pub fn set_f64(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Add a (possibly negative) integer delta.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.add_f64(delta as f64);
-    }
-
-    /// Add a (possibly negative) floating-point delta.
-    pub fn add_f64(&self, delta: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Current value, rounded to the nearest integer.
-    #[must_use]
-    pub fn get(&self) -> i64 {
-        self.get_f64() as i64
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get_f64(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Gauge").field(&self.get_f64()).finish()
-    }
-}
-
-/// Ordered `(key, value)` label pairs identifying one cell in a family.
-type LabelSet = Vec<(String, String)>;
-
-/// One gauge family: a metric name, its help text, and the labeled cells
-/// registered under it (insertion-ordered for stable exposition output).
-struct GaugeFamily {
-    name: String,
-    help: String,
-    members: Vec<(LabelSet, Arc<Gauge>)>,
-}
-
-/// An interning registry of labeled gauge families.
-///
-/// [`GaugeRegistry::gauge`] returns the *same* [`Gauge`] cell for repeated
-/// calls with the same name and labels, so producers (the engine's sampler,
-/// the middleware's read path, the simulator) can resolve their cells once
-/// and update them with plain atomic stores. Families and cells render in
-/// registration order, which keeps the Prometheus text stable across
-/// scrapes.
-#[derive(Default)]
-pub struct GaugeRegistry {
-    families: Mutex<Vec<GaugeFamily>>,
-}
-
-impl GaugeRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get or create the cell `name{labels}`, registering the family (with
-    /// `help`) on first use. Label order is significant and preserved.
-    #[must_use]
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let mut families = locks::lock(&self.families);
-        let fam = match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => f,
-            None => {
-                families.push(GaugeFamily {
-                    name: name.to_owned(),
-                    help: help.to_owned(),
-                    members: Vec::new(),
-                });
-                families.last_mut().expect("just pushed")
-            }
-        };
-        if let Some((_, g)) = fam.members.iter().find(|(ls, _)| {
-            ls.len() == labels.len()
-                && ls
-                    .iter()
-                    .zip(labels.iter())
-                    .all(|((k, v), (lk, lv))| k == lk && v == lv)
-        }) {
-            return Arc::clone(g);
-        }
-        let cell = Arc::new(Gauge::new());
-        let ls: LabelSet = labels
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-            .collect();
-        fam.members.push((ls, Arc::clone(&cell)));
-        cell
-    }
-
-    /// Number of distinct cells across all families.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        locks::lock(&self.families)
-            .iter()
-            .map(|f| f.members.len())
-            .sum()
-    }
-
-    /// True when no cell has been registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current value of every cell, for the JSON snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<GaugeSnapshot> {
-        let families = locks::lock(&self.families);
-        families
-            .iter()
-            .flat_map(|f| {
-                f.members.iter().map(|(ls, g)| GaugeSnapshot {
-                    name: f.name.clone(),
-                    labels: ls.clone(),
-                    value: g.get_f64(),
-                })
-            })
-            .collect()
-    }
-
-    /// Append the Prometheus text exposition of every family to `out`.
-    pub(crate) fn render_into(&self, out: &mut String) {
-        let families = locks::lock(&self.families);
-        for fam in families.iter() {
-            out.push_str(&format!(
-                "# HELP {} {}\n# TYPE {} gauge\n",
-                fam.name, fam.help, fam.name
-            ));
-            for (labels, g) in &fam.members {
-                if labels.is_empty() {
-                    out.push_str(&format!("{} {}\n", fam.name, g.get_f64()));
-                } else {
-                    let rendered: Vec<String> = labels
-                        .iter()
-                        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-                        .collect();
-                    out.push_str(&format!(
-                        "{}{{{}}} {}\n",
-                        fam.name,
-                        rendered.join(","),
-                        g.get_f64()
-                    ));
-                }
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for GaugeRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GaugeRegistry")
-            .field("cells", &self.len())
-            .finish()
-    }
-}
-
-/// One gauge cell in a [`TelemetrySnapshot`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct GaugeSnapshot {
-    /// Family name, e.g. `monarch_tier_occupancy_bytes`.
-    pub name: String,
-    /// Ordered `(key, value)` label pairs (empty for unlabeled gauges).
-    #[serde(default)]
-    pub labels: Vec<(String, String)>,
-    /// Value at snapshot time.
-    pub value: f64,
-}
-
-/// A striped up/down counter for "in flight" quantities the hit path
-/// maintains (open read handles). Entering and leaving touch only the
-/// calling thread's stripe; [`InFlight::get`] sums the stripes, and a
-/// sampler publishes that sum through an ordinary [`Gauge`] cell.
-#[derive(Default)]
-pub struct InFlight {
-    stripes: Striped<AtomicI64>,
-}
-
-impl InFlight {
-    /// Count one more in flight now; the matching decrement runs when the
-    /// guard drops, so the count stays balanced across early returns.
-    #[must_use]
-    pub fn enter(&self) -> GaugeGuard<'_> {
-        let cell = self.stripes.local(AtomicI64::default);
-        cell.fetch_add(1, Ordering::Relaxed);
-        GaugeGuard { cell }
-    }
-
-    /// How many are in flight right now.
-    #[must_use]
-    pub fn get(&self) -> i64 {
-        self.stripes.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-}
-
-impl std::fmt::Debug for InFlight {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("InFlight").field(&self.get()).finish()
-    }
-}
-
-/// RAII guard returned by [`InFlight::enter`]: decrements, on drop, the
-/// stripe it incremented.
-#[derive(Debug)]
-pub struct GaugeGuard<'a> {
-    cell: &'a AtomicI64,
-}
-
-impl Drop for GaugeGuard<'_> {
-    fn drop(&mut self) {
-        self.cell.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Read-path stall profiler
-// ---------------------------------------------------------------------------
-
-/// One plain local-tier hit in this many, per reader stripe, carries the
-/// clock and is recorded with this weight; every other read that carries
-/// it — any read that is not such a hit — is recorded with weight 1. The
-/// time records ([`StallProfile`], the per-tier read-latency histograms,
-/// the profiler's ledger) therefore estimate the totals over *all* reads,
-/// while a hit that does not carry the clock pays for counts only. 8, 16
-/// and 32 were measured (CHANGES.md, PR 19: `warm_rand_4k` at 1.71, 1.67
-/// and 1.64 times a bare `pread`, from 2.35 with every hit timed): each
-/// doubling buys half of what the last did, and samples a stripe's hits
-/// half as densely.
-pub const TIMED_HIT_PERIOD: u64 = 16;
-
-/// Read-path stall decomposition: four histograms partitioning each timed
-/// read's wall time into consecutive phases.
-///
-/// - `lock_wait` — entry to metadata-lookup completion (shard lock plus
-///   namespace lookup);
-/// - `queue_wait` — access bookkeeping until the serving tier is resolved
-///   (the engine's window/cursor critical sections);
-/// - `driver_pread` — the backend `read_at` itself;
-/// - `copy_wait` — post-read copy machinery (demand hand-off, prefetch
-///   cursor advance, span recording).
-///
-/// The four buckets are measured from one monotonic-clock chain, so their
-/// sum equals the read's wall time up to clock-read cost — the invariant
-/// the e2e test checks.
-#[derive(Debug, Default)]
-pub struct StallProfile {
-    /// Lock/lookup phase durations.
-    pub lock_wait: LatencyHistogram,
-    /// Pre-pread bookkeeping durations.
-    pub queue_wait: LatencyHistogram,
-    /// Backend pread durations.
-    pub driver_pread: LatencyHistogram,
-    /// Post-pread copy-machinery durations.
-    pub copy_wait: LatencyHistogram,
-    /// Wall time of reads served down-hierarchy because the resident tier
-    /// was failing or quarantined. **Not** part of the four-bucket wall
-    /// partition above — these reads record their phase buckets normally;
-    /// this histogram tracks the same reads' total wall time separately so
-    /// degradation cost is attributable.
-    pub degraded_fallback: LatencyHistogram,
-}
-
-impl StallProfile {
-    /// Record one timed read from its phase boundary instants. Diffs are
-    /// saturating, so an out-of-order pair records 0 instead of panicking.
-    pub fn record(
-        &self,
-        t0: Instant,
-        lookup: Instant,
-        resolve: Instant,
-        pread: Instant,
-        end: Instant,
-    ) {
-        self.record_n([t0, lookup, resolve, pread, end], 1);
-    }
-
-    /// [`Self::record`] of a read that stands for `n` (see
-    /// [`TIMED_HIT_PERIOD`]); `marks` are the five instants in order.
-    pub fn record_n(&self, marks: [Instant; 5], n: u64) {
-        let buckets = [
-            &self.lock_wait,
-            &self.queue_wait,
-            &self.driver_pread,
-            &self.copy_wait,
-        ];
-        for (bucket, phase) in buckets.into_iter().zip(marks.windows(2)) {
-            bucket.record_duration_n(phase[1].saturating_duration_since(phase[0]), n);
-        }
-    }
-
-    /// Record the wall time of one degraded-fallback read (resident tier
-    /// failing, bytes served from a lower tier).
-    pub fn record_degraded(&self, wall: Duration) {
-        self.degraded_fallback.record_duration(wall);
-    }
-
-    /// Immutable summary of all buckets.
-    #[must_use]
-    pub fn snapshot(&self) -> StallProfileSnapshot {
-        StallProfileSnapshot {
-            lock_wait: self.lock_wait.snapshot(),
-            queue_wait: self.queue_wait.snapshot(),
-            driver_pread: self.driver_pread.snapshot(),
-            copy_wait: self.copy_wait.snapshot(),
-            degraded_fallback: self.degraded_fallback.snapshot(),
-        }
-    }
-}
-
-/// Serializable summary of a [`StallProfile`] — the `stall_profile` section
-/// of the JSON snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StallProfileSnapshot {
-    /// Lock/lookup phase summary.
-    pub lock_wait: HistogramSnapshot,
-    /// Pre-pread bookkeeping summary.
-    pub queue_wait: HistogramSnapshot,
-    /// Backend pread summary.
-    pub driver_pread: HistogramSnapshot,
-    /// Post-pread copy-machinery summary.
-    pub copy_wait: HistogramSnapshot,
-    /// Degraded-fallback read wall time (outside the four-bucket wall
-    /// partition; see [`StallProfile::degraded_fallback`]).
-    #[serde(default)]
-    pub degraded_fallback: HistogramSnapshot,
-}
-
-/// What a sampler saw of the copy pipeline at one instant — the part of
-/// [`TelemetryRegistry::publish_gauges`]'s input that the real engine reads
-/// off its pool and the simulator off its virtual one.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineSample {
-    /// Copies queued (not yet started) per lane; build it with
-    /// [`PipelineSample::queued_by`], which owns the order.
-    pub queued: [usize; 3],
-    /// Copies executing on pool workers.
-    pub running: usize,
-    /// The prefetch window; `None` when prefetching is off, which leaves
-    /// the `monarch_prefetch_*` families unpublished.
-    pub prefetch: Option<PrefetchSample>,
-    /// The engine has begun shutting down.
-    pub draining: bool,
-}
-
-/// The lanes a [`PipelineSample`] reports, with their `lane` label values.
-const LANES: [(Lane, &str); 3] = [
-    (Lane::Demand, "demand"),
-    (Lane::Remote, "remote"),
-    (Lane::Prefetch, "prefetch"),
-];
-
-impl PipelineSample {
-    /// [`PipelineSample::queued`] from a per-lane depth query.
-    #[must_use]
-    pub fn queued_by(depth: impl Fn(Lane) -> usize) -> [usize; 3] {
-        LANES.map(|(lane, _)| depth(lane))
-    }
-}
-
-/// The prefetch window's part of a [`PipelineSample`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PrefetchSample {
-    /// Prefetch copies issued and not yet resolved.
-    pub copies: u64,
-    /// Their bytes.
-    pub bytes: u64,
-    /// Plan entries issued ahead of the read cursor.
-    pub lag_entries: u64,
-}
+use gauges::{escape_label_value, LANES};
+pub use gauges::{
+    Gauge, GaugeGuard, GaugeRegistry, GaugeSnapshot, InFlight, PipelineSample, PrefetchSample,
+    ThroughputSampler, TimeSeries,
+};
+pub use histogram::{
+    HistogramSnapshot, LatencyHistogram, StallProfile, StallProfileSnapshot, TIMED_HIT_PERIOD,
+};
+pub(crate) use journal::push_json_str;
+pub use journal::{Event, EventJournal, EventKind};
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -2106,6 +756,9 @@ pub struct TelemetrySnapshot {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use super::histogram::{bucket_bounds, bucket_index, LINEAR_MAX, NUM_BUCKETS};
     use super::*;
     use crate::config::TelemetryConfig;
 

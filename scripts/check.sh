@@ -55,7 +55,7 @@ run_size() {
 # simulator. Outside it (and `metadata.rs`, which defines the namespace
 # moves) no non-test code of either may make those moves, bump those
 # counters or build those events by hand — a sixth site cannot come back.
-# `telemetry.rs` defines `EventKind` and projects it (tag, file, JSON
+# `telemetry/journal.rs` defines `EventKind` and projects it (tag, file, JSON
 # fields): it matches on the variants, so only the calls are looked for
 # there. Non-test code is what precedes a file's column-0 `#[cfg(test)]`.
 run_lifecycle() {
@@ -66,7 +66,7 @@ run_lifecycle() {
     while IFS= read -r f; do
         case "$f" in
             */lifecycle.rs | */metadata.rs | *_tests.rs) continue ;;
-            */telemetry.rs) pat="$calls" ;;
+            */telemetry/journal.rs) pat="$calls" ;;
             *) pat="$calls|$events" ;;
         esac
         if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
