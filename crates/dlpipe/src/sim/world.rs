@@ -1388,7 +1388,6 @@ impl World {
             ms.prefetch_lookahead > 0 && ms.plan_pos.contains_key(&shard),
             matches!(state, Some((_, PlacementState::Copying { .. }))),
         );
-        let d = vmicros(now - issued);
         profiler.record_read(
             name,
             tier,
@@ -1396,10 +1395,8 @@ impl World {
             class,
             false,
             ReadTiming {
-                wall_us: d,
-                pread_us: d,
-                lock_queue_us: 0,
-                copy_wait_us: 0,
+                pread_ns: vmicros(now - issued) * 1_000,
+                ..ReadTiming::default()
             },
             vmicros(now),
         );
@@ -1864,17 +1861,16 @@ impl World {
                 .unwrap_or(0);
             let profiler = ms.book.telemetry().observe().profiler();
             if profiler.is_enabled() {
-                // A reader that parked on the staging copy charges its
-                // wait to the prefetch-lag bucket (the prefetcher knew,
-                // but was late); an un-parked buffer hit is a free read.
+                // A reader that parked on the staging copy books its wait
+                // as the pread of a prefetch-lag read (the prefetcher
+                // knew, but was late), as the engine books a wait inside
+                // a staging; an un-parked buffer hit is a free read.
                 let (class, timing) = if waited > 0 {
                     (
                         ReadClass::PrefetchLag,
                         ReadTiming {
-                            wall_us: waited,
-                            pread_us: 0,
-                            lock_queue_us: 0,
-                            copy_wait_us: waited,
+                            pread_ns: waited * 1_000,
+                            ..ReadTiming::default()
                         },
                     )
                 } else {

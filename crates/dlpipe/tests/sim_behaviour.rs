@@ -299,6 +299,37 @@ fn monarch_sim_attaches_telemetry_snapshot() {
 }
 
 #[test]
+fn sim_ledger_times_are_read_off_the_stall_profile() {
+    // The simulator records each read once, into the stall profile its
+    // access profiler owns — a reader parked on a staged copy included, as
+    // prefetch-lag pread time — and the ledger's time sums are that
+    // profile's.
+    let r = run(Setup::Monarch(MonarchSimConfig::with_prefetch(64)), 2);
+    let t = r.telemetry.as_ref().expect("telemetry snapshot");
+    let s = &t.stall_profile;
+    let ledger = t.observe.as_ref().expect("observe section").profiler.ledger;
+    assert!(ledger.reads > 0);
+    assert_eq!(s.driver_pread.count, ledger.reads, "every read, weight 1");
+    let phases = [&s.lock_wait, &s.queue_wait, &s.driver_pread, &s.copy_wait];
+    let wall: u64 = phases.iter().map(|h| h.sum_nanos).sum();
+    assert_eq!(ledger.read_wall_us, wall / 1_000);
+    assert_eq!(
+        ledger.lock_queue_us,
+        (s.lock_wait.sum_nanos + s.queue_wait.sum_nanos) / 1_000
+    );
+    assert_eq!(ledger.copy_wait_us, s.copy_wait.sum_nanos / 1_000);
+    let by_class = ledger.fast_pread_us
+        + ledger.pfs_cold_pread_us
+        + ledger.lane_sat_pread_us
+        + ledger.staged_pread_us
+        + ledger.prefetch_lag_pread_us
+        + ledger.peer_bound_pread_us
+        + ledger.degraded_pread_us;
+    assert!(by_class > 0);
+    assert_eq!(by_class, s.driver_pread.sum_nanos / 1_000);
+}
+
+#[test]
 fn sim_epoch_populates_gauges() {
     let r = run(
         Setup::Monarch(MonarchSimConfig::with_ssd_capacity(8 << 30)),

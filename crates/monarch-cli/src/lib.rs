@@ -588,10 +588,9 @@ pub fn run(cmd: Command) -> Result<(), String> {
             let mut cfg =
                 MonarchConfig::from_json(&cfg_json).map_err(|e| format!("parse config: {e}"))?;
             // The subcommand's whole point is the observatory: force
-            // telemetry and the access profiler on regardless of the
-            // config file, like `trace` forces tracing on.
+            // telemetry on regardless of the config file, like `trace`
+            // forces tracing on.
             cfg.telemetry.enabled = true;
-            cfg.telemetry.profiler = true;
             if prefetch > 0 {
                 cfg.prefetch_lookahead = prefetch;
             }

@@ -138,58 +138,35 @@ impl AdmissionKind {
     }
 }
 
-/// Telemetry knobs: histogram/journal recording and the journal bound.
+/// Telemetry knobs: whether to record at all, and how often to trace.
 ///
 /// Defaults keep everything on — recording is relaxed-atomic and the
 /// journal append is `O(1)`; what they cost a warm read is
 /// `telemetry.on_minus_off_ns` in `BENCHMARK.json`.
 /// Setting `enabled: false` skips driver wrapping and pool stamping
-/// entirely for a zero-overhead baseline.
+/// entirely for a zero-overhead baseline. The rings and the profiler are
+/// bounded by constants (4096 journal events, 65536 spans, 65536 profiled
+/// files, 4096 residency transitions); a config that still names one of
+/// the keys that once set them parses, and the key is ignored.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Master switch: when false no histograms are recorded, drivers are
-    /// not wrapped, and the journal is off.
+    /// not wrapped, and the journal and the workload observatory (access
+    /// profiler, stall profile, residency timeline) are off.
     #[serde(default = "default_true")]
     pub enabled: bool,
-    /// Record copy-lifecycle/placement events into the journal.
-    #[serde(default = "default_true")]
-    pub journal: bool,
-    /// Ring-buffer bound: oldest events are overwritten past this count.
-    #[serde(default = "default_journal_capacity")]
-    pub journal_capacity: usize,
     /// Record a causal span tree for every N-th `read` (plus the copy it
     /// spawns). 0 — the default — disables tracing entirely; the read
     /// path then pays a single branch on an immutable bool.
     #[serde(default)]
     pub trace_sample_every_n: u64,
-    /// Span-ring bound: oldest spans are dropped past this count.
-    #[serde(default = "default_trace_capacity")]
-    pub trace_capacity: usize,
-    /// Workload observatory: per-file access profiler + tier-residency
-    /// timeline. Gated by `enabled` as well — off when either is false.
-    #[serde(default = "default_true")]
-    pub profiler: bool,
-    /// Profiler bound: distinct files tracked; further names only bump a
-    /// global untracked-reads counter.
-    #[serde(default = "default_profiler_max_files")]
-    pub profiler_max_files: usize,
-    /// Residency-timeline ring bound: oldest transitions are dropped
-    /// past this count.
-    #[serde(default = "default_timeline_capacity")]
-    pub timeline_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            journal: true,
-            journal_capacity: default_journal_capacity(),
             trace_sample_every_n: 0,
-            trace_capacity: default_trace_capacity(),
-            profiler: true,
-            profiler_max_files: default_profiler_max_files(),
-            timeline_capacity: default_timeline_capacity(),
         }
     }
 }
@@ -200,8 +177,6 @@ impl TelemetryConfig {
     pub fn disabled() -> Self {
         Self {
             enabled: false,
-            journal: false,
-            profiler: false,
             ..Self::default()
         }
     }
@@ -272,22 +247,6 @@ fn default_prefetch_max_inflight_bytes() -> u64 {
 
 fn default_true() -> bool {
     true
-}
-
-fn default_journal_capacity() -> usize {
-    4096
-}
-
-fn default_trace_capacity() -> usize {
-    65536
-}
-
-fn default_profiler_max_files() -> usize {
-    65536
-}
-
-fn default_timeline_capacity() -> usize {
-    4096
 }
 
 impl MonarchConfig {
@@ -489,10 +448,7 @@ mod tests {
         assert_eq!(cfg.policy, PolicyKind::FirstFit);
         assert!(cfg.full_file_fetch);
         assert!(cfg.telemetry.enabled);
-        assert!(cfg.telemetry.journal);
-        assert_eq!(cfg.telemetry.journal_capacity, 4096);
         assert_eq!(cfg.telemetry.trace_sample_every_n, 0, "tracing is opt-in");
-        assert_eq!(cfg.telemetry.trace_capacity, 65536);
     }
 
     #[test]
@@ -562,17 +518,23 @@ mod tests {
                 {"name": "ssd", "backend": "mem", "capacity": 10},
                 {"name": "pfs", "backend": "mem"}
             ],
-            "telemetry": {"enabled": true, "journal": false, "journal_capacity": 16,
-                          "trace_sample_every_n": 8, "trace_capacity": 1024}
+            "telemetry": {"enabled": true, "trace_sample_every_n": 8}
         }"#;
         let cfg = MonarchConfig::from_json(json).unwrap();
         assert!(cfg.telemetry.enabled);
-        assert!(!cfg.telemetry.journal);
-        assert_eq!(cfg.telemetry.journal_capacity, 16);
         assert_eq!(cfg.telemetry.trace_sample_every_n, 8);
-        assert_eq!(cfg.telemetry.trace_capacity, 1024);
+        // A config written when the rings and the profiler had knobs still
+        // parses: the keys are ignored, and the constants apply.
+        let old = json.replace(
+            r#""trace_sample_every_n": 8"#,
+            r#""trace_sample_every_n": 8, "journal": false, "journal_capacity": 16,
+               "trace_capacity": 1024, "profiler": false, "profiler_max_files": 3,
+               "timeline_capacity": 8"#,
+        );
+        assert_ne!(old, json);
+        assert_eq!(MonarchConfig::from_json(&old).unwrap(), cfg);
         let off = TelemetryConfig::disabled();
-        assert!(!off.enabled && !off.journal);
+        assert!(!off.enabled);
         assert_eq!(off.trace_sample_every_n, 0);
         let tracing = TelemetryConfig::with_tracing();
         assert!(tracing.enabled && tracing.trace_sample_every_n == 1);

@@ -32,7 +32,7 @@ use crate::config::MonarchConfig;
 use crate::hierarchy::{StorageHierarchy, Tier};
 use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
-use crate::observe::{ReadClass, TimedRead};
+use crate::observe::{ReadClass, ReadTiming};
 use crate::prefetch::AccessPlan;
 use crate::serve::MetricsServer;
 use crate::stats::{Stats, StatsSnapshot};
@@ -290,40 +290,32 @@ impl Monarch {
             return Ok(n);
         }
         let timed = marks.filter(|_| weight > 0);
-        if let Some(marks @ [entry, .., end]) = timed {
+        if timed.is_some() {
             self.stats.timed_read();
-            self.telemetry.stall_profile().record_n(marks, weight);
-            if degraded {
-                self.telemetry.stall_profile().record_degraded(end - entry);
-            }
         }
-        let profiler = self.telemetry.observe().profiler();
-        if profiler.is_enabled() {
-            // Where did this read's time go? A read served off the source
-            // tier is classified by *why* the file was still there (see
-            // [`ReadClass::of`]); one that *should* have been fast but was
-            // rerouted around a quarantined tier is its own bucket — the
-            // cost of degraded operation.
-            let class = ReadClass::of(
-                degraded,
-                info.tier == self.hierarchy.source_id(),
-                staged,
-                feedback.planned,
-                matches!(info.state, PlacementState::Copying { .. }),
-            );
-            let timed = timed.map(|[entry, _, resolve, pread, end]| {
-                let t_us = self.telemetry.micros_at(end);
-                TimedRead::between([entry, resolve, pread, end], weight, t_us, info.reads)
-            });
-            profiler.record_read_id(
-                id,
-                info.tier,
-                n as u64,
-                class,
-                feedback.prefetch_hit,
-                timed.as_ref(),
-            );
-        }
+        // Where did this read's time go? A read served off the source
+        // tier is classified by *why* the file was still there (see
+        // [`ReadClass::of`]); one that *should* have been fast but was
+        // rerouted around a quarantined tier is its own bucket — the
+        // cost of degraded operation.
+        let class = ReadClass::of(
+            degraded,
+            info.tier == self.hierarchy.source_id(),
+            staged,
+            feedback.planned,
+            matches!(info.state, PlacementState::Copying { .. }),
+        );
+        self.telemetry.observe().profiler().record_read_id(
+            id,
+            info.tier,
+            n as u64,
+            class,
+            feedback.prefetch_hit,
+            timed
+                .map(|marks| ReadTiming::between(marks, weight))
+                .as_ref(),
+            timed.map_or(0, |[.., end]| self.telemetry.micros_at(end)),
+        );
         Ok(n)
     }
 

@@ -536,29 +536,6 @@ fn telemetry_disabled_records_nothing() {
 }
 
 #[test]
-fn journal_disablable_separately_from_histograms() {
-    let pfs = MemDriver::new("pfs");
-    pfs.insert("f", vec![1u8; 256]);
-    let hierarchy = two_tier(Arc::new(MemDriver::new("ssd")), 1 << 20, Arc::new(pfs));
-    let m = MonarchBuilder::new()
-        .hierarchy(hierarchy)
-        .pool_threads(1)
-        .telemetry(TelemetryConfig {
-            journal: false,
-            ..TelemetryConfig::default()
-        })
-        .build()
-        .unwrap();
-    m.init().unwrap();
-    let mut buf = [0u8; 256];
-    m.read("f", 0, &mut buf).unwrap();
-    m.wait_placement_idle();
-    let snap = m.telemetry_snapshot();
-    assert_eq!(snap.events_recorded, 0, "journal off");
-    assert!(snap.read_latency[1].count > 0, "histograms still on");
-}
-
-#[test]
 fn panicking_copy_task_is_journaled_and_reverted() {
     /// A scorer whose `choose` panics — models a buggy policy plugin.
     struct PanickingScorer;

@@ -6,8 +6,9 @@
 //! 1. [`AccessProfiler`] (`profiler`) — bounded per-file records in a
 //!    slab indexed by the namespace's file ids (access count, first/last
 //!    tick, EWMA inter-access gap, bytes per tier, prefetch hit/miss
-//!    tallies) plus the monotonic time-lost ledger, fed from the read
-//!    path and the transfer engine;
+//!    tallies), the stall profile every timed read's phases are written
+//!    to, and the monotonic time-lost ledger read partly off it, fed from
+//!    the read path and the transfer engine;
 //! 2. [`ResidencyTimeline`] (`timeline`) — a bounded event log of tier
 //!    transitions (admitted/promoted/evicted/canceled with cause),
 //!    reconstructable into "where did file X live between t0 and t1";
@@ -34,7 +35,7 @@ use crate::metadata::MetadataContainer;
 
 pub use profiler::{
     AccessProfiler, FileProfile, FileProfileSnapshot, LedgerSnapshot, ProfilerSnapshot, ReadClass,
-    ReadTiming, TimedRead,
+    ReadTiming,
 };
 pub use report::{HotFile, LedgerBuckets, ObserveReport, WastedFile};
 pub use timeline::{
@@ -51,22 +52,21 @@ pub struct Observatory {
     timeline: ResidencyTimeline,
 }
 
+/// Profiler bound: reads of ids at or past it only bump `untracked_reads`.
+const MAX_FILES: usize = 65_536;
+/// Residency-timeline ring bound: the oldest transitions are dropped past
+/// this count.
+const TIMELINE_CAPACITY: usize = 4096;
+
 impl Observatory {
     /// An observatory over `tiers` tier ids and the files of `files`, the
     /// observed instance's namespace. `enabled` gates both layers (one
-    /// branch per call when off); `max_files` bounds the profiler,
-    /// `timeline_capacity` the transition ring.
+    /// branch per call when off).
     #[must_use]
-    pub fn new(
-        enabled: bool,
-        tiers: usize,
-        max_files: usize,
-        timeline_capacity: usize,
-        files: Arc<MetadataContainer>,
-    ) -> Self {
+    pub fn new(enabled: bool, tiers: usize, files: Arc<MetadataContainer>) -> Self {
         Self {
-            profiler: AccessProfiler::with_namespace(enabled, tiers, max_files, files),
-            timeline: ResidencyTimeline::new(enabled, timeline_capacity),
+            profiler: AccessProfiler::with_namespace(enabled, tiers, MAX_FILES, files),
+            timeline: ResidencyTimeline::new(enabled, TIMELINE_CAPACITY),
         }
     }
 
@@ -117,14 +117,14 @@ mod tests {
 
     #[test]
     fn disabled_observatory_snapshots_to_none() {
-        let o = Observatory::new(false, 2, 16, 16, Arc::default());
+        let o = Observatory::new(false, 2, Arc::default());
         assert!(o.snapshot().is_none());
         assert!(!o.is_enabled());
     }
 
     #[test]
     fn enabled_observatory_snapshot_carries_both_layers() {
-        let o = Observatory::new(true, 2, 16, 16, Arc::default());
+        let o = Observatory::new(true, 2, Arc::default());
         o.profiler().record_read(
             "f",
             1,
@@ -132,10 +132,9 @@ mod tests {
             ReadClass::PfsCold,
             false,
             ReadTiming {
-                wall_us: 10,
-                pread_us: 9,
-                lock_queue_us: 1,
-                copy_wait_us: 0,
+                lock_wait_ns: 1_000,
+                pread_ns: 9_000,
+                ..ReadTiming::default()
             },
             100,
         );

@@ -21,18 +21,21 @@
 //! every read and are exact; the access count and the bytes per tier are
 //! the namespace slot's own counters line, not second copies here, so a
 //! plain hit of a file already seen writes nothing in this slab. Its
-//! **times** — the ledger's sums, the file's last-access instant and
+//! **times** — its four phases, the file's last-access instant and
 //! inter-access gap — are recorded on *timed* reads only, each standing for
-//! `weight` reads (see [`TimedRead`]): every read that is not a plain local
+//! `weight` reads (see [`ReadTiming`]): every read that is not a plain local
 //! hit, and one local hit in
 //! [`TIMED_HIT_PERIOD`](crate::telemetry::TIMED_HIT_PERIOD).
 //!
-//! Alongside the per-file records the profiler keeps the **time-lost
-//! ledger**: monotonic sums of read wall time split by [`ReadClass`],
-//! accumulated in nanoseconds and reported in microseconds. The ledger is
-//! what the epoch report rolls up into the pfs-bound /
-//! copy-lane-saturated / prefetch-lag / lock-or-queue / compute-bound
-//! attribution (see [`crate::observe::report`]).
+//! A timed read's phases are written once, into the [`StallProfile`] the
+//! profiler owns. Beside the per-file records the profiler keeps the
+//! **time-lost ledger**: the read count, the pread time split by
+//! [`ReadClass`] — the one thing the profile cannot know — and the wall,
+//! lock-queue and copy-wait sums, which are read off the profile's
+//! histograms when the ledger is read. The ledger is what the epoch report
+//! rolls up into the pfs-bound / copy-lane-saturated / prefetch-lag /
+//! lock-or-queue / compute-bound attribution (see
+//! [`crate::observe::report`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -43,6 +46,7 @@ use serde::{Deserialize, Serialize};
 use crate::hierarchy::TierId;
 use crate::metadata::{chunk_len, locate, FileId, MetadataContainer, CHUNKS};
 use crate::stripe::Striped;
+use crate::telemetry::StallProfile;
 
 /// EWMA smoothing factor for the inter-access interval. 0.2 weights the
 /// last ~5 gaps — reactive enough for epoch-boundary rhythm changes,
@@ -111,66 +115,61 @@ impl ReadClass {
     }
 }
 
-/// Wall-clock decomposition of one read, in microseconds. The real read
-/// path fills all four from its stall-profiler instants; the simulator
-/// fills `wall_us == pread_us` (its lookups are instantaneous in virtual
-/// time).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReadTiming {
-    /// Entry-to-exit wall time of the read call.
-    pub wall_us: u64,
-    /// Time inside the backend pread.
-    pub pread_us: u64,
-    /// Time in metadata lock/lookup and pre-pread bookkeeping.
-    pub lock_queue_us: u64,
-    /// Time in post-pread copy machinery (demand hand-off, plan notes).
-    pub copy_wait_us: u64,
-}
-
-/// What the clock adds to the record of a read that carried it: the
-/// phases of [`ReadTiming`] at the read path's own resolution — a warm
-/// hit's are all below a microsecond, and survive into the ledger because
-/// it sums nanoseconds and divides once, when it is read.
+/// What the clock adds to the record of a read that carried it: its four
+/// consecutive phases, in nanoseconds, which sum to its wall time, and how
+/// many reads it stands for. The real read path takes them from one chain
+/// of monotonic instants ([`ReadTiming::between`]): a warm hit's are all
+/// below a microsecond, and survive into the ledger because the stall
+/// profile sums nanoseconds and the ledger divides once, when it is read.
+/// The simulator books a read's virtual time as its pread (its lookups are
+/// instantaneous in virtual time).
 #[derive(Debug, Clone, Copy)]
-pub struct TimedRead {
-    /// Entry-to-exit wall time of the read call, ns.
-    pub wall_ns: u64,
-    /// Time inside the backend pread, ns.
+pub struct ReadTiming {
+    /// Entry to the end of the namespace lookup.
+    pub lock_wait_ns: u64,
+    /// Access bookkeeping until the serving tier is resolved.
+    pub queue_wait_ns: u64,
+    /// The backend pread — or the peer's fetch, or the wait for and copy
+    /// out of an in-flight copy's staging.
     pub pread_ns: u64,
-    /// Time in the namespace lookup and pre-pread bookkeeping, ns.
-    pub lock_queue_ns: u64,
-    /// Time in post-pread copy machinery, ns.
+    /// Pread to return: the read's own bookkeeping (its counters, the
+    /// plan cursor).
     pub copy_wait_ns: u64,
     /// How many reads this one stands for in the time sums: 1, or the
     /// sampling period when it is the one local hit in so many.
     pub weight: u64,
-    /// Registry-clock instant the read ended, µs.
-    pub t_us: u64,
-    /// The file's access count, this read included.
-    pub accesses: u64,
 }
 
-impl TimedRead {
-    /// A read that began at `entry`, had its serving tier by `resolve`,
-    /// its bytes by `pread` and returned at `end`.
-    #[must_use]
-    pub fn between(
-        [entry, resolve, pread, end]: [Instant; 4],
-        weight: u64,
-        t_us: u64,
-        accesses: u64,
-    ) -> Self {
-        let ns = |from: Instant, to: Instant| {
-            u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
-        };
+impl Default for ReadTiming {
+    /// A read that took no time, standing for itself.
+    fn default() -> Self {
         Self {
-            wall_ns: ns(entry, end),
-            pread_ns: ns(resolve, pread),
-            lock_queue_ns: ns(entry, resolve),
-            copy_wait_ns: ns(pread, end),
+            lock_wait_ns: 0,
+            queue_wait_ns: 0,
+            pread_ns: 0,
+            copy_wait_ns: 0,
+            weight: 1,
+        }
+    }
+}
+
+impl ReadTiming {
+    /// A read that began at `marks[0]`, had looked its file up by
+    /// `marks[1]`, had its serving tier by `marks[2]`, its bytes by
+    /// `marks[3]` and returned at `marks[4]`, standing for `weight` reads.
+    /// Differences saturate, so an out-of-order pair counts 0.
+    #[must_use]
+    pub fn between(marks: [Instant; 5], weight: u64) -> Self {
+        let [lock_wait_ns, queue_wait_ns, pread_ns, copy_wait_ns] = std::array::from_fn(|i| {
+            let phase = marks[i + 1].saturating_duration_since(marks[i]);
+            u64::try_from(phase.as_nanos()).unwrap_or(u64::MAX)
+        });
+        Self {
+            lock_wait_ns,
+            queue_wait_ns,
+            pread_ns,
+            copy_wait_ns,
             weight,
-            t_us,
-            accesses,
         }
     }
 }
@@ -230,19 +229,20 @@ struct Record {
 }
 
 impl Record {
-    /// Fold one timed read into the access rhythm. Two threads timing the
-    /// same file at once may interleave their swaps; each cell still holds
-    /// a value one of them observed, which is all an estimate needs.
-    fn time(&self, t: &TimedRead) {
+    /// Fold one timed read, ended at `t_us` with the file's access count
+    /// at `accesses`, into the access rhythm. Two threads timing the same
+    /// file at once may interleave their swaps; each cell still holds a
+    /// value one of them observed, which is all an estimate needs.
+    fn time(&self, t_us: u64, accesses: u64) {
         let nth = self.timed.fetch_add(1, Ordering::Relaxed) + 1;
-        let prev_us = self.last_us.swap(t.t_us, Ordering::Relaxed);
-        let prev_at = self.timed_at.swap(t.accesses, Ordering::Relaxed);
+        let prev_us = self.last_us.swap(t_us, Ordering::Relaxed);
+        let prev_at = self.timed_at.swap(accesses, Ordering::Relaxed);
         if nth == 1 {
-            self.first_us.store(t.t_us, Ordering::Relaxed);
+            self.first_us.store(t_us, Ordering::Relaxed);
             return;
         }
-        let reads = t.accesses.saturating_sub(prev_at).max(1);
-        let gap = t.t_us.saturating_sub(prev_us) as f64 / reads as f64;
+        let reads = accesses.saturating_sub(prev_at).max(1);
+        let gap = t_us.saturating_sub(prev_us) as f64 / reads as f64;
         let ewma = if nth == 2 {
             gap
         } else {
@@ -253,13 +253,9 @@ impl Record {
     }
 }
 
-/// Indices into [`LedgerAccum::nanos`]; the pread sums follow, one per
-/// [`ReadClass`] in declaration order.
-const WALL: usize = 0;
-const LOCK_QUEUE: usize = 1;
-const COPY_WAIT: usize = 2;
-const PREAD: usize = 3;
-const SUMS: usize = PREAD + ReadClass::DegradedFallback as usize + 1;
+/// How many [`ReadClass`]es there are: one pread sum each, in declaration
+/// order.
+const CLASSES: usize = ReadClass::DegradedFallback as usize + 1;
 
 /// One stripe of the time-lost ledger (see the `stripe` module): a reader
 /// adds only to its own copy, with relaxed ordering, and never locks;
@@ -268,31 +264,20 @@ const SUMS: usize = PREAD + ReadClass::DegradedFallback as usize + 1;
 struct LedgerAccum {
     /// Every profiled read, timed or not.
     reads: AtomicU64,
-    /// Weighted nanosecond sums over the timed ones.
-    nanos: [AtomicU64; SUMS],
-}
-
-impl LedgerAccum {
-    fn add(&self, class: ReadClass, t: &TimedRead) {
-        for (sum, nanos) in [
-            (WALL, t.wall_ns),
-            (LOCK_QUEUE, t.lock_queue_ns),
-            (COPY_WAIT, t.copy_wait_ns),
-            (PREAD + class as usize, t.pread_ns),
-        ] {
-            self.nanos[sum].fetch_add(nanos.saturating_mul(t.weight), Ordering::Relaxed);
-        }
-    }
+    /// Weighted pread nanoseconds of the timed ones, per class.
+    pread_ns: [AtomicU64; CLASSES],
 }
 
 /// Serializable ledger sums — the `ledger` section of the observe
 /// snapshot. All monotonic, so per-epoch attribution is a
-/// [`LedgerSnapshot::delta`] between two snapshots.
+/// [`LedgerSnapshot::delta`] between two snapshots. `read_wall_us`,
+/// `lock_queue_us` and `copy_wait_us` are the stall profile's phase sums,
+/// read off it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LedgerSnapshot {
     /// Profiled reads.
     pub reads: u64,
-    /// Total read wall time (entry to exit), µs.
+    /// Total read wall time (entry to exit; the four phases), µs.
     pub read_wall_us: u64,
     /// Pread time on local tiers, µs.
     pub fast_pread_us: u64,
@@ -315,7 +300,8 @@ pub struct LedgerSnapshot {
     pub degraded_pread_us: u64,
     /// Lock/lookup and pre-pread bookkeeping time, µs.
     pub lock_queue_us: u64,
-    /// Post-pread copy-machinery time (and simulated park waits), µs.
+    /// Post-pread bookkeeping time (the read's counters, the plan
+    /// cursor), µs.
     pub copy_wait_us: u64,
 }
 
@@ -350,7 +336,8 @@ impl LedgerSnapshot {
     }
 }
 
-/// Bounded per-file access records plus the time-lost ledger.
+/// Bounded per-file access records, the stall profile of the timed reads,
+/// and the time-lost ledger.
 pub struct AccessProfiler {
     enabled: bool,
     tiers: usize,
@@ -362,6 +349,8 @@ pub struct AccessProfiler {
     tracked: AtomicU64,
     untracked_reads: AtomicU64,
     ledger: Striped<LedgerAccum>,
+    /// Every timed read's phases; the ledger's time sums are its sums.
+    stall: StallProfile,
 }
 
 impl std::fmt::Debug for AccessProfiler {
@@ -402,6 +391,7 @@ impl AccessProfiler {
             tracked: AtomicU64::new(0),
             untracked_reads: AtomicU64::new(0),
             ledger: Striped::new(),
+            stall: StallProfile::default(),
         }
     }
 
@@ -409,6 +399,13 @@ impl AccessProfiler {
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.enabled
+    }
+
+    /// The stall profile of the reads recorded here: four phase histograms
+    /// and the degraded reads' wall time.
+    #[must_use]
+    pub fn stall_profile(&self) -> &StallProfile {
+        &self.stall
     }
 
     /// The record of `id`, if one exists (`touch` creates it, within the
@@ -450,7 +447,11 @@ impl AccessProfiler {
 
     /// Record one foreground read of a file the caller resolved (and whose
     /// access the namespace counted): the ledger's and the file's counts
-    /// always, the times when the read carried the clock.
+    /// always; when the read carried the clock, its `timing` — into the
+    /// stall profile, and its pread by `class` into the ledger — and its
+    /// end, `t_us` on the registry clock, into the file's access rhythm.
+    /// The one call through which a read's time is recorded.
+    #[allow(clippy::too_many_arguments)]
     pub fn record_read_id(
         &self,
         id: FileId,
@@ -458,13 +459,15 @@ impl AccessProfiler {
         bytes: u64,
         class: ReadClass,
         prefetch_hit: bool,
-        timed: Option<&TimedRead>,
+        timing: Option<&ReadTiming>,
+        t_us: u64,
     ) {
         if self.enabled {
-            self.record(Some(id), tier, bytes, class, prefetch_hit, timed);
+            self.record(Some(id), tier, bytes, class, prefetch_hit, timing, t_us);
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn record(
         &self,
         id: Option<FileId>,
@@ -472,12 +475,16 @@ impl AccessProfiler {
         bytes: u64,
         class: ReadClass,
         prefetch_hit: bool,
-        timed: Option<&TimedRead>,
+        timing: Option<&ReadTiming>,
+        t_us: u64,
     ) {
         let ledger = self.ledger.local(LedgerAccum::default);
         ledger.reads.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = timed {
-            ledger.add(class, t);
+        if let Some(t) = timing {
+            self.stall
+                .record_timing(t, class == ReadClass::DegradedFallback);
+            ledger.pread_ns[class as usize]
+                .fetch_add(t.pread_ns.saturating_mul(t.weight), Ordering::Relaxed);
         }
         let Some((id, record)) = id.and_then(|id| Some((id, self.record_of(id, true)?))) else {
             self.untracked_reads.fetch_add(1, Ordering::Relaxed);
@@ -493,14 +500,14 @@ impl AccessProfiler {
         if record.prefetched_bytes.load(Ordering::Relaxed) > 0 {
             record.reads_after_prefetch.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(t) = timed {
-            record.time(t);
+        if timing.is_some() {
+            record.time(t_us, self.files.reads_of(id));
         }
     }
 
     /// [`Self::record_read_id`] by name, for a read nothing else counted:
     /// resolves `file`, counts the access, and records the read as timed
-    /// at weight 1 with the caller's clock.
+    /// with the caller's clock.
     #[allow(clippy::too_many_arguments)]
     pub fn record_read(
         &self,
@@ -516,16 +523,10 @@ impl AccessProfiler {
             return;
         }
         let id = self.resolve(file);
-        let timed = TimedRead {
-            wall_ns: timing.wall_us.saturating_mul(1_000),
-            pread_ns: timing.pread_us.saturating_mul(1_000),
-            lock_queue_ns: timing.lock_queue_us.saturating_mul(1_000),
-            copy_wait_ns: timing.copy_wait_us.saturating_mul(1_000),
-            weight: 1,
-            t_us,
-            accesses: id.map_or(0, |id| self.files.count_read(id)),
-        };
-        self.record(id, tier, bytes, class, prefetch_hit, Some(&timed));
+        if let Some(id) = id {
+            self.files.count_read(id);
+        }
+        self.record(id, tier, bytes, class, prefetch_hit, Some(&timing), t_us);
     }
 
     /// Record that the prefetcher finished staging `bytes` of the file
@@ -576,22 +577,29 @@ impl AccessProfiler {
         self.profile_id(self.files.find(file)?)
     }
 
-    /// The live ledger sums: the stripes' nanoseconds added up, then
-    /// divided once.
+    /// The live ledger sums: the stripes' counts and pread nanoseconds
+    /// added up, the phase sums read off the stall profile, each divided
+    /// once.
     #[must_use]
     pub fn ledger(&self) -> LedgerSnapshot {
         let mut reads = 0;
-        let mut nanos = [0u64; SUMS];
+        let mut pread = [0u64; CLASSES];
         for stripe in self.ledger.iter() {
             reads += stripe.reads.load(Ordering::Relaxed);
-            for (sum, cell) in nanos.iter_mut().zip(&stripe.nanos) {
+            for (sum, cell) in pread.iter_mut().zip(&stripe.pread_ns) {
                 *sum += cell.load(Ordering::Relaxed);
             }
         }
-        let pread_us = |class: ReadClass| nanos[PREAD + class as usize] / 1_000;
+        let pread_us = |class: ReadClass| pread[class as usize] / 1_000;
+        let s = &self.stall;
+        let lock_queue = s.lock_wait.sum().wrapping_add(s.queue_wait.sum());
+        let copy_wait = s.copy_wait.sum();
+        let wall = lock_queue
+            .wrapping_add(s.driver_pread.sum())
+            .wrapping_add(copy_wait);
         LedgerSnapshot {
             reads,
-            read_wall_us: nanos[WALL] / 1_000,
+            read_wall_us: wall / 1_000,
             fast_pread_us: pread_us(ReadClass::Fast),
             pfs_cold_pread_us: pread_us(ReadClass::PfsCold),
             lane_sat_pread_us: pread_us(ReadClass::LaneSaturated),
@@ -599,8 +607,8 @@ impl AccessProfiler {
             prefetch_lag_pread_us: pread_us(ReadClass::PrefetchLag),
             peer_bound_pread_us: pread_us(ReadClass::PeerBound),
             degraded_pread_us: pread_us(ReadClass::DegradedFallback),
-            lock_queue_us: nanos[LOCK_QUEUE] / 1_000,
-            copy_wait_us: nanos[COPY_WAIT] / 1_000,
+            lock_queue_us: lock_queue / 1_000,
+            copy_wait_us: copy_wait / 1_000,
         }
     }
 
@@ -703,12 +711,13 @@ mod tests {
         }
     }
 
+    /// A read of `wall` µs, `pread` of them in the pread and the rest
+    /// after it.
     fn t(wall: u64, pread: u64) -> ReadTiming {
         ReadTiming {
-            wall_us: wall,
-            pread_us: pread,
-            lock_queue_us: 0,
-            copy_wait_us: 0,
+            pread_ns: pread * 1_000,
+            copy_wait_ns: (wall - pread) * 1_000,
+            ..ReadTiming::default()
         }
     }
 
@@ -823,24 +832,23 @@ mod tests {
     #[test]
     fn untimed_reads_count_and_timed_ones_spread_their_gap() {
         let (p, ids) = shared(&["f"], 16);
-        let timed = |accesses, t_us, weight| TimedRead {
-            wall_ns: 700,
+        let timed = |weight| ReadTiming {
+            lock_wait_ns: 150,
+            queue_wait_ns: 50,
             pread_ns: 400,
-            lock_queue_ns: 200,
             copy_wait_ns: 100,
             weight,
-            t_us,
-            accesses,
         };
         // The namespace counts the accesses, as the read path's lookup does.
-        let read = |timed: Option<TimedRead>| {
+        let read = |timing: Option<ReadTiming>, t_us| {
             p.files.count_read(ids[0]);
-            p.record_read_id(ids[0], 0, 4096, ReadClass::Fast, false, timed.as_ref());
+            let class = ReadClass::Fast;
+            p.record_read_id(ids[0], 0, 4096, class, false, timing.as_ref(), t_us);
         };
-        read(Some(timed(1, 1_000, 1)));
-        (0..15).for_each(|_| read(None));
+        read(Some(timed(1)), 1_000);
+        (0..15).for_each(|_| read(None, 0));
         // Sixteen accesses later, 1.6 ms on: 100 us an access.
-        read(Some(timed(17, 2_600, 16)));
+        read(Some(timed(16)), 2_600);
         let s = p.snapshot();
         let f = &s.files[0].profile;
         assert_eq!(f.accesses, 17);
@@ -854,6 +862,10 @@ mod tests {
         assert_eq!(s.ledger.fast_pread_us, 17 * 400 / 1_000);
         assert_eq!(s.ledger.lock_queue_us, 17 * 200 / 1_000);
         assert_eq!(s.ledger.copy_wait_us, 17 * 100 / 1_000);
+        // Read off the stall profile, which holds the same 17 reads.
+        let stall = p.stall_profile().snapshot();
+        assert_eq!(stall.lock_wait.count, 17);
+        assert_eq!(stall.driver_pread.sum_nanos, 17 * 400);
     }
 
     #[test]
@@ -861,7 +873,7 @@ mod tests {
         let (p, ids) = shared(&["a", "b", "c", "d"], 2);
         for id in &ids {
             p.files.count_read(*id);
-            p.record_read_id(*id, 1, 8, ReadClass::PfsCold, false, None);
+            p.record_read_id(*id, 1, 8, ReadClass::PfsCold, false, None, 0);
             p.record_prefetch_staged_id(*id, 8, 5);
         }
         let s = p.snapshot();

@@ -11,9 +11,12 @@
 //!   file was already in flight (the lanes are behind the read front);
 //! - **staged** — time reads spent being served out of an in-flight copy's
 //!   install staging, waits for the copy's fetches included;
-//! - **prefetch-lag** — PFS pread time on plan-covered files plus
-//!   post-pread copy-machinery waits (the prefetcher knew, but late);
-//! - **lock-or-queue** — metadata lock/lookup and bookkeeping time;
+//! - **prefetch-lag** — PFS pread time on plan-covered files (the
+//!   prefetcher knew, but late; in the simulator, a reader parked on a
+//!   staged copy books its wait as such a pread) and nothing else, so a
+//!   run with prefetching off has none;
+//! - **lock-or-queue** — metadata lock/lookup and the read's bookkeeping
+//!   before and after its pread;
 //! - **compute-bound** — everything else: wall time the storage system
 //!   was *not* the bottleneck for (includes healthy fast-tier service).
 //!
@@ -39,7 +42,7 @@ pub struct LedgerBuckets {
     /// Reads served out of an in-flight copy's install staging.
     #[serde(default)]
     pub staged_s: f64,
-    /// Plan-covered PFS reads plus copy-machinery waits.
+    /// Plan-covered PFS reads.
     pub prefetch_lag_s: f64,
     /// Reads served node-to-node from a peer's fast tier.
     #[serde(default)]
@@ -48,7 +51,7 @@ pub struct LedgerBuckets {
     /// slowdown, distinct from cold misses).
     #[serde(default)]
     pub degraded_fallback_s: f64,
-    /// Metadata lock/lookup and bookkeeping.
+    /// Metadata lock/lookup and the reads' bookkeeping.
     pub lock_or_queue_s: f64,
     /// Wall time storage was not the bottleneck for.
     pub compute_bound_s: f64,
@@ -68,10 +71,10 @@ impl LedgerBuckets {
             pfs_bound_s: s(ledger.pfs_cold_pread_us),
             copy_lane_saturated_s: s(ledger.lane_sat_pread_us),
             staged_s: s(ledger.staged_pread_us),
-            prefetch_lag_s: s(ledger.prefetch_lag_pread_us) + s(ledger.copy_wait_us),
+            prefetch_lag_s: s(ledger.prefetch_lag_pread_us),
             peer_bound_s: s(ledger.peer_bound_pread_us),
             degraded_fallback_s: s(ledger.degraded_pread_us),
-            lock_or_queue_s: s(ledger.lock_queue_us),
+            lock_or_queue_s: s(ledger.lock_queue_us) + s(ledger.copy_wait_us),
             compute_bound_s: (wall_s - storage_s).max(0.0),
         }
     }
@@ -329,8 +332,9 @@ mod tests {
         let b = LedgerBuckets::from_ledger(&ledger(), 6.0, 2);
         assert!((b.pfs_bound_s - 2.0).abs() < 1e-9);
         assert!((b.copy_lane_saturated_s - 0.5).abs() < 1e-9);
-        assert!((b.prefetch_lag_s - 1.25).abs() < 1e-9);
-        assert!((b.lock_or_queue_s - 0.25).abs() < 1e-9);
+        // Post-pread bookkeeping is lock-or-queue time, never prefetch lag.
+        assert!((b.prefetch_lag_s - 0.75).abs() < 1e-9);
+        assert!((b.lock_or_queue_s - 0.75).abs() < 1e-9);
         assert!((b.compute_bound_s - 2.0).abs() < 1e-9);
         // The ledger partitions read_wall exactly here, so the sum is
         // exact.

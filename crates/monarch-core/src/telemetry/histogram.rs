@@ -6,11 +6,8 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use crate::observe::ReadTiming;
 use crate::stripe::Striped;
-
-// ---------------------------------------------------------------------------
-// Log-linear latency histogram
-// ---------------------------------------------------------------------------
 
 /// Sub-buckets per power-of-two range: 16 → worst-case relative bucket
 /// width 1/16, so quantile estimates are within ~6.25% of exact.
@@ -324,12 +321,18 @@ pub const TIMED_HIT_PERIOD: u64 = 16;
 /// - `queue_wait` — access bookkeeping until the serving tier is resolved
 ///   (the engine's window/cursor critical sections);
 /// - `driver_pread` — the backend `read_at` itself;
-/// - `copy_wait` — post-read copy machinery (demand hand-off, prefetch
-///   cursor advance, span recording).
+/// - `copy_wait` — the read's own bookkeeping after the pread (its
+///   counters, the plan cursor's advance); not a wait for a copy, which
+///   falls in `driver_pread`.
 ///
 /// The four buckets are measured from one monotonic-clock chain, so their
 /// sum equals the read's wall time up to clock-read cost — the invariant
 /// the e2e test checks.
+///
+/// The instance's profile is the access profiler's
+/// ([`crate::observe::AccessProfiler::stall_profile`]): a timed read is
+/// recorded there, in one call that also books its pread by class in the
+/// time-lost ledger, whose time sums are this profile's.
 #[derive(Debug, Default)]
 pub struct StallProfile {
     /// Lock/lookup phase durations.
@@ -338,7 +341,7 @@ pub struct StallProfile {
     pub queue_wait: LatencyHistogram,
     /// Backend pread durations.
     pub driver_pread: LatencyHistogram,
-    /// Post-pread copy-machinery durations.
+    /// Post-pread bookkeeping durations.
     pub copy_wait: LatencyHistogram,
     /// Wall time of reads served down-hierarchy because the resident tier
     /// was failing or quarantined. **Not** part of the four-bucket wall
@@ -359,27 +362,27 @@ impl StallProfile {
         pread: Instant,
         end: Instant,
     ) {
-        self.record_n([t0, lookup, resolve, pread, end], 1);
+        let marks = [t0, lookup, resolve, pread, end];
+        self.record_timing(&ReadTiming::between(marks, 1), false);
     }
 
-    /// [`Self::record`] of a read that stands for `n` (see
-    /// [`TIMED_HIT_PERIOD`]); `marks` are the five instants in order.
-    pub fn record_n(&self, marks: [Instant; 5], n: u64) {
-        let buckets = [
-            &self.lock_wait,
-            &self.queue_wait,
-            &self.driver_pread,
-            &self.copy_wait,
-        ];
-        for (bucket, phase) in buckets.into_iter().zip(marks.windows(2)) {
-            bucket.record_duration_n(phase[1].saturating_duration_since(phase[0]), n);
+    /// Record one timed read's phases at its weight (see
+    /// [`TIMED_HIT_PERIOD`]); a `degraded` read's wall time also goes to
+    /// `degraded_fallback`.
+    pub(crate) fn record_timing(&self, t: &ReadTiming, degraded: bool) {
+        let mut wall = 0u64;
+        for (bucket, ns) in [
+            (&self.lock_wait, t.lock_wait_ns),
+            (&self.queue_wait, t.queue_wait_ns),
+            (&self.driver_pread, t.pread_ns),
+            (&self.copy_wait, t.copy_wait_ns),
+        ] {
+            bucket.record_n(ns, t.weight);
+            wall = wall.saturating_add(ns);
         }
-    }
-
-    /// Record the wall time of one degraded-fallback read (resident tier
-    /// failing, bytes served from a lower tier).
-    pub fn record_degraded(&self, wall: Duration) {
-        self.degraded_fallback.record_duration(wall);
+        if degraded {
+            self.degraded_fallback.record_n(wall, t.weight);
+        }
     }
 
     /// Immutable summary of all buckets.
@@ -405,7 +408,7 @@ pub struct StallProfileSnapshot {
     pub queue_wait: HistogramSnapshot,
     /// Backend pread summary.
     pub driver_pread: HistogramSnapshot,
-    /// Post-pread copy-machinery summary.
+    /// Post-pread bookkeeping summary.
     pub copy_wait: HistogramSnapshot,
     /// Degraded-fallback read wall time (outside the four-bucket wall
     /// partition; see [`StallProfile::degraded_fallback`]).

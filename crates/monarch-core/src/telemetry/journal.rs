@@ -9,10 +9,6 @@ use serde::{Deserialize, Serialize};
 use crate::locks;
 use crate::TierId;
 
-// ---------------------------------------------------------------------------
-// Event journal
-// ---------------------------------------------------------------------------
-
 /// A structured telemetry event.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case", tag = "event")]

@@ -23,9 +23,9 @@
 //! - [`GaugeRegistry`] — labeled, interned atomic gauges (per-tier
 //!   occupancy/capacity, lane queue depth, in-flight copies) refreshed by
 //!   samplers and exported through the same snapshot/exposition paths;
-//! - [`StallProfile`] — the read-path stall profiler: four histograms
-//!   decomposing each timed read's wall time into lock-wait /
-//!   queue-wait / driver-pread / copy-wait buckets.
+//! - [`StallProfile`] — the access profiler's read-path stall profile:
+//!   four histograms decomposing each timed read's wall time into
+//!   lock-wait / queue-wait / driver-pread / copy-wait buckets.
 //!
 //! Recording is cheap by construction: histogram recording is a handful of
 //! relaxed atomic adds, the journal is an `O(1)` ring append behind a short
@@ -66,9 +66,10 @@ pub use histogram::{
 pub(crate) use journal::push_json_str;
 pub use journal::{Event, EventJournal, EventKind};
 
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
+/// Journal ring bound: the oldest events are overwritten past this count.
+const JOURNAL_CAPACITY: usize = 4096;
+/// Span ring bound: the oldest spans are dropped past this count.
+const TRACE_CAPACITY: usize = 65_536;
 
 /// The telemetry registry: owns the middleware's histograms, event journal
 /// and [`Stats`] counters, and renders them for export.
@@ -87,7 +88,6 @@ pub struct TelemetryRegistry {
     queue_wait_remote: Arc<LatencyHistogram>,
     queue_wait_prefetch: Arc<LatencyHistogram>,
     pool_exec: Arc<LatencyHistogram>,
-    stall: StallProfile,
     gauges: GaugeRegistry,
     reads_in_flight: InFlight,
     local_hits: Striped<AtomicU64>,
@@ -135,26 +135,19 @@ impl TelemetryRegistry {
             queue_wait_remote: Arc::new(LatencyHistogram::new()),
             queue_wait_prefetch: Arc::new(LatencyHistogram::new()),
             pool_exec: Arc::new(LatencyHistogram::new()),
-            stall: StallProfile::default(),
             gauges: GaugeRegistry::new(),
             reads_in_flight: InFlight::default(),
             local_hits: Striped::new(),
-            journal: EventJournal::new(cfg.journal_capacity, cfg.enabled && cfg.journal),
+            journal: EventJournal::new(JOURNAL_CAPACITY, cfg.enabled),
             trace: Arc::new(crate::trace::TraceRecorder::new(
                 if cfg.enabled {
                     cfg.trace_sample_every_n
                 } else {
                     0
                 },
-                cfg.trace_capacity,
+                TRACE_CAPACITY,
             )),
-            observe: crate::observe::Observatory::new(
-                cfg.enabled && cfg.profiler,
-                levels,
-                cfg.profiler_max_files,
-                cfg.timeline_capacity,
-                files,
-            ),
+            observe: crate::observe::Observatory::new(cfg.enabled, levels, files),
             origin: Instant::now(),
         }
     }
@@ -235,10 +228,11 @@ impl TelemetryRegistry {
         &self.pool_exec
     }
 
-    /// The read-path stall profiler (four phase histograms).
+    /// The read-path stall profiler (four phase histograms): the access
+    /// profiler's, which records every timed read.
     #[must_use]
     pub fn stall_profile(&self) -> &StallProfile {
-        &self.stall
+        self.observe.profiler().stall_profile()
     }
 
     /// The gauge registry: instantaneous values refreshed by samplers.
@@ -379,7 +373,7 @@ impl TelemetryRegistry {
     }
 
     /// The workload observatory: per-file access profiler + residency
-    /// timeline (disabled unless `enabled && profiler`).
+    /// timeline (disabled unless `enabled`).
     #[must_use]
     pub fn observe(&self) -> &crate::observe::Observatory {
         &self.observe
@@ -421,7 +415,7 @@ impl TelemetryRegistry {
             queue_wait_remote: self.queue_wait_remote.snapshot(),
             queue_wait_prefetch: self.queue_wait_prefetch.snapshot(),
             pool_exec: self.pool_exec.snapshot(),
-            stall_profile: self.stall.snapshot(),
+            stall_profile: self.stall_profile().snapshot(),
             gauges: self.gauges.snapshot(),
             events_recorded: self.journal.recorded(),
             events_dropped: self.journal.dropped(),
@@ -638,35 +632,36 @@ impl TelemetryRegistry {
             "Copy-pool task execution time.",
             &self.pool_exec,
         );
+        let stall = self.stall_profile();
         plain_histogram(
             &mut o,
             "monarch_read_stall_lock_wait_seconds",
             "Sampled-read stall: metadata lock/lookup phase.",
-            &self.stall.lock_wait,
+            &stall.lock_wait,
         );
         plain_histogram(
             &mut o,
             "monarch_read_stall_queue_wait_seconds",
             "Sampled-read stall: pre-pread bookkeeping phase.",
-            &self.stall.queue_wait,
+            &stall.queue_wait,
         );
         plain_histogram(
             &mut o,
             "monarch_read_stall_driver_pread_seconds",
             "Sampled-read stall: backend pread phase.",
-            &self.stall.driver_pread,
+            &stall.driver_pread,
         );
         plain_histogram(
             &mut o,
             "monarch_read_stall_copy_wait_seconds",
-            "Sampled-read stall: post-pread copy-machinery phase.",
-            &self.stall.copy_wait,
+            "Sampled-read stall: post-pread bookkeeping phase.",
+            &stall.copy_wait,
         );
         plain_histogram(
             &mut o,
             "monarch_read_degraded_fallback_seconds",
             "Wall time of reads served down-hierarchy from a failing tier.",
-            &self.stall.degraded_fallback,
+            &stall.degraded_fallback,
         );
         self.gauges.render_into(&mut o);
         o

@@ -40,7 +40,7 @@ use crate::hierarchy::TierId;
 use crate::lifecycle::{Evict, Lifecycle, Reservation, Unplaced};
 use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
-use crate::observe::{ReadClass, ResidencyEventKind, TimedRead, TransitionCause};
+use crate::observe::{ReadClass, ReadTiming, ResidencyEventKind, TransitionCause};
 use crate::policy::FeatureSource;
 use crate::pool::{Lane, PoolProbe, TaskCtx, ThreadPool};
 use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow};
@@ -684,7 +684,12 @@ impl TransferEngine {
         // Serve the requested range straight from the fetched buffer. The
         // namespace read counter still ticks; the per-tier counters do not
         // (no local tier did any work — `peer_bytes` accounts the traffic).
-        let counted = self.book.metadata().resolve_for_read(file).ok();
+        let counted = self
+            .book
+            .metadata()
+            .resolve_for_read(file)
+            .ok()
+            .map(|(id, _)| id);
         let want = buf.len().min(bytes.len().saturating_sub(offset as usize));
         buf[..want].copy_from_slice(&bytes[offset as usize..offset as usize + want]);
         self.book.stats().peer_hit(want as u64);
@@ -709,24 +714,16 @@ impl TransferEngine {
             let p_entry = entry.unwrap_or(p_fetch);
             let p_end = Instant::now();
             self.book.stats().timed_read();
-            self.book
-                .telemetry()
-                .stall_profile()
-                .record(p_entry, p_fetch, p_fetch, p_pread, p_end);
-            if let Some((id, counted)) = counted {
-                let timed = TimedRead::between(
-                    [p_entry, p_fetch, p_pread, p_end],
-                    1,
-                    self.book.telemetry().micros_at(p_end),
-                    counted.reads,
-                );
+            if let Some(id) = counted {
+                let marks = [p_entry, p_fetch, p_fetch, p_pread, p_end];
                 self.book.telemetry().observe().profiler().record_read_id(
                     id,
                     0,
                     want as u64,
                     ReadClass::PeerBound,
                     false,
-                    Some(&timed),
+                    Some(&ReadTiming::between(marks, 1)),
+                    self.book.telemetry().micros_at(p_end),
                 );
             }
         }

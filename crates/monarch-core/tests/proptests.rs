@@ -418,10 +418,10 @@ proptest! {
             per_class[class_i as usize] += pread;
             wall += pread + 2;
             let timing = ReadTiming {
-                wall_us: pread + 2,
-                pread_us: pread,
-                lock_queue_us: 1,
-                copy_wait_us: 1,
+                lock_wait_ns: 1_000,
+                pread_ns: pread * 1_000,
+                copy_wait_ns: 1_000,
+                ..ReadTiming::default()
             };
             p.record_read(
                 &format!("f{fi:03}"), 0, bytes, class, false, timing, i as u64,

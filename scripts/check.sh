@@ -4,7 +4,7 @@
 # gate. Run before pushing.
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh fmt        # one stage: fmt | clippy | size | lifecycle | locks | test | benchapi | cold | hit | trace | prefetch | policy | report | cluster | chaos | serve | model
+#   scripts/check.sh fmt        # one stage: fmt | clippy | size | lifecycle | stall | locks | test | benchapi | cold | hit | trace | prefetch | policy | report | cluster | chaos | serve | model
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,8 +36,12 @@ run_size() {
     fi
     # 14674 before the four policy kinds nothing selected (lfu, cost_aware,
     # round_robin, size_threshold) were deleted and every lock moved onto
-    # std::sync through locks.rs.
-    local core_limit=14532
+    # std::sync through locks.rs; 14532 before a timed read's phases were
+    # written once (the stall profile, owned by the access profiler, and
+    # the ledger's time sums read off it) and the telemetry knobs no caller
+    # set became constants. Splitting telemetry.rs into four modules cost
+    # 44 of the lines that saved.
+    local core_limit=14529
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
         sort -z |
@@ -76,6 +80,41 @@ run_lifecycle() {
     done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
     if [ "$bad" -ne 0 ]; then
         echo "lifecycle gate: book the transition through monarch_core::lifecycle instead" >&2
+        exit 1
+    fi
+}
+
+# A timed read's time is written once (DESIGN §7.2): the access profiler
+# records its four phases into the stall profile it owns, in the same call
+# that books its pread by class in the time-lost ledger, and the ledger's
+# wall, lock-queue and copy-wait sums are read off that profile. Outside
+# `observe/profiler.rs` and `telemetry/histogram.rs` (which defines
+# `StallProfile`), no non-test code of monarch-core or dlpipe::sim records
+# into a stall profile or its histograms, or makes another — a second
+# writer, and a second copy of the numbers to drift, cannot come back.
+# Calls are matched across line breaks. Non-test code is what precedes a
+# file's column-0 `#[cfg(test)]`.
+run_stall() {
+    echo "==> stall gate: one writer of a timed read's phases"
+    local bad=0 f
+    while IFS= read -r f; do
+        case "$f" in
+            */observe/profiler.rs | */telemetry/histogram.rs | *_tests.rs) continue ;;
+        esac
+        if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" | FILE="$f" perl -0777 -ne '
+            my $found = 0;
+            while (/stall_profile\(\)\s*\.\s*record\w*\s*\(|\b(?:lock_wait|queue_wait|driver_pread|copy_wait|degraded_fallback)\s*\.\s*record\w*\s*\(|record_timing\s*\(|StallProfile\s*::\s*default/g) {
+                my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+                (my $what = $&) =~ s/\s+//g;
+                print "$ENV{FILE}:$line: $what\n";
+                $found = 1;
+            }
+            exit($found ? 0 : 1);'; then
+            bad=1
+        fi
+    done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
+    if [ "$bad" -ne 0 ]; then
+        echo "stall gate: record the read through AccessProfiler::record_read_id / record_read instead" >&2
         exit 1
     fi
 }
@@ -435,6 +474,7 @@ case "$stage" in
     clippy) run_clippy ;;
     size) run_size ;;
     lifecycle) run_lifecycle ;;
+    stall) run_stall ;;
     locks) run_locks ;;
     test) run_test ;;
     benchapi) run_benchapi ;;
@@ -453,6 +493,7 @@ case "$stage" in
         run_clippy
         run_size
         run_lifecycle
+        run_stall
         run_locks
         run_test
         run_benchapi
@@ -468,7 +509,7 @@ case "$stage" in
         run_model
         ;;
     *)
-        echo "usage: scripts/check.sh [fmt|clippy|size|lifecycle|locks|test|benchapi|cold|hit|trace|prefetch|policy|report|cluster|chaos|serve|model|all]" >&2
+        echo "usage: scripts/check.sh [fmt|clippy|size|lifecycle|stall|locks|test|benchapi|cold|hit|trace|prefetch|policy|report|cluster|chaos|serve|model|all]" >&2
         exit 2
         ;;
 esac

@@ -114,6 +114,22 @@ fn peer_serves_staged_files_and_degrades_to_pfs() {
         before,
         "a peer-served read must not touch the PFS"
     );
+    // Its time went in once, through the profiler: the fetch is a pread in
+    // the stall profile and peer-bound time in the ledger, whose wall is
+    // the profile's.
+    let snap = b.telemetry_snapshot();
+    let ledger = snap.observe.as_ref().expect("profiler on").profiler.ledger;
+    let stall = &snap.stall_profile;
+    assert!(ledger.peer_bound_pread_us > 0, "{ledger:?}");
+    assert!(stall.driver_pread.sum_nanos / 1_000 >= ledger.peer_bound_pread_us);
+    let phases = [
+        &stall.lock_wait,
+        &stall.queue_wait,
+        &stall.driver_pread,
+        &stall.copy_wait,
+    ];
+    let wall: u64 = phases.iter().map(|h| h.sum_nanos).sum();
+    assert_eq!(ledger.read_wall_us, wall / 1_000);
 
     // The holdout is peer-owned but not resident on A: B falls back to its
     // own PFS read and still gets the bytes.

@@ -116,6 +116,55 @@ fn real_epoch_report_attributes_wall_and_flags_waste() {
 }
 
 #[test]
+fn a_run_without_prefetch_reports_no_prefetch_lag() {
+    // With prefetching off nothing can lag a plan. What a read does after
+    // its pread — its counters, the plan cursor's note — is bookkeeping,
+    // and the report charges it to lock-or-queue, not to prefetch-lag.
+    let root = tmp("noprefetch");
+    let data = root.join("pfs");
+    let spec = DatasetSpec::miniature(256 << 10, 32, 5);
+    let ds = generate(&spec, &data).unwrap();
+    let cfg = MonarchConfig::builder()
+        .tier(
+            TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
+                .with_capacity(2 * ds.total_bytes),
+        )
+        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
+        .pool_threads(2)
+        .build();
+    assert_eq!(cfg.prefetch_lookahead, 0);
+    let m = Monarch::new(cfg).unwrap();
+    m.init().unwrap();
+    let mut files: Vec<String> = Vec::new();
+    m.metadata()
+        .for_each(|name, _| files.push(name.to_string()));
+
+    let started = Instant::now();
+    let mut buf = vec![0u8; 4 << 10];
+    for epoch in 0..3 {
+        for name in &files {
+            let mut off = 0u64;
+            while m.read(name, off, &mut buf).unwrap() > 0 {
+                off += buf.len() as u64;
+            }
+        }
+        if epoch == 0 {
+            m.wait_placement_idle();
+        }
+    }
+    let wall_s = started.elapsed().as_secs_f64();
+
+    let report = ObserveReport::from_snapshot(&m.telemetry_snapshot(), wall_s, 1, 4)
+        .expect("default telemetry keeps the profiler on");
+    assert!(report.reads > 0, "no reads profiled");
+    assert_eq!(report.ledger.prefetch_lag_s, 0.0, "{:?}", report.ledger);
+    assert!(report.ledger.lock_or_queue_s > 0.0, "{:?}", report.ledger);
+    assert_buckets_sum_to_wall(&report.ledger, wall_s, "run without prefetch");
+    m.shutdown();
+    fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
 fn sim_run_report_carries_per_epoch_and_total_attribution() {
     let model = ModelProfile {
         name: "tiny".into(),
