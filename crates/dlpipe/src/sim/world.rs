@@ -7,13 +7,12 @@ use std::time::Duration;
 use monarch_core::config::TelemetryConfig;
 use monarch_core::driver::MemDriver;
 use monarch_core::hash::{FxHashMap, FxHashSet};
-use monarch_core::health::{ErrorClass, TierState};
+use monarch_core::health::{ErrorClass, Gate};
 use monarch_core::hierarchy::StorageHierarchy;
 use monarch_core::lifecycle::{Lifecycle, Unplaced};
 use monarch_core::metadata::PlacementState;
 use monarch_core::observe::{
-    LedgerBuckets, LedgerSnapshot, ObserveReport, ReadClass, ReadTiming, ResidencyEventKind,
-    TransitionCause,
+    LedgerBuckets, LedgerSnapshot, ObserveReport, ReadClass, ReadTiming, TransitionCause,
 };
 use monarch_core::policy::{FeatureSource, PolicyEngine};
 use monarch_core::pool::Lane;
@@ -1020,11 +1019,13 @@ impl World {
                     .lookup_for_read(name)
                     .expect("shard registered");
                 ms.book.policy().on_access(name, info.tier);
-                // Fault-aware serving, mirroring the real read path: a
-                // failing fast-tier read records against the tier's
-                // breaker and falls back to the PFS; a quarantined tier
-                // is skipped outright except for the timed half-open
-                // probe, whose success re-admits it.
+                // Fault-aware serving through the engine's gate and settle:
+                // a quarantined tier is skipped except for the timed
+                // half-open probe, and a failing fast-tier read is booked
+                // against the tier's breaker. Unlike the real read path
+                // the simulator does not retry in place: a faulted read
+                // (counted as the retry it would have cost) falls back to
+                // the PFS at once.
                 let source_tier = ms.tier_dev.len() - 1;
                 let mut serve_tier = info.tier;
                 if info.tier != source_tier {
@@ -1039,50 +1040,22 @@ impl World {
                         }
                         None => false,
                     };
-                    let health = ms.book.hierarchy().health();
-                    let tier_health = health.tier(info.tier);
-                    if tier_health.is_quarantined() {
-                        if tier_health.probe_permit(t_us) {
-                            let cfg = health.config();
-                            tier_health.probe_result(!faulted, &cfg, t_us);
-                            ms.book.telemetry().event_at(
-                                t_us,
-                                EventKind::TierProbed {
-                                    tier: info.tier,
-                                    ok: !faulted,
-                                },
-                            );
-                            if faulted {
-                                serve_tier = source_tier;
-                            } else {
-                                ms.book.telemetry().stats().tier_recovery();
-                                ms.book
-                                    .telemetry()
-                                    .event_at(t_us, EventKind::TierRecovered { tier: info.tier });
-                            }
-                        } else {
-                            serve_tier = source_tier;
+                    let gate = ms.book.hierarchy().health().tier(info.tier).gate(|| t_us);
+                    if gate != Gate::Shut {
+                        let fault = faulted.then(|| {
+                            Error::Io(std::io::Error::new(
+                                std::io::ErrorKind::TimedOut,
+                                "injected device fault",
+                            ))
+                        });
+                        if faulted && gate == Gate::Open {
+                            ms.book.telemetry().stats().read_retry();
                         }
-                    } else if faulted {
-                        let cfg = health.config();
-                        ms.book.telemetry().stats().read_retry();
-                        let (state, transitioned) =
-                            tier_health.record_error(ErrorClass::Transient, &cfg, t_us);
-                        if transitioned && state == TierState::Quarantined {
-                            ms.book.telemetry().stats().tier_quarantine();
-                            ms.book.telemetry().event_at(
-                                t_us,
-                                EventKind::TierQuarantined {
-                                    tier: info.tier,
-                                    reason: "injected device fault".into(),
-                                },
-                            );
-                        }
-                        serve_tier = source_tier;
-                    } else {
-                        tier_health.record_success(&health.config(), t_us);
+                        let outcome = fault.as_ref().map_or(Ok(()), Err);
+                        ms.book.tier_settled(|| t_us, info.tier, gate, outcome);
                     }
-                    if serve_tier != info.tier {
+                    if gate == Gate::Shut || faulted {
+                        serve_tier = source_tier;
                         ms.book.telemetry().stats().degraded_read();
                     }
                 }
@@ -1092,18 +1065,7 @@ impl World {
                 // — one copy, higher priority, no duplicate.
                 let mut promoted = false;
                 if ms.prefetch_lookahead > 0 && ms.lanes.promote_where(|&s| s == shard) {
-                    ms.book.telemetry().stats().prefetch_promote();
-                    ms.book.telemetry().event_at(
-                        vmicros(now),
-                        EventKind::PrefetchPromoted { file: name.clone() },
-                    );
-                    ms.book.telemetry().observe().timeline().record_at(
-                        vmicros(now),
-                        name,
-                        info.tier,
-                        ResidencyEventKind::Promoted,
-                        TransitionCause::Demand,
-                    );
+                    ms.book.promoted(vmicros(now), name, info.tier);
                     promoted = true;
                 }
                 let bytes = self.geom.shards[shard].bytes;
@@ -1711,19 +1673,6 @@ impl World {
             ms.copy_started.remove(&shard);
             ms.copy_trace.remove(&shard);
             ms.prefetch_issued.remove(&shard);
-            let health = ms.book.hierarchy().health();
-            let cfg = health.config();
-            let (state, transitioned) = health.tier(tier).record_error(class, &cfg, t_us);
-            if transitioned && state == TierState::Quarantined {
-                ms.book.telemetry().stats().tier_quarantine();
-                ms.book.telemetry().event_at(
-                    t_us,
-                    EventKind::TierQuarantined {
-                        tier,
-                        reason: "copy write-back failed under injected fault".into(),
-                    },
-                );
-            }
             // The device error the real install would have come back with.
             let fault = Error::Io(match class {
                 ErrorClass::Capacity => std::io::Error::from_raw_os_error(28),
@@ -1732,6 +1681,7 @@ impl World {
                     "target tier failed during write-back",
                 ),
             });
+            ms.book.tier_settled(|| t_us, tier, Gate::Open, Err(&fault));
             ms.book
                 .unplaced(t_us, name, Some((tier, size)), Unplaced::Failed(&fault));
         }

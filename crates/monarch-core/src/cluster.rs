@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use crate::hash::hash_str;
-use crate::health::{ErrorClass, HealthConfig, TierHealth};
+use crate::health::{ErrorClass, Gate, TierHealth};
 use crate::hierarchy::StorageHierarchy;
 use crate::locks;
 use crate::metadata::{MetadataContainer, PlacementState};
@@ -690,7 +690,6 @@ pub struct Cluster {
     /// through as a half-open probe. A peer that answers (even with
     /// "not resident") is alive.
     peer_health: Vec<TierHealth>,
-    health_cfg: HealthConfig,
     epoch: Instant,
 }
 
@@ -712,7 +711,6 @@ impl Cluster {
             served: Arc::new(ServeCounters::default()),
             server: Mutex::new(None),
             peer_health,
-            health_cfg: HealthConfig::default(),
             epoch: Instant::now(),
         }
     }
@@ -814,27 +812,18 @@ impl Cluster {
         let Some(health) = self.peer_health.get(peer) else {
             return self.transport.fetch(peer, file);
         };
-        let now = self.now_us();
-        let mut probing = false;
-        if health.is_quarantined() {
-            if health.probe_permit(now) {
-                probing = true;
-            } else {
-                return Err(PeerError::Dead);
-            }
+        let gate = health.gate(|| self.now_us());
+        if gate == Gate::Shut {
+            return Err(PeerError::Dead);
         }
         let out = self.transport.fetch(peer, file);
-        let answered = !matches!(
-            &out,
-            Err(PeerError::Timeout | PeerError::Unavailable(_) | PeerError::Protocol(_))
-        );
-        if probing {
-            health.probe_result(answered, &self.health_cfg, self.now_us());
-        } else if answered {
-            health.record_success(&self.health_cfg, self.now_us());
-        } else {
-            let _ = health.record_error(ErrorClass::Transient, &self.health_cfg, self.now_us());
-        }
+        let answered = match &out {
+            Err(PeerError::Timeout | PeerError::Unavailable(_) | PeerError::Protocol(_)) => {
+                Err(ErrorClass::Transient)
+            }
+            _ => Ok(()),
+        };
+        health.settle(gate, answered, || self.now_us());
         out
     }
 
@@ -1220,7 +1209,8 @@ mod tests {
         // through; it succeeds and the peer is live again. (The default
         // cooldown is seconds of wall clock — too slow for a unit test —
         // so verify the probe path via the state machine directly.)
-        cluster.peer_health[1].probe_result(true, &cluster.health_cfg, cluster.now_us());
+        let peer = &cluster.peer_health[1];
+        peer.settle(peer.gate(|| u64::MAX), Ok(()), || u64::MAX);
         assert!(cluster.dead_peers().is_empty());
         transport.healthy.store(true, Ordering::SeqCst);
         assert_eq!(cluster.fetch_from(1, "f").unwrap(), b"f");

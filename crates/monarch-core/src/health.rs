@@ -11,14 +11,11 @@
 //! resident files are re-resolved down-hierarchy (ultimately to the PFS);
 //! after a cooldown, a single *half-open probe* is allowed to ride on a
 //! read (or a sim access) — success re-admits the tier, failure re-arms
-//! the cooldown.
-//!
-//! All state transitions take an explicit `now_us` timestamp so the same
-//! machine runs under the real clock (the registry's `Instant` origin) and
-//! the simulator's virtual clock.
+//! the cooldown. One gate and one settle drive the machine; what a
+//! transition books is [`crate::lifecycle::Lifecycle::tier_settled`]'s.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -93,50 +90,43 @@ pub fn device_error_class(err: &Error) -> Option<ErrorClass> {
     }
 }
 
-/// Tunables for the health state machine and the retry policy.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-#[serde(default)]
+/// Error-rate EWMA smoothing factor (weight of the newest observation).
+const EWMA_ALPHA: f64 = 0.3;
+/// Error-rate EWMA above which a closed tier becomes suspect.
+const SUSPECT_THRESHOLD: f64 = 0.3;
+/// Error-rate EWMA above which a tier is quarantined outright.
+const QUARANTINE_THRESHOLD: f64 = 0.6;
+/// Consecutive failures that quarantine a tier regardless of the EWMA.
+const FAILURE_LIMIT: u32 = 3;
+/// In-place retries of a transient failure: 3, backing off from 2 ms up to
+/// 200 ms.
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 3,
+    base_us: 2_000,
+    cap_us: 200_000,
+};
+
+/// The one settable knob of the state machine.
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthConfig {
-    /// EWMA smoothing factor for the per-tier error rate (weight of the
-    /// newest observation).
-    pub ewma_alpha: f64,
-    /// Error-rate EWMA above which a closed tier becomes suspect.
-    pub suspect_threshold: f64,
-    /// Error-rate EWMA above which a tier is quarantined outright.
-    pub quarantine_threshold: f64,
-    /// Consecutive failures that quarantine a tier regardless of EWMA.
-    pub consecutive_failure_limit: u32,
     /// Quarantine cooldown before a half-open probe is permitted, in
     /// microseconds (virtual microseconds under the simulator).
     pub probe_cooldown_us: u64,
-    /// Maximum in-place retries of a transient failure (attempt 0 is the
-    /// original try).
-    pub retry_max_attempts: u32,
-    /// Base backoff before the first retry, in microseconds.
-    pub retry_base_us: u64,
-    /// Backoff ceiling in microseconds.
-    pub retry_cap_us: u64,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         Self {
-            ewma_alpha: 0.3,
-            suspect_threshold: 0.3,
-            quarantine_threshold: 0.6,
-            consecutive_failure_limit: 3,
             probe_cooldown_us: 2_000_000,
-            retry_max_attempts: 3,
-            retry_base_us: 2_000,
-            retry_cap_us: 200_000,
         }
     }
 }
 
 /// Health state of one tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TierState {
     /// Healthy: reads and placements proceed normally.
+    #[default]
     Closed,
     /// Elevated error rate: still serving, but one more strike from
     /// quarantine.
@@ -158,11 +148,39 @@ impl TierState {
     }
 }
 
-#[derive(Debug)]
+/// May an operation go to the tier? What [`TierHealth::gate`] answers,
+/// handed back to [`TierHealth::settle`] with the operation's outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// The tier is not quarantined: go ahead.
+    Open,
+    /// The tier is quarantined and this operation holds its half-open
+    /// probe slot: go ahead, and settle the probe.
+    Probe,
+    /// The tier is quarantined: go elsewhere.
+    Shut,
+}
+
+/// A state transition [`TierHealth::settle`] made that is booked (journal,
+/// counters); the suspect ↔ closed flips are advisory and are not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transition {
+    /// Nothing to book.
+    None,
+    /// The tier entered quarantine.
+    Quarantined,
+    /// A half-open probe succeeded: the tier is closed again.
+    Recovered,
+    /// A half-open probe failed: the cooldown is re-armed.
+    ProbeFailed,
+}
+
+#[derive(Debug, Default)]
 struct HealthInner {
     state: TierState,
     error_ewma: f64,
     consecutive_failures: u32,
+    cooldown_us: u64,
     /// Earliest instant a half-open probe may be issued.
     probe_after_us: u64,
     probe_inflight: bool,
@@ -176,12 +194,15 @@ struct HealthInner {
 
 /// Per-tier health tracker: EWMA error rate + consecutive-failure counter
 /// feeding the closed → suspect → quarantined state machine with timed
-/// half-open probes. All methods take an explicit `now_us` so real and
-/// virtual clocks drive the same machine.
+/// half-open probes. It is driven by one pair of calls around each
+/// operation on the tier — [`Self::gate`] before, [`Self::settle`] after —
+/// and each takes the clock as a closure, so real and virtual clocks drive
+/// the same machine and a tier that never errored reads none.
 #[derive(Debug)]
 pub struct TierHealth {
-    /// Set on the first recorded error; lets `record_success` return
-    /// without locking while the tier has never misbehaved (the hot path).
+    /// Set on the first recorded error; lets the gate and a success
+    /// return without locking while the tier has never misbehaved (the
+    /// hot path).
     interesting: AtomicBool,
     inner: Mutex<HealthInner>,
 }
@@ -191,81 +212,106 @@ impl Default for TierHealth {
         Self {
             interesting: AtomicBool::new(false),
             inner: Mutex::new(HealthInner {
-                state: TierState::Closed,
-                error_ewma: 0.0,
-                consecutive_failures: 0,
-                probe_after_us: 0,
-                probe_inflight: false,
-                errors_total: 0,
-                successes_total: 0,
-                quarantines: 0,
-                probes: 0,
-                recoveries: 0,
-                last_transition_us: 0,
+                cooldown_us: HealthConfig::default().probe_cooldown_us,
+                ..HealthInner::default()
             }),
         }
     }
 }
 
 impl TierHealth {
-    /// Record a successful operation against the tier. Decays the error
-    /// EWMA and may close a suspect tier. Free (one relaxed load) while
-    /// the tier has never errored.
-    pub fn record_success(&self, cfg: &HealthConfig, now_us: u64) {
-        if self.interesting.load(Ordering::Relaxed) {
-            self.decay(cfg, now_us);
+    /// May an operation go to the tier now? [`Gate::Open`] unless it is
+    /// quarantined; then [`Gate::Probe`] for exactly one caller once the
+    /// cooldown has elapsed — who must settle that probe — and
+    /// [`Gate::Shut`] for everyone else. One relaxed load while the tier
+    /// has never errored; `now_us` is only called on a quarantined tier.
+    pub fn gate(&self, now_us: impl FnOnce() -> u64) -> Gate {
+        if !self.interesting.load(Ordering::Relaxed) {
+            return Gate::Open;
         }
-    }
-
-    /// A success on a tier that has errored before (`interesting` is set;
-    /// the caller tested it).
-    fn decay(&self, cfg: &HealthConfig, now_us: u64) {
         let mut inner = locks::lock(&self.inner);
-        inner.successes_total += 1;
-        inner.consecutive_failures = 0;
-        inner.error_ewma *= 1.0 - cfg.ewma_alpha;
-        if inner.state == TierState::Suspect && inner.error_ewma < cfg.suspect_threshold / 2.0 {
-            inner.state = TierState::Closed;
-            inner.last_transition_us = now_us;
+        if inner.state != TierState::Quarantined {
+            return Gate::Open;
         }
+        if inner.probe_inflight || now_us() < inner.probe_after_us {
+            return Gate::Shut;
+        }
+        inner.probe_inflight = true;
+        inner.probes += 1;
+        Gate::Probe
     }
 
-    /// Record a failed operation of class `class`; returns the state the
-    /// tier is in afterwards plus whether *this* call quarantined it (so
-    /// the caller journals the transition exactly once). `Capacity` errors
-    /// never count against the tier (a full device is not a broken
-    /// device).
-    pub fn record_error(
+    /// Feed the outcome of an operation that `gate` let through (a
+    /// [`Gate::Shut`] one never reached the tier: nothing happens) and
+    /// return the transition it made. A probe succeeds only on `Ok`:
+    /// success re-admits the tier (closed, counters reset), failure
+    /// re-arms the cooldown. Otherwise a success decays the error EWMA
+    /// and may close a suspect tier — one relaxed load while the tier has
+    /// never errored — and a transient or permanent error may make it
+    /// suspect or quarantine it. `Capacity` never counts against the tier
+    /// (a full device is not a broken device).
+    pub fn settle(
         &self,
-        class: ErrorClass,
-        cfg: &HealthConfig,
-        now_us: u64,
-    ) -> (TierState, bool) {
-        if class == ErrorClass::Capacity {
-            return (self.state(), false);
+        gate: Gate,
+        outcome: std::result::Result<(), ErrorClass>,
+        now_us: impl FnOnce() -> u64,
+    ) -> Transition {
+        match (gate, outcome) {
+            (Gate::Shut, _) | (Gate::Open, Err(ErrorClass::Capacity)) => Transition::None,
+            (Gate::Open, Ok(())) if !self.interesting.load(Ordering::Relaxed) => Transition::None,
+            (Gate::Open, Ok(())) => {
+                let mut inner = locks::lock(&self.inner);
+                inner.successes_total += 1;
+                inner.consecutive_failures = 0;
+                inner.error_ewma *= 1.0 - EWMA_ALPHA;
+                if inner.state == TierState::Suspect && inner.error_ewma < SUSPECT_THRESHOLD / 2.0 {
+                    inner.state = TierState::Closed;
+                    inner.last_transition_us = now_us();
+                }
+                Transition::None
+            }
+            (Gate::Open, Err(class)) => {
+                self.interesting.store(true, Ordering::Relaxed);
+                let mut inner = locks::lock(&self.inner);
+                inner.errors_total += 1;
+                inner.consecutive_failures += 1;
+                inner.error_ewma = EWMA_ALPHA + (1.0 - EWMA_ALPHA) * inner.error_ewma;
+                if inner.state != TierState::Quarantined
+                    && (class == ErrorClass::Permanent
+                        || inner.consecutive_failures >= FAILURE_LIMIT
+                        || inner.error_ewma >= QUARANTINE_THRESHOLD)
+                {
+                    let now = now_us();
+                    inner.state = TierState::Quarantined;
+                    inner.probe_after_us = now.saturating_add(inner.cooldown_us);
+                    inner.probe_inflight = false;
+                    inner.quarantines += 1;
+                    inner.last_transition_us = now;
+                    return Transition::Quarantined;
+                }
+                if inner.state == TierState::Closed && inner.error_ewma >= SUSPECT_THRESHOLD {
+                    inner.state = TierState::Suspect;
+                    inner.last_transition_us = now_us();
+                }
+                Transition::None
+            }
+            (Gate::Probe, outcome) => {
+                let now = now_us();
+                let mut inner = locks::lock(&self.inner);
+                inner.probe_inflight = false;
+                if outcome.is_err() {
+                    inner.errors_total += 1;
+                    inner.probe_after_us = now.saturating_add(inner.cooldown_us);
+                    return Transition::ProbeFailed;
+                }
+                inner.state = TierState::Closed;
+                inner.error_ewma = 0.0;
+                inner.consecutive_failures = 0;
+                inner.recoveries += 1;
+                inner.last_transition_us = now;
+                Transition::Recovered
+            }
         }
-        self.interesting.store(true, Ordering::Relaxed);
-        let mut inner = locks::lock(&self.inner);
-        inner.errors_total += 1;
-        inner.consecutive_failures += 1;
-        inner.error_ewma = cfg.ewma_alpha + (1.0 - cfg.ewma_alpha) * inner.error_ewma;
-        let mut transitioned = false;
-        if inner.state != TierState::Quarantined
-            && (class == ErrorClass::Permanent
-                || inner.consecutive_failures >= cfg.consecutive_failure_limit
-                || inner.error_ewma >= cfg.quarantine_threshold)
-        {
-            inner.state = TierState::Quarantined;
-            inner.probe_after_us = now_us.saturating_add(cfg.probe_cooldown_us);
-            inner.probe_inflight = false;
-            inner.quarantines += 1;
-            inner.last_transition_us = now_us;
-            transitioned = true;
-        } else if inner.state == TierState::Closed && inner.error_ewma >= cfg.suspect_threshold {
-            inner.state = TierState::Suspect;
-            inner.last_transition_us = now_us;
-        }
-        (inner.state, transitioned)
     }
 
     /// Current state.
@@ -282,43 +328,6 @@ impl TierHealth {
     #[must_use]
     pub fn is_quarantined(&self) -> bool {
         self.state() == TierState::Quarantined
-    }
-
-    /// Claim the half-open probe slot: returns `true` for exactly one
-    /// caller once the cooldown has elapsed. The winner must attempt one
-    /// operation against the tier and report back via [`Self::probe_result`].
-    pub fn probe_permit(&self, now_us: u64) -> bool {
-        if !self.interesting.load(Ordering::Relaxed) {
-            return false;
-        }
-        let mut inner = locks::lock(&self.inner);
-        if inner.state != TierState::Quarantined || inner.probe_inflight {
-            return false;
-        }
-        if now_us < inner.probe_after_us {
-            return false;
-        }
-        inner.probe_inflight = true;
-        inner.probes += 1;
-        true
-    }
-
-    /// Resolve an outstanding half-open probe: success re-admits the tier
-    /// (state back to closed, counters reset); failure re-arms the
-    /// quarantine cooldown.
-    pub fn probe_result(&self, ok: bool, cfg: &HealthConfig, now_us: u64) {
-        let mut inner = locks::lock(&self.inner);
-        inner.probe_inflight = false;
-        if ok {
-            inner.state = TierState::Closed;
-            inner.error_ewma = 0.0;
-            inner.consecutive_failures = 0;
-            inner.recoveries += 1;
-            inner.last_transition_us = now_us;
-        } else {
-            inner.errors_total += 1;
-            inner.probe_after_us = now_us.saturating_add(cfg.probe_cooldown_us);
-        }
     }
 
     fn snapshot(&self, tier: TierId, name: &str) -> TierHealthSnapshot {
@@ -409,15 +418,13 @@ impl HealthSnapshot {
     }
 }
 
-/// Hierarchy-wide health: one [`TierHealth`] per level plus the shared
-/// [`HealthConfig`]. Owned by the [`crate::StorageHierarchy`] so the read
-/// path, placement policies, transfer engine, and simulator all see the
-/// same trackers.
+/// Hierarchy-wide health: one [`TierHealth`] per level. Owned by the
+/// [`crate::StorageHierarchy`] so the read path, placement policies,
+/// transfer engine, and simulator all see the same trackers.
 #[derive(Debug)]
 pub struct HealthRegistry {
     names: Vec<String>,
     tiers: Vec<TierHealth>,
-    config: RwLock<HealthConfig>,
     origin: Instant,
 }
 
@@ -429,28 +436,15 @@ impl HealthRegistry {
         Self {
             names,
             tiers,
-            config: RwLock::new(HealthConfig::default()),
             origin: Instant::now(),
         }
     }
 
-    /// Replace the tunables (tests and the simulator use short cooldowns
-    /// and virtual-time scales).
+    /// Set every tier's probe cooldown (tests use short ones).
     pub fn set_config(&self, cfg: HealthConfig) {
-        *locks::write(&self.config) = cfg;
-    }
-
-    /// Current tunables.
-    #[must_use]
-    pub fn config(&self) -> HealthConfig {
-        locks::read(&self.config).clone()
-    }
-
-    /// Microseconds since the registry was created (the real-clock
-    /// timestamp source; the simulator passes virtual micros instead).
-    #[must_use]
-    pub fn now_us(&self) -> u64 {
-        u64::try_from(self.origin.elapsed().as_micros()).unwrap_or(u64::MAX)
+        for tier in &self.tiers {
+            locks::lock(&tier.inner).cooldown_us = cfg.probe_cooldown_us;
+        }
     }
 
     /// The tracker for `tier`. Panics on an out-of-range id (the registry
@@ -460,20 +454,13 @@ impl HealthRegistry {
         &self.tiers[tier]
     }
 
-    /// Record a success against `tier` at the registry clock. While the
-    /// tier has never errored this is one relaxed load: the config lock
-    /// and the clock are only touched once there is a rate to decay.
+    /// Record a success against `tier` outside any gate, at the
+    /// registry's own clock. While the tier has never errored this is one
+    /// relaxed load.
     pub fn record_success(&self, tier: TierId) {
-        let health = &self.tiers[tier];
-        if health.interesting.load(Ordering::Relaxed) {
-            health.decay(&locks::read(&self.config), self.now_us());
-        }
-    }
-
-    /// Record an error against `tier` at the registry clock; returns the
-    /// resulting state plus whether this call quarantined the tier.
-    pub fn record_error(&self, tier: TierId, class: ErrorClass) -> (TierState, bool) {
-        self.tiers[tier].record_error(class, &locks::read(&self.config), self.now_us())
+        self.tiers[tier].settle(Gate::Open, Ok(()), || {
+            u64::try_from(self.origin.elapsed().as_micros()).unwrap_or(u64::MAX)
+        });
     }
 
     /// True while any tier is quarantined.
@@ -482,10 +469,10 @@ impl HealthRegistry {
         self.tiers.iter().any(TierHealth::is_quarantined)
     }
 
-    /// The retry policy derived from the current config.
+    /// The retry policy of a transient failure.
     #[must_use]
     pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::from_config(&locks::read(&self.config))
+        RETRY
     }
 
     /// Snapshot every tier's tracker.
@@ -515,16 +502,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Derive the policy from a [`HealthConfig`].
-    #[must_use]
-    pub fn from_config(cfg: &HealthConfig) -> Self {
-        Self {
-            max_attempts: cfg.retry_max_attempts,
-            base_us: cfg.retry_base_us,
-            cap_us: cfg.retry_cap_us,
-        }
-    }
-
     /// Backoff before retry `attempt` (1-based), in microseconds:
     /// exponential growth capped at `cap_us`, with the upper half jittered
     /// deterministically from `salt` so concurrent retries of different
@@ -555,11 +532,16 @@ pub fn mix64(mut x: u64) -> u64 {
 mod tests {
     use super::*;
 
-    fn cfg() -> HealthConfig {
-        HealthConfig {
-            probe_cooldown_us: 1_000,
-            ..HealthConfig::default()
-        }
+    /// A tracker with a 1 ms cooldown.
+    fn tracker() -> TierHealth {
+        let h = TierHealth::default();
+        locks::lock(&h.inner).cooldown_us = 1_000;
+        h
+    }
+
+    /// Settle an operation through an open gate at `now`.
+    fn open(h: &TierHealth, outcome: std::result::Result<(), ErrorClass>, now: u64) -> Transition {
+        h.settle(Gate::Open, outcome, || now)
     }
 
     #[test]
@@ -585,76 +567,201 @@ mod tests {
         assert_eq!(device_error_class(&Error::ShutDown), None);
     }
 
+    /// DESIGN §10's diagram as a table: each state the gate can meet, each
+    /// outcome the operation it let through can have, and the state and
+    /// booked transition that follow.
     #[test]
-    fn consecutive_failures_quarantine() {
-        let h = TierHealth::default();
-        let c = cfg();
-        assert_eq!(
-            h.record_error(ErrorClass::Transient, &c, 0),
-            (TierState::Suspect, false)
-        );
-        assert_eq!(
-            h.record_error(ErrorClass::Transient, &c, 1),
-            (TierState::Suspect, false)
-        );
-        assert_eq!(
-            h.record_error(ErrorClass::Transient, &c, 2),
-            (TierState::Quarantined, true)
-        );
-        assert!(h.is_quarantined());
-        // Further errors while quarantined do not re-report the transition.
-        assert_eq!(
-            h.record_error(ErrorClass::Transient, &c, 3),
-            (TierState::Quarantined, false)
-        );
-    }
-
-    #[test]
-    fn permanent_error_quarantines_immediately() {
-        let h = TierHealth::default();
-        assert_eq!(
-            h.record_error(ErrorClass::Permanent, &cfg(), 0),
-            (TierState::Quarantined, true)
-        );
-    }
-
-    #[test]
-    fn capacity_errors_never_quarantine() {
-        let h = TierHealth::default();
-        let c = cfg();
-        for _ in 0..10 {
+    fn gate_and_settle_follow_the_state_diagram() {
+        use ErrorClass::{Capacity, Permanent, Transient};
+        use TierState::{Closed, Quarantined, Suspect};
+        #[derive(Debug, Clone, Copy)]
+        enum Start {
+            Closed,
+            Suspect,
+            InCooldown,
+            PastCooldown,
+        }
+        let rows = [
+            (Start::Closed, Ok(()), Gate::Open, Closed, Transition::None),
+            (
+                Start::Closed,
+                Err(Transient),
+                Gate::Open,
+                Suspect,
+                Transition::None,
+            ),
+            (
+                Start::Closed,
+                Err(Permanent),
+                Gate::Open,
+                Quarantined,
+                Transition::Quarantined,
+            ),
+            (
+                Start::Closed,
+                Err(Capacity),
+                Gate::Open,
+                Closed,
+                Transition::None,
+            ),
+            // One success takes the EWMA 0.3 → 0.21, not yet under 0.15.
+            (
+                Start::Suspect,
+                Ok(()),
+                Gate::Open,
+                Suspect,
+                Transition::None,
+            ),
+            (
+                Start::Suspect,
+                Err(Transient),
+                Gate::Open,
+                Suspect,
+                Transition::None,
+            ),
+            (
+                Start::Suspect,
+                Err(Permanent),
+                Gate::Open,
+                Quarantined,
+                Transition::Quarantined,
+            ),
+            (
+                Start::Suspect,
+                Err(Capacity),
+                Gate::Open,
+                Suspect,
+                Transition::None,
+            ),
+            // Nothing reaches a tier in its cooldown.
+            (
+                Start::InCooldown,
+                Ok(()),
+                Gate::Shut,
+                Quarantined,
+                Transition::None,
+            ),
+            (
+                Start::InCooldown,
+                Err(Transient),
+                Gate::Shut,
+                Quarantined,
+                Transition::None,
+            ),
+            (
+                Start::InCooldown,
+                Err(Permanent),
+                Gate::Shut,
+                Quarantined,
+                Transition::None,
+            ),
+            (
+                Start::InCooldown,
+                Err(Capacity),
+                Gate::Shut,
+                Quarantined,
+                Transition::None,
+            ),
+            // The half-open probe succeeds only on `Ok`.
+            (
+                Start::PastCooldown,
+                Ok(()),
+                Gate::Probe,
+                Closed,
+                Transition::Recovered,
+            ),
+            (
+                Start::PastCooldown,
+                Err(Transient),
+                Gate::Probe,
+                Quarantined,
+                Transition::ProbeFailed,
+            ),
+            (
+                Start::PastCooldown,
+                Err(Permanent),
+                Gate::Probe,
+                Quarantined,
+                Transition::ProbeFailed,
+            ),
+            (
+                Start::PastCooldown,
+                Err(Capacity),
+                Gate::Probe,
+                Quarantined,
+                Transition::ProbeFailed,
+            ),
+        ];
+        for (from, outcome, gate, state, transition) in rows {
+            let h = tracker();
+            let now = match from {
+                Start::Closed => 0,
+                Start::Suspect => {
+                    open(&h, Err(Transient), 0);
+                    0
+                }
+                Start::InCooldown => {
+                    open(&h, Err(Permanent), 0);
+                    500
+                }
+                Start::PastCooldown => {
+                    open(&h, Err(Permanent), 0);
+                    1_500
+                }
+            };
+            let row = format!("{from:?} × {outcome:?}");
+            assert_eq!(h.gate(|| now), gate, "{row}: gate");
             assert_eq!(
-                h.record_error(ErrorClass::Capacity, &c, 0),
-                (TierState::Closed, false)
+                h.settle(gate, outcome, || now),
+                transition,
+                "{row}: transition"
             );
+            assert_eq!(h.state(), state, "{row}: state");
         }
     }
 
     #[test]
+    fn consecutive_failures_quarantine() {
+        let h = tracker();
+        assert_eq!(open(&h, Err(ErrorClass::Transient), 0), Transition::None);
+        assert_eq!(open(&h, Err(ErrorClass::Transient), 1), Transition::None);
+        assert_eq!(h.state(), TierState::Suspect);
+        assert_eq!(
+            open(&h, Err(ErrorClass::Transient), 2),
+            Transition::Quarantined
+        );
+        assert!(h.is_quarantined());
+        // Further errors while quarantined do not re-report the transition.
+        assert_eq!(open(&h, Err(ErrorClass::Transient), 3), Transition::None);
+    }
+
+    #[test]
     fn successes_decay_suspect_back_to_closed() {
-        let h = TierHealth::default();
-        let c = cfg();
-        h.record_error(ErrorClass::Transient, &c, 0);
+        let h = tracker();
+        open(&h, Err(ErrorClass::Transient), 0);
         assert_eq!(h.state(), TierState::Suspect);
         for t in 1..20 {
-            h.record_success(&c, t);
+            open(&h, Ok(()), t);
         }
         assert_eq!(h.state(), TierState::Closed);
     }
 
     #[test]
     fn probe_gated_by_cooldown_and_exclusive() {
-        let h = TierHealth::default();
-        let c = cfg();
-        h.record_error(ErrorClass::Permanent, &c, 0);
-        assert!(!h.probe_permit(500), "cooldown not elapsed");
-        assert!(h.probe_permit(1_500));
-        assert!(!h.probe_permit(1_500), "probe slot is exclusive");
-        h.probe_result(false, &c, 1_500);
+        let h = tracker();
+        open(&h, Err(ErrorClass::Permanent), 0);
+        assert_eq!(h.gate(|| 500), Gate::Shut, "cooldown not elapsed");
+        assert_eq!(h.gate(|| 1_500), Gate::Probe);
+        assert_eq!(h.gate(|| 1_500), Gate::Shut, "probe slot is exclusive");
+        h.settle(Gate::Probe, Err(ErrorClass::Transient), || 1_500);
         assert!(h.is_quarantined());
-        assert!(!h.probe_permit(2_000), "failed probe re-arms the cooldown");
-        assert!(h.probe_permit(2_600));
-        h.probe_result(true, &c, 2_600);
+        assert_eq!(
+            h.gate(|| 2_000),
+            Gate::Shut,
+            "failed probe re-arms the cooldown"
+        );
+        assert_eq!(h.gate(|| 2_600), Gate::Probe);
+        h.settle(Gate::Probe, Ok(()), || 2_600);
         assert_eq!(h.state(), TierState::Closed);
         let snap = h.snapshot(0, "ssd");
         assert_eq!(snap.recoveries, 1);
@@ -663,9 +770,34 @@ mod tests {
     }
 
     #[test]
+    fn permanent_error_quarantines_immediately() {
+        let h = tracker();
+        assert_eq!(
+            open(&h, Err(ErrorClass::Permanent), 0),
+            Transition::Quarantined
+        );
+    }
+
+    #[test]
+    fn capacity_errors_never_quarantine() {
+        let h = tracker();
+        for _ in 0..10 {
+            assert_eq!(open(&h, Err(ErrorClass::Capacity), 0), Transition::None);
+        }
+        assert_eq!(h.state(), TierState::Closed);
+    }
+
+    /// A tier that never errored grants no probe and reads no clock.
+    #[test]
     fn healthy_tier_never_grants_probes() {
         let h = TierHealth::default();
-        assert!(!h.probe_permit(u64::MAX));
+        let clock = || -> u64 { panic!("a healthy tier read the clock") };
+        assert_eq!(h.gate(clock), Gate::Open);
+        assert_eq!(h.settle(Gate::Open, Ok(()), clock), Transition::None);
+        assert_eq!(
+            h.settle(Gate::Open, Err(ErrorClass::Capacity), clock),
+            Transition::None
+        );
         assert_eq!(h.state(), TierState::Closed);
     }
 
@@ -673,7 +805,8 @@ mod tests {
     fn registry_snapshot_and_degraded() {
         let reg = HealthRegistry::new(vec!["ssd".into(), "pfs".into()]);
         assert!(!reg.degraded());
-        reg.record_error(0, ErrorClass::Permanent);
+        reg.tier(0)
+            .settle(Gate::Open, Err(ErrorClass::Permanent), || 0);
         assert!(reg.degraded());
         let snap = reg.snapshot();
         assert!(snap.degraded);

@@ -1,4 +1,4 @@
-//! A copy's lifecycle, booked once.
+//! A copy's lifecycle, and its tiers' health, booked once.
 //!
 //! A file's copy onto a local tier goes through five transitions —
 //! [`scheduled`](Lifecycle::scheduled), [room made](Lifecycle::make_room),
@@ -7,7 +7,11 @@
 //! tier's quota, the counters, the journal, the policy engine's books, the
 //! residency timeline and the cluster view together. [`Lifecycle`] is the
 //! one place that does so: one function per transition, every step of it
-//! in a fixed order, under a timestamp the caller hands in. The
+//! in a fixed order, under a timestamp the caller hands in. So are two
+//! moves beside the copy's: what an operation on a tier did to the tier's
+//! breaker ([`tier_settled`](Lifecycle::tier_settled)), and a read that
+//! moved its file's queued prefetch copy onto the demand lane
+//! ([`promoted`](Lifecycle::promoted)). The
 //! [`TransferEngine`](crate::transfer::TransferEngine) calls it from pool
 //! threads under the registry's wall clock, the `dlpipe` simulator from
 //! its event loop under virtual time, so what a simulated run records
@@ -17,11 +21,12 @@
 //! the engine fills with `driver.remove` and the simulator with nothing,
 //! and fetching and installing are not this module's business at all.
 
+use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use crate::cluster::ClusterView;
-use crate::health::device_error_class;
+use crate::health::{device_error_class, ErrorClass, Gate, Transition};
 use crate::hierarchy::{Quota, StorageHierarchy, TierId};
 use crate::metadata::{MetadataContainer, PlacementState};
 use crate::observe::{ResidencyEventKind, TransitionCause};
@@ -165,13 +170,6 @@ impl Lifecycle {
 
     fn quota(&self, tier: TierId) -> Option<&Quota> {
         self.hierarchy.tier(tier).ok()?.quota.as_ref()
-    }
-
-    fn quarantined(&self) -> bool {
-        let health = self.hierarchy.health();
-        self.hierarchy
-            .local_tiers()
-            .any(|t| health.tier(t.id).is_quarantined())
     }
 
     /// The journal entry of one policy verdict.
@@ -421,6 +419,8 @@ impl Lifecycle {
                 reason,
             }
         };
+        // Is a local tier quarantined? (The source never is.)
+        let degraded = self.hierarchy.health().degraded();
         let mut terminal = false;
         let event = match why {
             Unplaced::Denied(point) => {
@@ -432,7 +432,7 @@ impl Lifecycle {
                     "admission policy refused the copy; the file stays on the PFS",
                 )
             }
-            Unplaced::NoRoom if self.quarantined() => {
+            Unplaced::NoRoom if degraded => {
                 requeued("placement skipped while a tier is quarantined".to_string())
             }
             Unplaced::NoRoom => {
@@ -443,7 +443,7 @@ impl Lifecycle {
                     reason: "no local tier had room".to_string(),
                 }
             }
-            Unplaced::Failed(e) if device_error_class(e).is_some() && self.quarantined() => {
+            Unplaced::Failed(e) if device_error_class(e).is_some() && degraded => {
                 requeued(format!("target tier quarantined: {e}"))
             }
             Unplaced::Failed(e) => failed(e.to_string()),
@@ -484,5 +484,74 @@ impl Lifecycle {
         self.telemetry.event_at(at, event);
         self.policy.unpin(file);
         let _ = self.metadata.abort_copy(file, terminal);
+    }
+
+    /// *Promoted*: a foreground read of `file`, resident on `tier`, moved
+    /// the file's still-queued prefetch copy onto the demand lane.
+    pub fn promoted(&self, at: u64, file: &str, tier: TierId) {
+        self.stats().prefetch_promote();
+        self.telemetry.event_at(
+            at,
+            EventKind::PrefetchPromoted {
+                file: file.to_string(),
+            },
+        );
+        self.telemetry.observe().timeline().record_at(
+            at,
+            file,
+            tier,
+            ResidencyEventKind::Promoted,
+            TransitionCause::Demand,
+        );
+    }
+
+    /// *Tier settled*: an operation on `tier` that `gate` let through came
+    /// to `outcome`; settle the tier's breaker with it
+    /// ([`TierHealth::settle`](crate::health::TierHealth::settle)). A
+    /// quarantine is counted and journalled with the error as its reason,
+    /// a probe's verdict is journalled, and a recovery counted. An error
+    /// that says nothing about the device ([`device_error_class`] is
+    /// `None`) settles only a probe. `at` is called only when the breaker
+    /// has something to time, so a healthy tier's success reads no clock.
+    ///
+    /// The source tier has no breaker: every degraded read ends at the
+    /// PFS, so nothing gates it and nothing may quarantine it. Its
+    /// outcomes book nothing.
+    pub fn tier_settled(
+        &self,
+        at: impl Fn() -> u64,
+        tier: TierId,
+        gate: Gate,
+        outcome: std::result::Result<(), &Error>,
+    ) {
+        if tier == self.hierarchy.source_id() {
+            return;
+        }
+        let class = match outcome.map_err(device_error_class) {
+            Ok(()) => Ok(()),
+            Err(Some(class)) => Err(class),
+            Err(None) if gate == Gate::Probe => Err(ErrorClass::Permanent),
+            Err(None) => return,
+        };
+        let stamp = OnceCell::new();
+        let at = || *stamp.get_or_init(&at);
+        let event = match self.hierarchy.health().tier(tier).settle(gate, class, at) {
+            Transition::None => return,
+            Transition::Quarantined => {
+                self.stats().tier_quarantine();
+                EventKind::TierQuarantined {
+                    tier,
+                    reason: outcome.err().map(ToString::to_string).unwrap_or_default(),
+                }
+            }
+            Transition::ProbeFailed => EventKind::TierProbed { tier, ok: false },
+            Transition::Recovered => {
+                self.stats().tier_recovery();
+                self.telemetry
+                    .event_at(at(), EventKind::TierProbed { tier, ok: true });
+                EventKind::TierRecovered { tier }
+            }
+        };
+        self.telemetry.event_at(at(), event);
     }
 }

@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use crate::builder::MonarchBuilder;
 use crate::cluster::Cluster;
 use crate::config::MonarchConfig;
+use crate::health::{device_error_class, ErrorClass, Gate};
 use crate::hierarchy::{StorageHierarchy, Tier};
 use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
@@ -36,7 +37,7 @@ use crate::observe::{ReadClass, ReadTiming};
 use crate::prefetch::AccessPlan;
 use crate::serve::MetricsServer;
 use crate::stats::{Stats, StatsSnapshot};
-use crate::telemetry::{EventKind, TelemetryRegistry, TelemetrySnapshot, TIMED_HIT_PERIOD};
+use crate::telemetry::{TelemetryRegistry, TelemetrySnapshot, TIMED_HIT_PERIOD};
 use crate::trace::{names, FlowPhase, SpanRecord};
 use crate::transfer::{ReadCtx, Sampler, StagedRead, TransferEngine};
 use crate::{Error, Result};
@@ -356,6 +357,8 @@ impl Monarch {
         read_id: u64,
     ) -> Result<Option<ReadAttempt<'_>>> {
         let health = self.hierarchy.health();
+        let book = self.engine.book();
+        let now = || self.telemetry.now_micros();
         let source_id = self.hierarchy.source_id();
         let profiled = self.telemetry.is_enabled();
         let mut attempts = 0u32;
@@ -375,22 +378,18 @@ impl Monarch {
             if offset >= info.size {
                 return Ok(None);
             }
-            let resident = self.hierarchy.tier(info.tier)?;
             // Pick the serving tier: normally the resident one; the PFS
-            // source when the resident tier is quarantined or already
-            // failed this read — unless this read wins the probe slot.
-            let mut probing = false;
-            let tier = if info.tier != source_id
-                && (fallback || health.tier(info.tier).is_quarantined())
-            {
-                if !fallback && health.tier(info.tier).probe_permit(health.now_us()) {
-                    probing = true;
-                    resident
-                } else {
-                    self.hierarchy.tier(source_id)?
-                }
-            } else {
-                resident
+            // source when the resident tier's gate is shut or the tier
+            // already failed this read. The source has no gate.
+            let gate = match (info.tier == source_id, fallback) {
+                (true, _) => Gate::Open,
+                (false, true) => Gate::Shut,
+                (false, false) => health.tier(info.tier).gate(now),
+            };
+            let probing = gate == Gate::Probe;
+            let tier = match gate {
+                Gate::Shut => self.hierarchy.tier(source_id)?,
+                _ => self.hierarchy.tier(info.tier)?,
             };
             let degraded = tier.id != info.tier;
             let hit = tier.id != source_id && !probing;
@@ -474,20 +473,7 @@ impl Monarch {
             }
             let e = match outcome {
                 Ok(n) => {
-                    if probing {
-                        health
-                            .tier(tier.id)
-                            .probe_result(true, &health.config(), health.now_us());
-                        self.stats.tier_recovery();
-                        self.telemetry.event(EventKind::TierProbed {
-                            tier: tier.id,
-                            ok: true,
-                        });
-                        self.telemetry
-                            .event(EventKind::TierRecovered { tier: tier.id });
-                    } else if !degraded && staged.is_none() {
-                        health.record_success(tier.id);
-                    }
+                    book.tier_settled(now, tier.id, gate, Ok(()));
                     return Ok(Some(ReadAttempt {
                         id,
                         info,
@@ -506,15 +492,9 @@ impl Monarch {
                 Err(e) => e,
             };
             if probing {
-                // Failed probe: re-arm the cooldown and serve this
-                // read from the source on the next iteration.
-                health
-                    .tier(tier.id)
-                    .probe_result(false, &health.config(), health.now_us());
-                self.telemetry.event(EventKind::TierProbed {
-                    tier: tier.id,
-                    ok: false,
-                });
+                // Failed probe: the cooldown re-arms, and the next pass
+                // finds the gate shut and serves this read from the source.
+                book.tier_settled(now, tier.id, gate, Err(&e));
                 continue;
             }
             let retry = health.retry_policy();
@@ -531,20 +511,13 @@ impl Monarch {
                 attempts += 1;
                 continue;
             }
-            let Some(class) = crate::health::device_error_class(&e) else {
+            let Some(class) = device_error_class(&e) else {
                 // Logic errors (unknown file, shutdown, injected
                 // test faults) propagate untouched.
                 return Err(e);
             };
-            let (_, quarantined_now) = health.record_error(tier.id, class);
-            if quarantined_now {
-                self.stats.tier_quarantine();
-                self.telemetry.event(EventKind::TierQuarantined {
-                    tier: tier.id,
-                    reason: format!("read failed: {e}"),
-                });
-            }
-            if class == crate::health::ErrorClass::Transient && attempts < retry.max_attempts {
+            book.tier_settled(now, tier.id, gate, Err(&e));
+            if class == ErrorClass::Transient && attempts < retry.max_attempts {
                 attempts += 1;
                 // A missing file retries immediately, as it always has;
                 // real device hiccups back off first.

@@ -1012,7 +1012,6 @@ fn half_open_probe_readmits_a_recovered_tier() {
     let (m, flaky) = flaky_monarch(1 << 20, 1, 1000);
     m.hierarchy().health().set_config(HealthConfig {
         probe_cooldown_us: 1_000,
-        ..HealthConfig::default()
     });
     let mut buf = vec![0u8; 100];
     m.read("f000", 0, &mut buf).unwrap();
@@ -1302,4 +1301,58 @@ fn source_error_in_the_first_reads_own_fetch_sends_it_down_the_plain_path() {
     assert_eq!(m.engine.staging_progress("f"), None);
     assert_eq!(m.metadata().get("f").unwrap().tier, 0);
     assert_eq!(m.read_full("f").unwrap(), doomed_bytes());
+}
+
+// -- the PFS source has no breaker ------------------------------------------
+
+/// Monarch over a [`FlakyDriver`] PFS holding the one file of
+/// [`doomed_source`], whose next read fails with a permanent error.
+fn monarch_over_a_failing_source(full_file_fetch: bool) -> Monarch {
+    let source = FlakyDriver::new(doomed_source());
+    source.script_reads([FlakyOutcome::Permanent]);
+    let m = MonarchBuilder::new()
+        .hierarchy(two_tier(
+            Arc::new(MemDriver::new("ssd")),
+            1 << 20,
+            Arc::new(source),
+        ))
+        .pool_threads(1)
+        .full_file_fetch(full_file_fetch)
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    m
+}
+
+/// Every degraded read ends at the PFS: a failure there is the operation's,
+/// never the source tier's, which nothing may quarantine.
+fn assert_the_source_is_never_quarantined(m: &Monarch) {
+    assert!(!m.hierarchy().health().snapshot().degraded);
+    assert_eq!(m.sampler().healthz(), "ok");
+    assert_eq!(m.stats().tier_quarantines, 0);
+    let events = m.telemetry().journal().events();
+    assert!(!events.iter().any(|e| e.kind.tag() == "tier_quarantined"));
+}
+
+#[test]
+fn a_copy_whose_source_fetch_fails_leaves_the_source_closed() {
+    let m = monarch_over_a_failing_source(true);
+    assert_eq!(m.prestage(), 1);
+    m.wait_placement_idle();
+    assert_eq!(m.stats().copies_failed, 1);
+    assert_the_source_is_never_quarantined(&m);
+    assert_eq!(m.read_full("f").unwrap(), doomed_bytes());
+}
+
+#[test]
+fn a_failed_plain_source_read_leaves_the_source_closed() {
+    // Without the full-file fetch a partial read places nothing: it is a
+    // plain read of the source.
+    let m = monarch_over_a_failing_source(false);
+    let mut buf = [0u8; 100];
+    assert!(m.read("f", 0, &mut buf).is_err());
+    assert_eq!(m.stats().copies_scheduled, 0);
+    assert_the_source_is_never_quarantined(&m);
+    assert_eq!(m.read("f", 0, &mut buf).unwrap(), 100);
+    assert_eq!(buf, doomed_bytes()[..100]);
 }

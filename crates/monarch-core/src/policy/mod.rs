@@ -752,9 +752,14 @@ mod tests {
 
     #[test]
     fn quarantined_tier_is_skipped_even_for_eviction() {
-        use crate::health::ErrorClass;
+        use crate::health::{ErrorClass, Gate};
+        let quarantine = |h: &StorageHierarchy| {
+            h.health()
+                .tier(0)
+                .settle(Gate::Open, Err(ErrorClass::Permanent), || 0)
+        };
         let h = hierarchy(&[100, 100]);
-        h.health().record_error(0, ErrorClass::Permanent);
+        quarantine(&h);
         assert!(h.health().tier(0).is_quarantined());
 
         let ff = engine(PolicyKind::FirstFit);
@@ -764,7 +769,7 @@ mod tests {
         // Fresh hierarchy (same quarantine) for the eviction half — the
         // first-fit probe above left its reservation on tier 1.
         let h = hierarchy(&[100, 100]);
-        h.health().record_error(0, ErrorClass::Permanent);
+        quarantine(&h);
         let lru = engine(PolicyKind::LruEvict);
         // Fill tier 1 so eviction would be the only way in.
         let d = lru.place(&h, "big", 100).unwrap().unwrap();

@@ -513,9 +513,11 @@ mod tests {
         let addr = m.serve("127.0.0.1:0").unwrap();
         assert_eq!(get_path(addr, "/healthz").1, "ok\n");
         // A permanent device error quarantines the tier instantly.
-        m.hierarchy()
-            .health()
-            .record_error(0, crate::health::ErrorClass::Permanent);
+        m.hierarchy().health().tier(0).settle(
+            crate::health::Gate::Open,
+            Err(crate::health::ErrorClass::Permanent),
+            || 0,
+        );
         assert_eq!(get_path(addr, "/healthz").1, "degraded\n");
         // The snapshot carries the health section with the quarantined tier.
         let (status, body) = get_path(addr, "/snapshot");

@@ -35,12 +35,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::cluster::{Cluster, ClusterView, PeerError};
-use crate::health::{device_error_class, ErrorClass};
+use crate::health::{device_error_class, ErrorClass, Gate};
 use crate::hierarchy::TierId;
 use crate::lifecycle::{Evict, Lifecycle, Reservation, Unplaced};
 use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
-use crate::observe::{ReadClass, ReadTiming, ResidencyEventKind, TransitionCause};
+use crate::observe::{ReadClass, ReadTiming, TransitionCause};
 use crate::policy::FeatureSource;
 use crate::pool::{Lane, PoolProbe, TaskCtx, ThreadPool};
 use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow};
@@ -485,6 +485,12 @@ impl TransferEngine {
         self.book.metadata()
     }
 
+    /// The books of the instance's copies and tiers.
+    #[must_use]
+    pub(crate) fn book(&self) -> &Lifecycle {
+        &self.book
+    }
+
     /// Hand a placement copy to the pool if this request wins the
     /// `Unplaced → Copying` race. Returns whether a copy was scheduled.
     ///
@@ -895,17 +901,8 @@ impl TransferEngine {
                 // letting the demand path wait behind unrelated prefetches
                 // (it cannot enqueue a duplicate: the metadata CAS is held
                 // by the queued job).
-                self.book.stats().prefetch_promote();
-                self.book.telemetry().event(EventKind::PrefetchPromoted {
-                    file: file.to_string(),
-                });
-                self.book.telemetry().observe().timeline().record_at(
-                    self.book.telemetry().now_micros(),
-                    file,
-                    served,
-                    ResidencyEventKind::Promoted,
-                    TransitionCause::Demand,
-                );
+                self.book
+                    .promoted(self.book.telemetry().now_micros(), file, served);
             }
         }
         // The cursor moved: more of the plan may now be issued.
@@ -1366,12 +1363,12 @@ impl CopyJob {
         // they are released or become the file's, once.
         lease.reserved.set(Some((decision.tier, size)));
 
-        // The install either succeeds or reports *which* tier failed, so
-        // health accounting blames the source on a failed read and the
-        // destination on a failed write. It fills the staging from its
-        // watermark — whatever the triggering read, foreground reads at the
-        // frontier, or an earlier attempt already fetched is not fetched
-        // again — then writes the finished buffer out.
+        // The install either succeeds or reports *which* tier failed: a
+        // failed write is settled against the destination's breaker, a
+        // failed read against the source's, which has none. It fills the
+        // staging from its watermark — whatever the triggering read,
+        // foreground reads at the frontier, or an earlier attempt already
+        // fetched is not fetched again — then writes the finished buffer out.
         let staging = &lease.staging;
         let install = || -> std::result::Result<(), (TierId, Error)> {
             let source = hierarchy.source();
@@ -1443,10 +1440,10 @@ impl CopyJob {
         // retry in place; ENOSPC (the quota had room but the device
         // disagrees — accounting drift or a shared device filling up
         // outside Monarch) evicts one resident file and retries once;
-        // anything else fails the copy. Every device error feeds the tier
-        // health tracker of the tier that produced it.
-        let health = hierarchy.health();
-        let retry = health.retry_policy();
+        // anything else fails the copy. Every device error is settled
+        // against the tier that produced it.
+        let now = || telemetry.now_micros();
+        let retry = hierarchy.health().retry_policy();
         let mut attempts = 0u32;
         let mut evicted_for_space = false;
         let failure = loop {
@@ -1457,14 +1454,7 @@ impl CopyJob {
             let Some(class) = device_error_class(&e) else {
                 break Some(e);
             };
-            let (_, quarantined_now) = health.record_error(err_tier, class);
-            if quarantined_now {
-                stats.tier_quarantine();
-                telemetry.event(EventKind::TierQuarantined {
-                    tier: err_tier,
-                    reason: format!("copy of '{file}' failed: {e}"),
-                });
-            }
+            book.tier_settled(now, err_tier, Gate::Open, Err(&e));
             match class {
                 ErrorClass::Transient if attempts < retry.max_attempts => {
                     attempts += 1;
@@ -1489,7 +1479,7 @@ impl CopyJob {
                     0
                 };
                 lease.placed(decision.tier, started.elapsed())?;
-                health.record_success(decision.tier);
+                book.tier_settled(now, decision.tier, Gate::Open, Ok(()));
                 if let Some(ct) = ct {
                     tr.record(
                         SpanRecord::new(

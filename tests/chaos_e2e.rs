@@ -63,7 +63,6 @@ fn chaos_rig(
     // Short probe cooldown so recovery happens within the test.
     hierarchy.health().set_config(HealthConfig {
         probe_cooldown_us: 1_000,
-        ..HealthConfig::default()
     });
     let m = MonarchBuilder::new()
         .hierarchy(hierarchy)
