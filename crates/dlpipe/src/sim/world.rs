@@ -11,14 +11,13 @@ use monarch_core::health::{ErrorClass, Gate};
 use monarch_core::hierarchy::StorageHierarchy;
 use monarch_core::lifecycle::{Lifecycle, Unplaced};
 use monarch_core::metadata::PlacementState;
-use monarch_core::observe::{
-    LedgerBuckets, LedgerSnapshot, ObserveReport, ReadClass, ReadTiming, TransitionCause,
-};
+use monarch_core::observe::{LedgerBuckets, LedgerSnapshot, ObserveReport, ReadClass, ReadTiming};
 use monarch_core::policy::{FeatureSource, PolicyEngine};
 use monarch_core::pool::Lane;
 use monarch_core::stats::Stats;
 use monarch_core::telemetry::{
     EventKind, PipelineSample, PrefetchSample, TelemetryRegistry, ThroughputSampler,
+    TransitionCause,
 };
 use monarch_core::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
 use monarch_core::{Error, LaneQueues, StorageDriver};
@@ -891,7 +890,7 @@ impl World {
         // Clairvoyant mode: the shuffled order *is* the epoch's access
         // plan — hand it to the prefetcher before the readers start.
         if let Some(ms) = self.monarch.as_mut() {
-            ms.epoch_ledger = ms.book.telemetry().observe().profiler().ledger();
+            ms.epoch_ledger = ms.book.telemetry().profiler().ledger();
             if ms.prefetch_lookahead > 0 {
                 // Hand the epoch's read order to the policy engine: the
                 // clairvoyant eviction ranks by next use, and the plan
@@ -938,7 +937,7 @@ impl World {
         // Attribute this epoch's wall from the ledger delta since the
         // epoch began; the reader count is the fold-down concurrency.
         let observe = self.monarch.as_ref().and_then(|ms| {
-            let p = ms.book.telemetry().observe().profiler();
+            let p = ms.book.telemetry().profiler();
             p.is_enabled().then(|| {
                 let delta = p.ledger().delta(&ms.epoch_ledger);
                 LedgerBuckets::from_ledger(&delta, seconds, self.readers.len())
@@ -1065,7 +1064,7 @@ impl World {
                 // — one copy, higher priority, no duplicate.
                 let mut promoted = false;
                 if ms.prefetch_lookahead > 0 && ms.lanes.promote_where(|&s| s == shard) {
-                    ms.book.promoted(vmicros(now), name, info.tier);
+                    ms.book.promoted(vmicros(now), name);
                     promoted = true;
                 }
                 let bytes = self.geom.shards[shard].bytes;
@@ -1331,7 +1330,7 @@ impl World {
         let Some(ms) = self.monarch.as_ref() else {
             return;
         };
-        let profiler = ms.book.telemetry().observe().profiler();
+        let profiler = ms.book.telemetry().profiler();
         if !profiler.is_enabled() {
             return;
         }
@@ -1488,15 +1487,11 @@ impl World {
                         // The staged bytes are servable from here on:
                         // this is the instant the waste detector compares
                         // later reads against.
-                        ms.book
-                            .telemetry()
-                            .observe()
-                            .profiler()
-                            .record_prefetch_staged(
-                                &self.shard_names[shard],
-                                self.geom.shards[shard].bytes,
-                                vmicros(now),
-                            );
+                        ms.book.telemetry().profiler().record_prefetch_staged(
+                            &self.shard_names[shard],
+                            self.geom.shards[shard].bytes,
+                            vmicros(now),
+                        );
                     }
                     ms.waiting_readers.remove(&shard).unwrap_or_default()
                 };
@@ -1809,7 +1804,7 @@ impl World {
                 .remove(&r)
                 .map(|at| vmicros(now - at))
                 .unwrap_or(0);
-            let profiler = ms.book.telemetry().observe().profiler();
+            let profiler = ms.book.telemetry().profiler();
             if profiler.is_enabled() {
                 // A reader that parked on the staging copy books its wait
                 // as the pread of a prefetch-lag read (the prefetcher

@@ -30,15 +30,15 @@ pub enum Command {
         /// Placement policy override.
         policy: Option<PolicyKind>,
     },
-    /// Initialise the middleware and print the composed policy engine:
-    /// the admission/eviction/scorer triple and its decision counters.
-    Policy {
+    /// Initialise the middleware and print its state document (the one
+    /// `/snapshot` serves) as JSON: whole, or one top-level key of it.
+    Snapshot {
         /// Path to a `MonarchConfig` JSON file.
         config: PathBuf,
+        /// The top-level key to print (`None` = the whole document).
+        section: Option<String>,
         /// Policy override (same spellings as `stage --policy`).
         policy: Option<PolicyKind>,
-        /// Emit the snapshot as JSON instead of the human table.
-        json: bool,
     },
     /// Initialise the middleware and print the namespace summary.
     Inspect {
@@ -63,13 +63,11 @@ pub enum Command {
         /// of the read cursor (`0` = use the config file's setting).
         prefetch: usize,
     },
-    /// Render the telemetry registry (same registry the FFI exposes via
-    /// `monarch_metrics_text`).
+    /// Render the telemetry registry as Prometheus text (the same text
+    /// the FFI exposes via `monarch_metrics_text`).
     Metrics {
         /// Path to a `MonarchConfig` JSON file.
         config: PathBuf,
-        /// Output format.
-        format: MetricsFormat,
         /// Re-render every N seconds until interrupted.
         watch: Option<f64>,
     },
@@ -103,18 +101,11 @@ pub enum Command {
         json: bool,
     },
     /// Initialise the middleware in cluster mode and print the node
-    /// roster plus shard statistics for the scanned namespace.
+    /// roster plus the shard load over the scanned namespace (which the
+    /// snapshot does not carry).
     Cluster {
         /// Path to a `MonarchConfig` JSON file (must carry a `cluster`
         /// section).
-        config: PathBuf,
-        /// Emit the snapshot as JSON instead of the human table.
-        json: bool,
-    },
-    /// Initialise the middleware and print the per-tier health table
-    /// (state machine, error rates, quarantine/probe counters).
-    Health {
-        /// Path to a `MonarchConfig` JSON file.
         config: PathBuf,
         /// Emit the snapshot as JSON instead of the human table.
         json: bool,
@@ -140,15 +131,6 @@ pub enum Command {
     },
 }
 
-/// Output format for `monarch metrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsFormat {
-    /// Prometheus-style exposition text.
-    Text,
-    /// Pretty-printed `TelemetrySnapshot` JSON.
-    Json,
-}
-
 impl Command {
     /// Usage text.
     #[must_use]
@@ -156,15 +138,15 @@ impl Command {
         "usage:\n  \
          monarch gen-dataset --dir DIR --bytes N --samples N [--seed N]\n  \
          monarch stage       --config CFG.json [--policy KIND]\n  \
-         monarch policy      --config CFG.json [--policy KIND] [--json]\n  \
          \x20                (KIND: first_fit|lru_evict|clairvoyant|learned)\n  \
+         monarch snapshot    --config CFG.json [--section KEY] [--policy KIND]\n  \
+         \x20                (KEY: a top-level key of the state document, e.g. stats|health|policy|observe)\n  \
          monarch inspect     --config CFG.json\n  \
          monarch epoch|run   --config CFG.json --data DIR [--readers N] [--chunk BYTES] [--epochs N] [--prefetch N]\n  \
-         monarch metrics     --config CFG.json [--format text|json] [--watch SECS]\n  \
+         monarch metrics     --config CFG.json [--watch SECS]\n  \
          monarch serve       --config CFG.json [--addr HOST:PORT] [--duration SECS]\n  \
          monarch report      --config CFG.json [--chunk BYTES] [--epochs N] [--prefetch N] [--top K] [--json]\n  \
-         monarch cluster     --config CFG.json [--json]\n  \
-         monarch health      --config CFG.json [--json]\n  \
+         monarch cluster     --config CFG.json [--json]   (shard load over the namespace; not in the snapshot)\n  \
          monarch trace       --config CFG.json --data DIR --out TRACE.json [--readers N] [--chunk BYTES] [--duration SECS] [--sample N]"
     }
 
@@ -224,10 +206,10 @@ impl Command {
                 config: PathBuf::from(get("config")?),
                 policy: parse_policy_flag(&flags)?,
             }),
-            "policy" => Ok(Command::Policy {
+            "snapshot" => Ok(Command::Snapshot {
                 config: PathBuf::from(get("config")?),
+                section: flags.get("section").cloned(),
                 policy: parse_policy_flag(&flags)?,
-                json: matches!(flags.get("json").map(String::as_str), Some("true")),
             }),
             "inspect" => Ok(Command::Inspect {
                 config: PathBuf::from(get("config")?),
@@ -242,11 +224,6 @@ impl Command {
             }),
             "metrics" => Ok(Command::Metrics {
                 config: PathBuf::from(get("config")?),
-                format: match flags.get("format").map(String::as_str) {
-                    None | Some("text") => MetricsFormat::Text,
-                    Some("json") => MetricsFormat::Json,
-                    Some(other) => return Err(format!("unknown format: {other}")),
-                },
                 watch: match flags.get("watch") {
                     None => None,
                     Some(v) => match v.parse::<f64>() {
@@ -289,10 +266,6 @@ impl Command {
                 json: matches!(flags.get("json").map(String::as_str), Some("true")),
             }),
             "cluster" => Ok(Command::Cluster {
-                config: PathBuf::from(get("config")?),
-                json: matches!(flags.get("json").map(String::as_str), Some("true")),
-            }),
-            "health" => Ok(Command::Health {
                 config: PathBuf::from(get("config")?),
                 json: matches!(flags.get("json").map(String::as_str), Some("true")),
             }),
@@ -354,8 +327,8 @@ fn load_monarch(
     }
     let m = Monarch::new(cfg).map_err(|e| format!("build middleware: {e}"))?;
     let report = m.init().map_err(|e| format!("namespace scan: {e}"))?;
-    // Status goes to stderr: commands like `health --json` must keep
-    // stdout machine-parseable.
+    // Status goes to stderr: commands like `snapshot` must keep stdout
+    // machine-parseable.
     eprintln!(
         "namespace: {} files, {:.1} MiB, scanned in {:?}",
         report.files,
@@ -398,47 +371,23 @@ pub fn run(cmd: Command) -> Result<(), String> {
             println!("residency per tier: {hist:?}");
             Ok(())
         }
-        Command::Policy {
+        Command::Snapshot {
             config,
+            section,
             policy,
-            json,
         } => {
             let m = load_monarch(&config, policy, None)?;
-            let snap = m
+            let doc = m
                 .telemetry_snapshot()
-                .policy
-                .ok_or("snapshot carries no policy section")?;
-            if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&snap).map_err(|e| e.to_string())?
-                );
-            } else {
-                println!("policy: {}", snap.name);
-                println!("  admission: {}", snap.admission);
-                println!(
-                    "  eviction:  {} ({})",
-                    snap.eviction,
-                    if snap.may_evict {
-                        "may evict"
-                    } else {
-                        "never evicts"
-                    }
-                );
-                println!("  scorer:    {}", snap.scorer);
-                println!(
-                    "  demand admits/denials:   {} / {}",
-                    snap.demand_admits, snap.demand_denials
-                );
-                println!(
-                    "  prefetch admits/denials: {} / {}",
-                    snap.prefetch_admits, snap.prefetch_denials
-                );
-                println!(
-                    "  evictions selected: {} (+{} under pressure), {} pinned",
-                    snap.evictions_selected, snap.pressure_victims, snap.pinned
-                );
-            }
+                .section(section.as_deref())
+                .ok_or_else(|| {
+                    format!("the snapshot has no `{}` key", section.unwrap_or_default())
+                })?;
+            println!(
+                "{}",
+                serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?
+            );
+            m.shutdown();
             Ok(())
         }
         Command::Inspect { config } => {
@@ -525,26 +474,15 @@ pub fn run(cmd: Command) -> Result<(), String> {
             );
             Ok(())
         }
-        Command::Metrics {
-            config,
-            format,
-            watch,
-        } => {
+        Command::Metrics { config, watch } => {
             let m = load_monarch(&config, None, None)?;
-            let render = |m: &Monarch| -> Result<String, String> {
-                match format {
-                    MetricsFormat::Text => Ok(m.metrics_text()),
-                    MetricsFormat::Json => serde_json::to_string_pretty(&m.telemetry_snapshot())
-                        .map_err(|e| e.to_string()),
-                }
-            };
             match watch {
-                None => println!("{}", render(&m)?),
-                // Both renderers are non-draining (snapshots, not queue
-                // pops), so every tick sees the full cumulative state —
-                // a watch loop never steals events from another consumer.
+                None => println!("{}", m.metrics_text()),
+                // The text is rendered from a snapshot, not popped off a
+                // queue, so every tick sees the full cumulative state — a
+                // watch loop never steals events from another consumer.
                 Some(secs) => loop {
-                    println!("{}", render(&m)?);
+                    println!("{}", m.metrics_text());
                     std::thread::sleep(std::time::Duration::from_secs_f64(secs));
                 },
             }
@@ -707,23 +645,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
             m.shutdown();
             Ok(())
         }
-        Command::Health { config, json } => {
-            let m = load_monarch(&config, None, None)?;
-            let snap = m
-                .telemetry_snapshot()
-                .health
-                .ok_or("snapshot carries no health section")?;
-            if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&snap).map_err(|e| e.to_string())?
-                );
-            } else {
-                print!("{}", snap.render_table());
-            }
-            m.shutdown();
-            Ok(())
-        }
         Command::Trace {
             config,
             data,
@@ -845,29 +766,40 @@ mod tests {
     }
 
     #[test]
-    fn parses_policy_view() {
-        let cmd = parse(&["policy", "--config", "c.json"]).unwrap();
+    fn parses_snapshot_view() {
+        let cmd = parse(&["snapshot", "--config", "c.json"]).unwrap();
         assert_eq!(
             cmd,
-            Command::Policy {
+            Command::Snapshot {
                 config: PathBuf::from("c.json"),
-                policy: None,
-                json: false
+                section: None,
+                policy: None
             }
         );
         let cmd = parse(&[
-            "policy", "--config", "c.json", "--policy", "learned", "--json",
+            "snapshot",
+            "--config",
+            "c.json",
+            "--section",
+            "policy",
+            "--policy",
+            "learned",
         ])
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Policy {
+            Command::Snapshot {
                 config: PathBuf::from("c.json"),
-                policy: Some(PolicyKind::Learned),
-                json: true
+                section: Some("policy".to_string()),
+                policy: Some(PolicyKind::Learned)
             }
         );
-        assert!(parse(&["policy", "--config", "c", "--policy", "nope"]).is_err());
+        assert!(parse(&["snapshot", "--config", "c", "--policy", "nope"]).is_err());
+        assert!(parse(&["snapshot", "--config", "c", "--section"]).is_err());
+        assert!(parse(&["snapshot"]).is_err(), "missing --config");
+        // The views it replaces are gone.
+        assert!(parse(&["policy", "--config", "c"]).is_err());
+        assert!(parse(&["health", "--config", "c"]).is_err());
     }
 
     #[test]
@@ -919,19 +851,14 @@ mod tests {
             cmd,
             Command::Metrics {
                 config: PathBuf::from("c.json"),
-                format: MetricsFormat::Text,
                 watch: None
             }
         );
-        let cmd = parse(&[
-            "metrics", "--config", "c.json", "--format", "json", "--watch", "0.5",
-        ])
-        .unwrap();
+        let cmd = parse(&["metrics", "--config", "c.json", "--watch", "0.5"]).unwrap();
         assert_eq!(
             cmd,
             Command::Metrics {
                 config: PathBuf::from("c.json"),
-                format: MetricsFormat::Json,
                 watch: Some(0.5)
             }
         );
@@ -1022,21 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_health_defaults_and_json_switch() {
-        let cmd = parse(&["health", "--config", "c.json"]).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Health {
-                config: PathBuf::from("c.json"),
-                json: false
-            }
-        );
-        let cmd = parse(&["health", "--config", "c.json", "--json"]).unwrap();
-        assert!(matches!(cmd, Command::Health { json: true, .. }));
-        assert!(parse(&["health"]).is_err(), "missing --config");
-    }
-
-    #[test]
     fn parses_trace_defaults_and_overrides() {
         let cmd = parse(&[
             "trace", "--config", "c.json", "--data", "/d", "--out", "t.json",
@@ -1095,7 +1007,6 @@ mod tests {
         assert!(parse(&["stage", "--config", "c", "--policy", "nope"]).is_err());
         assert!(parse(&["epoch", "--config", "c", "--data", "/d", "--readers", "x"]).is_err());
         assert!(parse(&["gen-dataset", "stray", "--dir", "x"]).is_err());
-        assert!(parse(&["metrics", "--config", "c", "--format", "yaml"]).is_err());
         assert!(parse(&["metrics", "--config", "c", "--watch", "-1"]).is_err());
         assert!(parse(&["metrics", "--config", "c", "--watch", "soon"]).is_err());
         assert!(
@@ -1179,19 +1090,27 @@ mod tests {
             prefetch: 8,
         })
         .unwrap();
-        // One-shot metrics renders in both formats against the same config.
+        // One-shot metrics text, and the state document whole and by
+        // section, against the same config; a key it lacks is an error.
         run(Command::Metrics {
             config: cfg_path.clone(),
-            format: MetricsFormat::Text,
             watch: None,
         })
         .unwrap();
-        run(Command::Metrics {
+        for section in [None, Some("health".to_string())] {
+            run(Command::Snapshot {
+                config: cfg_path.clone(),
+                section,
+                policy: None,
+            })
+            .unwrap();
+        }
+        assert!(run(Command::Snapshot {
             config: cfg_path.clone(),
-            format: MetricsFormat::Json,
-            watch: None,
+            section: Some("bogus".to_string()),
+            policy: None,
         })
-        .unwrap();
+        .is_err());
         // The report subcommand runs its own plan-driven epoch loop and
         // prints the bottleneck-attribution table.
         run(Command::Report {

@@ -11,8 +11,8 @@
 //!   every logical file to its *owner* node. All nodes compute the same
 //!   assignment from `(nodes, shard_seed)` with no coordination.
 //! - [`ClusterView`] — which nodes currently *hold* which file, fed from
-//!   the transfer engine's admit/evict transitions (the same hooks that
-//!   feed the residency timeline).
+//!   the copy lifecycle's placed/evicted transitions (the same ones the
+//!   journal records).
 //! - [`PeerTransport`] — the fetch abstraction. [`TcpPeerTransport`] is a
 //!   real std-only TCP client (length-prefixed request/response, bounded
 //!   per-peer connection pool, timeouts, one retry); paper-scale runs use
@@ -235,8 +235,8 @@ impl ShardMap {
 
 /// Which node currently holds which file on a fast (local) tier.
 ///
-/// Fed from the transfer engine's admit/evict transitions — the same spots
-/// that feed the residency timeline — so it tracks *actual* residency, not
+/// Fed from the copy lifecycle's placed/evicted transitions — the same ones
+/// the journal records — so it tracks *actual* residency, not
 /// the shard map's intent. Holder sets are bitmasks, which caps the
 /// tracked membership at 64 nodes; beyond that the extra nodes simply stop
 /// being tracked (the shard map itself has no such bound).

@@ -152,7 +152,7 @@ impl AdmissionKind {
 pub struct TelemetryConfig {
     /// Master switch: when false no histograms are recorded, drivers are
     /// not wrapped, and the journal and the workload observatory (access
-    /// profiler, stall profile, residency timeline) are off.
+    /// profiler, stall profile) are off.
     #[serde(default = "default_true")]
     pub enabled: bool,
     /// Record a causal span tree for every N-th `read` (plus the copy it

@@ -386,38 +386,6 @@ pub struct HealthSnapshot {
     pub tiers: Vec<TierHealthSnapshot>,
 }
 
-impl HealthSnapshot {
-    /// Render the per-tier health table (`monarch health` output).
-    #[must_use]
-    pub fn render_table(&self) -> String {
-        let mut o = String::with_capacity(512);
-        o.push_str(if self.degraded {
-            "hierarchy: DEGRADED (at least one tier quarantined)\n"
-        } else {
-            "hierarchy: healthy\n"
-        });
-        o.push_str(
-            "tier  name          state        ewma   consec  errors  successes  quar  probes  recov\n",
-        );
-        for t in &self.tiers {
-            o.push_str(&format!(
-                "{:>4}  {:<12}  {:<11}  {:>5.2}  {:>6}  {:>6}  {:>9}  {:>4}  {:>6}  {:>5}\n",
-                t.tier,
-                t.name,
-                t.state,
-                t.error_ewma,
-                t.consecutive_failures,
-                t.errors_total,
-                t.successes_total,
-                t.quarantines,
-                t.probes,
-                t.recoveries,
-            ));
-        }
-        o
-    }
-}
-
 /// Hierarchy-wide health: one [`TierHealth`] per level. Owned by the
 /// [`crate::StorageHierarchy`] so the read path, placement policies,
 /// transfer engine, and simulator all see the same trackers.

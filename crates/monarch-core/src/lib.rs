@@ -86,9 +86,7 @@ pub use hierarchy::{StorageHierarchy, Tier, TierId};
 pub use lifecycle::Lifecycle;
 pub use metadata::MetadataContainer;
 pub use middleware::{InitReport, Monarch};
-pub use observe::{
-    AccessProfiler, Observatory, ObserveReport, ObserveSnapshot, ReadClass, ResidencyTimeline,
-};
+pub use observe::{AccessProfiler, ObserveReport, ObserveSnapshot, ReadClass};
 pub use policy::{
     AdmissionPolicy, DecisionPoint, EvictionPolicy, FeatureSource, FileFeatures, PlacementDecision,
     PlacementScorer, PolicyEngine, PolicySnapshot,

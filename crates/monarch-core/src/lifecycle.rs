@@ -4,8 +4,8 @@
 //! [`scheduled`](Lifecycle::scheduled), [room made](Lifecycle::make_room),
 //! [`placed`](Lifecycle::placed), [`unplaced`](Lifecycle::unplaced),
 //! [`evicted`](Lifecycle::evicted) — and each one moves the namespace, the
-//! tier's quota, the counters, the journal, the policy engine's books, the
-//! residency timeline and the cluster view together. [`Lifecycle`] is the
+//! tier's quota, the counters, the journal, the policy engine's books and
+//! the cluster view together. [`Lifecycle`] is the
 //! one place that does so: one function per transition, every step of it
 //! in a fixed order, under a timestamp the caller hands in. So are two
 //! moves beside the copy's: what an operation on a tier did to the tier's
@@ -29,11 +29,10 @@ use crate::cluster::ClusterView;
 use crate::health::{device_error_class, ErrorClass, Gate, Transition};
 use crate::hierarchy::{Quota, StorageHierarchy, TierId};
 use crate::metadata::{MetadataContainer, PlacementState};
-use crate::observe::{ResidencyEventKind, TransitionCause};
 use crate::policy::{DecisionPoint, PlacementDecision, PolicyEngine};
 use crate::pool::Lane;
 use crate::stats::Stats;
-use crate::telemetry::{EventKind, TelemetryRegistry};
+use crate::telemetry::{EventKind, TelemetryRegistry, TransitionCause};
 use crate::{Error, Result};
 
 /// Quota a copy holds on its target tier between
@@ -79,21 +78,18 @@ pub enum Evict {
 }
 
 impl Evict {
-    fn books(self) -> (DecisionPoint, TransitionCause, &'static str) {
+    fn books(self) -> (DecisionPoint, &'static str) {
         match self {
             Evict::Explicit => (
                 DecisionPoint::PlanEvict,
-                TransitionCause::Eviction,
                 "explicit eviction pushed the file back to the PFS",
             ),
             Evict::MakeRoom => (
                 DecisionPoint::PressureEvict,
-                TransitionCause::Policy,
                 "selected by the eviction policy to make room for an incoming copy",
             ),
             Evict::Enospc => (
                 DecisionPoint::PressureEvict,
-                TransitionCause::Policy,
                 "evicted under ENOSPC pressure to free real device space",
             ),
         }
@@ -307,7 +303,7 @@ impl Lifecycle {
         }
         self.stats().record_evict(tier);
         self.policy.on_evicted(victim);
-        let (point, cause, reason) = why.books();
+        let (point, reason) = why.books();
         self.telemetry
             .event_at(at, self.verdict(victim, point, "evict", reason));
         self.telemetry.event_at(
@@ -317,13 +313,6 @@ impl Lifecycle {
                 tier,
                 bytes: info.size,
             },
-        );
-        self.telemetry.observe().timeline().record_at(
-            at,
-            victim,
-            tier,
-            ResidencyEventKind::Evicted,
-            cause,
         );
         if let Some((view, node)) = self.cluster_feed.get() {
             view.note_evicted(victim, *node);
@@ -356,20 +345,13 @@ impl Lifecycle {
                 tier,
                 bytes: size,
                 micros: took.map_or(0, |t| u64::try_from(t.as_micros()).unwrap_or(u64::MAX)),
+                cause: match lane {
+                    // Remote installs are demand driven: a foreground read
+                    // triggered the peer fetch, only the install ran later.
+                    Lane::Demand | Lane::Remote => TransitionCause::Demand,
+                    Lane::Prefetch => TransitionCause::Plan,
+                },
             },
-        );
-        let cause = match lane {
-            // Remote installs are demand driven: a foreground read
-            // triggered the peer fetch, only the install ran later.
-            Lane::Demand | Lane::Remote => TransitionCause::Demand,
-            Lane::Prefetch => TransitionCause::Plan,
-        };
-        self.telemetry.observe().timeline().record_at(
-            at,
-            file,
-            tier,
-            ResidencyEventKind::Admitted,
-            cause,
         );
         if let Some((view, node)) = self.cluster_feed.get() {
             view.note_admitted(file, *node);
@@ -469,15 +451,9 @@ impl Lifecycle {
             Unplaced::Panicked => failed("background copy task panicked".to_string()),
             Unplaced::Canceled(cause) => {
                 stats.prefetch_cancel();
-                self.telemetry.observe().timeline().record_at(
-                    at,
-                    file,
-                    self.hierarchy.source_id(),
-                    ResidencyEventKind::Canceled,
-                    cause,
-                );
                 EventKind::PrefetchCanceled {
                     file: file.to_string(),
+                    cause,
                 }
             }
         };
@@ -486,22 +462,15 @@ impl Lifecycle {
         let _ = self.metadata.abort_copy(file, terminal);
     }
 
-    /// *Promoted*: a foreground read of `file`, resident on `tier`, moved
-    /// the file's still-queued prefetch copy onto the demand lane.
-    pub fn promoted(&self, at: u64, file: &str, tier: TierId) {
+    /// *Promoted*: a foreground read of `file` moved the file's
+    /// still-queued prefetch copy onto the demand lane.
+    pub fn promoted(&self, at: u64, file: &str) {
         self.stats().prefetch_promote();
         self.telemetry.event_at(
             at,
             EventKind::PrefetchPromoted {
                 file: file.to_string(),
             },
-        );
-        self.telemetry.observe().timeline().record_at(
-            at,
-            file,
-            tier,
-            ResidencyEventKind::Promoted,
-            TransitionCause::Demand,
         );
     }
 
@@ -553,5 +522,135 @@ impl Lifecycle {
             }
         };
         self.telemetry.event_at(at(), event);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{AdmissionKind, PolicyKind, TelemetryConfig};
+    use crate::driver::{MemDriver, StorageDriver};
+    use crate::telemetry::Event;
+
+    /// Books over a 1 MiB `ssd` and a `pfs` holding the 512-byte `f`.
+    fn book() -> Lifecycle {
+        let tier = |name: &str, capacity| {
+            let driver: Arc<dyn StorageDriver> = Arc::new(MemDriver::new(name));
+            (name.to_string(), driver, capacity)
+        };
+        let hierarchy = Arc::new(
+            StorageHierarchy::new(vec![tier("ssd", Some(1 << 20)), tier("pfs", None)]).unwrap(),
+        );
+        let telemetry = Arc::new(TelemetryRegistry::new(
+            vec!["ssd".into(), "pfs".into()],
+            Arc::new(Stats::new(2)),
+            &TelemetryConfig::default(),
+        ));
+        let policy = Arc::new(PolicyEngine::from_kind(
+            PolicyKind::FirstFit,
+            AdmissionKind::AdmitAll,
+        ));
+        policy.namespace().register("f", 512, hierarchy.source_id());
+        Lifecycle::new(hierarchy, policy, telemetry)
+    }
+
+    /// Copy `f` onto the `ssd` off `lane`, at `at`.
+    fn place(book: &Lifecycle, at: u64, lane: Lane) {
+        assert!(book.scheduled(at, "f", 512, lane));
+        let decision = book
+            .policy()
+            .place(book.hierarchy(), "f", 512)
+            .unwrap()
+            .unwrap();
+        assert!(book.make_room(at, "f", 512, &decision, |_| Ok(())));
+        book.placed(at, "f", 512, decision.tier, lane, None)
+            .unwrap();
+    }
+
+    /// The journal's last `n` events, oldest first.
+    fn last(book: &Lifecycle, n: usize) -> Vec<Event> {
+        let events = book.telemetry().journal().events();
+        events[events.len() - n..].to_vec()
+    }
+
+    #[test]
+    fn copy_completed_carries_its_lane_as_cause() {
+        let book = book();
+        for (at, lane, cause) in [
+            (10, Lane::Demand, TransitionCause::Demand),
+            // A peer-served install was triggered by a foreground read.
+            (20, Lane::Remote, TransitionCause::Demand),
+            (30, Lane::Prefetch, TransitionCause::Plan),
+        ] {
+            place(&book, at, lane);
+            let done = &last(&book, 1)[0];
+            assert!(
+                matches!(&done.kind, EventKind::CopyCompleted { file, tier: 0, cause: c, .. }
+                    if file == "f" && *c == cause),
+                "{lane:?}: {done:?}"
+            );
+            assert!(book
+                .evicted(at, "f", 0, Evict::Explicit, || Ok(()))
+                .unwrap());
+        }
+    }
+
+    #[test]
+    fn every_eviction_journals_its_policy_decision_then_evicted() {
+        let book = book();
+        for (at, why, point) in [
+            (100, Evict::Explicit, "plan_evict"),
+            (200, Evict::MakeRoom, "pressure_evict"),
+            (300, Evict::Enospc, "pressure_evict"),
+        ] {
+            place(&book, at - 1, Lane::Demand);
+            assert!(book.evicted(at, "f", 0, why, || Ok(())).unwrap());
+            let pair = last(&book, 2);
+            match (&pair[0].kind, &pair[1].kind) {
+                (
+                    EventKind::PolicyDecision {
+                        file,
+                        point: p,
+                        verdict,
+                        ..
+                    },
+                    EventKind::Evicted {
+                        file: evicted,
+                        tier: 0,
+                        bytes: 512,
+                    },
+                ) => assert_eq!(
+                    (
+                        file.as_str(),
+                        p.as_str(),
+                        verdict.as_str(),
+                        evicted.as_str()
+                    ),
+                    ("f", point, "evict", "f"),
+                    "{why:?}"
+                ),
+                other => panic!("{why:?}: {other:?}"),
+            }
+            assert_eq!((pair[0].t_us, pair[1].t_us), (at, at), "{why:?}");
+        }
+    }
+
+    #[test]
+    fn a_withdrawn_prefetch_journals_who_withdrew_it() {
+        for cause in [TransitionCause::Plan, TransitionCause::Drain] {
+            let book = book();
+            assert!(book.scheduled(5, "f", 512, Lane::Prefetch));
+            book.unplaced(6, "f", None, Unplaced::Canceled(cause));
+            let canceled = &last(&book, 1)[0];
+            assert!(
+                matches!(&canceled.kind, EventKind::PrefetchCanceled { file, cause: c }
+                    if file == "f" && *c == cause),
+                "{canceled:?}"
+            );
+            assert_eq!(
+                book.metadata().get("f").unwrap().state,
+                PlacementState::Unplaced
+            );
+        }
     }
 }

@@ -306,7 +306,7 @@ impl Monarch {
             feedback.planned,
             matches!(info.state, PlacementState::Copying { .. }),
         );
-        self.telemetry.observe().profiler().record_read_id(
+        self.telemetry.profiler().record_read_id(
             id,
             info.tier,
             n as u64,

@@ -166,10 +166,6 @@ pub struct ObserveReport {
     pub files_tracked: u64,
     /// Reads past the profiler's tracking bound.
     pub untracked_reads: u64,
-    /// Residency transitions recorded.
-    pub timeline_recorded: u64,
-    /// Residency transitions lost to the ring bound.
-    pub timeline_dropped: u64,
 }
 
 impl ObserveReport {
@@ -235,8 +231,6 @@ impl ObserveReport {
             wasted_prefetch: wasted,
             files_tracked: p.tracked,
             untracked_reads: p.untracked_reads,
-            timeline_recorded: observe.timeline.recorded,
-            timeline_dropped: observe.timeline.dropped,
         }
     }
 
@@ -276,8 +270,8 @@ impl ObserveReport {
             self.ledger.dominant()
         ));
         o.push_str(&format!(
-            "files: {} tracked, {} untracked reads; timeline: {} transitions ({} dropped)\n",
-            self.files_tracked, self.untracked_reads, self.timeline_recorded, self.timeline_dropped
+            "files: {} tracked, {} untracked reads\n",
+            self.files_tracked, self.untracked_reads
         ));
         if !self.top_hot.is_empty() {
             o.push_str("top hot files:\n");
@@ -307,7 +301,6 @@ impl ObserveReport {
 mod tests {
     use super::*;
     use crate::observe::profiler::{FileProfile, FileProfileSnapshot, ProfilerSnapshot};
-    use crate::observe::timeline::TimelineSnapshot;
 
     fn ledger() -> LedgerSnapshot {
         LedgerSnapshot {
@@ -380,11 +373,6 @@ mod tests {
                     },
                 ],
             },
-            timeline: TimelineSnapshot {
-                recorded: 7,
-                dropped: 1,
-                events: Vec::new(),
-            },
         }
     }
 
@@ -398,8 +386,7 @@ mod tests {
         assert_eq!(r.wasted_prefetch.len(), 1);
         assert_eq!(r.wasted_prefetch[0].file, "wasted");
         assert_eq!(r.wasted_prefetch[0].prefetched_bytes, 512);
-        assert_eq!(r.timeline_recorded, 7);
-        assert_eq!(r.timeline_dropped, 1);
+        assert_eq!(r.files_tracked, 3);
     }
 
     #[test]

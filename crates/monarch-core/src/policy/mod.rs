@@ -111,7 +111,7 @@ pub trait FeatureSource: Send + Sync {
 
 impl FeatureSource for crate::telemetry::TelemetryRegistry {
     fn features(&self, file: &str) -> Option<FileFeatures> {
-        let profile = self.observe().profiler().profile(file)?;
+        let profile = self.profiler().profile(file)?;
         let accesses = profile.accesses;
         Some(FileFeatures {
             accesses,
@@ -285,7 +285,8 @@ struct Counters {
 }
 
 /// Serializable view of a [`PolicyEngine`]: the composition and its
-/// decision counters — what `monarch policy` prints.
+/// decision counters — the snapshot's `policy` key (`monarch snapshot
+/// --section policy`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicySnapshot {
     /// Composed name: `admission/eviction/scorer`.
@@ -607,7 +608,7 @@ impl PolicyEngine {
         self.eviction.may_evict()
     }
 
-    /// Composition + counter snapshot (the `monarch policy` view).
+    /// Composition + counter snapshot (the snapshot's `policy` key).
     #[must_use]
     pub fn snapshot(&self) -> PolicySnapshot {
         PolicySnapshot {

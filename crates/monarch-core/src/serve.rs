@@ -438,16 +438,18 @@ mod tests {
             "monarch_events_dropped_total",
             "monarch_trace_spans_dropped_total",
             "monarch_profile_files_tracked",
-            "monarch_residency_transitions_total",
+            "monarch_journal_events_total",
         ] {
             assert!(body.contains(metric), "{metric} missing from /metrics");
         }
+        // The journal is the one transition log: no second ring's families.
+        assert!(!body.contains("monarch_residency_transitions"));
 
         let (status, body) = get_path(addr, "/snapshot");
         assert_eq!(status, 200);
         assert!(body.contains("\"observe\""), "observe section in snapshot");
         assert!(body.contains("\"f000\""), "profiled file present");
-        assert!(body.contains("\"timeline\""), "residency timeline present");
+        assert!(!body.contains("\"timeline\""), "no residency timeline");
         m.shutdown();
     }
 

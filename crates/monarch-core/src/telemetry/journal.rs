@@ -1,13 +1,27 @@
 //! The copy-lifecycle [`EventJournal`]: a bounded ring of [`Event`]s.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
 use crate::locks;
 use crate::TierId;
+
+/// Why a copy entered a tier, or why a queued one was withdrawn: the
+/// `cause` of `copy_completed` and `prefetch_canceled`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum TransitionCause {
+    /// A foreground read demanded the file (a peer-served install too: a
+    /// read triggered the peer fetch).
+    Demand,
+    /// The access plan (clairvoyant prefetch) drove it.
+    Plan,
+    /// The transfer engine's drain withdrew it at shutdown.
+    Drain,
+}
 
 /// A structured telemetry event.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,6 +49,8 @@ pub enum EventKind {
         bytes: u64,
         /// Copy duration, microseconds (wall clock or virtual).
         micros: u64,
+        /// What drove the copy: `demand` or `plan`.
+        cause: TransitionCause,
     },
     /// The copy failed; quota was released and metadata reverted.
     CopyFailed {
@@ -61,7 +77,9 @@ pub enum EventKind {
         /// Why placement was skipped.
         reason: String,
     },
-    /// A file was evicted from a tier (ablation policies only).
+    /// A file was evicted from a tier. The `policy_decision` journalled
+    /// just before it, at the same `t_us`, says why (`plan_evict` or
+    /// `pressure_evict`).
     Evicted {
         /// Logical file name.
         file: String,
@@ -98,6 +116,8 @@ pub enum EventKind {
     PrefetchCanceled {
         /// Logical file name.
         file: String,
+        /// Who withdrew it: the plan (`plan`) or the drain (`drain`).
+        cause: TransitionCause,
     },
     /// A copy-pool worker thread could not be joined at shutdown (it died
     /// of a panic outside the per-task catch). `file` carries the worker's
@@ -231,7 +251,7 @@ impl EventKind {
             | EventKind::Removed { file, .. }
             | EventKind::PrefetchScheduled { file, .. }
             | EventKind::PrefetchPromoted { file }
-            | EventKind::PrefetchCanceled { file }
+            | EventKind::PrefetchCanceled { file, .. }
             | EventKind::WorkerJoinFailed { file }
             | EventKind::RemoteScheduled { file, .. }
             | EventKind::RemoteTimeout { file, .. }
@@ -263,8 +283,8 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Append a JSON string literal (with escaping) to `out`. Shared with
-/// the trace exporter so both hand-rolled emitters escape identically.
+/// Append a JSON string literal (with escaping) to `out`: the trace
+/// exporter's hand-rolled emitter writes its strings through it.
 pub(crate) fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -284,99 +304,11 @@ pub(crate) fn push_json_str(out: &mut String, s: &str) {
 }
 
 impl Event {
-    /// Render the event as one JSON object (no trailing newline). This is
-    /// hand-rolled so the FFI/CLI drain path has no serializer dependency;
-    /// the schema matches the `serde` derive on this type.
+    /// Render the event as one JSON object (no trailing newline): the
+    /// `serde` document of this type.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut o = String::with_capacity(96);
-        o.push_str("{\"seq\":");
-        o.push_str(&self.seq.to_string());
-        o.push_str(",\"t_us\":");
-        o.push_str(&self.t_us.to_string());
-        o.push_str(",\"event\":\"");
-        o.push_str(self.kind.tag());
-        o.push_str("\",\"file\":");
-        push_json_str(&mut o, self.kind.file());
-        match &self.kind {
-            EventKind::CopyScheduled { bytes, .. } | EventKind::PrefetchScheduled { bytes, .. } => {
-                o.push_str(&format!(",\"bytes\":{bytes}"));
-            }
-            EventKind::CopyStarted { .. }
-            | EventKind::PrefetchPromoted { .. }
-            | EventKind::PrefetchCanceled { .. }
-            | EventKind::WorkerJoinFailed { .. } => {}
-            EventKind::CopyCompleted {
-                tier,
-                bytes,
-                micros,
-                ..
-            } => {
-                o.push_str(&format!(
-                    ",\"tier\":{tier},\"bytes\":{bytes},\"micros\":{micros}"
-                ));
-            }
-            EventKind::CopyFailed { reason, .. }
-            | EventKind::PlacementSkipped { reason, .. }
-            | EventKind::RemoteTimeout { reason, .. }
-            | EventKind::CopyRequeued { reason, .. } => {
-                o.push_str(",\"reason\":");
-                push_json_str(&mut o, reason);
-            }
-            EventKind::TierQuarantined { tier, reason } => {
-                o.push_str(&format!(",\"tier\":{tier},\"reason\":"));
-                push_json_str(&mut o, reason);
-            }
-            EventKind::TierProbed { tier, ok } => {
-                o.push_str(&format!(",\"tier\":{tier},\"ok\":{ok}"));
-            }
-            EventKind::TierRecovered { tier } => {
-                o.push_str(&format!(",\"tier\":{tier}"));
-            }
-            EventKind::ReservationReclaimed { tier, bytes, .. } => {
-                o.push_str(&format!(",\"tier\":{tier},\"bytes\":{bytes}"));
-            }
-            EventKind::RemoteScheduled { bytes, peer, .. } => {
-                o.push_str(&format!(",\"bytes\":{bytes},\"peer\":{peer}"));
-            }
-            EventKind::PlacementDecided {
-                tier,
-                used,
-                capacity,
-                ..
-            } => {
-                o.push_str(&format!(
-                    ",\"tier\":{tier},\"used\":{used},\"capacity\":{capacity}"
-                ));
-            }
-            EventKind::Evicted { tier, bytes, .. } => {
-                o.push_str(&format!(",\"tier\":{tier},\"bytes\":{bytes}"));
-            }
-            EventKind::Removed { tier, .. } => {
-                o.push_str(&format!(",\"tier\":{tier}"));
-            }
-            EventKind::PrefetchDrained { canceled } => {
-                o.push_str(&format!(",\"canceled\":{canceled}"));
-            }
-            EventKind::PolicyDecision {
-                point,
-                policy,
-                verdict,
-                reason,
-                ..
-            } => {
-                o.push_str(",\"point\":");
-                push_json_str(&mut o, point);
-                o.push_str(",\"policy\":");
-                push_json_str(&mut o, policy);
-                o.push_str(",\"verdict\":");
-                push_json_str(&mut o, verdict);
-                o.push_str(",\"reason\":");
-                push_json_str(&mut o, reason);
-            }
-        }
-        o.push('}');
-        o
+        serde_json::to_string(self).expect("an event always serializes")
     }
 }
 
@@ -384,9 +316,9 @@ impl Event {
 ///
 /// Appends are `O(1)`: under the (short) lock the ring pops its oldest
 /// entry when full and pushes the new one. When disabled, `record` is a
-/// single relaxed atomic load.
+/// single branch.
 pub struct EventJournal {
-    enabled: AtomicBool,
+    enabled: bool,
     capacity: usize,
     seq: AtomicU64,
     dropped: AtomicU64,
@@ -399,7 +331,7 @@ impl EventJournal {
     pub fn new(capacity: usize, enabled: bool) -> Self {
         let capacity = capacity.max(1);
         Self {
-            enabled: AtomicBool::new(enabled),
+            enabled,
             capacity,
             seq: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -407,15 +339,10 @@ impl EventJournal {
         }
     }
 
-    /// Whether recording is currently enabled.
+    /// Whether the journal records anything (fixed at construction).
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enable or disable recording at runtime.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// Maximum events retained.
@@ -469,12 +396,6 @@ impl EventJournal {
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
         locks::lock(&self.buf).iter().cloned().collect()
-    }
-
-    /// Remove and return the buffered events, oldest first.
-    #[must_use]
-    pub fn drain(&self) -> Vec<Event> {
-        locks::lock(&self.buf).drain(..).collect()
     }
 
     /// Render the buffered events as JSON lines (one object per line,

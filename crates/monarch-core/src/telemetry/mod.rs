@@ -11,8 +11,8 @@
 //!   latency, background-copy duration, and pool queue-wait time;
 //! - [`EventJournal`] — a bounded ring buffer of structured
 //!   [`Event`]s covering the copy lifecycle (scheduled → started →
-//!   completed/failed), placement decisions and evictions, drainable as
-//!   JSON lines;
+//!   completed/failed), placement decisions and evictions, exported as
+//!   JSON lines, non-destructively;
 //! - [`TelemetryRegistry`] — owns the histograms, the journal and the
 //!   [`Stats`] counters, and renders a JSON snapshot
 //!   ([`TelemetryRegistry::snapshot`]) or Prometheus text exposition
@@ -50,6 +50,7 @@ use crate::cluster::Cluster;
 use crate::health::{HealthRegistry, TierState};
 use crate::hierarchy::StorageHierarchy;
 use crate::metadata::MetadataContainer;
+use crate::observe::{AccessProfiler, ObserveSnapshot};
 use crate::policy::PolicyEngine;
 use crate::stats::Stats;
 use crate::stripe::Striped;
@@ -64,10 +65,12 @@ pub use histogram::{
     HistogramSnapshot, LatencyHistogram, StallProfile, StallProfileSnapshot, TIMED_HIT_PERIOD,
 };
 pub(crate) use journal::push_json_str;
-pub use journal::{Event, EventJournal, EventKind};
+pub use journal::{Event, EventJournal, EventKind, TransitionCause};
 
 /// Journal ring bound: the oldest events are overwritten past this count.
 const JOURNAL_CAPACITY: usize = 4096;
+/// Profiler bound: reads of ids at or past it only bump `untracked_reads`.
+const PROFILED_FILES: usize = 65_536;
 /// Span ring bound: the oldest spans are dropped past this count.
 const TRACE_CAPACITY: usize = 65_536;
 
@@ -93,7 +96,7 @@ pub struct TelemetryRegistry {
     local_hits: Striped<AtomicU64>,
     journal: EventJournal,
     trace: Arc<crate::trace::TraceRecorder>,
-    observe: crate::observe::Observatory,
+    profiler: AccessProfiler,
     origin: Instant,
 }
 
@@ -147,7 +150,7 @@ impl TelemetryRegistry {
                 },
                 TRACE_CAPACITY,
             )),
-            observe: crate::observe::Observatory::new(cfg.enabled, levels, files),
+            profiler: AccessProfiler::with_namespace(cfg.enabled, levels, PROFILED_FILES, files),
             origin: Instant::now(),
         }
     }
@@ -232,7 +235,7 @@ impl TelemetryRegistry {
     /// profiler's, which records every timed read.
     #[must_use]
     pub fn stall_profile(&self) -> &StallProfile {
-        self.observe.profiler().stall_profile()
+        self.profiler.stall_profile()
     }
 
     /// The gauge registry: instantaneous values refreshed by samplers.
@@ -372,11 +375,10 @@ impl TelemetryRegistry {
         &self.trace
     }
 
-    /// The workload observatory: per-file access profiler + residency
-    /// timeline (disabled unless `enabled`).
+    /// The per-file access profiler (disabled unless `enabled`).
     #[must_use]
-    pub fn observe(&self) -> &crate::observe::Observatory {
-        &self.observe
+    pub fn profiler(&self) -> &AccessProfiler {
+        &self.profiler
     }
 
     /// Record `kind` stamped with the registry's wall clock.
@@ -421,7 +423,9 @@ impl TelemetryRegistry {
             events_dropped: self.journal.dropped(),
             spans_recorded: self.trace.spans_recorded(),
             spans_dropped: self.trace.spans_dropped(),
-            observe: self.observe.snapshot(),
+            observe: self.profiler.is_enabled().then(|| ObserveSnapshot {
+                profiler: self.profiler.snapshot(),
+            }),
             cluster: cluster.map(|c| c.snapshot(&stats)),
             health: Some(health.snapshot()),
             policy: Some(policy.snapshot()),
@@ -430,8 +434,8 @@ impl TelemetryRegistry {
     }
 
     /// Buffered journal events as JSON lines. **Non-destructive**: the
-    /// ring keeps its contents, so repeated calls (e.g. `monarch metrics
-    /// --watch` ticks, or several FFI consumers) all see the same events.
+    /// ring keeps its contents, so repeated calls (several FFI consumers,
+    /// say) all see the same events.
     #[must_use]
     pub fn events_json(&self) -> String {
         self.journal.json_lines()
@@ -492,8 +496,7 @@ impl TelemetryRegistry {
         for (family, help, value) in snap.counters() {
             scalar(family, help, value);
         }
-        let (files_tracked, untracked_reads) = self.observe.profiler().snapshot_counts();
-        let timeline = self.observe.timeline();
+        let (files_tracked, untracked_reads) = self.profiler.snapshot_counts();
         for (family, help, value) in [
             (
                 "monarch_journal_events_total",
@@ -525,16 +528,6 @@ impl TelemetryRegistry {
                 "monarch_profile_untracked_reads_total",
                 "Reads of files past the profiler's tracking bound.",
                 untracked_reads,
-            ),
-            (
-                "monarch_residency_transitions_total",
-                "Tier-residency transitions recorded.",
-                timeline.recorded(),
-            ),
-            (
-                "monarch_residency_transitions_dropped_total",
-                "Tier-residency transitions overwritten by the ring bound.",
-                timeline.dropped(),
             ),
         ] {
             scalar(family, help, value);
@@ -679,14 +672,15 @@ impl std::fmt::Debug for TelemetryRegistry {
 }
 
 /// Version of the [`TelemetrySnapshot`] schema. Adding a key does not
-/// change it; removing a key or changing a key's type does.
-pub const SCHEMA_VERSION: u32 = 1;
+/// change it; removing a key or changing a key's type does (2: the
+/// `observe.timeline` key is gone).
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The instance's one state document, assembled by
-/// [`TelemetryRegistry::snapshot`]: `/snapshot`, `monarch_snapshot_json`,
-/// `monarch metrics --format json` and the simulator's run report carry it
-/// whole; the CLI's `policy` / `health` / `cluster` / `report` views and the
-/// FFI's sections are its top-level keys.
+/// [`TelemetryRegistry::snapshot`]: `/snapshot`, `monarch snapshot`,
+/// `monarch_snapshot_json` and the simulator's run report carry it whole or
+/// one top-level key of it ([`TelemetrySnapshot::section`]); `monarch
+/// cluster` and `monarch report` project it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Version of this document's schema ([`SCHEMA_VERSION`]); 0 on
@@ -730,10 +724,10 @@ pub struct TelemetrySnapshot {
     /// Trace spans dropped by the span-ring bound.
     #[serde(default)]
     pub spans_dropped: u64,
-    /// Workload observatory (per-file profiles, time-lost ledger,
-    /// residency timeline); absent when the profiler is disabled.
+    /// Workload observatory (per-file profiles, time-lost ledger); absent
+    /// when the profiler is disabled.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub observe: Option<crate::observe::ObserveSnapshot>,
+    pub observe: Option<ObserveSnapshot>,
     /// Cluster peer-cache state (shard map + peer counters); absent when
     /// the node runs without a cluster config.
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -747,6 +741,21 @@ pub struct TelemetrySnapshot {
     /// only on documents older than the section.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub policy: Option<crate::policy::PolicySnapshot>,
+}
+
+impl TelemetrySnapshot {
+    /// The document as a JSON value, or its top-level `key` when one is
+    /// given; `None` for a key the document does not have (an unknown
+    /// name, or a section this instance lacks, such as `cluster` on a
+    /// single node).
+    #[must_use]
+    pub fn section(&self, key: Option<&str>) -> Option<serde_json::Value> {
+        let doc = serde_json::to_value(self).ok()?;
+        match key {
+            Some(key) => doc.get(key).cloned(),
+            None => Some(doc),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -881,20 +890,21 @@ mod tests {
         assert_eq!(events.len(), 4);
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
-        // Drain empties.
-        assert_eq!(j.drain().len(), 4);
-        assert!(j.is_empty());
+        // Every export is non-destructive.
+        assert_eq!(j.events(), events);
+        assert_eq!(j.json_lines().lines().count(), 4);
+        assert_eq!(j.len(), 4);
     }
 
     #[test]
     fn journal_disabled_records_nothing() {
         let j = EventJournal::new(4, false);
+        assert!(!j.is_enabled());
         j.record_at(0, EventKind::CopyStarted { file: "f".into() });
+        j.record_at(1, EventKind::TierRecovered { tier: 0 });
         assert_eq!(j.recorded(), 0);
         assert!(j.is_empty());
-        j.set_enabled(true);
-        j.record_at(1, EventKind::CopyStarted { file: "f".into() });
-        assert_eq!(j.len(), 1);
+        assert_eq!(j.json_lines(), "");
     }
 
     #[test]
@@ -914,6 +924,7 @@ mod tests {
                 tier: 0,
                 bytes: 7,
                 micros: 3,
+                cause: TransitionCause::Plan,
             },
         );
         j.record_at(
@@ -924,13 +935,20 @@ mod tests {
             },
         );
         j.record_at(12, EventKind::PrefetchPromoted { file: "c".into() });
-        j.record_at(13, EventKind::PrefetchCanceled { file: "d".into() });
+        j.record_at(
+            13,
+            EventKind::PrefetchCanceled {
+                file: "d".into(),
+                cause: TransitionCause::Drain,
+            },
+        );
         j.record_at(
             14,
             EventKind::WorkerJoinFailed {
                 file: "monarch-copy-1".into(),
             },
         );
+        j.record_at(15, EventKind::TierProbed { tier: 1, ok: false });
         let lines = j.json_lines();
         let mut it = lines.lines();
         assert_eq!(
@@ -939,7 +957,7 @@ mod tests {
         );
         assert_eq!(
             it.next().unwrap(),
-            r#"{"seq":1,"t_us":9,"event":"copy_completed","file":"a\"b","tier":0,"bytes":7,"micros":3}"#
+            r#"{"seq":1,"t_us":9,"event":"copy_completed","file":"a\"b","tier":0,"bytes":7,"micros":3,"cause":"plan"}"#
         );
         assert_eq!(
             it.next().unwrap(),
@@ -951,11 +969,16 @@ mod tests {
         );
         assert_eq!(
             it.next().unwrap(),
-            r#"{"seq":4,"t_us":13,"event":"prefetch_canceled","file":"d"}"#
+            r#"{"seq":4,"t_us":13,"event":"prefetch_canceled","file":"d","cause":"drain"}"#
         );
         assert_eq!(
             it.next().unwrap(),
             r#"{"seq":5,"t_us":14,"event":"worker_join_failed","file":"monarch-copy-1"}"#
+        );
+        // A tier-health event is about no file, so its line has no `file`.
+        assert_eq!(
+            it.next().unwrap(),
+            r#"{"seq":6,"t_us":15,"event":"tier_probed","tier":1,"ok":false}"#
         );
         assert!(it.next().is_none());
         // Every line is valid JSON per serde too.
@@ -963,6 +986,126 @@ mod tests {
             let v: serde_json::Value = serde_json::from_str(line).unwrap();
             assert!(v.get("seq").is_some());
             assert!(v.get("event").is_some());
+        }
+    }
+
+    #[test]
+    fn every_event_kind_round_trips_through_its_json_line() {
+        let f = || "a\"b\\c\n".to_string();
+        let s = || "why".to_string();
+        let kinds = vec![
+            EventKind::CopyScheduled {
+                file: f(),
+                bytes: 1,
+            },
+            EventKind::CopyStarted { file: f() },
+            EventKind::CopyCompleted {
+                file: f(),
+                tier: 0,
+                bytes: 2,
+                micros: 3,
+                cause: TransitionCause::Demand,
+            },
+            EventKind::CopyFailed {
+                file: f(),
+                reason: s(),
+            },
+            EventKind::PlacementDecided {
+                file: f(),
+                tier: 0,
+                used: 4,
+                capacity: 5,
+            },
+            EventKind::PlacementSkipped {
+                file: f(),
+                reason: s(),
+            },
+            EventKind::Evicted {
+                file: f(),
+                tier: 0,
+                bytes: 6,
+            },
+            EventKind::Removed { file: f(), tier: 0 },
+            EventKind::PrefetchScheduled {
+                file: f(),
+                bytes: 7,
+            },
+            EventKind::PrefetchPromoted { file: f() },
+            EventKind::PrefetchCanceled {
+                file: f(),
+                cause: TransitionCause::Plan,
+            },
+            EventKind::WorkerJoinFailed { file: f() },
+            EventKind::PrefetchDrained { canceled: 8 },
+            EventKind::RemoteScheduled {
+                file: f(),
+                bytes: 9,
+                peer: 1,
+            },
+            EventKind::RemoteTimeout {
+                file: f(),
+                reason: s(),
+            },
+            EventKind::TierQuarantined {
+                tier: 0,
+                reason: s(),
+            },
+            EventKind::TierProbed { tier: 0, ok: true },
+            EventKind::TierRecovered { tier: 0 },
+            EventKind::CopyRequeued {
+                file: f(),
+                reason: s(),
+            },
+            EventKind::ReservationReclaimed {
+                file: f(),
+                tier: 0,
+                bytes: 10,
+            },
+            EventKind::PolicyDecision {
+                file: f(),
+                point: "plan_evict".into(),
+                policy: "admit_all/never/none".into(),
+                verdict: "evict".into(),
+                reason: s(),
+            },
+        ];
+        // One of each: the match has no wildcard, so a new variant does
+        // not compile until it is listed here too.
+        let ordinal = |k: &EventKind| match k {
+            EventKind::CopyScheduled { .. } => 0,
+            EventKind::CopyStarted { .. } => 1,
+            EventKind::CopyCompleted { .. } => 2,
+            EventKind::CopyFailed { .. } => 3,
+            EventKind::PlacementDecided { .. } => 4,
+            EventKind::PlacementSkipped { .. } => 5,
+            EventKind::Evicted { .. } => 6,
+            EventKind::Removed { .. } => 7,
+            EventKind::PrefetchScheduled { .. } => 8,
+            EventKind::PrefetchPromoted { .. } => 9,
+            EventKind::PrefetchCanceled { .. } => 10,
+            EventKind::WorkerJoinFailed { .. } => 11,
+            EventKind::PrefetchDrained { .. } => 12,
+            EventKind::RemoteScheduled { .. } => 13,
+            EventKind::RemoteTimeout { .. } => 14,
+            EventKind::TierQuarantined { .. } => 15,
+            EventKind::TierProbed { .. } => 16,
+            EventKind::TierRecovered { .. } => 17,
+            EventKind::CopyRequeued { .. } => 18,
+            EventKind::ReservationReclaimed { .. } => 19,
+            EventKind::PolicyDecision { .. } => 20,
+        };
+        let ordinals: Vec<usize> = kinds.iter().map(ordinal).collect();
+        assert_eq!(ordinals, (0..kinds.len()).collect::<Vec<_>>());
+        for (seq, kind) in kinds.into_iter().enumerate() {
+            let e = Event {
+                seq: seq as u64,
+                t_us: 1_000 + seq as u64,
+                kind,
+            };
+            let line = e.to_json_line();
+            assert!(!line.contains('\n'), "{line}");
+            assert!(line.contains(&format!("\"event\":\"{}\"", e.kind.tag())));
+            assert_eq!(serde_json::from_str::<Event>(&line).unwrap(), e, "{line}");
         }
     }
 

@@ -40,13 +40,14 @@ use crate::hierarchy::TierId;
 use crate::lifecycle::{Evict, Lifecycle, Reservation, Unplaced};
 use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
-use crate::observe::{ReadClass, ReadTiming, TransitionCause};
+use crate::observe::{ReadClass, ReadTiming};
 use crate::policy::FeatureSource;
 use crate::pool::{Lane, PoolProbe, TaskCtx, ThreadPool};
 use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow};
 use crate::staging::{Staged, Staging};
 use crate::telemetry::{
     EventKind, PipelineSample, PrefetchSample, TelemetryRegistry, TelemetrySnapshot,
+    TransitionCause,
 };
 use crate::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
 use crate::{Error, Result};
@@ -324,8 +325,9 @@ struct Lease {
     shutting_down: Arc<AtomicBool>,
     file: String,
     staging: Arc<Staging>,
-    /// Lane the copy was queued on — the residency timeline attributes the
-    /// resulting admission to demand or to the plan accordingly.
+    /// Lane the copy was queued on — the journal's `copy_completed`
+    /// attributes the resulting placement to demand or to the plan
+    /// accordingly.
     lane: Lane,
     /// No worker has taken the job yet.
     queued: Cell<bool>,
@@ -722,7 +724,7 @@ impl TransferEngine {
             self.book.stats().timed_read();
             if let Some(id) = counted {
                 let marks = [p_entry, p_fetch, p_fetch, p_pread, p_end];
-                self.book.telemetry().observe().profiler().record_read_id(
+                self.book.telemetry().profiler().record_read_id(
                     id,
                     0,
                     want as u64,
@@ -901,8 +903,7 @@ impl TransferEngine {
                 // letting the demand path wait behind unrelated prefetches
                 // (it cannot enqueue a duplicate: the metadata CAS is held
                 // by the queued job).
-                self.book
-                    .promoted(self.book.telemetry().now_micros(), file, served);
+                self.book.promoted(self.book.telemetry().now_micros(), file);
             }
         }
         // The cursor moved: more of the plan may now be issued.
@@ -1296,7 +1297,7 @@ impl CopyJob {
         match result {
             Ok(Some(_)) => {
                 if let (Lane::Prefetch, Some(id)) = (lease.lane, book.metadata().resolve(file)) {
-                    telemetry.observe().profiler().record_prefetch_staged_id(
+                    telemetry.profiler().record_prefetch_staged_id(
                         id,
                         size,
                         telemetry.now_micros(),
@@ -1552,6 +1553,7 @@ mod tests {
     use crate::hierarchy::StorageHierarchy;
     use crate::policy::PolicyEngine;
     use crate::stats::Stats;
+    use crate::telemetry::Event;
     use std::time::Duration;
 
     // -- LaneQueues ---------------------------------------------------------
@@ -1774,6 +1776,30 @@ mod tests {
     }
 
     #[test]
+    fn a_new_plan_withdraws_the_queued_prefetch_copies_with_cause_plan() {
+        let (mut engine, gate) = gated_engine(4, 8);
+        pin_worker(&engine, "f000");
+        assert_eq!(engine.plan(&plan_of(&["f001", "f002"])), 2);
+        // The next plan boundary withdraws what the last one still queued.
+        assert_eq!(engine.plan(&plan_of(&["f003"])), 1);
+        let events = engine.book.telemetry().journal().events();
+        let canceled: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::PrefetchCanceled {
+                    file,
+                    cause: TransitionCause::Plan,
+                } => Some(file.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(canceled, ["f001", "f002"]);
+        open_gate(&gate);
+        engine.wait_idle();
+        engine.drain();
+    }
+
+    #[test]
     fn drain_cancels_queued_prefetch_before_joining_workers() {
         // Regression (shutdown ordering): with the worker pinned inside an
         // in-flight copy, drain() must withdraw the queued prefetch jobs
@@ -1815,13 +1841,25 @@ mod tests {
             .find(|e| e.kind.tag() == "prefetch_drained")
             .expect("drain journals the canceled count");
         assert!(drained.to_json_line().contains("\"canceled\":2"));
-        let last_cancel = events
+        let cancels: Vec<&Event> = events
             .iter()
             .filter(|e| e.kind.tag() == "prefetch_canceled")
-            .map(|e| e.seq)
-            .max()
-            .unwrap();
-        assert!(drained.seq > last_cancel);
+            .collect();
+        assert_eq!(cancels.len(), 2);
+        assert!(drained.seq > cancels[1].seq);
+        // Each per-file cancel says the drain withdrew it.
+        for e in cancels {
+            assert!(
+                matches!(
+                    e.kind,
+                    EventKind::PrefetchCanceled {
+                        cause: TransitionCause::Drain,
+                        ..
+                    }
+                ),
+                "{e:?}"
+            );
+        }
     }
 
     #[test]

@@ -161,8 +161,6 @@ fn exposition_families_are_the_golden_list() {
         "monarch_reads_in_flight",
         "monarch_remote_timeouts_total",
         "monarch_removes_total",
-        "monarch_residency_transitions_dropped_total",
-        "monarch_residency_transitions_total",
         "monarch_staged_bytes_total",
         "monarch_staged_reads_total",
         "monarch_tier_capacity_bytes",
@@ -222,7 +220,7 @@ fn snapshot_schema_is_versioned_and_golden() {
     let m = instance();
     exercise(&m);
     let snap = m.telemetry_snapshot();
-    assert_eq!(snap.schema_version, 1);
+    assert_eq!(snap.schema_version, 2);
     let doc = serde_json::to_value(&snap).unwrap();
     let mut keys: Vec<&str> = doc
         .as_object()
@@ -232,6 +230,20 @@ fn snapshot_schema_is_versioned_and_golden() {
         .collect();
     keys.sort_unstable();
     assert_eq!(keys, KEYS);
+    // Version 2 removed `observe.timeline`: the journal is the one
+    // transition log, and the profiler the section's only key.
+    let observe: Vec<&str> = doc["observe"]
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(observe, ["profiler"]);
+    // A section is the document's top-level key, and the whole is the
+    // document.
+    assert_eq!(snap.section(Some("policy")).as_ref(), doc.get("policy"));
+    assert_eq!(snap.section(None).as_ref(), Some(&doc));
+    assert!(snap.section(Some("timeline")).is_none());
     // The policy section is the engine's own view, live.
     let policy = snap.policy.as_ref().expect("policy section");
     assert_eq!(policy.name, m.policy_name());

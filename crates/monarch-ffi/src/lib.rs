@@ -303,12 +303,8 @@ pub unsafe extern "C" fn monarch_snapshot_json(
     // SAFETY: the caller's contract is `export`'s.
     unsafe {
         export(handle, |m| {
-            let doc = serde_json::to_value(&m.telemetry_snapshot()).ok()?;
-            let part = match key {
-                Some(key) => doc.get(key)?,
-                None => &doc,
-            };
-            serde_json::to_string(part).ok()
+            let part = m.telemetry_snapshot().section(key)?;
+            serde_json::to_string(&part).ok()
         })
     }
 }

@@ -43,7 +43,11 @@ run_size() {
     # 44 of the lines that saved. 14527 since a tier's breaker is driven
     # through one gate and one settle, its transitions booked once in
     # lifecycle.rs, and the health knobs no caller set became constants.
-    local core_limit=14527
+    # 14086 since the journal is the one transition log (the residency
+    # timeline and its Observatory wrapper deleted), its serde derive the
+    # one writer of a line (the hand-rolled JSON writer deleted), and the
+    # health table renderer went with `monarch health`.
+    local core_limit=14086
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
         sort -z |
@@ -65,9 +69,14 @@ run_size() {
 # moves, and `health.rs`, which defines the breaker) no non-test code of
 # either may make those moves, bump those counters, drive the probe slot or
 # build those events by hand — a second site cannot come back.
-# `telemetry/journal.rs` defines `EventKind` and projects it (tag, file, JSON
-# fields): it matches on the variants, so only the calls are looked for
-# there. Non-test code is what precedes a file's column-0 `#[cfg(test)]`.
+# `telemetry/journal.rs` defines `EventKind` and projects it (tag, file): it
+# matches on the variants, so only the calls are looked for there.
+#
+# The journal is the one transition log (DESIGN §7.2): no non-test code of
+# either, `lifecycle.rs` included, names the residency timeline's types, and
+# `observe/timeline.rs` does not exist — a second ring that books every
+# transition again cannot come back. Non-test code is what precedes a
+# file's column-0 `#[cfg(test)]`.
 run_lifecycle() {
     echo "==> lifecycle gate: one booking site per copy and tier transition"
     local calls='begin_copy\(|finish_copy\(|abort_copy\(|evict_with\(|\.record_evict\(|\.copy_scheduled\(\)|\.copy_completed\(\)|\.placement_skip\(\)|\.copy_requeue\(\)|\.tier_quarantine\(\)|\.tier_recovery\(\)|\.prefetch_promote\(\)|probe_permit\(|probe_result\('
@@ -86,6 +95,24 @@ run_lifecycle() {
     done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
     if [ "$bad" -ne 0 ]; then
         echo "lifecycle gate: book the transition through monarch_core::lifecycle instead" >&2
+        exit 1
+    fi
+    echo "==> lifecycle gate: the journal is the one transition log"
+    if [ -e crates/monarch-core/src/observe/timeline.rs ]; then
+        echo "crates/monarch-core/src/observe/timeline.rs exists" >&2
+        bad=1
+    fi
+    while IFS= read -r f; do
+        case "$f" in
+            *_tests.rs) continue ;;
+        esac
+        if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E '\bResidency(Timeline|Event)'; then
+            bad=1
+        fi
+    done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
+    if [ "$bad" -ne 0 ]; then
+        echo "lifecycle gate: read transitions off the event journal instead of a second log" >&2
         exit 1
     fi
 }
@@ -318,7 +345,8 @@ run_prefetch() {
 # eviction-invariant proptests, the sim ablations (LRU eviction must beat
 # the paper's no-eviction first-fit on the congested-PFS partial cache,
 # clairvoyant must at least match LRU, reuse tracking must win the
-# hot-set contention scenario), and a `monarch policy` CLI smoke.
+# hot-set contention scenario), and a `monarch snapshot --section policy`
+# CLI smoke.
 run_policy() {
     echo "==> cargo test -p monarch-core --lib policy targets"
     cargo test -p monarch-core --lib -q policy
@@ -328,11 +356,11 @@ run_policy() {
     echo "==> cargo test -p dlpipe sim policy ablations"
     cargo test -p dlpipe --lib -q -- eviction_policies_beat_first_fit \
         hot_set_contention policy_runs_are_deterministic
-    echo "==> monarch policy smoke"
+    echo "==> monarch snapshot --section policy smoke"
     local tmp
     fixture
-    cargo run -q -p monarch-cli -- policy \
-        --config "$tmp/cfg.json" --policy learned --json > "$tmp/policy.json"
+    cargo run -q -p monarch-cli -- snapshot \
+        --config "$tmp/cfg.json" --section policy --policy learned > "$tmp/policy.json"
     python3 - "$tmp/policy.json" <<'PY'
 import json, sys
 p = json.load(open(sys.argv[1]))
@@ -392,7 +420,8 @@ run_cluster() {
 # Tier fault tolerance end to end: the scripted-fault unit targets
 # (transient retry, permanent-error quarantine, half-open probe recovery,
 # ENOSPC evict-and-retry), the real-tempdir chaos epochs, the
-# deterministic sim outage scenario, and a `monarch health` CLI smoke.
+# deterministic sim outage scenario, and a `monarch snapshot --section
+# health` CLI smoke.
 run_chaos() {
     echo "==> cargo test -p monarch-core fault/quarantine/probe targets"
     cargo test -p monarch-core --lib -q -- transient_read_fault \
@@ -402,10 +431,10 @@ run_chaos() {
     cargo test -p monarch --test chaos_e2e -q
     echo "==> cargo test -p dlpipe sim outage targets"
     cargo test -p dlpipe --lib -q -- ssd_outage no_op_fault_plan
-    echo "==> monarch health smoke"
+    echo "==> monarch snapshot --section health smoke"
     local tmp
     fixture
-    cargo run -q -p monarch-cli -- health --config "$tmp/cfg.json" --json \
+    cargo run -q -p monarch-cli -- snapshot --config "$tmp/cfg.json" --section health \
         > "$tmp/health.json"
     python3 - "$tmp/health.json" <<'PY'
 import json, sys
@@ -434,7 +463,7 @@ run_model() {
 # Exporter smoke: start `monarch serve` on an ephemeral port against a
 # generated dataset, scrape every endpoint, and check the Prometheus text
 # carries the gauge/histogram/counter families and the snapshot is the
-# versioned document with its policy section.
+# version-2 document with its policy section and no residency timeline.
 run_serve() {
     echo "==> monarch serve smoke"
     local tmp
@@ -464,9 +493,10 @@ run_serve() {
     curl -fsS "http://$addr/snapshot" | python3 -c '
 import json, sys
 s = json.load(sys.stdin)
-assert s["schema_version"] == 1, "serve smoke: schema_version %r" % s.get("schema_version")
+assert s["schema_version"] == 2, "serve smoke: schema_version %r" % s.get("schema_version")
 for key in ("stats", "gauges", "health", "policy"):
     assert key in s, "serve smoke: /snapshot lacks %s" % key
+assert "timeline" not in s.get("observe", {}), "serve smoke: /snapshot has observe.timeline"
 ' || { echo "serve smoke: /snapshot is not the versioned document" >&2; exit 1; }
     curl -fsS "http://$addr/trace" > /dev/null \
         || { echo "serve smoke: /trace failed" >&2; exit 1; }

@@ -17,6 +17,7 @@ use std::time::Instant;
 use monarch::core::config::{MonarchConfig, TierConfig};
 use monarch::core::observe::{LedgerBuckets, ObserveReport};
 use monarch::core::prefetch::AccessPlan;
+use monarch::core::telemetry::{EventKind, TransitionCause};
 use monarch::core::Monarch;
 use monarch::dlpipe::config::{EnvConfig, MonarchSimConfig, PipelineConfig, Setup};
 use monarch::dlpipe::geometry::DatasetGeom;
@@ -109,8 +110,17 @@ fn real_epoch_report_attributes_wall_and_flags_waste() {
             report.wasted_prefetch
         );
     }
-    // The timeline saw the staging copies land.
-    assert!(report.timeline_recorded > 0, "no residency transitions");
+    // The journal saw the plan's staging copies land.
+    assert!(
+        m.telemetry().journal().events().iter().any(|e| matches!(
+            e.kind,
+            EventKind::CopyCompleted {
+                cause: TransitionCause::Plan,
+                ..
+            }
+        )),
+        "no plan-driven copy_completed in the journal"
+    );
     drop(m);
     fs::remove_dir_all(&root).unwrap();
 }
@@ -188,7 +198,11 @@ fn sim_run_report_carries_per_epoch_and_total_attribution() {
     assert!((observe.wall_s - total).abs() < 1e-9);
     assert_buckets_sum_to_wall(&observe.ledger, total, "sim total");
     assert!(!observe.top_hot.is_empty(), "sim saw no hot files");
-    assert!(observe.timeline_recorded > 0, "sim recorded no transitions");
+    let telemetry = run
+        .telemetry
+        .as_ref()
+        .expect("monarch sim attaches telemetry");
+    assert!(telemetry.stats.copies_completed > 0, "sim placed no copies");
 
     for e in &run.epochs {
         let b = e.observe.as_ref().expect("per-epoch attribution");
