@@ -8,10 +8,10 @@ use monarch_core::config::TelemetryConfig;
 use monarch_core::driver::MemDriver;
 use monarch_core::hash::{FxHashMap, FxHashSet};
 use monarch_core::health::{ErrorClass, Gate};
-use monarch_core::hierarchy::StorageHierarchy;
-use monarch_core::lifecycle::{Lifecycle, Unplaced};
-use monarch_core::metadata::PlacementState;
-use monarch_core::observe::{LedgerBuckets, LedgerSnapshot, ObserveReport, ReadClass, ReadTiming};
+use monarch_core::hierarchy::{StorageHierarchy, TierId};
+use monarch_core::lifecycle::{Lifecycle, ReadTrace, Served, ServedRead, Unplaced};
+use monarch_core::metadata::{FileId, PlacementState};
+use monarch_core::observe::{LedgerBuckets, LedgerSnapshot, ObserveReport};
 use monarch_core::policy::{FeatureSource, PolicyEngine};
 use monarch_core::pool::Lane;
 use monarch_core::stats::Stats;
@@ -20,7 +20,7 @@ use monarch_core::telemetry::{
     TransitionCause,
 };
 use monarch_core::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
-use monarch_core::{Error, LaneQueues, StorageDriver};
+use monarch_core::{Error, LaneQueues, ReadFeedback, StorageDriver};
 use simfs::clock::SimTime;
 use simfs::fault::FaultPlan;
 use simfs::interference::Interference;
@@ -55,6 +55,24 @@ enum Ev {
     FaultEdge { window: usize, start: bool },
 }
 
+/// A MONARCH foreground read, from its lookup until
+/// [`Lifecycle::read_served`] books it: the shard's id, the tier the shard
+/// lived on and whether its copy was in flight, the tier serving the read
+/// and how, where in the shard and when it began, whether it is sampled
+/// for tracing, and whether the plan cursor counted it a prefetch hit.
+#[derive(Debug, Clone, Copy)]
+struct SimRead {
+    id: FileId,
+    home: TierId,
+    copying: bool,
+    tier: TierId,
+    how: Served,
+    offset: u64,
+    issued: SimTime,
+    traced: bool,
+    prefetch_hit: bool,
+}
+
 /// Synthetic trace track for the pre-stage scheduler (no reader owns it).
 const SIM_PRESTAGE_TRACK: u64 = 99;
 /// First synthetic trace track for readers (`100 + reader index`).
@@ -66,13 +84,11 @@ const SIM_COPY_TRACK0: u64 = 200;
 #[derive(Debug, Clone, Copy)]
 enum Purpose {
     /// A reader's chunk read; payload samples enter the prefetch buffer.
-    /// `issued`/`traced` carry the trace-span start and the sampling
-    /// decision from issue time to completion time.
+    /// Under MONARCH the read rides along, to be booked on completion.
     Chunk {
         reader: usize,
         shard: usize,
-        issued: SimTime,
-        traced: bool,
+        read: Option<SimRead>,
     },
     /// MONARCH placement: full-shard fetch from the PFS.
     CopyFetch { shard: usize },
@@ -100,6 +116,9 @@ struct Reader {
     inflight: bool,
     /// Finished its share of the epoch.
     done: bool,
+    /// The plan cursor counted the current shard a prefetch hit, and its
+    /// first chunk read has not been issued yet.
+    prefetch_hit: bool,
 }
 
 /// Which serving logic the run uses.
@@ -145,9 +164,9 @@ struct MonarchSim {
     /// the clairvoyant contract serves such reads from the copy when it
     /// lands rather than double-reading the shard from the PFS.
     waiting_readers: FxHashMap<usize, Vec<usize>>,
-    /// Virtual instant each parked reader stopped, so the profiler can
-    /// attribute the wait to the prefetch-lag bucket when it resumes.
-    parked_at: FxHashMap<usize, SimTime>,
+    /// Each parked reader's read, issued when it stopped: the wait is the
+    /// read's pread when the copy's buffer serves it.
+    parked: FxHashMap<usize, SimRead>,
     /// Time-lost ledger baseline at the current epoch's start; the epoch
     /// report carries the delta against it.
     epoch_ledger: LedgerSnapshot,
@@ -315,6 +334,11 @@ fn vmicros(t: SimTime) -> u64 {
     (t.as_secs_f64() * 1e6) as u64
 }
 
+/// A `copy` span on track `tid` over the virtual interval `[from, to]`.
+fn copy_span(name: &'static str, tid: u64, from: SimTime, to: SimTime) -> SpanRecord {
+    SpanRecord::new(name, "copy", tid, vmicros(from), vmicros(to - from))
+}
+
 /// Virtual duration in nanoseconds (histogram resolution).
 fn vnanos(d: SimTime) -> u64 {
     (d.as_secs_f64() * 1e9) as u64
@@ -389,13 +413,17 @@ impl World {
                 let tier_names: Vec<String> =
                     levels.iter().map(|(name, _, _)| name.clone()).collect();
                 let stats = Arc::new(Stats::new(tier_names.len()));
-                let telemetry = Arc::new(TelemetryRegistry::new(
+                let policy = Arc::new(PolicyEngine::from_kind(cfg.policy, cfg.admission));
+                // As in the real instance, the policy engine's namespace is
+                // the instance's, and the profiler's records go by its ids.
+                let telemetry = Arc::new(TelemetryRegistry::with_namespace(
                     tier_names,
                     stats,
                     &TelemetryConfig {
                         trace_sample_every_n: cfg.trace_sample_every_n,
                         ..TelemetryConfig::default()
                     },
+                    Arc::clone(policy.namespace()),
                 ));
                 // The sim has no OS threads: give every actor a stable
                 // synthetic track so the exported trace renders readers
@@ -413,14 +441,11 @@ impl World {
                 }
                 let hierarchy =
                     Arc::new(StorageHierarchy::new(levels).expect("valid sim hierarchy"));
-                let policy = Arc::new(PolicyEngine::from_kind(cfg.policy, cfg.admission));
                 // Reuse-aware admission and the learned scorer read the
                 // sim's access profiler through the same bridge the real
                 // engine uses.
                 policy.bind_features(Arc::clone(&telemetry) as Arc<dyn FeatureSource>);
                 let ms = MonarchSim {
-                    // As in the real instance, the policy engine's
-                    // namespace is the instance's.
                     book: Lifecycle::new(hierarchy, policy, telemetry),
                     tier_dev,
                     lanes: LaneQueues::new(),
@@ -431,7 +456,7 @@ impl World {
                     plan_issued: 0,
                     prefetch_issued: FxHashMap::default(),
                     waiting_readers: FxHashMap::default(),
-                    parked_at: FxHashMap::default(),
+                    parked: FxHashMap::default(),
                     epoch_ledger: LedgerSnapshot::default(),
                     buffer_ready: FxHashSet::default(),
                     idle_workers: cfg.pool_threads.max(1),
@@ -807,17 +832,11 @@ impl World {
                             let flow = tr.next_id();
                             ms.copy_flow.insert(i, flow);
                             tr.record(
-                                SpanRecord::new(
-                                    names::COPY_SCHEDULED,
-                                    "copy",
-                                    SIM_PRESTAGE_TRACK,
-                                    vmicros(now),
-                                    0,
-                                )
-                                .with_id(tr.next_id())
-                                .with_flow(flow, FlowPhase::Start)
-                                .arg_str("file", name.clone())
-                                .arg_u64("bytes", bytes),
+                                copy_span(names::COPY_SCHEDULED, SIM_PRESTAGE_TRACK, now, now)
+                                    .with_id(tr.next_id())
+                                    .with_flow(flow, FlowPhase::Start)
+                                    .arg_str("file", name.clone())
+                                    .arg_u64("bytes", bytes),
                             );
                         }
                     }
@@ -914,7 +933,7 @@ impl World {
                 }
                 ms.prefetch_issued.clear();
                 ms.waiting_readers.clear();
-                ms.parked_at.clear();
+                ms.parked.clear();
                 ms.buffer_ready.clear();
                 self.pump_prefetch(now);
             }
@@ -995,27 +1014,22 @@ impl World {
 
     // -- readers -----------------------------------------------------------
 
-    /// Device that serves a chunk of `shard` right now for reader `r`;
-    /// MONARCH may also kick off a background placement as a side effect
-    /// (first touch).
-    fn route_chunk(&mut self, now: SimTime, r: usize, shard: usize) -> usize {
+    /// Device that serves a chunk of `shard` right now for reader `r`,
+    /// and under MONARCH the read its lookup begins; MONARCH may also kick
+    /// off a background placement as a side effect (first touch).
+    fn route_chunk(&mut self, now: SimTime, r: usize, shard: usize) -> (usize, Option<SimRead>) {
         match self.mode {
-            ModeTag::VanillaLustre => self.lustre,
-            ModeTag::VanillaLocal => self.ssd,
-            ModeTag::VanillaCaching => {
-                if self.epoch == 0 {
-                    self.lustre
-                } else {
-                    self.ssd
-                }
-            }
+            ModeTag::VanillaLustre => (self.lustre, None),
+            ModeTag::VanillaLocal => (self.ssd, None),
+            ModeTag::VanillaCaching if self.epoch == 0 => (self.lustre, None),
+            ModeTag::VanillaCaching => (self.ssd, None),
             ModeTag::Monarch => {
                 let name = &self.shard_names[shard];
                 let ms = self.monarch.as_mut().expect("monarch state");
-                let info = ms
+                let (id, info) = ms
                     .book
                     .metadata()
-                    .lookup_for_read(name)
+                    .resolve_for_read(name)
                     .expect("shard registered");
                 ms.book.policy().on_access(name, info.tier);
                 // Fault-aware serving through the engine's gate and settle:
@@ -1055,10 +1069,20 @@ impl World {
                     }
                     if gate == Gate::Shut || faulted {
                         serve_tier = source_tier;
-                        ms.book.telemetry().stats().degraded_read();
                     }
                 }
                 let dev = ms.tier_dev[serve_tier];
+                let read = SimRead {
+                    id,
+                    home: info.tier,
+                    copying: matches!(info.state, PlacementState::Copying { .. }),
+                    tier: serve_tier,
+                    how: Served::Tier,
+                    offset: 0,
+                    issued: now,
+                    traced: false,
+                    prefetch_hit: false,
+                };
                 // Demand preemption: a foreground read of a shard still
                 // sitting in the prefetch lane moves it to the demand lane
                 // — one copy, higher priority, no duplicate.
@@ -1083,12 +1107,11 @@ impl World {
                             ms.copy_flow.insert(shard, flow);
                             ms.flow_start_pending.insert(shard, flow);
                             tr.record(
-                                SpanRecord::new(
+                                copy_span(
                                     names::COPY_SCHEDULED,
-                                    "copy",
                                     SIM_READER_TRACK0 + r as u64,
-                                    vmicros(now),
-                                    0,
+                                    now,
+                                    now,
                                 )
                                 .with_id(tr.next_id())
                                 .arg_u64("flow", flow)
@@ -1121,7 +1144,7 @@ impl World {
                     // call: make sure an idle worker picks it up now.
                     self.dispatch_copy_workers(now);
                 }
-                dev
+                (dev, Some(read))
             }
         }
     }
@@ -1163,20 +1186,22 @@ impl World {
                 self.readers[r].cur = Some((next, 0));
                 // A freshly started shard served by Lustre pays an MDS
                 // open before its first chunk.
-                let dev = self.route_chunk(now, r, next);
-                self.prefetch_note_read(now, next);
+                let (dev, read) = self.route_chunk(now, r, next);
+                self.readers[r].prefetch_hit = self.prefetch_note_read(now, next);
                 // Clairvoyant interception, in precedence order: a shard
                 // whose staged fetch already landed in memory is consumed
                 // from the copy buffer outright; one whose copy is still
                 // in flight parks the reader until the fetch completes —
                 // either way the read never races a duplicate synchronous
                 // fetch against its own staging copy over the PFS.
-                if self.clairvoyant_buffer_serve(now, r, next) {
-                    self.reader_advance(now, r);
-                    return;
-                }
-                if self.prefetch_park(now, r, next) {
-                    return;
+                if let Some(read) = read {
+                    if self.clairvoyant_buffer_serve(now, r, next, read) {
+                        self.reader_advance(now, r);
+                        return;
+                    }
+                    if self.prefetch_park(r, next, read) {
+                        return;
+                    }
                 }
                 if dev == self.lustre {
                     // MDS-stall windows stretch the open's service time
@@ -1201,13 +1226,11 @@ impl World {
     fn issue_chunk(&mut self, now: SimTime, r: usize, shard: usize, offset: u64) {
         let total = self.geom.shards[shard].bytes;
         let len = self.chunk_bytes.min(total - offset);
-        let dev = self.route_chunk(now, r, shard);
-        let mut traced = false;
-        if let Some(ms) = self.monarch.as_ref() {
-            if let Some(tier) = ms.tier_dev.iter().position(|&d| d == dev) {
-                ms.book.telemetry().stats().record_read(tier, len);
-            }
-            traced = ms.book.telemetry().trace().sample_read();
+        let (dev, mut read) = self.route_chunk(now, r, shard);
+        if let (Some(read), Some(ms)) = (read.as_mut(), self.monarch.as_ref()) {
+            read.offset = offset;
+            read.traced = ms.book.telemetry().trace().sample_read();
+            read.prefetch_hit = std::mem::take(&mut self.readers[r].prefetch_hit);
         }
         let latency = self.sample_latency(dev);
         let sync_cap = self.devs[dev].spec.sync_stream_cap;
@@ -1231,8 +1254,7 @@ impl World {
             Purpose::Chunk {
                 reader: r,
                 shard,
-                issued: now,
-                traced,
+                read,
             },
         );
         self.readers[r].cur = Some((shard, offset + len));
@@ -1246,121 +1268,43 @@ impl World {
         SimTime::from_secs_f64(s)
     }
 
-    /// Record the virtual-time span tree of one sampled chunk read:
-    /// `read` with `metadata_lookup` / `tier_resolve` / `driver_pread`
-    /// children, the same shape the real middleware records. A PFS-served
-    /// read whose shard has a copy awaiting its flow start carries the
-    /// `ph:"s"` endpoint on its `driver_pread`.
-    fn record_read_spans(
-        &mut self,
-        now: SimTime,
-        dev: usize,
-        reader: usize,
-        shard: usize,
-        issued: SimTime,
-        bytes: u64,
-    ) {
-        let lustre = self.lustre;
-        let Some(ms) = self.monarch.as_mut() else {
-            return;
-        };
-        let tr = Arc::clone(ms.book.telemetry().trace());
-        if !tr.is_enabled() {
-            return;
-        }
-        let tid = SIM_READER_TRACK0 + reader as u64;
-        let t0 = vmicros(issued);
-        let dur = vmicros(now - issued).max(1);
-        let read_id = tr.next_id();
-        let tier = ms
-            .tier_dev
-            .iter()
-            .position(|&d| d == dev)
-            .unwrap_or(ms.tier_dev.len() - 1);
-        let tier_name = ms
-            .book
-            .hierarchy()
-            .tier(tier)
-            .map(|t| t.name.clone())
-            .unwrap_or_default();
-        // The lookup and resolve steps are instantaneous in virtual time;
-        // zero-duration children keep the tree shape identical.
-        tr.record(
-            SpanRecord::new(names::METADATA_LOOKUP, "read", tid, t0, 0)
-                .with_id(tr.next_id())
-                .with_parent(read_id),
-        );
-        tr.record(
-            SpanRecord::new(names::TIER_RESOLVE, "read", tid, t0, 0)
-                .with_id(tr.next_id())
-                .with_parent(read_id),
-        );
-        let mut pread = SpanRecord::new(names::DRIVER_PREAD, "read", tid, t0, dur)
-            .with_id(tr.next_id())
-            .with_parent(read_id)
-            .arg_str("tier", tier_name)
-            .arg_u64("bytes", bytes);
-        if dev == lustre {
-            if let Some(flow) = ms.flow_start_pending.remove(&shard) {
-                pread = pread.with_flow(flow, FlowPhase::Start);
-            }
-        }
-        tr.record(pread);
-        tr.record(
-            SpanRecord::new(names::READ, "read", tid, t0, dur)
-                .with_id(read_id)
-                .arg_str("file", self.shard_names[shard].clone())
-                .arg_u64("bytes", bytes),
-        );
-    }
-
-    /// Feed one completed chunk read to the access profiler, classified
-    /// by the function the real read path classifies with
-    /// ([`ReadClass::of`]). Virtual lookups are instantaneous, so the
-    /// whole device time is pread time.
-    fn profile_chunk_read(
-        &mut self,
-        now: SimTime,
-        dev: usize,
-        shard: usize,
-        issued: SimTime,
-        bytes: u64,
-    ) {
-        let on_source = dev == self.lustre;
-        let Some(ms) = self.monarch.as_ref() else {
-            return;
-        };
-        let profiler = ms.book.telemetry().profiler();
-        if !profiler.is_enabled() {
-            return;
-        }
-        let name = &self.shard_names[shard];
-        let source = ms.tier_dev.len() - 1;
-        let tier = ms.tier_dev.iter().position(|&d| d == dev).unwrap_or(source);
-        let state = ms.book.metadata().get(name).map(|i| (i.tier, i.state));
-        let class = ReadClass::of(
-            // Resident on a local tier but served from the PFS: the tier
-            // is quarantined (or failing) and the read fell back.
-            on_source && state.is_some_and(|(at, s)| at != source && s == PlacementState::Placed),
-            on_source,
-            // Reads served out of a copy's buffer are profiled where they
-            // are served (`serve_from_buffer`), not here.
-            false,
-            ms.prefetch_lookahead > 0 && ms.plan_pos.contains_key(&shard),
-            matches!(state, Some((_, PlacementState::Copying { .. }))),
-        );
-        profiler.record_read(
-            name,
-            tier,
+    /// Book reader `r`'s `read` of `shard`, served at `now` with `bytes`,
+    /// through the engine's one booking call under virtual time. Its
+    /// lookups are instantaneous in virtual time, so all its wait is pread,
+    /// and every read carries the clock. A sampled PFS-served read carries
+    /// the flow start of its shard's copy, if that copy has none yet.
+    fn book_read(&mut self, now: SimTime, r: usize, shard: usize, bytes: u64, read: SimRead) {
+        let ms = self.monarch.as_mut().expect("monarch");
+        let tr = ms.book.telemetry().trace();
+        let pfs = read.how == Served::Tier && read.tier == ms.tier_dev.len() - 1;
+        let trace = read.traced.then(|| ReadTrace {
+            id: tr.next_id(),
+            parent: 0,
+            track: SIM_READER_TRACK0 + r as u64,
+            flow: pfs
+                .then(|| ms.flow_start_pending.remove(&shard))
+                .flatten()
+                .unwrap_or(0),
+        });
+        let (t0, t1) = (vmicros(read.issued) * 1_000, vmicros(now) * 1_000);
+        ms.book.read_served(&ServedRead {
+            id: read.id,
+            file: &self.shard_names[shard],
+            offset: read.offset,
             bytes,
-            class,
-            false,
-            ReadTiming {
-                pread_ns: vmicros(now - issued) * 1_000,
-                ..ReadTiming::default()
+            home: read.home,
+            copying: read.copying,
+            tier: read.tier,
+            how: read.how,
+            plan: ReadFeedback {
+                flow: 0,
+                planned: ms.prefetch_lookahead > 0 && ms.plan_pos.contains_key(&shard),
+                prefetch_hit: read.prefetch_hit,
             },
-            vmicros(now),
-        );
+            weight: 1,
+            trace,
+            marks: Some([t0, t0, t0, t1, t1]),
+        });
     }
 
     // -- transfer completions ----------------------------------------------
@@ -1370,8 +1314,7 @@ impl World {
             Purpose::Chunk {
                 reader,
                 shard,
-                issued,
-                traced,
+                read,
             } => {
                 let samples = bytes as f64 * self.samples_per_byte[shard];
                 self.inflight_samples -= samples;
@@ -1384,10 +1327,9 @@ impl World {
                 );
                 self.buffered_samples += samples;
                 self.readers[reader].inflight = false;
-                if traced {
-                    self.record_read_spans(now, dev, reader, shard, issued, bytes);
+                if let Some(read) = read {
+                    self.book_read(now, reader, shard, bytes, read);
                 }
-                self.profile_chunk_read(now, dev, shard, issued, bytes);
 
                 // Cache spills: vanilla-caching epoch 1, or MONARCH with
                 // the full-file fetch disabled.
@@ -1446,17 +1388,11 @@ impl World {
                 if let Some(ct) = ms.copy_trace.get_mut(&shard) {
                     if tr.is_enabled() {
                         tr.record(
-                            SpanRecord::new(
-                                names::COPY_READ,
-                                "copy",
-                                ct.tid,
-                                vmicros(fetch_started),
-                                vmicros(now - fetch_started),
-                            )
-                            .with_id(tr.next_id())
-                            .with_parent(ct.exec_id)
-                            .arg_str("tier", src_name)
-                            .arg_u64("bytes", bytes),
+                            copy_span(names::COPY_READ, ct.tid, fetch_started, now)
+                                .with_id(tr.next_id())
+                                .with_parent(ct.exec_id)
+                                .arg_str("tier", src_name)
+                                .arg_u64("bytes", bytes),
                         );
                     }
                     ct.write_started = now;
@@ -1502,7 +1438,9 @@ impl World {
                     }
                     for &r in &released {
                         self.readers[r].inflight = false;
-                        self.serve_from_buffer(now, r, shard);
+                        let ms = self.monarch.as_mut().expect("monarch");
+                        let read = ms.parked.remove(&r).expect("parked");
+                        self.serve_from_buffer(now, r, shard, read);
                     }
                     for r in released {
                         self.reader_advance(now, r);
@@ -1560,29 +1498,17 @@ impl World {
                             .map(|t| t.name.clone())
                             .unwrap_or_default();
                         tr.record(
-                            SpanRecord::new(
-                                names::COPY_WRITE,
-                                "copy",
-                                ct.tid,
-                                vmicros(ct.write_started),
-                                vmicros(now - ct.write_started),
-                            )
-                            .with_id(tr.next_id())
-                            .with_parent(ct.exec_id)
-                            .arg_str("tier", dst.clone())
-                            .arg_u64("bytes", size),
+                            copy_span(names::COPY_WRITE, ct.tid, ct.write_started, now)
+                                .with_id(tr.next_id())
+                                .with_parent(ct.exec_id)
+                                .arg_str("tier", dst.clone())
+                                .arg_u64("bytes", size),
                         );
                         tr.record(
-                            SpanRecord::new(
-                                names::METADATA_REGISTER,
-                                "copy",
-                                ct.tid,
-                                vmicros(now),
-                                0,
-                            )
-                            .with_id(tr.next_id())
-                            .with_parent(ct.exec_id)
-                            .arg_str("tier", dst),
+                            copy_span(names::METADATA_REGISTER, ct.tid, now, now)
+                                .with_id(tr.next_id())
+                                .with_parent(ct.exec_id)
+                                .arg_str("tier", dst),
                         );
                         let t_exec = vmicros(started.unwrap_or(now));
                         tr.record(
@@ -1602,19 +1528,7 @@ impl World {
                     }
                 }
                 self.dispatch_copy_workers(now);
-                // Option (i): training starts once staging fully drains.
-                if self.prestaging {
-                    let ms = self.monarch.as_ref().expect("monarch");
-                    if ms.lanes.queued(Lane::Demand) == 0
-                        && ms.pending_copy_writes == 0
-                        && ms.copy_target.is_empty()
-                        && ms.idle_workers == ms.pool_threads
-                    {
-                        self.prestaging = false;
-                        self.prestage_seconds = (now - self.prestage_started).as_secs_f64();
-                        self.q.schedule(now, Ev::StartEpoch);
-                    }
-                }
+                self.maybe_end_prestage(now);
             }
             Purpose::CacheWrite { shard } => {
                 self.pending_cache_writes -= 1;
@@ -1681,33 +1595,39 @@ impl World {
                 .unplaced(t_us, name, Some((tier, size)), Unplaced::Failed(&fault));
         }
         self.dispatch_copy_workers(now);
-        // Option (i): a failed write still counts toward staging drain.
-        if self.prestaging {
-            let ms = self.monarch.as_ref().expect("monarch");
-            if ms.lanes.queued(Lane::Demand) == 0
-                && ms.pending_copy_writes == 0
-                && ms.copy_target.is_empty()
-                && ms.idle_workers == ms.pool_threads
-            {
-                self.prestaging = false;
-                self.prestage_seconds = (now - self.prestage_started).as_secs_f64();
-                self.q.schedule(now, Ev::StartEpoch);
-            }
+        // A failed write still counts toward staging drain.
+        self.maybe_end_prestage(now);
+    }
+
+    /// Option (i): training starts once staging fully drains.
+    fn maybe_end_prestage(&mut self, now: SimTime) {
+        let ms = self.monarch.as_ref().expect("monarch");
+        if self.prestaging
+            && ms.lanes.queued(Lane::Demand) == 0
+            && ms.pending_copy_writes == 0
+            && ms.copy_target.is_empty()
+            && ms.idle_workers == ms.pool_threads
+        {
+            self.prestaging = false;
+            self.prestage_seconds = (now - self.prestage_started).as_secs_f64();
+            self.q.schedule(now, Ev::StartEpoch);
         }
     }
 
     // -- MONARCH clairvoyant prefetch ----------------------------------------
 
     /// Advance the foreground read cursor past `shard`, count a prefetch
-    /// hit when a staged shard is read from a local tier, and let the
-    /// prefetcher issue further plan entries the cursor unlocked.
-    fn prefetch_note_read(&mut self, now: SimTime, shard: usize) {
+    /// hit when a staged shard is read from a local tier — returning
+    /// whether it did — and let the prefetcher issue further plan entries
+    /// the cursor unlocked.
+    fn prefetch_note_read(&mut self, now: SimTime, shard: usize) -> bool {
+        let mut hit = false;
         {
             let Some(ms) = self.monarch.as_mut() else {
-                return;
+                return false;
             };
             if ms.prefetch_lookahead == 0 {
-                return;
+                return false;
             }
             if let Some(&pos) = ms.plan_pos.get(&shard) {
                 ms.plan_cursor = ms.plan_cursor.max(pos + 1);
@@ -1724,40 +1644,38 @@ impl World {
                     if let Some(info) = ms.book.metadata().get(&self.shard_names[shard]) {
                         if info.tier != source && info.state == PlacementState::Placed {
                             ms.book.telemetry().stats().prefetch_hit();
+                            hit = true;
                         }
                     }
                 }
             }
         }
         self.pump_prefetch(now);
+        hit
     }
 
-    /// Park reader `r` at the head of `shard` when a prefetch-issued copy
-    /// of it is still streaming in from the PFS: the reader is woken by
-    /// that fetch's completion and served from the copy's buffer, instead
-    /// of double-reading the shard synchronously from the PFS while the
-    /// bulk copy streams the same bytes. Reactive mode (`lookahead == 0`)
-    /// never parks, and neither do shards the prefetcher did not issue —
-    /// demand copies keep today's read-through behaviour byte for byte.
-    fn prefetch_park(&mut self, now: SimTime, r: usize, shard: usize) -> bool {
+    /// Park reader `r`'s `read` at the head of `shard` when a
+    /// prefetch-issued copy of it is still streaming in from the PFS: the
+    /// reader is woken by that fetch's completion and served from the
+    /// copy's buffer, instead of double-reading the shard synchronously
+    /// from the PFS while the bulk copy streams the same bytes. Reactive
+    /// mode (`lookahead == 0`) never parks, and neither do shards the
+    /// prefetcher did not issue — demand copies keep today's read-through
+    /// behaviour byte for byte.
+    fn prefetch_park(&mut self, r: usize, shard: usize, read: SimRead) -> bool {
         let name = &self.shard_names[shard];
         let parked = match self.monarch.as_mut() {
             Some(ms)
                 if ms.prefetch_lookahead > 0
                     && ms.prefetch_issued.contains_key(&shard)
-                    && !ms.buffer_ready.contains(&shard) =>
+                    && !ms.buffer_ready.contains(&shard)
+                    && ms.book.metadata().get(name).is_some_and(|info| {
+                        matches!(info.state, PlacementState::Copying { .. })
+                    }) =>
             {
-                let copying = matches!(
-                    ms.book.metadata().get(name),
-                    Some(info) if matches!(info.state, PlacementState::Copying { .. })
-                );
-                if copying {
-                    ms.waiting_readers.entry(shard).or_default().push(r);
-                    ms.parked_at.insert(r, now);
-                    true
-                } else {
-                    false
-                }
+                ms.waiting_readers.entry(shard).or_default().push(r);
+                ms.parked.insert(r, read);
+                true
             }
             _ => false,
         };
@@ -1770,7 +1688,13 @@ impl World {
     /// Serve the whole of `shard` to reader `r` when its staged fetch has
     /// already landed in memory (write-back still draining). Counts as a
     /// prefetch hit. Returns false when the shard is not buffer-ready.
-    fn clairvoyant_buffer_serve(&mut self, now: SimTime, r: usize, shard: usize) -> bool {
+    fn clairvoyant_buffer_serve(
+        &mut self,
+        now: SimTime,
+        r: usize,
+        shard: usize,
+        read: SimRead,
+    ) -> bool {
         let hit = match self.monarch.as_mut() {
             Some(ms)
                 if ms.prefetch_lookahead > 0
@@ -1783,7 +1707,7 @@ impl World {
             _ => false,
         };
         if hit {
-            self.serve_from_buffer(now, r, shard);
+            self.serve_from_buffer(now, r, shard, read);
         }
         hit
     }
@@ -1791,47 +1715,25 @@ impl World {
     /// Consume `shard` straight out of the staging copy's in-memory
     /// buffer: the placement fetch already moved the bytes into RAM, so
     /// the foreground read costs no further device time — only the
-    /// trainer's own consumption rate.
-    fn serve_from_buffer(&mut self, now: SimTime, r: usize, shard: usize) {
+    /// trainer's own consumption rate. The read is booked as the engine
+    /// books a read served by its copy's install staging: a staged read,
+    /// that waited from its issue for the fetch that carried its bytes.
+    fn serve_from_buffer(&mut self, now: SimTime, r: usize, shard: usize, read: SimRead) {
         let bytes = self.geom.shards[shard].bytes;
-        if let Some(ms) = self.monarch.as_mut() {
-            let tier = ms.copy_target.get(&shard).copied();
-            if let Some(tier) = tier {
-                ms.book.telemetry().stats().record_read(tier, bytes);
-            }
-            let waited = ms
-                .parked_at
-                .remove(&r)
-                .map(|at| vmicros(now - at))
-                .unwrap_or(0);
-            let profiler = ms.book.telemetry().profiler();
-            if profiler.is_enabled() {
-                // A reader that parked on the staging copy books its wait
-                // as the pread of a prefetch-lag read (the prefetcher
-                // knew, but was late), as the engine books a wait inside
-                // a staging; an un-parked buffer hit is a free read.
-                let (class, timing) = if waited > 0 {
-                    (
-                        ReadClass::PrefetchLag,
-                        ReadTiming {
-                            pread_ns: waited * 1_000,
-                            ..ReadTiming::default()
-                        },
-                    )
-                } else {
-                    (ReadClass::Fast, ReadTiming::default())
-                };
-                profiler.record_read(
-                    &self.shard_names[shard],
-                    tier.unwrap_or(0),
-                    bytes,
-                    class,
-                    true,
-                    timing,
-                    vmicros(now),
-                );
-            }
-        }
+        let tr = self
+            .monarch
+            .as_ref()
+            .expect("monarch")
+            .book
+            .telemetry()
+            .trace();
+        let read = SimRead {
+            how: Served::Staged { fetched: 0 },
+            traced: tr.sample_read(),
+            prefetch_hit: true,
+            ..read
+        };
+        self.book_read(now, r, shard, bytes, read);
         self.readers[r].cur = Some((shard, bytes));
         self.buffered_samples += bytes as f64 * self.samples_per_byte[shard];
         self.try_start_compute(now);
@@ -1902,7 +1804,7 @@ impl World {
                 ms.prefetch_issued.remove(&shard);
                 if let Some(stranded) = ms.waiting_readers.remove(&shard) {
                     for &r in &stranded {
-                        ms.parked_at.remove(&r);
+                        ms.parked.remove(&r);
                         self.readers[r].inflight = false;
                     }
                     for r in stranded {
@@ -1931,21 +1833,14 @@ impl World {
                     let tid = SIM_COPY_TRACK0 + (shard % ms.pool_threads) as u64;
                     if let Some(at) = queued_at {
                         tr.record(
-                            SpanRecord::new(
-                                names::QUEUE_WAIT,
-                                "copy",
-                                QUEUE_TRACK,
-                                vmicros(at),
-                                vmicros(now - at),
-                            )
-                            .with_id(tr.next_id())
-                            .arg_str("file", name.clone()),
+                            copy_span(names::QUEUE_WAIT, QUEUE_TRACK, at, now)
+                                .with_id(tr.next_id())
+                                .arg_str("file", name.clone()),
                         );
                     }
-                    let mut pd =
-                        SpanRecord::new(names::PLACEMENT_DECIDE, "copy", tid, vmicros(now), 0)
-                            .with_id(tr.next_id())
-                            .with_parent(exec_id);
+                    let mut pd = copy_span(names::PLACEMENT_DECIDE, tid, now, now)
+                        .with_id(tr.next_id())
+                        .with_parent(exec_id);
                     for (key, value) in decision.trace_args(ms.book.hierarchy()) {
                         pd.args.push((key, value));
                     }

@@ -225,22 +225,6 @@ impl StorageHierarchy {
             tier.driver = wrap(tier.id, Arc::clone(&tier.driver));
         }
     }
-
-    /// True when every local tier lacks room for even a minimal file — the
-    /// condition under which the placement phase ends early.
-    #[must_use]
-    pub fn local_full(&self, smallest_file: u64) -> bool {
-        self.local_tiers()
-            .all(|t| t.quota.as_ref().is_none_or(|q| q.free() < smallest_file))
-    }
-
-    /// Total free bytes across local tiers.
-    #[must_use]
-    pub fn local_free(&self) -> u64 {
-        self.local_tiers()
-            .map(|t| t.quota.as_ref().map_or(0, Quota::free))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -352,15 +336,5 @@ mod tests {
         let _ = h.tier(0).unwrap().driver.read_at("missing", 0, &mut buf);
         let _ = h.tier(1).unwrap().driver.read_at("missing", 0, &mut buf);
         assert_eq!(hist.count(), 2, "both tiers' drivers are wrapped");
-    }
-
-    #[test]
-    fn local_full_detection() {
-        let h = two_level(100);
-        assert!(!h.local_full(1));
-        assert!(h.tier(0).unwrap().quota.as_ref().unwrap().try_reserve(100));
-        assert!(h.local_full(1));
-        assert!(!h.local_full(0));
-        assert_eq!(h.local_free(), 0);
     }
 }

@@ -17,9 +17,15 @@
 //! its event loop under virtual time, so what a simulated run records
 //! about a copy is what the engine would have recorded.
 //!
+//! So is a foreground read that has its bytes
+//! ([`read_served`](Lifecycle::read_served)): the engine's read loop, its
+//! peer path and the simulator book through that one call, so a read is
+//! counted, classed, timed and traced the same way under either clock.
+//!
 //! The bytes stay with the caller: deleting an evicted copy is a closure
 //! the engine fills with `driver.remove` and the simulator with nothing,
-//! and fetching and installing are not this module's business at all.
+//! and fetching, installing and reading are not this module's business at
+//! all.
 
 use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
@@ -28,11 +34,14 @@ use std::time::Duration;
 use crate::cluster::ClusterView;
 use crate::health::{device_error_class, ErrorClass, Gate, Transition};
 use crate::hierarchy::{Quota, StorageHierarchy, TierId};
-use crate::metadata::{MetadataContainer, PlacementState};
+use crate::metadata::{FileId, MetadataContainer, PlacementState};
+use crate::observe::{ReadClass, ReadTiming};
 use crate::policy::{DecisionPoint, PlacementDecision, PolicyEngine};
 use crate::pool::Lane;
 use crate::stats::Stats;
 use crate::telemetry::{EventKind, TelemetryRegistry, TransitionCause};
+use crate::trace::{names, FlowPhase, SpanRecord};
+use crate::transfer::ReadFeedback;
 use crate::{Error, Result};
 
 /// Quota a copy holds on its target tier between
@@ -94,6 +103,68 @@ impl Evict {
             ),
         }
     }
+}
+
+/// How a foreground read got its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Served {
+    /// A read of the serving tier's driver.
+    Tier,
+    /// Out of the install staging of the file's in-flight copy.
+    Staged {
+        /// Bytes of the range the read fetched from the source itself (booked
+        /// there as it fetched them); `0` when the staging held them all.
+        fetched: u64,
+    },
+    /// From a peer node's fast tier, over the cluster transport.
+    Peer,
+}
+
+/// Where a sampled read's span tree goes.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadTrace {
+    /// The `read` span's id.
+    pub id: u64,
+    /// Its parent span (`0`: a root).
+    pub parent: u64,
+    /// The track the tree is drawn on.
+    pub track: u64,
+    /// The flow its `driver_pread` starts to the copy it announced (`0`: none).
+    pub flow: u64,
+}
+
+/// One foreground read that produced bytes, as
+/// [`Lifecycle::read_served`] books it.
+#[derive(Debug, Clone, Copy)]
+pub struct ServedRead<'a> {
+    /// The file's id in the namespace, whose lookup counted the access.
+    pub id: FileId,
+    /// The file's name.
+    pub file: &'a str,
+    /// Where in the file the read began.
+    pub offset: u64,
+    /// Bytes it returned.
+    pub bytes: u64,
+    /// The tier the lookup found the file on.
+    pub home: TierId,
+    /// The lookup found a copy of the file in flight.
+    pub copying: bool,
+    /// The tier that served it: `home` (the source, for a staged or peer
+    /// read), or a lower one when the read was rerouted around a failing one.
+    pub tier: TierId,
+    /// How it was served.
+    pub how: Served,
+    /// What the plan cursor made of it.
+    pub plan: ReadFeedback,
+    /// How many reads it stands for in the time records: 1, the sampling
+    /// period for a local hit that carries the clock, `0` for one that does not.
+    pub weight: u64,
+    /// Set when the read is sampled for tracing.
+    pub trace: Option<ReadTrace>,
+    /// When the read carried the clock: when it began, had looked its file
+    /// up, had its serving tier, had its bytes and returned, in
+    /// nanoseconds on the registry clock (virtual time in the simulator).
+    pub marks: Option<[u64; 5]>,
 }
 
 /// The books of one instance's copies, over the parts the instance shares:
@@ -523,6 +594,104 @@ impl Lifecycle {
         };
         self.telemetry.event_at(at(), event);
     }
+
+    /// *Read served*: book a foreground read that produced bytes. Its bytes
+    /// go to the counters by how it was served, a rerouted read is counted
+    /// degraded, and the read is classed ([`ReadClass::of`]) into the
+    /// access profiler: its counts always; its phases, and for a read of a
+    /// tier's driver the tier's read-latency sample, when it carried the
+    /// clock at a weight. A sampled read leaves its `read → metadata_lookup
+    /// → tier_resolve → driver_pread` span tree. An untimed, unsampled hit
+    /// does nothing but relaxed adds.
+    pub fn read_served(&self, read: &ServedRead<'_>) {
+        let stats = self.stats();
+        match read.how {
+            Served::Tier => stats.record_read(read.tier, read.bytes),
+            Served::Staged { fetched } => stats.record_staged(fetched == 0, read.bytes - fetched),
+            Served::Peer => stats.peer_hit(read.bytes),
+        }
+        let degraded = read.tier != read.home;
+        if degraded {
+            stats.degraded_read();
+        }
+        if let (Some(trace), Some(marks)) = (read.trace, read.marks) {
+            self.trace_read(read, trace, marks);
+        }
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        let timed = read.marks.filter(|_| read.weight > 0);
+        if let Some([.., resolve, pread, _]) = timed {
+            stats.timed_read();
+            if read.how == Served::Tier {
+                self.telemetry
+                    .read_latency(read.tier)
+                    .record_n(pread.saturating_sub(resolve), read.weight);
+            }
+        }
+        let class = ReadClass::of(
+            read.how,
+            degraded,
+            read.home == self.hierarchy.source_id(),
+            read.plan.planned,
+            read.copying,
+        );
+        self.telemetry.profiler().record_read_id(
+            read.id,
+            read.tier,
+            read.bytes,
+            class,
+            read.plan.prefetch_hit,
+            timed
+                .map(|marks| ReadTiming::between(marks, read.weight))
+                .as_ref(),
+            timed.map_or(0, |[.., end]| end / 1_000),
+        );
+    }
+
+    /// A sampled read's span tree; the `read` span points back at the
+    /// prefetch copy that staged its file, if one did.
+    fn trace_read(&self, read: &ServedRead<'_>, trace: ReadTrace, marks: [u64; 5]) {
+        let tr = self.telemetry.trace();
+        let [entry, lookup, resolve, pread, end] = marks.map(|ns| ns / 1_000);
+        let tier = match read.how {
+            Served::Peer => "peer",
+            _ => self
+                .hierarchy
+                .tier(read.tier)
+                .map_or("", |t| t.name.as_str()),
+        };
+        let child = |name, from: u64, to: u64| {
+            SpanRecord::new(name, "read", trace.track, from, to.saturating_sub(from))
+                .with_id(tr.next_id())
+                .with_parent(trace.id)
+        };
+        tr.record(child(names::METADATA_LOOKUP, entry, lookup));
+        tr.record(child(names::TIER_RESOLVE, lookup, resolve).arg_str("tier", tier));
+        let pread = child(names::DRIVER_PREAD, resolve, pread)
+            .arg_str("tier", tier)
+            .arg_u64("bytes", read.bytes);
+        tr.record(match trace.flow {
+            0 => pread,
+            flow => pread.with_flow(flow, FlowPhase::Start),
+        });
+        let span = SpanRecord::new(
+            names::READ,
+            "read",
+            trace.track,
+            entry,
+            end.saturating_sub(entry),
+        )
+        .with_id(trace.id)
+        .with_parent(trace.parent)
+        .arg_str("file", read.file)
+        .arg_u64("offset", read.offset)
+        .arg_u64("bytes", read.bytes);
+        tr.record(match read.plan.flow {
+            0 => span,
+            flow => span.arg_u64("prefetch_flow", flow),
+        });
+    }
 }
 
 #[cfg(test)]
@@ -541,14 +710,15 @@ mod tests {
         let hierarchy = Arc::new(
             StorageHierarchy::new(vec![tier("ssd", Some(1 << 20)), tier("pfs", None)]).unwrap(),
         );
-        let telemetry = Arc::new(TelemetryRegistry::new(
-            vec!["ssd".into(), "pfs".into()],
-            Arc::new(Stats::new(2)),
-            &TelemetryConfig::default(),
-        ));
         let policy = Arc::new(PolicyEngine::from_kind(
             PolicyKind::FirstFit,
             AdmissionKind::AdmitAll,
+        ));
+        let telemetry = Arc::new(TelemetryRegistry::with_namespace(
+            vec!["ssd".into(), "pfs".into()],
+            Arc::new(Stats::new(2)),
+            &TelemetryConfig::default(),
+            Arc::clone(policy.namespace()),
         ));
         policy.namespace().register("f", 512, hierarchy.source_id());
         Lifecycle::new(hierarchy, policy, telemetry)
@@ -633,6 +803,43 @@ mod tests {
             }
             assert_eq!((pair[0].t_us, pair[1].t_us), (at, at), "{why:?}");
         }
+    }
+
+    #[test]
+    fn a_read_is_booked_by_how_it_was_served() {
+        let book = book();
+        let id = book.metadata().resolve("f").unwrap();
+        let read = |home, tier, how, marks| ServedRead {
+            id,
+            file: "f",
+            offset: 0,
+            bytes: 100,
+            home,
+            copying: false,
+            tier,
+            how,
+            plan: ReadFeedback::default(),
+            weight: 1,
+            trace: None,
+            marks,
+        };
+        // A timed read of the source, then one rerouted there from the
+        // ssd the file lives on; a read that fetched 40 of its bytes into
+        // its copy's staging and took 60 from it; a peer's.
+        book.read_served(&read(1, 1, Served::Tier, Some([0, 10, 20, 2_020, 2_030])));
+        book.read_served(&read(0, 1, Served::Tier, Some([0, 0, 0, 3_000, 3_000])));
+        book.read_served(&read(1, 1, Served::Staged { fetched: 40 }, None));
+        book.read_served(&read(1, 1, Served::Peer, None));
+        let s = book.stats().snapshot();
+        assert_eq!((s.tiers[1].reads, s.tiers[1].bytes_read), (2, 200));
+        assert_eq!((s.staged_reads, s.staged_bytes), (0, 60));
+        assert_eq!((s.peer_hits, s.peer_bytes), (1, 100));
+        assert_eq!((s.timed_reads, s.degraded_reads), (2, 1));
+        assert_eq!(book.telemetry().read_latency(1).count(), 2);
+        let ledger = book.telemetry().profiler().ledger();
+        assert_eq!(ledger.reads, 4);
+        assert_eq!((ledger.pfs_cold_pread_us, ledger.degraded_pread_us), (2, 3));
+        assert_eq!(ledger.read_wall_us, 5);
     }
 
     #[test]

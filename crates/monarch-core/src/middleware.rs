@@ -30,16 +30,16 @@ use crate::builder::MonarchBuilder;
 use crate::cluster::Cluster;
 use crate::config::MonarchConfig;
 use crate::health::{device_error_class, ErrorClass, Gate};
-use crate::hierarchy::{StorageHierarchy, Tier};
+use crate::hierarchy::{StorageHierarchy, TierId};
+use crate::lifecycle::{ReadTrace, Served, ServedRead};
 use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
-use crate::observe::{ReadClass, ReadTiming};
 use crate::prefetch::AccessPlan;
 use crate::serve::MetricsServer;
 use crate::stats::{Stats, StatsSnapshot};
 use crate::telemetry::{TelemetryRegistry, TelemetrySnapshot, TIMED_HIT_PERIOD};
-use crate::trace::{names, FlowPhase, SpanRecord};
-use crate::transfer::{ReadCtx, Sampler, StagedRead, TransferEngine};
+use crate::trace::{names, SpanRecord};
+use crate::transfer::{ReadCtx, Sampler, TransferEngine};
 use crate::{Error, Result};
 
 /// Outcome of the startup namespace scan.
@@ -58,18 +58,16 @@ pub struct InitReport {
 const DROP_DRAIN_WAIT: Duration = Duration::from_secs(5);
 
 /// One pass of the read loop that produced bytes: what the namespace said,
-/// which tier served, and — when the read carried the clock — the instants
-/// its chain began and after the lookup, the tier resolve and the pread.
-struct ReadAttempt<'a> {
+/// which tier served and how, and — when the read carried the clock — the
+/// instants its chain began and after the lookup, the tier resolve and the
+/// pread.
+struct ReadAttempt {
     id: FileId,
     info: FileInfo,
-    tier: &'a Tier,
-    /// Served by a lower tier than the resident one (quarantine/fallback).
-    degraded: bool,
-    /// Served through the install staging of the file's in-flight copy,
-    /// which has booked the bytes: what the read fetched there on the
-    /// source tier, what it took from the staging as staged.
-    staged: Option<StagedRead>,
+    /// The serving tier: the resident one, or a lower one when the read
+    /// was rerouted around a failing tier.
+    tier: TierId,
+    how: Served,
     /// Flow id of the placement copy this read announced (`0`: it
     /// announced none, or is not sampled).
     flow: u64,
@@ -186,138 +184,41 @@ impl Monarch {
         let hits = profiled.then(|| self.telemetry.local_hits());
         let turn = hits.is_some_and(|h| h.load(Ordering::Relaxed) % TIMED_HIT_PERIOD == 0);
         let entry = (turn || sampled).then(Instant::now);
-        // Peer cache: a miss on a peer-owned file is served node-to-node
-        // from the owner's fast tier, skipping the PFS entirely when the
-        // peer answers. Any peer failure falls through to the normal path.
-        if let Some(cluster) = &self.cluster {
-            if let Some(n) = self.engine.peer_read(cluster, file, offset, buf, entry) {
-                return Ok(n);
-            }
-        }
         // The read's span id comes first: the placement copy the read may
         // announce on its way is parented and flow-linked to it.
         let read_id = if sampled { tr.next_id() } else { 0 };
-        let Some(attempt) = self.attempt_read(file, offset, buf, entry, turn, read_id)? else {
+        let Some(read) = self.attempt_read(file, offset, buf, entry, turn, read_id)? else {
             return Ok(0);
         };
-        let ReadAttempt {
-            id,
-            info,
-            tier,
-            degraded,
-            staged,
-            flow,
-            hit,
-            weight,
-            n,
-            marks,
-        } = attempt;
-        if let (true, Some(hits)) = (hit, hits) {
+        if let (true, Some(hits)) = (read.hit, hits) {
             hits.fetch_add(1, Ordering::Relaxed);
         }
-        if staged.is_none() {
-            self.stats.record_read(tier.id, n as u64);
-        }
-        if degraded {
-            self.stats.degraded_read();
-        }
-        // A read that fetched nothing itself was served by the copy.
-        let staged = staged.is_some_and(|s| s.fetched == 0);
         // Clairvoyant bookkeeping: advance the plan cursor past this file,
         // count a hit, upgrade a still-queued prefetch copy to the demand
         // lane, and release more of the plan to the prefetcher.
-        let feedback = self.engine.note_read(file, info.tier);
-        let marks = marks
-            .map(|[entry, lookup, resolve, pread]| [entry, lookup, resolve, pread, Instant::now()]);
-        if let (true, Some([entry, lookup, resolve, pread, end])) = (sampled, marks) {
-            let us = |t: Instant| self.telemetry.micros_at(t);
-            let tid = tr.register_current_thread();
-            tr.record(
-                SpanRecord::new(
-                    names::METADATA_LOOKUP,
-                    "read",
-                    tid,
-                    us(entry),
-                    us(lookup) - us(entry),
-                )
-                .with_id(tr.next_id())
-                .with_parent(read_id),
-            );
-            tr.record(
-                SpanRecord::new(
-                    names::TIER_RESOLVE,
-                    "read",
-                    tid,
-                    us(lookup),
-                    us(resolve) - us(lookup),
-                )
-                .with_id(tr.next_id())
-                .with_parent(read_id)
-                .arg_str("tier", &tier.name),
-            );
-            // The flow starts at the foreground pread and finishes at the
-            // background copy_exec — the causal arrow in the viewer.
-            let mut pread_span = SpanRecord::new(
-                names::DRIVER_PREAD,
-                "read",
-                tid,
-                us(resolve),
-                us(pread) - us(resolve),
-            )
-            .with_id(tr.next_id())
-            .with_parent(read_id)
-            .arg_str("tier", &tier.name)
-            .arg_u64("bytes", n as u64);
-            if flow != 0 {
-                pread_span = pread_span.with_flow(flow, FlowPhase::Start);
-            }
-            tr.record(pread_span);
-            let mut read_span =
-                SpanRecord::new(names::READ, "read", tid, us(entry), us(end) - us(entry))
-                    .with_id(read_id)
-                    .with_parent(parent)
-                    .arg_str("file", file)
-                    .arg_u64("offset", offset)
-                    .arg_u64("bytes", n as u64);
-            // Point the read back at the prefetch copy that staged (or is
-            // staging) its file — the clairvoyant analogue of the
-            // demand-path flow arrow.
-            if feedback.flow != 0 {
-                read_span = read_span.arg_u64("prefetch_flow", feedback.flow);
-            }
-            tr.record(read_span);
-        }
-        if !profiled {
-            return Ok(n);
-        }
-        let timed = marks.filter(|_| weight > 0);
-        if timed.is_some() {
-            self.stats.timed_read();
-        }
-        // Where did this read's time go? A read served off the source
-        // tier is classified by *why* the file was still there (see
-        // [`ReadClass::of`]); one that *should* have been fast but was
-        // rerouted around a quarantined tier is its own bucket — the
-        // cost of degraded operation.
-        let class = ReadClass::of(
-            degraded,
-            info.tier == self.hierarchy.source_id(),
-            staged,
-            feedback.planned,
-            matches!(info.state, PlacementState::Copying { .. }),
-        );
-        self.telemetry.profiler().record_read_id(
-            id,
-            info.tier,
-            n as u64,
-            class,
-            feedback.prefetch_hit,
-            timed
-                .map(|marks| ReadTiming::between(marks, weight))
-                .as_ref(),
-            timed.map_or(0, |[.., end]| self.telemetry.micros_at(end)),
-        );
-        Ok(n)
+        let plan = self.engine.note_read(file, read.info.tier);
+        self.engine.book().read_served(&ServedRead {
+            id: read.id,
+            file,
+            offset,
+            bytes: read.n as u64,
+            home: read.info.tier,
+            copying: matches!(read.info.state, PlacementState::Copying { .. }),
+            tier: read.tier,
+            how: read.how,
+            plan,
+            weight: read.weight,
+            trace: sampled.then(|| ReadTrace {
+                id: read_id,
+                parent,
+                track: tr.register_current_thread(),
+                flow: read.flow,
+            }),
+            marks: read.marks.map(|[entry, lookup, resolve, pread]| {
+                [entry, lookup, resolve, pread, Instant::now()].map(|t| self.telemetry.nanos_at(t))
+            }),
+        });
+        Ok(read.n)
     }
 
     /// The lookup → tier-resolve → pread loop of one read: `Ok(None)` at
@@ -329,12 +230,14 @@ impl Monarch {
     /// eviction policy hears of it, once, however many passes it takes.
     /// `read_id` is the read's span id when it is sampled (`0` otherwise).
     ///
-    /// A pass that finds the file `Unplaced` announces its placement copy
-    /// *before* reading — with the full-file-fetch optimisation disabled,
-    /// only when the read covers the whole file (the §IV-A ablation) — and
-    /// is then served as the first fetch into that copy's staging: its
-    /// bytes are the copy's first bytes, and the worker places, evicts and
-    /// reserves while they are on the link.
+    /// A pass that finds the file `Unplaced` first asks the file's owner
+    /// node, on a cluster, and is served node-to-node when the peer
+    /// answers. Otherwise it announces the file's placement copy *before*
+    /// reading — with the full-file-fetch optimisation disabled, only when
+    /// the read covers the whole file (the §IV-A ablation) — and is then
+    /// served as the first fetch into that copy's staging: its bytes are
+    /// the copy's first bytes, and the worker places, evicts and reserves
+    /// while they are on the link.
     ///
     /// Residency can change between the lookup and the pread (an LRU
     /// eviction may delete the cache-tier copy we just resolved). A
@@ -355,7 +258,7 @@ impl Monarch {
         mut entry: Option<Instant>,
         turn: bool,
         read_id: u64,
-    ) -> Result<Option<ReadAttempt<'_>>> {
+    ) -> Result<Option<ReadAttempt>> {
         let health = self.hierarchy.health();
         let book = self.engine.book();
         let now = || self.telemetry.now_micros();
@@ -365,8 +268,8 @@ impl Monarch {
         // Once a pread on the resident tier has failed terminally, every
         // later iteration serves from the PFS source instead.
         let mut fallback = false;
-        // One announce a read: a copy that admission refused is not asked
-        // for again by the passes that follow.
+        // One announce a read: a peer that failed, or a copy that admission
+        // refused, is not asked again by the passes that follow.
         let mut announce = true;
         let mut flow = 0u64;
         let (id, first) = self.metadata.resolve_for_read(file)?;
@@ -391,7 +294,6 @@ impl Monarch {
                 Gate::Shut => self.hierarchy.tier(source_id)?,
                 _ => self.hierarchy.tier(info.tier)?,
             };
-            let degraded = tier.id != info.tier;
             let hit = tier.id != source_id && !probing;
             let weight = match (hit, turn) {
                 (true, true) => TIMED_HIT_PERIOD,
@@ -410,50 +312,63 @@ impl Monarch {
             // A file whose copy is in flight — or starts here — is read
             // through that copy's install staging when it covers the range,
             // so the bytes cross the PFS link once. Whatever the read waits
-            // there falls between the same two instants as a pread.
-            let staged = match info.state {
+            // there, or for a peer, falls between the same two instants as
+            // a pread.
+            let served = match info.state {
                 PlacementState::Copying { .. } => {
                     match self.engine.read_staged(file, offset, &mut buf[..want]) {
                         // The copy settled since the lookup above and took
                         // its staging along: look again before reading the
                         // source for bytes that just landed on a tier.
                         None if self.metadata.info(id).state != info.state => continue,
-                        staged => staged,
+                        staged => staged.map(|fetched| (Served::Staged { fetched }, want)),
                     }
                 }
-                PlacementState::Unplaced
-                    if announce && (self.full_file_fetch || want as u64 == info.size) =>
-                {
+                PlacementState::Unplaced if announce => {
                     announce = false;
-                    let tr = self.telemetry.trace();
-                    let candidate = if read_id != 0 { tr.next_id() } else { 0 };
-                    let ctx = ReadCtx::traced(read_id, candidate);
-                    match self
-                        .engine
-                        .demand_read(file, info.size, offset, &mut buf[..want], ctx)
-                    {
-                        (true, staged) => {
-                            flow = candidate;
-                            staged
+                    let peer = self.cluster.as_ref().and_then(|cluster| {
+                        let buf = &mut buf[..want];
+                        self.engine.peer_read(cluster, file, info.size, offset, buf)
+                    });
+                    match peer {
+                        Some(n) => Some((Served::Peer, n)),
+                        None if self.full_file_fetch || want as u64 == info.size => {
+                            let tr = self.telemetry.trace();
+                            let candidate = if read_id != 0 { tr.next_id() } else { 0 };
+                            let ctx = ReadCtx::traced(read_id, candidate);
+                            match self.engine.demand_read(
+                                file,
+                                info.size,
+                                offset,
+                                &mut buf[..want],
+                                ctx,
+                            ) {
+                                (true, staged) => {
+                                    flow = candidate;
+                                    staged.map(|fetched| (Served::Staged { fetched }, want))
+                                }
+                                // Somebody else's copy got there first: look
+                                // again, and read through its staging.
+                                (false, _) if self.metadata.info(id).state != info.state => {
+                                    continue
+                                }
+                                (false, _) => None,
+                            }
                         }
-                        // Somebody else's copy got there first: look again,
-                        // and read through its staging.
-                        (false, _) if self.metadata.info(id).state != info.state => continue,
-                        (false, _) => None,
+                        None => None,
                     }
                 }
                 _ => None,
             };
             // The un-instrumented driver: the two instants around this
-            // call feed the tier's read-latency histogram here and the
-            // stall profile's driver_pread bucket later. Failed preads
-            // are timed too. (A fetch made inside the staging went through
-            // the instrumented driver, which is its histogram sample.) A
-            // local copy that ends before the namespace size is damaged —
-            // truncated underneath, say — and is not served short: it is a
-            // permanent error, and the read falls back to the source.
-            let outcome = match staged {
-                Some(_) => Ok(want),
+            // call are the tier's read-latency sample and the stall
+            // profile's driver_pread phase. (A fetch made inside the staging
+            // went through the instrumented driver, which is its histogram
+            // sample.) A local copy that ends before the namespace size is
+            // damaged — truncated underneath, say — and is not served short:
+            // it is a permanent error, and the read falls back to the source.
+            let outcome = match served {
+                Some((_, n)) => Ok(n),
                 None => match tier.raw.read_at(file, offset, &mut buf[..want]) {
                     Ok(n) if n < want && tier.id != source_id => {
                         Err(Error::Io(std::io::Error::new(
@@ -465,21 +380,14 @@ impl Monarch {
                 },
             };
             let t_pread = t_resolve.map(|_| Instant::now());
-            if let (true, None, Some(start), Some(done)) = (weight > 0, staged, t_resolve, t_pread)
-            {
-                self.telemetry
-                    .read_latency(tier.id)
-                    .record_duration_n(done - start, weight);
-            }
             let e = match outcome {
                 Ok(n) => {
                     book.tier_settled(now, tier.id, gate, Ok(()));
                     return Ok(Some(ReadAttempt {
                         id,
                         info,
-                        tier,
-                        degraded,
-                        staged,
+                        tier: tier.id,
+                        how: served.map_or(Served::Tier, |(how, _)| how),
                         flow,
                         hit,
                         weight,
@@ -491,6 +399,12 @@ impl Monarch {
                 }
                 Err(e) => e,
             };
+            if let (true, Some(start), Some(done)) = (weight > 0, t_resolve, t_pread) {
+                // A failed pread is timed too: its tier's latency shows it.
+                self.telemetry
+                    .read_latency(tier.id)
+                    .record_duration_n(done - start, weight);
+            }
             if probing {
                 // Failed probe: the cooldown re-arms, and the next pass
                 // finds the gate shut and serves this read from the source.

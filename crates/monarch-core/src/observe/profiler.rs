@@ -39,11 +39,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use crate::hierarchy::TierId;
+use crate::lifecycle::Served;
 use crate::metadata::{chunk_len, locate, FileId, MetadataContainer, CHUNKS};
 use crate::stripe::Striped;
 use crate::telemetry::StallProfile;
@@ -88,22 +88,23 @@ pub enum ReadClass {
 }
 
 impl ReadClass {
-    /// Classify a read served by a tier of the hierarchy (never
-    /// [`ReadClass::PeerBound`]: a peer is not one) from what the read
-    /// path knows when the bytes are back. The first fact that holds
-    /// decides: the read was `degraded` (rerouted below the tier the file
-    /// lives on); it was not served `on_source`, so a local tier served
-    /// it; it was `staged` (took every byte from its copy's install
-    /// staging); the file is `planned` (covered by the access plan); its
-    /// copy is in flight (`copying`). A read of the source that none of
-    /// them explains is a cold miss.
+    /// Classify a read from `how` it was served and what the read path
+    /// knows when the bytes are back. The first fact that holds decides:
+    /// a peer served it; the read was `degraded` (rerouted below the tier
+    /// the file lives on); the file does not live `on_source`, so a local
+    /// tier served it; it took every byte from its copy's install staging;
+    /// the file is `planned` (covered by the access plan); its copy is in
+    /// flight (`copying`). A read of the source that none of them explains
+    /// is a cold miss.
     #[must_use]
-    pub fn of(degraded: bool, on_source: bool, staged: bool, planned: bool, copying: bool) -> Self {
-        if degraded {
+    pub fn of(how: Served, degraded: bool, on_source: bool, planned: bool, copying: bool) -> Self {
+        if how == Served::Peer {
+            ReadClass::PeerBound
+        } else if degraded {
             ReadClass::DegradedFallback
         } else if !on_source {
             ReadClass::Fast
-        } else if staged {
+        } else if how == (Served::Staged { fetched: 0 }) {
             ReadClass::Staged
         } else if planned {
             ReadClass::PrefetchLag
@@ -117,12 +118,12 @@ impl ReadClass {
 
 /// What the clock adds to the record of a read that carried it: its four
 /// consecutive phases, in nanoseconds, which sum to its wall time, and how
-/// many reads it stands for. The real read path takes them from one chain
-/// of monotonic instants ([`ReadTiming::between`]): a warm hit's are all
-/// below a microsecond, and survive into the ledger because the stall
-/// profile sums nanoseconds and the ledger divides once, when it is read.
-/// The simulator books a read's virtual time as its pread (its lookups are
-/// instantaneous in virtual time).
+/// many reads it stands for. Both clocks take them from one chain of marks
+/// ([`ReadTiming::between`]): a warm hit's are all below a microsecond,
+/// and survive into the ledger because the stall profile sums nanoseconds
+/// and the ledger divides once, when it is read. In the simulator a read's
+/// virtual time is all pread (its lookups are instantaneous in virtual
+/// time).
 #[derive(Debug, Clone, Copy)]
 pub struct ReadTiming {
     /// Entry to the end of the namespace lookup.
@@ -132,8 +133,7 @@ pub struct ReadTiming {
     /// The backend pread — or the peer's fetch, or the wait for and copy
     /// out of an in-flight copy's staging.
     pub pread_ns: u64,
-    /// Pread to return: the read's own bookkeeping (its counters, the
-    /// plan cursor).
+    /// Pread to return: the read's own bookkeeping (the plan cursor).
     pub copy_wait_ns: u64,
     /// How many reads this one stands for in the time sums: 1, or the
     /// sampling period when it is the one local hit in so many.
@@ -156,14 +156,13 @@ impl Default for ReadTiming {
 impl ReadTiming {
     /// A read that began at `marks[0]`, had looked its file up by
     /// `marks[1]`, had its serving tier by `marks[2]`, its bytes by
-    /// `marks[3]` and returned at `marks[4]`, standing for `weight` reads.
-    /// Differences saturate, so an out-of-order pair counts 0.
+    /// `marks[3]` and returned at `marks[4]` — nanoseconds on one clock —
+    /// standing for `weight` reads. Differences saturate, so an
+    /// out-of-order pair counts 0.
     #[must_use]
-    pub fn between(marks: [Instant; 5], weight: u64) -> Self {
-        let [lock_wait_ns, queue_wait_ns, pread_ns, copy_wait_ns] = std::array::from_fn(|i| {
-            let phase = marks[i + 1].saturating_duration_since(marks[i]);
-            u64::try_from(phase.as_nanos()).unwrap_or(u64::MAX)
-        });
+    pub fn between(marks: [u64; 5], weight: u64) -> Self {
+        let [lock_wait_ns, queue_wait_ns, pread_ns, copy_wait_ns] =
+            std::array::from_fn(|i| marks[i + 1].saturating_sub(marks[i]));
         Self {
             lock_wait_ns,
             queue_wait_ns,
@@ -685,28 +684,34 @@ mod tests {
     #[test]
     fn read_class_of_takes_the_first_fact_that_holds() {
         use ReadClass::*;
-        // (degraded, on_source, staged, planned, copying) -> class
+        let (tier, staged) = (Served::Tier, Served::Staged { fetched: 0 });
+        // A read that fetched part of its range itself is a read of the
+        // source like any other.
+        let fetched = Served::Staged { fetched: 1 };
+        // (how, degraded, on_source, planned, copying) -> class
         let rows = [
-            ((false, false, false, false, false), Fast),
+            ((tier, false, false, false, false), Fast),
             // A local hit stays fast whatever the plan or a stale copy says.
-            ((false, false, false, true, true), Fast),
-            // Degraded wins over everything: the bytes came from below the
-            // tier the file lives on.
-            ((true, true, false, false, false), DegradedFallback),
-            ((true, true, true, true, true), DegradedFallback),
-            ((false, true, true, false, true), Staged),
-            ((false, true, true, true, true), Staged),
-            ((false, true, false, true, false), PrefetchLag),
-            ((false, true, false, true, true), PrefetchLag),
-            ((false, true, false, false, true), LaneSaturated),
-            ((false, true, false, false, false), PfsCold),
+            ((tier, false, false, true, true), Fast),
+            // Degraded wins over everything a tier did: the bytes came from
+            // below the tier the file lives on.
+            ((tier, true, true, false, false), DegradedFallback),
+            ((staged, true, true, true, true), DegradedFallback),
+            ((staged, false, true, false, true), Staged),
+            ((staged, false, true, true, true), Staged),
+            ((tier, false, true, true, false), PrefetchLag),
+            ((fetched, false, true, true, true), PrefetchLag),
+            ((fetched, false, true, false, true), LaneSaturated),
+            ((tier, false, true, false, false), PfsCold),
+            // A peer is not a tier of the hierarchy.
+            ((Served::Peer, false, true, true, false), PeerBound),
         ];
-        for ((degraded, on_source, staged, planned, copying), want) in rows {
+        for ((how, degraded, on_source, planned, copying), want) in rows {
             assert_eq!(
-                ReadClass::of(degraded, on_source, staged, planned, copying),
+                ReadClass::of(how, degraded, on_source, planned, copying),
                 want,
                 "{:?}",
-                (degraded, on_source, staged, planned, copying)
+                (how, degraded, on_source, planned, copying)
             );
         }
     }

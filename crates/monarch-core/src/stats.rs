@@ -348,18 +348,6 @@ impl StatsSnapshot {
             local as f64 / total as f64
         }
     }
-
-    /// Fraction of issued prefetch copies that were never read before
-    /// their plan ended. Guarded: 0 (not NaN) before the first prefetch is
-    /// scheduled, so a scrape of a fresh instance serializes cleanly.
-    #[must_use]
-    pub fn wasted_prefetch_ratio(&self) -> f64 {
-        if self.prefetches_scheduled == 0 {
-            0.0
-        } else {
-            self.prefetch_wasted as f64 / self.prefetches_scheduled as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -495,13 +483,6 @@ mod tests {
         // NaN is not valid JSON and poisons downstream aggregation.
         let empty = Stats::new(2).snapshot();
         assert_eq!(empty.local_hit_ratio(), 0.0);
-        assert_eq!(empty.wasted_prefetch_ratio(), 0.0);
-        let s = Stats::new(2);
-        s.prefetch_scheduled();
-        s.prefetch_scheduled();
-        s.prefetch_scheduled();
-        s.prefetch_wasted();
-        assert!((s.snapshot().wasted_prefetch_ratio() - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -362,7 +362,8 @@ impl StallProfile {
         pread: Instant,
         end: Instant,
     ) {
-        let marks = [t0, lookup, resolve, pread, end];
+        let marks = [t0, lookup, resolve, pread, end]
+            .map(|t| u64::try_from(t.saturating_duration_since(t0).as_nanos()).unwrap_or(u64::MAX));
         self.record_timing(&ReadTiming::between(marks, 1), false);
     }
 

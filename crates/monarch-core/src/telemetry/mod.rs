@@ -176,15 +176,15 @@ impl TelemetryRegistry {
     /// Microseconds elapsed since the registry was created.
     #[must_use]
     pub fn now_micros(&self) -> u64 {
-        self.micros_at(Instant::now())
+        self.nanos_at(Instant::now()) / 1_000
     }
 
-    /// `t` on the registry clock: microseconds between the registry's
+    /// `t` on the registry clock: nanoseconds between the registry's
     /// creation and `t`. Lets a caller that already holds an [`Instant`]
-    /// stamp events without reading the clock again.
+    /// mark a read without reading the clock again.
     #[must_use]
-    pub fn micros_at(&self, t: Instant) -> u64 {
-        u64::try_from(t.saturating_duration_since(self.origin).as_micros()).unwrap_or(u64::MAX)
+    pub fn nanos_at(&self, t: Instant) -> u64 {
+        u64::try_from(t.saturating_duration_since(self.origin).as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Per-tier read-latency histogram.

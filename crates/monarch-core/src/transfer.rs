@@ -40,7 +40,6 @@ use crate::hierarchy::TierId;
 use crate::lifecycle::{Evict, Lifecycle, Reservation, Unplaced};
 use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
-use crate::observe::{ReadClass, ReadTiming};
 use crate::policy::FeatureSource;
 use crate::pool::{Lane, PoolProbe, TaskCtx, ThreadPool};
 use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow};
@@ -256,16 +255,6 @@ pub struct ReadFeedback {
     /// This read was the file's first, and the plan had already staged it
     /// locally — a prefetch hit.
     pub prefetch_hit: bool,
-}
-
-/// How a read was served through its file's install staging (see
-/// [`TransferEngine::read_staged`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StagedRead {
-    /// Bytes of the range the read fetched from the source itself, at the
-    /// staging's frontier; `0` when it copied all of them out of the
-    /// staging.
-    pub fetched: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -507,7 +496,8 @@ impl TransferEngine {
     /// the copy, then serve the read — `buf.len()` bytes at `offset`,
     /// inside the file — as the first fetch into the copy's staging, the
     /// way [`Self::read_staged`] serves every later one. Returns whether a
-    /// copy was scheduled, and how the read was served if it was; a read
+    /// copy was scheduled and, if the read was served there, the bytes it
+    /// fetched from the source itself; a read
     /// that was not (it starts past offset 0, the pool is too far behind
     /// for reads to fill its copies, or its fetch failed) is left to its
     /// caller's plain path.
@@ -525,7 +515,7 @@ impl TransferEngine {
         offset: u64,
         buf: &mut [u8],
         ctx: ReadCtx,
-    ) -> (bool, Option<StagedRead>) {
+    ) -> (bool, Option<u64>) {
         let staging = Arc::new(Staging::empty(size));
         let may_start = buf.len() as u64 == size || self.may_start();
         let first = if may_start && offset == 0 && !buf.is_empty() {
@@ -641,30 +631,21 @@ impl TransferEngine {
         scheduled
     }
 
-    /// Try to serve a read of an unplaced, peer-owned file from its owner
-    /// node's fast tier. Returns `Some(n)` when the peer answered — the
-    /// requested range was copied into `buf` and the whole file was handed
-    /// to the remote install lane — and `None` when this read should take
-    /// the normal local path (locally owned, already placed, or the peer
-    /// was slow/down, in which case the fallback is counted and the read
-    /// degrades to the PFS). `entry` is when the read entered the
-    /// middleware, if the read is profiled.
+    /// Try to serve a read of `buf.len()` bytes at `offset` of the unplaced
+    /// `file`, of `size` bytes, from its owner node's fast tier, for the
+    /// caller to book. Returns the bytes copied into `buf` when the peer
+    /// answered — the whole file then goes to the remote install lane — and
+    /// `None` when the read should take the local path: the file is locally
+    /// owned, or the peer was slow or down (the fallback is counted).
     pub fn peer_read(
         &self,
         cluster: &Cluster,
         file: &str,
+        size: u64,
         offset: u64,
         buf: &mut [u8],
-        entry: Option<Instant>,
     ) -> Option<usize> {
-        let info = self.book.metadata().get(file)?;
-        // Only first-touch misses go to a peer: placed files are local,
-        // and an in-flight copy means bytes are already on their way.
-        if info.state != PlacementState::Unplaced || offset >= info.size {
-            return None;
-        }
         let owner = cluster.peer_owner(file)?;
-        let p_fetch = Instant::now();
         let bytes = match cluster.fetch_from(owner, file) {
             Ok(bytes) => bytes,
             Err(e) => {
@@ -688,54 +669,21 @@ impl TransferEngine {
                 return None;
             }
         };
-        let p_pread = Instant::now();
-        // Serve the requested range straight from the fetched buffer. The
-        // namespace read counter still ticks; the per-tier counters do not
-        // (no local tier did any work — `peer_bytes` accounts the traffic).
-        let counted = self
-            .book
-            .metadata()
-            .resolve_for_read(file)
-            .ok()
-            .map(|(id, _)| id);
-        let want = buf.len().min(bytes.len().saturating_sub(offset as usize));
-        buf[..want].copy_from_slice(&bytes[offset as usize..offset as usize + want]);
-        self.book.stats().peer_hit(want as u64);
+        let tail = bytes.get(offset as usize..).unwrap_or_default();
+        let n = buf.len().min(tail.len());
+        buf[..n].copy_from_slice(&tail[..n]);
         // The whole file becomes a remote-lane install so later chunks
         // (and later epochs) hit the local tier. Bounded by the remote
         // deadline: if the install queue is backed up past it, the install
         // reverts and the file stays on the PFS.
         self.remote_admit(
             file,
-            info.size,
+            size,
             bytes,
             owner as u64,
             ReadCtx::untraced().with_deadline(Instant::now() + cluster.remote_deadline()),
         );
-        // Advance the plan cursor as any read does; the source-tier id
-        // keeps this from counting as a prefetch hit (the plan did not
-        // stage these bytes — the peer did).
-        let _ = self.note_read(file, self.book.hierarchy().source_id());
-        if self.book.telemetry().is_enabled() {
-            // Never a plain local hit, so always timed; a read that did
-            // not bring the clock along starts its chain at the fetch.
-            let p_entry = entry.unwrap_or(p_fetch);
-            let p_end = Instant::now();
-            self.book.stats().timed_read();
-            if let Some(id) = counted {
-                let marks = [p_entry, p_fetch, p_fetch, p_pread, p_end];
-                self.book.telemetry().profiler().record_read_id(
-                    id,
-                    0,
-                    want as u64,
-                    ReadClass::PeerBound,
-                    false,
-                    Some(&ReadTiming::between(marks, 1)),
-                    self.book.telemetry().micros_at(p_end),
-                );
-            }
-        }
-        Some(want)
+        Some(n)
     }
 
     /// Serve the read of `buf.len()` bytes of `file` at `offset` (inside
@@ -749,16 +697,15 @@ impl TransferEngine {
     /// frontier the read fetches the part it misses from the source into
     /// the staging itself, so a queued or busy worker never stalls it and
     /// the copy does not fetch those bytes again. Every source read issued
-    /// here is recorded on the source tier, and the returned
-    /// [`StagedRead`] says how much of the range this read fetched; what
-    /// it took from the staging is counted as staged.
+    /// here is recorded on the source tier, and the returned count says
+    /// how much of the range this read fetched itself.
     ///
     /// Memory stays bounded by the pool, not by how far readers run ahead
     /// of it: a read starts the file-sized buffer of a copy that has not
     /// fetched yet only while the pool's backlog is no deeper than two
     /// copies per worker. Past that it reads the source on its own, as it
     /// did before stagings, and the copy fetches those bytes again.
-    pub fn read_staged(&self, file: &str, offset: u64, buf: &mut [u8]) -> Option<StagedRead> {
+    pub fn read_staged(&self, file: &str, offset: u64, buf: &mut [u8]) -> Option<u64> {
         let staging = locks::lock(&self.stagings).get(file).cloned()?;
         let first = staging.read(offset, buf, self.may_start());
         self.read_through(file, &staging, first, offset, buf)
@@ -782,7 +729,7 @@ impl TransferEngine {
         mut step: Staged<'a>,
         offset: u64,
         buf: &mut [u8],
-    ) -> Option<StagedRead> {
+    ) -> Option<u64> {
         let source = self.book.hierarchy().source();
         let mut fetched = 0;
         loop {
@@ -802,10 +749,7 @@ impl TransferEngine {
             // The fetch above saw to the buffer: nothing is left to start.
             step = staging.read(offset, buf, false);
         }
-        self.book
-            .stats()
-            .record_staged(fetched == 0, (buf.len() - fetched) as u64);
-        Some(StagedRead { fetched })
+        Some(fetched as u64)
     }
 
     /// Submit the access plan for the upcoming epoch. A previously
@@ -2001,7 +1945,7 @@ mod tests {
         assert!(engine.demand("f001", 512, ReadCtx::untraced()));
         assert_eq!(engine.staging_progress("f001"), Some((0, None)));
         let mut buf = [0u8; 512];
-        let served = |fetched| Some(StagedRead { fetched });
+        let served = Some;
         // The first read is the first fetch; what it brought is served.
         assert_eq!(engine.read_staged("f001", 0, &mut buf[..100]), served(100));
         assert_eq!(engine.read_staged("f001", 20, &mut buf[..80]), served(0));
@@ -2011,8 +1955,10 @@ mod tests {
         assert_eq!(engine.staging_progress("f001"), Some((250, None)));
         // Beyond the frontier: the plain path's business.
         assert_eq!(engine.read_staged("f001", 300, &mut buf[..10]), None);
+        // The fetches are the source's reads; what the reads took from the
+        // staging is their caller's to book, through `read_served`.
         let stats = engine.book.stats().snapshot();
-        assert_eq!((stats.staged_reads, stats.staged_bytes), (1, 130));
+        assert_eq!((stats.staged_reads, stats.staged_bytes), (0, 0));
         assert_eq!((stats.tiers[1].reads, stats.tiers[1].bytes_read), (2, 250));
         open_gate(&gate);
         engine.wait_idle();
@@ -2037,7 +1983,7 @@ mod tests {
         let mut engine = assemble(Arc::new(gated.only("f000")), 1, PrefetchConfig::disabled());
         pin_worker(&engine, "f000");
         let mut buf = [0u8; 512];
-        let served = |fetched| Some(StagedRead { fetched });
+        let served = Some;
         // One copy queued behind the one worker: a read may start filling it.
         assert!(engine.demand("f001", 512, ReadCtx::untraced()));
         assert_eq!(engine.read_staged("f001", 0, &mut buf[..100]), served(100));

@@ -353,9 +353,11 @@ fn the_ledger_keeps_the_sub_microsecond_phases_of_warm_hits() {
 #[test]
 fn weighted_times_estimate_the_wall_time_of_all_hits() {
     // Reads with a device's latency, so that one read is much like the
-    // next and a sample of them stands for the rest: 128 timed reads of
-    // 2048, each weighing 16. The four buckets then add up to what a
-    // caller measures around the calls, to within 10 %.
+    // next and a sample of them stands for the rest: 512 timed reads of
+    // 8192, each weighing 16. The four buckets then add up to what a
+    // caller measures around the calls, to within 10 %. A timed read the
+    // host stalls for a few milliseconds weighs 16 times its stall; over a
+    // window of two seconds that is a few percent, not the whole margin.
     let _cores = CORES.lock().unwrap_or_else(|e| e.into_inner());
     let fast = Slow(MemDriver::new("fast"));
     let m = builder(Arc::new(fast), u64::MAX / 2, pfs(4, 256 << 10))
@@ -365,7 +367,7 @@ fn weighted_times_estimate_the_wall_time_of_all_hits() {
     m.prestage();
     m.wait_placement_idle();
     let mut buf = vec![0u8; 256 << 10];
-    let reads = 128 * N;
+    let reads = 512 * N;
     let start = Instant::now();
     for i in 0..reads {
         assert_eq!(

@@ -46,8 +46,13 @@ run_size() {
     # 14086 since the journal is the one transition log (the residency
     # timeline and its Observatory wrapper deleted), its serde derive the
     # one writer of a line (the hand-rolled JSON writer deleted), and the
-    # health table renderer went with `monarch health`.
-    local core_limit=14086
+    # health table renderer went with `monarch health`. 14085 since a
+    # foreground read is booked once (`Lifecycle::read_served`, which the
+    # read loop, the peer path and the simulator call; the booking tails it
+    # replaced deleted) and `StatsSnapshot::wasted_prefetch_ratio` and
+    # `StorageHierarchy::{local_full, local_free}`, which nothing called,
+    # were pruned.
+    local core_limit=14085
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
         sort -z |
@@ -72,6 +77,16 @@ run_size() {
 # `telemetry/journal.rs` defines `EventKind` and projects it (tag, file): it
 # matches on the variants, so only the calls are looked for there.
 #
+# A foreground read is booked once too (DESIGN §3.3): its counters, its
+# class, its profiler record and its span tree are written by
+# `Lifecycle::read_served`, which the engine's read loop, the peer path and
+# the simulator all call. Outside `lifecycle.rs` (and `observe/profiler.rs`,
+# which defines the profiler's record calls and `ReadClass::of`) no non-test
+# code of either calls `record_read_id`, the profiler's `record_read` or
+# `ReadClass::of`, or records a `read`, `metadata_lookup`, `tier_resolve` or
+# `driver_pread` span — a second booking site cannot come back. Calls are
+# matched across line breaks.
+#
 # The journal is the one transition log (DESIGN §7.2): no non-test code of
 # either, `lifecycle.rs` included, names the residency timeline's types, and
 # `observe/timeline.rs` does not exist — a second ring that books every
@@ -95,6 +110,27 @@ run_lifecycle() {
     done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
     if [ "$bad" -ne 0 ]; then
         echo "lifecycle gate: book the transition through monarch_core::lifecycle instead" >&2
+        exit 1
+    fi
+    echo "==> lifecycle gate: one booking site per foreground read"
+    while IFS= read -r f; do
+        case "$f" in
+            */lifecycle.rs | */observe/profiler.rs | *_tests.rs) continue ;;
+        esac
+        if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" | FILE="$f" perl -0777 -ne '
+            my $found = 0;
+            while (/record_read_id\s*\(|profiler(?:\(\))?\s*\.\s*record_read\s*\(|ReadClass\s*::\s*of\s*\(|names\s*::\s*(?:READ|METADATA_LOOKUP|TIER_RESOLVE|DRIVER_PREAD)\b|SpanRecord\s*::\s*new\s*\(\s*"(?:read|metadata_lookup|tier_resolve|driver_pread)"/g) {
+                my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+                (my $what = $&) =~ s/\s+//g;
+                print "$ENV{FILE}:$line: $what\n";
+                $found = 1;
+            }
+            exit($found ? 0 : 1);'; then
+            bad=1
+        fi
+    done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
+    if [ "$bad" -ne 0 ]; then
+        echo "lifecycle gate: book the read through Lifecycle::read_served instead" >&2
         exit 1
     fi
     echo "==> lifecycle gate: the journal is the one transition log"

@@ -9,7 +9,8 @@ use std::path::{Path, PathBuf};
 
 use monarch::core::cluster::ShardMap;
 use monarch::core::config::{MonarchConfig, TierConfig};
-use monarch::core::{ClusterConfig, Monarch};
+use monarch::core::trace::{names, ArgValue};
+use monarch::core::{ClusterConfig, Monarch, TelemetryConfig};
 use monarch::tfrecord::synth::{generate, DatasetSpec};
 
 fn tmp(tag: &str) -> PathBuf {
@@ -158,6 +159,101 @@ fn peer_serves_staged_files_and_degrades_to_pfs() {
     assert_eq!(snap.node_id, 1);
     assert_eq!(snap.nodes.len(), 2);
     assert!(snap.peer_hits >= 1 && snap.peer_fallbacks >= 2);
+
+    b.shutdown();
+    a.shutdown();
+    fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn a_peer_served_read_is_booked_like_any_read() {
+    // A read node B serves from node A's fast tier goes through the one
+    // booking call every read goes through: one access of its file, one
+    // read in the ledger, timed at weight 1 as peer-bound, and — sampled —
+    // one `read` span whose `driver_pread` child is the peer fetch.
+    let root = tmp("booked");
+    let data = root.join("pfs");
+    let spec = DatasetSpec::miniature(1 << 20, 64, 5);
+    let ds = generate(&spec, &data).unwrap();
+    let names_on_pfs: Vec<String> = ds
+        .shards
+        .iter()
+        .map(|s| s.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    let (seed, shard) = (0u64..64)
+        .find_map(|seed| {
+            let map = ShardMap::new(2, seed);
+            let owned0 = names_on_pfs.iter().find(|n| map.owner(n) == 0)?;
+            Some((seed, owned0.clone()))
+        })
+        .expect("some seed gives node 0 a shard");
+
+    let mut cluster_a = ClusterConfig::new(0, vec!["127.0.0.1:0".into(), "127.0.0.1:9".into()]);
+    cluster_a.shard_seed = seed;
+    let a = Monarch::new(node_config(
+        &root.join("ssd-a"),
+        &data,
+        ds.total_bytes,
+        cluster_a,
+    ))
+    .unwrap();
+    a.init().unwrap();
+    a.read_full(&shard).unwrap();
+    a.wait_placement_idle();
+    let a_addr = a.cluster().unwrap().server_addr().unwrap().to_string();
+
+    let mut cluster_b = ClusterConfig::new(1, vec![a_addr, "127.0.0.1:0".into()]);
+    cluster_b.shard_seed = seed;
+    let mut cfg = node_config(&root.join("ssd-b"), &data, ds.total_bytes, cluster_b);
+    cfg.telemetry = TelemetryConfig::with_tracing();
+    let b = Monarch::new(cfg).unwrap();
+    b.init().unwrap();
+
+    let mut buf = vec![0u8; 4096];
+    let n = b.read(&shard, 0, &mut buf).unwrap();
+    assert_eq!(buf[..n], fs::read(data.join(&shard)).unwrap()[..n]);
+    let stats = b.stats();
+    assert_eq!((stats.peer_hits, stats.peer_bytes), (1, n as u64));
+    assert_eq!(pfs_reads(&b), 0, "the peer served it");
+    assert_eq!(stats.timed_reads, 1);
+
+    // Counted once: in the namespace and in the ledger.
+    assert_eq!(b.metadata().get(&shard).unwrap().reads, 1);
+    let snap = b.telemetry_snapshot();
+    let ledger = snap.observe.as_ref().expect("profiler on").profiler.ledger;
+    assert_eq!(ledger.reads, 1);
+    // Timed at weight 1, its pread all peer-bound.
+    let pread = &snap.stall_profile.driver_pread;
+    assert_eq!(pread.count, 1);
+    assert!(ledger.peer_bound_pread_us > 0, "{ledger:?}");
+    assert_eq!(ledger.peer_bound_pread_us, pread.sum_nanos / 1_000);
+    let others = ledger.fast_pread_us
+        + ledger.pfs_cold_pread_us
+        + ledger.lane_sat_pread_us
+        + ledger.staged_pread_us
+        + ledger.prefetch_lag_pread_us
+        + ledger.degraded_pread_us;
+    assert_eq!(others, 0, "{ledger:?}");
+
+    // One `read` span; its `driver_pread` child is the fetch the ledger
+    // books as peer-bound, inside the read.
+    let spans = b.telemetry().trace().spans();
+    let reads: Vec<_> = spans.iter().filter(|s| s.name == names::READ).collect();
+    assert_eq!(reads.len(), 1, "{spans:?}");
+    let read = reads[0];
+    let preads: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == names::DRIVER_PREAD && s.parent == read.id)
+        .collect();
+    assert_eq!(preads.len(), 1, "{spans:?}");
+    let fetch = preads[0];
+    assert!(fetch
+        .args
+        .iter()
+        .any(|(k, v)| *k == "tier" && matches!(v, ArgValue::Str(t) if t == "peer")));
+    assert!(fetch.dur_us.abs_diff(ledger.peer_bound_pread_us) <= 1);
+    assert!(fetch.ts_us >= read.ts_us);
+    assert!(fetch.ts_us + fetch.dur_us <= read.ts_us + read.dur_us);
 
     b.shutdown();
     a.shutdown();

@@ -84,8 +84,11 @@ fn real_epoch_report_attributes_wall_and_flags_waste() {
                 off += n as u64;
             }
         }
+        // The second epoch's hits — the reads timed one in 16 and weighed
+        // 16 times — do not share the cores with the four copy workers:
+        // a hit preempted by a copy would book 16 times the preemption.
+        m.wait_placement_idle();
     }
-    m.wait_placement_idle();
     let wall_s = started.elapsed().as_secs_f64();
 
     let snap = m.telemetry_snapshot();
@@ -128,16 +131,25 @@ fn real_epoch_report_attributes_wall_and_flags_waste() {
 #[test]
 fn a_run_without_prefetch_reports_no_prefetch_lag() {
     // With prefetching off nothing can lag a plan. What a read does after
-    // its pread — its counters, the plan cursor's note — is bookkeeping,
-    // and the report charges it to lock-or-queue, not to prefetch-lag.
+    // its pread — the plan cursor's note — is bookkeeping, and the report
+    // charges it to lock-or-queue, not to prefetch-lag. The fast tier has
+    // room for no file, so no read is a local hit: every read carries the
+    // clock at weight 1, its phases lie inside the wall, and the buckets
+    // partition the wall by construction — no sampled hit stands for 16.
     let root = tmp("noprefetch");
     let data = root.join("pfs");
     let spec = DatasetSpec::miniature(256 << 10, 32, 5);
     let ds = generate(&spec, &data).unwrap();
+    let smallest = ds
+        .shards
+        .iter()
+        .map(|s| fs::metadata(s).unwrap().len())
+        .min()
+        .unwrap();
     let cfg = MonarchConfig::builder()
         .tier(
             TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
-                .with_capacity(2 * ds.total_bytes),
+                .with_capacity(smallest - 1),
         )
         .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
         .pool_threads(2)
@@ -164,7 +176,9 @@ fn a_run_without_prefetch_reports_no_prefetch_lag() {
     }
     let wall_s = started.elapsed().as_secs_f64();
 
-    let report = ObserveReport::from_snapshot(&m.telemetry_snapshot(), wall_s, 1, 4)
+    let snap = m.telemetry_snapshot();
+    assert_eq!(snap.stats.local_reads(), 0, "no read was a local hit");
+    let report = ObserveReport::from_snapshot(&snap, wall_s, 1, 4)
         .expect("default telemetry keeps the profiler on");
     assert!(report.reads > 0, "no reads profiled");
     assert_eq!(report.ledger.prefetch_lag_s, 0.0, "{:?}", report.ledger);
