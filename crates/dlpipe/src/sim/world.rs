@@ -1419,16 +1419,6 @@ impl World {
                     if ms.prefetch_lookahead > 0 {
                         ms.buffer_ready.insert(shard);
                     }
-                    if ms.prefetch_issued.contains_key(&shard) {
-                        // The staged bytes are servable from here on:
-                        // this is the instant the waste detector compares
-                        // later reads against.
-                        ms.book.telemetry().profiler().record_prefetch_staged(
-                            &self.shard_names[shard],
-                            self.geom.shards[shard].bytes,
-                            vmicros(now),
-                        );
-                    }
                     ms.waiting_readers.remove(&shard).unwrap_or_default()
                 };
                 if !released.is_empty() {

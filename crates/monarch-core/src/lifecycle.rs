@@ -24,8 +24,7 @@
 //!
 //! The bytes stay with the caller: deleting an evicted copy is a closure
 //! the engine fills with `driver.remove` and the simulator with nothing,
-//! and fetching, installing and reading are not this module's business at
-//! all.
+//! and fetching and installing them are not this module's business.
 
 use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
@@ -393,7 +392,9 @@ impl Lifecycle {
 
     /// *Placed*: the copy of `file` is installed on `tier`, `took` after
     /// it was dispatched (when that is known), and its reservation has
-    /// become the file's bytes there.
+    /// become the file's bytes there. A prefetch-lane copy's placement is
+    /// the instant its file counts as prefetched: the profiler compares
+    /// later reads against it.
     pub fn placed(
         &self,
         at: u64,
@@ -424,6 +425,11 @@ impl Lifecycle {
                 },
             },
         );
+        if let (Lane::Prefetch, Some(id)) = (lane, self.metadata.resolve(file)) {
+            self.telemetry
+                .profiler()
+                .record_prefetch_staged_id(id, size, at);
+        }
         if let Some((view, node)) = self.cluster_feed.get() {
             view.note_admitted(file, *node);
         }
@@ -759,6 +765,15 @@ mod tests {
                     if file == "f" && *c == cause),
                 "{lane:?}: {done:?}"
             );
+            // Only a prefetch-lane placement counts the file as prefetched.
+            let staged = book.telemetry().profiler().profile("f");
+            let staged = staged.map_or((0, 0), |p| (p.prefetched_bytes, p.staged_us));
+            let want = if lane == Lane::Prefetch {
+                (512, at)
+            } else {
+                (0, 0)
+            };
+            assert_eq!(staged, want, "{lane:?}");
             assert!(book
                 .evicted(at, "f", 0, Evict::Explicit, || Ok(()))
                 .unwrap());

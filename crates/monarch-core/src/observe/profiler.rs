@@ -529,9 +529,9 @@ impl AccessProfiler {
     }
 
     /// Record that the prefetcher finished staging `bytes` of the file
-    /// onto a local tier. Fed from the transfer engine's prefetch-lane
-    /// copy completion; a profile whose `prefetched_bytes` stays unmatched
-    /// by any later read is wasted prefetch work.
+    /// onto a local tier. Fed by [`crate::lifecycle::Lifecycle::placed`]
+    /// for a prefetch-lane copy; a profile whose `prefetched_bytes` stays
+    /// unmatched by any later read is wasted prefetch work.
     pub fn record_prefetch_staged_id(&self, id: FileId, bytes: u64, t_us: u64) {
         if !self.enabled {
             return;
@@ -539,13 +539,6 @@ impl AccessProfiler {
         if let Some(record) = self.record_of(id, true) {
             record.prefetched_bytes.fetch_add(bytes, Ordering::Relaxed);
             record.staged_us.store(t_us, Ordering::Relaxed);
-        }
-    }
-
-    /// [`Self::record_prefetch_staged_id`] by name.
-    pub fn record_prefetch_staged(&self, file: &str, bytes: u64, t_us: u64) {
-        if let (true, Some(id)) = (self.enabled, self.resolve(file)) {
-            self.record_prefetch_staged_id(id, bytes, t_us);
         }
     }
 
@@ -728,9 +721,11 @@ mod tests {
 
     #[test]
     fn disabled_profiler_records_nothing() {
-        let p = AccessProfiler::new(false, 2, 16);
+        let files = Arc::new(MetadataContainer::default());
+        files.register("a", 1, 1);
+        let p = AccessProfiler::with_namespace(false, 2, 16, Arc::clone(&files));
         p.record_read("a", 0, 10, ReadClass::Fast, false, t(5, 5), 100);
-        p.record_prefetch_staged("a", 10, 100);
+        p.record_prefetch_staged_id(files.resolve("a").unwrap(), 10, 100);
         let s = p.snapshot();
         assert_eq!(s.tracked, 0);
         assert_eq!(s.ledger.reads, 0);
@@ -798,9 +793,9 @@ mod tests {
 
     #[test]
     fn wasted_prefetch_signature() {
-        let p = AccessProfiler::new(true, 2, 16);
-        p.record_prefetch_staged("wasted", 1_024, 500);
-        p.record_prefetch_staged("used", 2_048, 600);
+        let (p, ids) = shared(&["wasted", "used"], 16);
+        p.record_prefetch_staged_id(ids[0], 1_024, 500);
+        p.record_prefetch_staged_id(ids[1], 2_048, 600);
         p.record_read("used", 0, 100, ReadClass::Fast, true, t(1, 1), 700);
         let s = p.snapshot();
         let find = |name: &str| {

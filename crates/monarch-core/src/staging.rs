@@ -10,11 +10,15 @@
 //! claim, `read_at` the range from the source straight into the buffer,
 //! publish it (the watermark moves to the claim's end), wake the waiters.
 //!
-//! The copy's claims stop one *stride* short of the file's end — the length
-//! of the first extent a foreground read fetched, how much its reader asks
-//! for at a time — so the copy's last fetch is one read long: the reader
-//! parked behind the copy copies out everything before it while that fetch
-//! is on the link, and has one read left to serve when it lands.
+//! Once the copy holds the frontier it keeps it: each of its fetches
+//! publishes its extent and takes the copy's next claim in one critical
+//! section, before anybody is woken. Its claims stop one *stride* short of
+//! the file's end — the length of the first extent a foreground read
+//! fetched — so its last fetch is one read long: the reader parked on the
+//! body wakes to find it claimed, yields so its `read_at` reaches the link
+//! first, and copies out the rest of the body while it is on the link. A
+//! read whose own fetch leaves bytes to fetch yields too, after publishing,
+//! so a copy parked behind it claims them before the reader asks again.
 //!
 //! Invariants:
 //!
@@ -24,10 +28,11 @@
 //!   only after the fetch that wrote it published it;
 //! - **one claim** — the claimed range starts at the watermark and is
 //!   written only by the claim's holder;
-//! - **released on every exit** — a [`Claim`] is an RAII guard: success,
-//!   error and unwind all give the frontier back and wake the waiters, so
-//!   nobody waits longer than the driver call they wait on — whatever
-//!   becomes of the copy meanwhile;
+//! - **released on every exit** — a [`Claim`] is an RAII guard: error and
+//!   unwind give the frontier back and wake the waiters, success hands it
+//!   to the copy's next claim or gives it back, so nobody waits longer
+//!   than the driver call they wait on — whatever becomes of the copy
+//!   meanwhile;
 //! - **unregistered last** — the transfer engine stops handing a staging
 //!   out only after the file's metadata left `Copying`. Whoever still
 //!   holds it then is served from it as before.
@@ -181,41 +186,58 @@ impl Staging {
     pub(crate) fn read(&self, offset: u64, out: &mut [u8], may_start: bool) -> Staged<'_> {
         let end = offset + out.len() as u64;
         let mut fill = locks::lock(&self.fill);
+        let mut woken = false;
         loop {
             if end <= fill.watermark {
+                // Woken by a publish whose fetcher holds the next claim: on
+                // a shared core, let its `read_at` reach the link first.
+                let behind_a_fetch = woken && fill.claimed_to.is_some();
                 drop(fill);
+                if behind_a_fetch {
+                    std::thread::yield_now();
+                }
                 out.copy_from_slice(self.published(offset as usize..end as usize));
                 return Staged::Served;
             }
             match fill.claimed_to {
                 // Being fetched, or next in line behind the fetch.
-                Some(to) if offset <= to => fill = locks::wait(&self.moved, fill),
+                Some(to) if offset <= to => {
+                    fill = locks::wait(&self.moved, fill);
+                    woken = true;
+                }
                 None if offset <= fill.watermark && (may_start || self.buf.get().is_some()) => {
-                    return Staged::Frontier(self.claim(&mut fill, end, true));
+                    return Staged::Frontier(self.claim(&mut fill, end, None));
                 }
                 _ => return Staged::Miss,
             }
         }
     }
 
-    /// The copy's side: claim the next at most `max` unfetched bytes,
-    /// waiting out a foreground fetch at the frontier; a claim that would
-    /// cross into the file's last stride ends where that starts. `None`
-    /// once every byte is published.
+    /// The copy's first claim, on the next at most `max` unfetched bytes,
+    /// waiting out a foreground fetch at the frontier. `None` once every
+    /// byte is published. Each fetch of the copy takes the next claim
+    /// itself ([`Claim::fill`]).
     pub(crate) fn claim_next(&self, max: u64) -> Option<Claim<'_>> {
         let mut fill = locks::lock(&self.fill);
         while fill.watermark < self.size {
             if fill.claimed_to.is_none() {
-                let mut end = self.size.min(fill.watermark + max);
-                let last = self.size - fill.stride;
-                if fill.watermark < last {
-                    end = end.min(last);
-                }
-                return Some(self.claim(&mut fill, end, false));
+                return Some(self.copy_claim(&mut fill, max));
             }
             fill = locks::wait(&self.moved, fill);
         }
         None
+    }
+
+    /// The copy's claim from the (free, unfinished) frontier: at most
+    /// `max` bytes, and a claim that would cross into the file's last
+    /// stride ends where that starts.
+    fn copy_claim(&self, fill: &mut Fill, max: u64) -> Claim<'_> {
+        let mut end = self.size.min(fill.watermark + max);
+        let last = self.size - fill.stride;
+        if fill.watermark < last {
+            end = end.min(last);
+        }
+        self.claim(fill, end, Some(max))
     }
 
     /// The claim on `[0, end)` of a staging nobody else has seen yet, for
@@ -227,16 +249,17 @@ impl Staging {
             fill.watermark == 0 && fill.claimed_to.is_none(),
             "the first claim is taken before the staging is shared"
         );
-        self.claim(&mut fill, end.min(self.size), true)
+        self.claim(&mut fill, end.min(self.size), None)
     }
 
-    /// Hand out the (free) frontier up to `end`, to a read or to the copy.
-    fn claim(&self, fill: &mut Fill, end: u64, foreground: bool) -> Claim<'_> {
+    /// Hand out the (free) frontier up to `end`, to a read or, with its
+    /// fetch size, to the copy.
+    fn claim(&self, fill: &mut Fill, end: u64, copy: Option<u64>) -> Claim<'_> {
         fill.claimed_to = Some(end);
         Claim {
             staging: self,
             range: fill.watermark..end,
-            foreground,
+            copy,
         }
     }
 
@@ -276,13 +299,17 @@ impl Staging {
 pub(crate) struct Claim<'a> {
     staging: &'a Staging,
     range: Range<u64>,
-    /// Held by a read, whose published extent may set the stride.
-    foreground: bool,
+    /// The copy's fetch size when the copy holds the claim; `None` for a
+    /// read's, whose published extent may set the stride.
+    copy: Option<u64>,
 }
 
-impl Claim<'_> {
+impl<'a> Claim<'a> {
     /// Fetch the claimed range with `read_at(offset, dst)` and publish it;
-    /// returns the bytes fetched. A failed or short read publishes nothing.
+    /// returns the bytes fetched and, for the copy's claim, the copy's next
+    /// claim (`None` once the file is whole): taken in the publish's
+    /// critical section, so the frontier is never free between two fetches
+    /// of the copy. A failed or short read publishes nothing.
     ///
     /// `dst` is memory nobody has written: `read_at` fills it and does not
     /// read it, and the count it returns is taken as the number of bytes
@@ -291,7 +318,7 @@ impl Claim<'_> {
     pub(crate) fn fill(
         self,
         read_at: impl FnOnce(u64, &mut [u8]) -> Result<usize>,
-    ) -> Result<usize> {
+    ) -> Result<(usize, Option<Claim<'a>>)> {
         let staging = self.staging;
         let buf = staging.buf.get_or_init(|| {
             let size = usize::try_from(staging.size).expect("a staged file fits in memory");
@@ -300,7 +327,8 @@ impl Claim<'_> {
         let range = self.range.start as usize..self.range.end as usize;
         let want = range.len();
         // SAFETY: this is the staging's one claim (`claimed_to` was unset
-        // when it was taken and stays set until `self` drops), `range` is
+        // when it was taken and stays set until `self` drops or publishes),
+        // `range` is
         // the claimed range, and readers stay below the watermark, which
         // does not move until the publish below. The bytes are handed to
         // `read_at` to be written; nothing here reads them.
@@ -314,11 +342,30 @@ impl Claim<'_> {
         // All `want` bytes are written: from here on they may be read.
         let mut fill = locks::lock(&staging.fill);
         fill.watermark = self.range.end;
-        if self.foreground && fill.stride == 0 {
-            fill.stride = want as u64;
-        }
+        fill.claimed_to = None;
+        let next = match self.copy {
+            Some(max) => {
+                (fill.watermark < staging.size).then(|| staging.copy_claim(&mut fill, max))
+            }
+            None => {
+                if fill.stride == 0 {
+                    fill.stride = want as u64;
+                }
+                None
+            }
+        };
+        // A read's fetch that leaves bytes to fetch may have woken the copy
+        // parked behind it: on a shared core, let it claim them first.
+        let yield_to_copy = self.copy.is_none() && fill.watermark < staging.size;
         drop(fill);
-        Ok(n)
+        staging.moved.notify_all();
+        if yield_to_copy {
+            std::thread::yield_now();
+        }
+        // The frontier was handed on (or freed) above: dropping this claim
+        // must not free it again.
+        std::mem::forget(self);
+        Ok((n, next))
     }
 }
 
@@ -352,6 +399,22 @@ mod tests {
         }
     }
 
+    /// The copy's loop, as the transfer engine runs it: its first claim,
+    /// then each next one its fetches hand on. Returns the claimed ranges.
+    fn copy(
+        staging: &Staging,
+        max: u64,
+        read_at: impl Fn(u64, &mut [u8]) -> Result<usize>,
+    ) -> Vec<(u64, u64)> {
+        let mut claims = Vec::new();
+        let mut next = staging.claim_next(max);
+        while let Some(claim) = next {
+            claims.push((claim.range.start, claim.range.end));
+            next = claim.fill(&read_at).unwrap().1;
+        }
+        claims
+    }
+
     fn served(staging: &Staging, src: &[u8], offset: usize, len: usize) -> bool {
         let mut out = vec![0u8; len];
         match staging.read(offset as u64, &mut out, true) {
@@ -372,7 +435,7 @@ mod tests {
         // staging.
         let claim = staging.claim_first(400);
         assert_eq!(claim.range, 0..400);
-        assert_eq!(claim.fill(source(&src, &fetched)).unwrap(), 400);
+        assert_eq!(claim.fill(source(&src, &fetched)).unwrap().0, 400);
         assert!(served(&staging, &src, 0, 400));
         assert!(served(&staging, &src, 123, 200));
         // Far ahead of anything fetched or being fetched: not ours.
@@ -386,18 +449,14 @@ mod tests {
         };
         assert_eq!(claim.range, 400..600);
         assert_eq!(staging.progress(), (400, Some(600)));
-        assert_eq!(claim.fill(source(&src, &fetched)).unwrap(), 200);
+        assert_eq!(claim.fill(source(&src, &fetched)).unwrap().0, 200);
         assert_eq!(staging.progress(), (600, None));
         assert!(served(&staging, &src, 300, 300));
         assert_eq!(fetched.load(Ordering::Relaxed), 600);
         assert!(staging.whole().is_none());
         // The copy takes the rest in bounded claims.
-        let mut claims = Vec::new();
-        while let Some(claim) = staging.claim_next(256) {
-            claims.push(claim.range.clone());
-            claim.fill(source(&src, &fetched)).unwrap();
-        }
-        assert_eq!(claims, [600..856, 856..1000]);
+        let claims = copy(&staging, 256, source(&src, &fetched));
+        assert_eq!(claims, [(600, 856), (856, 1000)]);
         assert_eq!(
             fetched.load(Ordering::Relaxed),
             1000,
@@ -490,11 +549,7 @@ mod tests {
                     }
                 }
             }
-            let mut claims = Vec::new();
-            while let Some(claim) = staging.claim_next(FETCH_CHUNK) {
-                claims.push((claim.range.start, claim.range.end));
-                claim.fill(source(&src, &fetched)).unwrap();
-            }
+            let claims = copy(&staging, FETCH_CHUNK, source(&src, &fetched));
             assert_eq!(claims, want, "{case}");
             assert_eq!(fetched.load(Ordering::Relaxed), size, "{case}");
             assert_eq!(staging.whole().unwrap(), &src[..], "{case}");
@@ -595,6 +650,59 @@ mod tests {
     }
 
     #[test]
+    fn a_reader_woken_by_the_copys_body_finds_the_last_stride_claimed() {
+        const SIZE: u64 = 1000;
+        const STRIDE: u64 = 100;
+        let src = pattern(SIZE as usize);
+        let (copied, read) = (AtomicU64::new(0), AtomicU64::new(0));
+        let staging = Staging::empty(SIZE);
+        // The announcing read's extent sets the stride; the copy's body
+        // claim stops where the last stride starts.
+        let head = staging.claim_first(STRIDE).fill(source(&src, &read));
+        assert!(head.unwrap().1.is_none(), "a read's fetch hands nothing on");
+        let body = staging.claim_next(SIZE).unwrap();
+        assert_eq!(body.range, STRIDE..SIZE - STRIDE);
+        let (woke, wakes) = mpsc::channel();
+        std::thread::scope(|s| {
+            // The reader walks the rest of the file a stride at a time and
+            // reports the staging's progress when its first read is served.
+            let (staging, src, read) = (&staging, &src, &read);
+            s.spawn(move || {
+                let mut out = vec![0u8; STRIDE as usize];
+                for offset in (STRIDE..SIZE).step_by(STRIDE as usize) {
+                    loop {
+                        match staging.read(offset, &mut out, true) {
+                            Staged::Served => break,
+                            Staged::Frontier(claim) => {
+                                claim.fill(source(src, read)).unwrap();
+                            }
+                            Staged::Miss => panic!("the reader is never ahead of the copy"),
+                        }
+                    }
+                    assert_eq!(out, src[offset as usize..(offset + STRIDE) as usize]);
+                    if offset == STRIDE {
+                        woke.send(staging.progress()).unwrap();
+                    }
+                }
+            });
+            // The body's fetch is held while the reader is parked inside it.
+            assert!(wakes.recv_timeout(Duration::from_millis(50)).is_err());
+            let (n, last) = body.fill(source(src, &copied)).unwrap();
+            assert_eq!(n as u64, SIZE - 2 * STRIDE);
+            // The copy is held again: the reader woken by the body's publish
+            // finds the last stride already the copy's, not a free frontier.
+            let at_wake = wakes.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(at_wake, (SIZE - STRIDE, Some(SIZE)));
+            let last = last.expect("the copy holds the last stride");
+            assert!(last.fill(source(src, &copied)).unwrap().1.is_none());
+        });
+        // The reader was served without a source read of its own.
+        assert_eq!(read.load(Ordering::Relaxed), STRIDE);
+        assert_eq!(copied.load(Ordering::Relaxed), SIZE - STRIDE);
+        assert_eq!(staging.whole().unwrap(), &src[..]);
+    }
+
+    #[test]
     fn every_byte_is_fetched_once_however_reads_and_the_copy_interleave() {
         const SIZE: usize = 300_000;
         let src = pattern(SIZE);
@@ -609,10 +717,11 @@ mod tests {
             std::thread::scope(|s| {
                 let (staging, src, fetched) = (&staging, &src, &fetched);
                 s.spawn(move || {
-                    while let Some(claim) = staging.claim_next(40_000) {
-                        claim.fill(source(src, fetched)).unwrap();
+                    let read_at = source(src, fetched);
+                    copy(staging, 40_000, |at, dst| {
                         std::thread::yield_now();
-                    }
+                        read_at(at, dst)
+                    });
                 });
                 // Front-to-back walkers with their own chunk sizes; the
                 // last chunk of each is short.

@@ -739,7 +739,7 @@ impl TransferEngine {
                 Staged::Frontier(claim) => {
                     // A failed fetch gives the frontier back; the caller's
                     // plain read retries it with the health machinery.
-                    let n = claim
+                    let (n, _) = claim
                         .fill(|at, dst| source.driver.read_at(file, at, dst))
                         .ok()?;
                     self.book.stats().record_read(source.id, n as u64);
@@ -1167,6 +1167,16 @@ struct CopyTraceCtx {
     exec_id: u64,
 }
 
+impl CopyTraceCtx {
+    /// The span `name` under the copy's `copy_exec`, from `t0` to now.
+    fn child(&self, telemetry: &TelemetryRegistry, name: &'static str, t0: u64) -> SpanRecord {
+        let dur = telemetry.now_micros() - t0;
+        SpanRecord::new(name, "copy", self.tid, t0, dur)
+            .with_id(telemetry.trace().next_id())
+            .with_parent(self.exec_id)
+    }
+}
+
 impl CopyJob {
     fn run(&self) {
         let lease = &self.lease;
@@ -1217,12 +1227,12 @@ impl CopyJob {
             file: file.to_string(),
         });
         let result = self.try_place(started, copy_trace.as_ref());
+        let (outcome, unplaced) = match &result {
+            Ok(Some(_)) => ("completed", None),
+            Ok(None) => ("skipped", Some(Unplaced::NoRoom)),
+            Err(e) => ("failed", Some(Unplaced::Failed(e))),
+        };
         if let Some(ct) = &copy_trace {
-            let outcome = match &result {
-                Ok(Some(_)) => "completed",
-                Ok(None) => "skipped",
-                Err(_) => "failed",
-            };
             tr.record(
                 SpanRecord::new(
                     names::COPY_EXEC,
@@ -1238,18 +1248,8 @@ impl CopyJob {
                 .arg_str("outcome", outcome),
             );
         }
-        match result {
-            Ok(Some(_)) => {
-                if let (Lane::Prefetch, Some(id)) = (lease.lane, book.metadata().resolve(file)) {
-                    telemetry.profiler().record_prefetch_staged_id(
-                        id,
-                        size,
-                        telemetry.now_micros(),
-                    );
-                }
-            }
-            Ok(None) => lease.unplaced(Unplaced::NoRoom),
-            Err(e) => lease.unplaced(Unplaced::Failed(&e)),
+        if let Some(why) = unplaced {
+            lease.unplaced(why);
         }
     }
 
@@ -1267,23 +1267,14 @@ impl CopyJob {
         let file = lease.file.as_str();
         let size = lease.staging.size();
         let tr = telemetry.trace();
-        let t_decide = if ct.is_some() {
-            telemetry.now_micros()
-        } else {
-            0
-        };
+        // A child span's start, when the copy is traced.
+        let stamp = || ct.map_or(0, |_| telemetry.now_micros());
+        let t_decide = stamp();
         let decision = policy.place(hierarchy, file, size)?;
         if let Some(ct) = ct {
-            let mut span = SpanRecord::new(
-                names::PLACEMENT_DECIDE,
-                "copy",
-                ct.tid,
-                t_decide,
-                telemetry.now_micros() - t_decide,
-            )
-            .with_id(tr.next_id())
-            .with_parent(ct.exec_id)
-            .arg_str("policy", policy.name().to_string());
+            let mut span = ct
+                .child(telemetry, names::PLACEMENT_DECIDE, t_decide)
+                .arg_str("policy", policy.name().to_string());
             if let Some(d) = &decision {
                 for (key, value) in d.trace_args(hierarchy) {
                     span.args.push((key, value));
@@ -1317,33 +1308,20 @@ impl CopyJob {
         let staging = &lease.staging;
         let install = || -> std::result::Result<(), (TierId, Error)> {
             let source = hierarchy.source();
-            let t_read = if ct.is_some() {
-                telemetry.now_micros()
-            } else {
-                0
-            };
+            let t_read = stamp();
             let mut fetched = 0u64;
-            while let Some(claim) = staging.claim_next(FETCH_CHUNK) {
-                let n = claim
+            let mut next = staging.claim_next(FETCH_CHUNK);
+            while let Some(claim) = next {
+                let (n, after) = claim
                     .fill(|at, dst| source.driver.read_at(file, at, dst))
                     .map_err(|e| (source.id, e))?;
                 stats.record_read(source.id, n as u64);
                 fetched += n as u64;
+                next = after;
             }
             if let (Some(ct), true) = (ct, fetched > 0) {
-                tr.record(
-                    SpanRecord::new(
-                        names::COPY_READ,
-                        "copy",
-                        ct.tid,
-                        t_read,
-                        telemetry.now_micros() - t_read,
-                    )
-                    .with_id(tr.next_id())
-                    .with_parent(ct.exec_id)
-                    .arg_str("tier", &source.name)
-                    .arg_u64("bytes", fetched),
-                );
+                let span = ct.child(telemetry, names::COPY_READ, t_read);
+                tr.record(span.arg_str("tier", &source.name).arg_u64("bytes", fetched));
             }
             let data = staging
                 .whole()
@@ -1355,28 +1333,16 @@ impl CopyJob {
                 // core, let the reader go first.
                 std::thread::yield_now();
             }
-            let t_write = if ct.is_some() {
-                telemetry.now_micros()
-            } else {
-                0
-            };
+            let t_write = stamp();
             dest.driver
                 .write_full(file, data)
                 .map_err(|e| (decision.tier, e))?;
             stats.record_write(decision.tier, data.len() as u64);
             if let Some(ct) = ct {
+                let span = ct.child(telemetry, names::COPY_WRITE, t_write);
                 tr.record(
-                    SpanRecord::new(
-                        names::COPY_WRITE,
-                        "copy",
-                        ct.tid,
-                        t_write,
-                        telemetry.now_micros() - t_write,
-                    )
-                    .with_id(tr.next_id())
-                    .with_parent(ct.exec_id)
-                    .arg_str("tier", &dest.name)
-                    .arg_u64("bytes", data.len() as u64),
+                    span.arg_str("tier", &dest.name)
+                        .arg_u64("bytes", data.len() as u64),
                 );
             }
             Ok(())
@@ -1418,26 +1384,12 @@ impl CopyJob {
         };
         match failure {
             None => {
-                let t_reg = if ct.is_some() {
-                    telemetry.now_micros()
-                } else {
-                    0
-                };
+                let t_reg = stamp();
                 lease.placed(decision.tier, started.elapsed())?;
                 book.tier_settled(now, decision.tier, Gate::Open, Ok(()));
                 if let Some(ct) = ct {
-                    tr.record(
-                        SpanRecord::new(
-                            names::METADATA_REGISTER,
-                            "copy",
-                            ct.tid,
-                            t_reg,
-                            telemetry.now_micros() - t_reg,
-                        )
-                        .with_id(tr.next_id())
-                        .with_parent(ct.exec_id)
-                        .arg_str("tier", &dest.name),
-                    );
+                    let span = ct.child(telemetry, names::METADATA_REGISTER, t_reg);
+                    tr.record(span.arg_str("tier", &dest.name));
                 }
                 Ok(Some(decision.tier))
             }
