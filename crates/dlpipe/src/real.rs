@@ -292,13 +292,13 @@ mod tests {
         .unwrap();
         let want = direct.run_epoch(0).unwrap();
 
-        let cfg = MonarchConfig::builder()
-            .tier(
+        let cfg = MonarchConfig {
+            pool_threads: 3,
+            ..MonarchConfig::new(vec![
                 TierConfig::posix("ssd", cache.to_string_lossy().to_string()).with_capacity(total),
-            )
-            .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-            .pool_threads(3)
-            .build();
+                TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+            ])
+        };
         let monarch = Arc::new(Monarch::new(cfg).unwrap());
         monarch.init().unwrap();
         let t =

@@ -20,7 +20,9 @@ use monarch_core::telemetry::{
     TransitionCause,
 };
 use monarch_core::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
-use monarch_core::{Error, LaneQueues, ReadFeedback, StorageDriver};
+use monarch_core::{
+    Error, LaneQueues, PrefetchConfig, PrefetchWindow, ReadFeedback, StorageDriver,
+};
 use simfs::clock::SimTime;
 use simfs::fault::FaultPlan;
 use simfs::interference::Interference;
@@ -59,7 +61,7 @@ enum Ev {
 /// [`Lifecycle::read_served`] books it: the shard's id, the tier the shard
 /// lived on and whether its copy was in flight, the tier serving the read
 /// and how, where in the shard and when it began, whether it is sampled
-/// for tracing, and whether the plan cursor counted it a prefetch hit.
+/// for tracing, and what the plan cursor made of it.
 #[derive(Debug, Clone, Copy)]
 struct SimRead {
     id: FileId,
@@ -70,7 +72,7 @@ struct SimRead {
     offset: u64,
     issued: SimTime,
     traced: bool,
-    prefetch_hit: bool,
+    plan: ReadFeedback,
 }
 
 /// Synthetic trace track for the pre-stage scheduler (no reader owns it).
@@ -116,9 +118,9 @@ struct Reader {
     inflight: bool,
     /// Finished its share of the epoch.
     done: bool,
-    /// The plan cursor counted the current shard a prefetch hit, and its
-    /// first chunk read has not been issued yet.
-    prefetch_hit: bool,
+    /// What the plan cursor made of the current shard; only its first read
+    /// carries `first_issued`.
+    plan: ReadFeedback,
 }
 
 /// Which serving logic the run uses.
@@ -148,18 +150,16 @@ struct MonarchSim {
     /// duplicating the copy, and a plan boundary bulk-cancels the
     /// prefetch lane.
     lanes: LaneQueues<usize>,
-    /// Clairvoyant lookahead (0 = reactive only).
-    prefetch_lookahead: usize,
-    /// This epoch's access plan: shard ids in foreground read order.
-    plan: Vec<usize>,
-    /// Shard id → plan index.
-    plan_pos: FxHashMap<usize, usize>,
-    /// One past the furthest plan entry a reader has started.
-    plan_cursor: usize,
-    /// Next plan index the prefetcher considers issuing.
-    plan_issued: usize,
-    /// Prefetch-issued shards → whether a foreground read reached them.
-    prefetch_issued: FxHashMap<usize, bool>,
+    /// Clairvoyant lookahead (`enabled()` false = reactive only). The
+    /// byte cap is 0: the window is bounded by its lookahead alone.
+    prefetch: PrefetchConfig,
+    /// The engine's window over this epoch's access plan (shard names in
+    /// foreground read order), walked through the engine's booking calls.
+    window: Option<PrefetchWindow>,
+    /// The lane each scheduled copy was queued on, from its scheduling
+    /// until it settles (the engine's `Lease::lane`): its `copy_completed`
+    /// cause, and whether a reader may park on its staging.
+    copy_lane: FxHashMap<usize, Lane>,
     /// Readers parked on a planned shard whose staged copy is in flight:
     /// the clairvoyant contract serves such reads from the copy when it
     /// lands rather than double-reading the shard from the PFS.
@@ -264,6 +264,8 @@ struct World {
 
     geom: DatasetGeom,
     shard_names: Vec<String>,
+    /// Shard name → index, for the plan entries the window issues by name.
+    shard_ids: FxHashMap<String, usize>,
     /// records / bytes per shard (samples carried per byte).
     samples_per_byte: Vec<f64>,
     chunk_bytes: u64,
@@ -449,12 +451,12 @@ impl World {
                     book: Lifecycle::new(hierarchy, policy, telemetry),
                     tier_dev,
                     lanes: LaneQueues::new(),
-                    prefetch_lookahead: cfg.prefetch_lookahead,
-                    plan: Vec::new(),
-                    plan_pos: FxHashMap::default(),
-                    plan_cursor: 0,
-                    plan_issued: 0,
-                    prefetch_issued: FxHashMap::default(),
+                    prefetch: PrefetchConfig {
+                        lookahead: cfg.prefetch_lookahead,
+                        max_inflight_bytes: 0,
+                    },
+                    window: None,
+                    copy_lane: FxHashMap::default(),
                     waiting_readers: FxHashMap::default(),
                     parked: FxHashMap::default(),
                     epoch_ledger: LedgerSnapshot::default(),
@@ -505,6 +507,11 @@ impl World {
             lustre,
             ssd: 0,
             geom: t.geom.clone(),
+            shard_ids: shard_names
+                .iter()
+                .enumerate()
+                .map(|(i, name)| (name.clone(), i))
+                .collect(),
             shard_names,
             samples_per_byte,
             chunk_bytes: t.pipeline.chunk_bytes,
@@ -562,7 +569,9 @@ impl World {
 
     // -- top-level loop ----------------------------------------------------
 
-    fn run(mut self, epochs: usize) -> RunReport {
+    /// Train `epochs` epochs, from the namespace scan to the last epoch's
+    /// end, and refresh the gauges once more.
+    fn simulate(&mut self, epochs: usize) {
         self.epochs_total = epochs;
 
         // MONARCH initialises its namespace by scanning the dataset
@@ -654,7 +663,10 @@ impl World {
         // Final gauge refresh so the attached snapshot carries end-of-run
         // values even when periodic tracing is disabled.
         self.sample_gauges();
+    }
 
+    fn run(mut self, epochs: usize) -> RunReport {
+        self.simulate(epochs);
         let device_names: Vec<String> = self.devs.iter().map(|d| d.spec.name.clone()).collect();
         let telemetry = self.monarch.as_ref().map(|ms| {
             ms.book
@@ -725,25 +737,10 @@ impl World {
         let Some(ms) = self.monarch.as_ref() else {
             return;
         };
-        let prefetch = (ms.prefetch_lookahead > 0).then(|| {
-            // Issued by the plan and still copying.
-            let (copies, bytes) = ms
-                .prefetch_issued
-                .keys()
-                .filter(|&&shard| {
-                    ms.book
-                        .metadata()
-                        .get(&self.shard_names[shard])
-                        .is_some_and(|f| matches!(f.state, PlacementState::Copying { .. }))
-                })
-                .fold((0, 0), |(n, bytes), &shard| {
-                    (n + 1, bytes + self.geom.shards[shard].bytes)
-                });
-            PrefetchSample {
-                copies,
-                bytes,
-                lag_entries: ms.plan_issued.saturating_sub(ms.plan_cursor) as u64,
-            }
+        let prefetch = ms.prefetch.enabled().then(|| {
+            ms.window
+                .as_ref()
+                .map_or_else(PrefetchSample::default, PrefetchWindow::sample)
         });
         ms.book.telemetry().publish_gauges(
             ms.book.hierarchy(),
@@ -823,6 +820,7 @@ impl World {
                 for i in 0..self.geom.num_shards() {
                     let (name, bytes) = (&self.shard_names[i], self.geom.shards[i].bytes);
                     if ms.book.scheduled(vmicros(now), name, bytes, Lane::Demand) {
+                        ms.copy_lane.insert(i, Lane::Demand);
                         ms.lanes.push(Lane::Demand, i);
                         ms.copy_enqueued.insert(i, now);
                         if tr.is_enabled() {
@@ -910,20 +908,12 @@ impl World {
         // plan — hand it to the prefetcher before the readers start.
         if let Some(ms) = self.monarch.as_mut() {
             ms.epoch_ledger = ms.book.telemetry().profiler().ledger();
-            if ms.prefetch_lookahead > 0 {
-                // Hand the epoch's read order to the policy engine: the
-                // clairvoyant eviction ranks by next use, and the plan
-                // boundary clears last epoch's staged-but-unread pins.
-                let names: Vec<String> =
-                    order.iter().map(|&s| self.shard_names[s].clone()).collect();
-                ms.book.policy().set_plan(&names);
-                ms.plan_pos = order.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-                ms.plan = order;
-                ms.plan_cursor = 0;
-                ms.plan_issued = 0;
+            if ms.prefetch.enabled() {
+                // A plan boundary withdraws still-queued prefetches and
+                // closes the last plan's books, then opens the window over
+                // this epoch's read order, like the real engine's `plan()`.
                 for shard in ms.lanes.drain_prefetch() {
-                    // A plan boundary withdraws still-queued prefetches,
-                    // like the real engine's `plan()` does.
+                    ms.copy_lane.remove(&shard);
                     ms.book.unplaced(
                         vmicros(now),
                         &self.shard_names[shard],
@@ -931,10 +921,12 @@ impl World {
                         Unplaced::Canceled(TransitionCause::Plan),
                     );
                 }
-                ms.prefetch_issued.clear();
-                ms.waiting_readers.clear();
-                ms.parked.clear();
-                ms.buffer_ready.clear();
+                ms.book.plan_closed(ms.window.take());
+                let files = order
+                    .iter()
+                    .map(|&s| (self.shard_names[s].clone(), self.geom.shards[s].bytes))
+                    .collect();
+                ms.window = Some(ms.book.plan_opened(files, ms.prefetch));
                 self.pump_prefetch(now);
             }
         }
@@ -1031,7 +1023,7 @@ impl World {
                     .metadata()
                     .resolve_for_read(name)
                     .expect("shard registered");
-                ms.book.policy().on_access(name, info.tier);
+                ms.book.policy().on_access_id(id, name, info.tier);
                 // Fault-aware serving through the engine's gate and settle:
                 // a quarantined tier is skipped except for the timed
                 // half-open probe, and a failing fast-tier read is booked
@@ -1081,13 +1073,13 @@ impl World {
                     offset: 0,
                     issued: now,
                     traced: false,
-                    prefetch_hit: false,
+                    plan: ReadFeedback::default(),
                 };
                 // Demand preemption: a foreground read of a shard still
                 // sitting in the prefetch lane moves it to the demand lane
                 // — one copy, higher priority, no duplicate.
                 let mut promoted = false;
-                if ms.prefetch_lookahead > 0 && ms.lanes.promote_where(|&s| s == shard) {
+                if ms.prefetch.enabled() && ms.lanes.promote_where(|&s| s == shard) {
                     ms.book.promoted(vmicros(now), name);
                     promoted = true;
                 }
@@ -1095,6 +1087,7 @@ impl World {
                 if info.state == PlacementState::Unplaced
                     && ms.book.scheduled(vmicros(now), name, bytes, Lane::Demand)
                 {
+                    ms.copy_lane.insert(shard, Lane::Demand);
                     if ms.full_fetch {
                         ms.lanes.push(Lane::Demand, shard);
                         ms.copy_enqueued.insert(shard, now);
@@ -1135,7 +1128,10 @@ impl World {
                                 ms.copy_target.insert(shard, d.tier);
                                 ms.chunk_written.insert(shard, 0);
                             }
-                            _ => ms.book.unplaced(at, name, None, Unplaced::NoRoom),
+                            _ => {
+                                ms.copy_lane.remove(&shard);
+                                ms.book.unplaced(at, name, None, Unplaced::NoRoom);
+                            }
                         }
                     }
                 }
@@ -1187,14 +1183,15 @@ impl World {
                 // A freshly started shard served by Lustre pays an MDS
                 // open before its first chunk.
                 let (dev, read) = self.route_chunk(now, r, next);
-                self.readers[r].prefetch_hit = self.prefetch_note_read(now, next);
+                let plan = self.prefetch_note_read(now, next);
+                self.readers[r].plan = plan;
                 // Clairvoyant interception, in precedence order: a shard
                 // whose staged fetch already landed in memory is consumed
                 // from the copy buffer outright; one whose copy is still
                 // in flight parks the reader until the fetch completes —
                 // either way the read never races a duplicate synchronous
                 // fetch against its own staging copy over the PFS.
-                if let Some(read) = read {
+                if let Some(read) = read.map(|read| SimRead { plan, ..read }) {
                     if self.clairvoyant_buffer_serve(now, r, next, read) {
                         self.reader_advance(now, r);
                         return;
@@ -1230,7 +1227,8 @@ impl World {
         if let (Some(read), Some(ms)) = (read.as_mut(), self.monarch.as_ref()) {
             read.offset = offset;
             read.traced = ms.book.telemetry().trace().sample_read();
-            read.prefetch_hit = std::mem::take(&mut self.readers[r].prefetch_hit);
+            read.plan = self.readers[r].plan;
+            self.readers[r].plan.first_issued = false;
         }
         let latency = self.sample_latency(dev);
         let sync_cap = self.devs[dev].spec.sync_stream_cap;
@@ -1296,11 +1294,7 @@ impl World {
             copying: read.copying,
             tier: read.tier,
             how: read.how,
-            plan: ReadFeedback {
-                flow: 0,
-                planned: ms.prefetch_lookahead > 0 && ms.plan_pos.contains_key(&shard),
-                prefetch_hit: read.prefetch_hit,
-            },
+            plan: read.plan,
             weight: 1,
             trace,
             marks: Some([t0, t0, t0, t1, t1]),
@@ -1416,16 +1410,12 @@ impl World {
                 // copy's buffer while the write-back drains.
                 let released = {
                     let ms = self.monarch.as_mut().expect("monarch");
-                    if ms.prefetch_lookahead > 0 {
+                    if ms.prefetch.enabled() {
                         ms.buffer_ready.insert(shard);
                     }
                     ms.waiting_readers.remove(&shard).unwrap_or_default()
                 };
                 if !released.is_empty() {
-                    let ms = self.monarch.as_mut().expect("monarch");
-                    if ms.prefetch_issued.contains_key(&shard) {
-                        ms.book.telemetry().stats().prefetch_hit();
-                    }
                     for &r in &released {
                         self.readers[r].inflight = false;
                         let ms = self.monarch.as_mut().expect("monarch");
@@ -1469,11 +1459,7 @@ impl World {
                 ms.pending_copy_writes -= 1;
                 ms.book.telemetry().stats().record_write(tier, size);
                 let started = ms.copy_started.remove(&shard);
-                let lane = if ms.prefetch_issued.contains_key(&shard) {
-                    Lane::Prefetch
-                } else {
-                    Lane::Demand
-                };
+                let lane = ms.copy_lane.remove(&shard).expect("copy lane recorded");
                 let took = started.map(|at| Duration::from_nanos(vnanos(now - at)));
                 ms.book
                     .placed(vmicros(now), &name, size, tier, lane, took)
@@ -1535,8 +1521,9 @@ impl World {
                             ms.copy_target.remove(&shard);
                             ms.chunk_written.remove(&shard);
                             ms.book.telemetry().stats().record_write(tier, total);
+                            let lane = ms.copy_lane.remove(&shard).expect("copy lane recorded");
                             ms.book
-                                .placed(vmicros(now), &name, total, tier, Lane::Demand, None)
+                                .placed(vmicros(now), &name, total, tier, lane, None)
                                 .expect("finish");
                         }
                     }
@@ -1571,7 +1558,7 @@ impl World {
             ms.pending_copy_writes -= 1;
             ms.copy_started.remove(&shard);
             ms.copy_trace.remove(&shard);
-            ms.prefetch_issued.remove(&shard);
+            ms.copy_lane.remove(&shard);
             // The device error the real install would have come back with.
             let fault = Error::Io(match class {
                 ErrorClass::Capacity => std::io::Error::from_raw_os_error(28),
@@ -1606,62 +1593,34 @@ impl World {
 
     // -- MONARCH clairvoyant prefetch ----------------------------------------
 
-    /// Advance the foreground read cursor past `shard`, count a prefetch
-    /// hit when a staged shard is read from a local tier — returning
-    /// whether it did — and let the prefetcher issue further plan entries
-    /// the cursor unlocked.
-    fn prefetch_note_read(&mut self, now: SimTime, shard: usize) -> bool {
-        let mut hit = false;
-        {
-            let Some(ms) = self.monarch.as_mut() else {
-                return false;
-            };
-            if ms.prefetch_lookahead == 0 {
-                return false;
-            }
-            if let Some(&pos) = ms.plan_pos.get(&shard) {
-                ms.plan_cursor = ms.plan_cursor.max(pos + 1);
-            }
-            // The foreground cursor reached the shard: it is no longer a
-            // staged-but-unread entry, so it re-enters the evictable set,
-            // and the clairvoyant ranking advances past this plan entry.
-            ms.book.policy().unpin(&self.shard_names[shard]);
-            ms.book.policy().note_plan_read(&self.shard_names[shard]);
-            let source = ms.tier_dev.len() - 1;
-            if let Some(read_seen) = ms.prefetch_issued.get_mut(&shard) {
-                if !*read_seen {
-                    *read_seen = true;
-                    if let Some(info) = ms.book.metadata().get(&self.shard_names[shard]) {
-                        if info.tier != source && info.state == PlacementState::Placed {
-                            ms.book.telemetry().stats().prefetch_hit();
-                            hit = true;
-                        }
-                    }
-                }
-            }
-        }
+    /// Move the plan cursor past `shard` through the engine's booking call
+    /// ([`Lifecycle::plan_read`]) and let the prefetcher issue the plan
+    /// entries the cursor unlocked. Returns what the plan made of the read,
+    /// for the shard's first read to carry to [`Lifecycle::read_served`],
+    /// which counts the hit.
+    fn prefetch_note_read(&mut self, now: SimTime, shard: usize) -> ReadFeedback {
+        let Some(ms) = self.monarch.as_mut() else {
+            return ReadFeedback::default();
+        };
+        let Some(window) = ms.window.as_mut() else {
+            return ReadFeedback::default();
+        };
+        let note = ms.book.plan_read(window, &self.shard_names[shard]);
         self.pump_prefetch(now);
-        hit
+        note.map_or_else(ReadFeedback::default, ReadFeedback::from)
     }
 
-    /// Park reader `r`'s `read` at the head of `shard` when a
-    /// prefetch-issued copy of it is still streaming in from the PFS: the
-    /// reader is woken by that fetch's completion and served from the
-    /// copy's buffer, instead of double-reading the shard synchronously
-    /// from the PFS while the bulk copy streams the same bytes. Reactive
-    /// mode (`lookahead == 0`) never parks, and neither do shards the
-    /// prefetcher did not issue — demand copies keep today's read-through
-    /// behaviour byte for byte.
+    /// Park reader `r`'s `read` at the head of `shard` when the shard's
+    /// prefetch-lane copy is still streaming in from the PFS: the reader is
+    /// woken by that fetch's completion and served from the copy's buffer,
+    /// instead of double-reading the shard synchronously from the PFS while
+    /// the bulk copy streams the same bytes. Demand copies keep the
+    /// read-through behaviour byte for byte.
     fn prefetch_park(&mut self, r: usize, shard: usize, read: SimRead) -> bool {
-        let name = &self.shard_names[shard];
         let parked = match self.monarch.as_mut() {
             Some(ms)
-                if ms.prefetch_lookahead > 0
-                    && ms.prefetch_issued.contains_key(&shard)
-                    && !ms.buffer_ready.contains(&shard)
-                    && ms.book.metadata().get(name).is_some_and(|info| {
-                        matches!(info.state, PlacementState::Copying { .. })
-                    }) =>
+                if ms.copy_lane.get(&shard) == Some(&Lane::Prefetch)
+                    && !ms.buffer_ready.contains(&shard) =>
             {
                 ms.waiting_readers.entry(shard).or_default().push(r);
                 ms.parked.insert(r, read);
@@ -1675,9 +1634,9 @@ impl World {
         parked
     }
 
-    /// Serve the whole of `shard` to reader `r` when its staged fetch has
-    /// already landed in memory (write-back still draining). Counts as a
-    /// prefetch hit. Returns false when the shard is not buffer-ready.
+    /// Serve the whole of `shard` to reader `r` when its prefetch-lane
+    /// copy's fetch has already landed in memory (write-back still
+    /// draining). Returns false when the shard is not buffer-ready.
     fn clairvoyant_buffer_serve(
         &mut self,
         now: SimTime,
@@ -1685,29 +1644,22 @@ impl World {
         shard: usize,
         read: SimRead,
     ) -> bool {
-        let hit = match self.monarch.as_mut() {
-            Some(ms)
-                if ms.prefetch_lookahead > 0
-                    && ms.prefetch_issued.contains_key(&shard)
-                    && ms.buffer_ready.contains(&shard) =>
-            {
-                ms.book.telemetry().stats().prefetch_hit();
-                true
-            }
-            _ => false,
-        };
-        if hit {
+        let ready = self.monarch.as_ref().is_some_and(|ms| {
+            ms.copy_lane.get(&shard) == Some(&Lane::Prefetch) && ms.buffer_ready.contains(&shard)
+        });
+        if ready {
             self.serve_from_buffer(now, r, shard, read);
         }
-        hit
+        ready
     }
 
     /// Consume `shard` straight out of the staging copy's in-memory
     /// buffer: the placement fetch already moved the bytes into RAM, so
     /// the foreground read costs no further device time — only the
     /// trainer's own consumption rate. The read is booked as the engine
-    /// books a read served by its copy's install staging: a staged read,
-    /// that waited from its issue for the fetch that carried its bytes.
+    /// books a read served by its copy's install staging: a staged read
+    /// that fetched nothing, and waited from its issue for the fetch that
+    /// carried its bytes.
     fn serve_from_buffer(&mut self, now: SimTime, r: usize, shard: usize, read: SimRead) {
         let bytes = self.geom.shards[shard].bytes;
         let tr = self
@@ -1720,7 +1672,6 @@ impl World {
         let read = SimRead {
             how: Served::Staged { fetched: 0 },
             traced: tr.sample_read(),
-            prefetch_hit: true,
             ..read
         };
         self.book_read(now, r, shard, bytes, read);
@@ -1729,31 +1680,35 @@ impl World {
         self.try_start_compute(now);
     }
 
-    /// Issue plan entries into the prefetch lane up to `cursor +
-    /// lookahead`. Entries already copying or placed resolve silently
-    /// (their `begin_copy` CAS fails).
+    /// Issue plan entries into the prefetch lane as the engine's pump
+    /// does: the window picks the next entry within `cursor + lookahead`,
+    /// [`Lifecycle::scheduled`] wins its copy, and an entry already copying
+    /// or placed (its `begin_copy` CAS fails) resolves at once.
     fn pump_prefetch(&mut self, now: SimTime) {
+        let ms = self.monarch.as_mut().expect("monarch");
+        let Some(window) = ms.window.as_mut() else {
+            return;
+        };
+        // Copies that left `Copying` release their share of the window.
+        let metadata = ms.book.metadata();
+        window.poll_resolved(|name| {
+            !metadata
+                .get(name)
+                .is_some_and(|f| matches!(f.state, PlacementState::Copying { .. }))
+        });
         let mut scheduled = false;
-        {
-            let ms = self.monarch.as_mut().expect("monarch");
-            if ms.prefetch_lookahead == 0 {
-                return;
-            }
-            while ms.plan_issued < ms.plan.len()
-                && ms.plan_issued < ms.plan_cursor + ms.prefetch_lookahead
+        while let Some((idx, name, bytes)) = window.next_to_issue() {
+            let shard = self.shard_ids[&name];
+            if ms
+                .book
+                .scheduled(vmicros(now), &name, bytes, Lane::Prefetch)
             {
-                let shard = ms.plan[ms.plan_issued];
-                ms.plan_issued += 1;
-                let name = &self.shard_names[shard];
-                // A prefetch copy is pinned against eviction until the
-                // foreground cursor passes it.
-                let bytes = self.geom.shards[shard].bytes;
-                if ms.book.scheduled(vmicros(now), name, bytes, Lane::Prefetch) {
-                    ms.lanes.push(Lane::Prefetch, shard);
-                    ms.copy_enqueued.insert(shard, now);
-                    ms.prefetch_issued.insert(shard, false);
-                    scheduled = true;
-                }
+                ms.copy_lane.insert(shard, Lane::Prefetch);
+                ms.lanes.push(Lane::Prefetch, shard);
+                ms.copy_enqueued.insert(shard, now);
+                scheduled = true;
+            } else {
+                window.resolve(idx);
             }
         }
         if scheduled {
@@ -1791,7 +1746,7 @@ impl World {
                     .unplaced(vmicros(now), &name, None, Unplaced::NoRoom);
                 // A parked reader must not wait on a copy that will never
                 // land: fall back to reading through.
-                ms.prefetch_issued.remove(&shard);
+                ms.copy_lane.remove(&shard);
                 if let Some(stranded) = ms.waiting_readers.remove(&shard) {
                     for &r in &stranded {
                         ms.parked.remove(&r);
@@ -1929,6 +1884,56 @@ mod tests {
                     .to_string()
             })
             .collect()
+    }
+
+    #[test]
+    fn every_copy_the_plan_scheduled_completes_as_the_plans() {
+        // `tests/prefetch_e2e.rs`'s sim shape over two epochs: some plan
+        // copies are still in flight at the epoch boundary. A copy keeps
+        // the lane it was scheduled on until it settles, however many plan
+        // boundaries it spans.
+        let model = ModelProfile {
+            name: "tiny".into(),
+            per_sample_step: 50e-6,
+            gpu_fraction: 0.7,
+            cpu_per_sample: 60e-6,
+            batch_size: 128,
+        };
+        let trainer = SimTrainer::new(
+            Setup::Monarch(MonarchSimConfig::with_prefetch(64)),
+            DatasetGeom::miniature("mini", 16_384, 42),
+            model,
+            PipelineConfig::default().with_seed(1),
+            EnvConfig::default(),
+        );
+        let mut world = World::build(&trainer);
+        world.simulate(2);
+        let ms = world.monarch.as_ref().unwrap();
+        let telemetry = ms.book.telemetry();
+        assert_eq!(telemetry.journal().dropped(), 0, "the journal is whole");
+        // Whether the copy that won each file was the plan's.
+        let mut by_plan = FxHashMap::default();
+        let mut plan_copies = 0;
+        for event in telemetry.journal().events() {
+            match event.kind {
+                EventKind::PrefetchScheduled { file, .. } => {
+                    by_plan.insert(file, true);
+                }
+                EventKind::CopyScheduled { file, .. } => {
+                    by_plan.insert(file, false);
+                }
+                EventKind::CopyCompleted {
+                    file, bytes, cause, ..
+                } if by_plan[&file] => {
+                    plan_copies += 1;
+                    assert_eq!(cause, TransitionCause::Plan, "{file}");
+                    let staged = telemetry.profiler().profile(&file).unwrap();
+                    assert_eq!(staged.prefetched_bytes, bytes, "{file}");
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(plan_copies, 32);
     }
 
     #[test]

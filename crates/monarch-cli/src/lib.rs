@@ -1045,20 +1045,17 @@ mod tests {
         .unwrap();
 
         // Write a config pointing at the generated data.
-        let cfg = monarch_core::config::MonarchConfig::builder()
-            .tier(
+        let cfg = monarch_core::config::MonarchConfig {
+            pool_threads: 2,
+            ..monarch_core::config::MonarchConfig::new(vec![
                 monarch_core::config::TierConfig::posix(
                     "ssd",
                     root.join("ssd").to_string_lossy().to_string(),
                 )
                 .with_capacity(1 << 20),
-            )
-            .tier(monarch_core::config::TierConfig::posix(
-                "pfs",
-                data.to_string_lossy().to_string(),
-            ))
-            .pool_threads(2)
-            .build();
+                monarch_core::config::TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+            ])
+        };
         let cfg_path = root.join("cfg.json");
         std::fs::write(&cfg_path, cfg.to_json()).unwrap();
 
@@ -1124,24 +1121,24 @@ mod tests {
         .unwrap();
         // A cluster-mode config renders the node roster and the shard
         // assignment over the generated namespace.
-        let ccfg = monarch_core::config::MonarchConfig::builder()
-            .tier(
+        let ccfg = monarch_core::config::MonarchConfig {
+            pool_threads: 2,
+            cluster: Some(monarch_core::ClusterConfig::new(
+                0,
+                vec!["127.0.0.1:0".to_string()],
+            )),
+            ..monarch_core::config::MonarchConfig::new(vec![
                 monarch_core::config::TierConfig::posix(
                     "ssd",
                     root.join("ssd-cluster").to_string_lossy().to_string(),
                 )
                 .with_capacity(1 << 20),
-            )
-            .tier(monarch_core::config::TierConfig::posix(
-                "pfs",
-                root.join("pfs").to_string_lossy().to_string(),
-            ))
-            .pool_threads(2)
-            .cluster(monarch_core::ClusterConfig::new(
-                0,
-                vec!["127.0.0.1:0".to_string()],
-            ))
-            .build();
+                monarch_core::config::TierConfig::posix(
+                    "pfs",
+                    root.join("pfs").to_string_lossy().to_string(),
+                ),
+            ])
+        };
         let ccfg_path = root.join("cluster-cfg.json");
         std::fs::write(&ccfg_path, ccfg.to_json()).unwrap();
         run(Command::Cluster {

@@ -250,10 +250,24 @@ fn default_true() -> bool {
 }
 
 impl MonarchConfig {
-    /// Start building a configuration.
+    /// A configuration over `tiers` (fastest first, the PFS source last)
+    /// with every other field at the default a JSON document that leaves
+    /// it out gets. Set a field by assigning it, or with struct update
+    /// syntax: `MonarchConfig { pool_threads: 4, ..MonarchConfig::new(tiers) }`.
     #[must_use]
-    pub fn builder() -> MonarchConfigBuilder {
-        MonarchConfigBuilder::default()
+    pub fn new(tiers: Vec<TierConfig>) -> Self {
+        Self {
+            tiers,
+            pool_threads: default_pool_threads(),
+            policy: PolicyKind::default(),
+            admission: AdmissionKind::default(),
+            full_file_fetch: default_true(),
+            telemetry: TelemetryConfig::default(),
+            prefetch_lookahead: 0,
+            prefetch_max_inflight_bytes: default_prefetch_max_inflight_bytes(),
+            metrics_addr: None,
+            cluster: None,
+        }
     }
 
     /// Parse a configuration from JSON (the FFI surface loads this from the
@@ -268,139 +282,41 @@ impl MonarchConfig {
     }
 }
 
-/// Builder for [`MonarchConfig`].
-#[derive(Debug, Default)]
-pub struct MonarchConfigBuilder {
-    tiers: Vec<TierConfig>,
-    pool_threads: Option<usize>,
-    policy: PolicyKind,
-    admission: AdmissionKind,
-    full_file_fetch: Option<bool>,
-    telemetry: Option<TelemetryConfig>,
-    prefetch_lookahead: Option<usize>,
-    prefetch_max_inflight_bytes: Option<u64>,
-    metrics_addr: Option<String>,
-    cluster: Option<crate::cluster::ClusterConfig>,
-}
-
-impl MonarchConfigBuilder {
-    /// Append a tier (fastest first; add the PFS last).
-    #[must_use]
-    pub fn tier(mut self, tier: TierConfig) -> Self {
-        self.tiers.push(tier);
-        self
-    }
-
-    /// Background copy pool size.
-    #[must_use]
-    pub fn pool_threads(mut self, n: usize) -> Self {
-        self.pool_threads = Some(n);
-        self
-    }
-
-    /// Placement policy.
-    #[must_use]
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Admission policy.
-    #[must_use]
-    pub fn admission(mut self, admission: AdmissionKind) -> Self {
-        self.admission = admission;
-        self
-    }
-
-    /// Toggle the full-file-fetch optimisation.
-    #[must_use]
-    pub fn full_file_fetch(mut self, on: bool) -> Self {
-        self.full_file_fetch = Some(on);
-        self
-    }
-
-    /// Telemetry recording knobs.
-    #[must_use]
-    pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.telemetry = Some(cfg);
-        self
-    }
-
-    /// Clairvoyant prefetch lookahead (plan entries past the read cursor;
-    /// 0 disables prefetching).
-    #[must_use]
-    pub fn prefetch_lookahead(mut self, n: usize) -> Self {
-        self.prefetch_lookahead = Some(n);
-        self
-    }
-
-    /// Cap on in-flight prefetch copy bytes (0 = unbounded).
-    #[must_use]
-    pub fn prefetch_max_inflight_bytes(mut self, bytes: u64) -> Self {
-        self.prefetch_max_inflight_bytes = Some(bytes);
-        self
-    }
-
-    /// Address for the `/metrics` HTTP exporter (`None` = no server).
-    #[must_use]
-    pub fn metrics_addr(mut self, addr: impl Into<String>) -> Self {
-        self.metrics_addr = Some(addr.into());
-        self
-    }
-
-    /// Join a distributed peer cache (`None` default = single-node).
-    #[must_use]
-    pub fn cluster(mut self, cfg: crate::cluster::ClusterConfig) -> Self {
-        self.cluster = Some(cfg);
-        self
-    }
-
-    /// Finish building.
-    #[must_use]
-    pub fn build(self) -> MonarchConfig {
-        MonarchConfig {
-            tiers: self.tiers,
-            pool_threads: self.pool_threads.unwrap_or_else(default_pool_threads),
-            policy: self.policy,
-            admission: self.admission,
-            full_file_fetch: self.full_file_fetch.unwrap_or(true),
-            telemetry: self.telemetry.unwrap_or_default(),
-            prefetch_lookahead: self.prefetch_lookahead.unwrap_or(0),
-            prefetch_max_inflight_bytes: self
-                .prefetch_max_inflight_bytes
-                .unwrap_or_else(default_prefetch_max_inflight_bytes),
-            metrics_addr: self.metrics_addr,
-            cluster: self.cluster,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn builder_defaults() {
-        let cfg = MonarchConfig::builder()
-            .tier(TierConfig::mem("ssd").with_capacity(100))
-            .tier(TierConfig::mem("pfs"))
-            .build();
+        let cfg = MonarchConfig::new(vec![
+            TierConfig::mem("ssd").with_capacity(100),
+            TierConfig::mem("pfs"),
+        ]);
         assert_eq!(cfg.pool_threads, 6);
         assert_eq!(cfg.policy, PolicyKind::FirstFit);
         assert!(cfg.full_file_fetch);
         assert_eq!(cfg.tiers.len(), 2);
         assert_eq!(cfg.prefetch_lookahead, 0, "prefetch is opt-in");
         assert_eq!(cfg.prefetch_max_inflight_bytes, 256 << 20);
+        // The defaults are the serde ones: a document naming only the
+        // tiers parses to the same configuration.
+        let json = r#"{"tiers": [
+            {"name": "ssd", "backend": "mem", "capacity": 100},
+            {"name": "pfs", "backend": "mem"}
+        ]}"#;
+        assert_eq!(MonarchConfig::from_json(json).unwrap(), cfg);
     }
 
     #[test]
     fn prefetch_knobs_build_and_parse() {
-        let cfg = MonarchConfig::builder()
-            .tier(TierConfig::mem("ssd").with_capacity(100))
-            .tier(TierConfig::mem("pfs"))
-            .prefetch_lookahead(32)
-            .prefetch_max_inflight_bytes(64 << 20)
-            .build();
+        let cfg = MonarchConfig {
+            prefetch_lookahead: 32,
+            prefetch_max_inflight_bytes: 64 << 20,
+            ..MonarchConfig::new(vec![
+                TierConfig::mem("ssd").with_capacity(100),
+                TierConfig::mem("pfs"),
+            ])
+        };
         assert_eq!(cfg.prefetch_lookahead, 32);
         assert_eq!(cfg.prefetch_max_inflight_bytes, 64 << 20);
         let back = MonarchConfig::from_json(&cfg.to_json()).unwrap();
@@ -424,12 +340,14 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let cfg = MonarchConfig::builder()
-            .tier(TierConfig::posix("ssd", "/scratch").with_capacity(115 << 30))
-            .tier(TierConfig::posix("lustre", "/mnt/lustre/imagenet"))
-            .pool_threads(6)
-            .policy(PolicyKind::FirstFit)
-            .build();
+        let cfg = MonarchConfig {
+            pool_threads: 6,
+            policy: PolicyKind::FirstFit,
+            ..MonarchConfig::new(vec![
+                TierConfig::posix("ssd", "/scratch").with_capacity(115 << 30),
+                TierConfig::posix("lustre", "/mnt/lustre/imagenet"),
+            ])
+        };
         let json = cfg.to_json();
         let back = MonarchConfig::from_json(&json).unwrap();
         assert_eq!(cfg, back);
@@ -471,9 +389,7 @@ mod tests {
         let back = MonarchConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(cfg, back);
         // Absent section stays absent (and is not serialized).
-        let solo = MonarchConfig::builder()
-            .tier(TierConfig::mem("pfs"))
-            .build();
+        let solo = MonarchConfig::new(vec![TierConfig::mem("pfs")]);
         assert!(solo.cluster.is_none());
         assert!(!solo.to_json().contains("cluster"));
     }
@@ -486,11 +402,11 @@ mod tests {
         assert_eq!(PolicyKind::parse("lru"), Some(PolicyKind::LruEvict));
         assert_eq!(PolicyKind::parse("belady"), None);
         assert_eq!(PolicyKind::parse("lfu"), None);
-        let cfg = MonarchConfig::builder()
-            .tier(TierConfig::mem("pfs"))
-            .policy(PolicyKind::Learned)
-            .admission(AdmissionKind::ReuseAware)
-            .build();
+        let cfg = MonarchConfig {
+            policy: PolicyKind::Learned,
+            admission: AdmissionKind::ReuseAware,
+            ..MonarchConfig::new(vec![TierConfig::mem("pfs")])
+        };
         let back = MonarchConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(back.policy, PolicyKind::Learned);
         assert_eq!(back.admission, AdmissionKind::ReuseAware);

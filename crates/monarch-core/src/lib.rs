@@ -34,11 +34,10 @@
 //! use monarch_core::config::{MonarchConfig, TierConfig};
 //! use monarch_core::Monarch;
 //!
-//! let cfg = MonarchConfig::builder()
-//!     .tier(TierConfig::posix("ssd", "/local/scratch").with_capacity(115 << 30))
-//!     .tier(TierConfig::posix("lustre", "/mnt/pfs/imagenet"))
-//!     .pool_threads(6)
-//!     .build();
+//! let cfg = MonarchConfig::new(vec![
+//!     TierConfig::posix("ssd", "/local/scratch").with_capacity(115 << 30),
+//!     TierConfig::posix("lustre", "/mnt/pfs/imagenet"),
+//! ]);
 //! let monarch = Monarch::new(cfg).unwrap();
 //! monarch.init().unwrap();
 //! let mut buf = vec![0u8; 256 << 10];
@@ -91,7 +90,7 @@ pub use policy::{
     AdmissionPolicy, DecisionPoint, EvictionPolicy, FeatureSource, FileFeatures, PlacementDecision,
     PlacementScorer, PolicyEngine, PolicySnapshot,
 };
-pub use prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow};
+pub use prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow, ReadFeedback};
 pub use serve::MetricsServer;
 pub use stats::{Stats, StatsSnapshot};
 pub use telemetry::{
@@ -100,4 +99,4 @@ pub use telemetry::{
     TelemetryRegistry, TelemetrySnapshot, ThroughputSampler, TimeSeries,
 };
 pub use trace::{ArgValue, FlowPhase, SpanRecord, TraceRecorder};
-pub use transfer::{DrainReport, LaneQueues, ReadCtx, ReadFeedback, Sampler, TransferEngine};
+pub use transfer::{DrainReport, LaneQueues, ReadCtx, Sampler, TransferEngine};

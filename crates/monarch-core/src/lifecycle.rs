@@ -20,7 +20,10 @@
 //! So is a foreground read that has its bytes
 //! ([`read_served`](Lifecycle::read_served)): the engine's read loop, its
 //! peer path and the simulator book through that one call, so a read is
-//! counted, classed, timed and traced the same way under either clock.
+//! counted, classed, timed, traced and judged a prefetch hit the same way
+//! under either clock. So is the walk of an access plan over the
+//! [`PrefetchWindow`] its caller owns: [opened](Lifecycle::plan_opened),
+//! [read](Lifecycle::plan_read) and [closed](Lifecycle::plan_closed).
 //!
 //! The bytes stay with the caller: deleting an evicted copy is a closure
 //! the engine fills with `driver.remove` and the simulator with nothing,
@@ -33,14 +36,14 @@ use std::time::Duration;
 use crate::cluster::ClusterView;
 use crate::health::{device_error_class, ErrorClass, Gate, Transition};
 use crate::hierarchy::{Quota, StorageHierarchy, TierId};
-use crate::metadata::{FileId, MetadataContainer, PlacementState};
+use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
 use crate::observe::{ReadClass, ReadTiming};
 use crate::policy::{DecisionPoint, PlacementDecision, PolicyEngine};
 use crate::pool::Lane;
+use crate::prefetch::{PrefetchConfig, PrefetchWindow, ReadFeedback, ReadNote};
 use crate::stats::Stats;
 use crate::telemetry::{EventKind, TelemetryRegistry, TransitionCause};
 use crate::trace::{names, FlowPhase, SpanRecord};
-use crate::transfer::ReadFeedback;
 use crate::{Error, Result};
 
 /// Quota a copy holds on its target tier between
@@ -551,6 +554,41 @@ impl Lifecycle {
         );
     }
 
+    /// *Plan opened*: the window over `files`, in plan order, for the
+    /// caller to walk. The clairvoyant eviction book ranks residents by
+    /// their next use in the plan, and the pins of the plan before lift.
+    #[must_use]
+    pub fn plan_opened(&self, files: Vec<(String, u64)>, cfg: PrefetchConfig) -> PrefetchWindow {
+        let names: Vec<String> = files.iter().map(|(name, _)| name.clone()).collect();
+        self.policy.set_plan(&names);
+        PrefetchWindow::new(files, cfg)
+    }
+
+    /// *Plan read*: a foreground read of `file` moves `window`'s cursor
+    /// past the file's plan position. Its prefetch pin lifts, and the
+    /// clairvoyant book advances to its next use. `None`, and nothing
+    /// moves, when the plan does not hold the file.
+    pub fn plan_read(&self, window: &mut PrefetchWindow, file: &str) -> Option<ReadNote> {
+        let note = window.on_read(file)?;
+        self.policy.unpin(file);
+        self.policy.note_plan_read(file);
+        Some(note)
+    }
+
+    /// *Plan closed*: the plan of `window`, if one was open, ends. Every
+    /// pin lifts, and each entry the window issued that no read reached
+    /// and that sits placed on a local tier is counted wasted.
+    pub fn plan_closed(&self, window: Option<PrefetchWindow>) {
+        self.policy.clear_pins();
+        let source = self.hierarchy.source_id();
+        let staged = |info: FileInfo| info.state == PlacementState::Placed && info.tier != source;
+        for (name, issued, read_seen) in window.map_or_else(Vec::new, |mut w| w.drain()) {
+            if issued && !read_seen && self.metadata.get(&name).is_some_and(staged) {
+                self.stats().prefetch_wasted();
+            }
+        }
+    }
+
     /// *Tier settled*: an operation on `tier` that `gate` let through came
     /// to `outcome`; settle the tier's breaker with it
     /// ([`TierHealth::settle`](crate::health::TierHealth::settle)). A
@@ -603,12 +641,12 @@ impl Lifecycle {
 
     /// *Read served*: book a foreground read that produced bytes. Its bytes
     /// go to the counters by how it was served, a rerouted read is counted
-    /// degraded, and the read is classed ([`ReadClass::of`]) into the
-    /// access profiler: its counts always; its phases, and for a read of a
-    /// tier's driver the tier's read-latency sample, when it carried the
-    /// clock at a weight. A sampled read leaves its `read → metadata_lookup
-    /// → tier_resolve → driver_pread` span tree. An untimed, unsampled hit
-    /// does nothing but relaxed adds.
+    /// degraded, a prefetch hit counted by the one rule below, and the read
+    /// classed ([`ReadClass::of`]) into the access profiler: its counts
+    /// always; its phases, and for a read of a tier's driver the tier's
+    /// read-latency sample, when it carried the clock at a weight. A sampled
+    /// read leaves its `read → metadata_lookup → tier_resolve → driver_pread`
+    /// span tree. An untimed, unsampled hit does nothing but relaxed adds.
     pub fn read_served(&self, read: &ServedRead<'_>) {
         let stats = self.stats();
         match read.how {
@@ -619,6 +657,19 @@ impl Lifecycle {
         let degraded = read.tier != read.home;
         if degraded {
             stats.degraded_read();
+        }
+        // The one hit rule: a planned file's first read, once the window
+        // has issued the file, served without touching the PFS — from a
+        // local tier, or out of its copy's staging with nothing to fetch.
+        let source = self.hierarchy.source_id();
+        let hit = read.plan.first_issued
+            && match read.how {
+                Served::Tier => read.tier != source,
+                Served::Staged { fetched } => fetched == 0,
+                Served::Peer => false,
+            };
+        if hit {
+            stats.prefetch_hit();
         }
         if let (Some(trace), Some(marks)) = (read.trace, read.marks) {
             self.trace_read(read, trace, marks);
@@ -638,7 +689,7 @@ impl Lifecycle {
         let class = ReadClass::of(
             read.how,
             degraded,
-            read.home == self.hierarchy.source_id(),
+            read.home == source,
             read.plan.planned,
             read.copying,
         );
@@ -647,7 +698,7 @@ impl Lifecycle {
             read.tier,
             read.bytes,
             class,
-            read.plan.prefetch_hit,
+            hit,
             timed
                 .map(|marks| ReadTiming::between(marks, read.weight))
                 .as_ref(),

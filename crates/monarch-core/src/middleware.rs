@@ -194,9 +194,10 @@ impl Monarch {
             hits.fetch_add(1, Ordering::Relaxed);
         }
         // Clairvoyant bookkeeping: advance the plan cursor past this file,
-        // count a hit, upgrade a still-queued prefetch copy to the demand
-        // lane, and release more of the plan to the prefetcher.
-        let plan = self.engine.note_read(file, read.info.tier);
+        // upgrade a still-queued prefetch copy to the demand lane, and
+        // release more of the plan to the prefetcher; the booking below
+        // counts the hit.
+        let plan = self.engine.note_read(file);
         self.engine.book().read_served(&ServedRead {
             id: read.id,
             file,

@@ -412,11 +412,13 @@ fn every_scheduled_copy_is_settled_once_across_a_shutdown() {
 
 #[test]
 fn constructs_from_config_with_mem_backends() {
-    let cfg = MonarchConfig::builder()
-        .tier(TierConfig::mem("ram").with_capacity(1 << 20))
-        .tier(TierConfig::mem("pfs"))
-        .pool_threads(2)
-        .build();
+    let cfg = MonarchConfig {
+        pool_threads: 2,
+        ..MonarchConfig::new(vec![
+            TierConfig::mem("ram").with_capacity(1 << 20),
+            TierConfig::mem("pfs"),
+        ])
+    };
     let m = Monarch::new(cfg).unwrap();
     assert_eq!(m.pool_threads(), 2);
     assert_eq!(m.hierarchy().levels(), 2);

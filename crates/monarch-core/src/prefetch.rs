@@ -21,11 +21,12 @@
 //!
 //! This module is the pure bookkeeping core: [`PrefetchWindow`] tracks the
 //! plan, the cursor, and the in-flight set, and decides *which* file to issue
-//! next. It never touches storage — the middleware
-//! ([`crate::middleware::Monarch::submit_plan`]) owns the glue to metadata,
-//! the placement policy, and the copy pool's prefetch lane.
+//! next. It never touches storage: its owner — the transfer engine, or the
+//! `dlpipe` simulator — walks it through
+//! [`Lifecycle`](crate::lifecycle::Lifecycle)'s plan calls.
 
 use crate::hash::FxHashMap;
+use crate::telemetry::PrefetchSample;
 
 /// An ordered sequence of file names the framework expects to read next,
 /// e.g. one epoch of a seeded shuffle.
@@ -136,6 +137,31 @@ pub struct ReadNote {
     pub flow: u64,
 }
 
+/// What the plan cursor made of a foreground read, for
+/// [`Lifecycle::read_served`](crate::lifecycle::Lifecycle::read_served) to
+/// judge the prefetch hit by and to trace and class the read with.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReadFeedback {
+    /// Flow id of the prefetch copy issued for this file (`0` if none or
+    /// untraced).
+    pub flow: u64,
+    /// The file was covered by the submitted access plan.
+    pub planned: bool,
+    /// This read was the file's first, and the window had issued the file:
+    /// a prefetch hit when the read does not touch the PFS.
+    pub first_issued: bool,
+}
+
+impl From<ReadNote> for ReadFeedback {
+    fn from(note: ReadNote) -> Self {
+        Self {
+            flow: note.flow,
+            planned: true,
+            first_issued: note.issued && note.first_read,
+        }
+    }
+}
+
 /// Bookkeeping for one submitted plan: cursor, lookahead window, and the
 /// in-flight byte budget. Pure state machine — storage-free, lock-free
 /// (callers wrap it in a mutex).
@@ -205,12 +231,6 @@ impl PrefetchWindow {
         self.cursor
     }
 
-    /// Next plan index eligible for issue.
-    #[must_use]
-    pub fn next_index(&self) -> usize {
-        self.next
-    }
-
     /// Summed size of issued-but-unresolved prefetch copies.
     #[must_use]
     pub fn inflight_bytes(&self) -> u64 {
@@ -221,6 +241,18 @@ impl PrefetchWindow {
     #[must_use]
     pub fn inflight(&self) -> usize {
         self.inflight.len()
+    }
+
+    /// The window's part of the pipeline gauges: copies issued and not yet
+    /// resolved, their bytes, and how far the issue index runs ahead of the
+    /// read cursor.
+    #[must_use]
+    pub fn sample(&self) -> PrefetchSample {
+        PrefetchSample {
+            copies: self.inflight.len() as u64,
+            bytes: self.inflight_bytes,
+            lag_entries: self.next.saturating_sub(self.cursor) as u64,
+        }
     }
 
     /// Record a foreground read. Advances the cursor to just past the
@@ -296,14 +328,6 @@ impl PrefetchWindow {
         e.resolved = true;
         self.inflight.retain(|&i| i != index);
         self.inflight_bytes = self.inflight_bytes.saturating_sub(e.size);
-    }
-
-    /// Resolve by file name (used when a queued copy is canceled and only
-    /// its label is known). Returns the plan index if the entry existed.
-    pub fn resolve_by_name(&mut self, file: &str) -> Option<usize> {
-        let &idx = self.pos.get(file)?;
-        self.resolve(idx);
-        Some(idx)
     }
 
     /// Sweep the in-flight set with a terminal-state oracle (typically the

@@ -42,7 +42,7 @@ use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
 use crate::policy::FeatureSource;
 use crate::pool::{Lane, PoolProbe, TaskCtx, ThreadPool};
-use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow};
+use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow, ReadFeedback};
 use crate::staging::{Staged, Staging};
 use crate::telemetry::{
     EventKind, PipelineSample, PrefetchSample, TelemetryRegistry, TelemetrySnapshot,
@@ -239,22 +239,6 @@ impl ReadCtx {
         self.deadline = Some(deadline);
         self
     }
-}
-
-/// What [`TransferEngine::note_read`] learned about a foreground read —
-/// the plan's answer to "did the prefetcher know about this file, and did
-/// it help?". The read path threads it into the trace span (flow) and the
-/// access profiler (classification).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReadFeedback {
-    /// Flow id of the prefetch copy issued for this file (`0` if none or
-    /// untraced).
-    pub flow: u64,
-    /// The file was covered by the submitted access plan.
-    pub planned: bool,
-    /// This read was the file's first, and the plan had already staged it
-    /// locally — a prefetch hit.
-    pub prefetch_hit: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -768,11 +752,7 @@ impl TransferEngine {
                 files.push((name.clone(), info.size));
             }
         }
-        // The clairvoyant eviction book ranks residents by their next
-        // planned use; pins from the previous plan are reset with it.
-        let names: Vec<String> = files.iter().map(|(name, _)| name.clone()).collect();
-        self.book.policy().set_plan(&names);
-        let window = PrefetchWindow::new(files, state.cfg);
+        let window = self.book.plan_opened(files, state.cfg);
         let admitted = window.len();
         *locks::lock(&state.window) = Some(window);
         let tr = self.book.telemetry().trace();
@@ -805,14 +785,14 @@ impl TransferEngine {
         }
     }
 
-    /// Read-path prefetch bookkeeping: advance the plan cursor past
-    /// `file`, count a hit when the plan staged it in time, upgrade a
-    /// still-queued prefetch copy to the demand lane, and release more of
-    /// the plan. The returned [`ReadFeedback`] carries the flow id of the
-    /// prefetch copy issued for this file (`0` if none / untraced) so the
-    /// read span can point back at it, plus the plan/hit facts the access
-    /// profiler classifies the read by.
-    pub fn note_read(&self, file: &str, served: TierId) -> ReadFeedback {
+    /// Read-path prefetch bookkeeping: advance the plan cursor past `file`
+    /// ([`Lifecycle::plan_read`]), upgrade a still-queued prefetch copy to
+    /// the demand lane, and release more of the plan. The returned
+    /// [`ReadFeedback`] is the read's plan facts, from which
+    /// [`Lifecycle::read_served`] books a prefetch hit, and the flow id of
+    /// the prefetch copy issued for this file (`0` if none / untraced), so
+    /// the read span can point back at it.
+    pub fn note_read(&self, file: &str) -> ReadFeedback {
         let Some(state) = &self.prefetch else {
             return ReadFeedback::default();
         };
@@ -821,38 +801,22 @@ impl TransferEngine {
             let Some(window) = guard.as_mut() else {
                 return ReadFeedback::default();
             };
-            match window.on_read(file) {
+            match self.book.plan_read(window, file) {
                 Some(note) => note,
                 None => return ReadFeedback::default(),
             }
         };
-        // The plan's cursor moved past `file`: the prefetch pin (staged but
-        // unread) lifts, and the clairvoyant book advances to its next use.
-        self.book.policy().unpin(file);
-        self.book.policy().note_plan_read(file);
-        let mut fb = ReadFeedback {
-            planned: true,
-            ..ReadFeedback::default()
-        };
-        if note.issued {
-            fb.flow = note.flow;
-            if note.first_read && served != self.book.hierarchy().source_id() {
-                // The plan staged this file before its first read arrived.
-                self.book.stats().prefetch_hit();
-                fb.prefetch_hit = true;
-            }
-            if !note.resolved && self.pool.promote(file) {
-                // Dedup guard: the file's copy is still *queued* on the
-                // prefetch lane — upgrade that job's priority instead of
-                // letting the demand path wait behind unrelated prefetches
-                // (it cannot enqueue a duplicate: the metadata CAS is held
-                // by the queued job).
-                self.book.promoted(self.book.telemetry().now_micros(), file);
-            }
+        if note.issued && !note.resolved && self.pool.promote(file) {
+            // Dedup guard: the file's copy is still *queued* on the
+            // prefetch lane — upgrade that job's priority instead of
+            // letting the demand path wait behind unrelated prefetches
+            // (it cannot enqueue a duplicate: the metadata CAS is held
+            // by the queued job).
+            self.book.promoted(self.book.telemetry().now_micros(), file);
         }
         // The cursor moved: more of the plan may now be issued.
         self.pump();
-        fb
+        note.into()
     }
 
     /// Evict `file` from its local tier back to the PFS source: the
@@ -892,7 +856,7 @@ impl TransferEngine {
             Some(state) => self.close_window(state),
             // No prefetcher was configured, but purge the lane anyway so
             // the ordering guarantee does not depend on configuration.
-            None => self.withdraw_queued(None),
+            None => self.pool.drain_prefetch().len(),
         };
         if canceled > 0 {
             self.book.telemetry().event(EventKind::PrefetchDrained {
@@ -914,47 +878,16 @@ impl TransferEngine {
     }
 
     /// Tear down the current window (plan switch, explicit cancel, or
-    /// drain): pull queued prefetch jobs out of the pool, revert their
-    /// metadata, and settle hit/waste accounting for the closed plan.
-    fn close_window(&self, state: &PrefetchState) -> usize {
-        let mut guard = locks::lock(&state.window);
-        let mut window = guard.take();
-        let withdrawn = self.withdraw_queued(window.as_mut());
-        // Pins belong to the closing plan; the next plan re-pins as it
-        // stages.
-        self.book.policy().clear_pins();
-        let Some(mut window) = window else {
-            return withdrawn;
-        };
-        // Wasted work: staged onto a local tier but never read before the
-        // plan closed. (Copies still running when the plan closes are in
-        // `Copying` and settle as neither hit nor waste.)
-        let source = self.book.hierarchy().source_id();
-        for (name, issued, read_seen) in window.drain() {
-            if issued && !read_seen {
-                if let Some(info) = self.book.metadata().get(&name) {
-                    if info.state == PlacementState::Placed && info.tier != source {
-                        self.book.stats().prefetch_wasted();
-                    }
-                }
-            }
-        }
-        withdrawn
-    }
-
-    /// Withdraw every queued-but-unstarted prefetch copy from the pool —
-    /// each job is dropped unrun in there, and its [`Lease`] books the
+    /// drain): withdraw every queued-but-unstarted prefetch copy — each job
+    /// is dropped unrun in the pool, and its [`Lease`] books the
     /// cancellation (under the drain's cause once shutdown has begun, the
-    /// plan's before) — and settle the entries in `window` when one is
-    /// still open. Returns the number withdrawn.
-    fn withdraw_queued(&self, window: Option<&mut PrefetchWindow>) -> usize {
-        let canceled = self.pool.drain_prefetch();
-        if let Some(window) = window {
-            for ctx in &canceled {
-                window.resolve_by_name(&ctx.label);
-            }
-        }
-        canceled.len()
+    /// plan's before) — and close the plan's books
+    /// ([`Lifecycle::plan_closed`]). Returns the number withdrawn.
+    fn close_window(&self, state: &PrefetchState) -> usize {
+        let mut window = locks::lock(&state.window);
+        let withdrawn = self.pool.drain_prefetch().len();
+        self.book.plan_closed(window.take());
+        withdrawn
     }
 
     /// Issue as much of the plan as the lookahead window and byte budget
@@ -1064,11 +997,7 @@ impl Sampler {
         let prefetch = self.prefetch.as_ref().map(|state| {
             locks::lock(&state.window)
                 .as_ref()
-                .map_or_else(PrefetchSample::default, |w| PrefetchSample {
-                    copies: w.inflight() as u64,
-                    bytes: w.inflight_bytes(),
-                    lag_entries: w.next_index().saturating_sub(w.cursor()) as u64,
-                })
+                .map_or_else(PrefetchSample::default, PrefetchWindow::sample)
         });
         self.book.telemetry().publish_gauges(
             self.book.hierarchy(),
@@ -1447,6 +1376,7 @@ mod tests {
     use crate::config::{AdmissionKind, PolicyKind};
     use crate::driver::{open_gate, Gate, GatedDriver, MemDriver, StorageDriver};
     use crate::hierarchy::StorageHierarchy;
+    use crate::lifecycle::{Served, ServedRead};
     use crate::policy::PolicyEngine;
     use crate::stats::Stats;
     use crate::telemetry::Event;
@@ -1554,14 +1484,17 @@ mod tests {
             .unwrap(),
         );
         let stats = Arc::new(Stats::new(hierarchy.levels()));
-        let telemetry = Arc::new(TelemetryRegistry::new(
-            vec!["ssd".into(), "pfs".into()],
-            stats,
-            &TelemetryConfig::default(),
-        ));
         let policy = Arc::new(PolicyEngine::from_kind(
             PolicyKind::FirstFit,
             AdmissionKind::AdmitAll,
+        ));
+        // As in a built instance, the profiler's records go by the ids of
+        // the policy engine's namespace.
+        let telemetry = Arc::new(TelemetryRegistry::with_namespace(
+            vec!["ssd".into(), "pfs".into()],
+            stats,
+            &TelemetryConfig::default(),
+            Arc::clone(policy.namespace()),
         ));
         for (name, size) in hierarchy.source().driver.list().unwrap() {
             policy
@@ -1657,10 +1590,11 @@ mod tests {
         assert_eq!(engine.plan(&plan_of(&["f001", "f002"])), 2);
         // A foreground read for the *second* queued entry upgrades its
         // existing job to the demand lane instead of duplicating the copy.
-        let fb = engine.note_read("f002", engine.book.hierarchy().source_id());
+        let fb = engine.note_read("f002");
         assert!(fb.planned, "f002 was covered by the submitted plan");
-        assert!(!fb.prefetch_hit, "still served from the source");
+        book_read(&engine, "f002", Served::Tier, fb);
         let stats = engine.book.stats().snapshot();
+        assert_eq!(stats.prefetch_hits, 0, "still served from the source");
         assert_eq!(stats.prefetch_promoted, 1);
         assert_eq!(stats.copies_scheduled, 3, "no duplicate copy for f002");
         assert_eq!(engine.queued(Lane::Demand), 1);
@@ -1669,6 +1603,60 @@ mod tests {
         engine.wait_idle();
         assert_eq!(started_order(&engine), vec!["f000", "f002", "f001"]);
         engine.drain();
+    }
+
+    /// Book a whole-file read of `file`, found on the source with its copy
+    /// in flight and served there `how`, with the plan's feedback `plan`.
+    fn book_read(engine: &TransferEngine, file: &str, how: Served, plan: ReadFeedback) {
+        let source = engine.book.hierarchy().source_id();
+        engine.book.read_served(&ServedRead {
+            id: engine.book.metadata().resolve(file).unwrap(),
+            file,
+            offset: 0,
+            bytes: 512,
+            home: source,
+            copying: true,
+            tier: source,
+            how,
+            plan,
+            weight: 0,
+            trace: None,
+            marks: None,
+        });
+    }
+
+    #[test]
+    fn a_planned_first_read_out_of_its_prefetch_staging_is_a_hit() {
+        // The worker is pinned on f000, so f001's prefetch copy waits in
+        // the queue while reads fill its staging at the frontier.
+        let (gated, gate) = GatedDriver::new(staged_pfs(2));
+        let prefetch = PrefetchConfig {
+            lookahead: 8,
+            max_inflight_bytes: 0,
+        };
+        let mut engine = assemble(Arc::new(gated.only("f000")), 1, prefetch);
+        pin_worker(&engine, "f000");
+        assert_eq!(engine.plan(&plan_of(&["f001"])), 1);
+        assert_eq!(engine.queued(Lane::Prefetch), 1);
+        // Two reads of f001 race: one fetches the file into the copy's
+        // staging, the other finds every byte there. The second notes the
+        // plan first, so it is the file's first read: a hit.
+        let mut buf = [0u8; 512];
+        let fetched = [0, 0].map(|_| engine.read_staged("f001", 0, &mut buf));
+        let first = engine.note_read("f001");
+        book_read(&engine, "f001", Served::Staged { fetched: 0 }, first);
+        // The read that fetched is neither first nor clear of the PFS.
+        let second = engine.note_read("f001");
+        book_read(&engine, "f001", Served::Staged { fetched: 512 }, second);
+        let hits = engine.book.stats().snapshot().prefetch_hits;
+        // Release the worker before asserting: a failure must not wedge
+        // the engine's drop on the gated fetch.
+        open_gate(&gate);
+        engine.wait_idle();
+        engine.drain();
+        assert_eq!(fetched, [Some(512), Some(0)]);
+        assert!(first.planned && first.first_issued && !second.first_issued);
+        assert_eq!(hits, 1);
     }
 
     #[test]

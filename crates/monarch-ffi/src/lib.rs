@@ -490,14 +490,14 @@ mod tests {
             total += content.len() as u64;
             std::fs::write(data.join(format!("f{i}")), content).unwrap();
         }
-        let cfg = MonarchConfig::builder()
-            .tier(
+        let cfg = MonarchConfig {
+            pool_threads: 2,
+            ..MonarchConfig::new(vec![
                 TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                     .with_capacity(1 << 20),
-            )
-            .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-            .pool_threads(2)
-            .build();
+                TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+            ])
+        };
         (CString::new(cfg.to_json()).unwrap(), root, total)
     }
 
@@ -627,15 +627,15 @@ mod tests {
         let data = root.join("pfs");
         std::fs::create_dir_all(&data).unwrap();
         std::fs::write(data.join("f0"), vec![7u8; 2048]).unwrap();
-        let cfg = MonarchConfig::builder()
-            .tier(
+        let cfg = MonarchConfig {
+            pool_threads: 1,
+            telemetry: TelemetryConfig::with_tracing(),
+            ..MonarchConfig::new(vec![
                 TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                     .with_capacity(1 << 20),
-            )
-            .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-            .pool_threads(1)
-            .telemetry(TelemetryConfig::with_tracing())
-            .build();
+                TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+            ])
+        };
         let json = CString::new(cfg.to_json()).unwrap();
         unsafe {
             let h = monarch_init_json(json.as_ptr());
@@ -756,15 +756,15 @@ mod tests {
         for i in 0..3 {
             std::fs::write(data.join(format!("f{i}")), vec![i as u8; 2048]).unwrap();
         }
-        let cfg = MonarchConfig::builder()
-            .tier(
+        let cfg = MonarchConfig {
+            pool_threads: 2,
+            prefetch_lookahead: 8,
+            ..MonarchConfig::new(vec![
                 TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                     .with_capacity(1 << 20),
-            )
-            .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-            .pool_threads(2)
-            .prefetch_lookahead(8)
-            .build();
+                TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+            ])
+        };
         let json = CString::new(cfg.to_json()).unwrap();
         unsafe {
             let h = monarch_init_json(json.as_ptr());

@@ -21,17 +21,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ds = generate(&DatasetSpec::miniature(2 << 20, 128, 3), &pfs_dir)?;
 
     // What the framework's config file would contain.
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 6,
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                 .with_capacity(ds.total_bytes),
-        )
-        .tier(TierConfig::posix(
-            "pfs",
-            pfs_dir.to_string_lossy().to_string(),
-        ))
-        .pool_threads(6)
-        .build();
+            TierConfig::posix("pfs", pfs_dir.to_string_lossy().to_string()),
+        ])
+    };
     let json = CString::new(cfg.to_json())?;
 
     // --- the six lines a framework driver adds -------------------------

@@ -27,17 +27,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Three levels: a small in-memory tier, a medium SSD tier, the PFS.
     let ram_cap = ds.total_bytes / 4;
     let ssd_cap = ds.total_bytes / 2;
-    let cfg = MonarchConfig::builder()
-        .tier(TierConfig::mem("ram").with_capacity(ram_cap))
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 4,
+        ..MonarchConfig::new(vec![
+            TierConfig::mem("ram").with_capacity(ram_cap),
             TierConfig::posix("ssd", ssd_dir.to_string_lossy().to_string()).with_capacity(ssd_cap),
-        )
-        .tier(TierConfig::posix(
-            "pfs",
-            pfs_dir.to_string_lossy().to_string(),
-        ))
-        .pool_threads(4)
-        .build();
+            TierConfig::posix("pfs", pfs_dir.to_string_lossy().to_string()),
+        ])
+    };
     let monarch = Arc::new(Monarch::new(cfg)?);
     monarch.init()?;
     println!(

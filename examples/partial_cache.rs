@@ -29,14 +29,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         half >> 10
     );
 
-    let cfg = MonarchConfig::builder()
-        .tier(TierConfig::posix("ssd", ssd_dir.to_string_lossy().to_string()).with_capacity(half))
-        .tier(TierConfig::posix(
-            "pfs",
-            pfs_dir.to_string_lossy().to_string(),
-        ))
-        .pool_threads(4)
-        .build();
+    let cfg = MonarchConfig {
+        pool_threads: 4,
+        ..MonarchConfig::new(vec![
+            TierConfig::posix("ssd", ssd_dir.to_string_lossy().to_string()).with_capacity(half),
+            TierConfig::posix("pfs", pfs_dir.to_string_lossy().to_string()),
+        ])
+    };
     let monarch = Arc::new(Monarch::new(cfg)?);
     monarch.init()?;
 

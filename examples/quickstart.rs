@@ -32,17 +32,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Configure MONARCH: SSD tier (capacity-limited) above the PFS.
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 6,
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", ssd_dir.to_string_lossy().to_string())
                 .with_capacity(ds.total_bytes), // full fit
-        )
-        .tier(TierConfig::posix(
-            "pfs",
-            pfs_dir.to_string_lossy().to_string(),
-        ))
-        .pool_threads(6)
-        .build();
+            TierConfig::posix("pfs", pfs_dir.to_string_lossy().to_string()),
+        ])
+    };
     let monarch = Arc::new(Monarch::new(cfg)?);
     let report = monarch.init()?;
     println!(

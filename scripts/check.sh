@@ -55,8 +55,12 @@ run_size() {
     # next claim and a read that leaves bytes to fetch yields to the copy
     # (staging.rs), the copy's trace spans are built by one helper and its
     # outcome matched once, and the prefetch-staged instant is booked once,
-    # in `Lifecycle::placed`.
-    local core_limit=14083
+    # in `Lifecycle::placed`. 13994 since a plan is walked once (the
+    # window's bookkeeping moved into `Lifecycle::{plan_opened, plan_read,
+    # plan_closed}`, the hit into `read_served`, `withdraw_queued` and
+    # `PrefetchWindow::{resolve_by_name, next_index}` deleted) and
+    # `MonarchConfigBuilder` gave way to `MonarchConfig::new`.
+    local core_limit=13994
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
         sort -z |
@@ -90,6 +94,18 @@ run_size() {
 # `ReadClass::of`, or records a `read`, `metadata_lookup`, `tier_resolve` or
 # `driver_pread` span — a second booking site cannot come back. Calls are
 # matched across line breaks.
+#
+# A plan is walked once (DESIGN §8): what a foreground read does to the
+# access plan — the cursor it advances, the prefetch pin it lifts, the
+# clairvoyant book it advances — what opening and closing a plan do to the
+# pins and the waste count, and the prefetch hit are booked by
+# `Lifecycle::{plan_opened, plan_read, plan_closed, read_served}` over the
+# `PrefetchWindow` the engine and the simulator each own. Outside
+# `lifecycle.rs` (and `stats.rs`, `policy/` and `prefetch.rs`, which define
+# those calls) no non-test code of either calls `prefetch_hit`,
+# `prefetch_wasted`, `unpin`, `note_plan_read`, `clear_pins`, `set_plan` or
+# `.on_read` — a second plan walker cannot come back. Calls are matched
+# across line breaks.
 #
 # The journal is the one transition log (DESIGN §7.2): no non-test code of
 # either, `lifecycle.rs` included, names the residency timeline's types, and
@@ -135,6 +151,27 @@ run_lifecycle() {
     done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
     if [ "$bad" -ne 0 ]; then
         echo "lifecycle gate: book the read through Lifecycle::read_served instead" >&2
+        exit 1
+    fi
+    echo "==> lifecycle gate: one plan walker"
+    while IFS= read -r f; do
+        case "$f" in
+            */lifecycle.rs | */stats.rs | */policy/* | */prefetch.rs | *_tests.rs) continue ;;
+        esac
+        if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" | FILE="$f" perl -0777 -ne '
+            my $found = 0;
+            while (/\b(?:prefetch_hit|prefetch_wasted|unpin|note_plan_read|clear_pins|set_plan)\s*\(|\.\s*on_read\s*\(/g) {
+                my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+                (my $what = $&) =~ s/\s+//g;
+                print "$ENV{FILE}:$line: $what\n";
+                $found = 1;
+            }
+            exit($found ? 0 : 1);'; then
+            bad=1
+        fi
+    done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
+    if [ "$bad" -ne 0 ]; then
+        echo "lifecycle gate: walk the plan through Lifecycle::{plan_opened, plan_read, plan_closed} and book the hit in read_served instead" >&2
         exit 1
     fi
     echo "==> lifecycle gate: the journal is the one transition log"

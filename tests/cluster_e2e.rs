@@ -20,12 +20,14 @@ fn tmp(tag: &str) -> PathBuf {
 }
 
 fn node_config(ssd: &Path, pfs: &Path, capacity: u64, cluster: ClusterConfig) -> MonarchConfig {
-    MonarchConfig::builder()
-        .tier(TierConfig::posix("ssd", ssd.to_string_lossy().to_string()).with_capacity(capacity))
-        .tier(TierConfig::posix("pfs", pfs.to_string_lossy().to_string()))
-        .pool_threads(2)
-        .cluster(cluster)
-        .build()
+    MonarchConfig {
+        pool_threads: 2,
+        cluster: Some(cluster),
+        ..MonarchConfig::new(vec![
+            TierConfig::posix("ssd", ssd.to_string_lossy().to_string()).with_capacity(capacity),
+            TierConfig::posix("pfs", pfs.to_string_lossy().to_string()),
+        ])
+    }
 }
 
 /// Reads served by the node's own PFS tier (the source, always last).

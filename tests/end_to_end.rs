@@ -39,14 +39,14 @@ fn records_decode_correctly_through_monarch() {
     let spec = DatasetSpec::miniature(1 << 20, 128, 77);
     let ds = generate(&spec, &data).unwrap();
 
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 4,
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                 .with_capacity(ds.total_bytes),
-        )
-        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-        .pool_threads(4)
-        .build();
+            TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+        ])
+    };
     let m = Monarch::new(cfg).unwrap();
     m.init().unwrap();
 
@@ -90,14 +90,14 @@ fn setups_agree_and_pfs_traffic_drops() {
     .unwrap();
     let baseline = direct.run_epoch(0).unwrap();
 
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 6,
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                 .with_capacity(ds.total_bytes),
-        )
-        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-        .pool_threads(6)
-        .build();
+            TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+        ])
+    };
     let m = Arc::new(Monarch::new(cfg).unwrap());
     m.init().unwrap();
     let monarch_t =
@@ -134,14 +134,14 @@ fn partial_fit_respects_quota_without_eviction() {
     let ds = generate(&spec, &data).unwrap();
     let quota = ds.total_bytes * 2 / 5;
 
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 4,
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                 .with_capacity(quota),
-        )
-        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-        .pool_threads(4)
-        .build();
+            TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+        ])
+    };
     let m = Arc::new(Monarch::new(cfg).unwrap());
     m.init().unwrap();
     let t = RealTrainer::new(RealBackend::Monarch(Arc::clone(&m)), &data, pipeline()).unwrap();
@@ -199,15 +199,15 @@ fn lru_ablation_serves_correct_bytes_under_churn() {
     let spec = DatasetSpec::miniature(1 << 20, 96, 31);
     let ds = generate(&spec, &data).unwrap();
 
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 2,
+        policy: PolicyKind::LruEvict,
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                 .with_capacity(ds.total_bytes / 3),
-        )
-        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-        .pool_threads(2)
-        .policy(PolicyKind::LruEvict)
-        .build();
+            TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+        ])
+    };
     let m = Arc::new(Monarch::new(cfg).unwrap());
     m.init().unwrap();
     let t = RealTrainer::new(RealBackend::Monarch(Arc::clone(&m)), &data, pipeline()).unwrap();
@@ -245,14 +245,14 @@ fn namespace_is_ephemeral_across_instances() {
     let spec = DatasetSpec::miniature(512 << 10, 48, 41);
     let ds = generate(&spec, &data).unwrap();
     let mk = || {
-        let cfg = MonarchConfig::builder()
-            .tier(
+        let cfg = MonarchConfig {
+            pool_threads: 2,
+            ..MonarchConfig::new(vec![
                 TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                     .with_capacity(ds.total_bytes),
-            )
-            .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-            .pool_threads(2)
-            .build();
+                TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+            ])
+        };
         let m = Monarch::new(cfg).unwrap();
         m.init().unwrap();
         m
@@ -292,14 +292,14 @@ fn sequential_cold_epoch_reads_every_pfs_byte_once() {
     let data = root.join("pfs");
     let spec = DatasetSpec::miniature(4 << 20, 256, 53);
     let ds = generate(&spec, &data).unwrap();
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 2,
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                 .with_capacity(ds.total_bytes),
-        )
-        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-        .pool_threads(2)
-        .build();
+            TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+        ])
+    };
     let m = Monarch::new(cfg).unwrap();
     m.init().unwrap();
 
@@ -350,14 +350,14 @@ fn leftovers_in_a_tier_directory_are_never_served() {
     fs::create_dir_all(&ssd).unwrap();
     fs::write(ssd.join(&name), vec![0xEEu8; want.len() / 2]).unwrap();
 
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 2,
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", ssd.to_string_lossy().to_string())
                 .with_capacity(ds.total_bytes),
-        )
-        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-        .pool_threads(2)
-        .build();
+            TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+        ])
+    };
     let m = Monarch::new(cfg).unwrap();
     m.init().unwrap();
     let info = m.metadata().get(&name).unwrap();

@@ -42,12 +42,14 @@ fn pipeline() -> PipelineConfig {
 }
 
 fn middleware(cache: &Path, data: &Path, cap: u64, lookahead: usize) -> Arc<Monarch> {
-    let cfg = MonarchConfig::builder()
-        .tier(TierConfig::posix("ssd", cache.to_string_lossy().to_string()).with_capacity(cap))
-        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-        .pool_threads(4)
-        .prefetch_lookahead(lookahead)
-        .build();
+    let cfg = MonarchConfig {
+        pool_threads: 4,
+        prefetch_lookahead: lookahead,
+        ..MonarchConfig::new(vec![
+            TierConfig::posix("ssd", cache.to_string_lossy().to_string()).with_capacity(cap),
+            TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+        ])
+    };
     let m = Arc::new(Monarch::new(cfg).unwrap());
     m.init().unwrap();
     m

@@ -46,15 +46,15 @@ fn real_epoch_report_attributes_wall_and_flags_waste() {
     let spec = DatasetSpec::miniature(768 << 10, 96, 11);
     let ds = generate(&spec, &data).unwrap();
 
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 4,
+        prefetch_lookahead: 16,
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                 .with_capacity(2 * ds.total_bytes),
-        )
-        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-        .pool_threads(4)
-        .prefetch_lookahead(16)
-        .build();
+            TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+        ])
+    };
     let m = Arc::new(Monarch::new(cfg).unwrap());
     m.init().unwrap();
 
@@ -146,14 +146,14 @@ fn a_run_without_prefetch_reports_no_prefetch_lag() {
         .map(|s| fs::metadata(s).unwrap().len())
         .min()
         .unwrap();
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 2,
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                 .with_capacity(smallest - 1),
-        )
-        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-        .pool_threads(2)
-        .build();
+            TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+        ])
+    };
     assert_eq!(cfg.prefetch_lookahead, 0);
     let m = Monarch::new(cfg).unwrap();
     m.init().unwrap();

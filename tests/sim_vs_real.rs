@@ -122,14 +122,14 @@ fn monarch_placement_outcomes_agree_between_sim_and_real() {
     let quota = ds.total_bytes / 2;
 
     // Real middleware, three epochs.
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 4,
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                 .with_capacity(quota),
-        )
-        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-        .pool_threads(4)
-        .build();
+            TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+        ])
+    };
     let m = Arc::new(Monarch::new(cfg).unwrap());
     m.init().unwrap();
     let trainer = RealTrainer::new(

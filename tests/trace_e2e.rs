@@ -85,15 +85,15 @@ fn real_epoch_exports_flow_linked_trace() {
     let spec = DatasetSpec::miniature(1 << 20, 96, 17);
     let ds = generate(&spec, &data).unwrap();
 
-    let cfg = MonarchConfig::builder()
-        .tier(
+    let cfg = MonarchConfig {
+        pool_threads: 4,
+        telemetry: TelemetryConfig::with_tracing(),
+        ..MonarchConfig::new(vec![
             TierConfig::posix("ssd", root.join("ssd").to_string_lossy().to_string())
                 .with_capacity(ds.total_bytes),
-        )
-        .tier(TierConfig::posix("pfs", data.to_string_lossy().to_string()))
-        .pool_threads(4)
-        .telemetry(TelemetryConfig::with_tracing())
-        .build();
+            TierConfig::posix("pfs", data.to_string_lossy().to_string()),
+        ])
+    };
     let m = Arc::new(Monarch::new(cfg).unwrap());
     m.init().unwrap();
 
