@@ -16,8 +16,8 @@ use monarch_core::policy::{FeatureSource, PolicyEngine};
 use monarch_core::pool::Lane;
 use monarch_core::stats::Stats;
 use monarch_core::telemetry::{
-    EventKind, PipelineSample, PrefetchSample, TelemetryRegistry, ThroughputSampler,
-    TransitionCause,
+    EventKind, PipelineSample, PrefetchSample, TelemetryRegistry, TelemetrySnapshot,
+    ThroughputSampler, TransitionCause,
 };
 use monarch_core::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
 use monarch_core::{
@@ -570,7 +570,7 @@ impl World {
     // -- top-level loop ----------------------------------------------------
 
     /// Train `epochs` epochs, from the namespace scan to the last epoch's
-    /// end, and refresh the gauges once more.
+    /// end.
     fn simulate(&mut self, epochs: usize) {
         self.epochs_total = epochs;
 
@@ -659,20 +659,12 @@ impl World {
                 self.q.len(),
             );
         }
-
-        // Final gauge refresh so the attached snapshot carries end-of-run
-        // values even when periodic tracing is disabled.
-        self.sample_gauges();
     }
 
     fn run(mut self, epochs: usize) -> RunReport {
         self.simulate(epochs);
         let device_names: Vec<String> = self.devs.iter().map(|d| d.spec.name.clone()).collect();
-        let telemetry = self.monarch.as_ref().map(|ms| {
-            ms.book
-                .telemetry()
-                .snapshot(ms.book.hierarchy().health(), ms.book.policy(), None)
-        });
+        let telemetry = self.document();
         // Per-window throughput ledger from the edge marks; a window the
         // run ended inside closes at the run's final instant.
         let fault_windows: Vec<FaultWindowReport> = match self.fault_plan.as_ref() {
@@ -729,20 +721,19 @@ impl World {
         }
     }
 
-    /// Refresh the MONARCH gauge families from live sim state, through the
-    /// same publisher the real engine's `Sampler` uses, so a sim-backed
-    /// snapshot exposes an identical schema. Sampled on every trace tick,
-    /// so gauge values move over the course of an epoch.
-    fn sample_gauges(&self) {
-        let Some(ms) = self.monarch.as_ref() else {
-            return;
-        };
+    /// The MONARCH run's state document, its gauges read off live sim
+    /// state through the same producer the real engine's `Sampler` uses,
+    /// so a sim-backed document has an identical schema; `None` for the
+    /// vanilla setups.
+    fn document(&self) -> Option<TelemetrySnapshot> {
+        let ms = self.monarch.as_ref()?;
         let prefetch = ms.prefetch.enabled().then(|| {
             ms.window
                 .as_ref()
                 .map_or_else(PrefetchSample::default, PrefetchWindow::sample)
         });
-        ms.book.telemetry().publish_gauges(
+        let telemetry = ms.book.telemetry();
+        let gauges = telemetry.gauges(
             ms.book.hierarchy(),
             ms.book.metadata(),
             &PipelineSample {
@@ -752,6 +743,7 @@ impl World {
                 draining: false,
             },
         );
+        Some(telemetry.snapshot(gauges, ms.book.hierarchy().health(), ms.book.policy(), None))
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
@@ -797,7 +789,6 @@ impl World {
                 } else {
                     self.window_marks[window].1 = Some(mark);
                 }
-                self.sample_gauges();
                 // A window edge can change what route_chunk decides: kick
                 // any idle readers so a recovered tier is probed promptly.
                 for r in 0..self.readers.len() {
@@ -807,7 +798,6 @@ impl World {
             Ev::TraceTick => {
                 let bytes = self.devs[self.lustre].ps.stats().bytes_read();
                 self.sampler.force_sample(now.as_secs_f64(), bytes);
-                self.sample_gauges();
                 if let Some(interval) = self.trace_interval {
                     self.q.schedule(now + interval, Ev::TraceTick);
                 }
@@ -1938,7 +1928,7 @@ mod tests {
 
     #[test]
     fn sim_and_real_snapshots_share_one_gauge_schema() {
-        // Both sides publish through `TelemetryRegistry::publish_gauges`;
+        // Both sides read their gauges through `TelemetryRegistry::gauges`;
         // at bc32a48 the sim kept its own list, with drifted help text and
         // without the remote lane, `monarch_draining`,
         // `monarch_reads_in_flight` and the in-flight prefetch gauges.
@@ -1951,9 +1941,7 @@ mod tests {
                 EnvConfig::default(),
             );
             let world = World::build(&trainer);
-            world.sample_gauges();
-            let ms = world.monarch.as_ref().unwrap();
-            let sim_text = ms.book.telemetry().prometheus_text();
+            let sim_text = world.document().unwrap().exposition();
 
             let tier = |name: &str, cap| {
                 let driver = Arc::new(MemDriver::new(name)) as Arc<dyn StorageDriver>;

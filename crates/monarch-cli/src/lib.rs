@@ -63,8 +63,8 @@ pub enum Command {
         /// of the read cursor (`0` = use the config file's setting).
         prefetch: usize,
     },
-    /// Render the telemetry registry as Prometheus text (the same text
-    /// the FFI exposes via `monarch_metrics_text`).
+    /// Render the state document as Prometheus text (the same text the
+    /// FFI exposes via `monarch_metrics_text`).
     Metrics {
         /// Path to a `MonarchConfig` JSON file.
         config: PathBuf,

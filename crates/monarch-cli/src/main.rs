@@ -12,8 +12,8 @@
 //! `stage` pre-places the dataset (placement option (i), §III-A);
 //! `epoch` streams the dataset through the middleware with the tf.data-like
 //! real trainer and prints per-epoch times and tier hit counts;
-//! `metrics` renders the telemetry registry (Prometheus-style text or a JSON
-//! snapshot — the same registry the C FFI exposes via `monarch_metrics_text`);
+//! `metrics` renders the state document as Prometheus-style text (the same
+//! exposition the C FFI returns from `monarch_metrics_text`);
 //! `trace` runs epochs with causal request tracing on and writes a
 //! Chrome Trace Event / Perfetto JSON file (open in `ui.perfetto.dev`)
 //! whose flow arrows link each sampled foreground read to the background

@@ -624,8 +624,8 @@ impl Monarch {
         self.cluster.as_ref()
     }
 
-    /// Prometheus-style text exposition of the registry, with gauges
-    /// re-sampled from live state first.
+    /// Prometheus-style text exposition of
+    /// [`Self::telemetry_snapshot`]'s document.
     #[must_use]
     pub fn metrics_text(&self) -> String {
         self.sampler.metrics_text()
@@ -653,7 +653,7 @@ impl Monarch {
     /// Buffered journal events as JSON lines (non-destructive).
     #[must_use]
     pub fn events_json(&self) -> String {
-        self.telemetry.events_json()
+        self.telemetry.journal().json_lines()
     }
 
     /// Chrome Trace Event / Perfetto JSON for the recorded span trees

@@ -752,11 +752,14 @@ fn reads_in_flight_gauge_is_balanced() {
     // EOF early-returns, and error paths alike (the guard decrements on
     // every exit).
     let m = mem_monarch(1 << 20, 2, 128);
-    let gauge = m.telemetry().gauges().gauge(
-        "monarch_reads_in_flight",
-        "Read operations currently executing inside Monarch::read.",
-        &[],
-    );
+    let gauge = || {
+        let snap = m.telemetry_snapshot();
+        let g = snap
+            .gauges
+            .iter()
+            .find(|g| g.name == "monarch_reads_in_flight");
+        g.expect("the document carries the gauge").value
+    };
     let mut buf = [0u8; 64];
     m.read("f000", 0, &mut buf).unwrap();
     assert_eq!(
@@ -766,17 +769,11 @@ fn reads_in_flight_gauge_is_balanced() {
     );
     assert!(m.read("missing", 0, &mut buf).is_err());
     m.wait_placement_idle();
-    // The count is striped per thread; a sampler publishes the sum.
+    // The count is striped per thread; the document carries the sum.
     let held = m.telemetry().reads_in_flight().enter();
-    m.sampler().refresh();
-    assert_eq!(gauge.get(), 1, "the sampler publishes the striped count");
+    assert_eq!(gauge(), 1.0, "the document carries the striped count");
     drop(held);
-    m.sampler().refresh();
-    assert_eq!(
-        gauge.get(),
-        0,
-        "gauge balanced after success, EOF and error"
-    );
+    assert_eq!(gauge(), 0.0, "gauge balanced after success, EOF and error");
 }
 
 /// Monarch over a [`FlakyDriver`]-wrapped local tier, with `n` files of

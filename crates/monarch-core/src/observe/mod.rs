@@ -77,7 +77,7 @@ mod tests {
         );
         let health = HealthRegistry::new(r.tier_names().to_vec());
         let policy = PolicyEngine::from_kind(Default::default(), Default::default());
-        r.snapshot(&health, &policy, None)
+        r.snapshot(Vec::new(), &health, &policy, None)
     }
 
     #[test]

@@ -604,16 +604,6 @@ impl AccessProfiler {
         }
     }
 
-    /// `(tracked, untracked_reads)` without walking the records — cheap
-    /// enough for every Prometheus scrape.
-    #[must_use]
-    pub fn snapshot_counts(&self) -> (u64, u64) {
-        (
-            self.tracked.load(Ordering::Relaxed),
-            self.untracked_reads.load(Ordering::Relaxed),
-        )
-    }
-
     /// Every tracked file in one serializable snapshot. Files are sorted
     /// by access count (descending), then name, so the head of the list
     /// is the hot set.
@@ -636,10 +626,9 @@ impl AccessProfiler {
                 .cmp(&a.profile.accesses)
                 .then_with(|| a.file.cmp(&b.file))
         });
-        let (tracked, untracked_reads) = self.snapshot_counts();
         ProfilerSnapshot {
-            tracked,
-            untracked_reads,
+            tracked: self.tracked.load(Ordering::Relaxed),
+            untracked_reads: self.untracked_reads.load(Ordering::Relaxed),
             ledger: self.ledger(),
             files,
         }

@@ -137,9 +137,10 @@ pub struct ThreadPool {
 }
 
 /// A cloneable, read-only view of a pool's queue accounting, detached from
-/// the pool's lifetime. Gauge samplers hold one so they can report lane
-/// depth and in-flight jobs without borrowing the [`ThreadPool`] (which the
-/// transfer engine owns by value).
+/// the pool's lifetime. The engine's [`Sampler`](crate::transfer::Sampler)
+/// holds one so the document it assembles can carry lane depth and
+/// in-flight jobs without borrowing the [`ThreadPool`] (which the transfer
+/// engine owns by value).
 #[derive(Clone)]
 pub struct PoolProbe {
     shared: Arc<Shared>,

@@ -6,7 +6,7 @@
 //!
 //! | path        | content                                                  |
 //! |-------------|----------------------------------------------------------|
-//! | `/metrics`  | Prometheus text exposition (gauges re-sampled per scrape)|
+//! | `/metrics`  | Prometheus text exposition of a fresh `/snapshot` document|
 //! | `/snapshot` | the full [`TelemetrySnapshot`] as pretty JSON            |
 //! | `/trace`    | Chrome Trace Event JSON for the recorded span trees      |
 //! | `/healthz`  | `ok`, `draining` (shutdown started) or `degraded`        |

@@ -1,13 +1,11 @@
-//! Level metrics: labeled [`Gauge`] cells, the striped [`InFlight`]
-//! count, what a sampler reads off the copy pipeline, and the
-//! [`TimeSeries`] schema of sampled throughput.
+//! Level metrics: the [`GaugeSnapshot`] a document carries per labelled
+//! value, the striped [`InFlight`] count, what a sampler reads off the copy
+//! pipeline, and the [`TimeSeries`] schema of sampled throughput.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicI64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-use crate::locks;
 use crate::pool::Lane;
 use crate::stripe::Striped;
 
@@ -139,241 +137,18 @@ impl ThroughputSampler {
 // Gauges
 // ---------------------------------------------------------------------------
 
-/// Escape a Prometheus label value: `\`, `"` and newline must be
-/// backslash-escaped per the text exposition format. Returns the input
-/// unchanged (borrowed) when no escaping is needed — the common case for
-/// tier and lane names.
-pub(super) fn escape_label_value(v: &str) -> std::borrow::Cow<'_, str> {
-    if !v.contains(['\\', '"', '\n']) {
-        return std::borrow::Cow::Borrowed(v);
-    }
-    let mut out = String::with_capacity(v.len() + 4);
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    std::borrow::Cow::Owned(out)
-}
-
-/// A single atomic gauge cell: an *instantaneous* value (tier occupancy
-/// bytes, queue depth, reads in flight) that samplers overwrite or adjust,
-/// unlike the monotone counters in [`Stats`](crate::stats::Stats).
-///
-/// The cell stores an `f64` bit pattern in one atomic word so integer and
-/// floating-point quantities share a type; the integer helpers are exact up
-/// to 2^53, far beyond any byte or queue count the middleware tracks.
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Gauge {
-    /// A gauge holding 0.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    /// Overwrite with an integer value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.set_f64(v as f64);
-    }
-
-    /// Overwrite with a floating-point value.
-    #[inline]
-    pub fn set_f64(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Add a (possibly negative) integer delta.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.add_f64(delta as f64);
-    }
-
-    /// Add a (possibly negative) floating-point delta.
-    pub fn add_f64(&self, delta: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Current value, rounded to the nearest integer.
-    #[must_use]
-    pub fn get(&self) -> i64 {
-        self.get_f64() as i64
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get_f64(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Gauge").field(&self.get_f64()).finish()
-    }
-}
-
-/// Ordered `(key, value)` label pairs identifying one cell in a family.
-type LabelSet = Vec<(String, String)>;
-
-/// One gauge family: a metric name, its help text, and the labeled cells
-/// registered under it (insertion-ordered for stable exposition output).
-struct GaugeFamily {
-    name: String,
-    help: String,
-    members: Vec<(LabelSet, Arc<Gauge>)>,
-}
-
-/// An interning registry of labeled gauge families.
-///
-/// [`GaugeRegistry::gauge`] returns the *same* [`Gauge`] cell for repeated
-/// calls with the same name and labels, so producers (the engine's sampler,
-/// the middleware's read path, the simulator) can resolve their cells once
-/// and update them with plain atomic stores. Families and cells render in
-/// registration order, which keeps the Prometheus text stable across
-/// scrapes.
-#[derive(Default)]
-pub struct GaugeRegistry {
-    families: Mutex<Vec<GaugeFamily>>,
-}
-
-impl GaugeRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get or create the cell `name{labels}`, registering the family (with
-    /// `help`) on first use. Label order is significant and preserved.
-    #[must_use]
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let mut families = locks::lock(&self.families);
-        let fam = match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => f,
-            None => {
-                families.push(GaugeFamily {
-                    name: name.to_owned(),
-                    help: help.to_owned(),
-                    members: Vec::new(),
-                });
-                families.last_mut().expect("just pushed")
-            }
-        };
-        if let Some((_, g)) = fam.members.iter().find(|(ls, _)| {
-            ls.len() == labels.len()
-                && ls
-                    .iter()
-                    .zip(labels.iter())
-                    .all(|((k, v), (lk, lv))| k == lk && v == lv)
-        }) {
-            return Arc::clone(g);
-        }
-        let cell = Arc::new(Gauge::new());
-        let ls: LabelSet = labels
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-            .collect();
-        fam.members.push((ls, Arc::clone(&cell)));
-        cell
-    }
-
-    /// Number of distinct cells across all families.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        locks::lock(&self.families)
-            .iter()
-            .map(|f| f.members.len())
-            .sum()
-    }
-
-    /// True when no cell has been registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current value of every cell, for the JSON snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<GaugeSnapshot> {
-        let families = locks::lock(&self.families);
-        families
-            .iter()
-            .flat_map(|f| {
-                f.members.iter().map(|(ls, g)| GaugeSnapshot {
-                    name: f.name.clone(),
-                    labels: ls.clone(),
-                    value: g.get_f64(),
-                })
-            })
-            .collect()
-    }
-
-    /// Append the Prometheus text exposition of every family to `out`.
-    pub(crate) fn render_into(&self, out: &mut String) {
-        let families = locks::lock(&self.families);
-        for fam in families.iter() {
-            out.push_str(&format!(
-                "# HELP {} {}\n# TYPE {} gauge\n",
-                fam.name, fam.help, fam.name
-            ));
-            for (labels, g) in &fam.members {
-                if labels.is_empty() {
-                    out.push_str(&format!("{} {}\n", fam.name, g.get_f64()));
-                } else {
-                    let rendered: Vec<String> = labels
-                        .iter()
-                        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-                        .collect();
-                    out.push_str(&format!(
-                        "{}{{{}}} {}\n",
-                        fam.name,
-                        rendered.join(","),
-                        g.get_f64()
-                    ));
-                }
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for GaugeRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GaugeRegistry")
-            .field("cells", &self.len())
-            .finish()
-    }
-}
-
-/// One gauge cell in a [`TelemetrySnapshot`](super::TelemetrySnapshot).
+/// One labelled gauge value in a
+/// [`TelemetrySnapshot`](super::TelemetrySnapshot): an *instantaneous*
+/// level (tier occupancy bytes, queue depth, reads in flight), read when
+/// the document is assembled, unlike the monotone counters in
+/// [`Stats`](crate::stats::Stats).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GaugeSnapshot {
     /// Family name, e.g. `monarch_tier_occupancy_bytes`.
     pub name: String,
+    /// The family's help text, which the exposition prints above it.
+    #[serde(default)]
+    pub help: String,
     /// Ordered `(key, value)` label pairs (empty for unlabeled gauges).
     #[serde(default)]
     pub labels: Vec<(String, String)>,
@@ -383,8 +158,8 @@ pub struct GaugeSnapshot {
 
 /// A striped up/down counter for "in flight" quantities the hit path
 /// maintains (open read handles). Entering and leaving touch only the
-/// calling thread's stripe; [`InFlight::get`] sums the stripes, and a
-/// sampler publishes that sum through an ordinary [`Gauge`] cell.
+/// calling thread's stripe; [`InFlight::get`] sums the stripes, and the
+/// document carries that sum as the `monarch_reads_in_flight` gauge.
 #[derive(Default)]
 pub struct InFlight {
     stripes: Striped<AtomicI64>,
@@ -427,8 +202,8 @@ impl Drop for GaugeGuard<'_> {
 }
 
 /// What a sampler saw of the copy pipeline at one instant — the part of
-/// [`TelemetryRegistry::publish_gauges`](super::TelemetryRegistry::publish_gauges)'s
-/// input that the real engine reads off its pool and the simulator off its
+/// [`TelemetryRegistry::gauges`](super::TelemetryRegistry::gauges)'s input
+/// that the real engine reads off its pool and the simulator off its
 /// virtual one.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineSample {
@@ -438,7 +213,7 @@ pub struct PipelineSample {
     /// Copies executing on pool workers.
     pub running: usize,
     /// The prefetch window; `None` when prefetching is off, which leaves
-    /// the `monarch_prefetch_*` families unpublished.
+    /// the `monarch_prefetch_*` families out of the document.
     pub prefetch: Option<PrefetchSample>,
     /// The engine has begun shutting down.
     pub draining: bool,

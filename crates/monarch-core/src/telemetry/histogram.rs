@@ -19,6 +19,20 @@ pub(super) const LINEAR_MAX: u64 = SUB_BUCKETS;
 /// Total bucket count: 16 exact + 16 per octave for octaves 4..=63.
 pub(super) const NUM_BUCKETS: usize = (LINEAR_MAX + (64 - SUB_BITS as u64) * SUB_BUCKETS) as usize;
 
+/// The bounds, in nanoseconds, at which a [`HistogramSnapshot`] carries
+/// cumulative counts (`count_le`): 1 µs to 10 s by decades, the `le`
+/// ladder of the exposition's `_bucket` series.
+pub(super) const LE_LADDER: [u64; 8] = [
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+    1_000_000_000,
+    10_000_000_000,
+];
+
 /// Bucket index for `value` (log-linear layout).
 #[inline]
 pub(super) fn bucket_index(value: u64) -> usize {
@@ -70,13 +84,13 @@ impl HistStripe {
 
 /// All stripes of a histogram folded into one bucket array — what the
 /// quantile and cumulative-count queries run on.
-pub(super) struct Merged {
+struct Merged {
     buckets: Vec<u64>,
     max: u64,
 }
 
 impl Merged {
-    pub(super) fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.buckets.iter().sum()
     }
 
@@ -98,7 +112,7 @@ impl Merged {
         self.max
     }
 
-    pub(super) fn count_le(&self, bound: u64) -> u64 {
+    fn count_le(&self, bound: u64) -> u64 {
         let mut cum = 0u64;
         for (idx, &c) in self.buckets.iter().enumerate() {
             let (low, high) = bucket_bounds(idx);
@@ -202,7 +216,7 @@ impl LatencyHistogram {
         self.sum().checked_div(self.count()).unwrap_or(0)
     }
 
-    pub(super) fn merged(&self) -> Merged {
+    fn merged(&self) -> Merged {
         let mut buckets = vec![0u64; NUM_BUCKETS];
         for s in self.stripes.iter() {
             for (total, b) in buckets.iter_mut().zip(&s.buckets) {
@@ -249,11 +263,17 @@ impl LatencyHistogram {
         mine.max.fetch_max(other.max(), Ordering::Relaxed);
     }
 
-    /// Immutable summary for reporting.
+    /// Immutable summary for reporting. One fold of the stripes serves the
+    /// quantiles and the whole `le` ladder.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
         let merged = self.merged();
         let (count, sum) = (merged.count(), self.sum());
+        let count_le = if count == 0 {
+            Vec::new()
+        } else {
+            LE_LADDER.map(|bound| merged.count_le(bound)).to_vec()
+        };
         HistogramSnapshot {
             count,
             sum_nanos: sum,
@@ -262,6 +282,7 @@ impl LatencyHistogram {
             p50_nanos: merged.quantile(0.50),
             p90_nanos: merged.quantile(0.90),
             p99_nanos: merged.quantile(0.99),
+            count_le,
         }
     }
 }
@@ -279,7 +300,7 @@ impl std::fmt::Debug for LatencyHistogram {
 /// Summary of one [`LatencyHistogram`]. All values are in the histogram's
 /// recording unit (nanoseconds for the real middleware and the simulator's
 /// virtual clock alike).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Observations recorded.
     pub count: u64,
@@ -295,6 +316,12 @@ pub struct HistogramSnapshot {
     pub p90_nanos: u64,
     /// 99th-percentile estimate.
     pub p99_nanos: u64,
+    /// Observations at or below each bound of the `le` ladder (1 µs to
+    /// 10 s by decades), cumulative and quantized to the log-linear grid
+    /// as [`LatencyHistogram::count_le`] is; empty when nothing was
+    /// recorded.
+    #[serde(default)]
+    pub count_le: Vec<u64>,
 }
 
 // ---------------------------------------------------------------------------
@@ -401,7 +428,7 @@ impl StallProfile {
 
 /// Serializable summary of a [`StallProfile`] — the `stall_profile` section
 /// of the JSON snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StallProfileSnapshot {
     /// Lock/lookup phase summary.
     pub lock_wait: HistogramSnapshot,

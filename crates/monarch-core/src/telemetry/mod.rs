@@ -1,5 +1,6 @@
 //! Telemetry: latency histograms, a copy-lifecycle event journal, and a
-//! registry that renders both as JSON and Prometheus-style text.
+//! registry that assembles them into one document, which serialises as
+//! JSON and renders as Prometheus-style text.
 //!
 //! The paper's evaluation (§II-A, §IV) is built on *observed* storage
 //! behaviour — per-tier I/O ops, within-epoch PFS throughput regimes,
@@ -14,15 +15,15 @@
 //!   completed/failed), placement decisions and evictions, exported as
 //!   JSON lines, non-destructively;
 //! - [`TelemetryRegistry`] — owns the histograms, the journal and the
-//!   [`Stats`] counters, and renders a JSON snapshot
-//!   ([`TelemetryRegistry::snapshot`]) or Prometheus text exposition
-//!   ([`TelemetryRegistry::prometheus_text`]);
+//!   [`Stats`] counters, reads the gauge families off live state
+//!   ([`TelemetryRegistry::gauges`]: per-tier occupancy/capacity, lane
+//!   queue depth, in-flight copies) and assembles the one
+//!   [`TelemetrySnapshot`] ([`TelemetryRegistry::snapshot`]);
+//! - [`TelemetrySnapshot::exposition`] — the Prometheus text exposition, a
+//!   pure function of that document, so a scrape is a projection of it;
 //! - [`TimeSeries`] / [`ThroughputSampler`] — the shared time-series
 //!   schema used by both the simulator's PFS throughput trace and the
 //!   real trainer;
-//! - [`GaugeRegistry`] — labeled, interned atomic gauges (per-tier
-//!   occupancy/capacity, lane queue depth, in-flight copies) refreshed by
-//!   samplers and exported through the same snapshot/exposition paths;
 //! - [`StallProfile`] — the access profiler's read-path stall profile:
 //!   four histograms decomposing each timed read's wall time into
 //!   lock-wait / queue-wait / driver-pread / copy-wait buckets.
@@ -36,6 +37,7 @@
 //! one such hit in [`TIMED_HIT_PERIOD`], recorded at that weight
 //! ([`LatencyHistogram::record_n`]).
 
+mod exposition;
 mod gauges;
 mod histogram;
 mod journal;
@@ -48,7 +50,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cluster::Cluster;
 use crate::health::{HealthRegistry, TierState};
-use crate::hierarchy::StorageHierarchy;
+use crate::hierarchy::{StorageHierarchy, Tier};
 use crate::metadata::MetadataContainer;
 use crate::observe::{AccessProfiler, ObserveSnapshot};
 use crate::policy::PolicyEngine;
@@ -56,10 +58,10 @@ use crate::stats::Stats;
 use crate::stripe::Striped;
 use crate::TierId;
 
-use gauges::{escape_label_value, LANES};
+use gauges::LANES;
 pub use gauges::{
-    Gauge, GaugeGuard, GaugeRegistry, GaugeSnapshot, InFlight, PipelineSample, PrefetchSample,
-    ThroughputSampler, TimeSeries,
+    GaugeGuard, GaugeSnapshot, InFlight, PipelineSample, PrefetchSample, ThroughputSampler,
+    TimeSeries,
 };
 pub use histogram::{
     HistogramSnapshot, LatencyHistogram, StallProfile, StallProfileSnapshot, TIMED_HIT_PERIOD,
@@ -91,7 +93,6 @@ pub struct TelemetryRegistry {
     queue_wait_remote: Arc<LatencyHistogram>,
     queue_wait_prefetch: Arc<LatencyHistogram>,
     pool_exec: Arc<LatencyHistogram>,
-    gauges: GaugeRegistry,
     reads_in_flight: InFlight,
     local_hits: Striped<AtomicU64>,
     journal: EventJournal,
@@ -138,7 +139,6 @@ impl TelemetryRegistry {
             queue_wait_remote: Arc::new(LatencyHistogram::new()),
             queue_wait_prefetch: Arc::new(LatencyHistogram::new()),
             pool_exec: Arc::new(LatencyHistogram::new()),
-            gauges: GaugeRegistry::new(),
             reads_in_flight: InFlight::default(),
             local_hits: Striped::new(),
             journal: EventJournal::new(JOURNAL_CAPACITY, cfg.enabled),
@@ -238,12 +238,6 @@ impl TelemetryRegistry {
         self.profiler.stall_profile()
     }
 
-    /// The gauge registry: instantaneous values refreshed by samplers.
-    #[must_use]
-    pub fn gauges(&self) -> &GaugeRegistry {
-        &self.gauges
-    }
-
     /// Reads currently inside `Monarch::read` (striped; see [`InFlight`]).
     #[must_use]
     pub fn reads_in_flight(&self) -> &InFlight {
@@ -258,82 +252,94 @@ impl TelemetryRegistry {
         self.local_hits.local(AtomicU64::default)
     }
 
-    /// Publish every sampled gauge family — reads in flight, per-tier
-    /// occupancy / capacity / files / health, the degraded and draining
-    /// flags, per-lane queue depth, jobs in flight and the prefetch window
-    /// — from live state. The one producer of these families: the real
-    /// instance's [`Sampler`](crate::transfer::Sampler) and the `dlpipe`
-    /// simulator both call it, each with its own [`PipelineSample`], so
-    /// their snapshots cannot differ in family names, help text or label
+    /// Every gauge family — reads in flight, per-tier occupancy / capacity
+    /// / files / health, the degraded and draining flags, per-lane queue
+    /// depth, jobs in flight and the prefetch window — read from live
+    /// state, one family after another. The one producer of these
+    /// families: the real instance's [`Sampler`](crate::transfer::Sampler)
+    /// and the `dlpipe` simulator both call it, each with its own
+    /// [`PipelineSample`], and hand the result to [`Self::snapshot`], so
+    /// their documents cannot differ in family names, help text or label
     /// sets.
-    pub fn publish_gauges(
+    #[must_use]
+    pub fn gauges(
         &self,
         hierarchy: &StorageHierarchy,
         metadata: &MetadataContainer,
         pipeline: &PipelineSample,
-    ) {
-        let g = &self.gauges;
-        g.gauge(
-            "monarch_reads_in_flight",
-            "Read operations currently executing inside Monarch::read.",
-            &[],
-        )
-        .set(self.reads_in_flight.get());
+    ) -> Vec<GaugeSnapshot> {
+        let mut out = Vec::new();
+        let mut family = |name: &str, help: &str, cells: Vec<(Option<(&str, &str)>, f64)>| {
+            out.extend(cells.into_iter().map(|(label, value)| {
+                GaugeSnapshot {
+                    name: name.to_owned(),
+                    help: help.to_owned(),
+                    labels: label
+                        .map(|(k, v)| vec![(k.to_owned(), v.to_owned())])
+                        .unwrap_or_default(),
+                    value,
+                }
+            }));
+        };
+        let tiers = hierarchy.tiers();
+        let per_tier = |value: &dyn Fn(&Tier) -> Option<f64>| {
+            tiers
+                .iter()
+                .filter_map(|t| Some((Some(("tier", t.name.as_str())), value(t)?)))
+                .collect()
+        };
         let health = hierarchy.health();
         let files = metadata.residency_histogram(hierarchy.levels());
-        for tier in hierarchy.tiers() {
-            let labels = &[("tier", tier.name.as_str())];
-            if let Some(quota) = tier.quota.as_ref() {
-                g.gauge(
-                    "monarch_tier_occupancy_bytes",
-                    "Bytes resident on the tier (quota accounting).",
-                    labels,
-                )
-                .set(quota.used() as i64);
-                g.gauge(
-                    "monarch_tier_capacity_bytes",
-                    "Configured capacity of the tier in bytes.",
-                    labels,
-                )
-                .set(quota.capacity() as i64);
-            }
-            g.gauge(
-                "monarch_tier_files",
-                "Files currently resident on the tier.",
-                labels,
-            )
-            .set(files.get(tier.id).copied().unwrap_or(0) as i64);
-            g.gauge(
-                "monarch_tier_health_state",
-                "Tier health: 0 = closed (healthy), 1 = suspect, 2 = quarantined.",
-                labels,
-            )
-            .set(match health.tier(tier.id).state() {
-                TierState::Closed => 0,
-                TierState::Suspect => 1,
-                TierState::Quarantined => 2,
-            });
-        }
-        g.gauge(
+        family(
+            "monarch_reads_in_flight",
+            "Read operations currently executing inside Monarch::read.",
+            vec![(None, self.reads_in_flight.get() as f64)],
+        );
+        family(
+            "monarch_tier_occupancy_bytes",
+            "Bytes resident on the tier (quota accounting).",
+            per_tier(&|t| Some(t.quota.as_ref()?.used() as f64)),
+        );
+        family(
+            "monarch_tier_capacity_bytes",
+            "Configured capacity of the tier in bytes.",
+            per_tier(&|t| Some(t.quota.as_ref()?.capacity() as f64)),
+        );
+        family(
+            "monarch_tier_files",
+            "Files currently resident on the tier.",
+            per_tier(&|t| Some(files.get(t.id).copied().unwrap_or(0) as f64)),
+        );
+        family(
+            "monarch_tier_health_state",
+            "Tier health: 0 = closed (healthy), 1 = suspect, 2 = quarantined.",
+            per_tier(&|t| {
+                Some(match health.tier(t.id).state() {
+                    TierState::Closed => 0.0,
+                    TierState::Suspect => 1.0,
+                    TierState::Quarantined => 2.0,
+                })
+            }),
+        );
+        family(
             "monarch_degraded",
             "1 while any tier is quarantined (reads falling back down-hierarchy), else 0.",
-            &[],
-        )
-        .set(i64::from(health.degraded()));
-        for ((_, lane), queued) in LANES.into_iter().zip(pipeline.queued) {
-            g.gauge(
-                "monarch_lane_queued",
-                "Copies queued (not yet started) per pool lane.",
-                &[("lane", lane)],
-            )
-            .set(queued as i64);
-        }
-        g.gauge(
+            vec![(None, f64::from(u8::from(health.degraded())))],
+        );
+        family(
+            "monarch_lane_queued",
+            "Copies queued (not yet started) per pool lane.",
+            LANES
+                .into_iter()
+                .zip(pipeline.queued)
+                .map(|((_, lane), queued)| (Some(("lane", lane)), queued as f64))
+                .collect(),
+        );
+        family(
             "monarch_pool_inflight_jobs",
             "Copies currently executing on pool workers.",
-            &[],
-        )
-        .set(pipeline.running as i64);
+            vec![(None, pipeline.running as f64)],
+        );
         if let Some(window) = pipeline.prefetch {
             for (name, help, value) in [
                 (
@@ -352,15 +358,15 @@ impl TelemetryRegistry {
                     window.lag_entries,
                 ),
             ] {
-                g.gauge(name, help, &[]).set(value as i64);
+                family(name, help, vec![(None, value as f64)]);
             }
         }
-        g.gauge(
+        family(
             "monarch_draining",
             "1 while the transfer engine is shutting down, else 0.",
-            &[],
-        )
-        .set(i64::from(pipeline.draining));
+            vec![(None, f64::from(u8::from(pipeline.draining)))],
+        );
+        out
     }
 
     /// The event journal.
@@ -395,13 +401,15 @@ impl TelemetryRegistry {
     }
 
     /// The one snapshot document: every histogram, the counters, the
-    /// gauges as last published, and the sections owned by other parts of
-    /// the instance — tier health, the policy engine, the peer cache when
-    /// clustered. Everything that reports state (`/snapshot`, the FFI, the
-    /// CLI views, the simulator's run report) serialises or projects this.
+    /// `gauges` the caller read ([`Self::gauges`]), and the sections owned
+    /// by other parts of the instance — tier health, the policy engine, the
+    /// peer cache when clustered. Everything that reports state
+    /// (`/snapshot`, `/metrics`, the FFI, the CLI views, the simulator's
+    /// run report) serialises, renders or projects this.
     #[must_use]
     pub fn snapshot(
         &self,
+        gauges: Vec<GaugeSnapshot>,
         health: &HealthRegistry,
         policy: &PolicyEngine,
         cluster: Option<&Cluster>,
@@ -418,7 +426,7 @@ impl TelemetryRegistry {
             queue_wait_prefetch: self.queue_wait_prefetch.snapshot(),
             pool_exec: self.pool_exec.snapshot(),
             stall_profile: self.stall_profile().snapshot(),
-            gauges: self.gauges.snapshot(),
+            gauges,
             events_recorded: self.journal.recorded(),
             events_dropped: self.journal.dropped(),
             spans_recorded: self.trace.spans_recorded(),
@@ -431,233 +439,6 @@ impl TelemetryRegistry {
             policy: Some(policy.snapshot()),
             stats,
         }
-    }
-
-    /// Buffered journal events as JSON lines. **Non-destructive**: the
-    /// ring keeps its contents, so repeated calls (several FFI consumers,
-    /// say) all see the same events.
-    #[must_use]
-    pub fn events_json(&self) -> String {
-        self.journal.json_lines()
-    }
-
-    /// Prometheus-style text exposition: counters as `counter` metrics,
-    /// latency histograms as `histogram` metrics with cumulative
-    /// `_bucket{le="..."}` lines (seconds), so `histogram_quantile()`
-    /// works on the scraped series.
-    #[must_use]
-    pub fn prometheus_text(&self) -> String {
-        let snap = self.stats.snapshot();
-        let mut o = String::with_capacity(4096);
-
-        let tier_counter = |o: &mut String, name: &str, help: &str, get: &dyn Fn(usize) -> u64| {
-            o.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (i, tname) in self.tier_names.iter().enumerate() {
-                let tname = escape_label_value(tname);
-                o.push_str(&format!("{name}{{tier=\"{tname}\"}} {}\n", get(i)));
-            }
-        };
-        tier_counter(
-            &mut o,
-            "monarch_tier_reads_total",
-            "Read operations served per tier.",
-            &|i| snap.tiers[i].reads,
-        );
-        tier_counter(
-            &mut o,
-            "monarch_tier_read_bytes_total",
-            "Bytes read per tier.",
-            &|i| snap.tiers[i].bytes_read,
-        );
-        tier_counter(
-            &mut o,
-            "monarch_tier_writes_total",
-            "Write operations (placement copies) per tier.",
-            &|i| snap.tiers[i].writes,
-        );
-        tier_counter(
-            &mut o,
-            "monarch_tier_written_bytes_total",
-            "Bytes written per tier.",
-            &|i| snap.tiers[i].bytes_written,
-        );
-        tier_counter(
-            &mut o,
-            "monarch_tier_removes_total",
-            "Files removed per tier (evictions plus cleanup).",
-            &|i| snap.tiers[i].removes,
-        );
-
-        let mut scalar = |name: &str, help: &str, v: u64| {
-            o.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        };
-        for (family, help, value) in snap.counters() {
-            scalar(family, help, value);
-        }
-        let (files_tracked, untracked_reads) = self.profiler.snapshot_counts();
-        for (family, help, value) in [
-            (
-                "monarch_journal_events_total",
-                "Telemetry events recorded.",
-                self.journal.recorded(),
-            ),
-            // Bounded-buffer drops must be visible, not silent.
-            (
-                "monarch_events_dropped_total",
-                "Journal events overwritten by the ring bound.",
-                self.journal.dropped(),
-            ),
-            (
-                "monarch_trace_spans_total",
-                "Trace spans recorded.",
-                self.trace.spans_recorded(),
-            ),
-            (
-                "monarch_trace_spans_dropped_total",
-                "Trace spans dropped by the span-ring bound.",
-                self.trace.spans_dropped(),
-            ),
-            (
-                "monarch_profile_files_tracked",
-                "Distinct files tracked by the access profiler.",
-                files_tracked,
-            ),
-            (
-                "monarch_profile_untracked_reads_total",
-                "Reads of files past the profiler's tracking bound.",
-                untracked_reads,
-            ),
-        ] {
-            scalar(family, help, value);
-        }
-
-        // Cumulative histogram exposition so PromQL `histogram_quantile()`
-        // works. The `le` ladder is in seconds; `count_le` quantizes to
-        // the log-linear grid (documented on the method). Internal values
-        // are nanoseconds.
-        let le_ladder: [(&str, u64); 8] = [
-            ("0.000001", 1_000),
-            ("0.00001", 10_000),
-            ("0.0001", 100_000),
-            ("0.001", 1_000_000),
-            ("0.01", 10_000_000),
-            ("0.1", 100_000_000),
-            ("1", 1_000_000_000),
-            ("10", 10_000_000_000),
-        ];
-        let secs = |nanos: u64| nanos as f64 / 1e9;
-        let buckets = |o: &mut String, name: &str, tier: Option<&str>, h: &LatencyHistogram| {
-            let label = |le: &str| match tier {
-                Some(t) => format!("{{tier=\"{}\",le=\"{le}\"}}", escape_label_value(t)),
-                None => format!("{{le=\"{le}\"}}"),
-            };
-            // One fold of the stripes serves the whole ladder.
-            let merged = h.merged();
-            let count = merged.count();
-            for (le, bound) in le_ladder {
-                o.push_str(&format!(
-                    "{name}_bucket{} {}\n",
-                    label(le),
-                    merged.count_le(bound)
-                ));
-            }
-            o.push_str(&format!("{name}_bucket{} {count}\n", label("+Inf")));
-            let plain = |suffix: &str| match tier {
-                Some(t) => format!("{name}_{suffix}{{tier=\"{}\"}}", escape_label_value(t)),
-                None => format!("{name}_{suffix}"),
-            };
-            o.push_str(&format!("{} {}\n", plain("sum"), secs(h.sum())));
-            o.push_str(&format!("{} {count}\n", plain("count")));
-        };
-        let tier_histogram =
-            |o: &mut String, name: &str, help: &str, hists: &[Arc<LatencyHistogram>]| {
-                o.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-                for (tname, h) in self.tier_names.iter().zip(hists.iter()) {
-                    buckets(o, name, Some(tname), h);
-                }
-            };
-        tier_histogram(
-            &mut o,
-            "monarch_read_latency_seconds",
-            "Per-tier read latency.",
-            &self.read_latency,
-        );
-        tier_histogram(
-            &mut o,
-            "monarch_write_latency_seconds",
-            "Per-tier write latency.",
-            &self.write_latency,
-        );
-
-        let plain_histogram = |o: &mut String, name: &str, help: &str, h: &LatencyHistogram| {
-            o.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-            buckets(o, name, None, h);
-        };
-        plain_histogram(
-            &mut o,
-            "monarch_copy_duration_seconds",
-            "Background-copy duration (schedule-to-install).",
-            &self.copy_duration,
-        );
-        plain_histogram(
-            &mut o,
-            "monarch_pool_queue_wait_seconds",
-            "Demand-lane copy-pool queue wait (submit to task start).",
-            &self.queue_wait,
-        );
-        plain_histogram(
-            &mut o,
-            "monarch_pool_remote_queue_wait_seconds",
-            "Remote-lane copy-pool queue wait (submit to task start).",
-            &self.queue_wait_remote,
-        );
-        plain_histogram(
-            &mut o,
-            "monarch_pool_prefetch_queue_wait_seconds",
-            "Prefetch-lane copy-pool queue wait (submit to task start).",
-            &self.queue_wait_prefetch,
-        );
-        plain_histogram(
-            &mut o,
-            "monarch_pool_exec_seconds",
-            "Copy-pool task execution time.",
-            &self.pool_exec,
-        );
-        let stall = self.stall_profile();
-        plain_histogram(
-            &mut o,
-            "monarch_read_stall_lock_wait_seconds",
-            "Sampled-read stall: metadata lock/lookup phase.",
-            &stall.lock_wait,
-        );
-        plain_histogram(
-            &mut o,
-            "monarch_read_stall_queue_wait_seconds",
-            "Sampled-read stall: pre-pread bookkeeping phase.",
-            &stall.queue_wait,
-        );
-        plain_histogram(
-            &mut o,
-            "monarch_read_stall_driver_pread_seconds",
-            "Sampled-read stall: backend pread phase.",
-            &stall.driver_pread,
-        );
-        plain_histogram(
-            &mut o,
-            "monarch_read_stall_copy_wait_seconds",
-            "Sampled-read stall: post-pread bookkeeping phase.",
-            &stall.copy_wait,
-        );
-        plain_histogram(
-            &mut o,
-            "monarch_read_degraded_fallback_seconds",
-            "Wall time of reads served down-hierarchy from a failing tier.",
-            &stall.degraded_fallback,
-        );
-        self.gauges.render_into(&mut o);
-        o
     }
 }
 
@@ -710,8 +491,9 @@ pub struct TelemetrySnapshot {
     /// Read-path stall decomposition (empty until a read is sampled).
     #[serde(default)]
     pub stall_profile: StallProfileSnapshot,
-    /// Instantaneous gauge values at snapshot time (refreshed by the
-    /// caller's sampler; empty when no sampler has run).
+    /// Instantaneous gauge values at snapshot time, one family after
+    /// another ([`TelemetryRegistry::gauges`], which the caller reads as
+    /// it assembles the document).
     #[serde(default)]
     pub gauges: Vec<GaugeSnapshot>,
     /// Journal events recorded over the lifetime.
@@ -1133,6 +915,25 @@ mod tests {
         )
     }
 
+    /// `r`'s document, carrying `gauges`.
+    fn document(r: &TelemetryRegistry, gauges: Vec<GaugeSnapshot>) -> TelemetrySnapshot {
+        let health = HealthRegistry::new(r.tier_names().to_vec());
+        let policy = PolicyEngine::from_kind(Default::default(), Default::default());
+        r.snapshot(gauges, &health, &policy, None)
+    }
+
+    fn gauge(name: &str, help: &str, labels: &[(&str, &str)], value: f64) -> GaugeSnapshot {
+        GaugeSnapshot {
+            name: name.into(),
+            help: help.into(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| ((*k).into(), (*v).into()))
+                .collect(),
+            value,
+        }
+    }
+
     #[test]
     fn prometheus_exposition_format() {
         let r = registry();
@@ -1140,7 +941,7 @@ mod tests {
         r.stats().record_read(1, 50);
         r.read_latency(0).record(4_000);
         r.copy_duration().record(1_000_000);
-        let text = r.prometheus_text();
+        let text = document(&r, Vec::new()).exposition();
         assert!(text.contains("# TYPE monarch_tier_reads_total counter"));
         assert!(text.contains("monarch_tier_reads_total{tier=\"ssd\"} 1"));
         assert!(text.contains("monarch_tier_reads_total{tier=\"pfs\"} 1"));
@@ -1182,65 +983,46 @@ mod tests {
 
     #[test]
     fn gauge_registry_interns_cells() {
-        let g = GaugeRegistry::new();
-        let a = g.gauge(
-            "monarch_tier_files",
-            "Files resident per tier.",
-            &[("tier", "ssd")],
-        );
-        let b = g.gauge(
-            "monarch_tier_files",
-            "Files resident per tier.",
-            &[("tier", "ssd")],
-        );
-        let c = g.gauge(
-            "monarch_tier_files",
-            "Files resident per tier.",
-            &[("tier", "pfs")],
-        );
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(g.len(), 2);
-        a.set(7);
-        assert_eq!(b.get(), 7);
-        b.add(-3);
-        assert_eq!(a.get(), 4);
         let in_flight = InFlight::default();
         let guard = in_flight.enter();
         assert_eq!(in_flight.get(), 1);
         drop(guard);
         assert_eq!(in_flight.get(), 0);
-        c.set_f64(0.25);
-        assert!((c.get_f64() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn gauge_exposition_golden_format() {
         // Golden check of the full gauge section, including label-value
         // escaping of backslash, quote, and newline.
-        let g = GaugeRegistry::new();
-        g.gauge(
-            "monarch_tier_occupancy_bytes",
-            "Bytes resident per tier.",
-            &[("tier", "ssd")],
-        )
-        .set(1024);
-        g.gauge(
-            "monarch_tier_occupancy_bytes",
-            "Bytes resident per tier.",
-            &[("tier", "pfs")],
-        )
-        .set(0);
-        g.gauge("monarch_draining", "1 while the engine is draining.", &[])
-            .set(0);
-        g.gauge(
-            "monarch_mount_info",
-            "Mount label escaping probe.",
-            &[("path", "a\\b\"c\nd")],
-        )
-        .set(1);
-        let mut out = String::new();
-        g.render_into(&mut out);
+        let occupancy = "Bytes resident per tier.";
+        let gauges = vec![
+            gauge(
+                "monarch_tier_occupancy_bytes",
+                occupancy,
+                &[("tier", "ssd")],
+                1024.0,
+            ),
+            gauge(
+                "monarch_tier_occupancy_bytes",
+                occupancy,
+                &[("tier", "pfs")],
+                0.0,
+            ),
+            gauge(
+                "monarch_draining",
+                "1 while the engine is draining.",
+                &[],
+                0.0,
+            ),
+            gauge(
+                "monarch_mount_info",
+                "Mount label escaping probe.",
+                &[("path", "a\\b\"c\nd")],
+                1.0,
+            ),
+        ];
+        let text = document(&registry(), gauges).exposition();
+        let out = &text[text.find("# HELP monarch_tier_occupancy_bytes").unwrap()..];
         let expected = concat!(
             "# HELP monarch_tier_occupancy_bytes Bytes resident per tier.\n",
             "# TYPE monarch_tier_occupancy_bytes gauge\n",
@@ -1262,12 +1044,13 @@ mod tests {
         // including _bucket/_sum/_count histogram series, stall profile
         // histograms and gauges.
         let r = registry();
-        let _ = r.gauges().gauge(
+        let files = gauge(
             "monarch_tier_files",
             "Files resident per tier.",
             &[("tier", "ssd")],
+            0.0,
         );
-        let text = r.prometheus_text();
+        let text = document(&r, vec![files]).exposition();
         let mut typed: std::collections::HashSet<&str> = std::collections::HashSet::new();
         for line in text.lines() {
             if let Some(rest) = line.strip_prefix("# TYPE ") {
@@ -1317,7 +1100,7 @@ mod tests {
         r.stall_profile().record(end, t0, t0, t0, t0);
         assert_eq!(r.stall_profile().snapshot().lock_wait.count, 2);
         // The exposition includes the stall histograms.
-        let text = r.prometheus_text();
+        let text = document(&r, Vec::new()).exposition();
         assert!(text.contains("# TYPE monarch_read_stall_driver_pread_seconds histogram"));
         assert!(text.contains("monarch_read_stall_lock_wait_seconds_count 2"));
     }
@@ -1331,16 +1114,13 @@ mod tests {
             file: "f".into(),
             bytes: 10,
         });
-        r.gauges()
-            .gauge(
-                "monarch_tier_files",
-                "Files resident per tier.",
-                &[("tier", "ssd")],
-            )
-            .set(3);
-        let health = HealthRegistry::new(r.tier_names().to_vec());
-        let policy = PolicyEngine::from_kind(Default::default(), Default::default());
-        let snap = r.snapshot(&health, &policy, None);
+        let files = gauge(
+            "monarch_tier_files",
+            "Files resident per tier.",
+            &[("tier", "ssd")],
+            3.0,
+        );
+        let snap = document(&r, vec![files]);
         assert_eq!(snap.tier_names, vec!["ssd", "pfs"]);
         assert_eq!(snap.gauges.len(), 1);
         assert_eq!(snap.gauges[0].value, 3.0);
@@ -1366,7 +1146,7 @@ mod tests {
         assert!(!r.is_enabled());
         r.event(EventKind::CopyStarted { file: "f".into() });
         assert!(r.journal().is_empty());
-        assert_eq!(r.events_json(), "");
+        assert_eq!(r.journal().json_lines(), "");
     }
 
     #[test]

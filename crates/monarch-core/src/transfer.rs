@@ -974,9 +974,8 @@ impl TransferEngine {
 /// A cloneable, detached view of one instance's live state. Everything
 /// that reports state goes through it — [`Monarch`](crate::Monarch)'s own
 /// getters, the HTTP exporter's `/metrics`, `/snapshot` and `/healthz`,
-/// the FFI and the CLI views — so they cannot disagree: one gauge refresh
-/// ([`TelemetryRegistry::publish_gauges`]), one snapshot assembly
-/// ([`TelemetryRegistry::snapshot`]), one exposition. Sampling is
+/// the FFI and the CLI views — so they cannot disagree: one document
+/// ([`Sampler::snapshot`]), which the exposition renders. Sampling is
 /// scrape-driven: gauges are as fresh as the call, with no background
 /// thread.
 #[derive(Clone)]
@@ -989,17 +988,19 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Re-sample every gauge family from live state. Cheap enough to run
-    /// on each scrape: a handful of atomic loads plus two short lock
-    /// acquisitions (pool queue, prefetch window).
-    pub fn refresh(&self) {
+    /// The instance's state document, its gauges read off live state — a
+    /// handful of atomic loads plus two short lock acquisitions (pool
+    /// queue, prefetch window) — as it is assembled.
+    #[must_use]
+    pub fn snapshot(&self) -> TelemetrySnapshot {
         let queued = PipelineSample::queued_by(|lane| self.probe.queued(lane));
         let prefetch = self.prefetch.as_ref().map(|state| {
             locks::lock(&state.window)
                 .as_ref()
                 .map_or_else(PrefetchSample::default, PrefetchWindow::sample)
         });
-        self.book.telemetry().publish_gauges(
+        let telemetry = self.book.telemetry();
+        let gauges = telemetry.gauges(
             self.book.hierarchy(),
             self.book.metadata(),
             &PipelineSample {
@@ -1012,24 +1013,18 @@ impl Sampler {
                 draining: self.draining(),
             },
         );
-    }
-
-    /// The instance's state document, gauges re-sampled first.
-    #[must_use]
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.refresh();
-        self.book.telemetry().snapshot(
+        telemetry.snapshot(
+            gauges,
             self.book.hierarchy().health(),
             self.book.policy(),
             self.cluster.as_deref(),
         )
     }
 
-    /// Prometheus-style text exposition, gauges re-sampled first.
+    /// Prometheus-style text exposition of [`Self::snapshot`].
     #[must_use]
     pub fn metrics_text(&self) -> String {
-        self.refresh();
-        self.book.telemetry().prometheus_text()
+        self.snapshot().exposition()
     }
 
     /// The `/healthz` word: `draining` once shutdown has begun, `degraded`
@@ -2049,14 +2044,13 @@ mod tests {
         let sampler = engine.sampler(None);
         pin_worker(&engine, "f000");
         assert_eq!(engine.plan(&plan_of(&["f001", "f002", "f003"])), 3);
-        sampler.refresh();
         let gauge_of = |name: &str, snap: &[crate::telemetry::GaugeSnapshot]| {
             snap.iter()
                 .filter(|g| g.name == name)
                 .map(|g| (g.labels.clone(), g.value))
                 .collect::<Vec<_>>()
         };
-        let snap = engine.book.telemetry().gauges().snapshot();
+        let snap = sampler.snapshot().gauges;
         // The pinned copy is executing; the three plan entries queue
         // behind it on the prefetch lane.
         assert_eq!(
@@ -2092,8 +2086,7 @@ mod tests {
         open_gate(&gate);
         engine.wait_idle();
         engine.drain();
-        sampler.refresh();
-        let snap = engine.book.telemetry().gauges().snapshot();
+        let snap = sampler.snapshot().gauges;
         // All four copies landed on the SSD: occupancy, files, and the
         // drain flag all moved; both lanes are empty again.
         assert_eq!(
@@ -2121,7 +2114,7 @@ mod tests {
         );
         assert_eq!(gauge_of("monarch_draining", &snap), vec![(vec![], 1.0)]);
         // Rendered exposition carries the gauge families too.
-        let text = engine.book.telemetry().prometheus_text();
+        let text = sampler.metrics_text();
         assert!(text.contains("# TYPE monarch_tier_occupancy_bytes gauge"));
         assert!(text.contains("monarch_lane_queued{lane=\"demand\"} 0"));
     }

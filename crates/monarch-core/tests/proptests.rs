@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use monarch_core::config::{AdmissionKind, PolicyKind};
 use monarch_core::driver::MemDriver;
+use monarch_core::health::HealthRegistry;
 use monarch_core::hierarchy::{Quota, StorageHierarchy};
 use monarch_core::metadata::PlacementState;
 use monarch_core::observe::{AccessProfiler, ReadClass, ReadTiming};
@@ -219,7 +220,10 @@ proptest! {
             );
         }
         let series = |r: &TelemetryRegistry| -> Vec<String> {
-            r.prometheus_text()
+            let health = HealthRegistry::new(r.tier_names().to_vec());
+            let policy = PolicyEngine::from_kind(PolicyKind::default(), AdmissionKind::default());
+            r.snapshot(Vec::new(), &health, &policy, None)
+                .exposition()
                 .lines()
                 .filter(|l| l.starts_with("monarch_copy_duration_seconds"))
                 .map(str::to_owned)

@@ -189,6 +189,43 @@ fn exposition_families_are_the_golden_list() {
         GOLDEN.len(),
         "a family is declared twice"
     );
+    // Each family is one contiguous block: its `# HELP`, its `# TYPE`, then
+    // every sample of it.
+    let family_of = |line: &str| -> String {
+        let declared = line
+            .strip_prefix("# HELP ")
+            .or_else(|| line.strip_prefix("# TYPE "));
+        if let Some(rest) = declared {
+            return rest.split(' ').next().unwrap().to_string();
+        }
+        let metric = line.split(['{', ' ']).next().unwrap();
+        ["_bucket", "_sum", "_count"]
+            .iter()
+            .filter_map(|suffix| metric.strip_suffix(suffix))
+            .find(|family| typed.contains(*family))
+            .unwrap_or(metric)
+            .to_string()
+    };
+    let mut blocks: Vec<(String, Vec<&str>)> = Vec::new();
+    for line in text.lines() {
+        let family = family_of(line);
+        match blocks.last_mut() {
+            Some((open, lines)) if *open == family => lines.push(line),
+            _ => blocks.push((family, vec![line])),
+        }
+    }
+    assert_eq!(blocks.len(), GOLDEN.len(), "a family is split");
+    for (family, lines) in &blocks {
+        assert!(
+            lines[0].starts_with(&format!("# HELP {family} ")),
+            "{lines:?}"
+        );
+        assert!(
+            lines[1].starts_with(&format!("# TYPE {family} ")),
+            "{lines:?}"
+        );
+        assert!(lines.len() > 2, "{family} has no samples");
+    }
     m.shutdown();
 }
 

@@ -309,11 +309,11 @@ pub unsafe extern "C" fn monarch_snapshot_json(
     }
 }
 
-/// Export the telemetry registry as Prometheus-style text exposition
-/// (counters plus cumulative latency histograms, `histogram_quantile()`
-/// ready) — the same registry the CLI's `monarch metrics` renders. The
-/// returned string must be released with [`monarch_string_free`]. Null on
-/// failure.
+/// Export the state document [`monarch_snapshot_json`] returns as
+/// Prometheus-style text exposition (counters, gauges and cumulative
+/// latency histograms, `histogram_quantile()` ready) — the same text the
+/// CLI's `monarch metrics` prints. The returned string must be released
+/// with [`monarch_string_free`]. Null on failure.
 ///
 /// # Safety
 /// `handle` must come from [`monarch_init_json`] and not be freed.

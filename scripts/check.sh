@@ -59,8 +59,12 @@ run_size() {
     # window's bookkeeping moved into `Lifecycle::{plan_opened, plan_read,
     # plan_closed}`, the hit into `read_served`, `withdraw_queued` and
     # `PrefetchWindow::{resolve_by_name, next_index}` deleted) and
-    # `MonarchConfigBuilder` gave way to `MonarchConfig::new`.
-    local core_limit=13994
+    # `MonarchConfigBuilder` gave way to `MonarchConfig::new`. 13811 since
+    # the exposition is a pure function of the one document
+    # (`TelemetrySnapshot::exposition`; `prometheus_text` deleted) and the
+    # gauges are read as the document is assembled (`GaugeRegistry`, its
+    # `Gauge` cells and `Sampler::refresh` deleted).
+    local core_limit=13811
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
         sort -z |
@@ -110,8 +114,16 @@ run_size() {
 # The journal is the one transition log (DESIGN §7.2): no non-test code of
 # either, `lifecycle.rs` included, names the residency timeline's types, and
 # `observe/timeline.rs` does not exist — a second ring that books every
-# transition again cannot come back. Non-test code is what precedes a
-# file's column-0 `#[cfg(test)]`.
+# transition again cannot come back.
+#
+# The exposition has one writer (DESIGN §7.3): `/metrics` is
+# `TelemetrySnapshot::exposition` of the one document. Outside
+# `telemetry/exposition.rs`, which holds that renderer, no non-test code
+# under `crates/` writes a `# TYPE` or `# HELP` line, and none names
+# `prometheus_text`, `GaugeRegistry`, `publish_gauges` or `render_into` —
+# a second renderer that reads live state, or a second store of gauges,
+# cannot come back. Non-test code is what precedes a file's column-0
+# `#[cfg(test)]`.
 run_lifecycle() {
     echo "==> lifecycle gate: one booking site per copy and tier transition"
     local calls='begin_copy\(|finish_copy\(|abort_copy\(|evict_with\(|\.record_evict\(|\.copy_scheduled\(\)|\.copy_completed\(\)|\.placement_skip\(\)|\.copy_requeue\(\)|\.tier_quarantine\(\)|\.tier_recovery\(\)|\.prefetch_promote\(\)|probe_permit\(|probe_result\('
@@ -190,6 +202,27 @@ run_lifecycle() {
     done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
     if [ "$bad" -ne 0 ]; then
         echo "lifecycle gate: read transitions off the event journal instead of a second log" >&2
+        exit 1
+    fi
+    echo "==> lifecycle gate: one exposition writer"
+    while IFS= read -r f; do
+        case "$f" in
+            */tests/* | *_tests.rs) continue ;;
+        esac
+        if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E '\b(prometheus_text|GaugeRegistry|publish_gauges|render_into)\b'; then
+            bad=1
+        fi
+        case "$f" in
+            */telemetry/exposition.rs) continue ;;
+        esac
+        if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E '# (TYPE|HELP)'; then
+            bad=1
+        fi
+    done < <(find crates -name '*.rs' | sort)
+    if [ "$bad" -ne 0 ]; then
+        echo "lifecycle gate: render the document through TelemetrySnapshot::exposition instead" >&2
         exit 1
     fi
 }
