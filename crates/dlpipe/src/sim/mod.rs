@@ -263,27 +263,70 @@ mod tests {
 
     #[test]
     fn monarch_traced_run_exports_flow_linked_virtual_spans() {
-        let r = run(Setup::Monarch(MonarchSimConfig::with_tracing()), 1, 1);
-        let json = r.trace_json.as_deref().expect("traced run exports JSON");
-        // Foreground tree, background copy pipeline, and the flow
-        // endpoints linking them — all in virtual time.
-        for needle in [
-            "\"driver_pread\"",
-            "\"metadata_lookup\"",
-            "\"tier_resolve\"",
-            "\"copy_scheduled\"",
-            "\"queue_wait\"",
-            "\"placement_decide\"",
-            "\"copy_read\"",
-            "\"copy_write\"",
-            "\"copy_exec\"",
-            "\"ph\":\"s\"",
-            "\"ph\":\"f\"",
-            "\"outcome\":\"completed\"",
-            "sim-reader-0",
-            "sim-copy-0",
+        let planned = MonarchSimConfig {
+            prefetch_lookahead: 8,
+            ..MonarchSimConfig::with_tracing()
+        };
+        // A plan's copies are scheduled before any read misses.
+        for (cfg, scheduled) in [
+            (MonarchSimConfig::with_tracing(), "\"copy_scheduled\""),
+            (planned, "\"prefetch_scheduled\""),
         ] {
-            assert!(json.contains(needle), "missing {needle}");
+            let r = run(Setup::Monarch(cfg), 1, 1);
+            let json = r.trace_json.as_deref().expect("traced run exports JSON");
+            // Foreground tree, background copy pipeline, and the flow
+            // endpoints linking them — all in virtual time.
+            for needle in [
+                "\"driver_pread\"",
+                "\"metadata_lookup\"",
+                "\"tier_resolve\"",
+                scheduled,
+                "\"queue_wait\"",
+                "\"placement_decide\"",
+                "\"copy_read\"",
+                "\"copy_write\"",
+                "\"copy_exec\"",
+                "\"ph\":\"s\"",
+                "\"ph\":\"f\"",
+                "\"outcome\":\"completed\"",
+                "sim-reader-0",
+                "sim-copy-0",
+            ] {
+                assert!(json.contains(needle), "missing {needle}");
+            }
+            let v: serde_json::Value = serde_json::from_str(json).unwrap();
+            let events = v["traceEvents"].as_array().unwrap();
+            let copy_tracks: Vec<u64> = events
+                .iter()
+                .filter(|e| e["ph"] == "M" && e["name"] == "thread_name")
+                .filter(|e| e["args"]["name"].as_str().unwrap().starts_with("sim-copy-"))
+                .map(|e| e["tid"].as_u64().unwrap())
+                .collect();
+            let spans = |name: &str| {
+                events
+                    .iter()
+                    .filter(|e| e["ph"] == "X" && e["name"] == name)
+                    .collect::<Vec<_>>()
+            };
+            for decide in spans("placement_decide") {
+                assert!(decide["args"]["policy"].is_string(), "{decide:?}");
+            }
+            // Every copy's run finishes the flow its scheduling started,
+            // on a track no other copy holds while it runs: slices on one
+            // track never overlap.
+            let mut runs: Vec<(u64, u64, u64)> = Vec::new();
+            for exec in spans("copy_exec") {
+                assert!(exec["args"]["flow"].as_u64().unwrap_or(0) > 0, "{exec:?}");
+                let tid = exec["tid"].as_u64().unwrap();
+                assert!(copy_tracks.contains(&tid), "{exec:?}");
+                let ts = exec["ts"].as_u64().unwrap();
+                runs.push((tid, ts, ts + exec["dur"].as_u64().unwrap()));
+            }
+            runs.sort_unstable();
+            for pair in runs.windows(2) {
+                let ((tid, _, end), (next_tid, next_ts, _)) = (pair[0], pair[1]);
+                assert!(tid != next_tid || end <= next_ts, "overlap: {pair:?}");
+            }
         }
         // The paper-default configuration records nothing.
         let off = run(Setup::Monarch(MonarchSimConfig::paper_default()), 1, 1);

@@ -2,24 +2,25 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use monarch_core::config::TelemetryConfig;
 use monarch_core::driver::MemDriver;
 use monarch_core::hash::{FxHashMap, FxHashSet};
 use monarch_core::health::{ErrorClass, Gate};
 use monarch_core::hierarchy::{StorageHierarchy, TierId};
-use monarch_core::lifecycle::{Lifecycle, ReadTrace, Served, ServedRead, Unplaced};
+use monarch_core::lifecycle::{
+    CopyFlow, CopyRun, Lifecycle, Queued, ReadTrace, Served, ServedRead, Unplaced,
+};
 use monarch_core::metadata::{FileId, PlacementState};
 use monarch_core::observe::{LedgerBuckets, LedgerSnapshot, ObserveReport};
 use monarch_core::policy::{FeatureSource, PolicyEngine};
 use monarch_core::pool::Lane;
 use monarch_core::stats::Stats;
 use monarch_core::telemetry::{
-    EventKind, PipelineSample, PrefetchSample, TelemetryRegistry, TelemetrySnapshot,
-    ThroughputSampler, TransitionCause,
+    PipelineSample, PrefetchSample, TelemetryRegistry, TelemetrySnapshot, ThroughputSampler,
+    TransitionCause,
 };
-use monarch_core::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
+use monarch_core::trace::QUEUE_TRACK;
 use monarch_core::{
     Error, LaneQueues, PrefetchConfig, PrefetchWindow, ReadFeedback, StorageDriver,
 };
@@ -75,11 +76,13 @@ struct SimRead {
     plan: ReadFeedback,
 }
 
-/// Synthetic trace track for the pre-stage scheduler (no reader owns it).
-const SIM_PRESTAGE_TRACK: u64 = 99;
+/// Synthetic trace track of the copies no reader schedules: pre-staging
+/// and the plan's prefetch.
+const SIM_PLANNER_TRACK: u64 = 99;
 /// First synthetic trace track for readers (`100 + reader index`).
 const SIM_READER_TRACK0: u64 = 100;
-/// First synthetic trace track for copy workers (`200 + worker index`).
+/// First synthetic trace track for copies in flight (`200 + k`), each
+/// held by one copy from its dispatch until it settles.
 const SIM_COPY_TRACK0: u64 = 200;
 
 /// Why a transfer was issued.
@@ -144,8 +147,8 @@ struct MonarchSim {
     book: Lifecycle,
     /// Tier id → device index.
     tier_dev: Vec<usize>,
-    /// Shard ids awaiting a copy worker, on the same two-lane discipline
-    /// the real engine uses: the demand lane always drains first, a
+    /// Shard ids awaiting a copy worker, on the same lane discipline the
+    /// real engine uses: the demand lane always drains first, a
     /// foreground read of a queued prefetch entry promotes it instead of
     /// duplicating the copy, and a plan boundary bulk-cancels the
     /// prefetch lane.
@@ -156,10 +159,11 @@ struct MonarchSim {
     /// The engine's window over this epoch's access plan (shard names in
     /// foreground read order), walked through the engine's booking calls.
     window: Option<PrefetchWindow>,
-    /// The lane each scheduled copy was queued on, from its scheduling
-    /// until it settles (the engine's `Lease::lane`): its `copy_completed`
-    /// cause, and whether a reader may park on its staging.
-    copy_lane: FxHashMap<usize, Lane>,
+    /// Each scheduled copy, by shard, until it settles.
+    copies: FxHashMap<usize, SimCopy>,
+    /// Copy tracks no copy in flight holds, and how many there are.
+    free_tracks: Vec<u64>,
+    tracks: u64,
     /// Readers parked on a planned shard whose staged copy is in flight:
     /// the clairvoyant contract serves such reads from the copy when it
     /// lands rather than double-reading the shard from the PFS.
@@ -182,35 +186,88 @@ struct MonarchSim {
     /// a worker slot frees at fetch completion; this bound keeps the
     /// write stage from running arbitrarily far ahead of the SSD.
     pending_copy_writes: usize,
-    /// Destination tier of an in-flight copy, per shard.
-    copy_target: FxHashMap<usize, usize>,
     full_fetch: bool,
     /// Placement option (i): stage everything before the first epoch.
     prestage: bool,
     /// Chunk-cache mode (full_fetch = false): bytes written per shard.
     chunk_written: FxHashMap<usize, u64>,
-    /// Virtual enqueue instant per queued shard (queue-wait histogram).
-    copy_enqueued: FxHashMap<usize, SimTime>,
-    /// Virtual dispatch instant per in-flight copy (duration histogram).
-    copy_started: FxHashMap<usize, SimTime>,
-    /// Flow id per scheduled-but-not-dispatched copy (tracing runs only).
-    copy_flow: FxHashMap<usize, u64>,
-    /// Shards whose scheduled copy still awaits a traced PFS-served chunk
-    /// read to carry the flow start (`ph:"s"`).
-    flow_start_pending: FxHashMap<usize, u64>,
-    /// Trace identity of each dispatched copy (tracing runs only).
-    copy_trace: FxHashMap<usize, CopyTrace>,
 }
 
-/// Virtual-time trace identity of one dispatched placement copy: the
-/// flow linking it back to the read that scheduled it, the pre-allocated
-/// `copy_exec` span id its children parent to, the synthetic worker
-/// track, and the fetch→write stage boundary.
-struct CopyTrace {
-    flow: u64,
-    exec_id: u64,
-    tid: u64,
-    write_started: SimTime,
+/// A scheduled copy of one shard, from [`Lifecycle::scheduled`] until it
+/// settles: what the engine's lease and job hold. Its lane is its
+/// `copy_completed` cause, and whether a reader may park on its staging.
+struct SimCopy {
+    lane: Lane,
+    /// What its scheduling booked, until a worker takes it; its run after.
+    queued: Option<Queued>,
+    run: Option<CopyRun>,
+    /// Its destination tier, once room is made.
+    target: Option<TierId>,
+    /// When its current install stage began (virtual microseconds).
+    stage_at: u64,
+    /// The flow a traced PFS-served read of the shard has yet to start,
+    /// as the real read path's `driver_pread` does (`0`: none).
+    flow_start: u64,
+}
+
+impl MonarchSim {
+    /// Schedule `shard`'s copy on `lane` through the engine's booking call,
+    /// and record it. A traced copy a `reader` scheduled is drawn on its
+    /// track, and the flow starts at the reader's first traced PFS read;
+    /// one the planner scheduled (pre-staging, prefetch) starts its flow
+    /// itself, as no read will. Returns the flow (`0`: untraced).
+    fn schedule(
+        &mut self,
+        at: u64,
+        shard: usize,
+        name: &str,
+        bytes: u64,
+        lane: Lane,
+        reader: Option<usize>,
+    ) -> Option<u64> {
+        let tr = self.book.telemetry().trace();
+        let flow = CopyFlow {
+            id: if tr.is_enabled() { tr.next_id() } else { 0 },
+            parent: 0,
+            track: reader.map_or(SIM_PLANNER_TRACK, |r| SIM_READER_TRACK0 + r as u64),
+            starts: reader.is_none(),
+        };
+        let queued = self.book.scheduled(at, name, bytes, lane, flow)?;
+        let copy = SimCopy {
+            lane,
+            queued: Some(queued),
+            run: None,
+            target: None,
+            stage_at: at,
+            flow_start: if flow.starts { 0 } else { flow.id },
+        };
+        self.copies.insert(shard, copy);
+        Some(flow.id)
+    }
+
+    /// A copy track no copy in flight holds (`0` when untraced).
+    fn take_track(&mut self) -> u64 {
+        let tr = self.book.telemetry().trace();
+        if !tr.is_enabled() {
+            return 0;
+        }
+        self.free_tracks.pop().unwrap_or_else(|| {
+            let track = SIM_COPY_TRACK0 + self.tracks;
+            tr.set_track_name(track, format!("sim-copy-{}", self.tracks));
+            self.tracks += 1;
+            track
+        })
+    }
+
+    /// `shard`'s copy settles: forget it, and free its track.
+    fn settled(&mut self, shard: usize) -> SimCopy {
+        let copy = self.copies.remove(&shard).expect("copy recorded");
+        let track = copy.run.as_ref().map_or(0, |run| run.track);
+        if track != 0 {
+            self.free_tracks.push(track);
+        }
+        copy
+    }
 }
 
 /// Discrete-event trainer for one `(setup, dataset, model)` combination.
@@ -336,16 +393,6 @@ fn vmicros(t: SimTime) -> u64 {
     (t.as_secs_f64() * 1e6) as u64
 }
 
-/// A `copy` span on track `tid` over the virtual interval `[from, to]`.
-fn copy_span(name: &'static str, tid: u64, from: SimTime, to: SimTime) -> SpanRecord {
-    SpanRecord::new(name, "copy", tid, vmicros(from), vmicros(to - from))
-}
-
-/// Virtual duration in nanoseconds (histogram resolution).
-fn vnanos(d: SimTime) -> u64 {
-    (d.as_secs_f64() * 1e9) as u64
-}
-
 impl World {
     fn build(t: &SimTrainer) -> Self {
         let rng = SimRng::new(t.pipeline.seed ^ 0x4d4f_4e41);
@@ -433,12 +480,9 @@ impl World {
                 let tr = telemetry.trace();
                 if tr.is_enabled() {
                     tr.set_track_name(QUEUE_TRACK, "copy-queue");
-                    tr.set_track_name(SIM_PRESTAGE_TRACK, "sim-prestage");
+                    tr.set_track_name(SIM_PLANNER_TRACK, "sim-planner");
                     for r in 0..t.pipeline.readers.max(1) {
                         tr.set_track_name(SIM_READER_TRACK0 + r as u64, format!("sim-reader-{r}"));
-                    }
-                    for w in 0..cfg.pool_threads.max(1) {
-                        tr.set_track_name(SIM_COPY_TRACK0 + w as u64, format!("sim-copy-{w}"));
                     }
                 }
                 let hierarchy =
@@ -456,7 +500,9 @@ impl World {
                         max_inflight_bytes: 0,
                     },
                     window: None,
-                    copy_lane: FxHashMap::default(),
+                    copies: FxHashMap::default(),
+                    free_tracks: Vec::new(),
+                    tracks: 0,
                     waiting_readers: FxHashMap::default(),
                     parked: FxHashMap::default(),
                     epoch_ledger: LedgerSnapshot::default(),
@@ -464,15 +510,9 @@ impl World {
                     idle_workers: cfg.pool_threads.max(1),
                     pool_threads: cfg.pool_threads.max(1),
                     pending_copy_writes: 0,
-                    copy_target: FxHashMap::default(),
                     full_fetch: cfg.full_file_fetch,
                     prestage: cfg.prestage,
                     chunk_written: FxHashMap::default(),
-                    copy_enqueued: FxHashMap::default(),
-                    copy_started: FxHashMap::default(),
-                    copy_flow: FxHashMap::default(),
-                    flow_start_pending: FxHashMap::default(),
-                    copy_trace: FxHashMap::default(),
                 };
                 (ModeTag::Monarch, Some(ms), devs)
             }
@@ -806,27 +846,13 @@ impl World {
                 self.prestage_started = now;
                 self.prestaging = true;
                 let ms = self.monarch.as_mut().expect("prestage implies monarch");
-                let tr = Arc::clone(ms.book.telemetry().trace());
                 for i in 0..self.geom.num_shards() {
                     let (name, bytes) = (&self.shard_names[i], self.geom.shards[i].bytes);
-                    if ms.book.scheduled(vmicros(now), name, bytes, Lane::Demand) {
-                        ms.copy_lane.insert(i, Lane::Demand);
+                    if ms
+                        .schedule(vmicros(now), i, name, bytes, Lane::Demand, None)
+                        .is_some()
+                    {
                         ms.lanes.push(Lane::Demand, i);
-                        ms.copy_enqueued.insert(i, now);
-                        if tr.is_enabled() {
-                            // No foreground read exists, so the schedule
-                            // span itself carries the flow start (like the
-                            // real middleware's prestage path).
-                            let flow = tr.next_id();
-                            ms.copy_flow.insert(i, flow);
-                            tr.record(
-                                copy_span(names::COPY_SCHEDULED, SIM_PRESTAGE_TRACK, now, now)
-                                    .with_id(tr.next_id())
-                                    .with_flow(flow, FlowPhase::Start)
-                                    .arg_str("file", name.clone())
-                                    .arg_u64("bytes", bytes),
-                            );
-                        }
                     }
                 }
                 if self.monarch.as_ref().unwrap().lanes.is_empty() {
@@ -903,12 +929,13 @@ impl World {
                 // closes the last plan's books, then opens the window over
                 // this epoch's read order, like the real engine's `plan()`.
                 for shard in ms.lanes.drain_prefetch() {
-                    ms.copy_lane.remove(&shard);
+                    ms.copies.remove(&shard);
                     ms.book.unplaced(
                         vmicros(now),
                         &self.shard_names[shard],
                         None,
                         Unplaced::Canceled(TransitionCause::Plan),
+                        None,
                     );
                 }
                 ms.book.plan_closed(ms.window.take());
@@ -1074,53 +1101,29 @@ impl World {
                     promoted = true;
                 }
                 let bytes = self.geom.shards[shard].bytes;
+                let at = vmicros(now);
+                // The flow start rides on the first traced PFS-served
+                // `driver_pread` of this shard, as on the real read path.
                 if info.state == PlacementState::Unplaced
-                    && ms.book.scheduled(vmicros(now), name, bytes, Lane::Demand)
+                    && ms
+                        .schedule(at, shard, name, bytes, Lane::Demand, Some(r))
+                        .is_some()
                 {
-                    ms.copy_lane.insert(shard, Lane::Demand);
                     if ms.full_fetch {
                         ms.lanes.push(Lane::Demand, shard);
-                        ms.copy_enqueued.insert(shard, now);
-                        let tr = Arc::clone(ms.book.telemetry().trace());
-                        if tr.is_enabled() {
-                            // The flow start rides on the first traced
-                            // PFS-served `driver_pread` of this shard,
-                            // mirroring the real read path.
-                            let flow = tr.next_id();
-                            ms.copy_flow.insert(shard, flow);
-                            ms.flow_start_pending.insert(shard, flow);
-                            tr.record(
-                                copy_span(
-                                    names::COPY_SCHEDULED,
-                                    SIM_READER_TRACK0 + r as u64,
-                                    now,
-                                    now,
-                                )
-                                .with_id(tr.next_id())
-                                .arg_u64("flow", flow)
-                                .arg_str("file", name.clone())
-                                .arg_u64("bytes", bytes),
-                            );
-                        }
                         self.dispatch_copy_workers(now);
                     } else {
                         // Ablation: chunk-granular caching. Reserve quota
                         // once per shard; spill each chunk as it is read.
-                        // The chunk-spill path cannot execute victim
-                        // evictions mid-read, so only an already-reserved
-                        // (evict-free) decision proceeds.
-                        let at = vmicros(now);
-                        match ms.book.policy().place(ms.book.hierarchy(), name, bytes) {
-                            Ok(Some(d))
-                                if d.evict.is_empty()
-                                    && ms.book.make_room(at, name, bytes, &d, |_| Ok(())) =>
-                            {
-                                ms.copy_target.insert(shard, d.tier);
+                        // Nothing runs the copy, so it has no run.
+                        match ms.book.room(|| at, None, name, bytes, |_, _| Ok(())) {
+                            Ok(Some((tier, _))) => {
+                                ms.copies.get_mut(&shard).expect("scheduled").target = Some(tier);
                                 ms.chunk_written.insert(shard, 0);
                             }
                             _ => {
-                                ms.copy_lane.remove(&shard);
-                                ms.book.unplaced(at, name, None, Unplaced::NoRoom);
+                                ms.copies.remove(&shard);
+                                ms.book.unplaced(at, name, None, Unplaced::NoRoom, None);
                             }
                         }
                     }
@@ -1269,10 +1272,10 @@ impl World {
             id: tr.next_id(),
             parent: 0,
             track: SIM_READER_TRACK0 + r as u64,
-            flow: pfs
-                .then(|| ms.flow_start_pending.remove(&shard))
-                .flatten()
-                .unwrap_or(0),
+            flow: match ms.copies.get_mut(&shard) {
+                Some(copy) if pfs => std::mem::take(&mut copy.flow_start),
+                _ => 0,
+            },
         });
         let (t0, t1) = (vmicros(read.issued) * 1_000, vmicros(now) * 1_000);
         ms.book.read_served(&ServedRead {
@@ -1323,13 +1326,10 @@ impl World {
                     }
                     ModeTag::Monarch if dev == self.lustre => {
                         let ms = self.monarch.as_ref().expect("monarch");
-                        if !ms.full_fetch {
-                            ms.copy_target
-                                .get(&shard)
-                                .map(|&tier| (ms.tier_dev[tier], shard))
-                        } else {
-                            None
-                        }
+                        let target = ms.copies.get(&shard).and_then(|c| c.target);
+                        target
+                            .filter(|_| !ms.full_fetch)
+                            .map(|tier| (ms.tier_dev[tier], shard))
                     }
                     _ => None,
                 };
@@ -1363,24 +1363,14 @@ impl World {
                 // the readers now being served from this tier.
                 let share = 1.0;
                 let ms = self.monarch.as_mut().expect("monarch");
-                let tier = *ms.copy_target.get(&shard).expect("copy target recorded");
                 ms.idle_workers += 1;
                 ms.pending_copy_writes += 1;
-                let tr = Arc::clone(ms.book.telemetry().trace());
-                let fetch_started = ms.copy_started.get(&shard).copied().unwrap_or(now);
-                let src_name = ms.book.hierarchy().source().name.clone();
-                if let Some(ct) = ms.copy_trace.get_mut(&shard) {
-                    if tr.is_enabled() {
-                        tr.record(
-                            copy_span(names::COPY_READ, ct.tid, fetch_started, now)
-                                .with_id(tr.next_id())
-                                .with_parent(ct.exec_id)
-                                .arg_str("tier", src_name)
-                                .arg_u64("bytes", bytes),
-                        );
-                    }
-                    ct.write_started = now;
-                }
+                let (at, source) = (vmicros(now), ms.book.hierarchy().source_id());
+                let copy = ms.copies.get_mut(&shard).expect("copy in flight");
+                let tier = copy.target.expect("copy target");
+                let run = copy.run.as_ref().expect("run");
+                ms.book.stage(run, source, bytes, copy.stage_at, at);
+                copy.stage_at = at;
                 let to = ms.tier_dev[tier];
                 let weight = self.devs[to].spec.write_weight;
                 let latency = self.sample_latency(to);
@@ -1422,9 +1412,7 @@ impl World {
                 let size = self.geom.shards[shard].bytes;
                 // Injected fault: the destination device failed (outage /
                 // error roll) or filled (the simulated ENOSPC) before the
-                // write-back drained — the copy aborts, its reservation is
-                // released, and the shard stays retriable so recovery
-                // re-admits it.
+                // write-back drained.
                 let mut write_fault: Option<ErrorClass> = None;
                 if let Some(plan) = self.fault_plan.as_ref() {
                     let t_s = now.as_secs_f64();
@@ -1437,63 +1425,39 @@ impl World {
                     }
                     self.fault_ops += 1;
                 }
-                if let Some(class) = write_fault {
-                    self.fail_copy_write(now, shard, &name, size, class);
-                    return;
-                }
                 let ms = self.monarch.as_mut().expect("monarch");
-                let tier = ms.copy_target.remove(&shard).expect("copy target");
-                // Write-back drained: the copy buffer is gone; later reads
-                // of this shard go through the tier device as normal.
+                let copy = ms.settled(shard);
+                let (run, tier) = (copy.run.expect("run"), copy.target.expect("copy target"));
+                // The copy buffer is gone; later reads of this shard go
+                // through a tier device as normal.
                 ms.buffer_ready.remove(&shard);
                 ms.pending_copy_writes -= 1;
-                ms.book.telemetry().stats().record_write(tier, size);
-                let started = ms.copy_started.remove(&shard);
-                let lane = ms.copy_lane.remove(&shard).expect("copy lane recorded");
-                let took = started.map(|at| Duration::from_nanos(vnanos(now - at)));
-                ms.book
-                    .placed(vmicros(now), &name, size, tier, lane, took)
-                    .expect("finish copy");
-                if let Some(ct) = ms.copy_trace.remove(&shard) {
-                    let tr = Arc::clone(ms.book.telemetry().trace());
-                    if tr.is_enabled() {
-                        let dst = ms
-                            .book
-                            .hierarchy()
-                            .tier(tier)
-                            .map(|t| t.name.clone())
-                            .unwrap_or_default();
-                        tr.record(
-                            copy_span(names::COPY_WRITE, ct.tid, ct.write_started, now)
-                                .with_id(tr.next_id())
-                                .with_parent(ct.exec_id)
-                                .arg_str("tier", dst.clone())
-                                .arg_u64("bytes", size),
-                        );
-                        tr.record(
-                            copy_span(names::METADATA_REGISTER, ct.tid, now, now)
-                                .with_id(tr.next_id())
-                                .with_parent(ct.exec_id)
-                                .arg_str("tier", dst),
-                        );
-                        let t_exec = vmicros(started.unwrap_or(now));
-                        tr.record(
-                            SpanRecord::new(
-                                names::COPY_EXEC,
-                                "copy",
-                                ct.tid,
-                                t_exec,
-                                vmicros(now).saturating_sub(t_exec),
-                            )
-                            .with_id(ct.exec_id)
-                            .with_flow(ct.flow, FlowPhase::Finish)
-                            .arg_str("file", name.clone())
-                            .arg_u64("bytes", size)
-                            .arg_str("outcome", "completed"),
-                        );
-                    }
+                let at = vmicros(now);
+                if let Some(class) = write_fault {
+                    // The device error the real install would have come
+                    // back with: the tier's breaker is fed, and the copy
+                    // un-placed — its reservation released, the shard left
+                    // `Unplaced`, so a post-recovery read re-admits it.
+                    let fault = Error::Io(match class {
+                        ErrorClass::Capacity => std::io::Error::from_raw_os_error(28),
+                        _ => std::io::Error::new(
+                            std::io::ErrorKind::TimedOut,
+                            "target tier failed during write-back",
+                        ),
+                    });
+                    ms.book.tier_settled(|| at, tier, Gate::Open, Err(&fault));
+                    let why = Unplaced::Failed(&fault);
+                    ms.book
+                        .unplaced(at, &name, Some((tier, size)), why, Some(&run));
+                } else {
+                    ms.book.telemetry().stats().record_write(tier, size);
+                    ms.book.stage(&run, tier, size, copy.stage_at, at);
+                    ms.book
+                        .placed(at, &name, size, tier, copy.lane, Some(&run))
+                        .expect("finish copy");
                 }
                 self.dispatch_copy_workers(now);
+                // A failed write still counts toward staging drain.
                 self.maybe_end_prestage(now);
             }
             Purpose::CacheWrite { shard } => {
@@ -1507,13 +1471,12 @@ impl World {
                     if let Some(written) = ms.chunk_written.get_mut(&shard) {
                         *written += bytes;
                         if *written >= total {
-                            let tier = *ms.copy_target.get(&shard).expect("target");
-                            ms.copy_target.remove(&shard);
                             ms.chunk_written.remove(&shard);
+                            let copy = ms.settled(shard);
+                            let tier = copy.target.expect("target");
                             ms.book.telemetry().stats().record_write(tier, total);
-                            let lane = ms.copy_lane.remove(&shard).expect("copy lane recorded");
                             ms.book
-                                .placed(vmicros(now), &name, total, tier, lane, None)
+                                .placed(vmicros(now), &name, total, tier, copy.lane, None)
                                 .expect("finish");
                         }
                     }
@@ -1528,53 +1491,10 @@ impl World {
         }
     }
 
-    /// Abort an in-flight placement write whose destination device failed
-    /// under the fault plan: feed the tier's breaker, then book the copy
-    /// as un-placed — its reservation is released and the shard left
-    /// `Unplaced`, so a post-recovery read re-admits it.
-    fn fail_copy_write(
-        &mut self,
-        now: SimTime,
-        shard: usize,
-        name: &str,
-        size: u64,
-        class: ErrorClass,
-    ) {
-        let t_us = vmicros(now);
-        {
-            let ms = self.monarch.as_mut().expect("monarch");
-            let tier = ms.copy_target.remove(&shard).expect("copy target");
-            ms.buffer_ready.remove(&shard);
-            ms.pending_copy_writes -= 1;
-            ms.copy_started.remove(&shard);
-            ms.copy_trace.remove(&shard);
-            ms.copy_lane.remove(&shard);
-            // The device error the real install would have come back with.
-            let fault = Error::Io(match class {
-                ErrorClass::Capacity => std::io::Error::from_raw_os_error(28),
-                _ => std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "target tier failed during write-back",
-                ),
-            });
-            ms.book.tier_settled(|| t_us, tier, Gate::Open, Err(&fault));
-            ms.book
-                .unplaced(t_us, name, Some((tier, size)), Unplaced::Failed(&fault));
-        }
-        self.dispatch_copy_workers(now);
-        // A failed write still counts toward staging drain.
-        self.maybe_end_prestage(now);
-    }
-
     /// Option (i): training starts once staging fully drains.
     fn maybe_end_prestage(&mut self, now: SimTime) {
         let ms = self.monarch.as_ref().expect("monarch");
-        if self.prestaging
-            && ms.lanes.queued(Lane::Demand) == 0
-            && ms.pending_copy_writes == 0
-            && ms.copy_target.is_empty()
-            && ms.idle_workers == ms.pool_threads
-        {
+        if self.prestaging && ms.copies.is_empty() {
             self.prestaging = false;
             self.prestage_seconds = (now - self.prestage_started).as_secs_f64();
             self.q.schedule(now, Ev::StartEpoch);
@@ -1609,7 +1529,10 @@ impl World {
     fn prefetch_park(&mut self, r: usize, shard: usize, read: SimRead) -> bool {
         let parked = match self.monarch.as_mut() {
             Some(ms)
-                if ms.copy_lane.get(&shard) == Some(&Lane::Prefetch)
+                if ms
+                    .copies
+                    .get(&shard)
+                    .is_some_and(|c| c.lane == Lane::Prefetch)
                     && !ms.buffer_ready.contains(&shard) =>
             {
                 ms.waiting_readers.entry(shard).or_default().push(r);
@@ -1635,7 +1558,10 @@ impl World {
         read: SimRead,
     ) -> bool {
         let ready = self.monarch.as_ref().is_some_and(|ms| {
-            ms.copy_lane.get(&shard) == Some(&Lane::Prefetch) && ms.buffer_ready.contains(&shard)
+            ms.copies
+                .get(&shard)
+                .is_some_and(|c| c.lane == Lane::Prefetch)
+                && ms.buffer_ready.contains(&shard)
         });
         if ready {
             self.serve_from_buffer(now, r, shard, read);
@@ -1676,7 +1602,7 @@ impl World {
     /// or placed (its `begin_copy` CAS fails) resolves at once.
     fn pump_prefetch(&mut self, now: SimTime) {
         let ms = self.monarch.as_mut().expect("monarch");
-        let Some(window) = ms.window.as_mut() else {
+        let Some(mut window) = ms.window.take() else {
             return;
         };
         // Copies that left `Copying` release their share of the window.
@@ -1689,18 +1615,18 @@ impl World {
         let mut scheduled = false;
         while let Some((idx, name, bytes)) = window.next_to_issue() {
             let shard = self.shard_ids[&name];
-            if ms
-                .book
-                .scheduled(vmicros(now), &name, bytes, Lane::Prefetch)
-            {
-                ms.copy_lane.insert(shard, Lane::Prefetch);
-                ms.lanes.push(Lane::Prefetch, shard);
-                ms.copy_enqueued.insert(shard, now);
-                scheduled = true;
-            } else {
-                window.resolve(idx);
+            // As in the engine's pump, the flow starts at the scheduling
+            // span: the read it serves may be far in the future.
+            match ms.schedule(vmicros(now), shard, &name, bytes, Lane::Prefetch, None) {
+                Some(flow) => {
+                    ms.lanes.push(Lane::Prefetch, shard);
+                    window.set_flow(idx, flow);
+                    scheduled = true;
+                }
+                None => window.resolve(idx),
             }
         }
+        ms.window = Some(window);
         if scheduled {
             self.dispatch_copy_workers(now);
         }
@@ -1714,29 +1640,27 @@ impl World {
             if ms.idle_workers == 0 || ms.pending_copy_writes >= 2 * ms.pool_threads {
                 return;
             }
-            let Some((shard, lane)) = ms.lanes.pop() else {
+            let Some((shard, _)) = ms.lanes.pop() else {
                 return;
             };
-            let prefetch_lane = lane == Lane::Prefetch;
             let name = self.shard_names[shard].clone();
             let size = self.geom.shards[shard].bytes;
+            let (at, track) = (vmicros(now), ms.take_track());
+            let copy = ms.copies.get_mut(&shard).expect("queued copy recorded");
+            let queued = copy.queued.take().expect("queued");
+            let run = copy
+                .run
+                .insert(ms.book.started(at, &name, queued, || track, true));
+            copy.stage_at = at;
             // Eviction-capable ablation policies release their victims
             // here; nothing is deleted, the sim's tiers hold no bytes.
-            let decision = ms
-                .book
-                .policy()
-                .place(ms.book.hierarchy(), &name, size)
-                .expect("sim policies are infallible")
-                .filter(|d| ms.book.make_room(vmicros(now), &name, size, d, |_| Ok(())));
-            let Some(decision) = decision else {
-                ms.copy_enqueued.remove(&shard);
-                ms.copy_flow.remove(&shard);
-                ms.flow_start_pending.remove(&shard);
+            let room = ms.book.room(|| at, Some(run), &name, size, |_, _| Ok(()));
+            let Some((tier, _)) = room.expect("sim policies are infallible") else {
+                let copy = ms.settled(shard);
                 ms.book
-                    .unplaced(vmicros(now), &name, None, Unplaced::NoRoom);
+                    .unplaced(at, &name, None, Unplaced::NoRoom, copy.run.as_ref());
                 // A parked reader must not wait on a copy that will never
                 // land: fall back to reading through.
-                ms.copy_lane.remove(&shard);
                 if let Some(stranded) = ms.waiting_readers.remove(&shard) {
                     for &r in &stranded {
                         ms.parked.remove(&r);
@@ -1748,50 +1672,7 @@ impl World {
                 }
                 continue;
             };
-            let queued_at = ms.copy_enqueued.remove(&shard);
-            if let Some(at) = queued_at {
-                let wait = vnanos(now - at);
-                if prefetch_lane {
-                    ms.book.telemetry().queue_wait_prefetch().record(wait);
-                } else {
-                    ms.book.telemetry().queue_wait().record(wait);
-                }
-            }
-            ms.copy_started.insert(shard, now);
-            ms.book
-                .telemetry()
-                .event_at(vmicros(now), EventKind::CopyStarted { file: name.clone() });
-            let tr = Arc::clone(ms.book.telemetry().trace());
-            if tr.is_enabled() {
-                if let Some(flow) = ms.copy_flow.remove(&shard) {
-                    let exec_id = tr.next_id();
-                    let tid = SIM_COPY_TRACK0 + (shard % ms.pool_threads) as u64;
-                    if let Some(at) = queued_at {
-                        tr.record(
-                            copy_span(names::QUEUE_WAIT, QUEUE_TRACK, at, now)
-                                .with_id(tr.next_id())
-                                .arg_str("file", name.clone()),
-                        );
-                    }
-                    let mut pd = copy_span(names::PLACEMENT_DECIDE, tid, now, now)
-                        .with_id(tr.next_id())
-                        .with_parent(exec_id);
-                    for (key, value) in decision.trace_args(ms.book.hierarchy()) {
-                        pd.args.push((key, value));
-                    }
-                    tr.record(pd);
-                    ms.copy_trace.insert(
-                        shard,
-                        CopyTrace {
-                            flow,
-                            exec_id,
-                            tid,
-                            write_started: SimTime::ZERO,
-                        },
-                    );
-                }
-            }
-            ms.copy_target.insert(shard, decision.tier);
+            copy.target = Some(tier);
             ms.idle_workers -= 1;
             let latency = self.sample_latency(self.lustre);
             let lustre = self.lustre;
@@ -1851,6 +1732,7 @@ impl World {
 mod tests {
     use std::collections::BTreeSet;
 
+    use monarch_core::telemetry::EventKind;
     use monarch_core::{MonarchBuilder, PrefetchConfig};
 
     use super::*;

@@ -143,7 +143,7 @@ impl AdmissionKind {
 /// Defaults keep everything on — recording is relaxed-atomic and the
 /// journal append is `O(1)`; what they cost a warm read is
 /// `telemetry.on_minus_off_ns` in `BENCHMARK.json`.
-/// Setting `enabled: false` skips driver wrapping and pool stamping
+/// Setting `enabled: false` skips driver wrapping and copy-run timing
 /// entirely for a zero-overhead baseline. The rings and the profiler are
 /// bounded by constants (4096 journal events, 65536 spans, 65536 profiled
 /// files, 4096 residency transitions); a config that still names one of

@@ -1,11 +1,14 @@
 //! A copy's lifecycle, and its tiers' health, booked once.
 //!
 //! A file's copy onto a local tier goes through five transitions —
-//! [`scheduled`](Lifecycle::scheduled), [room made](Lifecycle::make_room),
+//! [`scheduled`](Lifecycle::scheduled), [room made](Lifecycle::room),
 //! [`placed`](Lifecycle::placed), [`unplaced`](Lifecycle::unplaced),
 //! [`evicted`](Lifecycle::evicted) — and each one moves the namespace, the
 //! tier's quota, the counters, the journal, the policy engine's books and
-//! the cluster view together. [`Lifecycle`] is the
+//! the cluster view together. So is what the copy does in between: a
+//! worker [`started`](Lifecycle::started) it, and each
+//! [`stage`](Lifecycle::stage) of its install moved its bytes; `placed` or
+//! `unplaced` closes the [`CopyRun`]. [`Lifecycle`] is the
 //! one place that does so: one function per transition, every step of it
 //! in a fixed order, under a timestamp the caller hands in. So are two
 //! moves beside the copy's: what an operation on a tier did to the tier's
@@ -31,24 +34,57 @@
 
 use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use crate::cluster::ClusterView;
 use crate::health::{device_error_class, ErrorClass, Gate, Transition};
 use crate::hierarchy::{Quota, StorageHierarchy, TierId};
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
 use crate::observe::{ReadClass, ReadTiming};
-use crate::policy::{DecisionPoint, PlacementDecision, PolicyEngine};
+use crate::policy::{DecisionPoint, PolicyEngine};
 use crate::pool::Lane;
 use crate::prefetch::{PrefetchConfig, PrefetchWindow, ReadFeedback, ReadNote};
 use crate::stats::Stats;
 use crate::telemetry::{EventKind, TelemetryRegistry, TransitionCause};
-use crate::trace::{names, FlowPhase, SpanRecord};
+use crate::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
 use crate::{Error, Result};
 
 /// Quota a copy holds on its target tier between
-/// [`Lifecycle::make_room`] and the transition that settles it.
+/// [`Lifecycle::room`] and the transition that settles it.
 pub type Reservation = (TierId, u64);
+
+/// How a copy's scheduling is traced; the default: it is not.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CopyFlow {
+    /// The flow from the copy's scheduling to its run (`0`: untraced).
+    pub id: u64,
+    /// The `copy_scheduled` span's parent (`0`: a root).
+    pub parent: u64,
+    /// The track the `copy_scheduled` span is drawn on.
+    pub track: u64,
+    /// The `copy_scheduled` span starts the flow: no foreground read will.
+    pub starts: bool,
+}
+
+/// A copy [`Lifecycle::scheduled`] queued, until a worker takes it.
+#[derive(Debug, Clone, Copy)]
+pub struct Queued {
+    at: u64,
+    lane: Lane,
+    flow: u64,
+}
+
+/// A copy a worker took ([`Lifecycle::started`]), until
+/// [`Lifecycle::placed`] or [`Lifecycle::unplaced`] closes it: when it
+/// started, its `copy_exec` span id (`0`: untraced), the track its spans
+/// are drawn on and the flow that span finishes.
+#[derive(Debug)]
+pub struct CopyRun {
+    start: u64,
+    exec: u64,
+    /// The track the run's spans are drawn on.
+    pub track: u64,
+    flow: u64,
+}
 
 /// Why a file that entered `Copying` leaves it without a placement.
 #[derive(Debug, Clone, Copy)]
@@ -253,22 +289,31 @@ impl Lifecycle {
     }
 
     /// *Scheduled*: win `Unplaced → Copying` for `file` and ask admission
-    /// whether the copy is worth the bandwidth. `false` when no copy may
+    /// whether the copy is worth the bandwidth. `None` when no copy may
     /// be queued: another one holds the file, it is placed already, or
     /// admission refused. A denial is non-terminal — the file is
     /// `Unplaced` again and a later miss re-asks, so a file can earn
     /// admission as its profile warms. Remote installs skip the gate (the
     /// bytes are already fetched); a prefetch copy is pinned against
-    /// eviction until its planned read arrives or it is un-placed.
+    /// eviction until its planned read arrives or it is un-placed. A
+    /// traced copy leaves its `copy_scheduled` (`prefetch_scheduled`) span.
     ///
-    /// After `true` the caller owes the copy exactly one of
-    /// [`Self::placed`] and [`Self::unplaced`].
-    pub fn scheduled(&self, at: u64, file: &str, size: u64, lane: Lane) -> bool {
+    /// After `Some` the caller owes the copy exactly one of
+    /// [`Self::placed`] and [`Self::unplaced`], and hands the [`Queued`]
+    /// copy to [`Self::started`] if a worker takes it.
+    pub fn scheduled(
+        &self,
+        at: u64,
+        file: &str,
+        size: u64,
+        lane: Lane,
+        flow: CopyFlow,
+    ) -> Option<Queued> {
         // The target recorded here is provisional; the policy picks the
         // real destination when the copy is dispatched (paper §III-B: the
         // placement handler runs on a pool thread).
         if !matches!(self.metadata.begin_copy(file, 0), Ok(true)) {
-            return false;
+            return None;
         }
         let point = match lane {
             Lane::Demand => Some(DecisionPoint::DemandAdmit),
@@ -277,8 +322,8 @@ impl Lifecycle {
         };
         if let Some(point) = point {
             if !self.policy.admit(file, size, point) {
-                self.unplaced(at, file, None, Unplaced::Denied(point));
-                return false;
+                self.unplaced(at, file, None, Unplaced::Denied(point), None);
+                return None;
             }
             let reason = match lane {
                 Lane::Prefetch => "plan entry admitted to the prefetch lane",
@@ -288,46 +333,137 @@ impl Lifecycle {
                 .event_at(at, self.verdict(file, point, "admit", reason));
         }
         self.stats().copy_scheduled();
-        let (file, bytes) = (file.to_string(), size);
-        if lane == Lane::Prefetch {
+        let (name, bytes) = (file.to_string(), size);
+        let span = if lane == Lane::Prefetch {
             self.stats().prefetch_scheduled();
-            self.policy.pin(&file);
+            self.policy.pin(file);
             self.telemetry
-                .event_at(at, EventKind::PrefetchScheduled { file, bytes });
+                .event_at(at, EventKind::PrefetchScheduled { file: name, bytes });
+            names::PREFETCH_SCHEDULED
         } else {
             self.telemetry
-                .event_at(at, EventKind::CopyScheduled { file, bytes });
+                .event_at(at, EventKind::CopyScheduled { file: name, bytes });
+            names::COPY_SCHEDULED
+        };
+        if flow.id != 0 {
+            let tr = self.telemetry.trace();
+            let span = SpanRecord::new(span, "copy", flow.track, at, 0)
+                .with_id(tr.next_id())
+                .with_parent(flow.parent)
+                .arg_str("file", file)
+                .arg_u64("bytes", size);
+            // `with_flow` makes the exporter emit the `flow` arg itself, so
+            // only the non-starting variant adds it explicitly.
+            tr.record(if flow.starts {
+                span.with_flow(flow.id, FlowPhase::Start)
+            } else {
+                span.arg_u64("flow", flow.id)
+            });
         }
-        true
+        Some(Queued {
+            at,
+            lane,
+            flow: flow.id,
+        })
     }
 
-    /// *Room made*: carry out `decision` for the copy of `size` bytes of
-    /// `file` — evict its victims, `remove` deleting each one's local copy,
-    /// then reserve the bytes on its tier. Returns whether they are
-    /// reserved (a decision without victims was reserved by the policy
-    /// when it was made); from then on they are the copy's
-    /// [`Reservation`], and the decision is journalled with the tier's
-    /// occupancy. A victim somebody else is moving, or whose delete
-    /// failed, is passed over: the reservation decides.
-    pub fn make_room(
+    /// *Started*: a worker took the `queued` copy of `file`. Its wait is
+    /// booked into the queue-wait histogram of the lane it was scheduled
+    /// on. A copy that `runs` journals `copy_started`, and a traced one
+    /// leaves its `queue_wait` span and opens its `copy_exec` span on the
+    /// `track` it asks for; one that does not (the instance is shutting
+    /// down, or its deadline passed) books the wait alone, and is un-placed
+    /// next. The run is closed by [`Self::placed`] or [`Self::unplaced`].
+    pub fn started(
         &self,
         at: u64,
         file: &str,
+        queued: Queued,
+        track: impl FnOnce() -> u64,
+        runs: bool,
+    ) -> CopyRun {
+        let wait = at.saturating_sub(queued.at);
+        if self.telemetry.is_enabled() {
+            let hist = match queued.lane {
+                Lane::Demand => self.telemetry.queue_wait(),
+                Lane::Remote => self.telemetry.queue_wait_remote(),
+                Lane::Prefetch => self.telemetry.queue_wait_prefetch(),
+            };
+            hist.record(wait * 1_000);
+        }
+        let traced = runs && queued.flow != 0;
+        let tr = self.telemetry.trace();
+        if runs {
+            let file = file.to_string();
+            self.telemetry.event_at(at, EventKind::CopyStarted { file });
+        }
+        if traced {
+            // The wait belongs to neither the scheduling nor the executing
+            // thread: it is drawn on a track of its own.
+            tr.record(
+                SpanRecord::new(names::QUEUE_WAIT, "copy", QUEUE_TRACK, queued.at, wait)
+                    .with_id(tr.next_id())
+                    .arg_str("file", file),
+            );
+        }
+        CopyRun {
+            start: at,
+            exec: if traced { tr.next_id() } else { 0 },
+            track: if traced { track() } else { 0 },
+            flow: queued.flow,
+        }
+    }
+
+    /// A span of the traced `run`, under its `copy_exec`.
+    fn run_span(&self, run: &CopyRun, name: &'static str, from: u64, to: u64) -> SpanRecord {
+        SpanRecord::new(name, "copy", run.track, from, to.saturating_sub(from))
+            .with_id(self.telemetry.trace().next_id())
+            .with_parent(run.exec)
+    }
+
+    /// *Room*: ask the policy where the copy of `size` bytes of `file`
+    /// goes, and make room there: evict the decision's victims, `remove`
+    /// deleting each one's copy on the tier it is given, then reserve the
+    /// bytes on that tier (a decision without victims was reserved by the
+    /// policy when it was made); once reserved, the decision is journalled
+    /// with the tier's occupancy. A victim somebody else is moving, or
+    /// whose delete failed, is passed over: the reservation decides.
+    /// Returns the copy's [`Reservation`], or `None` when no tier took it
+    /// (the caller un-places it [`NoRoom`](Unplaced::NoRoom)). `at` is read
+    /// before and after the decision, which a traced `run` leaves as its
+    /// `placement_decide` span.
+    pub fn room(
+        &self,
+        at: impl Fn() -> u64,
+        run: Option<&CopyRun>,
+        file: &str,
         size: u64,
-        decision: &PlacementDecision,
-        mut remove: impl FnMut(&str) -> Result<()>,
-    ) -> bool {
-        let Some(quota) = self.quota(decision.tier) else {
-            return false;
+        mut remove: impl FnMut(TierId, &str) -> Result<()>,
+    ) -> Result<Option<Reservation>> {
+        let decided = at();
+        let decision = self.policy.place(&self.hierarchy, file, size)?;
+        let at = at();
+        if let Some(run) = run.filter(|r| r.exec != 0) {
+            let mut span = self
+                .run_span(run, names::PLACEMENT_DECIDE, decided, at)
+                .arg_str("policy", self.policy.name());
+            match &decision {
+                Some(d) => span.args.extend(d.trace_args(&self.hierarchy)),
+                None => span = span.arg_str("tier", "none"),
+            }
+            self.telemetry.trace().record(span);
+        }
+        let Some((quota, decision)) = decision.and_then(|d| Some((self.quota(d.tier)?, d))) else {
+            return Ok(None);
         };
         if !decision.evict.is_empty() {
             for victim in &decision.evict {
                 let _ = self.evicted(at, victim, decision.tier, Evict::MakeRoom, || {
-                    remove(victim)
+                    remove(decision.tier, victim)
                 });
             }
             if !quota.try_reserve(size) {
-                return false;
+                return Ok(None);
             }
         }
         self.telemetry.event_at(
@@ -339,7 +475,45 @@ impl Lifecycle {
                 capacity: quota.capacity(),
             },
         );
-        true
+        Ok(Some((decision.tier, size)))
+    }
+
+    /// *Stage*: one half of the `run`'s install moved `bytes` through
+    /// `tier` between `from` and `to`: the fetch from the source, or the
+    /// write to the copy's tier. A traced run leaves its `copy_read` or
+    /// `copy_write` span.
+    pub fn stage(&self, run: &CopyRun, tier: TierId, bytes: u64, from: u64, to: u64) {
+        if run.exec == 0 {
+            return;
+        }
+        let name = if tier == self.hierarchy.source_id() {
+            names::COPY_READ
+        } else {
+            names::COPY_WRITE
+        };
+        let tier = self.hierarchy.tier(tier).map_or("", |t| t.name.as_str());
+        let span = self.run_span(run, name, from, to).arg_str("tier", tier);
+        self.telemetry.trace().record(span.arg_u64("bytes", bytes));
+    }
+
+    /// Close `run` at `at`, with `outcome`: its time on the worker, and the
+    /// traced run's `copy_exec` span, which finishes its flow.
+    fn closed(&self, at: u64, file: &str, run: &CopyRun, outcome: &str) {
+        let took = at.saturating_sub(run.start);
+        if self.telemetry.is_enabled() {
+            self.telemetry.pool_exec().record(took * 1_000);
+        }
+        if run.exec != 0 {
+            let bytes = self.metadata.get(file).map_or(0, |info| info.size);
+            self.telemetry.trace().record(
+                SpanRecord::new(names::COPY_EXEC, "copy", run.track, run.start, took)
+                    .with_id(run.exec)
+                    .with_flow(run.flow, FlowPhase::Finish)
+                    .arg_str("file", file)
+                    .arg_u64("bytes", bytes)
+                    .arg_str("outcome", outcome),
+            );
+        }
     }
 
     /// *Evicted*: move `victim`, resident on `tier`, back to the source
@@ -393,10 +567,11 @@ impl Lifecycle {
         removed.map(|()| true)
     }
 
-    /// *Placed*: the copy of `file` is installed on `tier`, `took` after
-    /// it was dispatched (when that is known), and its reservation has
-    /// become the file's bytes there. A prefetch-lane copy's placement is
-    /// the instant its file counts as prefetched: the profiler compares
+    /// *Placed*: the copy of `file` is installed on `tier`, and its
+    /// reservation has become the file's bytes there. Its `run`, when a
+    /// worker ran it, is closed: timed as the copy's duration, and traced
+    /// with its `metadata_register` span. A prefetch-lane copy's placement
+    /// is the instant its file counts as prefetched: the profiler compares
     /// later reads against it.
     pub fn placed(
         &self,
@@ -405,13 +580,24 @@ impl Lifecycle {
         size: u64,
         tier: TierId,
         lane: Lane,
-        took: Option<Duration>,
+        run: Option<&CopyRun>,
     ) -> Result<()> {
         self.metadata.finish_copy(file, tier)?;
         self.policy.on_placed(file, size, tier);
         self.stats().copy_completed();
-        if let (Some(took), true) = (took, self.telemetry.is_enabled()) {
-            self.telemetry.copy_duration().record_duration(took);
+        let took = run.map(|run| at.saturating_sub(run.start));
+        if let Some(run) = run {
+            if self.telemetry.is_enabled() {
+                self.telemetry
+                    .copy_duration()
+                    .record(took.unwrap_or(0) * 1_000);
+            }
+            if run.exec != 0 {
+                let span = self.run_span(run, names::METADATA_REGISTER, at, at);
+                let name = self.hierarchy.tier(tier).map_or("", |t| t.name.as_str());
+                self.telemetry.trace().record(span.arg_str("tier", name));
+            }
+            self.closed(at, file, run, "completed");
         }
         self.telemetry.event_at(
             at,
@@ -419,7 +605,7 @@ impl Lifecycle {
                 file: file.to_string(),
                 tier,
                 bytes: size,
-                micros: took.map_or(0, |t| u64::try_from(t.as_micros()).unwrap_or(u64::MAX)),
+                micros: took.unwrap_or(0),
                 cause: match lane {
                     // Remote installs are demand driven: a foreground read
                     // triggered the peer fetch, only the install ran later.
@@ -450,7 +636,23 @@ impl Lifecycle {
     /// A failure while a tier is quarantined (this copy's failure may be
     /// what tripped it) is a *requeue*, not a failure: the next attempt is
     /// routed around the sick tier.
-    pub fn unplaced(&self, at: u64, file: &str, reserved: Option<Reservation>, why: Unplaced<'_>) {
+    ///
+    /// The copy's `run`, when a worker took it, is closed first.
+    pub fn unplaced(
+        &self,
+        at: u64,
+        file: &str,
+        reserved: Option<Reservation>,
+        why: Unplaced<'_>,
+        run: Option<&CopyRun>,
+    ) {
+        if let Some(run) = run {
+            let outcome = match why {
+                Unplaced::NoRoom => "skipped",
+                _ => "failed",
+            };
+            self.closed(at, file, run, outcome);
+        }
         let stats = self.stats();
         if let Some((tier, bytes)) = reserved {
             if let Some(quota) = self.quota(tier) {
@@ -783,15 +985,13 @@ mod tests {
 
     /// Copy `f` onto the `ssd` off `lane`, at `at`.
     fn place(book: &Lifecycle, at: u64, lane: Lane) {
-        assert!(book.scheduled(at, "f", 512, lane));
-        let decision = book
-            .policy()
-            .place(book.hierarchy(), "f", 512)
+        let queued = book.scheduled(at, "f", 512, lane, CopyFlow::default());
+        let run = book.started(at, "f", queued.unwrap(), || 0, true);
+        let (tier, _) = book
+            .room(|| at, Some(&run), "f", 512, |_, _| Ok(()))
             .unwrap()
             .unwrap();
-        assert!(book.make_room(at, "f", 512, &decision, |_| Ok(())));
-        book.placed(at, "f", 512, decision.tier, lane, None)
-            .unwrap();
+        book.placed(at, "f", 512, tier, lane, Some(&run)).unwrap();
     }
 
     /// The journal's last `n` events, oldest first.
@@ -909,11 +1109,66 @@ mod tests {
     }
 
     #[test]
+    fn a_run_books_its_wait_by_lane_and_its_time_once() {
+        let book = book();
+        let failed = Error::Io(std::io::Error::other("fetch failed"));
+        // Each copy waits 5 µs on the lane it was scheduled on, then: a
+        // demand copy is placed; a remote install fails; a prefetch copy is
+        // refused by its worker (its deadline passed) and never runs.
+        for (at, lane) in [(10, Lane::Demand), (20, Lane::Remote), (30, Lane::Prefetch)] {
+            let queued = book.scheduled(at, "f", 512, lane, CopyFlow::default());
+            let runs = lane != Lane::Prefetch;
+            let run = book.started(at + 5, "f", queued.unwrap(), || 0, runs);
+            match lane {
+                Lane::Demand => {
+                    let room = book.room(|| at + 5, Some(&run), "f", 512, |_, _| Ok(()));
+                    let (tier, _) = room.unwrap().unwrap();
+                    book.placed(at + 9, "f", 512, tier, lane, Some(&run))
+                        .unwrap();
+                    assert!(book
+                        .evicted(at + 9, "f", 0, Evict::Explicit, || Ok(()))
+                        .unwrap());
+                }
+                Lane::Remote => {
+                    book.unplaced(at + 9, "f", None, Unplaced::Failed(&failed), Some(&run))
+                }
+                Lane::Prefetch => {
+                    let why = Unplaced::Expired { remote: false };
+                    book.unplaced(at + 9, "f", None, why, Some(&run));
+                }
+            }
+        }
+        let t = book.telemetry();
+        for (lane, hist) in [
+            ("demand", t.queue_wait()),
+            ("remote", t.queue_wait_remote()),
+            ("prefetch", t.queue_wait_prefetch()),
+        ] {
+            let waits = hist.snapshot();
+            assert_eq!((waits.count, waits.sum_nanos), (1, 5_000), "{lane}");
+        }
+        // Every run is timed on its worker; only the placed one as a copy.
+        let exec = t.pool_exec().snapshot();
+        assert_eq!((exec.count, exec.sum_nanos), (3, 4_000 + 4_000 + 4_000));
+        let copy = t.copy_duration().snapshot();
+        assert_eq!((copy.count, copy.sum_nanos), (1, 4_000));
+        // The refused copy journals no start.
+        let events = t.journal().events();
+        let started = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::CopyStarted { .. }))
+            .count();
+        assert_eq!(started, 2);
+    }
+
+    #[test]
     fn a_withdrawn_prefetch_journals_who_withdrew_it() {
         for cause in [TransitionCause::Plan, TransitionCause::Drain] {
             let book = book();
-            assert!(book.scheduled(5, "f", 512, Lane::Prefetch));
-            book.unplaced(6, "f", None, Unplaced::Canceled(cause));
+            assert!(book
+                .scheduled(5, "f", 512, Lane::Prefetch, CopyFlow::default())
+                .is_some());
+            book.unplaced(6, "f", None, Unplaced::Canceled(cause), None);
             let canceled = &last(&book, 1)[0];
             assert!(
                 matches!(&canceled.kind, EventKind::PrefetchCanceled { file, cause: c }

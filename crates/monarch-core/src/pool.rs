@@ -1,10 +1,11 @@
-//! Background copy thread pool with two priority lanes.
+//! Background copy thread pool with three priority lanes.
 //!
 //! The paper's prototype used the CTPL C++ thread-pool library; this is an
-//! equivalent built on the shared two-lane queue discipline
+//! equivalent built on the shared three-lane queue discipline
 //! ([`crate::transfer::LaneQueues`]): a fixed set of worker threads
-//! draining a *demand* lane (copies scheduled by a foreground read miss)
-//! before a *prefetch* lane (copies issued ahead of the read cursor by the
+//! draining a *demand* lane (copies scheduled by a foreground read miss),
+//! then a *remote* lane (installs of bytes fetched from a peer), before a
+//! *prefetch* lane (copies issued ahead of the read cursor by the
 //! clairvoyant prefetcher), with graceful shutdown (drain-then-join) and
 //! an in-flight counter so callers can wait for quiescence — used by tests
 //! and by the end-of-epoch barrier in the real trainer.
@@ -21,6 +22,9 @@
 //! one decrement-and-notify, whether the task runs, panics, is refused by a
 //! closed pool, or is canceled out of the prefetch lane. `wait_idle`
 //! correctness depends on this — a leaked increment parks waiters forever.
+//!
+//! The pool keeps no telemetry: what a copy waited and ran is booked by the
+//! copy itself ([`Lifecycle::started`](crate::lifecycle::Lifecycle::started)).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -29,7 +33,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::locks;
-use crate::telemetry::LatencyHistogram;
 use crate::transfer::LaneQueues;
 
 /// A unit of background work.
@@ -50,25 +53,15 @@ pub enum Lane {
     Prefetch,
 }
 
-/// Submission context carried through the queue alongside a task: which
-/// file the task is working on and the trace flow id linking it to the
-/// read that scheduled it: the key used by [`ThreadPool::promote`] and
-/// [`ThreadPool::drain_prefetch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskCtx {
-    /// What the task was doing (the middleware passes the file name).
-    pub label: String,
-    /// Trace flow id (0 when the scheduling read was not sampled).
-    pub flow: u64,
-}
-
-/// What travels through the queue: the closure plus its context.
+/// What travels through the queue: the closure plus its label — what the
+/// task is working on (the engine passes the file name), the key
+/// [`ThreadPool::promote`] looks for.
 struct Job {
-    ctx: Option<TaskCtx>,
+    label: Option<String>,
     run: Task,
 }
 
-/// The two lanes plus the closed flag, under one lock so lane moves
+/// The three lanes plus the closed flag, under one lock so lane moves
 /// (promotion) and shutdown are atomic with respect to workers popping.
 struct Queues {
     lanes: LaneQueues<Job>,
@@ -85,7 +78,7 @@ struct Shared {
     /// Worker threads that could not be joined at shutdown (their thread
     /// panicked outside the per-task catch).
     join_failures: AtomicU64,
-    /// Lane queues; workers sleep on `work_cv` when both are empty.
+    /// Lane queues; workers sleep on `work_cv` when all are empty.
     queues: Mutex<Queues>,
     work_cv: Condvar,
     /// Wakes `wait_idle` when `pending` hits zero.
@@ -119,21 +112,10 @@ impl Shared {
     }
 }
 
-/// Queue-wait and execution-span histograms attached to a pool. Queue
-/// waits are split by lane so prefetch backlog cannot be mistaken for
-/// demand-path latency.
-struct PoolHists {
-    queue_wait_demand: Arc<LatencyHistogram>,
-    queue_wait_remote: Arc<LatencyHistogram>,
-    queue_wait_prefetch: Arc<LatencyHistogram>,
-    exec: Arc<LatencyHistogram>,
-}
-
 /// Fixed-size background worker pool.
 pub struct ThreadPool {
     workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
-    hists: Option<Arc<PoolHists>>,
 }
 
 /// A cloneable, read-only view of a pool's queue accounting, detached from
@@ -172,31 +154,6 @@ impl ThreadPool {
     /// Spawn a pool with `threads` workers (minimum 1).
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        Self::build(threads, None)
-    }
-
-    /// Spawn a pool that stamps every task's queue wait (submit → start)
-    /// into the per-lane histogram and its execution span into `exec`.
-    #[must_use]
-    pub fn with_telemetry(
-        threads: usize,
-        queue_wait_demand: Arc<LatencyHistogram>,
-        queue_wait_remote: Arc<LatencyHistogram>,
-        queue_wait_prefetch: Arc<LatencyHistogram>,
-        exec: Arc<LatencyHistogram>,
-    ) -> Self {
-        Self::build(
-            threads,
-            Some(Arc::new(PoolHists {
-                queue_wait_demand,
-                queue_wait_remote,
-                queue_wait_prefetch,
-                exec,
-            })),
-        )
-    }
-
-    fn build(threads: usize, hists: Option<Arc<PoolHists>>) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared::new(false));
         let workers = (0..threads)
@@ -229,11 +186,7 @@ impl ThreadPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        Self {
-            workers,
-            shared,
-            hists,
-        }
+        Self { workers, shared }
     }
 
     /// Number of worker threads.
@@ -256,27 +209,9 @@ impl ThreadPool {
         self.submit_on(Lane::Demand, None, task)
     }
 
-    /// Submit a task on a specific lane. Returns `false` if the pool is
-    /// shutting down.
-    pub fn submit_on(&self, lane: Lane, ctx: Option<TaskCtx>, task: Task) -> bool {
-        let task: Task = match &self.hists {
-            Some(hists) => {
-                let hists = Arc::clone(hists);
-                let queued_at = Instant::now();
-                Box::new(move || {
-                    let wait = match lane {
-                        Lane::Demand => &hists.queue_wait_demand,
-                        Lane::Remote => &hists.queue_wait_remote,
-                        Lane::Prefetch => &hists.queue_wait_prefetch,
-                    };
-                    wait.record_duration(queued_at.elapsed());
-                    let started_at = Instant::now();
-                    task();
-                    hists.exec.record_duration(started_at.elapsed());
-                })
-            }
-            None => task,
-        };
+    /// Submit a task on a specific lane, under `label` if it has one.
+    /// Returns `false` if the pool is shutting down.
+    pub fn submit_on(&self, lane: Lane, label: Option<String>, task: Task) -> bool {
         self.shared.pending.fetch_add(1, Ordering::AcqRel);
         {
             let mut q = locks::lock(&self.shared.queues);
@@ -289,7 +224,7 @@ impl ThreadPool {
                 self.shared.finish_one();
                 return false;
             }
-            q.lanes.push(lane, Job { ctx, run: task });
+            q.lanes.push(lane, Job { label, run: task });
         }
         self.shared.work_cv.notify_one();
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
@@ -303,27 +238,26 @@ impl ThreadPool {
     /// already started, finished, or never existed.
     pub fn promote(&self, label: &str) -> bool {
         let mut q = locks::lock(&self.shared.queues);
-        q.lanes
-            .promote_where(|j| j.ctx.as_ref().is_some_and(|c| c.label == label))
+        q.lanes.promote_where(|j| j.label.as_deref() == Some(label))
     }
 
     /// Cancel every queued-but-unstarted prefetch-lane job, balancing
-    /// their `pending` increments, and return the contexts of the removed
-    /// jobs so the caller can revert their side effects (e.g. metadata
-    /// `Copying` states). Running jobs are unaffected.
-    pub fn drain_prefetch(&self) -> Vec<TaskCtx> {
+    /// their `pending` increments, and return how many were removed. Each
+    /// is dropped unrun, so whatever it owns reverts its side effects
+    /// (e.g. a copy's metadata `Copying` state). Running jobs are
+    /// unaffected.
+    pub fn drain_prefetch(&self) -> usize {
         let dropped: Vec<Job> = {
             let mut q = locks::lock(&self.shared.queues);
             q.lanes.drain_prefetch()
         };
-        let mut ctxs = Vec::with_capacity(dropped.len());
+        let canceled = dropped.len();
         for job in dropped {
-            if let Some(ctx) = job.ctx {
-                ctxs.push(ctx);
-            }
+            // Dropped unrun: what it owns settles before the count says so.
+            drop(job);
             self.shared.finish_one();
         }
-        ctxs
+        canceled
     }
 
     /// Number of queued (not yet started) jobs on a lane.
@@ -532,7 +466,6 @@ mod tests {
         ThreadPool {
             workers: Vec::new(),
             shared: Arc::new(Shared::new(true)),
-            hists: None,
         }
     }
 
@@ -573,51 +506,11 @@ mod tests {
         pool.submit(Box::new(|| panic!("anonymous")));
         pool.submit_on(
             Lane::Demand,
-            Some(TaskCtx {
-                label: "train-00042.tfrecord".into(),
-                flow: 7,
-            }),
+            Some("train-00042.tfrecord".into()),
             Box::new(|| panic!("copy died")),
         );
         pool.wait_idle();
         assert_eq!(pool.panicked(), 2);
-    }
-
-    #[test]
-    fn telemetry_pool_records_spans_per_lane() {
-        let queue_wait = Arc::new(LatencyHistogram::new());
-        let queue_wait_remote = Arc::new(LatencyHistogram::new());
-        let queue_wait_prefetch = Arc::new(LatencyHistogram::new());
-        let exec = Arc::new(LatencyHistogram::new());
-        let pool = ThreadPool::with_telemetry(
-            2,
-            Arc::clone(&queue_wait),
-            Arc::clone(&queue_wait_remote),
-            Arc::clone(&queue_wait_prefetch),
-            Arc::clone(&exec),
-        );
-        for _ in 0..10 {
-            pool.submit(Box::new(|| {
-                std::thread::sleep(Duration::from_micros(200));
-            }));
-        }
-        for _ in 0..3 {
-            pool.submit_on(Lane::Prefetch, None, Box::new(|| {}));
-        }
-        for _ in 0..2 {
-            pool.submit_on(Lane::Remote, None, Box::new(|| {}));
-        }
-        pool.wait_idle();
-        assert_eq!(queue_wait.count(), 10, "demand lane histogram");
-        assert_eq!(queue_wait_remote.count(), 2, "remote lane histogram");
-        assert_eq!(queue_wait_prefetch.count(), 3, "prefetch lane histogram");
-        assert_eq!(exec.count(), 15);
-        // Execution spans include the 200µs sleep.
-        assert!(
-            exec.quantile(0.5) >= 200_000,
-            "p50 exec = {}",
-            exec.quantile(0.5)
-        );
     }
 
     /// Pin the single worker inside a gate task so queued jobs pile up
@@ -663,12 +556,7 @@ mod tests {
     fn promote_moves_queued_prefetch_into_demand_lane() {
         let (pool, gate) = gated_pool();
         let order = Arc::new(Mutex::new(Vec::new()));
-        let ctx = |label: &str| {
-            Some(TaskCtx {
-                label: label.into(),
-                flow: 0,
-            })
-        };
+        let ctx = |label: &str| Some(label.to_string());
         pool.submit_on(Lane::Prefetch, ctx("a"), push(&order, "a"));
         pool.submit_on(Lane::Prefetch, ctx("b"), push(&order, "b"));
         pool.submit(push(&order, "demand"));
@@ -689,19 +577,12 @@ mod tests {
     fn drain_prefetch_cancels_queued_jobs_and_stays_balanced() {
         let (pool, gate) = gated_pool();
         let order = Arc::new(Mutex::new(Vec::new()));
-        let ctx = |label: &str| {
-            Some(TaskCtx {
-                label: label.into(),
-                flow: 3,
-            })
-        };
+        let ctx = |label: &str| Some(label.to_string());
         pool.submit_on(Lane::Prefetch, ctx("a"), push(&order, "a"));
         pool.submit_on(Lane::Prefetch, ctx("b"), push(&order, "b"));
         pool.submit(push(&order, "demand"));
 
-        let canceled = pool.drain_prefetch();
-        let labels: Vec<&str> = canceled.iter().map(|c| c.label.as_str()).collect();
-        assert_eq!(labels, vec!["a", "b"]);
+        assert_eq!(pool.drain_prefetch(), 2);
         assert_eq!(pool.queued(Lane::Prefetch), 0);
 
         gate.wait();

@@ -3,10 +3,11 @@
 //!
 //! MONARCH's data movement used to be wired directly into the `Monarch`
 //! facade; this module carves it out as [`TransferEngine`], which owns the
-//! two-lane copy [`ThreadPool`], the [`PrefetchWindow`] over the submitted
-//! access plan, the composed [`PolicyEngine`], and all copy-lifecycle
-//! telemetry and trace emission. The read path keeps only lookup → tier-resolve →
-//! `driver.pread` and hands every movement *intent* to the engine:
+//! three-lane copy [`ThreadPool`], the [`PrefetchWindow`] over the submitted
+//! access plan and the composed [`PolicyEngine`], and runs every copy
+//! through the [`Lifecycle`] that books it. The read path keeps only
+//! lookup → tier-resolve → `driver.pread` and hands every movement *intent*
+//! to the engine:
 //!
 //! - [`TransferEngine::demand`] — place a file (pre-staging, or any
 //!   caller without a read of its own), on the lane carried by the
@@ -37,22 +38,22 @@ use std::time::{Duration, Instant};
 use crate::cluster::{Cluster, ClusterView, PeerError};
 use crate::health::{device_error_class, ErrorClass, Gate};
 use crate::hierarchy::TierId;
-use crate::lifecycle::{Evict, Lifecycle, Reservation, Unplaced};
+use crate::lifecycle::{CopyFlow, CopyRun, Evict, Lifecycle, Queued, Reservation, Unplaced};
 use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
 use crate::policy::FeatureSource;
-use crate::pool::{Lane, PoolProbe, TaskCtx, ThreadPool};
+use crate::pool::{Lane, PoolProbe, ThreadPool};
 use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow, ReadFeedback};
 use crate::staging::{Staged, Staging};
 use crate::telemetry::{
     EventKind, PipelineSample, PrefetchSample, TelemetryRegistry, TelemetrySnapshot,
     TransitionCause,
 };
-use crate::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
+use crate::trace::{names, SpanRecord};
 use crate::{Error, Result};
 
 // ---------------------------------------------------------------------------
-// LaneQueues — the shared two-lane queue discipline
+// LaneQueues — the shared three-lane queue discipline
 // ---------------------------------------------------------------------------
 
 /// Three priority lanes, generic over what queues on them.
@@ -163,19 +164,12 @@ impl<T> LaneQueues<T> {
 
 /// Request-scoped context a caller threads into [`TransferEngine::demand`]:
 /// trace linkage, the lane to queue on, and an optional freshness deadline.
-/// Replaces the `(trace_parent, flow, start_flow)` argument tuples the
-/// middleware used to pass around.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadCtx {
-    /// Span id of the operation that triggered the copy (`0` = unsampled).
-    pub parent: u64,
-    /// Trace flow id linking the trigger to the background `copy_exec`
-    /// (`0` = unsampled).
-    pub flow: u64,
-    /// Put the flow's start endpoint on the `copy_scheduled` span itself —
-    /// used when no foreground `driver_pread` exists to carry it
-    /// (pre-staging, prefetch).
-    pub start_flow: bool,
+    /// How the copy's scheduling is traced: the span that triggered it and
+    /// the flow to its background `copy_exec` (the track is the scheduling
+    /// thread's).
+    pub flow: CopyFlow,
     /// Pool lane to queue the copy on.
     pub lane: Lane,
     /// Drop the copy (reverting its metadata) if a worker has not started
@@ -194,35 +188,34 @@ impl ReadCtx {
     #[must_use]
     pub fn untraced() -> Self {
         Self {
-            parent: 0,
-            flow: 0,
-            start_flow: false,
+            flow: CopyFlow::default(),
             lane: Lane::Demand,
             deadline: None,
         }
     }
 
-    /// Sampled request: the flow starts at the caller's foreground
-    /// `driver_pread` span and finishes at the background `copy_exec`.
+    /// Sampled request under span `parent`: the flow starts at the
+    /// caller's foreground `driver_pread` span and finishes at the
+    /// background `copy_exec`.
     #[must_use]
     pub fn traced(parent: u64, flow: u64) -> Self {
         Self {
-            parent,
-            flow,
+            flow: CopyFlow {
+                id: flow,
+                parent,
+                ..CopyFlow::default()
+            },
             ..Self::untraced()
         }
     }
 
-    /// Sampled request with no foreground read (pre-staging): the flow
-    /// starts at the `copy_scheduled` span itself.
+    /// Sampled request with no foreground read (pre-staging, prefetch):
+    /// the flow starts at the `copy_scheduled` span itself.
     #[must_use]
     pub fn staged(parent: u64, flow: u64) -> Self {
-        Self {
-            parent,
-            flow,
-            start_flow: true,
-            ..Self::untraced()
-        }
+        let mut ctx = Self::traced(parent, flow);
+        ctx.flow.starts = true;
+        ctx
     }
 
     /// Queue on `lane` instead of the default demand lane.
@@ -264,7 +257,7 @@ struct PrefetchState {
 
 /// The movement engine: every inter-tier copy — demand placement,
 /// pre-staging, clairvoyant prefetch — and every eviction goes through
-/// here. Owns the two-lane pool and the plan window; what becomes of a copy
+/// here. Owns the three-lane pool and the plan window; what becomes of a copy
 /// is booked by the instance's [`Lifecycle`], which it shares with the read
 /// path's view of the same parts.
 pub struct TransferEngine {
@@ -309,22 +302,22 @@ struct Lease {
 }
 
 impl Lease {
-    fn placed(&self, tier: TierId, took: Duration) -> Result<()> {
+    fn placed(&self, tier: TierId, run: &CopyRun) -> Result<()> {
         let at = self.book.telemetry().now_micros();
         let size = self.staging.size();
         self.book
-            .placed(at, &self.file, size, tier, self.lane, Some(took))?;
+            .placed(at, &self.file, size, tier, self.lane, Some(run))?;
         // The reservation has become the file's bytes on `tier`.
         self.reserved.set(None);
         self.settled.set(true);
         Ok(())
     }
 
-    fn unplaced(&self, why: Unplaced<'_>) {
+    fn unplaced(&self, why: Unplaced<'_>, run: Option<&CopyRun>) {
         self.settled.set(true);
         let at = self.book.telemetry().now_micros();
         self.book
-            .unplaced(at, &self.file, self.reserved.take(), why);
+            .unplaced(at, &self.file, self.reserved.take(), why, run);
     }
 }
 
@@ -345,7 +338,7 @@ impl Drop for Lease {
             return;
         }
         let draining = self.shutting_down.load(Ordering::Acquire);
-        self.unplaced(if std::thread::panicking() {
+        let why = if std::thread::panicking() {
             Unplaced::Panicked
         } else if self.queued.get() && self.lane == Lane::Prefetch {
             // Speculative work that never left the queue: withdrawn at a
@@ -358,7 +351,8 @@ impl Drop for Lease {
             })
         } else {
             Unplaced::ShutDown
-        });
+        };
+        self.unplaced(why, None);
     }
 }
 
@@ -373,33 +367,20 @@ impl std::fmt::Debug for TransferEngine {
 }
 
 impl TransferEngine {
-    /// Assemble an engine over the instance's books. The pool is built
-    /// with per-lane queue-wait stamping when the registry is enabled. A
-    /// copy task that panics needs no handler here: its [`Lease`] unwinds
-    /// with it and reverts the file, so a later read can retry (same
-    /// degradation as an I/O failure — the file stays on the PFS).
+    /// Assemble an engine over the instance's books. A copy task that
+    /// panics needs no handler here: its [`Lease`] unwinds with it and
+    /// reverts the file, so a later read can retry (same degradation as an
+    /// I/O failure — the file stays on the PFS).
     #[must_use]
     pub fn new(book: Arc<Lifecycle>, pool_threads: usize, prefetch: PrefetchConfig) -> Self {
-        let telemetry = book.telemetry();
-        let pool = if telemetry.is_enabled() {
-            ThreadPool::with_telemetry(
-                pool_threads,
-                Arc::clone(telemetry.queue_wait()),
-                Arc::clone(telemetry.queue_wait_remote()),
-                Arc::clone(telemetry.queue_wait_prefetch()),
-                Arc::clone(telemetry.pool_exec()),
-            )
-        } else {
-            ThreadPool::new(pool_threads)
-        };
         // Reuse-aware admission and the learned scorer read the access
         // profiler through this bridge; rebinding is idempotent.
         book.policy()
-            .bind_features(Arc::clone(telemetry) as Arc<dyn FeatureSource>);
+            .bind_features(Arc::clone(book.telemetry()) as Arc<dyn FeatureSource>);
         Self {
             book,
             shutting_down: Arc::new(AtomicBool::new(false)),
-            pool,
+            pool: ThreadPool::new(pool_threads),
             prefetch: prefetch.enabled().then(|| {
                 Arc::new(PrefetchState {
                     cfg: prefetch,
@@ -470,7 +451,7 @@ impl TransferEngine {
     /// `Unplaced → Copying` race. Returns whether a copy was scheduled.
     ///
     /// The [`ReadCtx`] carries trace linkage (a `copy_scheduled` span is
-    /// recorded under `ctx.parent` when sampled), the lane to queue on,
+    /// recorded under `ctx.flow.parent` when sampled), the lane to queue on,
     /// and an optional start deadline.
     pub fn demand(&self, file: &str, size: u64, ctx: ReadCtx) -> bool {
         self.schedule(file, Arc::new(Staging::empty(size)), ctx)
@@ -526,57 +507,37 @@ impl TransferEngine {
         let telemetry = self.book.telemetry();
         let size = staging.size();
         let at = telemetry.now_micros();
-        let lease = {
+        let mut flow = ctx.flow;
+        if flow.id != 0 {
+            flow.track = telemetry.trace().register_current_thread();
+        }
+        let job = {
             let mut stagings = locks::lock(&self.stagings);
-            if !self.book.scheduled(at, file, size, ctx.lane) {
+            let Some(queued) = self.book.scheduled(at, file, size, ctx.lane, flow) else {
                 return false;
-            }
+            };
             stagings.insert(file.to_string(), Arc::clone(&staging));
-            Lease {
-                book: Arc::clone(&self.book),
-                stagings: Arc::clone(&self.stagings),
-                shutting_down: Arc::clone(&self.shutting_down),
-                file: file.to_string(),
-                staging,
-                lane: ctx.lane,
-                queued: Cell::new(true),
-                reserved: Cell::new(None),
-                settled: Cell::new(false),
+            CopyJob {
+                queued,
+                deadline: ctx.deadline,
+                lease: Lease {
+                    book: Arc::clone(&self.book),
+                    stagings: Arc::clone(&self.stagings),
+                    shutting_down: Arc::clone(&self.shutting_down),
+                    file: file.to_string(),
+                    staging,
+                    lane: ctx.lane,
+                    queued: Cell::new(true),
+                    reserved: Cell::new(None),
+                    settled: Cell::new(false),
+                },
             }
         };
-        if ctx.flow != 0 {
-            let tr = telemetry.trace();
-            let name = match ctx.lane {
-                Lane::Prefetch => names::PREFETCH_SCHEDULED,
-                Lane::Demand | Lane::Remote => names::COPY_SCHEDULED,
-            };
-            let sched = SpanRecord::new(name, "copy", tr.register_current_thread(), at, 0)
-                .with_id(tr.next_id())
-                .with_parent(ctx.parent)
-                .arg_str("file", file)
-                .arg_u64("bytes", size);
-            // `with_flow` makes the exporter emit the `flow` arg itself, so
-            // only the non-starting variant adds it explicitly.
-            tr.record(if ctx.start_flow {
-                sched.with_flow(ctx.flow, FlowPhase::Start)
-            } else {
-                sched.arg_u64("flow", ctx.flow)
-            });
-        }
         // A refusal (the pool is shutting down) drops the job, and its
         // lease books the copy as un-placed.
-        let task_ctx = TaskCtx {
-            label: file.to_string(),
-            flow: ctx.flow,
-        };
-        let job = CopyJob {
-            flow: ctx.flow,
-            queued_us: at,
-            deadline: ctx.deadline,
-            lease,
-        };
+        let label = Some(file.to_string());
         self.pool
-            .submit_on(ctx.lane, Some(task_ctx), Box::new(move || job.run()))
+            .submit_on(ctx.lane, label, Box::new(move || job.run()))
     }
 
     /// Install bytes fetched from a peer node's fast tier: the remote-lane
@@ -856,7 +817,7 @@ impl TransferEngine {
             Some(state) => self.close_window(state),
             // No prefetcher was configured, but purge the lane anyway so
             // the ordering guarantee does not depend on configuration.
-            None => self.pool.drain_prefetch().len(),
+            None => self.pool.drain_prefetch(),
         };
         if canceled > 0 {
             self.book.telemetry().event(EventKind::PrefetchDrained {
@@ -885,7 +846,7 @@ impl TransferEngine {
     /// ([`Lifecycle::plan_closed`]). Returns the number withdrawn.
     fn close_window(&self, state: &PrefetchState) -> usize {
         let mut window = locks::lock(&state.window);
-        let withdrawn = self.pool.drain_prefetch().len();
+        let withdrawn = self.pool.drain_prefetch();
         self.book.plan_closed(window.take());
         withdrawn
     }
@@ -1059,15 +1020,11 @@ impl Sampler {
 // ---------------------------------------------------------------------------
 
 /// A queued copy: its [`Lease`] (the pool outlives `&self` borrows, so the
-/// lease owns `Arc`s of what the copy needs) and the request's trace and
-/// deadline.
+/// lease owns `Arc`s of what the copy needs), what its scheduling booked
+/// and the request's deadline.
 struct CopyJob {
-    /// Flow id linking back to the sampled foreground operation that
-    /// scheduled this copy; 0 when the trigger was not sampled.
-    flow: u64,
-    /// Registry-clock timestamp of the moment the task was enqueued
-    /// (queue-wait span start).
-    queued_us: u64,
+    /// What [`Lifecycle::started`] books its wait and its run from.
+    queued: Queued,
     /// Drop the copy if a worker has not started it by this instant.
     deadline: Option<Instant>,
     /// The file's name, install staging and reservation; dropped with the
@@ -1083,145 +1040,63 @@ struct CopyJob {
 /// read's length short of the file's end (the stride, `staging.rs`).
 pub(crate) const FETCH_CHUNK: u64 = 4 << 20;
 
-/// Per-copy trace context threaded into `try_place` so the chunk-level
-/// spans (`placement_decide` / `copy_read` / `copy_write` /
-/// `metadata_register`) parent under the enclosing `copy_exec`.
-struct CopyTraceCtx {
-    tid: u64,
-    exec_id: u64,
-}
-
-impl CopyTraceCtx {
-    /// The span `name` under the copy's `copy_exec`, from `t0` to now.
-    fn child(&self, telemetry: &TelemetryRegistry, name: &'static str, t0: u64) -> SpanRecord {
-        let dur = telemetry.now_micros() - t0;
-        SpanRecord::new(name, "copy", self.tid, t0, dur)
-            .with_id(telemetry.trace().next_id())
-            .with_parent(self.exec_id)
-    }
-}
-
 impl CopyJob {
     fn run(&self) {
         let lease = &self.lease;
         let book = &*lease.book;
         let telemetry = book.telemetry();
-        let file = lease.file.as_str();
-        let size = lease.staging.size();
         lease.queued.set(false);
-        if lease.shutting_down.load(Ordering::Acquire) {
-            return lease.unplaced(Unplaced::ShutDown);
-        }
-        if self.deadline.is_some_and(|d| Instant::now() > d) {
+        let refused = if lease.shutting_down.load(Ordering::Acquire) {
+            Some(Unplaced::ShutDown)
+        } else if self.deadline.is_some_and(|d| Instant::now() > d) {
             // The request's freshness window closed while the copy sat in
             // the queue: doing the work now would be wasted bandwidth.
             // Same degradation as a failed copy — revert, retry on a later
             // touch.
-            return lease.unplaced(Unplaced::Expired {
+            Some(Unplaced::Expired {
                 remote: lease.lane == Lane::Remote,
-            });
-        }
-        let tr = telemetry.trace();
-        let traced = self.flow != 0 && tr.is_enabled();
-        let exec_t0 = if traced { telemetry.now_micros() } else { 0 };
-        let copy_trace = if traced {
-            // The queue-wait interval spans enqueue → dequeue; it renders on
-            // its own reserved track because it belongs to neither the
-            // scheduling nor the executing thread.
-            tr.record(
-                SpanRecord::new(
-                    names::QUEUE_WAIT,
-                    "copy",
-                    QUEUE_TRACK,
-                    self.queued_us,
-                    exec_t0.saturating_sub(self.queued_us),
-                )
-                .with_id(tr.next_id())
-                .arg_str("file", file),
-            );
-            Some(CopyTraceCtx {
-                tid: tr.register_current_thread(),
-                exec_id: tr.next_id(),
             })
         } else {
             None
         };
-        let started = Instant::now();
-        telemetry.event(EventKind::CopyStarted {
-            file: file.to_string(),
-        });
-        let result = self.try_place(started, copy_trace.as_ref());
-        let (outcome, unplaced) = match &result {
-            Ok(Some(_)) => ("completed", None),
-            Ok(None) => ("skipped", Some(Unplaced::NoRoom)),
-            Err(e) => ("failed", Some(Unplaced::Failed(e))),
-        };
-        if let Some(ct) = &copy_trace {
-            tr.record(
-                SpanRecord::new(
-                    names::COPY_EXEC,
-                    "copy",
-                    ct.tid,
-                    exec_t0,
-                    telemetry.now_micros() - exec_t0,
-                )
-                .with_id(ct.exec_id)
-                .with_flow(self.flow, FlowPhase::Finish)
-                .arg_str("file", file)
-                .arg_u64("bytes", size)
-                .arg_str("outcome", outcome),
-            );
+        let track = || telemetry.trace().register_current_thread();
+        let at = telemetry.now_micros();
+        let run = book.started(at, &lease.file, self.queued, track, refused.is_none());
+        if let Some(why) = refused {
+            return lease.unplaced(why, Some(&run));
         }
-        if let Some(why) = unplaced {
-            lease.unplaced(why);
+        match self.try_place(&run) {
+            Ok(true) => {}
+            Ok(false) => lease.unplaced(Unplaced::NoRoom, Some(&run)),
+            Err(e) => lease.unplaced(Unplaced::Failed(&e), Some(&run)),
         }
     }
 
-    /// Fetch the file into the lease's staging, install it and book the
-    /// placement, `started` being when the worker took the job. Returns
-    /// `Ok(Some(tier))` if the file was placed on `tier`, `Ok(None)` if no
-    /// tier had room, `Err` on I/O failure (nothing half-installed visible
-    /// to readers; the lease releases the reservation when the caller
-    /// books the failure).
-    fn try_place(&self, started: Instant, ct: Option<&CopyTraceCtx>) -> Result<Option<TierId>> {
+    /// Make room for the file, fetch it into the lease's staging, install
+    /// it and book the placement, as `run`. Returns `Ok(true)` if the file
+    /// was placed, `Ok(false)` if no tier had room, `Err` on I/O failure
+    /// (nothing half-installed visible to readers; the lease releases the
+    /// reservation when the caller books the failure).
+    fn try_place(&self, run: &CopyRun) -> Result<bool> {
         let lease = &self.lease;
         let book = &*lease.book;
-        let (hierarchy, policy, telemetry) = (book.hierarchy(), book.policy(), book.telemetry());
+        let (hierarchy, telemetry) = (book.hierarchy(), book.telemetry());
         let stats = book.stats();
         let file = lease.file.as_str();
         let size = lease.staging.size();
-        let tr = telemetry.trace();
-        // A child span's start, when the copy is traced.
-        let stamp = || ct.map_or(0, |_| telemetry.now_micros());
-        let t_decide = stamp();
-        let decision = policy.place(hierarchy, file, size)?;
-        if let Some(ct) = ct {
-            let mut span = ct
-                .child(telemetry, names::PLACEMENT_DECIDE, t_decide)
-                .arg_str("policy", policy.name().to_string());
-            if let Some(d) = &decision {
-                for (key, value) in d.trace_args(hierarchy) {
-                    span.args.push((key, value));
-                }
-            } else {
-                span = span.arg_str("tier", "none");
-            }
-            tr.record(span);
-        }
-        let Some(decision) = decision else {
-            return Ok(None);
-        };
-        let dest = hierarchy.tier(decision.tier)?;
+        let now = || telemetry.now_micros();
         // Evictions (eviction-capable policies only), then the reservation.
-        let at = telemetry.now_micros();
-        if !book.make_room(at, file, size, &decision, |victim| {
-            dest.driver.remove(victim)
-        }) {
-            return Ok(None);
-        }
+        let Some(reserved) = book.room(now, Some(run), file, size, |tier, victim| {
+            hierarchy.tier(tier)?.driver.remove(victim)
+        })?
+        else {
+            return Ok(false);
+        };
         // From here the bytes are the lease's: whichever way the job ends,
         // they are released or become the file's, once.
-        lease.reserved.set(Some((decision.tier, size)));
+        lease.reserved.set(Some(reserved));
+        let tier = reserved.0;
+        let dest = hierarchy.tier(tier)?;
 
         // The install either succeeds or reports *which* tier failed: a
         // failed write is settled against the destination's breaker, a
@@ -1232,7 +1107,7 @@ impl CopyJob {
         let staging = &lease.staging;
         let install = || -> std::result::Result<(), (TierId, Error)> {
             let source = hierarchy.source();
-            let t_read = stamp();
+            let t_read = now();
             let mut fetched = 0u64;
             let mut next = staging.claim_next(FETCH_CHUNK);
             while let Some(claim) = next {
@@ -1243,32 +1118,21 @@ impl CopyJob {
                 fetched += n as u64;
                 next = after;
             }
-            if let (Some(ct), true) = (ct, fetched > 0) {
-                let span = ct.child(telemetry, names::COPY_READ, t_read);
-                tr.record(span.arg_str("tier", &source.name).arg_u64("bytes", fetched));
-            }
             let data = staging
                 .whole()
                 .expect("the staging has no unfetched range left to claim");
             if fetched > 0 {
+                book.stage(run, source.id, fetched, t_read, now());
                 // Whoever was parked on the last fetch issues the next read
                 // of the source; this thread is about to spend a file's
                 // worth of memcpy on the install. When the two share a
                 // core, let the reader go first.
                 std::thread::yield_now();
             }
-            let t_write = stamp();
-            dest.driver
-                .write_full(file, data)
-                .map_err(|e| (decision.tier, e))?;
-            stats.record_write(decision.tier, data.len() as u64);
-            if let Some(ct) = ct {
-                let span = ct.child(telemetry, names::COPY_WRITE, t_write);
-                tr.record(
-                    span.arg_str("tier", &dest.name)
-                        .arg_u64("bytes", data.len() as u64),
-                );
-            }
+            let t_write = now();
+            dest.driver.write_full(file, data).map_err(|e| (tier, e))?;
+            stats.record_write(tier, data.len() as u64);
+            book.stage(run, tier, data.len() as u64, t_write, now());
             Ok(())
         };
         // Copy-path fault handling: transient device errors back off and
@@ -1277,7 +1141,6 @@ impl CopyJob {
         // outside Monarch) evicts one resident file and retries once;
         // anything else fails the copy. Every device error is settled
         // against the tier that produced it.
-        let now = || telemetry.now_micros();
         let retry = hierarchy.health().retry_policy();
         let mut attempts = 0u32;
         let mut evicted_for_space = false;
@@ -1296,9 +1159,9 @@ impl CopyJob {
                     stats.copy_retry();
                     std::thread::sleep(Duration::from_micros(retry.backoff_us(attempts, size)));
                 }
-                ErrorClass::Capacity if !evicted_for_space && err_tier == decision.tier => {
+                ErrorClass::Capacity if !evicted_for_space && err_tier == tier => {
                     evicted_for_space = true;
-                    if !self.evict_for_space(decision.tier) {
+                    if !self.evict_for_space(tier) {
                         break Some(e);
                     }
                     stats.enospc_eviction();
@@ -1308,23 +1171,18 @@ impl CopyJob {
         };
         match failure {
             None => {
-                let t_reg = stamp();
-                lease.placed(decision.tier, started.elapsed())?;
-                book.tier_settled(now, decision.tier, Gate::Open, Ok(()));
-                if let Some(ct) = ct {
-                    let span = ct.child(telemetry, names::METADATA_REGISTER, t_reg);
-                    tr.record(span.arg_str("tier", &dest.name));
-                }
-                Ok(Some(decision.tier))
+                lease.placed(tier, run)?;
+                book.tier_settled(now, tier, Gate::Open, Ok(()));
+                Ok(true)
             }
             Some(e) => {
                 // Best effort: remove a possibly half-written destination
                 // file (the POSIX driver's rename makes this a no-op there).
                 if dest.driver.remove(file).is_ok() {
-                    stats.record_remove(decision.tier);
+                    stats.record_remove(tier);
                     telemetry.event(EventKind::Removed {
                         file: file.to_string(),
-                        tier: decision.tier,
+                        tier,
                     });
                 }
                 Err(e)

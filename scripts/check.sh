@@ -63,8 +63,11 @@ run_size() {
     # the exposition is a pure function of the one document
     # (`TelemetrySnapshot::exposition`; `prometheus_text` deleted) and the
     # gauges are read as the document is assembled (`GaugeRegistry`, its
-    # `Gauge` cells and `Sampler::refresh` deleted).
-    local core_limit=13811
+    # `Gauge` cells and `Sampler::refresh` deleted). 13805 since a copy's
+    # run is booked once (`Lifecycle::{started, room, stage}` and the run
+    # closed by `placed` / `unplaced`; the pool's telemetry, `CopyTraceCtx`
+    # and the hand-built copy spans deleted).
+    local core_limit=13805
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
         sort -z |
@@ -110,6 +113,21 @@ run_size() {
 # `prefetch_wasted`, `unpin`, `note_plan_read`, `clear_pins`, `set_plan` or
 # `.on_read` — a second plan walker cannot come back. Calls are matched
 # across line breaks.
+#
+# A copy's run is booked once too (DESIGN §3.3): its scheduling span, the
+# queue wait a worker found it had, its `copy_started` event, its
+# placement decision, the stages of its install and how it ended — the
+# queue-wait, pool-exec and copy-duration histograms, the `copy_scheduled`
+# / `prefetch_scheduled` / `queue_wait` / `placement_decide` / `copy_read`
+# / `copy_write` / `metadata_register` / `copy_exec` spans — are written by
+# `Lifecycle::{scheduled, started, room, stage, placed, unplaced}`, which
+# the engine's copy job and the simulator's event loop both call. Outside
+# `lifecycle.rs` no non-test code of either builds `EventKind::CopyStarted`
+# (`telemetry/journal.rs`, which defines it, is passed over), names those
+# spans, records into those histograms, or calls the policy's `place(`
+# (`policy/`, which defines it, is passed over) — the pool's stamping and
+# the simulator's mirror cannot come back. Calls are matched across line
+# breaks.
 #
 # The journal is the one transition log (DESIGN §7.2): no non-test code of
 # either, `lifecycle.rs` included, names the residency timeline's types, and
@@ -184,6 +202,31 @@ run_lifecycle() {
     done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
     if [ "$bad" -ne 0 ]; then
         echo "lifecycle gate: walk the plan through Lifecycle::{plan_opened, plan_read, plan_closed} and book the hit in read_served instead" >&2
+        exit 1
+    fi
+    echo "==> lifecycle gate: one booking site per copy's run"
+    while IFS= read -r f; do
+        case "$f" in
+            */lifecycle.rs | *_tests.rs) continue ;;
+        esac
+        if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" | FILE="$f" perl -0777 -ne '
+            my $found = 0;
+            my $journal = $ENV{FILE} =~ m{/telemetry/journal\.rs$};
+            my $policy = $ENV{FILE} =~ m{/policy/};
+            while (/(?<![A-Za-z_])EventKind\s*::\s*CopyStarted\b|names\s*::\s*(?:COPY_SCHEDULED|PREFETCH_SCHEDULED|QUEUE_WAIT|PLACEMENT_DECIDE|COPY_READ|COPY_WRITE|METADATA_REGISTER|COPY_EXEC)\b|SpanRecord\s*::\s*new\s*\(\s*"(?:copy_scheduled|prefetch_scheduled|queue_wait|placement_decide|copy_read|copy_write|metadata_register|copy_exec)"|\b(?:queue_wait\w*|pool_exec|copy_duration)\s*\(\s*\)\s*\.\s*record\w*\s*\(|\.\s*place\s*\(/g) {
+                (my $what = $&) =~ s/\s+//g;
+                next if $journal && $what =~ /^EventKind/;
+                next if $policy && $what eq ".place(";
+                my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+                print "$ENV{FILE}:$line: $what\n";
+                $found = 1;
+            }
+            exit($found ? 0 : 1);'; then
+            bad=1
+        fi
+    done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
+    if [ "$bad" -ne 0 ]; then
+        echo "lifecycle gate: book the copy's run through Lifecycle::{scheduled, started, room, stage, placed, unplaced} instead" >&2
         exit 1
     fi
     echo "==> lifecycle gate: the journal is the one transition log"

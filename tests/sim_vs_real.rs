@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use monarch::core::config::{MonarchConfig, TierConfig};
+use monarch::core::telemetry::TelemetrySnapshot;
 use monarch::core::Monarch;
 use monarch::dlpipe::config::{EnvConfig, MonarchSimConfig, PipelineConfig, Setup};
 use monarch::dlpipe::geometry::{DatasetGeom, ShardGeom};
@@ -194,5 +195,27 @@ fn monarch_placement_outcomes_agree_between_sim_and_real() {
         "sim placement out of range: {sim_placed_bytes} of {quota}"
     );
     assert!(real_placed > 0 && real_skipped > 0);
+
+    // Under either clock, every copy a worker took is booked once: one
+    // queue wait and one run each — placed, skipped, failed or requeued —
+    // and a duration for each placed one.
+    let booked_once = |who: &str, t: &TelemetrySnapshot| {
+        let s = &t.stats;
+        let waits = t.queue_wait.count + t.queue_wait_remote.count + t.queue_wait_prefetch.count;
+        let ran = s.copies_completed + s.placement_skipped + s.copies_failed + s.copy_requeues;
+        assert_eq!(t.pool_exec.count, waits, "{who}: pool_exec vs queue waits");
+        assert_eq!(waits, ran, "{who}: queue waits vs copies that ran");
+        assert_eq!(
+            t.copy_duration.count, s.copies_completed,
+            "{who}: copy durations"
+        );
+    };
+    booked_once("real", &m.telemetry_snapshot());
+    booked_once(
+        "sim",
+        sim.telemetry
+            .as_ref()
+            .expect("monarch runs carry telemetry"),
+    );
     fs::remove_dir_all(&root).unwrap();
 }
