@@ -1,27 +1,30 @@
-//! Model-behaviour gate: regenerate `BENCH_sim_epoch.json` and gate a
-//! fresh run against the committed baseline.
+//! The figure harness and the model-behaviour gate.
 //!
 //! ```text
+//! bench fig <name>|all                    # rewrite results/<name>.json
 //! bench snapshot                          # rewrite BENCH_sim_epoch.json
 //! bench compare --baseline BENCH_sim_epoch.json --tolerance 15%
 //! ```
 //!
-//! `compare` reruns the fixed-seed simulations in-process and exits 1 if
-//! any baseline entry moved beyond the tolerance in its bad direction;
-//! improvements always pass. The runs are virtual-time and deterministic,
-//! so one attempt decides.
+//! `fig` runs entries of [`figures::FIGURES`]. `compare` reruns the
+//! fixed-seed simulations in-process and exits 1 if any baseline entry
+//! moved beyond the tolerance in its bad direction; improvements always
+//! pass. The runs are virtual-time and deterministic, so one attempt
+//! decides.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use monarch_bench::snapshot;
+use monarch_bench::{figures, snapshot};
 
 const USAGE: &str = "usage:
+  bench fig <name>|all
   bench snapshot
   bench compare --baseline BENCH_sim_epoch.json [--tolerance 15%]";
 
 fn fail(msg: &str) -> ExitCode {
-    eprintln!("bench: {msg}\n{USAGE}");
+    let names: Vec<&str> = figures::FIGURES.iter().map(|f| f.name).collect();
+    eprintln!("bench: {msg}\n{USAGE}\nfigures: {}", names.join(" "));
     ExitCode::from(2)
 }
 
@@ -113,6 +116,18 @@ fn main() -> ExitCode {
     }
     let sub = args.remove(0);
     let result = match sub.as_str() {
+        "fig" => {
+            let figs: Vec<&figures::Figure> = match args.as_slice() {
+                [name] if name == "all" => figures::FIGURES.iter().collect(),
+                [name] => figures::FIGURES.iter().filter(|f| f.name == name).collect(),
+                _ => return fail("fig takes one figure name or 'all'"),
+            };
+            if figs.is_empty() {
+                return fail(&format!("unknown figure '{}'", args[0]));
+            }
+            figs.into_iter().for_each(figures::run);
+            return ExitCode::SUCCESS;
+        }
         "snapshot" => run_snapshot(args.into_iter()),
         "compare" => run_compare(args.into_iter()),
         other => return fail(&format!("unknown subcommand '{other}'")),

@@ -10,10 +10,10 @@
 
 use std::path::{Path, PathBuf};
 
-use dlpipe::config::{EnvConfig, MonarchSimConfig, PipelineConfig, Setup};
+use dlpipe::config::{EnvConfig, MonarchSimConfig, Setup};
 use dlpipe::geometry::DatasetGeom;
 use dlpipe::models::ModelProfile;
-use dlpipe::sim::{ClusterConfig, ClusterTrainer, Sharding};
+use dlpipe::sim::Sharding;
 use serde::{Deserialize, Serialize};
 
 /// One normalized measurement inside a [`BenchDoc`].
@@ -81,57 +81,40 @@ fn sim_entry(id: &str, value: f64, unit: &str, higher_is_better: bool) -> BenchE
     }
 }
 
+/// `(name, value, unit, higher_is_better)` rows as the entries
+/// `<group>/<name>`.
+fn group(group: &str, rows: &[(&str, f64, &str, bool)]) -> Vec<BenchEntry> {
+    rows.iter()
+        .map(|&(name, value, unit, up)| sim_entry(&format!("{group}/{name}"), value, unit, up))
+        .collect()
+}
+
 /// Generate the `sim_epoch` snapshot: a fixed-seed miniature MONARCH run
 /// (24 MiB dataset, 2 epochs) reduced to the paper's headline shape —
 /// per-epoch virtual seconds, PFS bytes moved, and the local-tier hit
-/// ratio — plus the `sim_cluster` peer-cache variant
-/// ([`sim_cluster_entries`]). Deterministic, so the tolerance gate
-/// catches behaviour drift.
+/// ratio — plus the `sim_cluster`, `sim_outage` and `sim_policy`
+/// variants. Deterministic, so the tolerance gate catches behaviour
+/// drift.
 #[must_use]
 pub fn sim_epoch_doc() -> BenchDoc {
     let geom = DatasetGeom::miniature("bench", 24_576, 9);
-    let model = ModelProfile::lenet();
-    let r = crate::run_once(
-        &Setup::Monarch(MonarchSimConfig::with_ssd_capacity(8 << 30)),
-        &geom,
-        &model,
-        &EnvConfig::default(),
-        0x5eed,
-        2,
+    let setup = Setup::Monarch(MonarchSimConfig::with_ssd_capacity(8 << 30));
+    let env = EnvConfig::default();
+    let r = crate::run_once(&setup, &geom, &ModelProfile::lenet(), &env, 0x5eed, 2);
+    let stats = &r.telemetry.as_ref().expect("telemetry").stats;
+    let (e1, e2) = (r.epochs[0].seconds, r.epochs[1].seconds);
+    let pfs_bytes = crate::pfs_bytes_read(&r) as f64;
+    let (hit_ratio, copies) = (stats.local_hit_ratio(), stats.copies_completed as f64);
+    let mut entries = group(
+        "monarch",
+        &[
+            ("epoch1_seconds", e1, "s", false),
+            ("epoch2_seconds", e2, "s", false),
+            ("pfs_bytes_read", pfs_bytes, "bytes", false),
+            ("local_hit_ratio", hit_ratio, "ratio", true),
+            ("copies_completed", copies, "count", false),
+        ],
     );
-    let t = r.telemetry.as_ref().expect("monarch runs attach telemetry");
-    let pfs_bytes: u64 = r
-        .epochs
-        .iter()
-        .map(|e| e.devices[r.pfs_device].bytes_read())
-        .sum();
-    let mut entries = Vec::new();
-    for (i, e) in r.epochs.iter().enumerate() {
-        entries.push(sim_entry(
-            &format!("monarch/epoch{}_seconds", i + 1),
-            e.seconds,
-            "s",
-            false,
-        ));
-    }
-    entries.push(sim_entry(
-        "monarch/pfs_bytes_read",
-        pfs_bytes as f64,
-        "bytes",
-        false,
-    ));
-    entries.push(sim_entry(
-        "monarch/local_hit_ratio",
-        t.stats.local_hit_ratio(),
-        "ratio",
-        true,
-    ));
-    entries.push(sim_entry(
-        "monarch/copies_completed",
-        t.stats.copies_completed as f64,
-        "count",
-        false,
-    ));
     entries.extend(sim_cluster_entries());
     entries.extend(sim_outage_entries());
     entries.extend(sim_policy_entries());
@@ -142,85 +125,32 @@ pub fn sim_epoch_doc() -> BenchDoc {
     }
 }
 
-/// The `sim_outage` variant inside the `sim_epoch` snapshot: the chaos
-/// scenario — a full SSD outage spanning the middle half of epoch 2 of a
-/// fully-fitting run. Gated claims: degraded-mode throughput stays at the
+/// The `sim_outage` variant inside the `sim_epoch` snapshot: the
+/// [`crate::ssd_outage`] scenario that `bench fig chaos_outage` runs, on a
+/// smaller dataset. Gated claims: degraded-mode throughput stays at the
 /// no-fast-tier (vanilla-lustre) floor, the breaker quarantines and then
 /// re-admits the tier, and the post-recovery epoch returns to local-read
-/// speed. The window bounds come from a healthy probe run with the same
-/// seed, so the whole triple is deterministic.
+/// speed.
 fn sim_outage_entries() -> Vec<BenchEntry> {
-    use simfs::{FaultKind, FaultPlan};
     let geom = DatasetGeom::miniature("outage-bench", 24_576, 9);
-    let model = ModelProfile::lenet();
-    let env = EnvConfig {
-        interference: false,
-        ..EnvConfig::default()
-    };
-    let setup = Setup::Monarch(MonarchSimConfig::with_ssd_capacity(8 << 30));
-    let healthy = crate::run_once(&setup, &geom, &model, &env, 0x5eed, 3);
-    let e1_start = healthy.metadata_init_seconds + healthy.epochs[0].seconds;
-    let plan = FaultPlan::new(0xfa11).with_window(
-        "ssd",
-        e1_start + 0.25 * healthy.epochs[1].seconds,
-        e1_start + 0.75 * healthy.epochs[1].seconds,
-        FaultKind::Outage,
-    );
-    let faulted_env = EnvConfig {
-        fault_plan: Some(plan),
-        ..env.clone()
-    };
-    let faulted = crate::run_once(&setup, &geom, &model, &faulted_env, 0x5eed, 3);
-    // Vanilla-lustre never routes through the SSD, so with the same plan
-    // attached the window entry is a pure no-fast-tier throughput marker
-    // over the identical virtual-time interval.
-    let baseline = crate::run_once(
-        &Setup::VanillaLustre,
-        &geom,
-        &model,
-        &faulted_env,
-        0x5eed,
-        3,
-    );
-    let t = faulted
-        .telemetry
-        .as_ref()
-        .expect("monarch attaches telemetry");
-    let health = t.health.as_ref().expect("monarch attaches health");
-    let window_rate = faulted.fault_windows[0].samples_per_s;
-    let floor_rate = baseline.fault_windows[0].samples_per_s;
-    vec![
-        sim_entry(
-            "sim_outage/degraded_samples_per_s",
-            window_rate,
-            "samples/s",
-            true,
-        ),
-        sim_entry(
-            "sim_outage/degraded_vs_lustre_ratio",
-            window_rate / floor_rate,
-            "ratio",
-            true,
-        ),
-        sim_entry(
-            "sim_outage/recovery_epoch_seconds",
-            faulted.epochs[2].seconds,
-            "s",
-            false,
-        ),
-        sim_entry(
-            "sim_outage/recoveries",
-            health.tiers.iter().map(|h| h.recoveries).sum::<u64>() as f64,
-            "count",
-            true,
-        ),
-        sim_entry(
-            "sim_outage/degraded_reads",
-            t.stats.degraded_reads as f64,
-            "count",
-            false,
-        ),
-    ]
+    let run = crate::ssd_outage(&geom, 0x5eed, 0xfa11);
+    let t = run.faulted.telemetry.as_ref().expect("telemetry");
+    let health = t.health.as_ref().expect("health");
+    let rate = run.faulted.fault_windows[0].samples_per_s;
+    let floor = run.floor.fault_windows[0].samples_per_s;
+    let recovery_s = run.faulted.epochs[2].seconds;
+    let recoveries = health.tiers.iter().map(|h| h.recoveries).sum::<u64>() as f64;
+    let degraded = t.stats.degraded_reads as f64;
+    group(
+        "sim_outage",
+        &[
+            ("degraded_samples_per_s", rate, "samples/s", true),
+            ("degraded_vs_lustre_ratio", rate / floor, "ratio", true),
+            ("recovery_epoch_seconds", recovery_s, "s", false),
+            ("recoveries", recoveries, "count", true),
+            ("degraded_reads", degraded, "count", false),
+        ],
+    )
 }
 
 /// The `sim_policy` variant inside the `sim_epoch` snapshot: the
@@ -234,127 +164,55 @@ fn sim_outage_entries() -> Vec<BenchEntry> {
 fn sim_policy_entries() -> Vec<BenchEntry> {
     use monarch_core::config::PolicyKind;
     let geom = DatasetGeom::miniature("policy-bench", 16_384, 42);
-    let model = ModelProfile::lenet();
-    let cap = geom.total_bytes() / 2;
-    let env = EnvConfig::congested_pfs();
+    let (model, env) = (ModelProfile::lenet(), EnvConfig::congested_pfs());
+    // (total seconds, PFS ops, evictions) of one run.
     let run = |policy| {
-        crate::run_once(
-            &Setup::Monarch(MonarchSimConfig::policy_ablation(policy, cap)),
-            &geom,
-            &model,
-            &env,
-            1,
-            3,
-        )
+        let cfg = MonarchSimConfig::policy_ablation(policy, geom.total_bytes() / 2);
+        let r = crate::run_once(&Setup::Monarch(cfg), &geom, &model, &env, 1, 3);
+        let evictions = r.telemetry.as_ref().expect("telemetry").stats.evictions;
+        (r.total_seconds(), r.pfs_ops() as f64, evictions as f64)
     };
-    let ff = run(PolicyKind::FirstFit);
-    let lru = run(PolicyKind::LruEvict);
-    let clair = run(PolicyKind::Clairvoyant);
-    let learned = run(PolicyKind::Learned);
-    let lru_stats = &lru.telemetry.as_ref().expect("telemetry").stats;
-    vec![
-        sim_entry(
-            "sim_policy/first_fit_total_seconds",
-            ff.total_seconds(),
-            "s",
-            false,
-        ),
-        sim_entry(
-            "sim_policy/lru_total_seconds",
-            lru.total_seconds(),
-            "s",
-            false,
-        ),
-        sim_entry(
-            "sim_policy/lru_vs_first_fit_ratio",
-            lru.total_seconds() / ff.total_seconds(),
-            "ratio",
-            false,
-        ),
-        sim_entry(
-            "sim_policy/clairvoyant_total_seconds",
-            clair.total_seconds(),
-            "s",
-            false,
-        ),
-        sim_entry(
-            "sim_policy/learned_total_seconds",
-            learned.total_seconds(),
-            "s",
-            false,
-        ),
-        sim_entry(
-            "sim_policy/lru_evictions",
-            lru_stats.evictions as f64,
-            "count",
-            true,
-        ),
-        sim_entry(
-            "sim_policy/lru_pfs_ops",
-            lru.pfs_ops() as f64,
-            "count",
-            false,
-        ),
-        sim_entry(
-            "sim_policy/first_fit_pfs_ops",
-            ff.pfs_ops() as f64,
-            "count",
-            false,
-        ),
-    ]
+    let (ff_s, ff_ops, _) = run(PolicyKind::FirstFit);
+    let (lru_s, lru_ops, evictions) = run(PolicyKind::LruEvict);
+    let (clair_s, ..) = run(PolicyKind::Clairvoyant);
+    let (learned_s, ..) = run(PolicyKind::Learned);
+    group(
+        "sim_policy",
+        &[
+            ("first_fit_total_seconds", ff_s, "s", false),
+            ("lru_total_seconds", lru_s, "s", false),
+            ("lru_vs_first_fit_ratio", lru_s / ff_s, "ratio", false),
+            ("clairvoyant_total_seconds", clair_s, "s", false),
+            ("learned_total_seconds", learned_s, "s", false),
+            ("lru_evictions", evictions, "count", true),
+            ("lru_pfs_ops", lru_ops, "count", false),
+            ("first_fit_pfs_ops", ff_ops, "count", false),
+        ],
+    )
 }
 
-/// The `sim_cluster` variant inside the `sim_epoch` snapshot: a
-/// fixed-seed 4-node peer-cache run (global-shuffle workload, per-node
-/// quota 1/16 of the dataset) reduced to the scaling claim — warm-epoch
-/// aggregate throughput, per-node PFS bytes, and peer-hit volume.
+/// The `sim_cluster` variant inside the `sim_epoch` snapshot: the
+/// [`crate::peer_cluster`] scenario that `bench fig peer_scaling` sweeps,
+/// at 4 nodes with static ownership, reduced to the scaling claim —
+/// warm-epoch aggregate throughput, per-node PFS bytes, and peer-hit
+/// volume.
 fn sim_cluster_entries() -> Vec<BenchEntry> {
     let geom = DatasetGeom::miniature("cluster-bench", 12_288, 7);
-    let quota = geom.total_bytes() / 16;
-    let r = ClusterTrainer::new(
-        ClusterConfig {
-            monarch_ssd_capacity: Some(quota),
-            ..ClusterConfig::monarch_peer(4, Sharding::Static)
-        },
-        geom,
-        ModelProfile::lenet(),
-        PipelineConfig::default().with_seed(0xc1a5),
-        EnvConfig::default(),
-    )
-    .run(2);
+    let r = crate::peer_cluster(&geom, 4, Sharding::Static, 0xc1a5, 2);
     let warm = r.epochs.len() - 1;
-    vec![
-        sim_entry(
-            "sim_cluster/warm_epoch_seconds",
-            r.epochs[warm].seconds,
-            "s",
-            false,
-        ),
-        sim_entry(
-            "sim_cluster/agg_bytes_per_s",
-            r.agg_bytes_per_s(warm),
-            "bytes/s",
-            true,
-        ),
-        sim_entry(
-            "sim_cluster/pfs_bytes_per_node",
-            r.pfs_bytes_per_node(warm),
-            "bytes",
-            false,
-        ),
-        sim_entry(
-            "sim_cluster/peer_hits",
-            r.epochs[warm].peer_hits as f64,
-            "count",
-            true,
-        ),
-        sim_entry(
-            "sim_cluster/peer_fallbacks",
-            r.epochs[warm].peer_fallbacks as f64,
-            "count",
-            false,
-        ),
-    ]
+    let e = &r.epochs[warm];
+    let (agg, pfs) = (r.agg_bytes_per_s(warm), r.pfs_bytes_per_node(warm));
+    let (hits, fallbacks) = (e.peer_hits as f64, e.peer_fallbacks as f64);
+    group(
+        "sim_cluster",
+        &[
+            ("warm_epoch_seconds", e.seconds, "s", false),
+            ("agg_bytes_per_s", agg, "bytes/s", true),
+            ("pfs_bytes_per_node", pfs, "bytes", false),
+            ("peer_hits", hits, "count", true),
+            ("peer_fallbacks", fallbacks, "count", false),
+        ],
+    )
 }
 
 /// Write `doc` as `BENCH_<name>.json` at the repo root; returns the path.

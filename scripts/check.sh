@@ -77,6 +77,29 @@ run_size() {
         echo "size gate: crates/monarch-core/src has $core_lines non-test lines > $core_limit" >&2
         exit 1
     fi
+    # The figure harness: one scenario table behind `bench fig` (1888
+    # non-test lines as 16 figure binaries, each with its own setup, run
+    # loop, table printer and save call). 1087 since the figures are one
+    # table in figures.rs, one printer renders any row list, and the model
+    # gate shares its outage and peer-cluster scenarios with the figures.
+    local bench_limit=1087
+    local bench_lines
+    bench_lines=$(find crates/bench/src -name '*.rs' ! -name '*_tests.rs' -print0 |
+        sort -z |
+        xargs -0 awk 'FNR == 1 { on = 1 } /^#\[cfg\(test\)\]/ { on = 0 } on { n++ } END { print n + 0 }')
+    echo "==> crates/bench non-test lines: $bench_lines (limit $bench_limit)"
+    if [ "$bench_lines" -gt "$bench_limit" ]; then
+        echo "size gate: crates/bench/src has $bench_lines non-test lines > $bench_limit" >&2
+        exit 1
+    fi
+    # Figures are entries of the table, not binaries: `bench` is the one.
+    local extra
+    extra=$(find crates/bench/src/bin -name '*.rs' ! -name bench.rs)
+    if [ -n "$extra" ]; then
+        echo "size gate: crates/bench/src/bin holds more than bench.rs:" >&2
+        echo "$extra" >&2
+        exit 1
+    fi
 }
 
 # A copy's lifecycle is booked in one place (DESIGN §3.3): what each of
