@@ -320,9 +320,8 @@ struct World {
     ssd: usize,
 
     geom: DatasetGeom,
+    /// Shard `i` is registered `i`-th, so its `FileId` has index `i`.
     shard_names: Vec<String>,
-    /// Shard name → index, for the plan entries the window issues by name.
-    shard_ids: FxHashMap<String, usize>,
     /// records / bytes per shard (samples carried per byte).
     samples_per_byte: Vec<f64>,
     chunk_bytes: u64,
@@ -547,11 +546,6 @@ impl World {
             lustre,
             ssd: 0,
             geom: t.geom.clone(),
-            shard_ids: shard_names
-                .iter()
-                .enumerate()
-                .map(|(i, name)| (name.clone(), i))
-                .collect(),
             shard_names,
             samples_per_byte,
             chunk_bytes: t.pipeline.chunk_bytes,
@@ -620,11 +614,9 @@ impl World {
             let mut done = SimTime::ZERO;
             for (i, shard) in self.geom.shards.iter().enumerate() {
                 done = self.mds.submit(done, &mut self.rng);
-                ms.book.metadata().register(
-                    &self.shard_names[i],
-                    shard.bytes,
-                    ms.tier_dev.len() - 1,
-                );
+                let (files, name) = (ms.book.metadata(), &self.shard_names[i]);
+                files.register(name, shard.bytes, ms.tier_dev.len() - 1);
+                assert_eq!(files.resolve(name).map(FileId::index), Some(i));
             }
             self.metadata_init_seconds = done.as_secs_f64();
             if ms.prestage {
@@ -939,11 +931,14 @@ impl World {
                     );
                 }
                 ms.book.plan_closed(ms.window.take());
-                let files = order
+                let files: Vec<(FileId, u64)> = order
                     .iter()
-                    .map(|&s| (self.shard_names[s].clone(), self.geom.shards[s].bytes))
+                    .map(|&s| {
+                        let id = ms.book.metadata().resolve(&self.shard_names[s]);
+                        (id.expect("shard registered"), self.geom.shards[s].bytes)
+                    })
                     .collect();
-                ms.window = Some(ms.book.plan_opened(files, ms.prefetch));
+                ms.window = Some(ms.book.plan_opened(&files, ms.prefetch));
                 self.pump_prefetch(now);
             }
         }
@@ -1040,7 +1035,7 @@ impl World {
                     .metadata()
                     .resolve_for_read(name)
                     .expect("shard registered");
-                ms.book.policy().on_access_id(id, name, info.tier);
+                ms.book.policy().on_access_id(id, info.tier);
                 // Fault-aware serving through the engine's gate and settle:
                 // a quarantined tier is skipped except for the timed
                 // half-open probe, and a failing fast-tier read is booked
@@ -1176,7 +1171,9 @@ impl World {
                 // A freshly started shard served by Lustre pays an MDS
                 // open before its first chunk.
                 let (dev, read) = self.route_chunk(now, r, next);
-                let plan = self.prefetch_note_read(now, next);
+                let plan = read.map_or_else(ReadFeedback::default, |read| {
+                    self.prefetch_note_read(now, read.id)
+                });
                 self.readers[r].plan = plan;
                 // Clairvoyant interception, in precedence order: a shard
                 // whose staged fetch already landed in memory is consumed
@@ -1503,19 +1500,19 @@ impl World {
 
     // -- MONARCH clairvoyant prefetch ----------------------------------------
 
-    /// Move the plan cursor past `shard` through the engine's booking call
+    /// Move the plan cursor past `file` through the engine's booking call
     /// ([`Lifecycle::plan_read`]) and let the prefetcher issue the plan
     /// entries the cursor unlocked. Returns what the plan made of the read,
     /// for the shard's first read to carry to [`Lifecycle::read_served`],
     /// which counts the hit.
-    fn prefetch_note_read(&mut self, now: SimTime, shard: usize) -> ReadFeedback {
+    fn prefetch_note_read(&mut self, now: SimTime, file: FileId) -> ReadFeedback {
         let Some(ms) = self.monarch.as_mut() else {
             return ReadFeedback::default();
         };
         let Some(window) = ms.window.as_mut() else {
             return ReadFeedback::default();
         };
-        let note = ms.book.plan_read(window, &self.shard_names[shard]);
+        let note = ms.book.plan_read(window, file);
         self.pump_prefetch(now);
         note.map_or_else(ReadFeedback::default, ReadFeedback::from)
     }
@@ -1607,17 +1604,15 @@ impl World {
         };
         // Copies that left `Copying` release their share of the window.
         let metadata = ms.book.metadata();
-        window.poll_resolved(|name| {
-            !metadata
-                .get(name)
-                .is_some_and(|f| matches!(f.state, PlacementState::Copying { .. }))
-        });
+        window
+            .poll_resolved(|id| !matches!(metadata.info(id).state, PlacementState::Copying { .. }));
         let mut scheduled = false;
-        while let Some((idx, name, bytes)) = window.next_to_issue() {
-            let shard = self.shard_ids[&name];
+        while let Some((idx, id, bytes)) = window.next_to_issue() {
+            let shard = id.index();
+            let name = &self.shard_names[shard];
             // As in the engine's pump, the flow starts at the scheduling
             // span: the read it serves may be far in the future.
-            match ms.schedule(vmicros(now), shard, &name, bytes, Lane::Prefetch, None) {
+            match ms.schedule(vmicros(now), shard, name, bytes, Lane::Prefetch, None) {
                 Some(flow) => {
                     ms.lanes.push(Lane::Prefetch, shard);
                     window.set_flow(idx, flow);

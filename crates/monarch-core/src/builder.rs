@@ -236,16 +236,14 @@ impl MonarchBuilder {
             Arc::clone(&telemetry),
         ));
         let mut engine = TransferEngine::new(book, self.pool_threads, self.prefetch);
-        // Peer cache: build the handle, feed the engine's admit/evict
-        // transitions into the residency view, and start serving this
-        // node's shard (unless the config says client-only).
+        // Peer cache: build the handle and start serving this node's shard
+        // (unless the config says client-only).
         let cluster = match self.cluster {
             Some(cfg) => {
                 let cluster = match self.peer_transport {
                     Some(transport) => Arc::new(Cluster::new(cfg, transport)),
                     None => Arc::new(Cluster::with_tcp_transport(cfg)),
                 };
-                engine.set_cluster_feed(Arc::clone(cluster.view()), cluster.node_id());
                 if cluster.config().serve {
                     if let Err(e) =
                         cluster.start_server(Arc::clone(&hierarchy), Arc::clone(engine.metadata()))

@@ -10,9 +10,6 @@
 //! - [`ShardMap`] — a deterministic, seeded consistent-hash ring mapping
 //!   every logical file to its *owner* node. All nodes compute the same
 //!   assignment from `(nodes, shard_seed)` with no coordination.
-//! - [`ClusterView`] — which nodes currently *hold* which file, fed from
-//!   the copy lifecycle's placed/evicted transitions (the same ones the
-//!   journal records).
 //! - [`PeerTransport`] — the fetch abstraction. [`TcpPeerTransport`] is a
 //!   real std-only TCP client (length-prefixed request/response, bounded
 //!   per-peer connection pool, timeouts, one retry); paper-scale runs use
@@ -23,13 +20,14 @@
 //! - [`Cluster`] — the per-node handle the middleware consults on a miss:
 //!   "is this file peer-owned, and can the owner serve it faster than the
 //!   PFS?". Failures always degrade to the PFS path, never to an error.
+//!   What the node holds is the namespace's to say: its snapshot counts the
+//!   files placed on a local tier ([`Cluster::snapshot`]).
 //!
 //! Wire protocol (version-less by design — both ends ship together):
 //! request = `u32` big-endian name length + name bytes; response = one
 //! status byte (0 = ok, 1 = not resident, 2 = error) + `u64` big-endian
 //! payload length + payload.
 
-use std::collections::HashMap;
 use std::io::{Read as IoRead, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,7 +42,7 @@ use crate::health::{ErrorClass, Gate, TierHealth};
 use crate::hierarchy::StorageHierarchy;
 use crate::locks;
 use crate::metadata::{MetadataContainer, PlacementState};
-use crate::{Error, Result};
+use crate::{Error, Result, TierId};
 
 /// Virtual points per node on the consistent-hash ring. 64 keeps the
 /// worst-case load imbalance under ~10% for the node counts the paper's
@@ -224,87 +222,6 @@ impl ShardMap {
         let mut counts = vec![0u64; self.nodes];
         for f in files {
             counts[self.owner(f)] += 1;
-        }
-        counts
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cluster view
-// ---------------------------------------------------------------------------
-
-/// Which node currently holds which file on a fast (local) tier.
-///
-/// Fed from the copy lifecycle's placed/evicted transitions — the same ones
-/// the journal records — so it tracks *actual* residency, not
-/// the shard map's intent. Holder sets are bitmasks, which caps the
-/// tracked membership at 64 nodes; beyond that the extra nodes simply stop
-/// being tracked (the shard map itself has no such bound).
-#[derive(Debug, Default)]
-pub struct ClusterView {
-    holders: Mutex<HashMap<String, u64>>,
-}
-
-impl ClusterView {
-    /// An empty view.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `node` finished staging `file` onto a local tier.
-    pub fn note_admitted(&self, file: &str, node: usize) {
-        if node >= 64 {
-            return;
-        }
-        let mut h = locks::lock(&self.holders);
-        *h.entry(file.to_string()).or_insert(0) |= 1u64 << node;
-    }
-
-    /// `node` dropped `file` from its local tiers (eviction or cleanup).
-    pub fn note_evicted(&self, file: &str, node: usize) {
-        if node >= 64 {
-            return;
-        }
-        let mut h = locks::lock(&self.holders);
-        if let Some(mask) = h.get_mut(file) {
-            *mask &= !(1u64 << node);
-            if *mask == 0 {
-                h.remove(file);
-            }
-        }
-    }
-
-    /// Nodes currently holding `file`, ascending.
-    #[must_use]
-    pub fn holders(&self, file: &str) -> Vec<usize> {
-        let mask = locks::lock(&self.holders).get(file).copied().unwrap_or(0);
-        (0..64).filter(|b| mask & (1u64 << b) != 0).collect()
-    }
-
-    /// Whether `node` holds `file`.
-    #[must_use]
-    pub fn holds(&self, file: &str, node: usize) -> bool {
-        node < 64
-            && locks::lock(&self.holders).get(file).copied().unwrap_or(0) & (1u64 << node) != 0
-    }
-
-    /// Distinct files with at least one holder.
-    #[must_use]
-    pub fn files(&self) -> usize {
-        locks::lock(&self.holders).len()
-    }
-
-    /// Files held per node (index = node id), over the first `nodes` ids.
-    #[must_use]
-    pub fn held_by_node(&self, nodes: usize) -> Vec<u64> {
-        let mut counts = vec![0u64; nodes.min(64)];
-        for mask in locks::lock(&self.holders).values() {
-            for (b, c) in counts.iter_mut().enumerate() {
-                if mask & (1u64 << b) != 0 {
-                    *c += 1;
-                }
-            }
         }
         counts
     }
@@ -675,12 +592,11 @@ impl std::fmt::Debug for PeerServer {
 // ---------------------------------------------------------------------------
 
 /// Everything one node needs to take part in the peer cache: the shard
-/// map, the residency view, the transport, and (optionally) the serving
-/// side. Owned by the middleware; consulted on every `Unplaced` miss.
+/// map, the transport, and (optionally) the serving side. Owned by the
+/// middleware; consulted on every `Unplaced` miss.
 pub struct Cluster {
     cfg: ClusterConfig,
     shard: ShardMap,
-    view: Arc<ClusterView>,
     transport: Arc<dyn PeerTransport>,
     served: Arc<ServeCounters>,
     server: Mutex<Option<PeerServer>>,
@@ -706,7 +622,6 @@ impl Cluster {
         Self {
             cfg,
             shard,
-            view: Arc::new(ClusterView::new()),
             transport,
             served: Arc::new(ServeCounters::default()),
             server: Mutex::new(None),
@@ -782,13 +697,6 @@ impl Cluster {
         &self.shard
     }
 
-    /// The shared residency view (also handed to the transfer engine's
-    /// admit/evict feed).
-    #[must_use]
-    pub fn view(&self) -> &Arc<ClusterView> {
-        &self.view
-    }
-
     /// Deadline for queued remote-lane installs.
     #[must_use]
     pub fn remote_deadline(&self) -> Duration {
@@ -845,10 +753,21 @@ impl Cluster {
 
     /// Serializable roster + counter snapshot. `stats` supplies the
     /// client-side peer counters (they live in [`crate::Stats`] with the
-    /// rest of the read-path counters).
+    /// rest of the read-path counters); `files`, the node's namespace,
+    /// what it holds: the files placed on a tier above `source`.
     #[must_use]
-    pub fn snapshot(&self, stats: &crate::stats::StatsSnapshot) -> ClusterSnapshot {
+    pub fn snapshot(
+        &self,
+        stats: &crate::stats::StatsSnapshot,
+        files: &MetadataContainer,
+        source: TierId,
+    ) -> ClusterSnapshot {
         let (requests, hits, bytes) = self.served.snapshot();
+        let held: u64 = files.residency_histogram(source).iter().sum();
+        let mut held_by_node = vec![0; self.cfg.nodes.len()];
+        if let Some(mine) = held_by_node.get_mut(self.cfg.node_id) {
+            *mine = held;
+        }
         ClusterSnapshot {
             node_id: self.cfg.node_id,
             nodes: self.cfg.nodes.clone(),
@@ -862,8 +781,8 @@ impl Cluster {
             served_requests: requests,
             served_hits: hits,
             served_bytes: bytes,
-            view_files: self.view.files() as u64,
-            held_by_node: self.view.held_by_node(self.cfg.nodes.len()),
+            view_files: held,
+            held_by_node,
         }
     }
 }
@@ -910,9 +829,10 @@ pub struct ClusterSnapshot {
     pub served_hits: u64,
     /// Bytes this node's server shipped to peers.
     pub served_bytes: u64,
-    /// Files with at least one known holder in the residency view.
+    /// Files this node holds on its local tiers.
     pub view_files: u64,
-    /// Files held per node according to the view (index = node id).
+    /// Files held per node (index = node id): this node's count, 0 for
+    /// the peers, whose holdings are theirs to report.
     pub held_by_node: Vec<u64>,
 }
 
@@ -948,7 +868,7 @@ impl ClusterSnapshot {
             self.peer_bytes
         ));
         o.push_str(&format!(
-            "served to peers: {} hits of {} requests, {} B shipped; view tracks {} file(s)\n",
+            "served to peers: {} hits of {} requests, {} B shipped; this node holds {} file(s)\n",
             self.served_hits, self.served_requests, self.served_bytes, self.view_files
         ));
         o
@@ -1008,27 +928,6 @@ mod tests {
     fn single_node_ring_owns_everything() {
         let m = ShardMap::new(1, 9);
         assert_eq!(m.owner("anything"), 0);
-    }
-
-    #[test]
-    fn view_tracks_admit_and_evict() {
-        let v = ClusterView::new();
-        v.note_admitted("a", 0);
-        v.note_admitted("a", 2);
-        v.note_admitted("b", 1);
-        assert_eq!(v.holders("a"), vec![0, 2]);
-        assert!(v.holds("a", 2));
-        assert!(!v.holds("a", 1));
-        assert_eq!(v.files(), 2);
-        assert_eq!(v.held_by_node(3), vec![1, 1, 1]);
-        v.note_evicted("a", 0);
-        assert_eq!(v.holders("a"), vec![2]);
-        v.note_evicted("a", 2);
-        assert_eq!(v.files(), 1, "empty holder sets are dropped");
-        // Unknown files and out-of-range nodes are no-ops.
-        v.note_evicted("missing", 0);
-        v.note_admitted("c", 64);
-        assert_eq!(v.files(), 1);
     }
 
     fn hierarchy_with(files: &[(&str, &[u8])]) -> (Arc<StorageHierarchy>, Arc<MetadataContainer>) {
@@ -1144,11 +1043,12 @@ mod tests {
         }
         assert!(saw_local && saw_remote);
 
-        cluster.view().note_admitted("f1", 0);
+        let (hierarchy, metadata) = hierarchy_with(&[("f1", b"x"), ("f2", b"y")]);
+        place_local(&metadata, "f1");
         let stats = crate::Stats::new(2);
         stats.peer_hit(128);
         stats.peer_fallback();
-        let snap = cluster.snapshot(&stats.snapshot());
+        let snap = cluster.snapshot(&stats.snapshot(), &metadata, hierarchy.source_id());
         assert_eq!(snap.node_id, 0);
         assert_eq!(snap.nodes.len(), 3);
         assert_eq!(snap.peer_hits, 1);
@@ -1163,6 +1063,27 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: ClusterSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn a_node_past_the_64th_reports_what_it_holds() {
+        struct Nowhere;
+        impl PeerTransport for Nowhere {
+            fn fetch(&self, _: usize, _: &str) -> std::result::Result<Vec<u8>, PeerError> {
+                Err(PeerError::NotResident)
+            }
+        }
+        let nodes = (0..70).map(|i| format!("n{i}:1")).collect();
+        let cluster = Cluster::new(ClusterConfig::new(69, nodes), Arc::new(Nowhere));
+        let (hierarchy, metadata) = hierarchy_with(&[("a", b"1"), ("b", b"2"), ("c", b"3")]);
+        place_local(&metadata, "a");
+        place_local(&metadata, "b");
+        let stats = crate::Stats::new(2).snapshot();
+        let snap = cluster.snapshot(&stats, &metadata, hierarchy.source_id());
+        assert_eq!(snap.held_by_node.len(), 70);
+        assert_eq!(snap.held_by_node[69], 2);
+        assert_eq!(snap.held_by_node.iter().sum::<u64>(), 2);
+        assert_eq!(snap.view_files, 2);
     }
 
     #[test]
@@ -1218,7 +1139,7 @@ mod tests {
         // Snapshot carries the dead-peer roster and the skip counter.
         let stats = crate::Stats::new(2);
         stats.peer_dead_skip();
-        let snap = cluster.snapshot(&stats.snapshot());
+        let snap = cluster.snapshot(&stats.snapshot(), &MetadataContainer::default(), 1);
         assert_eq!(snap.peer_dead_skips, 1);
         assert!(snap.dead_peers.is_empty());
         assert!(snap.render_table().contains("dead skips"));

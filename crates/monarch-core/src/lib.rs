@@ -71,8 +71,8 @@ pub mod transfer;
 
 pub use builder::MonarchBuilder;
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterSnapshot, ClusterView, PeerError, PeerServer, PeerTransport,
-    ShardMap, TcpPeerTransport,
+    Cluster, ClusterConfig, ClusterSnapshot, PeerError, PeerServer, PeerTransport, ShardMap,
+    TcpPeerTransport,
 };
 pub use config::{MonarchConfig, TelemetryConfig};
 pub use driver::StorageDriver;

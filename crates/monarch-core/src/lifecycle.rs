@@ -4,12 +4,13 @@
 //! [`scheduled`](Lifecycle::scheduled), [room made](Lifecycle::room),
 //! [`placed`](Lifecycle::placed), [`unplaced`](Lifecycle::unplaced),
 //! [`evicted`](Lifecycle::evicted) — and each one moves the namespace, the
-//! tier's quota, the counters, the journal, the policy engine's books and
-//! the cluster view together. So is what the copy does in between: a
-//! worker [`started`](Lifecycle::started) it, and each
-//! [`stage`](Lifecycle::stage) of its install moved its bytes; `placed` or
-//! `unplaced` closes the [`CopyRun`]. [`Lifecycle`] is the
-//! one place that does so: one function per transition, every step of it
+//! tier's quota, the counters, the journal and the policy engine's books
+//! together. (What peers are told this node holds is read off the
+//! namespace, so a transition has nothing else to feed.) So is what the
+//! copy does in between: a worker [`started`](Lifecycle::started) it, and
+//! each [`stage`](Lifecycle::stage) of its install moved its bytes;
+//! `placed` or `unplaced` closes the [`CopyRun`]. [`Lifecycle`] is the one
+//! place that does so: one function per transition, every step of it
 //! in a fixed order, under a timestamp the caller hands in. So are two
 //! moves beside the copy's: what an operation on a tier did to the tier's
 //! breaker ([`tier_settled`](Lifecycle::tier_settled)), and a read that
@@ -33,9 +34,8 @@
 //! and fetching and installing them are not this module's business.
 
 use std::cell::OnceCell;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use crate::cluster::ClusterView;
 use crate::health::{device_error_class, ErrorClass, Gate, Transition};
 use crate::hierarchy::{Quota, StorageHierarchy, TierId};
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
@@ -206,16 +206,13 @@ pub struct ServedRead<'a> {
 }
 
 /// The books of one instance's copies, over the parts the instance shares:
-/// hierarchy, namespace, policy engine, telemetry registry (whose
-/// [`TelemetryRegistry::stats`] are the counters) and, when clustered, the
-/// residency view peers are told from.
+/// hierarchy, namespace, policy engine and telemetry registry (whose
+/// [`TelemetryRegistry::stats`] are the counters).
 pub struct Lifecycle {
     hierarchy: Arc<StorageHierarchy>,
     metadata: Arc<MetadataContainer>,
     policy: Arc<PolicyEngine>,
     telemetry: Arc<TelemetryRegistry>,
-    /// `(view, this node's id)`; set once, by the builder.
-    cluster_feed: OnceLock<(Arc<ClusterView>, usize)>,
 }
 
 impl Lifecycle {
@@ -233,14 +230,7 @@ impl Lifecycle {
             metadata: Arc::clone(policy.namespace()),
             policy,
             telemetry,
-            cluster_feed: OnceLock::new(),
         }
-    }
-
-    /// Mirror every placement and eviction from now on into `view` under
-    /// `node`. The first feed set stays.
-    pub fn set_cluster_feed(&self, view: Arc<ClusterView>, node: usize) {
-        let _ = self.cluster_feed.set((view, node));
     }
 
     /// The storage hierarchy.
@@ -336,7 +326,9 @@ impl Lifecycle {
         let (name, bytes) = (file.to_string(), size);
         let span = if lane == Lane::Prefetch {
             self.stats().prefetch_scheduled();
-            self.policy.pin(file);
+            if let Some(id) = self.metadata.resolve(file) {
+                self.policy.pin(id);
+            }
             self.telemetry
                 .event_at(at, EventKind::PrefetchScheduled { file: name, bytes });
             names::PREFETCH_SCHEDULED
@@ -561,9 +553,6 @@ impl Lifecycle {
                 bytes: info.size,
             },
         );
-        if let Some((view, node)) = self.cluster_feed.get() {
-            view.note_evicted(victim, *node);
-        }
         removed.map(|()| true)
     }
 
@@ -618,9 +607,6 @@ impl Lifecycle {
             self.telemetry
                 .profiler()
                 .record_prefetch_staged_id(id, size, at);
-        }
-        if let Some((view, node)) = self.cluster_feed.get() {
-            view.note_admitted(file, *node);
         }
         Ok(())
     }
@@ -740,7 +726,9 @@ impl Lifecycle {
             }
         };
         self.telemetry.event_at(at, event);
-        self.policy.unpin(file);
+        if let Some(id) = self.metadata.resolve(file) {
+            self.policy.unpin(id);
+        }
         let _ = self.metadata.abort_copy(file, terminal);
     }
 
@@ -756,21 +744,22 @@ impl Lifecycle {
         );
     }
 
-    /// *Plan opened*: the window over `files`, in plan order, for the
-    /// caller to walk. The clairvoyant eviction book ranks residents by
-    /// their next use in the plan, and the pins of the plan before lift.
+    /// *Plan opened*: the window over `files` — `(id, size)` pairs of the
+    /// namespace's files in plan order — for the caller to walk. The
+    /// clairvoyant eviction policy ranks residents by their next use in
+    /// the plan, and the pins of the plan before lift.
     #[must_use]
-    pub fn plan_opened(&self, files: Vec<(String, u64)>, cfg: PrefetchConfig) -> PrefetchWindow {
-        let names: Vec<String> = files.iter().map(|(name, _)| name.clone()).collect();
-        self.policy.set_plan(&names);
+    pub fn plan_opened(&self, files: &[(FileId, u64)], cfg: PrefetchConfig) -> PrefetchWindow {
+        let ids: Vec<FileId> = files.iter().map(|&(id, _)| id).collect();
+        self.policy.set_plan(&ids);
         PrefetchWindow::new(files, cfg)
     }
 
     /// *Plan read*: a foreground read of `file` moves `window`'s cursor
     /// past the file's plan position. Its prefetch pin lifts, and the
-    /// clairvoyant book advances to its next use. `None`, and nothing
+    /// clairvoyant policy advances to its next use. `None`, and nothing
     /// moves, when the plan does not hold the file.
-    pub fn plan_read(&self, window: &mut PrefetchWindow, file: &str) -> Option<ReadNote> {
+    pub fn plan_read(&self, window: &mut PrefetchWindow, file: FileId) -> Option<ReadNote> {
         let note = window.on_read(file)?;
         self.policy.unpin(file);
         self.policy.note_plan_read(file);
@@ -784,8 +773,8 @@ impl Lifecycle {
         self.policy.clear_pins();
         let source = self.hierarchy.source_id();
         let staged = |info: FileInfo| info.state == PlacementState::Placed && info.tier != source;
-        for (name, issued, read_seen) in window.map_or_else(Vec::new, |mut w| w.drain()) {
-            if issued && !read_seen && self.metadata.get(&name).is_some_and(staged) {
+        for (id, issued, read_seen) in window.map_or_else(Vec::new, |mut w| w.drain()) {
+            if issued && !read_seen && staged(self.metadata.info(id)) {
                 self.stats().prefetch_wasted();
             }
         }

@@ -6,7 +6,7 @@
 //! lock would otherwise turn one panic into a panic on every later caller,
 //! and one caller cannot afford that: a copy's [`crate::lifecycle`] lease
 //! settles itself while its worker unwinds, and settling takes the same
-//! locks (the pin set, the stagings, the journal) that the panicking code
+//! locks (the stagings, the journal) that the panicking code
 //! may have been holding. So the state behind each lock must stay valid
 //! between any two of its updates, which the crate's structures already
 //! are: books, queues and counters whose every step is a whole insert,

@@ -15,18 +15,26 @@
 //!
 //! ```text
 //! slot     = { identity (line 0) | counters (line 1) }               128 bytes
-//! identity = { name, size: u64, place: u64 }
+//! identity = { name, size: u64, place: u64, touched: u64 }
 //! counters = { reads: u64, bytes: [u64; MAX_LEVELS] }      (64-byte aligned)
-//! place    = [ 63..48 unused | 47..32 copy target | 31..16 tier | 2 reused | 1..0 state ]
+//! place    = [ 63..48 unused | 47..32 copy target | 31..16 tier | 3 pinned | 2 reused | 1..0 state ]
 //! state    = 0 absent, 1 unplaced, 2 copying, 3 placed
 //! ```
 //!
+//! The slab is the one residency book: where a file lives, and what the
+//! policy engine stamps on it. `touched` is the file's recency, read off
+//! one logical clock that every placement and every access under an
+//! evicting policy advances; the eviction policies rank a tier's `Placed`
+//! files by it ([`MetadataContainer::evictable`]). `pinned` marks a file a
+//! prefetch staged ahead of its read, which no policy may evict.
+//!
 //! The identity line is written at registration and on placement
-//! transitions only, so concurrent hits share it clean. The counters line
-//! is the one line a hit writes that another reader's hit may also write —
-//! and then only a reader of the same file: its access count and the bytes
-//! it was served per tier, which the access profiler reports from here
-//! rather than from cells of its own.
+//! transitions — and, under an evicting policy only, by a hit's touch — so
+//! concurrent hits under the paper's first-fit share it clean. The counters
+//! line is the one line every hit writes that another reader's hit may also
+//! write — and then only a reader of the same file: its access count and
+//! the bytes it was served per tier, which the access profiler reports from
+//! here rather than from cells of its own.
 //!
 //! Names resolve through an insert-only open-addressing index whose cells
 //! are atomics (`hash tag | id + 1`): a lookup is one hash, a probe and a
@@ -38,9 +46,10 @@
 //! loaded the old one finishes on valid memory (together they are smaller
 //! than the current table). Placement transitions are compare-and-swap
 //! loops on `place`. The `reused` bit is the policy engine's reuse ledger
-//! (see [`crate::policy::PolicyEngine`]), kept here so it rides the same
-//! word. The slab grows in doubling chunks that never move, so ids stay
-//! valid and readers never wait for an append. The access profiler keeps
+//! and `pinned` its prefetch pins (see [`crate::policy::PolicyEngine`]),
+//! kept here so they ride the same word. The slab grows in doubling chunks
+//! that never move, so ids stay valid and readers never wait for an
+//! append. The access profiler keeps
 //! the rest of its per-file records in a slab of the same geometry beside
 //! this one ([`locate`]), addressed by the same ids.
 
@@ -88,12 +97,30 @@ pub struct FileInfo {
 pub struct FileId(u32);
 
 impl FileId {
-    /// The id as a dense index, for slabs kept beside the container's own
-    /// (the access profiler's per-file records).
+    /// The id as a dense index: the `n`-th name a container interned has
+    /// index `n`. For slabs kept beside the container's own (the access
+    /// profiler's per-file records, a simulator's shards).
     #[inline]
-    pub(crate) fn index(self) -> usize {
+    #[must_use]
+    pub fn index(self) -> usize {
         self.0 as usize
     }
+}
+
+/// A file placed on a tier, as [`MetadataContainer::evictable`] hands it
+/// to the eviction policies.
+#[derive(Debug, Clone, Copy)]
+pub struct Resident<'a> {
+    /// The file's id.
+    pub id: FileId,
+    /// Its name.
+    pub name: &'a str,
+    /// Its size in bytes.
+    pub size: u64,
+    /// Its touch stamp: the logical clock at its placement or its latest
+    /// access under an evicting policy, whichever came last. No two files
+    /// share one.
+    pub touched: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -108,6 +135,8 @@ const COPYING: u64 = 2;
 const PLACED: u64 = 3;
 /// Read since placement — the policy engine's reuse label.
 const REUSED: u64 = 1 << 2;
+/// Staged by a prefetch, not read yet — the policy engine's pin.
+const PINNED: u64 = 1 << 3;
 const TIER_SHIFT: u32 = 16;
 const TARGET_SHIFT: u32 = 32;
 const FIELD_MASK: u64 = 0xFFFF;
@@ -160,6 +189,8 @@ struct Slot {
     name: OnceLock<Box<str>>,
     size: AtomicU64,
     place: AtomicU64,
+    /// The touch stamp (see [`Resident::touched`]).
+    touched: AtomicU64,
     counters: Counters,
 }
 
@@ -170,7 +201,8 @@ const _: () = {
     // No identity field reaches into the counters' line.
     assert!(offset_of!(Slot, name) + size_of::<OnceLock<Box<str>>>() <= offset_of!(Slot, size));
     assert!(offset_of!(Slot, size) + 8 <= offset_of!(Slot, place));
-    assert!(offset_of!(Slot, place) + 8 <= offset_of!(Slot, counters));
+    assert!(offset_of!(Slot, place) + 8 <= offset_of!(Slot, touched));
+    assert!(offset_of!(Slot, touched) + 8 <= offset_of!(Slot, counters));
     assert!(size_of::<Slot>() <= 128);
 };
 
@@ -338,12 +370,19 @@ impl Index {
 // The container
 // ---------------------------------------------------------------------------
 
+/// The logical clock touch stamps are read off, on a line of its own: an
+/// evicting policy advances it on every hit, and no lookup reads it.
+#[derive(Default)]
+#[repr(align(64))]
+struct Clock(AtomicU64);
+
 /// Thread-safe namespace: lock-free lookups, serialised registration.
 pub struct MetadataContainer {
     index: Index,
     slab: Slab,
     /// Names in the namespace (interned-only names are not counted).
     registered: AtomicUsize,
+    clock: Clock,
 }
 
 impl std::fmt::Debug for MetadataContainer {
@@ -360,6 +399,7 @@ impl Default for MetadataContainer {
             index: Index::new(),
             slab: Slab::new(),
             registered: AtomicUsize::new(0),
+            clock: Clock::default(),
         }
     }
 }
@@ -414,10 +454,12 @@ impl MetadataContainer {
         reads.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// The current record of a file [`Self::resolve_for_read`] resolved,
-    /// without touching counters: a read that goes round again (its copy
-    /// was evicted under it, its tier failed) is still one read.
-    pub(crate) fn info(&self, id: FileId) -> FileInfo {
+    /// The current record of a file [`Self::resolve`] or
+    /// [`Self::resolve_for_read`] resolved, without touching counters: a
+    /// read that goes round again (its copy was evicted under it, its tier
+    /// failed) is still one read.
+    #[must_use]
+    pub fn info(&self, id: FileId) -> FileInfo {
         let slot = self.slab.slot(id);
         Self::info_of(
             slot,
@@ -527,15 +569,16 @@ impl MetadataContainer {
     }
 
     /// Apply `next` to the placement word of `name` until it sticks;
-    /// `None` from `next` leaves the word alone. Returns the word `next`
-    /// last saw and whether it was replaced. Bits outside the state, tier
-    /// and target fields (the reuse label) are carried over.
+    /// `None` from `next` leaves the word alone. Returns the file's id, the
+    /// word `next` last saw and whether it was replaced. Bits outside the
+    /// state, tier and target fields (the reuse label, the pin) are carried
+    /// over.
     fn transition(
         &self,
         name: &str,
         mut next: impl FnMut(PlacementState, TierId) -> Option<(PlacementState, TierId)>,
-    ) -> Result<(u64, bool)> {
-        let (_, slot, _) = self.find_registered(name)?;
+    ) -> Result<(FileId, u64, bool)> {
+        let (id, slot, _) = self.find_registered(name)?;
         let keep = !(STATE_MASK | FIELD_MASK << TIER_SHIFT | FIELD_MASK << TARGET_SHIFT);
         let swapped = slot
             .place
@@ -544,8 +587,8 @@ impl MetadataContainer {
                 next(state, tier).map(|(state, tier)| old & keep | pack(state, tier))
             });
         Ok(match swapped {
-            Ok(old) => (old, true),
-            Err(old) => (old, false),
+            Ok(old) => (id, old, true),
+            Err(old) => (id, old, false),
         })
     }
 
@@ -557,13 +600,15 @@ impl MetadataContainer {
             (state == PlacementState::Unplaced)
                 .then_some((PlacementState::Copying { target }, tier))
         })
-        .map(|(_, won)| won)
+        .map(|(_, _, won)| won)
     }
 
-    /// Complete an in-flight copy: the file now lives on `tier`.
+    /// Complete an in-flight copy: the file now lives on `tier`, stamped
+    /// as touched now.
     pub fn finish_copy(&self, name: &str, tier: TierId) -> Result<()> {
-        let (old, _) = self.transition(name, |_, _| Some((PlacementState::Placed, tier)))?;
+        let (id, old, _) = self.transition(name, |_, _| Some((PlacementState::Placed, tier)))?;
         debug_assert_eq!(old & STATE_MASK, COPYING);
+        self.stamp(id);
         Ok(())
     }
 
@@ -593,7 +638,7 @@ impl MetadataContainer {
         to: TierId,
         remove: impl FnOnce() -> T,
     ) -> Result<Option<T>> {
-        let (_, held) = self.transition(name, |state, _| {
+        let (_, _, held) = self.transition(name, |state, _| {
             (state == PlacementState::Placed)
                 .then_some((PlacementState::Copying { target: to }, to))
         })?;
@@ -623,6 +668,72 @@ impl MetadataContainer {
             .fetch_and(!REUSED, Ordering::Relaxed)
             & REUSED
             != 0
+    }
+
+    /// Stamp `id` with the next tick of the clock.
+    fn stamp(&self, id: FileId) {
+        let tick = self.clock.0.fetch_add(1, Ordering::Relaxed) + 1;
+        self.slab.slot(id).touched.store(tick, Ordering::Relaxed);
+    }
+
+    /// A read of `id` served from `tier`: restamp the file if it is placed
+    /// there. Only an evicting policy calls this — it is the one shared
+    /// write of its hits.
+    #[inline]
+    pub(crate) fn touch(&self, id: FileId, tier: TierId) {
+        let place = self.slab.slot(id).place.load(Ordering::Relaxed);
+        if place & STATE_MASK == PLACED && (place >> TIER_SHIFT & FIELD_MASK) as TierId == tier {
+            self.stamp(id);
+        }
+    }
+
+    /// The clock's latest tick: the stamp of the latest touch.
+    #[cfg(test)]
+    pub(crate) fn clock(&self) -> u64 {
+        self.clock.0.load(Ordering::Relaxed)
+    }
+
+    /// Pin or unpin `id` against eviction.
+    pub(crate) fn set_pinned(&self, id: FileId, pinned: bool) {
+        let place = &self.slab.slot(id).place;
+        if pinned {
+            place.fetch_or(PINNED, Ordering::Relaxed);
+        } else {
+            place.fetch_and(!PINNED, Ordering::Relaxed);
+        }
+    }
+
+    /// Unpin every file.
+    pub(crate) fn unpin_all(&self) {
+        for id in self.ids() {
+            let place = &self.slab.slot(id).place;
+            if place.load(Ordering::Relaxed) & PINNED != 0 {
+                place.fetch_and(!PINNED, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// How many files are pinned.
+    pub(crate) fn pinned(&self) -> u64 {
+        let pinned = |id| self.slab.slot(id).place.load(Ordering::Relaxed) & PINNED != 0;
+        self.ids().filter(|&id| pinned(id)).count() as u64
+    }
+
+    /// The files placed on `tier` that no pin protects, in id order: the
+    /// candidates every eviction policy chooses its victims among. A file
+    /// in flight is not `Placed`, so it is never one.
+    pub fn evictable(&self, tier: TierId) -> impl Iterator<Item = Resident<'_>> {
+        let want = PLACED | tier_bits(tier) << TIER_SHIFT;
+        let mask = STATE_MASK | PINNED | FIELD_MASK << TIER_SHIFT;
+        self.ids().filter_map(move |id| {
+            let slot = self.slab.slot(id);
+            (slot.place.load(Ordering::Acquire) & mask == want).then(|| Resident {
+                id,
+                name: slot.name.get().map_or("", |n| &**n),
+                size: slot.size.load(Ordering::Relaxed),
+                touched: slot.touched.load(Ordering::Relaxed),
+            })
+        })
     }
 
     /// Number of registered files.

@@ -197,7 +197,7 @@ impl Monarch {
         // upgrade a still-queued prefetch copy to the demand lane, and
         // release more of the plan to the prefetcher; the booking below
         // counts the hit.
-        let plan = self.engine.note_read(file);
+        let plan = self.engine.note_read(read.id);
         self.engine.book().read_served(&ServedRead {
             id: read.id,
             file,
@@ -274,7 +274,7 @@ impl Monarch {
         let mut announce = true;
         let mut flow = 0u64;
         let (id, first) = self.metadata.resolve_for_read(file)?;
-        self.engine.note_access(file, id, first.tier);
+        self.engine.note_access(id, first.tier);
         let mut first = Some(first);
         loop {
             let info = first.take().unwrap_or_else(|| self.metadata.info(id));
@@ -317,7 +317,7 @@ impl Monarch {
             // a pread.
             let served = match info.state {
                 PlacementState::Copying { .. } => {
-                    match self.engine.read_staged(file, offset, &mut buf[..want]) {
+                    match self.engine.read_staged(id, file, offset, &mut buf[..want]) {
                         // The copy settled since the lookup above and took
                         // its staging along: look again before reading the
                         // source for bytes that just landed on a tier.
@@ -338,6 +338,7 @@ impl Monarch {
                             let candidate = if read_id != 0 { tr.next_id() } else { 0 };
                             let ctx = ReadCtx::traced(read_id, candidate);
                             match self.engine.demand_read(
+                                id,
                                 file,
                                 info.size,
                                 offset,

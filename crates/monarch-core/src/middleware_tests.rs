@@ -548,10 +548,9 @@ fn panicking_copy_task_is_journaled_and_reverted() {
         fn choose(
             &self,
             _hierarchy: &StorageHierarchy,
-            file: &str,
-            _size: u64,
+            size: u64,
         ) -> Result<Option<crate::hierarchy::TierId>> {
-            panic!("policy exploded for {file}");
+            panic!("policy exploded placing {size} bytes");
         }
     }
     let pfs = MemDriver::new("pfs");
@@ -826,23 +825,6 @@ fn transient_read_fault_retries_in_place_and_succeeds() {
 
 #[test]
 fn a_retried_read_touches_the_eviction_policy_once() {
-    use crate::hierarchy::TierId;
-    use crate::policy::{EvictCtx, EvictionPolicy, FirstFitScorer};
-    use std::sync::atomic::AtomicU64;
-    /// Counts `on_access`; evicts nothing.
-    #[derive(Default)]
-    struct CountingEviction(AtomicU64);
-    impl EvictionPolicy for CountingEviction {
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-        fn victims(&self, _: TierId, _: u64, _: &EvictCtx<'_>) -> Vec<String> {
-            Vec::new()
-        }
-        fn on_access(&self, _: &str, _: TierId) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-    }
     let pfs = MemDriver::new("pfs");
     pfs.insert("f", vec![5u8; 1000]);
     let flaky = Arc::new(FlakyDriver::new(MemDriver::new("ssd")));
@@ -851,15 +833,9 @@ fn a_retried_read_touches_the_eviction_policy_once() {
         1 << 20,
         Arc::new(pfs),
     );
-    let counting = Arc::new(CountingEviction::default());
-    let engine = PolicyEngine::new(
-        Arc::new(AdmitAll),
-        Arc::clone(&counting) as Arc<dyn EvictionPolicy>,
-        Arc::new(FirstFitScorer),
-    );
     let m = MonarchBuilder::new()
         .hierarchy(hierarchy)
-        .policy_engine(Arc::new(engine))
+        .policy(PolicyKind::LruEvict)
         .pool_threads(1)
         .build()
         .unwrap();
@@ -868,7 +844,9 @@ fn a_retried_read_touches_the_eviction_policy_once() {
     m.read("f", 0, &mut buf).unwrap();
     m.wait_placement_idle();
     assert_eq!(m.metadata().get("f").unwrap().tier, 0);
-    let before = counting.0.load(Ordering::Relaxed);
+    // Every touch of a placed file advances the namespace's clock once.
+    let touches = || m.metadata().clock();
+    let before = touches();
 
     // Three passes over the device, one read: the LRU clock must move
     // once.
@@ -878,7 +856,7 @@ fn a_retried_read_touches_the_eviction_policy_once() {
         FlakyOutcome::Ok,
     ]);
     assert_eq!(m.read("f", 0, &mut buf).unwrap(), 100);
-    assert_eq!(counting.0.load(Ordering::Relaxed) - before, 1);
+    assert_eq!(touches() - before, 1);
     assert_eq!(m.stats().read_retries, 2);
     assert_eq!(m.metadata().get("f").unwrap().reads, 2);
     m.shutdown();
@@ -889,9 +867,8 @@ fn a_policy_panic_under_the_pin_lock_fails_one_copy_and_nothing_else() {
     use crate::hierarchy::TierId;
     use crate::policy::{EvictCtx, EvictionPolicy, FirstFitScorer, LruEviction};
     use std::sync::atomic::AtomicBool;
-    /// LRU whose first `victims` panics. `PolicyEngine::place` asks it
-    /// with the pin set locked, and the copy's lease unpins while it
-    /// unwinds: the poison rule (`crate::locks`) is what lets both through.
+    /// LRU whose first `victims` panics. `PolicyEngine::place` asks it in
+    /// the middle of a copy, and the copy's lease unpins while it unwinds.
     #[derive(Default)]
     struct PanicsOnce {
         lru: LruEviction,
@@ -906,15 +883,6 @@ fn a_policy_panic_under_the_pin_lock_fails_one_copy_and_nothing_else() {
                 panic!("victims exploded");
             }
             self.lru.victims(tier, needed, ctx)
-        }
-        fn on_access(&self, file: &str, tier: TierId) {
-            self.lru.on_access(file, tier);
-        }
-        fn on_placed(&self, file: &str, size: u64, tier: TierId) {
-            self.lru.on_placed(file, size, tier);
-        }
-        fn on_evicted(&self, file: &str) {
-            self.lru.on_evicted(file);
         }
     }
     let pfs = MemDriver::new("pfs");
@@ -973,7 +941,7 @@ fn a_policy_panic_under_the_pin_lock_fails_one_copy_and_nothing_else() {
     assert_eq!(m.metadata().get("b").unwrap().tier, 0);
     assert_eq!(read("b"), 2);
 
-    // The snapshot reads the pin set.
+    // The snapshot counts the pins.
     let snap = m.telemetry_snapshot();
     assert_eq!(snap.policy.expect("policy section").pinned, 0);
     m.shutdown();

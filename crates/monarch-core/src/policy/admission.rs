@@ -17,7 +17,7 @@ impl AdmissionPolicy for AdmitAll {
         "admit_all"
     }
 
-    fn admit(&self, _file: &str, _size: u64, _f: Option<&FileFeatures>, _p: DecisionPoint) -> bool {
+    fn admit(&self, _size: u64, _f: Option<&FileFeatures>, _p: DecisionPoint) -> bool {
         true
     }
 }
@@ -53,7 +53,7 @@ impl AdmissionPolicy for ReuseAware {
         "reuse_aware"
     }
 
-    fn admit(&self, _file: &str, _size: u64, f: Option<&FileFeatures>, p: DecisionPoint) -> bool {
+    fn admit(&self, _size: u64, f: Option<&FileFeatures>, p: DecisionPoint) -> bool {
         if p == DecisionPoint::PrefetchAdmit {
             return true;
         }
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn admit_all_admits_all() {
-        assert!(AdmitAll.admit("f", u64::MAX, None, DecisionPoint::DemandAdmit));
+        assert!(AdmitAll.admit(u64::MAX, None, DecisionPoint::DemandAdmit));
     }
 
     #[test]
@@ -89,18 +89,18 @@ mod tests {
         let p = ReuseAware::default();
         let cold = features(5, 1e9); // ~17 min between reads
         let hot = features(5, 1e6); // 1s between reads
-        assert!(!p.admit("f", 1, Some(&cold), DecisionPoint::DemandAdmit));
-        assert!(p.admit("f", 1, Some(&hot), DecisionPoint::DemandAdmit));
+        assert!(!p.admit(1, Some(&cold), DecisionPoint::DemandAdmit));
+        assert!(p.admit(1, Some(&hot), DecisionPoint::DemandAdmit));
         assert!(
-            p.admit("f", 1, None, DecisionPoint::DemandAdmit),
+            p.admit(1, None, DecisionPoint::DemandAdmit),
             "unknown admits"
         );
         assert!(
-            p.admit("f", 1, Some(&features(1, 0.0)), DecisionPoint::DemandAdmit),
+            p.admit(1, Some(&features(1, 0.0)), DecisionPoint::DemandAdmit),
             "first touch admits"
         );
         assert!(
-            p.admit("f", 1, Some(&cold), DecisionPoint::PrefetchAdmit),
+            p.admit(1, Some(&cold), DecisionPoint::PrefetchAdmit),
             "the plan overrides history"
         );
     }

@@ -21,11 +21,12 @@
 //!   [`crate::observe::AccessProfiler`] features, no external deps).
 //!
 //! A [`PolicyEngine`] composes one of each plus cross-cutting state the
-//! parts must agree on: the *pin set* (files staged by prefetch but not yet
-//! read — structurally not evictable), the reuse ledger labelling evictions
-//! for the learned scorer (one bit per file in the namespace slab, see
-//! [`crate::metadata`]), decision counters, and the [`FeatureSource`]
-//! bridge to the profiler. The `TransferEngine` consults the engine at its
+//! parts must agree on, kept as bits and stamps of the namespace slab (see
+//! [`crate::metadata`]): the *pins* (files staged by prefetch but not yet
+//! read — structurally not evictable), the touch stamps the eviction
+//! policies rank by, and the reuse ledger labelling evictions for the
+//! learned scorer; plus decision counters and the [`FeatureSource`] bridge
+//! to the profiler. The `TransferEngine` consults the engine at its
 //! four decision points — demand admit, prefetch admit, pressure/ENOSPC
 //! evict, plan evict — and journals every verdict with the policy's name
 //! and cause.
@@ -38,7 +39,6 @@ pub use admission::{AdmitAll, ReuseAware};
 pub use eviction::{ClairvoyantEviction, LruEviction, NoEviction, ScoredEviction};
 pub use scorer::{FirstFitScorer, LearnedScorer};
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -177,24 +177,21 @@ pub trait AdmissionPolicy: Send + Sync {
     /// Policy name (journal entries and experiment labels).
     fn name(&self) -> &'static str;
 
-    /// Admit `file` of `size` bytes at `point`? `features` is `None` when
+    /// Admit a file of `size` bytes at `point`? `features` is `None` when
     /// the profiler has never seen the file (or is disabled) — policies
     /// must default to admitting the unknown.
-    fn admit(
-        &self,
-        file: &str,
-        size: u64,
-        features: Option<&FileFeatures>,
-        point: DecisionPoint,
-    ) -> bool;
+    fn admit(&self, size: u64, features: Option<&FileFeatures>, point: DecisionPoint) -> bool;
 }
 
-/// Context handed to [`EvictionPolicy::victims`]: which residents are
-/// off-limits and how the composed scorer values a file.
+/// Context handed to [`EvictionPolicy::victims`]: where the residents are,
+/// which of them are off-limits and how the composed scorer values a file.
 pub struct EvictCtx<'a> {
-    /// Files that must not be selected (pinned prefetches, the incoming
-    /// file itself, in-flight copies — anything the engine protects).
-    pub exempt: &'a dyn Fn(&str) -> bool,
+    /// The namespace: its [`MetadataContainer::evictable`] files of the
+    /// tier are the candidates (placed, unpinned), with their touch stamps.
+    pub files: &'a MetadataContainer,
+    /// Residents that must not be selected besides the pinned ones (the
+    /// file the engine is making room for).
+    pub exempt: &'a dyn Fn(FileId) -> bool,
     /// The composed [`PlacementScorer`]'s value estimate for a resident
     /// (higher = more worth keeping). Only score-driven policies use it.
     pub score: &'a dyn Fn(&str) -> f64,
@@ -202,14 +199,14 @@ pub struct EvictCtx<'a> {
     pub max_victims: usize,
 }
 
-/// "Who leaves when space is needed?" Implementations keep their own
-/// resident book, fed exclusively through the `on_*` observers — a file
-/// enters the book only at [`EvictionPolicy::on_placed`], so in-flight
-/// copies are structurally never evictable. [`EvictionPolicy::victims`] is
-/// a *pure selection*: it must not mutate the book (the executor confirms
-/// each eviction via [`EvictionPolicy::on_evicted`], which is when state
-/// changes), and it must return an empty vector when it cannot cover
-/// `needed` bytes — partial frees would evict files without making room.
+/// "Who leaves when space is needed?" Implementations keep no resident
+/// book: they choose among the [`EvictCtx::files`] placed on the tier and
+/// unpinned, ranked by the touch stamps the namespace keeps — a file in
+/// flight is not placed, so it is structurally never evictable.
+/// [`EvictionPolicy::victims`] is a *pure selection*: it moves nothing (the
+/// executor evicts, which is when state changes), and it must return an
+/// empty vector when it cannot cover `needed` bytes — partial frees would
+/// evict files without making room.
 pub trait EvictionPolicy: Send + Sync {
     /// Policy name (journal entries and experiment labels).
     fn name(&self) -> &'static str;
@@ -223,24 +220,12 @@ pub trait EvictionPolicy: Send + Sync {
     /// free. Empty means "cannot (or will not) make room".
     fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<String>;
 
-    /// Observe a read of `file` currently living on `tier` (recency /
-    /// frequency bookkeeping; default no-op).
-    fn on_access(&self, _file: &str, _tier: TierId) {}
-
-    /// Observe that a copy of `file` (of `size` bytes) was installed on
-    /// `tier` — the only way a file enters the resident book.
-    fn on_placed(&self, _file: &str, _size: u64, _tier: TierId) {}
-
-    /// Observe that `file` actually left its tier (eviction executed, or
-    /// the file was removed for any other reason).
-    fn on_evicted(&self, _file: &str) {}
-
-    /// A new epoch access plan was submitted (clairvoyant bookkeeping;
-    /// default no-op).
-    fn set_plan(&self, _files: &[String]) {}
+    /// A new epoch access plan was submitted, in plan order (clairvoyant
+    /// bookkeeping; default no-op).
+    fn set_plan(&self, _files: &[FileId]) {}
 
     /// A planned read completed — advance the plan cursor (default no-op).
-    fn note_plan_read(&self, _file: &str) {}
+    fn note_plan_read(&self, _file: FileId) {}
 }
 
 /// "Which tier — and how valuable is this file?" `choose` is the
@@ -251,22 +236,22 @@ pub trait PlacementScorer: Send + Sync {
     /// Scorer name (journal entries and experiment labels).
     fn name(&self) -> &'static str;
 
-    /// Pick a destination tier for `file` of `size` bytes **and reserve
+    /// Pick a destination tier for a file of `size` bytes **and reserve
     /// quota on it**. `None` means no tier has room — the engine then asks
     /// the eviction policy to make some.
-    fn choose(&self, hierarchy: &StorageHierarchy, file: &str, size: u64)
-        -> Result<Option<TierId>>;
+    fn choose(&self, hierarchy: &StorageHierarchy, size: u64) -> Result<Option<TierId>>;
 
-    /// Estimated value of keeping `file` resident (`0.0..=1.0`; higher =
-    /// more likely to be re-read soon). The default is indifferent.
-    fn score(&self, _file: &str, _features: Option<&FileFeatures>) -> f64 {
+    /// Estimated value of keeping a file with `features` resident
+    /// (`0.0..=1.0`; higher = more likely to be re-read soon). The default
+    /// is indifferent.
+    fn score(&self, _features: Option<&FileFeatures>) -> f64 {
         0.5
     }
 
-    /// Online-learning feedback: `file` (with `features` at observation
+    /// Online-learning feedback: a file (with `features` at observation
     /// time) either was (`reused = true`) or was not read again between
     /// placement and eviction. Default no-op.
-    fn observe_outcome(&self, _file: &str, _features: Option<&FileFeatures>, _reused: bool) {}
+    fn observe_outcome(&self, _features: Option<&FileFeatures>, _reused: bool) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -327,15 +312,16 @@ pub struct PolicyEngine {
     /// Feature bridge to the profiler; bound by whoever owns the
     /// telemetry registry (engine constructor, simulator).
     features: Mutex<Option<Arc<dyn FeatureSource>>>,
-    /// Files staged by prefetch but not yet read — never evictable until
-    /// unpinned, else the window thrashes against its own evictions.
-    pinned: Mutex<HashSet<String>>,
     /// The namespace of the instance this engine decides for. Each file's
-    /// "read since placement?" bit — the label for the scorer's online
-    /// updates, resolved at eviction time — lives in its slab, so the
-    /// read path sets it by id with no lock and no allocation. The engine
-    /// creates the container; [`crate::MonarchBuilder`] adopts it.
+    /// touch stamp, its pin and its "read since placement?" bit — the
+    /// label for the scorer's online updates, resolved at eviction time —
+    /// live in its slab, so the read path sets them by id with no lock and
+    /// no allocation. The engine creates the container;
+    /// [`crate::MonarchBuilder`] adopts it.
     files: Arc<MetadataContainer>,
+    /// The eviction part may evict: only then does an access stamp its
+    /// file, so a first-fit hit makes no shared write.
+    stamps: bool,
     counters: Counters,
 }
 
@@ -357,12 +343,12 @@ impl PolicyEngine {
     ) -> Self {
         let name = format!("{}/{}/{}", admission.name(), eviction.name(), scorer.name());
         Self {
+            stamps: eviction.may_evict(),
             admission,
             eviction,
             scorer,
             name,
             features: Mutex::new(None),
-            pinned: Mutex::new(HashSet::new()),
             files: Arc::new(MetadataContainer::default()),
             counters: Counters::default(),
         }
@@ -380,14 +366,14 @@ impl PolicyEngine {
         };
         let (eviction, scorer): (Arc<dyn EvictionPolicy>, Arc<dyn PlacementScorer>) = match kind {
             PolicyKind::FirstFit => (Arc::new(NoEviction), Arc::new(FirstFitScorer)),
-            PolicyKind::LruEvict => (Arc::new(LruEviction::new()), Arc::new(FirstFitScorer)),
+            PolicyKind::LruEvict => (Arc::new(LruEviction), Arc::new(FirstFitScorer)),
             PolicyKind::Clairvoyant => (
                 Arc::new(ClairvoyantEviction::new()),
                 Arc::new(FirstFitScorer),
             ),
             PolicyKind::Learned => {
                 let model = Arc::new(LearnedScorer::new());
-                (Arc::new(ScoredEviction::new()), model)
+                (Arc::new(ScoredEviction), model)
             }
         };
         Self::new(admission, eviction, scorer)
@@ -416,7 +402,7 @@ impl PolicyEngine {
     #[must_use]
     pub fn admit(&self, file: &str, size: u64, point: DecisionPoint) -> bool {
         let features = self.features_of(file);
-        let ok = self.admission.admit(file, size, features.as_ref(), point);
+        let ok = self.admission.admit(size, features.as_ref(), point);
         let counter = match (point, ok) {
             (DecisionPoint::DemandAdmit, true) => &self.counters.demand_admits,
             (DecisionPoint::DemandAdmit, false) => &self.counters.demand_denials,
@@ -441,7 +427,7 @@ impl PolicyEngine {
         file: &str,
         size: u64,
     ) -> Result<Option<PlacementDecision>> {
-        if let Some(tier) = self.scorer.choose(hierarchy, file, size)? {
+        if let Some(tier) = self.scorer.choose(hierarchy, size)? {
             return Ok(Some(PlacementDecision {
                 tier,
                 evict: Vec::new(),
@@ -450,14 +436,31 @@ impl PolicyEngine {
         if !self.eviction.may_evict() {
             return Ok(None);
         }
-        let pinned = locks::lock(&self.pinned);
-        let exempt = |name: &str| name == file || pinned.contains(name);
-        let score = |name: &str| self.scorer.score(name, self.features_of(name).as_ref());
-        let ctx = EvictCtx {
+        self.with_ctx(file, |ctx| self.make_room(hierarchy, size, ctx))
+    }
+
+    /// Run `f` over the eviction context of a decision for `keep`: the
+    /// namespace's residents, `keep` exempt, valued by the scorer.
+    fn with_ctx<T>(&self, keep: &str, f: impl FnOnce(&EvictCtx<'_>) -> T) -> T {
+        let keep = self.files.resolve(keep);
+        let exempt = |id: FileId| Some(id) == keep;
+        let score = |name: &str| self.scorer.score(self.features_of(name).as_ref());
+        f(&EvictCtx {
+            files: &self.files,
             exempt: &exempt,
             score: &score,
             max_victims: MAX_EVICTIONS_PER_PLACE,
-        };
+        })
+    }
+
+    /// The eviction half of [`Self::place`]: the first healthy local tier
+    /// where evicting the policy's victims makes room for `size` bytes.
+    fn make_room(
+        &self,
+        hierarchy: &StorageHierarchy,
+        size: u64,
+        ctx: &EvictCtx<'_>,
+    ) -> Result<Option<PlacementDecision>> {
         for tier in hierarchy.local_tiers() {
             if hierarchy.health().tier(tier.id).is_quarantined() {
                 continue;
@@ -479,7 +482,7 @@ impl PolicyEngine {
                 }
                 continue;
             }
-            let victims = self.eviction.victims(tier.id, needed, &ctx);
+            let victims = self.eviction.victims(tier.id, needed, ctx);
             if victims.is_empty() {
                 continue;
             }
@@ -494,40 +497,25 @@ impl PolicyEngine {
         Ok(None)
     }
 
-    /// Pick one victim under ENOSPC pressure: prefer the eviction policy's
-    /// choice if it names one of `candidates` (name, size pairs of files
-    /// actually resident per the metadata scan); otherwise fall back to the
-    /// first non-exempt candidate so a capacity error can always be
-    /// relieved, even under [`NoEviction`].
+    /// Pick one resident of `tier` other than `keep` to evict under ENOSPC
+    /// pressure: the eviction policy's choice, or else the first resident
+    /// no pin protects, so a capacity error can always be relieved, even
+    /// under [`NoEviction`].
     #[must_use]
-    pub fn pressure_victim(
-        &self,
-        tier: TierId,
-        candidates: &[(String, u64)],
-        keep: &str,
-    ) -> Option<String> {
-        let pinned = locks::lock(&self.pinned);
-        let exempt = |name: &str| name == keep || pinned.contains(name);
-        let score = |name: &str| self.scorer.score(name, self.features_of(name).as_ref());
-        let ctx = EvictCtx {
-            exempt: &exempt,
-            score: &score,
-            max_victims: MAX_EVICTIONS_PER_PLACE,
-        };
-        let preferred = if self.eviction.may_evict() {
-            self.eviction.victims(tier, 1, &ctx)
-        } else {
-            Vec::new()
-        };
-        let pick = preferred
-            .into_iter()
-            .find(|v| candidates.iter().any(|(n, _)| n == v))
-            .or_else(|| {
-                candidates
-                    .iter()
-                    .map(|(n, _)| n.clone())
-                    .find(|n| !exempt(n))
-            });
+    pub fn pressure_victim(&self, tier: TierId, keep: &str) -> Option<String> {
+        let pick = self.with_ctx(keep, |ctx| {
+            let preferred = if self.eviction.may_evict() {
+                self.eviction.victims(tier, 1, ctx).into_iter().next()
+            } else {
+                None
+            };
+            preferred.or_else(|| {
+                ctx.files
+                    .evictable(tier)
+                    .find(|r| !(ctx.exempt)(r.id))
+                    .map(|r| r.name.to_string())
+            })
+        });
         if pick.is_some() {
             self.counters
                 .pressure_victims
@@ -544,62 +532,64 @@ impl PolicyEngine {
         &self.files
     }
 
-    /// Observe a read of `file` served from `tier`. Feeds eviction
-    /// recency/frequency books and flips the reuse label for the scorer.
+    /// Observe a read of `file` served from `tier`: restamps the file when
+    /// the policy may evict, and flips the reuse label for the scorer.
     pub fn on_access(&self, file: &str, tier: TierId) {
-        self.on_access_id(self.files.intern(file), file, tier);
+        self.on_access_id(self.files.intern(file), tier);
     }
 
-    /// [`Self::on_access`] for a caller that already resolved `file` to
-    /// its `id` in [`Self::namespace`]: a bit test on a warm file.
+    /// [`Self::on_access`] for a caller that already resolved the file to
+    /// its `id` in [`Self::namespace`]: a bit test on a warm file, and
+    /// under an evicting policy its touch stamp.
     #[inline]
-    pub fn on_access_id(&self, id: FileId, file: &str, tier: TierId) {
-        self.eviction.on_access(file, tier);
+    pub fn on_access_id(&self, id: FileId, tier: TierId) {
+        if self.stamps {
+            self.files.touch(id, tier);
+        }
         self.files.mark_reused(id);
     }
 
-    /// Observe an installed copy: seeds the eviction book and opens a
-    /// fresh (not-yet-reused) ledger entry for the scorer label.
-    pub fn on_placed(&self, file: &str, size: u64, tier: TierId) {
-        self.eviction.on_placed(file, size, tier);
+    /// Observe an installed copy: opens a fresh (not-yet-reused) ledger
+    /// entry for the scorer label. The namespace stamped the placement
+    /// itself, and knows its size and tier.
+    pub fn on_placed(&self, file: &str, _size: u64, _tier: TierId) {
         self.files.take_reused(self.files.intern(file));
     }
 
     /// Observe that `file` left its tier. Resolves the reuse label and
     /// feeds it back to the scorer as an online-learning outcome.
     pub fn on_evicted(&self, file: &str) {
-        self.eviction.on_evicted(file);
         let reused = self.files.take_reused(self.files.intern(file));
         let features = self.features_of(file);
-        self.scorer.observe_outcome(file, features.as_ref(), reused);
+        self.scorer.observe_outcome(features.as_ref(), reused);
     }
 
     /// A new epoch plan was submitted: reset pins and hand the order to the
-    /// clairvoyant book.
-    pub fn set_plan(&self, files: &[String]) {
-        locks::lock(&self.pinned).clear();
+    /// clairvoyant policy.
+    pub fn set_plan(&self, files: &[FileId]) {
+        self.files.unpin_all();
         self.eviction.set_plan(files);
     }
 
-    /// A planned read completed: advance the clairvoyant cursor.
-    pub fn note_plan_read(&self, file: &str) {
+    /// A planned read of `file` completed: advance the clairvoyant cursor.
+    pub fn note_plan_read(&self, file: FileId) {
         self.eviction.note_plan_read(file);
     }
 
     /// Protect `file` from eviction (prefetch staged it; it has not yet
     /// been read).
-    pub fn pin(&self, file: &str) {
-        locks::lock(&self.pinned).insert(file.to_string());
+    pub fn pin(&self, file: FileId) {
+        self.files.set_pinned(file, true);
     }
 
     /// Release the eviction protection on `file`.
-    pub fn unpin(&self, file: &str) {
-        locks::lock(&self.pinned).remove(file);
+    pub fn unpin(&self, file: FileId) {
+        self.files.set_pinned(file, false);
     }
 
     /// Drop every pin (drain, plan replacement).
     pub fn clear_pins(&self) {
-        locks::lock(&self.pinned).clear();
+        self.files.unpin_all();
     }
 
     /// Whether the composed eviction policy can ever return victims.
@@ -623,7 +613,7 @@ impl PolicyEngine {
             prefetch_denials: self.counters.prefetch_denials.load(Ordering::Relaxed),
             evictions_selected: self.counters.evictions_selected.load(Ordering::Relaxed),
             pressure_victims: self.counters.pressure_victims.load(Ordering::Relaxed),
-            pinned: locks::lock(&self.pinned).len() as u64,
+            pinned: self.files.pinned(),
         }
     }
 }
@@ -656,6 +646,21 @@ mod tests {
 
     fn engine(kind: PolicyKind) -> PolicyEngine {
         PolicyEngine::from_kind(kind, AdmissionKind::default())
+    }
+
+    /// Seat `name` of `size` bytes on `tier` of `p`'s namespace, as a
+    /// finished copy would: registered on the source (tier 9), copied,
+    /// placed.
+    fn seat(p: &PolicyEngine, name: &str, size: u64, tier: TierId) {
+        let files = p.namespace();
+        files.register(name, size, 9);
+        assert!(files.begin_copy(name, tier).unwrap());
+        files.finish_copy(name, tier).unwrap();
+        p.on_placed(name, size, tier);
+    }
+
+    fn id(p: &PolicyEngine, name: &str) -> FileId {
+        p.namespace().resolve(name).unwrap()
     }
 
     #[test]
@@ -717,7 +722,7 @@ mod tests {
             let d = p.place(&h, name, size).unwrap().unwrap();
             assert!(d.evict.is_empty());
             h.tier(0).unwrap(); // quota was reserved by choose()
-            p.on_placed(name, size, 0);
+            seat(&p, name, size, 0);
         }
         // Touch "a" so "b" becomes LRU.
         p.on_access("a", 0);
@@ -736,17 +741,18 @@ mod tests {
         for (name, size) in [("a", 50u64), ("b", 50)] {
             let d = p.place(&h, name, size).unwrap().unwrap();
             assert!(d.evict.is_empty());
-            p.on_placed(name, size, 0);
+            seat(&p, name, size, 0);
         }
-        p.pin("a");
+        p.pin(id(&p, "a"));
         let d = p.place(&h, "c", 50).unwrap().unwrap();
         assert_eq!(d.evict, vec!["b".to_string()], "pinned a is skipped");
-        p.pin("b");
+        p.pin(id(&p, "b"));
         assert!(
             p.place(&h, "c", 50).unwrap().is_none(),
             "everything pinned → no placement"
         );
-        p.unpin("a");
+        assert_eq!(p.snapshot().pinned, 2);
+        p.unpin(id(&p, "a"));
         let d = p.place(&h, "c", 50).unwrap().unwrap();
         assert_eq!(d.evict, vec!["a".to_string()]);
     }
@@ -775,7 +781,7 @@ mod tests {
         // Fill tier 1 so eviction would be the only way in.
         let d = lru.place(&h, "big", 100).unwrap().unwrap();
         assert_eq!(d.tier, 1);
-        lru.on_placed("big", 100, 1);
+        seat(&lru, "big", 100, 1);
         let d = lru.place(&h, "next", 50).unwrap().unwrap();
         assert_eq!(d.tier, 1, "victims come from the healthy tier only");
         assert_eq!(d.evict, vec!["big".to_string()]);
@@ -800,25 +806,18 @@ mod tests {
         for (name, size) in [("a", 30u64), ("b", 30), ("c", 30)] {
             let d = p.place(&h, name, size).unwrap().unwrap();
             assert!(d.evict.is_empty());
-            p.on_placed(name, size, 0);
+            seat(&p, name, size, 0);
         }
         p.on_access("a", 0); // b is now LRU
-        let candidates = vec![("a".to_string(), 30), ("b".to_string(), 30)];
-        assert_eq!(
-            p.pressure_victim(0, &candidates, "keep"),
-            Some("b".to_string())
-        );
+        assert_eq!(p.pressure_victim(0, "keep"), Some("b".to_string()));
         // NoEviction still relieves pressure via the fallback.
         let ff = engine(PolicyKind::FirstFit);
-        assert_eq!(
-            ff.pressure_victim(0, &candidates, "keep"),
-            Some("a".to_string())
-        );
-        assert_eq!(
-            ff.pressure_victim(0, &candidates, "a"),
-            Some("b".to_string())
-        );
-        assert_eq!(ff.pressure_victim(0, &[("a".into(), 1)], "a"), None);
+        seat(&ff, "a", 30, 0);
+        seat(&ff, "b", 30, 0);
+        assert_eq!(ff.pressure_victim(0, "keep"), Some("a".to_string()));
+        assert_eq!(ff.pressure_victim(0, "a"), Some("b".to_string()));
+        ff.namespace().evict_with("b", 9, || ()).unwrap();
+        assert_eq!(ff.pressure_victim(0, "a"), None);
     }
 
     #[test]
@@ -845,9 +844,9 @@ mod tests {
         let p = engine(PolicyKind::Learned);
         let d = p.place(&h, "cold", 40).unwrap().unwrap();
         assert!(d.evict.is_empty());
-        p.on_placed("cold", 40, 0);
+        seat(&p, "cold", 40, 0);
         p.on_evicted("cold"); // never accessed → negative label
-        p.on_placed("hot", 40, 0);
+        seat(&p, "hot", 40, 0);
         p.on_access("hot", 0);
         p.on_evicted("hot"); // accessed → positive label
                              // No panic and the composition stays consistent.

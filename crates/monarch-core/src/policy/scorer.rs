@@ -45,12 +45,7 @@ impl PlacementScorer for FirstFitScorer {
         "first_fit"
     }
 
-    fn choose(
-        &self,
-        hierarchy: &StorageHierarchy,
-        _file: &str,
-        size: u64,
-    ) -> Result<Option<TierId>> {
+    fn choose(&self, hierarchy: &StorageHierarchy, size: u64) -> Result<Option<TierId>> {
         first_fit_choose(hierarchy, size)
     }
 }
@@ -132,23 +127,18 @@ impl PlacementScorer for LearnedScorer {
         "learned"
     }
 
-    fn choose(
-        &self,
-        hierarchy: &StorageHierarchy,
-        _file: &str,
-        size: u64,
-    ) -> Result<Option<TierId>> {
+    fn choose(&self, hierarchy: &StorageHierarchy, size: u64) -> Result<Option<TierId>> {
         first_fit_choose(hierarchy, size)
     }
 
-    fn score(&self, _file: &str, features: Option<&FileFeatures>) -> f64 {
+    fn score(&self, features: Option<&FileFeatures>) -> f64 {
         let x = featurize(features);
         let m = locks::lock(&self.model);
         let z = m.b + m.w.iter().zip(x.iter()).map(|(w, x)| w * x).sum::<f64>();
         sigmoid(z)
     }
 
-    fn observe_outcome(&self, _file: &str, features: Option<&FileFeatures>, reused: bool) {
+    fn observe_outcome(&self, features: Option<&FileFeatures>, reused: bool) {
         let x = featurize(features);
         let y = if reused { 1.0 } else { 0.0 };
         let mut m = locks::lock(&self.model);
@@ -184,11 +174,11 @@ mod tests {
     fn positive_updates_raise_the_score_monotonically() {
         let s = LearnedScorer::new();
         let f = features(10, 5e5, 0.8);
-        let mut last = s.score("f", Some(&f));
+        let mut last = s.score(Some(&f));
         assert!((last - 0.5).abs() < 1e-9, "untrained model is indifferent");
         for _ in 0..20 {
-            s.observe_outcome("f", Some(&f), true);
-            let now = s.score("f", Some(&f));
+            s.observe_outcome(Some(&f), true);
+            let now = s.score(Some(&f));
             assert!(now >= last, "score must not drop on a positive label");
             last = now;
         }
@@ -199,10 +189,10 @@ mod tests {
     fn negative_updates_lower_the_score_monotonically() {
         let s = LearnedScorer::new();
         let f = features(2, 1e9, 0.0);
-        let mut last = s.score("f", Some(&f));
+        let mut last = s.score(Some(&f));
         for _ in 0..20 {
-            s.observe_outcome("f", Some(&f), false);
-            let now = s.score("f", Some(&f));
+            s.observe_outcome(Some(&f), false);
+            let now = s.score(Some(&f));
             assert!(now <= last, "score must not rise on a negative label");
             last = now;
         }
@@ -215,11 +205,11 @@ mod tests {
         let hot = features(50, 2e5, 0.9); // frequent, tight gaps, plan-predicted
         let cold = features(2, 8e8, 0.0); // rare, quarter-hour gaps
         for _ in 0..30 {
-            s.observe_outcome("hot", Some(&hot), true);
-            s.observe_outcome("cold", Some(&cold), false);
+            s.observe_outcome(Some(&hot), true);
+            s.observe_outcome(Some(&cold), false);
         }
-        let hot_score = s.score("hot", Some(&hot));
-        let cold_score = s.score("cold", Some(&cold));
+        let hot_score = s.score(Some(&hot));
+        let cold_score = s.score(Some(&cold));
         assert!(
             hot_score > cold_score + 0.5,
             "model separates the stream: hot={hot_score} cold={cold_score}"
@@ -233,7 +223,7 @@ mod tests {
         let f = features(u64::MAX, 0.0, 1.0);
         for i in 0..10_000 {
             // Adversarial alternation at an extreme feature point.
-            s.observe_outcome("f", Some(&f), i % 2 == 0);
+            s.observe_outcome(Some(&f), i % 2 == 0);
         }
         let m = locks::lock(&s.model);
         for w in m.w {
@@ -241,10 +231,10 @@ mod tests {
         }
         assert!(m.b.is_finite() && m.b.abs() <= WEIGHT_CLAMP);
         drop(m);
-        let score = s.score("f", Some(&f));
+        let score = s.score(Some(&f));
         assert!(score.is_finite() && (0.0..=1.0).contains(&score));
         // And unknown files still get the base rate, not garbage.
-        let unknown = s.score("g", None);
+        let unknown = s.score(None);
         assert!(unknown.is_finite() && (0.0..=1.0).contains(&unknown));
     }
 }

@@ -26,6 +26,7 @@
 //! [`Lifecycle`](crate::lifecycle::Lifecycle)'s plan calls.
 
 use crate::hash::FxHashMap;
+use crate::metadata::FileId;
 use crate::telemetry::PrefetchSample;
 
 /// An ordered sequence of file names the framework expects to read next,
@@ -109,7 +110,7 @@ impl PrefetchConfig {
 /// One plan entry's lifecycle inside the window.
 #[derive(Debug, Clone)]
 struct Entry {
-    name: String,
+    id: FileId,
     size: u64,
     /// A copy was issued for this entry (at most once, ever).
     issued: bool,
@@ -168,7 +169,7 @@ impl From<ReadNote> for ReadFeedback {
 #[derive(Debug)]
 pub struct PrefetchWindow {
     entries: Vec<Entry>,
-    pos: FxHashMap<String, usize>,
+    pos: FxHashMap<FileId, usize>,
     /// Next plan index eligible for issue. Invariant: `next <= cursor + lookahead`.
     next: usize,
     /// One past the furthest plan position the foreground has read.
@@ -181,19 +182,19 @@ pub struct PrefetchWindow {
 }
 
 impl PrefetchWindow {
-    /// Build a window over `(name, size)` pairs in plan order. Duplicate
-    /// names keep their first occurrence only.
+    /// Build a window over `(id, size)` pairs of the namespace's files in
+    /// plan order. Duplicates keep their first occurrence only.
     #[must_use]
-    pub fn new(files: Vec<(String, u64)>, cfg: PrefetchConfig) -> Self {
+    pub fn new(files: &[(FileId, u64)], cfg: PrefetchConfig) -> Self {
         let mut entries = Vec::with_capacity(files.len());
         let mut pos = FxHashMap::default();
-        for (name, size) in files {
-            if pos.contains_key(&name) {
+        for &(id, size) in files {
+            if pos.contains_key(&id) {
                 continue;
             }
-            pos.insert(name.clone(), entries.len());
+            pos.insert(id, entries.len());
             entries.push(Entry {
-                name,
+                id,
                 size,
                 issued: false,
                 resolved: false,
@@ -259,8 +260,8 @@ impl PrefetchWindow {
     /// file's plan position (never backwards) and reports the entry's
     /// prefetch state. Files not in the plan return `None` and leave the
     /// window untouched.
-    pub fn on_read(&mut self, file: &str) -> Option<ReadNote> {
-        let &idx = self.pos.get(file)?;
+    pub fn on_read(&mut self, file: FileId) -> Option<ReadNote> {
+        let &idx = self.pos.get(&file)?;
         let e = &mut self.entries[idx];
         let first_read = !e.read_seen;
         e.read_seen = true;
@@ -281,7 +282,7 @@ impl PrefetchWindow {
     /// and the in-flight byte cap, and mark it issued. Returns `None` when
     /// the window is closed (plan exhausted, lookahead reached, or byte
     /// budget spent). Each entry is returned at most once, ever.
-    pub fn next_to_issue(&mut self) -> Option<(usize, String, u64)> {
+    pub fn next_to_issue(&mut self) -> Option<(usize, FileId, u64)> {
         // `lookahead == 0` is the disabled configuration: it must never
         // issue, even after foreground reads drag the cursor past
         // unissued entries (where `next < cursor + 0` would hold).
@@ -306,7 +307,7 @@ impl PrefetchWindow {
         e.issued = true;
         self.inflight.push(idx);
         self.inflight_bytes += size;
-        Some((idx, e.name.clone(), size))
+        Some((idx, e.id, size))
     }
 
     /// Attach the trace flow id of the copy issued for `index`.
@@ -333,12 +334,12 @@ impl PrefetchWindow {
     /// Sweep the in-flight set with a terminal-state oracle (typically the
     /// metadata container: a file whose state left `Copying` is terminal)
     /// and resolve every entry the oracle confirms.
-    pub fn poll_resolved(&mut self, is_terminal: impl Fn(&str) -> bool) {
+    pub fn poll_resolved(&mut self, is_terminal: impl Fn(FileId) -> bool) {
         let done: Vec<usize> = self
             .inflight
             .iter()
             .copied()
-            .filter(|&i| is_terminal(&self.entries[i].name))
+            .filter(|&i| is_terminal(self.entries[i].id))
             .collect();
         for idx in done {
             self.resolve(idx);
@@ -346,9 +347,9 @@ impl PrefetchWindow {
     }
 
     /// Close the window: resolve everything still in flight and report
-    /// per-entry `(name, issued, read_seen)` for hit/waste accounting.
+    /// per-entry `(id, issued, read_seen)` for hit/waste accounting.
     /// Afterwards the window is inert: nothing further will issue.
-    pub fn drain(&mut self) -> Vec<(String, bool, bool)> {
+    pub fn drain(&mut self) -> Vec<(FileId, bool, bool)> {
         let inflight = std::mem::take(&mut self.inflight);
         for idx in inflight {
             let e = &mut self.entries[idx];
@@ -359,7 +360,7 @@ impl PrefetchWindow {
         self.cursor = self.entries.len();
         self.entries
             .iter()
-            .map(|e| (e.name.clone(), e.issued, e.read_seen))
+            .map(|e| (e.id, e.issued, e.read_seen))
             .collect()
     }
 }
@@ -367,9 +368,17 @@ impl PrefetchWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::MetadataContainer;
 
-    fn plan(n: usize, size: u64) -> Vec<(String, u64)> {
-        (0..n).map(|i| (format!("f{i:03}"), size)).collect()
+    /// The id of `name` in one namespace shared by every test of this
+    /// module: equal names, equal ids.
+    fn id(name: &str) -> FileId {
+        static NAMES: std::sync::OnceLock<MetadataContainer> = std::sync::OnceLock::new();
+        NAMES.get_or_init(MetadataContainer::default).intern(name)
+    }
+
+    fn plan(n: usize, size: u64) -> Vec<(FileId, u64)> {
+        (0..n).map(|i| (id(&format!("f{i:03}")), size)).collect()
     }
 
     fn cfg(lookahead: usize, max_bytes: u64) -> PrefetchConfig {
@@ -381,7 +390,7 @@ mod tests {
 
     #[test]
     fn issues_at_most_lookahead_ahead_of_cursor() {
-        let mut w = PrefetchWindow::new(plan(10, 100), cfg(3, 0));
+        let mut w = PrefetchWindow::new(&plan(10, 100), cfg(3, 0));
         let mut issued = Vec::new();
         while let Some((i, _, _)) = w.next_to_issue() {
             issued.push(i);
@@ -393,14 +402,14 @@ mod tests {
         );
 
         // Reading f000 moves the cursor to 1 and releases exactly one more.
-        assert!(w.on_read("f000").unwrap().first_read);
+        assert!(w.on_read(id("f000")).unwrap().first_read);
         assert_eq!(w.next_to_issue().map(|(i, _, _)| i), Some(3));
         assert_eq!(w.next_to_issue(), None);
     }
 
     #[test]
     fn byte_cap_backpressure_and_release() {
-        let mut w = PrefetchWindow::new(plan(10, 100), cfg(10, 250));
+        let mut w = PrefetchWindow::new(&plan(10, 100), cfg(10, 250));
         assert!(w.next_to_issue().is_some());
         assert!(w.next_to_issue().is_some());
         assert_eq!(
@@ -417,7 +426,7 @@ mod tests {
 
     #[test]
     fn oversized_file_still_issues_when_alone() {
-        let mut w = PrefetchWindow::new(plan(2, 1000), cfg(2, 64));
+        let mut w = PrefetchWindow::new(&plan(2, 1000), cfg(2, 64));
         assert!(
             w.next_to_issue().is_some(),
             "one in-flight copy is always allowed"
@@ -429,59 +438,59 @@ mod tests {
 
     #[test]
     fn never_reissues_and_dedups_plan() {
-        let files = vec![("a".into(), 1), ("b".into(), 1), ("a".into(), 1)];
-        let mut w = PrefetchWindow::new(files, cfg(10, 0));
+        let files = [(id("a"), 1), (id("b"), 1), (id("a"), 1)];
+        let mut w = PrefetchWindow::new(&files, cfg(10, 0));
         assert_eq!(w.len(), 2, "duplicate keeps first occurrence");
-        let names: Vec<String> =
-            std::iter::from_fn(|| w.next_to_issue().map(|(_, n, _)| n)).collect();
-        assert_eq!(names, vec!["a", "b"]);
-        w.on_read("a");
-        w.on_read("b");
+        let ids: Vec<FileId> =
+            std::iter::from_fn(|| w.next_to_issue().map(|(_, f, _)| f)).collect();
+        assert_eq!(ids, vec![id("a"), id("b")]);
+        w.on_read(id("a"));
+        w.on_read(id("b"));
         assert_eq!(w.next_to_issue(), None, "issued entries never come back");
     }
 
     #[test]
     fn reads_outside_plan_are_ignored() {
-        let mut w = PrefetchWindow::new(plan(2, 1), cfg(1, 0));
-        assert!(w.on_read("not-in-plan").is_none());
+        let mut w = PrefetchWindow::new(&plan(2, 1), cfg(1, 0));
+        assert!(w.on_read(id("not-in-plan")).is_none());
         assert_eq!(w.cursor(), 0);
     }
 
     #[test]
     fn read_note_reports_prefetch_state() {
-        let mut w = PrefetchWindow::new(plan(3, 1), cfg(3, 0));
+        let mut w = PrefetchWindow::new(&plan(3, 1), cfg(3, 0));
         let (i, _, _) = w.next_to_issue().unwrap();
         w.set_flow(i, 77);
-        let n = w.on_read("f000").unwrap();
+        let n = w.on_read(id("f000")).unwrap();
         assert!(n.first_read && n.issued && !n.resolved);
         assert_eq!(n.flow, 77);
         w.resolve(i);
-        let n = w.on_read("f000").unwrap();
+        let n = w.on_read(id("f000")).unwrap();
         assert!(!n.first_read && n.resolved);
     }
 
     #[test]
     fn drain_is_terminal_and_reports_accounting() {
-        let mut w = PrefetchWindow::new(plan(4, 10), cfg(2, 0));
+        let mut w = PrefetchWindow::new(&plan(4, 10), cfg(2, 0));
         w.next_to_issue().unwrap();
         w.next_to_issue().unwrap();
-        w.on_read("f000");
+        w.on_read(id("f000"));
         let report = w.drain();
         assert_eq!(w.inflight(), 0);
         assert_eq!(w.inflight_bytes(), 0);
         assert_eq!(w.next_to_issue(), None, "drained window issues nothing");
-        // (name, issued, read_seen)
-        assert_eq!(report[0], ("f000".to_string(), true, true));
-        assert_eq!(report[1], ("f001".to_string(), true, false));
-        assert_eq!(report[2], ("f002".to_string(), false, false));
+        // (id, issued, read_seen)
+        assert_eq!(report[0], (id("f000"), true, true));
+        assert_eq!(report[1], (id("f001"), true, false));
+        assert_eq!(report[2], (id("f002"), false, false));
     }
 
     #[test]
     fn poll_resolved_uses_oracle() {
-        let mut w = PrefetchWindow::new(plan(3, 5), cfg(3, 0));
+        let mut w = PrefetchWindow::new(&plan(3, 5), cfg(3, 0));
         w.next_to_issue().unwrap();
         w.next_to_issue().unwrap();
-        w.poll_resolved(|name| name == "f000");
+        w.poll_resolved(|f| f == id("f000"));
         assert_eq!(w.inflight(), 1);
         assert_eq!(w.inflight_bytes(), 5);
     }

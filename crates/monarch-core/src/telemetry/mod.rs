@@ -434,7 +434,10 @@ impl TelemetryRegistry {
             observe: self.profiler.is_enabled().then(|| ObserveSnapshot {
                 profiler: self.profiler.snapshot(),
             }),
-            cluster: cluster.map(|c| c.snapshot(&stats)),
+            cluster: cluster.map(|c| {
+                let source = self.tier_names.len().saturating_sub(1);
+                c.snapshot(&stats, policy.namespace(), source)
+            }),
             health: Some(health.snapshot()),
             policy: Some(policy.snapshot()),
             stats,

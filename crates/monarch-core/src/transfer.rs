@@ -35,12 +35,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::cluster::{Cluster, ClusterView, PeerError};
+use crate::cluster::{Cluster, PeerError};
 use crate::health::{device_error_class, ErrorClass, Gate};
 use crate::hierarchy::TierId;
 use crate::lifecycle::{CopyFlow, CopyRun, Evict, Lifecycle, Queued, Reservation, Unplaced};
 use crate::locks;
-use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
+use crate::metadata::{FileId, MetadataContainer, PlacementState};
 use crate::policy::FeatureSource;
 use crate::pool::{Lane, PoolProbe, ThreadPool};
 use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow, ReadFeedback};
@@ -273,8 +273,8 @@ pub struct TransferEngine {
     stagings: Stagings,
 }
 
-/// The install staging of every queued or running copy, by file name.
-type Stagings = Arc<Mutex<HashMap<String, Arc<Staging>>>>;
+/// The install staging of every queued or running copy, by file.
+type Stagings = Arc<Mutex<HashMap<FileId, Arc<Staging>>>>;
 
 /// What a scheduled copy *is*: the hold on its file's `Copying` state, on
 /// the install staging registered with it and, once room is made, on the
@@ -290,6 +290,7 @@ struct Lease {
     stagings: Stagings,
     shutting_down: Arc<AtomicBool>,
     file: String,
+    id: FileId,
     staging: Arc<Staging>,
     /// Lane the copy was queued on — the journal's `copy_completed`
     /// attributes the resulting placement to demand or to the plan
@@ -328,10 +329,10 @@ impl Drop for Lease {
             // A failed copy reverts the metadata before its job ends; by
             // now a new copy of the file may have registered its own.
             if stagings
-                .get(&self.file)
+                .get(&self.id)
                 .is_some_and(|s| Arc::ptr_eq(s, &self.staging))
             {
-                stagings.remove(&self.file);
+                stagings.remove(&self.id);
             }
         }
         if self.settled.get() {
@@ -391,13 +392,6 @@ impl TransferEngine {
         }
     }
 
-    /// Attach the peer-cache residency feed: from now on every admit and
-    /// evict this engine performs is mirrored into `view` under `node`.
-    /// Called once by the builder when a cluster is configured.
-    pub fn set_cluster_feed(&self, view: Arc<ClusterView>, node: usize) {
-        self.book.set_cluster_feed(view, node);
-    }
-
     /// The engine's shutdown flag — shared with the read path so reads are
     /// rejected as soon as a drain begins.
     #[must_use]
@@ -429,10 +423,11 @@ impl TransferEngine {
         self.pool.wait_idle();
     }
 
-    /// Read-path recency signal: forward a foreground access to the
-    /// placement policy (LRU-style policies feed on this).
-    pub fn note_access(&self, file: &str, id: FileId, tier: TierId) {
-        self.book.policy().on_access_id(id, file, tier);
+    /// Read-path recency signal: forward a foreground access of `id`,
+    /// found on `tier`, to the policy engine (LRU-style policies rank by
+    /// the stamp it leaves).
+    pub fn note_access(&self, id: FileId, tier: TierId) {
+        self.book.policy().on_access_id(id, tier);
     }
 
     /// The instance's namespace.
@@ -454,13 +449,16 @@ impl TransferEngine {
     /// recorded under `ctx.flow.parent` when sampled), the lane to queue on,
     /// and an optional start deadline.
     pub fn demand(&self, file: &str, size: u64, ctx: ReadCtx) -> bool {
-        self.schedule(file, Arc::new(Staging::empty(size)), ctx)
+        let Some(id) = self.book.metadata().resolve(file) else {
+            return false;
+        };
+        self.schedule(id, file, Arc::new(Staging::empty(size)), ctx)
     }
 
-    /// [`Self::demand`] by the read that first touches `file`: announce
-    /// the copy, then serve the read — `buf.len()` bytes at `offset`,
-    /// inside the file — as the first fetch into the copy's staging, the
-    /// way [`Self::read_staged`] serves every later one. Returns whether a
+    /// [`Self::demand`] by the read that first touches `file`, resolved to
+    /// `id`: announce the copy, then serve the read — `buf.len()` bytes at
+    /// `offset`, inside the file — as the first fetch into the copy's
+    /// staging, the way [`Self::read_staged`] serves every later one. Returns whether a
     /// copy was scheduled and, if the read was served there, the bytes it
     /// fetched from the source itself; a read
     /// that was not (it starts past offset 0, the pool is too far behind
@@ -475,6 +473,7 @@ impl TransferEngine {
     /// are all its copy will ever hold.
     pub fn demand_read(
         &self,
+        id: FileId,
         file: &str,
         size: u64,
         offset: u64,
@@ -488,13 +487,13 @@ impl TransferEngine {
         } else {
             Staged::Miss
         };
-        if !self.schedule(file, Arc::clone(&staging), ctx) {
+        if !self.schedule(id, file, Arc::clone(&staging), ctx) {
             return (false, None);
         }
         (true, self.read_through(file, &staging, first, offset, buf))
     }
 
-    /// Schedule the copy of `file` through `staging` on `ctx`'s lane —
+    /// Schedule the copy of `file` (`id`) through `staging` on `ctx`'s lane —
     /// which picks the admission point, the journal event and the span
     /// name — and hand it to the pool. `false` when no copy was queued:
     /// another one holds the file, admission refused, or the pool is
@@ -503,7 +502,7 @@ impl TransferEngine {
     /// Winning `Unplaced → Copying` and registering `staging` are one step
     /// under the registry's lock: a read that sees `Copying` finds the
     /// staging, however closely it follows the transition.
-    fn schedule(&self, file: &str, staging: Arc<Staging>, ctx: ReadCtx) -> bool {
+    fn schedule(&self, id: FileId, file: &str, staging: Arc<Staging>, ctx: ReadCtx) -> bool {
         let telemetry = self.book.telemetry();
         let size = staging.size();
         let at = telemetry.now_micros();
@@ -516,7 +515,7 @@ impl TransferEngine {
             let Some(queued) = self.book.scheduled(at, file, size, ctx.lane, flow) else {
                 return false;
             };
-            stagings.insert(file.to_string(), Arc::clone(&staging));
+            stagings.insert(id, Arc::clone(&staging));
             CopyJob {
                 queued,
                 deadline: ctx.deadline,
@@ -525,6 +524,7 @@ impl TransferEngine {
                     stagings: Arc::clone(&self.stagings),
                     shutting_down: Arc::clone(&self.shutting_down),
                     file: file.to_string(),
+                    id,
                     staging,
                     lane: ctx.lane,
                     queued: Cell::new(true),
@@ -561,11 +561,14 @@ impl TransferEngine {
         if bytes.len() as u64 != size {
             return false;
         }
+        let Some(id) = self.book.metadata().resolve(file) else {
+            return false;
+        };
         let ctx = ReadCtx {
             lane: Lane::Remote,
             ..ctx
         };
-        let scheduled = self.schedule(file, Arc::new(Staging::full(bytes)), ctx);
+        let scheduled = self.schedule(id, file, Arc::new(Staging::full(bytes)), ctx);
         if scheduled {
             self.book.telemetry().event(EventKind::RemoteScheduled {
                 file: file.to_string(),
@@ -631,9 +634,9 @@ impl TransferEngine {
         Some(n)
     }
 
-    /// Serve the read of `buf.len()` bytes of `file` at `offset` (inside
-    /// the file) from the install staging of the file's in-flight copy.
-    /// `None` when there is nothing to be had there — no copy of the file
+    /// Serve the read of `buf.len()` bytes of `file` (`id`) at `offset`
+    /// (inside the file) from the install staging of the file's in-flight
+    /// copy. `None` when there is nothing to be had there — no copy of the file
     /// is queued or running, or the read starts beyond what the copy has
     /// fetched or is fetching — and the caller reads the source itself.
     ///
@@ -650,8 +653,8 @@ impl TransferEngine {
     /// fetched yet only while the pool's backlog is no deeper than two
     /// copies per worker. Past that it reads the source on its own, as it
     /// did before stagings, and the copy fetches those bytes again.
-    pub fn read_staged(&self, file: &str, offset: u64, buf: &mut [u8]) -> Option<u64> {
-        let staging = locks::lock(&self.stagings).get(file).cloned()?;
+    pub fn read_staged(&self, id: FileId, file: &str, offset: u64, buf: &mut [u8]) -> Option<u64> {
+        let staging = locks::lock(&self.stagings).get(&id).cloned()?;
         let first = staging.read(offset, buf, self.may_start());
         self.read_through(file, &staging, first, offset, buf)
     }
@@ -707,13 +710,14 @@ impl TransferEngine {
             return 0;
         };
         self.close_window(state);
-        let mut files = Vec::with_capacity(plan.len());
-        for name in plan.files() {
-            if let Some(info) = self.book.metadata().get(name) {
-                files.push((name.clone(), info.size));
-            }
-        }
-        let window = self.book.plan_opened(files, state.cfg);
+        let metadata = self.book.metadata();
+        let files: Vec<(FileId, u64)> = plan
+            .files()
+            .iter()
+            .filter_map(|name| metadata.resolve(name))
+            .map(|id| (id, metadata.info(id).size))
+            .collect();
+        let window = self.book.plan_opened(&files, state.cfg);
         let admitted = window.len();
         *locks::lock(&state.window) = Some(window);
         let tr = self.book.telemetry().trace();
@@ -746,14 +750,14 @@ impl TransferEngine {
         }
     }
 
-    /// Read-path prefetch bookkeeping: advance the plan cursor past `file`
-    /// ([`Lifecycle::plan_read`]), upgrade a still-queued prefetch copy to
-    /// the demand lane, and release more of the plan. The returned
+    /// Read-path prefetch bookkeeping: advance the plan cursor past the
+    /// file `id` ([`Lifecycle::plan_read`]), upgrade a still-queued
+    /// prefetch copy to the demand lane, and release more of the plan. The returned
     /// [`ReadFeedback`] is the read's plan facts, from which
     /// [`Lifecycle::read_served`] books a prefetch hit, and the flow id of
     /// the prefetch copy issued for this file (`0` if none / untraced), so
     /// the read span can point back at it.
-    pub fn note_read(&self, file: &str) -> ReadFeedback {
+    pub fn note_read(&self, id: FileId) -> ReadFeedback {
         let Some(state) = &self.prefetch else {
             return ReadFeedback::default();
         };
@@ -762,11 +766,12 @@ impl TransferEngine {
             let Some(window) = guard.as_mut() else {
                 return ReadFeedback::default();
             };
-            match self.book.plan_read(window, file) {
+            match self.book.plan_read(window, id) {
                 Some(note) => note,
                 None => return ReadFeedback::default(),
             }
         };
+        let file = self.book.metadata().name_of(id).unwrap_or_default();
         if note.issued && !note.resolved && self.pool.promote(file) {
             // Dedup guard: the file's copy is still *queued* on the
             // prefetch lane — upgrade that job's priority instead of
@@ -857,19 +862,14 @@ impl TransferEngine {
     fn pump(&self) {
         let Some(state) = &self.prefetch else { return };
         loop {
-            let (idx, name, size) = {
+            let metadata = self.book.metadata();
+            let (idx, id, size) = {
                 let mut guard = locks::lock(&state.window);
                 let Some(window) = guard.as_mut() else { return };
                 // Copies that left `Copying` (completed, skipped, failed,
                 // or reverted by the panic handler) release byte budget.
-                window.poll_resolved(|name| {
-                    !matches!(
-                        self.book.metadata().get(name),
-                        Some(FileInfo {
-                            state: PlacementState::Copying { .. },
-                            ..
-                        })
-                    )
+                window.poll_resolved(|id| {
+                    !matches!(metadata.info(id).state, PlacementState::Copying { .. })
                 });
                 match window.next_to_issue() {
                     Some(pick) => pick,
@@ -885,7 +885,8 @@ impl TransferEngine {
             let flow = if tr.is_enabled() { tr.next_id() } else { 0 };
             let scheduled = !self.shutting_down.load(Ordering::Acquire)
                 && self.schedule(
-                    &name,
+                    id,
+                    metadata.name_of(id).unwrap_or_default(),
                     Arc::new(Staging::empty(size)),
                     ReadCtx::staged(0, flow).on_lane(Lane::Prefetch),
                 );
@@ -908,7 +909,8 @@ impl TransferEngine {
     /// staging, while its copy is queued or running.
     #[cfg(test)]
     pub(crate) fn staging_progress(&self, file: &str) -> Option<(u64, Option<u64>)> {
-        locks::lock(&self.stagings).get(file).map(|s| s.progress())
+        let id = self.book.metadata().resolve(file)?;
+        locks::lock(&self.stagings).get(&id).map(|s| s.progress())
     }
 
     /// A detached [`Sampler`] over this engine's shared parts (plus the
@@ -1191,25 +1193,16 @@ impl CopyJob {
     }
 
     /// ENOSPC recovery: evict one file resident on `tier` (other than the
-    /// file being installed) back to the PFS to free real device space.
-    /// The eviction policy picks the victim when it has a preference among
-    /// the resident candidates; otherwise the first non-exempt resident
-    /// goes, so pressure is relieved even under no-eviction policies.
-    /// Returns whether a victim was evicted — a victim whose delete failed
-    /// still is: its quota is free, and the retry will tell.
+    /// file being installed) back to the PFS to free real device space —
+    /// the one [`PolicyEngine::pressure_victim`](crate::PolicyEngine::pressure_victim)
+    /// picks. Returns whether a victim was evicted — a victim whose delete
+    /// failed still is: its quota is free, and the retry will tell.
     fn evict_for_space(&self, tier: TierId) -> bool {
         let book = &*self.lease.book;
-        let keep = self.lease.file.as_str();
         let Ok(dest) = book.hierarchy().tier(tier) else {
             return false;
         };
-        let mut candidates: Vec<(String, u64)> = Vec::new();
-        book.metadata().for_each(|name, info| {
-            if name != keep && info.state == PlacementState::Placed && info.tier == tier {
-                candidates.push((name.to_string(), info.size));
-            }
-        });
-        let Some(victim) = book.policy().pressure_victim(tier, &candidates, keep) else {
+        let Some(victim) = book.policy().pressure_victim(tier, &self.lease.file) else {
             return false;
         };
         let at = book.telemetry().now_micros();
@@ -1443,7 +1436,7 @@ mod tests {
         assert_eq!(engine.plan(&plan_of(&["f001", "f002"])), 2);
         // A foreground read for the *second* queued entry upgrades its
         // existing job to the demand lane instead of duplicating the copy.
-        let fb = engine.note_read("f002");
+        let fb = engine.note_read(id_of(&engine, "f002"));
         assert!(fb.planned, "f002 was covered by the submitted plan");
         book_read(&engine, "f002", Served::Tier, fb);
         let stats = engine.book.stats().snapshot();
@@ -1456,6 +1449,20 @@ mod tests {
         engine.wait_idle();
         assert_eq!(started_order(&engine), vec!["f000", "f002", "f001"]);
         engine.drain();
+    }
+
+    fn id_of(engine: &TransferEngine, file: &str) -> FileId {
+        engine.metadata().resolve(file).unwrap()
+    }
+
+    /// [`TransferEngine::read_staged`] of `file`, by name.
+    fn read_staged(
+        engine: &TransferEngine,
+        file: &str,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Option<u64> {
+        engine.read_staged(id_of(engine, file), file, offset, buf)
     }
 
     /// Book a whole-file read of `file`, found on the source with its copy
@@ -1495,11 +1502,11 @@ mod tests {
         // staging, the other finds every byte there. The second notes the
         // plan first, so it is the file's first read: a hit.
         let mut buf = [0u8; 512];
-        let fetched = [0, 0].map(|_| engine.read_staged("f001", 0, &mut buf));
-        let first = engine.note_read("f001");
+        let fetched = [0, 0].map(|_| read_staged(&engine, "f001", 0, &mut buf));
+        let first = engine.note_read(id_of(&engine, "f001"));
         book_read(&engine, "f001", Served::Staged { fetched: 0 }, first);
         // The read that fetched is neither first nor clear of the PFS.
-        let second = engine.note_read("f001");
+        let second = engine.note_read(id_of(&engine, "f001"));
         book_read(&engine, "f001", Served::Staged { fetched: 512 }, second);
         let hits = engine.book.stats().snapshot().prefetch_hits;
         // Release the worker before asserting: a failure must not wedge
@@ -1602,8 +1609,6 @@ mod tests {
     #[test]
     fn remote_admit_runs_after_demand_but_before_prefetch() {
         let (mut engine, gate) = gated_engine(5, 8);
-        let view = Arc::new(crate::cluster::ClusterView::new());
-        engine.set_cluster_feed(Arc::clone(&view), 3);
         pin_worker(&engine, "f000");
         assert_eq!(engine.plan(&plan_of(&["f001"])), 1);
         // Peer-fetched install queues on the remote lane; a later local
@@ -1629,10 +1634,10 @@ mod tests {
         let line = sched.to_json_line();
         assert!(line.contains("\"file\":\"f002\""), "{line}");
         assert!(line.contains("\"peer\":1"), "{line}");
-        // Every admit this engine performed fed the cluster view under the
-        // configured node id.
+        // Every admit this engine performed is held on the local tier, which
+        // is what a cluster snapshot reports.
         for f in ["f000", "f001", "f002", "f003"] {
-            assert!(view.holds(f, 3), "{f} missing from the cluster view");
+            assert_eq!(engine.metadata().get(f).unwrap().tier, 0, "{f} not held");
         }
         engine.drain();
     }
@@ -1725,7 +1730,7 @@ mod tests {
         assert_eq!(started_order(&engine), vec!["f000"]);
         // Its staging went with it: a read finds nothing to wait on.
         assert_eq!(engine.staging_progress("f001"), None);
-        assert_eq!(engine.read_staged("f001", 0, &mut [0u8; 8]), None);
+        assert_eq!(read_staged(&engine, "f001", 0, &mut [0u8; 8]), None);
         engine.drain();
     }
 
@@ -1740,14 +1745,20 @@ mod tests {
         let mut buf = [0u8; 512];
         let served = Some;
         // The first read is the first fetch; what it brought is served.
-        assert_eq!(engine.read_staged("f001", 0, &mut buf[..100]), served(100));
-        assert_eq!(engine.read_staged("f001", 20, &mut buf[..80]), served(0));
+        assert_eq!(
+            read_staged(&engine, "f001", 0, &mut buf[..100]),
+            served(100)
+        );
+        assert_eq!(read_staged(&engine, "f001", 20, &mut buf[..80]), served(0));
         // Straddling the watermark: 50 bytes from the staging, 150 fetched.
-        assert_eq!(engine.read_staged("f001", 50, &mut buf[..200]), served(150));
+        assert_eq!(
+            read_staged(&engine, "f001", 50, &mut buf[..200]),
+            served(150)
+        );
         assert_eq!(buf[..200], [1u8; 200]);
         assert_eq!(engine.staging_progress("f001"), Some((250, None)));
         // Beyond the frontier: the plain path's business.
-        assert_eq!(engine.read_staged("f001", 300, &mut buf[..10]), None);
+        assert_eq!(read_staged(&engine, "f001", 300, &mut buf[..10]), None);
         // The fetches are the source's reads; what the reads took from the
         // staging is their caller's to book, through `read_served`.
         let stats = engine.book.stats().snapshot();
@@ -1779,16 +1790,19 @@ mod tests {
         let served = Some;
         // One copy queued behind the one worker: a read may start filling it.
         assert!(engine.demand("f001", 512, ReadCtx::untraced()));
-        assert_eq!(engine.read_staged("f001", 0, &mut buf[..100]), served(100));
+        assert_eq!(
+            read_staged(&engine, "f001", 0, &mut buf[..100]),
+            served(100)
+        );
         // Two more: the backlog is now deeper than two copies per worker.
         // Reads fill no further copy — each would hold a whole file until
         // the worker got to it — but the one already started goes on.
         assert!(engine.demand("f002", 512, ReadCtx::untraced()));
         assert!(engine.demand("f003", 512, ReadCtx::untraced()));
-        assert_eq!(engine.read_staged("f002", 0, &mut buf[..64]), None);
-        assert_eq!(engine.read_staged("f003", 0, &mut buf[..100]), None);
+        assert_eq!(read_staged(&engine, "f002", 0, &mut buf[..64]), None);
+        assert_eq!(read_staged(&engine, "f003", 0, &mut buf[..100]), None);
         assert_eq!(
-            engine.read_staged("f001", 100, &mut buf[..100]),
+            read_staged(&engine, "f001", 100, &mut buf[..100]),
             served(100)
         );
         assert_eq!(engine.staging_progress("f001"), Some((200, None)));
@@ -1799,19 +1813,19 @@ mod tests {
         // copy will ever hold — is fetched in place, once.
         let ctx = ReadCtx::untraced();
         assert_eq!(
-            engine.demand_read("f004", 512, 0, &mut buf[..100], ctx),
+            engine.demand_read(id_of(&engine, "f004"), "f004", 512, 0, &mut buf[..100], ctx),
             (true, None)
         );
         assert_eq!(engine.staging_progress("f004"), Some((0, None)));
         assert_eq!(
-            engine.demand_read("f005", 512, 0, &mut buf, ctx),
+            engine.demand_read(id_of(&engine, "f005"), "f005", 512, 0, &mut buf, ctx),
             (true, served(512))
         );
         assert_eq!(buf, [5u8; 512]);
         assert_eq!(engine.staging_progress("f005"), Some((512, None)));
         // Somebody else's copy holds the file: nothing is scheduled.
         assert_eq!(
-            engine.demand_read("f005", 512, 0, &mut buf, ctx),
+            engine.demand_read(id_of(&engine, "f005"), "f005", 512, 0, &mut buf, ctx),
             (false, None)
         );
         open_gate(&gate);

@@ -145,13 +145,18 @@ fn allocations_per_warm_pass(m: &Monarch) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
+/// Under `lru_evict` a warm hit also stamps its file's touch in the
+/// namespace: a store, not an allocation.
 #[test]
 fn warm_read_over_mem_driver_does_not_allocate() {
-    let (fast, pfs) = mem_tiers();
-    let m = monarch(fast, pfs, u64::MAX / 2, PolicyKind::FirstFit);
-    assert_eq!(allocations_per_warm_pass(&m), 0);
-    assert_eq!(m.stats().tiers[0].reads, 2 * 3 * FILES as u64, "all hits");
-    m.shutdown();
+    for policy in [PolicyKind::FirstFit, PolicyKind::LruEvict] {
+        let (fast, pfs) = mem_tiers();
+        let m = monarch(fast, pfs, u64::MAX / 2, policy);
+        assert_eq!(allocations_per_warm_pass(&m), 0, "{policy:?}");
+        let hits = m.stats().tiers[0].reads;
+        assert_eq!(hits, 2 * 3 * FILES as u64, "{policy:?}: all hits");
+        m.shutdown();
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@ use monarch_core::config::{AdmissionKind, PolicyKind};
 use monarch_core::driver::MemDriver;
 use monarch_core::health::HealthRegistry;
 use monarch_core::hierarchy::{Quota, StorageHierarchy};
-use monarch_core::metadata::PlacementState;
+use monarch_core::metadata::{FileId, MetadataContainer, PlacementState};
 use monarch_core::observe::{AccessProfiler, ReadClass, ReadTiming};
 use monarch_core::policy::{EvictCtx, EvictionPolicy, LruEviction, PolicyEngine};
 use monarch_core::prefetch::{PrefetchConfig, PrefetchWindow};
@@ -50,6 +50,30 @@ fn build(caps: &[u64], files: &[(String, u64)]) -> StorageHierarchy {
 
 fn file_set(n: usize) -> Vec<(String, u64)> {
     (0..n).map(|i| (format!("f{i:04}"), 0)).collect()
+}
+
+/// Seat `name` of `size` bytes on tier 0 of `engine`'s namespace, as a
+/// finished copy does: registered on the source (tier 1), copied, placed.
+fn seat(engine: &PolicyEngine, name: &str, size: u64) {
+    let files = engine.namespace();
+    files.register(name, size, 1);
+    assert!(files.begin_copy(name, 0).unwrap());
+    files.finish_copy(name, 0).unwrap();
+    engine.on_placed(name, size, 0);
+}
+
+/// A namespace holding `f000` .. `f{n-1:03}`, registered in order (so
+/// `ids[i].index() == i`), and their ids.
+fn namespace(n: usize) -> (MetadataContainer, Vec<FileId>) {
+    let m = MetadataContainer::default();
+    let ids = (0..n)
+        .map(|i| {
+            let name = format!("f{i:03}");
+            m.register(&name, 1, 1);
+            m.resolve(&name).unwrap()
+        })
+        .collect();
+    (m, ids)
 }
 
 proptest! {
@@ -276,18 +300,19 @@ proptest! {
         sizes in prop::collection::vec(1u64..600, 0..30),
         ops in prop::collection::vec((0u8..4, 0usize..32), 0..200),
     ) {
-        let files: Vec<(String, u64)> = sizes.iter().enumerate()
-            .map(|(i, &s)| (format!("f{i:03}"), s))
+        let (_names, ids) = namespace(32);
+        let files: Vec<(FileId, u64)> = sizes.iter().enumerate()
+            .map(|(i, &s)| (ids[i], s))
             .collect();
         let mut w = PrefetchWindow::new(
-            files.clone(),
+            &files,
             PrefetchConfig { lookahead, max_inflight_bytes: max_bytes },
         );
         let mut issued = std::collections::HashSet::new();
         for (op, arg) in ops {
             match op {
                 0 => {
-                    if let Some((idx, name, size)) = w.next_to_issue() {
+                    if let Some((idx, id, size)) = w.next_to_issue() {
                         prop_assert!(lookahead > 0, "disabled window issued a copy");
                         prop_assert!(
                             idx < w.cursor() + lookahead,
@@ -295,14 +320,13 @@ proptest! {
                             idx, w.cursor(), lookahead
                         );
                         prop_assert!(issued.insert(idx), "entry {} issued twice", idx);
-                        prop_assert_eq!(name.as_str(), files[idx].0.as_str());
+                        prop_assert_eq!(id, files[idx].0);
                         prop_assert_eq!(size, files[idx].1);
                     }
                 }
                 1 => {
-                    let name = format!("f{arg:03}");
                     let before = w.cursor();
-                    let note = w.on_read(&name);
+                    let note = w.on_read(ids[arg]);
                     if arg < files.len() {
                         let n = note.expect("in-plan read observed");
                         prop_assert_eq!(n.index, arg);
@@ -314,7 +338,7 @@ proptest! {
                     }
                 }
                 2 => w.resolve(arg),
-                _ => w.poll_resolved(|n| n.ends_with('7')),
+                _ => w.poll_resolved(|id| id.index() % 10 == 7),
             }
             prop_assert!(w.inflight() <= issued.len());
             if max_bytes > 0 && w.inflight() > 1 {
@@ -332,8 +356,8 @@ proptest! {
         prop_assert_eq!(w.inflight(), 0);
         prop_assert_eq!(w.inflight_bytes(), 0);
         prop_assert!(w.next_to_issue().is_none(), "drained window issued");
-        for (i, (name, was_issued, _)) in report.iter().enumerate() {
-            prop_assert_eq!(name.as_str(), files[i].0.as_str());
+        for (i, (id, was_issued, _)) in report.iter().enumerate() {
+            prop_assert_eq!(*id, files[i].0);
             prop_assert_eq!(*was_issued, issued.contains(&i));
         }
     }
@@ -347,25 +371,26 @@ proptest! {
         lookahead in 1usize..6,
         reads in prop::collection::vec(0usize..40, 0..120),
     ) {
-        let files: Vec<(String, u64)> = (0..n).map(|i| (format!("f{i:03}"), 8)).collect();
+        let (_names, ids) = namespace(n);
+        let files: Vec<(FileId, u64)> = ids.iter().map(|&id| (id, 8)).collect();
         let mut w = PrefetchWindow::new(
-            files,
+            &files,
             PrefetchConfig { lookahead, max_inflight_bytes: 0 },
         );
         let mut issued = vec![false; n];
         pump_window(&mut w, &mut issued)?;
         for ri in reads {
-            w.on_read(&format!("f{:03}", ri % n));
+            w.on_read(ids[ri % n]);
             pump_window(&mut w, &mut issued)?;
         }
-        for i in 0..n {
-            w.on_read(&format!("f{i:03}"));
+        for &id in &ids {
+            w.on_read(id);
             pump_window(&mut w, &mut issued)?;
         }
         prop_assert!(issued.iter().all(|&b| b), "full read pass must flush the plan");
         prop_assert_eq!(w.cursor(), n);
-        for (name, was_issued, read_seen) in w.drain() {
-            prop_assert!(was_issued && read_seen, "{} missed", name);
+        for (id, was_issued, read_seen) in w.drain() {
+            prop_assert!(was_issued && read_seen, "{:?} missed", id);
         }
     }
 
@@ -482,8 +507,9 @@ proptest! {
     /// Eviction-policy safety: whatever the interleaving of placements and
     /// touches, victims never include an exempt (pinned) file — and files
     /// never placed (still in flight) are structurally unselectable because
-    /// they are not in the resident book. Selection is pure: re-asking
-    /// returns the same victims, and a non-empty answer covers the request.
+    /// the namespace does not hold them `Placed`. Selection is pure:
+    /// re-asking returns the same victims, and a non-empty answer covers
+    /// the request.
     #[test]
     fn eviction_never_selects_exempt_or_inflight_files(
         n in 1usize..12,
@@ -491,23 +517,31 @@ proptest! {
         pins in prop::collection::vec(any::<bool>(), 12),
         needed in 1u64..1500,
     ) {
-        let p = LruEviction::new();
+        let engine = PolicyEngine::from_kind(PolicyKind::LruEvict, AdmissionKind::AdmitAll);
         for i in 0..n {
-            p.on_placed(&format!("f{i}"), 100, 0);
+            seat(&engine, &format!("f{i}"), 100);
         }
         for fi in &touches {
-            p.on_access(&format!("f{}", fi % n), 0);
+            engine.on_access(&format!("f{}", fi % n), 0);
         }
         // "g0" is accessed but never placed — an in-flight copy's touches
-        // must not conjure it into the book.
-        p.on_access("g0", 0);
+        // must not make it a resident.
+        let files = engine.namespace();
+        files.register("g0", 100, 1);
+        prop_assert!(files.begin_copy("g0", 0).unwrap());
+        engine.on_access("g0", 0);
         let exempt = |name: &str| {
             name.strip_prefix('f')
                 .and_then(|i| i.parse::<usize>().ok())
                 .is_some_and(|i| pins[i])
         };
+        for i in (0..n).filter(|&i| pins[i]) {
+            engine.pin(files.resolve(&format!("f{i}")).unwrap());
+        }
+        let nobody = |_: FileId| false;
         let score = |_: &str| 0.5;
-        let c = EvictCtx { exempt: &exempt, score: &score, max_victims: 64 };
+        let c = EvictCtx { files, exempt: &nobody, score: &score, max_victims: 64 };
+        let p = LruEviction;
         let victims = p.victims(0, needed, &c);
         for v in &victims {
             prop_assert!(!exempt(v), "{} was exempt", v);
@@ -528,24 +562,30 @@ proptest! {
         n in 2usize..10,
         touches in prop::collection::vec(0usize..10, 1..80),
     ) {
-        let p = LruEviction::new();
+        let engine = PolicyEngine::from_kind(PolicyKind::LruEvict, AdmissionKind::AdmitAll);
+        let p = LruEviction;
         let mut last = vec![0u64; n];
         let mut clock = 0u64;
         for (i, slot) in last.iter_mut().enumerate() {
-            p.on_placed(&format!("f{i}"), 1, 0);
+            seat(&engine, &format!("f{i}"), 1);
             clock += 1;
             *slot = clock;
         }
         for fi in touches {
             let fi = fi % n;
-            p.on_access(&format!("f{fi}"), 0);
+            engine.on_access(&format!("f{fi}"), 0);
             clock += 1;
             last[fi] = clock;
         }
         let expected = (0..n).min_by_key(|&i| last[i]).unwrap();
-        let exempt = |_: &str| false;
+        let exempt = |_: FileId| false;
         let score = |_: &str| 0.5;
-        let c = EvictCtx { exempt: &exempt, score: &score, max_victims: 64 };
+        let c = EvictCtx {
+            files: engine.namespace(),
+            exempt: &exempt,
+            score: &score,
+            max_victims: 64,
+        };
         prop_assert_eq!(p.victims(0, 1, &c), vec![format!("f{expected}")]);
     }
 }

@@ -35,7 +35,7 @@ fn instance() -> Monarch {
         .hierarchy(hierarchy)
         .policy_engine(Arc::new(PolicyEngine::new(
             Arc::new(ReuseAware::new(0.0)),
-            Arc::new(LruEviction::new()),
+            Arc::new(LruEviction),
             Arc::new(FirstFitScorer),
         )))
         .prefetch(PrefetchConfig {

@@ -66,8 +66,11 @@ run_size() {
     # `Gauge` cells and `Sampler::refresh` deleted). 13805 since a copy's
     # run is booked once (`Lifecycle::{started, room, stage}` and the run
     # closed by `placed` / `unplaced`; the pool's telemetry, `CopyTraceCtx`
-    # and the hand-built copy spans deleted).
-    local core_limit=13805
+    # and the hand-built copy spans deleted). 13706 since the namespace
+    # slab is the one residency book (`ClusterView`, the policy engine's
+    # pin set and the eviction policies' resident book deleted; pin and
+    # touch stamp kept in the slot).
+    local core_limit=13706
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
         sort -z |
@@ -156,6 +159,14 @@ run_size() {
 # either, `lifecycle.rs` included, names the residency timeline's types, and
 # `observe/timeline.rs` does not exist — a second ring that books every
 # transition again cannot come back.
+#
+# The namespace slab is the one residency book (DESIGN §11): a file's
+# identity inside `monarch-core` is its `FileId`, and its per-file state
+# (placement, pin, touch stamp, reuse label) lives in its slot. Outside
+# `MemDriver`'s store in `driver.rs` — the in-memory tier's files, which
+# are its bytes, not a book about them — no non-test code of the crate
+# declares a `String`-keyed map or set (`Map<String` / `Set<String`) — a
+# second per-file book keyed by name cannot come back.
 #
 # The exposition has one writer (DESIGN §7.3): `/metrics` is
 # `TelemetrySnapshot::exposition` of the one document. Outside
@@ -268,6 +279,21 @@ run_lifecycle() {
     done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
     if [ "$bad" -ne 0 ]; then
         echo "lifecycle gate: read transitions off the event journal instead of a second log" >&2
+        exit 1
+    fi
+    echo "==> lifecycle gate: one residency book"
+    while IFS= read -r f; do
+        case "$f" in
+            *_tests.rs) continue ;;
+        esac
+        if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E '(Map|Set)<String\b' |
+            grep -vE '^crates/monarch-core/src/driver\.rs:[0-9]+: +files: RwLock<FxHashMap<String, Arc<Vec<u8>>>>,$'; then
+            bad=1
+        fi
+    done < <(find crates/monarch-core/src -name '*.rs' | sort)
+    if [ "$bad" -ne 0 ]; then
+        echo "lifecycle gate: key per-file state by FileId in the namespace slab instead of by name" >&2
         exit 1
     fi
     echo "==> lifecycle gate: one exposition writer"
