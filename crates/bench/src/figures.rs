@@ -1,16 +1,23 @@
 //! The figure table: every figure and quantitative table of the paper's
-//! evaluation, and the extensions beyond it, as one scenario each.
-//! `bench fig <name>` runs one and `bench fig all` runs them in table
-//! order; each prints its rows and saves them as `results/<name>.json`,
-//! the numbers `EXPERIMENTS.md` cites.
+//! evaluation, the extensions beyond it and the model gate, as one
+//! scenario each. `bench fig <name>` runs one and `bench fig all` runs them
+//! in table order; each prints its rows and saves them as
+//! `results/<name>.json`, the numbers `EXPERIMENTS.md` cites.
+//!
+//! The scenarios are virtual-time and deterministic, so a figure changes
+//! only when what the model does changes. Tier-1 regenerates `sim_epoch`
+//! (the model gate) and `chaos_outage` and compares them with `results/`
+//! byte for byte: a deliberate model change shows up as a diff there, with
+//! its reason in `CHANGES.md`.
 
 use dlpipe::config::{EnvConfig, MonarchSimConfig, PipelineConfig, Setup, SimTierKind};
 use dlpipe::geometry::DatasetGeom;
 use dlpipe::models::ModelProfile;
 use dlpipe::report::{mean_std, RunReport, TrialSummary};
-use dlpipe::sim::{ClusterConfig, ClusterTrainer, Sharding, SimTrainer};
+use dlpipe::sim::{ClusterConfig, ClusterReport, ClusterTrainer, Sharding, SimTrainer};
 use monarch_core::config::PolicyKind;
 use serde_json::Value;
+use simfs::{FaultKind, FaultPlan};
 
 use crate::{reduction_pct, trials, EPOCHS};
 
@@ -69,6 +76,10 @@ pub const FIGURES: &[Figure] = &figures! {
         re-warms from the PFS.",
     chaos_outage: "SSD outage over the middle half of epoch 2, LeNet, fully fitting. \
         Acceptance: the outage's window rate is >= 0.9x the floor's, and the tier recovers.",
+    sim_epoch: "The model gate: miniature fixed-seed runs reduced to the paper's headline \
+        shape (§IV-A). monarch/*: 24 MiB fully fitting, 2 epochs; sim_cluster/*: the peer \
+        cache at 4 nodes, static ownership, warm epoch; sim_policy/*: a fast tier half the \
+        dataset on a congested PFS, 3 epochs. Tier-1 compares it with results/ byte for byte.",
 };
 
 /// Run `fig`, print its rows under its note, and save them as
@@ -392,7 +403,7 @@ fn peer_scaling() -> Vec<Value> {
     let mut rows = Vec::new();
     for nodes in [1, 2, 4, 8] {
         for sharding in [Sharding::Static, Sharding::Reshuffled] {
-            let r = crate::peer_cluster(&geom, nodes, sharding, 0xfa2, 3);
+            let r = peer_cluster(&geom, nodes, sharding, 0xfa2, 3);
             let warm = r.epochs.len() - 1;
             let e = &r.epochs[warm];
             rows.push(row! {
@@ -410,9 +421,35 @@ fn peer_scaling() -> Vec<Value> {
     rows
 }
 
+/// The SSD outage: a fully fitting MONARCH run (LeNet, 8 GiB SSD quota, no
+/// interference, 3 epochs) loses its SSD over the middle half of epoch 2,
+/// when every shard is SSD-resident. A healthy probe with the same seed
+/// fixes the window; fault checks hash the plan's own seed, so the runs
+/// stay deterministic. The rows: MONARCH under a 0%-error marker window (it
+/// runs like the probe and reports the window's rate), MONARCH with the SSD
+/// out, and vanilla-lustre under the same plan — it never routes through
+/// the SSD, so its window rate is the no-fast-tier floor.
 fn chaos_outage() -> Vec<Value> {
-    let run = crate::ssd_outage(&DatasetGeom::miniature("chaos", 32_768, 42), 0xc405, 1);
-    let row = |setup: &str, r: &RunReport| {
+    let geom = DatasetGeom::miniature("chaos", 32_768, 42);
+    let env = EnvConfig {
+        interference: false,
+        ..EnvConfig::default()
+    };
+    let monarch = Setup::Monarch(MonarchSimConfig::with_ssd_capacity(8 << 30));
+    let run =
+        |s: &Setup, e: &EnvConfig| crate::run_once(s, &geom, &ModelProfile::lenet(), e, 0xc405, 3);
+    let probe = run(&monarch, &env);
+    let e1_start = probe.metadata_init_seconds + probe.epochs[0].seconds;
+    let (w0, w1) = (
+        e1_start + 0.25 * probe.epochs[1].seconds,
+        e1_start + 0.75 * probe.epochs[1].seconds,
+    );
+    let with_plan = |kind| EnvConfig {
+        fault_plan: Some(FaultPlan::new(1).with_window("ssd", w0, w1, kind)),
+        ..env.clone()
+    };
+    let outage = with_plan(FaultKind::Outage);
+    let row = |setup: &str, r: RunReport| {
         let stats = r.telemetry.as_ref().map(|t| &t.stats);
         let health = r.telemetry.as_ref().and_then(|t| t.health.as_ref());
         let epoch_secs: Vec<f64> = r.epochs.iter().map(|e| e.seconds).collect();
@@ -428,29 +465,188 @@ fn chaos_outage() -> Vec<Value> {
         }
     };
     vec![
-        row("monarch (healthy)", &run.healthy),
-        row("monarch (ssd outage)", &run.faulted),
-        row("vanilla-lustre (floor)", &run.floor),
+        row(
+            "monarch (healthy)",
+            run(&monarch, &with_plan(FaultKind::ErrorRate(0.0))),
+        ),
+        row("monarch (ssd outage)", run(&monarch, &outage)),
+        row(
+            "vanilla-lustre (floor)",
+            run(&Setup::VanillaLustre, &outage),
+        ),
     ]
+}
+
+/// The peer-cache cluster: `nodes` MONARCH instances with the peer cache
+/// on, each with an SSD quota of 1/16 of the dataset so the caches never
+/// cover the working set; LeNet, default environment.
+fn peer_cluster(
+    geom: &DatasetGeom,
+    nodes: usize,
+    sharding: Sharding,
+    seed: u64,
+    epochs: usize,
+) -> ClusterReport {
+    let cfg = ClusterConfig {
+        monarch_ssd_capacity: Some(geom.total_bytes() / 16),
+        ..ClusterConfig::monarch_peer(nodes, sharding)
+    };
+    let (model, env) = (ModelProfile::lenet(), EnvConfig::default());
+    let pipeline = PipelineConfig::default().with_seed(seed);
+    ClusterTrainer::new(cfg, geom.clone(), model, pipeline, env).run(epochs)
+}
+
+/// `(name, value, unit)` triples as the rows `{id: "<group>/<name>",
+/// value, unit}`.
+fn gated(group: &str, rows: &[(&str, f64, &str)]) -> Vec<Value> {
+    let row = |&(name, value, unit): &(&str, f64, &str)| {
+        row! { id: format!("{group}/{name}"), value: value, unit: unit }
+    };
+    rows.iter().map(row).collect()
+}
+
+/// The model gate: a fully fitting miniature MONARCH run (24 MiB, 2
+/// epochs) reduced to per-epoch virtual seconds, PFS bytes and the
+/// local-tier hit ratio, then the `sim_cluster` and `sim_policy` variants.
+fn sim_epoch() -> Vec<Value> {
+    let geom = DatasetGeom::miniature("bench", 24_576, 9);
+    let setup = Setup::Monarch(MonarchSimConfig::with_ssd_capacity(8 << 30));
+    let r = lenet(&setup, &geom, 0x5eed, 2);
+    let stats = &r.telemetry.as_ref().expect("telemetry").stats;
+    let mut rows = gated(
+        "monarch",
+        &[
+            ("epoch1_seconds", r.epochs[0].seconds, "s"),
+            ("epoch2_seconds", r.epochs[1].seconds, "s"),
+            ("pfs_bytes_read", crate::pfs_bytes_read(&r) as f64, "bytes"),
+            ("local_hit_ratio", stats.local_hit_ratio(), "ratio"),
+            ("copies_completed", stats.copies_completed as f64, "count"),
+        ],
+    );
+    rows.extend(sim_cluster());
+    rows.extend(sim_policy());
+    rows
+}
+
+/// The `sim_cluster` rows of the model gate: the peer cluster that
+/// `peer_scaling` sweeps, at 4 nodes with static ownership, reduced to the
+/// scaling claim — warm-epoch aggregate throughput, per-node PFS bytes and
+/// peer-hit volume.
+fn sim_cluster() -> Vec<Value> {
+    let geom = DatasetGeom::miniature("cluster-bench", 12_288, 7);
+    let r = peer_cluster(&geom, 4, Sharding::Static, 0xc1a5, 2);
+    let warm = r.epochs.len() - 1;
+    let e = &r.epochs[warm];
+    gated(
+        "sim_cluster",
+        &[
+            ("warm_epoch_seconds", e.seconds, "s"),
+            ("agg_bytes_per_s", r.agg_bytes_per_s(warm), "bytes/s"),
+            ("pfs_bytes_per_node", r.pfs_bytes_per_node(warm), "bytes"),
+            ("peer_hits", e.peer_hits as f64, "count"),
+            ("peer_fallbacks", e.peer_fallbacks as f64, "count"),
+        ],
+    )
+}
+
+/// The `sim_policy` rows of the model gate: the partial-cache policy
+/// ablation — fast tier at half the dataset on a congested PFS
+/// ([`EnvConfig::congested_pfs`]), three epochs, under each policy kind.
+fn sim_policy() -> Vec<Value> {
+    let geom = DatasetGeom::miniature("policy-bench", 16_384, 42);
+    let (model, env) = (ModelProfile::lenet(), EnvConfig::congested_pfs());
+    // (total seconds, PFS ops, evictions) of one run.
+    let run = |policy| {
+        let cfg = MonarchSimConfig::policy_ablation(policy, geom.total_bytes() / 2);
+        let r = crate::run_once(&Setup::Monarch(cfg), &geom, &model, &env, 1, 3);
+        let evictions = r.telemetry.as_ref().expect("telemetry").stats.evictions;
+        (r.total_seconds(), r.pfs_ops() as f64, evictions as f64)
+    };
+    let (ff_s, ff_ops, _) = run(PolicyKind::FirstFit);
+    let (lru_s, lru_ops, evictions) = run(PolicyKind::LruEvict);
+    let (clair_s, ..) = run(PolicyKind::Clairvoyant);
+    let (learned_s, ..) = run(PolicyKind::Learned);
+    gated(
+        "sim_policy",
+        &[
+            ("first_fit_total_seconds", ff_s, "s"),
+            ("lru_total_seconds", lru_s, "s"),
+            ("lru_vs_first_fit_ratio", lru_s / ff_s, "ratio"),
+            ("clairvoyant_total_seconds", clair_s, "s"),
+            ("learned_total_seconds", learned_s, "s"),
+            ("lru_evictions", evictions, "count"),
+            ("lru_pfs_ops", lru_ops, "count"),
+            ("first_fit_pfs_ops", ff_ops, "count"),
+        ],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The figures tier-1 regenerates and compares byte for byte: the
+    /// model gate, and the outage scenario the chaos claims rest on.
+    const PINNED: [&str; 2] = ["sim_epoch", "chaos_outage"];
+
     fn results(name: &str) -> std::path::PathBuf {
-        crate::snapshot::repo_root().join("results").join(name)
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results")
+            .join(name)
+    }
+
+    fn committed(name: &str) -> String {
+        std::fs::read_to_string(results(&format!("{name}.json"))).unwrap()
     }
 
     #[test]
-    fn chaos_outage_matches_its_committed_figure() {
-        let fig = FIGURES.iter().find(|f| f.name == "chaos_outage").unwrap();
-        let json = serde_json::to_string_pretty(&(fig.rows)()).unwrap();
-        let committed = std::fs::read_to_string(results("chaos_outage.json")).unwrap();
+    fn pinned_figures_match_their_committed_files() {
+        for name in PINNED {
+            let fig = FIGURES.iter().find(|f| f.name == name).unwrap();
+            let json = serde_json::to_string_pretty(&(fig.rows)()).unwrap();
+            assert!(
+                json == committed(name),
+                "results/{name}.json is stale:\n{json}"
+            );
+        }
+    }
+
+    #[test]
+    fn pinned_figures_hold_the_model_shape() {
+        let rows: Vec<Value> = serde_json::from_str(&committed("sim_epoch")).unwrap();
+        let get = |id: &str| {
+            let row = rows.iter().find(|r| r["id"] == id);
+            row.and_then(|r| r["value"].as_f64())
+                .unwrap_or_else(|| panic!("sim_epoch lacks {id}"))
+        };
+        // The miniature dataset fully fits: epoch 2 beats epoch 1 and the
+        // hit ratio is meaningful.
+        assert!(get("monarch/epoch2_seconds") < get("monarch/epoch1_seconds"));
+        assert!(get("monarch/local_hit_ratio") > 0.5);
+        assert!(get("monarch/pfs_bytes_read") > 0.0);
+        // Peers serve traffic on the warm epoch.
+        assert!(get("sim_cluster/peer_hits") > 0.0);
+        assert!(get("sim_cluster/agg_bytes_per_s") > 0.0);
+        assert!(get("sim_cluster/pfs_bytes_per_node") > 0.0);
+        // On the congested-PFS partial cache eviction beats the
+        // no-eviction baseline, clairvoyant at least matches LRU, and PFS
+        // ops collapse.
+        assert!(get("sim_policy/lru_vs_first_fit_ratio") < 0.6);
         assert!(
-            json == committed,
-            "results/chaos_outage.json is stale:\n{json}"
+            get("sim_policy/clairvoyant_total_seconds")
+                <= get("sim_policy/lru_total_seconds") * 1.05
         );
+        assert!(get("sim_policy/lru_evictions") > 0.0);
+        assert!(get("sim_policy/lru_pfs_ops") < get("sim_policy/first_fit_pfs_ops") / 3.0);
+        // The outage: degraded mode holds the no-fast-tier floor, serves
+        // degraded reads, and the breaker re-admits the tier.
+        let chaos: Vec<Value> = serde_json::from_str(&committed("chaos_outage")).unwrap();
+        let (faulted, floor) = (&chaos[1], &chaos[2]);
+        assert_eq!(faulted["setup"], "monarch (ssd outage)");
+        let rate = |r: &Value| r["window_samples_per_s"].as_f64().unwrap();
+        assert!(rate(faulted) >= 0.9 * rate(floor));
+        assert!(faulted["recoveries"].as_u64().unwrap() >= 1);
+        assert!(faulted["degraded_reads"].as_u64().unwrap() > 0);
     }
 
     #[test]

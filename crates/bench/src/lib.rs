@@ -3,24 +3,21 @@
 //! [`figures::FIGURES`] holds every figure and quantitative table of the
 //! paper as one scenario. `bench fig <name>` runs one, prints its rows as
 //! a console table and saves them with [`save_json`] under `results/`, so
-//! `EXPERIMENTS.md` can cite exact numbers. [`snapshot`] is the model
-//! gate; where it and a figure run the same scenario shape (`ssd_outage`,
-//! `peer_cluster`), one function serves both.
+//! `EXPERIMENTS.md` can cite exact numbers. The model gate is one of them
+//! (`sim_epoch`).
 
 pub mod figures;
-pub mod snapshot;
 
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use dlpipe::config::{EnvConfig, MonarchSimConfig, PipelineConfig, Setup};
+use dlpipe::config::{EnvConfig, PipelineConfig, Setup};
 use dlpipe::geometry::DatasetGeom;
 use dlpipe::models::ModelProfile;
 use dlpipe::report::RunReport;
-use dlpipe::sim::{ClusterConfig, ClusterReport, ClusterTrainer, Sharding, SimTrainer};
+use dlpipe::sim::SimTrainer;
 use serde::Serialize;
 use serde_json::Value;
-use simfs::{FaultKind, FaultPlan};
 
 /// Number of repeated trials (paper: 7). Override with `MONARCH_TRIALS`.
 #[must_use]
@@ -78,69 +75,6 @@ pub(crate) fn pfs_bytes_read(r: &RunReport) -> u64 {
         .iter()
         .map(|e| e.devices[r.pfs_device].bytes_read())
         .sum()
-}
-
-/// The runs of the SSD-outage scenario.
-pub(crate) struct Outage {
-    /// MONARCH with a 0%-error marker window: it runs like the healthy
-    /// probe and reports the window's consumption rate.
-    pub(crate) healthy: RunReport,
-    /// MONARCH with the SSD out over the window.
-    pub(crate) faulted: RunReport,
-    /// Vanilla-lustre under the same plan: it never routes through the
-    /// SSD, so its window rate is the no-fast-tier floor.
-    pub(crate) floor: RunReport,
-}
-
-/// The SSD-outage scenario: a fully fitting MONARCH run (LeNet, 8 GiB
-/// SSD quota, no interference, 3 epochs) loses its SSD over the middle
-/// half of epoch 2, when every shard is SSD-resident. A healthy probe
-/// with the same seed fixes the window; fault checks hash their own seed
-/// (`plan_seed`), so the runs stay deterministic.
-#[must_use]
-pub(crate) fn ssd_outage(geom: &DatasetGeom, seed: u64, plan_seed: u64) -> Outage {
-    let env = EnvConfig {
-        interference: false,
-        ..EnvConfig::default()
-    };
-    let setup = Setup::Monarch(MonarchSimConfig::with_ssd_capacity(8 << 30));
-    let run = |s: &Setup, e: &EnvConfig| run_once(s, geom, &ModelProfile::lenet(), e, seed, 3);
-    let probe = run(&setup, &env);
-    let e1_start = probe.metadata_init_seconds + probe.epochs[0].seconds;
-    let (w0, w1) = (
-        e1_start + 0.25 * probe.epochs[1].seconds,
-        e1_start + 0.75 * probe.epochs[1].seconds,
-    );
-    let with_plan = |kind| EnvConfig {
-        fault_plan: Some(FaultPlan::new(plan_seed).with_window("ssd", w0, w1, kind)),
-        ..env.clone()
-    };
-    let outage = with_plan(FaultKind::Outage);
-    Outage {
-        healthy: run(&setup, &with_plan(FaultKind::ErrorRate(0.0))),
-        faulted: run(&setup, &outage),
-        floor: run(&Setup::VanillaLustre, &outage),
-    }
-}
-
-/// The peer-cache cluster: `nodes` MONARCH instances with the peer cache
-/// on, each with an SSD quota of 1/16 of the dataset so the caches never
-/// cover the working set; LeNet, default environment.
-#[must_use]
-pub(crate) fn peer_cluster(
-    geom: &DatasetGeom,
-    nodes: usize,
-    sharding: Sharding,
-    seed: u64,
-    epochs: usize,
-) -> ClusterReport {
-    let cfg = ClusterConfig {
-        monarch_ssd_capacity: Some(geom.total_bytes() / 16),
-        ..ClusterConfig::monarch_peer(nodes, sharding)
-    };
-    let (model, env) = (ModelProfile::lenet(), EnvConfig::default());
-    let pipeline = PipelineConfig::default().with_seed(seed);
-    ClusterTrainer::new(cfg, geom.clone(), model, pipeline, env).run(epochs)
 }
 
 /// Print rows of JSON objects as a console table, one column per key of

@@ -2,7 +2,7 @@
 //!
 //! A driver hides the backend behind a small object-safe trait so tiers can
 //! be backed by a real directory ([`PosixDriver`]), RAM ([`MemDriver`]), a
-//! fault-injecting wrapper ([`FaultyDriver`]) or — in the `dlpipe`
+//! fault-injecting wrapper ([`FlakyDriver`]) or — in the `dlpipe`
 //! simulation — a modelled device. Files are addressed by their *logical
 //! name* (the dataset-relative path), mirroring the paper's `Monarch.read`
 //! which takes a filename rather than a file descriptor.
@@ -648,107 +648,7 @@ impl<D: StorageDriver> StorageDriver for GatedDriver<D> {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection
-// ---------------------------------------------------------------------------
-
-/// Which operations a [`FaultyDriver`] should fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Fail `read_at`/`read_full`.
-    Reads,
-    /// Fail `write_full`.
-    Writes,
-    /// Fail everything.
-    All,
-}
-
-/// Wrapper that fails the first `budget` matching operations — used to test
-/// that failed background copies leave metadata and quotas consistent.
-pub struct FaultyDriver<D> {
-    inner: D,
-    kind: FaultKind,
-    budget: AtomicU64,
-    injected: AtomicU64,
-}
-
-impl<D: StorageDriver> FaultyDriver<D> {
-    /// Fail the first `budget` operations of kind `kind`, then pass through.
-    #[must_use]
-    pub fn new(inner: D, kind: FaultKind, budget: u64) -> Self {
-        Self {
-            inner,
-            kind,
-            budget: AtomicU64::new(budget),
-            injected: AtomicU64::new(0),
-        }
-    }
-
-    /// How many faults have been injected so far.
-    #[must_use]
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    fn maybe_fail(&self, op: FaultKind, what: &str) -> Result<()> {
-        if self.kind != FaultKind::All && self.kind != op {
-            return Ok(());
-        }
-        let mut cur = self.budget.load(Ordering::Relaxed);
-        loop {
-            if cur == 0 {
-                return Ok(());
-            }
-            match self.budget.compare_exchange_weak(
-                cur,
-                cur - 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    return Err(Error::Injected(format!("{what} on {}", self.inner.name())));
-                }
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
-impl<D: StorageDriver> StorageDriver for FaultyDriver<D> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.maybe_fail(FaultKind::Reads, "read_at")?;
-        self.inner.read_at(file, offset, buf)
-    }
-
-    fn read_full(&self, file: &str) -> Result<Vec<u8>> {
-        self.maybe_fail(FaultKind::Reads, "read_full")?;
-        self.inner.read_full(file)
-    }
-
-    fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
-        self.maybe_fail(FaultKind::Writes, "write_full")?;
-        self.inner.write_full(file, data)
-    }
-
-    fn remove(&self, file: &str) -> Result<()> {
-        self.inner.remove(file)
-    }
-
-    fn file_size(&self, file: &str) -> Result<u64> {
-        self.inner.file_size(file)
-    }
-
-    fn list(&self) -> Result<Vec<(String, u64)>> {
-        self.inner.list()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scripted fault injection (health-machinery test harness)
+// Scripted fault injection
 // ---------------------------------------------------------------------------
 
 /// Outcome of one scripted [`FlakyDriver`] operation.
@@ -764,10 +664,14 @@ pub enum FlakyOutcome {
     Permanent,
     /// Fail with `ENOSPC` (the install path's evict-and-retry trigger).
     Enospc,
+    /// Fail with [`Error::Injected`]: a logic error, not an I/O one, so
+    /// nothing retries it and it propagates as it is — what a failed
+    /// background copy must survive with metadata and quotas consistent.
+    Injected,
 }
 
 impl FlakyOutcome {
-    fn into_error(self, what: &str) -> Error {
+    fn into_error(self, what: &str, driver: &str) -> Error {
         match self {
             FlakyOutcome::Ok => unreachable!("Ok outcomes never build errors"),
             FlakyOutcome::Transient => Error::Io(std::io::Error::new(
@@ -779,14 +683,15 @@ impl FlakyOutcome {
                 format!("injected permanent fault in {what}"),
             )),
             FlakyOutcome::Enospc => Error::Io(std::io::Error::from_raw_os_error(28)),
+            FlakyOutcome::Injected => Error::Injected(format!("{what} on {driver}")),
         }
     }
 }
 
-/// Test harness driver that fails operations from *scripted sequences*
-/// (unlike [`FaultyDriver`]'s single budget) and supports a shared outage
-/// switch that fails every data operation while set — the building blocks
-/// for retry, quarantine, half-open-probe, and ENOSPC tests.
+/// Test harness driver that fails operations from *scripted sequences* and
+/// supports a shared outage switch that fails every data operation while
+/// set — the building blocks for failed-copy, retry, quarantine,
+/// half-open-probe, and ENOSPC tests.
 ///
 /// Reads (`read_at`/`read_full`) consume the read script; `write_full`
 /// consumes the write script, `remove` the remove script. An exhausted
@@ -797,6 +702,7 @@ pub struct FlakyDriver<D> {
     writes: Mutex<std::collections::VecDeque<FlakyOutcome>>,
     removes: Mutex<std::collections::VecDeque<FlakyOutcome>>,
     outage: Arc<AtomicBool>,
+    injected: AtomicU64,
 }
 
 impl<D: StorageDriver> FlakyDriver<D> {
@@ -809,7 +715,14 @@ impl<D: StorageDriver> FlakyDriver<D> {
             writes: Mutex::new(std::collections::VecDeque::new()),
             removes: Mutex::new(std::collections::VecDeque::new()),
             outage: Arc::new(AtomicBool::new(false)),
+            injected: AtomicU64::new(0),
         }
+    }
+
+    /// How many operations have failed so far, scripted or in an outage.
+    #[must_use]
+    pub fn injected(&self) -> u64 {
+        self.injected.load(Ordering::Relaxed)
     }
 
     /// Append outcomes to the read script.
@@ -841,12 +754,17 @@ impl<D: StorageDriver> FlakyDriver<D> {
         what: &str,
     ) -> Result<()> {
         if self.outage.load(Ordering::Acquire) {
-            return Err(FlakyOutcome::Transient.into_error(what));
+            return Err(self.fail(FlakyOutcome::Transient, what));
         }
         match locks::lock(script).pop_front() {
             None | Some(FlakyOutcome::Ok) => Ok(()),
-            Some(fail) => Err(fail.into_error(what)),
+            Some(fail) => Err(self.fail(fail, what)),
         }
+    }
+
+    fn fail(&self, outcome: FlakyOutcome, what: &str) -> Error {
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        outcome.into_error(what, self.inner.name())
     }
 }
 
@@ -875,7 +793,7 @@ impl<D: StorageDriver> StorageDriver for FlakyDriver<D> {
         // outage goes through, as it always has.
         match locks::lock(&self.removes).pop_front() {
             None | Some(FlakyOutcome::Ok) => self.inner.remove(file),
-            Some(fail) => Err(fail.into_error("remove")),
+            Some(fail) => Err(self.fail(fail, "remove")),
         }
     }
 
@@ -1214,7 +1132,8 @@ mod tests {
     fn faulty_driver_budget() {
         let inner = MemDriver::new("m");
         inner.insert("a", vec![0u8; 8]);
-        let d = FaultyDriver::new(inner, FaultKind::Writes, 2);
+        let d = FlakyDriver::new(inner);
+        d.script_writes([FlakyOutcome::Injected; 2]);
         assert!(d.write_full("x", b"1").is_err());
         assert!(d.write_full("x", b"1").is_err());
         assert!(d.write_full("x", b"1").is_ok());
@@ -1227,9 +1146,13 @@ mod tests {
     fn faulty_driver_all_kind() {
         let inner = MemDriver::new("m");
         inner.insert("a", vec![0u8; 8]);
-        let d = FaultyDriver::new(inner, FaultKind::All, 1);
+        let d = FlakyDriver::new(inner);
+        d.script_reads([FlakyOutcome::Injected]);
+        d.script_writes([FlakyOutcome::Injected]);
         assert!(d.read_full("a").is_err());
         assert!(d.read_full("a").is_ok());
+        assert!(matches!(d.write_full("x", b"1"), Err(Error::Injected(_))));
+        assert!(d.write_full("x", b"1").is_ok());
     }
 
     #[test]

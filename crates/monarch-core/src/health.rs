@@ -69,8 +69,8 @@ pub fn classify(err: &Error) -> ErrorClass {
                 _ => ErrorClass::Transient,
             }
         }
-        // Test-injected faults are deliberate and final (the legacy
-        // `FaultyDriver` contract: no hidden retries).
+        // Test-injected faults are deliberate and final
+        // (`FlakyOutcome::Injected`: no hidden retries).
         Error::Injected(_) => ErrorClass::Permanent,
         _ => ErrorClass::Permanent,
     }
@@ -79,8 +79,8 @@ pub fn classify(err: &Error) -> ErrorClass {
 /// Classify `err` for the *tier health tracker*: `Some` only for real
 /// device I/O failures. Middleware-logic errors (unknown file, shutdown)
 /// and test-injected faults say nothing about the device's health, so they
-/// fail their operation without moving the state machine — the legacy
-/// `FaultyDriver` contract (one injected failure, next attempt succeeds)
+/// fail their operation without moving the state machine — a scripted
+/// `FlakyOutcome::Injected` (one injected failure, next attempt succeeds)
 /// depends on this.
 #[must_use]
 pub fn device_error_class(err: &Error) -> Option<ErrorClass> {

@@ -4,7 +4,7 @@
 use super::*;
 use crate::config::{AdmissionKind, PolicyKind};
 use crate::config::{TelemetryConfig, TierConfig};
-use crate::driver::{FaultKind, FaultyDriver, FlakyDriver, FlakyOutcome, MemDriver, StorageDriver};
+use crate::driver::{FlakyDriver, FlakyOutcome, MemDriver, StorageDriver};
 use crate::health::HealthConfig;
 use crate::policy::{AdmitAll, NoEviction, PlacementScorer, PolicyEngine};
 
@@ -262,7 +262,8 @@ fn unknown_file_is_an_error() {
 fn failed_copy_releases_quota_and_reverts_state() {
     let pfs = MemDriver::new("pfs");
     pfs.insert("f", vec![7u8; 400]);
-    let ssd = FaultyDriver::new(MemDriver::new("ssd"), FaultKind::Writes, 1);
+    let ssd = FlakyDriver::new(MemDriver::new("ssd"));
+    ssd.script_writes([FlakyOutcome::Injected]);
     let hierarchy = two_tier(Arc::new(ssd), 1000, Arc::new(pfs));
     let m = MonarchBuilder::new()
         .hierarchy(hierarchy)
@@ -1170,7 +1171,8 @@ fn assert_reverted_then_place(m: &Monarch) {
 
 #[test]
 fn source_error_mid_fill_sends_parked_readers_to_the_source() {
-    let source = FaultyDriver::new(doomed_source(), FaultKind::Reads, 1);
+    let source = FlakyDriver::new(doomed_source());
+    source.script_reads([FlakyOutcome::Injected]);
     let (gated, gate) = crate::driver::GatedDriver::new(source);
     let m = read_under_a_doomed_copy(gated, &gate, MemDriver::new("ssd"));
     assert_reverted_then_place(&m);
@@ -1179,7 +1181,8 @@ fn source_error_mid_fill_sends_parked_readers_to_the_source() {
 #[test]
 fn install_error_after_fill_serves_parked_readers_and_leaves_nothing_behind() {
     let (gated, gate) = crate::driver::GatedDriver::new(doomed_source());
-    let ssd = FaultyDriver::new(MemDriver::new("ssd"), FaultKind::Writes, 1);
+    let ssd = FlakyDriver::new(MemDriver::new("ssd"));
+    ssd.script_writes([FlakyOutcome::Injected]);
     let m = read_under_a_doomed_copy(gated, &gate, ssd);
     // The fill itself went through: the readers were served by it.
     let stats = m.stats();

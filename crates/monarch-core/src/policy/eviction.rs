@@ -104,7 +104,7 @@ impl EvictionPolicy for ScoredEviction {
         // Scores are quantized so near-ties fall back to LRU order instead
         // of churning on noise in the fourth decimal.
         select(tier, needed, ctx, |r| {
-            (((ctx.score)(r.name) * 1000.0).round(), r.touched)
+            (((ctx.score)(r.id) * 1000.0).round(), r.touched)
         })
     }
 }
@@ -198,7 +198,7 @@ mod tests {
     fn ctx<'a>(
         files: &'a MetadataContainer,
         exempt: &'a dyn Fn(FileId) -> bool,
-        score: &'a dyn Fn(&str) -> f64,
+        score: &'a dyn Fn(FileId) -> f64,
     ) -> EvictCtx<'a> {
         EvictCtx {
             files,
@@ -209,7 +209,7 @@ mod tests {
     }
 
     const NOBODY: fn(FileId) -> bool = |_| false;
-    const FLAT: fn(&str) -> f64 = |_| 0.5;
+    const FLAT: fn(FileId) -> f64 = |_| 0.5;
 
     #[test]
     fn lru_orders_by_recency_and_selection_is_pure() {
@@ -247,9 +247,10 @@ mod tests {
         let m = placed(&[("low", 10), ("high", 10), ("tie1", 10), ("tie2", 10)]);
         let p = ScoredEviction;
         m.touch(id(&m, "tie1"), 0);
-        let score: fn(&str) -> f64 = |name| match name {
-            "low" => 0.1,
-            "high" => 0.9,
+        let (low, high) = (id(&m, "low"), id(&m, "high"));
+        let score = move |f: FileId| match f {
+            f if f == low => 0.1,
+            f if f == high => 0.9,
             _ => 0.5,
         };
         let c = ctx(&m, &NOBODY, &score);

@@ -102,16 +102,17 @@ pub struct FileFeatures {
 
 /// Where feature vectors come from. Implemented by
 /// [`crate::telemetry::TelemetryRegistry`] (which owns the profiler);
-/// the simulator binds its own registry the same way.
+/// the simulator binds its own registry the same way. Files are named by
+/// their id in the namespace the engine and the profiler share.
 pub trait FeatureSource: Send + Sync {
     /// The feature vector for `file`, or `None` if the profiler has never
     /// seen it (policies must treat unknown files leniently).
-    fn features(&self, file: &str) -> Option<FileFeatures>;
+    fn features(&self, file: FileId) -> Option<FileFeatures>;
 }
 
 impl FeatureSource for crate::telemetry::TelemetryRegistry {
-    fn features(&self, file: &str) -> Option<FileFeatures> {
-        let profile = self.profiler().profile(file)?;
+    fn features(&self, file: FileId) -> Option<FileFeatures> {
+        let profile = self.profiler().profile_id(file)?;
         let accesses = profile.accesses;
         Some(FileFeatures {
             accesses,
@@ -194,7 +195,7 @@ pub struct EvictCtx<'a> {
     pub exempt: &'a dyn Fn(FileId) -> bool,
     /// The composed [`PlacementScorer`]'s value estimate for a resident
     /// (higher = more worth keeping). Only score-driven policies use it.
-    pub score: &'a dyn Fn(&str) -> f64,
+    pub score: &'a dyn Fn(FileId) -> f64,
     /// Hard cap on how many victims one call may return.
     pub max_victims: usize,
 }
@@ -391,17 +392,18 @@ impl PolicyEngine {
         *locks::lock(&self.features) = Some(source);
     }
 
-    /// Feature vector for `file`, if a source is bound and knows it.
-    #[must_use]
-    pub fn features_of(&self, file: &str) -> Option<FileFeatures> {
-        let source = locks::lock(&self.features).clone()?;
-        source.features(file)
+    /// The bound feature source, read once per decision.
+    fn source(&self) -> Option<Arc<dyn FeatureSource>> {
+        locks::lock(&self.features).clone()
     }
 
     /// Consult the admission policy at `point`. Counters tally the verdict.
     #[must_use]
     pub fn admit(&self, file: &str, size: u64, point: DecisionPoint) -> bool {
-        let features = self.features_of(file);
+        let features = self
+            .source()
+            .zip(self.files.find(file))
+            .and_then(|(source, id)| source.features(id));
         let ok = self.admission.admit(size, features.as_ref(), point);
         let counter = match (point, ok) {
             (DecisionPoint::DemandAdmit, true) => &self.counters.demand_admits,
@@ -444,7 +446,11 @@ impl PolicyEngine {
     fn with_ctx<T>(&self, keep: &str, f: impl FnOnce(&EvictCtx<'_>) -> T) -> T {
         let keep = self.files.resolve(keep);
         let exempt = |id: FileId| Some(id) == keep;
-        let score = |name: &str| self.scorer.score(self.features_of(name).as_ref());
+        let source = self.source();
+        let score = |id| {
+            let features = source.as_ref().and_then(|s| s.features(id));
+            self.scorer.score(features.as_ref())
+        };
         f(&EvictCtx {
             files: &self.files,
             exempt: &exempt,
@@ -559,8 +565,9 @@ impl PolicyEngine {
     /// Observe that `file` left its tier. Resolves the reuse label and
     /// feeds it back to the scorer as an online-learning outcome.
     pub fn on_evicted(&self, file: &str) {
-        let reused = self.files.take_reused(self.files.intern(file));
-        let features = self.features_of(file);
+        let id = self.files.intern(file);
+        let reused = self.files.take_reused(id);
+        let features = self.source().and_then(|s| s.features(id));
         self.scorer.observe_outcome(features.as_ref(), reused);
     }
 

@@ -33,6 +33,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::locks;
+use crate::metadata::FileId;
 use crate::transfer::LaneQueues;
 
 /// A unit of background work.
@@ -53,11 +54,10 @@ pub enum Lane {
     Prefetch,
 }
 
-/// What travels through the queue: the closure plus its label — what the
-/// task is working on (the engine passes the file name), the key
-/// [`ThreadPool::promote`] looks for.
+/// What travels through the queue: the closure plus its label — the file
+/// the task copies, the key [`ThreadPool::promote`] looks for.
 struct Job {
-    label: Option<String>,
+    label: Option<FileId>,
     run: Task,
 }
 
@@ -211,7 +211,7 @@ impl ThreadPool {
 
     /// Submit a task on a specific lane, under `label` if it has one.
     /// Returns `false` if the pool is shutting down.
-    pub fn submit_on(&self, lane: Lane, label: Option<String>, task: Task) -> bool {
+    pub fn submit_on(&self, lane: Lane, label: Option<FileId>, task: Task) -> bool {
         self.shared.pending.fetch_add(1, Ordering::AcqRel);
         {
             let mut q = locks::lock(&self.shared.queues);
@@ -236,9 +236,9 @@ impl ThreadPool {
     /// upgrades the existing job instead of enqueueing a duplicate).
     /// Returns `false` when no queued prefetch job carries `label` — it
     /// already started, finished, or never existed.
-    pub fn promote(&self, label: &str) -> bool {
+    pub fn promote(&self, label: FileId) -> bool {
         let mut q = locks::lock(&self.shared.queues);
-        q.lanes.promote_where(|j| j.label.as_deref() == Some(label))
+        q.lanes.promote_where(|j| j.label == Some(label))
     }
 
     /// Cancel every queued-but-unstarted prefetch-lane job, balancing
@@ -500,13 +500,19 @@ mod tests {
         pool.wait_idle();
     }
 
+    /// Labels as the engine hands them out: the ids of a namespace.
+    fn labels() -> impl Fn(&str) -> Option<FileId> {
+        let files = crate::metadata::MetadataContainer::default();
+        move |name| Some(files.intern(name))
+    }
+
     #[test]
     fn panics_with_and_without_task_context_are_counted() {
         let pool = ThreadPool::new(1);
         pool.submit(Box::new(|| panic!("anonymous")));
         pool.submit_on(
             Lane::Demand,
-            Some("train-00042.tfrecord".into()),
+            labels()("train-00042.tfrecord"),
             Box::new(|| panic!("copy died")),
         );
         pool.wait_idle();
@@ -556,14 +562,15 @@ mod tests {
     fn promote_moves_queued_prefetch_into_demand_lane() {
         let (pool, gate) = gated_pool();
         let order = Arc::new(Mutex::new(Vec::new()));
-        let ctx = |label: &str| Some(label.to_string());
+        let ctx = labels();
         pool.submit_on(Lane::Prefetch, ctx("a"), push(&order, "a"));
         pool.submit_on(Lane::Prefetch, ctx("b"), push(&order, "b"));
         pool.submit(push(&order, "demand"));
+        let id = |label| ctx(label).unwrap();
 
-        assert!(pool.promote("b"), "queued prefetch job is promotable");
-        assert!(!pool.promote("b"), "a job promotes at most once");
-        assert!(!pool.promote("missing"));
+        assert!(pool.promote(id("b")), "queued prefetch job is promotable");
+        assert!(!pool.promote(id("b")), "a job promotes at most once");
+        assert!(!pool.promote(id("missing")));
         assert_eq!(pool.queued(Lane::Demand), 2);
         assert_eq!(pool.queued(Lane::Prefetch), 1);
 
@@ -577,7 +584,7 @@ mod tests {
     fn drain_prefetch_cancels_queued_jobs_and_stays_balanced() {
         let (pool, gate) = gated_pool();
         let order = Arc::new(Mutex::new(Vec::new()));
-        let ctx = |label: &str| Some(label.to_string());
+        let ctx = labels();
         pool.submit_on(Lane::Prefetch, ctx("a"), push(&order, "a"));
         pool.submit_on(Lane::Prefetch, ctx("b"), push(&order, "b"));
         pool.submit(push(&order, "demand"));

@@ -535,9 +535,8 @@ impl TransferEngine {
         };
         // A refusal (the pool is shutting down) drops the job, and its
         // lease books the copy as un-placed.
-        let label = Some(file.to_string());
         self.pool
-            .submit_on(ctx.lane, label, Box::new(move || job.run()))
+            .submit_on(ctx.lane, Some(id), Box::new(move || job.run()))
     }
 
     /// Install bytes fetched from a peer node's fast tier: the remote-lane
@@ -771,13 +770,13 @@ impl TransferEngine {
                 None => return ReadFeedback::default(),
             }
         };
-        let file = self.book.metadata().name_of(id).unwrap_or_default();
-        if note.issued && !note.resolved && self.pool.promote(file) {
+        if note.issued && !note.resolved && self.pool.promote(id) {
             // Dedup guard: the file's copy is still *queued* on the
             // prefetch lane — upgrade that job's priority instead of
             // letting the demand path wait behind unrelated prefetches
             // (it cannot enqueue a duplicate: the metadata CAS is held
             // by the queued job).
+            let file = self.book.metadata().name_of(id).unwrap_or_default();
             self.book.promoted(self.book.telemetry().now_micros(), file);
         }
         // The cursor moved: more of the plan may now be issued.

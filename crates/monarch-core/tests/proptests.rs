@@ -539,7 +539,7 @@ proptest! {
             engine.pin(files.resolve(&format!("f{i}")).unwrap());
         }
         let nobody = |_: FileId| false;
-        let score = |_: &str| 0.5;
+        let score = |_: FileId| 0.5;
         let c = EvictCtx { files, exempt: &nobody, score: &score, max_victims: 64 };
         let p = LruEviction;
         let victims = p.victims(0, needed, &c);
@@ -579,7 +579,7 @@ proptest! {
         }
         let expected = (0..n).min_by_key(|&i| last[i]).unwrap();
         let exempt = |_: FileId| false;
-        let score = |_: &str| 0.5;
+        let score = |_: FileId| 0.5;
         let c = EvictCtx {
             files: engine.namespace(),
             exempt: &exempt,

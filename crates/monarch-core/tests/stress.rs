@@ -7,9 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use monarch_core::config::{AdmissionKind, PolicyKind};
-use monarch_core::driver::{
-    FaultKind, FaultyDriver, FlakyDriver, FlakyOutcome, MemDriver, StorageDriver,
-};
+use monarch_core::driver::{FlakyDriver, FlakyOutcome, MemDriver, StorageDriver};
 use monarch_core::hierarchy::StorageHierarchy;
 use monarch_core::metadata::{MetadataContainer, PlacementState};
 use monarch_core::{MonarchBuilder, PolicyEngine, StatsSnapshot, TelemetrySnapshot};
@@ -105,7 +103,8 @@ fn fault_storm_leaves_state_consistent() {
     const FILES: usize = 24;
     const SIZE: usize = 2048;
     let pfs = stage(FILES, SIZE);
-    let faulty = FaultyDriver::new(MemDriver::new("ssd"), FaultKind::Writes, 15);
+    let faulty = FlakyDriver::new(MemDriver::new("ssd"));
+    faulty.script_writes([FlakyOutcome::Injected; 15]);
     let hierarchy = StorageHierarchy::new(vec![
         (
             "ssd".into(),

@@ -3,9 +3,9 @@
 //! dataset, clairvoyant lookahead 64, three epochs, seed 1. The paper's
 //! no-eviction first-fit strands half the shards on the slow PFS
 //! forever; eviction-capable policies recycle the quota behind the
-//! access plan and win on wall time. Reproduces the `sim_policy/*`
-//! entries of `BENCH_sim_epoch.json` (plus the selectors the perf gate
-//! does not pin) and the EXPERIMENTS.md ablation table.
+//! access plan and win on wall time. Reproduces the `sim_policy/*` rows
+//! of `results/sim_epoch.json` (plus the selectors the model gate does not
+//! pin) and the EXPERIMENTS.md ablation table.
 //!
 //! Run with: `cargo run --release --example policy_ablation`
 
