@@ -214,7 +214,7 @@ impl MonarchBuilder {
         // keeps its per-file records by the same ids.
         let telemetry = Arc::new(TelemetryRegistry::with_namespace(
             tier_names,
-            Arc::clone(&stats),
+            stats,
             &self.telemetry,
             Arc::clone(policy.namespace()),
         ));
@@ -259,14 +259,8 @@ impl MonarchBuilder {
             }
             None => None,
         };
-        let monarch = Monarch::from_parts(
-            hierarchy,
-            stats,
-            telemetry,
-            engine,
-            self.full_file_fetch,
-            cluster,
-        );
+        let monarch =
+            Monarch::from_parts(hierarchy, telemetry, engine, self.full_file_fetch, cluster);
         if let Some(addr) = &self.metrics_addr {
             // An unusable metrics address is a configuration error, not
             // something to discover from silent scrape failures — but the

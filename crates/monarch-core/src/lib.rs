@@ -94,9 +94,9 @@ pub use prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow, ReadFeedback};
 pub use serve::MetricsServer;
 pub use stats::{Stats, StatsSnapshot};
 pub use telemetry::{
-    Event, EventJournal, EventKind, GaugeGuard, GaugeSnapshot, HistogramSnapshot, InFlight,
-    LatencyHistogram, StallProfile, StallProfileSnapshot, TelemetryRegistry, TelemetrySnapshot,
-    ThroughputSampler, TimeSeries,
+    Event, EventJournal, EventKind, GaugeSnapshot, HistogramSnapshot, LatencyHistogram,
+    StallProfile, StallProfileSnapshot, TelemetryRegistry, TelemetrySnapshot, ThroughputSampler,
+    TimeSeries,
 };
 pub use trace::{ArgValue, FlowPhase, SpanRecord, TraceRecorder};
 pub use transfer::{DrainReport, LaneQueues, ReadCtx, Sampler, TransferEngine};

@@ -869,13 +869,10 @@ impl Lifecycle {
             return;
         }
         let timed = read.marks.filter(|_| read.weight > 0);
-        if let Some([.., resolve, pread, _]) = timed {
-            stats.timed_read();
-            if read.how == Served::Tier {
-                self.telemetry
-                    .read_latency(read.tier)
-                    .record_n(pread.saturating_sub(resolve), read.weight);
-            }
+        if let (Some([.., resolve, pread, _]), Served::Tier) = (timed, read.how) {
+            self.telemetry
+                .read_latency(read.tier)
+                .record_n(pread.saturating_sub(resolve), read.weight);
         }
         let class = ReadClass::of(
             read.how,

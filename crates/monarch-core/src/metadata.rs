@@ -17,7 +17,7 @@
 //! slot     = { identity (line 0) | counters (line 1) }               128 bytes
 //! identity = { name, size: u64, place: u64, touched: u64 }
 //! counters = { reads: u64, bytes: [u64; MAX_LEVELS] }      (64-byte aligned)
-//! place    = [ 63..48 unused | 47..32 copy target | 31..16 tier | 3 pinned | 2 reused | 1..0 state ]
+//! place    = [ 63..48 unused | 47..32 copy target | 31..16 tier | 4 prefetched | 3 pinned | 2 reused | 1..0 state ]
 //! state    = 0 absent, 1 unplaced, 2 copying, 3 placed
 //! ```
 //!
@@ -26,7 +26,8 @@
 //! one logical clock that every placement and every access under an
 //! evicting policy advances; the eviction policies rank a tier's `Placed`
 //! files by it ([`MetadataContainer::evictable`]). `pinned` marks a file a
-//! prefetch staged ahead of its read, which no policy may evict.
+//! prefetch staged ahead of its read, which no policy may evict;
+//! `prefetched` marks for good a file a prefetch ever staged.
 //!
 //! The identity line is written at registration and on placement
 //! transitions — and, under an evicting policy only, by a hit's touch — so
@@ -47,11 +48,11 @@
 //! than the current table). Placement transitions are compare-and-swap
 //! loops on `place`. The `reused` bit is the policy engine's reuse ledger
 //! and `pinned` its prefetch pins (see [`crate::policy::PolicyEngine`]),
-//! kept here so they ride the same word. The slab grows in doubling chunks
-//! that never move, so ids stay valid and readers never wait for an
-//! append. The access profiler keeps
-//! the rest of its per-file records in a slab of the same geometry beside
-//! this one ([`locate`]), addressed by the same ids.
+//! `prefetched` the access profiler's mark, kept here so that they ride
+//! the same word. The slab grows in doubling chunks that never move, so
+//! ids stay valid and readers never wait for an append. The access
+//! profiler keeps the rest of its per-file records in a slab of the same
+//! geometry beside this one ([`locate`]), addressed by the same ids.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -133,10 +134,17 @@ const ABSENT: u64 = 0;
 const UNPLACED: u64 = 1;
 const COPYING: u64 = 2;
 const PLACED: u64 = 3;
-/// Read since placement — the policy engine's reuse label.
-const REUSED: u64 = 1 << 2;
-/// Staged by a prefetch, not read yet — the policy engine's pin.
-const PINNED: u64 = 1 << 3;
+/// A bit of the placement word that the policy engine or the access
+/// profiler keeps on a file.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Mark {
+    /// Read since placement — the policy engine's reuse label.
+    Reused = 1 << 2,
+    /// Staged by a prefetch, not read yet — the policy engine's pin.
+    Pinned = 1 << 3,
+    /// Staged by a prefetch at some point — the access profiler's mark.
+    Prefetched = 1 << 4,
+}
 const TIER_SHIFT: u32 = 16;
 const TARGET_SHIFT: u32 = 32;
 const FIELD_MASK: u64 = 0xFFFF;
@@ -429,12 +437,15 @@ impl MetadataContainer {
     }
 
     /// Count `bytes` served to the foreground from `tier` on `id`'s
-    /// counters line (no cell: no such level in any hierarchy).
+    /// counters line (no cell: no such level in any hierarchy); returns
+    /// whether the file is [`Mark::Prefetched`], off the same slot.
     #[inline]
-    pub(crate) fn count_bytes(&self, id: FileId, tier: TierId, bytes: u64) {
-        if let Some(cell) = self.slab.slot(id).counters.bytes.get(tier) {
+    pub(crate) fn count_bytes(&self, id: FileId, tier: TierId, bytes: u64) -> bool {
+        let slot = self.slab.slot(id);
+        if let Some(cell) = slot.counters.bytes.get(tier) {
             cell.fetch_add(bytes, Ordering::Relaxed);
         }
+        slot.place.load(Ordering::Relaxed) & Mark::Prefetched as u64 != 0
     }
 
     /// Bytes served to the foreground from each of the first `tiers`
@@ -571,8 +582,8 @@ impl MetadataContainer {
     /// Apply `next` to the placement word of `name` until it sticks;
     /// `None` from `next` leaves the word alone. Returns the file's id, the
     /// word `next` last saw and whether it was replaced. Bits outside the
-    /// state, tier and target fields (the reuse label, the pin) are carried
-    /// over.
+    /// state, tier and target fields (the reuse label, the pin, the
+    /// prefetched mark) are carried over.
     fn transition(
         &self,
         name: &str,
@@ -650,24 +661,27 @@ impl MetadataContainer {
         Ok(Some(out))
     }
 
-    /// Set the reuse label of `id`. Read-only once the label is set, which
-    /// is the steady state of a warm file.
+    /// Set (`on`) or clear `mark` on `id`, returning whether it was set.
+    /// A mark that already reads as asked is not written again, so a warm
+    /// file's marks cost its hits a load.
     #[inline]
-    pub(crate) fn mark_reused(&self, id: FileId) {
-        let place = &self.slab.slot(id).place;
-        if place.load(Ordering::Relaxed) & REUSED == 0 {
-            place.fetch_or(REUSED, Ordering::Relaxed);
+    pub(crate) fn set_mark(&self, id: FileId, mark: Mark, on: bool) -> bool {
+        let (place, bit) = (&self.slab.slot(id).place, mark as u64);
+        if (place.load(Ordering::Relaxed) & bit != 0) == on {
+            return on;
         }
+        let old = if on {
+            place.fetch_or(bit, Ordering::Relaxed)
+        } else {
+            place.fetch_and(!bit, Ordering::Relaxed)
+        };
+        old & bit != 0
     }
 
-    /// Clear the reuse label of `id`, returning whether it was set.
-    pub(crate) fn take_reused(&self, id: FileId) -> bool {
-        self.slab
-            .slot(id)
-            .place
-            .fetch_and(!REUSED, Ordering::Relaxed)
-            & REUSED
-            != 0
+    /// Whether `mark` is set on `id`.
+    #[inline]
+    pub(crate) fn marked(&self, id: FileId, mark: Mark) -> bool {
+        self.slab.slot(id).place.load(Ordering::Relaxed) & mark as u64 != 0
     }
 
     /// Stamp `id` with the next tick of the clock.
@@ -693,30 +707,11 @@ impl MetadataContainer {
         self.clock.0.load(Ordering::Relaxed)
     }
 
-    /// Pin or unpin `id` against eviction.
-    pub(crate) fn set_pinned(&self, id: FileId, pinned: bool) {
-        let place = &self.slab.slot(id).place;
-        if pinned {
-            place.fetch_or(PINNED, Ordering::Relaxed);
-        } else {
-            place.fetch_and(!PINNED, Ordering::Relaxed);
-        }
-    }
-
-    /// Unpin every file.
-    pub(crate) fn unpin_all(&self) {
-        for id in self.ids() {
-            let place = &self.slab.slot(id).place;
-            if place.load(Ordering::Relaxed) & PINNED != 0 {
-                place.fetch_and(!PINNED, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// How many files are pinned.
     pub(crate) fn pinned(&self) -> u64 {
-        let pinned = |id| self.slab.slot(id).place.load(Ordering::Relaxed) & PINNED != 0;
-        self.ids().filter(|&id| pinned(id)).count() as u64
+        self.ids()
+            .filter(|&id| self.marked(id, Mark::Pinned))
+            .count() as u64
     }
 
     /// The files placed on `tier` that no pin protects, in id order: the
@@ -724,7 +719,7 @@ impl MetadataContainer {
     /// in flight is not `Placed`, so it is never one.
     pub fn evictable(&self, tier: TierId) -> impl Iterator<Item = Resident<'_>> {
         let want = PLACED | tier_bits(tier) << TIER_SHIFT;
-        let mask = STATE_MASK | PINNED | FIELD_MASK << TIER_SHIFT;
+        let mask = STATE_MASK | Mark::Pinned as u64 | FIELD_MASK << TIER_SHIFT;
         self.ids().filter_map(move |id| {
             let slot = self.slab.slot(id);
             (slot.place.load(Ordering::Acquire) & mask == want).then(|| Resident {
@@ -958,14 +953,17 @@ mod tests {
         let m = MetadataContainer::default();
         m.register("f", 10, 1);
         let id = m.resolve("f").unwrap();
-        assert!(!m.take_reused(id));
-        m.mark_reused(id);
+        assert!(!m.set_mark(id, Mark::Reused, false));
+        m.set_mark(id, Mark::Reused, true);
         assert!(m.begin_copy("f", 0).unwrap());
         m.finish_copy("f", 0).unwrap();
         let info = m.get("f").unwrap();
         assert_eq!((info.tier, info.state), (0, PlacementState::Placed));
-        assert!(m.take_reused(id), "transitions carry the label over");
-        assert!(!m.take_reused(id), "taking it clears it");
+        assert!(
+            m.set_mark(id, Mark::Reused, false),
+            "transitions carry the label over"
+        );
+        assert!(!m.set_mark(id, Mark::Reused, false), "taking it clears it");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::locks;
 use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
 use crate::prefetch::AccessPlan;
 use crate::serve::MetricsServer;
-use crate::stats::{Stats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 use crate::telemetry::{TelemetryRegistry, TelemetrySnapshot, TIMED_HIT_PERIOD};
 use crate::trace::{names, SpanRecord};
 use crate::transfer::{ReadCtx, Sampler, TransferEngine};
@@ -71,8 +71,6 @@ struct ReadAttempt {
     /// Flow id of the placement copy this read announced (`0`: it
     /// announced none, or is not sampled).
     flow: u64,
-    /// A plain local-tier hit: served by the local tier the file lives on.
-    hit: bool,
     /// How many reads this one stands for in the time records; 0 for a
     /// hit whose turn to be timed it was not.
     weight: u64,
@@ -84,7 +82,6 @@ struct ReadAttempt {
 pub struct Monarch {
     hierarchy: Arc<StorageHierarchy>,
     metadata: Arc<MetadataContainer>,
-    stats: Arc<Stats>,
     telemetry: Arc<TelemetryRegistry>,
     engine: TransferEngine,
     full_file_fetch: bool,
@@ -113,7 +110,6 @@ impl Monarch {
     /// Assemble the facade over parts the builder constructed.
     pub(crate) fn from_parts(
         hierarchy: Arc<StorageHierarchy>,
-        stats: Arc<Stats>,
         telemetry: Arc<TelemetryRegistry>,
         engine: TransferEngine,
         full_file_fetch: bool,
@@ -122,7 +118,6 @@ impl Monarch {
         Self {
             hierarchy,
             metadata: Arc::clone(engine.metadata()),
-            stats,
             telemetry,
             shutting_down: engine.shutdown_flag(),
             sampler: engine.sampler(cluster.clone()),
@@ -167,7 +162,7 @@ impl Monarch {
         if self.shutting_down.load(Ordering::Acquire) {
             return Err(Error::ShutDown);
         }
-        let _handle = self.telemetry.reads_in_flight().enter();
+        let reading = self.telemetry.stats().enter_read();
         // What a read reports splits into counts and times. Counts are
         // taken on every read. Times — the stall profile's four buckets,
         // which sum to the read's wall time, the tier's read latency, the
@@ -176,13 +171,13 @@ impl Monarch {
         // one chain of monotonic instants, and the clock is read only when
         // something will consume it: on every read that is not a plain
         // local-tier hit, and on the hits whose turn it is. A hit's turn is
-        // known here; what else the read is, only after its lookup, which
-        // then starts the chain itself.
+        // known here, from the local-tier reads this thread's tally holds;
+        // what else the read is, only after its lookup, which then starts
+        // the chain itself.
         let tr = self.telemetry.trace();
         let sampled = tr.sample_read();
         let profiled = self.telemetry.is_enabled();
-        let hits = profiled.then(|| self.telemetry.local_hits());
-        let turn = hits.is_some_and(|h| h.load(Ordering::Relaxed) % TIMED_HIT_PERIOD == 0);
+        let turn = profiled && reading.local_reads().is_multiple_of(TIMED_HIT_PERIOD);
         let entry = (turn || sampled).then(Instant::now);
         // The read's span id comes first: the placement copy the read may
         // announce on its way is parented and flow-linked to it.
@@ -190,9 +185,6 @@ impl Monarch {
         let Some(read) = self.attempt_read(file, offset, buf, entry, turn, read_id)? else {
             return Ok(0);
         };
-        if let (true, Some(hits)) = (read.hit, hits) {
-            hits.fetch_add(1, Ordering::Relaxed);
-        }
         // Clairvoyant bookkeeping: advance the plan cursor past this file,
         // upgrade a still-queued prefetch copy to the demand lane, and
         // release more of the plan to the prefetcher; the booking below
@@ -391,7 +383,6 @@ impl Monarch {
                         tier: tier.id,
                         how: served.map_or(Served::Tier, |(how, _)| how),
                         flow,
-                        hit,
                         weight,
                         n,
                         marks: entry.zip(t_lookup).zip(t_resolve).zip(t_pread).map(
@@ -438,7 +429,7 @@ impl Monarch {
                 // A missing file retries immediately, as it always has;
                 // real device hiccups back off first.
                 if !vanished {
-                    self.stats.read_retry();
+                    self.telemetry.stats().read_retry();
                     std::thread::sleep(Duration::from_micros(
                         retry.backoff_us(attempts, offset ^ file.len() as u64),
                     ));
@@ -595,7 +586,7 @@ impl Monarch {
     /// Current statistics snapshot.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.telemetry.stats().snapshot()
     }
 
     /// Composed name (`admission/eviction/scorer`) of the policy engine
@@ -690,7 +681,7 @@ impl Monarch {
     /// being silently discarded.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.stop(None);
-        self.stats.snapshot()
+        self.telemetry.stats().snapshot()
     }
 
     /// Drain the engine (waiting at most `wait` for in-flight copies, when

@@ -1,6 +1,8 @@
 //! Tests for the [`Monarch`](super::Monarch) facade, kept out of
 //! `middleware.rs` so the facade itself stays within the size gate.
 
+use std::sync::atomic::AtomicU64;
+
 use super::*;
 use crate::config::{AdmissionKind, PolicyKind};
 use crate::config::{TelemetryConfig, TierConfig};
@@ -770,10 +772,137 @@ fn reads_in_flight_gauge_is_balanced() {
     assert!(m.read("missing", 0, &mut buf).is_err());
     m.wait_placement_idle();
     // The count is striped per thread; the document carries the sum.
-    let held = m.telemetry().reads_in_flight().enter();
+    let held = m.telemetry().stats().enter_read();
     assert_eq!(gauge(), 1.0, "the document carries the striped count");
     drop(held);
     assert_eq!(gauge(), 0.0, "gauge balanced after success, EOF and error");
+}
+
+/// An in-memory tier that counts the reads it serves.
+struct Counted(MemDriver, AtomicU64);
+
+impl Counted {
+    fn new(name: &str) -> Arc<Self> {
+        Arc::new(Self(MemDriver::new(name), AtomicU64::new(0)))
+    }
+
+    fn reads(&self) -> u64 {
+        self.1.load(Ordering::SeqCst)
+    }
+}
+
+impl StorageDriver for Counted {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        self.1.fetch_add(1, Ordering::SeqCst);
+        self.0.read_at(file, offset, buf)
+    }
+    fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
+        self.0.write_full(file, data)
+    }
+    fn remove(&self, file: &str) -> Result<()> {
+        self.0.remove(file)
+    }
+    fn file_size(&self, file: &str) -> Result<u64> {
+        self.0.file_size(file)
+    }
+    fn list(&self) -> Result<Vec<(String, u64)>> {
+        self.0.list()
+    }
+}
+
+#[test]
+fn every_read_is_counted_once_on_the_tally_of_its_thread() {
+    // A read is counted on the tally of the thread that served it and the
+    // tallies are folded when a snapshot is taken. Over a known mix — hits
+    // from three threads, an end-of-file read, a prefetched file read
+    // twice, a first touch served through its copy's staging — the tier
+    // counts match what the tiers' drivers served, the ledger books every
+    // read that returned bytes, nothing stays in flight, every file read is
+    // tracked, and the reads of the prefetched file still count as reads
+    // after a prefetch although a hit writes nothing of the profiler's own.
+    const SIZE: usize = 16 << 10;
+    const THREADS: u64 = 3;
+    const HITS: u64 = 20;
+    let (ssd, pfs) = (Counted::new("ssd"), Counted::new("pfs"));
+    for i in 0..5 {
+        pfs.0.insert(&format!("f{i:03}"), vec![i as u8; SIZE]);
+    }
+    let m = MonarchBuilder::new()
+        .hierarchy(two_tier(ssd.clone(), 1 << 20, pfs.clone()))
+        .pool_threads(2)
+        .prefetch(crate::prefetch::PrefetchConfig {
+            lookahead: 4,
+            max_inflight_bytes: 0,
+        })
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    // Placed by their first touches; f003 by a prefetch.
+    for i in 0..3 {
+        m.read_full(&format!("f{i:03}")).unwrap();
+    }
+    m.submit_plan(&AccessPlan::new(vec!["f003".into()]));
+    m.wait_placement_idle();
+    let ledger = |m: &Monarch| {
+        let snap = m.telemetry_snapshot();
+        let profiler = snap.observe.expect("profiler on").profiler;
+        (snap.stats, profiler)
+    };
+    let (before, _) = ledger(&m);
+    let served = (ssd.reads(), pfs.reads());
+
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let m = &m;
+            s.spawn(move || {
+                let mut buf = vec![0u8; 4096];
+                for i in 0..HITS {
+                    let (file, at) = (format!("f{:03}", (t + i) % 3), (i % 4) * 4096);
+                    assert_eq!(m.read(&file, at, &mut buf).unwrap(), 4096);
+                }
+            });
+        }
+    });
+    let mut buf = vec![0u8; 4096];
+    assert_eq!(m.read("f000", SIZE as u64, &mut buf).unwrap(), 0, "EOF");
+    for _ in 0..2 {
+        assert_eq!(m.read("f003", 0, &mut buf).unwrap(), 4096);
+    }
+    assert_eq!(m.read_full("f004").unwrap(), vec![4u8; SIZE]);
+    m.wait_placement_idle();
+
+    let (after, profiler) = ledger(&m);
+    let local = THREADS * HITS + 2;
+    let tier = |i: usize| after.tiers[i].reads - before.tiers[i].reads;
+    assert_eq!(tier(0), local);
+    assert_eq!(
+        tier(0),
+        ssd.reads() - served.0,
+        "the tally against the driver"
+    );
+    assert_eq!(
+        tier(1),
+        pfs.reads() - served.1,
+        "the tally against the driver"
+    );
+    assert_eq!(
+        after.tiers[0].bytes_read - before.tiers[0].bytes_read,
+        local * 4096
+    );
+    // Every read that returned bytes; the setup's three first touches too.
+    assert_eq!(profiler.ledger.reads, 3 + local + 1);
+    assert_eq!(m.telemetry().stats().in_flight(), 0);
+    assert_eq!(profiler.tracked, 5, "f000 to f004");
+    let profile = |name: &str| m.telemetry().profiler().profile(name).unwrap();
+    let prefetched = profile("f003");
+    assert_eq!(prefetched.prefetched_bytes, SIZE as u64);
+    assert_eq!(prefetched.reads_after_prefetch, 2);
+    assert_eq!(prefetched.prefetch_hits, 1);
+    assert_eq!(profile("f000").reads_after_prefetch, 0);
+    m.shutdown();
 }
 
 /// Monarch over a [`FlakyDriver`]-wrapped local tier, with `n` files of
@@ -1131,7 +1260,7 @@ fn read_under_a_doomed_copy(
             .collect();
         // The file stays `Copying` under the worker's claim until the gate
         // opens, so a reader that is inside `read` is parked or about to.
-        while m.telemetry().reads_in_flight().get() < 8 {
+        while m.telemetry().stats().in_flight() < 8 {
             std::thread::sleep(Duration::from_micros(100));
         }
         crate::driver::open_gate(gate);

@@ -18,9 +18,10 @@
 //!
 //! What a read reports comes in two parts. Its **counts** — the ledger's
 //! `reads`, bytes per tier, miss and prefetch tallies — are recorded on
-//! every read and are exact; the access count and the bytes per tier are
-//! the namespace slot's own counters line, not second copies here, so a
-//! plain hit of a file already seen writes nothing in this slab. Its
+//! every read and are exact. A plain hit writes none in this slab: the
+//! ledger's `reads` is its thread's tally in [`Stats`], the access count and
+//! bytes per tier are the namespace slot's counters line, and whether the
+//! file was ever prefetched is a bit of its placement word. Its
 //! **times** — its four phases, the file's last-access instant and
 //! inter-access gap — are recorded on *timed* reads only, each standing for
 //! `weight` reads (see [`ReadTiming`]): every read that is not a plain local
@@ -44,7 +45,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::hierarchy::TierId;
 use crate::lifecycle::Served;
-use crate::metadata::{chunk_len, locate, FileId, MetadataContainer, CHUNKS};
+use crate::metadata::{chunk_len, locate, FileId, Mark, MetadataContainer, CHUNKS};
+use crate::stats::Stats;
 use crate::stripe::Striped;
 use crate::telemetry::StallProfile;
 
@@ -206,12 +208,11 @@ pub struct FileProfile {
     pub reads_after_prefetch: u64,
 }
 
-/// One file's cells. Aligned so that two files never share a cache line.
+/// One file's cells, written by a read that is not a plain hit and by a
+/// prefetch staging. Aligned so that two files never share a cache line.
 #[derive(Default)]
 #[repr(align(64))]
 struct Record {
-    /// 1 once anything was recorded: the file counts as tracked.
-    seen: AtomicU64,
     prefetched_bytes: AtomicU64,
     reads_after_prefetch: AtomicU64,
     demand_misses: AtomicU64,
@@ -256,16 +257,11 @@ impl Record {
 /// order.
 const CLASSES: usize = ReadClass::DegradedFallback as usize + 1;
 
-/// One stripe of the time-lost ledger (see the `stripe` module): a reader
-/// adds only to its own copy, with relaxed ordering, and never locks;
-/// [`AccessProfiler::ledger`] sums the copies.
-#[derive(Default)]
-struct LedgerAccum {
-    /// Every profiled read, timed or not.
-    reads: AtomicU64,
-    /// Weighted pread nanoseconds of the timed ones, per class.
-    pread_ns: [AtomicU64; CLASSES],
-}
+/// One stripe of the time-lost ledger (see the `stripe` module): the
+/// weighted pread nanoseconds of the timed reads, per class. A reader adds
+/// only to its own copy and never locks; [`AccessProfiler::ledger`] sums
+/// the copies.
+type LedgerAccum = [AtomicU64; CLASSES];
 
 /// Serializable ledger sums — the `ledger` section of the observe
 /// snapshot. All monotonic, so per-epoch attribution is a
@@ -309,28 +305,19 @@ impl LedgerSnapshot {
     /// against an older snapshot yields zeros, not wraparound).
     #[must_use]
     pub fn delta(&self, prev: &LedgerSnapshot) -> LedgerSnapshot {
+        let d = |now: u64, then: u64| now.saturating_sub(then);
         LedgerSnapshot {
-            reads: self.reads.saturating_sub(prev.reads),
-            read_wall_us: self.read_wall_us.saturating_sub(prev.read_wall_us),
-            fast_pread_us: self.fast_pread_us.saturating_sub(prev.fast_pread_us),
-            pfs_cold_pread_us: self
-                .pfs_cold_pread_us
-                .saturating_sub(prev.pfs_cold_pread_us),
-            lane_sat_pread_us: self
-                .lane_sat_pread_us
-                .saturating_sub(prev.lane_sat_pread_us),
-            staged_pread_us: self.staged_pread_us.saturating_sub(prev.staged_pread_us),
-            prefetch_lag_pread_us: self
-                .prefetch_lag_pread_us
-                .saturating_sub(prev.prefetch_lag_pread_us),
-            peer_bound_pread_us: self
-                .peer_bound_pread_us
-                .saturating_sub(prev.peer_bound_pread_us),
-            degraded_pread_us: self
-                .degraded_pread_us
-                .saturating_sub(prev.degraded_pread_us),
-            lock_queue_us: self.lock_queue_us.saturating_sub(prev.lock_queue_us),
-            copy_wait_us: self.copy_wait_us.saturating_sub(prev.copy_wait_us),
+            reads: d(self.reads, prev.reads),
+            read_wall_us: d(self.read_wall_us, prev.read_wall_us),
+            fast_pread_us: d(self.fast_pread_us, prev.fast_pread_us),
+            pfs_cold_pread_us: d(self.pfs_cold_pread_us, prev.pfs_cold_pread_us),
+            lane_sat_pread_us: d(self.lane_sat_pread_us, prev.lane_sat_pread_us),
+            staged_pread_us: d(self.staged_pread_us, prev.staged_pread_us),
+            prefetch_lag_pread_us: d(self.prefetch_lag_pread_us, prev.prefetch_lag_pread_us),
+            peer_bound_pread_us: d(self.peer_bound_pread_us, prev.peer_bound_pread_us),
+            degraded_pread_us: d(self.degraded_pread_us, prev.degraded_pread_us),
+            lock_queue_us: d(self.lock_queue_us, prev.lock_queue_us),
+            copy_wait_us: d(self.copy_wait_us, prev.copy_wait_us),
         }
     }
 }
@@ -344,8 +331,9 @@ pub struct AccessProfiler {
     /// The namespace whose ids index the records: it names them, and its
     /// per-file counters line *is* their access count and bytes per tier.
     files: Arc<MetadataContainer>,
+    /// The instance's counters, whose tallies hold the ledger's `reads`.
+    stats: Arc<Stats>,
     chunks: [OnceLock<Box<[Record]>>; CHUNKS],
-    tracked: AtomicU64,
     untracked_reads: AtomicU64,
     ledger: Striped<LedgerAccum>,
     /// Every timed read's phases; the ledger's time sums are its sums.
@@ -356,38 +344,40 @@ impl std::fmt::Debug for AccessProfiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AccessProfiler")
             .field("enabled", &self.enabled)
-            .field("tracked", &self.tracked.load(Ordering::Relaxed))
             .field("max_files", &self.max_files)
             .finish()
     }
 }
 
 impl AccessProfiler {
-    /// A profiler over `tiers` tier ids with a namespace of its own,
-    /// tracking the first `max_files` distinct names it is told about —
-    /// for callers that know files by name only (the simulator).
+    /// A profiler over `tiers` tier ids with a namespace and counters of
+    /// its own, tracking the first `max_files` distinct names it is told
+    /// about — for callers that know files by name only.
     /// Disabled profilers take one branch per call and record nothing.
     #[must_use]
     pub fn new(enabled: bool, tiers: usize, max_files: usize) -> Self {
-        Self::with_namespace(enabled, tiers, max_files, Arc::default())
+        let stats = Arc::new(Stats::new(tiers));
+        Self::with_namespace(enabled, tiers, max_files, Arc::default(), stats)
     }
 
     /// A profiler over the ids of `files`, the namespace of the instance
-    /// it observes; ids at or past `max_files` go untracked.
+    /// it observes, counting its reads in the instance's `stats`; ids at
+    /// or past `max_files` go untracked.
     #[must_use]
     pub fn with_namespace(
         enabled: bool,
         tiers: usize,
         max_files: usize,
         files: Arc<MetadataContainer>,
+        stats: Arc<Stats>,
     ) -> Self {
         Self {
             enabled,
             tiers,
             max_files,
             files,
+            stats,
             chunks: [const { OnceLock::new() }; CHUNKS],
-            tracked: AtomicU64::new(0),
             untracked_reads: AtomicU64::new(0),
             ledger: Striped::new(),
             stall: StallProfile::default(),
@@ -407,8 +397,8 @@ impl AccessProfiler {
         &self.stall
     }
 
-    /// The record of `id`, if one exists (`touch` creates it, within the
-    /// bound) and something was recorded.
+    /// The record of `id`, if `id` is within the bound and its chunk
+    /// exists (`touch` creates it).
     fn record_of(&self, id: FileId, touch: bool) -> Option<&Record> {
         let index = id.index();
         if index >= self.max_files {
@@ -424,16 +414,7 @@ impl AccessProfiler {
         } else {
             self.chunks[k].get()?
         };
-        let record = &chunk[offset];
-        if record.seen.load(Ordering::Relaxed) == 0 {
-            if !touch {
-                return None;
-            }
-            if record.seen.swap(1, Ordering::Relaxed) == 0 {
-                self.tracked.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Some(record)
+        Some(&chunk[offset])
     }
 
     /// The id `file` is recorded under: its id in the namespace, interned
@@ -477,26 +458,32 @@ impl AccessProfiler {
         timing: Option<&ReadTiming>,
         t_us: u64,
     ) {
-        let ledger = self.ledger.local(LedgerAccum::default);
-        ledger.reads.fetch_add(1, Ordering::Relaxed);
+        self.stats.profiled_read(timing.is_some());
         if let Some(t) = timing {
             self.stall
                 .record_timing(t, class == ReadClass::DegradedFallback);
-            ledger.pread_ns[class as usize]
-                .fetch_add(t.pread_ns.saturating_mul(t.weight), Ordering::Relaxed);
+            self.ledger
+                .local(LedgerAccum::default)
+                .add(|l| &l[class as usize], t.pread_ns.saturating_mul(t.weight));
         }
-        let Some((id, record)) = id.and_then(|id| Some((id, self.record_of(id, true)?))) else {
+        let Some(id) = id.filter(|id| id.index() < self.max_files) else {
             self.untracked_reads.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        self.files.count_bytes(id, tier, bytes);
-        if class != ReadClass::Fast {
+        let after_prefetch = self.files.count_bytes(id, tier, bytes);
+        let miss = class != ReadClass::Fast;
+        if !(miss || prefetch_hit || after_prefetch || timing.is_some()) {
+            // A plain hit: nothing of it is this slab's.
+            return;
+        }
+        let record = self.record_of(id, true).expect("a touched chunk exists");
+        if miss {
             record.demand_misses.fetch_add(1, Ordering::Relaxed);
         }
         if prefetch_hit {
             record.prefetch_hits.fetch_add(1, Ordering::Relaxed);
         }
-        if record.prefetched_bytes.load(Ordering::Relaxed) > 0 {
+        if after_prefetch {
             record.reads_after_prefetch.fetch_add(1, Ordering::Relaxed);
         }
         if timing.is_some() {
@@ -521,10 +508,9 @@ impl AccessProfiler {
         if !self.enabled {
             return;
         }
-        let id = self.resolve(file);
-        if let Some(id) = id {
+        let id = self.resolve(file).inspect(|&id| {
             self.files.count_read(id);
-        }
+        });
         self.record(id, tier, bytes, class, prefetch_hit, Some(&timing), t_us);
     }
 
@@ -539,27 +525,36 @@ impl AccessProfiler {
         if let Some(record) = self.record_of(id, true) {
             record.prefetched_bytes.fetch_add(bytes, Ordering::Relaxed);
             record.staged_us.store(t_us, Ordering::Relaxed);
+            self.files.set_mark(id, Mark::Prefetched, true);
         }
     }
 
     /// One file's profile — the policy engine's
     /// [`crate::policy::FeatureSource`] path. `None` for files the
-    /// profiler never saw (or a disabled profiler).
+    /// profiler does not track — never read nor prefetched, or past the
+    /// bound — and for a disabled profiler.
     #[must_use]
     pub fn profile_id(&self, id: FileId) -> Option<FileProfile> {
-        let record = self.record_of(id, false)?;
-        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        let accesses = self.files.reads_of(id);
+        let seen = accesses > 0 || self.files.marked(id, Mark::Prefetched);
+        if !self.enabled || id.index() >= self.max_files || !seen {
+            return None;
+        }
+        // A file only ever hit has no record yet: its cells read 0.
+        let record = self.record_of(id, false);
+        let load =
+            |cell: fn(&Record) -> &AtomicU64| record.map_or(0, |r| cell(r).load(Ordering::Relaxed));
         Some(FileProfile {
-            accesses: self.files.reads_of(id),
-            first_us: load(&record.first_us),
-            last_us: load(&record.last_us),
-            ewma_gap_us: f64::from_bits(load(&record.ewma_gap_us)),
+            accesses,
+            first_us: load(|r| &r.first_us),
+            last_us: load(|r| &r.last_us),
+            ewma_gap_us: f64::from_bits(load(|r| &r.ewma_gap_us)),
             bytes_by_tier: self.files.bytes_of(id, self.tiers),
-            prefetch_hits: load(&record.prefetch_hits),
-            demand_misses: load(&record.demand_misses),
-            prefetched_bytes: load(&record.prefetched_bytes),
-            staged_us: load(&record.staged_us),
-            reads_after_prefetch: load(&record.reads_after_prefetch),
+            prefetch_hits: load(|r| &r.prefetch_hits),
+            demand_misses: load(|r| &r.demand_misses),
+            prefetched_bytes: load(|r| &r.prefetched_bytes),
+            staged_us: load(|r| &r.staged_us),
+            reads_after_prefetch: load(|r| &r.reads_after_prefetch),
         })
     }
 
@@ -569,16 +564,15 @@ impl AccessProfiler {
         self.profile_id(self.files.find(file)?)
     }
 
-    /// The live ledger sums: the stripes' counts and pread nanoseconds
-    /// added up, the phase sums read off the stall profile, each divided
-    /// once.
+    /// The live ledger sums: the read count folded from the tallies, the
+    /// stripes' pread nanoseconds added up, the phase sums read off the
+    /// stall profile, each divided once.
     #[must_use]
     pub fn ledger(&self) -> LedgerSnapshot {
-        let mut reads = 0;
+        let reads = self.stats.profiled_reads();
         let mut pread = [0u64; CLASSES];
         for stripe in self.ledger.iter() {
-            reads += stripe.reads.load(Ordering::Relaxed);
-            for (sum, cell) in pread.iter_mut().zip(&stripe.pread_ns) {
+            for (sum, cell) in pread.iter_mut().zip(stripe) {
                 *sum += cell.load(Ordering::Relaxed);
             }
         }
@@ -627,7 +621,7 @@ impl AccessProfiler {
                 .then_with(|| a.file.cmp(&b.file))
         });
         ProfilerSnapshot {
-            tracked: self.tracked.load(Ordering::Relaxed),
+            tracked: files.len() as u64,
             untracked_reads: self.untracked_reads.load(Ordering::Relaxed),
             ledger: self.ledger(),
             files,
@@ -649,7 +643,7 @@ pub struct FileProfileSnapshot {
 /// snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProfilerSnapshot {
-    /// Distinct files tracked.
+    /// Distinct files tracked: read or prefetched, within the bound.
     pub tracked: u64,
     /// Reads of files past the tracking bound (global tally only).
     pub untracked_reads: u64,
@@ -712,7 +706,8 @@ mod tests {
     fn disabled_profiler_records_nothing() {
         let files = Arc::new(MetadataContainer::default());
         files.register("a", 1, 1);
-        let p = AccessProfiler::with_namespace(false, 2, 16, Arc::clone(&files));
+        let stats = Arc::new(Stats::new(2));
+        let p = AccessProfiler::with_namespace(false, 2, 16, Arc::clone(&files), stats);
         p.record_read("a", 0, 10, ReadClass::Fast, false, t(5, 5), 100);
         p.record_prefetch_staged_id(files.resolve("a").unwrap(), 10, 100);
         let s = p.snapshot();
@@ -812,8 +807,9 @@ mod tests {
                 files.resolve(n).unwrap()
             })
             .collect();
+        let stats = Arc::new(Stats::new(2));
         (
-            AccessProfiler::with_namespace(true, 2, max_files, files),
+            AccessProfiler::with_namespace(true, 2, max_files, files, stats),
             ids,
         )
     }

@@ -274,7 +274,7 @@ mod tests {
         // Wrong tier → nothing.
         assert!(p.victims(1, 1, &c).is_empty());
         // A pinned file is no candidate either.
-        m.set_pinned(id(&m, "b"), true);
+        m.set_mark(id(&m, "b"), crate::metadata::Mark::Pinned, true);
         assert!(p.victims(0, 10, &c).is_empty());
     }
 

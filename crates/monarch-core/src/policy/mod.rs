@@ -47,7 +47,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::{AdmissionKind, PolicyKind};
 use crate::hierarchy::StorageHierarchy;
 use crate::locks;
-use crate::metadata::{FileId, MetadataContainer};
+use crate::metadata::{FileId, Mark, MetadataContainer};
 use crate::{Result, TierId};
 
 /// Never evict more than this many files for one placement.
@@ -552,21 +552,22 @@ impl PolicyEngine {
         if self.stamps {
             self.files.touch(id, tier);
         }
-        self.files.mark_reused(id);
+        self.files.set_mark(id, Mark::Reused, true);
     }
 
     /// Observe an installed copy: opens a fresh (not-yet-reused) ledger
     /// entry for the scorer label. The namespace stamped the placement
     /// itself, and knows its size and tier.
     pub fn on_placed(&self, file: &str, _size: u64, _tier: TierId) {
-        self.files.take_reused(self.files.intern(file));
+        self.files
+            .set_mark(self.files.intern(file), Mark::Reused, false);
     }
 
     /// Observe that `file` left its tier. Resolves the reuse label and
     /// feeds it back to the scorer as an online-learning outcome.
     pub fn on_evicted(&self, file: &str) {
         let id = self.files.intern(file);
-        let reused = self.files.take_reused(id);
+        let reused = self.files.set_mark(id, Mark::Reused, false);
         let features = self.source().and_then(|s| s.features(id));
         self.scorer.observe_outcome(features.as_ref(), reused);
     }
@@ -574,7 +575,7 @@ impl PolicyEngine {
     /// A new epoch plan was submitted: reset pins and hand the order to the
     /// clairvoyant policy.
     pub fn set_plan(&self, files: &[FileId]) {
-        self.files.unpin_all();
+        self.clear_pins();
         self.eviction.set_plan(files);
     }
 
@@ -586,17 +587,19 @@ impl PolicyEngine {
     /// Protect `file` from eviction (prefetch staged it; it has not yet
     /// been read).
     pub fn pin(&self, file: FileId) {
-        self.files.set_pinned(file, true);
+        self.files.set_mark(file, Mark::Pinned, true);
     }
 
     /// Release the eviction protection on `file`.
     pub fn unpin(&self, file: FileId) {
-        self.files.set_pinned(file, false);
+        self.files.set_mark(file, Mark::Pinned, false);
     }
 
     /// Drop every pin (drain, plan replacement).
     pub fn clear_pins(&self) {
-        self.files.unpin_all();
+        for id in self.files.ids() {
+            self.files.set_mark(id, Mark::Pinned, false);
+        }
     }
 
     /// Whether the composed eviction policy can ever return victims.

@@ -2,12 +2,13 @@
 //!
 //! The paper's headline secondary metric is the number of I/O operations
 //! submitted to the shared PFS; [`Stats`] counts reads/writes/bytes per
-//! tier plus placement outcomes, all with relaxed atomics. The per-tier
-//! read counters — the only ones a warm hit touches — are striped per
-//! thread (see the `stripe` module) and summed by [`Stats::snapshot`].
+//! tier plus placement outcomes, each in the [`Tally`] of the counting
+//! thread (its stripe, see the `stripe` module), which only it writes: a
+//! warm hit books itself on one line of its own. [`Stats::snapshot`],
+//! [`Stats::in_flight`] and the profiler's ledger fold the tallies.
 //!
 //! The scalar counters are declared once, in the `counters!` list below:
-//! the cell in [`Stats`], the method that counts one, the load in
+//! their index in a tally, the method that counts one, the fold in
 //! [`Stats::snapshot`], the [`StatsSnapshot`] field and the Prometheus
 //! family ([`StatsSnapshot::counters`]) all expand from that list.
 
@@ -15,22 +16,39 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-use crate::stripe::Striped;
+use crate::hierarchy::MAX_LEVELS;
+use crate::stripe::{Local, Striped};
 use crate::TierId;
 
-/// One tier's read counters (one copy per stripe).
+/// One tier's counters in a [`Tally`].
 #[derive(Debug, Default)]
-struct ReadCounters {
+struct TierTally {
     reads: AtomicU64,
     bytes_read: AtomicU64,
-}
-
-/// One tier's write-side counters (background copies only; not striped).
-#[derive(Debug, Default)]
-struct TierCounters {
     writes: AtomicU64,
     bytes_written: AtomicU64,
     removes: AtomicU64,
+}
+
+/// What one thread counted: one stripe of [`Stats`]. A plain hit of the
+/// first tier writes its first cache line only.
+#[derive(Debug, Default)]
+struct Tally {
+    /// Reads inside `Monarch::read` now (a read leaves by adding
+    /// `u64::MAX` to the stripe it entered).
+    in_flight: AtomicU64,
+    /// Reads the access profiler booked: the ledger's `reads`.
+    profiled: AtomicU64,
+    /// Per tier, index = tier id.
+    tiers: [TierTally; MAX_LEVELS],
+    /// The scalar counters, index = [`Counter`].
+    scalars: [AtomicU64; COUNTERS],
+}
+
+/// Aggregate middleware counters.
+pub struct Stats {
+    levels: usize,
+    tally: Striped<Tally>,
 }
 
 /// Expands the one list of scalar counters into everything that has to
@@ -43,29 +61,17 @@ macro_rules! counters {
         $(#[doc = $doc:literal])+
         $field:ident $(/ $bump:ident)?: $family:literal, $help:literal;
     )+) => {
-        /// Aggregate middleware counters.
-        pub struct Stats {
-            tiers: Vec<TierCounters>,
-            /// Per-stripe read counters, index = tier id.
-            reads: Striped<Vec<ReadCounters>>,
-            $($field: AtomicU64,)+
-        }
+        /// A scalar counter's index in a [`Tally`].
+        #[allow(non_camel_case_types)]
+        enum Counter { $($field,)+ }
+
+        const COUNTERS: usize = [$(Counter::$field),+].len();
 
         impl Stats {
-            /// Counters for a hierarchy with `tiers` levels.
-            #[must_use]
-            pub fn new(tiers: usize) -> Self {
-                Self {
-                    tiers: (0..tiers).map(|_| TierCounters::default()).collect(),
-                    reads: Striped::new(),
-                    $($field: AtomicU64::new(0),)+
-                }
-            }
-
             $($(
                 #[doc = concat!("Count one in [`StatsSnapshot::", stringify!($field), "`].")]
                 pub fn $bump(&self) {
-                    self.$field.fetch_add(1, Ordering::Relaxed);
+                    self.count(Counter::$field, 1);
                 }
             )?)+
 
@@ -74,7 +80,7 @@ macro_rules! counters {
             pub fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
                     tiers: self.tier_snapshots(),
-                    $($field: self.$field.load(Ordering::Relaxed),)+
+                    $($field: self.fold(|t| &t.scalars[Counter::$field as usize]),)+
                 }
             }
         }
@@ -215,38 +221,98 @@ counters! {
     /// plain local-tier hit, and one such hit in
     /// [`TIMED_HIT_PERIOD`](crate::telemetry::TIMED_HIT_PERIOD), which
     /// those records weigh accordingly. Against the read counts, the share
-    /// of reads the time estimates rest on.
-    timed_reads / timed_read:
+    /// of reads the time estimates rest on. Counted where the access
+    /// profiler books a read ([`Stats::profiled_read`]).
+    timed_reads:
         "monarch_timed_reads_total", "Reads that carried the clock into the time records.";
 }
 
 impl std::fmt::Debug for Stats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Stats")
-            .field("tiers", &self.tiers.len())
+            .field("tiers", &self.levels)
             .finish_non_exhaustive()
     }
 }
 
 impl Stats {
+    /// Counters for a hierarchy of `tiers` (≤ [`MAX_LEVELS`]) levels.
+    #[must_use]
+    pub fn new(tiers: usize) -> Self {
+        assert!(tiers <= MAX_LEVELS, "{tiers} levels; at most {MAX_LEVELS}");
+        Self {
+            levels: tiers,
+            tally: Striped::new(),
+        }
+    }
+
+    /// The calling thread's tally.
+    #[inline]
+    fn tally(&self) -> Local<'_, Tally> {
+        self.tally.local(Tally::default)
+    }
+
+    /// Add `n` to a scalar counter.
+    fn count(&self, counter: Counter, n: u64) {
+        self.tally().add(|t| &t.scalars[counter as usize], n);
+    }
+
+    /// One tally cell, summed over the threads.
+    fn fold(&self, cell: impl Fn(&Tally) -> &AtomicU64) -> u64 {
+        self.tally
+            .iter()
+            .map(|t| cell(t).load(Ordering::Relaxed))
+            .fold(0, u64::wrapping_add)
+    }
+
     /// Record a read of `bytes` served by `tier`.
     #[inline]
     pub fn record_read(&self, tier: TierId, bytes: u64) {
-        let levels = self.tiers.len();
-        let stripe = self
-            .reads
-            .local(|| (0..levels).map(|_| ReadCounters::default()).collect());
-        let t = &stripe[tier];
-        t.reads.fetch_add(1, Ordering::Relaxed);
-        t.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+        let t = self.tally();
+        t.add(|t| &t.tiers[tier].reads, 1);
+        t.add(|t| &t.tiers[tier].bytes_read, bytes);
+    }
+
+    /// Count one read the access profiler booked, and whether it was
+    /// `timed` ([`StatsSnapshot::timed_reads`]).
+    pub(crate) fn profiled_read(&self, timed: bool) {
+        let t = self.tally();
+        t.add(|t| &t.profiled, 1);
+        t.add(
+            |t| &t.scalars[Counter::timed_reads as usize],
+            u64::from(timed),
+        );
+    }
+
+    /// Reads the access profiler booked so far: its ledger's `reads`.
+    pub(crate) fn profiled_reads(&self) -> u64 {
+        self.fold(|t| &t.profiled)
+    }
+
+    /// Count a read in flight on the calling thread until the returned
+    /// guard drops.
+    #[must_use]
+    pub(crate) fn enter_read(&self) -> Reading<'_> {
+        let tally = self.tally();
+        tally.add(|t| &t.in_flight, 1);
+        Reading {
+            tally,
+            local_tiers: self.levels.saturating_sub(1),
+        }
+    }
+
+    /// Reads in flight right now: the `monarch_reads_in_flight` gauge.
+    #[must_use]
+    pub fn in_flight(&self) -> u64 {
+        self.fold(|t| &t.in_flight)
     }
 
     /// Record a write of `bytes` to `tier`.
     #[inline]
     pub fn record_write(&self, tier: TierId, bytes: u64) {
-        let t = &self.tiers[tier];
-        t.writes.fetch_add(1, Ordering::Relaxed);
-        t.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+        let t = self.tally();
+        t.add(|t| &t.tiers[tier].writes, 1);
+        t.add(|t| &t.tiers[tier].bytes_written, bytes);
     }
 
     /// Record a file removal on `tier` for a non-eviction reason
@@ -255,8 +321,8 @@ impl Stats {
     /// cleanup as cache thrashing.
     #[inline]
     pub fn record_remove(&self, tier: TierId) {
-        self.tiers[tier].removes.fetch_add(1, Ordering::Relaxed);
-        self.removes.fetch_add(1, Ordering::Relaxed);
+        self.tally().add(|t| &t.tiers[tier].removes, 1);
+        self.count(Counter::removes, 1);
     }
 
     /// Record a policy-driven eviction of a file from `tier`. Counts as
@@ -264,15 +330,15 @@ impl Stats {
     #[inline]
     pub fn record_evict(&self, tier: TierId) {
         self.record_remove(tier);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::evictions, 1);
     }
 
     /// A read of a peer-owned file was served from the owner's fast tier
     /// over the cluster transport: `bytes` crossed the wire instead of a
     /// second PFS read.
     pub fn peer_hit(&self, bytes: u64) {
-        self.peer_hits.fetch_add(1, Ordering::Relaxed);
-        self.peer_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.count(Counter::peer_hits, 1);
+        self.count(Counter::peer_bytes, bytes);
     }
 
     /// `bytes` of a read came out of the install staging of the file's
@@ -280,32 +346,47 @@ impl Stats {
     /// from there alone; otherwise it fetched its remainder from the
     /// source, and that fetch is its one [`Stats::record_read`].
     pub fn record_staged(&self, whole: bool, bytes: u64) {
-        self.staged_reads
-            .fetch_add(u64::from(whole), Ordering::Relaxed);
-        self.staged_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// One read counter of `tier`, summed over the stripes.
-    fn read_sum(&self, tier: TierId, field: impl Fn(&ReadCounters) -> &AtomicU64) -> u64 {
-        self.reads
-            .iter()
-            .map(|stripe| field(&stripe[tier]).load(Ordering::Relaxed))
-            .sum()
+        self.count(Counter::staged_reads, u64::from(whole));
+        self.count(Counter::staged_bytes, bytes);
     }
 
     /// The per-tier half of [`Stats::snapshot`].
     fn tier_snapshots(&self) -> Vec<TierSnapshot> {
-        self.tiers
-            .iter()
-            .enumerate()
-            .map(|(id, t)| TierSnapshot {
-                reads: self.read_sum(id, |c| &c.reads),
-                bytes_read: self.read_sum(id, |c| &c.bytes_read),
-                writes: t.writes.load(Ordering::Relaxed),
-                bytes_written: t.bytes_written.load(Ordering::Relaxed),
-                removes: t.removes.load(Ordering::Relaxed),
+        (0..self.levels)
+            .map(|id| TierSnapshot {
+                reads: self.fold(|t| &t.tiers[id].reads),
+                bytes_read: self.fold(|t| &t.tiers[id].bytes_read),
+                writes: self.fold(|t| &t.tiers[id].writes),
+                bytes_written: self.fold(|t| &t.tiers[id].bytes_written),
+                removes: self.fold(|t| &t.tiers[id].removes),
             })
             .collect()
+    }
+}
+
+/// A read in flight on the calling thread ([`Stats::enter_read`]); it
+/// leaves, on drop, the tally it entered.
+pub(crate) struct Reading<'a> {
+    tally: Local<'a, Tally>,
+    local_tiers: usize,
+}
+
+impl Reading<'_> {
+    /// Reads the calling thread's tally has counted on the local tiers
+    /// (every tier but the last): the count that decides which hit carries
+    /// the clock.
+    #[inline]
+    pub(crate) fn local_reads(&self) -> u64 {
+        self.tally.tiers[..self.local_tiers]
+            .iter()
+            .map(|t| t.reads.load(Ordering::Relaxed))
+            .fold(0, u64::wrapping_add)
+    }
+}
+
+impl Drop for Reading<'_> {
+    fn drop(&mut self) {
+        self.tally.add(|t| &t.in_flight, u64::MAX);
     }
 }
 

@@ -1,45 +1,73 @@
 //! Per-thread striping for counters the read hit path touches.
 //!
-//! A counter every reader increments is one cache line bouncing between
-//! cores. [`Striped<T>`] keeps up to [`STRIPES`] copies of `T`, each on its
-//! own cache lines; a thread records into the copy its index selects and a
-//! snapshot folds the copies together. Copies are allocated on first use,
-//! so a freshly built registry costs nothing per counter. With more threads
-//! than stripes two threads share a copy — still correct (the cells are
-//! atomics), just no longer private.
+//! A counter every reader increments is a cache line bouncing between
+//! cores, and even a line no other core touches costs a locked instruction
+//! per add. [`Striped<T>`] keeps [`STRIPES`] copies of `T` plus an overflow
+//! copy, each on cache lines of its own, allocated on first use. A live
+//! thread owns one stripe: it claims the lowest free index on first use (a
+//! compare-and-swap on one claim mask, so its index is the same in every
+//! striped value) and a thread-local destructor releases it at exit. The
+//! owner, the copy's only writer, adds with a relaxed load and store
+//! ([`Local::add`]); threads that found no stripe free share the overflow
+//! copy and `fetch_add` there. The release and the next claim are a
+//! release/acquire pair, so a new owner continues from the last one's
+//! values. A snapshot folds the copies.
 //!
-//! [`StripedRwLock<T>`] applies the same idea to a read-mostly structure
-//! every reader must hold still while it works: one value behind
-//! [`STRIPES`] gates. A reader locks only its own stripe's gate, so two
-//! readers on different stripes write no common cache line; a writer locks
-//! all of them.
+//! [`StripedRwLock<T>`] puts one gate per stripe index in front of a
+//! read-mostly value: a reader locks its own stripe's gate, a writer all.
 
 use std::cell::{Cell, UnsafeCell};
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::locks;
 
-/// Copies kept per striped counter.
+/// Stripes a thread can own.
 pub(crate) const STRIPES: usize = 16;
+/// The copy shared by threads that found no stripe free.
+const OVERFLOW: usize = STRIPES;
+const COPIES: usize = STRIPES + 1;
 
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
+/// Bit `i` set: a live thread owns stripe `i`.
+static CLAIMED: AtomicU32 = AtomicU32::new(0);
 
-thread_local! {
-    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
+/// The calling thread's stripe (`usize::MAX` until its first use).
+struct Claim(Cell<usize>);
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        if self.0.get() < STRIPES {
+            CLAIMED.fetch_and(!(1 << self.0.get()), Ordering::Release);
+        }
+    }
 }
 
-/// The calling thread's stripe, handed out round-robin on first use so
-/// threads started together land on different stripes.
+thread_local! {
+    static CLAIM: Claim = const { Claim(Cell::new(usize::MAX)) };
+}
+
+/// The calling thread's stripe, claimed on first use; the overflow copy
+/// when none is free, or when the thread is exiting.
 #[inline]
 fn stripe_index() -> usize {
-    STRIPE.with(|s| {
-        if s.get() == usize::MAX {
-            s.set(NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % STRIPES);
-        }
-        s.get()
-    })
+    let claim = || {
+        let free = |held: u32| !held & ((1 << STRIPES) - 1);
+        CLAIMED
+            .fetch_update(Ordering::Acquire, Ordering::Relaxed, |held| {
+                (free(held) != 0).then(|| held | 1 << free(held).trailing_zeros())
+            })
+            .map_or(OVERFLOW, |held| free(held).trailing_zeros() as usize)
+    };
+    CLAIM
+        .try_with(|c| {
+            if c.0.get() == usize::MAX {
+                c.0.set(claim());
+            }
+            c.0.get()
+        })
+        .unwrap_or(OVERFLOW)
 }
 
 /// Keeps neighbouring stripes (separate heap allocations, possibly
@@ -47,24 +75,24 @@ fn stripe_index() -> usize {
 #[repr(align(128))]
 struct Padded<T>(T);
 
-/// Up to [`STRIPES`] lazily allocated copies of `T`.
+/// [`STRIPES`] + 1 lazily allocated copies of `T`.
 pub(crate) struct Striped<T> {
-    cells: [OnceLock<Box<Padded<T>>>; STRIPES],
+    cells: [OnceLock<Box<Padded<T>>>; COPIES],
 }
 
 impl<T> Striped<T> {
     pub(crate) const fn new() -> Self {
         Self {
-            cells: [const { OnceLock::new() }; STRIPES],
+            cells: [const { OnceLock::new() }; COPIES],
         }
     }
 
     /// The calling thread's copy, built with `init` on first use.
     #[inline]
-    pub(crate) fn local(&self, init: impl FnOnce() -> T) -> &T {
-        &self.cells[stripe_index()]
-            .get_or_init(|| Box::new(Padded(init())))
-            .0
+    pub(crate) fn local(&self, init: impl FnOnce() -> T) -> Local<'_, T> {
+        let stripe = stripe_index();
+        let cell = self.cells[stripe].get_or_init(|| Box::new(Padded(init())));
+        Local(&cell.0, stripe != OVERFLOW, PhantomData)
     }
 
     /// Every copy allocated so far.
@@ -79,19 +107,58 @@ impl<T> Default for Striped<T> {
     }
 }
 
+/// The calling thread's copy of a [`Striped`] value, and whether the thread
+/// owns it. Not `Send`: an owner's plain adds are exact from its thread only.
+pub(crate) struct Local<'a, T>(&'a T, bool, PhantomData<*const ()>);
+
+impl<T> Local<'_, T> {
+    /// Add `n` (wrapping) to the cell `cell` picks out of this copy.
+    #[inline]
+    pub(crate) fn add(&self, cell: impl FnOnce(&T) -> &AtomicU64, n: u64) {
+        let cell = cell(self.0);
+        if self.1 {
+            cell.store(
+                cell.load(Ordering::Relaxed).wrapping_add(n),
+                Ordering::Relaxed,
+            );
+        } else {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Raise the cell `cell` picks out of this copy to `value`.
+    #[inline]
+    pub(crate) fn max(&self, cell: impl FnOnce(&T) -> &AtomicU64, value: u64) {
+        let cell = cell(self.0);
+        // A new maximum is rare; the load keeps the common case read-only.
+        if value > cell.load(Ordering::Relaxed) {
+            cell.fetch_max(value, Ordering::Relaxed);
+        }
+    }
+}
+
+impl<T> Deref for Local<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        self.0
+    }
+}
+
 /// A reader-writer lock for a value that is read on a hot path and written
-/// rarely: [`STRIPES`] gates, each on cache lines of its own, in front of
-/// one `T`. [`read`](Self::read) takes the calling thread's gate shared —
-/// two atomic operations on a line only the threads of that stripe touch —
-/// and [`write`](Self::write) takes every gate exclusive, in index order
-/// (so two writers cannot deadlock), which costs `STRIPES` uncontended
-/// lock pairs. The gates are allocated eagerly: 2 KiB a lock.
+/// rarely: one gate per stripe index ([`STRIPES`] + 1), each on cache lines
+/// of its own, in front of one `T`. [`read`](Self::read) takes the calling
+/// thread's gate shared — two atomic operations on a line only the thread
+/// owning that stripe touches (or the overflow threads) — and
+/// [`write`](Self::write) takes every gate exclusive, in index order (so
+/// two writers cannot deadlock), which costs one uncontended lock pair a
+/// gate. The gates are allocated eagerly: 2176 bytes a lock.
 ///
 /// A thread must not ask for `write` while it holds a read guard (there is
 /// no upgrade: it would wait for itself). Gate poisoning is ignored, so `T`
 /// must stay valid if a writer panics between two of its updates.
 pub(crate) struct StripedRwLock<T> {
-    gates: Box<[Padded<RwLock<()>>; STRIPES]>,
+    gates: Box<[Padded<RwLock<()>>; COPIES]>,
     value: UnsafeCell<T>,
 }
 
@@ -156,7 +223,7 @@ impl<T> Deref for StripedReadGuard<'_, T> {
 /// Exclusive access to the value of a [`StripedRwLock`].
 pub(crate) struct StripedWriteGuard<'a, T> {
     lock: &'a StripedRwLock<T>,
-    _gates: [RwLockWriteGuard<'a, ()>; STRIPES],
+    _gates: [RwLockWriteGuard<'a, ()>; COPIES],
 }
 
 impl<T> Deref for StripedWriteGuard<'_, T> {
@@ -190,7 +257,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..1000 {
-                        s.local(AtomicU64::default).fetch_add(1, Ordering::Relaxed);
+                        s.local(AtomicU64::default).add(|c| c, 1);
                     }
                 });
             }
@@ -198,6 +265,72 @@ mod tests {
         let total: u64 = s.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         assert_eq!(total, 4000);
         assert!(s.iter().count() <= 4);
+    }
+
+    #[test]
+    fn live_threads_own_distinct_stripes_and_hand_them_on() {
+        // Two waves of more threads than stripes, all of a wave alive at
+        // once; the second starts after the first has exited. Threads of
+        // other tests may hold stripes meanwhile, which can only push more
+        // of these into the overflow copy, so every check allows for it.
+        const THREADS: usize = 24;
+        let s: Striped<AtomicU64> = Striped::new();
+        // How many live threads of this test own each stripe.
+        let owners: [AtomicU64; STRIPES] = [const { AtomicU64::new(0) }; STRIPES];
+        let wave = || -> Vec<usize> {
+            let all_in = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                let threads: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let (s, owners, all_in) = (&s, &owners, &all_in);
+                        scope.spawn(move || {
+                            for _ in 0..(t + 1) * 100 {
+                                s.local(AtomicU64::default).add(|c| c, 1);
+                            }
+                            let stripe = stripe_index();
+                            if stripe != OVERFLOW {
+                                let before = owners[stripe].fetch_add(1, Ordering::SeqCst);
+                                assert_eq!(before, 0, "two live threads own stripe {stripe}");
+                            }
+                            // Nobody leaves before everybody has claimed.
+                            all_in.wait();
+                            if stripe != OVERFLOW {
+                                owners[stripe].fetch_sub(1, Ordering::SeqCst);
+                            }
+                            stripe
+                        })
+                    })
+                    .collect();
+                // An explicit join waits for the thread's exit, its
+                // thread-local destructors (the release) included.
+                threads.into_iter().map(|t| t.join().unwrap()).collect()
+            })
+        };
+        let owned = |stripes: &[usize]| -> Vec<usize> {
+            let mut owned: Vec<usize> =
+                stripes.iter().copied().filter(|&i| i != OVERFLOW).collect();
+            owned.sort_unstable();
+            owned
+        };
+        let first = wave();
+        let second = wave();
+        for stripes in [&first, &second] {
+            let owned = owned(stripes);
+            assert!(owned.len() <= STRIPES);
+            assert!(owned.windows(2).all(|w| w[0] != w[1]), "{stripes:?}");
+            assert!(stripes.len() - owned.len() >= THREADS - STRIPES);
+        }
+        let handed_on = owned(&second)
+            .iter()
+            .filter(|i| owned(&first).contains(i))
+            .count();
+        assert!(
+            handed_on > 0,
+            "no stripe was released: {first:?} then {second:?}"
+        );
+        let total: u64 = s.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        let per_wave = (1..=THREADS as u64).sum::<u64>() * 100;
+        assert_eq!(total, 2 * per_wave, "an owner's add was lost");
     }
 
     #[test]
@@ -209,7 +342,7 @@ mod tests {
             assert!(gate.0.try_read().is_err(), "a gate is open under a writer");
         }
         drop(w);
-        for stripe in 0..STRIPES {
+        for stripe in 0..COPIES {
             assert_eq!(*lock.read_stripe(stripe), 7);
         }
     }
@@ -235,9 +368,9 @@ mod tests {
         let entered = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
-                // The last stripe: the writer already holds every other
+                // The last gate: the writer already holds every other
                 // gate when it gets to this one.
-                let r = lock.read_stripe(STRIPES - 1);
+                let r = lock.read_stripe(OVERFLOW);
                 entered.wait();
                 // Long enough for a writer that does not wait to get in.
                 std::thread::sleep(std::time::Duration::from_millis(50));
@@ -257,8 +390,9 @@ mod tests {
 
     #[test]
     fn more_threads_than_stripes_still_exclude() {
-        // Readers share stripes here; a writer bumps the two halves one
-        // after the other, and no reader may see them apart.
+        // Readers past the stripes share the overflow gate here; a writer
+        // bumps the two halves one after the other, and no reader may see
+        // them apart.
         let lock = StripedRwLock::new((0u64, 0u64));
         let threads = 2 * STRIPES + 1;
         std::thread::scope(|s| {

@@ -1,13 +1,10 @@
 //! Level metrics: the [`GaugeSnapshot`] a document carries per labelled
-//! value, the striped [`InFlight`] count, what a sampler reads off the copy
-//! pipeline, and the [`TimeSeries`] schema of sampled throughput.
-
-use std::sync::atomic::{AtomicI64, Ordering};
+//! value, what a sampler reads off the copy pipeline, and the
+//! [`TimeSeries`] schema of sampled throughput.
 
 use serde::{Deserialize, Serialize};
 
 use crate::pool::Lane;
-use crate::stripe::Striped;
 
 // ---------------------------------------------------------------------------
 // Time series
@@ -16,66 +13,7 @@ use crate::stripe::Striped;
 /// A `(seconds, value)` series — the shared schema for throughput traces
 /// emitted by the simulator (virtual seconds) and the real trainer
 /// (wall-clock seconds). Serializes as a bare array of pairs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct TimeSeries(pub Vec<(f64, f64)>);
-
-impl TimeSeries {
-    /// An empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a `(seconds, value)` sample.
-    pub fn push(&mut self, t_secs: f64, value: f64) {
-        self.0.push((t_secs, value));
-    }
-
-    /// The raw samples.
-    #[must_use]
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.0
-    }
-
-    /// Largest sampled value (0 when empty).
-    #[must_use]
-    pub fn max_value(&self) -> f64 {
-        self.0.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-}
-
-impl std::ops::Deref for TimeSeries {
-    type Target = Vec<(f64, f64)>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl<'a> IntoIterator for &'a TimeSeries {
-    type Item = &'a (f64, f64);
-    type IntoIter = std::slice::Iter<'a, (f64, f64)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
-    }
-}
-
-impl IntoIterator for TimeSeries {
-    type Item = (f64, f64);
-    type IntoIter = std::vec::IntoIter<(f64, f64)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
-    }
-}
-
-impl From<Vec<(f64, f64)>> for TimeSeries {
-    fn from(v: Vec<(f64, f64)>) -> Self {
-        Self(v)
-    }
-}
+pub type TimeSeries = Vec<(f64, f64)>;
 
 /// Turns a monotonically increasing byte counter into a rate
 /// [`TimeSeries`]: feed it `(t_secs, cumulative_bytes)` observations and it
@@ -114,7 +52,7 @@ impl ThroughputSampler {
         let dt = t_secs - self.last_t;
         if dt > 0.0 {
             let rate = cumulative.saturating_sub(self.last_v) as f64 / dt;
-            self.series.push(t_secs, rate);
+            self.series.push((t_secs, rate));
         }
         self.last_t = t_secs;
         self.last_v = cumulative;
@@ -154,51 +92,6 @@ pub struct GaugeSnapshot {
     pub labels: Vec<(String, String)>,
     /// Value at snapshot time.
     pub value: f64,
-}
-
-/// A striped up/down counter for "in flight" quantities the hit path
-/// maintains (open read handles). Entering and leaving touch only the
-/// calling thread's stripe; [`InFlight::get`] sums the stripes, and the
-/// document carries that sum as the `monarch_reads_in_flight` gauge.
-#[derive(Default)]
-pub struct InFlight {
-    stripes: Striped<AtomicI64>,
-}
-
-impl InFlight {
-    /// Count one more in flight now; the matching decrement runs when the
-    /// guard drops, so the count stays balanced across early returns.
-    #[must_use]
-    pub fn enter(&self) -> GaugeGuard<'_> {
-        let cell = self.stripes.local(AtomicI64::default);
-        cell.fetch_add(1, Ordering::Relaxed);
-        GaugeGuard { cell }
-    }
-
-    /// How many are in flight right now.
-    #[must_use]
-    pub fn get(&self) -> i64 {
-        self.stripes.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-}
-
-impl std::fmt::Debug for InFlight {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("InFlight").field(&self.get()).finish()
-    }
-}
-
-/// RAII guard returned by [`InFlight::enter`]: decrements, on drop, the
-/// stripe it incremented.
-#[derive(Debug)]
-pub struct GaugeGuard<'a> {
-    cell: &'a AtomicI64,
-}
-
-impl Drop for GaugeGuard<'_> {
-    fn drop(&mut self) {
-        self.cell.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// What a sampler saw of the copy pipeline at one instant — the part of

@@ -131,11 +131,11 @@ impl Merged {
 /// Values are dimensionless `u64`s; the middleware records nanoseconds, the
 /// simulator records virtual-time nanoseconds. The histogram is *striped*
 /// (see the `stripe` module): each recording thread adds to its own copy of
-/// the buckets — one bucket plus the running sum, relaxed atomics, no cache
-/// line shared with another reader — and every query folds the copies
-/// together. Copies are allocated on first record, so an unused histogram
-/// costs a few words. Quantile estimates return the upper bound of the
-/// containing bucket, so they are exact to within one bucket (≤ 1/16
+/// the buckets — one bucket plus the running sum, a relaxed load and store
+/// each, no cache line shared with another reader — and every query folds
+/// the copies together. Copies are allocated on first record, so an unused
+/// histogram costs a few words. Quantile estimates return the upper bound
+/// of the containing bucket, so they are exact to within one bucket (≤ 1/16
 /// relative error above 16).
 #[derive(Default)]
 pub struct LatencyHistogram {
@@ -161,12 +161,9 @@ impl LatencyHistogram {
     #[inline]
     pub fn record_n(&self, value: u64, n: u64) {
         let s = self.stripes.local(HistStripe::new);
-        s.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
-        s.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
-        // A new maximum is rare; the load keeps the common case read-only.
-        if value > s.max.load(Ordering::Relaxed) {
-            s.max.fetch_max(value, Ordering::Relaxed);
-        }
+        s.add(|s| &s.buckets[bucket_index(value)], n);
+        s.add(|s| &s.sum, value.wrapping_mul(n));
+        s.max(|s| &s.max, value);
     }
 
     /// Record a wall-clock duration, in nanoseconds.
@@ -252,15 +249,15 @@ impl LatencyHistogram {
     pub fn merge(&self, other: &LatencyHistogram) {
         let mine = self.stripes.local(HistStripe::new);
         for theirs in other.stripes.iter() {
-            for (m, t) in mine.buckets.iter().zip(&theirs.buckets) {
+            for (i, t) in theirs.buckets.iter().enumerate() {
                 let v = t.load(Ordering::Relaxed);
                 if v != 0 {
-                    m.fetch_add(v, Ordering::Relaxed);
+                    mine.add(|m| &m.buckets[i], v);
                 }
             }
         }
-        mine.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        mine.max.fetch_max(other.max(), Ordering::Relaxed);
+        mine.add(|m| &m.sum, other.sum());
+        mine.max(|m| &m.max, other.max());
     }
 
     /// Immutable summary for reporting. One fold of the stripes serves the

@@ -42,7 +42,6 @@ mod gauges;
 mod histogram;
 mod journal;
 
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,14 +54,10 @@ use crate::metadata::MetadataContainer;
 use crate::observe::{AccessProfiler, ObserveSnapshot};
 use crate::policy::PolicyEngine;
 use crate::stats::Stats;
-use crate::stripe::Striped;
 use crate::TierId;
 
 use gauges::LANES;
-pub use gauges::{
-    GaugeGuard, GaugeSnapshot, InFlight, PipelineSample, PrefetchSample, ThroughputSampler,
-    TimeSeries,
-};
+pub use gauges::{GaugeSnapshot, PipelineSample, PrefetchSample, ThroughputSampler, TimeSeries};
 pub use histogram::{
     HistogramSnapshot, LatencyHistogram, StallProfile, StallProfileSnapshot, TIMED_HIT_PERIOD,
 };
@@ -93,8 +88,6 @@ pub struct TelemetryRegistry {
     queue_wait_remote: Arc<LatencyHistogram>,
     queue_wait_prefetch: Arc<LatencyHistogram>,
     pool_exec: Arc<LatencyHistogram>,
-    reads_in_flight: InFlight,
-    local_hits: Striped<AtomicU64>,
     journal: EventJournal,
     trace: Arc<crate::trace::TraceRecorder>,
     profiler: AccessProfiler,
@@ -124,6 +117,13 @@ impl TelemetryRegistry {
         files: Arc<MetadataContainer>,
     ) -> Self {
         let levels = tier_names.len();
+        let profiler = AccessProfiler::with_namespace(
+            cfg.enabled,
+            levels,
+            PROFILED_FILES,
+            files,
+            Arc::clone(&stats),
+        );
         Self {
             tier_names,
             enabled: cfg.enabled,
@@ -139,8 +139,6 @@ impl TelemetryRegistry {
             queue_wait_remote: Arc::new(LatencyHistogram::new()),
             queue_wait_prefetch: Arc::new(LatencyHistogram::new()),
             pool_exec: Arc::new(LatencyHistogram::new()),
-            reads_in_flight: InFlight::default(),
-            local_hits: Striped::new(),
             journal: EventJournal::new(JOURNAL_CAPACITY, cfg.enabled),
             trace: Arc::new(crate::trace::TraceRecorder::new(
                 if cfg.enabled {
@@ -150,7 +148,7 @@ impl TelemetryRegistry {
                 },
                 TRACE_CAPACITY,
             )),
-            profiler: AccessProfiler::with_namespace(cfg.enabled, levels, PROFILED_FILES, files),
+            profiler,
             origin: Instant::now(),
         }
     }
@@ -238,20 +236,6 @@ impl TelemetryRegistry {
         self.profiler.stall_profile()
     }
 
-    /// Reads currently inside `Monarch::read` (striped; see [`InFlight`]).
-    #[must_use]
-    pub fn reads_in_flight(&self) -> &InFlight {
-        &self.reads_in_flight
-    }
-
-    /// The plain local-tier hits the calling thread's stripe has served:
-    /// the hit that finds this a multiple of [`TIMED_HIT_PERIOD`] carries
-    /// the clock, so a stripe's first hit always does.
-    #[must_use]
-    pub fn local_hits(&self) -> &AtomicU64 {
-        self.local_hits.local(AtomicU64::default)
-    }
-
     /// Every gauge family — reads in flight, per-tier occupancy / capacity
     /// / files / health, the degraded and draining flags, per-lane queue
     /// depth, jobs in flight and the prefetch window — read from live
@@ -293,7 +277,7 @@ impl TelemetryRegistry {
         family(
             "monarch_reads_in_flight",
             "Read operations currently executing inside Monarch::read.",
-            vec![(None, self.reads_in_flight.get() as f64)],
+            vec![(None, self.stats.in_flight() as f64)],
         );
         family(
             "monarch_tier_occupancy_bytes",
@@ -900,12 +884,12 @@ mod tests {
         s.observe(5.0, 100); // too early
         assert!(s.series().is_empty());
         s.observe(10.0, 1000);
-        assert_eq!(s.series().points().len(), 1);
-        let (t, rate) = s.series().points()[0];
+        assert_eq!(s.series().len(), 1);
+        let (t, rate) = s.series()[0];
         assert!((t - 10.0).abs() < 1e-9);
         assert!((rate - 100.0).abs() < 1e-9);
         s.observe(30.0, 1000); // no new bytes → zero rate
-        let (_, rate2) = s.series().points()[1];
+        let (_, rate2) = s.series()[1];
         assert_eq!(rate2, 0.0);
         assert_eq!(s.into_series().len(), 2);
     }
@@ -986,11 +970,11 @@ mod tests {
 
     #[test]
     fn gauge_registry_interns_cells() {
-        let in_flight = InFlight::default();
-        let guard = in_flight.enter();
-        assert_eq!(in_flight.get(), 1);
-        drop(guard);
-        assert_eq!(in_flight.get(), 0);
+        let stats = Stats::new(2);
+        let reading = stats.enter_read();
+        assert_eq!(stats.in_flight(), 1);
+        drop(reading);
+        assert_eq!(stats.in_flight(), 0);
     }
 
     #[test]

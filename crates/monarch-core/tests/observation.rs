@@ -10,8 +10,8 @@ use monarch_core::driver::{open_gate, GatedDriver, MemDriver};
 use monarch_core::observe::ReadTiming;
 use monarch_core::telemetry::TIMED_HIT_PERIOD as N;
 use monarch_core::{
-    AccessProfiler, MetadataContainer, Monarch, MonarchBuilder, ReadClass, Result, StorageDriver,
-    StorageHierarchy, TelemetrySnapshot,
+    AccessProfiler, MetadataContainer, Monarch, MonarchBuilder, ReadClass, Result, Stats,
+    StorageDriver, StorageHierarchy, TelemetrySnapshot,
 };
 
 /// Held by the test that compares against wall-clock time and by the one
@@ -422,7 +422,8 @@ fn ids_past_the_profiler_bound_only_count_as_untracked() {
     for i in 0..FILES {
         files.register(&name(i), 4096, 1);
     }
-    let profiler = AccessProfiler::with_namespace(true, 2, BOUND, Arc::clone(&files));
+    let stats = Arc::new(Stats::new(2));
+    let profiler = AccessProfiler::with_namespace(true, 2, BOUND, Arc::clone(&files), stats);
     for round in 0..3u64 {
         for i in 0..FILES {
             let (id, _) = files.resolve_for_read(&name(i)).unwrap();

@@ -73,8 +73,12 @@ run_size() {
     # `FaultyDriver` / `FaultKind` folded into `FlakyDriver` (its one
     # fault-injection driver, `FlakyOutcome::Injected`), pool jobs are
     # labelled by `FileId` and the policy's feature source is read by id,
-    # once per decision.
-    local core_limit=13630
+    # once per decision. 13626 since a warm hit books itself on its
+    # thread's tally (`InFlight`, the local-hit stripes, the profiler's
+    # `seen` / `tracked` and the newtype `TimeSeries` deleted; the claim
+    # mask and single-writer adds in stripe.rs added), and the policy's
+    # placement-word bits are set through one `set_mark`.
+    local core_limit=13626
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
         sort -z |
@@ -462,19 +466,22 @@ print("cold_epoch smoke: pfs_amplification %.3f, overhead_ratio %.3f" % (amp, ra
 }
 
 # A warm hit makes no system call and pays for counts, not for clocks or
-# shared locks: three seconds of `warm_rand_4k` must stay within 1.25 times
+# shared locks: three seconds of `warm_rand_4k` must stay within 1.0 times
 # a bare `pread` of the same bytes (with five clock reads and five
 # histogram records on every hit it ran at 2.2-2.5; timing one hit in
 # sixteen, at 1.66-1.79; with the descriptor table behind a reader-striped
 # gate and one counters line per file, at 1.51-1.63; copying small reads
-# out of a mapping instead of calling `pread`, at 0.9-1.0), with every read
-# served and every byte right.
+# out of a mapping instead of calling `pread`, at 0.9-1.0, and the
+# medians of the three changes after that at 0.906-0.915; booking a hit
+# on a tally its thread owns, below that), with every read served and
+# every byte right. The bound was 1.25 until those medians left a quarter
+# of it unused.
 # `tests/observation.rs` is the deterministic guard on which reads carry the
 # clock, and the layout assertions in `metadata.rs` and the gate's tests on
 # what a hit shares; this keeps the cost from coming back some other way.
 # Reads the benchmark's result line only.
 run_hit() {
-    echo "==> benchmark warm_rand_4k: overhead_ratio <= 1.25"
+    echo "==> benchmark warm_rand_4k: overhead_ratio <= 1.0"
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload warm_rand_4k --seed 7 --seconds 3 --trace 0 \
         | tail -n 1 | python3 -c '
@@ -483,7 +490,7 @@ r = json.loads(sys.stdin.read())
 ratio = r["metrics"]["overhead_ratio"]["value"]
 assert r["correct"] is True, "hit: wrong bytes"
 assert r["failed"] == 0, "hit: %d reads failed" % r["failed"]
-assert ratio <= 1.25, "hit: overhead_ratio %.3f > 1.25" % ratio
+assert ratio <= 1.0, "hit: overhead_ratio %.3f > 1.0" % ratio
 print("warm_rand_4k: overhead_ratio %.3f" % ratio)
 '
 }
