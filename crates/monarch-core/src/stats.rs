@@ -278,10 +278,9 @@ impl Stats {
     pub(crate) fn profiled_read(&self, timed: bool) {
         let t = self.tally();
         t.add(|t| &t.profiled, 1);
-        t.add(
-            |t| &t.scalars[Counter::timed_reads as usize],
-            u64::from(timed),
-        );
+        if timed {
+            t.add(|t| &t.scalars[Counter::timed_reads as usize], 1);
+        }
     }
 
     /// Reads the access profiler booked so far: its ledger's `reads`.

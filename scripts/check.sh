@@ -73,12 +73,12 @@ run_size() {
     # `FaultyDriver` / `FaultKind` folded into `FlakyDriver` (its one
     # fault-injection driver, `FlakyOutcome::Injected`), pool jobs are
     # labelled by `FileId` and the policy's feature source is read by id,
-    # once per decision. 13626 since a warm hit books itself on its
+    # once per decision. 13625 since a warm hit books itself on its
     # thread's tally (`InFlight`, the local-hit stripes, the profiler's
     # `seen` / `tracked` and the newtype `TimeSeries` deleted; the claim
     # mask and single-writer adds in stripe.rs added), and the policy's
     # placement-word bits are set through one `set_mark`.
-    local core_limit=13626
+    local core_limit=13625
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
         sort -z |
