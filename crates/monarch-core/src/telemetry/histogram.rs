@@ -325,7 +325,7 @@ pub struct HistogramSnapshot {
 // Read-path stall profiler
 // ---------------------------------------------------------------------------
 
-/// One plain local-tier hit in this many, per reader stripe, carries the
+/// One plain local-tier hit in this many, per reader thread, carries the
 /// clock and is recorded with this weight; every other read that carries
 /// it — any read that is not such a hit — is recorded with weight 1. The
 /// time records ([`StallProfile`], the per-tier read-latency histograms,
@@ -333,7 +333,7 @@ pub struct HistogramSnapshot {
 /// while a hit that does not carry the clock pays for counts only. 8, 16
 /// and 32 were measured (CHANGES.md, PR 19: `warm_rand_4k` at 1.71, 1.67
 /// and 1.64 times a bare `pread`, from 2.35 with every hit timed): each
-/// doubling buys half of what the last did, and samples a stripe's hits
+/// doubling buys half of what the last did, and samples a thread's hits
 /// half as densely.
 pub const TIMED_HIT_PERIOD: u64 = 16;
 
