@@ -71,6 +71,9 @@ struct ReadAttempt {
     /// Flow id of the placement copy this read announced (`0`: it
     /// announced none, or is not sampled).
     flow: u64,
+    /// Served by the half-open probe of a recovering tier: a read of a
+    /// local tier that is not a plain hit.
+    probe: bool,
     /// How many reads this one stands for in the time records; 0 for a
     /// hit whose turn to be timed it was not.
     weight: u64,
@@ -171,13 +174,13 @@ impl Monarch {
         // one chain of monotonic instants, and the clock is read only when
         // something will consume it: on every read that is not a plain
         // local-tier hit, and on the hits whose turn it is. A hit's turn is
-        // known here, from the local-tier reads this thread's tally holds;
+        // known here, from the plain local hits this thread's tally holds;
         // what else the read is, only after its lookup, which then starts
         // the chain itself.
         let tr = self.telemetry.trace();
         let sampled = tr.sample_read();
         let profiled = self.telemetry.is_enabled();
-        let turn = profiled && reading.local_reads().is_multiple_of(TIMED_HIT_PERIOD);
+        let turn = profiled && reading.local_hits().is_multiple_of(TIMED_HIT_PERIOD);
         let entry = (turn || sampled).then(Instant::now);
         // The read's span id comes first: the placement copy the read may
         // announce on its way is parented and flow-linked to it.
@@ -185,6 +188,9 @@ impl Monarch {
         let Some(read) = self.attempt_read(file, offset, buf, entry, turn, read_id)? else {
             return Ok(0);
         };
+        if read.probe {
+            reading.probed();
+        }
         // Clairvoyant bookkeeping: advance the plan cursor past this file,
         // upgrade a still-queued prefetch copy to the demand lane, and
         // release more of the plan to the prefetcher; the booking below
@@ -383,6 +389,7 @@ impl Monarch {
                         tier: tier.id,
                         how: served.map_or(Served::Tier, |(how, _)| how),
                         flow,
+                        probe: probing && served.is_none(),
                         weight,
                         n,
                         marks: entry.zip(t_lookup).zip(t_resolve).zip(t_pread).map(

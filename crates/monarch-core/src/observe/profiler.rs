@@ -305,19 +305,28 @@ impl LedgerSnapshot {
     /// against an older snapshot yields zeros, not wraparound).
     #[must_use]
     pub fn delta(&self, prev: &LedgerSnapshot) -> LedgerSnapshot {
-        let d = |now: u64, then: u64| now.saturating_sub(then);
         LedgerSnapshot {
-            reads: d(self.reads, prev.reads),
-            read_wall_us: d(self.read_wall_us, prev.read_wall_us),
-            fast_pread_us: d(self.fast_pread_us, prev.fast_pread_us),
-            pfs_cold_pread_us: d(self.pfs_cold_pread_us, prev.pfs_cold_pread_us),
-            lane_sat_pread_us: d(self.lane_sat_pread_us, prev.lane_sat_pread_us),
-            staged_pread_us: d(self.staged_pread_us, prev.staged_pread_us),
-            prefetch_lag_pread_us: d(self.prefetch_lag_pread_us, prev.prefetch_lag_pread_us),
-            peer_bound_pread_us: d(self.peer_bound_pread_us, prev.peer_bound_pread_us),
-            degraded_pread_us: d(self.degraded_pread_us, prev.degraded_pread_us),
-            lock_queue_us: d(self.lock_queue_us, prev.lock_queue_us),
-            copy_wait_us: d(self.copy_wait_us, prev.copy_wait_us),
+            reads: self.reads.saturating_sub(prev.reads),
+            read_wall_us: self.read_wall_us.saturating_sub(prev.read_wall_us),
+            fast_pread_us: self.fast_pread_us.saturating_sub(prev.fast_pread_us),
+            pfs_cold_pread_us: self
+                .pfs_cold_pread_us
+                .saturating_sub(prev.pfs_cold_pread_us),
+            lane_sat_pread_us: self
+                .lane_sat_pread_us
+                .saturating_sub(prev.lane_sat_pread_us),
+            staged_pread_us: self.staged_pread_us.saturating_sub(prev.staged_pread_us),
+            prefetch_lag_pread_us: self
+                .prefetch_lag_pread_us
+                .saturating_sub(prev.prefetch_lag_pread_us),
+            peer_bound_pread_us: self
+                .peer_bound_pread_us
+                .saturating_sub(prev.peer_bound_pread_us),
+            degraded_pread_us: self
+                .degraded_pread_us
+                .saturating_sub(prev.degraded_pread_us),
+            lock_queue_us: self.lock_queue_us.saturating_sub(prev.lock_queue_us),
+            copy_wait_us: self.copy_wait_us.saturating_sub(prev.copy_wait_us),
         }
     }
 }

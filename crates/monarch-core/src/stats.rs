@@ -37,6 +37,9 @@ struct Tally {
     /// Reads inside `Monarch::read` now (a read leaves by adding
     /// `u64::MAX` to the stripe it entered).
     in_flight: AtomicU64,
+    /// Reads served by a recovering tier's half-open probe: reads of a
+    /// local tier that are not plain hits, left off the timing turn.
+    probes: AtomicU64,
     /// Reads the access profiler booked: the ledger's `reads`.
     profiled: AtomicU64,
     /// Per tier, index = tier id.
@@ -371,15 +374,21 @@ pub(crate) struct Reading<'a> {
 }
 
 impl Reading<'_> {
-    /// Reads the calling thread's tally has counted on the local tiers
-    /// (every tier but the last): the count that decides which hit carries
-    /// the clock.
+    /// The plain local-tier hits the calling thread's tally has counted
+    /// (its reads of every tier but the last, less the probe reads): the
+    /// count that decides which hit carries the clock.
     #[inline]
-    pub(crate) fn local_reads(&self) -> u64 {
+    pub(crate) fn local_hits(&self) -> u64 {
         self.tally.tiers[..self.local_tiers]
             .iter()
             .map(|t| t.reads.load(Ordering::Relaxed))
             .fold(0, u64::wrapping_add)
+            .wrapping_sub(self.tally.probes.load(Ordering::Relaxed))
+    }
+
+    /// The read was served by a half-open probe of a recovering tier.
+    pub(crate) fn probed(&self) {
+        self.tally.add(|t| &t.probes, 1);
     }
 }
 

@@ -2,16 +2,18 @@
 //!
 //! A counter every reader increments is a cache line bouncing between
 //! cores, and even a line no other core touches costs a locked instruction
-//! per add. [`Striped<T>`] keeps [`STRIPES`] copies of `T` plus an overflow
-//! copy, each on cache lines of its own, allocated on first use. A live
-//! thread owns one stripe: it claims the lowest free index on first use (a
-//! compare-and-swap on one claim mask, so its index is the same in every
-//! striped value) and a thread-local destructor releases it at exit. The
-//! owner, the copy's only writer, adds with a relaxed load and store
-//! ([`Local::add`]); threads that found no stripe free share the overflow
-//! copy and `fetch_add` there. The release and the next claim are a
-//! release/acquire pair, so a new owner continues from the last one's
-//! values. A snapshot folds the copies.
+//! per add. [`Striped<T>`] keeps [`STRIPES`] copies of `T` a thread can own
+//! and as many shared ones, each on cache lines of its own, allocated on
+//! first use. A live thread owns one stripe: it claims the lowest free
+//! index on first use (a compare-and-swap on one claim mask, so its index
+//! is the same in every striped value) and a thread-local destructor
+//! releases it at exit. The owner, the copy's only writer, adds with a
+//! relaxed load and store ([`Local::add`]). A thread that found no stripe
+//! free is handed a shared copy round-robin and adds there with
+//! `fetch_add`: past [`STRIPES`] live threads, the threads beyond share
+//! [`STRIPES`] lines, fewer to a line than if all of them shared. The
+//! release and the next claim are a release/acquire pair, so a new owner
+//! continues from the last one's values. A snapshot folds the copies.
 //!
 //! [`StripedRwLock<T>`] puts one gate per stripe index in front of a
 //! read-mostly value: a reader locks its own stripe's gate, a writer all.
@@ -19,19 +21,24 @@
 use std::cell::{Cell, UnsafeCell};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::locks;
 
-/// Stripes a thread can own.
+/// Stripes a thread can own; the shared copies follow them.
 pub(crate) const STRIPES: usize = 16;
-/// The copy shared by threads that found no stripe free.
-const OVERFLOW: usize = STRIPES;
-const COPIES: usize = STRIPES + 1;
+const COPIES: usize = 2 * STRIPES;
 
 /// Bit `i` set: a live thread owns stripe `i`.
 static CLAIMED: AtomicU32 = AtomicU32::new(0);
+/// Threads handed a shared copy so far.
+static SHARED: AtomicUsize = AtomicUsize::new(0);
+
+/// The next shared copy, round-robin.
+fn shared() -> usize {
+    STRIPES + SHARED.fetch_add(1, Ordering::Relaxed) % STRIPES
+}
 
 /// The calling thread's stripe (`usize::MAX` until its first use).
 struct Claim(Cell<usize>);
@@ -48,8 +55,8 @@ thread_local! {
     static CLAIM: Claim = const { Claim(Cell::new(usize::MAX)) };
 }
 
-/// The calling thread's stripe, claimed on first use; the overflow copy
-/// when none is free, or when the thread is exiting.
+/// The calling thread's stripe, claimed on first use; a shared copy when
+/// none is free, or when the thread is exiting.
 #[inline]
 fn stripe_index() -> usize {
     let claim = || {
@@ -58,7 +65,7 @@ fn stripe_index() -> usize {
             .fetch_update(Ordering::Acquire, Ordering::Relaxed, |held| {
                 (free(held) != 0).then(|| held | 1 << free(held).trailing_zeros())
             })
-            .map_or(OVERFLOW, |held| free(held).trailing_zeros() as usize)
+            .map_or_else(|_| shared(), |held| free(held).trailing_zeros() as usize)
     };
     CLAIM
         .try_with(|c| {
@@ -67,7 +74,7 @@ fn stripe_index() -> usize {
             }
             c.0.get()
         })
-        .unwrap_or(OVERFLOW)
+        .unwrap_or_else(|_| shared())
 }
 
 /// Keeps neighbouring stripes (separate heap allocations, possibly
@@ -75,7 +82,8 @@ fn stripe_index() -> usize {
 #[repr(align(128))]
 struct Padded<T>(T);
 
-/// [`STRIPES`] + 1 lazily allocated copies of `T`.
+/// 2 × [`STRIPES`] lazily allocated copies of `T`: the owned ones, then the
+/// shared ones.
 pub(crate) struct Striped<T> {
     cells: [OnceLock<Box<Padded<T>>>; COPIES],
 }
@@ -92,7 +100,7 @@ impl<T> Striped<T> {
     pub(crate) fn local(&self, init: impl FnOnce() -> T) -> Local<'_, T> {
         let stripe = stripe_index();
         let cell = self.cells[stripe].get_or_init(|| Box::new(Padded(init())));
-        Local(&cell.0, stripe != OVERFLOW, PhantomData)
+        Local(&cell.0, stripe < STRIPES, PhantomData)
     }
 
     /// Every copy allocated so far.
@@ -146,13 +154,13 @@ impl<T> Deref for Local<'_, T> {
 }
 
 /// A reader-writer lock for a value that is read on a hot path and written
-/// rarely: one gate per stripe index ([`STRIPES`] + 1), each on cache lines
+/// rarely: one gate per stripe index (2 × [`STRIPES`]), each on cache lines
 /// of its own, in front of one `T`. [`read`](Self::read) takes the calling
 /// thread's gate shared — two atomic operations on a line only the thread
-/// owning that stripe touches (or the overflow threads) — and
-/// [`write`](Self::write) takes every gate exclusive, in index order (so
-/// two writers cannot deadlock), which costs one uncontended lock pair a
-/// gate. The gates are allocated eagerly: 2176 bytes a lock.
+/// owning that stripe touches (or the threads a shared copy was handed
+/// to) — and [`write`](Self::write) takes every gate exclusive, in index
+/// order (so two writers cannot deadlock), which costs one uncontended lock
+/// pair a gate. The gates are allocated eagerly: 4 KiB a lock.
 ///
 /// A thread must not ask for `write` while it holds a read guard (there is
 /// no upgrade: it would wait for itself). Gate poisoning is ignored, so `T`
@@ -301,7 +309,7 @@ mod tests {
                                 s.local(AtomicU64::default).add(|c| c, 1);
                             }
                             let stripe = stripe_index();
-                            let owned = stripe != OVERFLOW;
+                            let owned = stripe < STRIPES;
                             let clash = owned && owners[stripe].fetch_add(1, Ordering::SeqCst) > 0;
                             // Nobody leaves before everybody has claimed.
                             all_in.wait();
@@ -319,14 +327,15 @@ mod tests {
         };
         for stripes in [wave(), wave()] {
             assert!(stripes.iter().all(|&(_, clash)| !clash), "{stripes:?}");
-            let mut owned: Vec<usize> = stripes.iter().map(|&(i, _)| i).collect();
-            owned.sort_unstable();
+            let mut held: Vec<usize> = stripes.iter().map(|&(i, _)| i).collect();
+            held.sort_unstable();
             // Every stripe owned once (the second time: claimed again after
-            // the first wave released it), the rest in the overflow copy.
-            let want: Vec<usize> = (0..STRIPES)
-                .chain(std::iter::repeat_n(OVERFLOW, THREADS - STRIPES))
-                .collect();
-            assert_eq!(owned, want, "{stripes:?}");
+            // the first wave released it), and the threads left over each
+            // on a shared copy of their own.
+            let (owned, rest) = held.split_at(STRIPES);
+            assert!(owned.iter().copied().eq(0..STRIPES), "{stripes:?}");
+            assert!(rest.iter().all(|&i| i >= STRIPES), "{stripes:?}");
+            assert!(rest.windows(2).all(|w| w[0] < w[1]), "{stripes:?}");
         }
         let total: u64 = s.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         let per_wave = (1..=THREADS as u64).sum::<u64>() * 100;
@@ -370,7 +379,7 @@ mod tests {
             s.spawn(|| {
                 // The last gate: the writer already holds every other
                 // gate when it gets to this one.
-                let r = lock.read_stripe(OVERFLOW);
+                let r = lock.read_stripe(COPIES - 1);
                 entered.wait();
                 // Long enough for a writer that does not wait to get in.
                 std::thread::sleep(std::time::Duration::from_millis(50));
@@ -390,9 +399,9 @@ mod tests {
 
     #[test]
     fn more_threads_than_stripes_still_exclude() {
-        // Readers past the stripes share the overflow gate here; a writer
-        // bumps the two halves one after the other, and no reader may see
-        // them apart.
+        // More readers than gates, so that some share one; a writer bumps
+        // the two halves one after the other, and no reader may see them
+        // apart.
         let lock = StripedRwLock::new((0u64, 0u64));
         let threads = 2 * STRIPES + 1;
         std::thread::scope(|s| {

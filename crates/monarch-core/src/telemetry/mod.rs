@@ -884,12 +884,12 @@ mod tests {
         s.observe(5.0, 100); // too early
         assert!(s.series().is_empty());
         s.observe(10.0, 1000);
-        assert_eq!(s.series().len(), 1);
-        let (t, rate) = s.series()[0];
+        assert_eq!(s.series().points().len(), 1);
+        let (t, rate) = s.series().points()[0];
         assert!((t - 10.0).abs() < 1e-9);
         assert!((rate - 100.0).abs() < 1e-9);
         s.observe(30.0, 1000); // no new bytes → zero rate
-        let (_, rate2) = s.series()[1];
+        let (_, rate2) = s.series().points()[1];
         assert_eq!(rate2, 0.0);
         assert_eq!(s.into_series().len(), 2);
     }

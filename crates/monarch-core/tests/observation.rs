@@ -6,12 +6,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use monarch_core::config::PolicyKind;
-use monarch_core::driver::{open_gate, GatedDriver, MemDriver};
+use monarch_core::driver::{open_gate, FlakyDriver, FlakyOutcome, GatedDriver, MemDriver};
 use monarch_core::observe::ReadTiming;
 use monarch_core::telemetry::TIMED_HIT_PERIOD as N;
 use monarch_core::{
-    AccessProfiler, MetadataContainer, Monarch, MonarchBuilder, ReadClass, Result, Stats,
-    StorageDriver, StorageHierarchy, TelemetrySnapshot,
+    AccessProfiler, HealthConfig, MetadataContainer, Monarch, MonarchBuilder, ReadClass, Result,
+    Stats, StorageDriver, StorageHierarchy, TelemetrySnapshot,
 };
 
 /// Held by the test that compares against wall-clock time and by the one
@@ -384,6 +384,53 @@ fn weighted_times_estimate_the_wall_time_of_all_hits() {
         estimate.abs_diff(wall) * 10 <= wall,
         "buckets {estimate} ns, wall {wall} ns"
     );
+    m.shutdown();
+}
+
+#[test]
+fn a_probe_read_is_timed_at_weight_one_and_leaves_the_turn_to_hits() {
+    // A read that the half-open probe of a recovering tier serves is a
+    // read of that tier but not a plain hit: it carries the clock at
+    // weight 1, and the turn that times one hit in N counts hits only.
+    let fast = Arc::new(FlakyDriver::new(MemDriver::new("fast")));
+    let m = builder(
+        Arc::clone(&fast) as Arc<dyn StorageDriver>,
+        u64::MAX / 2,
+        pfs(1, 4096),
+    )
+    .build()
+    .unwrap();
+    m.init().unwrap();
+    m.prestage();
+    m.wait_placement_idle();
+    m.hierarchy().health().set_config(HealthConfig {
+        probe_cooldown_us: 1_000,
+    });
+    let mut buf = vec![0u8; 512];
+    let mut read = || assert_eq!(m.read(&name(0), 0, &mut buf).unwrap(), 512);
+    // The first hit carries the clock, standing for N.
+    read();
+    // A permanent fault quarantines the tier, and the PFS serves the read.
+    fast.script_reads([FlakyOutcome::Permanent]);
+    read();
+    // After the cooldown the next read probes the tier, which answers.
+    std::thread::sleep(Duration::from_millis(10));
+    read();
+    let stats = m.stats();
+    assert_eq!((stats.tier_quarantines, stats.tier_recoveries), (1, 1));
+    // The PFS served the staging copy and the degraded read.
+    assert_eq!((stats.tiers[0].reads, stats.tiers[1].reads), (2, 2));
+    // Hits 2 to N do not carry the clock, probe or no probe...
+    for _ in 1..N {
+        read();
+    }
+    let snap = m.telemetry_snapshot();
+    assert_eq!(snap.read_latency[0].count, N + 1, "hit 1, the probe");
+    assert_eq!(m.stats().timed_reads, 3, "hit 1, the PFS read, the probe");
+    // ...and hit N + 1 does.
+    read();
+    assert_eq!(m.telemetry_snapshot().read_latency[0].count, 2 * N + 1);
+    assert_eq!(m.stats().timed_reads, 4);
     m.shutdown();
 }
 

@@ -73,12 +73,16 @@ run_size() {
     # `FaultyDriver` / `FaultKind` folded into `FlakyDriver` (its one
     # fault-injection driver, `FlakyOutcome::Injected`), pool jobs are
     # labelled by `FileId` and the policy's feature source is read by id,
-    # once per decision. 13625 since a warm hit books itself on its
-    # thread's tally (`InFlight`, the local-hit stripes, the profiler's
-    # `seen` / `tracked` and the newtype `TimeSeries` deleted; the claim
-    # mask and single-writer adds in stripe.rs added), and the policy's
-    # placement-word bits are set through one `set_mark`.
-    local core_limit=13625
+    # once per decision. Raised to 13717 (+87) when a warm hit began to
+    # book itself on a tally its thread owns: `Stats` is one `Tally` a
+    # thread, stripe.rs hands out owned stripes (claim mask, release at
+    # thread exit, plain adds) and spreads the threads past 16 over
+    # shared copies, and the timing turn leaves probe reads out; deleted
+    # beside that were `InFlight`, the local-hit stripes, the per-tier
+    # read and write counter structs and the profiler's `seen` /
+    # `tracked`, and the policy's placement-word bits are set through one
+    # `set_mark`.
+    local core_limit=13717
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
         sort -z |
