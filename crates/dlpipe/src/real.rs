@@ -237,7 +237,7 @@ mod tests {
         for w in e.throughput.windows(2) {
             assert!(w[1].0 > w[0].0, "trace times must increase");
         }
-        assert!(e.throughput.max_value() > 0.0);
+        assert!(e.throughput.iter().any(|&(_, rate)| rate > 0.0));
         fs::remove_dir_all(&root).unwrap();
     }
 

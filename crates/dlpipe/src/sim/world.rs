@@ -211,16 +211,15 @@ struct SimCopy {
 }
 
 impl MonarchSim {
-    /// Schedule `shard`'s copy on `lane` through the engine's booking call,
-    /// and record it. A traced copy a `reader` scheduled is drawn on its
+    /// Schedule the copy of the shard `file` on `lane` through the engine's
+    /// booking call, and record it. A traced copy a `reader` scheduled is drawn on its
     /// track, and the flow starts at the reader's first traced PFS read;
     /// one the planner scheduled (pre-staging, prefetch) starts its flow
     /// itself, as no read will. Returns the flow (`0`: untraced).
     fn schedule(
         &mut self,
         at: u64,
-        shard: usize,
-        name: &str,
+        file: FileId,
         bytes: u64,
         lane: Lane,
         reader: Option<usize>,
@@ -232,7 +231,7 @@ impl MonarchSim {
             track: reader.map_or(SIM_PLANNER_TRACK, |r| SIM_READER_TRACK0 + r as u64),
             starts: reader.is_none(),
         };
-        let queued = self.book.scheduled(at, name, bytes, lane, flow)?;
+        let queued = self.book.scheduled(at, file, bytes, lane, flow)?;
         let copy = SimCopy {
             lane,
             queued: Some(queued),
@@ -241,7 +240,7 @@ impl MonarchSim {
             stage_at: at,
             flow_start: if flow.starts { 0 } else { flow.id },
         };
-        self.copies.insert(shard, copy);
+        self.copies.insert(file.index(), copy);
         Some(flow.id)
     }
 
@@ -320,8 +319,9 @@ struct World {
     ssd: usize,
 
     geom: DatasetGeom,
-    /// Shard `i` is registered `i`-th, so its `FileId` has index `i`.
     shard_names: Vec<String>,
+    /// Shard `i` is registered `i`-th, so its `FileId` has index `i`.
+    shard_ids: Vec<FileId>,
     /// records / bytes per shard (samples carried per byte).
     samples_per_byte: Vec<f64>,
     chunk_bytes: u64,
@@ -547,6 +547,7 @@ impl World {
             ssd: 0,
             geom: t.geom.clone(),
             shard_names,
+            shard_ids: Vec::new(),
             samples_per_byte,
             chunk_bytes: t.pipeline.chunk_bytes,
             hot_shards: t.pipeline.hot_shards.min(t.geom.num_shards()),
@@ -611,13 +612,13 @@ impl World {
         // MONARCH initialises its namespace by scanning the dataset
         // directory: one MDS op per shard (paper: ≈13 s / ≈52 s).
         if let Some(ms) = self.monarch.as_ref() {
-            let mut done = SimTime::ZERO;
-            for (i, shard) in self.geom.shards.iter().enumerate() {
+            let (files, mut done) = (ms.book.metadata(), SimTime::ZERO);
+            for (name, shard) in self.shard_names.iter().zip(&self.geom.shards) {
                 done = self.mds.submit(done, &mut self.rng);
-                let (files, name) = (ms.book.metadata(), &self.shard_names[i]);
                 files.register(name, shard.bytes, ms.tier_dev.len() - 1);
-                assert_eq!(files.resolve(name).map(FileId::index), Some(i));
             }
+            self.shard_ids = files.ids().collect();
+            assert_eq!(self.shard_ids.len(), self.geom.num_shards());
             self.metadata_init_seconds = done.as_secs_f64();
             if ms.prestage {
                 // Placement option (i): stage before training; the first
@@ -839,9 +840,9 @@ impl World {
                 self.prestaging = true;
                 let ms = self.monarch.as_mut().expect("prestage implies monarch");
                 for i in 0..self.geom.num_shards() {
-                    let (name, bytes) = (&self.shard_names[i], self.geom.shards[i].bytes);
+                    let (id, bytes) = (self.shard_ids[i], self.geom.shards[i].bytes);
                     if ms
-                        .schedule(vmicros(now), i, name, bytes, Lane::Demand, None)
+                        .schedule(vmicros(now), id, bytes, Lane::Demand, None)
                         .is_some()
                     {
                         ms.lanes.push(Lane::Demand, i);
@@ -924,7 +925,7 @@ impl World {
                     ms.copies.remove(&shard);
                     ms.book.unplaced(
                         vmicros(now),
-                        &self.shard_names[shard],
+                        self.shard_ids[shard],
                         None,
                         Unplaced::Canceled(TransitionCause::Plan),
                         None,
@@ -933,10 +934,7 @@ impl World {
                 ms.book.plan_closed(ms.window.take());
                 let files: Vec<(FileId, u64)> = order
                     .iter()
-                    .map(|&s| {
-                        let id = ms.book.metadata().resolve(&self.shard_names[s]);
-                        (id.expect("shard registered"), self.geom.shards[s].bytes)
-                    })
+                    .map(|&s| (self.shard_ids[s], self.geom.shards[s].bytes))
                     .collect();
                 ms.window = Some(ms.book.plan_opened(&files, ms.prefetch));
                 self.pump_prefetch(now);
@@ -1092,7 +1090,7 @@ impl World {
                 // — one copy, higher priority, no duplicate.
                 let mut promoted = false;
                 if ms.prefetch.enabled() && ms.lanes.promote_where(|&s| s == shard) {
-                    ms.book.promoted(vmicros(now), name);
+                    ms.book.promoted(vmicros(now), id);
                     promoted = true;
                 }
                 let bytes = self.geom.shards[shard].bytes;
@@ -1100,9 +1098,7 @@ impl World {
                 // The flow start rides on the first traced PFS-served
                 // `driver_pread` of this shard, as on the real read path.
                 if info.state == PlacementState::Unplaced
-                    && ms
-                        .schedule(at, shard, name, bytes, Lane::Demand, Some(r))
-                        .is_some()
+                    && ms.schedule(at, id, bytes, Lane::Demand, Some(r)).is_some()
                 {
                     if ms.full_fetch {
                         ms.lanes.push(Lane::Demand, shard);
@@ -1111,14 +1107,14 @@ impl World {
                         // Ablation: chunk-granular caching. Reserve quota
                         // once per shard; spill each chunk as it is read.
                         // Nothing runs the copy, so it has no run.
-                        match ms.book.room(|| at, None, name, bytes, |_, _| Ok(())) {
+                        match ms.book.room(|| at, None, id, bytes, |_, _| Ok(())) {
                             Ok(Some((tier, _))) => {
                                 ms.copies.get_mut(&shard).expect("scheduled").target = Some(tier);
                                 ms.chunk_written.insert(shard, 0);
                             }
                             _ => {
                                 ms.copies.remove(&shard);
-                                ms.book.unplaced(at, name, None, Unplaced::NoRoom, None);
+                                ms.book.unplaced(at, id, None, Unplaced::NoRoom, None);
                             }
                         }
                     }
@@ -1277,7 +1273,6 @@ impl World {
         let (t0, t1) = (vmicros(read.issued) * 1_000, vmicros(now) * 1_000);
         ms.book.read_served(&ServedRead {
             id: read.id,
-            file: &self.shard_names[shard],
             offset: read.offset,
             bytes,
             home: read.home,
@@ -1405,8 +1400,7 @@ impl World {
                 }
             }
             Purpose::CopyWrite { shard } => {
-                let name = self.shard_names[shard].clone();
-                let size = self.geom.shards[shard].bytes;
+                let (id, size) = (self.shard_ids[shard], self.geom.shards[shard].bytes);
                 // Injected fault: the destination device failed (outage /
                 // error roll) or filled (the simulated ENOSPC) before the
                 // write-back drained.
@@ -1445,13 +1439,11 @@ impl World {
                     ms.book.tier_settled(|| at, tier, Gate::Open, Err(&fault));
                     let why = Unplaced::Failed(&fault);
                     ms.book
-                        .unplaced(at, &name, Some((tier, size)), why, Some(&run));
+                        .unplaced(at, id, Some((tier, size)), why, Some(&run));
                 } else {
                     ms.book.telemetry().stats().record_write(tier, size);
                     ms.book.stage(&run, tier, size, copy.stage_at, at);
-                    ms.book
-                        .placed(at, &name, size, tier, copy.lane, Some(&run))
-                        .expect("finish copy");
+                    ms.book.placed(at, id, size, tier, copy.lane, Some(&run));
                 }
                 self.dispatch_copy_workers(now);
                 // A failed write still counts toward staging drain.
@@ -1462,8 +1454,7 @@ impl World {
                 if self.mode == ModeTag::Monarch {
                     // Chunk-cache ablation: mark the shard placed once all
                     // of it has been spilled.
-                    let total = self.geom.shards[shard].bytes;
-                    let name = self.shard_names[shard].clone();
+                    let (id, total) = (self.shard_ids[shard], self.geom.shards[shard].bytes);
                     let ms = self.monarch.as_mut().expect("monarch");
                     if let Some(written) = ms.chunk_written.get_mut(&shard) {
                         *written += bytes;
@@ -1473,8 +1464,7 @@ impl World {
                             let tier = copy.target.expect("target");
                             ms.book.telemetry().stats().record_write(tier, total);
                             ms.book
-                                .placed(vmicros(now), &name, total, tier, copy.lane, None)
-                                .expect("finish");
+                                .placed(vmicros(now), id, total, tier, copy.lane, None);
                         }
                     }
                 }
@@ -1608,13 +1598,11 @@ impl World {
             .poll_resolved(|id| !matches!(metadata.info(id).state, PlacementState::Copying { .. }));
         let mut scheduled = false;
         while let Some((idx, id, bytes)) = window.next_to_issue() {
-            let shard = id.index();
-            let name = &self.shard_names[shard];
             // As in the engine's pump, the flow starts at the scheduling
             // span: the read it serves may be far in the future.
-            match ms.schedule(vmicros(now), shard, name, bytes, Lane::Prefetch, None) {
+            match ms.schedule(vmicros(now), id, bytes, Lane::Prefetch, None) {
                 Some(flow) => {
-                    ms.lanes.push(Lane::Prefetch, shard);
+                    ms.lanes.push(Lane::Prefetch, id.index());
                     window.set_flow(idx, flow);
                     scheduled = true;
                 }
@@ -1638,22 +1626,21 @@ impl World {
             let Some((shard, _)) = ms.lanes.pop() else {
                 return;
             };
-            let name = self.shard_names[shard].clone();
-            let size = self.geom.shards[shard].bytes;
+            let (id, size) = (self.shard_ids[shard], self.geom.shards[shard].bytes);
             let (at, track) = (vmicros(now), ms.take_track());
             let copy = ms.copies.get_mut(&shard).expect("queued copy recorded");
             let queued = copy.queued.take().expect("queued");
             let run = copy
                 .run
-                .insert(ms.book.started(at, &name, queued, || track, true));
+                .insert(ms.book.started(at, id, queued, || track, true));
             copy.stage_at = at;
             // Eviction-capable ablation policies release their victims
             // here; nothing is deleted, the sim's tiers hold no bytes.
-            let room = ms.book.room(|| at, Some(run), &name, size, |_, _| Ok(()));
+            let room = ms.book.room(|| at, Some(run), id, size, |_, _| Ok(()));
             let Some((tier, _)) = room.expect("sim policies are infallible") else {
                 let copy = ms.settled(shard);
                 ms.book
-                    .unplaced(at, &name, None, Unplaced::NoRoom, copy.run.as_ref());
+                    .unplaced(at, id, None, Unplaced::NoRoom, copy.run.as_ref());
                 // A parked reader must not wait on a copy that will never
                 // land: fall back to reading through.
                 if let Some(stranded) = ms.waiting_readers.remove(&shard) {

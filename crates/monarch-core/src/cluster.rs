@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use crate::hash::hash_str;
+use crate::hash::{hash_str, splitmix64};
 use crate::health::{ErrorClass, Gate, TierHealth};
 use crate::hierarchy::StorageHierarchy;
 use crate::locks;
@@ -53,16 +53,6 @@ const VNODES_PER_NODE: u32 = 64;
 /// Upper bound on a single peer response (1 GiB) — a corrupted length
 /// prefix must not allocate unbounded memory.
 const MAX_RESPONSE_BYTES: u64 = 1 << 30;
-
-/// splitmix64 finalizer: a cheap, well-mixed, deterministic 64-bit hash
-/// step. Used for ring points and key placement so every node computes
-/// identical shard assignments with no RNG and no coordination.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 // ---------------------------------------------------------------------------
 // Cluster configuration
@@ -154,7 +144,7 @@ impl ClusterConfig {
 /// Deterministic consistent-hash assignment of file → owner node.
 ///
 /// Every node builds the same ring from `(nodes, seed)`: each node
-/// contributes [`VNODES_PER_NODE`] points at `mix64(seed ⊕ node ⊕
+/// contributes [`VNODES_PER_NODE`] points at `splitmix64(seed ⊕ node ⊕
 /// replica)`, and a file's owner is the node of the first ring point at or
 /// after the file's key hash (wrapping). Reshuffled-sharding experiments
 /// salt the key hash with the epoch number so ownership rotates without
@@ -175,7 +165,7 @@ impl ShardMap {
         let mut ring = Vec::with_capacity(nodes * VNODES_PER_NODE as usize);
         for node in 0..nodes as u32 {
             for replica in 0..VNODES_PER_NODE {
-                let point = mix64(
+                let point = splitmix64(
                     seed ^ (u64::from(node) << 32 | u64::from(replica))
                         .wrapping_mul(0x9e37_79b9_7f4a_7c15),
                 );
@@ -209,7 +199,8 @@ impl ShardMap {
     /// rotates per epoch while staying deterministic across nodes.
     #[must_use]
     pub fn owner_salted(&self, file: &str, salt: u64) -> usize {
-        let key = mix64(hash_str(file) ^ self.seed.wrapping_add(salt.wrapping_mul(0x9e37_79b9)));
+        let key =
+            splitmix64(hash_str(file) ^ self.seed.wrapping_add(salt.wrapping_mul(0x9e37_79b9)));
         let idx = self.ring.partition_point(|&(h, _)| h < key);
         let (_, node) = self.ring[idx % self.ring.len()];
         node as usize
@@ -953,8 +944,9 @@ mod tests {
 
     /// Mark `file` fully resident on tier 0, as a finished copy would.
     fn place_local(metadata: &MetadataContainer, file: &str) {
-        assert!(metadata.begin_copy(file, 0).unwrap());
-        metadata.finish_copy(file, 0).unwrap();
+        let id = metadata.resolve(file).unwrap();
+        assert!(metadata.begin_copy(id, 0));
+        metadata.finish_copy(id, 0);
     }
 
     #[test]

@@ -73,6 +73,17 @@ pub fn hash_str(s: &str) -> u64 {
     h.finish()
 }
 
+/// The splitmix64 finalizer: a cheap, well-mixed, deterministic 64-bit
+/// mixing step — ring points and shard owners in the peer cache, and (one
+/// golden-ratio step on) backoff jitter.
+#[inline]
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -486,14 +486,12 @@ impl RetryPolicy {
     }
 }
 
-/// SplitMix64 finalizer: cheap, stateless bit mixing for jitter and for
-/// the simulator's deterministic error sampling.
+/// One SplitMix64 step — the golden-ratio increment, then the
+/// [`splitmix64`](crate::hash::splitmix64) finalizer: cheap, stateless bit
+/// mixing for jitter.
 #[must_use]
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+pub fn mix64(x: u64) -> u64 {
+    crate::hash::splitmix64(x.wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
 #[cfg(test)]

@@ -174,11 +174,9 @@ pub struct ReadTrace {
 /// One foreground read that produced bytes, as
 /// [`Lifecycle::read_served`] books it.
 #[derive(Debug, Clone, Copy)]
-pub struct ServedRead<'a> {
+pub struct ServedRead {
     /// The file's id in the namespace, whose lookup counted the access.
     pub id: FileId,
-    /// The file's name.
-    pub file: &'a str,
     /// Where in the file the read began.
     pub offset: u64,
     /// Bytes it returned.
@@ -267,10 +265,22 @@ impl Lifecycle {
         self.hierarchy.tier(tier).ok()?.quota.as_ref()
     }
 
+    /// The name of `file`, for what leaves the process: a driver call, a
+    /// journal event, a trace arg.
+    pub(crate) fn name(&self, file: FileId) -> &str {
+        self.metadata.name_of(file).unwrap_or_default()
+    }
+
     /// The journal entry of one policy verdict.
-    fn verdict(&self, file: &str, point: DecisionPoint, verdict: &str, reason: &str) -> EventKind {
+    fn verdict(
+        &self,
+        file: FileId,
+        point: DecisionPoint,
+        verdict: &str,
+        reason: &str,
+    ) -> EventKind {
         EventKind::PolicyDecision {
-            file: file.to_string(),
+            file: self.name(file).to_string(),
             point: point.as_str().to_string(),
             policy: self.policy.name().to_string(),
             verdict: verdict.to_string(),
@@ -294,7 +304,7 @@ impl Lifecycle {
     pub fn scheduled(
         &self,
         at: u64,
-        file: &str,
+        file: FileId,
         size: u64,
         lane: Lane,
         flow: CopyFlow,
@@ -302,7 +312,7 @@ impl Lifecycle {
         // The target recorded here is provisional; the policy picks the
         // real destination when the copy is dispatched (paper §III-B: the
         // placement handler runs on a pool thread).
-        if !matches!(self.metadata.begin_copy(file, 0), Ok(true)) {
+        if !self.metadata.begin_copy(file, 0) {
             return None;
         }
         let point = match lane {
@@ -323,12 +333,10 @@ impl Lifecycle {
                 .event_at(at, self.verdict(file, point, "admit", reason));
         }
         self.stats().copy_scheduled();
-        let (name, bytes) = (file.to_string(), size);
+        let (name, bytes) = (self.name(file).to_string(), size);
         let span = if lane == Lane::Prefetch {
             self.stats().prefetch_scheduled();
-            if let Some(id) = self.metadata.resolve(file) {
-                self.policy.pin(id);
-            }
+            self.policy.pin(file);
             self.telemetry
                 .event_at(at, EventKind::PrefetchScheduled { file: name, bytes });
             names::PREFETCH_SCHEDULED
@@ -342,7 +350,7 @@ impl Lifecycle {
             let span = SpanRecord::new(span, "copy", flow.track, at, 0)
                 .with_id(tr.next_id())
                 .with_parent(flow.parent)
-                .arg_str("file", file)
+                .arg_str("file", self.name(file))
                 .arg_u64("bytes", size);
             // `with_flow` makes the exporter emit the `flow` arg itself, so
             // only the non-starting variant adds it explicitly.
@@ -369,7 +377,7 @@ impl Lifecycle {
     pub fn started(
         &self,
         at: u64,
-        file: &str,
+        file: FileId,
         queued: Queued,
         track: impl FnOnce() -> u64,
         runs: bool,
@@ -385,6 +393,7 @@ impl Lifecycle {
         }
         let traced = runs && queued.flow != 0;
         let tr = self.telemetry.trace();
+        let file = self.name(file);
         if runs {
             let file = file.to_string();
             self.telemetry.event_at(at, EventKind::CopyStarted { file });
@@ -428,7 +437,7 @@ impl Lifecycle {
         &self,
         at: impl Fn() -> u64,
         run: Option<&CopyRun>,
-        file: &str,
+        file: FileId,
         size: u64,
         mut remove: impl FnMut(TierId, &str) -> Result<()>,
     ) -> Result<Option<Reservation>> {
@@ -449,9 +458,9 @@ impl Lifecycle {
             return Ok(None);
         };
         if !decision.evict.is_empty() {
-            for victim in &decision.evict {
+            for &victim in &decision.evict {
                 let _ = self.evicted(at, victim, decision.tier, Evict::MakeRoom, || {
-                    remove(decision.tier, victim)
+                    remove(decision.tier, self.name(victim))
                 });
             }
             if !quota.try_reserve(size) {
@@ -461,7 +470,7 @@ impl Lifecycle {
         self.telemetry.event_at(
             at,
             EventKind::PlacementDecided {
-                file: file.to_string(),
+                file: self.name(file).to_string(),
                 tier: decision.tier,
                 used: quota.used(),
                 capacity: quota.capacity(),
@@ -490,18 +499,18 @@ impl Lifecycle {
 
     /// Close `run` at `at`, with `outcome`: its time on the worker, and the
     /// traced run's `copy_exec` span, which finishes its flow.
-    fn closed(&self, at: u64, file: &str, run: &CopyRun, outcome: &str) {
+    fn closed(&self, at: u64, file: FileId, run: &CopyRun, outcome: &str) {
         let took = at.saturating_sub(run.start);
         if self.telemetry.is_enabled() {
             self.telemetry.pool_exec().record(took * 1_000);
         }
         if run.exec != 0 {
-            let bytes = self.metadata.get(file).map_or(0, |info| info.size);
+            let bytes = self.metadata.info(file).size;
             self.telemetry.trace().record(
                 SpanRecord::new(names::COPY_EXEC, "copy", run.track, run.start, took)
                     .with_id(run.exec)
                     .with_flow(run.flow, FlowPhase::Finish)
-                    .arg_str("file", file)
+                    .arg_str("file", self.name(file))
                     .arg_u64("bytes", bytes)
                     .arg_str("outcome", outcome),
             );
@@ -521,20 +530,17 @@ impl Lifecycle {
     pub fn evicted(
         &self,
         at: u64,
-        victim: &str,
+        victim: FileId,
         tier: TierId,
         why: Evict,
         remove: impl FnOnce() -> Result<()>,
     ) -> Result<bool> {
         let source = self.hierarchy.source_id();
-        let resident = self
-            .metadata
-            .get(victim)
-            .filter(|i| i.state == PlacementState::Placed && i.tier == tier && tier != source);
-        let Some(info) = resident else {
+        let info = self.metadata.info(victim);
+        if info.state != PlacementState::Placed || info.tier != tier || tier == source {
             return Ok(false);
-        };
-        let Ok(Some(removed)) = self.metadata.evict_with(victim, source, remove) else {
+        }
+        let Some(removed) = self.metadata.evict_with(victim, source, remove) else {
             return Ok(false);
         };
         if let Some(quota) = self.quota(tier) {
@@ -548,7 +554,7 @@ impl Lifecycle {
         self.telemetry.event_at(
             at,
             EventKind::Evicted {
-                file: victim.to_string(),
+                file: self.name(victim).to_string(),
                 tier,
                 bytes: info.size,
             },
@@ -565,14 +571,14 @@ impl Lifecycle {
     pub fn placed(
         &self,
         at: u64,
-        file: &str,
+        file: FileId,
         size: u64,
         tier: TierId,
         lane: Lane,
         run: Option<&CopyRun>,
-    ) -> Result<()> {
-        self.metadata.finish_copy(file, tier)?;
-        self.policy.on_placed(file, size, tier);
+    ) {
+        self.metadata.finish_copy(file, tier);
+        self.policy.on_placed_id(file);
         self.stats().copy_completed();
         let took = run.map(|run| at.saturating_sub(run.start));
         if let Some(run) = run {
@@ -591,7 +597,7 @@ impl Lifecycle {
         self.telemetry.event_at(
             at,
             EventKind::CopyCompleted {
-                file: file.to_string(),
+                file: self.name(file).to_string(),
                 tier,
                 bytes: size,
                 micros: took.unwrap_or(0),
@@ -603,12 +609,11 @@ impl Lifecycle {
                 },
             },
         );
-        if let (Lane::Prefetch, Some(id)) = (lane, self.metadata.resolve(file)) {
+        if lane == Lane::Prefetch {
             self.telemetry
                 .profiler()
-                .record_prefetch_staged_id(id, size, at);
+                .record_prefetch_staged_id(file, size, at);
         }
-        Ok(())
     }
 
     /// *Un-placed*: the scheduled copy of `file` ends without a placement.
@@ -627,7 +632,7 @@ impl Lifecycle {
     pub fn unplaced(
         &self,
         at: u64,
-        file: &str,
+        file: FileId,
         reserved: Option<Reservation>,
         why: Unplaced<'_>,
         run: Option<&CopyRun>,
@@ -639,7 +644,7 @@ impl Lifecycle {
             };
             self.closed(at, file, run, outcome);
         }
-        let stats = self.stats();
+        let (stats, name) = (self.stats(), self.name(file));
         if let Some((tier, bytes)) = reserved {
             if let Some(quota) = self.quota(tier) {
                 quota.release(bytes);
@@ -648,7 +653,7 @@ impl Lifecycle {
                 self.telemetry.event_at(
                     at,
                     EventKind::ReservationReclaimed {
-                        file: file.to_string(),
+                        file: name.to_string(),
                         tier,
                         bytes,
                     },
@@ -658,14 +663,14 @@ impl Lifecycle {
         let failed = |reason: String| {
             stats.copy_failed();
             EventKind::CopyFailed {
-                file: file.to_string(),
+                file: name.to_string(),
                 reason,
             }
         };
         let requeued = |reason: String| {
             stats.copy_requeue();
             EventKind::CopyRequeued {
-                file: file.to_string(),
+                file: name.to_string(),
                 reason,
             }
         };
@@ -689,7 +694,7 @@ impl Lifecycle {
                 terminal = true;
                 stats.placement_skip();
                 EventKind::PlacementSkipped {
-                    file: file.to_string(),
+                    file: name.to_string(),
                     reason: "no local tier had room".to_string(),
                 }
             }
@@ -705,7 +710,7 @@ impl Lifecycle {
                 stats.copy_deadline_expired();
                 stats.remote_timeout();
                 EventKind::RemoteTimeout {
-                    file: file.to_string(),
+                    file: name.to_string(),
                     reason: "remote install deadline expired before a worker started it; \
                              file stays on the PFS"
                         .to_string(),
@@ -720,26 +725,24 @@ impl Lifecycle {
             Unplaced::Canceled(cause) => {
                 stats.prefetch_cancel();
                 EventKind::PrefetchCanceled {
-                    file: file.to_string(),
+                    file: name.to_string(),
                     cause,
                 }
             }
         };
         self.telemetry.event_at(at, event);
-        if let Some(id) = self.metadata.resolve(file) {
-            self.policy.unpin(id);
-        }
-        let _ = self.metadata.abort_copy(file, terminal);
+        self.policy.unpin(file);
+        self.metadata.abort_copy(file, terminal);
     }
 
     /// *Promoted*: a foreground read of `file` moved the file's
     /// still-queued prefetch copy onto the demand lane.
-    pub fn promoted(&self, at: u64, file: &str) {
+    pub fn promoted(&self, at: u64, file: FileId) {
         self.stats().prefetch_promote();
         self.telemetry.event_at(
             at,
             EventKind::PrefetchPromoted {
-                file: file.to_string(),
+                file: self.name(file).to_string(),
             },
         );
     }
@@ -838,7 +841,7 @@ impl Lifecycle {
     /// read-latency sample, when it carried the clock at a weight. A sampled
     /// read leaves its `read → metadata_lookup → tier_resolve → driver_pread`
     /// span tree. An untimed, unsampled hit does nothing but relaxed adds.
-    pub fn read_served(&self, read: &ServedRead<'_>) {
+    pub fn read_served(&self, read: &ServedRead) {
         let stats = self.stats();
         match read.how {
             Served::Tier => stats.record_read(read.tier, read.bytes),
@@ -896,7 +899,7 @@ impl Lifecycle {
 
     /// A sampled read's span tree; the `read` span points back at the
     /// prefetch copy that staged its file, if one did.
-    fn trace_read(&self, read: &ServedRead<'_>, trace: ReadTrace, marks: [u64; 5]) {
+    fn trace_read(&self, read: &ServedRead, trace: ReadTrace, marks: [u64; 5]) {
         let tr = self.telemetry.trace();
         let [entry, lookup, resolve, pread, end] = marks.map(|ns| ns / 1_000);
         let tier = match read.how {
@@ -929,7 +932,7 @@ impl Lifecycle {
         )
         .with_id(trace.id)
         .with_parent(trace.parent)
-        .arg_str("file", read.file)
+        .arg_str("file", self.name(read.id))
         .arg_u64("offset", read.offset)
         .arg_u64("bytes", read.bytes);
         tr.record(match read.plan.flow {
@@ -948,36 +951,57 @@ mod tests {
 
     /// Books over a 1 MiB `ssd` and a `pfs` holding the 512-byte `f`.
     fn book() -> Lifecycle {
+        books(PolicyKind::FirstFit, 1 << 20, &["f"])
+    }
+
+    /// Books over a `capacity`-byte `ssd` and a `pfs` holding the 512-byte
+    /// `files`, decided for by `kind`.
+    fn books(kind: PolicyKind, capacity: u64, files: &[&str]) -> Lifecycle {
         let tier = |name: &str, capacity| {
             let driver: Arc<dyn StorageDriver> = Arc::new(MemDriver::new(name));
             (name.to_string(), driver, capacity)
         };
         let hierarchy = Arc::new(
-            StorageHierarchy::new(vec![tier("ssd", Some(1 << 20)), tier("pfs", None)]).unwrap(),
+            StorageHierarchy::new(vec![tier("ssd", Some(capacity)), tier("pfs", None)]).unwrap(),
         );
-        let policy = Arc::new(PolicyEngine::from_kind(
-            PolicyKind::FirstFit,
-            AdmissionKind::AdmitAll,
-        ));
+        let policy = Arc::new(PolicyEngine::from_kind(kind, AdmissionKind::AdmitAll));
         let telemetry = Arc::new(TelemetryRegistry::with_namespace(
             vec!["ssd".into(), "pfs".into()],
             Arc::new(Stats::new(2)),
             &TelemetryConfig::default(),
             Arc::clone(policy.namespace()),
         ));
-        policy.namespace().register("f", 512, hierarchy.source_id());
+        for file in files {
+            policy
+                .namespace()
+                .register(file, 512, hierarchy.source_id());
+        }
         Lifecycle::new(hierarchy, policy, telemetry)
+    }
+
+    fn id(book: &Lifecycle, file: &str) -> FileId {
+        book.metadata().resolve(file).unwrap()
+    }
+
+    /// Copy `file` onto the `ssd` off `lane`, at `at`; `removed` deletes
+    /// each victim's copy.
+    fn place_evicting(
+        book: &Lifecycle,
+        at: u64,
+        file: FileId,
+        lane: Lane,
+        removed: impl FnMut(TierId, &str) -> Result<()>,
+    ) {
+        let queued = book.scheduled(at, file, 512, lane, CopyFlow::default());
+        let run = book.started(at, file, queued.unwrap(), || 0, true);
+        let room = book.room(|| at, Some(&run), file, 512, removed);
+        let (tier, _) = room.unwrap().unwrap();
+        book.placed(at, file, 512, tier, lane, Some(&run));
     }
 
     /// Copy `f` onto the `ssd` off `lane`, at `at`.
     fn place(book: &Lifecycle, at: u64, lane: Lane) {
-        let queued = book.scheduled(at, "f", 512, lane, CopyFlow::default());
-        let run = book.started(at, "f", queued.unwrap(), || 0, true);
-        let (tier, _) = book
-            .room(|| at, Some(&run), "f", 512, |_, _| Ok(()))
-            .unwrap()
-            .unwrap();
-        book.placed(at, "f", 512, tier, lane, Some(&run)).unwrap();
+        place_evicting(book, at, id(book, "f"), lane, |_, _| Ok(()));
     }
 
     /// The journal's last `n` events, oldest first.
@@ -1012,7 +1036,7 @@ mod tests {
             };
             assert_eq!(staged, want, "{lane:?}");
             assert!(book
-                .evicted(at, "f", 0, Evict::Explicit, || Ok(()))
+                .evicted(at, id(&book, "f"), 0, Evict::Explicit, || Ok(()))
                 .unwrap());
         }
     }
@@ -1026,7 +1050,7 @@ mod tests {
             (300, Evict::Enospc, "pressure_evict"),
         ] {
             place(&book, at - 1, Lane::Demand);
-            assert!(book.evicted(at, "f", 0, why, || Ok(())).unwrap());
+            assert!(book.evicted(at, id(&book, "f"), 0, why, || Ok(())).unwrap());
             let pair = last(&book, 2);
             match (&pair[0].kind, &pair[1].kind) {
                 (
@@ -1060,10 +1084,9 @@ mod tests {
     #[test]
     fn a_read_is_booked_by_how_it_was_served() {
         let book = book();
-        let id = book.metadata().resolve("f").unwrap();
+        let id = id(&book, "f");
         let read = |home, tier, how, marks| ServedRead {
             id,
-            file: "f",
             offset: 0,
             bytes: 100,
             home,
@@ -1097,30 +1120,32 @@ mod tests {
     #[test]
     fn a_run_books_its_wait_by_lane_and_its_time_once() {
         let book = book();
-        let failed = Error::Io(std::io::Error::other("fetch failed"));
+        let (failed, f) = (
+            Error::Io(std::io::Error::other("fetch failed")),
+            id(&book, "f"),
+        );
         // Each copy waits 5 µs on the lane it was scheduled on, then: a
         // demand copy is placed; a remote install fails; a prefetch copy is
         // refused by its worker (its deadline passed) and never runs.
         for (at, lane) in [(10, Lane::Demand), (20, Lane::Remote), (30, Lane::Prefetch)] {
-            let queued = book.scheduled(at, "f", 512, lane, CopyFlow::default());
+            let queued = book.scheduled(at, f, 512, lane, CopyFlow::default());
             let runs = lane != Lane::Prefetch;
-            let run = book.started(at + 5, "f", queued.unwrap(), || 0, runs);
+            let run = book.started(at + 5, f, queued.unwrap(), || 0, runs);
             match lane {
                 Lane::Demand => {
-                    let room = book.room(|| at + 5, Some(&run), "f", 512, |_, _| Ok(()));
+                    let room = book.room(|| at + 5, Some(&run), f, 512, |_, _| Ok(()));
                     let (tier, _) = room.unwrap().unwrap();
-                    book.placed(at + 9, "f", 512, tier, lane, Some(&run))
-                        .unwrap();
+                    book.placed(at + 9, f, 512, tier, lane, Some(&run));
                     assert!(book
-                        .evicted(at + 9, "f", 0, Evict::Explicit, || Ok(()))
+                        .evicted(at + 9, f, 0, Evict::Explicit, || Ok(()))
                         .unwrap());
                 }
                 Lane::Remote => {
-                    book.unplaced(at + 9, "f", None, Unplaced::Failed(&failed), Some(&run))
+                    book.unplaced(at + 9, f, None, Unplaced::Failed(&failed), Some(&run))
                 }
                 Lane::Prefetch => {
                     let why = Unplaced::Expired { remote: false };
-                    book.unplaced(at + 9, "f", None, why, Some(&run));
+                    book.unplaced(at + 9, f, None, why, Some(&run));
                 }
             }
         }
@@ -1151,10 +1176,11 @@ mod tests {
     fn a_withdrawn_prefetch_journals_who_withdrew_it() {
         for cause in [TransitionCause::Plan, TransitionCause::Drain] {
             let book = book();
+            let f = id(&book, "f");
             assert!(book
-                .scheduled(5, "f", 512, Lane::Prefetch, CopyFlow::default())
+                .scheduled(5, f, 512, Lane::Prefetch, CopyFlow::default())
                 .is_some());
-            book.unplaced(6, "f", None, Unplaced::Canceled(cause), None);
+            book.unplaced(6, f, None, Unplaced::Canceled(cause), None);
             let canceled = &last(&book, 1)[0];
             assert!(
                 matches!(&canceled.kind, EventKind::PrefetchCanceled { file, cause: c }
@@ -1166,5 +1192,54 @@ mod tests {
                 PlacementState::Unplaced
             );
         }
+    }
+
+    #[test]
+    fn an_lru_placement_evicts_by_id_and_journals_by_name() {
+        // Room for one file: placing `g` makes the LRU policy evict `f`.
+        let book = books(PolicyKind::LruEvict, 512, &["f", "g"]);
+        place(&book, 10, Lane::Demand);
+        let mut removed = Vec::new();
+        place_evicting(&book, 20, id(&book, "g"), Lane::Demand, |tier, name| {
+            removed.push((tier, name.to_string()));
+            Ok(())
+        });
+        assert_eq!(
+            removed,
+            [(0, "f".to_string())],
+            "the driver deletes by name"
+        );
+        let info = |file| book.metadata().get(file).unwrap();
+        assert_eq!(
+            (info("f").tier, info("f").state),
+            (1, PlacementState::Unplaced)
+        );
+        assert_eq!(
+            (info("g").tier, info("g").state),
+            (0, PlacementState::Placed)
+        );
+        // Every transition went by id; the journal still names its files.
+        let events = book.telemetry().journal().events();
+        let named: Vec<(&str, &str)> = events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::PolicyDecision { verdict, file, .. } => Some((verdict.as_str(), file)),
+                EventKind::CopyCompleted { file, .. } => Some(("copy_completed", file)),
+                EventKind::Evicted { file, .. } => Some(("evicted", file)),
+                _ => None,
+            })
+            .map(|(what, file)| (what, file.as_str()))
+            .collect();
+        assert_eq!(
+            named,
+            [
+                ("admit", "f"),
+                ("copy_completed", "f"),
+                ("admit", "g"),
+                ("evict", "f"),
+                ("evicted", "f"),
+                ("copy_completed", "g"),
+            ]
+        );
     }
 }

@@ -111,11 +111,9 @@ impl FileId {
 /// A file placed on a tier, as [`MetadataContainer::evictable`] hands it
 /// to the eviction policies.
 #[derive(Debug, Clone, Copy)]
-pub struct Resident<'a> {
+pub struct Resident {
     /// The file's id.
     pub id: FileId,
-    /// Its name.
-    pub name: &'a str,
     /// Its size in bytes.
     pub size: u64,
     /// Its touch stamp: the logical clock at its placement or its latest
@@ -421,7 +419,7 @@ impl MetadataContainer {
 
     /// Every id handed out so far, interned-only names included, in
     /// index order.
-    pub(crate) fn ids(&self) -> impl ExactSizeIterator<Item = FileId> {
+    pub fn ids(&self) -> impl ExactSizeIterator<Item = FileId> {
         (0..self.slab.len()).map(FileId)
     }
 
@@ -579,61 +577,60 @@ impl MetadataContainer {
         ))
     }
 
-    /// Apply `next` to the placement word of `name` until it sticks;
-    /// `None` from `next` leaves the word alone. Returns the file's id, the
-    /// word `next` last saw and whether it was replaced. Bits outside the
-    /// state, tier and target fields (the reuse label, the pin, the
-    /// prefetched mark) are carried over.
+    /// Apply `next` to the placement word of `id` until it sticks; `None`
+    /// from `next` leaves the word alone, and so does an `ABSENT` word (an
+    /// interned id is no file to move). Returns the word `next` last saw and
+    /// whether it was replaced. Bits outside the state, tier and target
+    /// fields (the reuse label, the pin, the prefetched mark) are carried
+    /// over.
     fn transition(
         &self,
-        name: &str,
+        id: FileId,
         mut next: impl FnMut(PlacementState, TierId) -> Option<(PlacementState, TierId)>,
-    ) -> Result<(FileId, u64, bool)> {
-        let (id, slot, _) = self.find_registered(name)?;
+    ) -> (u64, bool) {
         let keep = !(STATE_MASK | FIELD_MASK << TIER_SHIFT | FIELD_MASK << TARGET_SHIFT);
-        let swapped = slot
-            .place
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
-                let (state, tier) = unpack(old);
-                next(state, tier).map(|(state, tier)| old & keep | pack(state, tier))
-            });
-        Ok(match swapped {
-            Ok(old) => (id, old, true),
-            Err(old) => (id, old, false),
-        })
+        let place = &self.slab.slot(id).place;
+        let swapped = place.fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
+            let (state, tier) = (old & STATE_MASK != ABSENT).then(|| unpack(old))?;
+            next(state, tier).map(|(state, tier)| old & keep | pack(state, tier))
+        });
+        match swapped {
+            Ok(old) => (old, true),
+            Err(old) => (old, false),
+        }
     }
 
     /// Atomically transition `Unplaced -> Copying{target}`. Returns `true`
     /// if this call won the race; concurrent readers of the same fresh file
     /// must schedule exactly one background copy.
-    pub fn begin_copy(&self, name: &str, target: TierId) -> Result<bool> {
-        self.transition(name, |state, tier| {
+    pub fn begin_copy(&self, id: FileId, target: TierId) -> bool {
+        self.transition(id, |state, tier| {
             (state == PlacementState::Unplaced)
                 .then_some((PlacementState::Copying { target }, tier))
         })
-        .map(|(_, _, won)| won)
+        .1
     }
 
     /// Complete an in-flight copy: the file now lives on `tier`, stamped
     /// as touched now.
-    pub fn finish_copy(&self, name: &str, tier: TierId) -> Result<()> {
-        let (id, old, _) = self.transition(name, |_, _| Some((PlacementState::Placed, tier)))?;
+    pub fn finish_copy(&self, id: FileId, tier: TierId) {
+        let (old, placed) = self.transition(id, |_, _| Some((PlacementState::Placed, tier)));
         debug_assert_eq!(old & STATE_MASK, COPYING);
-        self.stamp(id);
-        Ok(())
+        if placed {
+            self.stamp(id);
+        }
     }
 
     /// Abort an in-flight copy; the file stays on its current tier. If
     /// `terminal` is true the file is marked `Placed` (on the PFS) so no
     /// further placement is attempted — used when local tiers are full.
-    pub fn abort_copy(&self, name: &str, terminal: bool) -> Result<()> {
+    pub fn abort_copy(&self, id: FileId, terminal: bool) {
         let state = if terminal {
             PlacementState::Placed
         } else {
             PlacementState::Unplaced
         };
-        self.transition(name, |_, tier| Some((state, tier)))?;
-        Ok(())
+        self.transition(id, |_, tier| Some((state, tier)));
     }
 
     /// Evict a `Placed` file back to tier `to` around `remove`, the delete
@@ -643,22 +640,17 @@ impl MetadataContainer {
     /// eviction was decided. Afterwards the file is `Unplaced` on `to`.
     /// Returns `None` (and does not run `remove`) when the file is not
     /// `Placed` — someone else is moving it.
-    pub fn evict_with<T>(
-        &self,
-        name: &str,
-        to: TierId,
-        remove: impl FnOnce() -> T,
-    ) -> Result<Option<T>> {
-        let (_, _, held) = self.transition(name, |state, _| {
+    pub fn evict_with<T>(&self, id: FileId, to: TierId, remove: impl FnOnce() -> T) -> Option<T> {
+        let (_, held) = self.transition(id, |state, _| {
             (state == PlacementState::Placed)
                 .then_some((PlacementState::Copying { target: to }, to))
-        })?;
+        });
         if !held {
-            return Ok(None);
+            return None;
         }
         let out = remove();
-        self.abort_copy(name, false)?;
-        Ok(Some(out))
+        self.abort_copy(id, false);
+        Some(out)
     }
 
     /// Set (`on`) or clear `mark` on `id`, returning whether it was set.
@@ -717,14 +709,13 @@ impl MetadataContainer {
     /// The files placed on `tier` that no pin protects, in id order: the
     /// candidates every eviction policy chooses its victims among. A file
     /// in flight is not `Placed`, so it is never one.
-    pub fn evictable(&self, tier: TierId) -> impl Iterator<Item = Resident<'_>> {
+    pub fn evictable(&self, tier: TierId) -> impl Iterator<Item = Resident> + '_ {
         let want = PLACED | tier_bits(tier) << TIER_SHIFT;
         let mask = STATE_MASK | Mark::Pinned as u64 | FIELD_MASK << TIER_SHIFT;
         self.ids().filter_map(move |id| {
             let slot = self.slab.slot(id);
             (slot.place.load(Ordering::Acquire) & mask == want).then(|| Resident {
                 id,
-                name: slot.name.get().map_or("", |n| &**n),
                 size: slot.size.load(Ordering::Relaxed),
                 touched: slot.touched.load(Ordering::Relaxed),
             })
@@ -797,6 +788,12 @@ mod tests {
         assert_eq!(m.get("a").unwrap().reads, 1);
     }
 
+    /// `m` with `name` registered on tier 1 at `size` bytes, and its id.
+    fn file(m: &MetadataContainer, name: &str, size: u64) -> FileId {
+        assert!(m.register(name, size, 1));
+        m.resolve(name).unwrap()
+    }
+
     #[test]
     fn unknown_file_errors() {
         let m = MetadataContainer::default();
@@ -804,80 +801,66 @@ mod tests {
             m.lookup_for_read("nope"),
             Err(Error::UnknownFile(_))
         ));
-        assert!(matches!(
-            m.begin_copy("nope", 0),
-            Err(Error::UnknownFile(_))
-        ));
+        // An interned id is no file: every transition loses the race and
+        // leaves its word absent, so the name stays outside the namespace.
+        let id = m.intern("nope");
+        assert!(!m.begin_copy(id, 0));
+        m.abort_copy(id, true);
+        assert_eq!(m.evict_with(id, 1, || ()), None);
+        assert_eq!(m.slab.slot(id).place.load(Ordering::Relaxed), ABSENT);
+        assert!(m.get("nope").is_none());
     }
 
     #[test]
     fn copy_lifecycle() {
         let m = MetadataContainer::default();
-        m.register("f", 100, 1);
-        assert!(m.begin_copy("f", 0).unwrap());
-        assert!(
-            !m.begin_copy("f", 0).unwrap(),
-            "second begin must lose the race"
-        );
+        let f = file(&m, "f", 100);
+        assert!(m.begin_copy(f, 0));
+        assert!(!m.begin_copy(f, 0), "second begin must lose the race");
         // While copying, reads still resolve to the old tier.
         assert_eq!(m.lookup_for_read("f").unwrap().tier, 1);
-        m.finish_copy("f", 0).unwrap();
+        m.finish_copy(f, 0);
         let info = m.get("f").unwrap();
         assert_eq!(info.tier, 0);
         assert_eq!(info.state, PlacementState::Placed);
-        assert!(
-            !m.begin_copy("f", 0).unwrap(),
-            "placed file must not re-copy"
-        );
+        assert!(!m.begin_copy(f, 0), "placed file must not re-copy");
     }
 
     #[test]
     fn abort_copy_retries_or_terminates() {
         let m = MetadataContainer::default();
-        m.register("f", 100, 1);
-        assert!(m.begin_copy("f", 0).unwrap());
-        m.abort_copy("f", false).unwrap();
+        let f = file(&m, "f", 100);
+        assert!(m.begin_copy(f, 0));
+        m.abort_copy(f, false);
         assert_eq!(m.get("f").unwrap().state, PlacementState::Unplaced);
-        assert!(
-            m.begin_copy("f", 0).unwrap(),
-            "non-terminal abort allows retry"
-        );
-        m.abort_copy("f", true).unwrap();
+        assert!(m.begin_copy(f, 0), "non-terminal abort allows retry");
+        m.abort_copy(f, true);
         assert_eq!(m.get("f").unwrap().state, PlacementState::Placed);
-        assert!(
-            !m.begin_copy("f", 0).unwrap(),
-            "terminal abort pins the file"
-        );
+        assert!(!m.begin_copy(f, 0), "terminal abort pins the file");
     }
 
     #[test]
     fn eviction_roundtrip() {
         let m = MetadataContainer::default();
-        m.register("f", 100, 1);
-        assert!(m.begin_copy("f", 0).unwrap());
-        m.finish_copy("f", 0).unwrap();
-        assert_eq!(m.evict_with("f", 1, || ()).unwrap(), Some(()));
+        let f = file(&m, "f", 100);
+        assert!(m.begin_copy(f, 0));
+        m.finish_copy(f, 0);
+        assert_eq!(m.evict_with(f, 1, || ()), Some(()));
         let info = m.get("f").unwrap();
         assert_eq!(info.tier, 1);
         assert_eq!(info.state, PlacementState::Unplaced);
-        assert!(
-            m.begin_copy("f", 0).unwrap(),
-            "evicted file is placeable again"
-        );
+        assert!(m.begin_copy(f, 0), "evicted file is placeable again");
     }
 
     #[test]
     fn histogram_and_totals() {
         let m = MetadataContainer::default();
-        for i in 0..100 {
-            m.register(&format!("f{i}"), 10, 1);
-        }
+        let ids: Vec<FileId> = (0..100).map(|i| file(&m, &format!("f{i}"), 10)).collect();
         assert_eq!(m.len(), 100);
         assert_eq!(m.total_bytes(), 1000);
-        for i in 0..30 {
-            let n = format!("f{i}");
-            m.begin_copy(&n, 0).unwrap();
-            m.finish_copy(&n, 0).unwrap();
+        for &id in &ids[..30] {
+            m.begin_copy(id, 0);
+            m.finish_copy(id, 0);
         }
         assert_eq!(m.residency_histogram(2), vec![30, 70]);
     }
@@ -885,14 +868,14 @@ mod tests {
     #[test]
     fn concurrent_begin_copy_single_winner() {
         let m = Arc::new(MetadataContainer::default());
-        m.register("hot", 1, 1);
+        let hot = file(&m, "hot", 1);
         let winners = Arc::new(AtomicUsize::new(0));
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let m = Arc::clone(&m);
                 let winners = Arc::clone(&winners);
                 std::thread::spawn(move || {
-                    if m.begin_copy("hot", 0).unwrap() {
+                    if m.begin_copy(hot, 0) {
                         winners.fetch_add(1, Ordering::Relaxed);
                     }
                 })
@@ -951,12 +934,11 @@ mod tests {
     #[test]
     fn reuse_label_survives_placement_transitions() {
         let m = MetadataContainer::default();
-        m.register("f", 10, 1);
-        let id = m.resolve("f").unwrap();
+        let id = file(&m, "f", 10);
         assert!(!m.set_mark(id, Mark::Reused, false));
         m.set_mark(id, Mark::Reused, true);
-        assert!(m.begin_copy("f", 0).unwrap());
-        m.finish_copy("f", 0).unwrap();
+        assert!(m.begin_copy(id, 0));
+        m.finish_copy(id, 0);
         let info = m.get("f").unwrap();
         assert_eq!((info.tier, info.state), (0, PlacementState::Placed));
         assert!(
@@ -969,18 +951,17 @@ mod tests {
     #[test]
     fn evict_with_holds_the_file_while_the_copy_is_deleted() {
         let m = MetadataContainer::default();
-        m.register("f", 10, 1);
-        assert_eq!(m.evict_with("f", 1, || ()).unwrap(), None, "not placed");
-        m.begin_copy("f", 0).unwrap();
-        m.finish_copy("f", 0).unwrap();
+        let f = file(&m, "f", 10);
+        assert_eq!(m.evict_with(f, 1, || ()), None, "not placed");
+        m.begin_copy(f, 0);
+        m.finish_copy(f, 0);
         let during = m
-            .evict_with("f", 1, || {
+            .evict_with(f, 1, || {
                 // Reads already resolve to the source, and nobody can
                 // start a placement that the delete would then destroy.
-                assert!(!m.begin_copy("f", 0).unwrap());
+                assert!(!m.begin_copy(f, 0));
                 m.get("f").unwrap()
             })
-            .unwrap()
             .unwrap();
         assert_eq!(during.tier, 1);
         assert_eq!(during.state, PlacementState::Copying { target: 1 });

@@ -198,7 +198,6 @@ impl Monarch {
         let plan = self.engine.note_read(read.id);
         self.engine.book().read_served(&ServedRead {
             id: read.id,
-            file,
             offset,
             bytes: read.n as u64,
             home: read.info.tier,
@@ -315,7 +314,7 @@ impl Monarch {
             // a pread.
             let served = match info.state {
                 PlacementState::Copying { .. } => {
-                    match self.engine.read_staged(id, file, offset, &mut buf[..want]) {
+                    match self.engine.read_staged(id, offset, &mut buf[..want]) {
                         // The copy settled since the lookup above and took
                         // its staging along: look again before reading the
                         // source for bytes that just landed on a tier.
@@ -327,7 +326,7 @@ impl Monarch {
                     announce = false;
                     let peer = self.cluster.as_ref().and_then(|cluster| {
                         let buf = &mut buf[..want];
-                        self.engine.peer_read(cluster, file, info.size, offset, buf)
+                        self.engine.peer_read(cluster, id, offset, buf)
                     });
                     match peer {
                         Some(n) => Some((Served::Peer, n)),
@@ -335,14 +334,8 @@ impl Monarch {
                             let tr = self.telemetry.trace();
                             let candidate = if read_id != 0 { tr.next_id() } else { 0 };
                             let ctx = ReadCtx::traced(read_id, candidate);
-                            match self.engine.demand_read(
-                                id,
-                                file,
-                                info.size,
-                                offset,
-                                &mut buf[..want],
-                                ctx,
-                            ) {
+                            let buf = &mut buf[..want];
+                            match self.engine.demand_read(id, info.size, offset, buf, ctx) {
                                 (true, staged) => {
                                     flow = candidate;
                                     staged.map(|fetched| (Served::Staged { fetched }, want))
@@ -520,25 +513,20 @@ impl Monarch {
             0
         };
         let prestage_id = if traced { tr.next_id() } else { 0 };
-        let mut unplaced = Vec::new();
-        self.metadata.for_each(|name, info| {
-            if info.state == PlacementState::Unplaced {
-                unplaced.push((name.to_string(), info.size));
-            }
-        });
         let mut scheduled = 0;
-        for (name, size) in unplaced {
+        for id in self.metadata.ids() {
             if self.shutting_down.load(Ordering::Acquire) {
                 break;
             }
+            if self.metadata.info(id).state != PlacementState::Unplaced {
+                continue;
+            }
             // Same dedup CAS as the read path; racing readers lose or win
-            // harmlessly. Each staged copy gets its own flow, started on
-            // the copy_scheduled span (no foreground pread exists here).
+            // harmlessly (and a name interned outside the namespace never
+            // wins). Each staged copy gets its own flow, started on the
+            // copy_scheduled span (no foreground pread exists here).
             let flow = if traced { tr.next_id() } else { 0 };
-            if self
-                .engine
-                .demand(&name, size, ReadCtx::staged(prestage_id, flow))
-            {
+            if self.engine.demand(id, ReadCtx::staged(prestage_id, flow)) {
                 scheduled += 1;
             }
         }

@@ -165,7 +165,8 @@ fn a_file_read_front_to_back_crosses_the_source_in_three_reads() {
     // A reader that outruns a worker still waking up fetches its own
     // reads at the frontier; this one lets the worker take its claim.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while m.engine.staging_progress("f") == Some((CHUNK as u64, None)) {
+    while m.engine.staging_progress(m.metadata.resolve("f").unwrap()) == Some((CHUNK as u64, None))
+    {
         assert!(Instant::now() < deadline, "the copy never claimed");
         std::thread::yield_now();
     }
@@ -1008,7 +1009,7 @@ fn a_policy_panic_under_the_pin_lock_fails_one_copy_and_nothing_else() {
         fn name(&self) -> &'static str {
             "panics_once"
         }
-        fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<String> {
+        fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<FileId> {
             if !self.panicked.swap(true, Ordering::Relaxed) {
                 panic!("victims exploded");
             }
@@ -1234,12 +1235,15 @@ fn read_under_a_doomed_copy(
     assert_eq!(m.prestage(), 1);
     let fetching = Some((0, Some(DOOMED as u64)));
     for _ in 0..10_000 {
-        if m.engine.staging_progress("f") == fetching {
+        if m.engine.staging_progress(m.metadata.resolve("f").unwrap()) == fetching {
             break;
         }
         std::thread::sleep(Duration::from_micros(100));
     }
-    assert_eq!(m.engine.staging_progress("f"), fetching);
+    assert_eq!(
+        m.engine.staging_progress(m.metadata.resolve("f").unwrap()),
+        fetching
+    );
     let want = doomed_bytes();
     std::thread::scope(|s| {
         let readers: Vec<_> = (0..8usize)
@@ -1289,7 +1293,11 @@ fn assert_reverted_then_place(m: &Monarch) {
         [],
         "nothing readable left behind"
     );
-    assert_eq!(m.engine.staging_progress("f"), None, "staging gone");
+    assert_eq!(
+        m.engine.staging_progress(m.metadata.resolve("f").unwrap()),
+        None,
+        "staging gone"
+    );
     // A later whole-file read places it, from fresh bytes.
     assert_eq!(m.read_full("f").unwrap(), doomed_bytes());
     m.wait_placement_idle();
@@ -1397,7 +1405,10 @@ fn source_error_in_the_first_reads_own_fetch_sends_it_down_the_plain_path() {
         (stats.tiers[1].reads, stats.tiers[1].bytes_read),
         (2, (1000 + DOOMED) as u64)
     );
-    assert_eq!(m.engine.staging_progress("f"), None);
+    assert_eq!(
+        m.engine.staging_progress(m.metadata.resolve("f").unwrap()),
+        None
+    );
     assert_eq!(m.metadata().get("f").unwrap().tier, 0);
     assert_eq!(m.read_full("f").unwrap(), doomed_bytes());
 }

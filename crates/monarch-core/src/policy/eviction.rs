@@ -7,7 +7,7 @@
 //! ranked by the touch stamp every placement and every access under an
 //! evicting policy leaves in the slot. Selection
 //! ([`super::EvictionPolicy::victims`]) is pure — it ranks and returns
-//! names without mutating anything, so a selection the executor abandons
+//! ids without mutating anything, so a selection the executor abandons
 //! (raced placement, failed copy) costs nothing. A file in flight is not
 //! `Placed`, which is what makes the "never evicts an in-flight file"
 //! invariant structural rather than checked.
@@ -36,7 +36,7 @@ impl EvictionPolicy for NoEviction {
         false
     }
 
-    fn victims(&self, _tier: TierId, _needed: u64, _ctx: &EvictCtx<'_>) -> Vec<String> {
+    fn victims(&self, _tier: TierId, _needed: u64, _ctx: &EvictCtx<'_>) -> Vec<FileId> {
         Vec::new()
     }
 }
@@ -49,9 +49,9 @@ fn select(
     tier: TierId,
     needed: u64,
     ctx: &EvictCtx<'_>,
-    rank: impl Fn(&Resident<'_>) -> (f64, u64),
-) -> Vec<String> {
-    let mut candidates: Vec<((f64, u64), Resident<'_>)> = ctx
+    rank: impl Fn(&Resident) -> (f64, u64),
+) -> Vec<FileId> {
+    let mut candidates: Vec<((f64, u64), Resident)> = ctx
         .files
         .evictable(tier)
         .filter(|r| !(ctx.exempt)(r.id))
@@ -65,7 +65,7 @@ fn select(
             break;
         }
         freed += r.size;
-        victims.push(r.name.to_string());
+        victims.push(r.id);
     }
     if freed < needed {
         return Vec::new();
@@ -84,7 +84,7 @@ impl EvictionPolicy for LruEviction {
         "lru"
     }
 
-    fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<String> {
+    fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<FileId> {
         select(tier, needed, ctx, |r| (0.0, r.touched))
     }
 }
@@ -100,7 +100,7 @@ impl EvictionPolicy for ScoredEviction {
         "scored"
     }
 
-    fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<String> {
+    fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<FileId> {
         // Scores are quantized so near-ties fall back to LRU order instead
         // of churning on noise in the fourth decimal.
         select(tier, needed, ctx, |r| {
@@ -141,7 +141,7 @@ impl EvictionPolicy for ClairvoyantEviction {
         "clairvoyant"
     }
 
-    fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<String> {
+    fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<FileId> {
         let plan = locks::lock(&self.plan);
         // Negated so "farthest" ranks lowest. With no plan submitted every
         // file ties at 0 and recency breaks the tie.
@@ -185,14 +185,18 @@ mod tests {
         let m = MetadataContainer::default();
         for &(name, size) in files {
             m.register(name, size, 1);
-            assert!(m.begin_copy(name, 0).unwrap());
-            m.finish_copy(name, 0).unwrap();
+            assert!(m.begin_copy(id(&m, name), 0));
+            m.finish_copy(id(&m, name), 0);
         }
         m
     }
 
     fn id(m: &MetadataContainer, name: &str) -> FileId {
         m.resolve(name).unwrap()
+    }
+
+    fn ids(m: &MetadataContainer, names: &[&str]) -> Vec<FileId> {
+        names.iter().map(|n| id(m, n)).collect()
     }
 
     fn ctx<'a>(
@@ -217,11 +221,11 @@ mod tests {
         let p = LruEviction;
         m.touch(id(&m, "a"), 0);
         let c = ctx(&m, &NOBODY, &FLAT);
-        assert_eq!(p.victims(0, 15, &c), vec!["b", "c"]);
+        assert_eq!(p.victims(0, 15, &c), ids(&m, &["b", "c"]));
         // Pure: same answer again.
-        assert_eq!(p.victims(0, 15, &c), vec!["b", "c"]);
-        assert_eq!(m.evict_with("b", 1, || ()).unwrap(), Some(()));
-        assert_eq!(p.victims(0, 5, &c), vec!["c"]);
+        assert_eq!(p.victims(0, 15, &c), ids(&m, &["b", "c"]));
+        assert_eq!(m.evict_with(id(&m, "b"), 1, || ()), Some(()));
+        assert_eq!(p.victims(0, 5, &c), ids(&m, &["c"]));
     }
 
     #[test]
@@ -232,14 +236,14 @@ mod tests {
         let plan: Vec<FileId> = ["a", "b", "a", "c"].iter().map(|n| id(&m, n)).collect();
         p.set_plan(&plan);
         // Next uses: a→0, b→1, c→3 ⇒ c is farthest.
-        assert_eq!(p.victims(0, 1, &c), vec!["c"]);
+        assert_eq!(p.victims(0, 1, &c), ids(&m, &["c"]));
         p.note_plan_read(id(&m, "a")); // a's next use becomes position 2
         p.note_plan_read(id(&m, "b")); // b never appears again ⇒ rank past plan end
-        assert_eq!(p.victims(0, 1, &c), vec!["b"]);
+        assert_eq!(p.victims(0, 1, &c), ids(&m, &["b"]));
         // Without a plan, recency decides (a was "touched" least recently
         // by placement order — none were accessed).
         p.set_plan(&[]);
-        assert_eq!(p.victims(0, 1, &c), vec!["a"]);
+        assert_eq!(p.victims(0, 1, &c), ids(&m, &["a"]));
     }
 
     #[test]
@@ -254,9 +258,9 @@ mod tests {
             _ => 0.5,
         };
         let c = ctx(&m, &NOBODY, &score);
-        assert_eq!(p.victims(0, 1, &c), vec!["low"]);
+        assert_eq!(p.victims(0, 1, &c), ids(&m, &["low"]));
         // Among the 0.5 ties, tie2 is least recently touched.
-        assert_eq!(p.victims(0, 25, &c), vec!["low", "tie2", "tie1"]);
+        assert_eq!(p.victims(0, 25, &c), ids(&m, &["low", "tie2", "tie1"]));
     }
 
     #[test]
@@ -266,7 +270,7 @@ mod tests {
         let a = id(&m, "a");
         let exempt = move |f: FileId| f == a;
         let c = ctx(&m, &exempt, &FLAT);
-        assert_eq!(p.victims(0, 10, &c), vec!["b"]);
+        assert_eq!(p.victims(0, 10, &c), ids(&m, &["b"]));
         assert!(
             p.victims(0, 11, &c).is_empty(),
             "b alone cannot cover 11 bytes and a is exempt"

@@ -141,7 +141,7 @@ pub struct PlacementDecision {
     /// reserves for the newcomer.
     pub tier: TierId,
     /// Files the caller must evict from `tier` before copying.
-    pub evict: Vec<String>,
+    pub evict: Vec<FileId>,
 }
 
 impl PlacementDecision {
@@ -219,7 +219,7 @@ pub trait EvictionPolicy: Send + Sync {
 
     /// Select residents of `tier` to evict so at least `needed` bytes come
     /// free. Empty means "cannot (or will not) make room".
-    fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<String>;
+    fn victims(&self, tier: TierId, needed: u64, ctx: &EvictCtx<'_>) -> Vec<FileId>;
 
     /// A new epoch access plan was submitted, in plan order (clairvoyant
     /// bookkeeping; default no-op).
@@ -397,13 +397,11 @@ impl PolicyEngine {
         locks::lock(&self.features).clone()
     }
 
-    /// Consult the admission policy at `point`. Counters tally the verdict.
+    /// Consult the admission policy at `point` for `file`. Counters tally
+    /// the verdict.
     #[must_use]
-    pub fn admit(&self, file: &str, size: u64, point: DecisionPoint) -> bool {
-        let features = self
-            .source()
-            .zip(self.files.find(file))
-            .and_then(|(source, id)| source.features(id));
+    pub fn admit(&self, file: FileId, size: u64, point: DecisionPoint) -> bool {
+        let features = self.source().and_then(|source| source.features(file));
         let ok = self.admission.admit(size, features.as_ref(), point);
         let counter = match (point, ok) {
             (DecisionPoint::DemandAdmit, true) => &self.counters.demand_admits,
@@ -426,7 +424,7 @@ impl PolicyEngine {
     pub fn place(
         &self,
         hierarchy: &StorageHierarchy,
-        file: &str,
+        file: FileId,
         size: u64,
     ) -> Result<Option<PlacementDecision>> {
         if let Some(tier) = self.scorer.choose(hierarchy, size)? {
@@ -443,9 +441,8 @@ impl PolicyEngine {
 
     /// Run `f` over the eviction context of a decision for `keep`: the
     /// namespace's residents, `keep` exempt, valued by the scorer.
-    fn with_ctx<T>(&self, keep: &str, f: impl FnOnce(&EvictCtx<'_>) -> T) -> T {
-        let keep = self.files.resolve(keep);
-        let exempt = |id: FileId| Some(id) == keep;
+    fn with_ctx<T>(&self, keep: FileId, f: impl FnOnce(&EvictCtx<'_>) -> T) -> T {
+        let exempt = |id: FileId| id == keep;
         let source = self.source();
         let score = |id| {
             let features = source.as_ref().and_then(|s| s.features(id));
@@ -508,7 +505,7 @@ impl PolicyEngine {
     /// no pin protects, so a capacity error can always be relieved, even
     /// under [`NoEviction`].
     #[must_use]
-    pub fn pressure_victim(&self, tier: TierId, keep: &str) -> Option<String> {
+    pub fn pressure_victim(&self, tier: TierId, keep: FileId) -> Option<FileId> {
         let pick = self.with_ctx(keep, |ctx| {
             let preferred = if self.eviction.may_evict() {
                 self.eviction.victims(tier, 1, ctx).into_iter().next()
@@ -519,7 +516,7 @@ impl PolicyEngine {
                 ctx.files
                     .evictable(tier)
                     .find(|r| !(ctx.exempt)(r.id))
-                    .map(|r| r.name.to_string())
+                    .map(|r| r.id)
             })
         });
         if pick.is_some() {
@@ -555,20 +552,23 @@ impl PolicyEngine {
         self.files.set_mark(id, Mark::Reused, true);
     }
 
+    /// Observe an installed copy of `file`: [`Self::on_placed_id`] by name.
+    pub fn on_placed(&self, file: &str, _size: u64, _tier: TierId) {
+        self.on_placed_id(self.files.intern(file));
+    }
+
     /// Observe an installed copy: opens a fresh (not-yet-reused) ledger
     /// entry for the scorer label. The namespace stamped the placement
     /// itself, and knows its size and tier.
-    pub fn on_placed(&self, file: &str, _size: u64, _tier: TierId) {
-        self.files
-            .set_mark(self.files.intern(file), Mark::Reused, false);
+    pub fn on_placed_id(&self, file: FileId) {
+        self.files.set_mark(file, Mark::Reused, false);
     }
 
     /// Observe that `file` left its tier. Resolves the reuse label and
     /// feeds it back to the scorer as an online-learning outcome.
-    pub fn on_evicted(&self, file: &str) {
-        let id = self.files.intern(file);
-        let reused = self.files.set_mark(id, Mark::Reused, false);
-        let features = self.source().and_then(|s| s.features(id));
+    pub fn on_evicted(&self, file: FileId) {
+        let reused = self.files.set_mark(file, Mark::Reused, false);
+        let features = self.source().and_then(|s| s.features(file));
         self.scorer.observe_outcome(features.as_ref(), reused);
     }
 
@@ -664,13 +664,14 @@ mod tests {
     fn seat(p: &PolicyEngine, name: &str, size: u64, tier: TierId) {
         let files = p.namespace();
         files.register(name, size, 9);
-        assert!(files.begin_copy(name, tier).unwrap());
-        files.finish_copy(name, tier).unwrap();
+        assert!(files.begin_copy(id(p, name), tier));
+        files.finish_copy(id(p, name), tier);
         p.on_placed(name, size, tier);
     }
 
+    /// The id of `name` in `p`'s namespace, interned if it has none.
     fn id(p: &PolicyEngine, name: &str) -> FileId {
-        p.namespace().resolve(name).unwrap()
+        p.namespace().intern(name)
     }
 
     #[test]
@@ -697,7 +698,7 @@ mod tests {
         use crate::trace::ArgValue;
         let h = hierarchy(&[100, 100]);
         let p = engine(PolicyKind::FirstFit);
-        let d = p.place(&h, "a", 60).unwrap().unwrap();
+        let d = p.place(&h, id(&p, "a"), 60).unwrap().unwrap();
         let args = d.trace_args(&h);
         assert!(args.contains(&("tier_id", ArgValue::U64(0))));
         assert!(args.contains(&("tier", ArgValue::Str("t0".into()))));
@@ -711,16 +712,16 @@ mod tests {
         let h = hierarchy(&[100, 100]);
         let p = engine(PolicyKind::FirstFit);
         assert!(!p.may_evict());
-        let d = p.place(&h, "a", 60).unwrap().unwrap();
+        let d = p.place(&h, id(&p, "a"), 60).unwrap().unwrap();
         assert_eq!(d.tier, 0);
         assert!(d.evict.is_empty());
         // Second 60-byte file overflows tier 0 into tier 1.
-        let d = p.place(&h, "b", 60).unwrap().unwrap();
+        let d = p.place(&h, id(&p, "b"), 60).unwrap().unwrap();
         assert_eq!(d.tier, 1);
         // Third does not fit anywhere.
-        assert!(p.place(&h, "c", 60).unwrap().is_none());
+        assert!(p.place(&h, id(&p, "c"), 60).unwrap().is_none());
         // But a small file still fits tier 0's remaining 40 bytes.
-        let d = p.place(&h, "d", 40).unwrap().unwrap();
+        let d = p.place(&h, id(&p, "d"), 40).unwrap().unwrap();
         assert_eq!(d.tier, 0);
     }
 
@@ -729,19 +730,19 @@ mod tests {
         let h = hierarchy(&[100]);
         let p = engine(PolicyKind::LruEvict);
         for (name, size) in [("a", 40u64), ("b", 40)] {
-            let d = p.place(&h, name, size).unwrap().unwrap();
+            let d = p.place(&h, id(&p, name), size).unwrap().unwrap();
             assert!(d.evict.is_empty());
             h.tier(0).unwrap(); // quota was reserved by choose()
             seat(&p, name, size, 0);
         }
         // Touch "a" so "b" becomes LRU.
         p.on_access("a", 0);
-        let d = p.place(&h, "c", 40).unwrap().unwrap();
-        assert_eq!(d.evict, vec!["b".to_string()]);
+        let d = p.place(&h, id(&p, "c"), 40).unwrap().unwrap();
+        assert_eq!(d.evict, vec![id(&p, "b")]);
         // Selection is pure: asking again without executing returns the
         // same victim rather than marching down the queue.
-        let d2 = p.place(&h, "c", 40).unwrap().unwrap();
-        assert_eq!(d2.evict, vec!["b".to_string()]);
+        let d2 = p.place(&h, id(&p, "c"), 40).unwrap().unwrap();
+        assert_eq!(d2.evict, vec![id(&p, "b")]);
     }
 
     #[test]
@@ -749,22 +750,22 @@ mod tests {
         let h = hierarchy(&[100]);
         let p = engine(PolicyKind::LruEvict);
         for (name, size) in [("a", 50u64), ("b", 50)] {
-            let d = p.place(&h, name, size).unwrap().unwrap();
+            let d = p.place(&h, id(&p, name), size).unwrap().unwrap();
             assert!(d.evict.is_empty());
             seat(&p, name, size, 0);
         }
         p.pin(id(&p, "a"));
-        let d = p.place(&h, "c", 50).unwrap().unwrap();
-        assert_eq!(d.evict, vec!["b".to_string()], "pinned a is skipped");
+        let d = p.place(&h, id(&p, "c"), 50).unwrap().unwrap();
+        assert_eq!(d.evict, vec![id(&p, "b")], "pinned a is skipped");
         p.pin(id(&p, "b"));
         assert!(
-            p.place(&h, "c", 50).unwrap().is_none(),
+            p.place(&h, id(&p, "c"), 50).unwrap().is_none(),
             "everything pinned → no placement"
         );
         assert_eq!(p.snapshot().pinned, 2);
         p.unpin(id(&p, "a"));
-        let d = p.place(&h, "c", 50).unwrap().unwrap();
-        assert_eq!(d.evict, vec!["a".to_string()]);
+        let d = p.place(&h, id(&p, "c"), 50).unwrap().unwrap();
+        assert_eq!(d.evict, vec![id(&p, "a")]);
     }
 
     #[test]
@@ -780,7 +781,7 @@ mod tests {
         assert!(h.health().tier(0).is_quarantined());
 
         let ff = engine(PolicyKind::FirstFit);
-        let d = ff.place(&h, "a", 10).unwrap().unwrap();
+        let d = ff.place(&h, id(&ff, "a"), 10).unwrap().unwrap();
         assert_eq!(d.tier, 1, "first-fit skips the quarantined top tier");
 
         // Fresh hierarchy (same quarantine) for the eviction half — the
@@ -789,12 +790,12 @@ mod tests {
         quarantine(&h);
         let lru = engine(PolicyKind::LruEvict);
         // Fill tier 1 so eviction would be the only way in.
-        let d = lru.place(&h, "big", 100).unwrap().unwrap();
+        let d = lru.place(&h, id(&lru, "big"), 100).unwrap().unwrap();
         assert_eq!(d.tier, 1);
         seat(&lru, "big", 100, 1);
-        let d = lru.place(&h, "next", 50).unwrap().unwrap();
+        let d = lru.place(&h, id(&lru, "next"), 50).unwrap().unwrap();
         assert_eq!(d.tier, 1, "victims come from the healthy tier only");
-        assert_eq!(d.evict, vec!["big".to_string()]);
+        assert_eq!(d.evict, vec![id(&lru, "big")]);
         assert_eq!(
             h.tier(0).unwrap().quota.as_ref().unwrap().used(),
             0,
@@ -806,7 +807,7 @@ mod tests {
     fn eviction_gives_up_on_oversized() {
         let h = hierarchy(&[100]);
         let p = engine(PolicyKind::LruEvict);
-        assert!(p.place(&h, "huge", 101).unwrap().is_none());
+        assert!(p.place(&h, id(&p, "huge"), 101).unwrap().is_none());
     }
 
     #[test]
@@ -814,27 +815,28 @@ mod tests {
         let h = hierarchy(&[100]);
         let p = engine(PolicyKind::LruEvict);
         for (name, size) in [("a", 30u64), ("b", 30), ("c", 30)] {
-            let d = p.place(&h, name, size).unwrap().unwrap();
+            let d = p.place(&h, id(&p, name), size).unwrap().unwrap();
             assert!(d.evict.is_empty());
             seat(&p, name, size, 0);
         }
         p.on_access("a", 0); // b is now LRU
-        assert_eq!(p.pressure_victim(0, "keep"), Some("b".to_string()));
+        assert_eq!(p.pressure_victim(0, id(&p, "keep")), Some(id(&p, "b")));
         // NoEviction still relieves pressure via the fallback.
         let ff = engine(PolicyKind::FirstFit);
         seat(&ff, "a", 30, 0);
         seat(&ff, "b", 30, 0);
-        assert_eq!(ff.pressure_victim(0, "keep"), Some("a".to_string()));
-        assert_eq!(ff.pressure_victim(0, "a"), Some("b".to_string()));
-        ff.namespace().evict_with("b", 9, || ()).unwrap();
-        assert_eq!(ff.pressure_victim(0, "a"), None);
+        let (a, b) = (id(&ff, "a"), id(&ff, "b"));
+        assert_eq!(ff.pressure_victim(0, id(&ff, "keep")), Some(a));
+        assert_eq!(ff.pressure_victim(0, a), Some(b));
+        ff.namespace().evict_with(b, 9, || ()).unwrap();
+        assert_eq!(ff.pressure_victim(0, a), None);
     }
 
     #[test]
     fn admission_counters_tally_verdicts() {
         let p = engine(PolicyKind::FirstFit);
-        assert!(p.admit("f", 10, DecisionPoint::DemandAdmit));
-        assert!(p.admit("f", 10, DecisionPoint::PrefetchAdmit));
+        assert!(p.admit(id(&p, "f"), 10, DecisionPoint::DemandAdmit));
+        assert!(p.admit(id(&p, "f"), 10, DecisionPoint::PrefetchAdmit));
         let snap = p.snapshot();
         assert_eq!(snap.demand_admits, 1);
         assert_eq!(snap.prefetch_admits, 1);
@@ -852,14 +854,14 @@ mod tests {
         // model's score for those features down; place → access → evict up.
         let h = hierarchy(&[100]);
         let p = engine(PolicyKind::Learned);
-        let d = p.place(&h, "cold", 40).unwrap().unwrap();
+        let d = p.place(&h, id(&p, "cold"), 40).unwrap().unwrap();
         assert!(d.evict.is_empty());
         seat(&p, "cold", 40, 0);
-        p.on_evicted("cold"); // never accessed → negative label
+        p.on_evicted(id(&p, "cold")); // never accessed → negative label
         seat(&p, "hot", 40, 0);
         p.on_access("hot", 0);
-        p.on_evicted("hot"); // accessed → positive label
-                             // No panic and the composition stays consistent.
+        p.on_evicted(id(&p, "hot")); // accessed → positive label
+                                     // No panic and the composition stays consistent.
         assert_eq!(p.snapshot().scorer, "learned");
     }
 }

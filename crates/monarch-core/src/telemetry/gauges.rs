@@ -13,66 +13,7 @@ use crate::pool::Lane;
 /// A `(seconds, value)` series — the shared schema for throughput traces
 /// emitted by the simulator (virtual seconds) and the real trainer
 /// (wall-clock seconds). Serializes as a bare array of pairs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct TimeSeries(pub Vec<(f64, f64)>);
-
-impl TimeSeries {
-    /// An empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a `(seconds, value)` sample.
-    pub fn push(&mut self, t_secs: f64, value: f64) {
-        self.0.push((t_secs, value));
-    }
-
-    /// The raw samples.
-    #[must_use]
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.0
-    }
-
-    /// Largest sampled value (0 when empty).
-    #[must_use]
-    pub fn max_value(&self) -> f64 {
-        self.0.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-}
-
-impl std::ops::Deref for TimeSeries {
-    type Target = Vec<(f64, f64)>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl<'a> IntoIterator for &'a TimeSeries {
-    type Item = &'a (f64, f64);
-    type IntoIter = std::slice::Iter<'a, (f64, f64)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
-    }
-}
-
-impl IntoIterator for TimeSeries {
-    type Item = (f64, f64);
-    type IntoIter = std::vec::IntoIter<(f64, f64)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
-    }
-}
-
-impl From<Vec<(f64, f64)>> for TimeSeries {
-    fn from(v: Vec<(f64, f64)>) -> Self {
-        Self(v)
-    }
-}
+pub type TimeSeries = Vec<(f64, f64)>;
 
 /// Turns a monotonically increasing byte counter into a rate
 /// [`TimeSeries`]: feed it `(t_secs, cumulative_bytes)` observations and it
@@ -111,7 +52,7 @@ impl ThroughputSampler {
         let dt = t_secs - self.last_t;
         if dt > 0.0 {
             let rate = cumulative.saturating_sub(self.last_v) as f64 / dt;
-            self.series.push(t_secs, rate);
+            self.series.push((t_secs, rate));
         }
         self.last_t = t_secs;
         self.last_v = cumulative;

@@ -289,7 +289,6 @@ struct Lease {
     book: Arc<Lifecycle>,
     stagings: Stagings,
     shutting_down: Arc<AtomicBool>,
-    file: String,
     id: FileId,
     staging: Arc<Staging>,
     /// Lane the copy was queued on — the journal's `copy_completed`
@@ -303,22 +302,21 @@ struct Lease {
 }
 
 impl Lease {
-    fn placed(&self, tier: TierId, run: &CopyRun) -> Result<()> {
+    fn placed(&self, tier: TierId, run: &CopyRun) {
         let at = self.book.telemetry().now_micros();
         let size = self.staging.size();
         self.book
-            .placed(at, &self.file, size, tier, self.lane, Some(run))?;
+            .placed(at, self.id, size, tier, self.lane, Some(run));
         // The reservation has become the file's bytes on `tier`.
         self.reserved.set(None);
         self.settled.set(true);
-        Ok(())
     }
 
     fn unplaced(&self, why: Unplaced<'_>, run: Option<&CopyRun>) {
         self.settled.set(true);
         let at = self.book.telemetry().now_micros();
         self.book
-            .unplaced(at, &self.file, self.reserved.take(), why, run);
+            .unplaced(at, self.id, self.reserved.take(), why, run);
     }
 }
 
@@ -448,15 +446,13 @@ impl TransferEngine {
     /// The [`ReadCtx`] carries trace linkage (a `copy_scheduled` span is
     /// recorded under `ctx.flow.parent` when sampled), the lane to queue on,
     /// and an optional start deadline.
-    pub fn demand(&self, file: &str, size: u64, ctx: ReadCtx) -> bool {
-        let Some(id) = self.book.metadata().resolve(file) else {
-            return false;
-        };
-        self.schedule(id, file, Arc::new(Staging::empty(size)), ctx)
+    pub fn demand(&self, file: FileId, ctx: ReadCtx) -> bool {
+        let size = self.book.metadata().info(file).size;
+        self.schedule(file, Arc::new(Staging::empty(size)), ctx)
     }
 
-    /// [`Self::demand`] by the read that first touches `file`, resolved to
-    /// `id`: announce the copy, then serve the read — `buf.len()` bytes at
+    /// [`Self::demand`] by the read that first touches `file`, of `size`
+    /// bytes: announce the copy, then serve the read — `buf.len()` bytes at
     /// `offset`, inside the file — as the first fetch into the copy's
     /// staging, the way [`Self::read_staged`] serves every later one. Returns whether a
     /// copy was scheduled and, if the read was served there, the bytes it
@@ -473,8 +469,7 @@ impl TransferEngine {
     /// are all its copy will ever hold.
     pub fn demand_read(
         &self,
-        id: FileId,
-        file: &str,
+        file: FileId,
         size: u64,
         offset: u64,
         buf: &mut [u8],
@@ -487,13 +482,13 @@ impl TransferEngine {
         } else {
             Staged::Miss
         };
-        if !self.schedule(id, file, Arc::clone(&staging), ctx) {
+        if !self.schedule(file, Arc::clone(&staging), ctx) {
             return (false, None);
         }
         (true, self.read_through(file, &staging, first, offset, buf))
     }
 
-    /// Schedule the copy of `file` (`id`) through `staging` on `ctx`'s lane —
+    /// Schedule the copy of `file` through `staging` on `ctx`'s lane —
     /// which picks the admission point, the journal event and the span
     /// name — and hand it to the pool. `false` when no copy was queued:
     /// another one holds the file, admission refused, or the pool is
@@ -502,7 +497,7 @@ impl TransferEngine {
     /// Winning `Unplaced → Copying` and registering `staging` are one step
     /// under the registry's lock: a read that sees `Copying` finds the
     /// staging, however closely it follows the transition.
-    fn schedule(&self, id: FileId, file: &str, staging: Arc<Staging>, ctx: ReadCtx) -> bool {
+    fn schedule(&self, file: FileId, staging: Arc<Staging>, ctx: ReadCtx) -> bool {
         let telemetry = self.book.telemetry();
         let size = staging.size();
         let at = telemetry.now_micros();
@@ -515,7 +510,7 @@ impl TransferEngine {
             let Some(queued) = self.book.scheduled(at, file, size, ctx.lane, flow) else {
                 return false;
             };
-            stagings.insert(id, Arc::clone(&staging));
+            stagings.insert(file, Arc::clone(&staging));
             CopyJob {
                 queued,
                 deadline: ctx.deadline,
@@ -523,8 +518,7 @@ impl TransferEngine {
                     book: Arc::clone(&self.book),
                     stagings: Arc::clone(&self.stagings),
                     shutting_down: Arc::clone(&self.shutting_down),
-                    file: file.to_string(),
-                    id,
+                    id: file,
                     staging,
                     lane: ctx.lane,
                     queued: Cell::new(true),
@@ -536,7 +530,7 @@ impl TransferEngine {
         // A refusal (the pool is shutting down) drops the job, and its
         // lease books the copy as un-placed.
         self.pool
-            .submit_on(ctx.lane, Some(id), Box::new(move || job.run()))
+            .submit_on(ctx.lane, Some(file), Box::new(move || job.run()))
     }
 
     /// Install bytes fetched from a peer node's fast tier: the remote-lane
@@ -547,30 +541,21 @@ impl TransferEngine {
     /// prefetch. Carries the same deadline/cancellation/trace semantics as
     /// any other copy; a `remote_scheduled` event (with the serving peer)
     /// is journaled beside the usual copy lifecycle. Returns whether an
-    /// install was scheduled (`false`: the peer's copy is not `size` bytes
-    /// long, a concurrent copy won the CAS, or the pool is shutting down).
-    pub fn remote_admit(
-        &self,
-        file: &str,
-        size: u64,
-        bytes: Vec<u8>,
-        peer: u64,
-        ctx: ReadCtx,
-    ) -> bool {
-        if bytes.len() as u64 != size {
+    /// install was scheduled (`false`: the peer's copy is not the file's
+    /// size, a concurrent copy won the CAS, or the pool is shutting down).
+    pub fn remote_admit(&self, file: FileId, bytes: Vec<u8>, peer: u64, ctx: ReadCtx) -> bool {
+        let size = bytes.len() as u64;
+        if size != self.book.metadata().info(file).size {
             return false;
         }
-        let Some(id) = self.book.metadata().resolve(file) else {
-            return false;
-        };
         let ctx = ReadCtx {
             lane: Lane::Remote,
             ..ctx
         };
-        let scheduled = self.schedule(id, file, Arc::new(Staging::full(bytes)), ctx);
+        let scheduled = self.schedule(file, Arc::new(Staging::full(bytes)), ctx);
         if scheduled {
             self.book.telemetry().event(EventKind::RemoteScheduled {
-                file: file.to_string(),
+                file: self.book.name(file).to_string(),
                 bytes: size,
                 peer,
             });
@@ -579,7 +564,7 @@ impl TransferEngine {
     }
 
     /// Try to serve a read of `buf.len()` bytes at `offset` of the unplaced
-    /// `file`, of `size` bytes, from its owner node's fast tier, for the
+    /// file `id` from its owner node's fast tier (asked by name), for the
     /// caller to book. Returns the bytes copied into `buf` when the peer
     /// answered — the whole file then goes to the remote install lane — and
     /// `None` when the read should take the local path: the file is locally
@@ -587,11 +572,11 @@ impl TransferEngine {
     pub fn peer_read(
         &self,
         cluster: &Cluster,
-        file: &str,
-        size: u64,
+        id: FileId,
         offset: u64,
         buf: &mut [u8],
     ) -> Option<usize> {
+        let file = self.book.name(id);
         let owner = cluster.peer_owner(file)?;
         let bytes = match cluster.fetch_from(owner, file) {
             Ok(bytes) => bytes,
@@ -624,8 +609,7 @@ impl TransferEngine {
         // deadline: if the install queue is backed up past it, the install
         // reverts and the file stays on the PFS.
         self.remote_admit(
-            file,
-            size,
+            id,
             bytes,
             owner as u64,
             ReadCtx::untraced().with_deadline(Instant::now() + cluster.remote_deadline()),
@@ -633,7 +617,7 @@ impl TransferEngine {
         Some(n)
     }
 
-    /// Serve the read of `buf.len()` bytes of `file` (`id`) at `offset`
+    /// Serve the read of `buf.len()` bytes of `file` at `offset`
     /// (inside the file) from the install staging of the file's in-flight
     /// copy. `None` when there is nothing to be had there — no copy of the file
     /// is queued or running, or the read starts beyond what the copy has
@@ -652,8 +636,8 @@ impl TransferEngine {
     /// fetched yet only while the pool's backlog is no deeper than two
     /// copies per worker. Past that it reads the source on its own, as it
     /// did before stagings, and the copy fetches those bytes again.
-    pub fn read_staged(&self, id: FileId, file: &str, offset: u64, buf: &mut [u8]) -> Option<u64> {
-        let staging = locks::lock(&self.stagings).get(&id).cloned()?;
+    pub fn read_staged(&self, file: FileId, offset: u64, buf: &mut [u8]) -> Option<u64> {
+        let staging = locks::lock(&self.stagings).get(&file).cloned()?;
         let first = staging.read(offset, buf, self.may_start());
         self.read_through(file, &staging, first, offset, buf)
     }
@@ -671,13 +655,13 @@ impl TransferEngine {
     /// staging's to serve.
     fn read_through<'a>(
         &self,
-        file: &str,
+        file: FileId,
         staging: &'a Staging,
         mut step: Staged<'a>,
         offset: u64,
         buf: &mut [u8],
     ) -> Option<u64> {
-        let source = self.book.hierarchy().source();
+        let (source, file) = (self.book.hierarchy().source(), self.book.name(file));
         let mut fetched = 0;
         loop {
             match step {
@@ -776,8 +760,7 @@ impl TransferEngine {
             // letting the demand path wait behind unrelated prefetches
             // (it cannot enqueue a duplicate: the metadata CAS is held
             // by the queued job).
-            let file = self.book.metadata().name_of(id).unwrap_or_default();
-            self.book.promoted(self.book.telemetry().now_micros(), file);
+            self.book.promoted(self.book.telemetry().now_micros(), id);
         }
         // The cursor moved: more of the plan may now be issued.
         self.pump();
@@ -791,14 +774,13 @@ impl TransferEngine {
     /// or a copy is in flight). The file reverts to `Unplaced`, so a later
     /// read may place it again.
     pub fn evict(&self, file: &str) -> Result<bool> {
-        let info = self
-            .book
-            .metadata()
-            .get(file)
+        let metadata = self.book.metadata();
+        let id = metadata
+            .resolve(file)
             .ok_or_else(|| Error::UnknownFile(file.to_string()))?;
-        let tier = self.book.hierarchy().tier(info.tier)?;
+        let tier = self.book.hierarchy().tier(metadata.info(id).tier)?;
         let at = self.book.telemetry().now_micros();
-        self.book.evicted(at, file, info.tier, Evict::Explicit, || {
+        self.book.evicted(at, id, tier.id, Evict::Explicit, || {
             tier.driver.remove(file)
         })
     }
@@ -885,7 +867,6 @@ impl TransferEngine {
             let scheduled = !self.shutting_down.load(Ordering::Acquire)
                 && self.schedule(
                     id,
-                    metadata.name_of(id).unwrap_or_default(),
                     Arc::new(Staging::empty(size)),
                     ReadCtx::staged(0, flow).on_lane(Lane::Prefetch),
                 );
@@ -907,9 +888,8 @@ impl TransferEngine {
     /// `(watermark, end of the range being fetched)` of `file`'s install
     /// staging, while its copy is queued or running.
     #[cfg(test)]
-    pub(crate) fn staging_progress(&self, file: &str) -> Option<(u64, Option<u64>)> {
-        let id = self.book.metadata().resolve(file)?;
-        locks::lock(&self.stagings).get(&id).map(|s| s.progress())
+    pub(crate) fn staging_progress(&self, file: FileId) -> Option<(u64, Option<u64>)> {
+        locks::lock(&self.stagings).get(&file).map(|s| s.progress())
     }
 
     /// A detached [`Sampler`] over this engine's shared parts (plus the
@@ -1028,7 +1008,7 @@ struct CopyJob {
     queued: Queued,
     /// Drop the copy if a worker has not started it by this instant.
     deadline: Option<Instant>,
-    /// The file's name, install staging and reservation; dropped with the
+    /// The file's id, install staging and reservation; dropped with the
     /// job.
     lease: Lease,
 }
@@ -1062,7 +1042,7 @@ impl CopyJob {
         };
         let track = || telemetry.trace().register_current_thread();
         let at = telemetry.now_micros();
-        let run = book.started(at, &lease.file, self.queued, track, refused.is_none());
+        let run = book.started(at, lease.id, self.queued, track, refused.is_none());
         if let Some(why) = refused {
             return lease.unplaced(why, Some(&run));
         }
@@ -1083,11 +1063,11 @@ impl CopyJob {
         let book = &*lease.book;
         let (hierarchy, telemetry) = (book.hierarchy(), book.telemetry());
         let stats = book.stats();
-        let file = lease.file.as_str();
+        let file = book.name(lease.id);
         let size = lease.staging.size();
         let now = || telemetry.now_micros();
         // Evictions (eviction-capable policies only), then the reservation.
-        let Some(reserved) = book.room(now, Some(run), file, size, |tier, victim| {
+        let Some(reserved) = book.room(now, Some(run), lease.id, size, |tier, victim| {
             hierarchy.tier(tier)?.driver.remove(victim)
         })?
         else {
@@ -1172,7 +1152,7 @@ impl CopyJob {
         };
         match failure {
             None => {
-                lease.placed(tier, run)?;
+                lease.placed(tier, run);
                 book.tier_settled(now, tier, Gate::Open, Ok(()));
                 Ok(true)
             }
@@ -1201,14 +1181,14 @@ impl CopyJob {
         let Ok(dest) = book.hierarchy().tier(tier) else {
             return false;
         };
-        let Some(victim) = book.policy().pressure_victim(tier, &self.lease.file) else {
+        let Some(victim) = book.policy().pressure_victim(tier, self.lease.id) else {
             return false;
         };
         let at = book.telemetry().now_micros();
         !matches!(
-            book.evicted(at, &victim, tier, Evict::Enospc, || dest
+            book.evicted(at, victim, tier, Evict::Enospc, || dest
                 .driver
-                .remove(&victim)),
+                .remove(book.name(victim))),
             Ok(false)
         )
     }
@@ -1370,7 +1350,7 @@ mod tests {
     /// for its `copy_started` journal event (fired just before the gated
     /// source fetch blocks).
     fn pin_worker(engine: &TransferEngine, file: &str) {
-        assert!(engine.demand(file, 512, ReadCtx::untraced()));
+        assert!(engine.demand(id_of(engine, file), ReadCtx::untraced()));
         let started = || {
             engine
                 .book
@@ -1413,7 +1393,7 @@ mod tests {
         // copy; a later demand copy must still run before both.
         assert_eq!(engine.plan(&plan_of(&["f001", "f002"])), 2);
         assert_eq!(engine.queued(Lane::Prefetch), 2);
-        assert!(engine.demand("f003", 512, ReadCtx::untraced()));
+        assert!(engine.demand(id_of(&engine, "f003"), ReadCtx::untraced()));
         open_gate(&gate);
         engine.wait_idle();
         assert_eq!(started_order(&engine), vec!["f000", "f003", "f001", "f002"]);
@@ -1461,7 +1441,7 @@ mod tests {
         offset: u64,
         buf: &mut [u8],
     ) -> Option<u64> {
-        engine.read_staged(id_of(engine, file), file, offset, buf)
+        engine.read_staged(id_of(engine, file), offset, buf)
     }
 
     /// Book a whole-file read of `file`, found on the source with its copy
@@ -1469,8 +1449,7 @@ mod tests {
     fn book_read(engine: &TransferEngine, file: &str, how: Served, plan: ReadFeedback) {
         let source = engine.book.hierarchy().source_id();
         engine.book.read_served(&ServedRead {
-            id: engine.book.metadata().resolve(file).unwrap(),
-            file,
+            id: id_of(engine, file),
             offset: 0,
             bytes: 512,
             home: source,
@@ -1612,8 +1591,13 @@ mod tests {
         assert_eq!(engine.plan(&plan_of(&["f001"])), 1);
         // Peer-fetched install queues on the remote lane; a later local
         // demand miss still outranks it.
-        assert!(engine.remote_admit("f002", 512, vec![2u8; 512], 1, ReadCtx::untraced()));
-        assert!(engine.demand("f003", 512, ReadCtx::untraced()));
+        assert!(engine.remote_admit(
+            id_of(&engine, "f002"),
+            vec![2u8; 512],
+            1,
+            ReadCtx::untraced()
+        ));
+        assert!(engine.demand(id_of(&engine, "f003"), ReadCtx::untraced()));
         assert_eq!(engine.queued(Lane::Remote), 1);
         open_gate(&gate);
         engine.wait_idle();
@@ -1647,7 +1631,12 @@ mod tests {
         pin_worker(&engine, "f000");
         // The pinned demand copy holds f000's CAS: a remote install for
         // the same file must not double-schedule (or double-journal).
-        assert!(!engine.remote_admit("f000", 512, vec![0u8; 512], 1, ReadCtx::untraced()));
+        assert!(!engine.remote_admit(
+            id_of(&engine, "f000"),
+            vec![0u8; 512],
+            1,
+            ReadCtx::untraced()
+        ));
         open_gate(&gate);
         engine.wait_idle();
         assert!(engine
@@ -1668,8 +1657,7 @@ mod tests {
         let (mut engine, gate) = gated_engine(2, 0);
         pin_worker(&engine, "f000");
         assert!(engine.remote_admit(
-            "f001",
-            512,
+            id_of(&engine, "f001"),
             vec![1u8; 512],
             1,
             ReadCtx::untraced().with_deadline(Instant::now())
@@ -1706,7 +1694,10 @@ mod tests {
         // Queued behind the pinned worker with an already-expired deadline:
         // by the time a worker dequeues it, the freshness window is gone.
         let expired = Instant::now();
-        assert!(engine.demand("f001", 512, ReadCtx::untraced().with_deadline(expired)));
+        assert!(engine.demand(
+            id_of(&engine, "f001"),
+            ReadCtx::untraced().with_deadline(expired)
+        ));
         std::thread::sleep(Duration::from_millis(2));
         open_gate(&gate);
         engine.wait_idle();
@@ -1728,7 +1719,7 @@ mod tests {
         // The copy never started: no copy_started event for f001.
         assert_eq!(started_order(&engine), vec!["f000"]);
         // Its staging went with it: a read finds nothing to wait on.
-        assert_eq!(engine.staging_progress("f001"), None);
+        assert_eq!(engine.staging_progress(id_of(&engine, "f001")), None);
         assert_eq!(read_staged(&engine, "f001", 0, &mut [0u8; 8]), None);
         engine.drain();
     }
@@ -1739,8 +1730,11 @@ mod tests {
         let mut engine = assemble(Arc::new(gated.only("f000")), 1, PrefetchConfig::disabled());
         pin_worker(&engine, "f000");
         // Queued behind the pinned worker, holding nothing yet.
-        assert!(engine.demand("f001", 512, ReadCtx::untraced()));
-        assert_eq!(engine.staging_progress("f001"), Some((0, None)));
+        assert!(engine.demand(id_of(&engine, "f001"), ReadCtx::untraced()));
+        assert_eq!(
+            engine.staging_progress(id_of(&engine, "f001")),
+            Some((0, None))
+        );
         let mut buf = [0u8; 512];
         let served = Some;
         // The first read is the first fetch; what it brought is served.
@@ -1755,7 +1749,10 @@ mod tests {
             served(150)
         );
         assert_eq!(buf[..200], [1u8; 200]);
-        assert_eq!(engine.staging_progress("f001"), Some((250, None)));
+        assert_eq!(
+            engine.staging_progress(id_of(&engine, "f001")),
+            Some((250, None))
+        );
         // Beyond the frontier: the plain path's business.
         assert_eq!(read_staged(&engine, "f001", 300, &mut buf[..10]), None);
         // The fetches are the source's reads; what the reads took from the
@@ -1774,7 +1771,7 @@ mod tests {
             (5, 512 + 250 + 262)
         );
         assert_eq!(stats.tiers[0].bytes_written, 1024);
-        assert_eq!(engine.staging_progress("f001"), None);
+        assert_eq!(engine.staging_progress(id_of(&engine, "f001")), None);
         let ssd = &engine.book.hierarchy().tier(0).unwrap().driver;
         assert_eq!(ssd.read_full("f001").unwrap(), vec![1u8; 512]);
         engine.drain();
@@ -1788,7 +1785,7 @@ mod tests {
         let mut buf = [0u8; 512];
         let served = Some;
         // One copy queued behind the one worker: a read may start filling it.
-        assert!(engine.demand("f001", 512, ReadCtx::untraced()));
+        assert!(engine.demand(id_of(&engine, "f001"), ReadCtx::untraced()));
         assert_eq!(
             read_staged(&engine, "f001", 0, &mut buf[..100]),
             served(100)
@@ -1796,35 +1793,50 @@ mod tests {
         // Two more: the backlog is now deeper than two copies per worker.
         // Reads fill no further copy — each would hold a whole file until
         // the worker got to it — but the one already started goes on.
-        assert!(engine.demand("f002", 512, ReadCtx::untraced()));
-        assert!(engine.demand("f003", 512, ReadCtx::untraced()));
+        assert!(engine.demand(id_of(&engine, "f002"), ReadCtx::untraced()));
+        assert!(engine.demand(id_of(&engine, "f003"), ReadCtx::untraced()));
         assert_eq!(read_staged(&engine, "f002", 0, &mut buf[..64]), None);
         assert_eq!(read_staged(&engine, "f003", 0, &mut buf[..100]), None);
         assert_eq!(
             read_staged(&engine, "f001", 100, &mut buf[..100]),
             served(100)
         );
-        assert_eq!(engine.staging_progress("f001"), Some((200, None)));
-        assert_eq!(engine.staging_progress("f002"), Some((0, None)));
-        assert_eq!(engine.staging_progress("f003"), Some((0, None)));
+        assert_eq!(
+            engine.staging_progress(id_of(&engine, "f001")),
+            Some((200, None))
+        );
+        assert_eq!(
+            engine.staging_progress(id_of(&engine, "f002")),
+            Some((0, None))
+        );
+        assert_eq!(
+            engine.staging_progress(id_of(&engine, "f003")),
+            Some((0, None))
+        );
         // The same holds for the read that announces a copy: part of a
         // file is left to the plain path, while a whole file — all its
         // copy will ever hold — is fetched in place, once.
         let ctx = ReadCtx::untraced();
         assert_eq!(
-            engine.demand_read(id_of(&engine, "f004"), "f004", 512, 0, &mut buf[..100], ctx),
+            engine.demand_read(id_of(&engine, "f004"), 512, 0, &mut buf[..100], ctx),
             (true, None)
         );
-        assert_eq!(engine.staging_progress("f004"), Some((0, None)));
         assert_eq!(
-            engine.demand_read(id_of(&engine, "f005"), "f005", 512, 0, &mut buf, ctx),
+            engine.staging_progress(id_of(&engine, "f004")),
+            Some((0, None))
+        );
+        assert_eq!(
+            engine.demand_read(id_of(&engine, "f005"), 512, 0, &mut buf, ctx),
             (true, served(512))
         );
         assert_eq!(buf, [5u8; 512]);
-        assert_eq!(engine.staging_progress("f005"), Some((512, None)));
+        assert_eq!(
+            engine.staging_progress(id_of(&engine, "f005")),
+            Some((512, None))
+        );
         // Somebody else's copy holds the file: nothing is scheduled.
         assert_eq!(
-            engine.demand_read(id_of(&engine, "f005"), "f005", 512, 0, &mut buf, ctx),
+            engine.demand_read(id_of(&engine, "f005"), 512, 0, &mut buf, ctx),
             (false, None)
         );
         open_gate(&gate);
@@ -1842,7 +1854,7 @@ mod tests {
     #[test]
     fn evict_returns_resident_file_to_the_source() {
         let mut engine = assemble(Arc::new(staged_pfs(2)), 2, PrefetchConfig::disabled());
-        assert!(engine.demand("f000", 512, ReadCtx::untraced()));
+        assert!(engine.demand(id_of(&engine, "f000"), ReadCtx::untraced()));
         engine.wait_idle();
         assert_eq!(engine.book.metadata().get("f000").unwrap().tier, 0);
         let quota_used = || {
@@ -1880,7 +1892,7 @@ mod tests {
             Err(Error::UnknownFile(_))
         ));
         // ...and a later demand places the file again.
-        assert!(engine.demand("f000", 512, ReadCtx::untraced()));
+        assert!(engine.demand(id_of(&engine, "f000"), ReadCtx::untraced()));
         engine.wait_idle();
         assert_eq!(engine.book.metadata().get("f000").unwrap().tier, 0);
         engine.drain();
@@ -1894,7 +1906,10 @@ mod tests {
         let (gated, gate) = GatedDriver::new(staged_pfs(3));
         let mut engine = assemble(Arc::new(gated), 1, PrefetchConfig::disabled());
         pin_worker(&engine, "f000");
-        assert!(engine.demand("f001", 512, ReadCtx::untraced().on_lane(Lane::Prefetch)));
+        assert!(engine.demand(
+            id_of(&engine, "f001"),
+            ReadCtx::untraced().on_lane(Lane::Prefetch)
+        ));
         let opener = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             open_gate(&gate);

@@ -57,8 +57,9 @@ fn file_set(n: usize) -> Vec<(String, u64)> {
 fn seat(engine: &PolicyEngine, name: &str, size: u64) {
     let files = engine.namespace();
     files.register(name, size, 1);
-    assert!(files.begin_copy(name, 0).unwrap());
-    files.finish_copy(name, 0).unwrap();
+    let id = files.resolve(name).unwrap();
+    assert!(files.begin_copy(id, 0));
+    files.finish_copy(id, 0);
     engine.on_placed(name, size, 0);
 }
 
@@ -108,7 +109,9 @@ proptest! {
         let h = build(&caps, &file_set(files.len()));
         let p = PolicyEngine::from_kind(PolicyKind::FirstFit, AdmissionKind::AdmitAll);
         for (name, size) in &files {
-            if let Some(d) = p.place(&h, name, *size).unwrap() {
+            p.namespace().register(name, *size, caps.len());
+            let id = p.namespace().resolve(name).unwrap();
+            if let Some(d) = p.place(&h, id, *size).unwrap() {
                 prop_assert!(d.evict.is_empty());
                 prop_assert!(d.tier < caps.len());
                 // Every faster tier was genuinely full for this size.
@@ -528,15 +531,15 @@ proptest! {
         // must not make it a resident.
         let files = engine.namespace();
         files.register("g0", 100, 1);
-        prop_assert!(files.begin_copy("g0", 0).unwrap());
+        let g0 = files.resolve("g0").unwrap();
+        prop_assert!(files.begin_copy(g0, 0));
         engine.on_access("g0", 0);
-        let exempt = |name: &str| {
-            name.strip_prefix('f')
-                .and_then(|i| i.parse::<usize>().ok())
-                .is_some_and(|i| pins[i])
-        };
-        for i in (0..n).filter(|&i| pins[i]) {
-            engine.pin(files.resolve(&format!("f{i}")).unwrap());
+        let pinned: Vec<FileId> = (0..n)
+            .filter(|&i| pins[i])
+            .map(|i| files.resolve(&format!("f{i}")).unwrap())
+            .collect();
+        for &id in &pinned {
+            engine.pin(id);
         }
         let nobody = |_: FileId| false;
         let score = |_: FileId| 0.5;
@@ -544,8 +547,8 @@ proptest! {
         let p = LruEviction;
         let victims = p.victims(0, needed, &c);
         for v in &victims {
-            prop_assert!(!exempt(v), "{} was exempt", v);
-            prop_assert!(v != "g0", "in-flight file selected");
+            prop_assert!(!pinned.contains(v), "{:?} was exempt", v);
+            prop_assert!(*v != g0, "in-flight file selected");
         }
         prop_assert_eq!(&p.victims(0, needed, &c), &victims, "selection must be pure");
         if !victims.is_empty() {
@@ -586,6 +589,7 @@ proptest! {
             score: &score,
             max_victims: 64,
         };
-        prop_assert_eq!(p.victims(0, 1, &c), vec![format!("f{expected}")]);
+        let expected = engine.namespace().resolve(&format!("f{expected}")).unwrap();
+        prop_assert_eq!(p.victims(0, 1, &c), vec![expected]);
     }
 }
