@@ -1594,8 +1594,11 @@ impl World {
         };
         // Copies that left `Copying` release their share of the window.
         let metadata = ms.book.metadata();
-        window
-            .poll_resolved(|id| !matches!(metadata.info(id).state, PlacementState::Copying { .. }));
+        window.poll_resolved(|id| {
+            !metadata
+                .info(id)
+                .is_some_and(|info| matches!(info.state, PlacementState::Copying { .. }))
+        });
         let mut scheduled = false;
         while let Some((idx, id, bytes)) = window.next_to_issue() {
             // As in the engine's pump, the flow starts at the scheduling

@@ -38,9 +38,9 @@ impl Hasher for FxHasher {
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            self.add_word(u64::from_le_bytes(tail) | ((rem.len() as u64) << 56));
+            // The zero-padded little-endian word, without a variable-length copy.
+            let tail = (rem.iter().rev()).fold(0, |word, &b| word << 8 | u64::from(b));
+            self.add_word(tail | ((rem.len() as u64) << 56));
         }
     }
 

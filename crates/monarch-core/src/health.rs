@@ -226,7 +226,7 @@ impl TierHealth {
     /// [`Gate::Shut`] for everyone else. One relaxed load while the tier
     /// has never errored; `now_us` is only called on a quarantined tier.
     pub fn gate(&self, now_us: impl FnOnce() -> u64) -> Gate {
-        if !self.interesting.load(Ordering::Relaxed) {
+        if self.clean() {
             return Gate::Open;
         }
         let mut inner = locks::lock(&self.inner);
@@ -312,6 +312,13 @@ impl TierHealth {
                 Transition::Recovered
             }
         }
+    }
+
+    /// Never errored: its gate is open and a success settles nothing.
+    #[inline]
+    #[must_use]
+    pub fn clean(&self) -> bool {
+        !self.interesting.load(Ordering::Relaxed)
     }
 
     /// Current state.

@@ -505,7 +505,7 @@ impl Lifecycle {
             self.telemetry.pool_exec().record(took * 1_000);
         }
         if run.exec != 0 {
-            let bytes = self.metadata.info(file).size;
+            let bytes = self.metadata.info(file).map_or(0, |info| info.size);
             self.telemetry.trace().record(
                 SpanRecord::new(names::COPY_EXEC, "copy", run.track, run.start, took)
                     .with_id(run.exec)
@@ -536,10 +536,11 @@ impl Lifecycle {
         remove: impl FnOnce() -> Result<()>,
     ) -> Result<bool> {
         let source = self.hierarchy.source_id();
-        let info = self.metadata.info(victim);
-        if info.state != PlacementState::Placed || info.tier != tier || tier == source {
+        let info = self.metadata.info(victim).filter(|info| info.tier == tier);
+        let Some(info) = info.filter(|info| info.state == PlacementState::Placed && tier != source)
+        else {
             return Ok(false);
-        }
+        };
         let Some(removed) = self.metadata.evict_with(victim, source, remove) else {
             return Ok(false);
         };
@@ -777,7 +778,7 @@ impl Lifecycle {
         let source = self.hierarchy.source_id();
         let staged = |info: FileInfo| info.state == PlacementState::Placed && info.tier != source;
         for (id, issued, read_seen) in window.map_or_else(Vec::new, |mut w| w.drain()) {
-            if issued && !read_seen && staged(self.metadata.info(id)) {
+            if issued && !read_seen && self.metadata.info(id).is_some_and(staged) {
                 self.stats().prefetch_wasted();
             }
         }

@@ -312,7 +312,9 @@ impl Index {
         (hash >> 32) as usize & (len - 1)
     }
 
-    fn find(&self, slab: &Slab, name: &str) -> Option<FileId> {
+    /// The id `name` was interned to, and the slot its name was found in.
+    #[inline]
+    fn find<'s>(&self, slab: &'s Slab, name: &str) -> Option<(FileId, &'s Slot)> {
         let table = self
             .tables
             .get(self.current.load(Ordering::Acquire))?
@@ -326,8 +328,9 @@ impl Index {
             }
             if cell >> 32 == hash & 0xFFFF_FFFF {
                 let id = FileId((cell as u32) - 1);
-                if slab.slot(id).name.get().is_some_and(|n| **n == *name) {
-                    return Some(id);
+                let slot = slab.slot(id);
+                if slot.name.get().is_some_and(|n| **n == *name) {
+                    return Some((id, slot));
                 }
             }
             i = (i + 1) & (table.len() - 1);
@@ -414,7 +417,7 @@ impl MetadataContainer {
     /// The id `name` was interned to, in the namespace or not.
     #[inline]
     pub(crate) fn find(&self, name: &str) -> Option<FileId> {
-        self.index.find(&self.slab, name)
+        self.index.find(&self.slab, name).map(|(id, _)| id)
     }
 
     /// Every id handed out so far, interned-only names included, in
@@ -466,22 +469,21 @@ impl MetadataContainer {
     /// The current record of a file [`Self::resolve`] or
     /// [`Self::resolve_for_read`] resolved, without touching counters: a
     /// read that goes round again (its copy was evicted under it, its tier
-    /// failed) is still one read.
+    /// failed) is still one read. `None` for an id that was only interned:
+    /// it is no file, and has no size, tier or state.
     #[must_use]
-    pub fn info(&self, id: FileId) -> FileInfo {
+    pub fn info(&self, id: FileId) -> Option<FileInfo> {
         let slot = self.slab.slot(id);
-        Self::info_of(
-            slot,
-            slot.place.load(Ordering::Acquire),
-            slot.counters.reads.load(Ordering::Relaxed),
-        )
+        let place = slot.place.load(Ordering::Acquire);
+        let reads = slot.counters.reads.load(Ordering::Relaxed);
+        (place & STATE_MASK != ABSENT).then(|| Self::info_of(slot, place, reads))
     }
 
     /// The slot of `name`, created absent if the name has none. `entries`
     /// is the index's writer lock, held by the caller.
     fn find_or_insert(&self, entries: &mut usize, name: &str) -> (FileId, &Slot) {
-        if let Some(id) = self.find(name) {
-            return (id, self.slab.slot(id));
+        if let Some(found) = self.index.find(&self.slab, name) {
+            return found;
         }
         let (id, slot) = self.slab.push();
         slot.name
@@ -495,11 +497,9 @@ impl MetadataContainer {
     /// word that proved membership come along.
     #[inline]
     fn find_registered(&self, name: &str) -> Result<(FileId, &Slot, u64)> {
-        self.find(name)
-            .map(|id| {
-                let slot = self.slab.slot(id);
-                (id, slot, slot.place.load(Ordering::Acquire))
-            })
+        self.index
+            .find(&self.slab, name)
+            .map(|(id, slot)| (id, slot, slot.place.load(Ordering::Acquire)))
             .filter(|(_, _, place)| place & STATE_MASK != ABSENT)
             .ok_or_else(|| Error::UnknownFile(name.into()))
     }

@@ -30,10 +30,10 @@ use crate::builder::MonarchBuilder;
 use crate::cluster::Cluster;
 use crate::config::MonarchConfig;
 use crate::health::{device_error_class, ErrorClass, Gate};
-use crate::hierarchy::{StorageHierarchy, TierId};
+use crate::hierarchy::StorageHierarchy;
 use crate::lifecycle::{ReadTrace, Served, ServedRead};
 use crate::locks;
-use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
+use crate::metadata::{FileInfo, MetadataContainer, PlacementState};
 use crate::prefetch::AccessPlan;
 use crate::serve::MetricsServer;
 use crate::stats::StatsSnapshot;
@@ -56,30 +56,6 @@ pub struct InitReport {
 /// How long dropping a [`Monarch`] without [`Monarch::shutdown`] waits for
 /// in-flight copies before detaching the pool.
 const DROP_DRAIN_WAIT: Duration = Duration::from_secs(5);
-
-/// One pass of the read loop that produced bytes: what the namespace said,
-/// which tier served and how, and — when the read carried the clock — the
-/// instants its chain began and after the lookup, the tier resolve and the
-/// pread.
-struct ReadAttempt {
-    id: FileId,
-    info: FileInfo,
-    /// The serving tier: the resident one, or a lower one when the read
-    /// was rerouted around a failing tier.
-    tier: TierId,
-    how: Served,
-    /// Flow id of the placement copy this read announced (`0`: it
-    /// announced none, or is not sampled).
-    flow: u64,
-    /// Served by the half-open probe of a recovering tier: a read of a
-    /// local tier that is not a plain hit.
-    probe: bool,
-    /// How many reads this one stands for in the time records; 0 for a
-    /// hit whose turn to be timed it was not.
-    weight: u64,
-    n: usize,
-    marks: Option<[Instant; 4]>,
-}
 
 /// The MONARCH middleware instance.
 pub struct Monarch {
@@ -155,78 +131,21 @@ impl Monarch {
     /// starting at `offset`, from whichever tier currently holds it.
     /// Returns the number of bytes read (0 at end-of-file).
     pub fn read(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.read_impl(file, offset, buf, 0)
+        self.read_impl(file, offset, |_| buf, 0)
     }
 
-    /// [`Monarch::read`] with an optional trace parent (`0` = root): the
+    /// [`Monarch::read`] into the buffer `buf` hands out once the lookup
+    /// has the file's size, with an optional trace parent (`0` = root): the
     /// recorded `read` span is parented under the caller's span so
     /// `read_full` renders as one tree in the viewer.
-    fn read_impl(&self, file: &str, offset: u64, buf: &mut [u8], parent: u64) -> Result<usize> {
-        if self.shutting_down.load(Ordering::Acquire) {
-            return Err(Error::ShutDown);
-        }
-        let reading = self.telemetry.stats().enter_read();
-        // What a read reports splits into counts and times. Counts are
-        // taken on every read. Times — the stall profile's four buckets,
-        // which sum to the read's wall time, the tier's read latency, the
-        // ledger's sums, and a sampled read's span tree (read →
-        // metadata_lookup → tier_resolve → driver_pread) — all come from
-        // one chain of monotonic instants, and the clock is read only when
-        // something will consume it: on every read that is not a plain
-        // local-tier hit, and on the hits whose turn it is. A hit's turn is
-        // known here, from the plain local hits this thread's tally holds;
-        // what else the read is, only after its lookup, which then starts
-        // the chain itself.
-        let tr = self.telemetry.trace();
-        let sampled = tr.sample_read();
-        let profiled = self.telemetry.is_enabled();
-        let turn = profiled && reading.local_hits().is_multiple_of(TIMED_HIT_PERIOD);
-        let entry = (turn || sampled).then(Instant::now);
-        // The read's span id comes first: the placement copy the read may
-        // announce on its way is parented and flow-linked to it.
-        let read_id = if sampled { tr.next_id() } else { 0 };
-        let Some(read) = self.attempt_read(file, offset, buf, entry, turn, read_id)? else {
-            return Ok(0);
-        };
-        if read.probe {
-            reading.probed();
-        }
-        // Clairvoyant bookkeeping: advance the plan cursor past this file,
-        // upgrade a still-queued prefetch copy to the demand lane, and
-        // release more of the plan to the prefetcher; the booking below
-        // counts the hit.
-        let plan = self.engine.note_read(read.id);
-        self.engine.book().read_served(&ServedRead {
-            id: read.id,
-            offset,
-            bytes: read.n as u64,
-            home: read.info.tier,
-            copying: matches!(read.info.state, PlacementState::Copying { .. }),
-            tier: read.tier,
-            how: read.how,
-            plan,
-            weight: read.weight,
-            trace: sampled.then(|| ReadTrace {
-                id: read_id,
-                parent,
-                track: tr.register_current_thread(),
-                flow: read.flow,
-            }),
-            marks: read.marks.map(|[entry, lookup, resolve, pread]| {
-                [entry, lookup, resolve, pread, Instant::now()].map(|t| self.telemetry.nanos_at(t))
-            }),
-        });
-        Ok(read.n)
-    }
-
-    /// The lookup → tier-resolve → pread loop of one read: `Ok(None)` at
-    /// end-of-file, otherwise the pass that produced bytes. `entry` is
-    /// when the read's clock chain began, if it has; a pass that turns out
-    /// not to be a plain local hit begins it there and then (its lookup is
-    /// booked as free). `turn` says that, should the read be a plain local
-    /// hit, it is one that is timed. The namespace counts the read, and the
-    /// eviction policy hears of it, once, however many passes it takes.
-    /// `read_id` is the read's span id when it is sampled (`0` otherwise).
+    ///
+    /// A plain local hit — a file `Placed` on a local tier whose health
+    /// gate is open, read neither sampled nor on its thread's timing turn —
+    /// is one straight pass: the lookup, the gate's relaxed load, the
+    /// policy's access note, the tier's `read_at` and one booking. Every
+    /// other read leaves the pass where it diverges and goes round the same
+    /// loop with what the pass resolved. The namespace counts the read, and
+    /// the eviction policy hears of it, once, however many passes it takes.
     ///
     /// A pass that finds the file `Unplaced` first asks the file's owner
     /// node, on a cluster, and is served node-to-node when the peer
@@ -248,91 +167,121 @@ impl Monarch {
     /// source (graceful degradation — never an error while the source
     /// is healthy), and a read arriving after the quarantine cooldown
     /// may win the half-open probe slot and test the tier directly.
-    fn attempt_read(
+    fn read_impl<'b>(
         &self,
         file: &str,
         offset: u64,
-        buf: &mut [u8],
-        mut entry: Option<Instant>,
-        turn: bool,
-        read_id: u64,
-    ) -> Result<Option<ReadAttempt>> {
-        let health = self.hierarchy.health();
-        let book = self.engine.book();
-        let now = || self.telemetry.now_micros();
-        let source_id = self.hierarchy.source_id();
+        buf: impl FnOnce(u64) -> &'b mut [u8],
+        parent: u64,
+    ) -> Result<usize> {
+        if self.shutting_down.load(Ordering::Acquire) {
+            return Err(Error::ShutDown);
+        }
+        let reading = self.telemetry.stats().enter_read();
+        // What a read reports splits into counts and times. Counts are
+        // taken on every read. Times — the stall profile's four buckets,
+        // which sum to the read's wall time, the tier's read latency, the
+        // ledger's sums, and a sampled read's span tree (read →
+        // metadata_lookup → tier_resolve → driver_pread) — all come from
+        // one chain of instants: when the read began, had looked its file
+        // up, had its serving tier and had its bytes. The clock is read
+        // only when something will consume it: on every read that is not a
+        // plain local-tier hit, and on the hits whose turn it is. A hit's
+        // turn is known here, from the plain local hits this thread's tally
+        // holds; what else the read is, only after its lookup, which then
+        // starts the chain itself (its lookup booked as free).
+        let tr = self.telemetry.trace();
+        let sampled = tr.sample_read();
         let profiled = self.telemetry.is_enabled();
-        let mut attempts = 0u32;
-        // Once a pread on the resident tier has failed terminally, every
-        // later iteration serves from the PFS source instead.
-        let mut fallback = false;
-        // One announce a read: a peer that failed, or a copy that admission
-        // refused, is not asked again by the passes that follow.
-        let mut announce = true;
-        let mut flow = 0u64;
-        let (id, first) = self.metadata.resolve_for_read(file)?;
-        self.engine.note_access(id, first.tier);
-        let mut first = Some(first);
-        loop {
-            let info = first.take().unwrap_or_else(|| self.metadata.info(id));
-            let t_lookup = entry.map(|_| Instant::now());
-            if offset >= info.size {
-                return Ok(None);
+        let turn = profiled && reading.local_hits().is_multiple_of(TIMED_HIT_PERIOD);
+        let mut clock = (turn || sampled).then(|| [Instant::now(); 4]);
+        let stamp = |clock: &mut Option<[Instant; 4]>, at: usize| {
+            if let Some(marks) = clock {
+                marks[at] = Instant::now();
             }
+        };
+        // The read's span id comes first: the placement copy the read may
+        // announce on its way is parented and flow-linked to it.
+        let read_id = if sampled { tr.next_id() } else { 0 };
+        let (id, mut info) = self.metadata.resolve_for_read(file)?;
+        self.engine.note_access(id, info.tier);
+        let buf = buf(info.size);
+        let look_again = || {
+            self.metadata
+                .info(id)
+                .ok_or_else(|| Error::UnknownFile(file.into()))
+        };
+        let (source, health) = (self.hierarchy.source_id(), self.hierarchy.health());
+        let (book, now) = (self.engine.book(), || self.telemetry.now_micros());
+        // Retries spent; the resident tier failed this read terminally (so
+        // the source serves it); its one announce (a peer that failed, or
+        // a copy admission refused, is not asked again); and the flow id
+        // of the copy it announced (`0`: none, or not sampled).
+        let (mut attempts, mut fallback, mut announce, mut flow) = (0, false, true, 0);
+        let (tier, how, n, weight) = loop {
+            stamp(&mut clock, 1);
+            if offset >= info.size {
+                return Ok(0);
+            }
+            let want = buf.len().min((info.size - offset) as usize);
             // Pick the serving tier: normally the resident one; the PFS
             // source when the resident tier's gate is shut or the tier
-            // already failed this read. The source has no gate.
-            let gate = match (info.tier == source_id, fallback) {
+            // already failed this read. The source has no gate, and a tier
+            // that never erred is open on one relaxed load.
+            let clean = health.tier(info.tier).clean();
+            let gate = match (info.tier == source, fallback) {
                 (true, _) => Gate::Open,
                 (false, true) => Gate::Shut,
+                (false, false) if clean => Gate::Open,
                 (false, false) => health.tier(info.tier).gate(now),
             };
+            let tier = self.hierarchy.tier(match gate {
+                Gate::Shut => source,
+                _ => info.tier,
+            })?;
             let probing = gate == Gate::Probe;
-            let tier = match gate {
-                Gate::Shut => self.hierarchy.tier(source_id)?,
-                _ => self.hierarchy.tier(info.tier)?,
-            };
-            let hit = tier.id != source_id && !probing;
-            let weight = match (hit, turn) {
+            let weight = match (tier.id != source && !probing, turn) {
                 (true, true) => TIMED_HIT_PERIOD,
                 (true, false) => 0,
                 (false, _) => u64::from(profiled),
             };
-            let (t_lookup, t_resolve) = match t_lookup {
-                Some(_) => (t_lookup, Some(Instant::now())),
-                None if weight > 0 => {
-                    entry = Some(Instant::now());
-                    (entry, entry)
-                }
-                None => (None, None),
-            };
-            let want = buf.len().min((info.size - offset) as usize);
+            match clock.as_mut() {
+                Some(marks) => marks[2] = Instant::now(),
+                None if weight > 0 => clock = Some([Instant::now(); 4]),
+                None => {}
+            }
             // A file whose copy is in flight — or starts here — is read
             // through that copy's install staging when it covers the range,
-            // so the bytes cross the PFS link once. Whatever the read waits
-            // there, or for a peer, falls between the same two instants as
-            // a pread.
+            // so the bytes cross the PFS link once. A wait there, or for a
+            // peer, falls between the same two instants as a pread.
+            let moved = || {
+                self.metadata
+                    .info(id)
+                    .is_some_and(|now| now.state != info.state)
+            };
             let served = match info.state {
+                PlacementState::Placed => None,
                 PlacementState::Copying { .. } => {
                     match self.engine.read_staged(id, offset, &mut buf[..want]) {
                         // The copy settled since the lookup above and took
                         // its staging along: look again before reading the
                         // source for bytes that just landed on a tier.
-                        None if self.metadata.info(id).state != info.state => continue,
+                        None if moved() => {
+                            info = look_again()?;
+                            continue;
+                        }
                         staged => staged.map(|fetched| (Served::Staged { fetched }, want)),
                     }
                 }
                 PlacementState::Unplaced if announce => {
                     announce = false;
                     let peer = self.cluster.as_ref().and_then(|cluster| {
-                        let buf = &mut buf[..want];
-                        self.engine.peer_read(cluster, id, offset, buf)
+                        self.engine.peer_read(cluster, id, offset, &mut buf[..want])
                     });
                     match peer {
                         Some(n) => Some((Served::Peer, n)),
                         None if self.full_file_fetch || want as u64 == info.size => {
-                            let tr = self.telemetry.trace();
-                            let candidate = if read_id != 0 { tr.next_id() } else { 0 };
+                            let candidate = if sampled { tr.next_id() } else { 0 };
                             let ctx = ReadCtx::traced(read_id, candidate);
                             let buf = &mut buf[..want];
                             match self.engine.demand_read(id, info.size, offset, buf, ctx) {
@@ -342,8 +291,9 @@ impl Monarch {
                                 }
                                 // Somebody else's copy got there first: look
                                 // again, and read through its staging.
-                                (false, _) if self.metadata.info(id).state != info.state => {
-                                    continue
+                                (false, _) if moved() => {
+                                    info = look_again()?;
+                                    continue;
                                 }
                                 (false, _) => None,
                             }
@@ -351,7 +301,7 @@ impl Monarch {
                         None => None,
                     }
                 }
-                _ => None,
+                PlacementState::Unplaced => None,
             };
             // The un-instrumented driver: the two instants around this
             // call are the tier's read-latency sample and the stall
@@ -363,41 +313,40 @@ impl Monarch {
             let outcome = match served {
                 Some((_, n)) => Ok(n),
                 None => match tier.raw.read_at(file, offset, &mut buf[..want]) {
-                    Ok(n) if n < want && tier.id != source_id => {
-                        Err(Error::Io(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("{file}: local copy ends {n} bytes into a {want}-byte read"),
-                        )))
-                    }
+                    Ok(n) if n < want && tier.id != source => Err(Error::Io(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("{file}: local copy ends {n} bytes into a {want}-byte read"),
+                    ))),
                     read => read,
                 },
             };
-            let t_pread = t_resolve.map(|_| Instant::now());
+            stamp(&mut clock, 3);
             let e = match outcome {
                 Ok(n) => {
-                    book.tier_settled(now, tier.id, gate, Ok(()));
-                    return Ok(Some(ReadAttempt {
-                        id,
-                        info,
-                        tier: tier.id,
-                        how: served.map_or(Served::Tier, |(how, _)| how),
-                        flow,
-                        probe: probing && served.is_none(),
-                        weight,
+                    // A success through the open gate of a tier that never
+                    // erred settles nothing.
+                    if !(clean && gate == Gate::Open) {
+                        book.tier_settled(now, tier.id, gate, Ok(()));
+                    }
+                    if probing && served.is_none() {
+                        reading.probed();
+                    }
+                    break (
+                        tier.id,
+                        served.map_or(Served::Tier, |(how, _)| how),
                         n,
-                        marks: entry.zip(t_lookup).zip(t_resolve).zip(t_pread).map(
-                            |(((entry, lookup), resolve), pread)| [entry, lookup, resolve, pread],
-                        ),
-                    }));
+                        weight,
+                    );
                 }
                 Err(e) => e,
             };
-            if let (true, Some(start), Some(done)) = (weight > 0, t_resolve, t_pread) {
+            if let (true, Some([.., resolve, pread])) = (weight > 0, clock) {
                 // A failed pread is timed too: its tier's latency shows it.
                 self.telemetry
                     .read_latency(tier.id)
-                    .record_duration_n(done - start, weight);
+                    .record_duration_n(pread - resolve, weight);
             }
+            info = look_again()?;
             if probing {
                 // Failed probe: the cooldown re-arms, and the next pass
                 // finds the gate shut and serves this read from the source.
@@ -410,7 +359,7 @@ impl Monarch {
                 Error::Io(io) => io.kind() == std::io::ErrorKind::NotFound,
                 _ => false,
             };
-            if vanished && tier.id != source_id && attempts < retry.max_attempts {
+            if vanished && tier.id != source && attempts < retry.max_attempts {
                 // The local copy this pass resolved was evicted under it
                 // (the namespace moves on before the copy is deleted): go
                 // round against fresh metadata. It says nothing about the
@@ -436,34 +385,61 @@ impl Monarch {
                 }
                 continue;
             }
-            if tier.id != source_id {
-                // Out of retries (or permanent): degrade to the
-                // PFS source instead of failing the read.
-                fallback = true;
-                continue;
+            if tier.id == source {
+                return Err(e);
             }
-            return Err(e);
-        }
+            // Out of retries (or permanent): degrade to the PFS source
+            // instead of failing the read.
+            fallback = true;
+        };
+        // Clairvoyant bookkeeping: advance the plan cursor past this file,
+        // upgrade a still-queued prefetch copy to the demand lane, and
+        // release more of the plan to the prefetcher; the booking below
+        // counts the hit.
+        let plan = self.engine.note_read(id);
+        book.read_served(&ServedRead {
+            id,
+            offset,
+            bytes: n as u64,
+            home: info.tier,
+            copying: matches!(info.state, PlacementState::Copying { .. }),
+            tier,
+            how,
+            plan,
+            weight,
+            trace: sampled.then(|| ReadTrace {
+                id: read_id,
+                parent,
+                track: tr.register_current_thread(),
+                flow,
+            }),
+            marks: clock.map(|[entry, lookup, resolve, pread]| {
+                [entry, lookup, resolve, pread, Instant::now()].map(|t| self.telemetry.nanos_at(t))
+            }),
+        });
+        Ok(n)
     }
 
-    /// Read the entire file through the middleware.
+    /// Read the entire file through the middleware, into a buffer sized
+    /// by the read's own lookup.
     pub fn read_full(&self, file: &str) -> Result<Vec<u8>> {
-        let info = self
-            .metadata
-            .get(file)
-            .ok_or_else(|| Error::UnknownFile(file.into()))?;
         let tr = self.telemetry.trace();
         let traced = tr.is_enabled();
-        let t0 = if traced {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
+        let t0 = traced.then(|| self.telemetry.now_micros());
         let id = if traced { tr.next_id() } else { 0 };
-        let mut buf = vec![0u8; info.size as usize];
-        let n = self.read_impl(file, 0, &mut buf, id)?;
+        let mut buf = Vec::new();
+        let whole = &mut buf;
+        let n = self.read_impl(
+            file,
+            0,
+            move |size| {
+                *whole = vec![0; size as usize];
+                whole.as_mut_slice()
+            },
+            id,
+        )?;
         buf.truncate(n);
-        if traced {
+        if let Some(t0) = t0 {
             let tid = tr.register_current_thread();
             tr.record(
                 SpanRecord::new(
@@ -507,30 +483,27 @@ impl Monarch {
     pub fn prestage(&self) -> usize {
         let tr = self.telemetry.trace();
         let traced = tr.is_enabled();
-        let t0 = if traced {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
+        let t0 = traced.then(|| self.telemetry.now_micros());
         let prestage_id = if traced { tr.next_id() } else { 0 };
         let mut scheduled = 0;
         for id in self.metadata.ids() {
             if self.shutting_down.load(Ordering::Acquire) {
                 break;
             }
-            if self.metadata.info(id).state != PlacementState::Unplaced {
+            // A name interned outside the namespace is no file to stage.
+            let unplaced = |info: FileInfo| info.state == PlacementState::Unplaced;
+            if !self.metadata.info(id).is_some_and(unplaced) {
                 continue;
             }
             // Same dedup CAS as the read path; racing readers lose or win
-            // harmlessly (and a name interned outside the namespace never
-            // wins). Each staged copy gets its own flow, started on the
+            // harmlessly. Each staged copy gets its own flow, started on the
             // copy_scheduled span (no foreground pread exists here).
             let flow = if traced { tr.next_id() } else { 0 };
             if self.engine.demand(id, ReadCtx::staged(prestage_id, flow)) {
                 scheduled += 1;
             }
         }
-        if traced {
+        if let Some(t0) = t0 {
             let tid = tr.register_current_thread();
             tr.record(
                 SpanRecord::new(

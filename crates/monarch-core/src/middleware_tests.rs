@@ -8,6 +8,7 @@ use crate::config::{AdmissionKind, PolicyKind};
 use crate::config::{TelemetryConfig, TierConfig};
 use crate::driver::{FlakyDriver, FlakyOutcome, MemDriver, StorageDriver};
 use crate::health::HealthConfig;
+use crate::metadata::FileId;
 use crate::policy::{AdmitAll, NoEviction, PlacementScorer, PolicyEngine};
 
 fn two_tier(
@@ -92,6 +93,38 @@ fn prestage_places_everything_before_any_read() {
     assert_eq!(stats.tiers[1].reads, 5, "one staging fetch per file");
     // Idempotent: nothing left to schedule.
     assert_eq!(m.prestage(), 0);
+}
+
+#[test]
+fn prestage_schedules_the_namespace_and_not_what_was_only_interned() {
+    // The policy's by-name hook interns a name no scan found. That id is
+    // no file: `info` has no record of it, and prestage neither hands it
+    // to the engine nor spends a trace flow on it.
+    let pfs = MemDriver::new("pfs");
+    for i in 0..3 {
+        pfs.insert(&format!("f{i:03}"), vec![i as u8; 200]);
+    }
+    let m = MonarchBuilder::new()
+        .hierarchy(two_tier(
+            Arc::new(MemDriver::new("ssd")),
+            1 << 20,
+            Arc::new(pfs),
+        ))
+        .pool_threads(1)
+        .telemetry(TelemetryConfig::with_tracing())
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    m.engine.book().policy().on_access("ghost", 0);
+    let ghost = m.metadata().find("ghost").expect("interned");
+    assert!(m.metadata().info(ghost).is_none());
+    assert_eq!(m.prestage(), 3);
+    m.wait_placement_idle();
+    assert_eq!(m.stats().copies_scheduled, 3);
+    let spans = m.telemetry().trace().spans();
+    let scheduled = spans.iter().filter(|s| s.name == names::COPY_SCHEDULED);
+    assert_eq!(scheduled.count(), 3);
+    m.shutdown();
 }
 
 #[test]
@@ -780,11 +813,22 @@ fn reads_in_flight_gauge_is_balanced() {
 }
 
 /// An in-memory tier that counts the reads it serves.
-struct Counted(MemDriver, AtomicU64);
+/// What a [`Counted`] driver runs before its next read: given the driver
+/// it reads through and the file.
+type Hook = Box<dyn FnOnce(&dyn StorageDriver, &str) + Send>;
+
+/// A driver that counts its reads, fails them as scripted (its
+/// [`FlakyDriver`]) and runs a one-shot [`Hook`] before the next one.
+struct Counted(
+    FlakyDriver<MemDriver>,
+    AtomicU64,
+    std::sync::Mutex<Option<Hook>>,
+);
 
 impl Counted {
     fn new(name: &str) -> Arc<Self> {
-        Arc::new(Self(MemDriver::new(name), AtomicU64::new(0)))
+        let driver = FlakyDriver::new(MemDriver::new(name));
+        Arc::new(Self(driver, AtomicU64::new(0), std::sync::Mutex::new(None)))
     }
 
     fn reads(&self) -> u64 {
@@ -798,6 +842,9 @@ impl StorageDriver for Counted {
     }
     fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
         self.1.fetch_add(1, Ordering::SeqCst);
+        if let Some(hook) = self.2.lock().unwrap().take() {
+            hook(&self.0, file);
+        }
         self.0.read_at(file, offset, buf)
     }
     fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
@@ -829,7 +876,8 @@ fn every_read_is_counted_once_on_the_tally_of_its_thread() {
     const HITS: u64 = 20;
     let (ssd, pfs) = (Counted::new("ssd"), Counted::new("pfs"));
     for i in 0..5 {
-        pfs.0.insert(&format!("f{i:03}"), vec![i as u8; SIZE]);
+        pfs.write_full(&format!("f{i:03}"), &[i as u8; SIZE])
+            .unwrap();
     }
     let m = MonarchBuilder::new()
         .hierarchy(two_tier(ssd.clone(), 1 << 20, pfs.clone()))
@@ -903,6 +951,77 @@ fn every_read_is_counted_once_on_the_tally_of_its_thread() {
     assert_eq!(prefetched.reads_after_prefetch, 2);
     assert_eq!(prefetched.prefetch_hits, 1);
     assert_eq!(profile("f000").reads_after_prefetch, 0);
+
+    // Two hits that leave the straight pass at their pread, each booked
+    // once: f001's local copy is evicted underneath it, so it is looked up
+    // again and read through its new copy's staging off the PFS; f002's
+    // pread fails, so the tier is quarantined and the read falls back to
+    // the PFS.
+    let book = Arc::clone(m.engine.book());
+    let evict: Hook = Box::new(move |ssd, file| {
+        let id = book.metadata().resolve(file).unwrap();
+        let removed = book.evicted(0, id, 0, crate::lifecycle::Evict::Explicit, || {
+            ssd.remove(file)
+        });
+        assert!(removed.unwrap(), "{file} was placed");
+    });
+    let mut evict = Some(evict);
+    for (i, file) in [(1u8, "f001"), (2, "f002")] {
+        match evict.take() {
+            Some(hook) => *ssd.2.lock().unwrap() = Some(hook),
+            None => ssd.0.script_reads([FlakyOutcome::Permanent]),
+        }
+        let (before, was) = ledger(&m);
+        let health = |m: &Monarch| m.hierarchy().health().snapshot().tiers[0].clone();
+        let (was_health, was_file) = (health(&m), profile(file));
+        let served = (ssd.reads(), pfs.reads());
+        assert_eq!(m.read(file, 0, &mut buf).unwrap(), 4096);
+        assert_eq!(buf, vec![i; 4096]);
+        m.wait_placement_idle();
+        let (after, now) = ledger(&m);
+        let tier = |i: usize| after.tiers[i].reads - before.tiers[i].reads;
+        assert_eq!(tier(0), 0, "{file}: the failed pread is no ssd read");
+        assert_eq!(
+            ssd.reads() - served.0,
+            1,
+            "{file}: one pread reached the ssd"
+        );
+        assert_eq!(
+            tier(1),
+            pfs.reads() - served.1,
+            "{file}: the tally against the driver"
+        );
+        assert_eq!(
+            now.ledger.reads - was.ledger.reads,
+            1,
+            "{file}: booked once"
+        );
+        assert_eq!(m.telemetry().stats().in_flight(), 0);
+        let read = profile(file);
+        assert_eq!(read.accesses - was_file.accesses, 1, "{file}: one access");
+        assert_eq!(read.bytes_by_tier[0], was_file.bytes_by_tier[0]);
+        assert_eq!(read.bytes_by_tier[1] - was_file.bytes_by_tier[1], 4096);
+        // The eviction race says nothing about the device; the failed
+        // pread quarantines the tier once and degrades one read.
+        let failed = u64::from(i == 2);
+        let health = health(&m);
+        assert_eq!(
+            health.errors_total - was_health.errors_total,
+            failed,
+            "{file}"
+        );
+        assert_eq!(
+            health.quarantines - was_health.quarantines,
+            failed,
+            "{file}"
+        );
+        assert_eq!(after.tier_quarantines - before.tier_quarantines, failed);
+        assert_eq!(after.degraded_reads - before.degraded_reads, failed);
+        assert_eq!(
+            after.read_retries, before.read_retries,
+            "{file}: nothing retried"
+        );
+    }
     m.shutdown();
 }
 

@@ -294,6 +294,7 @@ impl Stats {
     /// Count a read in flight on the calling thread until the returned
     /// guard drops.
     #[must_use]
+    #[inline]
     pub(crate) fn enter_read(&self) -> Reading<'_> {
         let tally = self.tally();
         tally.add(|t| &t.in_flight, 1);

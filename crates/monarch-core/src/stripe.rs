@@ -79,11 +79,13 @@ fn stripe_index() -> usize {
 
 /// Keeps neighbouring stripes (separate heap allocations, possibly
 /// adjacent) off each other's cache lines.
+#[derive(Debug)]
 #[repr(align(128))]
 struct Padded<T>(T);
 
 /// 2 × [`STRIPES`] lazily allocated copies of `T`: the owned ones, then the
 /// shared ones.
+#[derive(Debug)]
 pub(crate) struct Striped<T> {
     cells: [OnceLock<Box<Padded<T>>>; COPIES],
 }

@@ -48,6 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::locks;
+use crate::stripe::Striped;
 use crate::telemetry::push_json_str;
 
 /// Span names used by the middleware and the simulator. Kept as
@@ -226,7 +227,7 @@ pub struct TraceRecorder {
     enabled: bool,
     sample_every_n: u64,
     capacity: usize,
-    read_seq: AtomicU64,
+    read_seq: Striped<AtomicU64>,
     next_id: AtomicU64,
     shards: Vec<Mutex<Vec<SpanRecord>>>,
     ring: Mutex<VecDeque<SpanRecord>>,
@@ -244,7 +245,7 @@ impl TraceRecorder {
             enabled: sample_every_n > 0,
             sample_every_n,
             capacity: capacity.max(1),
-            read_seq: AtomicU64::new(0),
+            read_seq: Striped::new(),
             next_id: AtomicU64::new(1),
             shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             ring: Mutex::new(VecDeque::new()),
@@ -266,16 +267,19 @@ impl TraceRecorder {
         self.enabled
     }
 
-    /// Sampling decision for the next foreground read: true for every
-    /// `sample_every_n`-th call. The disabled path is one branch on an
-    /// immutable bool — no shared-cacheline traffic.
+    /// Sampling decision for the calling thread's next foreground read:
+    /// true for every `sample_every_n`-th read of each thread, its first
+    /// included (a thread past the owned stripes shares a count, and about
+    /// that rate, with the threads handed the same copy). The disabled path
+    /// is one branch on an immutable bool.
     #[inline]
     pub fn sample_read(&self) -> bool {
-        self.enabled
-            && self
-                .read_seq
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(self.sample_every_n)
+        self.enabled && {
+            let seq = self.read_seq.local(AtomicU64::default);
+            let n = seq.load(Ordering::Relaxed);
+            seq.add(|seq| seq, 1);
+            n.is_multiple_of(self.sample_every_n)
+        }
     }
 
     /// Allocate a fresh span/flow id (never 0).
@@ -508,6 +512,21 @@ mod tests {
         assert_eq!(hits, want);
         let every = TraceRecorder::new(1, 128);
         assert!((0..8).all(|_| every.sample_read()));
+    }
+
+    #[test]
+    fn each_thread_keeps_every_nth_of_its_own_reads() {
+        // Two threads read through one recorder at once; each counts on
+        // its own stripe, so each keeps exactly a quarter of its reads
+        // however the two interleave.
+        let r = TraceRecorder::new(4, 128);
+        std::thread::scope(|s| {
+            let threads =
+                [(); 2].map(|()| s.spawn(|| (0..100).filter(|_| r.sample_read()).count()));
+            for sampled in threads {
+                assert_eq!(sampled.join().unwrap(), 25);
+            }
+        });
     }
 
     #[test]

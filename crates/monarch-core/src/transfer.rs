@@ -424,6 +424,7 @@ impl TransferEngine {
     /// Read-path recency signal: forward a foreground access of `id`,
     /// found on `tier`, to the policy engine (LRU-style policies rank by
     /// the stamp it leaves).
+    #[inline]
     pub fn note_access(&self, id: FileId, tier: TierId) {
         self.book.policy().on_access_id(id, tier);
     }
@@ -436,7 +437,7 @@ impl TransferEngine {
 
     /// The books of the instance's copies and tiers.
     #[must_use]
-    pub(crate) fn book(&self) -> &Lifecycle {
+    pub(crate) fn book(&self) -> &Arc<Lifecycle> {
         &self.book
     }
 
@@ -447,8 +448,10 @@ impl TransferEngine {
     /// recorded under `ctx.flow.parent` when sampled), the lane to queue on,
     /// and an optional start deadline.
     pub fn demand(&self, file: FileId, ctx: ReadCtx) -> bool {
-        let size = self.book.metadata().info(file).size;
-        self.schedule(file, Arc::new(Staging::empty(size)), ctx)
+        let Some(info) = self.book.metadata().info(file) else {
+            return false;
+        };
+        self.schedule(file, Arc::new(Staging::empty(info.size)), ctx)
     }
 
     /// [`Self::demand`] by the read that first touches `file`, of `size`
@@ -545,7 +548,7 @@ impl TransferEngine {
     /// size, a concurrent copy won the CAS, or the pool is shutting down).
     pub fn remote_admit(&self, file: FileId, bytes: Vec<u8>, peer: u64, ctx: ReadCtx) -> bool {
         let size = bytes.len() as u64;
-        if size != self.book.metadata().info(file).size {
+        if Some(size) != self.book.metadata().info(file).map(|info| info.size) {
             return false;
         }
         let ctx = ReadCtx {
@@ -698,7 +701,7 @@ impl TransferEngine {
             .files()
             .iter()
             .filter_map(|name| metadata.resolve(name))
-            .map(|id| (id, metadata.info(id).size))
+            .filter_map(|id| Some((id, metadata.info(id)?.size)))
             .collect();
         let window = self.book.plan_opened(&files, state.cfg);
         let admitted = window.len();
@@ -740,10 +743,16 @@ impl TransferEngine {
     /// [`Lifecycle::read_served`] books a prefetch hit, and the flow id of
     /// the prefetch copy issued for this file (`0` if none / untraced), so
     /// the read span can point back at it.
+    #[inline]
     pub fn note_read(&self, id: FileId) -> ReadFeedback {
-        let Some(state) = &self.prefetch else {
-            return ReadFeedback::default();
-        };
+        match &self.prefetch {
+            Some(state) => self.walk_plan(state, id),
+            None => ReadFeedback::default(),
+        }
+    }
+
+    /// [`Self::note_read`] with a plan walker.
+    fn walk_plan(&self, state: &PrefetchState, id: FileId) -> ReadFeedback {
         let note = {
             let mut guard = locks::lock(&state.window);
             let Some(window) = guard.as_mut() else {
@@ -775,10 +784,12 @@ impl TransferEngine {
     /// read may place it again.
     pub fn evict(&self, file: &str) -> Result<bool> {
         let metadata = self.book.metadata();
-        let id = metadata
-            .resolve(file)
-            .ok_or_else(|| Error::UnknownFile(file.to_string()))?;
-        let tier = self.book.hierarchy().tier(metadata.info(id).tier)?;
+        let unknown = || Error::UnknownFile(file.to_string());
+        let id = metadata.resolve(file).ok_or_else(unknown)?;
+        let tier = self
+            .book
+            .hierarchy()
+            .tier(metadata.info(id).ok_or_else(unknown)?.tier)?;
         let at = self.book.telemetry().now_micros();
         self.book.evicted(at, id, tier.id, Evict::Explicit, || {
             tier.driver.remove(file)
@@ -850,7 +861,7 @@ impl TransferEngine {
                 // Copies that left `Copying` (completed, skipped, failed,
                 // or reverted by the panic handler) release byte budget.
                 window.poll_resolved(|id| {
-                    !matches!(metadata.info(id).state, PlacementState::Copying { .. })
+                    !matches!(metadata.info(id), Some(info) if matches!(info.state, PlacementState::Copying { .. }))
                 });
                 match window.next_to_issue() {
                     Some(pick) => pick,

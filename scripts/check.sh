@@ -87,8 +87,12 @@ run_size() {
     # re-resolutions, the victims' `String`s and the moves' `Result`s
     # deleted: -38), `TimeSeries` is a plain `Vec` alias (its newtype
     # methods and trait impls deleted) and the splitmix64 finalizer is
-    # written once, in hash.rs.
-    local core_limit=13620
+    # written once, in hash.rs. 13619 since a plain local hit is one straight
+    # pass of the read loop (`ReadAttempt`, its `Result<Option<…>>` and the
+    # marks' zip chain deleted; `read_full` sized by the loop's own lookup),
+    # paying for `TierHealth::clean`, the inline `note_read` exit, a trace
+    # sample counted per thread and `info`'s `None` for an interned-only id.
+    local core_limit=13619
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
         sort -z |
@@ -157,6 +161,14 @@ run_size() {
 # `ReadClass::of`, or records a `read`, `metadata_lookup`, `tier_resolve` or
 # `driver_pread` span — a second booking site cannot come back. Calls are
 # matched across line breaks.
+#
+# A foreground read takes one pass (DESIGN §3.1): a plain local hit runs
+# straight through `Monarch::read`'s loop, and every other read goes round
+# the same loop. In the non-test code of `middleware.rs` a tier's
+# `read_at(` and the namespace's `resolve_for_read(` each have exactly one
+# call site (line comments left out) — a fast path beside the loop, with a
+# lookup and a pread of its own, cannot come back. Calls are matched across
+# line breaks.
 #
 # A plan is walked once (DESIGN §8): what a foreground read does to the
 # access plan — the cursor it advances, the prefetch pin it lifts, the
@@ -260,6 +272,24 @@ run_lifecycle() {
     done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
     if [ "$bad" -ne 0 ]; then
         echo "lifecycle gate: book the read through Lifecycle::read_served instead" >&2
+        exit 1
+    fi
+    echo "==> lifecycle gate: one foreground pread"
+    f=crates/monarch-core/src/middleware.rs
+    if ! awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" | FILE="$f" perl -0777 -ne '
+        s{//[^\n]*}{}g;
+        my $ok = 1;
+        for my $name ("read_at", "resolve_for_read") {
+            my @lines;
+            while (/(?<![A-Za-z_])\Q$name\E\s*\(/g) {
+                push @lines, 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+            }
+            next if @lines == 1;
+            print "$ENV{FILE}: ", scalar(@lines), " call sites of $name( (lines @lines); want 1\n";
+            $ok = 0;
+        }
+        exit($ok ? 0 : 1);'; then
+        echo "lifecycle gate: serve the read in Monarch::read_impl's one loop instead of a path beside it" >&2
         exit 1
     fi
     echo "==> lifecycle gate: one plan walker"
