@@ -1028,7 +1028,7 @@ impl World {
             ModeTag::Monarch => {
                 let name = &self.shard_names[shard];
                 let ms = self.monarch.as_mut().expect("monarch state");
-                let (id, info) = ms
+                let (id, info, _) = ms
                     .book
                     .metadata()
                     .resolve_for_read(name)
@@ -1596,7 +1596,7 @@ impl World {
         let metadata = ms.book.metadata();
         window.poll_resolved(|id| {
             !metadata
-                .info(id)
+                .placement(id)
                 .is_some_and(|info| matches!(info.state, PlacementState::Copying { .. }))
         });
         let mut scheduled = false;

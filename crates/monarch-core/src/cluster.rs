@@ -545,7 +545,9 @@ impl PeerServer {
         hierarchy: &StorageHierarchy,
         metadata: &MetadataContainer,
     ) -> Option<Vec<u8>> {
-        let info = metadata.get(file)?;
+        let info = metadata
+            .resolve(file)
+            .and_then(|id| metadata.placement(id))?;
         if info.state != PlacementState::Placed || info.tier == hierarchy.source_id() {
             return None;
         }

@@ -62,7 +62,7 @@ pub trait StorageDriver: Send + Sync {
 
 /// Descriptors a driver keeps open: half the common 1024 soft
 /// `RLIMIT_NOFILE`.
-const FD_CACHED: usize = 512;
+pub(crate) const FD_CACHED: usize = 512;
 /// While the table is full, one miss in this many (per thread) evicts and
 /// caches; the others are served on a descriptor of their own and leave
 /// every gate alone.

@@ -38,12 +38,12 @@ use std::sync::Arc;
 
 use crate::health::{device_error_class, ErrorClass, Gate, Transition};
 use crate::hierarchy::{Quota, StorageHierarchy, TierId};
-use crate::metadata::{FileId, FileInfo, MetadataContainer, PlacementState};
+use crate::metadata::{FileId, MetadataContainer, Placement, PlacementState, ReadCount};
 use crate::observe::{ReadClass, ReadTiming};
 use crate::policy::{DecisionPoint, PolicyEngine};
 use crate::pool::Lane;
 use crate::prefetch::{PrefetchConfig, PrefetchWindow, ReadFeedback, ReadNote};
-use crate::stats::Stats;
+use crate::stats::{Stats, ThreadTally};
 use crate::telemetry::{EventKind, TelemetryRegistry, TransitionCause};
 use crate::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
 use crate::{Error, Result};
@@ -505,7 +505,7 @@ impl Lifecycle {
             self.telemetry.pool_exec().record(took * 1_000);
         }
         if run.exec != 0 {
-            let bytes = self.metadata.info(file).map_or(0, |info| info.size);
+            let bytes = self.metadata.placement(file).map_or(0, |info| info.size);
             self.telemetry.trace().record(
                 SpanRecord::new(names::COPY_EXEC, "copy", run.track, run.start, took)
                     .with_id(run.exec)
@@ -536,7 +536,7 @@ impl Lifecycle {
         remove: impl FnOnce() -> Result<()>,
     ) -> Result<bool> {
         let source = self.hierarchy.source_id();
-        let info = self.metadata.info(victim).filter(|info| info.tier == tier);
+        let info = self.metadata.placement(victim).filter(|p| p.tier == tier);
         let Some(info) = info.filter(|info| info.state == PlacementState::Placed && tier != source)
         else {
             return Ok(false);
@@ -776,9 +776,9 @@ impl Lifecycle {
     pub fn plan_closed(&self, window: Option<PrefetchWindow>) {
         self.policy.clear_pins();
         let source = self.hierarchy.source_id();
-        let staged = |info: FileInfo| info.state == PlacementState::Placed && info.tier != source;
+        let staged = |info: Placement| info.state == PlacementState::Placed && info.tier != source;
         for (id, issued, read_seen) in window.map_or_else(Vec::new, |mut w| w.drain()) {
-            if issued && !read_seen && self.metadata.info(id).is_some_and(staged) {
+            if issued && !read_seen && self.metadata.placement(id).is_some_and(staged) {
                 self.stats().prefetch_wasted();
             }
         }
@@ -842,10 +842,26 @@ impl Lifecycle {
     /// read-latency sample, when it carried the clock at a weight. A sampled
     /// read leaves its `read → metadata_lookup → tier_resolve → driver_pread`
     /// span tree. An untimed, unsampled hit does nothing but relaxed adds.
+    ///
+    /// The booking looks up the calling thread's tally and its count of the
+    /// file; the engine's read loop, which holds both, books through
+    /// `read_served_by`.
     pub fn read_served(&self, read: &ServedRead) {
+        let tally = self.stats().thread_tally();
+        self.read_served_by(read, &tally, &self.metadata.counter(read.id, read.tier));
+    }
+
+    /// [`Self::read_served`] through the handles the read already holds: the
+    /// tally its `Reading` guard entered and the count its lookup took.
+    pub(crate) fn read_served_by(
+        &self,
+        read: &ServedRead,
+        tally: &ThreadTally<'_>,
+        count: &ReadCount<'_>,
+    ) {
         let stats = self.stats();
         match read.how {
-            Served::Tier => stats.record_read(read.tier, read.bytes),
+            Served::Tier => tally.record_read(read.tier, read.bytes),
             Served::Staged { fetched } => stats.record_staged(fetched == 0, read.bytes - fetched),
             Served::Peer => stats.peer_hit(read.bytes),
         }
@@ -885,8 +901,9 @@ impl Lifecycle {
             read.plan.planned,
             read.copying,
         );
-        self.telemetry.profiler().record_read_id(
-            read.id,
+        self.telemetry.profiler().record_counted(
+            tally,
+            Some((read.id, count)),
             read.tier,
             read.bytes,
             class,

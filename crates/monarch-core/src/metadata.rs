@@ -32,15 +32,18 @@
 //! The identity line is written at registration and on placement
 //! transitions — and, under an evicting policy only, by a hit's touch — so
 //! concurrent hits under the paper's first-fit share it clean. The counters
-//! line is the one line every hit writes that another reader's hit may also
-//! write — and then only a reader of the same file: its access count and
-//! the bytes it was served per tier, which the access profiler reports from
-//! here rather than from cells of its own.
+//! line holds the file's access count and bytes per tier, which the access
+//! profiler reports from here. A read does not add to it but to a *count
+//! cell* of its thread's stripe (see the `stripe` module): 512 a thread,
+//! `{ key: tier + 1, reads, bytes }`, cell `i` for id `i`; a read of an id
+//! past them, or on a thread past the owned stripes, adds to the line, and
+//! a cell whose file moves tier flushes to it. Readers of the counts fold
+//! the line with the cells, exact once the counting threads are quiet.
 //!
 //! Names resolve through an insert-only open-addressing index whose cells
 //! are atomics (`hash tag | id + 1`): a lookup is one hash, a probe and a
 //! name compare — no lock, no write to anything shared — then acquire loads
-//! from the slot's identity and one add to the file's own read counter.
+//! from the slot's identity and one add to the reading thread's cell.
 //! Writers (`register`, which runs during the scan) serialise on a mutex.
 //! The index grows by building a table twice the size and publishing it;
 //! superseded tables are kept until the container drops, so a reader that
@@ -54,12 +57,14 @@
 //! profiler keeps the rest of its per-file records in a slab of the same
 //! geometry beside this one ([`locate`]), addressed by the same ids.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::hash::hash_str;
 use crate::hierarchy::MAX_LEVELS;
 use crate::locks;
+use crate::stripe::{add_owned, Striped};
 use crate::{Error, Result, TierId};
 
 /// Placement lifecycle of one file.
@@ -76,6 +81,18 @@ pub enum PlacementState {
     /// Resident on its current tier (which may be the PFS if placement was
     /// skipped, e.g. because local tiers filled up).
     Placed,
+}
+
+/// Where a file is: a [`FileInfo`] without its count, which is what a
+/// read's lookup, and a read that goes round again, need of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// File size in bytes.
+    pub size: u64,
+    /// Tier currently serving reads for this file.
+    pub tier: TierId,
+    /// Placement lifecycle state.
+    pub state: PlacementState,
 }
 
 /// Per-file record — the paper's *file info*.
@@ -176,8 +193,9 @@ fn unpack(place: u64) -> (PlacementState, TierId) {
 // The slab
 // ---------------------------------------------------------------------------
 
-/// What every read of a file adds to: a cache line of its own, so the
-/// adds dirty nothing a lookup of this or any other file reads.
+/// What the reads of a file add up to beyond the count cells: a cache line
+/// of its own, so an add dirties nothing a lookup of this or any other
+/// file reads.
 #[derive(Default)]
 #[repr(align(64))]
 struct Counters {
@@ -211,6 +229,96 @@ const _: () = {
     assert!(offset_of!(Slot, touched) + 8 <= offset_of!(Slot, counters));
     assert!(size_of::<Slot>() <= 128);
 };
+
+// ---------------------------------------------------------------------------
+// Count cells
+// ---------------------------------------------------------------------------
+
+/// Count cells a thread keeps per namespace (12 KiB), for the ids below it:
+/// as many as a driver keeps descriptors open, so a namespace the table
+/// holds has a cell for every file.
+pub(crate) const COUNT_CELLS: usize = crate::driver::FD_CACHED;
+
+/// One thread's reads and bytes of its file on one tier that are not on the
+/// file's counters line yet. Only the owner of its stripe writes it.
+struct CountCell {
+    /// The tier, plus one; 0 while empty.
+    key: AtomicU64,
+    reads: AtomicU64,
+    bytes: AtomicU64,
+}
+
+/// A thread's cells before its first read: every key 0 (empty). Built as a
+/// constant, so that a reader's first read does not pay a loop for them.
+const fn empty_cells() -> CountCells {
+    [const {
+        CountCell {
+            key: AtomicU64::new(0),
+            reads: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+        }
+    }; COUNT_CELLS]
+}
+
+type CountCells = [CountCell; COUNT_CELLS];
+
+impl CountCell {
+    fn held(&self) -> (u64, u64) {
+        (
+            self.reads.load(Ordering::Relaxed),
+            self.bytes.load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// The one writer of a slot's counters line: add `reads` and `bytes`
+/// served from `tier` (no cell: no such level in any hierarchy).
+fn flush(slot: &Slot, tier: TierId, reads: u64, bytes: u64) {
+    if reads > 0 {
+        slot.counters.reads.fetch_add(reads, Ordering::Relaxed);
+    }
+    if let (Some(cell), true) = (slot.counters.bytes.get(tier), bytes > 0) {
+        cell.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
+
+/// Where a read's counts go: the calling thread's cell for its file and
+/// tier, or the file's counters line (an id past the cells, a thread that
+/// owns no stripe). Not `Send`: the owner's adds are exact from it only.
+pub struct ReadCount<'a> {
+    slot: &'a Slot,
+    key: u64,
+    cell: Option<&'a CountCell>,
+    _owner: PhantomData<*const ()>,
+}
+
+impl ReadCount<'_> {
+    fn tier(&self) -> TierId {
+        (self.key - 1) as TierId
+    }
+
+    /// Count one read.
+    #[inline]
+    pub(crate) fn add_read(&self) {
+        match self.cell {
+            Some(cell) => add_owned(&cell.reads, 1),
+            None => flush(self.slot, self.tier(), 1, 0),
+        }
+    }
+
+    /// Count `bytes` served from `tier` (in the cell while it holds this
+    /// file on this tier); returns whether the file is [`Mark::Prefetched`].
+    #[inline]
+    pub(crate) fn add_bytes(&self, tier: TierId, bytes: u64) -> bool {
+        match self.cell {
+            Some(cell) if tier == self.tier() && cell.key.load(Ordering::Relaxed) == self.key => {
+                add_owned(&cell.bytes, bytes);
+            }
+            _ => flush(self.slot, tier, 0, bytes),
+        }
+        self.slot.place.load(Ordering::Relaxed) & Mark::Prefetched as u64 != 0
+    }
+}
 
 /// log2 of the first chunk's length; chunk `k` holds `1 << (k + 6)` slots.
 /// Small, so that a fresh container over a small namespace costs a page.
@@ -389,6 +497,8 @@ struct Clock(AtomicU64);
 pub struct MetadataContainer {
     index: Index,
     slab: Slab,
+    /// Each owned stripe's count cells, built on its thread's first read.
+    cells: Striped<CountCells>,
     /// Names in the namespace (interned-only names are not counted).
     registered: AtomicUsize,
     clock: Clock,
@@ -407,6 +517,7 @@ impl Default for MetadataContainer {
         Self {
             index: Index::new(),
             slab: Slab::new(),
+            cells: Striped::new(),
             registered: AtomicUsize::new(0),
             clock: Clock::default(),
         }
@@ -434,49 +545,103 @@ impl MetadataContainer {
 
     /// Reads counted on `id` so far.
     pub(crate) fn reads_of(&self, id: FileId) -> u64 {
-        self.slab.slot(id).counters.reads.load(Ordering::Relaxed)
-    }
-
-    /// Count `bytes` served to the foreground from `tier` on `id`'s
-    /// counters line (no cell: no such level in any hierarchy); returns
-    /// whether the file is [`Mark::Prefetched`], off the same slot.
-    #[inline]
-    pub(crate) fn count_bytes(&self, id: FileId, tier: TierId, bytes: u64) -> bool {
-        let slot = self.slab.slot(id);
-        if let Some(cell) = slot.counters.bytes.get(tier) {
-            cell.fetch_add(bytes, Ordering::Relaxed);
-        }
-        slot.place.load(Ordering::Relaxed) & Mark::Prefetched as u64 != 0
+        self.counts(id).0
     }
 
     /// Bytes served to the foreground from each of the first `tiers`
     /// tiers on `id`.
     pub(crate) fn bytes_of(&self, id: FileId, tiers: usize) -> Vec<u64> {
-        let cells = &self.slab.slot(id).counters.bytes;
-        cells[..tiers.min(MAX_LEVELS)]
-            .iter()
-            .map(|cell| cell.load(Ordering::Relaxed))
-            .collect()
+        self.counts(id).1[..tiers.min(MAX_LEVELS)].to_vec()
     }
 
-    /// Count one read of `id` — for a caller that accounts a read no
-    /// [`Self::resolve_for_read`] saw. Returns the count including it.
-    pub(crate) fn count_read(&self, id: FileId) -> u64 {
-        let reads = &self.slab.slot(id).counters.reads;
-        reads.fetch_add(1, Ordering::Relaxed) + 1
+    /// `id`'s reads and bytes per tier: its counters line plus every
+    /// stripe's cell. Exact once the counting threads are quiet; a fold that
+    /// races a flush may miss the cell's counts, never count them twice.
+    fn counts(&self, id: FileId) -> (u64, [u64; MAX_LEVELS]) {
+        let slot = self.slab.slot(id);
+        let mut reads = slot.counters.reads.load(Ordering::Relaxed);
+        let mut bytes: [u64; MAX_LEVELS] =
+            std::array::from_fn(|tier| slot.counters.bytes[tier].load(Ordering::Relaxed));
+        // A flush empties its cell's key before it adds to the line: a
+        // line seen with the add has the cell below seen empty or re-keyed.
+        fence(Ordering::Acquire);
+        let cells = self.cells.iter().take_while(|_| id.index() < COUNT_CELLS);
+        for cells in cells {
+            let cell = &cells[id.index()];
+            let key = cell.key.load(Ordering::Acquire);
+            if key == 0 {
+                continue;
+            }
+            let (r, b) = cell.held();
+            // Counts zeroed by a re-keying since are seen with its key gone.
+            fence(Ordering::Acquire);
+            if cell.key.load(Ordering::Relaxed) == key {
+                reads = reads.wrapping_add(r);
+                if let Some(sum) = bytes.get_mut(key as usize - 1) {
+                    *sum = sum.wrapping_add(b);
+                }
+            }
+        }
+        (reads, bytes)
+    }
+
+    /// The calling thread's count of `id`'s reads of `tier`: its cell, or
+    /// the file's line for an id past the cells.
+    #[inline]
+    pub(crate) fn counter(&self, id: FileId, tier: TierId) -> ReadCount<'_> {
+        self.count_in(id, self.slab.slot(id), tier)
+    }
+
+    #[inline]
+    fn count_in<'a>(&'a self, id: FileId, slot: &'a Slot, tier: TierId) -> ReadCount<'a> {
+        let key = tier as u64 + 1;
+        // An id past the cells counts on its file's line, looking none up.
+        let cells = (id.index() < COUNT_CELLS)
+            .then(|| self.cells.owned(empty_cells))
+            .flatten();
+        let cell = cells.map(|cells| {
+            let cell = &cells[id.index()];
+            let held = cell.key.load(Ordering::Relaxed);
+            if held == key {
+                return cell;
+            }
+            // Empty, flush, zero, key: a fold (`counts`) sees the counts
+            // under the key they were taken for, or not at all.
+            if held != 0 {
+                cell.key.store(0, Ordering::Relaxed);
+                fence(Ordering::Release);
+                let (r, b) = cell.held();
+                flush(slot, (held - 1) as TierId, r, b);
+                cell.reads.store(0, Ordering::Relaxed);
+                cell.bytes.store(0, Ordering::Relaxed);
+            }
+            cell.key.store(key, Ordering::Release);
+            cell
+        });
+        ReadCount {
+            slot,
+            key,
+            cell,
+            _owner: PhantomData,
+        }
+    }
+
+    /// Where `id` is, without its count: what a read that goes round again
+    /// needs. `None` for an id that was only interned: it is no file.
+    #[must_use]
+    pub fn placement(&self, id: FileId) -> Option<Placement> {
+        let slot = self.slab.slot(id);
+        let place = slot.place.load(Ordering::Acquire);
+        (place & STATE_MASK != ABSENT).then(|| Self::placement_of(slot, place))
     }
 
     /// The current record of a file [`Self::resolve`] or
-    /// [`Self::resolve_for_read`] resolved, without touching counters: a
-    /// read that goes round again (its copy was evicted under it, its tier
-    /// failed) is still one read. `None` for an id that was only interned:
-    /// it is no file, and has no size, tier or state.
+    /// [`Self::resolve_for_read`] resolved, its count folded; `None` for an
+    /// id that was only interned.
     #[must_use]
     pub fn info(&self, id: FileId) -> Option<FileInfo> {
-        let slot = self.slab.slot(id);
-        let place = slot.place.load(Ordering::Acquire);
-        let reads = slot.counters.reads.load(Ordering::Relaxed);
-        (place & STATE_MASK != ABSENT).then(|| Self::info_of(slot, place, reads))
+        let placement = self.placement(id)?;
+        Some(Self::info_of(placement, self.reads_of(id)))
     }
 
     /// The slot of `name`, created absent if the name has none. `entries`
@@ -504,12 +669,20 @@ impl MetadataContainer {
             .ok_or_else(|| Error::UnknownFile(name.into()))
     }
 
-    fn info_of(slot: &Slot, place: u64, reads: u64) -> FileInfo {
+    fn placement_of(slot: &Slot, place: u64) -> Placement {
         let (state, tier) = unpack(place);
-        FileInfo {
+        Placement {
             size: slot.size.load(Ordering::Relaxed),
             tier,
             state,
+        }
+    }
+
+    fn info_of(p: Placement, reads: u64) -> FileInfo {
+        FileInfo {
+            size: p.size,
+            tier: p.tier,
+            state: p.state,
             reads,
         }
     }
@@ -554,26 +727,29 @@ impl MetadataContainer {
         self.find_registered(name).ok().map(|(id, _, _)| id)
     }
 
-    /// Look up a file, bumping its read counter; its id comes along so the
-    /// caller can address the file without hashing the name again.
-    pub fn resolve_for_read(&self, name: &str) -> Result<(FileId, FileInfo)> {
+    /// Look up a file and count its read in the calling thread's cell for
+    /// it and its tier, which comes along for the booking's bytes, with the
+    /// id. Nothing is folded: [`Self::info`] sums the cells.
+    #[inline]
+    pub fn resolve_for_read(&self, name: &str) -> Result<(FileId, Placement, ReadCount<'_>)> {
         let (id, slot, place) = self.find_registered(name)?;
-        let reads = slot.counters.reads.fetch_add(1, Ordering::Relaxed) + 1;
-        Ok((id, Self::info_of(slot, place, reads)))
+        let placement = Self::placement_of(slot, place);
+        let count = self.count_in(id, slot, placement.tier);
+        count.add_read();
+        Ok((id, placement, count))
     }
 
-    /// Look up a file, bumping its read counter.
-    pub fn lookup_for_read(&self, name: &str) -> Result<FileInfo> {
-        self.resolve_for_read(name).map(|(_, info)| info)
+    /// Look up a file, counting its read.
+    pub fn lookup_for_read(&self, name: &str) -> Result<Placement> {
+        self.resolve_for_read(name).map(|(_, p, _)| p)
     }
 
-    /// Look up a file without touching counters.
+    /// Look up a file without touching counters; its count folded.
     pub fn get(&self, name: &str) -> Option<FileInfo> {
-        let (_, slot, place) = self.find_registered(name).ok()?;
+        let (id, slot, place) = self.find_registered(name).ok()?;
         Some(Self::info_of(
-            slot,
-            place,
-            slot.counters.reads.load(Ordering::Relaxed),
+            Self::placement_of(slot, place),
+            self.reads_of(id),
         ))
     }
 
@@ -737,21 +913,22 @@ impl MetadataContainer {
     /// Total bytes across all registered files.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        let mut total = 0;
-        self.for_each(|_, info| total += info.size);
-        total
+        self.placements().map(|p| p.size).sum()
     }
 
     /// Count of files currently resident on each tier (index = tier id).
     #[must_use]
     pub fn residency_histogram(&self, tiers: usize) -> Vec<u64> {
         let mut hist = vec![0u64; tiers];
-        self.for_each(|_, info| {
-            if info.tier < tiers {
-                hist[info.tier] += 1;
-            }
-        });
+        for p in self.placements().filter(|p| p.tier < tiers) {
+            hist[p.tier] += 1;
+        }
         hist
+    }
+
+    /// Every file's placement, its count not folded.
+    fn placements(&self) -> impl Iterator<Item = Placement> + '_ {
+        self.ids().filter_map(|id| self.placement(id))
     }
 
     /// Visit every entry (snapshot order is unspecified).
@@ -761,10 +938,20 @@ impl MetadataContainer {
             let place = slot.place.load(Ordering::Acquire);
             // A slot mid-registration has no name (or no state) yet.
             if let (Some(name), true) = (slot.name.get(), place & STATE_MASK != ABSENT) {
-                let reads = slot.counters.reads.load(Ordering::Relaxed);
-                f(name, &Self::info_of(slot, place, reads));
+                let info = Self::info_of(Self::placement_of(slot, place), self.reads_of(id));
+                f(name, &info);
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl MetadataContainer {
+    /// `id`'s counters line alone: its reads and its bytes per tier.
+    pub(crate) fn line_counts(&self, id: FileId) -> (u64, [u64; MAX_LEVELS]) {
+        let slot = self.slab.slot(id);
+        let bytes = std::array::from_fn(|tier| slot.counters.bytes[tier].load(Ordering::Relaxed));
+        (slot.counters.reads.load(Ordering::Relaxed), bytes)
     }
 }
 
@@ -1008,5 +1195,42 @@ mod tests {
         m.for_each(|name, info| seen.push((name.to_string(), info.size)));
         seen.sort();
         assert_eq!(seen, vec![("a".into(), 1), ("b".into(), 2)]);
+    }
+
+    #[test]
+    fn a_cell_flushes_when_its_file_moves_tier_and_ids_past_the_cells_have_none() {
+        // The counting thread must own a stripe, which other tests' threads
+        // may all hold: the test runs alone, in a child process.
+        if !crate::stripe::tests::alone(
+            "metadata::tests::a_cell_flushes_when_its_file_moves_tier_and_ids_past_the_cells_have_none",
+        ) {
+            return;
+        }
+        let m = MetadataContainer::default();
+        for i in 0..=COUNT_CELLS {
+            m.register(&format!("f{i}"), 1, 0);
+        }
+        // Id 512 is past the cells.
+        let (a, b) = (FileId(0), FileId(COUNT_CELLS as u32));
+        for _ in 0..3 {
+            let count = m.counter(a, 0);
+            count.add_read();
+            count.add_bytes(0, 10);
+        }
+        let b_count = m.counter(b, 0);
+        b_count.add_read();
+        b_count.add_bytes(0, 7);
+        assert_eq!(m.line_counts(a), (0, [0; MAX_LEVELS]), "a is in its cell");
+        let mut seven = [0; MAX_LEVELS];
+        seven[0] = 7;
+        assert_eq!(m.line_counts(b), (1, seven), "b is on its line");
+        assert_eq!((m.reads_of(a), m.bytes_of(a, 2)), (3, vec![30, 0]));
+        // a moves to tier 1: its cell flushes what tier 0 served.
+        m.counter(a, 1).add_read();
+        let mut thirty = [0; MAX_LEVELS];
+        thirty[0] = 30;
+        assert_eq!(m.line_counts(a), (3, thirty), "the cell flushed");
+        assert_eq!((m.reads_of(a), m.bytes_of(a, 2)), (4, vec![30, 0]));
+        assert_eq!((m.reads_of(b), m.bytes_of(b, 2)), (1, vec![7, 0]));
     }
 }

@@ -33,7 +33,7 @@ use crate::health::{device_error_class, ErrorClass, Gate};
 use crate::hierarchy::StorageHierarchy;
 use crate::lifecycle::{ReadTrace, Served, ServedRead};
 use crate::locks;
-use crate::metadata::{FileInfo, MetadataContainer, PlacementState};
+use crate::metadata::{MetadataContainer, Placement, PlacementState};
 use crate::prefetch::AccessPlan;
 use crate::serve::MetricsServer;
 use crate::stats::StatsSnapshot;
@@ -203,12 +203,12 @@ impl Monarch {
         // The read's span id comes first: the placement copy the read may
         // announce on its way is parented and flow-linked to it.
         let read_id = if sampled { tr.next_id() } else { 0 };
-        let (id, mut info) = self.metadata.resolve_for_read(file)?;
+        let (id, mut info, count) = self.metadata.resolve_for_read(file)?;
         self.engine.note_access(id, info.tier);
         let buf = buf(info.size);
         let look_again = || {
             self.metadata
-                .info(id)
+                .placement(id)
                 .ok_or_else(|| Error::UnknownFile(file.into()))
         };
         let (source, health) = (self.hierarchy.source_id(), self.hierarchy.health());
@@ -256,7 +256,7 @@ impl Monarch {
             // peer, falls between the same two instants as a pread.
             let moved = || {
                 self.metadata
-                    .info(id)
+                    .placement(id)
                     .is_some_and(|now| now.state != info.state)
             };
             let served = match info.state {
@@ -395,9 +395,10 @@ impl Monarch {
         // Clairvoyant bookkeeping: advance the plan cursor past this file,
         // upgrade a still-queued prefetch copy to the demand lane, and
         // release more of the plan to the prefetcher; the booking below
-        // counts the hit.
+        // counts the hit, through the tally the read entered and the count
+        // its lookup took.
         let plan = self.engine.note_read(id);
-        book.read_served(&ServedRead {
+        let read = ServedRead {
             id,
             offset,
             bytes: n as u64,
@@ -416,7 +417,8 @@ impl Monarch {
             marks: clock.map(|[entry, lookup, resolve, pread]| {
                 [entry, lookup, resolve, pread, Instant::now()].map(|t| self.telemetry.nanos_at(t))
             }),
-        });
+        };
+        book.read_served_by(&read, reading.tally(), &count);
         Ok(n)
     }
 
@@ -459,9 +461,9 @@ impl Monarch {
 
     /// Size of `file` per the namespace.
     pub fn file_size(&self, file: &str) -> Result<u64> {
-        self.metadata
-            .get(file)
-            .map(|i| i.size)
+        let id = self.metadata.resolve(file);
+        id.and_then(|id| self.metadata.placement(id))
+            .map(|p| p.size)
             .ok_or_else(|| Error::UnknownFile(file.into()))
     }
 
@@ -491,8 +493,8 @@ impl Monarch {
                 break;
             }
             // A name interned outside the namespace is no file to stage.
-            let unplaced = |info: FileInfo| info.state == PlacementState::Unplaced;
-            if !self.metadata.info(id).is_some_and(unplaced) {
+            let unplaced = |info: Placement| info.state == PlacementState::Unplaced;
+            if !self.metadata.placement(id).is_some_and(unplaced) {
                 continue;
             }
             // Same dedup CAS as the read path; racing readers lose or win

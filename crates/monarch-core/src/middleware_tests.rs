@@ -1585,3 +1585,31 @@ fn a_failed_plain_source_read_leaves_the_source_closed() {
     assert_eq!(m.read("f", 0, &mut buf).unwrap(), 100);
     assert_eq!(buf, doomed_bytes()[..100]);
 }
+
+#[test]
+fn a_warm_hit_counts_in_its_threads_cell_and_leaves_the_files_line_alone() {
+    // The reading thread must own a stripe, which other tests' threads may
+    // all hold: the test runs alone, in a child process.
+    if !crate::stripe::tests::alone(
+        "middleware::tests::a_warm_hit_counts_in_its_threads_cell_and_leaves_the_files_line_alone",
+    ) {
+        return;
+    }
+    const N: u64 = 100;
+    let m = mem_monarch(1 << 20, 1, 4096);
+    m.prestage();
+    m.wait_placement_idle();
+    let files = m.metadata();
+    let id = files.resolve("f000").unwrap();
+    let mut buf = [0u8; 512];
+    // The thread's first read takes its cell for the placed file.
+    assert_eq!(m.read("f000", 0, &mut buf).unwrap(), 512);
+    let (line, reads) = (files.line_counts(id), files.reads_of(id));
+    for _ in 0..N {
+        assert_eq!(m.read("f000", 512, &mut buf).unwrap(), 512);
+    }
+    assert_eq!(files.line_counts(id), line, "a hit wrote the file's line");
+    assert_eq!(files.reads_of(id), reads + N);
+    assert_eq!(files.bytes_of(id, 2), vec![(N + 1) * 512, 0]);
+    assert_eq!(files.get("f000").unwrap().reads, reads + N);
+}

@@ -20,8 +20,9 @@
 //! `reads`, bytes per tier, miss and prefetch tallies — are recorded on
 //! every read and are exact. A plain hit writes none in this slab: the
 //! ledger's `reads` is its thread's tally in [`Stats`], the access count and
-//! bytes per tier are the namespace slot's counters line, and whether the
-//! file was ever prefetched is a bit of its placement word. Its
+//! bytes per tier are the namespace's (its thread's count cell, folded with
+//! the file's counters line when read), and whether the file was ever
+//! prefetched is a bit of its placement word. Its
 //! **times** — its four phases, the file's last-access instant and
 //! inter-access gap — are recorded on *timed* reads only, each standing for
 //! `weight` reads (see [`ReadTiming`]): every read that is not a plain local
@@ -45,8 +46,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::hierarchy::TierId;
 use crate::lifecycle::Served;
-use crate::metadata::{chunk_len, locate, FileId, Mark, MetadataContainer, CHUNKS};
-use crate::stats::Stats;
+use crate::metadata::{chunk_len, locate, FileId, Mark, MetadataContainer, ReadCount, CHUNKS};
+use crate::stats::{Stats, ThreadTally};
 use crate::stripe::Striped;
 use crate::telemetry::StallProfile;
 
@@ -338,7 +339,7 @@ pub struct AccessProfiler {
     tiers: usize,
     max_files: usize,
     /// The namespace whose ids index the records: it names them, and its
-    /// per-file counters line *is* their access count and bytes per tier.
+    /// per-file counts *are* their access count and bytes per tier.
     files: Arc<MetadataContainer>,
     /// The instance's counters, whose tallies hold the ledger's `reads`.
     stats: Arc<Stats>,
@@ -434,16 +435,18 @@ impl AccessProfiler {
             .or_else(|| (self.files.ids().len() < self.max_files).then(|| self.files.intern(file)))
     }
 
-    /// Record one foreground read of a file the caller resolved (and whose
-    /// access the namespace counted): the ledger's and the file's counts
-    /// always; when the read carried the clock, its `timing` — into the
-    /// stall profile, and its pread by `class` into the ledger — and its
+    /// Record one foreground read of a file the caller resolved, through
+    /// the handles the read already holds: its thread's tally and the count
+    /// its lookup took (`None`: untracked). The ledger's and the file's
+    /// counts always; when the read carried the clock, its `timing` — into
+    /// the stall profile, and its pread by `class` into the ledger — and its
     /// end, `t_us` on the registry clock, into the file's access rhythm.
     /// The one call through which a read's time is recorded.
     #[allow(clippy::too_many_arguments)]
-    pub fn record_read_id(
+    pub(crate) fn record_counted(
         &self,
-        id: FileId,
+        tally: &ThreadTally<'_>,
+        read: Option<(FileId, &ReadCount<'_>)>,
         tier: TierId,
         bytes: u64,
         class: ReadClass,
@@ -451,23 +454,10 @@ impl AccessProfiler {
         timing: Option<&ReadTiming>,
         t_us: u64,
     ) {
-        if self.enabled {
-            self.record(Some(id), tier, bytes, class, prefetch_hit, timing, t_us);
+        if !self.enabled {
+            return;
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &self,
-        id: Option<FileId>,
-        tier: TierId,
-        bytes: u64,
-        class: ReadClass,
-        prefetch_hit: bool,
-        timing: Option<&ReadTiming>,
-        t_us: u64,
-    ) {
-        self.stats.profiled_read(timing.is_some());
+        tally.profiled_read(timing.is_some());
         if let Some(t) = timing {
             self.stall
                 .record_timing(t, class == ReadClass::DegradedFallback);
@@ -475,11 +465,11 @@ impl AccessProfiler {
                 .local(LedgerAccum::default)
                 .add(|l| &l[class as usize], t.pread_ns.saturating_mul(t.weight));
         }
-        let Some(id) = id.filter(|id| id.index() < self.max_files) else {
+        let Some((id, count)) = read.filter(|(id, _)| id.index() < self.max_files) else {
             self.untracked_reads.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let after_prefetch = self.files.count_bytes(id, tier, bytes);
+        let after_prefetch = count.add_bytes(tier, bytes);
         let miss = class != ReadClass::Fast;
         if !(miss || prefetch_hit || after_prefetch || timing.is_some()) {
             // A plain hit: nothing of it is this slab's.
@@ -500,7 +490,7 @@ impl AccessProfiler {
         }
     }
 
-    /// [`Self::record_read_id`] by name, for a read nothing else counted:
+    /// [`Self::record_counted`] by name, for a read nothing else counted:
     /// resolves `file`, counts the access, and records the read as timed
     /// with the caller's clock.
     #[allow(clippy::too_many_arguments)]
@@ -517,10 +507,14 @@ impl AccessProfiler {
         if !self.enabled {
             return;
         }
-        let id = self.resolve(file).inspect(|&id| {
-            self.files.count_read(id);
-        });
-        self.record(id, tier, bytes, class, prefetch_hit, Some(&timing), t_us);
+        let id = self.resolve(file);
+        let count = id.map(|id| self.files.counter(id, tier));
+        if let Some(count) = &count {
+            count.add_read();
+        }
+        let read = id.zip(count.as_ref());
+        let (tally, timing) = (self.stats.thread_tally(), Some(&timing));
+        self.record_counted(&tally, read, tier, bytes, class, prefetch_hit, timing, t_us);
     }
 
     /// Record that the prefetcher finished staging `bytes` of the file
@@ -835,9 +829,11 @@ mod tests {
         };
         // The namespace counts the accesses, as the read path's lookup does.
         let read = |timing: Option<ReadTiming>, t_us| {
-            p.files.count_read(ids[0]);
-            let class = ReadClass::Fast;
-            p.record_read_id(ids[0], 0, 4096, class, false, timing.as_ref(), t_us);
+            let count = p.files.counter(ids[0], 0);
+            count.add_read();
+            let (tally, class) = (p.stats.thread_tally(), ReadClass::Fast);
+            let read = Some((ids[0], &count));
+            p.record_counted(&tally, read, 0, 4096, class, false, timing.as_ref(), t_us);
         };
         read(Some(timed(1)), 1_000);
         (0..15).for_each(|_| read(None, 0));
@@ -866,8 +862,10 @@ mod tests {
     fn ids_past_the_bound_only_bump_untracked_reads() {
         let (p, ids) = shared(&["a", "b", "c", "d"], 2);
         for id in &ids {
-            p.files.count_read(*id);
-            p.record_read_id(*id, 1, 8, ReadClass::PfsCold, false, None, 0);
+            let count = p.files.counter(*id, 1);
+            count.add_read();
+            let (tally, class) = (p.stats.thread_tally(), ReadClass::PfsCold);
+            p.record_counted(&tally, Some((*id, &count)), 1, 8, class, false, None, 0);
             p.record_prefetch_staged_id(*id, 8, 5);
         }
         let s = p.snapshot();

@@ -225,7 +225,7 @@ counters! {
     /// [`TIMED_HIT_PERIOD`](crate::telemetry::TIMED_HIT_PERIOD), which
     /// those records weigh accordingly. Against the read counts, the share
     /// of reads the time estimates rest on. Counted where the access
-    /// profiler books a read ([`Stats::profiled_read`]).
+    /// profiler books a read.
     timed_reads:
         "monarch_timed_reads_total", "Reads that carried the clock into the time records.";
 }
@@ -268,22 +268,17 @@ impl Stats {
             .fold(0, u64::wrapping_add)
     }
 
+    /// The calling thread's tally, looked up once for the counts of one
+    /// read's booking.
+    #[inline]
+    pub(crate) fn thread_tally(&self) -> ThreadTally<'_> {
+        ThreadTally(self.tally())
+    }
+
     /// Record a read of `bytes` served by `tier`.
     #[inline]
     pub fn record_read(&self, tier: TierId, bytes: u64) {
-        let t = self.tally();
-        t.add(|t| &t.tiers[tier].reads, 1);
-        t.add(|t| &t.tiers[tier].bytes_read, bytes);
-    }
-
-    /// Count one read the access profiler booked, and whether it was
-    /// `timed` ([`StatsSnapshot::timed_reads`]).
-    pub(crate) fn profiled_read(&self, timed: bool) {
-        let t = self.tally();
-        t.add(|t| &t.profiled, 1);
-        if timed {
-            t.add(|t| &t.scalars[Counter::timed_reads as usize], 1);
-        }
+        self.thread_tally().record_read(tier, bytes);
     }
 
     /// Reads the access profiler booked so far: its ledger's `reads`.
@@ -299,7 +294,7 @@ impl Stats {
         let tally = self.tally();
         tally.add(|t| &t.in_flight, 1);
         Reading {
-            tally,
+            tally: ThreadTally(tally),
             local_tiers: self.levels.saturating_sub(1),
         }
     }
@@ -367,35 +362,66 @@ impl Stats {
     }
 }
 
+/// The calling thread's tally ([`Stats::thread_tally`]): what a read's
+/// booking counts through.
+pub(crate) struct ThreadTally<'a>(Local<'a, Tally>);
+
+impl ThreadTally<'_> {
+    /// [`Stats::record_read`] on this tally.
+    #[inline]
+    pub(crate) fn record_read(&self, tier: TierId, bytes: u64) {
+        self.0.add(|t| &t.tiers[tier].reads, 1);
+        self.0.add(|t| &t.tiers[tier].bytes_read, bytes);
+    }
+
+    /// Count one read the access profiler booked, and whether it was
+    /// `timed` ([`StatsSnapshot::timed_reads`]).
+    #[inline]
+    pub(crate) fn profiled_read(&self, timed: bool) {
+        self.0.add(|t| &t.profiled, 1);
+        if timed {
+            self.0.add(|t| &t.scalars[Counter::timed_reads as usize], 1);
+        }
+    }
+}
+
 /// A read in flight on the calling thread ([`Stats::enter_read`]); it
-/// leaves, on drop, the tally it entered.
+/// leaves, on drop, the tally it entered, which it hands the read's
+/// booking meanwhile ([`Self::tally`]).
 pub(crate) struct Reading<'a> {
-    tally: Local<'a, Tally>,
+    tally: ThreadTally<'a>,
     local_tiers: usize,
 }
 
-impl Reading<'_> {
+impl<'a> Reading<'a> {
+    /// The tally the read entered: the calling thread's.
+    #[inline]
+    pub(crate) fn tally(&self) -> &ThreadTally<'a> {
+        &self.tally
+    }
+
     /// The plain local-tier hits the calling thread's tally has counted
     /// (its reads of every tier but the last, less the probe reads): the
     /// count that decides which hit carries the clock.
     #[inline]
     pub(crate) fn local_hits(&self) -> u64 {
-        self.tally.tiers[..self.local_tiers]
+        let tally = &self.tally.0;
+        tally.tiers[..self.local_tiers]
             .iter()
             .map(|t| t.reads.load(Ordering::Relaxed))
             .fold(0, u64::wrapping_add)
-            .wrapping_sub(self.tally.probes.load(Ordering::Relaxed))
+            .wrapping_sub(tally.probes.load(Ordering::Relaxed))
     }
 
     /// The read was served by a half-open probe of a recovering tier.
     pub(crate) fn probed(&self) {
-        self.tally.add(|t| &t.probes, 1);
+        self.tally.0.add(|t| &t.probes, 1);
     }
 }
 
 impl Drop for Reading<'_> {
     fn drop(&mut self) {
-        self.tally.add(|t| &t.in_flight, u64::MAX);
+        self.tally.0.add(|t| &t.in_flight, u64::MAX);
     }
 }
 

@@ -105,6 +105,14 @@ impl<T> Striped<T> {
         Local(&cell.0, stripe < STRIPES, PhantomData)
     }
 
+    /// The calling thread's own copy, built with `init` on first use;
+    /// `None` on a thread that owns no stripe, for which nothing is built.
+    #[inline]
+    pub(crate) fn owned(&self, init: impl FnOnce() -> T) -> Option<&T> {
+        let cell = self.cells[..STRIPES].get(stripe_index())?;
+        Some(&cell.get_or_init(|| Box::new(Padded(init()))).0)
+    }
+
     /// Every copy allocated so far.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         self.cells.iter().filter_map(|c| c.get().map(|p| &p.0))
@@ -117,6 +125,16 @@ impl<T> Default for Striped<T> {
     }
 }
 
+/// Add `n` (wrapping) to `cell` with a plain load and store: exact only
+/// from the one thread that writes it, the owner of its stripe.
+#[inline]
+pub(crate) fn add_owned(cell: &AtomicU64, n: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
+}
+
 /// The calling thread's copy of a [`Striped`] value, and whether the thread
 /// owns it. Not `Send`: an owner's plain adds are exact from its thread only.
 pub(crate) struct Local<'a, T>(&'a T, bool, PhantomData<*const ()>);
@@ -127,10 +145,7 @@ impl<T> Local<'_, T> {
     pub(crate) fn add(&self, cell: impl FnOnce(&T) -> &AtomicU64, n: u64) {
         let cell = cell(self.0);
         if self.1 {
-            cell.store(
-                cell.load(Ordering::Relaxed).wrapping_add(n),
-                Ordering::Relaxed,
-            );
+            add_owned(cell, n);
         } else {
             cell.fetch_add(n, Ordering::Relaxed);
         }
@@ -255,7 +270,7 @@ impl<T> DerefMut for StripedWriteGuard<'_, T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
@@ -277,20 +292,28 @@ mod tests {
         assert!(s.iter().count() <= 4);
     }
 
+    /// Whether the calling test, `name`, is alone with the claim mask.
+    /// Threads of other tests hold stripes too, so in the test binary the
+    /// test runs itself again in a child process, checks that it passed
+    /// there and gets `false`; in the child it gets `true`, and runs.
+    pub(crate) fn alone(name: &str) -> bool {
+        const CHILD: &str = "MONARCH_STRIPE_ALONE_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            return true;
+        }
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", name, "--test-threads=1"])
+            .env(CHILD, "1")
+            .output()
+            .expect("the child test runs");
+        let log = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success() && log.contains("1 passed"), "{log}");
+        false
+    }
+
     #[test]
     fn live_threads_own_distinct_stripes_and_hand_them_on() {
-        // Threads of other tests hold stripes too, so the test runs itself
-        // again in a child process, where it is alone with the claim mask.
-        const CHILD: &str = "MONARCH_STRIPE_OWNERSHIP_CHILD";
-        const NAME: &str = "stripe::tests::live_threads_own_distinct_stripes_and_hand_them_on";
-        if std::env::var_os(CHILD).is_none() {
-            let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
-                .args(["--exact", NAME, "--test-threads=1"])
-                .env(CHILD, "1")
-                .output()
-                .expect("the child test runs");
-            let log = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
-            assert!(out.status.success() && log.contains("1 passed"), "{log}");
+        if !alone("stripe::tests::live_threads_own_distinct_stripes_and_hand_them_on") {
             return;
         }
         // Two waves of more threads than stripes, all of a wave alive at

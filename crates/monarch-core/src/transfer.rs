@@ -448,7 +448,7 @@ impl TransferEngine {
     /// recorded under `ctx.flow.parent` when sampled), the lane to queue on,
     /// and an optional start deadline.
     pub fn demand(&self, file: FileId, ctx: ReadCtx) -> bool {
-        let Some(info) = self.book.metadata().info(file) else {
+        let Some(info) = self.book.metadata().placement(file) else {
             return false;
         };
         self.schedule(file, Arc::new(Staging::empty(info.size)), ctx)
@@ -548,7 +548,7 @@ impl TransferEngine {
     /// size, a concurrent copy won the CAS, or the pool is shutting down).
     pub fn remote_admit(&self, file: FileId, bytes: Vec<u8>, peer: u64, ctx: ReadCtx) -> bool {
         let size = bytes.len() as u64;
-        if Some(size) != self.book.metadata().info(file).map(|info| info.size) {
+        if Some(size) != self.book.metadata().placement(file).map(|info| info.size) {
             return false;
         }
         let ctx = ReadCtx {
@@ -701,7 +701,7 @@ impl TransferEngine {
             .files()
             .iter()
             .filter_map(|name| metadata.resolve(name))
-            .filter_map(|id| Some((id, metadata.info(id)?.size)))
+            .filter_map(|id| Some((id, metadata.placement(id)?.size)))
             .collect();
         let window = self.book.plan_opened(&files, state.cfg);
         let admitted = window.len();
@@ -789,7 +789,7 @@ impl TransferEngine {
         let tier = self
             .book
             .hierarchy()
-            .tier(metadata.info(id).ok_or_else(unknown)?.tier)?;
+            .tier(metadata.placement(id).ok_or_else(unknown)?.tier)?;
         let at = self.book.telemetry().now_micros();
         self.book.evicted(at, id, tier.id, Evict::Explicit, || {
             tier.driver.remove(file)
@@ -861,7 +861,7 @@ impl TransferEngine {
                 // Copies that left `Copying` (completed, skipped, failed,
                 // or reverted by the panic handler) release byte budget.
                 window.poll_resolved(|id| {
-                    !matches!(metadata.info(id), Some(info) if matches!(info.state, PlacementState::Copying { .. }))
+                    !matches!(metadata.placement(id), Some(info) if matches!(info.state, PlacementState::Copying { .. }))
                 });
                 match window.next_to_issue() {
                     Some(pick) => pick,

@@ -2,6 +2,7 @@
 //! that is not a plain local-tier hit and on one such hit in
 //! [`TIMED_HIT_PERIOD`], weighted so that they estimate the totals.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -67,7 +68,10 @@ fn stall_sum(snap: &TelemetrySnapshot) -> u64 {
         + s.copy_wait.sum_nanos
 }
 
-/// A tier with a device's latency: every read takes `0.2 ms` longer.
+/// A tier with a device's latency: every read takes `0.2 ms` longer. It
+/// waits for its deadline by spinning: a `sleep` overshoots by a wake-up,
+/// often by milliseconds on a busy host, so that a few of the reads would
+/// carry most of the time and a sample of them would not stand for the rest.
 struct Slow<D>(D);
 
 impl<D: StorageDriver> StorageDriver for Slow<D> {
@@ -75,7 +79,10 @@ impl<D: StorageDriver> StorageDriver for Slow<D> {
         self.0.name()
     }
     fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        std::thread::sleep(Duration::from_micros(200));
+        let deadline = Instant::now() + Duration::from_micros(200);
+        while Instant::now() < deadline {
+            std::hint::spin_loop();
+        }
         self.0.read_at(file, offset, buf)
     }
     fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
@@ -168,6 +175,125 @@ fn counts_are_exact_under_concurrent_hits_and_misses() {
         assert_eq!(f.profile.accesses, m.metadata().get(&f.file).unwrap().reads);
     }
     assert!(stats.timed_reads >= stats.pfs_reads() && stats.timed_reads < issued);
+    m.shutdown();
+}
+
+/// Whether the calling test, `name`, runs alone with the process's
+/// stripes. Threads of other tests own stripes too, so in the test binary
+/// the test runs itself again in a child process, checks that it passed
+/// there and gets `false`; in the child it gets `true`, and runs.
+fn alone(name: &str) -> bool {
+    const CHILD: &str = "MONARCH_OBSERVATION_ALONE_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        return true;
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args(["--exact", name, "--test-threads=1"])
+        .env(CHILD, "1")
+        .output()
+        .expect("the child test runs");
+    let log = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success() && log.contains("1 passed"), "{log}");
+    false
+}
+
+#[test]
+fn counts_are_exact_when_cells_hand_over_and_run_out() {
+    // A reading thread counts in cells of its own, one for each of the
+    // first 512 ids; a read of a file past them adds to the file's line.
+    // Here the cells run out (twice as many files as cells), readers exit halfway
+    // and hand their stripe and its cells to the next, and a wave of 20
+    // threads outnumbers the 16 stripes a thread can own, so that some
+    // count on the files' lines alone. At quiescence every file's count
+    // and its bytes per tier are what the test issued.
+    if !alone("counts_are_exact_when_cells_hand_over_and_run_out") {
+        return;
+    }
+    const FILES: usize = 1024;
+    const SIZE: usize = 4096;
+    const READERS: usize = 8;
+    const READS: usize = 4000;
+    const WAVE: usize = 20;
+    // The fast tier holds half the files; the rest stay on the PFS.
+    let m = builder(
+        Arc::new(MemDriver::new("fast")),
+        (FILES * SIZE / 2) as u64,
+        pfs(FILES, SIZE),
+    )
+    .build()
+    .unwrap();
+    m.init().unwrap();
+    m.prestage();
+    m.wait_placement_idle();
+    let tier: Vec<usize> = (0..FILES)
+        .map(|i| m.metadata().get(&name(i)).unwrap().tier)
+        .collect();
+    assert!(tier.contains(&0) && tier.contains(&1), "both tiers serve");
+    let issued: Vec<AtomicU64> = (0..FILES).map(|_| AtomicU64::new(0)).collect();
+    let read = |seed: u64, reads: usize| {
+        let mut buf = vec![0u8; SIZE];
+        let mut x = seed;
+        for _ in 0..reads {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let file = (x % FILES as u64) as usize;
+            assert_eq!(m.read(&name(file), 0, &mut buf).unwrap(), SIZE);
+            issued[file].fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    // Each reader is two threads, one after the other: the first exits
+    // halfway and hands its stripe on.
+    std::thread::scope(|s| {
+        for t in 0..READERS as u64 {
+            let read = &read;
+            s.spawn(move || {
+                for half in 0..2 {
+                    std::thread::scope(|s| {
+                        s.spawn(|| read(t * 2 + half + 1, READS / 2));
+                    });
+                }
+            });
+        }
+    });
+    // All of the wave alive at once.
+    let all_in = std::sync::Barrier::new(WAVE);
+    std::thread::scope(|s| {
+        for t in 0..WAVE as u64 {
+            let (read, all_in) = (&read, &all_in);
+            s.spawn(move || {
+                all_in.wait();
+                read(100 + t, 500);
+                all_in.wait();
+            });
+        }
+    });
+    let issued: Vec<u64> = issued.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+    let profiler = m
+        .telemetry_snapshot()
+        .observe
+        .expect("profiler on")
+        .profiler;
+    assert_eq!(
+        profiler.ledger.reads,
+        issued.iter().sum::<u64>(),
+        "one ledger read a read"
+    );
+    for f in &profiler.files {
+        let i: usize = f.file[1..].parse().unwrap();
+        let mut bytes = vec![0; 2];
+        bytes[tier[i]] = issued[i] * SIZE as u64;
+        assert_eq!(
+            m.metadata().get(&f.file).unwrap().reads,
+            issued[i],
+            "{}",
+            f.file
+        );
+        assert_eq!(f.profile.accesses, issued[i], "{}", f.file);
+        assert_eq!(f.profile.bytes_by_tier, bytes, "{}", f.file);
+    }
+    let read_files = issued.iter().filter(|&&n| n > 0).count();
+    assert_eq!(profiler.files.len(), read_files);
     m.shutdown();
 }
 
@@ -357,7 +483,9 @@ fn weighted_times_estimate_the_wall_time_of_all_hits() {
     // 8192, each weighing 16. The four buckets then add up to what a
     // caller measures around the calls, to within 10 %. A timed read the
     // host stalls for a few milliseconds weighs 16 times its stall; over a
-    // window of two seconds that is a few percent, not the whole margin.
+    // window of two seconds that is a few percent, not the whole margin
+    // (hence the device's spin: a sleep's wake-up is such a stall on every
+    // read).
     let _cores = CORES.lock().unwrap_or_else(|e| e.into_inner());
     let fast = Slow(MemDriver::new("fast"));
     let m = builder(Arc::new(fast), u64::MAX / 2, pfs(4, 256 << 10))
@@ -461,8 +589,7 @@ fn a_handful_of_hits_per_thread_still_shows_up_timed() {
 fn ids_past_the_profiler_bound_only_count_as_untracked() {
     // The instance's bound is a constant; a profiler over the same kind of
     // namespace, bounded at three files, shows what happens past it. Each
-    // read is counted by the lookup and recorded by id, as the read path
-    // does, the first round timed.
+    // read is counted and recorded by name.
     const FILES: usize = 8;
     const BOUND: usize = 3;
     let files = Arc::new(MetadataContainer::default());
@@ -473,10 +600,8 @@ fn ids_past_the_profiler_bound_only_count_as_untracked() {
     let profiler = AccessProfiler::with_namespace(true, 2, BOUND, Arc::clone(&files), stats);
     for round in 0..3u64 {
         for i in 0..FILES {
-            let (id, _) = files.resolve_for_read(&name(i)).unwrap();
-            let timing = (round == 0).then(ReadTiming::default);
-            let class = ReadClass::PfsCold;
-            profiler.record_read_id(id, 1, 4096, class, false, timing.as_ref(), round);
+            let (timing, class) = (ReadTiming::default(), ReadClass::PfsCold);
+            profiler.record_read(&name(i), 1, 4096, class, false, timing, round);
         }
     }
     let profiler = profiler.snapshot();
