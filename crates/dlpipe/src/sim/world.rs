@@ -1361,7 +1361,7 @@ impl World {
                 let copy = ms.copies.get_mut(&shard).expect("copy in flight");
                 let tier = copy.target.expect("copy target");
                 let run = copy.run.as_ref().expect("run");
-                ms.book.stage(run, source, bytes, copy.stage_at, at);
+                ms.book.stage(Some(run), source, bytes, copy.stage_at, at);
                 copy.stage_at = at;
                 let to = ms.tier_dev[tier];
                 let weight = self.devs[to].spec.write_weight;
@@ -1441,8 +1441,7 @@ impl World {
                     ms.book
                         .unplaced(at, id, Some((tier, size)), why, Some(&run));
                 } else {
-                    ms.book.telemetry().stats().record_write(tier, size);
-                    ms.book.stage(&run, tier, size, copy.stage_at, at);
+                    ms.book.stage(Some(&run), tier, size, copy.stage_at, at);
                     ms.book.placed(at, id, size, tier, copy.lane, Some(&run));
                 }
                 self.dispatch_copy_workers(now);
@@ -1460,11 +1459,12 @@ impl World {
                         *written += bytes;
                         if *written >= total {
                             ms.chunk_written.remove(&shard);
-                            let copy = ms.settled(shard);
+                            // The spill is the copy's write, from the read
+                            // that scheduled it to its last chunk's landing.
+                            let (copy, at) = (ms.settled(shard), vmicros(now));
                             let tier = copy.target.expect("target");
-                            ms.book.telemetry().stats().record_write(tier, total);
-                            ms.book
-                                .placed(vmicros(now), id, total, tier, copy.lane, None);
+                            ms.book.stage(None, tier, total, copy.stage_at, at);
+                            ms.book.placed(at, id, total, tier, copy.lane, None);
                         }
                     }
                 }

@@ -84,11 +84,15 @@ fn monarch_no_full_fetch_still_converges_but_slower_in_epoch1_hits() {
         full_e1_local > chunked_e1_local,
         "full-fetch epoch-1 local reads {full_e1_local} !> chunked {chunked_e1_local}"
     );
-    // Chunked spills the whole dataset through CacheWrite ops instead.
+    // Chunked spills the whole dataset through CacheWrite ops instead;
+    // a shard's spill is booked as its copy's one write.
     assert_eq!(
         chunked.epochs[0].devices[0].bytes_written() + chunked.epochs[1].devices[0].bytes_written(),
         geom().total_bytes()
     );
+    let t = chunked.telemetry.as_ref().expect("telemetry snapshot");
+    assert_eq!(t.stats.tiers[0].writes, t.stats.copies_completed);
+    assert_eq!(t.write_latency[0].count, t.stats.copies_completed);
 }
 
 #[test]
@@ -285,8 +289,11 @@ fn monarch_sim_attaches_telemetry_snapshot() {
         t.copy_duration.p50_nanos > 0,
         "virtual copy durations recorded"
     );
-    // Each placement writes the full shard into tier 0.
+    // Each placement writes the full shard into tier 0, and the write is
+    // timed as the engine times its install: one sample a copy.
     assert_eq!(t.stats.tiers[0].writes, shards);
+    assert_eq!(t.write_latency[0].count, t.stats.copies_completed);
+    assert!(t.write_latency[0].p50_nanos > 0, "virtual write times");
     assert!(t.stats.tiers[0].reads > 0, "later epochs read locally");
     // Lifecycle events: scheduled, started, decided, completed per shard.
     assert!(

@@ -14,7 +14,7 @@ use crate::cluster::{Cluster, ClusterConfig, PeerTransport};
 use crate::config::{
     default_pool_threads, AdmissionKind, BackendKind, MonarchConfig, PolicyKind, TelemetryConfig,
 };
-use crate::driver::{MemDriver, PosixDriver, StorageDriver, TimedDriver};
+use crate::driver::{MemDriver, PosixDriver, StorageDriver};
 use crate::hierarchy::StorageHierarchy;
 use crate::lifecycle::Lifecycle;
 use crate::middleware::Monarch;
@@ -194,11 +194,11 @@ impl MonarchBuilder {
         self
     }
 
-    /// Assemble the middleware: stats + telemetry registry, instrumented
-    /// drivers (when telemetry is on), the transfer engine owning the copy
-    /// pool and prefetch window, and the read-path facade over them.
+    /// Assemble the middleware: stats + telemetry registry, the books of
+    /// the copies over the tiers' drivers, the transfer engine owning the
+    /// copy pool and prefetch window, and the read-path facade over them.
     pub fn build(self) -> Result<Monarch> {
-        let mut hierarchy = self.hierarchy.ok_or_else(|| {
+        let hierarchy = self.hierarchy.ok_or_else(|| {
             Error::InvalidConfig("MonarchBuilder requires a storage hierarchy".into())
         })?;
         // Validate cluster membership before any threads spin up.
@@ -218,17 +218,6 @@ impl MonarchBuilder {
             &self.telemetry,
             Arc::clone(policy.namespace()),
         ));
-        // When telemetry is off the drivers stay unwrapped — a true
-        // zero-overhead baseline.
-        if self.telemetry.enabled {
-            hierarchy.instrument_drivers(|id, driver| {
-                Arc::new(TimedDriver::new(
-                    driver,
-                    Arc::clone(telemetry.read_latency(id)),
-                    Arc::clone(telemetry.write_latency(id)),
-                ))
-            });
-        }
         let hierarchy = Arc::new(hierarchy);
         let book = Arc::new(Lifecycle::new(
             Arc::clone(&hierarchy),

@@ -6,6 +6,12 @@
 //! simulation — a modelled device. Files are addressed by their *logical
 //! name* (the dataset-relative path), mirroring the paper's `Monarch.read`
 //! which takes a filename rather than a file descriptor.
+//!
+//! A driver neither counts nor times its calls. Each tier holds one, and
+//! its callers book what they ask of it where they book the rest: the read
+//! loop a foreground pread (its latency sample is taken from the instants
+//! the stall profile already reads), [`crate::lifecycle::Lifecycle`] a
+//! copy's source fetch, install write and failed-install cleanup.
 
 use std::cell::Cell;
 use std::fs;
@@ -13,12 +19,10 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
-use std::time::Instant;
 
 use crate::hash::FxHashMap;
 use crate::locks;
 use crate::stripe::StripedRwLock;
-use crate::telemetry::LatencyHistogram;
 use crate::{Error, Result};
 
 /// Backend I/O abstraction for one storage tier.
@@ -474,85 +478,6 @@ impl StorageDriver for MemDriver {
             .collect();
         out.sort();
         Ok(out)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Latency instrumentation
-// ---------------------------------------------------------------------------
-
-/// Wrapper that stamps every read/write into latency histograms.
-///
-/// [`crate::Monarch`] wraps each tier's driver with one of these (sharing
-/// the registry's per-tier histograms) so real I/O is timed exactly once,
-/// at the driver boundary — the middleware and background copies above it
-/// need no timing code of their own. Metadata operations (`remove`,
-/// `file_size`, `list`) pass through untimed.
-pub struct TimedDriver {
-    inner: Arc<dyn StorageDriver>,
-    reads: Arc<LatencyHistogram>,
-    writes: Arc<LatencyHistogram>,
-}
-
-impl TimedDriver {
-    /// Wrap `inner`, recording read latencies into `reads` and write
-    /// latencies into `writes` (nanoseconds).
-    #[must_use]
-    pub fn new(
-        inner: Arc<dyn StorageDriver>,
-        reads: Arc<LatencyHistogram>,
-        writes: Arc<LatencyHistogram>,
-    ) -> Self {
-        Self {
-            inner,
-            reads,
-            writes,
-        }
-    }
-
-    /// The wrapped driver.
-    #[must_use]
-    pub fn inner(&self) -> &Arc<dyn StorageDriver> {
-        &self.inner
-    }
-}
-
-impl StorageDriver for TimedDriver {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let start = Instant::now();
-        let out = self.inner.read_at(file, offset, buf);
-        self.reads.record_duration(start.elapsed());
-        out
-    }
-
-    fn read_full(&self, file: &str) -> Result<Vec<u8>> {
-        let start = Instant::now();
-        let out = self.inner.read_full(file);
-        self.reads.record_duration(start.elapsed());
-        out
-    }
-
-    fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
-        let start = Instant::now();
-        let out = self.inner.write_full(file, data);
-        self.writes.record_duration(start.elapsed());
-        out
-    }
-
-    fn remove(&self, file: &str) -> Result<()> {
-        self.inner.remove(file)
-    }
-
-    fn file_size(&self, file: &str) -> Result<u64> {
-        self.inner.file_size(file)
-    }
-
-    fn list(&self) -> Result<Vec<(String, u64)>> {
-        self.inner.list()
     }
 }
 
@@ -1194,27 +1119,5 @@ mod tests {
         assert!(d.file_size("a").is_ok(), "metadata ops pass through");
         outage.store(false, Ordering::Release);
         assert_eq!(d.read_at("a", 0, &mut buf).unwrap(), 4);
-    }
-
-    #[test]
-    fn timed_driver_records_latencies() {
-        let mem = MemDriver::new("m");
-        mem.insert("a", vec![1u8; 64]);
-        let reads = Arc::new(LatencyHistogram::new());
-        let writes = Arc::new(LatencyHistogram::new());
-        let d = TimedDriver::new(Arc::new(mem), Arc::clone(&reads), Arc::clone(&writes));
-        let mut buf = [0u8; 16];
-        assert_eq!(d.read_at("a", 0, &mut buf).unwrap(), 16);
-        assert_eq!(d.read_full("a").unwrap().len(), 64);
-        d.write_full("b", &[2u8; 32]).unwrap();
-        // Failed operations are timed too.
-        assert!(d.read_full("missing").is_err());
-        assert_eq!(reads.count(), 3);
-        assert_eq!(writes.count(), 1);
-        assert_eq!(d.name(), "m");
-        // Untimed passthroughs still work.
-        assert_eq!(d.file_size("b").unwrap(), 32);
-        assert_eq!(d.list().unwrap().len(), 2);
-        d.remove("b").unwrap();
     }
 }

@@ -6,6 +6,13 @@
 //! is the PFS — it holds the full dataset and is treated as a read-only
 //! source. Quota accounting uses reserve/commit semantics so concurrent
 //! background copies can never oversubscribe a tier.
+//!
+//! A tier has one driver, and nothing wraps it. Each call is counted and
+//! timed by its caller, once: a foreground pread by the read loop (its
+//! stall-profile instants are the tier's read-latency sample), a copy's
+//! source fetch, install write and failed-install cleanup by
+//! [`crate::lifecycle::Lifecycle`]. What the peer server reads for another
+//! node is counted by the server alone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,14 +102,10 @@ pub struct Tier {
     pub id: TierId,
     /// Human-readable name, e.g. `"ssd"` or `"lustre"`.
     pub name: String,
-    /// Backend abstraction performing the actual I/O (wrapped by
-    /// [`StorageHierarchy::instrument_drivers`], when that ran).
+    /// Backend abstraction performing the actual I/O, as it was handed to
+    /// [`StorageHierarchy::new`]: its callers count and time what they ask
+    /// of it (see the module docs).
     pub driver: Arc<dyn StorageDriver>,
-    /// The backend as it was handed to [`StorageHierarchy::new`], never
-    /// wrapped. The foreground read path preads through this one and feeds
-    /// the tier's read-latency histogram from the clock reads it already
-    /// takes for the stall profile, instead of timing the call twice.
-    pub raw: Arc<dyn StorageDriver>,
     /// Capacity quota; `None` means unbounded (the PFS source tier).
     pub quota: Option<Quota>,
     /// Read-only tiers never receive placements (the PFS).
@@ -157,7 +160,6 @@ impl StorageHierarchy {
             tiers.push(Tier {
                 id,
                 name,
-                raw: Arc::clone(&driver),
                 driver,
                 quota: (!read_only).then(|| Quota::new(capacity.unwrap_or(0))),
                 read_only,
@@ -208,22 +210,6 @@ impl StorageHierarchy {
     #[must_use]
     pub fn tiers(&self) -> &[Tier] {
         &self.tiers
-    }
-
-    /// Replace each tier's driver with `wrap(tier_id, driver)` — the hook
-    /// [`crate::Monarch`] uses to interpose
-    /// [`crate::driver::TimedDriver`] latency instrumentation at exactly
-    /// one point, the driver boundary. [`Tier::raw`] keeps the unwrapped
-    /// driver: foreground reads go through it and are timed by the read
-    /// path itself, so a wrapper installed here sees background traffic
-    /// (`read_full`, `write_full`, `remove`) only.
-    pub fn instrument_drivers<F>(&mut self, mut wrap: F)
-    where
-        F: FnMut(TierId, Arc<dyn StorageDriver>) -> Arc<dyn StorageDriver>,
-    {
-        for tier in &mut self.tiers {
-            tier.driver = wrap(tier.id, Arc::clone(&tier.driver));
-        }
     }
 }
 
@@ -316,25 +302,5 @@ mod tests {
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(total <= 1000);
         assert_eq!(q.used(), total);
-    }
-
-    #[test]
-    fn instrument_drivers_wraps_every_tier() {
-        use crate::driver::TimedDriver;
-        use crate::telemetry::LatencyHistogram;
-        let mut h = two_level(100);
-        let hist = Arc::new(LatencyHistogram::new());
-        let reads = Arc::clone(&hist);
-        h.instrument_drivers(move |_, driver| {
-            Arc::new(TimedDriver::new(
-                driver,
-                Arc::clone(&reads),
-                Arc::new(LatencyHistogram::new()),
-            ))
-        });
-        let mut buf = [0u8; 1];
-        let _ = h.tier(0).unwrap().driver.read_at("missing", 0, &mut buf);
-        let _ = h.tier(1).unwrap().driver.read_at("missing", 0, &mut buf);
-        assert_eq!(hist.count(), 2, "both tiers' drivers are wrapped");
     }
 }

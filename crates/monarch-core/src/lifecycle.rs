@@ -29,12 +29,19 @@
 //! [`PrefetchWindow`] its caller owns: [opened](Lifecycle::plan_opened),
 //! [read](Lifecycle::plan_read) and [closed](Lifecycle::plan_closed).
 //!
-//! The bytes stay with the caller: deleting an evicted copy is a closure
-//! the engine fills with `driver.remove` and the simulator with nothing,
-//! and fetching and installing them are not this module's business.
+//! Each tier operation a copy makes is counted and timed here, once: the
+//! engine's source fetches ([`fetch`](Lifecycle::fetch), for the install
+//! and for a foreground read at the staging's frontier alike), its install
+//! write ([`install`](Lifecycle::install), booked as a
+//! [`stage`](Lifecycle::stage)) and a failed install's cleanup
+//! ([`discard`](Lifecycle::discard)) go through the tier's one driver from
+//! here. The simulator, whose tiers hold no bytes, books the same write
+//! through `stage`. Deleting an evicted copy is a closure the engine fills
+//! with `driver.remove` and the simulator with nothing.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::health::{device_error_class, ErrorClass, Gate, Transition};
 use crate::hierarchy::{Quota, StorageHierarchy, TierId};
@@ -479,15 +486,40 @@ impl Lifecycle {
         Ok(Some((decision.tier, size)))
     }
 
-    /// *Stage*: one half of the `run`'s install moved `bytes` through
-    /// `tier` between `from` and `to`: the fetch from the source, or the
-    /// write to the copy's tier. A traced run leaves its `copy_read` or
-    /// `copy_write` span.
-    pub fn stage(&self, run: &CopyRun, tier: TierId, bytes: u64, from: u64, to: u64) {
-        if run.exec == 0 {
-            return;
+    /// *Fetch*: read `dst.len()` bytes of `file` at `at` from the source,
+    /// for a copy's install or a foreground read at its staging's frontier.
+    /// The bytes read are counted on the source tier, and the fetch, failed
+    /// or not, is one sample in its read-latency histogram; with telemetry
+    /// off no clock is read.
+    pub fn fetch(&self, file: FileId, at: u64, dst: &mut [u8]) -> Result<usize> {
+        let source = self.hierarchy.source();
+        let start = self.telemetry.is_enabled().then(Instant::now);
+        let read = source.driver.read_at(self.name(file), at, dst);
+        if let Some(start) = start {
+            let hist = self.telemetry.read_latency(source.id);
+            hist.record_duration(start.elapsed());
         }
-        let name = if tier == self.hierarchy.source_id() {
+        if let Ok(n) = read {
+            self.stats().record_read(source.id, n as u64);
+        }
+        read
+    }
+
+    /// *Stage*: one half of a copy's install moved `bytes` through `tier`
+    /// between `from` and `to`: the fetch from the source, or the write to
+    /// the copy's tier. A write is counted on its tier and is one sample in
+    /// its write-latency histogram; a traced `run` leaves its `copy_read`
+    /// or `copy_write` span. (A spill that no worker ran has no `run`.)
+    pub fn stage(&self, run: Option<&CopyRun>, tier: TierId, bytes: u64, from: u64, to: u64) {
+        let fetched = tier == self.hierarchy.source_id();
+        if !fetched {
+            self.stats().record_write(tier, bytes);
+            self.wrote(tier, from, to);
+        }
+        let Some(run) = run.filter(|run| run.exec != 0) else {
+            return;
+        };
+        let name = if fetched {
             names::COPY_READ
         } else {
             names::COPY_WRITE
@@ -495,6 +527,50 @@ impl Lifecycle {
         let tier = self.hierarchy.tier(tier).map_or("", |t| t.name.as_str());
         let span = self.run_span(run, name, from, to).arg_str("tier", tier);
         self.telemetry.trace().record(span.arg_u64("bytes", bytes));
+    }
+
+    /// A write to `tier` between `from` and `to`, in the tier's histogram.
+    fn wrote(&self, tier: TierId, from: u64, to: u64) {
+        if self.telemetry.is_enabled() {
+            let took = to.saturating_sub(from);
+            self.telemetry.write_latency(tier).record(took * 1_000);
+        }
+    }
+
+    /// *Install*: write `data`, the whole of `file`, to `tier` through its
+    /// driver, as the `run`'s write [`stage`](Self::stage), timed by `at`.
+    /// A failed write is one sample in the tier's write-latency histogram
+    /// too, and is counted nowhere else.
+    pub fn install(
+        &self,
+        run: &CopyRun,
+        tier: TierId,
+        file: FileId,
+        data: &[u8],
+        at: impl Fn() -> u64,
+    ) -> Result<()> {
+        let driver = &self.hierarchy.tier(tier)?.driver;
+        let from = at();
+        let written = driver.write_full(self.name(file), data);
+        match written {
+            Ok(()) => self.stage(Some(run), tier, data.len() as u64, from, at()),
+            Err(_) => self.wrote(tier, from, at()),
+        }
+        written
+    }
+
+    /// *Discard*: remove what a failed install may have left of `file` on
+    /// `tier` (best effort; the POSIX driver's rename leaves nothing). A
+    /// delete that went through is counted on the tier and journalled as
+    /// `removed`.
+    pub fn discard(&self, tier: TierId, file: FileId) {
+        let name = self.name(file);
+        let dest = self.hierarchy.tier(tier);
+        if dest.is_ok_and(|dest| dest.driver.remove(name).is_ok()) {
+            self.stats().record_remove(tier);
+            let file = name.to_string();
+            self.telemetry.event(EventKind::Removed { file, tier });
+        }
     }
 
     /// Close `run` at `at`, with `outcome`: its time on the worker, and the
@@ -964,7 +1040,7 @@ impl Lifecycle {
 mod tests {
     use super::*;
     use crate::config::{AdmissionKind, PolicyKind, TelemetryConfig};
-    use crate::driver::{MemDriver, StorageDriver};
+    use crate::driver::{FlakyDriver, FlakyOutcome, MemDriver, StorageDriver};
     use crate::telemetry::Event;
 
     /// Books over a 1 MiB `ssd` and a `pfs` holding the 512-byte `f`.
@@ -975,18 +1051,32 @@ mod tests {
     /// Books over a `capacity`-byte `ssd` and a `pfs` holding the 512-byte
     /// `files`, decided for by `kind`.
     fn books(kind: PolicyKind, capacity: u64, files: &[&str]) -> Lifecycle {
-        let tier = |name: &str, capacity| {
-            let driver: Arc<dyn StorageDriver> = Arc::new(MemDriver::new(name));
-            (name.to_string(), driver, capacity)
-        };
+        let mem = |name| -> Arc<dyn StorageDriver> { Arc::new(MemDriver::new(name)) };
+        let telemetry = TelemetryConfig::default();
+        books_on(kind, capacity, files, [mem("ssd"), mem("pfs")], &telemetry)
+    }
+
+    /// [`books`] over the given `ssd` and `pfs` drivers, reporting
+    /// through a registry configured by `telemetry`.
+    fn books_on(
+        kind: PolicyKind,
+        capacity: u64,
+        files: &[&str],
+        [ssd, pfs]: [Arc<dyn StorageDriver>; 2],
+        telemetry: &TelemetryConfig,
+    ) -> Lifecycle {
         let hierarchy = Arc::new(
-            StorageHierarchy::new(vec![tier("ssd", Some(capacity)), tier("pfs", None)]).unwrap(),
+            StorageHierarchy::new(vec![
+                ("ssd".into(), ssd, Some(capacity)),
+                ("pfs".into(), pfs, None),
+            ])
+            .unwrap(),
         );
         let policy = Arc::new(PolicyEngine::from_kind(kind, AdmissionKind::AdmitAll));
         let telemetry = Arc::new(TelemetryRegistry::with_namespace(
             vec!["ssd".into(), "pfs".into()],
             Arc::new(Stats::new(2)),
-            &TelemetryConfig::default(),
+            telemetry,
             Arc::clone(policy.namespace()),
         ));
         for file in files {
@@ -1133,6 +1223,58 @@ mod tests {
         assert_eq!(ledger.reads, 4);
         assert_eq!((ledger.pfs_cold_pread_us, ledger.degraded_pread_us), (2, 3));
         assert_eq!(ledger.read_wall_us, 5);
+    }
+
+    #[test]
+    fn a_copys_fetch_and_write_are_sampled_once_failed_or_not() {
+        for enabled in [true, false] {
+            let pfs = MemDriver::new("pfs");
+            pfs.insert("f", vec![7; 512]);
+            let (ssd, pfs) = (
+                Arc::new(FlakyDriver::new(MemDriver::new("ssd"))),
+                Arc::new(FlakyDriver::new(pfs)),
+            );
+            pfs.script_reads([FlakyOutcome::Transient]);
+            ssd.script_writes([FlakyOutcome::Transient]);
+            let telemetry = if enabled {
+                TelemetryConfig::default()
+            } else {
+                TelemetryConfig::disabled()
+            };
+            let tiers: [Arc<dyn StorageDriver>; 2] = [ssd.clone(), pfs.clone()];
+            let book = books_on(PolicyKind::FirstFit, 1 << 20, &["f"], tiers, &telemetry);
+            let f = id(&book, "f");
+            let queued = book.scheduled(10, f, 512, Lane::Demand, CopyFlow::default());
+            let run = book.started(10, f, queued.unwrap(), || 0, true);
+            let (t, samples) = (book.telemetry(), |n| if enabled { n } else { 0 });
+            let mut buf = vec![0; 512];
+            // A failed fetch and a failed install write: one sample each
+            // in the failing tier's histogram, and nothing counted.
+            assert!(book.fetch(f, 0, &mut buf).is_err());
+            assert!(book.install(&run, 0, f, &buf, || 20).is_err());
+            assert_eq!(t.read_latency(1).count(), samples(1));
+            assert_eq!(t.write_latency(0).count(), samples(1));
+            let s = book.stats().snapshot();
+            assert_eq!((s.tiers[1].reads, s.tiers[0].writes), (0, 0));
+            // Through, they are counted as well.
+            assert_eq!(book.fetch(f, 0, &mut buf).unwrap(), 512);
+            book.install(&run, 0, f, &buf, || 20).unwrap();
+            assert_eq!(t.read_latency(1).count(), samples(2));
+            assert_eq!(t.write_latency(0).count(), samples(2));
+            let s = book.stats().snapshot();
+            assert_eq!((s.tiers[1].reads, s.tiers[1].bytes_read), (1, 512));
+            assert_eq!((s.tiers[0].writes, s.tiers[0].bytes_written), (1, 512));
+            assert_eq!(ssd.read_full("f").unwrap(), buf);
+            // Discarding the install deletes it, counted and journalled.
+            book.discard(0, f);
+            assert_eq!(book.stats().snapshot().tiers[0].removes, 1);
+            assert!(ssd.list().unwrap().is_empty());
+            let removed =
+                t.journal().events().iter().any(
+                    |e| matches!(&e.kind, EventKind::Removed { file, tier: 0 } if file == "f"),
+                );
+            assert_eq!(removed, enabled);
+        }
     }
 
     #[test]

@@ -303,16 +303,16 @@ impl Monarch {
                 }
                 PlacementState::Unplaced => None,
             };
-            // The un-instrumented driver: the two instants around this
-            // call are the tier's read-latency sample and the stall
-            // profile's driver_pread phase. (A fetch made inside the staging
-            // went through the instrumented driver, which is its histogram
-            // sample.) A local copy that ends before the namespace size is
-            // damaged — truncated underneath, say — and is not served short:
-            // it is a permanent error, and the read falls back to the source.
+            // The tier's one driver: the two instants around this call are
+            // the tier's read-latency sample and the stall profile's
+            // driver_pread phase. (A fetch made inside the staging is its own
+            // sample, booked by `Lifecycle::fetch`.) A local copy that ends
+            // before the namespace size is damaged — truncated underneath,
+            // say — and is not served short: it is a permanent error, and
+            // the read falls back to the source.
             let outcome = match served {
                 Some((_, n)) => Ok(n),
-                None => match tier.raw.read_at(file, offset, &mut buf[..want]) {
+                None => match tier.driver.read_at(file, offset, &mut buf[..want]) {
                     Ok(n) if n < want && tier.id != source => Err(Error::Io(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
                         format!("{file}: local copy ends {n} bytes into a {want}-byte read"),

@@ -1382,8 +1382,10 @@ fn read_under_a_doomed_copy(
             })
             .collect();
         // The file stays `Copying` under the worker's claim until the gate
-        // opens, so a reader that is inside `read` is parked or about to.
-        while m.telemetry().stats().in_flight() < 8 {
+        // opens: wait until every reader is parked on that claim, so none
+        // reaches the staging after the copy settled and reads the source.
+        let id = m.metadata.resolve("f").unwrap();
+        while m.engine.staging_parked(id) < 8 {
             std::thread::sleep(Duration::from_micros(100));
         }
         crate::driver::open_gate(gate);

@@ -122,6 +122,9 @@ struct Fill {
     claimed_to: Option<u64>,
     /// Length of the first extent a foreground read published; 0 until then.
     stride: u64,
+    /// Reads waiting on a fetch right now.
+    #[cfg(test)]
+    parked: usize,
 }
 
 /// One file's install staging. See the module docs for the protocol.
@@ -169,6 +172,8 @@ impl Staging {
                 watermark,
                 claimed_to: None,
                 stride: 0,
+                #[cfg(test)]
+                parked: 0,
             }),
             moved: Condvar::new(),
         }
@@ -202,7 +207,15 @@ impl Staging {
             match fill.claimed_to {
                 // Being fetched, or next in line behind the fetch.
                 Some(to) if offset <= to => {
+                    #[cfg(test)]
+                    {
+                        fill.parked += 1;
+                    }
                     fill = locks::wait(&self.moved, fill);
+                    #[cfg(test)]
+                    {
+                        fill.parked -= 1;
+                    }
                     woken = true;
                 }
                 None if offset <= fill.watermark && (may_start || self.buf.get().is_some()) => {
@@ -291,6 +304,12 @@ impl Staging {
     pub(crate) fn progress(&self) -> (u64, Option<u64>) {
         let fill = locks::lock(&self.fill);
         (fill.watermark, fill.claimed_to)
+    }
+
+    /// Reads waiting on a fetch right now.
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
+        locks::lock(&self.fill).parked
     }
 }
 

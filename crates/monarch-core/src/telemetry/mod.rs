@@ -75,19 +75,21 @@ const TRACE_CAPACITY: usize = 65_536;
 /// and [`Stats`] counters, and renders them for export.
 ///
 /// One registry is shared by a [`crate::Monarch`] instance and everything
-/// it spawns (drivers, copy pool); the `dlpipe` simulator builds its own
-/// over the same types so both emit identical schemas.
+/// it spawns (the books of its copies, the copy pool); the `dlpipe`
+/// simulator builds its own over the same types so both emit identical
+/// schemas. It holds its histograms by value: callers record through the
+/// accessors.
 pub struct TelemetryRegistry {
     tier_names: Vec<String>,
     enabled: bool,
     stats: Arc<Stats>,
-    read_latency: Vec<Arc<LatencyHistogram>>,
-    write_latency: Vec<Arc<LatencyHistogram>>,
-    copy_duration: Arc<LatencyHistogram>,
-    queue_wait: Arc<LatencyHistogram>,
-    queue_wait_remote: Arc<LatencyHistogram>,
-    queue_wait_prefetch: Arc<LatencyHistogram>,
-    pool_exec: Arc<LatencyHistogram>,
+    read_latency: Vec<LatencyHistogram>,
+    write_latency: Vec<LatencyHistogram>,
+    copy_duration: LatencyHistogram,
+    queue_wait: LatencyHistogram,
+    queue_wait_remote: LatencyHistogram,
+    queue_wait_prefetch: LatencyHistogram,
+    pool_exec: LatencyHistogram,
     journal: EventJournal,
     trace: Arc<crate::trace::TraceRecorder>,
     profiler: AccessProfiler,
@@ -128,17 +130,13 @@ impl TelemetryRegistry {
             tier_names,
             enabled: cfg.enabled,
             stats,
-            read_latency: (0..levels)
-                .map(|_| Arc::new(LatencyHistogram::new()))
-                .collect(),
-            write_latency: (0..levels)
-                .map(|_| Arc::new(LatencyHistogram::new()))
-                .collect(),
-            copy_duration: Arc::new(LatencyHistogram::new()),
-            queue_wait: Arc::new(LatencyHistogram::new()),
-            queue_wait_remote: Arc::new(LatencyHistogram::new()),
-            queue_wait_prefetch: Arc::new(LatencyHistogram::new()),
-            pool_exec: Arc::new(LatencyHistogram::new()),
+            read_latency: (0..levels).map(|_| LatencyHistogram::new()).collect(),
+            write_latency: (0..levels).map(|_| LatencyHistogram::new()).collect(),
+            copy_duration: LatencyHistogram::new(),
+            queue_wait: LatencyHistogram::new(),
+            queue_wait_remote: LatencyHistogram::new(),
+            queue_wait_prefetch: LatencyHistogram::new(),
+            pool_exec: LatencyHistogram::new(),
             journal: EventJournal::new(JOURNAL_CAPACITY, cfg.enabled),
             trace: Arc::new(crate::trace::TraceRecorder::new(
                 if cfg.enabled {
@@ -187,31 +185,31 @@ impl TelemetryRegistry {
 
     /// Per-tier read-latency histogram.
     #[must_use]
-    pub fn read_latency(&self, tier: TierId) -> &Arc<LatencyHistogram> {
+    pub fn read_latency(&self, tier: TierId) -> &LatencyHistogram {
         &self.read_latency[tier]
     }
 
     /// Per-tier write-latency histogram.
     #[must_use]
-    pub fn write_latency(&self, tier: TierId) -> &Arc<LatencyHistogram> {
+    pub fn write_latency(&self, tier: TierId) -> &LatencyHistogram {
         &self.write_latency[tier]
     }
 
     /// Background-copy duration histogram.
     #[must_use]
-    pub fn copy_duration(&self) -> &Arc<LatencyHistogram> {
+    pub fn copy_duration(&self) -> &LatencyHistogram {
         &self.copy_duration
     }
 
     /// Demand-lane pool queue-wait histogram (submit → task start).
     #[must_use]
-    pub fn queue_wait(&self) -> &Arc<LatencyHistogram> {
+    pub fn queue_wait(&self) -> &LatencyHistogram {
         &self.queue_wait
     }
 
     /// Remote-lane pool queue-wait histogram (peer-served installs).
     #[must_use]
-    pub fn queue_wait_remote(&self) -> &Arc<LatencyHistogram> {
+    pub fn queue_wait_remote(&self) -> &LatencyHistogram {
         &self.queue_wait_remote
     }
 
@@ -219,13 +217,13 @@ impl TelemetryRegistry {
     /// so prefetch backlog (expected — the lane only runs when demand is
     /// empty) cannot be mistaken for demand-path latency.
     #[must_use]
-    pub fn queue_wait_prefetch(&self) -> &Arc<LatencyHistogram> {
+    pub fn queue_wait_prefetch(&self) -> &LatencyHistogram {
         &self.queue_wait_prefetch
     }
 
     /// Pool task-execution histogram.
     #[must_use]
-    pub fn pool_exec(&self) -> &Arc<LatencyHistogram> {
+    pub fn pool_exec(&self) -> &LatencyHistogram {
         &self.pool_exec
     }
 

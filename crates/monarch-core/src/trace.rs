@@ -32,8 +32,8 @@
 //!   first, like the event journal.
 //! * **Zero-cost when off** — the default `trace_sample_every_n = 0`
 //!   leaves [`TraceRecorder::sample_read`] as a single branch on an
-//!   immutable `bool`; no atomics touched, no allocation, mirroring the
-//!   `TimedDriver` gating from PR 1.
+//!   immutable `bool`; no atomics touched, no allocation, as with the
+//!   latency histograms, which a disabled registry never records into.
 //! * **Explicit timestamps** — callers supply microsecond timestamps, so
 //!   the real middleware records wall-clock spans (via
 //!   [`crate::telemetry::TelemetryRegistry::now_micros`]) while the

@@ -664,7 +664,6 @@ impl TransferEngine {
         offset: u64,
         buf: &mut [u8],
     ) -> Option<u64> {
-        let (source, file) = (self.book.hierarchy().source(), self.book.name(file));
         let mut fetched = 0;
         loop {
             match step {
@@ -673,10 +672,7 @@ impl TransferEngine {
                 Staged::Frontier(claim) => {
                     // A failed fetch gives the frontier back; the caller's
                     // plain read retries it with the health machinery.
-                    let (n, _) = claim
-                        .fill(|at, dst| source.driver.read_at(file, at, dst))
-                        .ok()?;
-                    self.book.stats().record_read(source.id, n as u64);
+                    let (n, _) = claim.fill(|at, dst| self.book.fetch(file, at, dst)).ok()?;
                     fetched += n;
                 }
             }
@@ -903,6 +899,15 @@ impl TransferEngine {
         locks::lock(&self.stagings).get(&file).map(|s| s.progress())
     }
 
+    /// Reads parked in `file`'s install staging, waiting on a fetch (`0`
+    /// when no copy of it is queued or running).
+    #[cfg(test)]
+    pub(crate) fn staging_parked(&self, file: FileId) -> usize {
+        locks::lock(&self.stagings)
+            .get(&file)
+            .map_or(0, |s| s.parked())
+    }
+
     /// A detached [`Sampler`] over this engine's shared parts (plus the
     /// peer-cache handle, which the facade owns). It holds only `Arc`s and
     /// a pool probe, so the metrics exporter can sample from its own
@@ -1074,7 +1079,6 @@ impl CopyJob {
         let book = &*lease.book;
         let (hierarchy, telemetry) = (book.hierarchy(), book.telemetry());
         let stats = book.stats();
-        let file = book.name(lease.id);
         let size = lease.staging.size();
         let now = || telemetry.now_micros();
         // Evictions (eviction-capable policies only), then the reservation.
@@ -1088,7 +1092,6 @@ impl CopyJob {
         // they are released or become the file's, once.
         lease.reserved.set(Some(reserved));
         let tier = reserved.0;
-        let dest = hierarchy.tier(tier)?;
 
         // The install either succeeds or reports *which* tier failed: a
         // failed write is settled against the destination's breaker, a
@@ -1098,15 +1101,14 @@ impl CopyJob {
         // fetched is not fetched again — then writes the finished buffer out.
         let staging = &lease.staging;
         let install = || -> std::result::Result<(), (TierId, Error)> {
-            let source = hierarchy.source();
+            let source = hierarchy.source_id();
             let t_read = now();
             let mut fetched = 0u64;
             let mut next = staging.claim_next(FETCH_CHUNK);
             while let Some(claim) = next {
                 let (n, after) = claim
-                    .fill(|at, dst| source.driver.read_at(file, at, dst))
-                    .map_err(|e| (source.id, e))?;
-                stats.record_read(source.id, n as u64);
+                    .fill(|at, dst| book.fetch(lease.id, at, dst))
+                    .map_err(|e| (source, e))?;
                 fetched += n as u64;
                 next = after;
             }
@@ -1114,18 +1116,15 @@ impl CopyJob {
                 .whole()
                 .expect("the staging has no unfetched range left to claim");
             if fetched > 0 {
-                book.stage(run, source.id, fetched, t_read, now());
+                book.stage(Some(run), source, fetched, t_read, now());
                 // Whoever was parked on the last fetch issues the next read
                 // of the source; this thread is about to spend a file's
                 // worth of memcpy on the install. When the two share a
                 // core, let the reader go first.
                 std::thread::yield_now();
             }
-            let t_write = now();
-            dest.driver.write_full(file, data).map_err(|e| (tier, e))?;
-            stats.record_write(tier, data.len() as u64);
-            book.stage(run, tier, data.len() as u64, t_write, now());
-            Ok(())
+            book.install(run, tier, lease.id, data, now)
+                .map_err(|e| (tier, e))
         };
         // Copy-path fault handling: transient device errors back off and
         // retry in place; ENOSPC (the quota had room but the device
@@ -1168,15 +1167,7 @@ impl CopyJob {
                 Ok(true)
             }
             Some(e) => {
-                // Best effort: remove a possibly half-written destination
-                // file (the POSIX driver's rename makes this a no-op there).
-                if dest.driver.remove(file).is_ok() {
-                    stats.record_remove(tier);
-                    telemetry.event(EventKind::Removed {
-                        file: file.to_string(),
-                        tier,
-                    });
-                }
+                book.discard(tier, lease.id);
                 Err(e)
             }
         }
