@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use crate::clock::Clock;
 use crate::cluster::{Cluster, ClusterConfig, PeerTransport};
 use crate::config::{
     default_pool_threads, AdmissionKind, BackendKind, MonarchConfig, PolicyKind, TelemetryConfig,
@@ -38,6 +39,7 @@ pub struct MonarchBuilder {
     metrics_addr: Option<String>,
     cluster: Option<ClusterConfig>,
     peer_transport: Option<Arc<dyn PeerTransport>>,
+    clock: Clock,
 }
 
 impl Default for MonarchBuilder {
@@ -54,6 +56,7 @@ impl Default for MonarchBuilder {
             metrics_addr: None,
             cluster: None,
             peer_transport: None,
+            clock: Clock::host(),
         }
     }
 }
@@ -96,7 +99,7 @@ impl MonarchBuilder {
             },
             metrics_addr: config.metrics_addr,
             cluster: config.cluster,
-            peer_transport: None,
+            ..Self::default()
         })
     }
 
@@ -194,6 +197,14 @@ impl MonarchBuilder {
         self
     }
 
+    /// The instance's one clock (default: the host's). A test hands in a
+    /// [`Clock::manual`] to wait out cooldowns and backoffs without sleeping.
+    #[must_use]
+    pub fn clock(mut self, clock: Clock) -> Self {
+        self.clock = clock;
+        self
+    }
+
     /// Assemble the middleware: stats + telemetry registry, the books of
     /// the copies over the tiers' drivers, the transfer engine owning the
     /// copy pool and prefetch window, and the read-path facade over them.
@@ -211,14 +222,13 @@ impl MonarchBuilder {
         let stats = Arc::new(Stats::new(hierarchy.levels()));
         let tier_names: Vec<String> = hierarchy.tiers().iter().map(|t| t.name.clone()).collect();
         // The policy engine brings the instance's namespace; the profiler
-        // keeps its per-file records by the same ids.
-        let telemetry = Arc::new(TelemetryRegistry::with_namespace(
-            tier_names,
-            stats,
-            &self.telemetry,
-            Arc::clone(policy.namespace()),
-        ));
-        let hierarchy = Arc::new(hierarchy);
+        // keeps its per-file records by the same ids. One clock goes to the
+        // registry (and through it the engine), the breakers and the peers.
+        let namespace = Arc::clone(policy.namespace());
+        let telemetry =
+            TelemetryRegistry::with_namespace(tier_names, stats, &self.telemetry, namespace);
+        let telemetry = Arc::new(telemetry.with_clock(self.clock.clone()));
+        let hierarchy = Arc::new(hierarchy.with_clock(self.clock.clone()));
         let book = Arc::new(Lifecycle::new(
             Arc::clone(&hierarchy),
             policy,
@@ -230,9 +240,10 @@ impl MonarchBuilder {
         let cluster = match self.cluster {
             Some(cfg) => {
                 let cluster = match self.peer_transport {
-                    Some(transport) => Arc::new(Cluster::new(cfg, transport)),
-                    None => Arc::new(Cluster::with_tcp_transport(cfg)),
+                    Some(transport) => Cluster::new(cfg, transport),
+                    None => Cluster::with_tcp_transport(cfg),
                 };
+                let cluster = Arc::new(cluster.with_clock(self.clock));
                 if cluster.config().serve {
                     if let Err(e) =
                         cluster.start_server(Arc::clone(&hierarchy), Arc::clone(engine.metadata()))

@@ -33,10 +33,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
+use crate::clock::Clock;
 use crate::hash::{hash_str, splitmix64};
 use crate::health::{ErrorClass, Gate, TierHealth};
 use crate::hierarchy::StorageHierarchy;
@@ -462,9 +463,6 @@ impl PeerServer {
                                     Self::serve_conn(&stream, &hierarchy, &metadata, &counters);
                                 });
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
                         Err(_) => std::thread::sleep(Duration::from_millis(2)),
                     }
                 }
@@ -599,7 +597,7 @@ pub struct Cluster {
     /// through as a half-open probe. A peer that answers (even with
     /// "not resident") is alive.
     peer_health: Vec<TierHealth>,
-    epoch: Instant,
+    clock: Clock,
 }
 
 impl Cluster {
@@ -619,8 +617,14 @@ impl Cluster {
             served: Arc::new(ServeCounters::default()),
             server: Mutex::new(None),
             peer_health,
-            epoch: Instant::now(),
+            clock: Clock::host(),
         }
+    }
+
+    /// This handle's dial gates on the instance's `clock`.
+    pub(crate) fn with_clock(mut self, clock: Clock) -> Self {
+        self.clock = clock;
+        self
     }
 
     /// A cluster handle whose transport is a [`TcpPeerTransport`] over the
@@ -690,12 +694,6 @@ impl Cluster {
         &self.shard
     }
 
-    /// Deadline for queued remote-lane installs.
-    #[must_use]
-    pub fn remote_deadline(&self) -> Duration {
-        Duration::from_millis(self.cfg.remote_deadline_ms.max(1))
-    }
-
     /// `Some(owner)` when `file` is owned by another node — the signal the
     /// middleware uses to try the peer path before the PFS.
     #[must_use]
@@ -713,7 +711,7 @@ impl Cluster {
         let Some(health) = self.peer_health.get(peer) else {
             return self.transport.fetch(peer, file);
         };
-        let gate = health.gate(|| self.now_us());
+        let gate = health.gate(|| self.clock.now_us());
         if gate == Gate::Shut {
             return Err(PeerError::Dead);
         }
@@ -724,13 +722,8 @@ impl Cluster {
             }
             _ => Ok(()),
         };
-        health.settle(gate, answered, || self.now_us());
+        health.settle(gate, answered, || self.clock.now_us());
         out
-    }
-
-    /// Registry-free microsecond clock for the peer health machines.
-    fn now_us(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
     /// Node ids currently marked dead (quarantined by the dial gate).
@@ -1103,7 +1096,9 @@ mod tests {
             healthy: AtomicBool::new(false),
         });
         let cfg = ClusterConfig::new(0, vec!["a:1".into(), "b:2".into()]);
-        let cluster = Cluster::new(cfg, Arc::clone(&transport) as Arc<dyn PeerTransport>);
+        let clock = Clock::manual();
+        let cluster = Cluster::new(cfg, Arc::clone(&transport) as Arc<dyn PeerTransport>)
+            .with_clock(clock.clone());
 
         // Consecutive timeouts trip the peer's dial gate.
         for _ in 0..3 {
@@ -1120,15 +1115,17 @@ mod tests {
             dialed,
             "a dead peer must not be dialed during the cooldown"
         );
-        // Recovery: once the cooldown elapses, a single probe dial goes
-        // through; it succeeds and the peer is live again. (The default
-        // cooldown is seconds of wall clock — too slow for a unit test —
-        // so verify the probe path via the state machine directly.)
-        let peer = &cluster.peer_health[1];
-        peer.settle(peer.gate(|| u64::MAX), Ok(()), || u64::MAX);
-        assert!(cluster.dead_peers().is_empty());
+        // Recovery: 1 µs short of the cooldown the peer is still skipped;
+        // once it elapses, a single probe dial goes through, succeeds, and
+        // the peer is live again.
         transport.healthy.store(true, Ordering::SeqCst);
+        clock.advance(Duration::from_micros(crate::health::PROBE_COOLDOWN_US - 1));
+        assert_eq!(cluster.fetch_from(1, "f"), Err(PeerError::Dead));
+        assert_eq!(transport.dials.load(Ordering::SeqCst), dialed);
+        clock.advance(Duration::from_micros(1));
         assert_eq!(cluster.fetch_from(1, "f").unwrap(), b"f");
+        assert_eq!(transport.dials.load(Ordering::SeqCst), dialed + 1);
+        assert!(cluster.dead_peers().is_empty());
 
         // Snapshot carries the dead-peer roster and the skip counter.
         let stats = crate::Stats::new(2);

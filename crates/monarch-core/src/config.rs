@@ -143,16 +143,17 @@ impl AdmissionKind {
 /// Defaults keep everything on — recording is relaxed-atomic and the
 /// journal append is `O(1)`; what they cost a warm read is
 /// `telemetry.on_minus_off_ns` in `BENCHMARK.json`.
-/// Setting `enabled: false` skips driver wrapping and copy-run timing
-/// entirely for a zero-overhead baseline. The rings and the profiler are
-/// bounded by constants (4096 journal events, 65536 spans, 65536 profiled
-/// files, 4096 residency transitions); a config that still names one of
-/// the keys that once set them parses, and the key is ignored.
+/// Setting `enabled: false` keeps the `Stats` counters and turns off the
+/// rest — latency histograms (no read or copy is timed), the journal, the
+/// access profiler (per-file profiles, stall profile, ledger) and tracing —
+/// for a zero-overhead baseline. The rings and the profiler are bounded by
+/// constants (4096 journal events, 65536 spans, 65536 profiled files); a
+/// config naming a key that once set one parses, and the key is ignored.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
-    /// Master switch: when false no histograms are recorded, drivers are
-    /// not wrapped, and the journal and the workload observatory (access
-    /// profiler, stall profile) are off.
+    /// Master switch: when false only the `Stats` counters are kept; the
+    /// histograms, the journal, tracing and the workload observatory
+    /// (access profiler, stall profile) are off.
     #[serde(default = "default_true")]
     pub enabled: bool,
     /// Record a causal span tree for every N-th `read` (plus the copy it
@@ -172,7 +173,7 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Everything off: no histograms, no journal, unwrapped drivers.
+    /// Everything but the counters off: no histograms, journal or profiler.
     #[must_use]
     pub fn disabled() -> Self {
         Self {

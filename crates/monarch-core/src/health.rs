@@ -16,10 +16,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use crate::clock::Clock;
 use crate::locks;
 use crate::{Error, TierId};
 
@@ -106,21 +106,10 @@ const RETRY: RetryPolicy = RetryPolicy {
     cap_us: 200_000,
 };
 
-/// The one settable knob of the state machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthConfig {
-    /// Quarantine cooldown before a half-open probe is permitted, in
-    /// microseconds (virtual microseconds under the simulator).
-    pub probe_cooldown_us: u64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            probe_cooldown_us: 2_000_000,
-        }
-    }
-}
+/// Quarantine cooldown before a half-open probe is permitted, in
+/// microseconds of the instance clock (virtual ones under the simulator).
+/// Tests wait it out on a manual [`Clock`].
+pub const PROBE_COOLDOWN_US: u64 = 2_000_000;
 
 /// Health state of one tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -180,7 +169,6 @@ struct HealthInner {
     state: TierState,
     error_ewma: f64,
     consecutive_failures: u32,
-    cooldown_us: u64,
     /// Earliest instant a half-open probe may be issued.
     probe_after_us: u64,
     probe_inflight: bool,
@@ -198,25 +186,13 @@ struct HealthInner {
 /// operation on the tier — [`Self::gate`] before, [`Self::settle`] after —
 /// and each takes the clock as a closure, so real and virtual clocks drive
 /// the same machine and a tier that never errored reads none.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TierHealth {
     /// Set on the first recorded error; lets the gate and a success
     /// return without locking while the tier has never misbehaved (the
     /// hot path).
     interesting: AtomicBool,
     inner: Mutex<HealthInner>,
-}
-
-impl Default for TierHealth {
-    fn default() -> Self {
-        Self {
-            interesting: AtomicBool::new(false),
-            inner: Mutex::new(HealthInner {
-                cooldown_us: HealthConfig::default().probe_cooldown_us,
-                ..HealthInner::default()
-            }),
-        }
-    }
 }
 
 impl TierHealth {
@@ -283,7 +259,7 @@ impl TierHealth {
                 {
                     let now = now_us();
                     inner.state = TierState::Quarantined;
-                    inner.probe_after_us = now.saturating_add(inner.cooldown_us);
+                    inner.probe_after_us = now.saturating_add(PROBE_COOLDOWN_US);
                     inner.probe_inflight = false;
                     inner.quarantines += 1;
                     inner.last_transition_us = now;
@@ -301,7 +277,7 @@ impl TierHealth {
                 inner.probe_inflight = false;
                 if outcome.is_err() {
                     inner.errors_total += 1;
-                    inner.probe_after_us = now.saturating_add(inner.cooldown_us);
+                    inner.probe_after_us = now.saturating_add(PROBE_COOLDOWN_US);
                     return Transition::ProbeFailed;
                 }
                 inner.state = TierState::Closed;
@@ -400,25 +376,24 @@ pub struct HealthSnapshot {
 pub struct HealthRegistry {
     names: Vec<String>,
     tiers: Vec<TierHealth>,
-    origin: Instant,
+    clock: Clock,
 }
 
 impl HealthRegistry {
-    /// A registry with one tracker per tier name, all closed.
+    /// A registry with one tracker per tier name, all closed, on a host
+    /// clock of its own.
     #[must_use]
     pub fn new(names: Vec<String>) -> Self {
+        Self::with_clock(names, Clock::host())
+    }
+
+    /// [`Self::new`] on the instance's `clock`.
+    pub(crate) fn with_clock(names: Vec<String>, clock: Clock) -> Self {
         let tiers = names.iter().map(|_| TierHealth::default()).collect();
         Self {
             names,
             tiers,
-            origin: Instant::now(),
-        }
-    }
-
-    /// Set every tier's probe cooldown (tests use short ones).
-    pub fn set_config(&self, cfg: HealthConfig) {
-        for tier in &self.tiers {
-            locks::lock(&tier.inner).cooldown_us = cfg.probe_cooldown_us;
+            clock,
         }
     }
 
@@ -430,12 +405,10 @@ impl HealthRegistry {
     }
 
     /// Record a success against `tier` outside any gate, at the
-    /// registry's own clock. While the tier has never errored this is one
+    /// registry's clock. While the tier has never errored this is one
     /// relaxed load.
     pub fn record_success(&self, tier: TierId) {
-        self.tiers[tier].settle(Gate::Open, Ok(()), || {
-            u64::try_from(self.origin.elapsed().as_micros()).unwrap_or(u64::MAX)
-        });
+        self.tiers[tier].settle(Gate::Open, Ok(()), || self.clock.now_us());
     }
 
     /// True while any tier is quarantined.
@@ -505,12 +478,13 @@ pub fn mix64(x: u64) -> u64 {
 mod tests {
     use super::*;
 
-    /// A tracker with a 1 ms cooldown.
+    /// A closed tracker.
     fn tracker() -> TierHealth {
-        let h = TierHealth::default();
-        locks::lock(&h.inner).cooldown_us = 1_000;
-        h
+        TierHealth::default()
     }
+
+    /// The cooldown, in microseconds.
+    const C: u64 = PROBE_COOLDOWN_US;
 
     /// Settle an operation through an open gate at `now`.
     fn open(h: &TierHealth, outcome: std::result::Result<(), ErrorClass>, now: u64) -> Transition {
@@ -675,11 +649,11 @@ mod tests {
                 }
                 Start::InCooldown => {
                     open(&h, Err(Permanent), 0);
-                    500
+                    C - 1
                 }
                 Start::PastCooldown => {
                     open(&h, Err(Permanent), 0);
-                    1_500
+                    C
                 }
             };
             let row = format!("{from:?} × {outcome:?}");
@@ -723,18 +697,18 @@ mod tests {
     fn probe_gated_by_cooldown_and_exclusive() {
         let h = tracker();
         open(&h, Err(ErrorClass::Permanent), 0);
-        assert_eq!(h.gate(|| 500), Gate::Shut, "cooldown not elapsed");
-        assert_eq!(h.gate(|| 1_500), Gate::Probe);
-        assert_eq!(h.gate(|| 1_500), Gate::Shut, "probe slot is exclusive");
-        h.settle(Gate::Probe, Err(ErrorClass::Transient), || 1_500);
+        assert_eq!(h.gate(|| C - 1), Gate::Shut, "cooldown not elapsed");
+        assert_eq!(h.gate(|| C), Gate::Probe);
+        assert_eq!(h.gate(|| C), Gate::Shut, "probe slot is exclusive");
+        h.settle(Gate::Probe, Err(ErrorClass::Transient), || C);
         assert!(h.is_quarantined());
         assert_eq!(
-            h.gate(|| 2_000),
+            h.gate(|| 2 * C - 1),
             Gate::Shut,
             "failed probe re-arms the cooldown"
         );
-        assert_eq!(h.gate(|| 2_600), Gate::Probe);
-        h.settle(Gate::Probe, Ok(()), || 2_600);
+        assert_eq!(h.gate(|| 2 * C), Gate::Probe);
+        h.settle(Gate::Probe, Ok(()), || 2 * C);
         assert_eq!(h.state(), TierState::Closed);
         let snap = h.snapshot(0, "ssd");
         assert_eq!(snap.recoveries, 1);
@@ -772,6 +746,24 @@ mod tests {
             Transition::None
         );
         assert_eq!(h.state(), TierState::Closed);
+    }
+
+    #[test]
+    fn record_success_books_at_the_registry_clock() {
+        let clock = Clock::manual();
+        let reg = HealthRegistry::with_clock(vec!["ssd".into(), "pfs".into()], clock.clone());
+        reg.tier(0)
+            .settle(Gate::Open, Err(ErrorClass::Transient), || 0);
+        assert_eq!(reg.tier(0).state(), TierState::Suspect);
+        clock.advance(std::time::Duration::from_micros(7));
+        for _ in 0..3 {
+            reg.record_success(0);
+        }
+        let tier = &reg.snapshot().tiers[0];
+        assert_eq!(
+            (tier.state.as_str(), tier.last_transition_us),
+            ("closed", 7)
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::clock::Clock;
 use crate::driver::StorageDriver;
 use crate::health::HealthRegistry;
 use crate::{Error, Result};
@@ -169,6 +170,13 @@ impl StorageHierarchy {
             tiers.iter().map(|t| t.name.clone()).collect(),
         ));
         Ok(Self { tiers, health })
+    }
+
+    /// This hierarchy's breakers anew on the instance's `clock`.
+    pub(crate) fn with_clock(mut self, clock: Clock) -> Self {
+        let names = self.tiers.iter().map(|t| t.name.clone()).collect();
+        self.health = Arc::new(HealthRegistry::with_clock(names, clock));
+        self
     }
 
     /// The hierarchy's health registry.

@@ -46,6 +46,7 @@
 //! ```
 
 pub mod builder;
+pub mod clock;
 pub mod cluster;
 pub mod config;
 pub mod driver;
@@ -70,6 +71,7 @@ pub mod trace;
 pub mod transfer;
 
 pub use builder::MonarchBuilder;
+pub use clock::Clock;
 pub use cluster::{
     Cluster, ClusterConfig, ClusterSnapshot, PeerError, PeerServer, PeerTransport, ShardMap,
     TcpPeerTransport,
@@ -78,8 +80,8 @@ pub use config::{MonarchConfig, TelemetryConfig};
 pub use driver::StorageDriver;
 pub use error::{Error, Result};
 pub use health::{
-    classify, device_error_class, ErrorClass, HealthConfig, HealthRegistry, HealthSnapshot,
-    RetryPolicy, TierHealth, TierHealthSnapshot, TierState,
+    classify, device_error_class, ErrorClass, HealthRegistry, HealthSnapshot, RetryPolicy,
+    TierHealth, TierHealthSnapshot, TierState,
 };
 pub use hierarchy::{StorageHierarchy, Tier, TierId};
 pub use lifecycle::Lifecycle;

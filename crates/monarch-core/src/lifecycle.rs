@@ -41,7 +41,6 @@
 
 use std::cell::OnceCell;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::health::{device_error_class, ErrorClass, Gate, Transition};
 use crate::hierarchy::{Quota, StorageHierarchy, TierId};
@@ -493,11 +492,12 @@ impl Lifecycle {
     /// off no clock is read.
     pub fn fetch(&self, file: FileId, at: u64, dst: &mut [u8]) -> Result<usize> {
         let source = self.hierarchy.source();
-        let start = self.telemetry.is_enabled().then(Instant::now);
+        let clock = self.telemetry.clock();
+        let start = self.telemetry.is_enabled().then(|| clock.now_ns());
         let read = source.driver.read_at(self.name(file), at, dst);
         if let Some(start) = start {
             let hist = self.telemetry.read_latency(source.id);
-            hist.record_duration(start.elapsed());
+            hist.record(clock.now_ns().saturating_sub(start));
         }
         if let Ok(n) = read {
             self.stats().record_read(source.id, n as u64);

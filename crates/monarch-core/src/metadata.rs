@@ -869,12 +869,6 @@ impl MetadataContainer {
         }
     }
 
-    /// The clock's latest tick: the stamp of the latest touch.
-    #[cfg(test)]
-    pub(crate) fn clock(&self) -> u64 {
-        self.clock.0.load(Ordering::Relaxed)
-    }
-
     /// How many files are pinned.
     pub(crate) fn pinned(&self) -> u64 {
         self.ids()
@@ -947,6 +941,11 @@ impl MetadataContainer {
 
 #[cfg(test)]
 impl MetadataContainer {
+    /// The clock's latest tick: the stamp of the latest touch.
+    pub(crate) fn clock(&self) -> u64 {
+        self.clock.0.load(Ordering::Relaxed)
+    }
+
     /// `id`'s counters line alone: its reads and its bytes per tier.
     pub(crate) fn line_counts(&self, id: FileId) -> (u64, [u64; MAX_LEVELS]) {
         let slot = self.slab.slot(id);

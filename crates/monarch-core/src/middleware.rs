@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::builder::MonarchBuilder;
 use crate::cluster::Cluster;
@@ -49,7 +49,7 @@ pub struct InitReport {
     pub files: u64,
     /// Their total size in bytes.
     pub bytes: u64,
-    /// Wall-clock duration of the scan.
+    /// Duration of the scan, on the instance clock.
     pub elapsed: Duration,
 }
 
@@ -110,7 +110,8 @@ impl Monarch {
     /// Populate the metadata container by scanning the PFS source tier —
     /// run once at startup, before the framework issues reads.
     pub fn init(&self) -> Result<InitReport> {
-        let start = Instant::now();
+        let clock = self.telemetry.clock();
+        let start = clock.now_ns();
         let source = self.hierarchy.source();
         let mut files = 0u64;
         let mut bytes = 0u64;
@@ -123,7 +124,7 @@ impl Monarch {
         Ok(InitReport {
             files,
             bytes,
-            elapsed: start.elapsed(),
+            elapsed: Duration::from_nanos(clock.now_ns() - start),
         })
     }
 
@@ -183,21 +184,23 @@ impl Monarch {
         // which sum to the read's wall time, the tier's read latency, the
         // ledger's sums, and a sampled read's span tree (read →
         // metadata_lookup → tier_resolve → driver_pread) — all come from
-        // one chain of instants: when the read began, had looked its file
-        // up, had its serving tier and had its bytes. The clock is read
-        // only when something will consume it: on every read that is not a
-        // plain local-tier hit, and on the hits whose turn it is. A hit's
-        // turn is known here, from the plain local hits this thread's tally
-        // holds; what else the read is, only after its lookup, which then
-        // starts the chain itself (its lookup booked as free).
+        // one chain of marks on the instance clock: when the read began,
+        // had looked its file up, had its serving tier and had its bytes.
+        // The clock is read only when something will consume it: on every
+        // read that is not a plain local-tier hit, and on the hits whose
+        // turn it is. A hit's turn is known here, from the plain local hits
+        // this thread's tally holds; what else the read is, only after its
+        // lookup, which then starts the chain itself (its lookup booked as
+        // free).
         let tr = self.telemetry.trace();
         let sampled = tr.sample_read();
         let profiled = self.telemetry.is_enabled();
         let turn = profiled && reading.local_hits().is_multiple_of(TIMED_HIT_PERIOD);
-        let mut clock = (turn || sampled).then(|| [Instant::now(); 4]);
-        let stamp = |clock: &mut Option<[Instant; 4]>, at: usize| {
-            if let Some(marks) = clock {
-                marks[at] = Instant::now();
+        let clock = self.telemetry.clock();
+        let mut marks = (turn || sampled).then(|| [clock.now_ns(); 4]);
+        let stamp = |marks: &mut Option<[u64; 4]>, at: usize| {
+            if let Some(marks) = marks {
+                marks[at] = clock.now_ns();
             }
         };
         // The read's span id comes first: the placement copy the read may
@@ -212,14 +215,14 @@ impl Monarch {
                 .ok_or_else(|| Error::UnknownFile(file.into()))
         };
         let (source, health) = (self.hierarchy.source_id(), self.hierarchy.health());
-        let (book, now) = (self.engine.book(), || self.telemetry.now_micros());
+        let (book, now) = (self.engine.book(), || clock.now_us());
         // Retries spent; the resident tier failed this read terminally (so
         // the source serves it); its one announce (a peer that failed, or
         // a copy admission refused, is not asked again); and the flow id
         // of the copy it announced (`0`: none, or not sampled).
         let (mut attempts, mut fallback, mut announce, mut flow) = (0, false, true, 0);
         let (tier, how, n, weight) = loop {
-            stamp(&mut clock, 1);
+            stamp(&mut marks, 1);
             if offset >= info.size {
                 return Ok(0);
             }
@@ -245,9 +248,9 @@ impl Monarch {
                 (true, false) => 0,
                 (false, _) => u64::from(profiled),
             };
-            match clock.as_mut() {
-                Some(marks) => marks[2] = Instant::now(),
-                None if weight > 0 => clock = Some([Instant::now(); 4]),
+            match marks.as_mut() {
+                Some(marks) => marks[2] = clock.now_ns(),
+                None if weight > 0 => marks = Some([clock.now_ns(); 4]),
                 None => {}
             }
             // A file whose copy is in flight — or starts here — is read
@@ -320,7 +323,7 @@ impl Monarch {
                     read => read,
                 },
             };
-            stamp(&mut clock, 3);
+            stamp(&mut marks, 3);
             let e = match outcome {
                 Ok(n) => {
                     // A success through the open gate of a tier that never
@@ -340,11 +343,11 @@ impl Monarch {
                 }
                 Err(e) => e,
             };
-            if let (true, Some([.., resolve, pread])) = (weight > 0, clock) {
+            if let (true, Some([.., resolve, pread])) = (weight > 0, marks) {
                 // A failed pread is timed too: its tier's latency shows it.
                 self.telemetry
                     .read_latency(tier.id)
-                    .record_duration_n(pread - resolve, weight);
+                    .record_n(pread.saturating_sub(resolve), weight);
             }
             info = look_again()?;
             if probing {
@@ -379,9 +382,8 @@ impl Monarch {
                 // real device hiccups back off first.
                 if !vanished {
                     self.telemetry.stats().read_retry();
-                    std::thread::sleep(Duration::from_micros(
-                        retry.backoff_us(attempts, offset ^ file.len() as u64),
-                    ));
+                    let backoff = retry.backoff_us(attempts, offset ^ file.len() as u64);
+                    clock.sleep(Duration::from_micros(backoff));
                 }
                 continue;
             }
@@ -414,8 +416,8 @@ impl Monarch {
                 track: tr.register_current_thread(),
                 flow,
             }),
-            marks: clock.map(|[entry, lookup, resolve, pread]| {
-                [entry, lookup, resolve, pread, Instant::now()].map(|t| self.telemetry.nanos_at(t))
+            marks: marks.map(|[entry, lookup, resolve, pread]| {
+                [entry, lookup, resolve, pread, clock.now_ns()]
             }),
         };
         book.read_served_by(&read, reading.tally(), &count);
@@ -427,7 +429,7 @@ impl Monarch {
     pub fn read_full(&self, file: &str) -> Result<Vec<u8>> {
         let tr = self.telemetry.trace();
         let traced = tr.is_enabled();
-        let t0 = traced.then(|| self.telemetry.now_micros());
+        let t0 = traced.then(|| self.telemetry.clock().now_us());
         let id = if traced { tr.next_id() } else { 0 };
         let mut buf = Vec::new();
         let whole = &mut buf;
@@ -449,7 +451,7 @@ impl Monarch {
                     "read",
                     tid,
                     t0,
-                    self.telemetry.now_micros() - t0,
+                    self.telemetry.clock().now_us() - t0,
                 )
                 .with_id(id)
                 .arg_str("file", file)
@@ -485,7 +487,7 @@ impl Monarch {
     pub fn prestage(&self) -> usize {
         let tr = self.telemetry.trace();
         let traced = tr.is_enabled();
-        let t0 = traced.then(|| self.telemetry.now_micros());
+        let t0 = traced.then(|| self.telemetry.clock().now_us());
         let prestage_id = if traced { tr.next_id() } else { 0 };
         let mut scheduled = 0;
         for id in self.metadata.ids() {
@@ -513,7 +515,7 @@ impl Monarch {
                     "read",
                     tid,
                     t0,
-                    self.telemetry.now_micros() - t0,
+                    self.telemetry.clock().now_us() - t0,
                 )
                 .with_id(prestage_id)
                 .arg_u64("scheduled", scheduled as u64),
@@ -600,12 +602,6 @@ impl Monarch {
         self.sampler.clone()
     }
 
-    /// The shutdown flag shared with the engine.
-    #[cfg(test)]
-    pub(crate) fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutting_down)
-    }
-
     /// The server slot ([`Monarch::serve`] installs into it; `shutdown`
     /// stops whatever is in it).
     pub(crate) fn server_slot(&self) -> &std::sync::Mutex<Option<MetricsServer>> {
@@ -688,6 +684,14 @@ impl std::fmt::Debug for Monarch {
             .field("files", &self.metadata.len())
             .field("policy", &self.engine.policy_name())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl Monarch {
+    /// The shutdown flag shared with the engine.
+    pub(crate) fn shutdown_flag(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.shutting_down)
     }
 }
 

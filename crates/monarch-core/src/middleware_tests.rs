@@ -2,12 +2,14 @@
 //! `middleware.rs` so the facade itself stays within the size gate.
 
 use std::sync::atomic::AtomicU64;
+use std::time::Instant;
 
 use super::*;
+use crate::clock::Clock;
 use crate::config::{AdmissionKind, PolicyKind};
 use crate::config::{TelemetryConfig, TierConfig};
 use crate::driver::{FlakyDriver, FlakyOutcome, MemDriver, StorageDriver};
-use crate::health::HealthConfig;
+use crate::health::PROBE_COOLDOWN_US;
 use crate::metadata::FileId;
 use crate::policy::{AdmitAll, NoEviction, PlacementScorer, PolicyEngine};
 
@@ -1029,6 +1031,16 @@ fn every_read_is_counted_once_on_the_tally_of_its_thread() {
 /// `size` bytes staged on the "PFS". The returned driver handle scripts
 /// faults after placement settles.
 fn flaky_monarch(cap: u64, n: usize, size: usize) -> (Monarch, Arc<FlakyDriver<MemDriver>>) {
+    flaky_monarch_on(Clock::host(), cap, n, size)
+}
+
+/// [`flaky_monarch`] on `clock`.
+fn flaky_monarch_on(
+    clock: Clock,
+    cap: u64,
+    n: usize,
+    size: usize,
+) -> (Monarch, Arc<FlakyDriver<MemDriver>>) {
     let pfs = MemDriver::new("pfs");
     for i in 0..n {
         pfs.insert(&format!("f{i:03}"), vec![i as u8; size]);
@@ -1042,6 +1054,7 @@ fn flaky_monarch(cap: u64, n: usize, size: usize) -> (Monarch, Arc<FlakyDriver<M
     let m = MonarchBuilder::new()
         .hierarchy(hierarchy)
         .pool_threads(2)
+        .clock(clock)
         .build()
         .unwrap();
     m.init().unwrap();
@@ -1226,10 +1239,8 @@ fn permanent_read_fault_quarantines_and_serves_from_source() {
 
 #[test]
 fn half_open_probe_readmits_a_recovered_tier() {
-    let (m, flaky) = flaky_monarch(1 << 20, 1, 1000);
-    m.hierarchy().health().set_config(HealthConfig {
-        probe_cooldown_us: 1_000,
-    });
+    let clock = Clock::manual();
+    let (m, flaky) = flaky_monarch_on(clock.clone(), 1 << 20, 1, 1000);
     let mut buf = vec![0u8; 100];
     m.read("f000", 0, &mut buf).unwrap();
     m.wait_placement_idle();
@@ -1243,7 +1254,7 @@ fn half_open_probe_readmits_a_recovered_tier() {
 
     // After the cooldown the next read wins the half-open probe slot; the
     // device answers (script exhausted) and the tier is re-admitted.
-    std::thread::sleep(Duration::from_millis(10));
+    clock.advance(Duration::from_micros(PROBE_COOLDOWN_US));
     assert_eq!(m.read("f000", 0, &mut buf).unwrap(), 100);
     let s = m.stats();
     assert_eq!(s.tier_recoveries, 1);
@@ -1257,6 +1268,80 @@ fn half_open_probe_readmits_a_recovered_tier() {
     m.read("f000", 0, &mut buf).unwrap();
     assert_eq!(m.stats().degraded_reads, degraded);
     assert_eq!(m.stats().tiers[0].reads, s.tiers[0].reads + 1);
+    m.shutdown();
+}
+
+#[test]
+fn the_cooldown_lets_exactly_one_probe_through_on_the_clock() {
+    // On a manual clock the cooldown is exact: 1 µs short of it the gate
+    // stays shut, and at it one of several racing reads wins the
+    // half-open slot and closes the tier.
+    let clock = Clock::manual();
+    let (m, flaky) = flaky_monarch_on(clock.clone(), 1 << 20, 1, 1000);
+    let mut buf = vec![0u8; 100];
+    m.read("f000", 0, &mut buf).unwrap();
+    m.wait_placement_idle();
+    flaky.script_reads([FlakyOutcome::Permanent]);
+    m.read("f000", 0, &mut buf).unwrap();
+    let tier = || m.hierarchy().health().snapshot().tiers[0].clone();
+    let quarantined_at = tier().last_transition_us;
+    assert_eq!(tier().state, "quarantined");
+
+    clock.advance(Duration::from_micros(PROBE_COOLDOWN_US - 1));
+    assert_eq!(clock.now_us(), quarantined_at + PROBE_COOLDOWN_US - 1);
+    m.read("f000", 0, &mut buf).unwrap();
+    assert_eq!((tier().state.as_str(), tier().probes), ("quarantined", 0));
+    assert_eq!(m.stats().degraded_reads, 2);
+
+    clock.advance(Duration::from_micros(1));
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                let mut buf = vec![0u8; 100];
+                start.wait();
+                assert_eq!(m.read("f000", 0, &mut buf).unwrap(), 100);
+            });
+        }
+    });
+    let h = tier();
+    assert_eq!((h.state.as_str(), h.probes, h.recoveries), ("closed", 1, 1));
+    assert_eq!(m.stats().tier_recoveries, 1);
+    m.shutdown();
+}
+
+#[test]
+fn a_retried_read_waits_its_backoffs_on_the_clock() {
+    // Each retry sleeps its backoff on the instance clock: a manual one
+    // moves by exactly their sum, and no real time passes.
+    let clock = Clock::manual();
+    let (m, flaky) = flaky_monarch_on(clock.clone(), 1 << 20, 1, 1000);
+    let mut buf = vec![0u8; 100];
+    m.read("f000", 0, &mut buf).unwrap();
+    m.wait_placement_idle();
+    flaky.script_reads([FlakyOutcome::Transient, FlakyOutcome::Transient]);
+    let before = clock.now_ns();
+    assert_eq!(m.read("f000", 8, &mut buf).unwrap(), 100);
+    let retry = m.hierarchy().health().retry_policy();
+    let salt = 8 ^ "f000".len() as u64;
+    let waited: u64 = (1..=2).map(|attempt| retry.backoff_us(attempt, salt)).sum();
+    assert_eq!(m.stats().read_retries, 2);
+    assert_eq!(clock.now_ns() - before, waited * 1_000);
+    m.shutdown();
+}
+
+#[test]
+fn a_retried_install_waits_its_backoff_on_the_clock() {
+    let clock = Clock::manual();
+    let (m, flaky) = flaky_monarch_on(clock.clone(), 1 << 20, 1, 1000);
+    flaky.script_writes([FlakyOutcome::Transient]);
+    let mut buf = vec![0u8; 100];
+    m.read("f000", 0, &mut buf).unwrap();
+    m.wait_placement_idle();
+    let s = m.stats();
+    assert_eq!((s.copy_retries, s.copies_completed), (1, 1));
+    let waited = m.hierarchy().health().retry_policy().backoff_us(1, 1000);
+    assert_eq!(clock.now_ns(), waited * 1_000);
     m.shutdown();
 }
 

@@ -298,19 +298,6 @@ impl Staging {
         let full = locks::lock(&self.fill).watermark == self.size;
         full.then(|| self.published(0..self.size as usize))
     }
-
-    /// `(watermark, end of the range being fetched)`.
-    #[cfg(test)]
-    pub(crate) fn progress(&self) -> (u64, Option<u64>) {
-        let fill = locks::lock(&self.fill);
-        (fill.watermark, fill.claimed_to)
-    }
-
-    /// Reads waiting on a fetch right now.
-    #[cfg(test)]
-    pub(crate) fn parked(&self) -> usize {
-        locks::lock(&self.fill).parked
-    }
 }
 
 /// The right to fetch `range` into a [`Staging`]; dropping it, filled or
@@ -392,6 +379,20 @@ impl Drop for Claim<'_> {
     fn drop(&mut self) {
         locks::lock(&self.staging.fill).claimed_to = None;
         self.staging.moved.notify_all();
+    }
+}
+
+#[cfg(test)]
+impl Staging {
+    /// `(watermark, end of the range being fetched)`.
+    pub(crate) fn progress(&self) -> (u64, Option<u64>) {
+        let fill = locks::lock(&self.fill);
+        (fill.watermark, fill.claimed_to)
+    }
+
+    /// Reads waiting on a fetch right now.
+    pub(crate) fn parked(&self) -> usize {
+        locks::lock(&self.fill).parked
     }
 }
 

@@ -2,7 +2,7 @@
 //! built of four of them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -166,18 +166,6 @@ impl LatencyHistogram {
         s.max(|s| &s.max, value);
     }
 
-    /// Record a wall-clock duration, in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record_duration_n(d, 1);
-    }
-
-    /// [`Self::record_n`] of a wall-clock duration, in nanoseconds.
-    #[inline]
-    pub fn record_duration_n(&self, d: Duration, n: u64) {
-        self.record_n(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX), n);
-    }
-
     /// Total observations recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -242,22 +230,6 @@ impl LatencyHistogram {
     #[must_use]
     pub fn count_le(&self, bound: u64) -> u64 {
         self.merged().count_le(bound)
-    }
-
-    /// Fold another histogram's counts into this one (into the calling
-    /// thread's stripe).
-    pub fn merge(&self, other: &LatencyHistogram) {
-        let mine = self.stripes.local(HistStripe::new);
-        for theirs in other.stripes.iter() {
-            for (i, t) in theirs.buckets.iter().enumerate() {
-                let v = t.load(Ordering::Relaxed);
-                if v != 0 {
-                    mine.add(|m| &m.buckets[i], v);
-                }
-            }
-        }
-        mine.add(|m| &m.sum, other.sum());
-        mine.max(|m| &m.max, other.max());
     }
 
     /// Immutable summary for reporting. One fold of the stripes serves the

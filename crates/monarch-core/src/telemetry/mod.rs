@@ -8,7 +8,7 @@
 //! observations, shared by the real middleware and the `dlpipe` simulator:
 //!
 //! - [`LatencyHistogram`] — a lock-free log-linear histogram (relaxed
-//!   atomic buckets, mergeable, p50/p90/p99/max) for per-tier read/write
+//!   atomic buckets, p50/p90/p99/max) for per-tier read/write
 //!   latency, background-copy duration, and pool queue-wait time;
 //! - [`EventJournal`] — a bounded ring buffer of structured
 //!   [`Event`]s covering the copy lifecycle (scheduled → started →
@@ -43,10 +43,10 @@ mod histogram;
 mod journal;
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use crate::clock::Clock;
 use crate::cluster::Cluster;
 use crate::health::{HealthRegistry, TierState};
 use crate::hierarchy::{StorageHierarchy, Tier};
@@ -93,7 +93,7 @@ pub struct TelemetryRegistry {
     journal: EventJournal,
     trace: Arc<crate::trace::TraceRecorder>,
     profiler: AccessProfiler,
-    origin: Instant,
+    clock: Clock,
 }
 
 impl TelemetryRegistry {
@@ -147,8 +147,14 @@ impl TelemetryRegistry {
                 TRACE_CAPACITY,
             )),
             profiler,
-            origin: Instant::now(),
+            clock: Clock::host(),
         }
+    }
+
+    /// This registry on the instance's `clock`.
+    pub(crate) fn with_clock(mut self, clock: Clock) -> Self {
+        self.clock = clock;
+        self
     }
 
     /// Whether histogram/journal recording is enabled at all.
@@ -169,18 +175,10 @@ impl TelemetryRegistry {
         &self.stats
     }
 
-    /// Microseconds elapsed since the registry was created.
+    /// The instance's clock (the builder's, or a host clock of its own).
     #[must_use]
-    pub fn now_micros(&self) -> u64 {
-        self.nanos_at(Instant::now()) / 1_000
-    }
-
-    /// `t` on the registry clock: nanoseconds between the registry's
-    /// creation and `t`. Lets a caller that already holds an [`Instant`]
-    /// mark a read without reading the clock again.
-    #[must_use]
-    pub fn nanos_at(&self, t: Instant) -> u64 {
-        u64::try_from(t.saturating_duration_since(self.origin).as_nanos()).unwrap_or(u64::MAX)
+    pub fn clock(&self) -> &Clock {
+        &self.clock
     }
 
     /// Per-tier read-latency histogram.
@@ -372,7 +370,7 @@ impl TelemetryRegistry {
     /// Record `kind` stamped with the registry's wall clock.
     pub fn event(&self, kind: EventKind) {
         if self.journal.is_enabled() {
-            self.journal.record_at(self.now_micros(), kind);
+            self.journal.record_at(self.clock.now_us(), kind);
         }
     }
 
@@ -527,7 +525,7 @@ impl TelemetrySnapshot {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use super::histogram::{bucket_bounds, bucket_index, LINEAR_MAX, NUM_BUCKETS};
     use super::*;
@@ -624,20 +622,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean(), 0);
         assert_eq!(h.snapshot(), HistogramSnapshot::default());
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        for v in 0..100 {
-            a.record(v);
-            b.record(v + 1000);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 200);
-        assert_eq!(a.max(), 1099);
-        assert!(a.quantile(0.9) >= 1000);
     }
 
     #[test]

@@ -35,12 +35,12 @@
 //!   immutable `bool`; no atomics touched, no allocation, as with the
 //!   latency histograms, which a disabled registry never records into.
 //! * **Explicit timestamps** — callers supply microsecond timestamps, so
-//!   the real middleware records wall-clock spans (via
-//!   [`crate::telemetry::TelemetryRegistry::now_micros`]) while the
+//!   the real middleware records spans on the instance clock (via
+//!   [`crate::telemetry::TelemetryRegistry::clock`]) while the
 //!   discrete-event simulator records *virtual-time* spans with the same
 //!   shape; both exports load in Perfetto identically.
 //!
-//! Timestamps are microseconds since the owning registry's origin, which
+//! Timestamps are microseconds since the instance clock's origin, which
 //! is exactly the `ts` unit the Chrome Trace Event format wants.
 
 use std::collections::{BTreeMap, VecDeque};

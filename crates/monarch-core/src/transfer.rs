@@ -33,7 +33,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::cluster::{Cluster, PeerError};
 use crate::health::{device_error_class, ErrorClass, Gate};
@@ -173,8 +173,8 @@ pub struct ReadCtx {
     /// Pool lane to queue the copy on.
     pub lane: Lane,
     /// Drop the copy (reverting its metadata) if a worker has not started
-    /// it by this instant. `None` = no deadline.
-    pub deadline: Option<Instant>,
+    /// it by this time (µs on the instance clock). `None` = no deadline.
+    pub deadline: Option<u64>,
 }
 
 impl Default for ReadCtx {
@@ -225,10 +225,10 @@ impl ReadCtx {
         self
     }
 
-    /// Attach a start deadline: the copy is dropped (metadata reverted, a
-    /// `copy_failed` event journaled) if still queued past `deadline`.
+    /// Attach a start deadline (µs on the instance clock): the copy is dropped
+    /// (metadata reverted, `copy_failed` journaled) if still queued past it.
     #[must_use]
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
+    pub fn with_deadline(mut self, deadline: u64) -> Self {
         self.deadline = Some(deadline);
         self
     }
@@ -303,7 +303,7 @@ struct Lease {
 
 impl Lease {
     fn placed(&self, tier: TierId, run: &CopyRun) {
-        let at = self.book.telemetry().now_micros();
+        let at = self.book.telemetry().clock().now_us();
         let size = self.staging.size();
         self.book
             .placed(at, self.id, size, tier, self.lane, Some(run));
@@ -314,7 +314,7 @@ impl Lease {
 
     fn unplaced(&self, why: Unplaced<'_>, run: Option<&CopyRun>) {
         self.settled.set(true);
-        let at = self.book.telemetry().now_micros();
+        let at = self.book.telemetry().clock().now_us();
         self.book
             .unplaced(at, self.id, self.reserved.take(), why, run);
     }
@@ -503,7 +503,7 @@ impl TransferEngine {
     fn schedule(&self, file: FileId, staging: Arc<Staging>, ctx: ReadCtx) -> bool {
         let telemetry = self.book.telemetry();
         let size = staging.size();
-        let at = telemetry.now_micros();
+        let at = telemetry.clock().now_us();
         let mut flow = ctx.flow;
         if flow.id != 0 {
             flow.track = telemetry.trace().register_current_thread();
@@ -611,12 +611,10 @@ impl TransferEngine {
         // (and later epochs) hit the local tier. Bounded by the remote
         // deadline: if the install queue is backed up past it, the install
         // reverts and the file stays on the PFS.
-        self.remote_admit(
-            id,
-            bytes,
-            owner as u64,
-            ReadCtx::untraced().with_deadline(Instant::now() + cluster.remote_deadline()),
-        );
+        let wait_us = 1_000u64.saturating_mul(cluster.config().remote_deadline_ms.max(1));
+        let at = self.book.telemetry().clock().now_us();
+        let ctx = ReadCtx::untraced().with_deadline(at.saturating_add(wait_us));
+        self.remote_admit(id, bytes, owner as u64, ctx);
         Some(n)
     }
 
@@ -709,7 +707,7 @@ impl TransferEngine {
                     names::PLAN_SUBMIT,
                     "read",
                     tr.register_current_thread(),
-                    self.book.telemetry().now_micros(),
+                    self.book.telemetry().clock().now_us(),
                     0,
                 )
                 .with_id(tr.next_id())
@@ -765,7 +763,8 @@ impl TransferEngine {
             // letting the demand path wait behind unrelated prefetches
             // (it cannot enqueue a duplicate: the metadata CAS is held
             // by the queued job).
-            self.book.promoted(self.book.telemetry().now_micros(), id);
+            self.book
+                .promoted(self.book.telemetry().clock().now_us(), id);
         }
         // The cursor moved: more of the plan may now be issued.
         self.pump();
@@ -786,7 +785,7 @@ impl TransferEngine {
             .book
             .hierarchy()
             .tier(metadata.placement(id).ok_or_else(unknown)?.tier)?;
-        let at = self.book.telemetry().now_micros();
+        let at = self.book.telemetry().clock().now_us();
         self.book.evicted(at, id, tier.id, Evict::Explicit, || {
             tier.driver.remove(file)
         })
@@ -890,22 +889,6 @@ impl TransferEngine {
                 }
             }
         }
-    }
-
-    /// `(watermark, end of the range being fetched)` of `file`'s install
-    /// staging, while its copy is queued or running.
-    #[cfg(test)]
-    pub(crate) fn staging_progress(&self, file: FileId) -> Option<(u64, Option<u64>)> {
-        locks::lock(&self.stagings).get(&file).map(|s| s.progress())
-    }
-
-    /// Reads parked in `file`'s install staging, waiting on a fetch (`0`
-    /// when no copy of it is queued or running).
-    #[cfg(test)]
-    pub(crate) fn staging_parked(&self, file: FileId) -> usize {
-        locks::lock(&self.stagings)
-            .get(&file)
-            .map_or(0, |s| s.parked())
     }
 
     /// A detached [`Sampler`] over this engine's shared parts (plus the
@@ -1022,8 +1005,8 @@ impl Sampler {
 struct CopyJob {
     /// What [`Lifecycle::started`] books its wait and its run from.
     queued: Queued,
-    /// Drop the copy if a worker has not started it by this instant.
-    deadline: Option<Instant>,
+    /// Drop the copy if a worker has not started it by this time (µs).
+    deadline: Option<u64>,
     /// The file's id, install staging and reservation; dropped with the
     /// job.
     lease: Lease,
@@ -1043,9 +1026,10 @@ impl CopyJob {
         let book = &*lease.book;
         let telemetry = book.telemetry();
         lease.queued.set(false);
+        let at = telemetry.clock().now_us();
         let refused = if lease.shutting_down.load(Ordering::Acquire) {
             Some(Unplaced::ShutDown)
-        } else if self.deadline.is_some_and(|d| Instant::now() > d) {
+        } else if self.deadline.is_some_and(|d| at > d) {
             // The request's freshness window closed while the copy sat in
             // the queue: doing the work now would be wasted bandwidth.
             // Same degradation as a failed copy — revert, retry on a later
@@ -1057,7 +1041,6 @@ impl CopyJob {
             None
         };
         let track = || telemetry.trace().register_current_thread();
-        let at = telemetry.now_micros();
         let run = book.started(at, lease.id, self.queued, track, refused.is_none());
         if let Some(why) = refused {
             return lease.unplaced(why, Some(&run));
@@ -1080,7 +1063,7 @@ impl CopyJob {
         let (hierarchy, telemetry) = (book.hierarchy(), book.telemetry());
         let stats = book.stats();
         let size = lease.staging.size();
-        let now = || telemetry.now_micros();
+        let now = || telemetry.clock().now_us();
         // Evictions (eviction-capable policies only), then the reservation.
         let Some(reserved) = book.room(now, Some(run), lease.id, size, |tier, victim| {
             hierarchy.tier(tier)?.driver.remove(victim)
@@ -1148,7 +1131,8 @@ impl CopyJob {
                 ErrorClass::Transient if attempts < retry.max_attempts => {
                     attempts += 1;
                     stats.copy_retry();
-                    std::thread::sleep(Duration::from_micros(retry.backoff_us(attempts, size)));
+                    let backoff = retry.backoff_us(attempts, size);
+                    telemetry.clock().sleep(Duration::from_micros(backoff));
                 }
                 ErrorClass::Capacity if !evicted_for_space && err_tier == tier => {
                     evicted_for_space = true;
@@ -1186,7 +1170,7 @@ impl CopyJob {
         let Some(victim) = book.policy().pressure_victim(tier, self.lease.id) else {
             return false;
         };
-        let at = book.telemetry().now_micros();
+        let at = book.telemetry().clock().now_us();
         !matches!(
             book.evicted(at, victim, tier, Evict::Enospc, || dest
                 .driver
@@ -1197,8 +1181,26 @@ impl CopyJob {
 }
 
 #[cfg(test)]
+impl TransferEngine {
+    /// `(watermark, end of the range being fetched)` of `file`'s install
+    /// staging, while its copy is queued or running.
+    pub(crate) fn staging_progress(&self, file: FileId) -> Option<(u64, Option<u64>)> {
+        locks::lock(&self.stagings).get(&file).map(|s| s.progress())
+    }
+
+    /// Reads parked in `file`'s install staging, waiting on a fetch (`0`
+    /// when no copy of it is queued or running).
+    pub(crate) fn staging_parked(&self, file: FileId) -> usize {
+        locks::lock(&self.stagings)
+            .get(&file)
+            .map_or(0, |s| s.parked())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::Clock;
     use crate::config::TelemetryConfig;
     use crate::config::{AdmissionKind, PolicyKind};
     use crate::driver::{open_gate, Gate, GatedDriver, MemDriver, StorageDriver};
@@ -1317,12 +1319,16 @@ mod tests {
         ));
         // As in a built instance, the profiler's records go by the ids of
         // the policy engine's namespace.
-        let telemetry = Arc::new(TelemetryRegistry::with_namespace(
-            vec!["ssd".into(), "pfs".into()],
-            stats,
-            &TelemetryConfig::default(),
-            Arc::clone(policy.namespace()),
-        ));
+        // On a manual clock: a copy's deadline passes when a test says so.
+        let telemetry = Arc::new(
+            TelemetryRegistry::with_namespace(
+                vec!["ssd".into(), "pfs".into()],
+                stats,
+                &TelemetryConfig::default(),
+                Arc::clone(policy.namespace()),
+            )
+            .with_clock(Clock::manual()),
+        );
         for (name, size) in hierarchy.source().driver.list().unwrap() {
             policy
                 .namespace()
@@ -1658,13 +1664,14 @@ mod tests {
         // generic `copy_failed`, and the file falls back to the PFS.
         let (mut engine, gate) = gated_engine(2, 0);
         pin_worker(&engine, "f000");
+        let clock = engine.book.telemetry().clock().clone();
         assert!(engine.remote_admit(
             id_of(&engine, "f001"),
             vec![1u8; 512],
             1,
-            ReadCtx::untraced().with_deadline(Instant::now())
+            ReadCtx::untraced().with_deadline(clock.now_us())
         ));
-        std::thread::sleep(Duration::from_millis(2));
+        clock.advance(Duration::from_micros(1));
         open_gate(&gate);
         engine.wait_idle();
         let stats = engine.book.stats().snapshot();
@@ -1695,12 +1702,12 @@ mod tests {
         pin_worker(&engine, "f000");
         // Queued behind the pinned worker with an already-expired deadline:
         // by the time a worker dequeues it, the freshness window is gone.
-        let expired = Instant::now();
+        let clock = engine.book.telemetry().clock().clone();
         assert!(engine.demand(
             id_of(&engine, "f001"),
-            ReadCtx::untraced().with_deadline(expired)
+            ReadCtx::untraced().with_deadline(clock.now_us())
         ));
-        std::thread::sleep(Duration::from_millis(2));
+        clock.advance(Duration::from_micros(1));
         open_gate(&gate);
         engine.wait_idle();
         let stats = engine.book.stats().snapshot();

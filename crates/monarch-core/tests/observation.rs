@@ -8,11 +8,12 @@ use std::time::{Duration, Instant};
 
 use monarch_core::config::PolicyKind;
 use monarch_core::driver::{open_gate, FlakyDriver, FlakyOutcome, GatedDriver, MemDriver};
+use monarch_core::health::PROBE_COOLDOWN_US;
 use monarch_core::observe::ReadTiming;
 use monarch_core::telemetry::TIMED_HIT_PERIOD as N;
 use monarch_core::{
-    AccessProfiler, HealthConfig, MetadataContainer, Monarch, MonarchBuilder, ReadClass, Result,
-    Stats, StorageDriver, StorageHierarchy, TelemetrySnapshot,
+    AccessProfiler, Clock, MetadataContainer, Monarch, MonarchBuilder, ReadClass, Result, Stats,
+    StorageDriver, StorageHierarchy, TelemetrySnapshot,
 };
 
 /// Held by the test that compares against wall-clock time and by the one
@@ -83,6 +84,32 @@ impl<D: StorageDriver> StorageDriver for Slow<D> {
         while Instant::now() < deadline {
             std::hint::spin_loop();
         }
+        self.0.read_at(file, offset, buf)
+    }
+    fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
+        self.0.write_full(file, data)
+    }
+    fn remove(&self, file: &str) -> Result<()> {
+        self.0.remove(file)
+    }
+    fn file_size(&self, file: &str) -> Result<u64> {
+        self.0.file_size(file)
+    }
+    fn list(&self) -> Result<Vec<(String, u64)>> {
+        self.0.list()
+    }
+}
+
+/// A tier with a device's latency on a manual clock: every read moves the
+/// clock on by 0.2 ms, and takes no real time.
+struct Ticking<D>(D, Clock);
+
+impl<D: StorageDriver> StorageDriver for Ticking<D> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        self.1.advance(Duration::from_micros(200));
         self.0.read_at(file, offset, buf)
     }
     fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
@@ -516,24 +543,56 @@ fn weighted_times_estimate_the_wall_time_of_all_hits() {
 }
 
 #[test]
+fn weighted_times_equal_the_clock_wall_of_all_hits() {
+    // The test above in virtual time: the device's reads are all that
+    // move the instance's manual clock, so each timed read's phases hold
+    // its 0.2 ms, and 512 timed reads weighing 16 each add up to the wall
+    // of all 8192 exactly. Exact needs every 16th hit of this thread
+    // timed, so it runs with the process's stripes to itself.
+    if !alone("weighted_times_equal_the_clock_wall_of_all_hits") {
+        return;
+    }
+    let clock = Clock::manual();
+    let fast = Ticking(MemDriver::new("fast"), clock.clone());
+    let m = builder(Arc::new(fast), u64::MAX / 2, pfs(4, 4096))
+        .clock(clock.clone())
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    m.prestage();
+    m.wait_placement_idle();
+    let mut buf = vec![0u8; 4096];
+    let reads = 512 * N;
+    let start = clock.now_ns();
+    for i in 0..reads {
+        assert_eq!(m.read(&name(i as usize % 4), 0, &mut buf).unwrap(), 4096);
+    }
+    let wall = clock.now_ns() - start;
+    assert_eq!(wall, reads * 200_000);
+    let snap = m.telemetry_snapshot();
+    assert_eq!(snap.stall_profile.driver_pread.count, reads);
+    assert_eq!(stall_sum(&snap), wall);
+    m.shutdown();
+}
+
+#[test]
 fn a_probe_read_is_timed_at_weight_one_and_leaves_the_turn_to_hits() {
     // A read that the half-open probe of a recovering tier serves is a
     // read of that tier but not a plain hit: it carries the clock at
     // weight 1, and the turn that times one hit in N counts hits only.
     let fast = Arc::new(FlakyDriver::new(MemDriver::new("fast")));
+    let clock = Clock::manual();
     let m = builder(
         Arc::clone(&fast) as Arc<dyn StorageDriver>,
         u64::MAX / 2,
         pfs(1, 4096),
     )
+    .clock(clock.clone())
     .build()
     .unwrap();
     m.init().unwrap();
     m.prestage();
     m.wait_placement_idle();
-    m.hierarchy().health().set_config(HealthConfig {
-        probe_cooldown_us: 1_000,
-    });
     let mut buf = vec![0u8; 512];
     let mut read = || assert_eq!(m.read(&name(0), 0, &mut buf).unwrap(), 512);
     // The first hit carries the clock, standing for N.
@@ -542,7 +601,7 @@ fn a_probe_read_is_timed_at_weight_one_and_leaves_the_turn_to_hits() {
     fast.script_reads([FlakyOutcome::Permanent]);
     read();
     // After the cooldown the next read probes the tier, which answers.
-    std::thread::sleep(Duration::from_millis(10));
+    clock.advance(Duration::from_micros(PROBE_COOLDOWN_US));
     read();
     let stats = m.stats();
     assert_eq!((stats.tier_quarantines, stats.tier_recoveries), (1, 1));

@@ -258,10 +258,6 @@ proptest! {
         };
         prop_assert_eq!(series(&one).len(), 11, "8 le buckets, +Inf, sum, count");
         prop_assert_eq!(series(&one), series(&many));
-        // Merging a multi-stripe histogram folds every stripe in.
-        let merged = LatencyHistogram::new();
-        merged.merge(many.copy_duration());
-        prop_assert_eq!(merged.snapshot(), one.copy_duration().snapshot());
     }
 
     /// Quantile estimates stay within one log-linear bucket of the exact

@@ -11,10 +11,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use monarch::core::driver::{FlakyDriver, PosixDriver, StorageDriver};
-use monarch::core::health::HealthConfig;
+use monarch::core::health::PROBE_COOLDOWN_US;
 use monarch::core::hierarchy::StorageHierarchy;
 use monarch::core::middleware::Monarch;
-use monarch::core::MonarchBuilder;
+use monarch::core::{Clock, MonarchBuilder};
 use monarch::tfrecord::synth::{generate, DatasetSpec};
 
 fn tmp(tag: &str) -> PathBuf {
@@ -23,9 +23,9 @@ fn tmp(tag: &str) -> PathBuf {
     d
 }
 
-/// Dataset + middleware with the local tier wrapped in a [`FlakyDriver`]:
-/// returns the facade, the shard names, their expected bytes, and the
-/// shared outage switch.
+/// Dataset + middleware with the local tier wrapped in a [`FlakyDriver`],
+/// on a manual clock: returns the facade, the shard names, their expected
+/// bytes, the shared outage switch and the clock.
 fn chaos_rig(
     root: &Path,
     capacity: u64,
@@ -34,6 +34,7 @@ fn chaos_rig(
     Vec<String>,
     Vec<Vec<u8>>,
     Arc<std::sync::atomic::AtomicBool>,
+    Clock,
 ) {
     let data = root.join("pfs");
     let spec = DatasetSpec::miniature(1 << 20, 128, 21);
@@ -60,13 +61,12 @@ fn chaos_rig(
         ),
     ])
     .unwrap();
-    // Short probe cooldown so recovery happens within the test.
-    hierarchy.health().set_config(HealthConfig {
-        probe_cooldown_us: 1_000,
-    });
+    // The probe cooldown passes when the test moves the clock past it.
+    let clock = Clock::manual();
     let m = MonarchBuilder::new()
         .hierarchy(hierarchy)
         .pool_threads(4)
+        .clock(clock.clone())
         .build()
         .unwrap();
     m.init().unwrap();
@@ -76,13 +76,13 @@ fn chaos_rig(
         .map(|s| s.file_name().unwrap().to_string_lossy().into_owned())
         .collect();
     let bytes: Vec<Vec<u8>> = ds.shards.iter().map(|p| fs::read(p).unwrap()).collect();
-    (m, names, bytes, switch)
+    (m, names, bytes, switch, clock)
 }
 
 #[test]
 fn mid_epoch_outage_serves_every_read_and_readmits_the_tier() {
     let root = tmp("outage");
-    let (m, names, expected, switch) = chaos_rig(&root, 0);
+    let (m, names, expected, switch, clock) = chaos_rig(&root, 0);
 
     // Epoch 1: demand placement stages everything onto the SSD tier.
     for (name, want) in names.iter().zip(&expected) {
@@ -103,7 +103,7 @@ fn mid_epoch_outage_serves_every_read_and_readmits_the_tier() {
             switch.store(false, Ordering::Release);
             // Let the re-armed probe cooldown lapse so recovery can
             // happen inside this epoch.
-            std::thread::sleep(Duration::from_millis(10));
+            clock.advance(Duration::from_micros(PROBE_COOLDOWN_US));
         }
         assert_eq!(
             &m.read_full(name).unwrap(),
@@ -144,7 +144,7 @@ fn mid_epoch_outage_serves_every_read_and_readmits_the_tier() {
 #[test]
 fn copies_requeue_over_an_outage_and_land_after_recovery() {
     let root = tmp("requeue");
-    let (m, names, expected, switch) = chaos_rig(&root, 0);
+    let (m, names, expected, switch, clock) = chaos_rig(&root, 0);
 
     // Stage the first shard so the tier has a resident file (the read
     // path's half-open probe runs against resident files).
@@ -173,7 +173,7 @@ fn copies_requeue_over_an_outage_and_land_after_recovery() {
     // re-admits the tier; the requeued shard then places on its next
     // touch.
     switch.store(false, Ordering::Release);
-    std::thread::sleep(Duration::from_millis(10));
+    clock.advance(Duration::from_micros(PROBE_COOLDOWN_US));
     assert_eq!(&m.read_full(&names[0]).unwrap(), &expected[0]);
     assert!(!m.hierarchy().health().snapshot().degraded);
     assert_eq!(&m.read_full(&names[1]).unwrap(), &expected[1]);

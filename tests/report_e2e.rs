@@ -5,6 +5,8 @@
 //!   with a held-back tail produces a report whose attribution buckets
 //!   sum to the measured wall within 5%, with at least one hot file and
 //!   the held-back files flagged as wasted prefetch.
+//! - **Clock** (the real engine on a manual clock, in-memory tiers): the
+//!   same epoch's buckets sum to the clock's wall exactly.
 //! - **Sim** (virtual time): a MONARCH run attaches the same report to
 //!   its `RunReport`, per-epoch buckets sum to each epoch's virtual
 //!   seconds, and the whole-run roll-up matches the total.
@@ -12,13 +14,14 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use monarch::core::config::{MonarchConfig, TierConfig};
+use monarch::core::driver::MemDriver;
 use monarch::core::observe::{LedgerBuckets, ObserveReport};
-use monarch::core::prefetch::AccessPlan;
+use monarch::core::prefetch::{AccessPlan, PrefetchConfig};
 use monarch::core::telemetry::{EventKind, TransitionCause};
-use monarch::core::Monarch;
+use monarch::core::{Clock, Monarch, MonarchBuilder, Result, StorageDriver, StorageHierarchy};
 use monarch::dlpipe::config::{EnvConfig, MonarchSimConfig, PipelineConfig, Setup};
 use monarch::dlpipe::geometry::DatasetGeom;
 use monarch::dlpipe::models::ModelProfile;
@@ -126,6 +129,112 @@ fn real_epoch_report_attributes_wall_and_flags_waste() {
     );
     drop(m);
     fs::remove_dir_all(&root).unwrap();
+}
+
+/// A `MemDriver` tier with a device's latency on a manual clock: every
+/// read moves the clock on by 0.2 ms, and takes no real time.
+struct Ticking(MemDriver, Clock);
+
+impl StorageDriver for Ticking {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        self.1.advance(Duration::from_micros(200));
+        self.0.read_at(file, offset, buf)
+    }
+    fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
+        self.0.write_full(file, data)
+    }
+    fn remove(&self, file: &str) -> Result<()> {
+        self.0.remove(file)
+    }
+    fn file_size(&self, file: &str) -> Result<u64> {
+        self.0.file_size(file)
+    }
+    fn list(&self) -> Result<Vec<(String, u64)>> {
+        self.0.list()
+    }
+}
+
+#[test]
+fn clock_epoch_report_attributes_the_wall_exactly_and_flags_waste() {
+    // The real epoch above in virtual time: the same plan, held-back tail
+    // and two epochs over in-memory tiers, on a manual clock that only the
+    // tiers' reads move (0.2 ms each, the copies' fetches included). The
+    // buckets then sum to the wall the clock shows, to the microsecond.
+    let clock = Clock::manual();
+    let pfs = MemDriver::new("pfs");
+    let files: Vec<String> = (0..48).map(|i| format!("f{i:03}")).collect();
+    for (i, name) in files.iter().enumerate() {
+        pfs.insert(name, vec![i as u8; 40 << 10]);
+    }
+    let tier =
+        |driver: MemDriver| Arc::new(Ticking(driver, clock.clone())) as Arc<dyn StorageDriver>;
+    let hierarchy = StorageHierarchy::new(vec![
+        ("ssd".into(), tier(MemDriver::new("ssd")), Some(4 << 20)),
+        ("pfs".into(), tier(pfs), None),
+    ])
+    .unwrap();
+    let m = MonarchBuilder::new()
+        .hierarchy(hierarchy)
+        .pool_threads(4)
+        .prefetch(PrefetchConfig {
+            lookahead: 16,
+            max_inflight_bytes: 0,
+        })
+        .clock(clock.clone())
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    let (read_set, holdback) = files.split_at(files.len() - 2);
+
+    let started = clock.now_ns();
+    m.submit_plan(&AccessPlan::new(files.clone()));
+    let mut buf = vec![0u8; 16 << 10];
+    for _epoch in 0..2 {
+        for name in read_set {
+            let mut off = 0u64;
+            loop {
+                let n = m.read(name, off, &mut buf).unwrap();
+                if n == 0 {
+                    break;
+                }
+                off += n as u64;
+            }
+        }
+        m.wait_placement_idle();
+    }
+    let wall_us = (clock.now_ns() - started) / 1_000;
+    let wall_s = wall_us as f64 / 1e6;
+
+    let snap = m.telemetry_snapshot();
+    let report = ObserveReport::from_snapshot(&snap, wall_s, 1, files.len())
+        .expect("default telemetry keeps the profiler on");
+    assert!(report.reads > 0, "no reads profiled");
+    assert!(
+        report.ledger.compute_bound_s < wall_s,
+        "{:?}",
+        report.ledger
+    );
+    assert_eq!(
+        (report.ledger.sum_s() * 1e6).round() as u64,
+        wall_us,
+        "{:?}",
+        report.ledger
+    );
+    assert!(report.top_hot[0].accesses >= 2, "two epochs of reads");
+    for name in holdback {
+        assert!(
+            report
+                .wasted_prefetch
+                .iter()
+                .any(|w| &w.file == name && w.prefetched_bytes > 0),
+            "held-back {name} missing from wasted list: {:?}",
+            report.wasted_prefetch
+        );
+    }
+    m.shutdown();
 }
 
 #[test]
