@@ -205,7 +205,8 @@ pub struct ServedRead {
     pub trace: Option<ReadTrace>,
     /// When the read carried the clock: when it began, had looked its file
     /// up, had its serving tier, had its bytes and returned, in
-    /// nanoseconds on the registry clock (virtual time in the simulator).
+    /// nanoseconds on the registry clock (virtual time in the simulator;
+    /// the read loop's booking takes the last).
     pub marks: Option<[u64; 5]>,
 }
 
@@ -914,26 +915,29 @@ impl Lifecycle {
     /// go to the counters by how it was served, a rerouted read is counted
     /// degraded, a prefetch hit counted by the one rule below, and the read
     /// classed ([`ReadClass::of`]) into the access profiler: its counts
-    /// always; its phases, and for a read of a tier's driver the tier's
-    /// read-latency sample, when it carried the clock at a weight. A sampled
-    /// read leaves its `read → metadata_lookup → tier_resolve → driver_pread`
-    /// span tree. An untimed, unsampled hit does nothing but relaxed adds.
-    ///
-    /// The booking looks up the calling thread's tally and its count of the
-    /// file; the engine's read loop, which holds both, books through
+    /// always; last, when it carried the clock at a weight, its times —
+    /// phases, and for a read of a tier's driver that tier's read latency.
+    /// A sampled read leaves its `read → metadata_lookup → tier_resolve →
+    /// driver_pread` span tree. An untimed, unsampled hit does nothing but
+    /// relaxed adds. This looks up the calling thread's tally and its count
+    /// of the file; the read loop, which holds both, books through
     /// `read_served_by`.
     pub fn read_served(&self, read: &ServedRead) {
         let tally = self.stats().thread_tally();
-        self.read_served_by(read, &tally, &self.metadata.counter(read.id, read.tier));
+        let count = self.metadata.counter(read.id, read.tier);
+        self.read_served_by(read, &tally, &count, false);
     }
 
     /// [`Self::read_served`] through the handles the read already holds: the
     /// tally its `Reading` guard entered and the count its lookup took.
+    /// With `close`, the read's marks end here, on the registry clock, once
+    /// everything but the write of its times is booked.
     pub(crate) fn read_served_by(
         &self,
         read: &ServedRead,
         tally: &ThreadTally<'_>,
         count: &ReadCount<'_>,
+        close: bool,
     ) {
         let stats = self.stats();
         match read.how {
@@ -958,37 +962,29 @@ impl Lifecycle {
         if hit {
             stats.prefetch_hit();
         }
-        if let (Some(trace), Some(marks)) = (read.trace, read.marks) {
-            self.trace_read(read, trace, marks);
-        }
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let timed = read.marks.filter(|_| read.weight > 0);
-        if let (Some([.., resolve, pread, _]), Served::Tier) = (timed, read.how) {
-            self.telemetry
-                .read_latency(read.tier)
-                .record_n(pread.saturating_sub(resolve), read.weight);
-        }
+        let (profiler, on_source) = (self.telemetry.profiler(), read.home == source);
         let class = ReadClass::of(
             read.how,
             degraded,
-            read.home == source,
+            on_source,
             read.plan.planned,
             read.copying,
         );
-        self.telemetry.profiler().record_counted(
-            tally,
-            Some((read.id, count)),
-            read.tier,
-            read.bytes,
-            class,
-            hit,
-            timed
-                .map(|marks| ReadTiming::between(marks, read.weight))
-                .as_ref(),
-            timed.map_or(0, |[.., end]| end / 1_000),
-        );
+        let timed = read.weight > 0 && read.marks.is_some();
+        let served = Some((read.id, count));
+        profiler.count_read(tally, served, read.tier, read.bytes, class, hit, timed);
+        let mut marks = read.marks;
+        if let (true, Some(marks)) = (close, marks.as_mut()) {
+            marks[4] = self.telemetry.clock().now_ns();
+        }
+        if let Some(marks) = marks.filter(|_| timed) {
+            let timing = ReadTiming::between(marks, read.weight);
+            let tier = (read.how == Served::Tier).then_some(read.tier);
+            profiler.time_read(Some(read.id), class, tier, &timing, marks[4] / 1_000);
+        }
+        if let (Some(trace), Some(marks)) = (read.trace, marks) {
+            self.trace_read(read, trace, marks);
+        }
     }
 
     /// A sampled read's span tree; the `read` span points back at the

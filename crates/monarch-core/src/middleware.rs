@@ -179,19 +179,16 @@ impl Monarch {
             return Err(Error::ShutDown);
         }
         let reading = self.telemetry.stats().enter_read();
-        // What a read reports splits into counts and times. Counts are
-        // taken on every read. Times — the stall profile's four buckets,
-        // which sum to the read's wall time, the tier's read latency, the
-        // ledger's sums, and a sampled read's span tree (read →
-        // metadata_lookup → tier_resolve → driver_pread) — all come from
-        // one chain of marks on the instance clock: when the read began,
-        // had looked its file up, had its serving tier and had its bytes.
-        // The clock is read only when something will consume it: on every
-        // read that is not a plain local-tier hit, and on the hits whose
-        // turn it is. A hit's turn is known here, from the plain local hits
-        // this thread's tally holds; what else the read is, only after its
-        // lookup, which then starts the chain itself (its lookup booked as
-        // free).
+        // What a read reports splits into counts, taken on every read, and
+        // times — the stall profile's four buckets, which sum to the read's
+        // wall time, the tier's read latency, the ledger's sums and a
+        // sampled read's span tree — from one chain of marks on the instance
+        // clock: when the read began, had looked its file up, had its
+        // serving tier and had its bytes (its booking takes the end). The
+        // clock is read only on a read that is not a plain local-tier hit,
+        // and on a hit whose turn it is, known here from the plain hits this
+        // thread's tally holds; what else a read is, only after its lookup,
+        // which then starts the chain itself (its lookup booked as free).
         let tr = self.telemetry.trace();
         let sampled = tr.sample_read();
         let profiled = self.telemetry.is_enabled();
@@ -416,11 +413,10 @@ impl Monarch {
                 track: tr.register_current_thread(),
                 flow,
             }),
-            marks: marks.map(|[entry, lookup, resolve, pread]| {
-                [entry, lookup, resolve, pread, clock.now_ns()]
-            }),
+            marks: marks
+                .map(|[entry, lookup, resolve, pread]| [entry, lookup, resolve, pread, pread]),
         };
-        book.read_served_by(&read, reading.tally(), &count);
+        book.read_served_by(&read, reading.tally(), &count, true);
         Ok(n)
     }
 

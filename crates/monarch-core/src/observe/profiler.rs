@@ -17,27 +17,21 @@
 //! they just lose per-file attribution.
 //!
 //! What a read reports comes in two parts. Its **counts** — the ledger's
-//! `reads`, bytes per tier, miss and prefetch tallies — are recorded on
-//! every read and are exact. A plain hit writes none in this slab: the
-//! ledger's `reads` is its thread's tally in [`Stats`], the access count and
-//! bytes per tier are the namespace's (its thread's count cell, folded with
-//! the file's counters line when read), and whether the file was ever
-//! prefetched is a bit of its placement word. Its
-//! **times** — its four phases, the file's last-access instant and
-//! inter-access gap — are recorded on *timed* reads only, each standing for
-//! `weight` reads (see [`ReadTiming`]): every read that is not a plain local
-//! hit, and one local hit in
-//! [`TIMED_HIT_PERIOD`](crate::telemetry::TIMED_HIT_PERIOD).
-//!
-//! A timed read's phases are written once, into the [`StallProfile`] the
-//! profiler owns. Beside the per-file records the profiler keeps the
-//! **time-lost ledger**: the read count, the pread time split by
-//! [`ReadClass`] — the one thing the profile cannot know — and the wall,
-//! lock-queue and copy-wait sums, which are read off the profile's
-//! histograms when the ledger is read. The ledger is what the epoch report
-//! rolls up into the pfs-bound / copy-lane-saturated / prefetch-lag /
-//! lock-or-queue / compute-bound attribution (see
-//! [`crate::observe::report`]).
+//! `reads`, bytes per tier, miss and prefetch tallies — are exact and
+//! booked on every read ([`AccessProfiler::count_read`]); a plain hit
+//! writes none in this slab, only its thread's tally in [`Stats`] and its
+//! count cell in the namespace. Its **times** — its four phases, the
+//! file's last-access instant and gap — are booked on *timed* reads only,
+//! each standing for `weight` reads (see [`ReadTiming`]): every read that
+//! is not a plain local hit, and one local hit in
+//! [`TIMED_HIT_PERIOD`](crate::telemetry::TIMED_HIT_PERIOD). They are the
+//! read's last write ([`AccessProfiler::time_read`]): one stripe of the
+//! [`StallProfile`] its thread owns, which holds the **time-lost ledger**'s
+//! pread by [`ReadClass`] beside the phases the ledger's other time sums
+//! are read off, and the file's rhythm, which takes no count of reads. The
+//! ledger is what the epoch report rolls up into the pfs-bound /
+//! copy-lane-saturated / prefetch-lag / lock-or-queue / compute-bound
+//! attribution (see [`crate::observe::report`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -48,7 +42,6 @@ use crate::hierarchy::TierId;
 use crate::lifecycle::Served;
 use crate::metadata::{chunk_len, locate, FileId, Mark, MetadataContainer, ReadCount, CHUNKS};
 use crate::stats::{Stats, ThreadTally};
-use crate::stripe::Striped;
 use crate::telemetry::StallProfile;
 
 /// EWMA smoothing factor for the inter-access interval. 0.2 weights the
@@ -146,13 +139,7 @@ pub struct ReadTiming {
 impl Default for ReadTiming {
     /// A read that took no time, standing for itself.
     fn default() -> Self {
-        Self {
-            lock_wait_ns: 0,
-            queue_wait_ns: 0,
-            pread_ns: 0,
-            copy_wait_ns: 0,
-            weight: 1,
-        }
+        Self::between([0; 5], 1)
     }
 }
 
@@ -189,8 +176,9 @@ pub struct FileProfile {
     /// Exponentially weighted moving average of the inter-access gap —
     /// the "observed per-file access interval" ROADMAP item 3's learned
     /// placement wants as a feature. Each timed access contributes the
-    /// time since the previous timed one divided by the accesses in
-    /// between. 0 until a second timed access arrives.
+    /// time since the previous timed one over the reads it stands for (its
+    /// [`ReadTiming::weight`]): on average, the file's reads in between,
+    /// counted by no one. 0 until a second timed access arrives.
     pub ewma_gap_us: f64,
     /// Bytes served to the foreground per tier (index = tier id; exact).
     pub bytes_by_tier: Vec<u64>,
@@ -210,7 +198,7 @@ pub struct FileProfile {
 }
 
 /// One file's cells, written by a read that is not a plain hit and by a
-/// prefetch staging. Aligned so that two files never share a cache line.
+/// prefetch staging: one cache line, which no two files share.
 #[derive(Default)]
 #[repr(align(64))]
 struct Record {
@@ -219,50 +207,37 @@ struct Record {
     demand_misses: AtomicU64,
     prefetch_hits: AtomicU64,
     staged_us: AtomicU64,
-    /// Timed reads so far; the cells below are written by those only.
-    timed: AtomicU64,
-    /// The file's access count at its latest timed read.
-    timed_at: AtomicU64,
+    /// The cells below are written by timed reads only.
     first_us: AtomicU64,
-    last_us: AtomicU64,
+    /// The latest timed read's end, shifted left by 2, over how many timed
+    /// reads there have been, counted up to 2 (0 until the first).
+    last: AtomicU64,
     /// `f64` bits.
     ewma_gap_us: AtomicU64,
 }
 
 impl Record {
-    /// Fold one timed read, ended at `t_us` with the file's access count
-    /// at `accesses`, into the access rhythm. Two threads timing the same
-    /// file at once may interleave their swaps; each cell still holds a
-    /// value one of them observed, which is all an estimate needs.
-    fn time(&self, t_us: u64, accesses: u64) {
-        let nth = self.timed.fetch_add(1, Ordering::Relaxed) + 1;
-        let prev_us = self.last_us.swap(t_us, Ordering::Relaxed);
-        let prev_at = self.timed_at.swap(accesses, Ordering::Relaxed);
-        if nth == 1 {
-            self.first_us.store(t_us, Ordering::Relaxed);
-            return;
-        }
-        let reads = accesses.saturating_sub(prev_at).max(1);
-        let gap = t_us.saturating_sub(prev_us) as f64 / reads as f64;
-        let ewma = if nth == 2 {
-            gap
-        } else {
-            let old = f64::from_bits(self.ewma_gap_us.load(Ordering::Relaxed));
-            EWMA_ALPHA * gap + (1.0 - EWMA_ALPHA) * old
+    /// Fold one timed read, ended at `t_us` and standing for `weight`
+    /// reads, into the access rhythm: one exchange and one store. Racing
+    /// timings may interleave; each cell holds a value one of them saw.
+    fn time(&self, t_us: u64, weight: u64) {
+        let next = |last: u64| Some(t_us << 2 | ((last & 3) + 1).min(2));
+        let prev = self
+            .last
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, next)
+            .unwrap_or_else(|last| last);
+        let gap = t_us.saturating_sub(prev >> 2) as f64 / weight.max(1) as f64;
+        let ewma = match prev & 3 {
+            0 => return self.first_us.store(t_us, Ordering::Relaxed),
+            1 => gap,
+            _ => {
+                let old = f64::from_bits(self.ewma_gap_us.load(Ordering::Relaxed));
+                EWMA_ALPHA * gap + (1.0 - EWMA_ALPHA) * old
+            }
         };
         self.ewma_gap_us.store(ewma.to_bits(), Ordering::Relaxed);
     }
 }
-
-/// How many [`ReadClass`]es there are: one pread sum each, in declaration
-/// order.
-const CLASSES: usize = ReadClass::DegradedFallback as usize + 1;
-
-/// One stripe of the time-lost ledger (see the `stripe` module): the
-/// weighted pread nanoseconds of the timed reads, per class. A reader adds
-/// only to its own copy and never locks; [`AccessProfiler::ledger`] sums
-/// the copies.
-type LedgerAccum = [AtomicU64; CLASSES];
 
 /// Serializable ledger sums — the `ledger` section of the observe
 /// snapshot. All monotonic, so per-epoch attribution is a
@@ -306,28 +281,19 @@ impl LedgerSnapshot {
     /// against an older snapshot yields zeros, not wraparound).
     #[must_use]
     pub fn delta(&self, prev: &LedgerSnapshot) -> LedgerSnapshot {
+        let d = |sum: fn(&LedgerSnapshot) -> u64| sum(self).saturating_sub(sum(prev));
         LedgerSnapshot {
-            reads: self.reads.saturating_sub(prev.reads),
-            read_wall_us: self.read_wall_us.saturating_sub(prev.read_wall_us),
-            fast_pread_us: self.fast_pread_us.saturating_sub(prev.fast_pread_us),
-            pfs_cold_pread_us: self
-                .pfs_cold_pread_us
-                .saturating_sub(prev.pfs_cold_pread_us),
-            lane_sat_pread_us: self
-                .lane_sat_pread_us
-                .saturating_sub(prev.lane_sat_pread_us),
-            staged_pread_us: self.staged_pread_us.saturating_sub(prev.staged_pread_us),
-            prefetch_lag_pread_us: self
-                .prefetch_lag_pread_us
-                .saturating_sub(prev.prefetch_lag_pread_us),
-            peer_bound_pread_us: self
-                .peer_bound_pread_us
-                .saturating_sub(prev.peer_bound_pread_us),
-            degraded_pread_us: self
-                .degraded_pread_us
-                .saturating_sub(prev.degraded_pread_us),
-            lock_queue_us: self.lock_queue_us.saturating_sub(prev.lock_queue_us),
-            copy_wait_us: self.copy_wait_us.saturating_sub(prev.copy_wait_us),
+            reads: d(|l| l.reads),
+            read_wall_us: d(|l| l.read_wall_us),
+            fast_pread_us: d(|l| l.fast_pread_us),
+            pfs_cold_pread_us: d(|l| l.pfs_cold_pread_us),
+            lane_sat_pread_us: d(|l| l.lane_sat_pread_us),
+            staged_pread_us: d(|l| l.staged_pread_us),
+            prefetch_lag_pread_us: d(|l| l.prefetch_lag_pread_us),
+            peer_bound_pread_us: d(|l| l.peer_bound_pread_us),
+            degraded_pread_us: d(|l| l.degraded_pread_us),
+            lock_queue_us: d(|l| l.lock_queue_us),
+            copy_wait_us: d(|l| l.copy_wait_us),
         }
     }
 }
@@ -336,7 +302,6 @@ impl LedgerSnapshot {
 /// and the time-lost ledger.
 pub struct AccessProfiler {
     enabled: bool,
-    tiers: usize,
     max_files: usize,
     /// The namespace whose ids index the records: it names them, and its
     /// per-file counts *are* their access count and bytes per tier.
@@ -345,8 +310,7 @@ pub struct AccessProfiler {
     stats: Arc<Stats>,
     chunks: [OnceLock<Box<[Record]>>; CHUNKS],
     untracked_reads: AtomicU64,
-    ledger: Striped<LedgerAccum>,
-    /// Every timed read's phases; the ledger's time sums are its sums.
+    /// Every time a timed read writes, the ledger's sums among them.
     stall: StallProfile,
 }
 
@@ -383,14 +347,12 @@ impl AccessProfiler {
     ) -> Self {
         Self {
             enabled,
-            tiers,
             max_files,
             files,
             stats,
             chunks: [const { OnceLock::new() }; CHUNKS],
             untracked_reads: AtomicU64::new(0),
-            ledger: Striped::new(),
-            stall: StallProfile::default(),
+            stall: StallProfile::new(tiers),
         }
     }
 
@@ -435,15 +397,10 @@ impl AccessProfiler {
             .or_else(|| (self.files.ids().len() < self.max_files).then(|| self.files.intern(file)))
     }
 
-    /// Record one foreground read of a file the caller resolved, through
-    /// the handles the read already holds: its thread's tally and the count
-    /// its lookup took (`None`: untracked). The ledger's and the file's
-    /// counts always; when the read carried the clock, its `timing` — into
-    /// the stall profile, and its pread by `class` into the ledger — and its
-    /// end, `t_us` on the registry clock, into the file's access rhythm.
-    /// The one call through which a read's time is recorded.
+    /// Count one foreground read through its thread's tally and the count
+    /// its lookup took (`None`: untracked), and whether it is `timed`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_counted(
+    pub(crate) fn count_read(
         &self,
         tally: &ThreadTally<'_>,
         read: Option<(FileId, &ReadCount<'_>)>,
@@ -451,27 +408,19 @@ impl AccessProfiler {
         bytes: u64,
         class: ReadClass,
         prefetch_hit: bool,
-        timing: Option<&ReadTiming>,
-        t_us: u64,
+        timed: bool,
     ) {
         if !self.enabled {
             return;
         }
-        tally.profiled_read(timing.is_some());
-        if let Some(t) = timing {
-            self.stall
-                .record_timing(t, class == ReadClass::DegradedFallback);
-            self.ledger
-                .local(LedgerAccum::default)
-                .add(|l| &l[class as usize], t.pread_ns.saturating_mul(t.weight));
-        }
+        tally.profiled_read(timed);
         let Some((id, count)) = read.filter(|(id, _)| id.index() < self.max_files) else {
             self.untracked_reads.fetch_add(1, Ordering::Relaxed);
             return;
         };
         let after_prefetch = count.add_bytes(tier, bytes);
         let miss = class != ReadClass::Fast;
-        if !(miss || prefetch_hit || after_prefetch || timing.is_some()) {
+        if !(miss || prefetch_hit || after_prefetch) {
             // A plain hit: nothing of it is this slab's.
             return;
         }
@@ -485,12 +434,29 @@ impl AccessProfiler {
         if after_prefetch {
             record.reads_after_prefetch.fetch_add(1, Ordering::Relaxed);
         }
-        if timing.is_some() {
-            record.time(t_us, self.files.reads_of(id));
+    }
+
+    /// The one call that records a read's time, its last write: `timing`
+    /// into the stall profile ([`StallProfile::record_timing`]), and its
+    /// end, `t_us`, into the rhythm of the file `id` (`None`: untracked).
+    pub(crate) fn time_read(
+        &self,
+        id: Option<FileId>,
+        class: ReadClass,
+        tier: Option<TierId>,
+        timing: &ReadTiming,
+        t_us: u64,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        self.stall.record_timing(timing, Some(class), tier);
+        if let Some(record) = id.and_then(|id| self.record_of(id, true)) {
+            record.time(t_us, timing.weight);
         }
     }
 
-    /// [`Self::record_counted`] by name, for a read nothing else counted:
+    /// Book one foreground read by name, for a read nothing else counted:
     /// resolves `file`, counts the access, and records the read as timed
     /// with the caller's clock.
     #[allow(clippy::too_many_arguments)]
@@ -512,9 +478,9 @@ impl AccessProfiler {
         if let Some(count) = &count {
             count.add_read();
         }
-        let read = id.zip(count.as_ref());
-        let (tally, timing) = (self.stats.thread_tally(), Some(&timing));
-        self.record_counted(&tally, read, tier, bytes, class, prefetch_hit, timing, t_us);
+        let (tally, read) = (self.stats.thread_tally(), id.zip(count.as_ref()));
+        self.count_read(&tally, read, tier, bytes, class, prefetch_hit, true);
+        self.time_read(id, class, None, &timing, t_us);
     }
 
     /// Record that the prefetcher finished staging `bytes` of the file
@@ -550,9 +516,9 @@ impl AccessProfiler {
         Some(FileProfile {
             accesses,
             first_us: load(|r| &r.first_us),
-            last_us: load(|r| &r.last_us),
+            last_us: load(|r| &r.last) >> 2,
             ewma_gap_us: f64::from_bits(load(|r| &r.ewma_gap_us)),
-            bytes_by_tier: self.files.bytes_of(id, self.tiers),
+            bytes_by_tier: self.files.bytes_of(id, self.stall.read_latency.len()),
             prefetch_hits: load(|r| &r.prefetch_hits),
             demand_misses: load(|r| &r.demand_misses),
             prefetched_bytes: load(|r| &r.prefetched_bytes),
@@ -568,19 +534,12 @@ impl AccessProfiler {
     }
 
     /// The live ledger sums: the read count folded from the tallies, the
-    /// stripes' pread nanoseconds added up, the phase sums read off the
-    /// stall profile, each divided once.
+    /// pread and phase sums read off the stall profile, each divided once.
     #[must_use]
     pub fn ledger(&self) -> LedgerSnapshot {
         let reads = self.stats.profiled_reads();
-        let mut pread = [0u64; CLASSES];
-        for stripe in self.ledger.iter() {
-            for (sum, cell) in pread.iter_mut().zip(stripe) {
-                *sum += cell.load(Ordering::Relaxed);
-            }
-        }
-        let pread_us = |class: ReadClass| pread[class as usize] / 1_000;
         let s = &self.stall;
+        let pread_us = |class: ReadClass| s.pread_of(class) / 1_000;
         let lock_queue = s.lock_wait.sum().wrapping_add(s.queue_wait.sum());
         let copy_wait = s.copy_wait.sum();
         let wall = lock_queue
@@ -659,6 +618,37 @@ pub struct ProfilerSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AccessProfiler {
+        /// Book one foreground read of a file the caller resolved, as
+        /// `Lifecycle::read_served_by` does: its counts and, when it carried
+        /// the clock, its `timing`, ended at `t_us`.
+        #[allow(clippy::too_many_arguments)]
+        pub(crate) fn record_counted(
+            &self,
+            tally: &ThreadTally<'_>,
+            read: Option<(FileId, &ReadCount<'_>)>,
+            tier: TierId,
+            bytes: u64,
+            class: ReadClass,
+            prefetch_hit: bool,
+            timing: Option<&ReadTiming>,
+            t_us: u64,
+        ) {
+            self.count_read(
+                tally,
+                read,
+                tier,
+                bytes,
+                class,
+                prefetch_hit,
+                timing.is_some(),
+            );
+            if let Some(t) = timing {
+                self.time_read(read.map(|(id, _)| id), class, None, t, t_us);
+            }
+        }
+    }
 
     #[test]
     fn read_class_of_takes_the_first_fact_that_holds() {

@@ -79,23 +79,10 @@ impl LedgerBuckets {
         }
     }
 
-    /// Sum of all buckets.
+    /// The buckets by name, in the report's order.
     #[must_use]
-    pub fn sum_s(&self) -> f64 {
-        self.pfs_bound_s
-            + self.copy_lane_saturated_s
-            + self.staged_s
-            + self.prefetch_lag_s
-            + self.peer_bound_s
-            + self.degraded_fallback_s
-            + self.lock_or_queue_s
-            + self.compute_bound_s
-    }
-
-    /// The dominant bucket's name — the report's one-word verdict.
-    #[must_use]
-    pub fn dominant(&self) -> &'static str {
-        let pairs = [
+    pub fn named(&self) -> [(&'static str, f64); 8] {
+        [
             ("pfs-bound", self.pfs_bound_s),
             ("copy-lane-saturated", self.copy_lane_saturated_s),
             ("staged", self.staged_s),
@@ -104,17 +91,24 @@ impl LedgerBuckets {
             ("degraded-fallback", self.degraded_fallback_s),
             ("lock-or-queue", self.lock_or_queue_s),
             ("compute-bound", self.compute_bound_s),
-        ];
-        pairs
-            .iter()
-            .fold(("compute-bound", f64::MIN), |best, &(name, v)| {
-                if v > best.1 {
-                    (name, v)
-                } else {
-                    best
-                }
-            })
-            .0
+        ]
+    }
+
+    /// Sum of all buckets.
+    #[must_use]
+    pub fn sum_s(&self) -> f64 {
+        self.named().iter().map(|&(_, v)| v).sum()
+    }
+
+    /// The dominant bucket's name — the report's one-word verdict: the
+    /// first of the largest.
+    #[must_use]
+    pub fn dominant(&self) -> &'static str {
+        let mut best = ("compute-bound", f64::MIN);
+        for b in self.named() {
+            best = if b.1 > best.1 { b } else { best };
+        }
+        best.0
     }
 }
 
@@ -250,16 +244,7 @@ impl ObserveReport {
             "bottleneck attribution — {:.3}s wall, {} reader(s), {} profiled reads\n",
             self.wall_s, self.concurrency, self.reads
         ));
-        for (name, v) in [
-            ("pfs-bound", self.ledger.pfs_bound_s),
-            ("copy-lane-saturated", self.ledger.copy_lane_saturated_s),
-            ("staged", self.ledger.staged_s),
-            ("prefetch-lag", self.ledger.prefetch_lag_s),
-            ("peer-bound", self.ledger.peer_bound_s),
-            ("degraded-fallback", self.ledger.degraded_fallback_s),
-            ("lock-or-queue", self.ledger.lock_or_queue_s),
-            ("compute-bound", self.ledger.compute_bound_s),
-        ] {
+        for (name, v) in self.ledger.named() {
             o.push_str(&format!("  {name:<22} {v:>9.3}s  {:>5.1}%\n", pct(v)));
         }
         o.push_str(&format!(

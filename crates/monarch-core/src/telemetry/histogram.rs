@@ -2,12 +2,14 @@
 //! built of four of them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::observe::ReadTiming;
-use crate::stripe::Striped;
+use crate::hierarchy::TierId;
+use crate::observe::{ReadClass, ReadTiming};
+use crate::stripe::{Local, Striped};
 
 /// Sub-buckets per power-of-two range: 16 → worst-case relative bucket
 /// width 1/16, so quantile estimates are within ~6.25% of exact.
@@ -64,22 +66,18 @@ pub(super) fn bucket_bounds(idx: usize) -> (u64, u64) {
     }
 }
 
-/// One stripe of a [`LatencyHistogram`]: the bucket array plus the two
-/// scalars that cannot be derived from it.
+/// One stripe of a set of histograms: their buckets, and all their scalars
+/// side by side — each one's sum and max, then the set's plain sums.
 struct HistStripe {
-    buckets: [AtomicU64; NUM_BUCKETS],
-    sum: AtomicU64,
-    max: AtomicU64,
+    scalars: Box<[AtomicU64]>,
+    buckets: Box<[[AtomicU64; NUM_BUCKETS]]>,
 }
 
-impl HistStripe {
-    fn new() -> Self {
-        Self {
-            buckets: [const { AtomicU64::new(0) }; NUM_BUCKETS],
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
+/// A set of `len` histograms and `sums` plain sums, striped as one.
+struct Histograms {
+    len: usize,
+    sums: usize,
+    stripes: Striped<HistStripe>,
 }
 
 /// All stripes of a histogram folded into one bucket array — what the
@@ -129,17 +127,23 @@ impl Merged {
 /// Lock-free log-linear latency histogram.
 ///
 /// Values are dimensionless `u64`s; the middleware records nanoseconds, the
-/// simulator records virtual-time nanoseconds. The histogram is *striped*
-/// (see the `stripe` module): each recording thread adds to its own copy of
-/// the buckets — one bucket plus the running sum, a relaxed load and store
-/// each, no cache line shared with another reader — and every query folds
-/// the copies together. Copies are allocated on first record, so an unused
-/// histogram costs a few words. Quantile estimates return the upper bound
-/// of the containing bucket, so they are exact to within one bucket (≤ 1/16
-/// relative error above 16).
-#[derive(Default)]
+/// simulator records virtual-time nanoseconds. It is one of a set — of its
+/// own, or the histograms a timed read writes ([`StallProfile`]) — striped
+/// as one (see the `stripe` module): a recording thread adds to its own
+/// copy of the set — one bucket plus the running sum, a relaxed load and
+/// store each, no cache line shared with another reader — and a query
+/// folds the copies. Copies are allocated on first record. Quantile
+/// estimates return the upper bound of the containing bucket, so they are
+/// exact to within one bucket (≤ 1/16 relative error above 16).
 pub struct LatencyHistogram {
-    stripes: Striped<HistStripe>,
+    set: Arc<Histograms>,
+    at: usize,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self::in_set(1, 0).remove(0)
+    }
 }
 
 impl LatencyHistogram {
@@ -147,6 +151,36 @@ impl LatencyHistogram {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// `len` histograms of one new set with `sums` plain sums.
+    fn in_set(len: usize, sums: usize) -> Vec<Self> {
+        let stripes = Striped::new();
+        let set = Arc::new(Histograms { len, sums, stripes });
+        (0..len)
+            .map(|at| Self {
+                set: set.clone(),
+                at,
+            })
+            .collect()
+    }
+
+    /// The calling thread's stripe of the set, allocated on first use.
+    #[inline]
+    fn stripe(&self) -> Local<'_, HistStripe> {
+        let (len, sums) = (self.set.len, self.set.sums);
+        self.set.stripes.local(|| HistStripe {
+            scalars: (0..2 * len + sums).map(|_| AtomicU64::new(0)).collect(),
+            buckets: (0..len)
+                .map(|_| [const { AtomicU64::new(0) }; NUM_BUCKETS])
+                .collect(),
+        })
+    }
+
+    /// Scalar `i` of the set, folded over its stripes by `f`.
+    fn fold(&self, i: usize, f: fn(u64, u64) -> u64) -> u64 {
+        let cell = |s: &HistStripe| s.scalars[i].load(Ordering::Relaxed);
+        self.set.stripes.iter().map(cell).fold(0, f)
     }
 
     /// Record one observation.
@@ -160,39 +194,33 @@ impl LatencyHistogram {
     /// population it was drawn from.
     #[inline]
     pub fn record_n(&self, value: u64, n: u64) {
-        let s = self.stripes.local(HistStripe::new);
-        s.add(|s| &s.buckets[bucket_index(value)], n);
-        s.add(|s| &s.sum, value.wrapping_mul(n));
-        s.max(|s| &s.max, value);
+        self.record_in(&self.stripe(), value, n);
+    }
+
+    /// [`Self::record_n`] through `stripe`, the thread's stripe of the set.
+    #[inline]
+    fn record_in(&self, stripe: &Local<'_, HistStripe>, value: u64, n: u64) {
+        stripe.add(|s| &s.buckets[self.at][bucket_index(value)], n);
+        stripe.add(|s| &s.scalars[2 * self.at], value.wrapping_mul(n));
+        stripe.max(|s| &s.scalars[2 * self.at + 1], value);
     }
 
     /// Total observations recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.stripes
-            .iter()
-            .flat_map(|s| s.buckets.iter())
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
+        self.merged().count()
     }
 
     /// Sum of all recorded values.
     #[must_use]
     pub fn sum(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.sum.load(Ordering::Relaxed))
-            .fold(0, u64::wrapping_add)
+        self.fold(2 * self.at, u64::wrapping_add)
     }
 
     /// Largest recorded value (0 when empty).
     #[must_use]
     pub fn max(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.max.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
+        self.fold(2 * self.at + 1, u64::max)
     }
 
     /// Mean recorded value (0 when empty).
@@ -203,8 +231,8 @@ impl LatencyHistogram {
 
     fn merged(&self) -> Merged {
         let mut buckets = vec![0u64; NUM_BUCKETS];
-        for s in self.stripes.iter() {
-            for (total, b) in buckets.iter_mut().zip(&s.buckets) {
+        for s in self.set.stripes.iter() {
+            for (total, b) in buckets.iter_mut().zip(&s.buckets[self.at]) {
                 *total += b.load(Ordering::Relaxed);
             }
         }
@@ -300,13 +328,12 @@ pub struct HistogramSnapshot {
 /// One plain local-tier hit in this many, per reader thread, carries the
 /// clock and is recorded with this weight; every other read that carries
 /// it — any read that is not such a hit — is recorded with weight 1. The
-/// time records ([`StallProfile`], the per-tier read-latency histograms,
-/// the profiler's ledger) therefore estimate the totals over *all* reads,
-/// while a hit that does not carry the clock pays for counts only. 8, 16
-/// and 32 were measured (CHANGES.md, PR 19: `warm_rand_4k` at 1.71, 1.67
-/// and 1.64 times a bare `pread`, from 2.35 with every hit timed): each
-/// doubling buys half of what the last did, and samples a thread's hits
-/// half as densely.
+/// time records ([`StallProfile`]: phases, tier read latency, the ledger)
+/// so estimate the totals over *all* reads, while a hit that does not
+/// carry the clock pays for counts only. On `warm_rand_4k` (seed 7, two
+/// readers, 2-vCPU VM) a hit costs 0.68 of a bare `pread`: 0.054 the timed
+/// hits (mostly their clock reads), 0.003 the others' booking, 0.625 the
+/// rest.
 pub const TIMED_HIT_PERIOD: u64 = 16;
 
 /// Read-path stall decomposition: four histograms partitioning each timed
@@ -317,9 +344,10 @@ pub const TIMED_HIT_PERIOD: u64 = 16;
 /// - `queue_wait` — access bookkeeping until the serving tier is resolved
 ///   (the engine's window/cursor critical sections);
 /// - `driver_pread` — the backend `read_at` itself;
-/// - `copy_wait` — the read's own bookkeeping after the pread (its
-///   counters, the plan cursor's advance); not a wait for a copy, which
-///   falls in `driver_pread`.
+/// - `copy_wait` — the read's own bookkeeping after the pread: the plan
+///   cursor's advance and the booking of its counts, up to the write of
+///   its times, which is the one part of a read in no phase. Not a wait
+///   for a copy, which falls in `driver_pread`.
 ///
 /// The four buckets are measured from one monotonic-clock chain, so their
 /// sum equals the read's wall time up to clock-read cost — the invariant
@@ -328,8 +356,10 @@ pub const TIMED_HIT_PERIOD: u64 = 16;
 /// The instance's profile is the access profiler's
 /// ([`crate::observe::AccessProfiler::stall_profile`]): a timed read is
 /// recorded there, in one call that also books its pread by class in the
-/// time-lost ledger, whose time sums are this profile's.
-#[derive(Debug, Default)]
+/// time-lost ledger, whose time sums are this profile's. All it writes —
+/// phases, the tier's read latency, the ledger's pread by class — is one
+/// set's, so a record takes one stripe lookup, into lines its thread owns.
+#[derive(Debug)]
 pub struct StallProfile {
     /// Lock/lookup phase durations.
     pub lock_wait: LatencyHistogram,
@@ -345,9 +375,27 @@ pub struct StallProfile {
     /// this histogram tracks the same reads' total wall time separately so
     /// degradation cost is attributable.
     pub degraded_fallback: LatencyHistogram,
+    /// Per tier (index = tier id), its driver's read latency.
+    pub(crate) read_latency: Vec<LatencyHistogram>,
 }
 
 impl StallProfile {
+    /// An empty profile over `tiers` tiers: one set, whose plain sums are
+    /// the ledger's pread per [`ReadClass`], in declaration order.
+    pub(crate) fn new(tiers: usize) -> Self {
+        let classes = ReadClass::DegradedFallback as usize + 1;
+        let mut set = LatencyHistogram::in_set(5 + tiers, classes).into_iter();
+        let mut next = || set.next().expect("a histogram a field");
+        Self {
+            lock_wait: next(),
+            queue_wait: next(),
+            driver_pread: next(),
+            copy_wait: next(),
+            degraded_fallback: next(),
+            read_latency: set.collect(),
+        }
+    }
+
     /// Record one timed read from its phase boundary instants. Diffs are
     /// saturating, so an out-of-order pair records 0 instead of panicking.
     pub fn record(
@@ -360,26 +408,46 @@ impl StallProfile {
     ) {
         let marks = [t0, lookup, resolve, pread, end]
             .map(|t| u64::try_from(t.saturating_duration_since(t0).as_nanos()).unwrap_or(u64::MAX));
-        self.record_timing(&ReadTiming::between(marks, 1), false);
+        self.record_timing(&ReadTiming::between(marks, 1), None, None);
     }
 
     /// Record one timed read's phases at its weight (see
-    /// [`TIMED_HIT_PERIOD`]); a `degraded` read's wall time also goes to
-    /// `degraded_fallback`.
-    pub(crate) fn record_timing(&self, t: &ReadTiming, degraded: bool) {
+    /// [`TIMED_HIT_PERIOD`]); its weighted pread into the ledger's sum for
+    /// its `class` and, for a read of a `tier`'s driver, that tier's read
+    /// latency; a `DegradedFallback` read's wall into `degraded_fallback`.
+    pub(crate) fn record_timing(
+        &self,
+        t: &ReadTiming,
+        class: Option<ReadClass>,
+        tier: Option<TierId>,
+    ) {
+        let stripe = self.lock_wait.stripe();
         let mut wall = 0u64;
-        for (bucket, ns) in [
+        for (h, ns) in [
             (&self.lock_wait, t.lock_wait_ns),
             (&self.queue_wait, t.queue_wait_ns),
             (&self.driver_pread, t.pread_ns),
             (&self.copy_wait, t.copy_wait_ns),
         ] {
-            bucket.record_n(ns, t.weight);
+            h.record_in(&stripe, ns, t.weight);
             wall = wall.saturating_add(ns);
         }
-        if degraded {
-            self.degraded_fallback.record_n(wall, t.weight);
+        if let Some(tier) = tier {
+            self.read_latency[tier].record_in(&stripe, t.pread_ns, t.weight);
         }
+        if let Some(class) = class {
+            let sum = 2 * self.lock_wait.set.len + class as usize;
+            stripe.add(|s| &s.scalars[sum], t.pread_ns.saturating_mul(t.weight));
+        }
+        if class == Some(ReadClass::DegradedFallback) {
+            self.degraded_fallback.record_in(&stripe, wall, t.weight);
+        }
+    }
+
+    /// The weighted pread nanoseconds of the timed reads of `class`.
+    pub(crate) fn pread_of(&self, class: ReadClass) -> u64 {
+        let h = &self.lock_wait;
+        h.fold(2 * h.set.len + class as usize, u64::wrapping_add)
     }
 
     /// Immutable summary of all buckets.

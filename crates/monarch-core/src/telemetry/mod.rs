@@ -81,9 +81,7 @@ const TRACE_CAPACITY: usize = 65_536;
 /// accessors.
 pub struct TelemetryRegistry {
     tier_names: Vec<String>,
-    enabled: bool,
     stats: Arc<Stats>,
-    read_latency: Vec<LatencyHistogram>,
     write_latency: Vec<LatencyHistogram>,
     copy_duration: LatencyHistogram,
     queue_wait: LatencyHistogram,
@@ -128,9 +126,7 @@ impl TelemetryRegistry {
         );
         Self {
             tier_names,
-            enabled: cfg.enabled,
             stats,
-            read_latency: (0..levels).map(|_| LatencyHistogram::new()).collect(),
             write_latency: (0..levels).map(|_| LatencyHistogram::new()).collect(),
             copy_duration: LatencyHistogram::new(),
             queue_wait: LatencyHistogram::new(),
@@ -160,7 +156,7 @@ impl TelemetryRegistry {
     /// Whether histogram/journal recording is enabled at all.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.profiler.is_enabled()
     }
 
     /// Ordered tier names (PFS last).
@@ -181,10 +177,10 @@ impl TelemetryRegistry {
         &self.clock
     }
 
-    /// Per-tier read-latency histogram.
+    /// Per-tier read-latency histogram (the stall profile's).
     #[must_use]
     pub fn read_latency(&self, tier: TierId) -> &LatencyHistogram {
-        &self.read_latency[tier]
+        &self.stall_profile().read_latency[tier]
     }
 
     /// Per-tier write-latency histogram.
@@ -394,11 +390,11 @@ impl TelemetryRegistry {
         policy: &PolicyEngine,
         cluster: Option<&Cluster>,
     ) -> TelemetrySnapshot {
-        let stats = self.stats.snapshot();
+        let (stats, read_latency) = (self.stats.snapshot(), &self.stall_profile().read_latency);
         TelemetrySnapshot {
             schema_version: SCHEMA_VERSION,
             tier_names: self.tier_names.clone(),
-            read_latency: self.read_latency.iter().map(|h| h.snapshot()).collect(),
+            read_latency: read_latency.iter().map(|h| h.snapshot()).collect(),
             write_latency: self.write_latency.iter().map(|h| h.snapshot()).collect(),
             copy_duration: self.copy_duration.snapshot(),
             queue_wait: self.queue_wait.snapshot(),
@@ -429,7 +425,7 @@ impl std::fmt::Debug for TelemetryRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TelemetryRegistry")
             .field("tiers", &self.tier_names)
-            .field("enabled", &self.enabled)
+            .field("enabled", &self.is_enabled())
             .field("journal", &self.journal)
             .finish()
     }

@@ -671,3 +671,70 @@ fn ids_past_the_profiler_bound_only_count_as_untracked() {
     assert!(profiler.files.iter().all(|f| f.profile.accesses == 3));
     assert_eq!(profiler.untracked_reads, reads - 3 * BOUND as u64);
 }
+
+#[test]
+fn two_readers_time_one_file_on_their_own_turns_and_its_gap_holds() {
+    // Two threads read one file in lockstep, each read moving the manual
+    // clock on by 0.2 ms, so the file's true gap is 0.2 ms a read. Each
+    // thread times one of its own hits in N, and the file's rhythm spreads
+    // the time since the previous timed read, whichever thread took it,
+    // over the N reads the timed one stands for: on average the file's
+    // reads in between. Nothing counts them, and the access count stays
+    // the namespace's, exact. Exactness of the turns needs the process's
+    // stripes to itself.
+    if !alone("two_readers_time_one_file_on_their_own_turns_and_its_gap_holds") {
+        return;
+    }
+    const READS: u64 = 64 * N;
+    let gap = |lead: u64| {
+        let clock = Clock::manual();
+        let fast = Ticking(MemDriver::new("fast"), clock.clone());
+        let m = builder(Arc::new(fast), u64::MAX / 2, pfs(2, 4096))
+            .clock(clock)
+            .build()
+            .unwrap();
+        m.init().unwrap();
+        m.prestage();
+        m.wait_placement_idle();
+        let next = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for me in 0..2 {
+                let (m, next) = (&m, &next);
+                s.spawn(move || {
+                    let mut buf = vec![0u8; 4096];
+                    // The second reader's turn comes `lead` hits later.
+                    for _ in 0..lead * me {
+                        assert_eq!(m.read(&name(1), 0, &mut buf).unwrap(), 4096);
+                    }
+                    for _ in 0..READS {
+                        while next.load(Ordering::Acquire) % 2 != me {
+                            std::thread::yield_now();
+                        }
+                        assert_eq!(m.read(&name(0), 0, &mut buf).unwrap(), 4096);
+                        next.fetch_add(1, Ordering::Release);
+                    }
+                });
+            }
+        });
+        let profile = |i| m.telemetry().profiler().profile(&name(i));
+        let accesses = |i| profile(i).map_or(0, |p| p.accesses);
+        assert_eq!(accesses(0), 2 * READS, "exact, timed or not");
+        assert_eq!(accesses(1), lead);
+        let ewma = profile(0).unwrap().ewma_gap_us;
+        m.shutdown();
+        ewma / 200.0 - 1.0
+    };
+    // Turns half a period apart: the timed reads alternate evenly.
+    let off = gap(N / 2);
+    assert!(off.abs() <= 0.10, "{:+.1} % off", off * 100.0);
+    // Turns that coincide time the two readers' reads back to back: gaps
+    // of 1 and 2N - 1 reads, each spread over N, in turn. The estimate is
+    // still the true gap on average, but the last of them sways the EWMA
+    // by up to α (N - 1) / N / (2 - α) = 10.4 % either way.
+    let off = gap(0);
+    assert!(
+        off.abs() <= 0.2 * 15.0 / 16.0 / 1.8 + 1e-3,
+        "{:+.1} % off",
+        off * 100.0
+    );
+}

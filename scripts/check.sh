@@ -117,7 +117,13 @@ run_size() {
     # `MetadataContainer::clock`, 41 lines) moved into trailing `cfg(test)`
     # impl blocks. The staging's count of parked reads that the doomed-copy
     # tests wait on is `cfg(test)` but sits inside the wait loop, so 12 of
-    # its lines still count here.
+    # its lines still count here. Held at 13821 when a timed hit's times
+    # went to one histogram set striped as one (the set, its handles and
+    # the split booking, about +90 lines): `Striped<LedgerAccum>`, the
+    # registry's own `read_latency` and `enabled`, the profiler's `tiers`
+    # and the `Record` cells the fold fed went, and `LedgerSnapshot::delta`,
+    # `ReadTiming::default` and the report's three bucket lists were
+    # written once each.
     local core_limit=13821
     local core_lines
     core_lines=$(find crates/monarch-core/src -name '*.rs' ! -name '*_tests.rs' -print0 |
@@ -155,6 +161,29 @@ run_size() {
         echo "$snapshots" >&2
         exit 1
     fi
+    # The `unsafe` ratchet: per package of the workspace, the lines that
+    # use `unsafe` (comment lines left out; tests and examples counted).
+    # A count may only fall; a package not named below has none. Set to
+    # the counts of the commit that brought the ratchet in: monarch-core
+    # 41 (driver/mapped.rs 16, staging.rs 9, stripe.rs 4, tests 12),
+    # monarch-ffi 55, and the root package's example shim 1.
+    local pkg dirs count limit
+    for pkg in . crates/* vendor/*; do
+        case "$pkg" in
+            .) dirs="src tests examples" limit=1 ;;
+            crates/monarch-core) dirs=$pkg limit=41 ;;
+            crates/monarch-ffi) dirs=$pkg limit=55 ;;
+            *) dirs=$pkg limit=0 ;;
+        esac
+        # shellcheck disable=SC2086 # $dirs is a list of directories
+        count=$(find $dirs -name '*.rs' -not -path '*/target/*' -print0 |
+            xargs -0 grep -hw unsafe | grep -vc '^[[:space:]]*//' || true)
+        if [ "$count" -gt "$limit" ]; then
+            echo "size gate: $pkg has $count lines using unsafe > $limit" >&2
+            exit 1
+        fi
+    done
+    echo "==> unsafe lines per package within their ceilings"
     # Figures are entries of the table, not binaries: `bench` is the one.
     local extra
     extra=$(find crates/bench/src/bin -name '*.rs' ! -name bench.rs)
@@ -183,10 +212,10 @@ run_size() {
 # `Lifecycle::read_served`, which the engine's read loop, the peer path and
 # the simulator all call. Outside `lifecycle.rs` (and `observe/profiler.rs`,
 # which defines the profiler's record calls and `ReadClass::of`) no non-test
-# code of either calls `record_counted`, the profiler's `record_read` or
-# `ReadClass::of`, or records a `read`, `metadata_lookup`, `tier_resolve` or
-# `driver_pread` span — a second booking site cannot come back. Calls are
-# matched across line breaks.
+# code of either calls `record_counted`, `count_read`, `time_read`, the
+# profiler's `record_read` or `ReadClass::of`, or records a `read`,
+# `metadata_lookup`, `tier_resolve` or `driver_pread` span — a second
+# booking site cannot come back. Calls are matched across line breaks.
 #
 # A foreground read takes one pass (DESIGN §3.1): a plain local hit runs
 # straight through `Monarch::read`'s loop, and every other read goes round
@@ -302,7 +331,7 @@ run_lifecycle() {
         esac
         if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" | FILE="$f" perl -0777 -ne '
             my $found = 0;
-            while (/record_read_id\s*\(|record_counted\s*\(|profiler(?:\(\))?\s*\.\s*record_read\s*\(|ReadClass\s*::\s*of\s*\(|names\s*::\s*(?:READ|METADATA_LOOKUP|TIER_RESOLVE|DRIVER_PREAD)\b|SpanRecord\s*::\s*new\s*\(\s*"(?:read|metadata_lookup|tier_resolve|driver_pread)"/g) {
+            while (/record_read_id\s*\(|record_counted\s*\(|count_read\s*\(|time_read\s*\(|profiler(?:\(\))?\s*\.\s*record_read\s*\(|ReadClass\s*::\s*of\s*\(|names\s*::\s*(?:READ|METADATA_LOOKUP|TIER_RESOLVE|DRIVER_PREAD)\b|SpanRecord\s*::\s*new\s*\(\s*"(?:read|metadata_lookup|tier_resolve|driver_pread)"/g) {
                 my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
                 (my $what = $&) =~ s/\s+//g;
                 print "$ENV{FILE}:$line: $what\n";
@@ -597,7 +626,7 @@ run_stall() {
         esac
         if awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" | FILE="$f" perl -0777 -ne '
             my $found = 0;
-            while (/stall_profile\(\)\s*\.\s*record\w*\s*\(|\b(?:lock_wait|queue_wait|driver_pread|copy_wait|degraded_fallback)\s*\.\s*record\w*\s*\(|record_timing\s*\(|StallProfile\s*::\s*default/g) {
+            while (/stall_profile\(\)\s*\.\s*record\w*\s*\(|\b(?:lock_wait|queue_wait|driver_pread|copy_wait|degraded_fallback)\s*\.\s*record\w*\s*\(|record_timing\s*\(|StallProfile\s*::\s*(?:default|new)\b/g) {
                 my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
                 (my $what = $&) =~ s/\s+//g;
                 print "$ENV{FILE}:$line: $what\n";
@@ -608,9 +637,64 @@ run_stall() {
         fi
     done < <(find crates/monarch-core/src crates/dlpipe/src/sim -name '*.rs' | sort)
     if [ "$bad" -ne 0 ]; then
-        echo "stall gate: record the read through AccessProfiler::record_counted / record_read instead" >&2
+        echo "stall gate: record the read through AccessProfiler::count_read / time_read / record_read instead" >&2
         exit 1
     fi
+    echo "==> stall gate: a read's booking folds no count cells"
+    python3 - <<'PY' || { echo "stall gate: a read's booking must not fold the namespace's counts (reads_of / counts / bytes_of); estimate from the read's weight" >&2; exit 1; }
+import re, sys
+
+def non_test(path):
+    text = open(path).read()
+    cut = re.search(r"^#\[cfg\(test\)\]", text, re.M)
+    return text[: cut.start()] if cut else text
+
+def functions(text):
+    """Every `fn NAME` with a body, found by matching brackets."""
+    for m in re.finditer(r"\bfn\s+(\w+)", text):
+        depth, i = 0, m.end()
+        while i < len(text) and not (depth == 0 and text[i] in "{;"):
+            depth += {"(": 1, "[": 1, ")": -1, "]": -1}.get(text[i], 0)
+            i += 1
+        start = i = i + 1
+        depth = text[i - 1] == "{"
+        while depth and i < len(text):
+            depth += {"{": 1, "}": -1}.get(text[i], 0)
+            i += 1
+        yield m.group(1), text[start:i]
+
+src = "crates/monarch-core/src/"
+code = "".join(non_test(src + f) for f in (
+    "lifecycle.rs", "observe/profiler.rs", "telemetry/histogram.rs", "stats.rs", "stripe.rs"))
+# Of the namespace, only what a read's count handle runs.
+meta = non_test(src + "metadata.rs")
+code += meta[meta.index("fn flush(") : meta.index("/// log2 of the first chunk")]
+bodies = {}
+for name, body in functions(code):
+    bodies.setdefault(name, []).append(body)
+# Every function of these files a read's booking can reach by name, from
+# the engine's booking and the by-name one (a name stands for all its
+# definitions, so the walk over-approximates).
+seen, todo, path = set(), ["read_served_by", "record_read"], {}
+while todo:
+    name = todo.pop()
+    if name in seen:
+        continue
+    seen.add(name)
+    for body in bodies.get(name, []):
+        fold = re.search(r"\b(reads_of|counts|bytes_of)\s*\(", body)
+        if fold:
+            chain, at = [name], name
+            while at in path:
+                at = path[at]
+                chain.append(at)
+            print("stall gate: " + " <- ".join(chain) + " calls " + fold.group(1), file=sys.stderr)
+            sys.exit(1)
+        for callee in re.findall(r"\b(\w+)\s*\(", body):
+            if callee in bodies and callee not in seen:
+                path.setdefault(callee, name)
+                todo.append(callee)
+PY
 }
 
 # One poison rule (DESIGN §5): a holder's panic releases the lock and the
